@@ -9,9 +9,11 @@ own pooled connection.
 
 Every row also measures the *in-process* equivalent — the same threads
 submitting the same batches straight into the scheduler with
-``submit_many`` — so ``wire_cost`` shows exactly what the socket hop,
-framing, and bit-packing cost on top of the coalescing core (the
-acceptance bar for the transport is staying within 3x at 16 clients).
+``submit_batch``, the call the wire tier itself makes (one request, one
+future, one bool array per frame) — so ``wire_cost`` compares like with
+like and shows exactly what the socket hop, framing, and bit-packing cost
+on top of the coalescing core (the acceptance bar for the transport is
+staying within 3x at 16 clients).
 
 ``python -m repro.bench.net --json BENCH_serving.json`` *appends* its table
 to the serving artifact (replacing a previous run's same-titled table), so
@@ -25,6 +27,8 @@ import json
 import os
 import tempfile
 import time
+
+import numpy as np
 
 from repro.bench.measure import ResultTable
 from repro.bench.serving import _run_clients, _serving_setup, write_serving_json
@@ -50,7 +54,7 @@ def net_throughput(
     batch: int = DEFAULT_BATCH,
     seed: int = 19,
 ) -> ResultTable:
-    """Wire qps per client count, next to the in-process submit_many ceiling."""
+    """Wire qps per client count, next to the in-process submit_batch ceiling."""
     workload, derivation, view, pairs = _serving_setup(
         workload, run_size, n_queries, seed
     )
@@ -70,9 +74,10 @@ def net_throughput(
             f"BioAID-like run of ~{run_size} items served from a mapped file "
             f"over a unix socket; each client thread owns a pooled connection "
             f"and streams {batch}-pair depends frames (one frame = one "
-            "coalesced engine call); inproc_qps drives the same batches "
-            "through submit_many without the socket, wire_cost = inproc/net "
-            "(steady state, one untimed warmup round per arm)"
+            "coalesced engine call); inproc_qps drives the same batches as "
+            "int64 arrays through submit_batch (one future per frame, the "
+            "call the wire tier makes) without the socket, wire_cost = "
+            "inproc/net (steady state, one untimed warmup round per arm)"
         ),
     )
     with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
@@ -102,13 +107,14 @@ def net_throughput(
                         client.depends_batch(mine[lo : lo + batch], view.name)
 
             def inproc_client(index: int) -> None:
-                mine = pairs[index * share : (index + 1) * share] or pairs[:share]
+                mine = np.asarray(
+                    pairs[index * share : (index + 1) * share] or pairs[:share],
+                    dtype=np.int64,
+                )
                 for lo in range(0, len(mine), batch):
-                    futures = server.submit_many(
+                    server.submit_batch(
                         "depends", mine[lo : lo + batch], view
-                    )
-                    for future in futures:
-                        future.result()
+                    ).result()
 
             with server:
                 with ProvenanceNetServer(server, unix_path=sock_path) as net:

@@ -575,7 +575,7 @@ class QueryEngine:
 
     def depends_batch(
         self,
-        pairs: "list[tuple[int, int]]",
+        pairs: "list[tuple[int, int]] | np.ndarray",
         view: "WorkflowView | str",
         *,
         run: str = DEFAULT_RUN,
@@ -584,9 +584,13 @@ class QueryEngine:
         """Answer ``pairs`` of ``(d1, d2)`` item ids against one view of one run.
 
         Results line up with ``pairs``: ``result[i]`` is ``True`` iff item
-        ``pairs[i][1]`` depends on ``pairs[i][0]`` in ``view``.
+        ``pairs[i][1]`` depends on ``pairs[i][0]`` in ``view``.  ``pairs`` is
+        a sequence of pairs or an ``(n, 2)`` integer array; an array feeds
+        the vectorised path as is and is unpacked (one ``tolist``) only
+        where evaluation walks pairs in Python.
         """
-        pairs = list(pairs)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
         shard = self._shard(run)
         state = self._decoded_state(view, variant)
         return self._evaluate(shard, state, pairs)
@@ -665,9 +669,11 @@ class QueryEngine:
         flags are memoized per arena and merely extended when the trie has
         grown) and each item costs two flag lookups — no
         :class:`~repro.core.labels.DataLabel` objects.  Only
-        object-represented runs fall back to materialising labels.
+        object-represented runs fall back to materialising labels.  ``uids``
+        may be an ``(n,)`` integer array; rows are looked up per item, so it
+        is unpacked once.
         """
-        uids = list(uids)
+        uids = uids.tolist() if isinstance(uids, np.ndarray) else list(uids)
         shard = self._shard(run)
         state = self._decoded_state(view, variant)
         self._note_queries(shard, state, "visible", len(uids))
@@ -967,7 +973,7 @@ class QueryEngine:
         self,
         shard: _RunShard,
         state: "DecodedViewState | DecodedMatrixFreeState",
-        pairs: list[tuple[int, int]],
+        pairs: "list[tuple[int, int]] | np.ndarray",
     ) -> list[bool]:
         with self._lock:
             shard.queries += len(pairs)
@@ -984,14 +990,18 @@ class QueryEngine:
         self,
         shard: _RunShard,
         state: "DecodedViewState | DecodedMatrixFreeState",
-        pairs: list[tuple[int, int]],
+        pairs: "list[tuple[int, int]] | np.ndarray",
     ) -> list[bool]:
         label = shard.label
-        if isinstance(state, DecodedMatrixFreeState):
-            return [state.depends(label(d1), label(d2)) for d1, d2 in pairs]
         store = shard.store
-        if isinstance(store, LabelStore):
+        matrix_free = isinstance(state, DecodedMatrixFreeState)
+        if not matrix_free and isinstance(store, LabelStore):
             return self._evaluate_store(store, state, pairs, shard)
+        if isinstance(pairs, np.ndarray):
+            # Both paths below walk label objects pair by pair.
+            pairs = pairs.tolist()
+        if matrix_free:
+            return [state.depends(label(d1), label(d2)) for d1, d2 in pairs]
 
         labels = [(label(d1), label(d2)) for d1, d2 in pairs]
         results = [False] * len(labels)
@@ -1021,7 +1031,7 @@ class QueryEngine:
         self,
         store: LabelStore,
         state: "DecodedViewState",
-        pairs: list[tuple[int, int]],
+        pairs: "list[tuple[int, int]] | np.ndarray",
         shard: _RunShard,
     ) -> list[bool]:
         """Store-backed batch evaluation: no label objects, integer grouping.
@@ -1064,6 +1074,8 @@ class QueryEngine:
             )
             if vectorised is not None:
                 return vectorised
+        if isinstance(pairs, np.ndarray):
+            pairs = pairs.tolist()
         row = store.row
         results = [False] * len(pairs)
         groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
@@ -1120,7 +1132,7 @@ class QueryEngine:
         self,
         store: LabelStore,
         state: "DecodedViewState",
-        pairs: list[tuple[int, int]],
+        pairs: "list[tuple[int, int]] | np.ndarray",
         shard: _RunShard,
         classifier: "ChainClassifier | None",
     ) -> list[bool] | None:
@@ -1160,9 +1172,10 @@ class QueryEngine:
         results = [False] * len(pairs)
         active = (c1 >= 0) & (p2 >= 0)
         boundary = active & ((p1 < 0) | (c2 < 0))
-        for pos in np.nonzero(boundary)[0]:
+        for pos in np.nonzero(boundary)[0].tolist():
+            # int(): an array row would hand numpy scalars to the label memo.
             d1, d2 = pairs[pos]
-            results[pos] = state.depends(store.label(d1), store.label(d2))
+            results[pos] = state.depends(store.label(int(d1)), store.label(int(d2)))
         grouped = np.nonzero(active & ~boundary)[0]
         if grouped.size == 0:
             return results

@@ -4,11 +4,11 @@
 :class:`~repro.serve.ProvenanceServer` so clients outside this process (and
 outside Python) reach the coalescing scheduler:
 
-* **one frame, one coalesced engine call** — a decoded ``depends``/``visible``
-  frame is enqueued whole through :meth:`ProvenanceServer.submit_many`, which
-  takes the queue lock once for the batch and keys every request identically,
-  so the scheduling step that picks it up answers it with a single vectorised
-  engine call;
+* **one frame, one request, one future** — a decoded ``depends``/``visible``
+  frame's int64 id array goes to :meth:`ProvenanceServer.submit_batch` as is:
+  one queue entry, never split across scheduling steps, answered (coalesced
+  with same-key frames from other connections) by a single vectorised engine
+  call whose bool-array slice is bit-packed straight into the reply;
 * **admission control, not blocking** — frames are admitted with
   ``block=False``: when the bounded request queue cannot take the whole
   batch, the client gets an explicit SHED reply (retry-after hint + queue
@@ -113,64 +113,40 @@ class _Connection:
 
 
 class _Flight:
-    """One admitted request frame waiting for its scheduler futures."""
+    """One admitted request frame waiting for its scheduler future."""
 
-    __slots__ = (
-        "_net",
-        "_conn",
-        "_request_id",
-        "_futures",
-        "_remaining",
-        "_lock",
-        "_trace",
-        "_span",
-        "_pending",
-    )
+    __slots__ = ("_net", "_conn", "_request_id", "_n", "_trace", "_span", "_pending")
 
-    def __init__(self, net, conn, request_id, futures,
+    def __init__(self, net, conn, request_id, n, future,
                  trace=None, span=None, pending=None) -> None:
         self._net = net
         self._conn = conn
         self._request_id = request_id
-        self._futures = futures
-        self._remaining = len(futures)
-        self._lock = threading.Lock()
+        self._n = n
         #: The request's trace, its ``net.frame`` root span, and its tail
         #: sampler record; the flight owns all three and closes them when
         #: the reply is on its way.
         self._trace = trace
         self._span = span
         self._pending = pending
-        for future in futures:
-            future.add_done_callback(self._on_done)
+        future.add_done_callback(self._on_done)
 
-    def _on_done(self, _future) -> None:
-        with self._lock:
-            self._remaining -= 1
-            if self._remaining:
-                return
-        # Last future resolved (possibly on a scheduler worker thread):
-        # pack the reply off the event loop and hand it over via the pipe.
-        error = None
-        answers = []
-        for future in self._futures:
-            exc = future.exception()
-            if exc is not None:
-                error = exc
-                break
-            answers.append(future.result())
+    def _on_done(self, future) -> None:
+        # Resolved (possibly on a scheduler worker thread): pack the reply
+        # off the event loop and hand it over via the pipe.
+        error = future.exception()
         if error is not None:
             reply = encode_error(self._request_id, type(error).__name__, str(error))
             self._net._count("errors")
         else:
-            reply = encode_answers(self._request_id, answers)
+            reply = encode_answers(self._request_id, future.result())
             self._net._count("answered_frames")
         self._net._finish_trace(
             self._trace,
             self._span,
             self._pending,
             error=error is not None,
-            queries=len(self._futures),
+            queries=self._n,
         )
         self._net._send(self._conn, reply)
 
@@ -547,7 +523,7 @@ class ProvenanceNetServer:
 
     def _admit(self, conn: _Connection, request: QueryRequest) -> None:
         kind = "depends" if request.op == OP_DEPENDS else "visible"
-        items = request.ids.tolist()
+        n = len(request.ids)
         # Tail sampling sees *every* frame (a header-only record); head
         # sampling below decides which ones also carry spans.
         pending = self._server.tail.open(
@@ -570,7 +546,7 @@ class ProvenanceNetServer:
                         "variant": str(
                             getattr(request.variant, "value", request.variant)
                         ),
-                        "n": len(items),
+                        "n": n,
                         "conn": conn.name,
                     },
                 )
@@ -580,9 +556,9 @@ class ProvenanceNetServer:
             else None
         )
         try:
-            futures = self._server.submit_many(
+            future = self._server.submit_batch(
                 kind,
-                items,
+                request.ids,
                 request.view,
                 run=request.run,
                 variant=request.variant,
@@ -593,17 +569,17 @@ class ProvenanceNetServer:
             # Oversized batch, stopped scheduler, bad variant: the frame is
             # unanswerable, the connection (and the loop) live on.
             self._count("errors")
-            self._finish_trace(trace, root, pending, error=True, queries=len(items))
+            self._finish_trace(trace, root, pending, error=True, queries=n)
             self._send(conn, encode_error(request.request_id, type(exc).__name__, str(exc)))
             return
-        if futures is None:
+        if future is None:
             self._count("sheds")
-            self._finish_trace(trace, root, pending, shed=True, queries=len(items))
+            self._finish_trace(trace, root, pending, shed=True, queries=n)
             obs_events.emit(
                 "shed",
                 run=request.run,
                 view=request.view,
-                n=len(items),
+                n=n,
                 queue_depth=self._server.pending,
             )
             self._send(
@@ -613,13 +589,9 @@ class ProvenanceNetServer:
                 ),
             )
             return
-        if not futures:
-            self._count("answered_frames")
-            self._finish_trace(trace, root, pending, queries=0)
-            self._send(conn, encode_answers(request.request_id, []))
-            return
+        # An empty frame's future is already resolved: the flight replies now.
         _Flight(
-            self, conn, request.request_id, futures,
+            self, conn, request.request_id, n, future,
             trace=trace, span=root, pending=pending,
         )
 

@@ -8,12 +8,17 @@ contention, serialising on it.  :class:`ProvenanceServer` turns the batch
 path into the default under concurrency with a micro-batching scheduler:
 
 * clients :meth:`~ProvenanceServer.submit` ``depends`` / ``is_visible``
-  requests and get :class:`concurrent.futures.Future` answers;
-* requests land in one bounded queue; a worker takes the first request,
-  **lingers** up to ``max_linger_us`` for concurrently-arriving requests to
-  pile on (capped at ``max_batch``), then groups the batch per
-  ``(kind, run, view, variant)`` and answers each group with a single
-  vectorised ``depends_batch`` / ``is_visible_batch`` call;
+  singletons, or :meth:`~ProvenanceServer.submit_batch` a whole *frame* — one
+  int64 id array answered through one :class:`concurrent.futures.Future`
+  that resolves to one bool array;
+* requests land in one bounded queue whose depth, bounds and counters are
+  all denominated in *queries* (a frame of ``n`` pairs weighs ``n``); a
+  worker takes the first request, **lingers** up to ``max_linger_us`` for
+  concurrently-arriving requests to pile on (capped at ``max_batch``
+  queries; a frame is never split across steps), then groups the step per
+  ``(kind, run, view, variant)``, concatenates each group's id arrays and
+  answers it with a single vectorised ``depends_batch`` /
+  ``is_visible_batch`` call, handing every member its slice;
 * after serving a run, the server probes that run's file header on a
   query-count/time backoff (:class:`ReopenPolicy` ->
   :meth:`QueryEngine.maybe_reopen`), so a *follower* process remaps onto a
@@ -24,8 +29,8 @@ path into the default under concurrency with a micro-batching scheduler:
 
 The server adds no locking around the engine beyond what the engine already
 does — correctness under concurrent queries is the engine's contract; the
-server's job is turning N concurrent singletons into N/``batch`` engine
-calls.  ``drain_once()`` exposes one scheduling step synchronously so tests
+server's job is turning N concurrent singletons (or N small frames) into
+N/``batch`` engine calls.  ``drain_once()`` exposes one scheduling step synchronously so tests
 and single-threaded callers get deterministic behaviour with no threads.
 """
 
@@ -37,6 +42,8 @@ from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro import faults
 from repro.engine.engine import DEFAULT_RUN, QueryEngine
@@ -65,12 +72,14 @@ _QUEUE_POLL_S = 0.05
 class BatchPolicy:
     """How aggressively concurrent singletons are coalesced.
 
-    ``max_batch`` bounds one scheduling step's batch; ``max_linger_us`` is
-    how long (microseconds) a worker holds the *first* request of a batch
-    waiting for company — the latency price of coalescing, paid only when
-    the queue is shallower than ``max_batch``; ``max_queue`` bounds the
-    request queue (submitters block once it is full — backpressure, not
-    unbounded memory).
+    Every bound counts *queries* (a frame of ``n`` pairs weighs ``n``).
+    ``max_batch`` bounds one scheduling step's batch — frames are popped
+    whole, so a single frame larger than ``max_batch`` is a step of its own;
+    ``max_linger_us`` is how long (microseconds) a worker holds the *first*
+    request of a batch waiting for company — the latency price of
+    coalescing, paid only when the queue is shallower than ``max_batch``;
+    ``max_queue`` bounds the request queue (submitters block once it is full
+    — backpressure, not unbounded memory).
     """
 
     max_batch: int = 1024
@@ -151,21 +160,37 @@ class ServerStats:
 
 
 class _Request:
-    __slots__ = ("kind", "key", "d1", "d2", "view", "run", "variant", "future", "trace")
+    """One queue entry: ``n`` queries sharing one key and **one** future.
 
-    def __init__(self, kind, key, d1, d2, view, run, variant, trace=None) -> None:
-        self.kind = kind
-        self.key = key
-        self.d1 = d1
-        self.d2 = d2
+    A frame (:meth:`ProvenanceServer.submit_batch`) carries ``ids`` as an
+    int64 array — ``(n, 2)`` pairs for ``depends``, ``(n,)`` uids for
+    ``visible`` — and its future resolves to a bool array of length ``n``.
+    A singleton (:meth:`~ProvenanceServer.submit` /
+    :meth:`~ProvenanceServer.submit_visible`) is the same request with
+    ``n == 1`` and ``scalar`` set: ``ids`` is then the plain ``(d1, d2)``
+    tuple / uid (a step full of singletons merges through one list, not n
+    tiny arrays) and the future resolves to a plain ``bool``.
+    """
+
+    __slots__ = ("key", "n", "ids", "scalar", "view", "variant", "future", "trace")
+
+    def __init__(self, key, n, ids, scalar, view, variant, trace=None) -> None:
+        self.key = key  # (kind, run, view name, variant key)
+        self.n = n
+        self.ids = ids
+        self.scalar = scalar
         self.view = view
-        self.run = run
         self.variant = variant
         self.future: Future = Future()
         #: Optional :class:`~repro.obs.trace.TraceContext` — contextvars do
         #: not follow a request across the queue to a worker thread, so the
         #: trace handle rides the request itself.
         self.trace: "TraceContext | None" = trace
+
+
+def _request_key(kind: str, view, run: str, variant) -> tuple:
+    view_name = view if isinstance(view, str) else view.name
+    return (kind, run, view_name, getattr(variant, "value", variant))
 
 
 def _safe_set_result(future: Future, value) -> None:
@@ -180,6 +205,17 @@ def _safe_set_exception(future: Future, exc: BaseException) -> None:
         future.set_exception(exc)
     except InvalidStateError:  # pragma: no cover - caller cancelled
         pass
+
+
+def _fan_out(futures: "list[Future]", frame: Future) -> None:
+    """Done-callback of a frame future: resolve :meth:`submit_many`'s per-item futures."""
+    exc = frame.exception()
+    if exc is not None:
+        for future in futures:
+            _safe_set_exception(future, exc)
+        return
+    for future, answer in zip(futures, frame.result().tolist()):
+        _safe_set_result(future, answer)
 
 
 class ProvenanceServer:
@@ -219,6 +255,9 @@ class ProvenanceServer:
         self._n_workers = workers
         self._clock = clock
         self._queue: deque[_Request] = deque()
+        #: Queries (not requests) in ``_queue`` — what ``max_queue``,
+        #: ``max_batch``, the linger test and ``pending`` all count.
+        self._queued = 0
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._stopping = False
@@ -283,7 +322,7 @@ class ProvenanceServer:
 
     def _queue_depth(self) -> int:
         with self._cond:
-            return len(self._queue)
+            return self._queued
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -353,6 +392,7 @@ class ProvenanceServer:
         with self._cond:
             leftovers = list(self._queue)
             self._queue.clear()
+            self._queued = 0
         for request in leftovers:
             _safe_set_exception(
                 request.future, RuntimeError("provenance server was stopped")
@@ -408,19 +448,8 @@ class ProvenanceServer:
         variant=None,
     ) -> Future:
         """Enqueue one ``depends`` query; the Future resolves to its answer."""
-        view_name = view if isinstance(view, str) else view.name
-        variant_key = getattr(variant, "value", variant)
-        return self._enqueue(
-            _Request(
-                _DEPENDS,
-                (_DEPENDS, run, view_name, variant_key),
-                d1,
-                d2,
-                view,
-                run,
-                variant,
-            )
-        )
+        key = _request_key(_DEPENDS, view, run, variant)
+        return self._enqueue(_Request(key, 1, (d1, d2), True, view, variant))
 
     def submit_visible(
         self,
@@ -431,19 +460,73 @@ class ProvenanceServer:
         variant=None,
     ) -> Future:
         """Enqueue one ``is_visible`` query; the Future resolves to its answer."""
-        view_name = view if isinstance(view, str) else view.name
-        variant_key = getattr(variant, "value", variant)
-        return self._enqueue(
-            _Request(
-                _VISIBLE,
-                (_VISIBLE, run, view_name, variant_key),
-                uid,
-                None,
-                view,
-                run,
-                variant,
+        key = _request_key(_VISIBLE, view, run, variant)
+        return self._enqueue(_Request(key, 1, uid, True, view, variant))
+
+    def submit_batch(
+        self,
+        kind: str,
+        ids,
+        view,
+        *,
+        run: str = DEFAULT_RUN,
+        variant=None,
+        block: bool = True,
+        trace: "TraceContext | None" = None,
+    ) -> "Future | None":
+        """Enqueue one frame of queries as **one** request with **one** future.
+
+        ``kind`` is ``"depends"`` (``ids`` is an ``(n, 2)`` int64 array of
+        ``(d1, d2)`` pairs) or ``"visible"`` (an ``(n,)`` array of uids);
+        anything :func:`numpy.asarray` turns into that shape is accepted, an
+        int64 array is used as is (no copy).  The returned Future resolves
+        to a bool array of length ``n``, in ``ids`` order — the wire
+        front-end's path (:mod:`repro.net`): a decoded frame stays one array
+        from the socket to the engine and back.
+
+        The frame weighs ``n`` queries against ``max_queue`` and
+        ``max_batch`` and is never split: the scheduling step that pops it
+        answers all of it, coalesced with any same-key company into one
+        vectorised engine call.  A frame that could never fit ``max_queue``
+        raises ``ValueError`` before anything is allocated for it.
+
+        ``block=False`` admits the frame only if *all* of it fits the bounded
+        queue right now and returns ``None`` otherwise, so a network accept
+        loop can answer with an explicit SHED/retry-after response instead of
+        stalling on backpressure.  ``block=True`` waits for room like
+        :meth:`submit`.
+
+        ``trace`` attaches a :class:`~repro.obs.trace.TraceContext` to the
+        request: the scheduling step that serves it opens a
+        ``scheduler.batch`` span under it (recording which trace ids the
+        step coalesced) and runs the engine call with the trace active, so
+        engine/store spans nest below.  The *caller* still owns the trace's
+        lifetime — the scheduler never finishes it.
+        """
+        if kind not in (_DEPENDS, _VISIBLE):
+            raise ValueError(
+                f"unknown request kind {kind!r} (expected {_DEPENDS!r} or {_VISIBLE!r})"
             )
-        )
+        if self._stopping:
+            # Re-checked under the lock in _enqueue; here so a stopped server
+            # refuses before ``ids`` is converted.
+            raise RuntimeError("provenance server is stopped")
+        n = len(ids)
+        if n > self._policy.max_queue:
+            raise ValueError(
+                f"batch of {n} requests can never fit max_queue="
+                f"{self._policy.max_queue}; split it across frames"
+            )
+        if n == 0:
+            empty: Future = Future()
+            empty.set_result(np.zeros(0, dtype=bool))
+            return empty
+        ids = np.asarray(ids, dtype=np.int64)
+        shape = (n, 2) if kind == _DEPENDS else (n,)
+        if ids.shape != shape:
+            raise ValueError(f"{kind} ids must have shape {shape}, got {ids.shape}")
+        key = _request_key(kind, view, run, variant)
+        return self._enqueue(_Request(key, n, ids, False, view, variant, trace), block)
 
     def submit_many(
         self,
@@ -456,83 +539,25 @@ class ProvenanceServer:
         block: bool = True,
         trace: "TraceContext | None" = None,
     ) -> "list[Future] | None":
-        """Enqueue a pre-grouped batch of queries in one queue-lock round trip.
+        """:meth:`submit_batch` with one Future per item (the compatibility API).
 
-        ``kind`` is ``"depends"`` (``items`` are ``(d1, d2)`` pairs) or
-        ``"visible"`` (``items`` are uids).  The whole batch shares one
-        ``(kind, run, view, variant)`` key, so the scheduling step that picks
-        it up answers it with a single vectorised engine call — the wire
-        front-end's fast path (:mod:`repro.net`): one decoded frame must not
-        pay ``len(items)`` per-request lock round-trips through
-        :meth:`submit`.
-
-        ``block=False`` admits the batch only if *all* of it fits the bounded
-        queue right now and returns ``None`` otherwise, so a network accept
-        loop can answer with an explicit SHED/retry-after response instead of
-        stalling on backpressure.  ``block=True`` waits for room like
-        :meth:`submit`.  Returns the requests' futures, in ``items`` order.
-
-        ``trace`` attaches a :class:`~repro.obs.trace.TraceContext` to every
-        request of the batch: the scheduling step that serves them opens a
-        ``scheduler.batch`` span under it (recording which trace ids the
-        step coalesced) and runs the engine call with the trace active, so
-        engine/store spans nest below.  The *caller* still owns the trace's
-        lifetime — the scheduler never finishes it.
+        ``items`` are ``(d1, d2)`` pairs or uids; the batch travels the queue
+        as one frame and a single callback on its future resolves the
+        returned per-item futures (``items`` order, plain ``bool`` answers).
+        Same ``block``/``trace`` semantics; ``None`` when a non-blocking
+        batch was refused.  Callers that can take one bool array should use
+        :meth:`submit_batch` and skip the ``len(items)`` futures.
         """
-        if kind not in (_DEPENDS, _VISIBLE):
-            raise ValueError(
-                f"unknown request kind {kind!r} (expected {_DEPENDS!r} or {_VISIBLE!r})"
-            )
-        view_name = view if isinstance(view, str) else view.name
-        variant_key = getattr(variant, "value", variant)
-        key = (kind, run, view_name, variant_key)
-        if kind == _DEPENDS:
-            requests = [
-                _Request(kind, key, d1, d2, view, run, variant, trace)
-                for d1, d2 in items
-            ]
-        else:
-            requests = [
-                _Request(kind, key, uid, None, view, run, variant, trace)
-                for uid in items
-            ]
-        if not requests:
-            return []
-        n = len(requests)
-        if n > self._policy.max_queue:
-            raise ValueError(
-                f"batch of {n} requests can never fit max_queue="
-                f"{self._policy.max_queue}; split it across frames"
-            )
-        if not block:
-            try:
-                # Deterministic shed injection: a harness arming this point
-                # makes the non-blocking edge refuse admission exactly as a
-                # full queue would, without having to race the queue full.
-                faults.hit("scheduler.admit")
-            except InjectedFault:
-                return None
-        with self._cond:
-            if self._stopping:
-                raise RuntimeError("provenance server is stopped")
-            while len(self._queue) + n > self._policy.max_queue:
-                if not block:
-                    return None
-                if not self._threads:
-                    raise RuntimeError(
-                        "request queue is full and no workers are running; "
-                        "start() the server or drain_once() between submissions"
-                    )
-                self._cond.wait(_QUEUE_POLL_S)
-                if self._stopping:
-                    raise RuntimeError("provenance server is stopped")
-            self._queue.extend(requests)
-            depth = len(self._queue)
-            self._cond.notify_all()
-        self._submitted_c.inc(n)
-        self._queue_peak_g.set_max(depth)
-        self._queue_hwm_g.set_max(depth)
-        return [request.future for request in requests]
+        if not hasattr(items, "__len__"):
+            items = list(items)
+        frame = self.submit_batch(
+            kind, items, view, run=run, variant=variant, block=block, trace=trace
+        )
+        if frame is None:
+            return None
+        futures: "list[Future]" = [Future() for _ in range(len(items))]
+        frame.add_done_callback(lambda done: _fan_out(futures, done))
+        return futures
 
     def depends(
         self,
@@ -561,18 +586,16 @@ class ProvenanceServer:
     def drain_once(self) -> int:
         """Take one scheduling step on the caller's thread (no linger).
 
-        Pops up to ``max_batch`` queued requests, serves them as grouped
-        engine calls and returns how many were answered — the deterministic,
-        threadless way to run the scheduler (tests, single-threaded tools).
+        Pops whole requests worth up to ``max_batch`` queries, serves them
+        as grouped engine calls and returns how many queries were answered —
+        the deterministic, threadless way to run the scheduler (tests,
+        single-threaded tools).
         """
         with self._cond:
-            count = min(len(self._queue), self._policy.max_batch)
-            batch = [self._queue.popleft() for _ in range(count)]
-            if count:
-                self._cond.notify_all()
+            batch, queries = self._pop_step()
         if batch:
             self._process(batch)
-        return len(batch)
+        return queries
 
     # -- observability -----------------------------------------------------------
 
@@ -648,16 +671,28 @@ class ProvenanceServer:
 
     @property
     def pending(self) -> int:
-        with self._cond:
-            return len(self._queue)
+        """Queries queued right now (a frame of ``n`` counts ``n``)."""
+        return self._queue_depth()
 
     # -- internals ---------------------------------------------------------------
 
-    def _enqueue(self, request: _Request) -> Future:
+    def _enqueue(self, request: _Request, block: bool = True) -> "Future | None":
+        n = request.n
+        max_queue = self._policy.max_queue
+        if not block:
+            try:
+                # Deterministic shed injection: a harness arming this point
+                # makes the non-blocking edge refuse admission exactly as a
+                # full queue would, without having to race the queue full.
+                faults.hit("scheduler.admit")
+            except InjectedFault:
+                return None
         with self._cond:
             if self._stopping:
                 raise RuntimeError("provenance server is stopped")
-            while len(self._queue) >= self._policy.max_queue:
+            while self._queued + n > max_queue:
+                if not block:
+                    return None
                 if not self._threads:
                     raise RuntimeError(
                         "request queue is full and no workers are running; "
@@ -667,12 +702,33 @@ class ProvenanceServer:
                 if self._stopping:
                     raise RuntimeError("provenance server is stopped")
             self._queue.append(request)
-            depth = len(self._queue)
+            self._queued += n
+            depth = self._queued
             self._cond.notify_all()
-        self._submitted_c.inc()
+        self._submitted_c.inc(n)
         self._queue_peak_g.set_max(depth)
         self._queue_hwm_g.set_max(depth)
         return request.future
+
+    def _pop_step(self) -> "tuple[list[_Request], int]":
+        """Pop one step's requests (caller holds ``_cond``): whole frames only.
+
+        Requests are taken in arrival order until the next one would push
+        the step past ``max_batch`` queries; a frame is never split, so one
+        larger than ``max_batch`` is a step of its own.
+        """
+        max_batch = self._policy.max_batch
+        queue = self._queue
+        batch: "list[_Request]" = []
+        queries = 0
+        while queue and (not batch or queries + queue[0].n <= max_batch):
+            request = queue.popleft()
+            batch.append(request)
+            queries += request.n
+        if batch:
+            self._queued -= queries
+            self._cond.notify_all()  # wake blocked submitters
+        return batch, queries
 
     def _resolve(self, future: Future) -> bool:
         if not self._threads:
@@ -714,7 +770,7 @@ class ProvenanceServer:
                 obs_events.emit(
                     "worker_restart",
                     error=repr(exc),
-                    failed_requests=len(batch) if batch else 0,
+                    failed_requests=sum(r.n for r in batch) if batch else 0,
                 )
                 with self._cond:
                     if self._stopping and not self._queue:
@@ -752,7 +808,7 @@ class ProvenanceServer:
                     return None  # stopping, and the queue is drained
                 if (
                     policy.max_linger_us > 0
-                    and len(self._queue) < policy.max_batch
+                    and self._queued < policy.max_batch
                     and not self._stopping
                 ):
                     # Hold the first request briefly: under concurrency the
@@ -761,19 +817,17 @@ class ProvenanceServer:
                     # backoff), so tests drive linger with a fake clock; only
                     # the condition waits themselves are OS-timed.
                     deadline = self._clock() + policy.max_linger_us / 1e6
-                    while len(self._queue) < policy.max_batch and not self._stopping:
+                    while self._queued < policy.max_batch and not self._stopping:
                         remaining = deadline - self._clock()
                         if remaining <= 0:
                             break
                         self._cond.wait(min(remaining, _QUEUE_POLL_S))
                 if not self._queue:
                     continue  # another worker took everything while we lingered
-                count = min(len(self._queue), policy.max_batch)
-                batch = [self._queue.popleft() for _ in range(count)]
-                self._cond.notify_all()  # wake blocked submitters
-                return batch
+                return self._pop_step()[0]
 
     def _process(self, batch: "list[_Request]") -> None:
+        queries = sum(request.n for request in batch)
         groups: dict[tuple, list[_Request]] = {}
         for request in batch:
             groups.setdefault(request.key, []).append(request)
@@ -781,14 +835,11 @@ class ProvenanceServer:
         # recording *all* the trace ids this step coalesced — the span tree
         # of any one request shows which strangers shared its batch.
         sched_spans: dict[int, object] = {}
-        traced: list[tuple[object, object]] = []  # (trace, span) pairs to finish
         coalesced_ids: list[int] = []
         seen_traces: set[int] = set()
         for request in batch:
             ctx = request.trace
-            if ctx is None:
-                continue
-            if id(ctx.trace) not in seen_traces:
+            if ctx is not None and id(ctx.trace) not in seen_traces:
                 seen_traces.add(id(ctx.trace))
                 coalesced_ids.append(ctx.trace_id)
         if coalesced_ids:
@@ -796,62 +847,99 @@ class ProvenanceServer:
                 ctx = request.trace
                 if ctx is None or id(ctx.trace) in sched_spans:
                     continue
-                span = ctx.trace.begin_span(
+                sched_spans[id(ctx.trace)] = ctx.trace.begin_span(
                     "scheduler.batch",
                     parent_id=ctx.parent_id,
                     attrs={
-                        "batch": len(batch),
+                        "requests": len(batch),
+                        "queries": queries,
                         "groups": len(groups),
                         "coalesced_traces": list(coalesced_ids),
                     },
                 )
-                sched_spans[id(ctx.trace)] = span
-                if span is not None:
-                    traced.append((ctx.trace, span))
         served_runs: dict[str, int] = {}
+        engine_calls = 0
+        coalesced = 0
         for key, members in groups.items():
-            kind, run = key[0], key[1]
-            view = members[0].view
-            variant = members[0].variant
             # Engine/store spans of this group nest under the first traced
             # member's scheduler span; the other coalesced traces still
             # record the step itself (ids above) without duplicate subtrees.
             group_ctx = next((m.trace for m in members if m.trace is not None), None)
             group_span = sched_spans.get(id(group_ctx.trace)) if group_ctx else None
-            try:
-                with activate(
-                    group_ctx.trace if group_ctx is not None else None,
-                    getattr(group_span, "span_id", None),
-                ):
-                    if kind == _DEPENDS:
-                        answers = self._engine.depends_batch(
-                            [(m.d1, m.d2) for m in members],
-                            view,
-                            run=run,
-                            variant=variant,
-                        )
-                    else:
-                        answers = self._engine.is_visible_batch(
-                            [m.d1 for m in members], view, run=run, variant=variant
-                        )
-            except Exception as exc:
-                for member in members:
-                    _safe_set_exception(member.future, exc)
-                continue
-            for member, answer in zip(members, answers):
-                _safe_set_result(member.future, answer)
-            served_runs[run] = served_runs.get(run, 0) + len(members)
-        for _trace, span in traced:
-            span.finish()
+            with activate(
+                group_ctx.trace if group_ctx is not None else None,
+                getattr(group_span, "span_id", None),
+            ):
+                calls, served = self._serve_group(key, members)
+            engine_calls += calls
+            if served:
+                served_runs[key[1]] = served_runs.get(key[1], 0) + served
+            group_queries = sum(member.n for member in members)
+            if group_queries > 1:
+                coalesced += group_queries
+        for span in sched_spans.values():
+            if span is not None:
+                span.finish()
         self._batches_c.inc()
-        self._engine_calls_c.inc(len(groups))
-        self._answered_c.inc(len(batch))
-        coalesced = sum(len(members) for members in groups.values() if len(members) > 1)
+        self._engine_calls_c.inc(engine_calls)
+        self._answered_c.inc(queries)
         if coalesced:
             self._coalesced_c.inc(coalesced)
-        self._largest_batch_g.set_max(len(batch))
+        self._largest_batch_g.set_max(queries)
         for run, count in served_runs.items():
             self._note_served(run, count)
+
+    def _serve_group(self, key: tuple, members: "list[_Request]") -> "tuple[int, int]":
+        """Answer one same-key group; returns ``(engine calls, queries served)``.
+
+        The group is one coalesced engine call.  If that call raises and the
+        group has company, every member is re-evaluated alone, so one
+        frame's unknown uid fails that frame only — the strangers it was
+        coalesced with still get their bits.
+        """
+        try:
+            self._evaluate(key, members)
+            return 1, sum(member.n for member in members)
+        except Exception as exc:
+            if len(members) == 1:
+                _safe_set_exception(members[0].future, exc)
+                return 1, 0
+        served = 0
+        for member in members:
+            try:
+                self._evaluate(key, [member])
+                served += member.n
+            except Exception as exc:
+                _safe_set_exception(member.future, exc)
+        return 1 + len(members), served
+
+    def _evaluate(self, key: tuple, members: "list[_Request]") -> None:
+        """One engine call over ``members``' ids; each future gets its slice."""
+        first = members[0]
+        frames = [member for member in members if not member.scalar]
+        scalars = [member for member in members if member.scalar]
+        if not frames:
+            ids = [member.ids for member in scalars]
+        elif len(members) == 1:
+            ids = first.ids
+        else:
+            parts = [member.ids for member in frames]
+            if scalars:
+                parts.append(
+                    np.asarray([member.ids for member in scalars], dtype=np.int64)
+                )
+            ids = np.concatenate(parts)
+        engine = self._engine
+        call = engine.depends_batch if key[0] == _DEPENDS else engine.is_visible_batch
+        answers = call(ids, first.view, run=key[1], variant=first.variant)
+        offset = 0
+        if frames:
+            bits = np.asarray(answers, dtype=bool)
+            for member in frames:
+                _safe_set_result(member.future, bits[offset : offset + member.n])
+                offset += member.n
+        for member, answer in zip(scalars, answers[offset:]):
+            _safe_set_result(member.future, answer)
 
     def _note_served(self, run: str, count: int) -> None:
         """Advance the run's probe backoff; probe + remap when a bound fires."""

@@ -89,3 +89,26 @@ def derive_running(spec, seed: int = 0, max_steps: int = 30) -> Derivation:
 def running_derivation(running_spec):
     """A fresh, moderately sized complete derivation of the running example."""
     return derive_running(running_spec, seed=1)
+
+
+@pytest.fixture()
+def count_constructions(monkeypatch):
+    """``count(module, name)`` swaps in a subclass that records each construction.
+
+    Returns the (initially empty) list the subclass appends to, so a test can
+    assert how many ``module.<name>`` objects a code path built.
+    """
+
+    def count(module, name: str) -> list:
+        built: list = []
+        original = getattr(module, name)
+
+        class Counted(original):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, Counted)
+        return built
+
+    return count

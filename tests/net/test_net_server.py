@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import repro.serve.server as serve_module
 from repro.core import FVLScheme, FVLVariant
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.model.projection import ViewProjection
@@ -205,18 +206,84 @@ def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):
         fill_done.wait(5.0)
 
 
-def test_oversized_batch_answers_error_and_survives(scheme, workload, tmp_path):
+def test_oversized_batch_answers_error_and_survives(
+    scheme, workload, tmp_path, count_constructions
+):
     _, view, _, pairs = workload
     tiny = ProvenanceServer(
         QueryEngine(scheme), policy=BatchPolicy(max_batch=8, max_queue=8)
     )
+    requests = count_constructions(serve_module, "_Request")
     sock_path = tmp_path / "tiny.sock"
     with ProvenanceNetServer(tiny, unix_path=sock_path) as net:
         with ProvenanceClient(unix_path=sock_path) as client:
-            with pytest.raises(RemoteQueryError, match="never fit"):
+            with pytest.raises(RemoteQueryError, match="never fit") as info:
                 client.depends_batch(pairs[:20], view.name)
-            # The loop survived; the connection still answers stats.
+            assert info.value.kind == "ValueError"
+            # The loop survived; the same connection still answers stats.
             assert client.server_stats()["status"] == "ok"
+            assert net.stats.connections == 1
+    # Refused on its size alone: nothing was built for the hostile frame.
+    assert not requests
+
+
+def test_a_wire_frame_costs_one_future(served, count_constructions):
+    """2,048 pairs cross socket -> scheduler -> engine behind O(1) futures."""
+    net, sock_path, view, _, pairs, expected, _ = served
+    frame = (pairs * 7)[:2048]
+    futures = count_constructions(serve_module, "Future")
+    requests = count_constructions(serve_module, "_Request")
+    with ProvenanceClient(unix_path=sock_path) as client:
+        assert client.depends_batch(frame, view.name) == (expected * 7)[:2048]
+    assert len(requests) == 1
+    assert len(futures) == 1
+
+
+def test_bad_frame_fails_alone_across_connections(scheme, workload, run_file, tmp_path):
+    """Two connections' same-key frames coalesce; only the offender errors."""
+    _, view, _, pairs = workload
+    path, expected, _ = run_file
+    engine = QueryEngine(scheme)
+    server = ProvenanceServer(engine)
+    server.attach(path)
+    engine.add_view(view)
+    sock_path = tmp_path / "blast.sock"
+    good, bad = pairs[:120], list(pairs[120:200])
+    bad[17] = (bad[17][0], 10**9)
+    outcomes: dict = {}
+
+    def ask(name: str, frame) -> None:
+        try:
+            with ProvenanceClient(unix_path=sock_path, timeout=10.0) as client:
+                outcomes[name] = client.depends_batch(frame, view.name)
+        except Exception as exc:
+            outcomes[name] = exc
+
+    with ProvenanceNetServer(server, unix_path=sock_path):
+        threads = [
+            threading.Thread(target=ask, args=("good", good)),
+            threading.Thread(target=ask, args=("bad", bad)),
+        ]
+        for thread in threads:
+            thread.start()
+        # No workers yet: both frames park in the queue, so the first step
+        # the scheduler takes is guaranteed to coalesce them.
+        deadline = time.monotonic() + 5.0
+        while server.pending < 200 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.pending == 200
+        before = server.stats
+        with server:
+            for thread in threads:
+                thread.join(10.0)
+        after = server.stats
+    engine.detach(DEFAULT_RUN)
+    assert outcomes["good"] == expected[:120]
+    assert isinstance(outcomes["bad"], RemoteQueryError)
+    assert outcomes["bad"].kind == "LabelingError"
+    assert after.batches - before.batches == 1
+    # The coalesced call that raised plus one retry per frame.
+    assert after.engine_calls - before.engine_calls == 3
 
 
 def test_shed_retries_eventually_succeed(served):
