@@ -57,6 +57,12 @@ class DecodeCache:
     same parse-tree paths.  Batched callers (:class:`repro.engine.QueryEngine`)
     keep one instance per decoded view and thread it through :func:`depends`;
     single-shot callers pass ``None`` and pay the original cost.
+
+    The two segment tables are keyed by materialised edge labels, so their
+    entries hold for the view whatever run is queried; a caller that rebuilds
+    caches for one view (the engine, on every view-state LRU miss) passes the
+    dicts of the previous cache in so only ``pair_matrices`` starts empty.
+    Shared tables count against each sharing cache's budget in full.
     """
 
     __slots__ = (
@@ -68,9 +74,16 @@ class DecodeCache:
         "max_pair_hits",
     )
 
-    def __init__(self, max_entries: int | None = None, max_pair_hits: int = 65536) -> None:
-        self.inputs_segments: dict[tuple, BoolMatrix] = {}
-        self.outputs_segments: dict[tuple, BoolMatrix] = {}
+    def __init__(
+        self,
+        max_entries: int | None = None,
+        max_pair_hits: int = 65536,
+        *,
+        inputs_segments: "dict[tuple, BoolMatrix] | None" = None,
+        outputs_segments: "dict[tuple, BoolMatrix] | None" = None,
+    ) -> None:
+        self.inputs_segments = {} if inputs_segments is None else inputs_segments
+        self.outputs_segments = {} if outputs_segments is None else outputs_segments
         self.pair_matrices: dict[tuple, BoolMatrix | None] = {}
         #: Query-count accounting per cached pair-matrix key, fed by the
         #: engine's batch grouping.  Bounded by ``pair_matrices`` (only keys

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.labels import DataLabel, ProductionEdgeLabel, RecursionEdgeLabel
 from repro.errors import DecodingError
-from repro.store.path_table import _FIELD_MASK, KIND_PRODUCTION, KIND_ROOT
+from repro.store.path_table import _FIELD_BITS, _FIELD_MASK, KIND_PRODUCTION, KIND_ROOT
 
 __all__ = ["is_visible", "path_visibility", "visible_batch", "visible_mask"]
 
@@ -99,6 +99,40 @@ def _column_slice_array(column, start: int, stop: int, dtype) -> np.ndarray:
     return np.asarray(column[start:stop], dtype=dtype)
 
 
+def _recursion_rows_retained(index, retained, words: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The recursion-edge half of the test for many ``(s, t, i)`` rows at once.
+
+    :func:`_recursion_retained` reads the chain position ``i`` only through
+    ``min(i - 1, cycle_length(s))``, so rows are keyed on that clamp instead
+    of the raw ``i`` (unbounded, and distinct for every member of a chain):
+    one scalar test per distinct ``(s, t, clamp)`` answers them all.
+    """
+    cycles, cycle_slot = np.unique((words >> 1) & _FIELD_MASK, return_inverse=True)
+    lengths = np.fromiter(
+        (index.cycle_length(s) for s in cycles.tolist()), dtype=np.int64, count=cycles.size
+    )
+    # The clamp is at most a cycle length, i.e. at most the production count,
+    # which fits the 16 bits the 33-bit packed word leaves free many times over.
+    needed = np.minimum(np.maximum(i - 1, 0), lengths[cycle_slot])
+    keys, key_slot = np.unique((words << _FIELD_BITS) | needed, return_inverse=True)
+    verdicts = np.fromiter(
+        (
+            # needed + 1 stands in for i: the test clamps it to the same value.
+            _recursion_retained(
+                index,
+                retained,
+                (key >> (_FIELD_BITS + 1)) & _FIELD_MASK,
+                key >> (2 * _FIELD_BITS + 1),
+                (key & _FIELD_MASK) + 1,
+            )
+            for key in keys.tolist()
+        ),
+        dtype=bool,
+        count=keys.size,
+    )
+    return verdicts[key_slot]
+
+
 def path_visibility(table, view_label, *, prefix: "np.ndarray | None" = None) -> np.ndarray:
     """Per-path-id visibility flags over a :class:`~repro.store.PathTable`.
 
@@ -106,11 +140,12 @@ def path_visibility(table, view_label, *, prefix: "np.ndarray | None" = None) ->
     retained by ``view_label`` — i.e. iff a port whose label path is ``p``
     belongs to a visible item.  The per-edge retained test is vectorised
     straight off the packed trie columns (production edges, the vast
-    majority, are one mask-and-``isin`` pass; the bounded set of distinct
-    recursion edges is resolved scalar-ly with a memo), and a child's id is
-    always greater than its parent's, so the remaining AND-fold is one
-    forward pass.  Works on live, compacted and mapped tables alike and
-    never materialises an edge tuple.
+    majority, are one mask-and-``isin`` pass; recursion edges are resolved
+    once per distinct ``(s, t, clamped i)``), and the AND-fold along the
+    trie is pointer jumping over ``parent``: every pass ANDs a row with its
+    current ancestor and doubles the ancestor's distance, so a trie of depth
+    ``d`` folds in ``log2(d)`` array passes.  Works on live, compacted and
+    mapped tables alike and never materialises an edge tuple.
 
     ``prefix`` is an earlier result for the same ``(table, view_label)``
     pair: the trie is append-only, so the old flags are reused verbatim and
@@ -127,7 +162,6 @@ def path_visibility(table, view_label, *, prefix: "np.ndarray | None" = None) ->
     if n == 0:
         return np.zeros(0, dtype=bool)
     start = 1
-    vis: list = [True]
     if prefix is not None:
         if len(prefix) > n:
             raise DecodingError(
@@ -138,13 +172,18 @@ def path_visibility(table, view_label, *, prefix: "np.ndarray | None" = None) ->
             return prefix
         if len(prefix) > 1:
             start = len(prefix)
-            vis = prefix.tolist()
+    flags = np.empty(n, dtype=bool)
+    if start > 1:
+        flags[:start] = prefix
+    else:
+        flags[0] = True  # the empty path hides nothing
     if start >= n:
-        return np.asarray(vis, dtype=bool)
+        return flags
 
     packed_arr = _column_slice_array(packed, start, n, np.int64)
     # Production edges (kind bit 0): retained iff k is a retained production.
-    edge_ok = np.zeros(n - start, dtype=bool)
+    edge_ok = flags[start:]
+    edge_ok[:] = False
     production = (packed_arr & 1) == KIND_PRODUCTION
     retained = view_label.retained_productions
     if retained:
@@ -152,27 +191,24 @@ def path_visibility(table, view_label, *, prefix: "np.ndarray | None" = None) ->
         edge_ok[production] = np.isin(
             k[production], np.fromiter(retained, dtype=np.int64, count=len(retained))
         )
-    # Recursion edges: few distinct (s, t, i) triples; scalar test, memoized.
     recursion_rows = np.nonzero(~production)[0]
     if recursion_rows.size:
         c_arr = _column_slice_array(c, start, n, np.int64)
-        rec_memo: dict[tuple[int, int], bool] = {}
-        index = view_label.index
-        for offset in recursion_rows:
-            word = int(packed_arr[offset])
-            key = (word, int(c_arr[offset]))
-            ok = rec_memo.get(key)
-            if ok is None:
-                ok = rec_memo[key] = _recursion_retained(
-                    index, retained, (word >> 1) & _FIELD_MASK, word >> 17, key[1]
-                )
-            edge_ok[offset] = ok
-    # The fold itself is inherently sequential (child depends on parent),
-    # but over plain Python bools/ints it is a tight O(new rows) pass.
-    parent_ids = _column_slice_array(parent, start, n, np.int64).tolist()
-    for parent_id, ok in zip(parent_ids, edge_ok.tolist()):
-        vis.append(ok and vis[parent_id])
-    return np.asarray(vis, dtype=bool)
+        edge_ok[recursion_rows] = _recursion_rows_retained(
+            view_label.index, retained, packed_arr[recursion_rows], c_arr[recursion_rows]
+        )
+    # AND-fold by pointer jumping.  Invariant: a new row's flag covers the
+    # edges between it and ``ancestor`` (exclusive); rows of the prefix are
+    # final, so reaching one finishes the row (its ancestor becomes the root,
+    # whose flag is True).  ``flags[ancestor]`` is gathered before the
+    # in-place AND, so each pass reads the previous pass's values only.
+    ancestor = _column_slice_array(parent, start, n, np.int64)
+    while True:
+        edge_ok &= flags[ancestor]
+        live = ancestor >= start
+        if not live.any():
+            return flags
+        ancestor = np.where(live, ancestor[np.maximum(ancestor - start, 0)], 0)
 
 
 def _path_flag(

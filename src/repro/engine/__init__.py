@@ -2,10 +2,10 @@
 
 The paper's decoding predicate answers one ``(d1, d2, view)`` query from the
 labels alone; this package adds the serving layer a production deployment
-needs around it: per-view decode caching (LRU-interned view labels, memoized
-production matrices and path-segment chain products), batched evaluation that
-groups queries by shared label paths, and multi-run sharding with concurrent
-evaluation.
+needs around it: per-view decode caching (view labels interned once with
+their memoized production matrices and path-segment chain products, per-run
+decode state in an LRU over them), batched evaluation that groups queries by
+shared label paths, and multi-run sharding with concurrent evaluation.
 """
 
 from repro.engine.cache import (
@@ -13,6 +13,7 @@ from repro.engine.cache import (
     DecodedMatrixFreeState,
     DecodedViewState,
     LRUCache,
+    StaticViewState,
 )
 from repro.engine.engine import (
     DEFAULT_RUN,
@@ -29,6 +30,7 @@ __all__ = [
     "EngineStats",
     "CacheStats",
     "LRUCache",
+    "StaticViewState",
     "DecodedViewState",
     "DecodedMatrixFreeState",
     "MATRIX_FREE",

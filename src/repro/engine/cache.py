@@ -10,9 +10,13 @@ but without help it re-derives two kinds of view-constant state on every call:
 * for **every** variant, chain products over the label-path segments of a
   query are rebuilt even when thousands of queries share the same paths.
 
-:class:`DecodedViewState` wraps one :class:`~repro.core.view_label.ViewLabel`
-and memoizes both, turning the repeated cost into dictionary lookups, while
-:class:`LRUCache` bounds how many decoded views the engine keeps alive.
+The state is split along the line the paper draws.  :class:`StaticViewState`
+is the view's *static label* plus every memo that is a function of
+``(grammar, view, variant)`` only; the engine builds it once per registered
+view and keeps it for good.  :class:`DecodedViewState` adds what depends on a
+run — pair matrices keyed by path ids, chain classifiers, visibility flags —
+and is what :class:`LRUCache` bounds and evicts; rebuilding one costs matrix
+products over the surviving static part, never a relabelling.
 """
 
 from __future__ import annotations
@@ -30,7 +34,13 @@ from repro.core.view_label import FVLVariant, ViewLabel
 from repro.errors import DecodingError
 from repro.matrices import BoolMatrix
 
-__all__ = ["CacheStats", "LRUCache", "DecodedViewState", "DecodedMatrixFreeState"]
+__all__ = [
+    "CacheStats",
+    "LRUCache",
+    "StaticViewState",
+    "DecodedViewState",
+    "DecodedMatrixFreeState",
+]
 
 V = TypeVar("V")
 
@@ -144,37 +154,92 @@ class LRUCache(Generic[V]):
             )
 
 
+class StaticViewState:
+    """The run-independent half of a decoded view: one per ``(view, variant)``.
+
+    Holds the static label itself (a :class:`ViewLabel` or, for the engine's
+    matrix-free pseudo-variant, a :class:`MatrixFreeViewLabel`) and the memo
+    tables whose entries depend on nothing but the grammar and that label.
+    The engine interns one instance per registered ``(view, variant)`` and
+    never evicts it: a view label is a few hundred bytes and the tables are
+    bounded (together with the per-run ones) by ``decode_cache_entries``.
+    No key here mentions an arena or a run, so run churn cannot leak into it.
+    """
+
+    __slots__ = (
+        "label",
+        "productions",
+        "chains",
+        "inputs_segments",
+        "outputs_segments",
+        "structural_classes",
+    )
+
+    def __init__(self, label: "ViewLabel | MatrixFreeViewLabel") -> None:
+        self.label = label
+        #: production ``k`` -> its ``(I, O, Z)`` dict triple (space-efficient
+        #: variant only: one graph search per production, not per access).
+        self.productions: dict[int, tuple[dict, dict, dict]] = {}
+        #: ``(function, s, t, count)`` -> recursion chain product.
+        self.chains: dict[tuple[str, int, int, int], BoolMatrix] = {}
+        #: Path-segment products keyed by materialised edge labels; every
+        #: :class:`DecodeCache` built over this view shares the two dicts.
+        self.inputs_segments: dict[tuple, BoolMatrix] = {}
+        self.outputs_segments: dict[tuple, BoolMatrix] = {}
+        #: Three-way matrix classes (``("I"|"O", k, i)`` and ``("Z", k, i, j)``
+        #: keys) shared by every :class:`~repro.index.structural.ChainClassifier`
+        #: of this view, whatever shard it folds over.
+        self.structural_classes: dict[tuple, int] = {}
+
+    def __len__(self) -> int:
+        """Memo entries held (the label itself is not counted)."""
+        return (
+            len(self.productions)
+            + len(self.chains)
+            + len(self.inputs_segments)
+            + len(self.outputs_segments)
+            + len(self.structural_classes)
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"StaticViewState(view={self.label.view.name!r}, {len(self)} memo entries)"
+
+
 class DecodedViewState:
-    """Memoized decode-time state for one ``(view, variant)`` pair.
+    """Per-run decode state of one ``(view, variant)`` over its static part.
 
     Duck-types the read interface of :class:`ViewLabel` that the decoding
     predicate consumes (``index`` / ``lam_star_start`` / ``inputs`` /
-    ``outputs`` / ``z`` / ``inputs_chain`` / ``outputs_chain``), backed by
-    per-production and per-chain memos, and carries the
-    :class:`~repro.core.decoder.DecodeCache` of path-segment products shared
-    by every query answered through this view.
+    ``outputs`` / ``z`` / ``inputs_chain`` / ``outputs_chain``), answering
+    from the production and chain memos of the :class:`StaticViewState` it
+    was built over, and carries the :class:`~repro.core.decoder.DecodeCache`
+    every query through this view shares.  The cache's path-segment tables
+    *are* the static part's (they survive this object); its pair matrices,
+    the chain classifiers and the visibility flags are keyed by arena or run
+    and live and die with this LRU entry.
     """
 
-    def __init__(self, label: ViewLabel, *, max_decode_entries: int | None = None) -> None:
-        self._label = label
-        self.decode_cache = DecodeCache(max_entries=max_decode_entries)
+    def __init__(
+        self, static: StaticViewState, *, max_decode_entries: int | None = None
+    ) -> None:
+        self.static = static
+        self._label: ViewLabel = static.label
+        self.decode_cache = DecodeCache(
+            max_entries=max_decode_entries,
+            inputs_segments=static.inputs_segments,
+            outputs_segments=static.outputs_segments,
+        )
         #: arena -> per-path-id visibility flags (append-only tries let the
         #: engine extend a cached array instead of re-folding the trie).
         self.visibility_flags: dict[int, object] = {}
-        #: arena -> :class:`repro.index.structural.ChainClassifier` built
-        #: over that shard's structural index for this view.  Rebuilt when
-        #: the shard's index snapshot changes; purged with the shard.
-        self.structural: dict[int, object] = {}
-        #: Shared three-way matrix classes (``("I"|"O", k, i)`` and
-        #: ``("Z", k, i, j)`` keys) for the chain classifiers above.  The
-        #: class of a view matrix depends only on the grammar and this
-        #: (view, variant) — not on any run's trie — so one memo serves every
-        #: shard and survives detach/attach cycles (a cold re-attach rebuilds
-        #: the classifier's trie folds but not one matrix classification).
-        self.structural_classes: dict[tuple, int] = {}
-        self._productions: dict[int, tuple[dict, dict, dict]] = {}
-        self._chains: dict[tuple[str, int, int, int], BoolMatrix] = {}
-        self._memoize = label.variant is FVLVariant.SPACE_EFFICIENT
+        #: ``(arena, run_id)`` -> :class:`repro.index.structural.ChainClassifier`
+        #: built over that shard's structural index for this view (live
+        #: shards share arena 0 but not their node tables).  Rebuilt when the
+        #: shard's index snapshot changes; purged with the shard's arena.
+        self.structural: dict[tuple[int, str], object] = {}
+        self._productions = static.productions
+        self._chains = static.chains
+        self._memoize = self._label.variant is FVLVariant.SPACE_EFFICIENT
 
     # -- the ViewLabel read interface used by the decoder -----------------------
 
@@ -271,15 +336,16 @@ class DecodedViewState:
 
 
 class DecodedMatrixFreeState:
-    """Decoded state for a coarse-grained (matrix-free) view label.
+    """Per-run state for a coarse-grained (matrix-free) view label.
 
-    The boolean fast path needs no memoization; the state exists so the
-    engine's LRU interns the (expensive to build) label itself and so both
-    state kinds expose the same ``depends`` entry point.
+    The boolean fast path needs no decode memo, so all that is per run here
+    is the visibility flags; the class exists so both state kinds expose the
+    same ``label`` / ``depends`` entry points over a :class:`StaticViewState`.
     """
 
-    def __init__(self, label: MatrixFreeViewLabel) -> None:
-        self._label = label
+    def __init__(self, static: StaticViewState) -> None:
+        self.static = static
+        self._label: MatrixFreeViewLabel = static.label
         #: arena -> per-path-id visibility flags (see DecodedViewState).
         self.visibility_flags: dict[int, object] = {}
 

@@ -12,9 +12,16 @@ reachability queries in batches:
 Three layers of caching amortize the per-view decode work that the one-pair
 ``FVLScheme.depends`` API repeats on every call:
 
-1. **View interning** — decoded :class:`ViewLabel` /
-   :class:`MatrixFreeViewLabel` state is built once per ``(view, variant)``
-   and kept in a configurable LRU;
+1. **View interning** — a view is labelled statically, once, on its first
+   use: the :class:`ViewLabel` / :class:`MatrixFreeViewLabel` and every memo
+   that depends only on ``(grammar, view, variant)`` (production triples,
+   recursion chain products, path-segment products, matrix classes) form a
+   :class:`~repro.engine.cache.StaticViewState` kept for as long as the
+   engine lives.  What depends on a run — pair matrices keyed by path ids,
+   chain classifiers, visibility flags — is a
+   :class:`~repro.engine.cache.DecodedViewState` over that static part, held
+   in an LRU of ``cache_size`` entries; an evicted view's next query
+   rebuilds the per-run half with matrix products and never relabels;
 2. **Production memoization** — the space-efficient variant's on-demand graph
    searches run once per production instead of once per matrix access;
 3. **Path grouping** — query pairs are grouped by their labels' shared
@@ -62,6 +69,7 @@ from repro.engine.cache import (
     DecodedMatrixFreeState,
     DecodedViewState,
     LRUCache,
+    StaticViewState,
 )
 from repro.errors import (
     CorruptionError,
@@ -162,6 +170,9 @@ class EngineStats:
     #: matrix decode) vs. routed through ``intermediate_matrix_for_ids``.
     structural_pairs: int = 0
     matrix_pairs: int = 0
+    #: Static view labels built so far (one per ``(view, variant)`` ever
+    #: queried; LRU evictions in ``views`` never add to it).
+    labels_built: int = 0
 
 
 @dataclass
@@ -222,6 +233,15 @@ class QueryEngine:
         self._path_table = PathTable()
         self._variant = self._check_variant(variant)
         self._views: dict[str, WorkflowView] = {}
+        #: ``(view name, variant key)`` -> the view's static label and its
+        #: run-independent memos.  Filled on first use (``add_view`` stays
+        #: cheap, an unsafe view raises every time and is never stored) and
+        #: kept as long as the view is registered — the view-state LRU below
+        #: only holds per-run state built over these.
+        self._statics: dict[tuple[str, str], StaticViewState] = {}
+        #: Held while a view is labelled, so racing first queries on one view
+        #: label it once; never taken once the view's entry exists.
+        self._label_lock = threading.Lock()
         #: One metrics registry per engine (not process-global): the serving
         #: stack above shares it — ``ProvenanceServer``/``ProvenanceNetServer``
         #: register their families here — so a single snapshot covers the
@@ -269,6 +289,14 @@ class QueryEngine:
         self._matrix_pairs_c = pairs.labels("matrix")
         self._batch_seconds = self.metrics.histogram(
             "engine_batch_seconds", "wall time per engine batch", ("op",)
+        )
+        self._labels_c = self.metrics.counter(
+            "engine_view_labels_total",
+            "static view labels built (once per view and variant)",
+            ("variant",),
+        )
+        self._label_seconds = self.metrics.histogram(
+            "engine_view_label_seconds", "wall time per static view labelling"
         )
         self._reopens_c = self.metrics.counter(
             "engine_reopens_total", "attached shards remapped onto a newer generation"
@@ -743,7 +771,9 @@ class QueryEngine:
 
         Public so the serving layer can warm a state's decode cache (the
         persistent hot-matrix cache seeds ``pair_matrices`` through this)
-        without issuing a query first.
+        without issuing a query first.  The first call for a view labels it;
+        the label and the run-independent memos (``state.static``) outlive
+        the returned object's stay in the LRU.
         """
         return self._decoded_state(view, variant)
 
@@ -764,7 +794,7 @@ class QueryEngine:
     def stats(self) -> EngineStats:
         """A point-in-time view over the metrics registry (plus shard tallies).
 
-        ``batches``/``structural_pairs``/``matrix_pairs`` come from one
+        ``batches``/``structural_pairs``/``matrix_pairs``/``labels_built`` come from one
         registry :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (a
         single lock acquisition, so they are mutually consistent);
         ``queries_by_run`` stays keyed by the *currently registered* shards,
@@ -783,6 +813,7 @@ class QueryEngine:
             queries_by_run=queries_by_run,
             structural_pairs=int(pairs.get(("structural",), 0)),
             matrix_pairs=int(pairs.get(("matrix",), 0)),
+            labels_built=int(sum(snap.get("engine_view_labels_total", {}).values())),
         )
 
     def _note_queries(self, shard: _RunShard, state, op: str, n: int) -> None:
@@ -798,9 +829,10 @@ class QueryEngine:
         """Drop the pair-matrix cache entries of one private (attached) arena.
 
         Arena 0 is the engine's shared trie — its ids stay meaningful across
-        shard churn, so only private arenas are purged.  Path-segment chain
-        memos are keyed by materialised edge labels (arena-independent) and
-        stay.
+        shard churn, so only private arenas are purged.  Only the LRU's
+        per-run states can hold such entries: the static part of a view
+        (path-segment and chain products, keyed by materialised edge labels)
+        mentions no arena and is left alone.
         """
         if arena == 0:
             return
@@ -902,7 +934,7 @@ class QueryEngine:
         key = (shard.arena, shard.run_id)
         classifier = state.structural.get(key)
         if classifier is None or classifier.index is not index:
-            classifier = ChainClassifier(index, state, state.structural_classes)
+            classifier = ChainClassifier(index, state, state.static.structural_classes)
             state.structural[key] = classifier
         return classifier
 
@@ -952,12 +984,41 @@ class QueryEngine:
     def _build_state(
         self, view: WorkflowView, variant: "FVLVariant | str"
     ) -> "DecodedViewState | DecodedMatrixFreeState":
+        """The LRU factory: fresh per-run state over the view's static part."""
+        static = self._static_state(view, variant)
         if variant == MATRIX_FREE:
-            return DecodedMatrixFreeState(self._scheme.label_view_matrix_free(view))
-        return DecodedViewState(
-            self._scheme.label_view(view, variant),
-            max_decode_entries=self._decode_cache_entries,
-        )
+            return DecodedMatrixFreeState(static)
+        return DecodedViewState(static, max_decode_entries=self._decode_cache_entries)
+
+    def _static_state(
+        self, view: WorkflowView, variant: "FVLVariant | str"
+    ) -> StaticViewState:
+        """The interned static label of ``(view, variant)``, labelled on first use.
+
+        Interned here and not in :meth:`FVLScheme.label_view`, which keeps
+        labelling from scratch (it is what the paper's view-labelling
+        experiments time).  A view that fails the safety check raises out of
+        the labeller and leaves nothing behind, so every later query on it
+        raises the same error.
+        """
+        variant_key = self._variant_key(variant)
+        key = (view.name, variant_key)
+        static = self._statics.get(key)
+        if static is not None:
+            return static
+        with self._label_lock:
+            static = self._statics.get(key)
+            if static is None:
+                t0 = time.perf_counter()
+                with trace_span("engine.label_view", view=view.name, variant=variant_key):
+                    if variant == MATRIX_FREE:
+                        label = self._scheme.label_view_matrix_free(view)
+                    else:
+                        label = self._scheme.label_view(view, variant)
+                self._label_seconds.observe(time.perf_counter() - t0)
+                self._labels_c.labels(variant_key).inc()
+                static = self._statics[key] = StaticViewState(label)
+        return static
 
     def _normalize_query(self, query) -> DependsQuery:
         if isinstance(query, DependsQuery):

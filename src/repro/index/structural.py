@@ -39,6 +39,8 @@ edge-word layout therefore repeats :mod:`repro.store.path_table`'s encoding
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 __all__ = [
@@ -56,6 +58,12 @@ __all__ = [
 CLASS_TRUE = 0
 CLASS_FALSE = 1
 CLASS_MIXED = 2
+
+#: A chain classifier counts, per path, the all-false and the mixed factors
+#: between the root and the path in one int64: all-false in the low 32-bit
+#: lane, mixed in the high one (a count is at most the trie's depth).
+_LANE_BITS = 32
+_CLASS_LANE = (0, 1, 1 << _LANE_BITS)  # indexed by CLASS_TRUE / _FALSE / _MIXED
 
 #: Packed edge-word layout — must match ``repro.store.path_table``
 #: (``kind | a << 1 | b << 17``, production kind bit 0).
@@ -180,7 +188,11 @@ class StructuralIndex:
     gets no index — :meth:`build` returns ``None`` and the engine stays on
     the decoder.  The index also carries a private int64 snapshot of the
     trie's ``parent``/``packed`` columns plus a cumulative recursion-edge
-    count per path, so classification never touches live arenas.
+    count per path, so classification never touches live arenas, and the
+    trie's *word table* — which rows are production edges, their distinct
+    packed ``(k, i)`` words and each row's slot among them — which every
+    :class:`ChainClassifier` over this snapshot maps its matrix classes
+    through instead of re-deriving it per view.
 
     Instances are immutable snapshots; when a live shard's tree grows the
     engine builds a fresh index rather than mutating this one.
@@ -196,6 +208,9 @@ class StructuralIndex:
         "parent",
         "packed",
         "rec_cnt",
+        "production_rows",
+        "production_words",
+        "production_slots",
         "_order",
         "_bounds",
         "_pre",
@@ -230,6 +245,11 @@ class StructuralIndex:
         if rec.size:
             rec[0] = 0  # the root row packs -1; it carries no edge
         self.rec_cnt = self.prefix_fold(rec)
+        # (The root's -1 reads as a recursion kind bit, so it is never a row here.)
+        self.production_rows = np.nonzero((trie_packed & 1) == _KIND_PRODUCTION)[0]
+        self.production_words, self.production_slots = np.unique(
+            trie_packed[self.production_rows], return_inverse=True
+        )
         # Plain-list mirrors: the classify walk is scalar, and Python-list
         # indexing beats numpy scalar indexing by ~10x on that path.
         self._pre = pre.tolist()
@@ -336,11 +356,13 @@ class ChainClassifier:
     """Per-``(view, variant)`` chain classes over one shard's trie.
 
     Built once per decoded view state and :class:`StructuralIndex` snapshot:
-    every distinct production edge word of the trie is classified by its
-    ``Inputs`` and ``Outputs`` matrices, and the ``CLASS_FALSE`` /
-    ``CLASS_MIXED`` indicators are folded cumulatively along the trie.  The
-    ``Z`` matrices are classified lazily per ``(k, i, j)`` divergence, since
-    only queried LCAs ever need one.
+    every distinct production edge word of the trie (the snapshot's word
+    table) is classified by its ``Inputs`` and ``Outputs`` matrices, and the
+    ``CLASS_FALSE`` / ``CLASS_MIXED`` counts are folded cumulatively along
+    the trie — ``in_fold[p]`` / ``out_fold[p]`` hold both counts of path
+    ``p`` in one integer (``count_false | count_mixed << 32``), so each
+    function costs one fold.  The ``Z`` matrices are classified lazily per
+    ``(k, i, j)`` divergence, since only queried LCAs ever need one.
 
     :meth:`classify` mirrors the decision order of the decoder's
     ``_case_module_lca`` exactly — including which failures raise before
@@ -349,53 +371,43 @@ class ChainClassifier:
     group.
     """
 
-    __slots__ = ("index", "state", "in_bad", "in_mixed", "out_bad", "out_mixed", "_classes")
+    __slots__ = ("index", "state", "in_fold", "out_fold", "_classes")
 
     def __init__(self, index: StructuralIndex, state, classes: "dict | None" = None) -> None:
         self.index = index
         self.state = state
         # Matrix classes depend on (grammar, view, variant) only — the
-        # caller may pass a shared memo (the engine threads the decoded view
-        # state's ``structural_classes``) so classifiers for other shards,
-        # and rebuilds after re-attach, skip every classified matrix.
+        # caller may pass a shared memo (the engine threads the view's
+        # static ``structural_classes``) so classifiers for other shards,
+        # and rebuilds after a re-attach or a view-state eviction, skip
+        # every classified matrix.
         self._classes: dict[tuple, int] = classes if classes is not None else {}
-        packed = index.packed
-        n = index.n_paths
-        production = np.zeros(n, dtype=bool)
-        if n > 1:
-            production[1:] = (packed[1:] & 1) == _KIND_PRODUCTION
-        rows = np.nonzero(production)[0]
-        in_bad = np.zeros(n, dtype=np.int64)
-        in_mixed = np.zeros(n, dtype=np.int64)
-        out_bad = np.zeros(n, dtype=np.int64)
-        out_mixed = np.zeros(n, dtype=np.int64)
-        if rows.size:
-            words = np.unique(packed[rows])
-            in_cls = np.empty(words.size, dtype=np.int64)
-            out_cls = np.empty(words.size, dtype=np.int64)
-            memo = self._classes
-            for slot, word in enumerate(words.tolist()):
-                k = (word >> 1) & _FIELD_MASK
-                i = word >> (_FIELD_BITS + 1)
-                key_i = ("I", k, i)
-                cls_i = memo.get(key_i)
-                if cls_i is None:
-                    cls_i = memo[key_i] = classify_matrix(state.inputs, k, i)
-                key_o = ("O", k, i)
-                cls_o = memo.get(key_o)
-                if cls_o is None:
-                    cls_o = memo[key_o] = classify_matrix(state.outputs, k, i)
-                in_cls[slot] = cls_i
-                out_cls[slot] = cls_o
-            slots = np.searchsorted(words, packed[rows])
-            in_bad[rows] = in_cls[slots] == CLASS_FALSE
-            in_mixed[rows] = in_cls[slots] == CLASS_MIXED
-            out_bad[rows] = out_cls[slots] == CLASS_FALSE
-            out_mixed[rows] = out_cls[slots] == CLASS_MIXED
-        self.in_bad = index.prefix_fold(in_bad).tolist()
-        self.in_mixed = index.prefix_fold(in_mixed).tolist()
-        self.out_bad = index.prefix_fold(out_bad).tolist()
-        self.out_mixed = index.prefix_fold(out_mixed).tolist()
+        # Per distinct production word, the lane increments of its Inputs and
+        # Outputs matrix classes; scattered over the rows through the
+        # snapshot's word table and folded along the trie, one pass each.
+        words = index.production_words
+        word_lanes = np.empty((2, words.size), dtype=np.int64)
+        memo = self._classes
+        for slot, word in enumerate(words.tolist()):
+            k = (word >> 1) & _FIELD_MASK
+            i = word >> (_FIELD_BITS + 1)
+            key_i = ("I", k, i)
+            cls_i = memo.get(key_i)
+            if cls_i is None:
+                cls_i = memo[key_i] = classify_matrix(state.inputs, k, i)
+            key_o = ("O", k, i)
+            cls_o = memo.get(key_o)
+            if cls_o is None:
+                cls_o = memo[key_o] = classify_matrix(state.outputs, k, i)
+            word_lanes[0, slot] = _CLASS_LANE[cls_i]
+            word_lanes[1, slot] = _CLASS_LANE[cls_o]
+        row_lanes = np.zeros((2, index.n_paths), dtype=np.int64)
+        row_lanes[:, index.production_rows] = word_lanes[:, index.production_slots]
+        # Packed ``array`` buffers, not lists: most lane values are beyond
+        # the interpreter's small-int cache, and a list would hold one int
+        # object per path.
+        self.in_fold = array("q", index.prefix_fold(row_lanes[0]).tobytes())
+        self.out_fold = array("q", index.prefix_fold(row_lanes[1]).tobytes())
 
     def _z_class(self, k: int, i: int, j: int) -> int:
         key = ("Z", k, i, j)
@@ -473,13 +485,14 @@ class ChainClassifier:
         # (Inputs product).  A mixed/raising factor anywhere defers to the
         # decoder — checked before the all-false factors, because the
         # decoder builds both chains (and raises) before multiplying.
-        if (self.out_mixed[p1] - self.out_mixed[d1]) or (
-            self.in_mixed[c2] - self.in_mixed[d2]
-        ):
+        # d1/d2 are ancestors of p1/c2, so every lane of the difference is
+        # the (non-negative) count over the tail and no lane borrows.
+        tails = (self.out_fold[p1] - self.out_fold[d1]) | (
+            self.in_fold[c2] - self.in_fold[d2]
+        )
+        if tails >> _LANE_BITS:
             return None
-        if (self.out_bad[p1] - self.out_bad[d1]) or (
-            self.in_bad[c2] - self.in_bad[d2]
-        ):
+        if tails:
             return False
         # Every factor all-true with nonzero dimensions: the product is
         # all-true, so every port pair of the group answers True.

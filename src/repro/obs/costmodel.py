@@ -11,7 +11,8 @@ bounded in-memory table keyed ``(run, view, variant, phase)``:
   children), so a phase is never double-billed for the layers below it;
 * span names map to phases — ``net`` (framing + reply packing),
   ``scheduler`` (batch bookkeeping), ``engine`` (group evaluation),
-  ``decode`` (pair-matrix decode), ``gather`` (mmap row gathers),
+  ``decode`` (pair-matrix decode), ``label_view`` (the one static
+  labelling a view's first query pays), ``gather`` (mmap row gathers),
   ``index_build`` (structural-index construction) — unknown names fall back
   to their dotted prefix;
 * **queue wait** — the gap between the net-frame root opening and the
@@ -41,6 +42,7 @@ PHASE_BY_SPAN = {
     "engine.visible_batch": "engine",
     "engine.group_eval": "engine",
     "engine.decode": "decode",
+    "engine.label_view": "label_view",
     "mmap.gather": "gather",
     "structural_index.build": "index_build",
 }

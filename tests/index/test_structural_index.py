@@ -223,3 +223,60 @@ def test_pair_hit_accounting_decays_instead_of_leaking():
     # Cold single-hit keys aged out; the hot key survived every sweep with
     # the top rank.
     assert max(cache.pair_hits, key=cache.pair_hits.get) == hot
+
+
+# -- the per-index word table and the one-pass classifier fold ------------------
+
+
+def _live_index(spec, scheme, items=400, seed=5):
+    from repro.workloads import random_run
+
+    labeler = scheme.label_run(random_run(spec, items, seed=seed))
+    node_parent, node_path, _, _ = labeler.tree.nodes.raw_columns()
+    trie_parent, trie_packed, _ = labeler.store.table.raw_columns()
+    index = StructuralIndex.build(trie_parent, trie_packed, node_parent, node_path)
+    assert index is not None
+    return index
+
+
+def test_word_table_is_a_property_of_the_trie(running_spec, running_scheme):
+    index = _live_index(running_spec, running_scheme)
+    packed = index.packed
+    rows = np.asarray([p for p in range(1, index.n_paths) if not packed[p] & 1])
+    assert index.production_rows.tolist() == rows.tolist()
+    assert index.production_words.tolist() == sorted(set(packed[rows].tolist()))
+    assert (index.production_words[index.production_slots] == packed[rows]).all()
+
+
+@pytest.mark.parametrize("view_number", [0, 1, 2])
+def test_classifier_folds_count_classes_along_each_path(
+    running_spec, running_scheme, running_views, view_number
+):
+    """Each fold packs the all-false (low lane) and mixed (high lane) edge counts of a path."""
+    from repro.engine.cache import DecodedViewState, StaticViewState
+    from repro.index import ChainClassifier
+
+    index = _live_index(running_spec, running_scheme)
+    view = running_views[view_number % len(running_views)]
+    state = DecodedViewState(StaticViewState(running_scheme.label_view(view)))
+    classes: dict = {}
+    classifier = ChainClassifier(index, state, classes)
+    # A second classifier over the same snapshot classifies nothing anew.
+    before = dict(classes)
+    again = ChainClassifier(index, state, classes)
+    assert classes == before
+    assert again.in_fold == classifier.in_fold and again.out_fold == classifier.out_fold
+
+    for p in range(index.n_paths):
+        expected = [0, 0]  # inputs, outputs
+        row = p
+        while row > 0:
+            word = int(index.packed[row])
+            if not word & 1:
+                k, i = (word >> 1) & 0xFFFF, word >> 17
+                for which, matrix_for in enumerate((state.inputs, state.outputs)):
+                    cls_ = classify_matrix(matrix_for, k, i)
+                    expected[which] += (cls_ == CLASS_FALSE) + ((cls_ == CLASS_MIXED) << 32)
+            row = int(index.parent[row])
+        assert [classifier.in_fold[p], classifier.out_fold[p]] == expected
+    assert len(classifier.in_fold) == len(classifier.out_fold) == index.n_paths
