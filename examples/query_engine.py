@@ -60,8 +60,9 @@ def main() -> None:
     engine.depends_batch(pairs, grey, run="run-a", variant=FVLVariant.SPACE_EFFICIENT)
     print(f"     warm re-run: {(time.perf_counter() - start) * 1e3:7.2f} ms")
 
-    # 5. depends_many shards a mixed workload across runs (and the coarse view
-    #    is answered by the boolean matrix-free decoder).
+    # 5. depends_many groups a mixed workload by (run, view, variant) and
+    #    answers each group as one depends_batch (the coarse view by the
+    #    boolean matrix-free decoder).
     items_b = sorted(ViewProjection(run_b.run, coarse).visible_items)
     mixed = [DependsQuery(d1, d2, grey, run="run-a") for d1, d2 in pairs[:500]]
     mixed += [

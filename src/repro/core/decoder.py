@@ -296,8 +296,6 @@ def intermediate_matrix(
     l2: tuple[EdgeLabel, ...],
     view_label: ViewLabel,
     cache: DecodeCache | None = None,
-    *,
-    key: tuple | None = None,
 ) -> BoolMatrix | None:
     """Reachability matrix from the outputs at path ``l1`` to the inputs at ``l2``.
 
@@ -306,22 +304,15 @@ def intermediate_matrix(
     paths and the view label — not on the queried ports — which is what lets
     batched callers answer every query pair sharing the same paths with a
     single matrix assembly.
-
-    ``key`` overrides the cache key.  Store-backed callers pass the pair of
-    interned integer path ids, so cache probes hash two ints instead of two
-    edge-label tuples (and the same matrix is not stored twice under both
-    keyings).
     """
     if cache is not None:
-        if key is None:
-            key = (l1, l2)
         try:
-            return cache.pair_matrices[key]
+            return cache.pair_matrices[(l1, l2)]
         except KeyError:
             pass
     matrix = _intermediate_matrix(l1, l2, view_label, cache)
     if cache is not None and cache.has_room():
-        cache.pair_matrices[key] = matrix
+        cache.pair_matrices[(l1, l2)] = matrix
     return matrix
 
 
@@ -336,9 +327,9 @@ def intermediate_matrix_for_ids(
 ) -> BoolMatrix | None:
     """:func:`intermediate_matrix` keyed by interned path ids.
 
-    Store-backed callers (the batch engine, both its scalar and vectorised
-    grouping paths) probe the cache with ``(arena, id1, id2)`` — two ints and
-    a namespace tag — instead of two edge-label tuples.  ``arena``
+    Store-backed callers (the batch engine) probe the cache with
+    ``(arena, id1, id2)`` — two ints and a namespace tag — instead of two
+    edge-label tuples.  ``arena``
     disambiguates id spaces: shards labelled into the engine's shared
     :class:`~repro.store.PathTable` use one tag, while every attached
     :class:`~repro.store.MappedRunStore` brings its own trie (ids assigned

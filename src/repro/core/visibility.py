@@ -214,12 +214,9 @@ def path_visibility(table, view_label, *, prefix: "np.ndarray | None" = None) ->
 def _path_flag(
     path_id: int, flags: np.ndarray, table, view_label, late_memo: dict, rec_memo: dict
 ) -> bool:
-    if path_id < 0:  # NO_PATH: a boundary label's absent side hides nothing
-        return True
+    """One path's flag, walking paths interned after the snapshot up to it."""
     if path_id < len(flags):
         return bool(flags[path_id])
-    # The path was interned after the flags snapshot (concurrent ingest);
-    # resolve it scalar-ly, walking up to the snapshotted prefix.
     ok = late_memo.get(path_id)
     if ok is None:
         ok = late_memo[path_id] = _path_flag(
@@ -228,11 +225,32 @@ def _path_flag(
     return ok
 
 
+def _rows_visible(store, view_label, rows: np.ndarray, flags: "np.ndarray | None") -> np.ndarray:
+    """Visibility of the items at ``rows``: one gather, one flag lookup per side."""
+    if flags is None:
+        flags = path_visibility(store.table, view_label)
+    path_ids = np.concatenate(
+        store.gather_rows(rows, ("producer_path_id", "consumer_path_id"))
+    )
+    side = path_ids < 0  # NO_PATH: a boundary label's absent side hides nothing
+    known = ~side & (path_ids < len(flags))
+    side[known] = flags[path_ids[known]]
+    late = np.nonzero(path_ids >= len(flags))[0]
+    if late.size:
+        # Interned after the flags snapshot (concurrent ingest): resolved
+        # one by one, walking up to the snapshotted prefix.
+        late_memo: dict[int, bool] = {}
+        rec_memo: dict[tuple[int, int, int], bool] = {}
+        for pos, path_id in zip(late.tolist(), path_ids[late].tolist()):
+            side[pos] = _path_flag(path_id, flags, store.table, view_label, late_memo, rec_memo)
+    return side[: rows.size] & side[rows.size :]
+
+
 def visible_batch(store, view_label, uids, *, flags: "np.ndarray | None" = None) -> list[bool]:
     """Visibility of the given items, answered from packed columns alone.
 
-    Reads each item's packed ``(producer_path_id, consumer_path_id)`` row
-    and consults the per-path flags of :func:`path_visibility` — no
+    Gathers each item's ``(producer_path_id, consumer_path_id)`` and looks
+    both up in the per-path flags of :func:`path_visibility` — no
     :class:`~repro.core.labels.DataLabel` objects, no edge tuples.  Safe
     against a store another thread is still appending to: nothing is
     compacted or mutated, and rows referencing paths interned after the
@@ -240,38 +258,16 @@ def visible_batch(store, view_label, uids, *, flags: "np.ndarray | None" = None)
     the per-call trie fold with a (possibly stale-but-prefix) result of
     :func:`path_visibility` for the same table and view.
     """
-    if flags is None:
-        flags = path_visibility(store.table, view_label)
-    table = store.table
-    late_memo: dict[int, bool] = {}
-    rec_memo: dict[tuple[int, int, int], bool] = {}
-    results = []
-    for uid in uids:
-        producer_path, _, consumer_path, _ = store.row(uid)
-        results.append(
-            _path_flag(producer_path, flags, table, view_label, late_memo, rec_memo)
-            and _path_flag(consumer_path, flags, table, view_label, late_memo, rec_memo)
-        )
-    return results
+    rows = store.rows_for(np.asarray(uids, dtype=np.int64))
+    return _rows_visible(store, view_label, rows, flags).tolist()
 
 
 def visible_mask(store, view_label, *, flags: "np.ndarray | None" = None) -> np.ndarray:
-    """Visibility of *every* row of a sealed columnar store, vectorised.
+    """Visibility of *every* row of a columnar store, in insertion order.
 
-    One gather per label-path column over the :func:`path_visibility` flags;
-    ``mask[row]`` is True iff the item at that row is visible.  Requires a
-    sealed (compacted or mapped) store — :meth:`columns` would otherwise
-    compact a store a concurrent ingester may still be appending to; use
-    :func:`visible_batch` for live runs.  ``flags`` skips the per-call trie
-    fold with a memoized :func:`path_visibility` result for the same table
-    and view (:meth:`repro.engine.QueryEngine.visible_mask` threads its
-    per-arena memo through here).
+    :func:`visible_batch` over all rows (``mask[row]`` is True iff the item
+    at that row is visible), with the same ``flags`` short-circuit
+    (:meth:`repro.engine.QueryEngine.visible_mask` threads its per-arena
+    memo through here).
     """
-    if flags is None:
-        flags = path_visibility(store.table, view_label)
-    columns = store.columns()
-    producer = columns["producer_path_id"]
-    consumer = columns["consumer_path_id"]
-    return np.where(producer < 0, True, flags[np.maximum(producer, 0)]) & np.where(
-        consumer < 0, True, flags[np.maximum(consumer, 0)]
-    )
+    return _rows_visible(store, view_label, np.arange(len(store)), flags)

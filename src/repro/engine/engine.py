@@ -7,7 +7,12 @@ reachability queries in batches:
 * ``depends_batch(pairs, view)`` — many ``(d1, d2)`` pairs against one view
   of one run;
 * ``depends_many(queries)`` — heterogeneous queries spanning several runs and
-  views, sharded across runs with :mod:`concurrent.futures`.
+  views, answered as one ``depends_batch`` per ``(run, view, variant)``.
+
+This module keeps registration, shard lifecycle, view-state caching and
+stats; how a batch is evaluated — one gather, one group-by-path-pair
+pipeline for every batch size and store state — is
+:mod:`repro.engine.evaluate`.
 
 Three layers of caching amortize the per-view decode work that the one-pair
 ``FVLScheme.depends`` API repeats on every call:
@@ -37,10 +42,7 @@ engine's shared path arena (:meth:`QueryEngine.add_run`), and **attached**
 runs served read-only from an mmap-backed file written by
 :meth:`QueryEngine.checkpoint` (:mod:`repro.store.persist`) — disk-backed
 shards answer the same queries bit-identically without a decode pass, so a
-deployment can serve runs larger than RAM and survive restarts.  Batches of
-``VECTOR_GROUP_THRESHOLD`` or more pairs against a sealed (compacted or
-mapped) shard are grouped with numpy sort/unique over the label columns
-instead of per-pair dict probes.
+deployment can serve runs larger than RAM and survive restarts.
 """
 
 from __future__ import annotations
@@ -49,21 +51,14 @@ import os
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.decoder import intermediate_matrix, intermediate_matrix_for_ids
 from repro.core.run_labeler import RunLabeler
 from repro.core.scheme import FVLScheme
 from repro.core.view_label import FVLVariant
-from repro.core.visibility import (
-    is_visible as _object_is_visible,
-    path_visibility,
-    visible_batch,
-    visible_mask as _store_visible_mask,
-)
+from repro.core.visibility import path_visibility, visible_batch, visible_mask
 from repro.engine.cache import (
     CacheStats,
     DecodedMatrixFreeState,
@@ -71,6 +66,7 @@ from repro.engine.cache import (
     LRUCache,
     StaticViewState,
 )
+from repro.engine.evaluate import depends_grouped, depends_per_pair
 from repro.errors import (
     CorruptionError,
     DecodingError,
@@ -88,7 +84,6 @@ from repro.model.specification import WorkflowSpecification
 from repro.model.views import WorkflowView
 from repro.store import (
     CheckpointResult,
-    LabelStore,
     MappedRunStore,
     PathTable,
     checkpoint_run,
@@ -103,20 +98,6 @@ __all__ = [
     "QueryEngine",
     "grammar_fingerprint",
 ]
-
-#: Batch size from which :meth:`QueryEngine.depends_batch` groups pairs with
-#: numpy sort/unique over the path-id columns instead of a Python dict.  The
-#: vectorised path amortises four fancy-indexing gathers and one argsort over
-#: the batch; below ~10^4 pairs the dict loop wins (module-level so tests and
-#: operators can tune it).
-VECTOR_GROUP_THRESHOLD = 10_000
-
-#: Lower vectorisation threshold used when the shard carries a structural
-#: interval index.  Structurally classified groups skip matrix assembly
-#: entirely, so per-pair grouping overhead dominates the batch much earlier
-#: than for pure matrix decode — the numpy gather/argsort grouping pays for
-#: itself from roughly a thousand pairs up.
-STRUCTURAL_VECTOR_THRESHOLD = 1_000
 
 #: Engine-level pseudo-variant selecting the coarse-grained boolean encoding
 #: (:meth:`FVLScheme.label_view_matrix_free`) instead of an FVL matrix variant.
@@ -207,10 +188,6 @@ class _RunShard:
     def store(self):
         return self.labeler.store if self.labeler is not None else self.mapped.store
 
-    def label(self, uid: int):
-        source = self.labeler if self.labeler is not None else self.mapped
-        return source.label(uid)
-
 
 class QueryEngine:
     """Batched reachability queries over labelled runs and cached view state."""
@@ -221,7 +198,6 @@ class QueryEngine:
         *,
         cache_size: int = 8,
         variant: "FVLVariant | str" = FVLVariant.DEFAULT,
-        max_workers: int | None = None,
         decode_cache_entries: int | None = 65536,
         use_structural_index: bool = True,
         metrics: "MetricsRegistry | None" = None,
@@ -259,7 +235,6 @@ class QueryEngine:
             ),
         )
         self._shards: dict[str, _RunShard] = {}
-        self._max_workers = max_workers
         self._decode_cache_entries = decode_cache_entries
         self._lock = threading.Lock()
         #: Serialises shard remaps (reopen/maybe_reopen from concurrent
@@ -614,8 +589,7 @@ class QueryEngine:
         Results line up with ``pairs``: ``result[i]`` is ``True`` iff item
         ``pairs[i][1]`` depends on ``pairs[i][0]`` in ``view``.  ``pairs`` is
         a sequence of pairs or an ``(n, 2)`` integer array; an array feeds
-        the vectorised path as is and is unpacked (one ``tolist``) only
-        where evaluation walks pairs in Python.
+        :mod:`repro.engine.evaluate` as is.
         """
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
@@ -628,45 +602,24 @@ class QueryEngine:
 
         ``queries`` may contain :class:`DependsQuery` objects or plain tuples
         ``(d1, d2, view)`` / ``(d1, d2, view, run)``.  Queries are grouped by
-        ``(run, view, variant)``; groups belonging to different runs are
-        evaluated concurrently (each shard's state is independent).
+        ``(run, view, variant)`` and each group is one :meth:`depends_batch`.
         """
         normalized = [self._normalize_query(q) for q in queries]
-        results: list[bool] = [False] * len(normalized)
-
-        # Group positions by (run, view, variant); resolve shards and views
-        # up front so bad queries raise before any thread is spawned.
-        plans: dict[str, dict[tuple, list[tuple[int, int, int]]]] = {}
-        group_context: dict[tuple, tuple["WorkflowView | str", "FVLVariant | str | None"]] = {}
+        # Resolve shards and views up front so a bad query raises before
+        # anything is evaluated.
+        groups: dict[tuple, tuple] = {}
         for pos, query in enumerate(normalized):
             self._shard(query.run)
             view = self._resolve_view(query.view)
             variant = self._check_variant(query.variant or self._variant)
             key = (query.run, view.name, self._variant_key(variant))
-            group_context[key] = (view, variant)
-            plans.setdefault(query.run, {}).setdefault(key, []).append(
-                (pos, query.d1, query.d2)
-            )
-
-        def evaluate_run(run_id: str) -> list[tuple[int, bool]]:
-            shard = self._shard(run_id)
-            out: list[tuple[int, bool]] = []
-            for key, members in plans[run_id].items():
-                view, variant = group_context[key]
-                state = self._decoded_state(view, variant)
-                answers = self._evaluate(shard, state, [(d1, d2) for _, d1, d2 in members])
-                out.extend((pos, answer) for (pos, _, _), answer in zip(members, answers))
-            return out
-
-        run_ids = list(plans)
-        if len(run_ids) <= 1:
-            chunks = [evaluate_run(run_id) for run_id in run_ids]
-        else:
-            workers = min(len(run_ids), self._max_workers or len(run_ids))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(evaluate_run, run_ids))
-        for chunk in chunks:
-            for pos, answer in chunk:
+            _, _, positions, pairs = groups.setdefault(key, (view, variant, [], []))
+            positions.append(pos)
+            pairs.append((query.d1, query.d2))
+        results: list[bool] = [False] * len(normalized)
+        for (run, _, _), (view, variant, positions, pairs) in groups.items():
+            answers = self.depends_batch(pairs, view, run=run, variant=variant)
+            for pos, answer in zip(positions, answers):
                 results[pos] = answer
         return results
 
@@ -691,35 +644,24 @@ class QueryEngine:
     ) -> list[bool]:
         """Visibility (Section 5) of many items in one view of one run.
 
-        Store-backed shards (live, compacted and attached mapped runs alike)
-        are answered from the packed label columns: the retained-production
-        test is folded **once per decoded view** over the path trie (the
-        flags are memoized per arena and merely extended when the trie has
-        grown) and each item costs two flag lookups — no
-        :class:`~repro.core.labels.DataLabel` objects.  Only
-        object-represented runs fall back to materialising labels.  ``uids``
-        may be an ``(n,)`` integer array; rows are looked up per item, so it
-        is unpacked once.
+        Answered from the packed label columns of live, compacted and
+        attached runs alike: the retained-production test is folded **once
+        per decoded view** over the path trie (the flags are memoized per
+        arena and merely extended when the trie has grown) and each item
+        costs one gathered row and two flag lookups — no
+        :class:`~repro.core.labels.DataLabel` objects.  ``uids`` may be an
+        ``(n,)`` integer array.
         """
-        uids = uids.tolist() if isinstance(uids, np.ndarray) else list(uids)
+        if not isinstance(uids, np.ndarray):
+            uids = list(uids)
         shard = self._shard(run)
         state = self._decoded_state(view, variant)
         self._note_queries(shard, state, "visible", len(uids))
         t0 = time.perf_counter()
         try:
             with trace_span("engine.visible_batch", run=shard.run_id, uids=len(uids)):
-                view_label = state.label
-                store = shard.store
-                if isinstance(store, LabelStore):
-                    memo = state.visibility_flags
-                    flags = path_visibility(
-                        store.table, view_label, prefix=memo.get(shard.arena)
-                    )
-                    memo[shard.arena] = flags
-                    return visible_batch(store, view_label, uids, flags=flags)
-                return [
-                    _object_is_visible(shard.label(uid), view_label) for uid in uids
-                ]
+                flags = self._visibility_flags(shard, state)
+                return visible_batch(shard.store, state.label, uids, flags=flags)
         finally:
             self._batch_seconds.labels("visible").observe(time.perf_counter() - t0)
 
@@ -732,25 +674,22 @@ class QueryEngine:
     ) -> np.ndarray:
         """The visibility of **every** item of a run in one view, as a bool array.
 
-        Equivalent to :meth:`is_visible_batch` over all uids, but answered in
-        two vectorised column scans — and the per-path retained-production
-        fold is memoized on the decoded view state exactly like
-        :meth:`is_visible_batch`'s, so repeated calls against an unchanged
-        mapped store skip the trie fold entirely.  Store-backed shards only
-        (object-represented runs have no columns to scan).
+        :meth:`is_visible_batch` over all rows in insertion order, sharing
+        its memoized per-path flags, so repeated calls against an unchanged
+        store skip the trie fold entirely.
         """
         shard = self._shard(run)
         state = self._decoded_state(view, variant)
-        view_label = state.label
-        store = shard.store
-        if not isinstance(store, LabelStore):
-            raise LabelingError(
-                f"run {run!r} has no columnar store; use is_visible_batch"
-            )
+        flags = self._visibility_flags(shard, state)
+        return visible_mask(shard.store, state.label, flags=flags)
+
+    def _visibility_flags(self, shard: _RunShard, state) -> np.ndarray:
+        """The view's per-path flags over the shard's trie, extended if it grew."""
         memo = state.visibility_flags
-        flags = path_visibility(store.table, view_label, prefix=memo.get(shard.arena))
-        memo[shard.arena] = flags
-        return _store_visible_mask(store, view_label, flags=flags)
+        flags = memo[shard.arena] = path_visibility(
+            shard.store.table, state.label, prefix=memo.get(shard.arena)
+        )
+        return flags
 
     # -- the serving surface (repro.serve) ---------------------------------------
 
@@ -1043,251 +982,15 @@ class QueryEngine:
         t0 = time.perf_counter()
         try:
             with trace_span("engine.depends_batch", run=shard.run_id, pairs=len(pairs)):
-                return self._evaluate_dispatch(shard, state, pairs)
+                if isinstance(state, DecodedMatrixFreeState):
+                    return depends_per_pair(shard.store, state, pairs)
+                results, structural_n, matrix_n = depends_grouped(
+                    shard.store, shard.arena, self._classifier(state, shard), state, pairs
+                )
+                if structural_n:
+                    self._structural_pairs_c.inc(structural_n)
+                if matrix_n:
+                    self._matrix_pairs_c.inc(matrix_n)
+                return results
         finally:
             self._batch_seconds.labels("depends").observe(time.perf_counter() - t0)
-
-    def _evaluate_dispatch(
-        self,
-        shard: _RunShard,
-        state: "DecodedViewState | DecodedMatrixFreeState",
-        pairs: "list[tuple[int, int]] | np.ndarray",
-    ) -> list[bool]:
-        label = shard.label
-        store = shard.store
-        matrix_free = isinstance(state, DecodedMatrixFreeState)
-        if not matrix_free and isinstance(store, LabelStore):
-            return self._evaluate_store(store, state, pairs, shard)
-        if isinstance(pairs, np.ndarray):
-            # Both paths below walk label objects pair by pair.
-            pairs = pairs.tolist()
-        if matrix_free:
-            return [state.depends(label(d1), label(d2)) for d1, d2 in pairs]
-
-        labels = [(label(d1), label(d2)) for d1, d2 in pairs]
-        results = [False] * len(labels)
-        # Group intermediate-pair queries by the parse-tree paths of their
-        # labels: the reachability matrix is path-constant, so each group
-        # decodes once and every member costs one matrix-entry lookup.
-        groups: dict[tuple, list[tuple[int, int, int]]] = {}
-        for pos, (l1, l2) in enumerate(labels):
-            o1, i1 = l1.producer, l1.consumer
-            o2, i2 = l2.producer, l2.consumer
-            if i1 is None or o2 is None:
-                continue  # nothing depends on a final output / initial inputs depend on nothing
-            if o1 is None or i2 is None:
-                # Boundary cases are answered by one (cached) segment chain.
-                results[pos] = state.depends(l1, l2)
-                continue
-            groups.setdefault((o1.path, i2.path), []).append((pos, o1.port, i2.port))
-        for (path1, path2), members in groups.items():
-            matrix = intermediate_matrix(path1, path2, state, state.decode_cache)
-            if matrix is None:
-                continue
-            for pos, x, y in members:
-                results[pos] = matrix.get(x, y)
-        return results
-
-    def _evaluate_store(
-        self,
-        store: LabelStore,
-        state: "DecodedViewState",
-        pairs: "list[tuple[int, int]] | np.ndarray",
-        shard: _RunShard,
-    ) -> list[bool]:
-        """Store-backed batch evaluation: no label objects, integer grouping.
-
-        Labels are read as packed integer rows and intermediate pairs are
-        grouped (and their matrices cached) by ``(arena, producer_path_id,
-        consumer_path_id)`` — hashing three small ints per query instead of
-        two edge-label tuples (``arena`` keeps the id spaces of attached
-        mapped runs apart from the engine's shared trie).  Only boundary
-        queries (an initial input or a final output on either side)
-        materialise value objects, through the segment-chain path that
-        already memoizes per path.  Batches of ``VECTOR_GROUP_THRESHOLD`` or
-        more pairs over a dense *sealed* store — one that is already
-        compacted, which every mapped (attached) store is — are grouped with
-        numpy sort/unique over the path-id columns instead of the Python dict
-        loop; when the shard carries a structural index the switch happens
-        from ``STRUCTURAL_VECTOR_THRESHOLD`` pairs up instead, because
-        classified groups cost two interval probes rather than a matrix
-        assembly and the per-pair grouping overhead dominates much earlier.  Live streaming stores stay on the scalar path: the vectorised
-        gather reads whole columns, and a query must never compact (mutate) a
-        store that another thread may still be appending to.
-
-        Before a group's matrix is consulted the shard's
-        :class:`~repro.index.structural.ChainClassifier` (when the shard
-        carries a structural index) gets first refusal: a ``True``/``False``
-        verdict answers every member with no decode at all, and only groups
-        classified into the recursive/mixed residue assemble a matrix.
-        Structural answers are deliberately left out of
-        ``DecodeCache.note_pair_use`` — the ``.hotmx`` hot-matrix cache
-        should spend its budget on the residue that still needs matrices.
-        """
-        arena = shard.arena
-        classifier = self._classifier(state, shard)
-        vector_threshold = (
-            STRUCTURAL_VECTOR_THRESHOLD if classifier is not None else VECTOR_GROUP_THRESHOLD
-        )
-        if len(pairs) >= vector_threshold and store.is_dense and store.is_compacted:
-            vectorised = self._evaluate_store_vector(
-                store, state, pairs, shard, classifier
-            )
-            if vectorised is not None:
-                return vectorised
-        if isinstance(pairs, np.ndarray):
-            pairs = pairs.tolist()
-        row = store.row
-        results = [False] * len(pairs)
-        groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-        for pos, (d1, d2) in enumerate(pairs):
-            p1, p1_port, c1, _ = row(d1)
-            p2, _, c2, c2_port = row(d2)
-            if c1 < 0 or p2 < 0:
-                continue  # nothing depends on a final output / initial inputs depend on nothing
-            if p1 < 0 or c2 < 0:
-                # Boundary cases are answered by one (cached) segment chain.
-                results[pos] = state.depends(store.label(d1), store.label(d2))
-                continue
-            groups.setdefault((arena, p1, c2), []).append((pos, p1_port, c2_port))
-        cache = state.decode_cache
-        pair_matrices = cache.pair_matrices
-        table = store.table
-        structural_n = matrix_n = 0
-        with trace_span("engine.group_eval") as group_span:
-            for key, members in groups.items():
-                if classifier is not None:
-                    verdict = classifier.classify(key[1], key[2])
-                    if verdict is not None:
-                        structural_n += len(members)
-                        if verdict:
-                            for pos, _, _ in members:
-                                results[pos] = True
-                        continue
-                matrix_n += len(members)
-                try:
-                    matrix = pair_matrices[key]
-                except KeyError:
-                    with trace_span("engine.decode", pair=(key[1], key[2])):
-                        matrix = intermediate_matrix_for_ids(
-                            table, key[1], key[2], state, cache, arena=arena
-                        )
-                cache.note_pair_use(key, len(members))
-                if matrix is None:
-                    continue
-                for pos, x, y in members:
-                    results[pos] = matrix.get(x, y)
-            if group_span is not None:
-                group_span.attrs = {
-                    "groups": len(groups),
-                    "structural_pairs": structural_n,
-                    "matrix_pairs": matrix_n,
-                }
-        if structural_n:
-            self._structural_pairs_c.inc(structural_n)
-        if matrix_n:
-            self._matrix_pairs_c.inc(matrix_n)
-        return results
-
-    def _evaluate_store_vector(
-        self,
-        store: LabelStore,
-        state: "DecodedViewState",
-        pairs: "list[tuple[int, int]] | np.ndarray",
-        shard: _RunShard,
-        classifier: "ChainClassifier | None",
-    ) -> list[bool] | None:
-        """Vectorised grouping for large batches over a dense, sealed store.
-
-        The label-column gathers, the boundary classification and the
-        group-by over ``(producer_path_id, consumer_path_id)`` run as numpy
-        array operations (fancy indexing + one argsort), replacing ~10^4+
-        per-pair dict probes; matrices are then assembled once per distinct
-        path-id pair exactly as in the scalar path.  The caller guarantees
-        the store is already compacted, so the gather is a read-only access.
-        Columns are read through :meth:`LabelStore.gather_rows`, which mapped
-        multi-segment shards override with a fixed-size chunked gather — the
-        batch pages in only the rows it touches instead of materialising
-        whole mapped columns.  Returns ``None`` when a uid falls outside the
-        dense row range so the scalar path can raise its precise per-item
-        error.
-        """
-        arena = shard.arena
-        n_rows = len(store)
-        base = store.base_uid
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        if pair_array.size == 0:
-            return []
-        rows1 = pair_array[:, 0] - base
-        rows2 = pair_array[:, 1] - base
-        if ((rows1 < 0) | (rows1 >= n_rows) | (rows2 < 0) | (rows2 >= n_rows)).any():
-            return None
-        with trace_span("mmap.gather", rows=2 * len(pairs)):
-            p1, x_ports, c1 = store.gather_rows(
-                rows1, ("producer_path_id", "producer_port", "consumer_path_id")
-            )
-            p2, c2, y_ports = store.gather_rows(
-                rows2, ("producer_path_id", "consumer_path_id", "consumer_port")
-            )
-
-        results = [False] * len(pairs)
-        active = (c1 >= 0) & (p2 >= 0)
-        boundary = active & ((p1 < 0) | (c2 < 0))
-        for pos in np.nonzero(boundary)[0].tolist():
-            # int(): an array row would hand numpy scalars to the label memo.
-            d1, d2 = pairs[pos]
-            results[pos] = state.depends(store.label(int(d1)), store.label(int(d2)))
-        grouped = np.nonzero(active & ~boundary)[0]
-        if grouped.size == 0:
-            return results
-        # Sort positions by (p1, c2) packed into one int64; equal keys become
-        # one contiguous slice = one matrix assembly.  The slice loop runs
-        # over plain Python lists: per-group numpy fancy-indexing and scalar
-        # boxing would otherwise dominate batches whose groups are answered
-        # by two interval probes each.
-        keys = (p1[grouped].astype(np.int64) << 32) | c2[grouped].astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        cuts = np.nonzero(np.diff(sorted_keys))[0] + 1
-        starts = np.concatenate(([0], cuts)).tolist()
-        ends = np.concatenate((cuts, [sorted_keys.size])).tolist()
-        sorted_positions = grouped[order]
-        positions = sorted_positions.tolist()
-        p1_sorted = p1[sorted_positions].tolist()
-        c2_sorted = c2[sorted_positions].tolist()
-        cache = state.decode_cache
-        table = store.table
-        structural_n = matrix_n = 0
-        with trace_span("engine.group_eval") as group_span:
-            for start, end in zip(starts, ends):
-                pid1 = p1_sorted[start]
-                cid2 = c2_sorted[start]
-                if classifier is not None:
-                    verdict = classifier.classify(pid1, cid2)
-                    if verdict is not None:
-                        structural_n += end - start
-                        if verdict:
-                            for pos in positions[start:end]:
-                                results[pos] = True
-                        continue
-                matrix_n += end - start
-                with trace_span("engine.decode", pair=(pid1, cid2)):
-                    matrix = intermediate_matrix_for_ids(
-                        table, pid1, cid2, state, cache, arena=arena
-                    )
-                cache.note_pair_use((arena, pid1, cid2), end - start)
-                if matrix is None:
-                    continue
-                for pos in positions[start:end]:
-                    results[pos] = matrix.get(int(x_ports[pos]), int(y_ports[pos]))
-            if group_span is not None:
-                group_span.attrs = {
-                    "groups": len(starts),
-                    "structural_pairs": structural_n,
-                    "matrix_pairs": matrix_n,
-                }
-        if structural_n:
-            self._structural_pairs_c.inc(structural_n)
-        if matrix_n:
-            self._matrix_pairs_c.inc(matrix_n)
-        return results

@@ -126,23 +126,26 @@ class LabelStore:
         consumer_port: int,
     ) -> None:
         """Record one label; ``NO_PATH`` marks an absent producer/consumer."""
+        row = len(self._producer_path)
         if self._row_of is None:
             base = self._base
             if base is None:
                 self._base = uid
-            elif uid - base != len(self._producer_path):
-                if 0 <= uid - base < len(self._producer_path):
+            elif uid - base != row:
+                if 0 <= uid - base < row:
                     raise _already_labelled(uid)
-                self._go_sparse(uid)
-        else:
-            if uid in self._row_of:
-                raise _already_labelled(uid)
-            self._row_of[uid] = len(self._producer_path)
-            self._uids.append(uid)
+                self._go_sparse()
+        elif uid in self._row_of:
+            raise _already_labelled(uid)
         self._producer_path.append(producer_path)
         self._producer_port.append(producer_port)
         self._consumer_path.append(consumer_path)
         self._consumer_port.append(consumer_port)
+        if self._row_of is not None:
+            # Published after the row is whole: a racing reader that finds
+            # the uid finds all four of its columns.
+            self._uids.append(uid)
+            self._row_of[uid] = row
 
     def extend_items(self, items: Sequence, path_ids: Sequence[int]) -> None:
         """Bulk-record the labels of one expansion event's new data items.
@@ -205,14 +208,12 @@ class LabelStore:
             0 if consumer is None else consumer.port,
         )
 
-    def _go_sparse(self, new_uid: int) -> None:
+    def _go_sparse(self) -> None:
         """Leave dense mode: materialise the uid column and the uid->row index."""
         base = self._base or 0
-        uids = list(range(base, base + len(self._producer_path)))
+        uids = range(base, base + len(self._producer_path))
+        self._uids = array("q", uids) if self._compacted else list(uids)
         self._row_of = {uid: row for row, uid in enumerate(uids)}
-        self._row_of[new_uid] = len(uids)
-        uids.append(new_uid)
-        self._uids = array("q", uids) if self._compacted else uids
 
     def compact(self) -> "LabelStore":
         """Pack the columns into ``array('i')`` buffers (4 bytes per entry).
@@ -238,13 +239,34 @@ class LabelStore:
     def _row(self, uid: int) -> int:
         if self._row_of is None:
             base = self._base
-            if base is not None and 0 <= uid - base < len(self._producer_path):
+            # Bounded by the column ``append`` writes last, so a reader
+            # racing the ingest thread never sees a half-appended row.
+            if base is not None and 0 <= uid - base < len(self._consumer_port):
                 return uid - base
             raise _not_labelled(uid)
         try:
             return self._row_of[uid]
         except KeyError:
             raise _not_labelled(uid) from None
+
+    def rows_for(self, uids: np.ndarray) -> np.ndarray:
+        """Row indices of an int64 array of uids, for :meth:`gather_rows`.
+
+        Raises the same :class:`LabelingError` as :meth:`row` for the first
+        unlabelled uid in array order.
+        """
+        if self._row_of is None:
+            rows = uids - (self._base or 0)
+            unknown = (rows < 0) | (rows >= len(self._consumer_port))
+            if unknown.any():
+                raise _not_labelled(int(uids[unknown.argmax()]))
+            return rows
+        try:
+            return np.fromiter(
+                map(self._row_of.__getitem__, uids.tolist()), np.int64, uids.size
+            )
+        except KeyError as exc:
+            raise _not_labelled(exc.args[0]) from None
 
     def row(self, uid: int) -> tuple[int, int, int, int]:
         """The packed label ``(producer_path, producer_port, consumer_path, consumer_port)``."""
@@ -275,17 +297,17 @@ class LabelStore:
             return False
         if self._row_of is None:
             base = self._base
-            return base is not None and 0 <= uid - base < len(self._producer_path)
+            return base is not None and 0 <= uid - base < len(self._consumer_port)
         return uid in self._row_of
 
     def __len__(self) -> int:
-        return len(self._producer_path)
+        return len(self._consumer_port)
 
     def uids(self) -> Iterator[int]:
         """The labelled uids in insertion order."""
         if self._row_of is None:
             base = self._base or 0
-            return iter(range(base, base + len(self._producer_path)))
+            return iter(range(base, base + len(self._consumer_port)))
         return iter(self._uids)
 
     def iter_rows(self) -> Iterator[tuple[int, int, int, int, int]]:
@@ -357,17 +379,21 @@ class LabelStore:
     )
 
     def gather_rows(self, rows: np.ndarray, fields: tuple = GATHER_FIELDS):
-        """The requested label columns gathered at ``rows``, as copies.
+        """The requested label columns gathered at ``rows``, as int32 copies.
 
-        ``rows`` are store row indices (``uid - base_uid`` for dense
-        stores); the returned tuple lines up with ``fields``.  The engine's
-        vectorised batch path uses this instead of :meth:`columns` — and
-        asks only for the columns it needs — so mapped multi-segment stores
-        can bound their per-batch page-in (their subclass gathers extent by
-        extent and skips unrequested columns entirely).
+        ``rows`` come from :meth:`rows_for`; the returned tuple lines up
+        with ``fields``.  Valid in every store state, beside a concurrent
+        ``append``: growing lists and packed arrays alike are copied element
+        by element — nothing is compacted and no buffer is exported, so the
+        ingest thread can never meet a ``BufferError``.  Mapped stores
+        override this with an in-place gather over their extents.
         """
-        columns = self.columns()
-        return tuple(columns[field][rows] for field in fields)
+        columns = dict(zip(self.GATHER_FIELDS, self.raw_columns()))
+        index = rows.tolist()
+        return tuple(
+            np.fromiter(map(columns[field].__getitem__, index), np.int32, len(index))
+            for field in fields
+        )
 
     def memory_bytes(self) -> int:
         """Payload bytes of the current columnar representation (index included).

@@ -1168,6 +1168,11 @@ class MappedLabelStore(LabelStore):
         self._ensure_index()
         return super()._row(uid)
 
+    def rows_for(self, uids: np.ndarray) -> np.ndarray:
+        self._verify_once()
+        self._ensure_index()
+        return super().rows_for(uids)
+
     def __contains__(self, uid: object) -> bool:
         self._verify_once()
         self._ensure_index()
@@ -1198,11 +1203,11 @@ class MappedLabelStore(LabelStore):
     def gather_rows(self, rows: np.ndarray, fields: tuple = LabelStore.GATHER_FIELDS):
         """Chunked gather over the mapped extents (no whole-column reads).
 
-        Overrides the in-memory fancy-index gather: a multi-segment mapped
-        column would otherwise be concatenated into heap memory just to
-        serve one batch, paging the entire run in.  Here each requested
-        extent is indexed in place, so the per-batch page-in is bounded by
-        the rows (and columns) actually asked for.
+        Overrides the in-memory element-wise gather: mapped extents are
+        immutable numpy views, so each requested one is fancy-indexed in
+        place — a multi-segment column is never concatenated into heap
+        memory, and the per-batch page-in is bounded by the rows (and
+        columns) actually asked for.
         """
         self._verify_once()
         faults.hit("mmap.gather")

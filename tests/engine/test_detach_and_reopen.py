@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.engine.engine as engine_module
 from repro.core import FVLScheme, FVLVariant
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
@@ -215,10 +214,8 @@ def test_chunked_column_gather_matches_concatenated():
     assert column.gather(np.empty(0, dtype=np.int64)).size == 0
 
 
-def test_vectorised_batches_over_multi_segment_mapped_shards(
-    scheme, spec, tmp_path, monkeypatch
-):
-    """The chunked gather serves the vector path on multi-extent columns."""
+def test_batches_over_multi_segment_mapped_shards(scheme, spec, tmp_path):
+    """The chunked gather serves batches on multi-extent columns."""
     derivation = random_run(spec, 300, seed=43)
     view = random_view(spec, 6, seed=10, mode="grey", name="gather-view")
     items = sorted(ViewProjection(derivation.run, view).visible_items)
@@ -239,7 +236,6 @@ def test_vectorised_batches_over_multi_segment_mapped_shards(
     engine = QueryEngine(scheme)
     mapped = engine.attach(run_file)
     assert max(mapped.extents_per_column().values()) >= 3
-    monkeypatch.setattr(engine_module, "VECTOR_GROUP_THRESHOLD", 1)
     assert engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
     # The gather never materialised whole columns on the mapped store.
     assert mapped.store._producer_path._flat is None

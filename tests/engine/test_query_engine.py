@@ -214,23 +214,6 @@ def test_concurrent_batches_agree_with_serial(derivation):
     assert stats.queries == 24 * 30 and stats.batches == 24
 
 
-def test_depends_many_concurrent_runs_use_executor(derivation):
-    engine = QueryEngine(SCHEME, cache_size=4, max_workers=2)
-    runs = {
-        f"run-{i}": random_run(SPEC, 100, seed=20 + i) for i in range(3)
-    }
-    for run_id, run_derivation in runs.items():
-        engine.add_run(run_id, run_derivation)
-    view = VIEWS[0]
-    queries, expected = [], []
-    for run_id, run_derivation in runs.items():
-        for d1, d2 in _visible_pairs(run_derivation, view, n=20, seed=7):
-            queries.append(DependsQuery(d1, d2, view, run=run_id))
-    answers = engine.depends_many(queries)
-    for query, answer in zip(queries, answers):
-        assert answer == engine.depends(query.d1, query.d2, view, run=query.run)
-
-
 # -- error paths --------------------------------------------------------------------------
 
 

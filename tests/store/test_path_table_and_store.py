@@ -1,5 +1,6 @@
 """Unit tests for the columnar store layer (PathTable + LabelStore)."""
 
+import numpy as np
 import pytest
 
 from repro.core import FVLScheme, ProductionEdgeLabel, RecursionEdgeLabel
@@ -133,6 +134,49 @@ def test_label_store_goes_sparse_on_out_of_order_uids():
     assert 5 in store and 42 in store and 6 not in store
     with pytest.raises(LabelingError):
         store.append(5, a, 1, b, 1)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_half_appended_row_reads_as_not_labelled(sparse):
+    """A reader racing ``append`` gets the typed error, never ``IndexError``.
+
+    ``append`` grows ``producer_path`` first and ``consumer_port`` last; the
+    torn state in between is planted by hand.
+    """
+    store, a, b = _store()
+    store.append(10, a, 1, b, 2)
+    torn = 11
+    if sparse:
+        store.append(40, b, 1, a, 2)
+        torn = 41
+    rows = len(store)
+    for column in store.raw_columns()[:3]:  # the ingest thread is mid-append
+        column.append(a)
+    assert len(store) == rows and torn not in store
+    assert list(store.uids()) == ([10, 40] if sparse else [10])
+    for read in (store.row, store.label, lambda uid: store.rows_for(np.array([10, uid]))):
+        with pytest.raises(LabelingError, match=f"data item {torn} has not been labelled"):
+            read(torn)
+    assert store.rows_for(np.array([10])).tolist() == [0]
+    assert [c.tolist() for c in store.gather_rows(np.array([0]))] == [[a], [1], [b], [2]]
+    store.raw_columns()[3].append(1)  # the append completes
+    if not sparse:
+        assert store.row(torn) == (a, a, a, 1)
+
+
+def test_gather_rows_reads_every_store_state_without_sealing_it():
+    store, a, b = _store()
+    for uid in range(20):
+        store.append(uid, a, uid, b, 2 * uid)
+    rows = store.rows_for(np.array([3, 17, 3]))
+    want = ([a] * 3, [3, 17, 3], [b] * 3, [6, 34, 6])
+    assert [column.tolist() for column in store.gather_rows(rows)] == list(want)
+    assert not store.is_compacted  # a read never packs a live store
+    store.compact()
+    ports = store.gather_rows(rows, ("consumer_port", "producer_port"))
+    assert [column.tolist() for column in ports] == [want[3], want[1]]
+    store.append(20, b, 1, a, 1)  # no buffer export was left behind
+    assert store.row(20) == (b, 1, a, 1)
 
 
 def test_label_store_compact_preserves_contents_and_shrinks():

@@ -6,7 +6,6 @@ import struct
 
 import pytest
 
-import repro.engine.engine as engine_module
 from repro.core import FVLScheme, FVLVariant
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
@@ -279,22 +278,21 @@ def test_incremental_checkpoint_then_attach_is_lossless(scheme, spec, tmp_path):
     assert served.depends_batch(pairs, view) == expected
 
 
-def test_vectorised_grouping_matches_scalar_grouping(engine_setup, monkeypatch, tmp_path):
+def test_grouping_is_identical_across_store_states(engine_setup, tmp_path):
     engine, _, view, pairs = engine_setup
     expected = engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
-    monkeypatch.setattr(engine_module, "VECTOR_GROUP_THRESHOLD", 1)
     fresh = QueryEngine(engine.scheme)
     fresh.add_run(DEFAULT_RUN, engine._shards[DEFAULT_RUN].derivation)
-    # A live (uncompacted) store stays on the scalar path — the read path
-    # must not mutate a store that may still be ingesting.
+    # A query never compacts a live store — the read path must not mutate a
+    # store that may still be ingesting.
     store = fresh.run_labeler().store
     assert not store.is_compacted
     assert fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
     assert not store.is_compacted
-    # Sealing the run enables the vectorised path; answers are identical.
+    # Sealing the run changes how rows are stored, not the answers.
     store.compact()
     assert fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
-    # Mapped shards are always sealed, so large batches vectorise there too.
+    # Neither does serving the same rows from a file mapping.
     run_file = tmp_path / "vector.fvl"
     fresh.checkpoint(run_file)
     fresh.attach(run_file, run_id="disk")
@@ -302,6 +300,6 @@ def test_vectorised_grouping_matches_scalar_grouping(engine_setup, monkeypatch, 
         fresh.depends_batch(pairs, view, run="disk", variant=FVLVariant.DEFAULT)
         == expected
     )
-    # Unknown uids still raise the precise scalar error.
+    # Unknown uids raise the precise per-item error.
     with pytest.raises(LabelingError):
         fresh.depends_batch([(10**7, 1)], view)
