@@ -2,7 +2,7 @@
 
 Three end-to-end contracts are asserted on a BioAID-like run:
 
-1. **Persistence** (`repro.store.persist`): checkpoint (full, then an
+1. **Persistence** (`repro.store.checkpoint` / `repro.store.mapped`): checkpoint (full, then an
    incremental delta of a continued derivation), attach the file as a
    read-only mmap-backed shard, and require `depends_batch` answers
    bit-identical to the in-memory shard.

@@ -16,8 +16,6 @@ Figure 18 uses:
   arena) for the columnar one;
 * **node memory** — resident bytes of the parse tree itself: the traversed
   object graph (nodes + child lists) vs the :class:`NodeTable` columns;
-* **bulk encoding** — the size of :meth:`LabelCodec.encode_run`'s single
-  packed buffer, the at-rest form of a columnar run;
 * **checkpoint latency** — wall time of a full
   :func:`~repro.store.checkpoint_run` of the finished run, and of an
   incremental checkpoint that appends only the delta rows of the last ~10%
@@ -47,7 +45,6 @@ import time
 from repro.bench.measure import ResultTable
 from repro.bench.workloads import PreparedWorkload, prepare_bioaid
 from repro.core.run_labeler import RunLabeler
-from repro.io import LabelCodec
 from repro.store import checkpoint_run
 
 __all__ = [
@@ -147,24 +144,27 @@ def checksum_overhead(
     the measured baseline:
 
     * **ingest** — ``zlib.crc32`` over every section payload of the
-      checkpointed run (exactly the extra compute ``checksums=True`` adds to
-      a segment write) over the wall time of a full checksum-less
+      checkpointed run (exactly the compute the checksums add to a segment
+      write) over the wall time of a full
       :func:`~repro.store.checkpoint_run`;
-    * **attach** — unpacking one CRC word per section (the only extra work a
-      default lazy-verify :class:`~repro.store.MappedRunStore` open does for
-      a ``SEG2`` table) over the wall time of a checksum-less attach.  The
-      eager full scrub (``verify="attach"``) necessarily costs O(payload
-      bytes) and is priced by its own opt-in, not here.
+    * **attach** — unpacking one CRC word per section (the only work a
+      default lazy-verify :class:`~repro.store.MappedRunStore` open spends
+      on the checksums) over the wall time of that attach.  The full scrub
+      (before the first column is served, or at attach under
+      ``verify="attach"``) necessarily costs O(payload bytes) and is priced
+      by the benchmark's ``store.verify_ms`` rung, not here.
 
     All timings are best-of-``samples``; the baselines are wall time (what a
     deployment actually pays per checkpoint or attach, flush costs and all)
     while the added-work loops are pure compute, amortised over ``crc_reps``
     / ``parse_reps`` passes per sample.
     """
+    import struct
     import zlib
 
     from repro.store import MappedRunStore
-    from repro.store.persist import _CRC
+
+    crc_word = struct.Struct("<I")
 
     def best_time(fn, n: int = 1) -> float:
         best = float("inf")
@@ -182,40 +182,33 @@ def checksum_overhead(
 
     labeler = scheme.label_run(derivation)
     with tempfile.TemporaryDirectory(prefix="repro-crc-") as tmp:
-        plain_path = os.path.join(tmp, "plain.fvl")
-        crc_path = os.path.join(tmp, "crc.fvl")
-        checkpoint_run(crc_path, labeler.store, labeler.tree.nodes)
+        path = os.path.join(tmp, "run.fvl")
 
-        def plain_write() -> None:
-            if os.path.exists(plain_path):
-                os.unlink(plain_path)
-            checkpoint_run(
-                plain_path, labeler.store, labeler.tree.nodes, checksums=False
-            )
+        def write() -> None:
+            if os.path.exists(path):
+                os.unlink(path)
+            checkpoint_run(path, labeler.store, labeler.tree.nodes)
 
-        plain_write_s = best_time(plain_write)
-        plain_attach_s = best_time(lambda: MappedRunStore(plain_path).close(), n=50)
+        write_s = best_time(write)
+        attach_s = best_time(lambda: MappedRunStore(path).close(), n=50)
 
-        with MappedRunStore(crc_path, verify="off") as mapped:
+        with MappedRunStore(path) as mapped:
             payloads = [
-                bytes(mapped._mm[part.offset : part.offset + part.nbytes])
-                for parts in mapped._extents.values()
-                for part in parts
-                if part.nbytes
+                mapped.payload(extent) for _, extent in mapped.sections() if extent.nbytes
             ]
         n_sections = len(payloads)
         crc_write_s = best_time(
             lambda: [zlib.crc32(payload) for payload in payloads], n=crc_reps
         )
-        table = bytes(_CRC.size * max(1, n_sections))
+        table = bytes(crc_word.size * max(1, n_sections))
 
         def parse_crc_words() -> None:
             for index in range(n_sections):
-                _CRC.unpack_from(table, index * _CRC.size)
+                crc_word.unpack_from(table, index * crc_word.size)
 
         crc_parse_s = best_time(parse_crc_words, n=parse_reps)
-    ingest_pct = crc_write_s / plain_write_s * 100.0
-    attach_pct = crc_parse_s / plain_attach_s * 100.0
+    ingest_pct = crc_write_s / write_s * 100.0
+    attach_pct = crc_parse_s / attach_s * 100.0
     return ingest_pct, attach_pct
 
 
@@ -283,7 +276,6 @@ def ingest_throughput(
     """Items/second, label+node memory and checkpoint latency vs run size."""
     workload = workload or prepare_bioaid()
     scheme = workload.scheme
-    codec = LabelCodec(scheme.index)
     table = ResultTable(
         "Ingest - throughput, label/node memory, checkpoints (object vs columnar)",
         [
@@ -297,7 +289,6 @@ def ingest_throughput(
             "tree_object_KB",
             "tree_columnar_KB",
             "tree_memory_ratio",
-            "bulk_encode_KB",
             "checkpoint_full_ms",
             "checkpoint_delta_ms",
             "crc_ingest_pct",
@@ -316,8 +307,8 @@ def ingest_throughput(
             "RunLifecycleManager sweep that flushes one due delta (run "
             "streamed in 8 slices), and read_amp is the segmented file's "
             "bytes over its compacted rewrite; crc_ingest/crc_attach are the "
-            "per-section CRC32 cost of the v3 format in percent of a "
-            "checksum-less full checkpoint / default lazy-verify attach "
+            "per-section CRC32 share of a full checkpoint / default "
+            "lazy-verify attach in percent "
             "(the added work timed on the real section bytes over the "
             "measured baseline wall time, best-of-samples)"
         ),
@@ -345,7 +336,6 @@ def ingest_throughput(
         nodes = columnar_labeler.tree.nodes.compact()
         columnar_bytes = store.memory_bytes() + store.table.memory_bytes()
         tree_col_bytes = nodes.memory_bytes()
-        _, bulk_bits = codec.encode_run(store)
         full_s, delta_s = checkpoint_latency(scheme, derivation)
         crc_ingest_pct, crc_attach_pct = checksum_overhead(scheme, derivation)
         policy_flush_ms, segments, compact_ms, read_amp = lifecycle_metrics(
@@ -363,7 +353,6 @@ def ingest_throughput(
             round(tree_obj_bytes / 1024.0, 1),
             round(tree_col_bytes / 1024.0, 1),
             round(tree_obj_bytes / tree_col_bytes, 1) if tree_col_bytes else float("inf"),
-            round(bulk_bits / 8.0 / 1024.0, 1),
             round(full_s * 1e3, 2),
             round(delta_s * 1e3, 2),
             round(crc_ingest_pct, 2),

@@ -40,7 +40,7 @@ one-pair API leaves it 30–40x behind).
 Shards come in two flavours: **labelled** runs ingested live into the
 engine's shared path arena (:meth:`QueryEngine.add_run`), and **attached**
 runs served read-only from an mmap-backed file written by
-:meth:`QueryEngine.checkpoint` (:mod:`repro.store.persist`) — disk-backed
+:meth:`QueryEngine.checkpoint` (:mod:`repro.store.checkpoint`) — disk-backed
 shards answer the same queries bit-identically without a decode pass, so a
 deployment can serve runs larger than RAM and survive restarts.
 """
@@ -326,11 +326,11 @@ class QueryEngine:
         :meth:`add_run`.
 
         ``verify`` is passed to :class:`~repro.store.MappedRunStore`:
-        ``"lazy"`` (default) scrubs the file's checksums once on first
-        access, ``"attach"`` scrubs before this call returns, ``"off"``
-        trusts the bytes.  A failed scrub raises
-        :class:`~repro.errors.CorruptionError` instead of ever serving a
-        silently wrong answer.
+        ``"lazy"`` (default) scrubs the file's checksums once, before the
+        first column of any kind (labels, trie, nodes, interval index) is
+        served; ``"attach"`` scrubs before this call returns.  A failed
+        scrub raises :class:`~repro.errors.CorruptionError` — on every
+        retry — instead of ever serving a silently wrong answer.
         """
         if run_id in self._shards:
             # Guard before the file is mapped: silently replacing the live

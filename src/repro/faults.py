@@ -34,14 +34,14 @@ __all__ = ["FAULT_POINTS", "FaultPlan", "FaultRule", "InjectedFault", "hit"]
 #: Every fault point the codebase is instrumented with.  Plans may only
 #: reference these names — a typo'd point would silently never fire.
 FAULT_POINTS = (
-    "persist.write",  # store/persist: segment payload write
-    "persist.fsync",  # store/persist: data/header fsync phases
+    "persist.write",  # store/runfile: segment payload write
+    "persist.fsync",  # store/checkpoint: data/header fsync phases
     "net.send",  # net/{server,client}: socket send
     "net.recv",  # net/{server,client}: socket recv
     "scheduler.batch",  # serve/server: worker picked up a batch
     "scheduler.admit",  # serve/server: non-blocking admission (fires a shed)
     "compact.swap",  # store/compaction: atomic rename of the merged file
-    "mmap.gather",  # store/persist: mapped row gather
+    "mmap.gather",  # store/mapped: mapped row gather
 )
 
 

@@ -31,7 +31,7 @@ involved.  The decoder stays the single source of truth: the structural path
 only ever answers when the matrix answer is forced.
 
 This module deliberately imports nothing from the store or engine packages
-(only numpy), so :mod:`repro.store.persist` and :mod:`repro.store.compaction`
+(only numpy), so :mod:`repro.store.checkpoint` and :mod:`repro.store.compaction`
 can persist/verify the interval columns without an import cycle.  The packed
 edge-word layout therefore repeats :mod:`repro.store.path_table`'s encoding
 (``kind | a << 1 | b << 17``); a unit test pins the two together.

@@ -10,7 +10,7 @@ from repro.io.json_io import (
     view_from_dict,
     view_to_dict,
 )
-from repro.io.label_codec import RUN_ENCODING_VERSION, LabelCodec, elias_gamma_bits
+from repro.io.label_codec import LabelCodec, elias_gamma_bits
 from repro.io.xml_io import (
     dump_specification_xml,
     load_specification_xml,
@@ -37,5 +37,4 @@ __all__ = [
     "view_from_xml",
     "LabelCodec",
     "elias_gamma_bits",
-    "RUN_ENCODING_VERSION",
 ]

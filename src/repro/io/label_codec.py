@@ -33,12 +33,7 @@ from repro.core.labels import (
 from repro.core.preprocessing import GrammarIndex
 from repro.errors import SerializationError
 
-__all__ = ["elias_gamma_bits", "LabelCodec", "RUN_ENCODING_VERSION"]
-
-#: Version tag written at the head of every :meth:`LabelCodec.encode_run`
-#: buffer (gamma-coded).  Bump when the bulk layout changes so stale at-rest
-#: buffers are rejected instead of misparsed.
-RUN_ENCODING_VERSION = 2
+__all__ = ["elias_gamma_bits", "LabelCodec"]
 
 
 def elias_gamma_bits(value: int) -> int:
@@ -204,129 +199,6 @@ class LabelCodec:
             PortLabel(shared + producer_suffix, producer_port),
             PortLabel(shared + consumer_suffix, consumer_port),
         )
-
-    # -- bulk (whole-run) serialisation ----------------------------------------------
-
-    def encode_run(self, store: "LabelStore") -> tuple[bytes, int]:
-        """Serialise an entire :class:`~repro.store.LabelStore` to one buffer.
-
-        The format opens with a gamma-coded :data:`RUN_ENCODING_VERSION` tag,
-        then writes the store's path-table trie once — each path as a
-        gamma-coded parent delta plus one edge in the same field widths the
-        per-label encoder uses — followed by the four label columns (path
-        ids gamma-coded, ports fixed-width), so the shared path structure is
-        never repeated per item: the bulk analogue of the per-label
-        common-prefix factoring.  Returns ``(payload, number_of_bits)``;
-        decode with :meth:`decode_run`.  Works on any store exposing the
-        read interface, including a mapped
-        :class:`~repro.store.MappedLabelStore`.
-        """
-        writer = _BitWriter()
-        writer.write_gamma(RUN_ENCODING_VERSION)
-        table = store.table
-        # Path trie: rows in id order, ids implicit, parents as deltas
-        # (a child id is always strictly greater than its parent id).
-        writer.write_gamma(len(table))
-        path_id = 0
-        for parent, kind, a, b, c in table.iter_edges():
-            path_id += 1
-            writer.write_gamma(path_id - parent)
-            writer.write(kind, 1)
-            if kind == 0:
-                writer.write(a, self._k_bits)
-                writer.write(b, self._rhs_bits)
-            else:
-                writer.write(a, self._s_bits)
-                writer.write(b, self._t_bits)
-                writer.write_gamma(c)
-        # Label columns.  Dense stores need no per-item uid at all.
-        writer.write_gamma(len(store) + 1)
-        dense = store.is_dense
-        writer.write(1 if dense else 0, 1)
-        if dense:
-            base = store.base_uid
-            if base < 0:
-                raise SerializationError("bulk encoding requires non-negative uids")
-            writer.write_gamma(base + 1)
-        for uid, ppid, pport, cpid, cport in store.iter_rows():
-            if not dense:
-                if uid < 0:
-                    raise SerializationError("bulk encoding requires non-negative uids")
-                writer.write_gamma(uid + 1)
-            writer.write(0 if ppid < 0 else 1, 1)
-            writer.write(0 if cpid < 0 else 1, 1)
-            if ppid >= 0:
-                writer.write_gamma(ppid + 1)
-                writer.write(pport, self._port_bits)
-            if cpid >= 0:
-                writer.write_gamma(cpid + 1)
-                writer.write(cport, self._port_bits)
-        return writer.to_bytes(), len(writer)
-
-    def decode_run(
-        self, payload: bytes, n_bits: int, path_table: "PathTable | None" = None
-    ) -> "LabelStore":
-        """Rebuild a :class:`~repro.store.LabelStore` written by :meth:`encode_run`.
-
-        A fresh :class:`~repro.store.PathTable` is built unless the caller
-        passes an (empty) arena to intern into.  Path ids, uids and labels
-        round-trip exactly.
-        """
-        from repro.store import LabelStore, PathTable
-
-        reader = _BitReader(payload, n_bits)
-        version = reader.read_gamma()
-        if version != RUN_ENCODING_VERSION:
-            raise SerializationError(
-                f"unsupported bulk label encoding version {version} "
-                f"(supported: {RUN_ENCODING_VERSION})"
-            )
-        table = path_table if path_table is not None else PathTable()
-        if len(table) != 1:
-            raise SerializationError("decode_run needs an empty path table")
-        n_paths = reader.read_gamma()
-        for path_id in range(1, n_paths):
-            parent = path_id - reader.read_gamma()
-            if parent < 0:
-                raise SerializationError("malformed path-table row: bad parent delta")
-            if reader.read(1) == 0:
-                k = reader.read(self._k_bits)
-                i = reader.read(self._rhs_bits)
-                restored = table.extend_production(parent, k, i)
-            else:
-                s = reader.read(self._s_bits)
-                t = reader.read(self._t_bits)
-                i = reader.read_gamma()
-                restored = table.extend_recursion(parent, s, t, i)
-            if restored != path_id:
-                raise SerializationError("duplicate path-table row in bulk encoding")
-        store = LabelStore(table)
-        n_items = reader.read_gamma() - 1
-        dense = reader.read(1) == 1
-        next_uid = reader.read_gamma() - 1 if dense else 0
-        for _ in range(n_items):
-            if dense:
-                uid = next_uid
-                next_uid += 1
-            else:
-                uid = reader.read_gamma() - 1
-            has_producer = reader.read(1) == 1
-            has_consumer = reader.read(1) == 1
-            ppid = pport = cpid = cport = -1
-            if has_producer:
-                ppid = reader.read_gamma() - 1
-                pport = reader.read(self._port_bits)
-            else:
-                pport = 0
-            if has_consumer:
-                cpid = reader.read_gamma() - 1
-                cport = reader.read(self._port_bits)
-            else:
-                cport = 0
-            if (ppid >= n_paths) or (cpid >= n_paths):
-                raise SerializationError("label row references an unknown path id")
-            store.append(uid, ppid, pport, cpid, cport)
-        return store
 
     # -- internals -----------------------------------------------------------------------
 

@@ -4,11 +4,15 @@ The ingest-side counterpart of the batched query engine: paths of the
 compressed parse tree are interned once in a :class:`PathTable` trie, the
 tree's nodes are integer rows in a :class:`NodeTable`, and a run's data
 labels become four integer columns in a :class:`LabelStore` instead of
-per-item value objects.  :mod:`repro.store.persist` gives the fully columnar
-run a page-aligned at-rest form: :func:`checkpoint_run` appends delta rows
+per-item value objects.  The fully columnar run has a page-aligned at-rest
+form, described once in :mod:`repro.store.runfile` (header, section schema,
+the one segment encoder and the one chain decoder):
+:mod:`repro.store.checkpoint`'s :func:`checkpoint_run` appends delta rows
 behind ``(n_paths, n_items, n_nodes)`` watermarks (``checkpoint_batch``
-groups the fsync barriers across runs) and :class:`MappedRunStore` serves
-the file through ``mmap`` with no decode pass.
+groups the fsync barriers across runs) and :mod:`repro.store.mapped`'s
+:class:`MappedRunStore` serves the file through ``mmap`` with no decode
+pass, scrubbing its checksums before the first column is handed out
+(``verify="lazy"``) or at open (``verify="attach"``).
 :mod:`repro.store.compaction` rewrites a segmented file into one extent per
 column under a bumped generation and swaps it in atomically — the store-side
 half of the run lifecycle (:mod:`repro.service`).  See the architecture
@@ -45,21 +49,21 @@ from repro.store.lockfile import (
     LeaseHeldError,
     LeaseInfo,
 )
-from repro.store.persist import (
-    FORMAT_MAGIC,
-    FORMAT_VERSION,
-    PAGE_SIZE,
-    CheckpointResult,
+from repro.store.runfile import FORMAT_MAGIC, FORMAT_VERSION, PAGE_SIZE
+from repro.store.mapped import (
     MappedLabelStore,
     MappedNodeTable,
     MappedPathTable,
     MappedRunStore,
     RunFileInfo,
     VerifyReport,
-    checkpoint_batch,
-    checkpoint_run,
     run_file_info,
     verify_run,
+)
+from repro.store.checkpoint import (
+    CheckpointResult,
+    checkpoint_batch,
+    checkpoint_run,
 )
 
 __all__ = [

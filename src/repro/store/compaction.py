@@ -1,6 +1,6 @@
 """Offline run-file compaction: merge delta segments, verify, swap, GC.
 
-Incremental checkpoints (:func:`repro.store.persist.checkpoint_run`) append
+Incremental checkpoints (:func:`repro.store.checkpoint.checkpoint_run`) append
 one segment per interval, so a long-lived streaming run accumulates one data
 extent *per column per interval* — every whole-column read then pays the
 chain (read amplification), and the section tables grow without bound.
@@ -30,7 +30,8 @@ simply becomes segment 2 of the new generation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -39,14 +40,14 @@ from repro.errors import SerializationError
 from repro.index.structural import compute_tree_intervals
 from repro.obs import events as obs_events
 from repro.store.lockfile import FileLease
-from repro.store.persist import (
-    _DTYPE_BLOB,
-    _DTYPE_I64,
-    _STRUCTURAL_SIDS,
+from repro.store.mapped import MappedRunStore
+from repro.store.runfile import (
     PAGE_SIZE,
-    MappedRunStore,
-    _Header,
-    _write_segment_at,
+    SCHEMA,
+    Header,
+    encode_rows,
+    merge_payloads,
+    write_segment,
 )
 
 __all__ = ["CompactionResult", "compact"]
@@ -104,32 +105,28 @@ def _fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
+_SNAPSHOT_COLUMNS = [column for column in SCHEMA if column.snapshot]
+
+
 def _merged_sections(source: MappedRunStore) -> list[tuple[int, int, int, int, bytes]]:
     """One ``(sid, dtype, row_start, n_rows, payload)`` per column, extents merged."""
+    stale = {column.name for column in _SNAPSHOT_COLUMNS}
     sections = []
-    mm = source._mm
-    for sid in sorted(source._extents):
-        if sid in _STRUCTURAL_SIDS:
+    for name, group in groupby(source.sections(), key=lambda pair: pair[0]):
+        if name in stale:
             # Interval columns are full snapshots, not deltas — byte-joining
             # their extents would interleave stale snapshots.  They are
             # recomputed fresh by :func:`_structural_sections` instead.
             continue
-        parts = source._extents[sid]
-        raw = [mm[part.offset : part.offset + part.nbytes] for part in parts]
-        if parts[0].dtype_code == _DTYPE_BLOB:
-            # Blob extents are newline-joined string lists; merging two
-            # non-empty lists needs the separator the per-extent encoding
-            # leaves out.
-            payload = b"\n".join(chunk for chunk in raw if chunk)
-        else:
-            payload = b"".join(raw)
+        parts = [extent for _, extent in group]
+        first = parts[0]
         sections.append(
             (
-                sid,
-                parts[0].dtype_code,
-                parts[0].row_start,
+                first.sid,
+                first.dtype_code,
+                first.row_start,
                 sum(part.n_rows for part in parts),
-                payload,
+                merge_payloads(first.dtype_code, [source.payload(part) for part in parts]),
             )
         )
     return sections
@@ -147,28 +144,17 @@ def _structural_sections(source: MappedRunStore) -> list[tuple[int, int, int, in
         return []
     parent = np.asarray(source.nodes.columns()["parent"], dtype=np.int64)
     return [
-        (sid, _DTYPE_I64, 0, source.n_nodes, column.astype("<i8", copy=False).tobytes())
-        for sid, column in zip(_STRUCTURAL_SIDS, compute_tree_intervals(parent))
+        (column.sid, column.dtype, 0, source.n_nodes, encode_rows(column, rows))
+        for column, rows in zip(_SNAPSHOT_COLUMNS, compute_tree_intervals(parent))
     ]
 
 
-def _write_merged(tmp_path: str, header: _Header, sections) -> None:
+def _write_merged(tmp_path: str, header: Header, sections) -> None:
     """Write the single-segment rewrite (the swap, not this write, publishes it)."""
     with open(tmp_path, "w+b") as handle:
-        end_offset = _write_segment_at(handle, PAGE_SIZE, sections)
-        new_header = _Header(
-            n_segments=1,
-            n_paths=header.n_paths,
-            n_items=header.n_items,
-            n_nodes=header.n_nodes,
-            n_node_uids=header.n_node_uids,
-            n_module_names=header.n_module_names,
-            base_uid=header.base_uid,
-            end_offset=end_offset,
-            dense=header.dense,
-            has_nodes=header.has_nodes,
-            fingerprint=header.fingerprint,
-            generation=header.generation + 1,
+        end_offset = write_segment(handle, PAGE_SIZE, sections)
+        new_header = replace(
+            header, n_segments=1, end_offset=end_offset, generation=header.generation + 1
         )
         handle.seek(0)
         handle.write(new_header.pack())
@@ -225,12 +211,10 @@ def _verify_against_source(source: MappedRunStore, merged: MappedRunStore) -> No
                     "current structural interval snapshot"
                 )
             parent = np.asarray(merged.nodes.columns()["parent"], dtype=np.int64)
-            for name, column, expected in zip(
-                ("node.pre", "node.post", "node.level"),
-                persisted,
-                compute_tree_intervals(parent),
+            for column, rows, expected in zip(
+                _SNAPSHOT_COLUMNS, persisted, compute_tree_intervals(parent)
             ):
-                _require_equal(name, column, expected)
+                _require_equal(column.name, rows, expected)
 
 
 def compact(
@@ -277,7 +261,7 @@ def _compact_locked(file_path: str) -> CompactionResult:
     source = MappedRunStore(file_path)
     try:
         bytes_before = os.path.getsize(file_path)
-        header = source._header
+        header = source.header
         if header.n_segments <= 1:
             return CompactionResult(
                 path=file_path,
@@ -288,6 +272,9 @@ def _compact_locked(file_path: str) -> CompactionResult:
                 bytes_after=bytes_before,
                 removed=tuple(removed),
             )
+        # A corrupt source is never rewritten under fresh checksums: the
+        # scrub runs before the first payload byte is read.
+        source.verify()
         tmp_path = _temp_path(file_path, header.generation + 1)
         _write_merged(
             tmp_path, header, _merged_sections(source) + _structural_sections(source)

@@ -19,7 +19,7 @@ materialised only for nodes a compatibility consumer actually touches.
 
 ``child_count`` is the one column that is *derived* state: it is updated in
 place when a child is appended, so the persistent store
-(:mod:`repro.store.persist`) does not write it and the mapped reader
+(:mod:`repro.store.checkpoint`) does not write it and the mapped reader
 recomputes it with one vectorised ``bincount`` instead.
 """
 

@@ -11,7 +11,7 @@ from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import LabelingError
 from repro.model.projection import ViewProjection
 from repro.store import checkpoint_run, compact
-from repro.store.persist import _ChunkedColumn
+from repro.store.mapped import _ChunkedColumn
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 

@@ -26,7 +26,6 @@ from repro.errors import CorruptionError
 from repro.model.projection import ViewProjection
 from repro.model.views import default_view
 from repro.store import MappedRunStore, checkpoint_run, compact
-from repro.store.persist import _SECTION_NAMES
 from repro.workloads import (
     build_bioaid_specification,
     build_nested_chain_specification,
@@ -148,12 +147,10 @@ def test_chain_grammar_is_mostly_structural(tmp_path):
 
 
 def _section_extent(run_file, wanted):
-    with MappedRunStore(run_file, verify="off") as mapped:
-        for sid, parts in sorted(mapped._extents.items()):
-            if _SECTION_NAMES.get(sid) == wanted:
-                for part in parts:
-                    if part.nbytes:
-                        return part.offset, part.nbytes
+    with MappedRunStore(run_file) as mapped:  # lazy: the manifest reads no payload
+        for name, extent in mapped.sections():
+            if name == wanted and extent.nbytes:
+                return extent.offset, extent.nbytes
     raise AssertionError(f"no extent for section {wanted!r}")
 
 

@@ -19,7 +19,7 @@ from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import SerializationError
 from repro.model.projection import ViewProjection
 from repro.store import MappedRunStore, checkpoint_run, compact, run_file_info
-from repro.store.persist import _HEADER, PAGE_SIZE
+from repro.store.runfile import HEADER_SIZE, PAGE_SIZE
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -60,7 +60,7 @@ def test_crash_between_segment_append_and_header_write_serves_old_watermark(
 ):
     """Segment 2 data hit the disk, the header did not: previous watermark wins."""
     derivation, path, after_first, after_second, watermark = torn_setup
-    torn = after_first[: _HEADER.size] + after_second[_HEADER.size :]
+    torn = after_first[:HEADER_SIZE] + after_second[HEADER_SIZE:]
     path.write_bytes(torn)
     with MappedRunStore(path) as mapped:
         assert mapped.n_segments == 1
@@ -87,7 +87,7 @@ def test_crash_mid_segment_write_serves_old_watermark(torn_setup):
     """A torn half-appended segment under the old header is simply ignored."""
     _, path, after_first, after_second, watermark = torn_setup
     for cut_bytes in (len(after_first) + 100, len(after_second) - 64):
-        torn = after_first[: _HEADER.size] + after_second[_HEADER.size : cut_bytes]
+        torn = after_first[:HEADER_SIZE] + after_second[HEADER_SIZE : cut_bytes]
         path.write_bytes(torn)
         with MappedRunStore(path) as mapped:
             assert mapped.n_items == watermark
@@ -104,7 +104,7 @@ def test_advanced_header_over_truncated_data_fails_loudly(torn_setup):
 
 def test_truncated_header_page_fails_loudly(torn_setup):
     _, path, _, after_second, _ = torn_setup
-    path.write_bytes(after_second[: _HEADER.size - 4])
+    path.write_bytes(after_second[: HEADER_SIZE - 4])
     with pytest.raises(SerializationError):
         MappedRunStore(path)
 

@@ -228,7 +228,7 @@ def test_object_store_matches_columnar_semantics():
         obj.labels_view()[2] = None
 
 
-def test_engine_shares_one_path_arena_across_runs(running_scheme, running_spec):
+def test_engine_shares_one_path_arena_across_runs(running_scheme, running_spec, tmp_path):
     from tests.conftest import derive_running
     from repro.engine import QueryEngine
 
@@ -241,14 +241,17 @@ def test_engine_shares_one_path_arena_across_runs(running_scheme, running_spec):
     # one row, so the arena never holds duplicate (parent, edge) rows...
     rows = list(table.rows())
     assert len(rows) == len(set(rows))
-    # ...and the bulk codec round-trips an engine-labelled store.
-    from repro.io import LabelCodec
+    # ...and a run file round-trips an engine-labelled store, shared trie
+    # (sibling runs' paths) and all.
+    from repro.store import MappedRunStore
 
-    codec = LabelCodec(running_scheme.index)
-    payload, bits = codec.encode_run(labeler_b.store)
-    restored = codec.decode_run(payload, bits)
-    for uid in list(labeler_b.store.uids()):
-        assert restored.label(uid) == labeler_b.label(uid)
+    run_file = tmp_path / "b.fvl"
+    engine.checkpoint(run_file, "b")
+    with MappedRunStore(run_file) as mapped:
+        assert list(mapped.store.iter_rows()) == list(labeler_b.store.iter_rows())
+        assert mapped.n_paths == len(table)
+        for uid in labeler_b.store.uids():
+            assert mapped.label(uid) == labeler_b.label(uid)
 
 
 def test_out_of_range_field_cannot_alias_an_existing_path():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import pytest
@@ -10,7 +11,6 @@ from repro.core import FVLScheme, FVLVariant
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import LabelingError, SerializationError
-from repro.io import LabelCodec
 from repro.model.projection import ViewProjection
 from repro.store import (
     FORMAT_MAGIC,
@@ -20,6 +20,9 @@ from repro.store import (
     MappedRunStore,
     PathTable,
     checkpoint_run,
+    compact,
+    run_file_info,
+    verify_run,
 )
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
@@ -100,20 +103,46 @@ def test_checkpoint_batch_rejects_duplicate_paths(labelled, tmp_path, scheme, sp
     assert not shared.exists()
 
 
-def test_reader_accepts_version_1_headers_as_generation_zero(labelled, tmp_path):
-    """v1 headers (no generation field) read back as generation 0."""
-    import struct as struct_module
-
+def test_pre_v3_files_are_refused_untouched(labelled, tmp_path):
+    """Only version 3 with checksummed segments is readable; older layouts
+    (whose writers are gone) are refused by every entry point, typed, and
+    never rewritten."""
     _, labeler = labelled
-    run_file = tmp_path / "v1.fvl"
+    run_file = tmp_path / "run.fvl"
     checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
-    raw = bytearray(run_file.read_bytes())
-    raw[8:12] = struct_module.pack("<I", 1)  # rewrite the version word
-    v1_file = tmp_path / "as-v1.fvl"
-    v1_file.write_bytes(bytes(raw))
-    with MappedRunStore(v1_file) as mapped:
-        assert mapped.generation == 0
-        assert mapped.n_items == len(labeler.store)
+    raw = run_file.read_bytes()
+    assert raw[PAGE_SIZE : PAGE_SIZE + 4] == b"SEG2"
+
+    def forged(name, offset, patch):
+        path = tmp_path / name
+        path.write_bytes(raw[:offset] + patch + raw[offset + len(patch) :])
+        return path
+
+    walkers = (
+        MappedRunStore,
+        verify_run,
+        compact,
+        lambda path: run_file_info(path, estimate_amplification=True),
+    )
+    header_only = (
+        run_file_info,
+        lambda path: checkpoint_run(path, labeler.store, labeler.tree.nodes),
+    )
+    cases = [
+        (forged("v1.fvl", 8, struct.pack("<I", 1)), "version", walkers + header_only),
+        (forged("v2.fvl", 8, struct.pack("<I", 2)), "version", walkers + header_only),
+        # What the removed checksum-less writer produced: a v3 header over a
+        # segment without the CRC array.  Refused wherever the chain is
+        # walked (a resuming checkpoint reads the header only).
+        (forged("seg1.fvl", PAGE_SIZE, b"SEG1"), "segment magic", walkers),
+    ]
+    for path, message, entry_points in cases:
+        before = path.read_bytes()
+        for entry_point in entry_points:
+            with pytest.raises(SerializationError, match=message):
+                entry_point(path)
+        assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))  # no rewrite was even started
 
 
 def test_reader_rejects_bad_magic_and_version(labelled, tmp_path):
@@ -155,14 +184,54 @@ def test_mapped_store_is_read_only(labelled, tmp_path):
             checkpoint_run(tmp_path / "copy.fvl", mapped.store, None)
 
 
-def test_mapped_store_round_trips_through_the_bulk_codec(labelled, tmp_path, scheme):
-    _, labeler = labelled
+def test_mapped_store_serves_the_live_rows_and_labels(labelled, tmp_path):
+    derivation, labeler = labelled
     run_file = tmp_path / "run.fvl"
     checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
-    codec = LabelCodec(scheme.index)
-    expected = codec.encode_run(labeler.store)
     with MappedRunStore(run_file) as mapped:
-        assert codec.encode_run(mapped.store) == expected
+        assert len(mapped) == len(labeler.store)
+        assert list(mapped.store.iter_rows()) == list(labeler.store.iter_rows())
+        assert list(mapped.table.iter_edges()) == list(labeler.store.table.iter_edges())
+        for uid in derivation.run.data_items:
+            assert mapped.label(uid) == labeler.label(uid)
+
+
+def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
+    """Golden bytes: the format is frozen at version 3.
+
+    The hashes were computed with the writer as of PR 16 (one hand-written
+    ``sections.append`` per column); any change to section order, padding,
+    CRC placement, header packing or the compaction merge shows here.  Run
+    files carry no timestamps, so the bytes are a function of the inputs.
+    """
+    events = random_run(spec, 600, seed=5).events
+    labeler = RunLabeler(scheme.index)
+    dense_file, sparse_file = tmp_path / "dense.fvl", tmp_path / "sparse.fvl"
+    step = -(-len(events) // 4)
+    for lo in range(0, len(events), step):
+        for event in events[lo : lo + step]:
+            labeler(event)
+        checkpoint_run(dense_file, labeler.store, labeler.tree.nodes, fingerprint=0x5EED)
+    sparse = LabelStore(labeler.store.table)
+    for uid, *row in labeler.store.iter_rows():
+        if uid % 7 != 3:
+            sparse.append(uid, *row)
+    checkpoint_run(sparse_file, sparse, None, fingerprint=0x5EED)
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert run_file_info(dense_file).n_segments == 4
+    assert sha256(dense_file) == (
+        "fe3fc30cea05bb990ab99649056be4ac8b30428e46fa38938bff8a9facc85bb4"
+    )
+    assert sha256(sparse_file) == (
+        "5dc56c84bd5c14b32aaa33f8712b14615222be1245ba6be9668007d9009353da"
+    )
+    assert compact(dense_file).compacted
+    assert sha256(dense_file) == (
+        "51fc75a0d6c9cf73935355715cfaf3f02c4e7e9f0adfe69d927c7f7dae75b8dd"
+    )
 
 
 def test_page_aligned_final_section_is_not_clobbered(tmp_path):

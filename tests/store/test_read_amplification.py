@@ -1,4 +1,4 @@
-"""Tests for measured read amplification (persist.run_file_info / MappedRunStore)."""
+"""Tests for measured read amplification (run_file_info / MappedRunStore)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,15 @@ import pytest
 from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.errors import SerializationError
-from repro.store import FileLease, MappedRunStore, checkpoint_run, compact, run_file_info
+from repro.store import (
+    PAGE_SIZE,
+    FileLease,
+    MappedRunStore,
+    checkpoint_run,
+    compact,
+    run_file_info,
+    verify_run,
+)
 from repro.workloads import build_bioaid_specification, random_run
 
 
@@ -83,15 +91,39 @@ def test_single_segment_file_has_unit_amplification(scheme, spec, tmp_path):
 
 
 def test_amplification_scan_rejects_torn_chains(scheme, spec, tmp_path):
+    """The header scan and the mapper accept exactly the same files.
+
+    One chain decoder serves both, so at every page-boundary truncation the
+    chain scan, the mapping and the shallow scrub all succeed or all raise —
+    the scan can never estimate a file the mapper would refuse (payload
+    extents and the chain end are bounds-checked by both).
+    """
     path = tmp_path / "torn.fvl"
     _segmented_file(scheme, spec, path, slices=4)
-    info = run_file_info(path)
-    with open(path, "r+b") as handle:
-        handle.truncate(info.size_bytes // 2)
-    # The plain header peek may still succeed (header page is intact), but
-    # the chain scan must notice the torn tail instead of estimating garbage.
-    with pytest.raises(SerializationError):
-        run_file_info(path, estimate_amplification=True)
+    intact = path.read_bytes()
+    assert run_file_info(path).n_segments >= 4
+
+    def outcome(entry_point):
+        try:
+            entry_point(path)
+        except SerializationError:
+            return "refused"
+        return "accepted"
+
+    refused = 0
+    for cut in range(PAGE_SIZE, len(intact) + 1, PAGE_SIZE):
+        path.write_bytes(intact[:cut])
+        outcomes = {
+            outcome(lambda p: run_file_info(p, estimate_amplification=True)),
+            outcome(lambda p: MappedRunStore(p).close()),
+            outcome(lambda p: verify_run(p, deep=False)),
+        }
+        assert len(outcomes) == 1, f"entry points disagree at cut {cut}: {outcomes}"
+        # The plain header peek still succeeds: the header page is intact.
+        assert run_file_info(path).n_segments >= 4
+        refused += outcomes == {"refused"}
+    # Only the untruncated file is whole; every shorter one is a torn chain.
+    assert refused == len(intact) // PAGE_SIZE - 1
 
 
 # -- compact()'s lease argument ------------------------------------------------
