@@ -23,7 +23,10 @@ The implementation follows the case analysis of Algorithm 2:
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.labels import (
     DataLabel,
@@ -32,6 +35,7 @@ from repro.core.labels import (
     RecursionEdgeLabel,
     common_prefix_length,
 )
+from repro.core.pair_table import EMPTY, PairTable
 from repro.core.preprocessing import GrammarIndex
 from repro.core.view_label import ViewLabel
 from repro.errors import DecodingError
@@ -44,7 +48,6 @@ __all__ = [
     "outputs_matrix",
     "depends",
     "intermediate_matrix",
-    "intermediate_matrix_for_ids",
 ]
 
 
@@ -53,67 +56,50 @@ class DecodeCache:
 
     Every matrix the predicate assembles depends only on the *paths* of the
     two data labels and on the view label — never on the queried port
-    indices — so one cache entry serves every query whose labels share the
-    same parse-tree paths.  Batched callers (:class:`repro.engine.QueryEngine`)
-    keep one instance per decoded view and thread it through :func:`depends`;
-    single-shot callers pass ``None`` and pay the original cost.
+    indices — so one entry serves every query whose labels share the same
+    parse-tree paths.  Two kinds of entry live here:
 
-    The two segment tables are keyed by materialised edge labels, so their
-    entries hold for the view whatever run is queried; a caller that rebuilds
-    caches for one view (the engine, on every view-state LRU miss) passes the
-    dicts of the previous cache in so only ``pair_matrices`` starts empty.
-    Shared tables count against each sharing cache's budget in full.
+    * the two **segment tables**, keyed by materialised edge labels, which
+      :func:`depends` fills through its ``cache`` argument.  Their entries
+      hold for the view whatever run is queried, so a caller that rebuilds
+      caches for one view (the engine, on every view-state LRU miss) passes
+      the dicts of the previous cache in and they survive;
+    * the **pair tables**, one immutable
+      :class:`~repro.core.pair_table.PairTable` snapshot per arena (a
+      path-id namespace), which the batch engine probes with packed integer
+      keys and extends through :meth:`admit`.  They are per run and start
+      empty.  Read them through :meth:`arenas` / :meth:`rows`.
+
+    ``max_entries`` bounds the rows of all arenas plus the segment tables
+    (shared tables count against each sharing cache in full); ``None`` means
+    unbounded.  Once full, further results are computed, used and not
+    stored, so memory stays bounded for adversarial query streams.
     """
 
     __slots__ = (
         "inputs_segments",
         "outputs_segments",
-        "pair_matrices",
-        "pair_hits",
+        "pair_tables",
         "max_entries",
-        "max_pair_hits",
+        "_decided",
+        "_lock",
     )
 
     def __init__(
         self,
         max_entries: int | None = None,
-        max_pair_hits: int = 65536,
         *,
         inputs_segments: "dict[tuple, BoolMatrix] | None" = None,
         outputs_segments: "dict[tuple, BoolMatrix] | None" = None,
     ) -> None:
         self.inputs_segments = {} if inputs_segments is None else inputs_segments
         self.outputs_segments = {} if outputs_segments is None else outputs_segments
-        self.pair_matrices: dict[tuple, BoolMatrix | None] = {}
-        #: Query-count accounting per cached pair-matrix key, fed by the
-        #: engine's batch grouping.  Bounded by ``pair_matrices`` (only keys
-        #: with a cached matrix are counted); the persistent hot-matrix cache
-        #: (:mod:`repro.serve.matrix_cache`) ranks entries by it.
-        self.pair_hits: dict[tuple, int] = {}
-        #: Total entry budget across the three tables; ``None`` means
-        #: unbounded.  Once full, further results are computed but not
-        #: stored, so memory stays bounded for adversarial query streams.
+        #: arena -> the arena's current table snapshot (replaced, never mutated).
+        self.pair_tables: dict[int, PairTable] = {}
         self.max_entries = max_entries
-        #: Size bound on :attr:`pair_hits`; crossing it triggers one decay
-        #: sweep.  ``max_entries`` bounds the matrix tables but evicted keys
-        #: used to keep their hit counters forever, so a long-lived server
-        #: with an adversarial key stream leaked memory through the
-        #: accounting dict itself.
-        self.max_pair_hits = max_pair_hits
-
-    def note_pair_use(self, key: tuple, count: int) -> None:
-        """Record that ``count`` queries were answered via ``key``'s matrix.
-
-        When the accounting dict outgrows :attr:`max_pair_hits` every count
-        is halved and count-1 entries are dropped — cold keys age out within
-        a few sweeps while the relative ranking of hot keys (what the
-        ``.hotmx`` cache persists) is preserved.
-        """
-        if key in self.pair_matrices:
-            hits = self.pair_hits
-            hits[key] = hits.get(key, 0) + count
-            if len(hits) > self.max_pair_hits:
-                self.pair_hits = {k: c >> 1 for k, c in hits.items() if c > 1}
+        #: Rows admitted so far: the next row's decision-order stamp.
+        self._decided = 0
+        self._lock = threading.Lock()
 
     def has_room(self, extra: int = 0) -> bool:
         """Whether the budget admits another entry.
@@ -123,11 +109,48 @@ class DecodeCache:
         """
         return self.max_entries is None or len(self) + extra < self.max_entries
 
+    def admit(self, arena: int, fresh: PairTable) -> int:
+        """Merge ``fresh``'s rows into ``arena``'s table, as far as the budget allows.
+
+        Rows whose key the arena already holds are dropped (a racing batch
+        decided them first; a loaded ``.hotmx`` never clobbers a decision),
+        the others are admitted in key order until the budget is full and
+        stamped with decision-order numbers after every earlier row's.  The
+        merged table is published by one assignment; returns the rows admitted.
+        """
+        with self._lock:
+            current = self.table(arena)
+            select = np.nonzero(~current.probe(fresh.keys)[1])[0]
+            if self.max_entries is not None:
+                select = select[: max(0, self.max_entries - len(self))]
+            if select.size:
+                if select.size < len(fresh):
+                    fresh = fresh.take(select)
+                self.pair_tables[arena] = current.merged(fresh, self._decided)
+                self._decided += int(fresh.order.max()) + 1
+            return int(select.size)
+
+    def table(self, arena: int) -> PairTable:
+        """``arena``'s current snapshot (an empty table before its first decision)."""
+        return self.pair_tables.get(arena, EMPTY)
+
+    def arenas(self) -> list[int]:
+        """The arenas that currently hold at least one row."""
+        return [arena for arena, table in list(self.pair_tables.items()) if len(table)]
+
+    def rows(self, arena: int):
+        """``(path1, path2, matrix | None, hits)`` of ``arena``'s decoder rows.
+
+        In decision order; classifier verdicts are not listed (see
+        :meth:`~repro.core.pair_table.PairTable.matrix_rows`).
+        """
+        return self.table(arena).matrix_rows()
+
     def __len__(self) -> int:
         return (
             len(self.inputs_segments)
             + len(self.outputs_segments)
-            + len(self.pair_matrices)
+            + sum(len(table) for table in list(self.pair_tables.values()))
         )
 
 
@@ -305,48 +328,7 @@ def intermediate_matrix(
     batched callers answer every query pair sharing the same paths with a
     single matrix assembly.
     """
-    if cache is not None:
-        try:
-            return cache.pair_matrices[(l1, l2)]
-        except KeyError:
-            pass
-    matrix = _intermediate_matrix(l1, l2, view_label, cache)
-    if cache is not None and cache.has_room():
-        cache.pair_matrices[(l1, l2)] = matrix
-    return matrix
-
-
-def intermediate_matrix_for_ids(
-    table,
-    path_id1: int,
-    path_id2: int,
-    view_label: ViewLabel,
-    cache: DecodeCache,
-    *,
-    arena: int = 0,
-) -> BoolMatrix | None:
-    """:func:`intermediate_matrix` keyed by interned path ids.
-
-    Store-backed callers (the batch engine) probe the cache with
-    ``(arena, id1, id2)`` — two ints and a namespace tag — instead of two
-    edge-label tuples.  ``arena``
-    disambiguates id spaces: shards labelled into the engine's shared
-    :class:`~repro.store.PathTable` use one tag, while every attached
-    :class:`~repro.store.MappedRunStore` brings its own trie (ids assigned
-    independently) and must not share cache entries with it.  Paths are
-    materialised as tuples only on a cache miss, once per distinct pair.
-    """
-    key = (arena, int(path_id1), int(path_id2))
-    try:
-        return cache.pair_matrices[key]
-    except KeyError:
-        pass
-    matrix = _intermediate_matrix(
-        table.path(path_id1), table.path(path_id2), view_label, cache
-    )
-    if cache.has_room():
-        cache.pair_matrices[key] = matrix
-    return matrix
+    return _intermediate_matrix(l1, l2, view_label, cache)
 
 
 def _intermediate_matrix(

@@ -12,10 +12,12 @@ but without help it re-derives two kinds of view-constant state on every call:
 
 The state is split along the line the paper draws.  :class:`StaticViewState`
 is the view's *static label* plus every memo that is a function of
-``(grammar, view, variant)`` only; the engine builds it once per registered
-view and keeps it for good.  :class:`DecodedViewState` adds what depends on a
-run — pair matrices keyed by path ids, chain classifiers, visibility flags —
-and is what :class:`LRUCache` bounds and evicts; rebuilding one costs matrix
+``(grammar, view, variant)`` only — among them the
+:class:`~repro.engine.kernel.MatrixBank` the decode kernel multiplies from;
+the engine builds it once per registered view and keeps it for good.
+:class:`DecodedViewState` adds what depends on a run — the pair tables of
+decisions keyed by path ids, chain classifiers, visibility flags — and is
+what :class:`LRUCache` bounds and evicts; rebuilding one costs matrix
 products over the surviving static part, never a relabelling.
 """
 
@@ -31,7 +33,9 @@ from repro.core.labels import DataLabel
 from repro.core.matrix_free import MatrixFreeViewLabel, depends_matrix_free
 from repro.core.preprocessing import GrammarIndex
 from repro.core.view_label import FVLVariant, ViewLabel
+from repro.engine.kernel import MatrixBank
 from repro.errors import DecodingError
+from repro.index.structural import WordLanes
 from repro.matrices import BoolMatrix
 
 __all__ = [
@@ -173,6 +177,8 @@ class StaticViewState:
         "inputs_segments",
         "outputs_segments",
         "structural_classes",
+        "word_lanes",
+        "bank",
     )
 
     def __init__(self, label: "ViewLabel | MatrixFreeViewLabel") -> None:
@@ -190,6 +196,12 @@ class StaticViewState:
         #: keys) shared by every :class:`~repro.index.structural.ChainClassifier`
         #: of this view, whatever shard it folds over.
         self.structural_classes: dict[tuple, int] = {}
+        #: The ``Inputs``/``Outputs`` class lanes of every production edge word
+        #: a classifier of this view has met, so the next one only folds.
+        self.word_lanes = WordLanes()
+        #: The view's matrices as one float32 stack, resolved on first use:
+        #: what the decode kernel gathers its factors from.
+        self.bank = MatrixBank(label.index)
 
     def __len__(self) -> int:
         """Memo entries held (the label itself is not counted)."""
@@ -199,6 +211,8 @@ class StaticViewState:
             + len(self.inputs_segments)
             + len(self.outputs_segments)
             + len(self.structural_classes)
+            + len(self.word_lanes)
+            + len(self.bank)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -214,7 +228,7 @@ class DecodedViewState:
     from the production and chain memos of the :class:`StaticViewState` it
     was built over, and carries the :class:`~repro.core.decoder.DecodeCache`
     every query through this view shares.  The cache's path-segment tables
-    *are* the static part's (they survive this object); its pair matrices,
+    *are* the static part's (they survive this object); its pair tables,
     the chain classifiers and the visibility flags are keyed by arena or run
     and live and die with this LRU entry.
     """

@@ -22,16 +22,17 @@ Three layers of caching amortize the per-view decode work that the one-pair
    that depends only on ``(grammar, view, variant)`` (production triples,
    recursion chain products, path-segment products, matrix classes) form a
    :class:`~repro.engine.cache.StaticViewState` kept for as long as the
-   engine lives.  What depends on a run — pair matrices keyed by path ids,
-   chain classifiers, visibility flags — is a
+   engine lives.  What depends on a run — the pair tables of decisions keyed
+   by path ids, chain classifiers, visibility flags — is a
    :class:`~repro.engine.cache.DecodedViewState` over that static part, held
    in an LRU of ``cache_size`` entries; an evicted view's next query
    rebuilds the per-run half with matrix products and never relabels;
 2. **Production memoization** — the space-efficient variant's on-demand graph
    searches run once per production instead of once per matrix access;
-3. **Path grouping** — query pairs are grouped by their labels' shared
-   parse-tree paths; each group assembles its reachability matrix once and
-   answers every member with a single entry lookup.
+3. **Path grouping** — every distinct pair of parse-tree paths is decided
+   once (a classifier verdict or a reachability matrix, by the stacked
+   decode kernel) and remembered in a sorted pair table; every query pair
+   sharing the paths is one probe and one entry lookup.
 
 The combination makes the space-efficient variant's batched path perform
 within a small constant factor of the fully materialised variants (the
@@ -74,7 +75,7 @@ from repro.errors import (
     SerializationError,
     ViewError,
 )
-from repro.index.structural import ChainClassifier, StructuralIndex
+from repro.index.structural import ChainClassifier, StructuralIndex, as_int64
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace_span
@@ -148,7 +149,7 @@ class EngineStats:
     batches: int
     queries_by_run: dict[str, int]
     #: Intermediate pairs answered by the structural interval index (no
-    #: matrix decode) vs. routed through ``intermediate_matrix_for_ids``.
+    #: matrix decode) vs. by a decoded matrix (or the decoder's "none").
     structural_pairs: int = 0
     matrix_pairs: int = 0
     #: Static view labels built so far (one per ``(view, variant)`` ever
@@ -207,6 +208,8 @@ class QueryEngine:
         #: sibling runs dedupe their parse-tree paths, and the decode caches
         #: can key on integer id pairs across runs.
         self._path_table = PathTable()
+        #: ``(n_paths, (parent, packed, c) arrays)`` of the shared arena.
+        self._live_trie: tuple = (0, ())
         self._variant = self._check_variant(variant)
         self._views: dict[str, WorkflowView] = {}
         #: ``(view name, variant key)`` -> the view's static label and its
@@ -513,7 +516,7 @@ class QueryEngine:
         """Unregister a shard and release what it pinned (arena hygiene).
 
         An attached shard closes its file mapping and has its private-trie
-        entries purged from every decoded view's pair-matrix cache — the
+        rows purged from every decoded view's pair tables — the
         file brought its own path-id arena, so those entries can never be
         probed again and would otherwise accumulate across run churn.
         Labelled shards are only unregistered: their paths live in the
@@ -709,8 +712,8 @@ class QueryEngine:
         """The (LRU-interned) decoded state of one ``(view, variant)`` pair.
 
         Public so the serving layer can warm a state's decode cache (the
-        persistent hot-matrix cache seeds ``pair_matrices`` through this)
-        without issuing a query first.  The first call for a view labels it;
+        persistent hot-matrix cache seeds the arena's pair table through
+        this) without issuing a query first.  The first call for a view labels it;
         the label and the run-independent memos (``state.static``) outlive
         the returned object's stay in the LRU.
         """
@@ -765,7 +768,7 @@ class QueryEngine:
     # -- internals --------------------------------------------------------------------------
 
     def _purge_decode_entries(self, arena: int) -> None:
-        """Drop the pair-matrix cache entries of one private (attached) arena.
+        """Drop the pair table (and friends) of one private (attached) arena.
 
         Arena 0 is the engine's shared trie — its ids stay meaningful across
         shard churn, so only private arenas are purged.  Only the LRU's
@@ -781,12 +784,26 @@ class QueryEngine:
             for key in [k for k in structural if k[0] == arena]:
                 del structural[key]
             cache = getattr(state, "decode_cache", None)
-            if cache is None:
-                continue
-            matrices = cache.pair_matrices
-            for key in [k for k in matrices if len(k) == 3 and k[0] == arena]:
-                del matrices[key]
-                cache.pair_hits.pop(key, None)
+            if cache is not None:
+                cache.pair_tables.pop(arena, None)
+
+    def _trie_columns(self, shard: _RunShard) -> tuple:
+        """The ``(parent, packed, c)`` arrays of the shard's trie, for the decode kernel.
+
+        Mapped shards hand out their file views (zero-copy).  Labelled shards
+        share the engine arena, whose live columns are copied — a view would
+        pin a growing buffer — and re-read only once the arena has grown.
+        ``c`` is the column an intern appends last: its length bounds the
+        rows that are whole.
+        """
+        if shard.mapped is not None:
+            columns = shard.mapped.table.columns()
+            return columns["parent"], columns["packed"], columns["c"]
+        live = self._path_table.raw_columns()
+        n_paths = len(live[2])
+        if self._live_trie[0] != n_paths:
+            self._live_trie = (n_paths, tuple(as_int64(column, n_paths) for column in live))
+        return self._live_trie[1]
 
     def _build_structural(self, shard: _RunShard) -> "StructuralIndex | None":
         """Build one shard's interval index snapshot (no caching here).
@@ -873,7 +890,10 @@ class QueryEngine:
         key = (shard.arena, shard.run_id)
         classifier = state.structural.get(key)
         if classifier is None or classifier.index is not index:
-            classifier = ChainClassifier(index, state, state.static.structural_classes)
+            static = state.static
+            classifier = ChainClassifier(
+                index, state, static.structural_classes, static.word_lanes
+            )
             state.structural[key] = classifier
         return classifier
 
@@ -985,7 +1005,12 @@ class QueryEngine:
                 if isinstance(state, DecodedMatrixFreeState):
                     return depends_per_pair(shard.store, state, pairs)
                 results, structural_n, matrix_n = depends_grouped(
-                    shard.store, shard.arena, self._classifier(state, shard), state, pairs
+                    shard.store,
+                    shard.arena,
+                    self._classifier(state, shard),
+                    state,
+                    pairs,
+                    lambda: self._trie_columns(shard),
                 )
                 if structural_n:
                     self._structural_pairs_c.inc(structural_n)

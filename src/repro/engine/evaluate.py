@@ -1,39 +1,56 @@
-"""Batch evaluation of ``depends``: one pipeline for every batch size.
+"""Batch evaluation of ``depends``: one columnar pipeline for every batch size.
 
 The decoding predicate is path-constant — every pair whose labels share two
 parse-tree paths is one matrix (or one interval verdict) plus an entry
 lookup — so a batch of any size, over a store in any state, is evaluated the
-same way:
+same way, as whole-array operations from gather to answer:
 
 1. **gather** — :meth:`~repro.store.LabelStore.rows_for` resolves both uids
    of every pair (raising the typed error for the first unlabelled one) and
    one :meth:`~repro.store.LabelStore.gather_rows` call reads their packed
    label columns; reading rows is the store's job, whatever its state;
 2. **mask** — pairs with a final output on the left or an initial input on
-   the right are ``False``; the other boundary pairs (an initial input on
-   the left or a final output on the right) materialise their two labels
-   and take the memoized segment-chain path of ``state.depends``;
-3. **group** — the remaining pairs are sorted by ``(producer path id,
-   consumer path id)`` packed into one int64, so equal keys form one slice;
-4. **decide and scatter** — per slice, the shard's
+   the right are ``False``; the other boundary pairs materialise their two
+   labels and take the memoized segment-chain path of ``state.depends``;
+3. **probe** — the remaining pairs pack ``(producer path id, consumer path
+   id)`` into one int64 key each, looked up in the arena's
+   :class:`~repro.core.pair_table.PairTable` with one ``searchsorted``;
+4. **decide the misses** — every distinct key the table does not hold is
+   decided once and merged in, verdicts included: the shard's
    :class:`~repro.index.structural.ChainClassifier` (when it carries a
-   structural index) gets first refusal: a verdict answers every member with
-   no decode.  Only the recursive/mixed residue assembles (or finds cached)
-   one matrix via :func:`~repro.core.decoder.intermediate_matrix_for_ids`
-   and reads one entry per member.
+   structural index) gets first refusal, the recursive/mixed residue goes
+   through the stacked Algorithm 2 of :mod:`repro.engine.kernel`, and what
+   the kernel declines goes to the reference decoder in ascending key order
+   — so which pair raises, with which type and message, is the decoder's call;
+5. **read** — one bounds-checked fancy index into the table's matrix pool
+   answers every pair, one scatter puts the bits in place.
 
-The matrix-free pseudo-variant has no matrices to group by and keeps its
-per-pair loop (:func:`depends_per_pair`).
+A warm batch executes no Python per pair or per group.  The matrix-free
+pseudo-variant has no matrices to group by and keeps its per-pair loop
+(:func:`depends_per_pair`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.decoder import intermediate_matrix_for_ids
+from repro.core.decoder import intermediate_matrix
+from repro.core.pair_table import (
+    NO_DEPENDENCY,
+    VERDICT_FALSE,
+    VERDICT_TRUE,
+    PairTable,
+    pair_keys,
+    pair_paths,
+)
+from repro.engine.kernel import NO_MATRIX, REFERENCE, decide_many
+from repro.errors import DecodingError
 from repro.obs.trace import trace_span
 
 __all__ = ["depends_grouped", "depends_per_pair"]
+
+#: ``ChainClassifier.classify`` verdict -> ``off`` sentinel (0: the residue).
+_VERDICT = {None: 0, False: VERDICT_FALSE, True: VERDICT_TRUE}
 
 
 def depends_per_pair(store, state, pairs) -> list[bool]:
@@ -44,13 +61,15 @@ def depends_per_pair(store, state, pairs) -> list[bool]:
     return [state.depends(label(d1), label(d2)) for d1, d2 in pairs]
 
 
-def depends_grouped(store, arena: int, classifier, state, pairs) -> tuple[list[bool], int, int]:
+def depends_grouped(
+    store, arena: int, classifier, state, pairs, trie
+) -> tuple[list[bool], int, int]:
     """Answer ``pairs`` against one decoded view; see the module docstring.
 
-    ``arena`` tags the store's path-id namespace in ``state.decode_cache``.
-    Returns the answers and how many pairs the classifier and the matrices
-    decided.  Classified pairs are left out of ``note_pair_use``: the hot
-    matrix cache should spend its budget on the residue that needs matrices.
+    ``arena`` names the store's path-id namespace in ``state.decode_cache``
+    and ``trie()`` returns its ``(parent, packed, c)`` columns as arrays (it
+    is only called when a key has to be decided).  Returns the answers and
+    how many pairs were answered by a classifier verdict and by the decoder.
     """
     ids = np.asarray(pairs, dtype=np.int64)
     if ids.size == 0:
@@ -78,55 +97,100 @@ def depends_grouped(store, arena: int, classifier, state, pairs) -> tuple[list[b
             answers[pos] = state.depends(store.label(d1), store.label(d2))
         if grouped.size == 0:
             return answers.tolist(), 0, 0
+    else:
+        grouped = slice(None)  # every pair is interior: views below, not copies
 
-    keys = ((p1.astype(np.int64) << 32) | c2)[grouped]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    members = grouped[order]
-    starts = np.concatenate(([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
-    # The slice loop runs over plain Python lists: per-slice numpy indexing
-    # would dominate batches whose slices are two interval probes each.
-    group_keys = keys[starts]
-    paths1 = (group_keys >> 32).tolist()
-    paths2 = (group_keys & 0xFFFFFFFF).tolist()
-    starts = starts.tolist()
-    ends = starts[1:] + [len(members)]
-    xs = (producer_port[0::2][members] - 1).tolist()  # 0-based matrix entries
-    ys = (consumer_port[1::2][members] - 1).tolist()
-    verdicts = [False] * len(members)
+    keys = pair_keys(p1[grouped], c2[grouped])
+    # 0-based matrix entries of each pair's (output port, input port).
+    entries = (producer_port[0::2][grouped] - 1, consumer_port[1::2][grouped] - 1, ids[grouped])
     cache = state.decode_cache
-    pair_matrices = cache.pair_matrices
-    table = store.table
-    structural_n = matrix_n = 0
     with trace_span("engine.group_eval") as group_span:
-        for path1, path2, start, end in zip(paths1, paths2, starts, ends):
-            if classifier is not None:
-                verdict = classifier.classify(path1, path2)
-                if verdict is not None:
-                    structural_n += end - start
-                    if verdict:
-                        for k in range(start, end):
-                            verdicts[k] = True
-                    continue
-            matrix_n += end - start
-            key = (arena, path1, path2)
-            try:
-                matrix = pair_matrices[key]
-            except KeyError:
-                with trace_span("engine.decode", pair=(path1, path2)):
-                    matrix = intermediate_matrix_for_ids(
-                        table, path1, path2, state, cache, arena=arena
-                    )
-            cache.note_pair_use(key, end - start)
-            if matrix is not None:
-                entries = matrix.data
-                for k in range(start, end):
-                    verdicts[k] = entries[xs[k], ys[k]]
+        table = cache.table(arena)
+        slot, found = table.probe(keys)
+        if found.all():
+            bits, structural_n = _read(table, slot, *entries)
+        else:
+            fresh = _decide(store, classifier, state, np.unique(keys[~found]), trie)
+            cache.admit(arena, fresh)
+            table = cache.table(arena)
+            # Over budget, a decision is used for this batch and not stored:
+            # what the table still misses is read from ``fresh`` itself.
+            found = table.probe(keys)[1]
+            bits = np.zeros(keys.size, dtype=bool)
+            structural_n = 0
+            for source, members in ((table, np.nonzero(found)[0]), (fresh, np.nonzero(~found)[0])):
+                if members.size:
+                    slot = source.probe(keys[members])[0]
+                    bits[members], n = _read(source, slot, *(column[members] for column in entries))
+                    structural_n += n
         if group_span is not None:
             group_span.attrs = {
-                "groups": len(starts),
+                "groups": int(np.unique(keys).size),
                 "structural_pairs": structural_n,
-                "matrix_pairs": matrix_n,
+                "matrix_pairs": int(keys.size) - structural_n,
             }
-    answers[members] = verdicts
-    return answers.tolist(), structural_n, matrix_n
+    answers[grouped] = bits
+    return answers.tolist(), structural_n, int(keys.size) - structural_n
+
+
+def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
+    """The bits of pairs whose rows are ``table``'s ``slot``; counts their hits.
+
+    ``x`` / ``y`` are the pairs' 0-based matrix entries.  Returns the bits and
+    how many of the pairs a classifier verdict answered.
+    """
+    off = table.off[slot]
+    bits = off == VERDICT_TRUE
+    matrix = np.nonzero(off >= 0)[0]
+    if matrix.size:
+        at, x, y = slot[matrix], x[matrix], y[matrix]
+        outside = (x < 0) | (x >= table.rows[at]) | (y < 0) | (y >= table.cols[at])
+        if outside.any():
+            bad = int(np.argmax(outside))
+            d1, d2 = ids[matrix[bad]].tolist()
+            raise DecodingError(
+                f"pair ({d1}, {d2}) asks for entry (output {int(x[bad]) + 1}, input "
+                f"{int(y[bad]) + 1}) of a {int(table.rows[at[bad]])}x{int(table.cols[at[bad]])} "
+                "reachability matrix; its ports do not belong to the modules on its paths"
+            )
+        bits[matrix] = table.pool[off[matrix] + x * table.ports + y]
+    np.add.at(table.hits, slot, 1)
+    return bits, int(np.count_nonzero(off <= VERDICT_FALSE))
+
+
+def _decide(store, classifier, state, keys: np.ndarray, trie) -> PairTable:
+    """Decide ascending distinct ``keys``: classifier, kernel, reference decoder."""
+    path1, path2 = pair_paths(keys)
+    sentinels = np.zeros(keys.size, dtype=np.int64)
+    if classifier is not None:
+        classify = classifier.classify
+        sentinels = np.fromiter(
+            (_VERDICT[classify(a, b)] for a, b in zip(path1.tolist(), path2.tolist())),
+            np.int64,
+            keys.size,
+        )
+    bank = state.static.bank
+    ports = bank.ports
+    blocks = np.zeros((keys.size, ports * ports), dtype=bool)
+    shapes = np.zeros((keys.size, 2), dtype=np.int32)
+    residue = np.nonzero(sentinels == 0)[0]
+    if residue.size:
+        with trace_span("engine.decode", keys=int(residue.size)) as span:
+            outcome, blocks[residue], shapes[residue] = decide_many(
+                trie(), bank, state, path1[residue], path2[residue]
+            )
+            sentinels[residue[outcome == NO_MATRIX]] = NO_DEPENDENCY
+            declined = residue[outcome == REFERENCE]
+            path = store.table.path
+            for row in declined.tolist():
+                matrix = intermediate_matrix(
+                    path(int(path1[row])), path(int(path2[row])), state, state.decode_cache
+                )
+                if matrix is None:
+                    sentinels[row] = NO_DEPENDENCY
+                else:
+                    shapes[row] = matrix.shape
+                    blocks[row].reshape(ports, ports)[: matrix.rows, : matrix.cols] = matrix.data
+            if span is not None:
+                span.attrs = {"keys": int(residue.size), "fallback": int(declined.size)}
+    return PairTable.build(ports, keys, blocks, shapes[:, 0], shapes[:, 1], sentinels)

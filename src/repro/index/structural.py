@@ -50,7 +50,9 @@ __all__ = [
     "classify_matrix",
     "compute_tree_intervals",
     "tree_levels",
+    "as_int64",
     "StructuralIndex",
+    "WordLanes",
     "ChainClassifier",
 ]
 
@@ -72,7 +74,7 @@ _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
-def _as_int64(column, n: int | None = None) -> np.ndarray:
+def as_int64(column, n: int | None = None) -> np.ndarray:
     """A private int64 snapshot of a column prefix, never aliasing live storage.
 
     Live arenas back their columns with plain lists or ``array`` buffers whose
@@ -276,21 +278,21 @@ class StructuralIndex:
         without it the intervals are derived from ``node_parent`` in one
         vectorised traversal.
         """
-        trie_parent = _as_int64(trie_parent)
-        trie_packed = _as_int64(trie_packed)
+        trie_parent = as_int64(trie_parent)
+        trie_packed = as_int64(trie_packed)
         n_paths = int(min(trie_parent.size, trie_packed.size))
         trie_parent = trie_parent[:n_paths]
         trie_packed = trie_packed[:n_paths]
-        node_path = _as_int64(node_path_id)
+        node_path = as_int64(node_path_id)
         n_nodes = int(node_path.size)
         if n_paths == 0 or n_nodes == 0:
             return None
         if intervals is not None:
-            node_pre, node_post, node_level = (_as_int64(a) for a in intervals)
+            node_pre, node_post, node_level = (as_int64(a) for a in intervals)
             if not node_pre.size == node_post.size == node_level.size == n_nodes:
                 return None
         else:
-            parent = _as_int64(node_parent, n_nodes)
+            parent = as_int64(node_parent, n_nodes)
             if parent.size != n_nodes:
                 return None
             node_pre, node_post, node_level = compute_tree_intervals(parent)
@@ -352,6 +354,41 @@ def classify_matrix(matrix_for, *args) -> int:
     return CLASS_MIXED
 
 
+class WordLanes:
+    """Per production edge word, the lane increments of its ``Inputs``/``Outputs`` classes.
+
+    One per ``(view, variant)``: the classes depend on nothing else, so a
+    :class:`ChainClassifier` over a new mapping resolves only the words no
+    earlier classifier of the view has met and otherwise costs its two
+    folds.  ``table`` is one ``(sorted words, (2, n) lanes)`` tuple, replaced
+    — never mutated — when words are added; racing classifiers each extend
+    the snapshot they read, and a lost update only costs a second resolution.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self) -> None:
+        self.table = (np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.int64))
+
+    def __len__(self) -> int:
+        return int(self.table[0].size)
+
+    def lanes(self, words: np.ndarray, classify) -> np.ndarray:
+        """The ``(2, len(words))`` lanes of sorted distinct ``words``.
+
+        ``classify(word)`` gives the ``(inputs, outputs)`` lanes of a new word.
+        """
+        known, lanes = self.table
+        new = np.setdiff1d(words, known, assume_unique=True)
+        if new.size:
+            resolved = np.asarray([classify(word) for word in new.tolist()], dtype=np.int64).T
+            known = np.concatenate((known, new))
+            order = np.argsort(known)
+            known, lanes = known[order], np.concatenate((lanes, resolved), axis=1)[:, order]
+            self.table = (known, lanes)
+        return lanes[:, np.searchsorted(known, words)]
+
+
 class ChainClassifier:
     """Per-``(view, variant)`` chain classes over one shard's trie.
 
@@ -373,41 +410,44 @@ class ChainClassifier:
 
     __slots__ = ("index", "state", "in_fold", "out_fold", "_classes")
 
-    def __init__(self, index: StructuralIndex, state, classes: "dict | None" = None) -> None:
+    def __init__(
+        self,
+        index: StructuralIndex,
+        state,
+        classes: "dict | None" = None,
+        word_lanes: "WordLanes | None" = None,
+    ) -> None:
         self.index = index
         self.state = state
         # Matrix classes depend on (grammar, view, variant) only — the
-        # caller may pass a shared memo (the engine threads the view's
-        # static ``structural_classes``) so classifiers for other shards,
-        # and rebuilds after a re-attach or a view-state eviction, skip
-        # every classified matrix.
+        # caller may pass shared memos (the engine threads the view's
+        # static ``structural_classes`` and ``word_lanes``) so classifiers
+        # for other shards, and rebuilds after a re-attach or a view-state
+        # eviction, skip every classified matrix.
         self._classes: dict[tuple, int] = classes if classes is not None else {}
         # Per distinct production word, the lane increments of its Inputs and
         # Outputs matrix classes; scattered over the rows through the
         # snapshot's word table and folded along the trie, one pass each.
-        words = index.production_words
-        word_lanes = np.empty((2, words.size), dtype=np.int64)
-        memo = self._classes
-        for slot, word in enumerate(words.tolist()):
-            k = (word >> 1) & _FIELD_MASK
-            i = word >> (_FIELD_BITS + 1)
-            key_i = ("I", k, i)
-            cls_i = memo.get(key_i)
-            if cls_i is None:
-                cls_i = memo[key_i] = classify_matrix(state.inputs, k, i)
-            key_o = ("O", k, i)
-            cls_o = memo.get(key_o)
-            if cls_o is None:
-                cls_o = memo[key_o] = classify_matrix(state.outputs, k, i)
-            word_lanes[0, slot] = _CLASS_LANE[cls_i]
-            word_lanes[1, slot] = _CLASS_LANE[cls_o]
+        memo = WordLanes() if word_lanes is None else word_lanes
+        lanes = memo.lanes(index.production_words, self._word_lanes)
         row_lanes = np.zeros((2, index.n_paths), dtype=np.int64)
-        row_lanes[:, index.production_rows] = word_lanes[:, index.production_slots]
+        row_lanes[:, index.production_rows] = lanes[:, index.production_slots]
         # Packed ``array`` buffers, not lists: most lane values are beyond
         # the interpreter's small-int cache, and a list would hold one int
         # object per path.
         self.in_fold = array("q", index.prefix_fold(row_lanes[0]).tobytes())
         self.out_fold = array("q", index.prefix_fold(row_lanes[1]).tobytes())
+
+    def _word_lanes(self, word: int) -> list[int]:
+        """The ``[Inputs, Outputs]`` lane increments of one production edge word."""
+        k, i = (word >> 1) & _FIELD_MASK, word >> (_FIELD_BITS + 1)
+        lanes = []
+        for key, matrix_for in ((("I", k, i), self.state.inputs), (("O", k, i), self.state.outputs)):
+            cls_ = self._classes.get(key)
+            if cls_ is None:
+                cls_ = self._classes[key] = classify_matrix(matrix_for, k, i)
+            lanes.append(_CLASS_LANE[cls_])
+        return lanes
 
     def _z_class(self, k: int, i: int, j: int) -> int:
         key = ("Z", k, i, j)
@@ -421,7 +461,7 @@ class ChainClassifier:
 
         ``True``/``False`` answer every member of the ``(p1, c2)`` group;
         ``None`` means the group belongs to the recursive (or mixed) residue
-        and must go through ``intermediate_matrix_for_ids``.
+        and must be decoded.
         """
         index = self.index
         n = index.n_paths

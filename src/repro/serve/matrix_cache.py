@@ -1,20 +1,21 @@
 """Persistent hot-pair matrix cache: warm starts for fresh serving processes.
 
 The engine's per-view :class:`~repro.core.decoder.DecodeCache` turns repeated
-``(producer path, consumer path)`` reachability questions into dictionary
-lookups — but the cache is process-private, so every fresh process (a
+``(producer path, consumer path)`` reachability questions into probes of a
+sorted pair table — but the cache is process-private, so every fresh process (a
 restarted server, a follower attaching a leader's run file) pays the cold
 decode for exactly the matrices the previous process already assembled.
 
 This module persists the hottest decoded pair matrices *alongside the run
 file* (``<run-file>.hotmx``):
 
-* :func:`save_hot_matrices` ranks the cached ``(arena, path-id, path-id)``
-  entries of a shard by the engine's per-key query accounting
-  (:attr:`DecodeCache.pair_hits`), keeps the ``max_entries`` hottest whose
-  path ids fall inside the file's persisted watermark, and writes them —
-  *with* their hit counts — in a small versioned binary format (bit-packed
-  matrices, atomic replace);
+* :func:`save_hot_matrices` ranks the decoder's rows of a shard's pair
+  tables (:meth:`DecodeCache.rows`; classifier verdicts are not persisted)
+  by the engine's per-row hit count, ties broken by decision order — the
+  first keys a process decided are the ones its successor asks first —
+  keeps the ``max_entries`` hottest whose path ids fall inside the file's
+  persisted watermark, and writes them — *with* their hit counts — in a
+  small versioned binary format (bit-packed matrices, atomic replace);
 * :func:`load_hot_matrices` seeds a fresh engine's decode caches from the
   file on attach, so the first queries of a new process hit warm matrices
   instead of re-deriving them.  The persisted hit counts are seeded too:
@@ -42,6 +43,7 @@ import zlib
 import numpy as np
 
 from repro.core import FVLVariant
+from repro.core.pair_table import NO_DEPENDENCY, PairTable, pair_keys, pair_paths
 from repro.engine.engine import MATRIX_FREE, DEFAULT_RUN, QueryEngine, grammar_fingerprint
 from repro.errors import LabelingError, SerializationError
 from repro.matrices import BoolMatrix
@@ -104,20 +106,13 @@ def _pack_matrix(matrix: "BoolMatrix | None") -> tuple[int, int, bytes]:
     return data.shape[0], data.shape[1], np.packbits(data, axis=None).tobytes()
 
 
-def _unpack_matrix(rows: int, cols: int, payload: bytes) -> "BoolMatrix | None":
-    if rows < 0:
-        return None
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=rows * cols)
-    return BoolMatrix(bits.reshape(rows, cols).astype(bool))
-
-
 def _pair_states(engine: QueryEngine):
     """The decoded states that carry a pair-matrix cache (skip matrix-free)."""
     for (view_name, variant_key), state in engine.decoded_states().items():
         cache = getattr(state, "decode_cache", None)
         if cache is None or variant_key == MATRIX_FREE:
             continue
-        yield view_name, variant_key, state, cache
+        yield view_name, variant_key, cache
 
 
 def save_hot_matrices(
@@ -153,23 +148,29 @@ def save_hot_matrices(
     info = run_file_info(run_file)
     arena = engine.shard_arena(run_id)
 
-    candidates: list[tuple[int, str, str, object, tuple]] = []
-    for view_name, variant_key, state, cache in _pair_states(engine):
-        # Atomic snapshot (dict.copy runs without releasing the GIL):
-        # workers may intern new matrices while a live server saves.
-        for key, matrix in cache.pair_matrices.copy().items():
-            if len(key) != 3 or key[0] != arena:
-                continue
-            if key[1] >= info.n_paths or key[2] >= info.n_paths:
-                continue  # interned after the last checkpoint; not in the file
-            hits = cache.pair_hits.get(key, 0)
-            candidates.append((hits, view_name, variant_key, matrix, key))
-    candidates.sort(key=lambda entry: entry[0], reverse=True)
-    hottest = candidates[:max_entries]
-
-    sections: dict[tuple[str, str], list[tuple[tuple, object, int]]] = {}
-    for hits, view_name, variant_key, matrix, key in hottest:
-        sections.setdefault((view_name, variant_key), []).append((key, matrix, hits))
+    # Candidates: the decoder rows of every state inside the file's watermark
+    # (ids interned after the last checkpoint are not in the file), each
+    # state's in decision order, off one immutable table snapshot — workers
+    # may decide new keys while a live server saves.
+    candidates = []
+    for view_name, variant_key, cache in _pair_states(engine):
+        table = cache.table(arena)
+        at = table.decoder_rows()
+        id1, id2 = pair_paths(table.keys[at])
+        at = at[(id1 < info.n_paths) & (id2 < info.n_paths)]
+        candidates.append((view_name, variant_key, table, at))
+    sizes = [at.size for *_, at in candidates]
+    hits = np.concatenate([table.hits[at] for *_, table, at in candidates] + [np.empty(0, np.int64)])
+    # Hottest first; the sort is stable, so equal hit counts rank by who was
+    # decided first.  Only the rows that made the cut are materialised.
+    hottest = np.argsort(-hits, kind="stable")[:max_entries]
+    owner = np.repeat(np.arange(len(candidates)), sizes)[hottest]
+    first = np.cumsum(sizes) - sizes
+    sections: dict[tuple[str, str], list[tuple[int, int, object, int]]] = {}
+    for section in dict.fromkeys(owner.tolist()):
+        view_name, variant_key, table, at = candidates[section]
+        chosen = at[hottest[owner == section] - first[section]]
+        sections[(view_name, variant_key)] = list(table.matrix_rows(chosen))
 
     chunks = [
         _FILE_HEADER.pack(
@@ -194,7 +195,7 @@ def save_hot_matrices(
         )
         chunks.append(name_bytes)
         chunks.append(variant_bytes)
-        for (arena_tag, id1, id2), matrix, hits in entries:
+        for id1, id2, matrix, hits in entries:
             rows, cols, payload = _pack_matrix(matrix)
             chunks.append(_ENTRY.pack(id1, id2, rows, cols, max(0, int(hits))))
             chunks.append(payload)
@@ -206,7 +207,7 @@ def save_hot_matrices(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
-    return len(hottest)
+    return int(hottest.size)
 
 
 class _Reader:
@@ -243,7 +244,7 @@ def load_hot_matrices(
     :class:`~repro.errors.SerializationError`.  Sections for views the engine
     has not registered (or whose structure diverged — see
     :func:`view_fingerprint`) are skipped, not guessed at.  Entries never
-    clobber matrices the engine already decoded.  Returns the number of
+    clobber rows the engine already decided.  Returns the number of
     entries seeded.
     """
     mapped = engine.mapped_store(run_id)
@@ -309,27 +310,52 @@ def _load_from(reader: _Reader, engine: QueryEngine, run_id: str, mapped) -> int
             and variant_key in known_variants
             and view_fingerprint(engine.view(view_name)) == view_fp
         )
-        cache = None
-        if usable:
-            state = engine.decoded_state(view_name, variant_key)
-            cache = getattr(state, "decode_cache", None)
-        for _ in range(n_entries):
+        state = engine.decoded_state(view_name, variant_key) if usable else None
+        ports = state.static.bank.ports if usable else 0
+        if n_entries * _ENTRY.size > len(reader.buffer) - reader.offset:
+            raise SerializationError(f"truncated matrix cache {reader.path!r}")
+        ids, shapes, heat = [], [], []
+        blocks = np.zeros((n_entries if usable else 0, ports, ports), dtype=bool)
+        for entry in range(n_entries):
             id1, id2, rows, cols, hits = reader.unpack(_ENTRY)
             payload = reader.take((rows * cols + 7) // 8) if rows >= 0 else b""
-            if cache is None:
+            if not usable:
                 continue
-            if id1 >= mapped.n_paths or id2 >= mapped.n_paths:
+            if not (0 <= id1 < mapped.n_paths and 0 <= id2 < mapped.n_paths):
                 raise SerializationError(
                     "matrix cache entry references an unknown path id"
                 )
-            key = (arena, int(id1), int(id2))
-            if key in cache.pair_matrices or not cache.has_room():
-                continue
-            cache.pair_matrices[key] = _unpack_matrix(rows, cols, payload)
+            if rows >= 0:
+                if rows > ports or not 0 <= cols <= ports:
+                    raise SerializationError(
+                        f"matrix cache entry is {rows}x{cols}; no module of this "
+                        f"specification has more than {ports} ports"
+                    )
+                bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=rows * cols)
+                blocks[entry, :rows, :cols] = bits.reshape(rows, cols)
+            ids.append((id1, id2))
+            shapes.append((max(rows, 0), max(cols, 0), 0 if rows >= 0 else NO_DEPENDENCY))
             # Carry the entry's heat across the process boundary: without it
             # a follower's own save_hot_matrices ranks every seeded-but-not-
             # re-queried entry at zero and a budgeted rewrite drops the warm
             # set it just loaded.
-            cache.pair_hits[key] = int(hits)
-            seeded += 1
+            heat.append(hits)
+        if ids:
+            # One merge per section; file order (the saver's ranking) becomes
+            # the rows' decision order, and rows the engine already decided
+            # are never clobbered.
+            id1, id2 = np.asarray(ids, dtype=np.int64).T
+            keys, first = np.unique(pair_keys(id1, id2), return_index=True)
+            rows, cols, sentinels = np.asarray(shapes, dtype=np.int64)[first].T
+            fresh = PairTable.build(
+                ports,
+                keys,
+                blocks[first].reshape(first.size, -1),
+                rows,
+                cols,
+                sentinels,
+                np.asarray(heat, dtype=np.int64)[first],
+                first,
+            )
+            seeded += state.decode_cache.admit(arena, fresh)
     return seeded

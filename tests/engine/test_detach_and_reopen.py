@@ -43,11 +43,8 @@ def _pair_matrix_arenas(engine):
     arenas = set()
     for state in engine._states.values():
         cache = getattr(state, "decode_cache", None)
-        if cache is None:
-            continue
-        for key in cache.pair_matrices:
-            if len(key) == 3:
-                arenas.add(key[0])
+        if cache is not None:
+            arenas.update(arena for arena in cache.arenas() if any(cache.rows(arena)))
     return arenas
 
 

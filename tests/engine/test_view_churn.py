@@ -183,7 +183,7 @@ def test_rebuilt_state_shares_the_static_part(churn):
     assert rebuilt is not state
     assert rebuilt.static is static and rebuilt.label is state.label
     assert rebuilt.decode_cache.inputs_segments is static.inputs_segments
-    assert not rebuilt.decode_cache.pair_matrices  # the per-run half starts over
+    assert not rebuilt.decode_cache.arenas()  # the per-run half starts over
     assert engine.depends_batch(first.pairs, first.view) == first.depends
     assert len(static) == memo_entries  # the same queries add nothing
 
@@ -276,11 +276,11 @@ def test_attach_detach_churn_leaves_the_static_part_alone(churn):
         _ask_all(engine, case, run)
         state = engine.decoded_state(case.view)
         arena = engine.shard_arena(run)
-        assert any(key[0] == arena for key in state.decode_cache.pair_matrices)
+        assert state.decode_cache.arenas() == [arena] and any(state.decode_cache.rows(arena))
         assert arena in state.visibility_flags and (arena, run) in state.structural
         engine.detach(run)
         # The per-run half is empty again ...
-        assert not state.decode_cache.pair_matrices and not state.decode_cache.pair_hits
+        assert not state.decode_cache.arenas() and not state.decode_cache.pair_tables
         assert not state.visibility_flags and not state.structural
         # ... and the static half neither grew nor learnt about the arena.
         static = state.static

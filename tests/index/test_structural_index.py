@@ -205,24 +205,45 @@ def test_build_scatters_intervals_by_path_id():
 # -- DecodeCache hit accounting stays bounded ----------------------------------
 
 
-def test_pair_hit_accounting_decays_instead_of_leaking():
-    from repro.core.decoder import DecodeCache
+def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_scheme, tmp_path):
+    """Hits live in the pair table: no row, no counter — nothing left to decay.
 
-    cache = DecodeCache(max_entries=None, max_pair_hits=8)
-    # Counters only accrue for keys whose matrix is actually cached.
-    cache.note_pair_use(("missing",), 5)
-    assert not cache.pair_hits
-    hot = ("hot",)
-    cache.pair_matrices[hot] = None
-    for n in range(20):
-        key = ("k", n)
-        cache.pair_matrices[key] = None
-        cache.note_pair_use(key, 1)
-        cache.note_pair_use(hot, 100)
-    assert len(cache.pair_hits) <= cache.max_pair_hits + 1
-    # Cold single-hit keys aged out; the hot key survived every sweep with
-    # the top rank.
-    assert max(cache.pair_hits, key=cache.pair_hits.get) == hot
+    The old accounting dict could outgrow the matrices it counted (evicted
+    keys kept their counters) and needed a decay sweep; a hit *column* has
+    exactly one cell per row, an over-budget key gets none, and ``detach``
+    drops an arena's rows and counts together.
+    """
+    from repro.engine import QueryEngine
+    from repro.model import ViewProjection, default_view
+    from repro.workloads import random_run
+
+    derivation = random_run(running_spec, 300, seed=8)
+    view = default_view(running_spec)
+    uids = sorted(ViewProjection(derivation.run, view).visible_items)
+    pairs = [(a, b) for a in uids[:12] for b in uids[-12:]]
+    writer = QueryEngine(running_scheme)
+    writer.add_run("default", derivation)
+    expected = writer.depends_batch(pairs, view)
+    asked = len(writer.decoded_state(view).decode_cache.table(0))  # distinct keys of the batch
+    run_file = tmp_path / "hits.fvl"
+    writer.checkpoint(run_file)
+
+    engine = QueryEngine(running_scheme, decode_cache_entries=24)
+    engine.attach(run_file)
+    arena = engine.shard_arena()
+    for _ in range(3):
+        assert engine.depends_batch(pairs, view) == expected
+    cache = engine.decoded_state(view).decode_cache
+    table = cache.table(arena)
+    assert 0 < len(table) <= 24 and len(cache) <= 24  # the budget held ...
+    assert asked > len(table)  # ... so some keys were decided per batch and never stored ...
+    assert table.hits.shape == table.keys.shape  # ... and only stored rows have a counter,
+    assert int(table.hits.min()) >= 3  # which counted each of the three passes.
+    assert 0 < sum(hits for _, _, _, hits in cache.rows(arena)) <= int(table.hits.sum())
+
+    engine.detach("default")
+    assert arena not in cache.pair_tables and not cache.arenas()
+    assert list(cache.rows(arena)) == [] and len(cache.table(arena)) == 0
 
 
 # -- the per-index word table and the one-pass classifier fold ------------------
@@ -280,3 +301,30 @@ def test_classifier_folds_count_classes_along_each_path(
             row = int(index.parent[row])
         assert [classifier.in_fold[p], classifier.out_fold[p]] == expected
     assert len(classifier.in_fold) == len(classifier.out_fold) == index.n_paths
+
+
+def test_a_second_classifier_of_the_view_resolves_no_word_again(
+    running_spec, running_scheme, running_views, monkeypatch
+):
+    """The view's word lanes make a classifier over a new mapping cost its two folds."""
+    import repro.index.structural as structural
+    from repro.engine.cache import DecodedViewState, StaticViewState
+    from repro.index import ChainClassifier
+
+    small = _live_index(running_spec, running_scheme, items=120, seed=3)
+    large = _live_index(running_spec, running_scheme, items=400, seed=5)
+    state = DecodedViewState(StaticViewState(running_scheme.label_view(running_views[0])))
+    lanes = state.static.word_lanes
+    first = ChainClassifier(large, state, state.static.structural_classes, lanes)
+    assert len(lanes) == large.production_words.size > 0
+
+    def forbidden(*args):
+        raise AssertionError("a word was classified twice")
+
+    monkeypatch.setattr(structural, "classify_matrix", forbidden)
+    assert set(small.production_words.tolist()) <= set(large.production_words.tolist())
+    for index in (large, small):  # even with no class memo to fall back on
+        again = ChainClassifier(index, state, {}, lanes)
+        assert len(again.in_fold) == index.n_paths
+    assert again.in_fold != first.in_fold and len(lanes) == large.production_words.size
+    assert ChainClassifier(large, state, {}, lanes).in_fold == first.in_fold

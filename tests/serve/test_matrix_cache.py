@@ -70,8 +70,18 @@ def saved(scheme, workload, tmp_path):
 
 
 def _pair_entries(engine, view, variant=FVLVariant.DEFAULT):
-    state = engine.decoded_state(view, variant)
-    return dict(state.decode_cache.pair_matrices)
+    """``(id1, id2) -> (matrix | None, hits)`` of the default shard's decoder rows."""
+    cache = engine.decoded_state(view, variant).decode_cache
+    return {
+        (id1, id2): (matrix, hits)
+        for id1, id2, matrix, hits in cache.rows(engine.shard_arena())
+    }
+
+
+def _hottest(entries):
+    """``(key, hits)`` of the row with the most hits."""
+    key = max(entries, key=lambda k: entries[k][1])
+    return key, entries[key][1]
 
 
 # -- save ----------------------------------------------------------------------
@@ -112,12 +122,49 @@ def test_save_ranks_by_hits_and_respects_budget(saved, scheme):
     follower.attach(run_file)
     assert load_hot_matrices(follower) == 1
     (key,) = _pair_entries(follower, view)
-    state = engine.decoded_state(view, FVLVariant.DEFAULT)
-    hottest = max(
-        (k for k in state.decode_cache.pair_matrices if k[0] == engine.shard_arena()),
-        key=lambda k: state.decode_cache.pair_hits.get(k, 0),
-    )
-    assert (key[1], key[2]) == (hottest[1], hottest[2])
+    assert key == _hottest(_pair_entries(engine, view))[0]
+
+
+def test_save_breaks_hit_ties_by_decision_order(saved, scheme):
+    """All hits equal, budget n: the first n keys decided are the ones saved.
+
+    A restarted process asks what its predecessor asked first (the warm-up
+    frames), so on a tie the earlier decision is the better bet; a table that
+    ranked ties by key would persist an arbitrary slice of the path-id space.
+    """
+    run_file, view, pairs, expected, _ = saved
+    probe = QueryEngine(scheme)
+    probe.attach(run_file)
+    store = probe.mapped_store().store
+    one_per_key = {}
+    for d1, d2 in pairs:
+        key = (store.row(d1)[0], store.row(d2)[2])
+        if min(key) >= 0:
+            one_per_key.setdefault(key, (d1, d2))
+    # The later half of the key space is asked first.
+    ordered = [one_per_key[key] for key in sorted(one_per_key, reverse=True)]
+    first, second = ordered[: len(ordered) // 2], ordered[len(ordered) // 2 :]
+
+    engine = QueryEngine(scheme)
+    engine.attach(run_file)
+    engine.depends_batch(first, view)
+    early = _pair_entries(engine, view)
+    engine.depends_batch(second, view)
+    entries = _pair_entries(engine, view)
+    assert len(early) >= 2 and len(entries) > len(early)
+    assert {hits for _, hits in entries.values()} == {1}  # a perfect tie
+    assert min(entries) not in early  # key order would start somewhere else
+    assert list(entries)[: len(early)] == list(early)  # rows() lists in decision order
+
+    budget = len(early) - 1
+    assert save_hot_matrices(engine, DEFAULT_RUN, max_entries=budget) == budget
+    follower = QueryEngine(scheme)
+    follower.add_view(view)
+    follower.attach(run_file)
+    assert load_hot_matrices(follower) == budget
+    seeded = _pair_entries(follower, view)
+    assert list(seeded) == list(early)[:budget]  # and a reload keeps the ranking
+    assert all(seeded[key] == early[key] for key in seeded)
 
 
 def test_save_writes_an_empty_cache_when_nothing_is_hot(saved, scheme):
@@ -183,9 +230,10 @@ def test_load_never_clobbers_decoded_matrices(saved, scheme):
     decoded = _pair_entries(follower, view)
     warmed = load_hot_matrices(follower)
     after = _pair_entries(follower, view)
-    for key, matrix in decoded.items():
-        assert after[key] is matrix  # the live matrix survived the seeding
+    for key, (matrix, hits) in decoded.items():
+        assert after[key] == (matrix, hits)  # the live row survived the seeding, hits and all
     assert warmed == entries - len(decoded)
+    assert len(after) == entries
 
 
 def test_cache_survives_compaction_of_the_same_run(saved, scheme):
@@ -319,7 +367,7 @@ def test_view_fingerprint_separates_same_named_views(spec, scheme, workload, tmp
 def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     """A follower that loads the cache and re-saves keeps the warm working set.
 
-    Before v2, seeded entries started at zero ``pair_hits``, so a follower
+    Before v2, seeded entries started at zero hits, so a follower
     saving under a tight budget ranked the leader's whole warm set below any
     entry it had touched even once — one load→save cycle could drop it all.
     """
@@ -333,13 +381,7 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     for _ in range(5):
         leader.depends_batch([hot_pair] * 3, view)
     assert save_hot_matrices(leader, DEFAULT_RUN, max_entries=1) == 1
-    leader_state = leader.decoded_state(view, FVLVariant.DEFAULT)
-    leader_hottest_key = max(
-        (k for k in leader_state.decode_cache.pair_matrices
-         if k[0] == leader.shard_arena()),
-        key=lambda k: leader_state.decode_cache.pair_hits.get(k, 0),
-    )
-    leader_hits = leader_state.decode_cache.pair_hits[leader_hottest_key]
+    leader_hottest_key, leader_hits = _hottest(_pair_entries(leader, view))
     assert leader_hits > 1
 
     # The follower loads it, touches a *different* pair once, then re-saves
@@ -348,9 +390,8 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     assert load_hot_matrices(follower) == 1
-    state = follower.decoded_state(view, FVLVariant.DEFAULT)
-    (seeded_key,) = state.decode_cache.pair_matrices
-    assert state.decode_cache.pair_hits[seeded_key] == leader_hits
+    ((seeded_key, (_, seeded_hits)),) = _pair_entries(follower, view).items()
+    assert seeded_key == leader_hottest_key and seeded_hits == leader_hits
     cold_pair = pairs[1] if pairs[1] != hot_pair else pairs[2]
     follower.depends_batch([cold_pair], view)
     assert save_hot_matrices(follower, DEFAULT_RUN, max_entries=1) == 1
@@ -360,10 +401,8 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     third.add_view(view)
     third.attach(run_file)
     assert load_hot_matrices(third) == 1
-    third_state = third.decoded_state(view, FVLVariant.DEFAULT)
-    (key,) = third_state.decode_cache.pair_matrices
-    assert (key[1], key[2]) == (leader_hottest_key[1], leader_hottest_key[2])
-    assert third_state.decode_cache.pair_hits[key] >= leader_hits
+    ((key, (_, hits)),) = _pair_entries(third, view).items()
+    assert key == leader_hottest_key and hits >= leader_hits
 
 
 def test_v1_cache_files_rejected_loudly(saved, scheme):
