@@ -25,9 +25,11 @@ from repro.workloads import random_run, random_view
 def main() -> None:
     # 1. A BioAID-like workload (Section 6.1) and an engine around its scheme.
     #    The engine owns the runs: add_run labels each derivation once and
-    #    keeps the labeler as a queryable shard.
+    #    keeps the labeler as a queryable shard.  Decoded view state — every
+    #    view's, static label and per-run tables alike — lives under one byte
+    #    budget (64 MiB is the default; two views on these runs hold ~0.1 MiB).
     workload = prepare_bioaid()
-    engine = QueryEngine(workload.scheme, cache_size=8)
+    engine = QueryEngine(workload.scheme, state_budget_bytes=64 << 20)
     run_a = random_run(workload.specification, 1000, seed=0)
     run_b = random_run(workload.specification, 1000, seed=1)
     engine.add_run("run-a", run_a)

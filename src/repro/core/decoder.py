@@ -23,6 +23,7 @@ The implementation follows the case analysis of Algorithm 2:
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Sequence
 
@@ -43,12 +44,38 @@ from repro.matrices import BoolMatrix
 from repro.model.module import Module
 
 __all__ = [
+    "MatrixMemo",
     "DecodeCache",
     "inputs_matrix",
     "outputs_matrix",
     "depends",
     "intermediate_matrix",
 ]
+
+
+class MatrixMemo(dict):
+    """A memo of matrices that knows what it weighs.
+
+    ``nbytes`` is the running sum of ``weigh(value)`` — by default the bytes
+    of one :class:`BoolMatrix` — over the entries stored.  An assignment to a
+    key already present is dropped (entries are functions of their key, so a
+    racing second store brings nothing) and entries are never deleted, which
+    keeps the sum exact without a walk.
+    """
+
+    __slots__ = ("nbytes", "_weigh", "_lock")
+
+    def __init__(self, weigh=lambda matrix: matrix.data.nbytes) -> None:
+        super().__init__()
+        self.nbytes = 0
+        self._weigh = weigh
+        self._lock = threading.Lock()
+
+    def __setitem__(self, key, value) -> None:
+        with self._lock:
+            if key not in self:
+                super().__setitem__(key, value)
+                self.nbytes += self._weigh(value)
 
 
 class DecodeCache:
@@ -62,73 +89,85 @@ class DecodeCache:
     * the two **segment tables**, keyed by materialised edge labels, which
       :func:`depends` fills through its ``cache`` argument.  Their entries
       hold for the view whatever run is queried, so a caller that rebuilds
-      caches for one view (the engine, on every view-state LRU miss) passes
-      the dicts of the previous cache in and they survive;
+      caches for one view (the engine, whenever a view's per-run state was
+      evicted) passes the :class:`MatrixMemo` tables of the previous cache in
+      and they survive;
     * the **pair tables**, one immutable
       :class:`~repro.core.pair_table.PairTable` snapshot per arena (a
       path-id namespace), which the batch engine probes with packed integer
       keys and extends through :meth:`admit`.  They are per run and start
       empty.  Read them through :meth:`arenas` / :meth:`rows`.
 
-    ``max_entries`` bounds the rows of all arenas plus the segment tables
-    (shared tables count against each sharing cache in full); ``None`` means
-    unbounded.  Once full, further results are computed, used and not
-    stored, so memory stays bounded for adversarial query streams.
+    Sizes are counted in bytes, as sums of array sizes: :attr:`nbytes` is
+    what the pair tables hold (a running sum, updated where a table is
+    published or dropped), each segment table keeps its own.  ``room()``
+    says how many more bytes the owner's budget admits (default: no bound);
+    a result that does not fit is computed, used and not stored, so memory
+    stays bounded for adversarial query streams.
     """
 
     __slots__ = (
         "inputs_segments",
         "outputs_segments",
         "pair_tables",
-        "max_entries",
+        "room",
+        "nbytes",
         "_decided",
         "_lock",
     )
 
     def __init__(
         self,
-        max_entries: int | None = None,
+        room=None,
         *,
-        inputs_segments: "dict[tuple, BoolMatrix] | None" = None,
-        outputs_segments: "dict[tuple, BoolMatrix] | None" = None,
+        inputs_segments: "MatrixMemo | None" = None,
+        outputs_segments: "MatrixMemo | None" = None,
     ) -> None:
-        self.inputs_segments = {} if inputs_segments is None else inputs_segments
-        self.outputs_segments = {} if outputs_segments is None else outputs_segments
+        self.inputs_segments = MatrixMemo() if inputs_segments is None else inputs_segments
+        self.outputs_segments = MatrixMemo() if outputs_segments is None else outputs_segments
         #: arena -> the arena's current table snapshot (replaced, never mutated).
         self.pair_tables: dict[int, PairTable] = {}
-        self.max_entries = max_entries
+        self.room = room if room is not None else (lambda: sys.maxsize)
+        #: Bytes of the pair tables.
+        self.nbytes = 0
         #: Rows admitted so far: the next row's decision-order stamp.
         self._decided = 0
         self._lock = threading.Lock()
 
-    def has_room(self, extra: int = 0) -> bool:
-        """Whether the budget admits another entry.
+    def has_room(self, nbytes: int) -> bool:
+        """Whether the budget admits ``nbytes`` more.
 
-        ``extra`` lets callers that keep side tables (e.g. the engine's chain
-        memo) count those entries against the same budget.
+        Callers that keep side tables for the same owner (the engine's chain
+        memo, the decode kernel's chain products) ask here too.
         """
-        return self.max_entries is None or len(self) + extra < self.max_entries
+        return nbytes <= self.room()
 
     def admit(self, arena: int, fresh: PairTable) -> int:
         """Merge ``fresh``'s rows into ``arena``'s table, as far as the budget allows.
 
         Rows whose key the arena already holds are dropped (a racing batch
         decided them first; a loaded ``.hotmx`` never clobbers a decision),
-        the others are admitted in key order until the budget is full and
-        stamped with decision-order numbers after every earlier row's.  The
-        merged table is published by one assignment; returns the rows admitted.
+        the others are admitted in key order for as long as their bytes fit
+        and stamped with decision-order numbers after every earlier row's.
+        The merged table is published by one assignment; returns the rows admitted.
         """
         with self._lock:
             current = self.table(arena)
             select = np.nonzero(~current.probe(fresh.keys)[1])[0]
-            if self.max_entries is not None:
-                select = select[: max(0, self.max_entries - len(self))]
+            fits = np.cumsum(fresh.row_nbytes()[select]) <= self.room()
+            select = select[: int(np.count_nonzero(fits))]
             if select.size:
                 if select.size < len(fresh):
                     fresh = fresh.take(select)
-                self.pair_tables[arena] = current.merged(fresh, self._decided)
+                merged = self.pair_tables[arena] = current.merged(fresh, self._decided)
+                self.nbytes += merged.nbytes - current.nbytes
                 self._decided += int(fresh.order.max()) + 1
             return int(select.size)
+
+    def drop(self, arena: int) -> None:
+        """Forget ``arena``'s table (its path ids can never be probed again)."""
+        with self._lock:
+            self.nbytes -= self.pair_tables.pop(arena, EMPTY).nbytes
 
     def table(self, arena: int) -> PairTable:
         """``arena``'s current snapshot (an empty table before its first decision)."""
@@ -141,17 +180,10 @@ class DecodeCache:
     def rows(self, arena: int):
         """``(path1, path2, matrix | None, hits)`` of ``arena``'s decoder rows.
 
-        In decision order; classifier verdicts are not listed (see
-        :meth:`~repro.core.pair_table.PairTable.matrix_rows`).
+        In decision order; classifier verdicts and boundary rows are not
+        listed (see :meth:`~repro.core.pair_table.PairTable.decoder_rows`).
         """
         return self.table(arena).matrix_rows()
-
-    def __len__(self) -> int:
-        return (
-            len(self.inputs_segments)
-            + len(self.outputs_segments)
-            + sum(len(table) for table in list(self.pair_tables.values()))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +251,7 @@ def _chain_over(
         result = matrix if result is None else result @ matrix
     if result is None:
         result = BoolMatrix.identity(identity_size)
-    if segments is not None and cache.has_room():
+    if segments is not None and cache.has_room(result.data.nbytes):
         segments[key] = result
     return result
 

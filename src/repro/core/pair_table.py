@@ -17,6 +17,15 @@ the decisions of one arena as parallel arrays sorted by the packed key
   :mod:`repro.serve.matrix_cache` ranks by);
 * ``order`` — the row's decision sequence number, which breaks hit ties.
 
+The boundary cases of the predicate are path-constant too — an initial input
+on the left has no producer path, a final output on the right no consumer
+path — and are rows like any other, keyed with :data:`ABSENT` on the missing
+side; their matrix is the one decoder Cases II–IV read (``lambda*(S)``, or the
+``Inputs`` / ``Outputs`` chain over the one path there is).
+
+What a table weighs is the sum of its arrays (:attr:`PairTable.nbytes`): the
+unit the engine's state budget is counted in.
+
 A table is an immutable snapshot: a batch probes it with one
 ``searchsorted`` and reads it with one fancy index, and new decisions are
 merged copy-on-write into a *new* table that
@@ -37,6 +46,7 @@ __all__ = [
     "NO_DEPENDENCY",
     "VERDICT_FALSE",
     "VERDICT_TRUE",
+    "ABSENT",
     "PairTable",
     "EMPTY",
     "pair_keys",
@@ -45,6 +55,15 @@ __all__ = [
 
 #: ``off`` sentinels (any ``off >= 0`` is a pool offset).
 NO_DEPENDENCY, VERDICT_FALSE, VERDICT_TRUE = -1, -2, -3
+
+#: The path id a boundary key carries on its missing side.  Path ids are
+#: non-negative int32s handed out from 0, so the last one is never a path;
+#: ``NO_PATH`` (-1) itself would smear over the other half of a packed key.
+ABSENT = 0x7FFFFFFF
+
+#: Bytes one row holds outside the pool: keys, off, hits, order (int64) and
+#: rows, cols (int32).
+_ROW_NBYTES = 4 * 8 + 2 * 4
 
 
 def pair_keys(path1, path2) -> np.ndarray:
@@ -100,6 +119,15 @@ class PairTable:
     def __len__(self) -> int:
         return int(self.keys.size)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the six per-row columns and the pool."""
+        return len(self) * _ROW_NBYTES + self.pool.nbytes
+
+    def row_nbytes(self) -> np.ndarray:
+        """What each row adds to the :attr:`nbytes` of a table it is merged into."""
+        return _ROW_NBYTES + (self.off >= 0) * (self.ports * self.ports)
+
     def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(slot, found)`` per key; ``slot`` is only meaningful where found."""
         if self.keys.size == 0:
@@ -152,9 +180,11 @@ class PairTable:
         """Positions of the rows the decoder decided, in decision order.
 
         Classifier verdicts are left out: they are re-derived from the
-        interval index in two comparisons and never persisted.
+        interval index in two comparisons and never persisted.  So are
+        boundary rows, which name no pair of paths.
         """
-        select = np.nonzero(self.off >= NO_DEPENDENCY)[0]
+        path1, path2 = pair_paths(self.keys)
+        select = np.nonzero((self.off >= NO_DEPENDENCY) & (path1 != ABSENT) & (path2 != ABSENT))[0]
         return select[np.argsort(self.order[select], kind="stable")]
 
     def matrix_rows(

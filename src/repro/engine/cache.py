@@ -1,4 +1,4 @@
-"""Engine-side caches: a thread-safe LRU plus per-view decoded state.
+"""Engine-side caches: the byte-budgeted view-state LRU and what it holds.
 
 The decoding predicate (:mod:`repro.core.decoder`) only *reads* a view label,
 but without help it re-derives two kinds of view-constant state on every call:
@@ -17,18 +17,28 @@ is the view's *static label* plus every memo that is a function of
 the engine builds it once per registered view and keeps it for good.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, chain classifiers, visibility flags — and is
-what :class:`LRUCache` bounds and evicts; rebuilding one costs matrix
+what :class:`LRUCache` holds and evicts; rebuilding one costs matrix
 products over the surviving static part, never a relabelling.
+
+**One byte budget** bounds all of it, and this module is the one place that
+knows the policy.  Sizes are sums of array sizes, kept as running sums where
+bytes change.  Static parts are counted and never evicted.  After a batch the
+engine has the LRU :meth:`~LRUCache.settle` the state it used:
+least-recently-used *other* per-run states go until the total fits.  The
+state in use is never evicted by its own growth; what it may still store is
+:meth:`~LRUCache.room`, and a result that does not fit is computed, used for
+the batch and not stored.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Callable, Hashable
 
-from repro.core.decoder import DecodeCache, depends as _depends
+from repro.core.decoder import DecodeCache, MatrixMemo, depends as _depends
 from repro.core.labels import DataLabel
 from repro.core.matrix_free import MatrixFreeViewLabel, depends_matrix_free
 from repro.core.preprocessing import GrammarIndex
@@ -46,18 +56,17 @@ __all__ = [
     "DecodedMatrixFreeState",
 ]
 
-V = TypeVar("V")
-
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A point-in-time snapshot of one LRU cache's accounting."""
+    """A point-in-time snapshot of the view-state LRU's accounting."""
 
     hits: int
     misses: int
     evictions: int
-    size: int
-    max_size: int
+    #: Decoded state resident, static parts included, and its budget.
+    bytes: int
+    max_bytes: int
 
     @property
     def hit_rate(self) -> float:
@@ -65,8 +74,13 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class LRUCache(Generic[V]):
-    """A small thread-safe LRU with hit/miss/eviction accounting.
+class LRUCache:
+    """The thread-safe LRU of per-run view states, bounded in bytes.
+
+    ``max_bytes`` is the budget over the static parts in ``statics`` (the
+    engine's ``(view, variant) -> StaticViewState`` dict: counted, never
+    evicted) plus the per-run states held here.  Lookups only account hits
+    and misses and move recency; eviction happens in :meth:`settle`.
 
     Values are built outside the lock (building a view label can take
     milliseconds); if two threads race on the same key the first inserted
@@ -80,11 +94,15 @@ class LRUCache(Generic[V]):
     holding the cache lock is safe).
     """
 
-    def __init__(self, max_size: int, *, counters=None) -> None:
-        if max_size < 1:
-            raise ValueError("cache size must be at least 1")
-        self._max_size = max_size
-        self._entries: OrderedDict[Hashable, V] = OrderedDict()
+    def __init__(self, max_bytes: int, statics: dict, *, counters=None) -> None:
+        if max_bytes < 1:
+            raise ValueError("the state budget must be at least 1 byte")
+        self._max_bytes = max_bytes
+        self._statics = statics
+        #: The static parts' bytes as of their last :meth:`settle` (each
+        #: part remembers its share), so :meth:`room` costs no walk.
+        self._static_settled = 0
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -94,7 +112,7 @@ class LRUCache(Generic[V]):
         else:
             self._hits_c = self._misses_c = self._evictions_c = None
 
-    def get_or_create(self, key: Hashable, factory: Callable[[], V]) -> V:
+    def get_or_create(self, key: Hashable, factory: Callable[[], object]):
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -108,54 +126,83 @@ class LRUCache(Generic[V]):
                 self._misses_c.inc()
         value = factory()
         with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                self._entries.move_to_end(key)
-                return existing
-            self._entries[key] = value
-            while len(self._entries) > self._max_size:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                if self._evictions_c is not None:
-                    self._evictions_c.inc()
-            return value
+            entry = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            return entry
 
-    def __len__(self) -> int:
+    def static_bytes(self) -> int:
+        """Bytes of the static parts (one running sum per view)."""
+        return sum(static.nbytes for static in list(self._statics.values()))
+
+    def per_run_bytes(self) -> int:
+        """Bytes of the per-run states held."""
+        return sum(state.nbytes for state in self.values())
+
+    def room(self, state) -> int:
+        """Bytes ``state`` may still grow by: the budget less the static parts and itself.
+
+        (Every other per-run state can be evicted to make room.)  Of the
+        static parts only ``state``'s own can have grown since the last
+        :meth:`settle` — a batch grows no other — so it alone is read live.
+        """
+        static = state.static
+        statics = self._static_settled - static.settled + static.nbytes
+        return self._max_bytes - statics - state.nbytes
+
+    def settle(self, state) -> None:
+        """Re-weigh after a batch on ``state``: evict until the total fits.
+
+        Least-recently-used states go first and ``state`` never does.  A
+        batch that stored nothing — any warm one — changes no weight and
+        returns after one comparison.
+        """
+        weight = state.nbytes + state.static.nbytes
+        if weight == state.weighed:
+            return
+        state.weighed = weight
         with self._lock:
-            return len(self._entries)
+            statics = list(self._statics.values())
+            for static in statics:
+                static.settled = static.nbytes
+            self._static_settled = sum(static.settled for static in statics)
+            excess = self._static_settled - self._max_bytes
+            excess += sum(entry.nbytes for entry in self._entries.values())
+            for key, entry in list(self._entries.items()):
+                if excess <= 0:
+                    break
+                if entry is not state:
+                    del self._entries[key]
+                    excess -= entry.nbytes
+                    self._evictions += 1
+                    if self._evictions_c is not None:
+                        self._evictions_c.inc()
 
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def keys(self) -> list[Hashable]:
-        with self._lock:
-            return list(self._entries)
-
-    def values(self) -> list[V]:
+    def values(self) -> list:
         """A snapshot of the cached values (no recency effect)."""
         with self._lock:
             return list(self._entries.values())
 
-    def items(self) -> list[tuple[Hashable, V]]:
+    def items(self) -> list[tuple[Hashable, object]]:
         """A snapshot of ``(key, value)`` pairs, LRU order (no recency effect)."""
         with self._lock:
             return list(self._entries.items())
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     @property
     def stats(self) -> CacheStats:
+        resident = self.static_bytes() + self.per_run_bytes()
         with self._lock:
             return CacheStats(
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                size=len(self._entries),
-                max_size=self._max_size,
+                bytes=resident,
+                max_bytes=self._max_bytes,
             )
+
+
+def _triple_nbytes(triple) -> int:
+    """Bytes of one production's ``(I, O, Z)`` dict triple."""
+    return sum(matrix.data.nbytes for table in triple for matrix in table.values())
 
 
 class StaticViewState:
@@ -165,9 +212,11 @@ class StaticViewState:
     matrix-free pseudo-variant, a :class:`MatrixFreeViewLabel`) and the memo
     tables whose entries depend on nothing but the grammar and that label.
     The engine interns one instance per registered ``(view, variant)`` and
-    never evicts it: a view label is a few hundred bytes and the tables are
-    bounded (together with the per-run ones) by ``decode_cache_entries``.
-    No key here mentions an arena or a run, so run churn cannot leak into it.
+    never evicts it: a view label is a few hundred bytes, the production
+    memo and the bank's edge matrices are bounded by the grammar, and what
+    queried labels can grow without bound (chain and segment products) only
+    grows while the engine's byte budget has room.  No key here mentions an
+    arena or a run, so run churn cannot leak into it.
     """
 
     __slots__ = (
@@ -179,19 +228,20 @@ class StaticViewState:
         "structural_classes",
         "word_lanes",
         "bank",
+        "settled",
     )
 
     def __init__(self, label: "ViewLabel | MatrixFreeViewLabel") -> None:
         self.label = label
         #: production ``k`` -> its ``(I, O, Z)`` dict triple (space-efficient
         #: variant only: one graph search per production, not per access).
-        self.productions: dict[int, tuple[dict, dict, dict]] = {}
+        self.productions = MatrixMemo(_triple_nbytes)
         #: ``(function, s, t, count)`` -> recursion chain product.
-        self.chains: dict[tuple[str, int, int, int], BoolMatrix] = {}
+        self.chains = MatrixMemo()
         #: Path-segment products keyed by materialised edge labels; every
-        #: :class:`DecodeCache` built over this view shares the two dicts.
-        self.inputs_segments: dict[tuple, BoolMatrix] = {}
-        self.outputs_segments: dict[tuple, BoolMatrix] = {}
+        #: :class:`DecodeCache` built over this view shares the two tables.
+        self.inputs_segments = MatrixMemo()
+        self.outputs_segments = MatrixMemo()
         #: Three-way matrix classes (``("I"|"O", k, i)`` and ``("Z", k, i, j)``
         #: keys) shared by every :class:`~repro.index.structural.ChainClassifier`
         #: of this view, whatever shard it folds over.
@@ -202,6 +252,19 @@ class StaticViewState:
         #: The view's matrices as one float32 stack, resolved on first use:
         #: what the decode kernel gathers its factors from.
         self.bank = MatrixBank(label.index)
+        #: This part's share of :attr:`LRUCache._static_settled`.
+        self.settled = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the matrices held: the bank and the four matrix memos."""
+        return (
+            self.bank.nbytes
+            + self.productions.nbytes
+            + self.chains.nbytes
+            + self.inputs_segments.nbytes
+            + self.outputs_segments.nbytes
+        )
 
     def __len__(self) -> int:
         """Memo entries held (the label itself is not counted)."""
@@ -219,7 +282,62 @@ class StaticViewState:
         return f"StaticViewState(view={self.label.view.name!r}, {len(self)} memo entries)"
 
 
-class DecodedViewState:
+class _PerRunState:
+    """What the LRU holds: the per-run half of a view, weighed in bytes.
+
+    ``room(state)``, when given, is the owning cache's :meth:`LRUCache.room`;
+    without it the state is unbounded.  The two side tables are filled
+    through :meth:`keep`, which keeps their bytes as a running sum.
+    """
+
+    def __init__(self, static: StaticViewState, room=None) -> None:
+        self.static = static
+        self._room = room
+        #: arena -> per-path-id visibility flags (append-only tries let the
+        #: engine extend a cached array instead of re-folding the trie).
+        self.visibility_flags: dict[int, object] = {}
+        #: ``(arena, run_id)`` -> :class:`repro.index.structural.ChainClassifier`
+        #: built over that shard's structural index for this view (live
+        #: shards share arena 0 but not their node tables).  Rebuilt when the
+        #: shard's index snapshot changes; purged with the shard's arena.
+        self.structural: dict[tuple[int, str], object] = {}
+        self._side_lock = threading.Lock()
+        self._side_nbytes = 0
+        #: What :meth:`LRUCache.settle` last weighed this state and its static part at.
+        self.weighed = -1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the visibility flags and classifier folds."""
+        return self._side_nbytes
+
+    def room(self) -> int:
+        """Bytes the engine's budget still admits for this state."""
+        return sys.maxsize if self._room is None else self._room(self)
+
+    def keep(self, table: dict, key, value) -> None:
+        """``table[key] = value`` (a side table of this state) if its bytes fit.
+
+        Whatever the key held is released first, so a replacement is
+        charged for its growth only.
+        """
+        with self._side_lock:
+            old = table.pop(key, None)
+            if old is not None:
+                self._side_nbytes -= old.nbytes
+            if value.nbytes <= self.room():
+                table[key] = value
+                self._side_nbytes += value.nbytes
+
+    def purge(self, arena: int) -> None:
+        """Drop everything keyed by ``arena``, giving its bytes back."""
+        with self._side_lock:
+            dropped = [self.visibility_flags.pop(arena, None)]
+            dropped += [self.structural.pop(key) for key in list(self.structural) if key[0] == arena]
+            self._side_nbytes -= sum(value.nbytes for value in dropped if value is not None)
+
+
+class DecodedViewState(_PerRunState):
     """Per-run decode state of one ``(view, variant)`` over its static part.
 
     Duck-types the read interface of :class:`ViewLabel` that the decoding
@@ -233,27 +351,26 @@ class DecodedViewState:
     and live and die with this LRU entry.
     """
 
-    def __init__(
-        self, static: StaticViewState, *, max_decode_entries: int | None = None
-    ) -> None:
-        self.static = static
+    def __init__(self, static: StaticViewState, room=None) -> None:
+        super().__init__(static, room)
         self._label: ViewLabel = static.label
         self.decode_cache = DecodeCache(
-            max_entries=max_decode_entries,
+            self.room,
             inputs_segments=static.inputs_segments,
             outputs_segments=static.outputs_segments,
         )
-        #: arena -> per-path-id visibility flags (append-only tries let the
-        #: engine extend a cached array instead of re-folding the trie).
-        self.visibility_flags: dict[int, object] = {}
-        #: ``(arena, run_id)`` -> :class:`repro.index.structural.ChainClassifier`
-        #: built over that shard's structural index for this view (live
-        #: shards share arena 0 but not their node tables).  Rebuilt when the
-        #: shard's index snapshot changes; purged with the shard's arena.
-        self.structural: dict[tuple[int, str], object] = {}
         self._productions = static.productions
         self._chains = static.chains
         self._memoize = self._label.variant is FVLVariant.SPACE_EFFICIENT
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the pair tables, visibility flags and classifier folds."""
+        return self._side_nbytes + self.decode_cache.nbytes
+
+    def purge(self, arena: int) -> None:
+        super().purge(arena)
+        self.decode_cache.drop(arena)
 
     # -- the ViewLabel read interface used by the decoder -----------------------
 
@@ -332,7 +449,7 @@ class DecodedViewState:
             # Chain memos count against the same budget as the decode cache:
             # `count` comes from queried labels' recursion depths, which an
             # adversarial stream can make unbounded.
-            if self.decode_cache.has_room(extra=len(self._chains)):
+            if self.decode_cache.has_room(matrix.data.nbytes):
                 self._chains[key] = matrix
         return matrix
 
@@ -349,7 +466,7 @@ class DecodedViewState:
         )
 
 
-class DecodedMatrixFreeState:
+class DecodedMatrixFreeState(_PerRunState):
     """Per-run state for a coarse-grained (matrix-free) view label.
 
     The boolean fast path needs no decode memo, so all that is per run here
@@ -357,11 +474,9 @@ class DecodedMatrixFreeState:
     same ``label`` / ``depends`` entry points over a :class:`StaticViewState`.
     """
 
-    def __init__(self, static: StaticViewState) -> None:
-        self.static = static
+    def __init__(self, static: StaticViewState, room=None) -> None:
+        super().__init__(static, room)
         self._label: MatrixFreeViewLabel = static.label
-        #: arena -> per-path-id visibility flags (see DecodedViewState).
-        self.visibility_flags: dict[int, object] = {}
 
     @property
     def label(self) -> MatrixFreeViewLabel:

@@ -25,7 +25,10 @@ Three layers of caching amortize the per-view decode work that the one-pair
    engine lives.  What depends on a run — the pair tables of decisions keyed
    by path ids, chain classifiers, visibility flags — is a
    :class:`~repro.engine.cache.DecodedViewState` over that static part, held
-   in an LRU of ``cache_size`` entries; an evicted view's next query
+   in an LRU bounded by ``state_budget_bytes`` — one byte budget over all
+   decoded state, static parts included (:mod:`repro.engine.cache` is the
+   policy) — so every view a deployment serves stays resident until the
+   bytes, not a view count, say otherwise; an evicted view's next query
    rebuilds the per-run half with matrix products and never relabels;
 2. **Production memoization** — the space-efficient variant's on-demand graph
    searches run once per production instead of once per matrix access;
@@ -197,9 +200,8 @@ class QueryEngine:
         self,
         source: FVLScheme | WorkflowSpecification | WorkflowGrammar,
         *,
-        cache_size: int = 8,
+        state_budget_bytes: int = 64 << 20,
         variant: "FVLVariant | str" = FVLVariant.DEFAULT,
-        decode_cache_entries: int | None = 65536,
         use_structural_index: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -229,16 +231,26 @@ class QueryEngine:
         view_cache = self.metrics.counter(
             "engine_view_cache_total", "decoded-view LRU events", ("event",)
         )
-        self._states: LRUCache = LRUCache(
-            cache_size,
+        #: Every byte of decoded state, per-run or static, counts against
+        #: ``state_budget_bytes`` (a deployment setting, like a buffer-pool
+        #: size); only per-run states are ever evicted to honour it.
+        self._states = LRUCache(
+            state_budget_bytes,
+            self._statics,
             counters=(
                 view_cache.labels("hit"),
                 view_cache.labels("miss"),
                 view_cache.labels("evict"),
             ),
         )
+        state_bytes = self.metrics.gauge(
+            "engine_decoded_state_bytes",
+            "decoded view state resident (array bytes), evictable per-run part vs static part",
+            ("part",),
+        )
+        state_bytes.labels("per_run").set_function(self._states.per_run_bytes)
+        state_bytes.labels("static").set_function(self._states.static_bytes)
         self._shards: dict[str, _RunShard] = {}
-        self._decode_cache_entries = decode_cache_entries
         self._lock = threading.Lock()
         #: Serialises shard remaps (reopen/maybe_reopen from concurrent
         #: server workers) so exactly one fresh mapping wins and none leak.
@@ -666,6 +678,7 @@ class QueryEngine:
                 flags = self._visibility_flags(shard, state)
                 return visible_batch(shard.store, state.label, uids, flags=flags)
         finally:
+            self._states.settle(state)
             self._batch_seconds.labels("visible").observe(time.perf_counter() - t0)
 
     def visible_mask(
@@ -684,14 +697,15 @@ class QueryEngine:
         shard = self._shard(run)
         state = self._decoded_state(view, variant)
         flags = self._visibility_flags(shard, state)
+        self._states.settle(state)
         return visible_mask(shard.store, state.label, flags=flags)
 
     def _visibility_flags(self, shard: _RunShard, state) -> np.ndarray:
         """The view's per-path flags over the shard's trie, extended if it grew."""
-        memo = state.visibility_flags
-        flags = memo[shard.arena] = path_visibility(
-            shard.store.table, state.label, prefix=memo.get(shard.arena)
-        )
+        known = state.visibility_flags.get(shard.arena)
+        flags = path_visibility(shard.store.table, state.label, prefix=known)
+        if flags is not known:
+            state.keep(state.visibility_flags, shard.arena, flags)
         return flags
 
     # -- the serving surface (repro.serve) ---------------------------------------
@@ -774,18 +788,13 @@ class QueryEngine:
         shard churn, so only private arenas are purged.  Only the LRU's
         per-run states can hold such entries: the static part of a view
         (path-segment and chain products, keyed by materialised edge labels)
-        mentions no arena and is left alone.
+        mentions no arena and is left alone.  Each state gives the arena's
+        bytes back exactly.
         """
         if arena == 0:
             return
         for state in self._states.values():
-            getattr(state, "visibility_flags", {}).pop(arena, None)
-            structural = getattr(state, "structural", {})
-            for key in [k for k in structural if k[0] == arena]:
-                del structural[key]
-            cache = getattr(state, "decode_cache", None)
-            if cache is not None:
-                cache.pair_tables.pop(arena, None)
+            state.purge(arena)
 
     def _trie_columns(self, shard: _RunShard) -> tuple:
         """The ``(parent, packed, c)`` arrays of the shard's trie, for the decode kernel.
@@ -894,7 +903,7 @@ class QueryEngine:
             classifier = ChainClassifier(
                 index, state, static.structural_classes, static.word_lanes
             )
-            state.structural[key] = classifier
+            state.keep(state.structural, key, classifier)
         return classifier
 
     def _shard(self, run_id: str) -> _RunShard:
@@ -945,9 +954,8 @@ class QueryEngine:
     ) -> "DecodedViewState | DecodedMatrixFreeState":
         """The LRU factory: fresh per-run state over the view's static part."""
         static = self._static_state(view, variant)
-        if variant == MATRIX_FREE:
-            return DecodedMatrixFreeState(static)
-        return DecodedViewState(static, max_decode_entries=self._decode_cache_entries)
+        kind = DecodedMatrixFreeState if variant == MATRIX_FREE else DecodedViewState
+        return kind(static, self._states.room)
 
     def _static_state(
         self, view: WorkflowView, variant: "FVLVariant | str"
@@ -1018,4 +1026,5 @@ class QueryEngine:
                     self._matrix_pairs_c.inc(matrix_n)
                 return results
         finally:
+            self._states.settle(state)
             self._batch_seconds.labels("depends").observe(time.perf_counter() - t0)

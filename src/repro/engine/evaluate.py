@@ -10,32 +10,36 @@ same way, as whole-array operations from gather to answer:
    one :meth:`~repro.store.LabelStore.gather_rows` call reads their packed
    label columns; reading rows is the store's job, whatever its state;
 2. **mask** — pairs with a final output on the left or an initial input on
-   the right are ``False``; the other boundary pairs materialise their two
-   labels and take the memoized segment-chain path of ``state.depends``;
+   the right are ``False`` (decoder Case I);
 3. **probe** — the remaining pairs pack ``(producer path id, consumer path
-   id)`` into one int64 key each, looked up in the arena's
+   id)`` into one int64 key each — :data:`~repro.core.pair_table.ABSENT` on
+   the side an initial input or a final output does not have (Cases II–IV
+   are path-constant like the interior one) — looked up in the arena's
    :class:`~repro.core.pair_table.PairTable` with one ``searchsorted``;
 4. **decide the misses** — every distinct key the table does not hold is
    decided once and merged in, verdicts included: the shard's
    :class:`~repro.index.structural.ChainClassifier` (when it carries a
    structural index) gets first refusal, the recursive/mixed residue goes
    through the stacked Algorithm 2 of :mod:`repro.engine.kernel`, and what
-   the kernel declines goes to the reference decoder in ascending key order
-   — so which pair raises, with which type and message, is the decoder's call;
+   the kernel declines, like every boundary key, goes to the reference
+   decoder in ascending key order — so which pair raises, with which type
+   and message, is the decoder's call;
 5. **read** — one bounds-checked fancy index into the table's matrix pool
-   answers every pair, one scatter puts the bits in place.
+   answers every pair — each from the ``(row, column)`` ports of its case —
+   and one scatter puts the bits in place.
 
-A warm batch executes no Python per pair or per group.  The matrix-free
-pseudo-variant has no matrices to group by and keeps its per-pair loop
-(:func:`depends_per_pair`).
+A warm batch executes no Python per pair or per group, boundary pairs
+included.  The matrix-free pseudo-variant has no matrices to group by and
+keeps its per-pair loop (:func:`depends_per_pair`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.decoder import intermediate_matrix
+from repro.core.decoder import _inputs_chain_over, _outputs_chain_over, intermediate_matrix
 from repro.core.pair_table import (
+    ABSENT,
     NO_DEPENDENCY,
     VERDICT_FALSE,
     VERDICT_TRUE,
@@ -81,28 +85,35 @@ def depends_grouped(
     rows = store.rows_for(ids.reshape(-1))
     with trace_span("mmap.gather", rows=rows.size):
         producer, producer_port, consumer, consumer_port = store.gather_rows(rows)
-    p1, c1, p2, c2 = producer[0::2], consumer[0::2], producer[1::2], consumer[1::2]
+    left, c1, p2, right = producer[0::2], consumer[0::2], producer[1::2], consumer[1::2]
 
     answers = np.zeros(len(ids), dtype=bool)
     # NO_PATH (-1) is the only negative id, so an OR is negative iff one of
-    # its operands is absent.
-    interior = (p1 | c1 | p2 | c2) >= 0
-    grouped = np.nonzero(interior)[0]
-    if grouped.size < len(ids):
-        # Nothing depends on a final output and initial inputs depend on
-        # nothing (c1 or p2 absent: False); the other boundary pairs are one
-        # memoized segment chain each.
-        for pos in np.nonzero(~interior & ((c1 | p2) >= 0))[0].tolist():
-            d1, d2 = ids[pos].tolist()  # plain ints: the label memo is keyed by them
-            answers[pos] = state.depends(store.label(d1), store.label(d2))
-        if grouped.size == 0:
-            return answers.tolist(), 0, 0
-    else:
-        grouped = slice(None)  # every pair is interior: views below, not copies
+    # its operands is absent.  Case I: nothing depends on a final output (no
+    # consumer on the left) and initial inputs depend on nothing (no producer
+    # on the right).
+    grouped = (c1 | p2) >= 0
+    if grouped.all():
+        grouped = slice(None)  # views below, not copies
+    elif not grouped.any():
+        return answers.tolist(), 0, 0
+    left, right, ids = left[grouped], right[grouped], ids[grouped]
+    # 0-based matrix entries of each pair: (output port of d1, input port of d2).
+    x, y = producer_port[0::2][grouped] - 1, consumer_port[1::2][grouped] - 1
+    boundary_n = 0
+    if ((left | right) < 0).any():
+        # Cases II-IV: a side without a path reads the other port of its item
+        # — (i1, o2) of lambda*(S), (i1, i2) of the Inputs chain over d2's
+        # consumer path, (o2, o1) of the Outputs chain over d1's producer path.
+        no_left, no_right = left < 0, right < 0
+        o1, i1, o2 = x, consumer_port[0::2][grouped] - 1, producer_port[1::2][grouped] - 1
+        x = np.where(no_left, i1, np.where(no_right, o2, o1))
+        y = np.where(no_right, np.where(no_left, o2, o1), y)
+        left, right = np.where(no_left, ABSENT, left), np.where(no_right, ABSENT, right)
+        boundary_n = int(np.count_nonzero(no_left | no_right))
 
-    keys = pair_keys(p1[grouped], c2[grouped])
-    # 0-based matrix entries of each pair's (output port, input port).
-    entries = (producer_port[0::2][grouped] - 1, consumer_port[1::2][grouped] - 1, ids[grouped])
+    keys = pair_keys(left, right)
+    entries = (x, y, ids)
     cache = state.decode_cache
     with trace_span("engine.group_eval") as group_span:
         table = cache.table(arena)
@@ -123,14 +134,16 @@ def depends_grouped(
                     slot = source.probe(keys[members])[0]
                     bits[members], n = _read(source, slot, *(column[members] for column in entries))
                     structural_n += n
+        # The two tallies split the *intermediate* pairs: index vs matrix.
+        matrix_n = int(keys.size) - boundary_n - structural_n
         if group_span is not None:
             group_span.attrs = {
                 "groups": int(np.unique(keys).size),
                 "structural_pairs": structural_n,
-                "matrix_pairs": int(keys.size) - structural_n,
+                "matrix_pairs": matrix_n,
             }
     answers[grouped] = bits
-    return answers.tolist(), structural_n, int(keys.size) - structural_n
+    return answers.tolist(), structural_n, matrix_n
 
 
 def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
@@ -158,6 +171,18 @@ def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
     return bits, int(np.count_nonzero(off <= VERDICT_FALSE))
 
 
+def _reference_matrix(path, state, path1: int, path2: int):
+    """One key through the reference decoder; ``path`` materialises a path id."""
+    cache, start = state.decode_cache, state.index.start_module
+    if path1 == ABSENT:
+        if path2 == ABSENT:
+            return state.lam_star_start()  # Case II
+        return _inputs_chain_over(path(path2), state, start.n_inputs, cache)  # Case III
+    if path2 == ABSENT:
+        return _outputs_chain_over(path(path1), state, start.n_outputs, cache)  # Case IV
+    return intermediate_matrix(path(path1), path(path2), state, cache)
+
+
 def _decide(store, classifier, state, keys: np.ndarray, trie) -> PairTable:
     """Decide ascending distinct ``keys``: classifier, kernel, reference decoder."""
     path1, path2 = pair_paths(keys)
@@ -173,24 +198,26 @@ def _decide(store, classifier, state, keys: np.ndarray, trie) -> PairTable:
     ports = bank.ports
     blocks = np.zeros((keys.size, ports * ports), dtype=bool)
     shapes = np.zeros((keys.size, 2), dtype=np.int32)
-    residue = np.nonzero(sentinels == 0)[0]
+    # Boundary keys (no classifier verdict: ABSENT is outside every index)
+    # are the reference decoder's, the rest of the residue the kernel's first.
+    reference = (path1 == ABSENT) | (path2 == ABSENT)
+    residue = np.nonzero((sentinels == 0) & ~reference)[0]
     if residue.size:
         with trace_span("engine.decode", keys=int(residue.size)) as span:
             outcome, blocks[residue], shapes[residue] = decide_many(
                 trie(), bank, state, path1[residue], path2[residue]
             )
             sentinels[residue[outcome == NO_MATRIX]] = NO_DEPENDENCY
-            declined = residue[outcome == REFERENCE]
-            path = store.table.path
-            for row in declined.tolist():
-                matrix = intermediate_matrix(
-                    path(int(path1[row])), path(int(path2[row])), state, state.decode_cache
-                )
-                if matrix is None:
-                    sentinels[row] = NO_DEPENDENCY
-                else:
-                    shapes[row] = matrix.shape
-                    blocks[row].reshape(ports, ports)[: matrix.rows, : matrix.cols] = matrix.data
+            reference[residue[outcome == REFERENCE]] = True
             if span is not None:
-                span.attrs = {"keys": int(residue.size), "fallback": int(declined.size)}
+                declined = int(np.count_nonzero(outcome == REFERENCE))
+                span.attrs = {"keys": int(residue.size), "fallback": declined}
+    path = store.table.path
+    for row in np.nonzero(reference)[0].tolist():
+        matrix = _reference_matrix(path, state, int(path1[row]), int(path2[row]))
+        if matrix is None:
+            sentinels[row] = NO_DEPENDENCY
+        else:
+            shapes[row] = matrix.shape
+            blocks[row].reshape(ports, ports)[: matrix.rows, : matrix.cols] = matrix.data
     return PairTable.build(ports, keys, blocks, shapes[:, 0], shapes[:, 1], sentinels)

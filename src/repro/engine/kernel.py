@@ -94,11 +94,12 @@ class MatrixBank:
         self.cycle_base = np.cumsum(self.cycle_len) - self.cycle_len
         flat = np.asarray([key for cycle in self.cycles for key in cycle], dtype=np.int64)
         self.cycle_k, self.cycle_pos = flat[:, 0], flat[:, 1]
+        self._cycle_nbytes = self.cycle_len.nbytes + self.cycle_base.nbytes + flat.nbytes
         self._lock = threading.Lock()
         self._codes: dict[int, int] = {}
         #: ``(family, s, t) -> [steps, code]``: how far the running product got.
         self._chains: dict[tuple[int, int, int], list[int]] = {}
-        #: Chain products held; they count against the view's entry budget.
+        #: Chain products held.
         self.chain_codes = 0
         self.matrices = np.zeros((64, ports, ports), dtype=np.float32)
         self.matrices[_IDENTITY] = np.eye(ports, dtype=np.float32)
@@ -109,6 +110,11 @@ class MatrixBank:
     def __len__(self) -> int:
         """Matrices held (the identity included)."""
         return self._size
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the stack and its shapes as allocated, and the cycle columns."""
+        return self.matrices.nbytes + self.shapes.nbytes + self._cycle_nbytes
 
     def cycle_slot(self, s, rotation):
         """Flat index of cycle ``s``'s edge at the (cyclic, 1-based) ``rotation``."""
@@ -151,13 +157,17 @@ class MatrixBank:
         cycle = self.cycles[s]
         tip = self._chains.setdefault((family, s, t), [0, _IDENTITY])
         while tip[0] < count and tip[1] != _UNDEFINED:
-            # Chain products count against the view's entry budget like the
-            # chain memo they stand in for: recursion depths come from the
-            # queried labels, which an adversarial stream can make unbounded.
-            if not state.decode_cache.has_room(len(state.static.chains) + self.chain_codes):
-                return _UNDEFINED  # not recorded: asked again once there is room
             k, position = cycle[(t + tip[0] - 1) % len(cycle)]
             edge = self._code(_bank_key(family - _CHAIN, k, position, 0), state)
+            # Chain products count against the state budget like the chain
+            # memo they stand in for: recursion depths come from the queried
+            # labels, which an adversarial stream can make unbounded.  One
+            # that would double the stack must fit the doubling; the others
+            # wait until the budget has room for a matrix at all.
+            full = self._size == len(self.matrices)
+            cost = self.matrices.nbytes + self.shapes.nbytes if full else self.matrices[0].nbytes
+            if edge != _UNDEFINED and not state.decode_cache.has_room(cost):
+                return _UNDEFINED  # not recorded: asked again once there is room
             tip[0] += 1
             if edge == _UNDEFINED:
                 tip[1] = _UNDEFINED  # the view drops this cycle edge: no longer chain is defined

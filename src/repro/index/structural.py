@@ -438,6 +438,11 @@ class ChainClassifier:
         self.in_fold = array("q", index.prefix_fold(row_lanes[0]).tobytes())
         self.out_fold = array("q", index.prefix_fold(row_lanes[1]).tobytes())
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the two folds (the index and the class memos are shared)."""
+        return (len(self.in_fold) + len(self.out_fold)) * self.in_fold.itemsize
+
     def _word_lanes(self, word: int) -> list[int]:
         """The ``[Inputs, Outputs]`` lane increments of one production edge word."""
         k, i = (word >> 1) & _FIELD_MASK, word >> (_FIELD_BITS + 1)

@@ -13,9 +13,12 @@ path into the default under concurrency with a micro-batching scheduler:
   that resolves to one bool array;
 * requests land in one bounded queue whose depth, bounds and counters are
   all denominated in *queries* (a frame of ``n`` pairs weighs ``n``); a
-  worker takes the first request, **lingers** up to ``max_linger_us`` for
-  concurrently-arriving requests to pile on (capped at ``max_batch``
-  queries; a frame is never split across steps), then groups the step per
+  worker takes the first request and, while everything queued is a
+  singleton, **lingers** up to ``max_linger_us`` for concurrently-arriving
+  requests to pile on (capped at ``max_batch`` queries).  A frame never
+  lingers — the timer turns concurrent singletons into a batch, and a frame
+  already is one — and one arriving mid-linger ends it; a frame is never
+  split across steps.  The worker then groups the step per
   ``(kind, run, view, variant)``, concatenates each group's id arrays and
   answers it with a single vectorised ``depends_batch`` /
   ``is_visible_batch`` call, handing every member its slice;
@@ -77,7 +80,8 @@ class BatchPolicy:
     whole, so a single frame larger than ``max_batch`` is a step of its own;
     ``max_linger_us`` is how long (microseconds) a worker holds the *first*
     request of a batch waiting for company — the latency price of
-    coalescing, paid only when the queue is shallower than ``max_batch``;
+    coalescing, paid only while everything queued is a singleton (a frame
+    never lingers) and the queue is shallower than ``max_batch``;
     ``max_queue`` bounds the request queue (submitters block once it is full
     — backpressure, not unbounded memory).
     """
@@ -285,7 +289,8 @@ class ProvenanceServer:
             "serve_submitted_total", "requests accepted into the scheduler queue"
         )
         self._answered_c = m.counter(
-            "serve_answered_total", "requests whose future was resolved"
+            "serve_answered_total",
+            "requests taken into a scheduling step (counted before their futures resolve)",
         )
         self._batches_c = m.counter("serve_batches_total", "scheduling steps taken")
         self._engine_calls_c = m.counter(
@@ -806,18 +811,14 @@ class ProvenanceServer:
                     self._cond.wait()
                 if not self._queue:
                     return None  # stopping, and the queue is drained
-                if (
-                    policy.max_linger_us > 0
-                    and self._queued < policy.max_batch
-                    and not self._stopping
-                ):
+                if policy.max_linger_us > 0 and self._lingering():
                     # Hold the first request briefly: under concurrency the
                     # linger converts a stream of singletons into one batch.
                     # The deadline runs on the injected clock (like the probe
                     # backoff), so tests drive linger with a fake clock; only
                     # the condition waits themselves are OS-timed.
                     deadline = self._clock() + policy.max_linger_us / 1e6
-                    while self._queued < policy.max_batch and not self._stopping:
+                    while self._lingering():
                         remaining = deadline - self._clock()
                         if remaining <= 0:
                             break
@@ -825,6 +826,19 @@ class ProvenanceServer:
                 if not self._queue:
                     continue  # another worker took everything while we lingered
                 return self._pop_step()[0]
+
+    def _lingering(self) -> bool:
+        """Whether the head of the queue should wait for company (``_cond`` held).
+
+        Only while everything queued is a singleton (a frame already *is* a
+        batch: holding it buys nothing and costs it the timer), the step is
+        not full and the server is not stopping.
+        """
+        return (
+            self._queued == len(self._queue)
+            and self._queued < self._policy.max_batch
+            and not self._stopping
+        )
 
     def _process(self, batch: "list[_Request]") -> None:
         queries = sum(request.n for request in batch)
@@ -857,9 +871,18 @@ class ProvenanceServer:
                         "coalesced_traces": list(coalesced_ids),
                     },
                 )
+        # The step is counted before any of its futures resolves (and every
+        # engine call as it returns, in ``_evaluate``): a client that holds
+        # its answer finds it in the counters, with or without a linger
+        # between two steps to hide the gap.
+        self._batches_c.inc()
+        self._answered_c.inc(queries)
+        sizes = [sum(member.n for member in members) for members in groups.values()]
+        coalesced = sum(size for size in sizes if size > 1)
+        if coalesced:
+            self._coalesced_c.inc(coalesced)
+        self._largest_batch_g.set_max(queries)
         served_runs: dict[str, int] = {}
-        engine_calls = 0
-        coalesced = 0
         for key, members in groups.items():
             # Engine/store spans of this group nest under the first traced
             # member's scheduler span; the other coalesced traces still
@@ -870,27 +893,17 @@ class ProvenanceServer:
                 group_ctx.trace if group_ctx is not None else None,
                 getattr(group_span, "span_id", None),
             ):
-                calls, served = self._serve_group(key, members)
-            engine_calls += calls
+                served = self._serve_group(key, members)
             if served:
                 served_runs[key[1]] = served_runs.get(key[1], 0) + served
-            group_queries = sum(member.n for member in members)
-            if group_queries > 1:
-                coalesced += group_queries
         for span in sched_spans.values():
             if span is not None:
                 span.finish()
-        self._batches_c.inc()
-        self._engine_calls_c.inc(engine_calls)
-        self._answered_c.inc(queries)
-        if coalesced:
-            self._coalesced_c.inc(coalesced)
-        self._largest_batch_g.set_max(queries)
         for run, count in served_runs.items():
             self._note_served(run, count)
 
-    def _serve_group(self, key: tuple, members: "list[_Request]") -> "tuple[int, int]":
-        """Answer one same-key group; returns ``(engine calls, queries served)``.
+    def _serve_group(self, key: tuple, members: "list[_Request]") -> int:
+        """Answer one same-key group; returns the queries served.
 
         The group is one coalesced engine call.  If that call raises and the
         group has company, every member is re-evaluated alone, so one
@@ -899,11 +912,11 @@ class ProvenanceServer:
         """
         try:
             self._evaluate(key, members)
-            return 1, sum(member.n for member in members)
+            return sum(member.n for member in members)
         except Exception as exc:
             if len(members) == 1:
                 _safe_set_exception(members[0].future, exc)
-                return 1, 0
+                return 0
         served = 0
         for member in members:
             try:
@@ -911,7 +924,7 @@ class ProvenanceServer:
                 served += member.n
             except Exception as exc:
                 _safe_set_exception(member.future, exc)
-        return 1 + len(members), served
+        return served
 
     def _evaluate(self, key: tuple, members: "list[_Request]") -> None:
         """One engine call over ``members``' ids; each future gets its slice."""
@@ -931,7 +944,10 @@ class ProvenanceServer:
             ids = np.concatenate(parts)
         engine = self._engine
         call = engine.depends_batch if key[0] == _DEPENDS else engine.is_visible_batch
-        answers = call(ids, first.view, run=key[1], variant=first.variant)
+        try:
+            answers = call(ids, first.view, run=key[1], variant=first.variant)
+        finally:
+            self._engine_calls_c.inc()
         offset = 0
         if frames:
             bits = np.asarray(answers, dtype=bool)

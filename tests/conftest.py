@@ -112,3 +112,65 @@ def count_constructions(monkeypatch):
         return built
 
     return count
+
+
+@pytest.fixture(scope="session")
+def decoded_state_bytes():
+    """``walk(engine) -> (per_run, static)``: the array bytes of an engine's decoded state.
+
+    An independent walk over the arrays actually reachable from
+    ``engine.decoded_states()`` and ``engine._statics`` — what the engine's
+    running sums (``EngineStats.views.bytes``, the
+    ``engine_decoded_state_bytes`` gauge) claim to equal at all times.
+    """
+
+    def matrices(memo) -> int:
+        return sum(matrix.data.nbytes for matrix in memo.values())
+
+    def walk(engine) -> tuple[int, int]:
+        per_run = 0
+        for state in engine.decoded_states().values():
+            per_run += sum(flags.nbytes for flags in state.visibility_flags.values())
+            for classifier in state.structural.values():
+                per_run += sum(len(fold) * fold.itemsize for fold in (classifier.in_fold, classifier.out_fold))
+            cache = getattr(state, "decode_cache", None)  # matrix-free states have none
+            for table in cache.pair_tables.values() if cache is not None else ():
+                columns = (table.keys, table.off, table.rows, table.cols, table.hits, table.order, table.pool)
+                per_run += sum(column.nbytes for column in columns)
+        static = 0
+        for part in engine._statics.values():
+            bank = part.bank
+            arrays = (bank.matrices, bank.shapes, bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos)
+            static += sum(array.nbytes for array in arrays)
+            static += matrices(part.chains) + matrices(part.inputs_segments) + matrices(part.outputs_segments)
+            static += sum(matrices(table) for triple in part.productions.values() for table in triple)
+        return per_run, static
+
+    return walk
+
+
+@pytest.fixture(scope="session")
+def state_budget_for():
+    """``budget_for(scheme, derivation, frames, resident)``: a measured state budget.
+
+    A dry run under the default budget answers ``frames`` (``(pairs, view)``
+    each) over ``derivation`` as the default live run; the budget returned
+    has room for the static parts of every view asked and for the
+    ``resident`` largest per-run states — hence for any ``resident`` of them.
+    ``resident=0.5`` leaves half of the smallest state's bytes.
+    """
+    from repro.engine import DEFAULT_RUN, QueryEngine
+
+    def budget_for(scheme, derivation, frames, resident):
+        engine = QueryEngine(scheme)
+        engine.add_run(DEFAULT_RUN, derivation)
+        for pairs, view in frames:
+            engine.depends_batch(pairs, view)
+        per_run = sorted(state.nbytes for state in engine.decoded_states().values())
+        assert per_run[0] > 0
+        static = engine.stats.views.bytes - sum(per_run)
+        if resident < 1:
+            return static + int(per_run[0] * resident)
+        return static + sum(per_run[-resident:])
+
+    return budget_for

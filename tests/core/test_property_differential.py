@@ -132,7 +132,7 @@ def test_engine_batch_matches_single_pair_predicate(seed, data):
     """
     derivation = _random_complete_derivation(SPEC, seed)
     labeler = SCHEME.label_run(derivation)
-    engine = QueryEngine(SCHEME, cache_size=4)
+    engine = QueryEngine(SCHEME)
     engine.add_run("run", derivation)
     view = data.draw(st.sampled_from(VIEWS))
     variant = data.draw(st.sampled_from(list(FVLVariant)))
@@ -161,7 +161,7 @@ def test_engine_batch_matches_drl_on_coarse_views(seed, n_expand, data):
     derivation = random_run(SYN_SPEC, target_items=120, seed=seed)
     view = random_view(SYN_SPEC, n_expand, seed=seed, mode="black")
     variant = data.draw(st.sampled_from(list(FVLVariant)))
-    engine = QueryEngine(SYN_SCHEME, cache_size=4)
+    engine = QueryEngine(SYN_SCHEME)
     engine.add_run("run", derivation)
     drl_labeler = SYN_DRL.label_run(derivation, view)
     visible = sorted(ViewProjection(derivation.run, view).visible_items)

@@ -14,8 +14,8 @@ paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
     live, sealed, mapped, multi-segment and sparse stores; with and without
     the structural index;
 (2) a warm batch executes no per-key Python;
-(3) ``decode_cache_entries`` bounds the pair tables and the bank's chain
-    products together, across LRU rebuilds;
+(3) the state budget bounds the pair tables and the bank's chain products
+    together, in bytes, across LRU rebuilds;
 (4) a ``parent`` column that breaks the id order ends in a typed error;
 (5) racing first queries on one unseen view over two arenas agree;
 (6) entry reads are bounds-checked.
@@ -282,8 +282,19 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     view = random_view(spec, 6, seed=8, mode="grey", name="warm")
     visible = sorted(ViewProjection(derivation.run, view).visible_items)
     rng = random.Random(1)
+    # Every boundary case rides along: initial inputs have no producer path,
+    # final outputs no consumer path (decoder Cases I-IV).
+    row = labeler.store.row
+    initial = [uid for uid in visible if row(uid)[0] < 0]
+    final = [uid for uid in visible if row(uid)[2] < 0]
+    assert initial and final
+    ends = initial + final
     pairs = np.asarray(
-        [(rng.choice(visible), rng.choice(visible)) for _ in range(600)], dtype=np.int64
+        [(rng.choice(visible), rng.choice(visible)) for _ in range(600)]
+        + [(rng.choice(ends), rng.choice(visible)) for _ in range(60)]
+        + [(rng.choice(visible), rng.choice(ends)) for _ in range(60)]
+        + [(a, b) for a in initial[:4] for b in final[:4]],
+        dtype=np.int64,
     )
     run_file = tmp_path / "warm.fvl"
     checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
@@ -298,12 +309,18 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
         cold.matrix_pairs - before.matrix_pairs,
     )
     assert min(deltas) > 0  # both kinds of row are in play
+    store = engine.mapped_store().store
+    labels = [(labeler.label(d1), labeler.label(d2)) for d1, d2 in pairs.tolist()]
+    assert first == [scheme.depends(a, b, scheme.label_view(view)) for a, b in labels]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-key Python on a warm batch")
+        raise AssertionError("per-key or per-pair Python on a warm batch")
 
     monkeypatch.setattr(ChainClassifier, "classify", forbidden)
     monkeypatch.setattr(decoder, "_intermediate_matrix", forbidden)
+    monkeypatch.setattr(decoder, "_chain_over", forbidden)
+    monkeypatch.setattr(DecodedViewState, "depends", forbidden)
+    monkeypatch.setattr(type(store), "label", forbidden)
     assert engine.depends_batch(pairs, view) == first
     assert engine.depends_batch(pairs.tolist(), view) == first
     warm = engine.stats
@@ -312,7 +329,6 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
         warm.matrix_pairs - cold.matrix_pairs,
     ) == (2 * deltas[0], 2 * deltas[1])
     # Hit or miss, the two counters add up to the interior pairs asked.
-    store = engine.mapped_store().store
     interior = sum(
         1 for d1, d2 in pairs.tolist() if min(store.row(d1) + store.row(d2)) >= 0
     )
@@ -320,33 +336,84 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     engine.detach(DEFAULT_RUN)
 
 
-# -- (3) the entry budget -----------------------------------------------------------------
+# -- (3) the byte budget ------------------------------------------------------------------
 
 
-def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds():
+def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, decoded_state_bytes):
     spec = build_running_example()
     scheme = FVLScheme(spec)
     derivation = random_run(spec, 600, seed=2)  # one recursion chain > 20 deep
     labeler = scheme.label_run(derivation)
+    run_file = tmp_path / "budget.fvl"
+    checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
     views = [default_view(spec), random_view(spec, 3, seed=1, mode="grey", name="other")]
-    engine = QueryEngine(scheme, cache_size=1, decode_cache_entries=4)
-    engine.add_run(DEFAULT_RUN, derivation)
+    rounds = []
     rng = random.Random(0)
-    for _ in range(4):
-        for view in views:
-            uids = sorted(ViewProjection(derivation.run, view).visible_items)
-            pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(150)]
-            fresh = scheme.label_view(view)
-            expected = [
-                scheme.depends(labeler.label(d1), labeler.label(d2), fresh) for d1, d2 in pairs
-            ]
+    for index in range(8):
+        view = views[index % 2]
+        uids = sorted(ViewProjection(derivation.run, view).visible_items)
+        pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(150)]
+        fresh = scheme.label_view(view)
+        expected = [
+            scheme.depends(labeler.label(d1), labeler.label(d2), fresh) for d1, d2 in pairs
+        ]
+        rounds.append((view, pairs, expected, ("live", "disk")[index // 2 % 2]))
+
+    def engine_with(**budget):
+        engine = QueryEngine(scheme, **budget)
+        engine.add_run("live", derivation)
+        engine.attach(run_file, "disk")
+        return engine
+
+    # The dry runs: what two freshly labelled views weigh before any batch, and
+    # what the rounds want to keep when everything fits.
+    roomy = engine_with()
+    for view in views:
+        roomy.decoded_state(view)
+    labelled = roomy.stats.views.bytes
+    for view, pairs, expected, run in rounds:
+        assert roomy.depends_batch(pairs, view, run=run) == expected
+    wanted = {name: state for (name, _), state in roomy.decoded_states().items()}
+    per_run = min(state.nbytes for state in wanted.values())
+    static = roomy.stats.views.bytes - sum(state.nbytes for state in wanted.values())
+    wanted_chains = sum(state.static.bank.chain_codes for state in wanted.values())
+    wanted_rows = {
+        name: sum(len(state.decode_cache.table(arena)) for arena in (0, 1))
+        for name, state in wanted.items()
+    }
+    assert wanted_chains > 40 and all(state.structural for state in wanted.values())
+    roomy.detach("disk")
+
+    # A twentieth of the smaller per-run state — a few rows, never a classifier
+    # fold — on top of (a) every static byte wanted, (b) the static parts as
+    # they start out, with no room to double a bank for chain products.
+    for budget in (static + per_run // 20, labelled + per_run // 20):
+        engine = engine_with(state_budget_bytes=budget)
+        for view, pairs, expected, run in rounds:
+            held = engine.decoded_states().get((view.name, "default"))
+            before = held.nbytes if held is not None else 0
             # A saturated budget only stops storing; answers stay correct.
-            assert engine.depends_batch(pairs, view) == expected
-            state = engine.decoded_state(view)
-            assert len(state.decode_cache) <= 4
-            assert sum(len(state.decode_cache.table(arena)) for arena in (0, 1)) <= 4
-            assert len(state.static.chains) + state.static.bank.chain_codes <= 4
-    assert engine.stats.views.evictions >= 7 and engine.stats.labels_built == 2
+            assert engine.depends_batch(pairs, view, run=run) == expected
+            stats = engine.stats.views
+            now = decoded_state_bytes(engine)
+            assert sum(now) == stats.bytes and stats.max_bytes == budget
+            # Over budget only by what the grammar bounds, never by what a query grows.
+            assert stats.bytes <= max(budget, now[1] + before)
+            state = engine.decoded_states()[(view.name, "default")]  # not evicted by its own growth
+            tables = [state.decode_cache.table(arena) for arena in (0, 1)]
+            assert state.decode_cache.nbytes == sum(table.nbytes for table in tables) == state.nbytes
+            assert sum(len(table) for table in tables) < wanted_rows[view.name]
+            assert not state.structural
+        chains = sum(part.bank.chain_codes for part in engine._statics.values())
+        if budget >= static:
+            # (a) the static parts fit whole, so the budget itself held and rows got the rest.
+            assert engine.stats.views.bytes <= budget and chains == wanted_chains
+            assert any(len(state.decode_cache.table(arena)) for arena in (0, 1))
+        else:
+            # (b) chain products stopped where the bytes ran out.
+            assert 0 < chains < wanted_chains
+        assert engine.stats.views.evictions >= 7 and engine.stats.labels_built == 2
+        engine.detach("disk")
 
 
 # -- (4) hostile columns ------------------------------------------------------------------

@@ -56,7 +56,7 @@ def derivation():
 
 @pytest.fixture()
 def engine(derivation):
-    engine = QueryEngine(SCHEME, cache_size=4)
+    engine = QueryEngine(SCHEME)
     engine.add_run(DEFAULT_RUN, derivation)
     return engine
 
@@ -120,41 +120,53 @@ def test_cache_hit_miss_accounting(engine, derivation):
     stats = engine.stats.views
     assert (stats.hits, stats.misses) == (1, 2)
     assert 0 < stats.hit_rate < 1
-    assert stats.size == 2
+    assert len(engine.decoded_states()) == 2 and 0 < stats.bytes < stats.max_bytes
 
 
-def test_lru_eviction(derivation):
-    engine = QueryEngine(SCHEME, cache_size=1)
-    engine.add_run(DEFAULT_RUN, derivation)
+def test_lru_eviction(derivation, state_budget_for):
     view_a, view_b = VIEWS[0], VIEWS[1]
     pairs_a = _visible_pairs(derivation, view_a)
     pairs_b = _visible_pairs(derivation, view_b)
+    # Room for either view's decoded state, not for both.
+    budget = state_budget_for(SCHEME, derivation, [(pairs_a, view_a), (pairs_b, view_b)], 1)
+    engine = QueryEngine(SCHEME, state_budget_bytes=budget)
+    engine.add_run(DEFAULT_RUN, derivation)
     engine.depends_batch(pairs_a, view_a)
     engine.depends_batch(pairs_b, view_b)  # evicts view_a's state
     stats = engine.stats.views
-    assert stats.evictions == 1 and stats.size == 1
+    assert stats.evictions == 1 and list(engine.decoded_states()) == [(view_b.name, "default")]
+    assert stats.bytes <= stats.max_bytes == budget
     engine.depends_batch(pairs_a, view_a)  # rebuilt: a second miss, not a hit
     stats = engine.stats.views
     assert (stats.hits, stats.misses, stats.evictions) == (0, 3, 2)
 
 
-def test_cache_size_must_be_positive():
+def test_state_budget_must_be_positive():
     with pytest.raises(ValueError):
-        QueryEngine(SCHEME, cache_size=0)
+        QueryEngine(SCHEME, state_budget_bytes=0)
 
 
-def test_decode_cache_entries_are_bounded(derivation):
-    bounded = QueryEngine(SCHEME, cache_size=4, decode_cache_entries=4)
-    bounded.add_run(DEFAULT_RUN, derivation)
+def test_a_state_over_budget_stores_what_fits(derivation, state_budget_for):
     view = VIEWS[1]
     pairs = _visible_pairs(derivation, view, n=80)
-    labeler = bounded.run_labeler()
+    roomy = QueryEngine(SCHEME)
+    labeler = roomy.add_run(DEFAULT_RUN, derivation)
     expected = _expected(derivation, labeler, pairs, view)
-    assert bounded.depends_batch(pairs, view) == expected
-    state = bounded._decoded_state(view, None)
-    assert len(state.decode_cache) <= 4
-    # A saturated cache only stops storing; answers stay correct.
-    assert bounded.depends_batch(pairs, view) == expected
+    assert roomy.depends_batch(pairs, view) == expected
+    wanted = roomy.decoded_state(view).nbytes
+    # Room for half of what the one view wants to keep.
+    budget = state_budget_for(SCHEME, derivation, [(pairs, view)], 0.5)
+    bounded = QueryEngine(SCHEME, state_budget_bytes=budget)
+    bounded.add_run(DEFAULT_RUN, derivation)
+    for _ in range(3):
+        # A saturated budget only stops storing; answers stay correct.
+        assert bounded.depends_batch(pairs, view) == expected
+        stats = bounded.stats.views
+        assert stats.bytes <= stats.max_bytes == budget
+        # The state took what fitted and is not evicted by its own growth.
+        (state,) = bounded.decoded_states().values()
+        assert 0 < state.nbytes <= wanted // 2
+    assert stats.evictions == 0 and (stats.hits, stats.misses) == (2, 1)
 
 
 # -- multi-run sharding ---------------------------------------------------------------
@@ -193,15 +205,16 @@ def test_run_ids_and_duplicate_run_rejected(engine, derivation):
 # -- concurrent access ------------------------------------------------------------------
 
 
-def test_concurrent_batches_agree_with_serial(derivation):
-    # A small cache forces eviction churn while 8 threads hammer 3 views.
-    engine = QueryEngine(SCHEME, cache_size=2)
-    engine.add_run(DEFAULT_RUN, derivation)
-    labeler = engine.run_labeler()
+def test_concurrent_batches_agree_with_serial(derivation, state_budget_for):
+    # A budget with room for two forces eviction churn while 8 threads hammer 3 views.
+    labeler = SCHEME.label_run(derivation)
     workload = []
     for index, view in enumerate(VIEWS):
         pairs = _visible_pairs(derivation, view, n=30, seed=index)
         workload.append((view, pairs, _expected(derivation, labeler, pairs, view)))
+    budget = state_budget_for(SCHEME, derivation, [(pairs, view) for view, pairs, _ in workload], 2)
+    engine = QueryEngine(SCHEME, state_budget_bytes=budget)
+    engine.add_run(DEFAULT_RUN, derivation)
 
     def worker(thread_id: int):
         view, pairs, expected = workload[thread_id % len(workload)]

@@ -228,15 +228,22 @@ def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_
     run_file = tmp_path / "hits.fvl"
     writer.checkpoint(run_file)
 
-    engine = QueryEngine(running_scheme, decode_cache_entries=24)
+    # A budget measured, not guessed: every static byte the batch wants, and
+    # a third of what its rows (and nothing else per-run) weigh.
+    wanted = writer.decoded_state(view).decode_cache.nbytes
+    static = writer.stats.views.bytes - writer.decoded_state(view).nbytes
+    engine = QueryEngine(running_scheme, state_budget_bytes=static + wanted // 3)
     engine.attach(run_file)
     arena = engine.shard_arena()
     for _ in range(3):
         assert engine.depends_batch(pairs, view) == expected
-    cache = engine.decoded_state(view).decode_cache
+    state = engine.decoded_state(view)  # over budget on its own, and still resident
+    cache = state.decode_cache
     table = cache.table(arena)
-    assert 0 < len(table) <= 24 and len(cache) <= 24  # the budget held ...
-    assert asked > len(table)  # ... so some keys were decided per batch and never stored ...
+    stats = engine.stats.views
+    assert stats.bytes <= stats.max_bytes and stats.evictions == 0  # the budget held ...
+    assert 0 < table.nbytes == cache.nbytes == state.nbytes <= wanted // 3
+    assert asked > len(table) > 0  # ... so some keys were decided per batch and never stored ...
     assert table.hits.shape == table.keys.shape  # ... and only stored rows have a counter,
     assert int(table.hits.min()) >= 3  # which counted each of the three passes.
     assert 0 < sum(hits for _, _, _, hits in cache.rows(arena)) <= int(table.hits.sum())

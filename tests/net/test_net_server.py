@@ -380,3 +380,72 @@ def test_client_requires_exactly_one_target(tmp_path):
 def test_net_server_requires_a_listener(scheme):
     with pytest.raises(ValueError, match="bind"):
         ProvenanceNetServer(ProvenanceServer(QueryEngine(scheme)))
+
+
+# -- more decoded view state than the byte budget holds, through the socket ------
+
+
+def test_nine_views_under_a_budget_for_two_answer_like_the_oracle(scheme, spec, tmp_path):
+    """Every bit through scheduler and socket equals the label-free oracle,
+    whether the view's per-run state is resident or was evicted and rebuilt."""
+    import random
+
+    from repro.analysis import RunReachabilityOracle
+
+    derivation = random_run(spec, 250, seed=41)
+    rng = random.Random(9)
+    frames = []
+    for index in range(9):
+        view = random_view(
+            spec, 2 + index % 5, seed=500 + index, mode=("grey", "black")[index % 2], name=f"wire-{index}"
+        )
+        oracle = RunReachabilityOracle(derivation.run, view, spec)
+        visible = sorted(oracle.projection.visible_items)
+        sources = rng.sample(visible, min(8, len(visible)))  # one graph search per source
+        pairs = [(rng.choice(sources), rng.choice(visible)) for _ in range(256)]
+        uids = rng.sample(sorted(derivation.run.data_items), 64)
+        frames.append(
+            (
+                view,
+                pairs,
+                [oracle.depends(d1, d2) for d1, d2 in pairs],
+                uids,
+                [oracle.is_visible(uid) for uid in uids],
+            )
+        )
+    writer = QueryEngine(scheme)
+    writer.add_run(DEFAULT_RUN, derivation)
+    run_file = tmp_path / "nine.fvl"
+    writer.checkpoint(run_file)
+
+    # The dry run the budget comes from: all nine resident.
+    roomy = QueryEngine(scheme)
+    roomy.attach(run_file)
+    for view, pairs, _, uids, _ in frames:
+        roomy.depends_batch(pairs, view)
+        roomy.is_visible_batch(uids, view)
+    per_run = sorted(state.nbytes for state in roomy.decoded_states().values())
+    assert roomy.stats.views.evictions == 0 and len(per_run) == 9 and per_run[0] > 0
+    budget = roomy.stats.views.bytes - sum(per_run) + sum(per_run[-2:])
+    roomy.detach(DEFAULT_RUN)
+
+    engine = QueryEngine(scheme, state_budget_bytes=budget)
+    server = ProvenanceServer(engine, workers=2)
+    server.attach(run_file)
+    sock_path = tmp_path / "nine.sock"
+    with server, ProvenanceNetServer(server, unix_path=sock_path):
+        with ProvenanceClient(unix_path=sock_path) as client:
+            for view, *_ in frames:
+                engine.add_view(view)
+            for _ in range(3):
+                for view, pairs, depends, uids, visible in frames:
+                    assert client.depends_batch(pairs, view.name) == depends
+                    assert client.is_visible_batch(uids, view.name) == visible
+                    stats = engine.stats.views
+                    assert stats.bytes <= stats.max_bytes == budget
+    stats = engine.stats
+    # Nine views through room for fewer: every cycle finds every view evicted.
+    assert stats.views.misses >= 3 * 9 and stats.views.evictions >= 3 * 9 - 9
+    assert stats.views.evictions == stats.views.misses - len(engine.decoded_states())
+    assert stats.labels_built == 9
+    engine.detach(DEFAULT_RUN)

@@ -274,6 +274,70 @@ def test_wall_clock_linger_still_collects_promptly(served):
         assert server.submit(*pairs[0], view).result(timeout=5) == expected[0]
 
 
+# -- a frame never lingers --------------------------------------------------------
+
+
+class _HandClock:
+    """A clock that stands still until the test moves it."""
+
+    now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+@pytest.fixture()
+def frozen(served):
+    """The served stack under a 10 s linger on a clock that does not move.
+
+    Whatever lingers here lingers until the test moves the clock (or the
+    5 s ``result`` timeout fails it).
+    """
+    server, view, _, pairs, expected, _ = served
+    clock = _HandClock()
+    patient = ProvenanceServer(
+        server.engine,
+        policy=BatchPolicy(max_batch=1024, max_linger_us=10_000_000),
+        clock=clock,
+    )
+    return patient, clock, view, pairs, expected
+
+
+def test_a_frame_does_not_wait_out_the_linger(frozen):
+    """The linger turns concurrent singletons into a batch; a frame already is one."""
+    server, _, view, pairs, expected = frozen
+    with server:
+        frame = server.submit_batch("depends", pairs[:256], view)
+        assert frame.result(timeout=5).tolist() == expected[:256]
+    assert server.stats.engine_calls == 1
+
+
+def test_a_frame_arriving_behind_a_lingering_singleton_ends_the_linger(frozen):
+    server, _, view, pairs, expected = frozen
+    with server:
+        single = server.submit(*pairs[0], view)
+        time.sleep(0.1)  # the worker holds it, waiting for company
+        assert not single.done() and server.pending == 1
+        frame = server.submit_batch("depends", pairs[1:257], view)
+        assert frame.result(timeout=5).tolist() == expected[1:257]
+        assert single.result(timeout=5) == expected[0]
+    # Same key, one step: the singleton rode along in the frame's engine call.
+    stats = server.stats
+    assert (stats.engine_calls, stats.batches, stats.coalesced) == (1, 1, 257)
+
+
+def test_two_singletons_still_linger_and_coalesce(frozen):
+    server, clock, view, pairs, expected = frozen
+    with server:
+        futures = [server.submit(*pair, view) for pair in pairs[:2]]
+        time.sleep(0.1)
+        assert not any(future.done() for future in futures)  # held for company
+        clock.now = 11.0  # past the linger deadline; the next wake-up sees it
+        assert [future.result(timeout=5) for future in futures] == expected[:2]
+    stats = server.stats
+    assert (stats.engine_calls, stats.batches, stats.coalesced) == (1, 1, 2)
+
+
 # -- synchronized error surfaces -----------------------------------------------
 
 
