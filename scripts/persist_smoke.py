@@ -1,6 +1,6 @@
 """Persistence + run-lifecycle round-trip smoke check (CI bench-smoke job).
 
-Three end-to-end contracts are asserted on a BioAID-like run:
+Two end-to-end contracts are asserted on a BioAID-like run:
 
 1. **Persistence** (`repro.store.checkpoint` / `repro.store.mapped`): checkpoint (full, then an
    incremental delta of a continued derivation), attach the file as a
@@ -12,12 +12,6 @@ Three end-to-end contracts are asserted on a BioAID-like run:
    `compact()` the multi-segment file into one extent per column, hot-reopen
    a live attached reader onto the merged generation, and require
    `depends_batch` / `is_visible` answers bit-identical before and after.
-3. **Structural index** (`repro.index` + the persisted `node.pre` /
-   `node.post` / `node.level` columns): a checkpointed file carries interval
-   columns that match an in-memory recompute; a *second process* attaches
-   the file and requires interval-path answers bit-identical to matrix
-   decode; a pre-index file (written with `structural_index=False`) attaches
-   fine, and one `compact()` upgrades it in place to carry the index.
 
 Run with:  PYTHONPATH=src python scripts/persist_smoke.py
 """
@@ -26,19 +20,15 @@ from __future__ import annotations
 
 import glob
 import os
-import subprocess
 import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import numpy as np  # noqa: E402
-
 from repro.bench import sample_query_pairs  # noqa: E402
 from repro.core import FVLScheme, FVLVariant  # noqa: E402
 from repro.core.run_labeler import RunLabeler  # noqa: E402
 from repro.engine import DEFAULT_RUN, QueryEngine  # noqa: E402
-from repro.index import compute_tree_intervals  # noqa: E402
 from repro.model.projection import ViewProjection  # noqa: E402
 from repro.service import CheckpointPolicy, RunLifecycleManager  # noqa: E402
 from repro.store import MappedRunStore, checkpoint_run, compact, run_file_info  # noqa: E402
@@ -136,103 +126,6 @@ def check_lifecycle(scheme, derivation, view, pairs, expected) -> int:
     return 0
 
 
-def _assert_index_matches_recompute(run_file) -> None:
-    """The persisted interval columns equal a fresh O(n) traversal's."""
-    with MappedRunStore(run_file) as mapped:
-        intervals = mapped.structural_index()
-        assert intervals is not None, "checkpointed file lacks the structural index"
-        parent = np.asarray(mapped.nodes.columns()["parent"], dtype=np.int64)
-        for name, got, want in zip(
-            ("node.pre", "node.post", "node.level"),
-            intervals,
-            compute_tree_intervals(parent),
-        ):
-            assert np.array_equal(np.asarray(got), want), f"{name} diverges from recompute"
-
-
-def check_structural_index(scheme, derivation, view, pairs, expected) -> int:
-    events = derivation.events
-    cut = int(len(events) * 0.9)
-    with tempfile.TemporaryDirectory(prefix="structural-smoke-") as tmp:
-        # -- indexed file: persisted intervals == recompute, and a second
-        # process attaches it and serves the interval path bit-identically.
-        run_file = os.path.join(tmp, "indexed.fvl")
-        labeler = RunLabeler(scheme.index)
-        for event in events:
-            labeler(event)
-        checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
-        _assert_index_matches_recompute(run_file)
-        child = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child-attach", run_file],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        if child.returncode != 0:
-            print("FAIL: second-process interval attach")
-            print(child.stdout)
-            print(child.stderr)
-            return 1
-        print(child.stdout.strip())
-
-        # -- pre-index file: two structural_index=False checkpoints make a
-        # two-segment file without interval columns; attach still serves it
-        # (the engine recomputes intervals from node.parent in memory), and
-        # one compact() upgrades the file to carry persisted columns.
-        old_file = os.path.join(tmp, "preindex.fvl")
-        old_labeler = RunLabeler(scheme.index)
-        for event in events[:cut]:
-            old_labeler(event)
-        checkpoint_run(old_file, old_labeler.store, old_labeler.tree.nodes, structural_index=False)
-        for event in events[cut:]:
-            old_labeler(event)
-        checkpoint_run(old_file, old_labeler.store, old_labeler.tree.nodes, structural_index=False)
-        with MappedRunStore(old_file) as mapped:
-            assert mapped.n_segments == 2, mapped.n_segments
-            assert mapped.structural_index() is None, "pre-index file already indexed?"
-        legacy = QueryEngine(scheme)
-        legacy.attach(old_file, DEFAULT_RUN)
-        if legacy.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) != expected:
-            print("FAIL: pre-index file diverges before upgrade")
-            return 1
-        result = compact(old_file)
-        assert result.compacted, result
-        _assert_index_matches_recompute(old_file)
-        upgraded = QueryEngine(scheme)
-        upgraded.attach(old_file, DEFAULT_RUN)
-        if upgraded.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) != expected:
-            print("FAIL: answers changed across the compaction upgrade")
-            return 1
-        assert upgraded.stats.structural_pairs > 0, "upgraded index never consulted"
-        print(
-            "structural-index smoke OK: persisted intervals match recompute, "
-            "second-process attach bit-identical "
-            f"({len(pairs)} queries), pre-index file upgraded by compaction "
-            f"(structural share after upgrade: {upgraded.stats.structural_pairs}"
-            f"/{upgraded.stats.structural_pairs + upgraded.stats.matrix_pairs} pairs)"
-        )
-    return 0
-
-
-def child_attach(run_file: str) -> int:
-    """Second-process leg: attach the indexed file and compare both paths."""
-    scheme, _, view, pairs = _setup()
-    interval = QueryEngine(scheme, use_structural_index=True)
-    interval.attach(run_file, DEFAULT_RUN)
-    via_index = interval.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
-    assert interval.stats.structural_pairs > 0, "interval path never fired"
-    matrix = QueryEngine(scheme, use_structural_index=False)
-    matrix.attach(run_file, DEFAULT_RUN)
-    if via_index != matrix.depends_batch(pairs, view, variant=FVLVariant.DEFAULT):
-        print("FAIL: interval answers diverge from matrix decode in child process")
-        return 1
-    print(
-        f"second-process attach OK: {len(pairs)} queries bit-identical, "
-        f"{interval.stats.structural_pairs} pairs answered structurally"
-    )
-    return 0
-
-
 def _setup():
     spec = build_bioaid_specification()
     scheme = FVLScheme(spec)
@@ -253,13 +146,8 @@ def main() -> int:
     status = check_persistence(scheme, derivation, view, pairs, expected)
     if status:
         return status
-    status = check_lifecycle(scheme, derivation, view, pairs, expected)
-    if status:
-        return status
-    return check_structural_index(scheme, derivation, view, pairs, expected)
+    return check_lifecycle(scheme, derivation, view, pairs, expected)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--child-attach":
-        raise SystemExit(child_attach(sys.argv[2]))
     raise SystemExit(main())

@@ -23,12 +23,6 @@ concurrent serving layer (``src/repro/serve``) on the BioAID-like workload:
   cache (``serve/matrix_cache.py``): the cache skips the cold decode of the
   hottest ``(path, path)`` pair matrices.
 
-* **cold first batch: interval vs matrix** — first-batch latency over a
-  freshly attached run of a deep *non-recursive* nested-chain workload,
-  answered through the persisted structural interval index
-  (``repro.index``) versus full matrix decode, with bit-identical answers
-  asserted.
-
 * **tracing overhead** — wire throughput with clients stamping trace ids on
   every frame (server tracer at the default sample rate) versus the same
   clients sending byte-identical untraced frames; the observability layer's
@@ -54,16 +48,14 @@ import time
 
 from repro.bench.measure import ResultTable
 from repro.bench.workloads import PreparedWorkload, prepare_bioaid, sample_query_pairs
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLVariant
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.model.projection import ViewProjection
-from repro.model.views import default_view
 from repro.serve import BatchPolicy, ProvenanceServer, matrix_cache_path
-from repro.workloads import build_nested_chain_specification, random_run, random_view
+from repro.workloads import random_view
 
 __all__ = [
     "serving_throughput",
-    "structural_cold_start",
     "tail_sampling_capture",
     "tracing_overhead",
     "warm_start_latency",
@@ -271,109 +263,6 @@ def warm_start_latency(
                 round(attach_seconds * 1e3, 2),
             )
             os.unlink(matrix_cache_path(run_file))
-    return table
-
-
-def structural_cold_start(
-    n_queries: int = DEFAULT_N_QUERIES,
-    nesting_depth: int = 40,
-    chain_length: int = 30,
-    module_degree: int = 6,
-    repeats: int = 3,
-    seed: int = 23,
-) -> ResultTable:
-    """Cold first batch over a fresh attach: interval index vs matrix decode.
-
-    A warm server (decoded view state and grammar-level matrix classes
-    filled by serving a *different* run of the same specification) attaches
-    a new run file and answers its first ``n_queries``-pair
-    ``depends_batch``.  The interval arm reads the persisted ``node.pre`` /
-    ``node.post`` / ``node.level`` columns and answers production chains by
-    interval containment; the matrix arm (``use_structural_index=False``)
-    decodes a reachability matrix per distinct path pair.  Answers are
-    asserted bit-identical before the row is recorded.
-    """
-    spec = build_nested_chain_specification(
-        nesting_depth=nesting_depth, chain_length=chain_length, module_degree=module_degree
-    )
-    scheme = FVLScheme(spec)
-    view = default_view(spec)
-    table = ResultTable(
-        "Serving - cold first batch: interval index vs matrix decode",
-        [
-            "variant",
-            "interval_cold_ms",
-            "matrix_cold_ms",
-            "speedup",
-            "structural_pairs",
-            "matrix_pairs",
-        ],
-        notes=(
-            f"non-recursive nested-chain run (depth {nesting_depth}, chains of "
-            f"{chain_length} degree-{module_degree} modules, saturated "
-            "dependencies); a warm engine (view state decoded against another "
-            "run of the same grammar) attaches a fresh run file and answers "
-            f"its first {n_queries}-pair depends_batch; interval arm answers "
-            "from the persisted pre/post-order columns, matrix arm decodes "
-            "every group; pair counts are the timed batch's classifier split; "
-            f"best of {repeats}"
-        ),
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-structural-") as tmp:
-        warm_file = os.path.join(tmp, "warm.fvl")
-        run_file = os.path.join(tmp, "cold.fvl")
-        warm_builder = QueryEngine(scheme)
-        warm_run = warm_builder.add_run(DEFAULT_RUN, random_run(spec, 1 << 30, seed=seed + 1))
-        warm_builder.checkpoint(warm_file)
-        builder = QueryEngine(scheme)
-        labelled = builder.add_run(DEFAULT_RUN, random_run(spec, 1 << 30, seed=seed))
-        builder.checkpoint(run_file)
-
-        store = labelled.store
-        items = list(range(store.base_uid, store.base_uid + len(store)))
-        pairs = sample_query_pairs(items, n_queries, seed=seed)
-        warm_store = warm_run.store
-        warm_items = list(range(warm_store.base_uid, warm_store.base_uid + len(warm_store)))
-        warm_pairs = sample_query_pairs(warm_items, n_queries, seed=seed + 2)
-
-        for variant in _VARIANTS:
-            seconds = {}
-            answers = {}
-            split = {}
-            for use_index in (True, False):
-                best = None
-                for _ in range(repeats):
-                    engine = QueryEngine(scheme, use_structural_index=use_index)
-                    engine.add_view(view)
-                    engine.attach(warm_file, "warm")
-                    engine.depends_batch(warm_pairs, view, run="warm", variant=variant)
-                    engine.detach("warm")
-                    warm_stats = engine.stats
-                    start = time.perf_counter()
-                    engine.attach(run_file)
-                    batch = engine.depends_batch(pairs, view, variant=variant)
-                    elapsed = time.perf_counter() - start
-                    if best is None or elapsed < best:
-                        best = elapsed
-                        answers[use_index] = batch
-                        stats = engine.stats
-                        split[use_index] = (
-                            stats.structural_pairs - warm_stats.structural_pairs,
-                            stats.matrix_pairs - warm_stats.matrix_pairs,
-                        )
-                seconds[use_index] = best
-            if answers[True] != answers[False]:
-                raise AssertionError(
-                    f"interval and matrix answers diverge for variant {variant.value}"
-                )
-            table.add_row(
-                variant.value,
-                round(seconds[True] * 1e3, 2),
-                round(seconds[False] * 1e3, 2),
-                round(seconds[False] / seconds[True], 2),
-                split[True][0],
-                split[True][1],
-            )
     return table
 
 
@@ -645,12 +534,11 @@ def main(argv: "list[str] | None" = None) -> int:
         window=args.window,
     )
     warm = warm_start_latency(workload, run_size=args.run_size, n_queries=args.queries)
-    structural = structural_cold_start(n_queries=args.queries)
     tracing = tracing_overhead(
         workload, run_size=args.run_size, n_queries=args.queries
     )
     tail = tail_sampling_capture(workload, run_size=args.run_size)
-    tables = [throughput, warm, structural, tracing, tail]
+    tables = [throughput, warm, tracing, tail]
     for index, table in enumerate(tables):
         if index:
             print()

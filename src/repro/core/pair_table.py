@@ -7,10 +7,10 @@ the decisions of one arena as parallel arrays sorted by the packed key
 
 * ``off`` — where the pair's reachability matrix starts in the flat ``pool``
   (one zero-padded ``ports x ports`` block per matrix, so entry ``(x, y)`` is
-  ``pool[off + x * ports + y]``), or a negative sentinel: the decoder found
-  no dependency possible (:data:`NO_DEPENDENCY`), or the structural
-  classifier answered for every port pair (:data:`VERDICT_FALSE` /
-  :data:`VERDICT_TRUE`);
+  ``pool[off + x * ports + y]``), or a negative sentinel: the reference
+  decoder found no dependency possible (:data:`NO_DEPENDENCY`), or the decode
+  kernel settled every port pair at once because the product was forced
+  (:data:`VERDICT_FALSE` / :data:`VERDICT_TRUE`);
 * ``rows`` / ``cols`` — the matrix's real shape inside its block, which every
   entry read is checked against;
 * ``hits`` — pairs answered from the row (the one mutable column; what
@@ -179,9 +179,9 @@ class PairTable:
     def decoder_rows(self) -> np.ndarray:
         """Positions of the rows the decoder decided, in decision order.
 
-        Classifier verdicts are left out: they are re-derived from the
-        interval index in two comparisons and never persisted.  So are
-        boundary rows, which name no pair of paths.
+        Verdict rows are left out: the kernel re-decides them from the
+        bank's classes without a product, so they are never persisted.  So
+        are boundary rows, which name no pair of paths.
         """
         path1, path2 = pair_paths(self.keys)
         select = np.nonzero((self.off >= NO_DEPENDENCY) & (path1 != ABSENT) & (path2 != ABSENT))[0]

@@ -16,9 +16,9 @@ is the view's *static label* plus every memo that is a function of
 :class:`~repro.engine.kernel.MatrixBank` the decode kernel multiplies from;
 the engine builds it once per registered view and keeps it for good.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
-decisions keyed by path ids, chain classifiers, visibility flags — and is
-what :class:`LRUCache` holds and evicts; rebuilding one costs matrix
-products over the surviving static part, never a relabelling.
+decisions keyed by path ids, visibility flags — and is what
+:class:`LRUCache` holds and evicts; rebuilding one costs matrix products over
+the surviving static part, never a relabelling.
 
 **One byte budget** bounds all of it, and this module is the one place that
 knows the policy.  Sizes are sums of array sizes, kept as running sums where
@@ -45,7 +45,6 @@ from repro.core.preprocessing import GrammarIndex
 from repro.core.view_label import FVLVariant, ViewLabel
 from repro.engine.kernel import MatrixBank
 from repro.errors import DecodingError
-from repro.index.structural import WordLanes
 from repro.matrices import BoolMatrix
 
 __all__ = [
@@ -225,8 +224,6 @@ class StaticViewState:
         "chains",
         "inputs_segments",
         "outputs_segments",
-        "structural_classes",
-        "word_lanes",
         "bank",
         "settled",
     )
@@ -242,15 +239,9 @@ class StaticViewState:
         #: :class:`DecodeCache` built over this view shares the two tables.
         self.inputs_segments = MatrixMemo()
         self.outputs_segments = MatrixMemo()
-        #: Three-way matrix classes (``("I"|"O", k, i)`` and ``("Z", k, i, j)``
-        #: keys) shared by every :class:`~repro.index.structural.ChainClassifier`
-        #: of this view, whatever shard it folds over.
-        self.structural_classes: dict[tuple, int] = {}
-        #: The ``Inputs``/``Outputs`` class lanes of every production edge word
-        #: a classifier of this view has met, so the next one only folds.
-        self.word_lanes = WordLanes()
-        #: The view's matrices as one float32 stack, resolved on first use:
-        #: what the decode kernel gathers its factors from.
+        #: The view's matrices as one float32 stack with a class per matrix,
+        #: resolved on first use: what the decode kernel classifies and
+        #: gathers its factors from.
         self.bank = MatrixBank(label.index)
         #: This part's share of :attr:`LRUCache._static_settled`.
         self.settled = 0
@@ -273,8 +264,6 @@ class StaticViewState:
             + len(self.chains)
             + len(self.inputs_segments)
             + len(self.outputs_segments)
-            + len(self.structural_classes)
-            + len(self.word_lanes)
             + len(self.bank)
         )
 
@@ -286,7 +275,7 @@ class _PerRunState:
     """What the LRU holds: the per-run half of a view, weighed in bytes.
 
     ``room(state)``, when given, is the owning cache's :meth:`LRUCache.room`;
-    without it the state is unbounded.  The two side tables are filled
+    without it the state is unbounded.  The visibility flags are filled
     through :meth:`keep`, which keeps their bytes as a running sum.
     """
 
@@ -296,11 +285,6 @@ class _PerRunState:
         #: arena -> per-path-id visibility flags (append-only tries let the
         #: engine extend a cached array instead of re-folding the trie).
         self.visibility_flags: dict[int, object] = {}
-        #: ``(arena, run_id)`` -> :class:`repro.index.structural.ChainClassifier`
-        #: built over that shard's structural index for this view (live
-        #: shards share arena 0 but not their node tables).  Rebuilt when the
-        #: shard's index snapshot changes; purged with the shard's arena.
-        self.structural: dict[tuple[int, str], object] = {}
         self._side_lock = threading.Lock()
         self._side_nbytes = 0
         #: What :meth:`LRUCache.settle` last weighed this state and its static part at.
@@ -308,33 +292,34 @@ class _PerRunState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the visibility flags and classifier folds."""
+        """Bytes of the visibility flags."""
         return self._side_nbytes
 
     def room(self) -> int:
         """Bytes the engine's budget still admits for this state."""
         return sys.maxsize if self._room is None else self._room(self)
 
-    def keep(self, table: dict, key, value) -> None:
-        """``table[key] = value`` (a side table of this state) if its bytes fit.
+    def keep_flags(self, arena: int, flags) -> None:
+        """Remember ``arena``'s visibility flags if their bytes fit.
 
-        Whatever the key held is released first, so a replacement is
+        Whatever the arena held is released first, so a replacement is
         charged for its growth only.
         """
         with self._side_lock:
-            old = table.pop(key, None)
-            if old is not None:
-                self._side_nbytes -= old.nbytes
-            if value.nbytes <= self.room():
-                table[key] = value
-                self._side_nbytes += value.nbytes
+            self._release_flags(arena)
+            if flags.nbytes <= self.room():
+                self.visibility_flags[arena] = flags
+                self._side_nbytes += flags.nbytes
 
     def purge(self, arena: int) -> None:
         """Drop everything keyed by ``arena``, giving its bytes back."""
         with self._side_lock:
-            dropped = [self.visibility_flags.pop(arena, None)]
-            dropped += [self.structural.pop(key) for key in list(self.structural) if key[0] == arena]
-            self._side_nbytes -= sum(value.nbytes for value in dropped if value is not None)
+            self._release_flags(arena)
+
+    def _release_flags(self, arena: int) -> None:
+        dropped = self.visibility_flags.pop(arena, None)
+        if dropped is not None:
+            self._side_nbytes -= dropped.nbytes
 
 
 class DecodedViewState(_PerRunState):
@@ -346,9 +331,9 @@ class DecodedViewState(_PerRunState):
     from the production and chain memos of the :class:`StaticViewState` it
     was built over, and carries the :class:`~repro.core.decoder.DecodeCache`
     every query through this view shares.  The cache's path-segment tables
-    *are* the static part's (they survive this object); its pair tables,
-    the chain classifiers and the visibility flags are keyed by arena or run
-    and live and die with this LRU entry.
+    *are* the static part's (they survive this object); its pair tables and
+    the visibility flags are keyed by arena and live and die with this LRU
+    entry.
     """
 
     def __init__(self, static: StaticViewState, room=None) -> None:
@@ -365,7 +350,7 @@ class DecodedViewState(_PerRunState):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the pair tables, visibility flags and classifier folds."""
+        """Bytes of the pair tables and visibility flags."""
         return self._side_nbytes + self.decode_cache.nbytes
 
     def purge(self, arena: int) -> None:

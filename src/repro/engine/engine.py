@@ -20,10 +20,11 @@ Three layers of caching amortize the per-view decode work that the one-pair
 1. **View interning** — a view is labelled statically, once, on its first
    use: the :class:`ViewLabel` / :class:`MatrixFreeViewLabel` and every memo
    that depends only on ``(grammar, view, variant)`` (production triples,
-   recursion chain products, path-segment products, matrix classes) form a
+   recursion chain products, path-segment products, the matrix bank and its
+   classes) form a
    :class:`~repro.engine.cache.StaticViewState` kept for as long as the
    engine lives.  What depends on a run — the pair tables of decisions keyed
-   by path ids, chain classifiers, visibility flags — is a
+   by path ids, visibility flags — is a
    :class:`~repro.engine.cache.DecodedViewState` over that static part, held
    in an LRU bounded by ``state_budget_bytes`` — one byte budget over all
    decoded state, static parts included (:mod:`repro.engine.cache` is the
@@ -33,7 +34,7 @@ Three layers of caching amortize the per-view decode work that the one-pair
 2. **Production memoization** — the space-efficient variant's on-demand graph
    searches run once per production instead of once per matrix access;
 3. **Path grouping** — every distinct pair of parse-tree paths is decided
-   once (a classifier verdict or a reachability matrix, by the stacked
+   once (a verdict for all its ports or a reachability matrix, by the stacked
    decode kernel) and remembered in a sorted pair table; every query pair
    sharing the paths is one probe and one entry lookup.
 
@@ -78,7 +79,6 @@ from repro.errors import (
     SerializationError,
     ViewError,
 )
-from repro.index.structural import ChainClassifier, StructuralIndex, as_int64
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace_span
@@ -151,8 +151,9 @@ class EngineStats:
     queries: int
     batches: int
     queries_by_run: dict[str, int]
-    #: Intermediate pairs answered by the structural interval index (no
-    #: matrix decode) vs. by a decoded matrix (or the decoder's "none").
+    #: Intermediate pairs answered from a verdict row (every factor of the
+    #: path pair's product was all-true, or one all-false: no matrix) vs.
+    #: from a decoded matrix (or the reference decoder's "none").
     structural_pairs: int = 0
     matrix_pairs: int = 0
     #: Static view labels built so far (one per ``(view, variant)`` ever
@@ -178,15 +179,6 @@ class _RunShard:
     labeler: RunLabeler | None = None
     mapped: "MappedRunStore | None" = None
     queries: int = 0
-    #: Structural interval index snapshot: ``None`` = not built yet,
-    #: ``False`` = this shard cannot carry one, else a
-    #: :class:`~repro.index.structural.StructuralIndex`.  Reset to ``None``
-    #: by :meth:`QueryEngine.reopen` (a compacted generation may carry fresh
-    #: persisted interval columns).
-    structural: "StructuralIndex | bool | None" = None
-    #: Node watermark the live shard's index was built at (live trees grow;
-    #: mapped shards are immutable per mapping).
-    structural_nodes: int = -1
 
     @property
     def store(self):
@@ -202,7 +194,6 @@ class QueryEngine:
         *,
         state_budget_bytes: int = 64 << 20,
         variant: "FVLVariant | str" = FVLVariant.DEFAULT,
-        use_structural_index: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self._scheme = source if isinstance(source, FVLScheme) else FVLScheme(source)
@@ -255,10 +246,6 @@ class QueryEngine:
         #: Serialises shard remaps (reopen/maybe_reopen from concurrent
         #: server workers) so exactly one fresh mapping wins and none leak.
         self._reopen_lock = threading.Lock()
-        #: Structural fast path (interval index + chain classifier); off
-        #: reverts every intermediate pair to matrix decode (the benchmark
-        #: baseline and the escape hatch).
-        self._use_structural_index = use_structural_index
         #: Next decode-cache namespace tag for attached (own-trie) shards;
         #: labelled shards all share the engine arena under tag 0.
         self._next_arena = 0
@@ -272,7 +259,7 @@ class QueryEngine:
         )
         pairs = self.metrics.counter(
             "engine_pairs_total",
-            "intermediate pairs by evaluation mode (structural index vs matrix decode)",
+            "intermediate pairs by the row that answered (structural: a verdict, vs a matrix)",
             ("mode",),
         )
         self._structural_pairs_c = pairs.labels("structural")
@@ -342,10 +329,10 @@ class QueryEngine:
 
         ``verify`` is passed to :class:`~repro.store.MappedRunStore`:
         ``"lazy"`` (default) scrubs the file's checksums once, before the
-        first column of any kind (labels, trie, nodes, interval index) is
-        served; ``"attach"`` scrubs before this call returns.  A failed
-        scrub raises :class:`~repro.errors.CorruptionError` — on every
-        retry — instead of ever serving a silently wrong answer.
+        first column of any kind (labels, trie, nodes) is served;
+        ``"attach"`` scrubs before this call returns.  A failed scrub raises
+        :class:`~repro.errors.CorruptionError` — on every retry — instead of
+        ever serving a silently wrong answer.
         """
         if run_id in self._shards:
             # Guard before the file is mapped: silently replacing the live
@@ -368,9 +355,7 @@ class QueryEngine:
         self._shards[run_id] = _RunShard(run_id, arena=self._next_arena, mapped=mapped)
         return mapped
 
-    def checkpoint(
-        self, path, run_id: str = DEFAULT_RUN, *, structural_index: bool = True
-    ) -> CheckpointResult:
+    def checkpoint(self, path, run_id: str = DEFAULT_RUN) -> CheckpointResult:
         """Persist a labelled shard to ``path`` (incremental after the first call).
 
         The first checkpoint writes the whole run (trie, label columns, node
@@ -392,7 +377,6 @@ class QueryEngine:
             shard.labeler.store,
             nodes,
             fingerprint=grammar_fingerprint(self._scheme.index),
-            structural_index=structural_index,
         )
 
     def reopen(self, run_id: str = DEFAULT_RUN) -> bool:
@@ -444,11 +428,6 @@ class QueryEngine:
                     "not a compaction of the attached run"
                 )
             shard.mapped = fresh
-            # The new generation may carry persisted interval columns the old
-            # one lacked (compaction is the index upgrade path) — rebuild the
-            # structural snapshot lazily against the fresh mapping.
-            shard.structural = None
-            shard.structural_nodes = -1
             old.close()
             self._reopens_c.inc()
             obs_events.emit(
@@ -705,7 +684,7 @@ class QueryEngine:
         known = state.visibility_flags.get(shard.arena)
         flags = path_visibility(shard.store.table, state.label, prefix=known)
         if flags is not known:
-            state.keep(state.visibility_flags, shard.arena, flags)
+            state.keep_flags(shard.arena, flags)
         return flags
 
     # -- the serving surface (repro.serve) ---------------------------------------
@@ -811,100 +790,12 @@ class QueryEngine:
         live = self._path_table.raw_columns()
         n_paths = len(live[2])
         if self._live_trie[0] != n_paths:
-            self._live_trie = (n_paths, tuple(as_int64(column, n_paths) for column in live))
-        return self._live_trie[1]
-
-    def _build_structural(self, shard: _RunShard) -> "StructuralIndex | None":
-        """Build one shard's interval index snapshot (no caching here).
-
-        Mapped shards prefer the file's persisted ``pre``/``post``/``level``
-        columns (zero-copy, CRC-verified on access — a corrupt index raises
-        :class:`~repro.errors.CorruptionError` here rather than steering a
-        query, which is why this method must never blanket-catch); files
-        without them fall back to recomputing from ``node.parent``.  Live
-        shards snapshot their arenas copy-safely: node columns are read
-        before the trie so every persisted path id resolves, mirroring the
-        checkpoint planner's snapshot order.
-        """
-        if shard.mapped is not None:
-            mapped = shard.mapped
-            nodes = mapped.nodes
-            if nodes is None or mapped.n_nodes == 0:
-                return None
-            with trace_span("structural_index.build", run=shard.run_id):
-                node_columns = nodes.columns()
-                trie_columns = mapped.table.columns()
-                return StructuralIndex.build(
-                    trie_columns["parent"],
-                    trie_columns["packed"],
-                    node_columns["parent"],
-                    node_columns["path_id"],
-                    intervals=mapped.structural_index(),
-                )
-        nodes = getattr(shard.labeler.tree, "nodes", None)
-        if nodes is None:
-            return None
-        node_parent, node_path, _, _ = nodes.raw_columns()
-        n_nodes = min(len(node_parent), len(node_path))
-        if n_nodes == 0:
-            return None
-        trie_parent, trie_packed, _ = shard.labeler.store.table.raw_columns()
-        return StructuralIndex.build(
-            trie_parent, trie_packed, node_parent[:n_nodes], node_path[:n_nodes]
-        )
-
-    def _shard_structural(self, shard: _RunShard) -> "StructuralIndex | None":
-        """The shard's current index snapshot, built lazily (``None`` = none).
-
-        Mapped shards build once per mapping (reopen resets).  Live shards
-        rebuild when their node count has grown — between growths the cached
-        snapshot keeps serving, and a shard that cannot carry an index only
-        retries after further growth.  Unsynchronised by design: a racing
-        double-build produces equivalent immutable snapshots and the last
-        assignment wins.
-        """
-        if not self._use_structural_index:
-            return None
-        index = shard.structural
-        if shard.mapped is not None:
-            if index is None:
-                index = self._build_structural(shard)
-                shard.structural = False if index is None else index
-            return index or None
-        if shard.labeler is None:
-            return None
-        nodes = getattr(shard.labeler.tree, "nodes", None)
-        if nodes is None:
-            return None
-        n_nodes = min(len(column) for column in nodes.raw_columns()[:2])
-        if index is None or shard.structural_nodes != n_nodes:
-            index = self._build_structural(shard)
-            shard.structural = False if index is None else index
-            shard.structural_nodes = n_nodes
-        return index or None
-
-    def _classifier(
-        self, state: "DecodedViewState", shard: _RunShard
-    ) -> "ChainClassifier | None":
-        """This view's chain classifier over the shard's index, memoized.
-
-        Keyed by ``(arena, run_id)`` on the decoded state: live shards all
-        share arena 0 but carry distinct node tables, while attached arenas
-        are unique (and purged wholesale on detach).  Rebuilt whenever the
-        shard's index snapshot was replaced.
-        """
-        index = self._shard_structural(shard)
-        if index is None:
-            return None
-        key = (shard.arena, shard.run_id)
-        classifier = state.structural.get(key)
-        if classifier is None or classifier.index is not index:
-            static = state.static
-            classifier = ChainClassifier(
-                index, state, static.structural_classes, static.word_lanes
+            # A slice is a private copy, so the arrays pin nothing that grows.
+            self._live_trie = (
+                n_paths,
+                tuple(np.asarray(column[:n_paths], dtype=np.int64) for column in live),
             )
-            state.keep(state.structural, key, classifier)
-        return classifier
+        return self._live_trie[1]
 
     def _shard(self, run_id: str) -> _RunShard:
         try:
@@ -1015,7 +906,6 @@ class QueryEngine:
                 results, structural_n, matrix_n = depends_grouped(
                     shard.store,
                     shard.arena,
-                    self._classifier(state, shard),
                     state,
                     pairs,
                     lambda: self._trie_columns(shard),

@@ -1,9 +1,9 @@
 """Batch evaluation of ``depends``: one columnar pipeline for every batch size.
 
 The decoding predicate is path-constant — every pair whose labels share two
-parse-tree paths is one matrix (or one interval verdict) plus an entry
-lookup — so a batch of any size, over a store in any state, is evaluated the
-same way, as whole-array operations from gather to answer:
+parse-tree paths is one matrix (or one verdict for all its ports) plus an
+entry lookup — so a batch of any size, over a store in any state, is
+evaluated the same way, as whole-array operations from gather to answer:
 
 1. **gather** — :meth:`~repro.store.LabelStore.rows_for` resolves both uids
    of every pair (raising the typed error for the first unlabelled one) and
@@ -17,13 +17,11 @@ same way, as whole-array operations from gather to answer:
    are path-constant like the interior one) — looked up in the arena's
    :class:`~repro.core.pair_table.PairTable` with one ``searchsorted``;
 4. **decide the misses** — every distinct key the table does not hold is
-   decided once and merged in, verdicts included: the shard's
-   :class:`~repro.index.structural.ChainClassifier` (when it carries a
-   structural index) gets first refusal, the recursive/mixed residue goes
-   through the stacked Algorithm 2 of :mod:`repro.engine.kernel`, and what
-   the kernel declines, like every boundary key, goes to the reference
-   decoder in ascending key order — so which pair raises, with which type
-   and message, is the decoder's call;
+   decided once and merged in: the stacked Algorithm 2 of
+   :mod:`repro.engine.kernel` settles each with a verdict (its product is
+   forced) or a matrix, and what the kernel declines, like every boundary
+   key, goes to the reference decoder in ascending key order — so which
+   pair raises, with which type and message, is the decoder's call;
 5. **read** — one bounds-checked fancy index into the table's matrix pool
    answers every pair — each from the ``(row, column)`` ports of its case —
    and one scatter puts the bits in place.
@@ -47,15 +45,11 @@ from repro.core.pair_table import (
     pair_keys,
     pair_paths,
 )
-from repro.engine.kernel import NO_MATRIX, REFERENCE, decide_many
+from repro.engine.kernel import REFERENCE, decide_many
 from repro.errors import DecodingError
 from repro.obs.trace import trace_span
 
 __all__ = ["depends_grouped", "depends_per_pair"]
-
-#: ``ChainClassifier.classify`` verdict -> ``off`` sentinel (0: the residue).
-_VERDICT = {None: 0, False: VERDICT_FALSE, True: VERDICT_TRUE}
-
 
 def depends_per_pair(store, state, pairs) -> list[bool]:
     """``state.depends`` over materialised labels, pair by pair."""
@@ -65,15 +59,13 @@ def depends_per_pair(store, state, pairs) -> list[bool]:
     return [state.depends(label(d1), label(d2)) for d1, d2 in pairs]
 
 
-def depends_grouped(
-    store, arena: int, classifier, state, pairs, trie
-) -> tuple[list[bool], int, int]:
+def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[list[bool], int, int]:
     """Answer ``pairs`` against one decoded view; see the module docstring.
 
     ``arena`` names the store's path-id namespace in ``state.decode_cache``
     and ``trie()`` returns its ``(parent, packed, c)`` columns as arrays (it
     is only called when a key has to be decided).  Returns the answers and
-    how many pairs were answered by a classifier verdict and by the decoder.
+    how many pairs were answered from a verdict row and from a matrix row.
     """
     ids = np.asarray(pairs, dtype=np.int64)
     if ids.size == 0:
@@ -121,7 +113,7 @@ def depends_grouped(
         if found.all():
             bits, structural_n = _read(table, slot, *entries)
         else:
-            fresh = _decide(store, classifier, state, np.unique(keys[~found]), trie)
+            fresh = _decide(store, state, np.unique(keys[~found]), trie)
             cache.admit(arena, fresh)
             table = cache.table(arena)
             # Over budget, a decision is used for this batch and not stored:
@@ -134,7 +126,7 @@ def depends_grouped(
                     slot = source.probe(keys[members])[0]
                     bits[members], n = _read(source, slot, *(column[members] for column in entries))
                     structural_n += n
-        # The two tallies split the *intermediate* pairs: index vs matrix.
+        # The two tallies split the *intermediate* pairs: verdict vs matrix.
         matrix_n = int(keys.size) - boundary_n - structural_n
         if group_span is not None:
             group_span.attrs = {
@@ -150,7 +142,7 @@ def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
     """The bits of pairs whose rows are ``table``'s ``slot``; counts their hits.
 
     ``x`` / ``y`` are the pairs' 0-based matrix entries.  Returns the bits and
-    how many of the pairs a classifier verdict answered.
+    how many of the pairs a verdict row answered.
     """
     off = table.off[slot]
     bits = off == VERDICT_TRUE
@@ -183,35 +175,27 @@ def _reference_matrix(path, state, path1: int, path2: int):
     return intermediate_matrix(path(path1), path(path2), state, cache)
 
 
-def _decide(store, classifier, state, keys: np.ndarray, trie) -> PairTable:
-    """Decide ascending distinct ``keys``: classifier, kernel, reference decoder."""
+def _decide(store, state, keys: np.ndarray, trie) -> PairTable:
+    """Decide ascending distinct ``keys``: the kernel, then the reference decoder."""
     path1, path2 = pair_paths(keys)
     sentinels = np.zeros(keys.size, dtype=np.int64)
-    if classifier is not None:
-        classify = classifier.classify
-        sentinels = np.fromiter(
-            (_VERDICT[classify(a, b)] for a, b in zip(path1.tolist(), path2.tolist())),
-            np.int64,
-            keys.size,
-        )
     bank = state.static.bank
     ports = bank.ports
     blocks = np.zeros((keys.size, ports * ports), dtype=bool)
     shapes = np.zeros((keys.size, 2), dtype=np.int32)
-    # Boundary keys (no classifier verdict: ABSENT is outside every index)
-    # are the reference decoder's, the rest of the residue the kernel's first.
+    # Boundary keys are the reference decoder's, the others the kernel's first.
     reference = (path1 == ABSENT) | (path2 == ABSENT)
-    residue = np.nonzero((sentinels == 0) & ~reference)[0]
-    if residue.size:
-        with trace_span("engine.decode", keys=int(residue.size)) as span:
-            outcome, blocks[residue], shapes[residue] = decide_many(
-                trie(), bank, state, path1[residue], path2[residue]
+    interior = np.nonzero(~reference)[0]
+    if interior.size:
+        with trace_span("engine.decode", keys=int(interior.size)) as span:
+            outcome, blocks[interior], shapes[interior] = decide_many(
+                trie(), bank, state, path1[interior], path2[interior]
             )
-            sentinels[residue[outcome == NO_MATRIX]] = NO_DEPENDENCY
-            reference[residue[outcome == REFERENCE]] = True
+            declined = outcome == REFERENCE
+            sentinels[interior] = np.where(declined, 0, outcome)  # a verdict, or 0: a matrix
+            reference[interior[declined]] = True
             if span is not None:
-                declined = int(np.count_nonzero(outcome == REFERENCE))
-                span.attrs = {"keys": int(residue.size), "fallback": declined}
+                span.attrs = {"keys": int(interior.size), "fallback": int(declined.sum())}
     path = store.table.path
     for row in np.nonzero(reference)[0].tolist():
         matrix = _reference_matrix(path, state, int(path1[row]), int(path2[row]))

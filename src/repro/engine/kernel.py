@@ -16,10 +16,17 @@ whole batch of pairs from the trie's ``parent`` / ``packed`` / ``c`` columns:
    the decoder would have got that far;
 3. **resolve** — every factor (``I``/``O`` of a segment edge, ``Z`` of the
    divergence, recursion chain products) becomes an integer code of the
-   view's :class:`MatrixBank`;
-4. **multiply** — ``out_chain^T · chain_up^T · Z · chain_down · in_chain`` as
-   stacked products of zero-padded ``ports x ports`` float32 matrices
-   gathered by code (segment products by pairwise tree reduction).
+   view's :class:`MatrixBank`, which knows each code's *class*: all-true,
+   all-false or mixed;
+4. **classify** — a key whose product is forced is settled from the classes
+   alone, as a verdict for every port pair and with no product built: an
+   all-false factor annihilates (:data:`VERDICT_FALSE`, like the decoder's
+   *no dependency*), and factors that are all all-true multiply to all-true
+   (:data:`VERDICT_TRUE`);
+5. **multiply** — for the keys with a mixed factor left,
+   ``out_chain^T · chain_up^T · Z · chain_down · in_chain`` as stacked
+   products of zero-padded ``ports x ports`` float32 matrices gathered by
+   code (segment products by pairwise tree reduction).
 
 Whatever is not a clean case — an edge the view does not define, siblings
 that disagree, a chain beyond the bank's bounds, an id outside the trie — is
@@ -37,15 +44,16 @@ import threading
 
 import numpy as np
 
+from repro.core.pair_table import VERDICT_FALSE, VERDICT_TRUE
 from repro.errors import DecodingError
 from repro.store.path_table import _FIELD_BITS, _FIELD_MASK
 
-__all__ = ["MATRIX", "NO_MATRIX", "REFERENCE", "MatrixBank", "decide_many"]
+__all__ = ["MATRIX", "REFERENCE", "VERDICT_FALSE", "VERDICT_TRUE", "MatrixBank", "decide_many"]
 
-#: Per-key outcomes of :func:`decide_many`.
+#: Per-key outcomes of :func:`decide_many`, beside :data:`VERDICT_FALSE` and
+#: :data:`VERDICT_TRUE` (negative: a pair-table ``off`` as they are).
 MATRIX = 0  # the key's block holds its reachability matrix
-NO_MATRIX = 1  # the decoder's ``None``: no dependency between the two nodes
-REFERENCE = 2  # not a clean case: the reference decoder decides (or raises)
+REFERENCE = 1  # not a clean case: the reference decoder decides (or raises)
 
 #: Bits of a packed edge word, ``kind | a << 1 | b << 17``.
 _WORD_BITS = 2 * _FIELD_BITS + 1
@@ -54,6 +62,11 @@ _INPUTS, _OUTPUTS, _Z, _CHAIN = 0, 1, 2, 3
 #: Code 0 is the identity (its shape, (-1, -1), reads "whatever fits"); -1 is
 #: a factor that cannot be had cleanly.
 _IDENTITY, _UNDEFINED = 0, -1
+#: Classes of a code's matrix.  All-true needs non-zero dimensions; a matrix
+#: with a zero dimension is vacuously both and annihilates a product, which is
+#: the all-false behaviour.  The identity counts as all-true: it is neutral in
+#: a product, and every key has a ``Z`` that is not the identity.
+_ALL_TRUE, _ALL_FALSE, _MIXED = 0, 1, 2
 #: Longest recursion chain resolved by running products; beyond it the
 #: reference's fast exponentiation (``O(log count)`` products) decides.
 MAX_CHAIN = 4096
@@ -72,7 +85,9 @@ class MatrixBank:
     A *key* names a factor of Algorithm 2 — ``I(k, i)``, ``O(k, i)``,
     ``Z(k, i, j)`` or a recursion chain product ``(function, s, t, count)``
     — and a *code* is the position of its zero-padded ``ports x ports`` matrix
-    in :attr:`matrices` (or ``-1``: undefined).  Codes are resolved lazily, by
+    in :attr:`matrices` (or ``-1``: undefined); :attr:`classes` holds each
+    code's class, filled when the code is appended, chain products included
+    (classified as the matrices they are).  Codes are resolved lazily, by
     the first batch that asks, through the accessors of the decoded view
     state handed in (so the space-efficient variant's production memo is
     what gets searched) and never change: an eager bank of the chain grammar
@@ -105,6 +120,8 @@ class MatrixBank:
         self.matrices[_IDENTITY] = np.eye(ports, dtype=np.float32)
         #: ``(rows, cols)`` of each matrix inside its padded block.
         self.shapes = np.full((64, 2), -1, dtype=np.int32)
+        #: ``_ALL_TRUE`` / ``_ALL_FALSE`` / ``_MIXED`` of each matrix.
+        self.classes = np.zeros(64, dtype=np.int8)
         self._size = 1
 
     def __len__(self) -> int:
@@ -113,8 +130,8 @@ class MatrixBank:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the stack and its shapes as allocated, and the cycle columns."""
-        return self.matrices.nbytes + self.shapes.nbytes + self._cycle_nbytes
+        """Bytes held: the stack, its shapes and classes as allocated, and the cycle columns."""
+        return self.matrices.nbytes + self.shapes.nbytes + self.classes.nbytes + self._cycle_nbytes
 
     def cycle_slot(self, s, rotation):
         """Flat index of cycle ``s``'s edge at the (cyclic, 1-based) ``rotation``."""
@@ -165,7 +182,7 @@ class MatrixBank:
             # that would double the stack must fit the doubling; the others
             # wait until the budget has room for a matrix at all.
             full = self._size == len(self.matrices)
-            cost = self.matrices.nbytes + self.shapes.nbytes if full else self.matrices[0].nbytes
+            cost = self.nbytes - self._cycle_nbytes if full else self.matrices[0].nbytes
             if edge != _UNDEFINED and not state.decode_cache.has_room(cost):
                 return _UNDEFINED  # not recorded: asked again once there is room
             tip[0] += 1
@@ -187,8 +204,14 @@ class MatrixBank:
         if code == len(self.matrices):
             self.matrices = np.concatenate((self.matrices, np.zeros_like(self.matrices)))
             self.shapes = np.concatenate((self.shapes, np.full_like(self.shapes, -1)))
+            self.classes = np.concatenate((self.classes, np.zeros_like(self.classes)))
         self.matrices[code] = padded
         self.shapes[code] = shape
+        rows, cols = shape
+        if not padded.any():  # a zero dimension included: the padding is all there is
+            self.classes[code] = _ALL_FALSE
+        elif not padded[:rows, :cols].all():
+            self.classes[code] = _MIXED
         self._size = code + 1
         return code
 
@@ -251,13 +274,14 @@ def decide_many(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.ndar
     ``trie`` is the ``(parent, packed, c)`` column triple the int64 ids
     index, ``state`` the decoded view state whose accessors define the
     matrices.  Returns ``(outcome, blocks, shapes)``: per key one of
-    :data:`MATRIX` / :data:`NO_MATRIX` / :data:`REFERENCE`, and for the
-    matrix keys the zero-padded flat ``ports x ports`` block and the real
-    ``(rows, cols)`` inside it.  Keys are processed in slabs sized from the
-    port count, so the transient stacks stay bounded for wide grammars.
+    :data:`MATRIX` / :data:`VERDICT_FALSE` / :data:`VERDICT_TRUE` /
+    :data:`REFERENCE`, and for the matrix keys the zero-padded flat
+    ``ports x ports`` block and the real ``(rows, cols)`` inside it.  Keys
+    are processed in slabs sized from the port count, so the transient
+    stacks stay bounded for wide grammars.
     """
     cells = bank.ports**2
-    outcome = np.full(path1.size, REFERENCE, dtype=np.int8)
+    outcome = np.full(path1.size, REFERENCE, dtype=np.int64)
     blocks = np.zeros((path1.size, cells), dtype=bool)
     shapes = np.zeros((path1.size, 2), dtype=np.int32)
     n_paths = min(len(column) for column in trie)
@@ -356,7 +380,7 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
     if pending.size:
         z[pending] = bank.codes(_bank_key(_Z, z_k[pending], z_i[pending], z_j[pending]), state)
     settle(reference, z == _UNDEFINED)
-    settle(no_matrix, ~bank.matrices[z].any(axis=(1, 2)))
+    settle(no_matrix, bank.classes[z] == _ALL_FALSE)
 
     # The segment factors: every lifted node below its side's skipped edges.
     from_top = end[side] - 1 - np.arange(side.size)  # 0 = the side's diverging child
@@ -384,7 +408,19 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
     settle(reference, (np.bincount(owner[code == _UNDEFINED], minlength=n) > 0) | (chain == _UNDEFINED))
     chain_up, chain_down = np.where(up, chain, _IDENTITY), np.where(down, chain, _IDENTITY)
 
-    outcome = np.where(reference, REFERENCE, np.where(no_matrix, NO_MATRIX, MATRIX)).astype(np.int8)
+    # Every factor of the keys still open is defined, so the decoder would
+    # multiply them: an all-false one makes the product all-false whatever the
+    # others hold, and without one only a mixed factor keeps it from all-true.
+    # (An undefined factor reads some class; its key is the reference's.)
+    classes = bank.classes
+    factor_class = classes[code]
+    all_false = classes[chain] == _ALL_FALSE
+    mixed = (classes[chain] == _MIXED) | (classes[z] == _MIXED)
+    all_false[owner[factor_class == _ALL_FALSE]] = True
+    mixed[owner[factor_class == _MIXED]] = True
+    settle(no_matrix, all_false)
+    outcome = np.where(mixed, MATRIX, VERDICT_TRUE)
+    outcome = np.where(reference, REFERENCE, np.where(no_matrix, VERDICT_FALSE, outcome))
     blocks = np.zeros((n, bank.ports**2), dtype=bool)
     shapes = np.zeros((n, 2), dtype=np.int32)
     live = np.nonzero(outcome == MATRIX)[0]

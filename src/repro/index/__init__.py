@@ -1,23 +1,5 @@
-"""Structural interval index over the parse tree (XPath-accelerator style)."""
+"""Interval columns over a run's parse tree (an offline utility, see :mod:`.structural`)."""
 
-from repro.index.structural import (
-    CLASS_FALSE,
-    CLASS_MIXED,
-    CLASS_TRUE,
-    ChainClassifier,
-    StructuralIndex,
-    classify_matrix,
-    compute_tree_intervals,
-    tree_levels,
-)
+from repro.index.structural import StructuralIndex, compute_tree_intervals, tree_levels
 
-__all__ = [
-    "CLASS_FALSE",
-    "CLASS_MIXED",
-    "CLASS_TRUE",
-    "ChainClassifier",
-    "StructuralIndex",
-    "classify_matrix",
-    "compute_tree_intervals",
-    "tree_levels",
-]
+__all__ = ["StructuralIndex", "compute_tree_intervals", "tree_levels"]

@@ -91,6 +91,9 @@ class Derivation:
         self._next_item_uid = 1
         self._listeners: list[Listener] = []
         self._events: list[object] = []
+        #: The unexpanded composite instances, in creation order (a dict for
+        #: its ordered O(1) removal; the values are unused).
+        self._pending: dict[str, None] = {}
 
         start_module = grammar.start_module
         start_instance = ModuleInstance(
@@ -99,6 +102,8 @@ class Derivation:
             step_created=0,
         )
         self._run = WorkflowRun(start_instance)
+        if grammar.is_composite(grammar.start):
+            self._pending[start_instance.uid] = None
         input_items = []
         for port in range(1, start_module.n_inputs + 1):
             item = self._new_item(step=0, created_by=None)
@@ -141,16 +146,12 @@ class Derivation:
 
     def pending_instances(self) -> list[str]:
         """Composite instances that can still be expanded, oldest first."""
-        return [
-            uid
-            for uid in self._run.pending_instances()
-            if self._grammar.is_composite(self._run.instance(uid).module_name)
-        ]
+        return list(self._pending)
 
     @property
     def is_complete(self) -> bool:
         """Whether the run contains only atomic modules (no pending expansion)."""
-        return not self.pending_instances()
+        return not self._pending
 
     def subscribe(self, listener: Listener, *, replay: bool = True) -> None:
         """Register a listener; optionally replay all past events to it."""
@@ -214,6 +215,8 @@ class Derivation:
                 step_created=step,
             )
             self._run._add_instance(child)
+            if self._grammar.is_composite(module.name):
+                self._pending[child.uid] = None
             children.append(child)
             by_occurrence[occ_id] = child
 
@@ -258,6 +261,7 @@ class Derivation:
             )
 
         instance.expanded_with = k
+        del self._pending[instance.uid]
         record = ExpansionRecord(
             step=step,
             parent_uid=instance.uid,

@@ -12,9 +12,8 @@ bounded in-memory table keyed ``(run, view, variant, phase)``:
 * span names map to phases — ``net`` (framing + reply packing),
   ``scheduler`` (batch bookkeeping), ``engine`` (group evaluation),
   ``decode`` (pair-matrix decode), ``label_view`` (the one static
-  labelling a view's first query pays), ``gather`` (mmap row gathers),
-  ``index_build`` (structural-index construction) — unknown names fall back
-  to their dotted prefix;
+  labelling a view's first query pays), ``gather`` (mmap row gathers) —
+  unknown names fall back to their dotted prefix;
 * **queue wait** — the gap between the net-frame root opening and the
   ``scheduler.batch`` span starting — is attributed as its own phase, since
   it is the one cost no span's self time contains;
@@ -44,7 +43,6 @@ PHASE_BY_SPAN = {
     "engine.decode": "decode",
     "engine.label_view": "label_view",
     "mmap.gather": "gather",
-    "structural_index.build": "index_build",
 }
 
 _QUEUE_WAIT = "queue_wait"

@@ -10,7 +10,7 @@ This module persists the hottest decoded pair matrices *alongside the run
 file* (``<run-file>.hotmx``):
 
 * :func:`save_hot_matrices` ranks the decoder's rows of a shard's pair
-  tables (:meth:`DecodeCache.rows`; classifier verdicts are not persisted)
+  tables (:meth:`DecodeCache.rows`; verdict rows are not persisted)
   by the engine's per-row hit count, ties broken by decision order — the
   first keys a process decided are the ones its successor asks first —
   keeps the ``max_entries`` hottest whose path ids fall inside the file's

@@ -138,17 +138,11 @@ class ServerStats:
     queue_peak: int
     probes: int
     reopens: int
-    #: Pairs the engine answered from a shard's structural interval index
-    #: versus by matrix decode (mirrors
-    #: :attr:`repro.engine.EngineStats.structural_pairs` /
-    #: ``matrix_pairs`` — one warm-stats probe answers "is the index
-    #: actually carrying this server's load?").
+    #: Pairs the engine answered from a verdict row versus from a matrix
+    #: row (mirrors :attr:`repro.engine.EngineStats.structural_pairs` /
+    #: ``matrix_pairs``).
     structural_pairs: int = 0
     matrix_pairs: int = 0
-    #: Attached run files that carried persisted ``node.pre``/``node.post``/
-    #: ``node.level`` columns (old-format files attach fine but serve the
-    #: matrix path until compaction upgrades them).
-    index_attaches: int = 0
     #: Times a worker thread died outside the per-batch guard and its
     #: supervisor restarted it (0 = no worker has ever crashed).
     worker_restarts: int = 0
@@ -317,10 +311,6 @@ class ProvenanceServer:
         self._reopens_c = m.counter(
             "serve_reopens_total", "probes that remapped a compacted generation"
         )
-        self._index_attaches_c = m.counter(
-            "serve_index_attaches_total",
-            "attached run files carrying persisted interval columns",
-        )
         self._worker_restarts_c = m.counter(
             "serve_worker_restarts_total", "worker threads revived by the supervisor"
         )
@@ -420,14 +410,6 @@ class ProvenanceServer:
         simply warms nothing.
         """
         mapped = self._engine.attach(path, run_id)
-        try:
-            has_index = mapped.structural_index() is not None
-        except Exception:
-            # A malformed/corrupt index section surfaces as a precise error
-            # on first query; attach-time bookkeeping must not pre-empt it.
-            has_index = False
-        if has_index:
-            self._index_attaches_c.inc()
         warmed = 0
         if warm:
             try:
@@ -667,7 +649,6 @@ class ProvenanceServer:
             reopens=counter("serve_reopens_total"),
             structural_pairs=int(pairs.get(("structural",), 0)),
             matrix_pairs=int(pairs.get(("matrix",), 0)),
-            index_attaches=counter("serve_index_attaches_total"),
             worker_restarts=counter("serve_worker_restarts_total"),
             queue_depth_high_watermark=counter("serve_queue_depth_high_watermark"),
             last_error=last_error,

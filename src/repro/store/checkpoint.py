@@ -15,11 +15,8 @@ import os
 from dataclasses import dataclass, replace
 from itertools import islice
 
-import numpy as np
-
 from repro import faults
 from repro.errors import SerializationError
-from repro.index.structural import compute_tree_intervals
 from repro.obs import events as obs_events
 from repro.store.label_store import LabelStore
 from repro.store.mapped import MappedLabelStore
@@ -75,11 +72,7 @@ def _sliced(sequence):
 
 
 def _plan_checkpoint(
-    path,
-    store: LabelStore,
-    node_table: NodeTable | None,
-    fingerprint: int,
-    structural_index: bool = True,
+    path, store: LabelStore, node_table: NodeTable | None, fingerprint: int
 ) -> _PendingCheckpoint:
     """Snapshot, validate and assemble one run's delta sections (no writes)."""
     if not isinstance(store, LabelStore):
@@ -175,26 +168,15 @@ def _plan_checkpoint(
         sources += [_sliced(column) for column in node_columns]
         sources.append(lambda start, stop: node_table.uid_slice(start)[: stop - start])
         sources.append(_sliced(node_table.module_names))
-        if structural_index and n_nodes > header.n_nodes:
-            # Full-snapshot interval columns over the tree as persisted by
-            # this segment.  Slicing the live column first yields a private
-            # buffer, so the numpy conversion never pins the growing arena.
-            # (The snapshot columns close the schema, so a pre-index
-            # checkpoint simply supplies no source for them.)
-            parent_snapshot = np.asarray(node_columns[0][:n_nodes], dtype=np.int64)
-            sources += [_sliced(column) for column in compute_tree_intervals(parent_snapshot)]
 
     # Assemble the delta sections: (id, dtype, row_start, n_rows, payload).
     sections = []
     carried = (column for column in SCHEMA if advanced.carries(column))
     for column, rows in zip(carried, sources):
-        watermark, stop = getattr(header, column.family), getattr(advanced, column.family)
-        if stop == watermark:
-            continue
-        start = 0 if column.snapshot else watermark
-        sections.append(
-            (column.sid, column.dtype, start, stop - start, encode_rows(column, rows(start, stop)))
-        )
+        start, stop = getattr(header, column.family), getattr(advanced, column.family)
+        if stop > start:
+            payload = encode_rows(column, rows(start, stop))
+            sections.append((column.sid, column.dtype, start, stop - start, payload))
     return _PendingCheckpoint(file_path, created, header, advanced, sections)
 
 
@@ -323,7 +305,6 @@ def checkpoint_run(
     node_table: NodeTable | None = None,
     *,
     fingerprint: int = 0,
-    structural_index: bool = True,
 ) -> CheckpointResult:
     """Write (or incrementally extend) the persistent form of a labelled run.
 
@@ -354,20 +335,11 @@ def checkpoint_run(
 
     Every section's CRC32 is stamped into the segment table; readers verify
     it at attach or before the first column is served.
-
-    ``structural_index`` (default on) rides full-snapshot ``pre``/``post``/
-    ``level`` interval columns along with any segment that appends node rows,
-    enabling the engine's structural fast path on mapped attach; disabling it
-    writes a pre-index file (compaction upgrades those in place).
     """
-    return _commit_checkpoints(
-        [_plan_checkpoint(path, store, node_table, fingerprint, structural_index)]
-    )[0]
+    return _commit_checkpoints([_plan_checkpoint(path, store, node_table, fingerprint)])[0]
 
 
-def checkpoint_batch(
-    jobs, *, fingerprint: int = 0, structural_index: bool = True
-) -> list[CheckpointResult]:
+def checkpoint_batch(jobs, *, fingerprint: int = 0) -> list[CheckpointResult]:
     """Checkpoint several runs with batched fsync barriers.
 
     ``jobs`` is an iterable of ``(path, store, node_table)`` triples, one per
@@ -382,7 +354,7 @@ def checkpoint_batch(
     same header and the second's segment would overwrite the first's.
     """
     pendings = [
-        _plan_checkpoint(path, store, node_table, fingerprint, structural_index)
+        _plan_checkpoint(path, store, node_table, fingerprint)
         for path, store, node_table in jobs
     ]
     seen: dict[str, None] = {}

@@ -6,9 +6,10 @@ extent *per column per interval* — every whole-column read then pays the
 chain (read amplification), and the section tables grow without bound.
 :func:`compact` is the log-structured counterpart: an offline rewrite that
 
-1. reads the segmented file through its mapping and merges every column's
-   extents into **one** extent (blobs included), under a header whose
-   ``generation`` is bumped by one;
+1. reads the segmented file through its mapping and merges every schema
+   column's extents into **one** extent (blobs included; sections of older
+   builds that are no longer in the schema are left behind), under a header
+   whose ``generation`` is bumped by one;
 2. **verifies** the merged file bit-identically against the source — every
    label/path/node column, the uid and module-name intern lists and all
    watermarks are compared before the original is touched;
@@ -37,18 +38,10 @@ import numpy as np
 
 from repro import faults
 from repro.errors import SerializationError
-from repro.index.structural import compute_tree_intervals
 from repro.obs import events as obs_events
 from repro.store.lockfile import FileLease
 from repro.store.mapped import MappedRunStore
-from repro.store.runfile import (
-    PAGE_SIZE,
-    SCHEMA,
-    Header,
-    encode_rows,
-    merge_payloads,
-    write_segment,
-)
+from repro.store.runfile import PAGE_SIZE, Header, in_schema, merge_payloads, write_segment
 
 __all__ = ["CompactionResult", "compact"]
 
@@ -105,48 +98,23 @@ def _fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
-_SNAPSHOT_COLUMNS = [column for column in SCHEMA if column.snapshot]
-
-
 def _merged_sections(source: MappedRunStore) -> list[tuple[int, int, int, int, bytes]]:
-    """One ``(sid, dtype, row_start, n_rows, payload)`` per column, extents merged."""
-    stale = {column.name for column in _SNAPSHOT_COLUMNS}
+    """One ``(sid, dtype, row_start, n_rows, payload)`` per schema column, extents merged."""
     sections = []
-    for name, group in groupby(source.sections(), key=lambda pair: pair[0]):
-        if name in stale:
-            # Interval columns are full snapshots, not deltas — byte-joining
-            # their extents would interleave stale snapshots.  They are
-            # recomputed fresh by :func:`_structural_sections` instead.
-            continue
+    for _, group in groupby(source.sections(), key=lambda pair: pair[0]):
         parts = [extent for _, extent in group]
         first = parts[0]
-        sections.append(
-            (
-                first.sid,
-                first.dtype_code,
-                first.row_start,
-                sum(part.n_rows for part in parts),
-                merge_payloads(first.dtype_code, [source.payload(part) for part in parts]),
+        if in_schema(first.sid):
+            sections.append(
+                (
+                    first.sid,
+                    first.dtype_code,
+                    first.row_start,
+                    sum(part.n_rows for part in parts),
+                    merge_payloads(first.dtype_code, [source.payload(part) for part in parts]),
+                )
             )
-        )
     return sections
-
-
-def _structural_sections(source: MappedRunStore) -> list[tuple[int, int, int, int, bytes]]:
-    """Fresh full-snapshot interval sections for the merged rewrite.
-
-    Recomputed from the merged ``node.parent`` column rather than copied, so
-    compacting a pre-index file (or one carrying only stale snapshots) is
-    the in-place *upgrade path*: the rewrite always carries one current
-    snapshot per interval column.  Node-less runs get none.
-    """
-    if source.nodes is None or source.n_nodes == 0:
-        return []
-    parent = np.asarray(source.nodes.columns()["parent"], dtype=np.int64)
-    return [
-        (column.sid, column.dtype, 0, source.n_nodes, encode_rows(column, rows))
-        for column, rows in zip(_SNAPSHOT_COLUMNS, compute_tree_intervals(parent))
-    ]
 
 
 def _write_merged(tmp_path: str, header: Header, sections) -> None:
@@ -199,22 +167,6 @@ def _verify_against_source(source: MappedRunStore, merged: MappedRunStore) -> No
         _require_equal(
             "node.module_names", source.nodes.module_names, merged.nodes.module_names
         )
-        if merged.n_nodes:
-            # The rewrite must carry a current structural snapshot, and it
-            # must match a recomputation from its own (verified-identical)
-            # parent column — deterministic, so this is an equality check,
-            # not a tolerance.
-            persisted = merged.structural_index()
-            if persisted is None:
-                raise SerializationError(
-                    "compaction verification failed: merged file lacks a "
-                    "current structural interval snapshot"
-                )
-            parent = np.asarray(merged.nodes.columns()["parent"], dtype=np.int64)
-            for column, rows, expected in zip(
-                _SNAPSHOT_COLUMNS, persisted, compute_tree_intervals(parent)
-            ):
-                _require_equal(column.name, rows, expected)
 
 
 def compact(
@@ -276,9 +228,7 @@ def _compact_locked(file_path: str) -> CompactionResult:
         # scrub runs before the first payload byte is read.
         source.verify()
         tmp_path = _temp_path(file_path, header.generation + 1)
-        _write_merged(
-            tmp_path, header, _merged_sections(source) + _structural_sections(source)
-        )
+        _write_merged(tmp_path, header, _merged_sections(source))
         try:
             merged = MappedRunStore(tmp_path)
             try:

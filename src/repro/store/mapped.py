@@ -431,8 +431,8 @@ class MappedRunStore:
     CRC32s of their segment tables:
 
     * ``"lazy"`` (default) — the whole file is scrubbed once, before the
-      first of :attr:`store` / :attr:`table` / :attr:`nodes` /
-      :meth:`structural_index` hands out a view, and a mismatch raises
+      first of :attr:`store` / :attr:`table` / :attr:`nodes` hands out a
+      view, and a mismatch raises
       :class:`~repro.errors.CorruptionError` instead of serving the bytes.
       Attach itself, the header properties and :meth:`sections` stay a few
       page reads.
@@ -500,11 +500,10 @@ class MappedRunStore:
 
     def _build(self) -> None:
         header = self._header
-        # Schema order within a table is its constructor's positional order;
-        # the snapshot columns are served by :meth:`structural_index`.
+        # Schema order within a table is its constructor's positional order.
         tables: dict[str, list] = {"path": [], "label": [], "node": []}
         for column in SCHEMA:
-            if header.carries(column) and not column.snapshot:
+            if header.carries(column):
                 tables[column.name.partition(".")[0]].append(self._column(column))
         self._table = MappedPathTable(*tables["path"])
         self._store = MappedLabelStore(
@@ -581,24 +580,21 @@ class MappedRunStore:
         return self._nodes
 
     def structural_index(self):
-        """The persisted ``(pre, post, level)`` interval columns, if current.
+        """The ``(pre, post, level)`` interval columns of an older file, if current.
 
-        Each checkpoint that appends node rows writes the interval columns
-        as full snapshots; this returns zero-copy int64 views of the **last**
-        snapshot whose row count matches the header's node watermark, or
-        ``None`` when the file predates the index (or carries only stale
-        snapshots for an older watermark — the engine then recomputes from
-        ``node.parent``).  The file is scrubbed before the views are handed
-        out, so a flipped index byte raises
-        :class:`~repro.errors.CorruptionError` rather than steering a query.
+        Builds before the decode kernel classified products wrote the parse
+        tree's interval columns as full snapshots with every segment that
+        appended node rows (:data:`~repro.store.runfile.LEGACY_INTERVALS`).
+        This returns zero-copy int64 views of the **last** snapshot whose row
+        count matches the header's node watermark, or ``None`` — always, for
+        a file this build wrote.  Nothing is served from them; the file is
+        scrubbed before the views are handed out.
         """
         header = self._header
         if not header.has_nodes or header.n_nodes == 0:
             return None
         chosen = []
-        for column in SCHEMA:
-            if not column.snapshot:
-                continue
+        for column in runfile.LEGACY_INTERVALS:
             current = [
                 part
                 for part in self._extents.get(column.sid, ())

@@ -50,10 +50,12 @@ __all__ = [
     "I64",
     "BLOB",
     "SCHEMA",
+    "LEGACY_INTERVALS",
     "Column",
     "Header",
     "Extent",
     "section_name",
+    "in_schema",
     "encode_rows",
     "decode_blob",
     "merge_payloads",
@@ -100,20 +102,14 @@ class Column(NamedTuple):
     #: The :class:`Header` watermark that counts this column's rows.
     family: str
     dtype: int
-    #: Delta columns persist the rows appended since the last checkpoint.
-    #: Snapshot columns are rewritten in full (``row_start == 0``) by every
-    #: segment that appends rows of their family — pre-order ranks are global
-    #: properties of the tree, so a delta encoding would be meaningless;
-    #: readers use the last snapshot matching the watermark, a rewrite keeps
-    #: only that one.
-    snapshot: bool = False
 
     @property
     def numpy_dtype(self) -> np.dtype:
         return _NP_DTYPES[self.dtype]
 
 
-#: Every section a run file can carry, in section-id order.  Within one
+#: Every section a checkpoint writes, in section-id order; each segment holds
+#: the rows its columns gained since the previous checkpoint.  Within one
 #: table the rows follow that table's ``raw_columns()`` order, which is also
 #: the positional order of its ``Mapped*`` constructor.  Path columns include
 #: the root row so a mapped view is indexable by path id with no prepend
@@ -134,23 +130,30 @@ SCHEMA = (
     Column(23, "node.uid_id", "n_nodes", I32),
     Column(24, "node.uids", "n_node_uids", BLOB),
     Column(25, "node.module_names", "n_module_names", BLOB),
-    Column(26, "node.pre", "n_nodes", I64, snapshot=True),
-    Column(27, "node.post", "n_nodes", I64, snapshot=True),
-    Column(28, "node.level", "n_nodes", I64, snapshot=True),
 )
-_BY_SID = {column.sid: column for column in SCHEMA}
+#: Sections only files of earlier builds carry: the parse tree's interval
+#: columns, every extent a whole snapshot (``row_start == 0``) of the node
+#: rows persisted so far.  Nothing is served from them and nothing writes
+#: them; such a file still attaches, the extents are scrubbed like any other,
+#: and compaction leaves them behind.
+LEGACY_INTERVALS = (
+    Column(26, "node.pre", "n_nodes", I64),
+    Column(27, "node.post", "n_nodes", I64),
+    Column(28, "node.level", "n_nodes", I64),
+)
+_SCHEMA_SIDS = frozenset(column.sid for column in SCHEMA)
+_NAMES = {column.sid: column.name for column in SCHEMA + LEGACY_INTERVALS}
 # A segment carries each column at most once, so its table always fits.
 assert _SEGMENT.size + len(SCHEMA) * (_SECTION.size + _CRC.size) <= PAGE_SIZE
 
 
 def section_name(sid: int) -> str:
-    column = _BY_SID.get(sid)
-    return column.name if column is not None else f"section#{sid}"
+    return _NAMES.get(sid, f"section#{sid}")
 
 
-def _is_snapshot(sid: int) -> bool:
-    column = _BY_SID.get(sid)
-    return column is not None and column.snapshot
+def in_schema(sid: int) -> bool:
+    """Whether a compacted rewrite keeps section ``sid`` (else it is left behind)."""
+    return sid in _SCHEMA_SIDS
 
 
 def _align(offset: int) -> int:
@@ -400,15 +403,13 @@ def compacted_bytes(extents: dict[int, list[Extent]]) -> int:
     """Size of the one-segment rewrite of a chain with these extents.
 
     Mirrors :func:`write_segment`'s layout (one header page, one
-    section-table page, each merged extent padded to a page; of a snapshot
-    column only the latest extent survives).  Blob columns gain a few join
-    separators when merged; the estimate ignores them — it guides a
-    compaction *policy*, not an allocator.
+    section-table page, each schema column's merged extent padded to a
+    page).  Blob columns gain a few join separators when merged; the
+    estimate ignores them — it guides a compaction *policy*, not an
+    allocator.
     """
     total = 2 * PAGE_SIZE  # file header page + the single section-table page
     for sid, parts in extents.items():
-        if _is_snapshot(sid):
-            total += _align(parts[-1].nbytes)
-        else:
+        if in_schema(sid):
             total += _align(sum(part.nbytes for part in parts))
     return total

@@ -161,11 +161,11 @@ def build_nested_chain_specification(
     appears in a label.  Atomic dependencies are *saturated* (every input
     transitively feeds every output): the induced ``Inputs``/``Outputs``
     chain matrices are uniformly all-true, which makes the specification
-    the best case for the structural interval index — production chains are
-    decided by interval containment alone and only the identity wiring
-    between *adjacent* pipeline stages needs a decoded matrix.  This is the
-    workload of the serving bench's cold-start table (a BioAID-shaped
-    pipeline without BioAID's recursion).
+    the best case for verdict rows — the product over a production chain is
+    forced by the classes of its factors and only the identity wiring
+    between *adjacent* pipeline stages needs a decoded matrix (a
+    BioAID-shaped pipeline without BioAID's recursion; the benchmark's
+    ``wire_small_structural`` workload).
     """
     if nesting_depth < 1:
         raise ValueError("nesting_depth must be at least 1")

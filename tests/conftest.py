@@ -131,8 +131,6 @@ def decoded_state_bytes():
         per_run = 0
         for state in engine.decoded_states().values():
             per_run += sum(flags.nbytes for flags in state.visibility_flags.values())
-            for classifier in state.structural.values():
-                per_run += sum(len(fold) * fold.itemsize for fold in (classifier.in_fold, classifier.out_fold))
             cache = getattr(state, "decode_cache", None)  # matrix-free states have none
             for table in cache.pair_tables.values() if cache is not None else ():
                 columns = (table.keys, table.off, table.rows, table.cols, table.hits, table.order, table.pool)
@@ -140,7 +138,10 @@ def decoded_state_bytes():
         static = 0
         for part in engine._statics.values():
             bank = part.bank
-            arrays = (bank.matrices, bank.shapes, bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos)
+            arrays = (
+                bank.matrices, bank.shapes, bank.classes,
+                bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos,
+            )
             static += sum(array.nbytes for array in arrays)
             static += matrices(part.chains) + matrices(part.inputs_segments) + matrices(part.outputs_segments)
             static += sum(matrices(table) for triple in part.productions.values() for table in triple)
@@ -174,3 +175,93 @@ def state_budget_for():
         return static + sum(per_run[-resident:])
 
     return budget_for
+
+
+@pytest.fixture(scope="session")
+def kernel_vs_reference():
+    """``check(engine, scheme, labeler, view, variant, rng, n_pairs)``: the differential contract.
+
+    ``repro.engine.kernel.decide_many`` against ``repro.core.decoder`` key by
+    key, and ``depends_batch`` against the one-pair predicate pair by pair
+    (see the returned function).
+    """
+    import numpy as np
+
+    from repro.core.decoder import intermediate_matrix
+    from repro.engine import DEFAULT_RUN
+    from repro.engine.cache import DecodedViewState, StaticViewState
+    from repro.engine.kernel import MATRIX, REFERENCE, VERDICT_FALSE, VERDICT_TRUE, decide_many
+
+    def _outcome(call):
+        try:
+            return ("ok", call())
+        except Exception as exc:  # the error itself is the thing under comparison
+            return (type(exc), str(exc))
+
+    def check(engine, scheme, labeler, view, variant, rng, n_pairs=120):
+        """Kernel decisions and engine answers vs the reference, on random item pairs.
+
+        Items are drawn from the whole run, visible in ``view`` or not, so keys
+        the view does not define (the reference raises) are part of the sample.
+        Returns how many keys the kernel decided and how many it declined.
+        """
+        view_label = scheme.label_view(view, variant)
+        uids = sorted(labeler.labels)
+        pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(n_pairs)]
+
+        shard = engine._shards[DEFAULT_RUN]
+        store, table = shard.store, shard.store.table
+        state = engine.decoded_state(view, variant)
+        rows = [store.row(d1)[:1] + store.row(d2)[2:3] for d1, d2 in pairs]
+        keys = sorted({(int(p1), int(c2)) for p1, c2 in rows if p1 >= 0 and c2 >= 0})
+        path1 = np.asarray([p1 for p1, _ in keys], dtype=np.int64)
+        path2 = np.asarray([c2 for _, c2 in keys], dtype=np.int64)
+        outcome, blocks, shapes = decide_many(
+            engine._trie_columns(shard), state.static.bank, state, path1, path2
+        )
+        ports = state.static.bank.ports
+        for (p1, c2), verdict, block, shape in zip(keys, outcome, blocks, shapes):
+            reference = _outcome(
+                lambda: intermediate_matrix(table.path(p1), table.path(c2), view_label)
+            )
+            if verdict == REFERENCE:
+                # The kernel only declines what the reference raises for.
+                assert reference[0] != "ok", (p1, c2, reference)
+            elif verdict == VERDICT_FALSE:
+                assert reference[0] == "ok", (p1, c2, reference)
+                assert reference[1] is None or reference[1].is_all_false(), (p1, c2, reference)
+            elif verdict == VERDICT_TRUE:
+                assert reference[0] == "ok" and reference[1] is not None, (p1, c2, reference)
+                assert min(reference[1].shape) > 0, (p1, c2, reference)
+                assert reference[1].is_all_true(), (p1, c2, reference)
+            else:
+                assert verdict == MATRIX and reference[0] == "ok" and reference[1] is not None
+                matrix = reference[1]
+                assert tuple(shape) == matrix.shape, (p1, c2)
+                padded = np.zeros((ports, ports), dtype=bool)
+                padded[: matrix.rows, : matrix.cols] = matrix.data
+                assert np.array_equal(block.reshape(ports, ports), padded), (p1, c2)
+
+        # Pair by pair, the engine and the one-pair predicate agree on the bit —
+        # or on the error, type and message.  (The reference runs through a
+        # decoded view state of its own, like the engine's: the state normalises
+        # a chain's rotation before the label words its "not retained" message.)
+        reference_state = DecodedViewState(StaticViewState(view_label))
+        answered = []
+        for d1, d2 in pairs:
+            label1, label2 = labeler.label(d1), labeler.label(d2)
+            want = _outcome(lambda: reference_state.depends(label1, label2))
+            got = _outcome(lambda: engine.depends_batch([(d1, d2)], view, variant=variant)[0])
+            assert got == want, (d1, d2)
+            if want[0] == "ok":
+                assert want[1] == scheme.depends(label1, label2, view_label)
+                answered.append(((d1, d2), want[1]))
+        # And as one batch (array input), warm and cold keys mixed.
+        if answered:
+            batch = np.asarray([pair for pair, _ in answered], dtype=np.int64)
+            bits = [bit for _, bit in answered]
+            assert engine.depends_batch(batch, view, variant=variant) == bits
+        declined = int(np.count_nonzero(outcome == REFERENCE))
+        return len(keys) - declined, declined
+
+    return check

@@ -5,14 +5,16 @@ stacked float32 matrices; ``repro.core.decoder.intermediate_matrix`` is the
 paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
 *a bit-identical answer or the reference's typed error*:
 
-(1) differential — every key the kernel decides is the reference's matrix
-    (or its ``None``), every key it declines is one the reference raises
-    for, and ``depends_batch`` equals the per-pair ``FVLScheme.depends``
-    outcome, error type and message included — over the synthetic family
-    (mid-cycle dropped productions included), BioAID, the nested chain and
-    a deep recursion; all three variants; grey, white and black-box views;
-    live, sealed, mapped, multi-segment and sparse stores; with and without
-    the structural index;
+(1) differential — every matrix the kernel builds is the reference's, every
+    ``VERDICT_FALSE`` a key the reference finds no dependency for (its
+    ``None`` or an all-false matrix), every ``VERDICT_TRUE`` one whose
+    reference matrix is all-true, every key it declines one the reference
+    raises for, and ``depends_batch`` equals the per-pair
+    ``FVLScheme.depends`` outcome, error type and message included — over
+    the synthetic family (mid-cycle dropped productions included), BioAID,
+    the nested chain and a deep recursion; all three variants; grey, white
+    and black-box views; live, sealed, mapped, multi-segment and sparse
+    stores;
 (2) a warm batch executes no per-key Python;
 (3) the state budget bounds the pair tables and the bank's chain products
     together, in bytes, across LRU rebuilds;
@@ -36,12 +38,10 @@ from hypothesis import strategies as st
 import repro.core.decoder as decoder
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import RunReachabilityOracle
-from repro.core.decoder import intermediate_matrix
 from repro.engine import DEFAULT_RUN
 from repro.engine.cache import DecodedViewState, StaticViewState
-from repro.engine.kernel import MATRIX, NO_MATRIX, REFERENCE, decide_many
+from repro.engine.kernel import REFERENCE, MatrixBank, decide_many
 from repro.errors import DecodingError
-from repro.index import ChainClassifier
 from repro.model import default_view
 from repro.model.projection import ViewProjection
 from repro.store import LabelStore, checkpoint_run
@@ -57,16 +57,9 @@ from repro.workloads import (
 STORES = ("live", "sealed", "mapped", "segmented", "sparse")
 
 
-def _outcome(call):
-    try:
-        return ("ok", call())
-    except Exception as exc:  # the error itself is the thing under comparison
-        return (type(exc), str(exc))
-
-
-def _engine_over(scheme, derivation, labeler, store, run_file, **options) -> QueryEngine:
+def _engine_over(scheme, derivation, labeler, store, run_file) -> QueryEngine:
     """An engine serving ``derivation`` from a store in the named state."""
-    engine = QueryEngine(scheme, **options)
+    engine = QueryEngine(scheme)
     if store in ("live", "sealed"):
         own = engine.add_run(DEFAULT_RUN, derivation)
         if store == "sealed":
@@ -94,66 +87,6 @@ def _engine_over(scheme, derivation, labeler, store, run_file, **options) -> Que
     return engine
 
 
-def _check_against_reference(engine, scheme, labeler, view, variant, rng, n_pairs=120):
-    """Kernel decisions and engine answers vs the reference, on random item pairs.
-
-    Items are drawn from the whole run, visible in ``view`` or not, so keys
-    the view does not define (the reference raises) are part of the sample.
-    Returns how many keys the kernel decided and how many it declined.
-    """
-    view_label = scheme.label_view(view, variant)
-    uids = sorted(labeler.labels)
-    pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(n_pairs)]
-
-    shard = engine._shards[DEFAULT_RUN]
-    store, table = shard.store, shard.store.table
-    state = engine.decoded_state(view, variant)
-    rows = [store.row(d1)[:1] + store.row(d2)[2:3] for d1, d2 in pairs]
-    keys = sorted({(int(p1), int(c2)) for p1, c2 in rows if p1 >= 0 and c2 >= 0})
-    path1 = np.asarray([p1 for p1, _ in keys], dtype=np.int64)
-    path2 = np.asarray([c2 for _, c2 in keys], dtype=np.int64)
-    outcome, blocks, shapes = decide_many(
-        engine._trie_columns(shard), state.static.bank, state, path1, path2
-    )
-    ports = state.static.bank.ports
-    for (p1, c2), verdict, block, shape in zip(keys, outcome, blocks, shapes):
-        reference = _outcome(
-            lambda: intermediate_matrix(table.path(p1), table.path(c2), view_label)
-        )
-        if verdict == REFERENCE:
-            # The kernel only declines what the reference raises for.
-            assert reference[0] != "ok", (p1, c2, reference)
-        elif verdict == NO_MATRIX:
-            assert reference == ("ok", None), (p1, c2, reference)
-        else:
-            assert verdict == MATRIX and reference[0] == "ok" and reference[1] is not None
-            matrix = reference[1]
-            assert tuple(shape) == matrix.shape, (p1, c2)
-            padded = np.zeros((ports, ports), dtype=bool)
-            padded[: matrix.rows, : matrix.cols] = matrix.data
-            assert np.array_equal(block.reshape(ports, ports), padded), (p1, c2)
-
-    # Pair by pair, the engine and the one-pair predicate agree on the bit —
-    # or on the error, type and message.  (The reference runs through a
-    # decoded view state of its own, like the engine's: the state normalises
-    # a chain's rotation before the label words its "not retained" message.)
-    reference_state = DecodedViewState(StaticViewState(view_label))
-    answered = []
-    for d1, d2 in pairs:
-        label1, label2 = labeler.label(d1), labeler.label(d2)
-        want = _outcome(lambda: reference_state.depends(label1, label2))
-        got = _outcome(lambda: engine.depends_batch([(d1, d2)], view, variant=variant)[0])
-        assert got == want, (d1, d2)
-        if want[0] == "ok":
-            assert want[1] == scheme.depends(label1, label2, view_label)
-            answered.append(((d1, d2), want[1]))
-    # And as one batch (array input), warm and cold keys mixed.
-    if answered:
-        batch = np.asarray([pair for pair, _ in answered], dtype=np.int64)
-        assert engine.depends_batch(batch, view, variant=variant) == [bit for _, bit in answered]
-    return int(np.count_nonzero(outcome != REFERENCE)), int(np.count_nonzero(outcome == REFERENCE))
-
-
 # -- (1) differential -------------------------------------------------------------------
 
 
@@ -168,10 +101,10 @@ def _check_against_reference(engine, scheme, labeler, view, variant, rng, n_pair
     mode=st.sampled_from(["grey", "white", "black"]),
     variant=st.sampled_from(list(FVLVariant)),
     store=st.sampled_from(STORES),
-    use_structural_index=st.booleans(),
 )
 def test_synthetic_family_matches_the_reference(
     tmp_path_factory,
+    kernel_vs_reference,
     spec_seed,
     nesting_depth,
     recursion_length,
@@ -181,7 +114,6 @@ def test_synthetic_family_matches_the_reference(
     mode,
     variant,
     store,
-    use_structural_index,
 ):
     # Cycles of length 1..3 nested 1..3 deep; a random derivable-closed view
     # routinely keeps C{d}_1 and drops C{d}_2 — a production dropped in the
@@ -199,11 +131,9 @@ def test_synthetic_family_matches_the_reference(
     labeler = scheme.label_run(derivation)
     view = random_view(spec, n_expand, seed=run_seed, mode=mode, name="kernel")
     run_file = tmp_path_factory.mktemp("kernel") / "run.fvl"
-    engine = _engine_over(
-        scheme, derivation, labeler, store, run_file, use_structural_index=use_structural_index
-    )
+    engine = _engine_over(scheme, derivation, labeler, store, run_file)
     try:
-        _check_against_reference(
+        kernel_vs_reference(
             engine, scheme, labeler, view, variant, random.Random(run_seed), n_pairs=60
         )
     finally:
@@ -215,7 +145,9 @@ def test_synthetic_family_matches_the_reference(
 @pytest.mark.parametrize(
     "workload", ["bioaid", "chain"], ids=["bioaid", "nested-chain"]
 )
-def test_bioaid_and_nested_chain_match_the_reference(tmp_path, workload, mode, variant):
+def test_bioaid_and_nested_chain_match_the_reference(
+    tmp_path, kernel_vs_reference, workload, mode, variant
+):
     if workload == "bioaid":
         spec = build_bioaid_specification()
         derivation = random_run(spec, 400, seed=11)
@@ -226,13 +158,10 @@ def test_bioaid_and_nested_chain_match_the_reference(tmp_path, workload, mode, v
     labeler = scheme.label_run(derivation)
     view = random_view(spec, 5, seed=21, mode=mode, name=f"{workload}-{mode}")
     decided = declined = 0
-    for store, indexed in (("mapped", True), ("live", False)):
-        engine = _engine_over(
-            scheme, derivation, labeler, store, tmp_path / f"{store}.fvl",
-            use_structural_index=indexed,
-        )
+    for store in ("mapped", "live"):
+        engine = _engine_over(scheme, derivation, labeler, store, tmp_path / f"{store}.fvl")
         try:
-            counts = _check_against_reference(
+            counts = kernel_vs_reference(
                 engine, scheme, labeler, view, variant, random.Random(3), n_pairs=150
             )
         finally:
@@ -242,7 +171,7 @@ def test_bioaid_and_nested_chain_match_the_reference(tmp_path, workload, mode, v
 
 
 @pytest.mark.parametrize("variant", list(FVLVariant))
-def test_deep_recursion_beyond_a_cycle_turn_and_the_power_table_tail(variant):
+def test_deep_recursion_beyond_a_cycle_turn_and_the_power_table_tail(kernel_vs_reference, variant):
     """Child indices far past one turn of the cycle and past every stored power."""
     spec = build_running_example()
     scheme = FVLScheme(spec)
@@ -262,7 +191,7 @@ def test_deep_recursion_beyond_a_cycle_turn_and_the_power_table_tail(variant):
         )
     engine = QueryEngine(scheme)
     engine.add_run(DEFAULT_RUN, derivation)
-    decided, declined = _check_against_reference(
+    decided, declined = kernel_vs_reference(
         engine, scheme, labeler, view, variant, random.Random(0), n_pairs=300
     )
     # The default view drops nothing: every key is a clean case.
@@ -316,7 +245,7 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     def forbidden(*args, **kwargs):
         raise AssertionError("per-key or per-pair Python on a warm batch")
 
-    monkeypatch.setattr(ChainClassifier, "classify", forbidden)
+    monkeypatch.setattr(MatrixBank, "_code", forbidden)
     monkeypatch.setattr(decoder, "_intermediate_matrix", forbidden)
     monkeypatch.setattr(decoder, "_chain_over", forbidden)
     monkeypatch.setattr(DecodedViewState, "depends", forbidden)
@@ -381,11 +310,10 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
         name: sum(len(state.decode_cache.table(arena)) for arena in (0, 1))
         for name, state in wanted.items()
     }
-    assert wanted_chains > 40 and all(state.structural for state in wanted.values())
+    assert wanted_chains > 40
     roomy.detach("disk")
 
-    # A twentieth of the smaller per-run state — a few rows, never a classifier
-    # fold — on top of (a) every static byte wanted, (b) the static parts as
+    # A twentieth of the smaller per-run state — a few rows — on top of (a) every static byte wanted, (b) the static parts as
     # they start out, with no room to double a bank for chain products.
     for budget in (static + per_run // 20, labelled + per_run // 20):
         engine = engine_with(state_budget_bytes=budget)
@@ -403,7 +331,6 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
             tables = [state.decode_cache.table(arena) for arena in (0, 1)]
             assert state.decode_cache.nbytes == sum(table.nbytes for table in tables) == state.nbytes
             assert sum(len(table) for table in tables) < wanted_rows[view.name]
-            assert not state.structural
         chains = sum(part.bank.chain_codes for part in engine._statics.values())
         if budget >= static:
             # (a) the static parts fit whole, so the budget itself held and rows got the rest.

@@ -1,4 +1,4 @@
-"""Guards against reintroducing the space-efficient variant's 40x query cliff.
+"""Non-benchmark guards: the 40x query cliff, snapshot columns, per-key Python.
 
 Before the engine, the space-efficient variant re-ran a graph search over a
 production body on *every* matrix access of *every* query, leaving it 30-40x
@@ -12,6 +12,17 @@ from coming back:
 * a timing ratio — the warm batched space-efficient path stays within a
   generous constant factor of the warm default path (the regression being
   guarded against is a >25x cliff, so the bound has plenty of headroom).
+
+Two more keep what left the write path and the cold query path from coming
+back unnoticed, both counts, neither a timing:
+
+* a chain of delta checkpoints holds the payload bytes of its compaction —
+  a column rewritten in full by every checkpoint (as the interval columns
+  were) multiplies them;
+* a cold batch, on a mapped and on a live and still-growing shard, builds no
+  interval index and makes no Python call per path pair: the matrix bank is
+  asked once per distinct *factor*, and not at all for factors an earlier
+  shard of the view resolved.
 """
 
 from __future__ import annotations
@@ -20,10 +31,13 @@ import time
 
 import pytest
 
-from repro import FVLScheme, FVLVariant, QueryEngine
+from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
 from repro.core.view_label import ViewLabel
 from repro.engine import DEFAULT_RUN
+from repro.engine.kernel import MatrixBank
+from repro.index import StructuralIndex
 from repro.model.projection import ViewProjection
+from repro.store import MappedRunStore, checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
 from repro.bench import sample_query_pairs
@@ -96,3 +110,89 @@ def test_space_efficient_batch_within_constant_factor_of_default(setup):
         f"space-efficient batch took {space_time * 1e3:.2f} ms vs "
         f"{default_time * 1e3:.2f} ms for the default variant"
     )
+
+
+def _payload_bytes(run_file) -> int:
+    with MappedRunStore(run_file) as mapped:
+        return sum(extent.nbytes for _, extent in mapped.sections())
+
+
+def test_delta_checkpoints_write_what_their_compaction_holds(setup, tmp_path):
+    """Twelve checkpoints of a growing run: no column is rewritten by each of them.
+
+    Payload bytes, from the manifests, so page padding plays no part.  With
+    the three interval columns rewritten in full by every checkpoint the chain
+    held 2.1x its compaction; deltas alone hold the same bytes (blob columns
+    gain a separator per merged extent, hence the inequality).
+    """
+    scheme, derivation, _, _ = setup
+    events = derivation.events
+    run_file = tmp_path / "deltas.fvl"
+    labeler = scheme.run_labeler()
+    cuts = [len(events) * slice_ // 12 for slice_ in range(13)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        for event in events[lo:hi]:
+            labeler(event)
+        checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    segmented = _payload_bytes(run_file)
+    assert compact(run_file).segments_before == 12
+    assert segmented <= 1.15 * _payload_bytes(run_file)
+
+
+def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp_path, monkeypatch):
+    scheme, derivation, view, _ = setup
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("a query built an interval index")
+
+    monkeypatch.setattr(StructuralIndex, "build", no_index)
+    resolved = []
+    original = MatrixBank._code
+
+    def counting(self, key, state):
+        resolved.append(key)
+        return original(self, key, state)
+
+    monkeypatch.setattr(MatrixBank, "_code", counting)
+
+    # The same expansions, replayed into a run the engine labels as it grows.
+    growing = Derivation(scheme.specification)
+    engine = QueryEngine(scheme)
+    labeler = engine.add_run("live", growing)
+    view_label = scheme.label_view(view)
+    visible = sorted(ViewProjection(derivation.run, view).visible_items)
+    expansions = derivation.events[1:]
+
+    def grow_and_ask(events):
+        for event in events:
+            growing.expand(event.parent.uid, event.production_index)
+        items = [uid for uid in visible if uid <= growing.run.n_data_items]
+        pairs = sample_query_pairs(items, 600, seed=len(items))
+        expected = [
+            scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs
+        ]
+        resolved.clear()
+        assert engine.depends_batch(pairs, view, run="live") == expected
+        return pairs, expected
+
+    half = len(expansions) // 2
+    grow_and_ask(expansions[:half])
+    bank = engine.decoded_state(view).static.bank
+    cache = engine.decoded_state(view).decode_cache
+    table = cache.table(engine.shard_arena("live"))
+    # Every call is for a distinct factor (a chain step asks for its edge
+    # once more), and there are far fewer factors than path pairs.
+    assert 0 < len(resolved) <= 2 * len(set(resolved)) <= 2 * len(bank._codes)
+    assert len(set(resolved)) < len(table) // 2
+    pairs, expected = grow_and_ask(expansions[half:])  # the shard grew: new keys, no rebuild
+    assert len(cache.table(engine.shard_arena("live"))) > len(table)
+
+    # A mapped shard of the same run under the same view: every key is cold,
+    # every factor known — the bank is not asked at all.
+    run_file = tmp_path / "cold.fvl"
+    engine.checkpoint(run_file, "live")
+    engine.attach(run_file, "disk")
+    resolved.clear()
+    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert resolved == []
+    assert len(cache.table(engine.shard_arena("disk"))) > 0

@@ -381,12 +381,12 @@ def test_attach_detach_churn_leaves_the_static_part_alone(churn, decoded_state_b
         state = engine.decoded_state(case.view)
         arena = engine.shard_arena(run)
         assert state.decode_cache.arenas() == [arena] and any(state.decode_cache.rows(arena))
-        assert arena in state.visibility_flags and (arena, run) in state.structural
+        assert arena in state.visibility_flags
         assert state.nbytes > 0
         engine.detach(run)
         # The per-run half is empty again, and gave every byte back ...
         assert not state.decode_cache.arenas() and not state.decode_cache.pair_tables
-        assert not state.visibility_flags and not state.structural
+        assert not state.visibility_flags
         assert state.nbytes == 0
         resident.add(engine.stats.views.bytes)
         assert decoded_state_bytes(engine) == (0, engine.stats.views.bytes)
@@ -398,7 +398,6 @@ def test_attach_detach_churn_leaves_the_static_part_alone(churn, decoded_state_b
             static.chains,
             static.inputs_segments,
             static.outputs_segments,
-            static.structural_classes,
         ):
             assert not any(_arena_tagged(key) for key in table)
     assert len(sizes) == 1 and sizes.pop() > 0

@@ -1,17 +1,26 @@
-"""Differential + corruption tests for the interval-index serving path.
+"""Verdict rows against the reference decoder, and files of builds that wrote intervals.
 
-The acceptance contract of the structural index is *bit-identical answers*:
-an engine with ``use_structural_index=True`` must agree pair-for-pair with
-the matrix decoder on every grammar — recursive chains fall back rather than
-answer — including which queries *raise* and with what error.  And a flipped
-byte in a persisted interval column must surface as a typed
-:class:`~repro.errors.CorruptionError`, never as a wrong answer.
+The contract of a verdict row is *the bit the decoder's matrix holds at every
+port pair*: on every grammar — recursive chains included — the engine agrees
+pair for pair with the one-pair predicate, including which queries *raise*
+and with what error, and every key ``decide_many`` settles without a product
+is one whose reference matrix is all-true, or absent or all-false
+(``kernel_vs_reference``, the checker ``tests/engine/test_decode_kernel.py``
+shares).
+
+Run files written before the kernel classified products carry three interval
+sections (``node.pre`` / ``node.post`` / ``node.level``).  They still attach
+and answer bit-identically, a flipped byte in one of those extents surfaces
+as a typed :class:`~repro.errors.CorruptionError`, never as a wrong answer,
+and compaction rewrites them to the current 14-column layout.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +32,11 @@ from repro.core import FVLScheme, FVLVariant
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError
+from repro.index import compute_tree_intervals
 from repro.model.projection import ViewProjection
 from repro.model.views import default_view
-from repro.store import MappedRunStore, checkpoint_run, compact
+from repro.store import MappedRunStore, checkpoint_run, compact, verify_run
+from repro.store.runfile import I64, SCHEMA, write_segment
 from repro.workloads import (
     build_bioaid_specification,
     build_nested_chain_specification,
@@ -35,33 +46,45 @@ from repro.workloads import (
 )
 
 # A small *recursive* member of the synthetic family: every derivation
-# carries recursion edges, so the classifier must route groups to the
-# decoder rather than guess.
+# carries recursion edges, so chain products are among the classified factors.
 SYN_SPEC = build_synthetic_specification(
     workflow_size=6, module_degree=2, nesting_depth=2, recursion_length=2, seed=3
 )
 SYN_SCHEME = FVLScheme(SYN_SPEC)
 
-# A deep non-recursive chain grammar: the structural best case.
+# A deep non-recursive chain grammar: nearly every product is forced.
 CHAIN_SPEC = build_nested_chain_specification(
     nesting_depth=6, chain_length=8, module_degree=3
 )
 CHAIN_SCHEME = FVLScheme(CHAIN_SPEC)
 
-
-def _per_pair_outcomes(engine, pairs, view, variant):
-    """Answer (or raised error identity) for every pair, one at a time."""
-    outcomes = []
-    for pair in pairs:
-        try:
-            outcomes.append(engine.depends_batch([pair], view, variant=variant)[0])
-        except Exception as exc:  # compare errors too, not just answers
-            outcomes.append((type(exc).__name__, str(exc)))
-    return outcomes
+INTERVAL_SECTIONS = {26: "node.pre", 27: "node.post", 28: "node.level"}
 
 
-def _attach_pair(scheme, derivation, tmp, use_index_file=True):
-    """Two engines over the same checkpointed file: interval vs matrix.
+def _append_interval_sections(run_file) -> None:
+    """Turn ``run_file`` into what earlier builds wrote: sections 26-28 ride along.
+
+    One more segment holding a full snapshot of the three interval columns
+    over the node rows persisted so far (``row_start == 0``), as every
+    checkpoint that appended node rows used to write.
+    """
+    with MappedRunStore(run_file) as mapped:
+        header = mapped.header
+        parent = np.asarray(mapped.nodes.columns()["parent"], dtype=np.int64)
+    sections = [
+        (sid, I64, 0, header.n_nodes, rows.astype("<i8").tobytes())
+        for sid, rows in zip(INTERVAL_SECTIONS, compute_tree_intervals(parent))
+    ]
+    with open(run_file, "r+b") as handle:
+        end_offset = write_segment(handle, header.end_offset, sections)
+        handle.seek(0)
+        handle.write(
+            replace(header, n_segments=header.n_segments + 1, end_offset=end_offset).pack()
+        )
+
+
+def _attached(scheme, derivation, tmp, *, intervals=False):
+    """``(run file, labeler, engine)``: the run checkpointed and attached.
 
     Hypothesis reuses one ``tmp_path`` across examples and ``checkpoint_run``
     *appends* to an existing file, so every call gets a fresh subdirectory.
@@ -70,14 +93,17 @@ def _attach_pair(scheme, derivation, tmp, use_index_file=True):
     labeler = RunLabeler(scheme.index)
     for event in derivation.events:
         labeler(event)
-    checkpoint_run(
-        run_file, labeler.store, labeler.tree.nodes, structural_index=use_index_file
-    )
-    interval = QueryEngine(scheme, use_structural_index=True)
-    interval.attach(run_file, DEFAULT_RUN)
-    matrix = QueryEngine(scheme, use_structural_index=False)
-    matrix.attach(run_file, DEFAULT_RUN)
-    return run_file, interval, matrix
+    checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    if intervals:
+        _append_interval_sections(run_file)
+    engine = QueryEngine(scheme)
+    engine.attach(run_file, DEFAULT_RUN)
+    return run_file, labeler, engine
+
+
+def _reference_answers(scheme, labeler, view, pairs):
+    view_label = scheme.label_view(view)
+    return [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
 
 
 @settings(
@@ -90,17 +116,15 @@ def _attach_pair(scheme, derivation, tmp, use_index_file=True):
     n_expand=st.integers(min_value=1, max_value=4),
     mode=st.sampled_from(["grey", "white", "black"]),
     variant=st.sampled_from(list(FVLVariant)),
+    intervals=st.booleans(),
 )
-def test_recursive_grammar_interval_bit_identical(tmp_path, seed, n_expand, mode, variant):
+def test_recursive_grammar_interval_bit_identical(
+    tmp_path, kernel_vs_reference, seed, n_expand, mode, variant, intervals
+):
     derivation = random_run(SYN_SPEC, target_items=150, seed=seed)
     view = random_view(SYN_SPEC, n_expand, seed=seed, mode=mode)
-    _, interval, matrix = _attach_pair(SYN_SCHEME, derivation, tmp_path)
-    visible = sorted(ViewProjection(derivation.run, view).visible_items)
-    rng = random.Random(seed)
-    pairs = [(rng.choice(visible), rng.choice(visible)) for _ in range(40)]
-    assert _per_pair_outcomes(interval, pairs, view, variant) == _per_pair_outcomes(
-        matrix, pairs, view, variant
-    )
+    _, labeler, engine = _attached(SYN_SCHEME, derivation, tmp_path, intervals=intervals)
+    kernel_vs_reference(engine, SYN_SCHEME, labeler, view, variant, random.Random(seed), n_pairs=40)
 
 
 @settings(
@@ -109,41 +133,42 @@ def test_recursive_grammar_interval_bit_identical(tmp_path, seed, n_expand, mode
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(seed=st.integers(min_value=0, max_value=1_000), variant=st.sampled_from(list(FVLVariant)))
-def test_chain_grammar_interval_bit_identical(tmp_path, seed, variant):
+def test_chain_grammar_interval_bit_identical(tmp_path, kernel_vs_reference, seed, variant):
     derivation = random_run(CHAIN_SPEC, target_items=200, seed=seed)
     view = default_view(CHAIN_SPEC)
-    _, interval, matrix = _attach_pair(CHAIN_SCHEME, derivation, tmp_path)
-    visible = sorted(ViewProjection(derivation.run, view).visible_items)
-    pairs = sample_query_pairs(visible, 200, seed=seed)
-    got = interval.depends_batch(pairs, view, variant=variant)
-    assert got == matrix.depends_batch(pairs, view, variant=variant)
+    _, labeler, engine = _attached(CHAIN_SCHEME, derivation, tmp_path)
+    decided, declined = kernel_vs_reference(
+        engine, CHAIN_SCHEME, labeler, view, variant, random.Random(seed), n_pairs=200
+    )
+    assert decided > 0 and declined == 0  # the default view drops nothing
 
 
 def test_recursive_chains_fall_back_to_matrix_decode(tmp_path):
-    """On a recursive grammar the structural path must not answer alone."""
+    """On a recursive grammar the classes alone must not answer everything."""
     derivation = random_run(SYN_SPEC, target_items=400, seed=11)
     view = random_view(SYN_SPEC, 2, seed=11, mode="white")
-    _, interval, _ = _attach_pair(SYN_SCHEME, derivation, tmp_path)
+    _, labeler, engine = _attached(SYN_SCHEME, derivation, tmp_path)
     visible = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(visible, 500, seed=12)
-    interval.depends_batch(pairs, view)
-    stats = interval.stats
-    assert stats.matrix_pairs > 0, "recursive residue never reached the decoder"
+    assert engine.depends_batch(pairs, view) == _reference_answers(SYN_SCHEME, labeler, view, pairs)
+    stats = engine.stats
+    assert stats.matrix_pairs > 0, "mixed products never reached a matrix"
+    assert stats.structural_pairs > 0, "no key of a recursive run was forced"
 
 
 def test_chain_grammar_is_mostly_structural(tmp_path):
     derivation = random_run(CHAIN_SPEC, target_items=300, seed=5)
     view = default_view(CHAIN_SPEC)
-    _, interval, matrix = _attach_pair(CHAIN_SCHEME, derivation, tmp_path)
+    _, labeler, engine = _attached(CHAIN_SCHEME, derivation, tmp_path)
     visible = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(visible, 600, seed=6)
-    assert interval.depends_batch(pairs, view) == matrix.depends_batch(pairs, view)
-    stats = interval.stats
-    assert stats.structural_pairs > stats.matrix_pairs
-    assert matrix.stats.structural_pairs == 0
+    expected = _reference_answers(CHAIN_SCHEME, labeler, view, pairs)
+    assert engine.depends_batch(pairs, view) == expected
+    stats = engine.stats
+    assert stats.structural_pairs > 5 * stats.matrix_pairs
 
 
-# -- corruption: loud failure, never a wrong answer ----------------------------
+# -- files that carry interval sections: loud failure, never a wrong answer ------
 
 
 def _section_extent(run_file, wanted):
@@ -162,35 +187,34 @@ def _flip_byte(path, offset):
         handle.write(bytes([original ^ 0xFF]))
 
 
-@pytest.mark.parametrize("section", ["node.pre", "node.post", "node.level"])
+@pytest.mark.parametrize("section", sorted(INTERVAL_SECTIONS.values()))
 def test_flipped_index_byte_raises_never_misanswers(tmp_path, section):
     spec = build_bioaid_specification()
     scheme = FVLScheme(spec)
     derivation = random_run(spec, 300, seed=21)
     view = random_view(spec, 6, seed=22, mode="grey", name="flip-view")
-    run_file, _, _ = _attach_pair(scheme, derivation, tmp_path)
-    offset, nbytes = _section_extent(run_file, section)
-    _flip_byte(run_file, offset + nbytes // 2)
+    run_file, labeler, engine = _attached(scheme, derivation, tmp_path, intervals=True)
     items = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(items, 200, seed=23)
-    # Eager verification refuses the attach outright...
-    with pytest.raises(CorruptionError):
-        QueryEngine(scheme, use_structural_index=True).attach(
-            run_file, DEFAULT_RUN, verify="attach"
-        )
-    # ...and a lazy attach raises on the first batch that builds the index —
-    # the corrupt column must never steer a query.
-    engine = QueryEngine(scheme, use_structural_index=True)
+    # Intact, the older file answers like any other ...
+    assert engine.depends_batch(pairs, view) == _reference_answers(scheme, labeler, view, pairs)
+    engine.detach(DEFAULT_RUN)
+    offset, nbytes = _section_extent(run_file, section)
+    _flip_byte(run_file, offset + nbytes // 2)
+    # ... damaged, eager verification refuses the attach outright ...
+    with pytest.raises(CorruptionError, match=section):
+        QueryEngine(scheme).attach(run_file, DEFAULT_RUN, verify="attach")
+    # ... and a lazy attach raises on the first batch: the extent serves
+    # nothing, but a file that fails its scrub serves nothing either.
+    engine = QueryEngine(scheme)
     engine.attach(run_file, DEFAULT_RUN)
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match=section):
         engine.depends_batch(pairs, view)
 
 
 def test_flipped_index_byte_fails_deep_verify(tmp_path):
-    from repro.store import verify_run
-
     derivation = random_run(CHAIN_SPEC, target_items=150, seed=31)
-    run_file, _, _ = _attach_pair(CHAIN_SCHEME, derivation, tmp_path)
+    run_file, _, _ = _attached(CHAIN_SCHEME, derivation, tmp_path, intervals=True)
     verify_run(run_file)
     offset, nbytes = _section_extent(run_file, "node.pre")
     _flip_byte(run_file, offset + nbytes // 2)
@@ -198,46 +222,41 @@ def test_flipped_index_byte_fails_deep_verify(tmp_path):
         verify_run(run_file)
 
 
-# -- compaction upgrades pre-index files ---------------------------------------
-
-
-def test_compaction_upgrades_pre_index_file(tmp_path):
+def test_compaction_leaves_the_interval_sections_behind(tmp_path):
     spec = build_bioaid_specification()
     scheme = FVLScheme(spec)
     derivation = random_run(spec, 300, seed=41)
     view = random_view(spec, 6, seed=42, mode="grey", name="upgrade-view")
-    events = derivation.events
-    cut = len(events) // 2
-    run_file = str(tmp_path / "preindex.fvl")
-    labeler = RunLabeler(scheme.index)
-    for event in events[:cut]:
-        labeler(event)
-    checkpoint_run(run_file, labeler.store, labeler.tree.nodes, structural_index=False)
-    for event in events[cut:]:
-        labeler(event)
-    checkpoint_run(run_file, labeler.store, labeler.tree.nodes, structural_index=False)
+    run_file, labeler, engine = _attached(scheme, derivation, tmp_path, intervals=True)
     with MappedRunStore(run_file) as mapped:
-        assert mapped.structural_index() is None
-    items = sorted(ViewProjection(derivation.run, view).visible_items)
-    pairs = sample_query_pairs(items, 300, seed=43)
-    before_engine = QueryEngine(scheme)
-    before_engine.attach(run_file, DEFAULT_RUN)
-    before = before_engine.depends_batch(pairs, view)
-    before_engine.detach(DEFAULT_RUN)
-
-    assert compact(run_file).compacted
-    with MappedRunStore(run_file) as mapped:
+        names = [name for name, _ in mapped.sections()]
+        assert set(INTERVAL_SECTIONS.values()) <= set(names)
+        # (What the benchmark's ``index.build_ms`` rung still asks a file for.)
         intervals = mapped.structural_index()
-        assert intervals is not None
-        from repro.index import compute_tree_intervals
-
         parent = np.asarray(mapped.nodes.columns()["parent"], dtype=np.int64)
         for got, want in zip(intervals, compute_tree_intervals(parent)):
             assert np.array_equal(np.asarray(got), want)
-    upgraded = QueryEngine(scheme, use_structural_index=True)
-    upgraded.attach(run_file, DEFAULT_RUN)
-    assert upgraded.depends_batch(pairs, view) == before
-    assert upgraded.stats.structural_pairs > 0
+    items = sorted(ViewProjection(derivation.run, view).visible_items)
+    pairs = sample_query_pairs(items, 300, seed=43)
+    before = engine.depends_batch(pairs, view)
+    assert before == _reference_answers(scheme, labeler, view, pairs)
+    bytes_before = os.path.getsize(run_file)
+
+    assert compact(run_file).compacted
+    assert len(SCHEMA) == 14
+    with MappedRunStore(run_file) as mapped:
+        # A dense file carries every schema column but ``label.uids``, once.
+        assert [name for name, _ in mapped.sections()] == [
+            column.name for column in SCHEMA if column.name != "label.uids"
+        ]
+        assert mapped.structural_index() is None
+        assert mapped.read_amplification() == 1.0
+    assert os.path.getsize(run_file) < bytes_before
+    assert engine.reopen(DEFAULT_RUN)
+    assert engine.depends_batch(pairs, view) == before
+    fresh = QueryEngine(scheme)
+    fresh.attach(run_file, DEFAULT_RUN)
+    assert fresh.depends_batch(pairs, view) == before
 
 
 # -- the memoized visibility fold matches the per-item predicate ---------------
@@ -246,7 +265,7 @@ def test_compaction_upgrades_pre_index_file(tmp_path):
 def test_visible_mask_matches_is_visible_batch(tmp_path):
     derivation = random_run(CHAIN_SPEC, target_items=200, seed=51)
     view = default_view(CHAIN_SPEC)
-    _, engine, _ = _attach_pair(CHAIN_SCHEME, derivation, tmp_path)
+    _, _, engine = _attached(CHAIN_SCHEME, derivation, tmp_path)
     uids = list(range(1, derivation.run.n_data_items + 1))
     mask = engine.visible_mask(view)
     assert mask.tolist() == engine.is_visible_batch(uids, view)

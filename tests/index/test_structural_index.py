@@ -1,28 +1,33 @@
-"""Unit tests for the structural interval index primitives.
+"""Unit tests for what decides a forced product, and for the interval utility.
 
-``compute_tree_intervals`` is differentially checked against a naive
-recursive DFS on random topologically-ordered forests, the packed edge-word
-layout is pinned to :mod:`repro.store.path_table` (the index module repeats
-the encoding to stay import-cycle free), and ``classify_matrix`` /
-``StructuralIndex.build`` edge cases are nailed down.
+The kernel's matrix classes — all-true, all-false (zero dimensions
+included), mixed, and "raises" — are nailed down on a four-path trie whose
+matrices the test dictates, and the packed edge-word layout the kernel
+unpacks is pinned to :mod:`repro.store.path_table`.  ``compute_tree_intervals``
+(an offline utility since the kernel classifies) is differentially checked
+against a naive recursive DFS on random topologically-ordered forests, and
+the ``StructuralIndex.build`` edge cases stay nailed down.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import (
-    CLASS_FALSE,
-    CLASS_MIXED,
-    CLASS_TRUE,
-    StructuralIndex,
-    classify_matrix,
-    compute_tree_intervals,
-    tree_levels,
+from repro.engine.kernel import (
+    MATRIX,
+    REFERENCE,
+    VERDICT_FALSE,
+    VERDICT_TRUE,
+    MatrixBank,
+    decide_many,
 )
+from repro.index import StructuralIndex, compute_tree_intervals, tree_levels
+from repro.matrices import BoolMatrix
 
 
 # -- interval columns vs a naive DFS reference ---------------------------------
@@ -107,56 +112,107 @@ def test_empty_forest_yields_empty_columns():
     assert pre.size == post.size == level.size == 0
 
 
-# -- the packed edge-word layout is pinned to the store's ----------------------
+# -- the packed edge-word layout the kernel unpacks is the store's ---------------
 
 
 def test_packed_word_layout_matches_path_table():
-    from repro.index import structural
+    from repro.engine import kernel
     from repro.store import path_table
 
-    assert structural._KIND_PRODUCTION == path_table.KIND_PRODUCTION
-    assert structural._FIELD_BITS == path_table._FIELD_BITS
-    assert structural._FIELD_MASK == path_table._FIELD_MASK
-    # Round-trip one production edge through the store's encoder and the
-    # index's decoder: kind bit 0, k at bit 1, i at bit 17.
-    k, i = 37, 11
-    word = path_table.KIND_PRODUCTION | k << 1 | i << 17
-    assert (word & 1) == structural._KIND_PRODUCTION
-    assert (word >> 1) & structural._FIELD_MASK == k
-    assert word >> (structural._FIELD_BITS + 1) == i
+    assert kernel._WORD_BITS == 2 * path_table._FIELD_BITS + 1
+    # Round-trip one production and one recursion edge through the store's
+    # encoder and the kernel's shifts: kind at bit 0, a at bit 1, b at bit 17.
+    table = path_table.PathTable()
+    for kind, a, b, path_id in (
+        (path_table.KIND_PRODUCTION, 37, 11, table.extend_production(0, 37, 11)),
+        (path_table.KIND_RECURSION, 3, 2, table.extend_recursion(0, 3, 2, 5)),
+    ):
+        word = table.raw_columns()[1][path_id]
+        assert 0 <= word < 1 << kernel._WORD_BITS
+        assert word & 1 == kind
+        assert (word >> 1) & kernel._FIELD_MASK == a
+        assert word >> (kernel._FIELD_BITS + 1) == b
 
 
-# -- matrix classification -----------------------------------------------------
+# -- matrix classes, and the keys they settle -------------------------------------
 
 
-class _FakeMatrix:
-    def __init__(self, all_true, all_false):
-        self._t, self._f = all_true, all_false
+class _FakeView:
+    """A decoded view of two productions whose matrices the test dictates.
 
-    def is_all_true(self):
-        return self._t
+    The trie below hangs paths 1 = (1, 1) and 2 = (1, 2) off the root and
+    path 3 = (2, 1) off path 1, so the key (3, 2) multiplies
+    ``Outputs(2, 1)^T · Z(1, 1, 2)`` and the key (1, 2) is ``Z(1, 1, 2)`` alone.
+    """
 
-    def is_all_false(self):
-        return self._f
+    trie = (
+        np.asarray([-1, 0, 0, 1], dtype=np.int64),
+        np.asarray([-1, 1 << 1 | 1 << 17, 1 << 1 | 2 << 17, 2 << 1 | 1 << 17], dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+    )
+
+    def __init__(self, z, outputs):
+        self._z, self._outputs = z, outputs
+        self.index = SimpleNamespace(max_ports=lambda: 2, cycles=())
+
+    def z(self, k, i, j):
+        return self._z()
+
+    def outputs(self, k, i):
+        return self._outputs()
+
+    inputs = outputs
+
+    def decide(self, path1, path2):
+        outcome, _, _ = decide_many(
+            self.trie, MatrixBank(self.index), self, np.asarray([path1]), np.asarray([path2])
+        )
+        return int(outcome[0])
+
+
+def _ones():
+    return BoolMatrix.ones(2, 2)
+
+
+def _zeros():
+    return BoolMatrix.zeros(2, 2)
+
+
+def _mixed():
+    return BoolMatrix.identity(2)
 
 
 def test_classify_matrix_three_way():
-    assert classify_matrix(lambda: _FakeMatrix(True, False)) == CLASS_TRUE
-    assert classify_matrix(lambda: _FakeMatrix(False, True)) == CLASS_FALSE
-    assert classify_matrix(lambda: _FakeMatrix(False, False)) == CLASS_MIXED
+    assert _FakeView(_ones, _ones).decide(1, 2) == VERDICT_TRUE
+    assert _FakeView(_zeros, _ones).decide(1, 2) == VERDICT_FALSE
+    assert _FakeView(_mixed, _ones).decide(1, 2) == MATRIX
+    # A tail factor counts like Z: all-true keeps the verdict, all-false
+    # annihilates whatever the others hold, mixed asks for the product.
+    assert _FakeView(_ones, _ones).decide(3, 2) == VERDICT_TRUE
+    assert _FakeView(_ones, _zeros).decide(3, 2) == VERDICT_FALSE
+    assert _FakeView(_mixed, _zeros).decide(3, 2) == VERDICT_FALSE
+    assert _FakeView(_ones, _mixed).decide(3, 2) == MATRIX
 
 
 def test_classify_matrix_zero_dimension_is_annihilator():
     # A zero-dim matrix is vacuously all-true AND all-false; in a chain
-    # product it annihilates, so CLASS_FALSE must win.
-    assert classify_matrix(lambda: _FakeMatrix(True, True)) == CLASS_FALSE
+    # product it annihilates, so the all-false class must win.
+    assert BoolMatrix.zeros(0, 2).is_all_true() and BoolMatrix.zeros(0, 2).is_all_false()
+    assert _FakeView(_ones, lambda: BoolMatrix.zeros(0, 2)).decide(3, 2) == VERDICT_FALSE
+    assert _FakeView(lambda: BoolMatrix.zeros(2, 0), _ones).decide(1, 2) == VERDICT_FALSE
 
 
 def test_classify_matrix_raising_factory_is_mixed():
+    """A factor whose construction raises has no class: the decoder must run, and raise it."""
+
     def boom():
         raise RuntimeError("dropped production")
 
-    assert classify_matrix(boom) == CLASS_MIXED
+    assert _FakeView(boom, _ones).decide(1, 2) == REFERENCE
+    assert _FakeView(_ones, boom).decide(3, 2) == REFERENCE
+    # ... but only where the decoder would have got that far: an all-false Z
+    # answers before any tail factor is looked at.
+    assert _FakeView(_zeros, boom).decide(3, 2) == VERDICT_FALSE
 
 
 # -- index build refusals ------------------------------------------------------
@@ -253,85 +309,48 @@ def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_
     assert list(cache.rows(arena)) == [] and len(cache.table(arena)) == 0
 
 
-# -- the per-index word table and the one-pass classifier fold ------------------
-
-
-def _live_index(spec, scheme, items=400, seed=5):
-    from repro.workloads import random_run
-
-    labeler = scheme.label_run(random_run(spec, items, seed=seed))
-    node_parent, node_path, _, _ = labeler.tree.nodes.raw_columns()
-    trie_parent, trie_packed, _ = labeler.store.table.raw_columns()
-    index = StructuralIndex.build(trie_parent, trie_packed, node_parent, node_path)
-    assert index is not None
-    return index
-
-
-def test_word_table_is_a_property_of_the_trie(running_spec, running_scheme):
-    index = _live_index(running_spec, running_scheme)
-    packed = index.packed
-    rows = np.asarray([p for p in range(1, index.n_paths) if not packed[p] & 1])
-    assert index.production_rows.tolist() == rows.tolist()
-    assert index.production_words.tolist() == sorted(set(packed[rows].tolist()))
-    assert (index.production_words[index.production_slots] == packed[rows]).all()
+# -- the bank's class column on real views ---------------------------------------
 
 
 @pytest.mark.parametrize("view_number", [0, 1, 2])
 def test_classifier_folds_count_classes_along_each_path(
     running_spec, running_scheme, running_views, view_number
 ):
-    """Each fold packs the all-false (low lane) and mixed (high lane) edge counts of a path."""
+    """Along every path, the bank's classes count what the matrices themselves say."""
+    from repro.engine import kernel
     from repro.engine.cache import DecodedViewState, StaticViewState
-    from repro.index import ChainClassifier
+    from repro.workloads import random_run
 
-    index = _live_index(running_spec, running_scheme)
+    labeler = running_scheme.label_run(random_run(running_spec, 400, seed=5))
+    parent, packed, _ = labeler.store.table.raw_columns()
     view = running_views[view_number % len(running_views)]
     state = DecodedViewState(StaticViewState(running_scheme.label_view(view)))
-    classes: dict = {}
-    classifier = ChainClassifier(index, state, classes)
-    # A second classifier over the same snapshot classifies nothing anew.
-    before = dict(classes)
-    again = ChainClassifier(index, state, classes)
-    assert classes == before
-    assert again.in_fold == classifier.in_fold and again.out_fold == classifier.out_fold
+    bank = state.static.bank
 
-    for p in range(index.n_paths):
-        expected = [0, 0]  # inputs, outputs
-        row = p
+    def by_the_matrix(matrix_for, k, i):
+        try:
+            matrix = matrix_for(k, i)
+        except Exception:
+            return None  # no class: the decoder raises for a key with this factor
+        if matrix.is_all_false():
+            return kernel._ALL_FALSE
+        return kernel._ALL_TRUE if matrix.is_all_true() else kernel._MIXED
+
+    def by_the_bank(family, k, i):
+        (code,) = bank.codes(np.asarray([kernel._bank_key(family, k, i, 0)]), state)
+        return None if code < 0 else int(bank.classes[code])
+
+    checked = set()
+    for path in range(1, len(parent)):
+        expected, got = [], []
+        row = path
         while row > 0:
-            word = int(index.packed[row])
-            if not word & 1:
+            word = int(packed[row])
+            if not word & 1:  # a production edge (k, i)
                 k, i = (word >> 1) & 0xFFFF, word >> 17
-                for which, matrix_for in enumerate((state.inputs, state.outputs)):
-                    cls_ = classify_matrix(matrix_for, k, i)
-                    expected[which] += (cls_ == CLASS_FALSE) + ((cls_ == CLASS_MIXED) << 32)
-            row = int(index.parent[row])
-        assert [classifier.in_fold[p], classifier.out_fold[p]] == expected
-    assert len(classifier.in_fold) == len(classifier.out_fold) == index.n_paths
-
-
-def test_a_second_classifier_of_the_view_resolves_no_word_again(
-    running_spec, running_scheme, running_views, monkeypatch
-):
-    """The view's word lanes make a classifier over a new mapping cost its two folds."""
-    import repro.index.structural as structural
-    from repro.engine.cache import DecodedViewState, StaticViewState
-    from repro.index import ChainClassifier
-
-    small = _live_index(running_spec, running_scheme, items=120, seed=3)
-    large = _live_index(running_spec, running_scheme, items=400, seed=5)
-    state = DecodedViewState(StaticViewState(running_scheme.label_view(running_views[0])))
-    lanes = state.static.word_lanes
-    first = ChainClassifier(large, state, state.static.structural_classes, lanes)
-    assert len(lanes) == large.production_words.size > 0
-
-    def forbidden(*args):
-        raise AssertionError("a word was classified twice")
-
-    monkeypatch.setattr(structural, "classify_matrix", forbidden)
-    assert set(small.production_words.tolist()) <= set(large.production_words.tolist())
-    for index in (large, small):  # even with no class memo to fall back on
-        again = ChainClassifier(index, state, {}, lanes)
-        assert len(again.in_fold) == index.n_paths
-    assert again.in_fold != first.in_fold and len(lanes) == large.production_words.size
-    assert ChainClassifier(large, state, {}, lanes).in_fold == first.in_fold
+                expected += [by_the_matrix(state.inputs, k, i), by_the_matrix(state.outputs, k, i)]
+                got += [by_the_bank(kernel._INPUTS, k, i), by_the_bank(kernel._OUTPUTS, k, i)]
+                checked.add((k, i))
+            row = int(parent[row])
+        assert got == expected, path
+    assert len(checked) > 5 and len(bank.classes) == len(bank.matrices) == len(bank.shapes)

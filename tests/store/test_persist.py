@@ -199,10 +199,14 @@ def test_mapped_store_serves_the_live_rows_and_labels(labelled, tmp_path):
 def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
     """Golden bytes: the format is frozen at version 3.
 
-    The hashes were computed with the writer as of PR 16 (one hand-written
-    ``sections.append`` per column); any change to section order, padding,
-    CRC placement, header packing or the compaction merge shows here.  Run
-    files carry no timestamps, so the bytes are a function of the inputs.
+    The sparse hash was computed with the writer as of PR 16 (one
+    hand-written ``sections.append`` per column); the two dense ones were
+    re-pinned when the three interval sections left the schema (PR 21) — the
+    segmented file is byte for byte what ``checkpoint_run(...,
+    structural_index=False)`` wrote before.  Any change to section order,
+    padding, CRC placement, header packing or the compaction merge shows
+    here.  Run files carry no timestamps, so the bytes are a function of the
+    inputs.
     """
     events = random_run(spec, 600, seed=5).events
     labeler = RunLabeler(scheme.index)
@@ -223,14 +227,14 @@ def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
 
     assert run_file_info(dense_file).n_segments == 4
     assert sha256(dense_file) == (
-        "fe3fc30cea05bb990ab99649056be4ac8b30428e46fa38938bff8a9facc85bb4"
+        "7e467a1925e96dd77d660ae13fb3e186083798eb06998a1e1dba15fb0224c362"
     )
     assert sha256(sparse_file) == (
         "5dc56c84bd5c14b32aaa33f8712b14615222be1245ba6be9668007d9009353da"
     )
     assert compact(dense_file).compacted
     assert sha256(dense_file) == (
-        "51fc75a0d6c9cf73935355715cfaf3f02c4e7e9f0adfe69d927c7f7dae75b8dd"
+        "259f04f71fc5d2fda4f96ea0da847cd39be13cc9260975d89970267893a720e7"
     )
 
 
