@@ -15,7 +15,6 @@ built from.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError, NotStrictlyLinearError
@@ -62,6 +61,7 @@ class ProductionGraph:
         for edge in edges:
             self._out.setdefault(edge.source, []).append(edge)
             self._in.setdefault(edge.target, []).append(edge)
+        self._components = self._strongly_connected_components()
         self._closure = self._transitive_closure()
         self._cycles: tuple[tuple[PGEdge, ...], ...] | None = None
         self._cycles_error: NotStrictlyLinearError | None = None
@@ -104,17 +104,24 @@ class ProductionGraph:
     # -- reachability --------------------------------------------------------------
 
     def _transitive_closure(self) -> dict[str, frozenset[str]]:
+        """Module-level reachability, one union per strongly connected component.
+
+        Tarjan emits a component only after every component it can reach, so
+        the sets of all successors outside the component are already final;
+        the members of a component reach the same set and share it.
+        """
         closure: dict[str, frozenset[str]] = {}
-        for name in self._grammar.module_names:
-            reached = {name}  # a vertex is reachable from itself (footnote 4)
-            queue = deque([name])
-            while queue:
-                current = queue.popleft()
-                for edge in self._out.get(current, ()):
+        for component in self._components:
+            reached = set(component)  # a vertex reaches itself (footnote 4)
+            for member in component:
+                for edge in self._out.get(member, ()):
                     if edge.target not in reached:
-                        reached.add(edge.target)
-                        queue.append(edge.target)
-            closure[name] = frozenset(reached)
+                        reached |= closure[edge.target]
+            # Most modules are atomic and reach only themselves: share the
+            # component's own set rather than keep a second copy per module.
+            shared = component if len(reached) == len(component) else frozenset(reached)
+            for member in component:
+                closure[member] = shared
         return closure
 
     def reaches(self, source: str, target: str) -> bool:
@@ -156,7 +163,11 @@ class ProductionGraph:
         return True
 
     def strongly_connected_components(self) -> list[frozenset[str]]:
-        """SCCs of P(G) (iterative Tarjan), in deterministic order."""
+        """SCCs of P(G), in deterministic order: a component after all it reaches."""
+        return list(self._components)
+
+    def _strongly_connected_components(self) -> list[frozenset[str]]:
+        """Iterative Tarjan."""
         index_counter = 0
         stack: list[str] = []
         lowlink: dict[str, int] = {}
@@ -215,7 +226,7 @@ class ProductionGraph:
         """
         cycles: list[tuple[PGEdge, ...]] = []
         module_order = {name: i for i, name in enumerate(self._grammar.module_names)}
-        for component in self.strongly_connected_components():
+        for component in self._components:
             members = sorted(component, key=module_order.__getitem__)
             internal_edges = [
                 e

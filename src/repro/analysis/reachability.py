@@ -1,12 +1,20 @@
 """Port-level reachability: the semantics of fine-grained provenance.
 
-Two engines live here.
+* :class:`WorkflowPortGraph` is the paper's *definition*: the port graph of
+  one simple workflow and reachability in it by graph search.  It is kept
+  plain; :mod:`repro.analysis.consistency` is written on it and the
+  differential tests use it as the oracle.  The labelling path never calls it.
 
-* :class:`WorkflowPortGraph` computes reachability between ports of a single
-  simple workflow, given a dependency matrix for every module occurring in
-  it.  It is the workhorse behind the safety check (induced dependency
-  matrices, Lemma 1) and the view-label functions ``I``, ``O`` and ``Z``
-  (Section 4.3).
+* :class:`PortLayout` and :meth:`PortLayout.closure` are what safety and view
+  labelling compute with.  The layout is a function of the production alone
+  (a block of port indices per occurrence in topological order, index arrays
+  for the data edges and for the left-hand side's ports); it is built once
+  and kept on the :class:`~repro.model.production.Production`, which
+  restricted grammars share, so every view and variant reuses it and it dies
+  with the specification.  The closure is one ``N x N`` boolean array per
+  (production, ``lambda*``), filled by one sweep from the last occurrence to
+  the first; the induced matrix of Lemma 1 and the view-label functions
+  ``I``, ``O`` and ``Z`` (Section 4.3) are slices of it.
 
 * :class:`RunReachabilityOracle` materialises the data-item dependency graph
   of a run *projected onto a view* and answers "does d2 depend on d1?" by
@@ -19,6 +27,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Mapping
+
+import numpy as np
 
 from repro.errors import AnalysisError, VisibilityError
 from repro.matrices import BoolMatrix
@@ -34,16 +44,39 @@ from repro.model.workflow import SimpleWorkflow
 __all__ = [
     "dependency_matrix",
     "WorkflowPortGraph",
+    "LabelFunctions",
+    "PortLayout",
+    "port_layout",
     "induced_dependency_matrix",
     "RunReachabilityOracle",
 ]
 
 PortNode = tuple[str, str, int]  # (direction, occurrence, port)
+#: ``I`` and ``O`` keyed ``(k, i)``, ``Z`` keyed ``(k, i, j)`` with ``i < j``.
+LabelFunctions = tuple[
+    dict[tuple[int, int], BoolMatrix],
+    dict[tuple[int, int], BoolMatrix],
+    dict[tuple[int, int, int], BoolMatrix],
+]
 
 
 def dependency_matrix(module: Module, pairs) -> BoolMatrix:
     """The ``n_inputs x n_outputs`` boolean matrix of a dependency edge set."""
     return BoolMatrix.from_pairs(pairs, module.n_inputs, module.n_outputs)
+
+
+def _matrix_of(matrices: Mapping[str, BoolMatrix], occ_id: str, module: Module) -> BoolMatrix:
+    matrix = matrices.get(module.name)
+    if matrix is None:
+        raise AnalysisError(
+            f"no dependency matrix for module {module.name!r} (occurrence {occ_id!r})"
+        )
+    if matrix.shape != (module.n_inputs, module.n_outputs):
+        raise AnalysisError(
+            f"dependency matrix for {module.name!r} has shape "
+            f"{matrix.shape}, expected {(module.n_inputs, module.n_outputs)}"
+        )
+    return matrix
 
 
 class WorkflowPortGraph:
@@ -66,17 +99,7 @@ class WorkflowPortGraph:
         self._matrices = dict(matrices)
         self._successors: dict[PortNode, list[PortNode]] = {}
         for occ_id, module in workflow.occurrences.items():
-            matrix = self._matrices.get(module.name)
-            if matrix is None:
-                raise AnalysisError(
-                    f"no dependency matrix for module {module.name!r} "
-                    f"(occurrence {occ_id!r})"
-                )
-            if matrix.shape != (module.n_inputs, module.n_outputs):
-                raise AnalysisError(
-                    f"dependency matrix for {module.name!r} has shape "
-                    f"{matrix.shape}, expected {(module.n_inputs, module.n_outputs)}"
-                )
+            matrix = _matrix_of(self._matrices, occ_id, module)
             for i in range(1, module.n_inputs + 1):
                 node = ("in", occ_id, i)
                 targets = [
@@ -129,6 +152,108 @@ class WorkflowPortGraph:
         return result
 
 
+class PortLayout:
+    """Where every port of one production body sits in its closure array.
+
+    Position ``p`` (0-based, fixed topological order) owns
+    ``blocks[p] = (start, mid, end)``: input ports ``start .. mid - 1``, output
+    ports ``mid .. end - 1``.  ``edges[p]`` is a pair of index arrays: the
+    output ports of ``p`` that carry a data edge and the input ports they
+    feed.  ``lhs_in`` / ``lhs_out`` index ``rhs_initial_input(x)`` /
+    ``rhs_final_output(y)`` for the left-hand side's ports in order.
+    """
+
+    __slots__ = ("occurrences", "blocks", "n_ports", "edges", "lhs_in", "lhs_out")
+
+    def __init__(self, production: Production) -> None:
+        rhs = production.rhs
+        order = rhs.topological_order
+        blocks: dict[str, tuple[int, int, int]] = {}
+        end = 0
+        for occ_id in order:
+            module = rhs.module_of(occ_id)
+            blocks[occ_id] = (end, end + module.n_inputs, end + module.n_inputs + module.n_outputs)
+            end = blocks[occ_id][2]
+        #: ``(occurrence id, module, position)`` in declaration order.
+        self.occurrences = tuple(
+            (occ_id, module, rhs.position_of(occ_id) - 1)
+            for occ_id, module in rhs.occurrences.items()
+        )
+        self.blocks = tuple(blocks[occ_id] for occ_id in order)
+        self.n_ports = end
+        wires: dict[str, tuple[list[int], list[int]]] = {occ_id: ([], []) for occ_id in order}
+        for edge in rhs.edges:
+            sources, targets = wires[edge.src_occurrence]
+            sources.append(blocks[edge.src_occurrence][1] + edge.src_port - 1)
+            targets.append(blocks[edge.dst_occurrence][0] + edge.dst_port - 1)
+        self.edges = tuple(
+            (np.asarray(sources, dtype=np.intp), np.asarray(targets, dtype=np.intp))
+            for sources, targets in wires.values()
+        )
+        lhs = production.lhs
+        self.lhs_in = np.asarray(
+            [blocks[o][0] + p - 1 for o, p in map(production.rhs_initial_input, lhs.input_ports)],
+            dtype=np.intp,
+        )
+        self.lhs_out = np.asarray(
+            [blocks[o][1] + p - 1 for o, p in map(production.rhs_final_output, lhs.output_ports)],
+            dtype=np.intp,
+        )
+
+    def closure(self, matrices: Mapping[str, BoolMatrix]) -> np.ndarray:
+        """Reflexive port reachability of the body under ``matrices``.
+
+        ``closure[a, b]``: port ``b`` is reachable from port ``a`` (every port
+        reaches itself, as in :meth:`WorkflowPortGraph.reachable_from`).  One
+        sweep from the last position to the first: an output port reaches what
+        the input port it feeds reaches, an input port what its module's matrix
+        says of its output ports — both final already, since data edges only
+        run forward in the topological order.
+        """
+        by_position: list = [None] * len(self.blocks)
+        for occ_id, module, position in self.occurrences:
+            by_position[position] = _matrix_of(matrices, occ_id, module).data
+        closure = np.eye(self.n_ports, dtype=bool)
+        for position in range(len(self.blocks) - 1, -1, -1):
+            start, mid, end = self.blocks[position]
+            sources, targets = self.edges[position]
+            if sources.size:
+                closure[sources] |= closure[targets]
+            # bool @ bool is OR-of-ANDs in numpy: no counts, so no overflow.
+            closure[start:mid] |= by_position[position] @ closure[mid:end]
+        return closure
+
+    def induced(self, closure: np.ndarray) -> BoolMatrix:
+        """Left-hand-side inputs -> outputs: the induced matrix of Lemma 1."""
+        return BoolMatrix(closure[self.lhs_in][:, self.lhs_out])
+
+    def label_functions(self, closure: np.ndarray, k: int) -> LabelFunctions:
+        """``I(k, i)``, ``O(k, i)`` and ``Z(k, i, j)`` as compact copies of slices.
+
+        ``O(k, i)`` has rows indexed by left-hand-side outputs and columns by
+        the outputs of module ``i``: true when the former is reachable *from*
+        the latter.
+        """
+        from_lhs = closure[self.lhs_in]
+        to_lhs = np.ascontiguousarray(closure[:, self.lhs_out].T)
+        inputs, outputs, z = {}, {}, {}
+        for i, (start, mid, end) in enumerate(self.blocks, start=1):
+            inputs[(k, i)] = BoolMatrix(from_lhs[:, start:mid].copy())
+            outputs[(k, i)] = BoolMatrix(to_lhs[:, mid:end].copy())
+            reached = closure[mid:end]
+            for j, (lo, hi, _) in enumerate(self.blocks[i:], start=i + 1):
+                z[(k, i, j)] = BoolMatrix(reached[:, lo:hi].copy())
+        return inputs, outputs, z
+
+
+def port_layout(production: Production) -> PortLayout:
+    """The production's layout, built on first use and kept on the production."""
+    layout = production.port_layout
+    if layout is None:
+        layout = production.port_layout = PortLayout(production)
+    return layout
+
+
 def induced_dependency_matrix(
     production: Production, matrices: Mapping[str, BoolMatrix]
 ) -> BoolMatrix:
@@ -139,16 +264,8 @@ def induced_dependency_matrix(
     using the given per-module dependency matrices — the quantity the safety
     algorithm compares across productions (Lemma 1).
     """
-    graph = WorkflowPortGraph(production.rhs, matrices)
-    sources: list[PortNode] = []
-    for x in range(1, production.lhs.n_inputs + 1):
-        occ, port = production.rhs_initial_input(x)
-        sources.append(("in", occ, port))
-    targets: list[PortNode] = []
-    for y in range(1, production.lhs.n_outputs + 1):
-        occ, port = production.rhs_final_output(y)
-        targets.append(("out", occ, port))
-    return graph.matrix_between(sources, targets)
+    layout = port_layout(production)
+    return layout.induced(layout.closure(matrices))
 
 
 class RunReachabilityOracle:

@@ -20,15 +20,19 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping
 
+import numpy as np
+
 from repro.errors import ImproperGrammarError, UnsafeWorkflowError
 from repro.matrices import BoolMatrix
-from repro.analysis.reachability import dependency_matrix, induced_dependency_matrix
+from repro.analysis.reachability import dependency_matrix, port_layout
 from repro.model.dependency import DependencyAssignment
 from repro.model.grammar import WorkflowGrammar
+from repro.model.production import Production
 from repro.model.specification import WorkflowSpecification
 from repro.model.views import WorkflowView
 
 __all__ = [
+    "full_dependency_closures",
     "full_dependency_matrices",
     "full_dependency_assignment",
     "is_safe",
@@ -42,7 +46,19 @@ __all__ = [
 def full_dependency_matrices(
     grammar: WorkflowGrammar, dependencies: DependencyAssignment
 ) -> dict[str, BoolMatrix]:
-    """Compute the full dependency assignment ``lambda*`` as matrices.
+    """``lambda*`` as matrices (:func:`full_dependency_closures` without the closures)."""
+    return full_dependency_closures(grammar, dependencies)[0]
+
+
+def full_dependency_closures(
+    grammar: WorkflowGrammar, dependencies: DependencyAssignment
+) -> tuple[dict[str, BoolMatrix], dict[Production, np.ndarray]]:
+    """``lambda*`` and, per production, the body closure it was read from.
+
+    A production is closed once, when it becomes verifiable; every module of
+    its body has its final ``lambda*`` by then, so the closure
+    (:meth:`~repro.analysis.reachability.PortLayout.closure`) is also the one
+    the view label's ``I``/``O``/``Z`` are slices of.
 
     Parameters
     ----------
@@ -53,9 +69,9 @@ def full_dependency_matrices(
 
     Returns
     -------
-    dict
+    tuple
         A dependency matrix (``n_inputs x n_outputs``) for *every* module of
-        the grammar.
+        the grammar, and the closure of every production's body.
 
     Raises
     ------
@@ -71,6 +87,7 @@ def full_dependency_matrices(
         module = grammar.module(name)
         matrices[name] = dependency_matrix(module, dependencies.pairs(name))
 
+    closures: dict[Production, np.ndarray] = {}
     pending: deque[int] = deque(range(1, len(grammar.productions) + 1))
     verified: set[int] = set()
     stall = 0
@@ -94,7 +111,9 @@ def full_dependency_matrices(
             stall += 1
             continue
         stall = 0
-        induced = induced_dependency_matrix(production, matrices)
+        layout = port_layout(production)
+        closure = closures[production] = layout.closure(matrices)
+        induced = layout.induced(closure)
         lhs_name = production.lhs.name
         existing = matrices.get(lhs_name)
         if existing is None:
@@ -114,7 +133,7 @@ def full_dependency_matrices(
         raise ImproperGrammarError(
             f"composite modules {missing} have no production (grammar is not proper)"
         )
-    return matrices
+    return matrices, closures
 
 
 def full_dependency_assignment(

@@ -12,9 +12,14 @@ fine-grained dependency information that is specific to one view:
 * ``Z(k, i, j)`` — the reachability matrix from the outputs of the ``i``-th
   module to the inputs of the ``j``-th module.
 
-All matrices are computed over the production's right-hand-side workflow
-with ``lambda*`` as the per-module dependencies, and only for productions
-retained by the view.
+All of them are read from one array per retained production: the closure of
+the production's body under ``lambda*``
+(:meth:`repro.analysis.reachability.PortLayout.closure`), which the safety
+pass computes anyway to obtain ``lambda*`` and hands over, so a view costs one
+closure per retained production and ``I``/``O``/``Z`` are slices of it, kept
+as compact per-matrix copies.  The paper's definition — a port graph and a
+search per port, kept in :mod:`repro.analysis.reachability` — is not used
+here; it is the oracle the differential tests compare these slices against.
 
 Three materialisation strategies are provided, matching the paper's
 experimental variants (Sections 4.3 and 4.4.3):
@@ -22,7 +27,7 @@ experimental variants (Sections 4.3 and 4.4.3):
 * **DEFAULT** — materialise all ``I``/``O``/``Z`` matrices; recursion chain
   products are evaluated at query time by fast boolean exponentiation.
 * **SPACE_EFFICIENT** — materialise only ``lambda*``; every access to ``I``,
-  ``O`` or ``Z`` performs a graph search over the view of the specification.
+  ``O`` or ``Z`` recomputes the closure of the production's body.
 * **QUERY_EFFICIENT** — additionally materialise, for every recursion and
   rotation, the cycle product, its power table (Lemma 5) and the prefix
   products, making chain evaluation a pure table lookup.
@@ -33,8 +38,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Mapping
 
-from repro.analysis.reachability import WorkflowPortGraph
-from repro.analysis.safety import full_dependency_matrices
+import numpy as np
+
+from repro.analysis.reachability import LabelFunctions, port_layout
+from repro.analysis.safety import full_dependency_closures
 from repro.core.preprocessing import GrammarIndex
 from repro.errors import DecodingError, VisibilityError
 from repro.matrices import BoolMatrix, MatrixPowerTable, chain_product
@@ -68,13 +75,14 @@ class ViewLabel:
         view: WorkflowView,
         variant: FVLVariant,
         lam_star: Mapping[str, BoolMatrix],
-        retained_productions: frozenset[int],
+        closures: Mapping[int, np.ndarray],
     ) -> None:
+        """``closures``: the body closure of every retained production, by number."""
         self._index = index
         self._view = view
         self._variant = variant
         self._lam_star = dict(lam_star)
-        self._retained = retained_productions
+        self._retained = retained_productions = frozenset(closures)
         self._inputs: dict[tuple[int, int], BoolMatrix] = {}
         self._outputs: dict[tuple[int, int], BoolMatrix] = {}
         self._z: dict[tuple[int, int, int], BoolMatrix] = {}
@@ -89,7 +97,12 @@ class ViewLabel:
         self._prefix_products: dict[tuple[str, int, int], list[BoolMatrix]] = {}
 
         if variant is not FVLVariant.SPACE_EFFICIENT:
-            self._materialise_matrices()
+            for k in sorted(closures):
+                layout = port_layout(index.production(k))
+                inputs, outputs, z = layout.label_functions(closures[k], k)
+                self._inputs.update(inputs)
+                self._outputs.update(outputs)
+                self._z.update(z)
         if variant is FVLVariant.QUERY_EFFICIENT:
             self._materialise_power_tables()
 
@@ -184,20 +197,14 @@ class ViewLabel:
             return self._compute_production_matrices(k)[2][(k, i, j)]
         return self._z[(k, i, j)]
 
-    def production_matrices(
-        self, k: int
-    ) -> tuple[
-        dict[tuple[int, int], BoolMatrix],
-        dict[tuple[int, int], BoolMatrix],
-        dict[tuple[int, int, int], BoolMatrix],
-    ]:
+    def production_matrices(self, k: int) -> LabelFunctions:
         """All ``I``/``O``/``Z`` matrices of one retained production.
 
-        For the space-efficient variant this recomputes them with a graph
-        search over the production body — the variant's defining trade-off.
-        Callers that answer many queries against the same view (e.g.
+        For the space-efficient variant this recomputes the closure of the
+        production body — the variant's defining trade-off.  Callers that
+        answer many queries against the same view (e.g.
         :class:`repro.engine.QueryEngine`) memoize the returned triple so the
-        search runs once per production rather than once per matrix access.
+        closure runs once per production rather than once per matrix access.
         """
         if k not in self._retained:
             raise VisibilityError(
@@ -244,7 +251,7 @@ class ViewLabel:
 
         ``edge_matrix(function, s, rotation)`` defaults to this label's own
         accessors; an engine-level cache substitutes memoized matrices so the
-        space-efficient variant does not re-run its graph search per edge.
+        space-efficient variant does not recompute a closure per edge.
         """
         if count < 0:
             raise DecodingError("chain length cannot be negative")
@@ -329,56 +336,10 @@ class ViewLabel:
         if not self._index.production_graph.has_edge(k, i):
             raise DecodingError(f"no production-graph edge ({k}, {i})")
 
-    def _compute_production_matrices(
-        self, k: int
-    ) -> tuple[
-        dict[tuple[int, int], BoolMatrix],
-        dict[tuple[int, int], BoolMatrix],
-        dict[tuple[int, int, int], BoolMatrix],
-    ]:
-        """Compute I/O/Z for one production by a graph search over its RHS."""
-        production = self._index.production(k)
-        rhs = production.rhs
-        graph = WorkflowPortGraph(rhs, self._lam_star)
-        lhs = production.lhs
-        lhs_input_ports = [
-            ("in",) + production.rhs_initial_input(x)
-            for x in range(1, lhs.n_inputs + 1)
-        ]
-        lhs_output_ports = [
-            ("out",) + production.rhs_final_output(y)
-            for y in range(1, lhs.n_outputs + 1)
-        ]
-        inputs: dict[tuple[int, int], BoolMatrix] = {}
-        outputs: dict[tuple[int, int], BoolMatrix] = {}
-        z: dict[tuple[int, int, int], BoolMatrix] = {}
-        positions = list(range(1, len(rhs) + 1))
-        occ_inputs: dict[int, list] = {}
-        occ_outputs: dict[int, list] = {}
-        for i in positions:
-            occ_id = rhs.occurrence_at(i)
-            module = rhs.module_of(occ_id)
-            occ_inputs[i] = [("in", occ_id, p) for p in range(1, module.n_inputs + 1)]
-            occ_outputs[i] = [("out", occ_id, p) for p in range(1, module.n_outputs + 1)]
-        for i in positions:
-            inputs[(k, i)] = graph.matrix_between(lhs_input_ports, occ_inputs[i])
-            # O(k, i): rows indexed by LHS outputs, columns by module outputs,
-            # true when the LHS output is reachable FROM the module output.
-            outputs[(k, i)] = graph.matrix_between(
-                occ_outputs[i], lhs_output_ports
-            ).transpose()
-        for i in positions:
-            for j in positions:
-                if i < j:
-                    z[(k, i, j)] = graph.matrix_between(occ_outputs[i], occ_inputs[j])
-        return inputs, outputs, z
-
-    def _materialise_matrices(self) -> None:
-        for k in sorted(self._retained):
-            inputs, outputs, z = self._compute_production_matrices(k)
-            self._inputs.update(inputs)
-            self._outputs.update(outputs)
-            self._z.update(z)
+    def _compute_production_matrices(self, k: int) -> LabelFunctions:
+        """I/O/Z of one production from a fresh closure of its body (space-efficient)."""
+        layout = port_layout(self._index.production(k))
+        return layout.label_functions(layout.closure(self._lam_star), k)
 
     def _materialise_power_tables(self) -> None:
         for s in sorted(self._retained_cycles):
@@ -427,10 +388,10 @@ class ViewLabeler:
         """
         grammar = self._index.grammar
         restricted = view.restricted_grammar(grammar)
-        lam_star = full_dependency_matrices(restricted, view.dependencies)
-        retained = frozenset(
-            k
+        lam_star, closures = full_dependency_closures(restricted, view.dependencies)
+        retained = {
+            k: closures[production]
             for k, production in enumerate(grammar.productions, start=1)
             if production.lhs.name in restricted.composite_modules
-        )
+        }
         return ViewLabel(self._index, view, variant, lam_star, retained)

@@ -69,6 +69,12 @@ class WorkflowGrammar:
         self._start = start
         self._productions: tuple[Production, ...] = tuple(productions)
         self._validate_productions()
+        self._by_lhs: dict[str, list[tuple[int, Production]]] = {}
+        # Productions hash by identity: the first 1-based number of each.
+        self._number: dict[Production, int] = {}
+        for k, production in enumerate(self._productions, start=1):
+            self._by_lhs.setdefault(production.lhs.name, []).append((k, production))
+            self._number.setdefault(production, k)
 
     # -- accessors ---------------------------------------------------------
 
@@ -122,18 +128,14 @@ class WorkflowGrammar:
 
     def production_index(self, production: Production) -> int:
         """1-based number of ``production`` within this grammar."""
-        for k, candidate in enumerate(self._productions, start=1):
-            if candidate is production:
-                return k
-        raise GrammarError("production does not belong to this grammar")
+        try:
+            return self._number[production]
+        except KeyError:
+            raise GrammarError("production does not belong to this grammar") from None
 
     def productions_for(self, module_name: str) -> list[tuple[int, Production]]:
         """All ``(index, production)`` pairs whose left-hand side is ``module_name``."""
-        return [
-            (k, p)
-            for k, p in enumerate(self._productions, start=1)
-            if p.lhs.name == module_name
-        ]
+        return list(self._by_lhs.get(module_name, ()))
 
     def size(self) -> int:
         """Total size of the grammar (sum of production sizes)."""
@@ -266,12 +268,9 @@ class WorkflowGrammar:
         # Prune modules not reachable from the start using kept productions.
         reachable = {self._start}
         queue = deque([self._start])
-        by_lhs: dict[str, list[Production]] = {}
-        for p in kept_productions:
-            by_lhs.setdefault(p.lhs.name, []).append(p)
         while queue:
             current = queue.popleft()
-            for production in by_lhs.get(current, ()):
+            for _, production in self._by_lhs.get(current, ()) if current in subset else ():
                 for name in production.rhs.module_names():
                     if name not in reachable:
                         reachable.add(name)

@@ -57,6 +57,9 @@ class Production:
         self._rhs = rhs
         self._input_map = self._check_permutation(input_map, lhs.n_inputs, "input")
         self._output_map = self._check_permutation(output_map, lhs.n_outputs, "output")
+        #: Slot owned by :func:`repro.analysis.reachability.port_layout`: the body's
+        #: layout is a function of the production alone and dies with it.
+        self.port_layout = None
 
     @staticmethod
     def _check_permutation(

@@ -118,6 +118,9 @@ class SimpleWorkflow:
         self._edges: tuple[DataEdge, ...] = tuple(edges)
         self._validate_edges()
         self._topo_order: tuple[str, ...] = self._topological_order()
+        self._position: dict[str, int] = {
+            occ: position for position, occ in enumerate(self._topo_order, start=1)
+        }
         self._initial_inputs: tuple[tuple[str, int], ...] = self._dangling_ports(
             "in", initial_input_order
         )
@@ -169,8 +172,8 @@ class SimpleWorkflow:
     def position_of(self, occurrence: str) -> int:
         """1-based position of ``occurrence`` in the fixed topological order."""
         try:
-            return self._topo_order.index(occurrence) + 1
-        except ValueError:
+            return self._position[occurrence]
+        except KeyError:
             raise ValidationError(f"unknown occurrence {occurrence!r}") from None
 
     def occurrence_at(self, position: int) -> str:

@@ -115,6 +115,40 @@ def count_constructions(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def portgraph_functions():
+    """``functions(production, k, matrices) -> (induced, I, O, Z)`` by the definition.
+
+    The paper's port graph and one search per source port
+    (:class:`repro.analysis.WorkflowPortGraph`), keyed like
+    ``PortLayout.label_functions``: what the closure's slices must equal in
+    value, shape and dtype.
+    """
+    from repro.analysis import WorkflowPortGraph
+
+    def functions(production, k, matrices):
+        rhs = production.rhs
+        graph = WorkflowPortGraph(rhs, matrices)
+        lhs_in = [("in",) + production.rhs_initial_input(x) for x in production.lhs.input_ports]
+        lhs_out = [("out",) + production.rhs_final_output(y) for y in production.lhs.output_ports]
+        ins, outs = {}, {}
+        for i, occ in enumerate(rhs.topological_order, start=1):
+            module = rhs.module_of(occ)
+            ins[i] = [("in", occ, port) for port in module.input_ports]
+            outs[i] = [("out", occ, port) for port in module.output_ports]
+        inputs = {(k, i): graph.matrix_between(lhs_in, ins[i]) for i in ins}
+        outputs = {(k, i): graph.matrix_between(outs[i], lhs_out).transpose() for i in ins}
+        z = {
+            (k, i, j): graph.matrix_between(outs[i], ins[j])
+            for i in ins
+            for j in ins
+            if i < j
+        }
+        return graph.matrix_between(lhs_in, lhs_out), inputs, outputs, z
+
+    return functions
+
+
+@pytest.fixture(scope="session")
 def decoded_state_bytes():
     """``walk(engine) -> (per_run, static)``: the array bytes of an engine's decoded state.
 

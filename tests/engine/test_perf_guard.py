@@ -6,9 +6,9 @@ slower than the materialised variants (see
 ``benchmarks/test_fig20_query_time.py``).  Two non-benchmark checks keep that
 from coming back:
 
-* a structural one — a cached batch performs at most one graph search per
-  retained production, counted by instrumenting the search itself (no timing
-  involved, so no flakiness);
+* a structural one — a cached batch recomputes the matrices of a retained
+  production at most once, counted by instrumenting the computation itself
+  (no timing involved, so no flakiness);
 * a timing ratio — the warm batched space-efficient path stays within a
   generous constant factor of the warm default path (the regression being
   guarded against is a >25x cliff, so the bound has plenty of headroom).
@@ -23,20 +23,33 @@ back unnoticed, both counts, neither a timing:
   interval index and makes no Python call per path pair: the matrix bank is
   asked once per distinct *factor*, and not at all for factors an earlier
   shard of the view resolved.
+
+And three hold static view labelling to one closure per production body:
+
+* labelling a view — any variant, matrix-free included — never runs the port
+  graph's search and computes at most one closure per retained production
+  (``lambda*`` and ``I``/``O``/``Z`` share it); a second view builds no layout;
+* schemes and labels built and dropped over one specification leave no
+  module-level container larger and no :class:`GrammarIndex` alive.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 import time
+import weakref
 
 import pytest
 
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
+from repro.analysis import reachability
 from repro.core.view_label import ViewLabel
 from repro.engine import DEFAULT_RUN
 from repro.engine.kernel import MatrixBank
 from repro.index import StructuralIndex
 from repro.model.projection import ViewProjection
+from repro.model.views import default_view
 from repro.store import MappedRunStore, checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -82,6 +95,80 @@ def test_batch_runs_one_graph_search_per_production(setup, monkeypatch):
     searches.clear()
     engine.depends_batch(pairs, view, variant=FVLVariant.SPACE_EFFICIENT)
     assert searches == []
+
+
+def test_labelling_a_view_is_one_closure_per_retained_production(
+    monkeypatch, count_constructions
+):
+    def no_search(self, source):
+        raise AssertionError("the labelling path searched the port graph")
+
+    monkeypatch.setattr(reachability.WorkflowPortGraph, "reachable_from", no_search)
+    layouts = count_constructions(reachability, "PortLayout")
+    closures = []
+    original = reachability.PortLayout.closure
+
+    def counting(self, matrices):
+        closures.append(self)
+        return original(self, matrices)
+
+    monkeypatch.setattr(reachability.PortLayout, "closure", counting)
+
+    spec = build_bioaid_specification()  # fresh: no production has a layout yet
+    scheme = FVLScheme(spec)
+    # random_view checks safety, which lays out the bodies the view retains.
+    view = random_view(spec, 6, seed=5, mode="black", name="guard-black")
+    labellers = [
+        lambda: scheme.label_view(view, FVLVariant.DEFAULT),
+        lambda: scheme.label_view(view, FVLVariant.SPACE_EFFICIENT),
+        lambda: scheme.label_view(view, FVLVariant.QUERY_EFFICIENT),
+        lambda: scheme.label_view_matrix_free(view),
+    ]
+    built = len(layouts)
+    for labeller in labellers:
+        closures.clear()
+        retained = labeller().retained_productions
+        assert 0 < len(closures) <= len(retained)
+        assert len(set(map(id, closures))) == len(closures)  # no body closed twice
+        assert len(layouts) == built
+
+    # The default view lays out the rest; no body is ever laid out twice, and a
+    # view labelled afterwards, over this scheme or another, builds none.
+    scheme.label_view(default_view(spec))
+    productions = spec.grammar.productions
+    assert built < len(layouts) == len(productions)
+    assert all(production.port_layout is not None for production in productions)
+    FVLScheme(spec).label_view(random_view(spec, 8, seed=3, mode="grey"))
+    assert len(layouts) == len(productions)
+
+
+def test_schemes_and_labels_leave_nothing_behind():
+    spec = build_bioaid_specification()
+    view = random_view(spec, 6, seed=5, mode="black", name="guard-black")
+
+    def build():
+        scheme = FVLScheme(spec)
+        for variant in FVLVariant:
+            scheme.label_view(view, variant)
+        scheme.label_view_matrix_free(view)
+        return weakref.ref(scheme.index)
+
+    def module_level_sizes() -> dict:
+        return {
+            (name, attribute): len(value)
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro")
+            for attribute, value in list(vars(module).items())
+            if isinstance(value, (dict, list, set))
+        }
+
+    build()  # whatever is filled once per process or per specification
+    gc.collect()
+    before = module_level_sizes()
+    indexes = [build() for _ in range(20)]
+    gc.collect()
+    assert [ref() for ref in indexes] == [None] * 20
+    assert module_level_sizes() == before
 
 
 def test_space_efficient_batch_within_constant_factor_of_default(setup):
