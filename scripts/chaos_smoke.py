@@ -10,7 +10,10 @@ Drives the PR-7 robustness surfaces against a deterministic fault plan
 2. **Bit-flip detection** (in-process): for every section of the file, one
    flipped payload byte raises a typed ``CorruptionError`` at ``attach`` and
    from the first batch of a default (lazily verified) engine attach;
-   restoring the byte restores bit-identical answers.
+   restoring the byte restores bit-identical answers.  The side file too: a
+   flipped byte in the body of ``.hotmx`` fails its checksum, the server
+   attaches cold, counts ``corruption_detected_total{layer="hotmx"}`` and
+   answers bit-identically; the restored file warms again.
 3. **Lifecycle quarantine** (in-process): a run whose flushes keep failing is
    quarantined after K consecutive failures and surfaced in stats while a
    healthy sibling keeps flushing; ``unquarantine`` + a healed path recover.
@@ -47,6 +50,7 @@ from repro.errors import CorruptionError  # noqa: E402
 from repro.faults import FaultPlan, InjectedFault  # noqa: E402
 from repro.model.projection import ViewProjection  # noqa: E402
 from repro.net import ProvenanceClient  # noqa: E402
+from repro.serve import ProvenanceServer, matrix_cache_path, save_hot_matrices  # noqa: E402
 from repro.service import CheckpointPolicy, RunLifecycleManager  # noqa: E402
 from repro.store import (  # noqa: E402
     MappedRunStore,
@@ -198,6 +202,44 @@ def phase_bit_flip(scheme, spec, tmp: str) -> None:
     expect(
         fresh.depends_batch(pairs, view) == expected,
         "restored file no longer answers bit-identically",
+    )
+
+    # The side file: what a warm predecessor left beside the run file.
+    entries = save_hot_matrices(fresh, DEFAULT_RUN)
+    cache_file = matrix_cache_path(path)
+    flip_at = os.path.getsize(cache_file) // 2
+    with open(cache_file, "r+b") as handle:
+        handle.seek(flip_at)
+        original = handle.read(1)[0]
+        handle.seek(flip_at)
+        handle.write(bytes([original ^ 0xFF]))
+    engine = QueryEngine(scheme)
+    engine.add_view(view)
+    server = ProvenanceServer(engine)
+    _, warmed = server.attach(path)
+    expect(warmed == 0, "a .hotmx with a flipped byte warmed the engine")
+    expect(
+        isinstance(server.last_warm_error, CorruptionError),
+        f"flipped .hotmx byte not recorded as corruption: {server.last_warm_error!r}",
+    )
+    counted = server.metrics.snapshot()["corruption_detected_total"]
+    expect(counted.get(("hotmx",)) == 1, f"flipped .hotmx byte not counted: {counted}")
+    expect(
+        engine.depends_batch(pairs, view) == expected,
+        "cold attach over a corrupt .hotmx no longer answers bit-identically",
+    )
+    engine.detach(DEFAULT_RUN)
+    with open(cache_file, "r+b") as handle:
+        handle.seek(flip_at)
+        handle.write(bytes([original]))
+    _, warmed = server.attach(path)
+    expect(
+        warmed == entries > 0 and server.last_warm_error is None,
+        f"restored .hotmx warmed {warmed} of {entries} rows ({server.last_warm_error!r})",
+    )
+    expect(
+        engine.depends_batch(pairs, view) == expected,
+        "warm attach over the restored .hotmx no longer answers bit-identically",
     )
 
 
@@ -401,7 +443,8 @@ def main() -> int:
     print(
         "chaos smoke OK: torn checkpoints surfaced and retried clean; a bit flip "
         "in every section raised typed CorruptionError at attach and first "
-        "batch; a failing run quarantined without wedging its sibling; the "
+        "batch, and one in the .hotmx side file became a counted cold attach; "
+        "a failing run quarantined without wedging its sibling; the "
         "follower served "
         f"{summary['answers']} answers bit-identically across an injected torn "
         f"swap, a real compaction and {summary['reopens']} reopen(s); an injected "

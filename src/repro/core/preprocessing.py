@@ -47,6 +47,8 @@ class GrammarIndex:
                 self._cycle_position[edge.source] = (s, t)
         # production k -> ((position, module_name, cycle_position | None), ...)
         self._production_children: dict[int, tuple] = {}
+        #: Slot owned by :func:`repro.engine.engine.grammar_fingerprint`.
+        self.fingerprint = None
 
     # -- basic accessors ---------------------------------------------------------
 

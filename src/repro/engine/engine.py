@@ -122,14 +122,16 @@ def grammar_fingerprint(index) -> int:
     canonical rendering of the production templates (not Python's salted
     ``hash``), so it is stable across processes.
     """
-    parts = [index.grammar.start]
-    for k in range(1, index.n_productions() + 1):
-        children = ",".join(
-            f"{position}:{module_name}"
-            for position, module_name, _ in index.production_children(k)
-        )
-        parts.append(f"{k}->{children}")
-    return zlib.crc32("|".join(parts).encode("utf-8")) or 1
+    if index.fingerprint is None:
+        parts = [index.grammar.start]
+        for k in range(1, index.n_productions() + 1):
+            children = ",".join(
+                f"{position}:{module_name}"
+                for position, module_name, _ in index.production_children(k)
+            )
+            parts.append(f"{k}->{children}")
+        index.fingerprint = zlib.crc32("|".join(parts).encode("utf-8")) or 1
+    return index.fingerprint
 
 
 @dataclass(frozen=True)

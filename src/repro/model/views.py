@@ -53,6 +53,8 @@ class WorkflowView:
         self._delta = frozenset(visible_composites)
         self._dependencies = dependencies
         self._name = name
+        #: Slot owned by :func:`repro.serve.matrix_cache.view_fingerprint`.
+        self.fingerprint = None
 
     # -- accessors -----------------------------------------------------------
 

@@ -50,14 +50,14 @@ import numpy as np
 
 from repro import faults
 from repro.engine.engine import DEFAULT_RUN, QueryEngine
-from repro.errors import LabelingError, SerializationError
+from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.faults import InjectedFault
 from repro.obs import events as obs_events
 from repro.obs.costmodel import CostModel
 from repro.obs.tail import TailSampler
 from repro.obs.trace import TraceContext, Tracer, activate
 from repro.obs.watchdog import Watchdog
-from repro.serve.matrix_cache import load_hot_matrices, save_hot_matrices
+from repro.serve.matrix_cache import load_hot_matrices, matrix_cache_path, save_hot_matrices
 
 __all__ = ["BatchPolicy", "ReopenPolicy", "ServerStats", "ProvenanceServer"]
 
@@ -314,6 +314,11 @@ class ProvenanceServer:
         self._worker_restarts_c = m.counter(
             "serve_worker_restarts_total", "worker threads revived by the supervisor"
         )
+        self._corruption_c = m.counter(
+            "corruption_detected_total",
+            "checksum/structure corruption detections by layer",
+            ("layer",),
+        ).labels("hotmx")
 
     def _queue_depth(self) -> int:
         with self._cond:
@@ -404,10 +409,11 @@ class ProvenanceServer:
     def attach(self, path, run_id: str = DEFAULT_RUN, *, warm: bool = True):
         """Attach a persisted run and (by default) load its hot-matrix cache.
 
-        Returns ``(mapped_store, warmed_entries)``.  A *corrupt* matrix
-        cache is recorded on :attr:`last_warm_error` and the attach proceeds
-        cold — a stale side file must not take serving down; a *missing* one
-        simply warms nothing.
+        Returns ``(mapped_store, warmed_entries)``.  A matrix cache that is
+        refused is recorded on :attr:`last_warm_error` and the attach proceeds
+        cold — a stale side file must not take serving down; a *damaged* one
+        (not one of another format version or run) is counted and reported
+        like any other corruption; a *missing* one simply warms nothing.
         """
         mapped = self._engine.attach(path, run_id)
         warmed = 0
@@ -417,6 +423,10 @@ class ProvenanceServer:
                 self.last_warm_error = None
             except SerializationError as exc:
                 self.last_warm_error = exc
+                if isinstance(exc, CorruptionError):
+                    self._corruption_c.inc()
+                    side_file = matrix_cache_path(mapped.path)
+                    obs_events.emit("corruption", path=side_file, reason=str(exc))
         return mapped, warmed
 
     def save_matrix_cache(self, run_id: str = DEFAULT_RUN, **kwargs) -> int:

@@ -31,6 +31,13 @@ And three hold static view labelling to one closure per production body:
   (``lambda*`` and ``I``/``O``/``Z`` share it); a second view builds no layout;
 * schemes and labels built and dropped over one specification leave no
   module-level container larger and no :class:`GrammarIndex` alive.
+
+And two hold the side file (``.hotmx``) to the pair table's columns:
+
+* saving and loading make a fixed number of calls per section, whatever the
+  row count — no :class:`BoolMatrix` per row, no ``struct`` per entry;
+* a warm attach over labelled views labels nothing, and an index's grammar
+  fingerprint is rendered once however often it is attached, probed or saved.
 """
 
 from __future__ import annotations
@@ -38,18 +45,25 @@ from __future__ import annotations
 import gc
 import sys
 import time
+import types
 import weakref
+import zlib
 
+import numpy as np
 import pytest
 
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import reachability
+from repro.core.pair_table import PairTable
 from repro.core.view_label import ViewLabel
 from repro.engine import DEFAULT_RUN
+from repro.engine import engine as engine_module
 from repro.engine.kernel import MatrixBank
 from repro.index import StructuralIndex
+from repro.matrices import BoolMatrix
 from repro.model.projection import ViewProjection
 from repro.model.views import default_view
+from repro.serve import ProvenanceServer, load_hot_matrices, save_hot_matrices
 from repro.store import MappedRunStore, checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -283,3 +297,115 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
     assert engine.depends_batch(pairs, view, run="disk") == expected
     assert resolved == []
     assert len(cache.table(engine.shard_arena("disk"))) > 0
+
+
+@pytest.fixture(scope="module")
+def hot(tmp_path_factory):
+    """A mapped run whose one view holds several thousand decoder rows."""
+    spec = build_bioaid_specification()
+    scheme = FVLScheme(spec)
+    derivation = random_run(spec, 2500, seed=9)
+    view = random_view(spec, 8, seed=3, mode="grey", name="guard-view")
+    items = sorted(ViewProjection(derivation.run, view).visible_items)
+    pairs = sample_query_pairs(items, 20000, seed=1)
+    writer = _fresh_engine(scheme, derivation)
+    run_file = tmp_path_factory.mktemp("hot") / "hot.fvl"
+    writer.checkpoint(run_file)
+    leader = QueryEngine(scheme)
+    leader.attach(run_file)
+    expected = leader.depends_batch(pairs, view)
+    return spec, leader, run_file, view, pairs, expected
+
+
+def _calls(action) -> int:
+    """Every call, Python or C (``struct``'s included), that ``action`` makes."""
+    made = [0]
+
+    def tally(frame, event, arg):
+        made[0] += event in ("call", "c_call")
+
+    sys.setprofile(tally)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return made[0]
+
+
+def test_side_file_costs_calls_per_section_not_per_row(hot, tmp_path, monkeypatch):
+    spec, leader, run_file, view, pairs, expected = hot
+    followers, costs, counted = [], [], {}
+
+    def per_row(*args, **kwargs):
+        raise AssertionError("the side file was walked row by row")
+
+    def counting(name):
+        original = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            counted[name] = counted.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    scheme = FVLScheme(spec)
+    for _ in range(2):
+        follower = QueryEngine(scheme)
+        follower.add_view(view)
+        follower.attach(run_file)
+        follower.decoded_state(view)  # labelling the view is not the side file's cost
+        followers.append(follower)
+    save_hot_matrices(leader, cache_path=tmp_path / "first.hotmx")  # fingerprints, imports
+    with monkeypatch.context() as patch:
+        patch.setattr(BoolMatrix, "__init__", per_row)
+        patch.setattr(PairTable, "matrix_rows", per_row)
+        for name in ("frombuffer", "unpackbits", "packbits"):
+            patch.setattr(np, name, counting(name))
+        for rows, follower in zip((500, 4000), followers):
+            cache_file = tmp_path / f"{rows}.hotmx"
+            counted.clear()
+            saving = _calls(
+                lambda: save_hot_matrices(leader, cache_path=cache_file, max_entries=rows)
+            )
+            loading = _calls(lambda: load_hot_matrices(follower, cache_path=cache_file))
+            assert counted == {"packbits": 1, "frombuffer": 7, "unpackbits": 1}  # one section
+            costs.append((saving, loading))
+    for rows, follower in zip((500, 4000), followers):
+        assert len(follower.decoded_state(view).decode_cache.table(follower.shard_arena())) == rows
+        assert follower.depends_batch(pairs, view) == expected
+    (small_save, small_load), (large_save, large_load) = costs
+    # Eight times the rows, the same calls (numpy may pick another sort path).
+    assert large_save <= small_save + 8 and large_load <= small_load + 8, costs
+    assert max(small_save, small_load) < 400, costs
+
+
+def test_warm_attach_labels_nothing_and_renders_one_fingerprint(hot, monkeypatch):
+    spec, leader, run_file, view, pairs, expected = hot
+    save_hot_matrices(leader)
+    scheme = FVLScheme(spec)  # a fresh index: nothing fingerprinted yet
+    engine = QueryEngine(scheme)
+    engine.add_view(view)
+    engine.decoded_state(view)
+    rendered = []
+
+    def crc32(data):
+        rendered.append(data)
+        return zlib.crc32(data)
+
+    def relabelled(*args, **kwargs):
+        raise AssertionError("a warm attach labelled a view the engine had labelled")
+
+    monkeypatch.setattr(engine_module, "zlib", types.SimpleNamespace(crc32=crc32))
+    monkeypatch.setattr(FVLScheme, "label_view", relabelled)
+    server = ProvenanceServer(engine)
+    for _ in range(3):  # attach, the reopen probe, a save, a detach: one index, one rendering
+        _, warmed = server.attach(run_file)
+        assert warmed > 0 and server.last_warm_error is None
+        assert engine.maybe_reopen() is False
+        server.save_matrix_cache()
+        engine.detach(DEFAULT_RUN)
+    assert len(rendered) == 1
+    assert engine_module.grammar_fingerprint(scheme.index) == engine_module.grammar_fingerprint(
+        leader.scheme.index
+    )
+    assert len(rendered) == 1

@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import shutil
+import struct
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import FVLScheme, FVLVariant
+from repro.core.pair_table import NO_DEPENDENCY, VERDICT_TRUE, pair_paths
 from repro.core.run_labeler import RunLabeler
-from repro.engine import DEFAULT_RUN, QueryEngine
-from repro.errors import LabelingError, SerializationError
+from repro.engine import DEFAULT_RUN, QueryEngine, grammar_fingerprint
+from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.model.projection import ViewProjection
 from repro.serve import ProvenanceServer, load_hot_matrices, matrix_cache_path, save_hot_matrices
+from repro.obs import events as obs_events
+from repro.obs.metrics import parse_exposition
 from repro.serve.matrix_cache import (
+    _COLUMNS,
     _FILE_HEADER,
     _STATE_HEADER,
     CACHE_MAGIC,
@@ -82,6 +91,69 @@ def _hottest(entries):
     """``(key, hits)`` of the row with the most hits."""
     key = max(entries, key=lambda k: entries[k][1])
     return key, entries[key][1]
+
+
+def _write_raw(cache_file, body: bytes, header=None) -> None:
+    """A cache file around ``body`` whose length and checksum fields are right."""
+    fields = list(header or (CACHE_MAGIC, CACHE_VERSION, 0, 0, 0))[:5]
+    with open(cache_file, "wb") as handle:
+        handle.write(_FILE_HEADER.pack(*fields, len(body), zlib.crc32(body)) + body)
+
+
+def _parse(raw: bytes):
+    """``(header fields, sections)`` of a v3 file, by the layout of the module docstring.
+
+    A section is a dict: ``head`` (the section header's fields as a list),
+    ``names`` (bytes), one writable array per column, ``pool`` (the unpacked
+    ``matrices x ports x ports`` blocks) and ``spans`` (name -> byte range in
+    the file, the packed pool's included).
+    """
+    header = _FILE_HEADER.unpack_from(raw)
+    sections, offset = [], _FILE_HEADER.size
+    while offset < len(raw):
+        head = list(_STATE_HEADER.unpack_from(raw, offset))
+        spans = {"head": (offset, offset + _STATE_HEADER.size)}
+        offset += _STATE_HEADER.size
+        name_len, variant_len, _, n, ports, matrices = head
+        section = {"head": head, "names": raw[offset : offset + name_len + variant_len]}
+        offset += name_len + variant_len
+        for name, dtype in _COLUMNS:
+            section[name] = np.frombuffer(raw, dtype, n, offset).copy()
+            spans[name] = (offset, offset + section[name].nbytes)
+            offset += section[name].nbytes
+        packed = np.frombuffer(raw, np.uint8, (matrices * ports * ports + 7) // 8, offset)
+        section["pool"] = np.unpackbits(packed, count=matrices * ports * ports).reshape(
+            matrices, ports, ports
+        )
+        spans["pool"] = (offset, offset + packed.nbytes)
+        offset += packed.nbytes
+        section["spans"] = spans
+        sections.append(section)
+    return header, sections
+
+
+def _assemble(sections) -> bytes:
+    """The body bytes of ``sections`` (as :func:`_parse` returns them), unchecked."""
+    body = []
+    for section in sections:
+        body += [_STATE_HEADER.pack(*section["head"]), section["names"]]
+        body += [section[name].astype(dtype).tobytes() for name, dtype in _COLUMNS]
+        body.append(np.packbits(section["pool"]).tobytes())
+    return b"".join(body)
+
+
+def _hotmx_corruptions(server) -> int:
+    """``corruption_detected_total{layer="hotmx"}`` as a scrape of the server reads it."""
+    scraped = parse_exposition(server.metrics.exposition())
+    return int(scraped.get(("corruption_detected_total", (("layer", "hotmx"),)), 0))
+
+
+def _served(scheme, run_file, view) -> "tuple[ProvenanceServer, int]":
+    """A fresh server over ``run_file``, attached with the warm path on; ``(server, warmed)``."""
+    engine = QueryEngine(scheme)
+    engine.add_view(view)
+    server = ProvenanceServer(engine)
+    return server, server.attach(run_file)[1]
 
 
 # -- save ----------------------------------------------------------------------
@@ -302,7 +374,7 @@ def test_load_rejects_bad_magic_and_truncation(saved, scheme):
 
     with open(cache_file, "wb") as handle:
         handle.write(
-            _FILE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION + 1, 0, 0, 0, 0)
+            _FILE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION + 1, 0, 0, 0, 0, 0)
         )
     with pytest.raises(SerializationError, match="version"):
         load_hot_matrices(follower)
@@ -314,10 +386,16 @@ def test_load_converts_garbled_sections_to_serialization_error(saved, scheme):
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
-    with open(matrix_cache_path(run_file), "wb") as handle:
-        handle.write(_FILE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, 0, 0, 0, 1))
-        handle.write(_STATE_HEADER.pack(2, 0, 1, 0))
-        handle.write(b"\xff\xfe")  # not UTF-8
+    cache_file = matrix_cache_path(run_file)
+    body = _STATE_HEADER.pack(2, 0, 1, 0, 1, 0) + b"\xff\xfe"  # a name that is not UTF-8
+    _write_raw(cache_file, body)
+    with pytest.raises(SerializationError, match="corrupt matrix cache"):
+        load_hot_matrices(follower)
+    body = _STATE_HEADER.pack(0, 0, 1, 2**32 - 1, 2**32 - 1, 2**32 - 1)  # absurd dims
+    _write_raw(cache_file, body)
+    with pytest.raises(SerializationError, match="truncated"):
+        load_hot_matrices(follower)
+    _write_raw(cache_file, body[:5])  # not even a section header
     with pytest.raises(SerializationError, match="corrupt matrix cache"):
         load_hot_matrices(follower)
 
@@ -361,7 +439,294 @@ def test_view_fingerprint_separates_same_named_views(spec, scheme, workload, tmp
     assert load_hot_matrices(follower) == 0  # skipped, never guessed at
 
 
-# -- hit-count persistence (format v2) -----------------------------------------
+def test_fingerprints_are_pinned_and_kept_on_their_object(spec):
+    """Cross-process stable (golden values of the builds before they were kept) and computed once."""
+    index = FVLScheme(spec).index
+    view = random_view(spec, 8, seed=100, mode="grey", name="view-0")  # perf/inputs.py's first
+    assert index.fingerprint is None and view.fingerprint is None
+    assert grammar_fingerprint(index) == index.fingerprint == 4246578467
+    assert view_fingerprint(view) == view.fingerprint == 3603000836
+    twin = random_view(spec, 8, seed=100, mode="grey", name="another-name")
+    assert view_fingerprint(twin) == 3603000836  # the name is not part of it
+
+
+# -- the format (v3): the file is the table's columns --------------------------
+
+
+def test_parse_and_assemble_agree_with_the_saver(saved):
+    """The test's own reading of the layout reproduces the file byte for byte."""
+    run_file, *_ = saved
+    raw = open(matrix_cache_path(run_file), "rb").read()
+    header, sections = _parse(raw)
+    body = _assemble(sections)
+    assert raw == _FILE_HEADER.pack(*header[:5], len(body), zlib.crc32(body)) + body
+    (section,) = sections
+    assert section["names"] == b"hot-view" + FVLVariant.DEFAULT.value.encode()
+
+
+def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
+    """One flipped bit anywhere: a typed refusal and a cold attach, or the same answers.
+
+    Offsets are spread over the file header, the section header, every column
+    and the packed pool.  On the per-entry format of v2, which carried no
+    checksum, flipped matrix bits loaded cleanly and answered wrongly.
+    """
+    run_file, view, pairs, expected, entries = saved
+    cache_file = matrix_cache_path(run_file)
+    raw = open(cache_file, "rb").read()
+    (section,) = _parse(raw)[1]
+    spans = {"file header": (0, _FILE_HEADER.size), **section["spans"]}
+    assert set(spans) == {"file header", "head", "pool"} | {name for name, _ in _COLUMNS}
+    flips = [
+        (int(at), bit % 8)
+        for lo, hi in spans.values()
+        for bit, at in enumerate(np.linspace(lo, hi - 1, 32).astype(int))
+    ]
+    assert len(set(flips)) >= 200
+    server, warmed = _served(scheme, run_file, view)
+    intact = _pair_entries(server.engine, view)
+    assert warmed == entries == len(intact)
+    refused = 0
+    for at, bit in flips:
+        damaged = bytearray(raw)
+        damaged[at] ^= 1 << bit
+        with open(cache_file, "wb") as handle:
+            handle.write(damaged)
+        server, warmed = _served(scheme, run_file, view)
+        if isinstance(server.last_warm_error, SerializationError):
+            assert warmed == 0 and not _pair_entries(server.engine, view)
+            refused += 1
+        else:  # a header field the checks read only one way (a lower watermark, say)
+            assert at < _FILE_HEADER.size
+            assert _pair_entries(server.engine, view) == intact, f"bit {bit} of byte {at} was loaded"
+        assert server.engine.depends_batch(pairs, view) == expected
+    assert refused >= len(flips) - 16
+
+
+def test_every_byte_of_a_small_section_is_covered(saved, scheme):
+    run_file, view, pairs, expected, _ = saved
+    leader = QueryEngine(scheme)
+    leader.attach(run_file)
+    assert leader.depends_batch(pairs, view) == expected
+    cache_file = matrix_cache_path(run_file)
+    assert save_hot_matrices(leader, DEFAULT_RUN, max_entries=6) == 6
+    raw = open(cache_file, "rb").read()
+    follower = QueryEngine(scheme)
+    follower.add_view(view)
+    follower.attach(run_file)
+    for at in range(_FILE_HEADER.size, len(raw)):
+        damaged = bytearray(raw)
+        damaged[at] ^= 0xFF
+        with open(cache_file, "wb") as handle:
+            handle.write(damaged)
+        with pytest.raises(CorruptionError, match="checksum"):
+            load_hot_matrices(follower)
+    assert not _pair_entries(follower, view)
+    with open(cache_file, "wb") as handle:
+        handle.write(raw)
+    assert load_hot_matrices(follower) == 6
+    assert follower.depends_batch(pairs, view) == expected
+
+
+@pytest.fixture(scope="module")
+def two_views(spec, scheme, workload, tmp_path_factory):
+    """A checkpointed run plus two views' batches: two sections per cache."""
+    derivation, view, pairs = workload
+    other = random_view(spec, 4, seed=77, mode="black", name="other-view")
+    items = sorted(ViewProjection(derivation.run, other).visible_items)
+    other_pairs = sample_query_pairs(items, 200, seed=78)
+    writer = QueryEngine(scheme)
+    writer.add_run(DEFAULT_RUN, derivation)
+    directory = tmp_path_factory.mktemp("two-views")
+    run_file = directory / "two.fvl"
+    writer.checkpoint(run_file)
+    return run_file, directory / "two.hotmx", [(view, pairs), (other, other_pairs)]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    budget=st.integers(min_value=1, max_value=400),
+    again=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 199)), max_size=40),
+)
+def test_round_trip_is_the_table(scheme, two_views, budget, again):
+    """save -> load yields ``table.take(chosen)``, column for column, in rank order."""
+    run_file, cache_file, batches = two_views
+    leader = QueryEngine(scheme)
+    leader.attach(run_file)
+    for view, pairs in batches:
+        leader.depends_batch(pairs, view)
+    for which, at in again:  # the hit pattern: these pairs are asked once more, in this order
+        view, pairs = batches[which]
+        leader.depends_batch([pairs[at]], view)
+    arena = leader.shard_arena()
+    tables = [leader.decoded_state(view).decode_cache.table(arena) for view, _ in batches]
+    decided = [table.decoder_rows() for table in tables]
+    hits = np.concatenate([table.hits[at] for table, at in zip(tables, decided)])
+    hottest = np.argsort(-hits, kind="stable")[:budget]
+    owner = np.repeat(np.arange(len(tables)), [at.size for at in decided])[hottest]
+
+    assert save_hot_matrices(leader, cache_path=cache_file, max_entries=budget) == hottest.size
+    follower = QueryEngine(scheme)
+    for view, _ in batches:
+        follower.add_view(view)
+    follower.attach(run_file)
+    assert load_hot_matrices(follower, cache_path=cache_file) == hottest.size
+    for section, (table, at, (view, _)) in enumerate(zip(tables, decided, batches)):
+        chosen = at[hottest[owner == section] - sum(a.size for a in decided[:section])]
+        if not chosen.size:
+            continue  # no row of this view made the cut: no section, no state
+        kept = table.take(np.sort(chosen))
+        loaded = follower.decoded_state(view).decode_cache.table(follower.shard_arena())
+        for column in ("ports", "keys", "rows", "cols", "hits"):
+            assert np.array_equal(getattr(loaded, column), getattr(kept, column)), column
+        assert np.array_equal(np.minimum(loaded.off, 0), np.minimum(kept.off, 0))
+        everything = np.arange(len(kept))
+        assert np.array_equal(loaded._blocks(everything), kept._blocks(everything))
+        assert np.array_equal(loaded.keys[np.argsort(loaded.order)], table.keys[chosen])
+
+
+def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
+    """Columns no saver writes, checksummed as if one had: typed refusals, nothing admitted."""
+    run_file, view, pairs, expected, entries = saved
+    cache_file = matrix_cache_path(run_file)
+    header, (genuine,) = _parse(open(cache_file, "rb").read())
+    follower = QueryEngine(scheme)
+    follower.add_view(view)
+    mapped = follower.attach(run_file)
+    n_paths, ports = mapped.n_paths, genuine["head"][4]
+    matrix = np.nonzero(genuine["off"] == 0)[0]
+    block, _, column = (int(at[0]) for at in np.nonzero(genuine["pool"]))  # some set bit
+    assert matrix.size == entries  # this workload decides no pair "no dependency"
+
+    def descending(s):
+        s["keys"] = s["keys"][::-1]
+
+    def duplicate(s):
+        s["keys"][1] = s["keys"][0]
+
+    def tall(s):
+        s["rows"][matrix[0]] = ports + 1
+
+    def negative_shape(s):
+        s["cols"][matrix[0]] = -1
+
+    def verdict(s):
+        s["off"][0] = VERDICT_TRUE
+
+    def repeated_rank(s):
+        s["order"][1] = s["order"][0]
+
+    def rank_out_of_range(s):
+        s["order"][np.argmax(s["order"])] = entries
+
+    def one_block_short(s):
+        s["head"][5] -= 1
+        s["pool"] = s["pool"][:-1]
+
+    def one_sentinel_more(s):
+        s["off"][matrix[-1]] = -1
+
+    def padding_bit(s):  # the shape shrinks from under a set bit
+        s["cols"][matrix[block]] = column
+
+    def foreign_producer(s):
+        s["keys"][-1] = n_paths << 32
+
+    def foreign_consumer(s):
+        s["keys"][-1] = (int(s["keys"][-1]) >> 32 << 32) | n_paths
+
+    def negative_key(s):
+        s["keys"][0] = -1
+
+    def other_ports(s):
+        s["head"][4] += 1
+        s["pool"] = np.zeros((matrix.size, ports + 1, ports + 1), dtype=np.uint8)
+
+    def negative_hits(s):
+        s["hits"][0] = -1
+
+    def rows_beyond_the_file(s):
+        s["head"][3] += 1
+
+    hostile = [
+        descending, duplicate, tall, negative_shape, verdict, repeated_rank, rank_out_of_range,
+        one_block_short, one_sentinel_more, padding_bit, foreign_producer, foreign_consumer,
+        negative_key, other_ports, negative_hits, rows_beyond_the_file,
+    ]
+    for damage in hostile:
+        section = {name: value.copy() if hasattr(value, "copy") else value for name, value in genuine.items()}
+        section["head"] = list(genuine["head"])
+        damage(section)
+        _write_raw(cache_file, _assemble([section]), header)
+        with pytest.raises(CorruptionError):  # never an IndexError or a ValueError
+            load_hot_matrices(follower)
+        assert not _pair_entries(follower, view), damage.__name__
+    _write_raw(cache_file, _assemble([genuine]) + b"\0", header)  # bytes behind the last section
+    with pytest.raises(CorruptionError):
+        load_hot_matrices(follower)
+    _write_raw(cache_file, _assemble([genuine]), header)
+    assert load_hot_matrices(follower) == entries
+    loaded = _pair_entries(follower, view)
+    assert follower.depends_batch(pairs, view) == expected
+
+    # A sentinel row written consistently (no block, one matrix fewer) is the
+    # format's other decoder row and loads as one.
+    section = {**genuine, "head": list(genuine["head"])}
+    section["head"][5] -= 1
+    section["off"] = np.where(np.arange(entries) == 3, NO_DEPENDENCY, genuine["off"])
+    section["rows"], section["cols"] = (np.where(section["off"] == 0, genuine[c], 0) for c in ("rows", "cols"))
+    section["pool"] = np.delete(genuine["pool"], 3, axis=0)
+    _write_raw(cache_file, _assemble([section]), header)
+    other = QueryEngine(scheme)
+    other.add_view(view)
+    other.attach(run_file)
+    assert load_hot_matrices(other) == entries
+    seeded = _pair_entries(other, view)
+    absent = [key for key, (matrix, _) in seeded.items() if matrix is None]
+    assert absent == [tuple(int(half) for half in pair_paths(int(genuine["keys"][3])))]
+    assert {key: entry for key, entry in seeded.items() if key not in absent} == {
+        key: entry for key, entry in loaded.items() if key not in absent
+    }
+
+
+def test_a_damaged_side_file_is_counted_and_reported(saved, scheme, monkeypatch):
+    """Checksum failures reach the watchdog's corruption SLO; a foreign or absent file does not."""
+    run_file, view, pairs, expected, entries = saved
+    cache_file = matrix_cache_path(run_file)
+    emitted = []
+    monkeypatch.setattr(obs_events, "emit", lambda event, **fields: emitted.append((event, fields)))
+    raw = bytearray(open(cache_file, "rb").read())
+
+    engine = QueryEngine(scheme)
+    engine.add_view(view)
+    server = ProvenanceServer(engine)
+    watchdog = server.attach_watchdog(start=False)
+    watchdog.tick()
+    assert server.attach(run_file)[1] == entries  # intact: warm, nothing counted
+    engine.detach(DEFAULT_RUN)
+    foreign = list(_FILE_HEADER.unpack_from(raw))
+    foreign[2] ^= 0xDEADBEEF  # another specification's: refused, not damage
+    with open(cache_file, "wb") as handle:
+        handle.write(_FILE_HEADER.pack(*foreign) + raw[_FILE_HEADER.size :])
+    assert server.attach(run_file)[1] == 0 and "specification" in str(server.last_warm_error)
+    engine.detach(DEFAULT_RUN)
+    assert _hotmx_corruptions(server) == 0 and not emitted
+    assert not watchdog.tick()["corruption"]["breached"]
+
+    raw[len(raw) // 2] ^= 0x04
+    with open(cache_file, "wb") as handle:
+        handle.write(raw)
+    assert server.attach(run_file)[1] == 0
+    assert isinstance(server.last_warm_error, CorruptionError)
+    assert isinstance(server.stats.last_warm_error, CorruptionError)
+    assert _hotmx_corruptions(server) == 1
+    ((event, fields),) = emitted
+    assert event == "corruption" and fields["path"] == cache_file and "checksum" in fields["reason"]
+    assert watchdog.tick()["corruption"]["breached"]
+    assert engine.depends_batch(pairs, view) == expected  # cold, and right
+
+
+# -- hit-count persistence (since format v2) -----------------------------------
 
 
 def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
@@ -406,19 +771,39 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
 
 
 def test_v1_cache_files_rejected_loudly(saved, scheme):
-    """The pre-hits format is refused (and the server warm path goes cold)."""
+    """The per-entry formats (v1, and v2 with its hit column) are refused by version.
+
+    A v2 file is what an older build leaves beside a run file: the server's
+    warm path goes cold on it, names the version, and counts no corruption.
+    """
     run_file, view, pairs, expected, entries = saved
     cache_file = matrix_cache_path(run_file)
     with open(cache_file, "rb") as handle:
         raw = bytearray(handle.read())
     magic_end = len(CACHE_MAGIC)
     version = int.from_bytes(raw[magic_end : magic_end + 4], "little")
-    assert version == CACHE_VERSION == 2
-    raw[magic_end : magic_end + 4] = (1).to_bytes(4, "little")
-    with open(cache_file, "wb") as handle:
-        handle.write(bytes(raw))
+    assert version == CACHE_VERSION == 3
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
-    with pytest.raises(SerializationError, match="version"):
-        load_hot_matrices(follower)
+    v2_header = struct.Struct("<8sIQQQI")  # shorter than v3's: still "version", not "truncated"
+    old_files = [
+        bytes(raw[:magic_end]) + (1).to_bytes(4, "little") + bytes(raw[magic_end + 4 :]),
+        v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 0),
+        v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 1)
+        + struct.pack("<HHQI", 1, 1, 1, 1) + b"vd" + struct.pack("<qqiiQ", 0, 1, 1, 1, 7) + b"\x80",
+    ]
+    for old in old_files:
+        with open(cache_file, "wb") as handle:
+            handle.write(old)
+        with pytest.raises(SerializationError, match="version") as refused:
+            load_hot_matrices(follower)
+        assert not isinstance(refused.value, CorruptionError)
+
+    engine = QueryEngine(scheme)
+    engine.add_view(view)
+    server = ProvenanceServer(engine)
+    _, warmed = server.attach(run_file)
+    assert warmed == 0 and "version 2" in str(server.last_warm_error)
+    assert _hotmx_corruptions(server) == 0
+    assert engine.depends_batch(pairs, view) == expected
