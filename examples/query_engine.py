@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro import FVLVariant, QueryEngine
-from repro.engine import MATRIX_FREE, DependsQuery
+from repro.engine import DependsQuery
 from repro.bench import prepare_bioaid, sample_query_pairs
 from repro.model.projection import ViewProjection
 from repro.workloads import random_run, random_view
@@ -35,8 +35,8 @@ def main() -> None:
     engine.add_run("run-a", run_a)
     engine.add_run("run-b", run_b)
 
-    # 2. Register views: a grey-box view for the fine-grained variants and a
-    #    black-box view for the matrix-free encoding.
+    # 2. Register views: a grey-box view with fine-grained dependencies and a
+    #    coarse black-box view (every module's matrices all-true).
     grey = workload.views({"medium": 8}, mode="grey", seed=3)["medium"]
     coarse = random_view(workload.specification, 8, seed=200, mode="black", name="coarse")
     engine.add_view(grey)
@@ -63,12 +63,12 @@ def main() -> None:
     print(f"     warm re-run: {(time.perf_counter() - start) * 1e3:7.2f} ms")
 
     # 5. depends_many groups a mixed workload by (run, view, variant) and
-    #    answers each group as one depends_batch (the coarse view by the
-    #    boolean matrix-free decoder).
+    #    answers each group as one depends_batch (the coarse view's uniform
+    #    matrices are settled as verdict rows, by the default variant).
     items_b = sorted(ViewProjection(run_b.run, coarse).visible_items)
     mixed = [DependsQuery(d1, d2, grey, run="run-a") for d1, d2 in pairs[:500]]
     mixed += [
-        DependsQuery(d1, d2, coarse, run="run-b", variant=MATRIX_FREE)
+        DependsQuery(d1, d2, coarse, run="run-b")
         for d1, d2 in sample_query_pairs(items_b, 500, seed=8)
     ]
     start = time.perf_counter()

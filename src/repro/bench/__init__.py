@@ -14,16 +14,7 @@ from repro.bench.experiments import (
     fig26_batched_query_throughput,
     table1_factors,
 )
-from repro.bench.ingest import (
-    checkpoint_latency,
-    deep_object_bytes,
-    ingest_throughput,
-    object_tree_bytes,
-    write_ingest_json,
-)
 from repro.bench.measure import ResultTable, Timer, time_call
-from repro.bench.net import append_serving_table, net_throughput
-from repro.bench.serving import serving_throughput, warm_start_latency, write_serving_json
 from repro.bench.reporting import format_table, format_tables, write_all_csv, write_csv
 from repro.bench.workloads import PreparedWorkload, prepare_bioaid, sample_query_pairs
 
@@ -50,14 +41,4 @@ __all__ = [
     "fig25_module_degree",
     "fig26_batched_query_throughput",
     "table1_factors",
-    "ingest_throughput",
-    "write_ingest_json",
-    "append_serving_table",
-    "net_throughput",
-    "serving_throughput",
-    "warm_start_latency",
-    "write_serving_json",
-    "object_tree_bytes",
-    "checkpoint_latency",
-    "deep_object_bytes",
 ]

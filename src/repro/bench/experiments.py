@@ -566,15 +566,12 @@ def table1_factors(
 
 def all_experiments(quick: bool = True) -> list[ResultTable]:
     """Run every experiment (scaled down when ``quick``)."""
-    from repro.bench.ingest import ingest_throughput
-
     workload = prepare_bioaid()
     run_sizes = (500, 1000, 2000) if quick else DEFAULT_RUN_SIZES
     run_size = 2000 if quick else 8000
     return [
         fig17_data_label_length(workload, run_sizes=run_sizes, samples=1),
         fig18_label_construction_time(workload, run_sizes=run_sizes, samples=1),
-        ingest_throughput(workload, run_sizes=run_sizes, samples=2 if quick else 3),
         fig19_view_label_length(workload),
         fig20_query_time(workload, run_sizes=run_sizes, n_queries=600),
         fig21_multiview_space(workload, run_size=run_size, max_views=10),

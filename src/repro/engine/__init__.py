@@ -8,16 +8,9 @@ decode state in an LRU over them), one batched evaluator that groups queries
 by shared label paths (:mod:`repro.engine.evaluate`), and multi-run sharding.
 """
 
-from repro.engine.cache import (
-    CacheStats,
-    DecodedMatrixFreeState,
-    DecodedViewState,
-    LRUCache,
-    StaticViewState,
-)
+from repro.engine.cache import CacheStats, DecodedViewState, LRUCache, StaticViewState
 from repro.engine.engine import (
     DEFAULT_RUN,
-    MATRIX_FREE,
     DependsQuery,
     EngineStats,
     QueryEngine,
@@ -32,8 +25,6 @@ __all__ = [
     "LRUCache",
     "StaticViewState",
     "DecodedViewState",
-    "DecodedMatrixFreeState",
-    "MATRIX_FREE",
     "DEFAULT_RUN",
     "grammar_fingerprint",
 ]

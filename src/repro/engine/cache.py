@@ -40,7 +40,6 @@ from typing import Callable, Hashable
 
 from repro.core.decoder import DecodeCache, MatrixMemo, depends as _depends
 from repro.core.labels import DataLabel
-from repro.core.matrix_free import MatrixFreeViewLabel, depends_matrix_free
 from repro.core.preprocessing import GrammarIndex
 from repro.core.view_label import FVLVariant, ViewLabel
 from repro.engine.kernel import MatrixBank
@@ -52,7 +51,6 @@ __all__ = [
     "LRUCache",
     "StaticViewState",
     "DecodedViewState",
-    "DecodedMatrixFreeState",
 ]
 
 
@@ -207,9 +205,8 @@ def _triple_nbytes(triple) -> int:
 class StaticViewState:
     """The run-independent half of a decoded view: one per ``(view, variant)``.
 
-    Holds the static label itself (a :class:`ViewLabel` or, for the engine's
-    matrix-free pseudo-variant, a :class:`MatrixFreeViewLabel`) and the memo
-    tables whose entries depend on nothing but the grammar and that label.
+    Holds the static label itself and the memo tables whose entries depend
+    on nothing but the grammar and that label.
     The engine interns one instance per registered ``(view, variant)`` and
     never evicts it: a view label is a few hundred bytes, the production
     memo and the bank's edge matrices are bounded by the grammar, and what
@@ -228,7 +225,7 @@ class StaticViewState:
         "settled",
     )
 
-    def __init__(self, label: "ViewLabel | MatrixFreeViewLabel") -> None:
+    def __init__(self, label: ViewLabel) -> None:
         self.label = label
         #: production ``k`` -> its ``(I, O, Z)`` dict triple (space-efficient
         #: variant only: one graph search per production, not per access).
@@ -271,12 +268,22 @@ class StaticViewState:
         return f"StaticViewState(view={self.label.view.name!r}, {len(self)} memo entries)"
 
 
-class _PerRunState:
-    """What the LRU holds: the per-run half of a view, weighed in bytes.
+class DecodedViewState:
+    """What the LRU holds: the per-run decode state of one ``(view, variant)``, weighed in bytes.
+
+    Duck-types the read interface of :class:`ViewLabel` that the decoding
+    predicate consumes (``index`` / ``lam_star_start`` / ``inputs`` /
+    ``outputs`` / ``z`` / ``inputs_chain`` / ``outputs_chain``), answering
+    from the production and chain memos of the :class:`StaticViewState` it
+    was built over, and carries the :class:`~repro.core.decoder.DecodeCache`
+    every query through this view shares.  The cache's path-segment tables
+    *are* the static part's (they survive this object); its pair tables and
+    the visibility flags are keyed by arena and live and die with this LRU
+    entry.
 
     ``room(state)``, when given, is the owning cache's :meth:`LRUCache.room`;
     without it the state is unbounded.  The visibility flags are filled
-    through :meth:`keep`, which keeps their bytes as a running sum.
+    through :meth:`keep_flags`, which keeps their bytes as a running sum.
     """
 
     def __init__(self, static: StaticViewState, room=None) -> None:
@@ -289,11 +296,20 @@ class _PerRunState:
         self._side_nbytes = 0
         #: What :meth:`LRUCache.settle` last weighed this state and its static part at.
         self.weighed = -1
+        self._label = static.label
+        self.decode_cache = DecodeCache(
+            self.room,
+            inputs_segments=static.inputs_segments,
+            outputs_segments=static.outputs_segments,
+        )
+        self._productions = static.productions
+        self._chains = static.chains
+        self._memoize = self._label.variant is FVLVariant.SPACE_EFFICIENT
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the visibility flags."""
-        return self._side_nbytes
+        """Bytes of the pair tables and visibility flags."""
+        return self._side_nbytes + self.decode_cache.nbytes
 
     def room(self) -> int:
         """Bytes the engine's budget still admits for this state."""
@@ -315,47 +331,12 @@ class _PerRunState:
         """Drop everything keyed by ``arena``, giving its bytes back."""
         with self._side_lock:
             self._release_flags(arena)
+        self.decode_cache.drop(arena)
 
     def _release_flags(self, arena: int) -> None:
         dropped = self.visibility_flags.pop(arena, None)
         if dropped is not None:
             self._side_nbytes -= dropped.nbytes
-
-
-class DecodedViewState(_PerRunState):
-    """Per-run decode state of one ``(view, variant)`` over its static part.
-
-    Duck-types the read interface of :class:`ViewLabel` that the decoding
-    predicate consumes (``index`` / ``lam_star_start`` / ``inputs`` /
-    ``outputs`` / ``z`` / ``inputs_chain`` / ``outputs_chain``), answering
-    from the production and chain memos of the :class:`StaticViewState` it
-    was built over, and carries the :class:`~repro.core.decoder.DecodeCache`
-    every query through this view shares.  The cache's path-segment tables
-    *are* the static part's (they survive this object); its pair tables and
-    the visibility flags are keyed by arena and live and die with this LRU
-    entry.
-    """
-
-    def __init__(self, static: StaticViewState, room=None) -> None:
-        super().__init__(static, room)
-        self._label: ViewLabel = static.label
-        self.decode_cache = DecodeCache(
-            self.room,
-            inputs_segments=static.inputs_segments,
-            outputs_segments=static.outputs_segments,
-        )
-        self._productions = static.productions
-        self._chains = static.chains
-        self._memoize = self._label.variant is FVLVariant.SPACE_EFFICIENT
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the pair tables and visibility flags."""
-        return self._side_nbytes + self.decode_cache.nbytes
-
-    def purge(self, arena: int) -> None:
-        super().purge(arena)
-        self.decode_cache.drop(arena)
 
     # -- the ViewLabel read interface used by the decoder -----------------------
 
@@ -449,30 +430,3 @@ class DecodedViewState(_PerRunState):
             f"DecodedViewState(view={self._label.view.name!r}, "
             f"variant={self._label.variant.value})"
         )
-
-
-class DecodedMatrixFreeState(_PerRunState):
-    """Per-run state for a coarse-grained (matrix-free) view label.
-
-    The boolean fast path needs no decode memo, so all that is per run here
-    is the visibility flags; the class exists so both state kinds expose the
-    same ``label`` / ``depends`` entry points over a :class:`StaticViewState`.
-    """
-
-    def __init__(self, static: StaticViewState, room=None) -> None:
-        super().__init__(static, room)
-        self._label: MatrixFreeViewLabel = static.label
-
-    @property
-    def label(self) -> MatrixFreeViewLabel:
-        return self._label
-
-    @property
-    def index(self) -> GrammarIndex:
-        return self._label.index
-
-    def depends(self, label1: DataLabel, label2: DataLabel) -> bool:
-        return depends_matrix_free(label1, label2, self._label)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DecodedMatrixFreeState(view={self._label.view.name!r})"

@@ -11,17 +11,20 @@ reachability queries in batches:
 
 This module keeps registration, shard lifecycle, view-state caching and
 stats; how a batch is evaluated — one gather, one group-by-path-pair
-pipeline for every batch size and store state — is
-:mod:`repro.engine.evaluate`.
+pipeline for every batch size, store state and variant — is
+:mod:`repro.engine.evaluate`.  A ``variant`` is one of the paper's three
+:class:`~repro.core.view_label.FVLVariant` materialisations (or its string
+value), turned into the enum once on entry; the matrix-free encoding of
+Section 6.4 stays a core-level label (:mod:`repro.core.matrix_free`) the
+engine does not serve from.
 
 Three layers of caching amortize the per-view decode work that the one-pair
 ``FVLScheme.depends`` API repeats on every call:
 
 1. **View interning** — a view is labelled statically, once, on its first
-   use: the :class:`ViewLabel` / :class:`MatrixFreeViewLabel` and every memo
-   that depends only on ``(grammar, view, variant)`` (production triples,
-   recursion chain products, path-segment products, the matrix bank and its
-   classes) form a
+   use: the :class:`ViewLabel` and every memo that depends only on
+   ``(grammar, view, variant)`` (production triples, recursion chain
+   products, path-segment products, the matrix bank and its classes) form a
    :class:`~repro.engine.cache.StaticViewState` kept for as long as the
    engine lives.  What depends on a run — the pair tables of decisions keyed
    by path ids, visibility flags — is a
@@ -64,14 +67,8 @@ from repro.core.run_labeler import RunLabeler
 from repro.core.scheme import FVLScheme
 from repro.core.view_label import FVLVariant
 from repro.core.visibility import path_visibility, visible_batch, visible_mask
-from repro.engine.cache import (
-    CacheStats,
-    DecodedMatrixFreeState,
-    DecodedViewState,
-    LRUCache,
-    StaticViewState,
-)
-from repro.engine.evaluate import depends_grouped, depends_per_pair
+from repro.engine.cache import CacheStats, DecodedViewState, LRUCache, StaticViewState
+from repro.engine.evaluate import depends_grouped
 from repro.errors import (
     CorruptionError,
     DecodingError,
@@ -95,17 +92,12 @@ from repro.store import (
 )
 
 __all__ = [
-    "MATRIX_FREE",
     "DEFAULT_RUN",
     "DependsQuery",
     "EngineStats",
     "QueryEngine",
     "grammar_fingerprint",
 ]
-
-#: Engine-level pseudo-variant selecting the coarse-grained boolean encoding
-#: (:meth:`FVLScheme.label_view_matrix_free`) instead of an FVL matrix variant.
-MATRIX_FREE = "matrix-free"
 
 #: Run id used when the caller does not name one.
 DEFAULT_RUN = "default"
@@ -207,7 +199,7 @@ class QueryEngine:
         self._live_trie: tuple = (0, ())
         self._variant = self._check_variant(variant)
         self._views: dict[str, WorkflowView] = {}
-        #: ``(view name, variant key)`` -> the view's static label and its
+        #: ``(view name, variant value)`` -> the view's static label and its
         #: run-independent memos.  Filled on first use (``add_view`` stays
         #: cheap, an unsafe view raises every time and is never stored) and
         #: kept as long as the view is registered — the view-state LRU below
@@ -608,7 +600,7 @@ class QueryEngine:
             self._shard(query.run)
             view = self._resolve_view(query.view)
             variant = self._check_variant(query.variant or self._variant)
-            key = (query.run, view.name, self._variant_key(variant))
+            key = (query.run, view.name, variant)
             _, _, positions, pairs = groups.setdefault(key, (view, variant, [], []))
             positions.append(pos)
             pairs.append((query.d1, query.d2))
@@ -703,7 +695,7 @@ class QueryEngine:
         self,
         view: "WorkflowView | str",
         variant: "FVLVariant | str | None" = None,
-    ) -> "DecodedViewState | DecodedMatrixFreeState":
+    ) -> DecodedViewState:
         """The (LRU-interned) decoded state of one ``(view, variant)`` pair.
 
         Public so the serving layer can warm a state's decode cache (the
@@ -714,12 +706,10 @@ class QueryEngine:
         """
         return self._decoded_state(view, variant)
 
-    def decoded_states(
-        self,
-    ) -> dict[tuple[str, str], "DecodedViewState | DecodedMatrixFreeState"]:
+    def decoded_states(self) -> dict[tuple[str, str], DecodedViewState]:
         """A snapshot of the currently interned decoded view states.
 
-        Keys are ``(view_name, variant_key)``; iteration order is LRU (least
+        Keys are ``(view_name, variant.value)``; iteration order is LRU (least
         recent first).  Snapshot semantics: concurrent queries may intern or
         evict states while the caller walks it.
         """
@@ -755,10 +745,7 @@ class QueryEngine:
 
     def _note_queries(self, shard: _RunShard, state, op: str, n: int) -> None:
         label = state.label
-        variant = (
-            label.variant.value if isinstance(state, DecodedViewState) else MATRIX_FREE
-        )
-        self._queries_c.labels(shard.run_id, label.view.name, variant, op).inc(n)
+        self._queries_c.labels(shard.run_id, label.view.name, label.variant.value, op).inc(n)
 
     # -- internals --------------------------------------------------------------------------
 
@@ -819,40 +806,28 @@ class QueryEngine:
                 f"(known views: {sorted(self._views) or 'none'})"
             ) from None
 
-    def _check_variant(self, variant: "FVLVariant | str") -> "FVLVariant | str":
-        if isinstance(variant, FVLVariant) or variant == MATRIX_FREE:
-            return variant
+    @staticmethod
+    def _check_variant(variant: "FVLVariant | str") -> FVLVariant:
+        """The one place a caller's (or the wire's) variant becomes an ``FVLVariant``."""
         try:
             return FVLVariant(variant)
         except ValueError:
+            accepted = ", ".join(repr(member.value) for member in FVLVariant)
             raise DecodingError(
-                f"unknown labeling variant {variant!r} (expected an FVLVariant "
-                f"or {MATRIX_FREE!r})"
+                f"unknown labeling variant {variant!r} (accepted: {accepted})"
             ) from None
-
-    @staticmethod
-    def _variant_key(variant: "FVLVariant | str") -> str:
-        return variant.value if isinstance(variant, FVLVariant) else variant
 
     def _decoded_state(
         self, view: "WorkflowView | str", variant: "FVLVariant | str | None"
-    ) -> "DecodedViewState | DecodedMatrixFreeState":
+    ) -> DecodedViewState:
         view = self._resolve_view(view)
         variant = self._check_variant(variant or self._variant)
-        key = (view.name, self._variant_key(variant))
-        return self._states.get_or_create(key, lambda: self._build_state(view, variant))
+        return self._states.get_or_create(
+            (view.name, variant.value),
+            lambda: DecodedViewState(self._static_state(view, variant), self._states.room),
+        )
 
-    def _build_state(
-        self, view: WorkflowView, variant: "FVLVariant | str"
-    ) -> "DecodedViewState | DecodedMatrixFreeState":
-        """The LRU factory: fresh per-run state over the view's static part."""
-        static = self._static_state(view, variant)
-        kind = DecodedMatrixFreeState if variant == MATRIX_FREE else DecodedViewState
-        return kind(static, self._states.room)
-
-    def _static_state(
-        self, view: WorkflowView, variant: "FVLVariant | str"
-    ) -> StaticViewState:
+    def _static_state(self, view: WorkflowView, variant: FVLVariant) -> StaticViewState:
         """The interned static label of ``(view, variant)``, labelled on first use.
 
         Interned here and not in :meth:`FVLScheme.label_view`, which keeps
@@ -861,8 +836,7 @@ class QueryEngine:
         the labeller and leaves nothing behind, so every later query on it
         raises the same error.
         """
-        variant_key = self._variant_key(variant)
-        key = (view.name, variant_key)
+        key = (view.name, variant.value)
         static = self._statics.get(key)
         if static is not None:
             return static
@@ -870,13 +844,10 @@ class QueryEngine:
             static = self._statics.get(key)
             if static is None:
                 t0 = time.perf_counter()
-                with trace_span("engine.label_view", view=view.name, variant=variant_key):
-                    if variant == MATRIX_FREE:
-                        label = self._scheme.label_view_matrix_free(view)
-                    else:
-                        label = self._scheme.label_view(view, variant)
+                with trace_span("engine.label_view", view=view.name, variant=variant.value):
+                    label = self._scheme.label_view(view, variant)
                 self._label_seconds.observe(time.perf_counter() - t0)
-                self._labels_c.labels(variant_key).inc()
+                self._labels_c.labels(variant.value).inc()
                 static = self._statics[key] = StaticViewState(label)
         return static
 
@@ -893,7 +864,7 @@ class QueryEngine:
     def _evaluate(
         self,
         shard: _RunShard,
-        state: "DecodedViewState | DecodedMatrixFreeState",
+        state: DecodedViewState,
         pairs: "list[tuple[int, int]] | np.ndarray",
     ) -> list[bool]:
         with self._lock:
@@ -903,8 +874,6 @@ class QueryEngine:
         t0 = time.perf_counter()
         try:
             with trace_span("engine.depends_batch", run=shard.run_id, pairs=len(pairs)):
-                if isinstance(state, DecodedMatrixFreeState):
-                    return depends_per_pair(shard.store, state, pairs)
                 results, structural_n, matrix_n = depends_grouped(
                     shard.store,
                     shard.arena,

@@ -27,8 +27,10 @@ evaluated the same way, as whole-array operations from gather to answer:
    and one scatter puts the bits in place.
 
 A warm batch executes no Python per pair or per group, boundary pairs
-included.  The matrix-free pseudo-variant has no matrices to group by and
-keeps its per-pair loop (:func:`depends_per_pair`).
+included.  Every variant the engine accepts takes this pipeline; a coarse
+view's uniform matrices are settled by the kernel as verdict rows, which is
+what the paper's matrix-free encoding (:mod:`repro.core.matrix_free`, kept at
+core level and held to the engine by the test tree) precomputes.
 """
 
 from __future__ import annotations
@@ -49,14 +51,7 @@ from repro.engine.kernel import REFERENCE, decide_many
 from repro.errors import DecodingError
 from repro.obs.trace import trace_span
 
-__all__ = ["depends_grouped", "depends_per_pair"]
-
-def depends_per_pair(store, state, pairs) -> list[bool]:
-    """``state.depends`` over materialised labels, pair by pair."""
-    if isinstance(pairs, np.ndarray):
-        pairs = pairs.tolist()
-    label = store.label
-    return [state.depends(label(d1), label(d2)) for d1, d2 in pairs]
+__all__ = ["depends_grouped"]
 
 
 def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[list[bool], int, int]:

@@ -39,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro import faults
+from repro.core import FVLVariant
 from repro.errors import SerializationError
 from repro.faults import InjectedFault
 from repro.net.protocol import (
@@ -62,6 +63,9 @@ from repro.serve.server import ProvenanceServer
 __all__ = ["NetStats", "ProvenanceNetServer"]
 
 _RECV_BYTES = 1 << 16
+
+#: The metric-label value of a view or variant the engine does not know.
+_UNKNOWN = "(unknown)"
 
 
 @dataclass(frozen=True)
@@ -524,10 +528,20 @@ class ProvenanceNetServer:
     def _admit(self, conn: _Connection, request: QueryRequest) -> None:
         kind = "depends" if request.op == OP_DEPENDS else "visible"
         n = len(request.ids)
+        # The wire's strings are not validated yet and a metric label lives as
+        # long as the registry, so the tail record names only what the engine
+        # knows: its histogram family stays bounded whatever a client sends.
+        view = request.view if request.view in self._server.engine.view_names else _UNKNOWN
+        variant = request.variant  # None: the server's default
+        if variant is not None:
+            try:
+                variant = FVLVariant(variant)
+            except ValueError:
+                variant = _UNKNOWN
         # Tail sampling sees *every* frame (a header-only record); head
         # sampling below decides which ones also carry spans.
         pending = self._server.tail.open(
-            request.trace_id, kind, request.view, request.variant, run=request.run
+            request.trace_id, kind, view, variant, run=request.run
         )
         # Sampling decision: a wire trace id marks the request traceable, the
         # tracer decides whether this one is recorded.  The flight owns the

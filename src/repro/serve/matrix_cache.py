@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.core import FVLVariant
 from repro.core.pair_table import NO_DEPENDENCY, PairTable, pair_paths
-from repro.engine.engine import MATRIX_FREE, DEFAULT_RUN, QueryEngine, grammar_fingerprint
+from repro.engine.engine import DEFAULT_RUN, QueryEngine, grammar_fingerprint
 from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.model.views import WorkflowView
 from repro.store import run_file_info
@@ -174,10 +174,7 @@ def save_hot_matrices(
     # may decide new keys while a live server saves.
     candidates = []
     for (view_name, variant_key), state in engine.decoded_states().items():
-        cache = getattr(state, "decode_cache", None)
-        if cache is None or variant_key == MATRIX_FREE:
-            continue
-        table = cache.table(arena)
+        table = state.decode_cache.table(arena)
         at = table.decoder_rows()
         id1, id2 = pair_paths(table.keys[at])
         at = at[(id1 < info.n_paths) & (id2 < info.n_paths)]

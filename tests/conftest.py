@@ -165,8 +165,7 @@ def decoded_state_bytes():
         per_run = 0
         for state in engine.decoded_states().values():
             per_run += sum(flags.nbytes for flags in state.visibility_flags.values())
-            cache = getattr(state, "decode_cache", None)  # matrix-free states have none
-            for table in cache.pair_tables.values() if cache is not None else ():
+            for table in state.decode_cache.pair_tables.values():
                 columns = (table.keys, table.off, table.rows, table.cols, table.hits, table.order, table.pool)
                 per_run += sum(column.nbytes for column in columns)
         static = 0

@@ -13,7 +13,7 @@ from repro.core import (
     visible_batch,
     visible_mask,
 )
-from repro.engine import DEFAULT_RUN, MATRIX_FREE, QueryEngine
+from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.model.projection import ViewProjection
 from repro.model.views import default_view
 from repro.store import checkpoint_run
@@ -87,7 +87,7 @@ def test_engine_visibility_over_live_and_mapped_shards(bioaid, tmp_path):
         engine.is_visible_batch(uids, view, variant=FVLVariant.SPACE_EFFICIENT)
         == expected
     )
-    assert engine.is_visible_batch(uids, view, variant=MATRIX_FREE) == expected
+    assert engine.is_visible_batch(uids, view, variant=FVLVariant.QUERY_EFFICIENT) == expected
 
     run_file = tmp_path / "vis.fvl"
     engine.checkpoint(run_file)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import FVLScheme, FVLVariant, QueryEngine
-from repro.engine import DEFAULT_RUN, MATRIX_FREE
+from repro.engine import DEFAULT_RUN
 from repro.errors import LabelingError
 from repro.faults import FaultPlan, InjectedFault
 from repro.model.derivation import Derivation
@@ -113,8 +113,10 @@ def test_depends_array_matches_list(engine, n, variant):
 
 def test_depends_array_matches_list_matrix_free(engine):
     pairs = _pairs(BLACK, 60)
-    want = engine.depends_batch(pairs, BLACK, variant=MATRIX_FREE)
-    got = engine.depends_batch(np.asarray(pairs, dtype=np.int64), BLACK, variant=MATRIX_FREE)
+    want = engine.depends_batch(pairs, BLACK, variant=FVLVariant.SPACE_EFFICIENT)
+    got = engine.depends_batch(
+        np.asarray(pairs, dtype=np.int64), BLACK, variant=FVLVariant.SPACE_EFFICIENT
+    )
     assert got == want
 
 

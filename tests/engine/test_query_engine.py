@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import FVLScheme, FVLVariant, QueryEngine
-from repro.engine import DEFAULT_RUN, MATRIX_FREE, DependsQuery
+from repro.engine import DEFAULT_RUN, DependsQuery
 from repro.errors import (
     DecodingError,
     LabelingError,
@@ -78,19 +78,6 @@ def test_depends_single_wrapper(engine, derivation):
     view = VIEWS[0]
     (pair,) = _visible_pairs(derivation, view, n=1)
     assert engine.depends(*pair, view) == engine.depends_batch([pair], view)[0]
-
-
-def test_matrix_free_pseudo_variant(engine, derivation):
-    view = random_view(SPEC, 2, seed=5, mode="black", name="coarse-rb")
-    pairs = _visible_pairs(derivation, view)
-    labeler = engine.run_labeler()
-    mf_label = SCHEME.label_view_matrix_free(view)
-    expected = [
-        SCHEME.depends(labeler.label(d1), labeler.label(d2), mf_label)
-        for d1, d2 in pairs
-    ]
-    assert engine.depends_batch(pairs, view, variant=MATRIX_FREE) == expected
-    assert engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
 
 
 def test_views_resolvable_by_name(engine, derivation):

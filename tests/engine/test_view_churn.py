@@ -25,7 +25,7 @@ import pytest
 
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import RunReachabilityOracle
-from repro.engine import DEFAULT_RUN, MATRIX_FREE
+from repro.engine import DEFAULT_RUN
 from repro.errors import UnsafeWorkflowError, ViewError
 from repro.model import Derivation, WorkflowSpecification, WorkflowView, default_view
 from repro.model.projection import ViewProjection
@@ -203,19 +203,21 @@ def test_cycling_views_answers_like_the_oracle_and_labels_once(
     assert snapshot["engine_view_labels_total"] == {("default",): N_VIEWS}
     assert snapshot["engine_view_label_seconds"][()]["count"] == N_VIEWS
 
-    # Another variant is another label, once each; the matrix-free encoding too.
+    # Another variant is another label, once each.
     for _ in range(2):
         for case in cases[:3]:
             answers = engine.depends_batch(
                 case.pairs[:50], case.view.name, run="disk", variant=FVLVariant.SPACE_EFFICIENT
             )
             assert answers == case.depends[:50]
-            engine.is_visible_batch(case.uids, case.view.name, run="disk", variant=MATRIX_FREE)
+            engine.is_visible_batch(
+                case.uids, case.view.name, run="disk", variant=FVLVariant.QUERY_EFFICIENT
+            )
             assert sum(decoded_state_bytes(engine)) == engine.stats.views.bytes
     assert engine.metrics.snapshot()["engine_view_labels_total"] == {
         ("default",): N_VIEWS,
         ("space-efficient",): 3,
-        (MATRIX_FREE,): 3,
+        ("query-efficient",): 3,
     }
     assert engine.stats.labels_built == N_VIEWS + 6
     for run in ("disk", "reopened"):
@@ -333,7 +335,7 @@ def test_unsafe_view_raises_every_time_and_is_never_interned():
         with pytest.raises(UnsafeWorkflowError):
             engine.depends_batch([(1, 2)], view)
         with pytest.raises(UnsafeWorkflowError):
-            engine.is_visible_batch([1], view, variant=MATRIX_FREE)
+            engine.is_visible_batch([1], view, variant=FVLVariant.SPACE_EFFICIENT)
     assert engine._statics == {}
     assert engine.stats.labels_built == 0
     assert not engine.decoded_states() and engine.stats.views.bytes == 0
@@ -424,7 +426,7 @@ def test_state_bytes_gauge_equals_a_walk_of_the_arrays(churn, measured, decoded_
         elif action == "detach" and attached:
             engine.detach(attached.pop(rng.randrange(len(attached))))
         elif action == "visible":
-            variant = rng.choice((None, MATRIX_FREE))
+            variant = rng.choice((None, FVLVariant.SPACE_EFFICIENT))
             engine.is_visible_batch(case.uids, case.view, run=run, variant=variant)
         else:
             variant = rng.choice((None, None, FVLVariant.SPACE_EFFICIENT))

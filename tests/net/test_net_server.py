@@ -11,7 +11,8 @@ import pytest
 
 import repro.serve.server as serve_module
 from repro.core import FVLScheme, FVLVariant
-from repro.engine import DEFAULT_RUN, QueryEngine
+from repro.engine import DEFAULT_RUN, DependsQuery, QueryEngine
+from repro.errors import DecodingError
 from repro.model.projection import ViewProjection
 from repro.net import (
     ProvenanceClient,
@@ -19,6 +20,7 @@ from repro.net import (
     RemoteQueryError,
     ServerOverloadedError,
 )
+from repro.obs.metrics import parse_exposition
 from repro.serve import BatchPolicy, ProvenanceServer
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
@@ -151,6 +153,7 @@ def test_many_threaded_clients_bit_identical(served):
     stats = net.stats
     assert stats.connections >= n_clients
     assert stats.answered_frames >= 2 * n_clients
+    assert stats.sheds == 0  # 8 x 300 pairs against a 65,536-query queue: nothing to shed
 
 
 # -- failure surfaces -----------------------------------------------------------
@@ -169,6 +172,76 @@ def test_unknown_run_raises_remote_error(served):
     with ProvenanceClient(unix_path=sock_path) as client:
         with pytest.raises(RemoteQueryError):
             client.depends_batch(pairs[:3], view.name, run="no-such-run")
+
+
+@pytest.mark.parametrize("entry", ["constructor", "depends_batch", "is_visible_batch", "DependsQuery", "wire"])
+def test_removed_variant_fails_loudly(served, scheme, run_file, entry):
+    """``matrix-free`` was an engine variant once; now it is a typed error naming the three that are."""
+    net, sock_path, view, items, pairs, expected, _ = served
+    accepted = "'default', 'space-efficient', 'query-efficient'"
+    if entry == "wire":
+        with ProvenanceClient(unix_path=sock_path) as client:
+            with pytest.raises(RemoteQueryError, match="matrix-free") as info:
+                client.depends_batch(pairs[:3], view.name, variant="matrix-free")
+            assert info.value.kind == "DecodingError" and accepted in info.value.remote_message
+            # The connection (there is one in the pool) stays usable.
+            assert client.depends_batch(pairs[:25], view.name) == expected[:25]
+            assert net.stats.connections == 1
+        return
+    engine = QueryEngine(scheme)
+    engine.attach(run_file[0])
+    calls = {
+        "constructor": lambda: QueryEngine(scheme, variant="matrix-free"),
+        "depends_batch": lambda: engine.depends_batch(pairs[:3], view, variant="matrix-free"),
+        "is_visible_batch": lambda: engine.is_visible_batch(items[:3], view, variant="matrix-free"),
+        "DependsQuery": lambda: engine.depends_many(
+            [DependsQuery(*pairs[0], view, variant="matrix-free")]
+        ),
+    }
+    with pytest.raises(DecodingError, match="matrix-free") as info:
+        calls[entry]()
+    assert accepted in str(info.value)
+
+
+def test_bogus_view_and_variant_names_mint_no_metric_series(served):
+    """Hostile frames are answered with typed errors and leave the exposition's series alone.
+
+    The tail sampler's histogram is labelled ``{op, view, variant}`` and a
+    label lives as long as the registry, so the wire's strings label it only
+    once the engine knows them: one ``(unknown)`` child takes every other
+    frame, whatever it names.
+    """
+    net, sock_path, view, _, pairs, expected, _ = served
+    n = 500
+    with ProvenanceClient(unix_path=sock_path) as client:
+
+        def bogus(i: int) -> None:
+            if i % 2:
+                name, variant, kind = f"no-such-view-{i}", None, "ViewError"
+            else:
+                name, variant, kind = view.name, f"no-such-variant-{i}", "DecodingError"
+            with pytest.raises(RemoteQueryError) as info:
+                client.depends_batch(pairs[:2], name, variant=variant)
+            assert info.value.kind == kind
+
+        for i in range(n):
+            if i == 2:  # one bogus frame of each kind has been answered
+                first = client.server_metrics()
+            bogus(i)
+        after = client.server_metrics()
+        # The next good frame on the same connection is answered.
+        assert client.depends_batch(pairs[:25], view.name) == expected[:25]
+        assert net.stats.connections == 1
+    assert "no-such-" not in after
+    children = {
+        (dict(labels)["view"], dict(labels)["variant"])
+        for name, labels in parse_exposition(after)
+        if name == "tail_request_seconds_count"
+    }
+    assert children == {(view.name, "(unknown)"), ("(unknown)", "None")}
+    # Counters gain digits, buckets exemplars, a head-sampled trace its cost
+    # rows under the fixed labels; an unbounded family grew ~3 KB per frame.
+    assert len(after) - len(first) < 4096
 
 
 def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):

@@ -59,6 +59,34 @@ def test_warmup_keeps_everything_then_threshold_rises():
     assert slow_pending.trace_id in tail.kept_ids()
 
 
+def test_every_slowest_one_percent_request_is_kept_at_a_bounded_keep_rate():
+    """The capture contract, on a fake clock: 100% of the slowest 1%, for < 20% kept.
+
+    The threshold is the p95 bucket's *lower* edge, so it under-estimates the
+    p95 and a request at or above the true p99 cannot duck under it; the
+    price is keeping more than 5% (here every wall in the bucket the p95
+    falls in, plus the warm-up).  The ring holds every kept record, so this
+    measures the keep decision, not the eviction policy.
+    """
+    import math
+    import random
+
+    reg, clock = MetricsRegistry(), FakeClock()
+    tail = TailSampler(reg, clock=clock, ring_max_entries=1 << 20, ring_max_bytes=1 << 30)
+    rng = random.Random(20)
+    walls = [rng.lognormvariate(math.log(1e-3), 1.0) for _ in range(6000)]  # median 1 ms
+    ids = [run_request(tail, clock, wall)[0].trace_id for wall in walls]
+    p99 = sorted(walls)[math.ceil(0.99 * len(walls)) - 1]
+    assert max(walls) > 2 * p99  # a tail worth the name
+    slowest = [at for at in range(tail.warmup, len(walls)) if walls[at] >= p99]
+    kept = tail.kept_ids()
+    assert len(slowest) >= 50 and all(ids[at] in kept for at in slowest)
+    snap = reg.snapshot()
+    considered = snap["tail_considered_total"][()]
+    assert considered == len(walls)
+    assert snap["tail_kept_total"][("slow",)] == len(kept) < 0.20 * considered
+
+
 def test_errors_and_sheds_are_kept_no_matter_how_fast():
     _reg, clock, tail = make()
     for _ in range(20):

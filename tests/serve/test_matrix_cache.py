@@ -285,7 +285,7 @@ def test_load_missing_cache_is_zero_not_an_error(scheme, workload, tmp_path):
     assert load_hot_matrices(follower) == 0
 
 
-def test_load_skips_unregistered_and_matrix_free_sections(saved, scheme):
+def test_load_skips_unregistered_sections(saved, scheme):
     run_file, view, pairs, expected, entries = saved
     follower = QueryEngine(scheme)  # view never registered
     follower.attach(run_file)

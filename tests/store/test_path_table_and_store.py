@@ -195,6 +195,26 @@ def test_label_store_compact_preserves_contents_and_shrinks():
     assert len(columns["producer_path_id"]) == 101
 
 
+def test_compacted_run_memory_is_bounded_per_item_and_per_node():
+    """Absolute byte bounds on a 4k-item BioAID run (no object graph to compare against).
+
+    A compacted dense store is four int32 columns and nothing else; the path
+    trie and the node arena may grow with the run's shape, so theirs are
+    ceilings (measured: 20.7 bytes per item with the trie, 32.0 per node).
+    """
+    from repro.workloads import build_bioaid_specification, random_run
+
+    spec = build_bioaid_specification()
+    labeler = FVLScheme(spec).label_run(random_run(spec, 4000, seed=0))
+    store = labeler.store.compact()
+    store.table.compact()
+    nodes = labeler.tree.nodes.compact()
+    assert len(store) >= 4000 and len(nodes) >= 1000
+    assert store.memory_bytes() == 16 * len(store)
+    assert store.memory_bytes() + store.table.memory_bytes() <= 22 * len(store)
+    assert nodes.memory_bytes() <= 32 * len(nodes)
+
+
 def test_labels_view_is_read_only_and_lazy(running_scheme, running_spec):
     from tests.conftest import derive_running
 
