@@ -223,19 +223,18 @@ def render(window: Window, address: str, *, color: bool = True) -> str:
     lines.append(paint("top cost groups (sampled)", BOLD))
     if costs:
         lines.append(
-            "  {:<12s} {:<18s} {:<10s} {:>8s} {:>8s} {:>8s}  {}".format(
-                "run", "view", "variant", "wall_s", "queries", "us/q", "phase"
+            "  {:<12s} {:<18s} {:<10s} {:>8s} {:>8s}  {}".format(
+                "run", "view", "variant", "wall_s", "cpu_s", "phase"
             )
         )
         for row in costs:
             lines.append(
-                "  {:<12s} {:<18s} {:<10s} {:>8.3f} {:>8d} {:>8.1f}  {}".format(
+                "  {:<12s} {:<18s} {:<10s} {:>8.3f} {:>8.3f}  {}".format(
                     str(row.get("run", ""))[:12],
                     str(row.get("view", ""))[:18],
                     str(row.get("variant", ""))[:10],
                     float(row.get("wall_s", 0.0)),
-                    int(row.get("queries", 0)),
-                    float(row.get("wall_per_query_us", 0.0)),
+                    float(row.get("cpu_s", 0.0)),
                     row.get("dominant_phase", ""),
                 )
             )

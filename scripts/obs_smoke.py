@@ -8,16 +8,16 @@ The ISSUE-9 acceptance scenario, end to end, with real OS processes:
   over.  Its event log must contain the checkpoint events *before* the
   compaction event.
 * **Follower** (subprocess): attaches the run file through a
-  `ProvenanceServer` whose tracer samples every request with a zero
-  slow-query threshold, and serves the binary frame protocol on a unix
-  socket.  On shutdown it writes the Prometheus exposition and the
-  slow-query JSONL into the artifacts directory.
+  `ProvenanceServer` whose sampler head-samples every request (rate 1.0),
+  and serves the binary frame protocol on a unix socket.  On shutdown it
+  writes the Prometheus exposition and the sampler's one ring of kept
+  requests (`kept.jsonl`) into the artifacts directory.
 * **Driver** (this process): queries the follower with `ProvenanceClient`
   (trace ids on by default), scrapes the metrics op, and requires
 
   - the scrape to parse and its query counters to equal exactly what was
     submitted,
-  - at least one slow-query trace with >= 3 nested spans
+  - at least one kept request with >= 3 nested spans
     (net.frame -> scheduler.batch -> engine.*),
   - the event log to show checkpoints strictly before the compaction.
 
@@ -109,7 +109,7 @@ FOLLOWER_SCRIPT = textwrap.dedent(
     from repro.faults import FaultPlan
     from repro.net import ProvenanceNetServer
     from repro.obs.events import EventLog, install_event_log, uninstall_event_log
-    from repro.obs.trace import Tracer
+    from repro.obs.trace import Sampler
     from repro.obs.watchdog import SLO
     from repro.serve import ProvenanceServer
     from repro.workloads import build_bioaid_specification, random_view
@@ -133,10 +133,8 @@ FOLLOWER_SCRIPT = textwrap.dedent(
         view = random_view(spec, 6, seed=7, mode="grey", name="obs-smoke-view")
 
         engine = QueryEngine(scheme)
-        tracer = Tracer(
-            sample_rate=1.0, slow_threshold_s=0.0, metrics=engine.metrics
-        )
-        server = ProvenanceServer(engine, workers=2, tracer=tracer)
+        sampler = Sampler(engine.metrics, sample_rate=1.0)
+        server = ProvenanceServer(engine, workers=2, sampler=sampler)
         server.attach(os.path.join(tmp, "obs-smoke.fvl"))
         engine.add_view(view)
         with server:
@@ -161,7 +159,7 @@ FOLLOWER_SCRIPT = textwrap.dedent(
                 open(os.path.join(tmp, "storm-cleared"), "w").close()
 
                 wait_for("client-done")
-                tracer.dump_slow(os.path.join(artifacts, "slow_queries.jsonl"))
+                sampler.dump(os.path.join(artifacts, "kept.jsonl"))
                 with open(os.path.join(artifacts, "metrics.txt"), "w") as fh:
                     fh.write(engine.metrics.exposition())
     finally:
@@ -193,7 +191,7 @@ def main() -> int:
     parser.add_argument(
         "--artifacts",
         default=os.path.join(os.path.dirname(__file__), "..", "artifacts", "obs-smoke"),
-        help="directory for the event log, metrics text, and slow-query dump",
+        help="directory for the event logs, metrics text, and kept-request dump",
     )
     args = parser.parse_args()
     artifacts = os.path.abspath(args.artifacts)
@@ -323,11 +321,12 @@ def main() -> int:
         assert total("net_answered_frames_total") == 2
         assert total("trace_sampled_total") == 2
 
-        # -- at least one slow trace nests net -> scheduler -> engine ----------
-        slow_path = os.path.join(artifacts, "slow_queries.jsonl")
-        with open(slow_path, "r", encoding="utf-8") as fh:
-            traces = [json.loads(line) for line in fh if line.strip()]
-        assert traces, "the always-slow tracer filed no slow queries"
+        # -- at least one kept trace nests net -> scheduler -> engine ----------
+        kept_path = os.path.join(artifacts, "kept.jsonl")
+        with open(kept_path, "r", encoding="utf-8") as fh:
+            kept = [json.loads(line) for line in fh if line.strip()]
+        traces = [record for record in kept if "spans" in record]
+        assert traces, "the rate-1.0 sampler kept no traced request"
         nested = [
             t
             for t in traces
@@ -341,7 +340,7 @@ def main() -> int:
         print(
             f"obs smoke OK: scrape counted {len(pairs)} depends + {len(items)} "
             f"visible queries exactly; {len(events)} events with checkpoints "
-            f"before compaction; {len(traces)} slow traces of which "
+            f"before compaction; {len(traces)} kept traces of which "
             f"{len(nested)} nest net->scheduler->engine; shed storm filed "
             f"alert then alert_clear with bit-identical answers; artifacts "
             f"in {artifacts}"

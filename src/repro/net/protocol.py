@@ -27,9 +27,11 @@ booleans (``numpy.packbits`` order), so a 4096-query response body is 512
 bytes.  The only JSON on the wire is the stats/health endpoint — cold path,
 human-shaped data.  Its payload doubles as the health surface: top-level
 ``status`` is ``"ok"`` or (when the server's watchdog has SLOs firing)
-``"degraded"``, ``alerts`` lists the firing SLOs, and ``top_costs`` carries
-the cost model's costliest (run, view, variant) groups — no new opcode, so
-old clients keep decoding the reply and simply ignore the extra keys.
+``"degraded"``, ``alerts`` lists the firing SLOs, and ``top_costs`` ranks
+the costliest (run, view, variant) groups of the ``cost_seconds_total``
+counters in the same registry snapshot (sampled wall and CPU seconds, the
+dominant phase; :func:`repro.obs.trace.top_costs`) — no new opcode, so old
+clients keep decoding the reply and simply ignore the extra keys.
 
 Tracing rides the op byte: a query op with the :data:`TRACE_FLAG` bit
 (``0x20``) set carries a 64-bit trace id right after the fixed header.  The

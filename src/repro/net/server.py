@@ -57,15 +57,12 @@ from repro.net.protocol import (
     encode_stats_reply,
 )
 from repro.obs import events as obs_events
-from repro.obs.trace import TraceContext
+from repro.obs.trace import UNKNOWN, top_costs
 from repro.serve.server import ProvenanceServer
 
 __all__ = ["NetStats", "ProvenanceNetServer"]
 
 _RECV_BYTES = 1 << 16
-
-#: The metric-label value of a view or variant the engine does not know.
-_UNKNOWN = "(unknown)"
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,6 @@ class NetStats:
 class _Connection:
     __slots__ = (
         "sock",
-        "name",
         "assembler",
         "intake",
         "outbound",
@@ -102,9 +98,8 @@ class _Connection:
         "events",
     )
 
-    def __init__(self, sock: socket.socket, name: str, max_frame_bytes: int) -> None:
+    def __init__(self, sock: socket.socket, max_frame_bytes: int) -> None:
         self.sock = sock
-        self.name = name
         self.assembler = FrameAssembler(max_frame_bytes)
         #: Decoded-but-not-yet-admitted request payloads (fairness queue).
         self.intake: deque[bytes] = deque()
@@ -119,20 +114,15 @@ class _Connection:
 class _Flight:
     """One admitted request frame waiting for its scheduler future."""
 
-    __slots__ = ("_net", "_conn", "_request_id", "_n", "_trace", "_span", "_pending")
+    __slots__ = ("_net", "_conn", "_request_id", "_record")
 
-    def __init__(self, net, conn, request_id, n, future,
-                 trace=None, span=None, pending=None) -> None:
+    def __init__(self, net, conn, request_id, future, record) -> None:
         self._net = net
         self._conn = conn
         self._request_id = request_id
-        self._n = n
-        #: The request's trace, its ``net.frame`` root span, and its tail
-        #: sampler record; the flight owns all three and closes them when
-        #: the reply is on its way.
-        self._trace = trace
-        self._span = span
-        self._pending = pending
+        #: The frame's :class:`~repro.obs.trace.Request`; the flight finishes
+        #: it when the reply is on its way.
+        self._record = record
         future.add_done_callback(self._on_done)
 
     def _on_done(self, future) -> None:
@@ -145,13 +135,7 @@ class _Flight:
         else:
             reply = encode_answers(self._request_id, future.result())
             self._net._count("answered_frames")
-        self._net._finish_trace(
-            self._trace,
-            self._span,
-            self._pending,
-            error=error is not None,
-            queries=self._n,
-        )
+        self._net._server.sampler.finish(self._record, error=error is not None)
         self._net._send(self._conn, reply)
 
 
@@ -369,40 +353,6 @@ class ProvenanceNetServer:
     def _count(self, name: str, delta: int = 1) -> None:
         self._counters[name].inc(delta)
 
-    def _finish_trace(
-        self,
-        trace,
-        span,
-        pending=None,
-        *,
-        error: bool = False,
-        shed: bool = False,
-        queries: int = 1,
-    ) -> None:
-        """Close out one request frame: root span, tail record, costs, ring.
-
-        Every admitted (or refused) query frame funnels through here exactly
-        once, in this order: the root span finishes first so its wall time
-        is closed, the tail sampler decides keep/drop with the outcome in
-        hand, a head-sampled trace's span tree is folded into the cost
-        table, and finally the trace is filed into the ring.  Untraced
-        requests still reach the tail sampler via ``pending``.
-        """
-        if span is not None:
-            span.finish()
-        if pending is not None:
-            self._server.tail.finish(pending, error=error, shed=shed, trace=trace)
-            if trace is not None and not shed:
-                self._server.costs.record(
-                    trace,
-                    run=pending.run,
-                    view=pending.view,
-                    variant=pending.variant,
-                    queries=queries,
-                )
-        if trace is not None:
-            self._server.tracer.finish(trace)
-
     # -- the event loop ----------------------------------------------------------
 
     def _wake(self) -> None:
@@ -437,7 +387,7 @@ class ProvenanceNetServer:
     def _accept(self, listener: socket.socket) -> None:
         while True:
             try:
-                sock, addr = listener.accept()
+                sock, _addr = listener.accept()
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:  # pragma: no cover - racing close
@@ -445,8 +395,7 @@ class ProvenanceNetServer:
             sock.setblocking(False)
             if sock.family != socket.AF_UNIX:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            name = f"{addr}" if addr else f"fd{sock.fileno()}"
-            conn = _Connection(sock, name, self._max_frame_bytes)
+            conn = _Connection(sock, self._max_frame_bytes)
             self._selector.register(sock, selectors.EVENT_READ, conn)
             self._conns.append(conn)
             self._count("connections")
@@ -529,46 +478,22 @@ class ProvenanceNetServer:
         kind = "depends" if request.op == OP_DEPENDS else "visible"
         n = len(request.ids)
         # The wire's strings are not validated yet and a metric label lives as
-        # long as the registry, so the tail record names only what the engine
-        # knows: its histogram family stays bounded whatever a client sends.
-        view = request.view if request.view in self._server.engine.view_names else _UNKNOWN
+        # long as the registry, so the record names only what the engine
+        # knows: its latency and cost families stay bounded whatever a client
+        # sends.
+        engine = self._server.engine
+        run = request.run if request.run in engine.run_ids else UNKNOWN
+        view = request.view if request.view in engine.view_names else UNKNOWN
         variant = request.variant  # None: the server's default
         if variant is not None:
             try:
                 variant = FVLVariant(variant)
             except ValueError:
-                variant = _UNKNOWN
-        # Tail sampling sees *every* frame (a header-only record); head
-        # sampling below decides which ones also carry spans.
-        pending = self._server.tail.open(
-            request.trace_id, kind, view, variant, run=request.run
-        )
-        # Sampling decision: a wire trace id marks the request traceable, the
-        # tracer decides whether this one is recorded.  The flight owns the
-        # trace; every early exit below must close it.
-        trace = None
-        root = None
-        if request.trace_id is not None:
-            trace = self._server.tracer.begin(request.trace_id)
-            if trace is not None:
-                root = trace.begin_span(
-                    "net.frame",
-                    attrs={
-                        "op": kind,
-                        "run": request.run,
-                        "view": request.view,
-                        "variant": str(
-                            getattr(request.variant, "value", request.variant)
-                        ),
-                        "n": n,
-                        "conn": conn.name,
-                    },
-                )
-        ctx = (
-            TraceContext(trace, getattr(root, "span_id", None))
-            if trace is not None
-            else None
-        )
+                variant = UNKNOWN
+        # One record per frame; a wire trace id makes it samplable.  Every
+        # exit below finishes it exactly once.
+        sampler = self._server.sampler
+        record = sampler.open(request.trace_id, kind, run, view, variant, n)
         try:
             future = self._server.submit_batch(
                 kind,
@@ -577,18 +502,18 @@ class ProvenanceNetServer:
                 run=request.run,
                 variant=request.variant,
                 block=False,
-                trace=ctx,
+                trace=record.context,
             )
         except Exception as exc:
             # Oversized batch, stopped scheduler, bad variant: the frame is
             # unanswerable, the connection (and the loop) live on.
             self._count("errors")
-            self._finish_trace(trace, root, pending, error=True, queries=n)
+            sampler.finish(record, error=True)
             self._send(conn, encode_error(request.request_id, type(exc).__name__, str(exc)))
             return
         if future is None:
             self._count("sheds")
-            self._finish_trace(trace, root, pending, shed=True, queries=n)
+            sampler.finish(record, shed=True)
             obs_events.emit(
                 "shed",
                 run=request.run,
@@ -604,10 +529,7 @@ class ProvenanceNetServer:
             )
             return
         # An empty frame's future is already resolved: the flight replies now.
-        _Flight(
-            self, conn, request.request_id, n, future,
-            trace=trace, span=root, pending=pending,
-        )
+        _Flight(self, conn, request.request_id, future, record)
 
     def _stats_payload(self) -> dict:
         # One snapshot feeds both views: snapshots consume watermark gauges,
@@ -650,7 +572,7 @@ class ProvenanceNetServer:
                 "metrics_requests": net.metrics_requests,
                 "intake_high_watermark": net.intake_high_watermark,
             },
-            "top_costs": self._server.costs.top_groups(5),
+            "top_costs": top_costs(snap),
         }
 
     # -- writes ------------------------------------------------------------------

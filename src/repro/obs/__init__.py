@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics registry, request tracing, event log.
+"""Unified observability layer: metrics registry, request records, event log.
 
 Three cooperating pieces, each usable alone:
 
@@ -7,8 +7,13 @@ Three cooperating pieces, each usable alone:
   engine/server stack; a single lock acquisition snapshots every family at
   one instant, and the same snapshot renders as Prometheus text exposition.
 * :mod:`repro.obs.trace` — 64-bit trace ids with nested spans carrying
-  wall + CPU timings, deterministic sampling, a byte-bounded ring of recent
-  traces, and a byte-bounded slow-query log.
+  wall + CPU timings, and the one per-request record: a
+  :class:`~repro.obs.trace.Sampler` opens a
+  :class:`~repro.obs.trace.Request` per frame, head-samples it
+  deterministically, and at finish observes its latency, keeps it (reason
+  ``error`` / ``shed`` / ``slow`` / ``head``) in one byte-bounded ring or
+  drops it, and folds a sampled request's span self-times into the
+  per-(run, view, variant, phase) cost counters.
 * :mod:`repro.obs.events` — a structured JSONL event log with bounded
   rotation, reached through a module-global ``emit()`` that is a no-op until
   an :class:`~repro.obs.events.EventLog` is installed (the same pattern as
@@ -17,12 +22,6 @@ Three cooperating pieces, each usable alone:
 On top of those, the intelligence tier closes the loop from raw telemetry
 to decisions:
 
-* :mod:`repro.obs.tail` — tail-based sampling: every request opens a
-  header-only :class:`~repro.obs.tail.PendingRequest`, and the keep/drop
-  decision runs at completion with the outcome in hand (slow / error /
-  shed kept at 100%, the rest evaporates).
-* :mod:`repro.obs.costmodel` — folds head-sampled span trees into a
-  per-(run, view, variant, phase) wall/CPU cost table.
 * :mod:`repro.obs.timeseries` — a ring of registry snapshots turning
   cumulative counters into windowed rates, percentiles, and EWMA bands.
 * :mod:`repro.obs.watchdog` — declarative SLOs evaluated on that ring,
@@ -42,17 +41,19 @@ from repro.obs.metrics import (
     HistogramFamily,
     MetricsRegistry,
 )
-from repro.obs.costmodel import PHASE_BY_SPAN, CostModel
-from repro.obs.tail import PendingRequest, TailSampler
 from repro.obs.timeseries import Ewma, SnapshotRing
 from repro.obs.trace import (
     DEFAULT_SAMPLE_RATE,
+    PHASE_BY_SPAN,
+    Request,
+    Sampler,
     Span,
     Trace,
     TraceContext,
-    Tracer,
     activate,
     current_trace,
+    phase_costs,
+    top_costs,
     trace_span,
 )
 from repro.obs.watchdog import SLO, Watchdog, default_slos
@@ -63,21 +64,21 @@ __all__ = [
     "GaugeFamily",
     "HistogramFamily",
     "LATENCY_BUCKETS",
-    "Tracer",
+    "Sampler",
+    "Request",
     "Trace",
     "TraceContext",
     "Span",
     "DEFAULT_SAMPLE_RATE",
+    "PHASE_BY_SPAN",
     "activate",
     "current_trace",
+    "phase_costs",
+    "top_costs",
     "trace_span",
     "EventLog",
     "install_event_log",
     "uninstall_event_log",
-    "TailSampler",
-    "PendingRequest",
-    "CostModel",
-    "PHASE_BY_SPAN",
     "SnapshotRing",
     "Ewma",
     "Watchdog",

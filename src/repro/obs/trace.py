@@ -1,29 +1,45 @@
-"""Request tracing: 64-bit trace ids, nested spans, rings, slow-query log.
+"""Request tracing and the one request record: spans, sampling, one ring.
 
-A trace is born at the network edge (or wherever :meth:`Tracer.begin` is
-called), carries a 64-bit id that rides the wire protocol's optional
-trace-id field, and accumulates :class:`Span` records as the request moves
+Spans.  A trace carries a 64-bit id that rides the wire protocol's optional
+trace-id field and accumulates :class:`Span` records as the request moves
 net → scheduler → engine → store.  Spans record wall time always and CPU
 (thread) time when they start and end on the same thread; cross-thread
 spans — e.g. the net-frame root span, which opens on the event loop and
 closes on a scheduler worker — report ``cpu_s = -1.0`` rather than lie.
-
 Propagation is explicit where threads change hands (the scheduler carries a
 ``TraceContext`` on each queued request) and implicit within a thread (a
 ``contextvars.ContextVar`` holds the active trace + parent span, so the
 engine and store layers call the module-level :func:`trace_span` without
-threading tracer handles through every signature).
+threading handles through every signature).
 
-Sampling is **deterministic** in the trace id — ``hash(id) < rate · 2^64``
-with a Fibonacci multiplier — so a given id samples identically on every
-tier and tests can pick ids that are guaranteed (not) sampled.  No RNG runs
-on the serving hot path.
+The record.  Every request frame is one :class:`Request`, opened by
+:meth:`Sampler.open` at the edge and closed by :meth:`Sampler.finish` once
+its reply is decided.  In between it feeds everything the server knows
+about the request:
 
-Bounds: each trace caps its span count (``max_spans``; overflow increments
-``dropped_spans`` instead of allocating), the ring of finished traces and
-the slow-query log are bounded by **bytes** as well as entries, and when
-the ring is full the oldest traces are dropped — the metrics registry is
-never affected, so counters stay truthful even when traces rot away.
+* **head sampling** at open — deterministic in the trace id
+  (``hash(id) < rate · 2^64`` with a Fibonacci multiplier), so a given id
+  samples identically on every tier and no RNG runs on the hot path; a
+  sampled request carries a :class:`Trace` rooted at a ``net.frame`` span;
+* **latency** at finish — ``tail_request_seconds{op,view,variant}``;
+* **the keep decision** at finish, with the outcome in hand: the first of
+  ``error``, ``shed``, ``slow`` (at or above the key's live p95 bucket's
+  *lower* edge — an under-estimate, so a true slowest-1% request cannot
+  duck under it — and everything while the key warms up) or ``head``
+  (sampled) is the record's ``reason``; kept records stamp an exemplar on
+  their histogram bucket and enter **one** ring bounded by entries and
+  bytes; a fast, unsampled, healthy request touches no ring;
+* **cost attribution** at finish, for a head-sampled unshed request: span
+  self-times fold into ``cost_seconds_total`` / ``cost_cpu_seconds_total``
+  ``{run,view,variant,phase}`` so that the phases partition the root's
+  wall (:func:`phase_costs`); :func:`top_costs` ranks groups from one
+  registry snapshot.
+
+Everything past a request is bounded: a trace caps its spans
+(:data:`MAX_SPANS`; overflow counts ``dropped_spans``), the ring evicts
+oldest first and counts it, cost groups stop at :data:`MAX_COST_GROUPS` —
+and the registry is never affected, so counters stay truthful when
+records rot away.
 """
 
 from __future__ import annotations
@@ -39,18 +55,51 @@ from typing import Iterator
 
 __all__ = [
     "DEFAULT_SAMPLE_RATE",
+    "PHASE_BY_SPAN",
+    "Request",
+    "Sampler",
     "Span",
     "Trace",
     "TraceContext",
-    "Tracer",
     "activate",
     "current_trace",
+    "phase_costs",
+    "top_costs",
     "trace_span",
 ]
 
 #: Default sampling rate: 1 in 64 requests carries spans.  Chosen so the
 #: bench-measured overhead at the default stays well under the 3% budget.
 DEFAULT_SAMPLE_RATE = 1.0 / 64.0
+
+#: Spans one trace may hold; past it the trace counts drops instead.
+MAX_SPANS = 64
+#: The one ring of kept requests, bounded by entries and estimated bytes.
+RING_MAX_ENTRIES = 512
+RING_MAX_BYTES = 1 << 20
+#: "Slow" is at or above the lower edge of the PERCENTILE bucket of the
+#: key's latency histogram, recomputed every REFRESH_EVERY observations;
+#: until WARMUP observations the threshold is 0 (keep everything).
+PERCENTILE = 0.95
+WARMUP = 128
+REFRESH_EVERY = 64
+#: Distinct (run, view, variant) cost groups; later ones bill to UNKNOWN.
+MAX_COST_GROUPS = 128
+#: The metric-label value of a run, view or variant the engine does not know.
+UNKNOWN = "(unknown)"
+
+#: Span name -> cost phase.  Unknown span names bill to their dotted prefix.
+PHASE_BY_SPAN = {
+    "net.frame": "net",
+    "scheduler.batch": "scheduler",
+    "engine.depends_batch": "engine",
+    "engine.visible_batch": "engine",
+    "engine.group_eval": "engine",
+    "engine.decode": "decode",
+    "engine.label_view": "label_view",
+    "mmap.gather": "gather",
+}
+QUEUE_WAIT = "queue_wait"
 
 _FIB = 0x9E3779B97F4A7C15
 _U64 = 1 << 64
@@ -59,9 +108,6 @@ _U64 = 1 << 64
 _ACTIVE: contextvars.ContextVar[tuple["Trace", int] | None] = contextvars.ContextVar(
     "repro_obs_active_trace", default=None
 )
-
-_trace_id_counter = itertools.count(1)
-_trace_id_lock = threading.Lock()
 
 
 def _mix(trace_id: int) -> int:
@@ -106,12 +152,10 @@ class Span:
 class Trace:
     """A bounded collection of spans sharing one 64-bit trace id."""
 
-    __slots__ = ("trace_id", "started_at", "spans", "dropped_spans",
-                 "max_spans", "_next_span", "_lock")
+    __slots__ = ("trace_id", "spans", "dropped_spans", "max_spans", "_next_span", "_lock")
 
-    def __init__(self, trace_id: int, *, max_spans: int = 64) -> None:
+    def __init__(self, trace_id: int, *, max_spans: int = MAX_SPANS) -> None:
         self.trace_id = trace_id
-        self.started_at = time.time()
         self.spans: list[Span] = []
         self.dropped_spans = 0
         self.max_spans = max_spans
@@ -131,12 +175,6 @@ class Trace:
             self.spans.append(span)
             return span
 
-    @property
-    def wall_s(self) -> float:
-        """Wall time of the root span (the longest finished top-level span)."""
-        roots = [s.wall_s for s in self.spans if s.parent_id is None and s.wall_s >= 0]
-        return max(roots) if roots else -1.0
-
     def nbytes(self) -> int:
         """Cheap, stable estimate of this trace's memory footprint."""
         total = 200  # object + list overhead
@@ -155,8 +193,8 @@ class Trace:
         net → scheduler → engine trace serialises identically across runs
         and tests can replay it stably.  Each node carries ``path``, the
         slash-joined chain of ancestor span names ending in its own, so a
-        flat consumer of the slow-query JSONL sees every span's full parent
-        chain without re-walking the tree.
+        flat consumer of the kept-request JSONL sees every span's full
+        parent chain without re-walking the tree.
         """
         with self._lock:
             spans = sorted(self.spans, key=lambda s: s.span_id)
@@ -176,15 +214,6 @@ class Trace:
         for root in roots:
             _paths(root, "")
         return roots
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "started_at": self.started_at,
-            "wall_s": self.wall_s,
-            "dropped_spans": self.dropped_spans,
-            "spans": self.span_tree(),
-        }
 
 
 class TraceContext:
@@ -252,159 +281,250 @@ def trace_span(name: str, **attrs: object) -> Iterator[Span | None]:
         span.finish()
 
 
-class Tracer:
-    """Sampling policy + bounded storage for finished traces.
+def _phase(span_name: str) -> str:
+    return PHASE_BY_SPAN.get(span_name) or span_name.split(".", 1)[0]
 
-    One tracer serves one ``ProvenanceServer`` stack.  ``begin`` is called
-    by whoever owns the request edge (the net server, or a test); the same
-    owner calls ``finish`` exactly once when the reply is on its way.
+
+def phase_costs(spans) -> dict[str, list]:
+    """Partition a finished root span's wall into ``{phase: [wall_s, cpu_s]}``.
+
+    Each span bills its *self* time — wall minus its direct children's — to
+    its phase, CPU likewise where measured.  A span still open counts as
+    ending where the root ended: the reply leaves (and the root closes)
+    inside the scheduler step that answered it.  The gap from the root's
+    start to the first ``scheduler.batch`` is carved out of the root's own
+    self time as ``queue_wait``.  The walls sum to the root's wall.
+    """
+    spans = list(spans)
+    root = next((s for s in spans if s.parent_id is None), None)
+    if root is None or root.wall_s < 0.0:
+        return {}
+    end = root.t0 + root.wall_s
+    walls = {
+        s.span_id: s.wall_s if s.wall_s >= 0.0 else max(0.0, end - s.t0) for s in spans
+    }
+    child_wall: dict[int, float] = {}
+    child_cpu: dict[int, float] = {}
+    for span in spans:
+        if span.parent_id:
+            child_wall[span.parent_id] = child_wall.get(span.parent_id, 0.0) + walls[span.span_id]
+            if span.cpu_s > 0.0:
+                child_cpu[span.parent_id] = child_cpu.get(span.parent_id, 0.0) + span.cpu_s
+    costs: dict[str, list] = {}
+    for span in spans:
+        cell = costs.setdefault(_phase(span.name), [0.0, 0.0])
+        cell[0] += max(0.0, walls[span.span_id] - child_wall.get(span.span_id, 0.0))
+        if span.cpu_s >= 0.0:
+            cell[1] += max(0.0, span.cpu_s - child_cpu.get(span.span_id, 0.0))
+    scheduled = min((s.t0 for s in spans if s.name == "scheduler.batch"), default=None)
+    if scheduled is not None and scheduled > root.t0:
+        own = costs[_phase(root.name)]
+        wait = min(scheduled - root.t0, own[0])
+        own[0] -= wait
+        costs[QUEUE_WAIT] = [wait, 0.0]
+    return costs
+
+
+def top_costs(snapshot: dict, n: int = 5) -> list[dict]:
+    """The ``n`` costliest ``(run, view, variant)`` groups of one registry snapshot.
+
+    Per group: sampled wall and CPU seconds over all phases and the phase
+    that dominates the wall (never ``queue_wait``: waiting is not work).
+    """
+    cpu = snapshot.get("cost_cpu_seconds_total", {})
+    groups: dict[tuple, list] = {}  # group -> [wall, cpu, dominant phase, its wall]
+    for key, wall in snapshot.get("cost_seconds_total", {}).items():
+        cell = groups.setdefault(key[:3], [0.0, 0.0, "", -1.0])
+        cell[0] += wall
+        cell[1] += cpu.get(key, 0.0)
+        if key[3] != QUEUE_WAIT and wall > cell[3]:
+            cell[2], cell[3] = key[3], wall
+    ranked = sorted(groups.items(), key=lambda item: -item[1][0])[:n]
+    return [
+        {"run": run, "view": view, "variant": variant, "wall_s": wall,
+         "cpu_s": cpu_s, "dominant_phase": phase}
+        for (run, view, variant), (wall, cpu_s, phase, _) in ranked
+    ]
+
+
+class Request:
+    """One request frame from admission to reply — the one record per frame.
+
+    ``trace`` (with its ``net.frame`` ``root`` span and the ``context`` the
+    scheduler carries) is set only when the id was head-sampled; ``reason``,
+    ``wall_s`` and ``nbytes`` only once :meth:`Sampler.finish` kept it.
     """
 
-    def __init__(
-        self,
-        *,
-        sample_rate: float = DEFAULT_SAMPLE_RATE,
-        slow_threshold_s: float = 0.25,
-        ring_max_traces: int = 256,
-        ring_max_bytes: int = 1 << 20,
-        slow_max_entries: int = 64,
-        slow_max_bytes: int = 1 << 20,
-        max_spans_per_trace: int = 64,
-        metrics=None,
-    ) -> None:
+    __slots__ = ("trace_id", "op", "run", "view", "variant", "n", "t0",
+                 "trace", "root", "context", "reason", "wall_s", "nbytes")
+
+    def __init__(self, trace_id: int, op: str, run: str, view: str,
+                 variant: str, n: int, t0: float) -> None:
+        self.trace_id = trace_id
+        self.op = op
+        self.run = run
+        self.view = view
+        self.variant = variant
+        self.n = n
+        self.t0 = t0
+        self.trace: Trace | None = None
+        self.root: Span | None = None
+        self.context: TraceContext | None = None
+        self.reason: str | None = None
+        self.wall_s = -1.0
+        self.nbytes = 0
+
+    def to_dict(self) -> dict:
+        record = {
+            "trace_id": self.trace_id, "op": self.op, "run": self.run,
+            "view": self.view, "variant": self.variant, "n": self.n,
+            "wall_s": self.wall_s, "reason": self.reason,
+        }
+        if self.trace is not None:
+            record["spans"] = self.trace.span_tree()
+            record["dropped_spans"] = self.trace.dropped_spans
+        return record
+
+
+class Sampler:
+    """Opens and finishes every request of one server stack (shared registry).
+
+    The request edge calls :meth:`open` once per frame and :meth:`finish`
+    exactly once when the reply is decided.
+    """
+
+    def __init__(self, metrics, *, sample_rate: float = DEFAULT_SAMPLE_RATE,
+                 clock=time.perf_counter) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
-        self.sample_rate = sample_rate
-        self.slow_threshold_s = slow_threshold_s
-        self.max_spans_per_trace = max_spans_per_trace
         self._threshold = int(sample_rate * _U64)
-        self._ring: deque[Trace] = deque()
-        self._ring_bytes = 0
-        self._ring_max_traces = ring_max_traces
-        self._ring_max_bytes = ring_max_bytes
-        self._slow: deque[tuple[int, str]] = deque()  # (nbytes, json line)
-        self._slow_bytes = 0
-        self._slow_max_entries = slow_max_entries
-        self._slow_max_bytes = slow_max_bytes
+        self._clock = clock
+        self._ids = itertools.count(1)
+        self._sampled_c = metrics.counter(
+            "trace_sampled_total", "requests that carried spans")
+        self._hist = metrics.histogram(
+            "tail_request_seconds", "request wall time from open to finish",
+            ("op", "view", "variant"))
+        self._considered_c = metrics.counter(
+            "tail_considered_total", "requests finished")
+        self._kept_c = metrics.counter(
+            "tail_kept_total", "requests kept in the ring, by reason", ("reason",))
+        self._evicted_c = metrics.counter(
+            "tail_evicted_total", "kept requests evicted from the bounded ring")
+        labels = ("run", "view", "variant", "phase")
+        self._wall_c = metrics.counter(
+            "cost_seconds_total", "sampled wall seconds attributed per phase", labels)
+        self._cpu_c = metrics.counter(
+            "cost_cpu_seconds_total", "sampled CPU seconds attributed per phase", labels)
         self._lock = threading.Lock()
-        self._dropped_traces = 0
-        self._dropped_slow = 0
-        if metrics is not None:
-            self._sampled_c = metrics.counter(
-                "trace_sampled_total", "traces that carried spans")
-            self._slow_c = metrics.counter(
-                "trace_slow_total", "traces over the slow-query threshold")
-            self._dropped_c = metrics.counter(
-                "trace_dropped_total", "finished traces evicted from the ring")
-        else:
-            self._sampled_c = self._slow_c = self._dropped_c = None
-
-    # -- sampling ---------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.sample_rate > 0.0
-
-    def next_trace_id(self) -> int:
-        """A fresh 64-bit trace id for requests that arrived without one."""
-        with _trace_id_lock:
-            n = next(_trace_id_counter)
-        return _mix((threading.get_ident() << 20) ^ n) or 1
+        #: (op, view, variant) -> (count at last refresh, slow threshold)
+        self._thresholds: dict[tuple, tuple[int, float]] = {}
+        self._groups: set[tuple] = set()
+        self._ring: deque[Request] = deque()
+        self._ring_bytes = 0
 
     def sampled(self, trace_id: int) -> bool:
-        if self._threshold >= _U64:
-            return True
-        return _mix(trace_id) < self._threshold
+        """The deterministic head decision for ``trace_id``."""
+        return self._threshold >= _U64 or _mix(trace_id) < self._threshold
 
-    # -- lifecycle --------------------------------------------------------------
-
-    def begin(self, trace_id: int | None = None) -> Trace | None:
-        """Start a trace if ``trace_id`` samples in; ``None`` otherwise."""
-        if not self.enabled:
-            return None
+    def open(self, trace_id: "int | None", op: str, run: str, view: str,
+             variant, n: int) -> Request:
+        """Open the record of one request; a wire trace id makes it samplable."""
+        variant = str(getattr(variant, "value", variant))
+        sampled = trace_id is not None and self.sampled(trace_id)
         if trace_id is None:
-            trace_id = self.next_trace_id()
-        if not self.sampled(trace_id):
-            return None
-        if self._sampled_c is not None:
+            trace_id = _mix(next(self._ids)) or 1  # exemplars still need an id
+        request = Request(trace_id, op, run, view, variant, n, self._clock())
+        if sampled:
             self._sampled_c.inc()
-        return Trace(trace_id, max_spans=self.max_spans_per_trace)
-
-    def finish(self, trace: Trace | None) -> None:
-        """File a finished trace into the ring (and slow log if it qualifies)."""
-        if trace is None:
-            return
-        size = trace.nbytes()
-        slow_line: str | None = None
-        if trace.wall_s >= self.slow_threshold_s:
-            # default=repr: span attrs may carry numpy scalars or paths;
-            # a slow-log entry must never take down the serving thread.
-            slow_line = json.dumps(
-                trace.to_dict(), separators=(",", ":"), default=repr
+            request.trace = Trace(trace_id)
+            request.root = request.trace.begin_span(
+                "net.frame",
+                attrs={"op": op, "run": run, "view": view, "variant": variant, "n": n},
             )
-            if self._slow_c is not None:
-                self._slow_c.inc()
-        dropped = 0
+            request.context = TraceContext(request.trace, request.root.span_id)
+        return request
+
+    def finish(self, request: Request, *, error: bool = False,
+               shed: bool = False) -> float:
+        """Close ``request`` with its outcome known; returns its wall seconds."""
+        if request.root is not None:
+            request.root.finish()
+        wall = self._clock() - request.t0
+        child = self._hist.labels(request.op, request.view, request.variant)
+        child.observe(wall)
+        self._considered_c.inc()
+        if request.trace is not None and not shed:
+            self._fold(request)
+        if error:
+            reason = "error"
+        elif shed:
+            reason = "shed"
+        elif wall >= self._slow_threshold(request, child):
+            reason = "slow"
+        elif request.trace is not None:
+            reason = "head"
+        else:
+            return wall
+        request.reason, request.wall_s = reason, wall
+        request.nbytes = 160 + len(request.run) + len(request.view) + (
+            request.trace.nbytes() if request.trace is not None else 0
+        )
+        child.put_exemplar(wall, request.trace_id)
+        self._kept_c.labels(reason).inc()
+        evicted = 0
         with self._lock:
-            self._ring.append(trace)
-            self._ring_bytes += size
+            self._ring.append(request)
+            self._ring_bytes += request.nbytes
             while self._ring and (
-                len(self._ring) > self._ring_max_traces
-                or self._ring_bytes > self._ring_max_bytes
+                len(self._ring) > RING_MAX_ENTRIES or self._ring_bytes > RING_MAX_BYTES
             ):
-                evicted = self._ring.popleft()
-                self._ring_bytes -= evicted.nbytes()
-                self._dropped_traces += 1
-                dropped += 1
-            if slow_line is not None:
-                n = len(slow_line)
-                self._slow.append((n, slow_line))
-                self._slow_bytes += n
-                while self._slow and (
-                    len(self._slow) > self._slow_max_entries
-                    or self._slow_bytes > self._slow_max_bytes
-                ):
-                    old_n, _ = self._slow.popleft()
-                    self._slow_bytes -= old_n
-                    self._dropped_slow += 1
-        if dropped and self._dropped_c is not None:
-            self._dropped_c.inc(dropped)
+                self._ring_bytes -= self._ring.popleft().nbytes
+                evicted += 1
+        if evicted:
+            self._evicted_c.inc(evicted)
+        return wall
 
-    # -- introspection ----------------------------------------------------------
+    def _slow_threshold(self, request: Request, child) -> float:
+        count = child.count  # one int read; staleness of a few obs is fine
+        if count < WARMUP:
+            return 0.0
+        key = (request.op, request.view, request.variant)
+        with self._lock:
+            state = self._thresholds.get(key)
+            if state is None or count - state[0] >= REFRESH_EVERY:
+                state = self._thresholds[key] = (
+                    count, child.quantile_bound(PERCENTILE, lower=True))
+            return state[1]
 
-    def recent(self) -> list[Trace]:
+    def _fold(self, request: Request) -> None:
+        group = (request.run, request.view, request.variant)
+        with self._lock:
+            if group not in self._groups:
+                if len(self._groups) < MAX_COST_GROUPS:
+                    self._groups.add(group)
+                else:
+                    group = (UNKNOWN, UNKNOWN, UNKNOWN)
+        for phase, (wall, cpu) in phase_costs(request.trace.spans).items():
+            self._wall_c.labels(*group, phase).inc(wall)
+            self._cpu_c.labels(*group, phase).inc(cpu)
+
+    def kept(self) -> list[Request]:
+        """The kept requests, oldest first."""
         with self._lock:
             return list(self._ring)
 
-    def slow_queries(self) -> list[dict]:
-        with self._lock:
-            return [json.loads(line) for _, line in self._slow]
-
-    def dump_slow(self, path: str) -> int:
-        """Write the slow-query log as JSONL; returns the entry count."""
-        with self._lock:
-            lines = [line for _, line in self._slow]
+    def dump(self, path) -> int:
+        """Write the kept ring as JSONL; returns the entry count."""
+        records = self.kept()
         with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
+            for request in records:
+                # default=repr: span attrs may carry numpy scalars or paths.
+                fh.write(json.dumps(request.to_dict(), separators=(",", ":"), default=repr))
+                fh.write("\n")
+        return len(records)
 
     @property
     def ring_bytes(self) -> int:
         with self._lock:
             return self._ring_bytes
-
-    @property
-    def slow_bytes(self) -> int:
-        with self._lock:
-            return self._slow_bytes
-
-    @property
-    def dropped_traces(self) -> int:
-        with self._lock:
-            return self._dropped_traces
-
-    @property
-    def dropped_slow(self) -> int:
-        with self._lock:
-            return self._dropped_slow

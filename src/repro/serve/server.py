@@ -53,9 +53,7 @@ from repro.engine.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.faults import InjectedFault
 from repro.obs import events as obs_events
-from repro.obs.costmodel import CostModel
-from repro.obs.tail import TailSampler
-from repro.obs.trace import TraceContext, Tracer, activate
+from repro.obs.trace import Sampler, TraceContext, activate
 from repro.obs.watchdog import Watchdog
 from repro.serve.matrix_cache import load_hot_matrices, matrix_cache_path, save_hot_matrices
 
@@ -242,8 +240,7 @@ class ProvenanceServer:
         reopen: ReopenPolicy | None = None,
         workers: int = 1,
         clock=time.monotonic,
-        tracer: "Tracer | None" = None,
-        tail: "TailSampler | None" = None,
+        sampler: "Sampler | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -269,13 +266,10 @@ class ProvenanceServer:
         #: The server shares its engine's registry, so one scrape (or one
         #: ``registry.snapshot()``) covers the whole stack at one instant.
         self.metrics = engine.metrics
-        self.tracer = tracer if tracer is not None else Tracer(metrics=self.metrics)
-        #: Tail sampler + cost model: the request edge (the net tier, or an
-        #: embedding test) opens/finishes tail records and feeds finished
-        #: head-sampled traces to :attr:`costs`; they live on the server so
-        #: every front-end over one engine shares one outcome view.
-        self.tail = tail if tail is not None else TailSampler(self.metrics)
-        self.costs = CostModel(self.metrics)
+        #: The request edge (the net tier, or an embedding test) opens and
+        #: finishes one record per request here; it lives on the server so
+        #: every front-end over one engine shares one sampler and one ring.
+        self.sampler = sampler if sampler is not None else Sampler(self.metrics)
         #: Set by :meth:`attach_watchdog`; ``None`` means no SLO evaluation.
         self.watchdog: "Watchdog | None" = None
         m = self.metrics

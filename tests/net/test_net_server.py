@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.net import (
     ServerOverloadedError,
 )
 from repro.obs.metrics import parse_exposition
+from repro.obs.trace import WARMUP, Sampler
 from repro.serve import BatchPolicy, ProvenanceServer
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
@@ -206,26 +208,31 @@ def test_removed_variant_fails_loudly(served, scheme, run_file, entry):
 def test_bogus_view_and_variant_names_mint_no_metric_series(served):
     """Hostile frames are answered with typed errors and leave the exposition's series alone.
 
-    The tail sampler's histogram is labelled ``{op, view, variant}`` and a
-    label lives as long as the registry, so the wire's strings label it only
-    once the engine knows them: one ``(unknown)`` child takes every other
-    frame, whatever it names.
+    The latency histogram is labelled ``{op, view, variant}``, the cost
+    counters ``{run, view, variant, phase}``, and a label lives as long as
+    the registry, so the wire's strings label them only once the engine
+    knows them: one ``(unknown)`` child takes every other frame, whatever it
+    names.
     """
     net, sock_path, view, _, pairs, expected, _ = served
-    n = 500
-    with ProvenanceClient(unix_path=sock_path) as client:
+    n = 900
+    with ProvenanceClient(unix_path=sock_path, jitter_seed=5) as client:
 
         def bogus(i: int) -> None:
-            if i % 2:
+            run = DEFAULT_RUN
+            if i % 3 == 1:
                 name, variant, kind = f"no-such-view-{i}", None, "ViewError"
-            else:
+            elif i % 3 == 2:
                 name, variant, kind = view.name, f"no-such-variant-{i}", "DecodingError"
+            else:
+                name, variant, kind = view.name, None, "LabelingError"
+                run = f"no-such-run-{i}"
             with pytest.raises(RemoteQueryError) as info:
-                client.depends_batch(pairs[:2], name, variant=variant)
+                client.depends_batch(pairs[:2], name, variant=variant, run=run)
             assert info.value.kind == kind
 
         for i in range(n):
-            if i == 2:  # one bogus frame of each kind has been answered
+            if i == 3:  # one bogus frame of each kind has been answered
                 first = client.server_metrics()
             bogus(i)
         after = client.server_metrics()
@@ -233,15 +240,90 @@ def test_bogus_view_and_variant_names_mint_no_metric_series(served):
         assert client.depends_batch(pairs[:25], view.name) == expected[:25]
         assert net.stats.connections == 1
     assert "no-such-" not in after
+    series = parse_exposition(after)
     children = {
         (dict(labels)["view"], dict(labels)["variant"])
-        for name, labels in parse_exposition(after)
+        for name, labels in series
         if name == "tail_request_seconds_count"
     }
-    assert children == {(view.name, "(unknown)"), ("(unknown)", "None")}
+    assert children == {(view.name, "(unknown)"), ("(unknown)", "None"), (view.name, "None")}
+    cost_runs = {dict(labels)["run"] for name, labels in series if name == "cost_seconds_total"}
+    # Some bogus-run frame was head-sampled and billed, under ``(unknown)``.
+    assert "(unknown)" in cost_runs and cost_runs <= {DEFAULT_RUN, "(unknown)"}
     # Counters gain digits, buckets exemplars, a head-sampled trace its cost
     # rows under the fixed labels; an unbounded family grew ~3 KB per frame.
     assert len(after) - len(first) < 4096
+
+
+# -- one record per frame, every frame head-sampled -------------------------------
+
+
+class StepClock:
+    """Each reading is ``step`` seconds after the last, so a request's wall is ``step``."""
+
+    def __init__(self, step: float) -> None:
+        self.t = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.t += self.step
+        return self.t
+
+
+@contextmanager
+def traced_stack(scheme, workload, run_file, tmp_path, clock=time.perf_counter):
+    """A running stack whose sampler head-samples every frame."""
+    _, view, _, _ = workload
+    engine = QueryEngine(scheme)
+    sampler = Sampler(engine.metrics, sample_rate=1.0, clock=clock)
+    server = ProvenanceServer(engine, workers=2, sampler=sampler)
+    server.attach(run_file[0])
+    engine.add_view(view)
+    sock_path = tmp_path / "traced.sock"
+    with server, ProvenanceNetServer(server, unix_path=sock_path):
+        with ProvenanceClient(unix_path=sock_path) as client:
+            yield server, client
+
+
+def test_cost_phases_partition_every_traced_frames_wall(scheme, workload, run_file, tmp_path):
+    """Σ phases == Σ root walls: the reply closes the root inside the open
+    ``scheduler.batch``, which bills up to the root's end, and the queue
+    wait is carved out of ``net``, not added beside it."""
+    _, view, _, pairs = workload
+    frame, want = (pairs * 2)[:256], (run_file[1] * 2)[:256]
+    with traced_stack(scheme, workload, run_file, tmp_path) as (server, client):
+        for _ in range(200):
+            assert client.depends_batch(frame, view.name) == want
+        # The sampler finishes a frame before its reply is queued.
+        snap = server.metrics.snapshot()
+        kept = server.sampler.kept()
+    assert len(kept) == 200 and not snap.get("tail_evicted_total")
+    costs = snap["cost_seconds_total"]
+    roots = sum(record.root.wall_s for record in kept)
+    assert sum(costs.values()) == pytest.approx(roots, rel=1e-6)
+    assert costs[(DEFAULT_RUN, view.name, "None", "scheduler")] > 0
+    assert costs[(DEFAULT_RUN, view.name, "None", "engine")] > 0
+
+
+def test_a_traced_frame_lands_as_a_head_record_nesting_scheduler_and_engine(
+    scheme, workload, run_file, tmp_path
+):
+    """Over a real socket at rate 1: past warm-up, a fast healthy frame is
+    kept for its head sample alone, with its whole span tree."""
+    _, view, _, pairs = workload
+    clock = StepClock(1.0)  # every warm-up frame takes a second ...
+    with traced_stack(scheme, workload, run_file, tmp_path, clock) as (server, client):
+        for _ in range(WARMUP):
+            client.depends_batch(pairs[:64], view.name)
+        clock.step = 1e-6  # ... and the next one a microsecond
+        assert client.depends_batch(pairs[:64], view.name) == run_file[1][:64]
+        record = server.sampler.kept()[-1]
+    assert record.reason == "head" and record.wall_s == pytest.approx(1e-6)
+    [root] = record.to_dict()["spans"]
+    assert (root["name"], root["attrs"]["n"]) == ("net.frame", 64)
+    [step] = root["children"]
+    assert step["path"] == "net.frame/scheduler.batch"
+    assert {child["name"] for child in step["children"]} >= {"engine.depends_batch"}
 
 
 def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):

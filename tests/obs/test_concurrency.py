@@ -1,4 +1,4 @@
-"""Concurrency guarantees: snapshot atomicity, tracer ring accounting.
+"""Concurrency guarantees: snapshot atomicity, kept-ring accounting.
 
 Eight writer threads is the contract's stress shape: enough to force real
 interleaving on any CI box, small enough to finish in well under a second.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import threading
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import RING_MAX_ENTRIES, Sampler
 
 N_THREADS = 8
 
@@ -51,20 +51,18 @@ def test_snapshot_never_tears_ordered_counter_pairs():
 
 
 def test_tracer_ring_eviction_accounts_exactly_under_contention():
-    """finished == kept + dropped, and ring bytes match the survivors."""
+    """inserted == kept + evicted, and ring bytes match the sizes stored."""
     per_thread = 200
-    tracer = Tracer(sample_rate=1.0, slow_threshold_s=float("inf"),
-                    ring_max_traces=32, metrics=MetricsRegistry())
+    reg = MetricsRegistry()
+    sampler = Sampler(reg, sample_rate=1.0)
     started = threading.Barrier(N_THREADS)
 
     def writer(base: int):
         started.wait()
         for n in range(per_thread):
-            trace = tracer.begin(trace_id=base * per_thread + n + 1)
-            assert trace is not None  # sample_rate 1.0 admits every id
-            span = trace.begin_span("net.frame")
-            span.finish()
-            tracer.finish(trace)
+            request = sampler.open(base * per_thread + n + 1, "depends", "r", "v", None, 1)
+            assert request.trace is not None  # sample_rate 1.0 admits every id
+            sampler.finish(request)  # kept: slow while warming up, head after
 
     threads = [
         threading.Thread(target=writer, args=(i,), daemon=True)
@@ -75,8 +73,10 @@ def test_tracer_ring_eviction_accounts_exactly_under_contention():
     for thread in threads:
         thread.join()
 
-    kept = tracer.recent()
-    finished = N_THREADS * per_thread
-    assert len(kept) == 32
-    assert tracer.dropped_traces == finished - len(kept)
-    assert tracer.ring_bytes == sum(trace.nbytes() for trace in kept)
+    kept = sampler.kept()
+    snap = reg.snapshot()
+    inserted = sum(snap["tail_kept_total"].values())
+    assert inserted == N_THREADS * per_thread
+    assert len(kept) == RING_MAX_ENTRIES
+    assert len(kept) + snap["tail_evicted_total"][()] == inserted
+    assert sampler.ring_bytes == sum(request.nbytes for request in kept)

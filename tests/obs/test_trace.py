@@ -1,49 +1,67 @@
-"""Unit tests for tracing: sampling, span nesting, bounded rings, slow log."""
+"""Unit tests for tracing: sampling, span nesting, the one bounded ring."""
 
 from __future__ import annotations
 
 import json
 import threading
 
+from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
+    Sampler,
     Trace,
     TraceContext,
-    Tracer,
     activate,
     current_trace,
     trace_span,
 )
 
 
-def _sampled_id(tracer: Tracer, start: int = 1) -> int:
+class FakeClock:
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+
+def _sampled_id(sampler: Sampler, start: int = 1) -> int:
     trace_id = start
-    while not tracer.sampled(trace_id):
+    while not sampler.sampled(trace_id):
         trace_id += 1
     return trace_id
 
 
-def _unsampled_id(tracer: Tracer, start: int = 1) -> int:
+def _unsampled_id(sampler: Sampler, start: int = 1) -> int:
     trace_id = start
-    while tracer.sampled(trace_id):
+    while sampler.sampled(trace_id):
         trace_id += 1
     return trace_id
+
+
+def _open(sampler: Sampler, trace_id):
+    return sampler.open(trace_id, "depends", "r", "v", None, 1)
 
 
 def test_sampling_is_deterministic_in_the_trace_id():
-    tracer = Tracer(sample_rate=1.0 / 8.0)
-    decisions = [tracer.sampled(i) for i in range(1, 2000)]
-    assert decisions == [tracer.sampled(i) for i in range(1, 2000)]
+    sampler = Sampler(MetricsRegistry(), sample_rate=1.0 / 8.0)
+    decisions = [sampler.sampled(i) for i in range(1, 2000)]
+    assert decisions == [sampler.sampled(i) for i in range(1, 2000)]
     rate = sum(decisions) / len(decisions)
     assert 0.05 < rate < 0.25  # roughly 1/8, mixed well enough
 
 
 def test_begin_respects_sampling_and_rate_zero():
-    tracer = Tracer(sample_rate=0.5)
-    assert tracer.begin(_unsampled_id(tracer)) is None
-    assert tracer.begin(_sampled_id(tracer)) is not None
-    assert Tracer(sample_rate=0.0).begin(123) is None
-    assert Tracer(sample_rate=1.0).begin(123) is not None
+    sampler = Sampler(MetricsRegistry(), sample_rate=0.5)
+    assert _open(sampler, _unsampled_id(sampler)).trace is None
+    sampled = _open(sampler, _sampled_id(sampler))
+    assert sampled.trace is not None and sampled.root.name == "net.frame"
+    assert sampled.context.parent_id == sampled.root.span_id
+    # No wire trace id: never sampled, but the record still gets an id.
+    unsampled = _open(Sampler(MetricsRegistry(), sample_rate=1.0), None)
+    assert unsampled.trace is None and unsampled.trace_id > 0
+    assert _open(Sampler(MetricsRegistry(), sample_rate=0.0), 123).trace is None
+    assert _open(Sampler(MetricsRegistry(), sample_rate=1.0), 123).trace is not None
 
 
 def test_trace_span_nests_and_noops_without_active_trace():
@@ -87,16 +105,15 @@ def test_span_tree_orders_siblings_deterministically_with_full_paths():
 
 
 def test_slow_log_records_embed_parent_chains(tmp_path):
-    tracer = Tracer(sample_rate=1.0, slow_threshold_s=0.0)
-    trace = tracer.begin(5)
-    root = trace.begin_span("net.frame")
-    child = trace.begin_span("scheduler.batch", root.span_id)
+    sampler = Sampler(MetricsRegistry(), sample_rate=1.0)
+    request = _open(sampler, 5)
+    child = request.trace.begin_span("scheduler.batch", request.root.span_id)
     child.finish()
-    root.finish()
-    tracer.finish(trace)
-    out = tmp_path / "slow.jsonl"
-    assert tracer.dump_slow(out) == 1
+    sampler.finish(request)  # warming up: every request is slow
+    out = tmp_path / "kept.jsonl"
+    assert sampler.dump(out) == 1
     [record] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert record["reason"] == "slow"
     [dumped_root] = record["spans"]
     assert dumped_root["path"] == "net.frame"
     assert dumped_root["children"][0]["path"] == "net.frame/scheduler.batch"
@@ -130,54 +147,63 @@ def test_span_budget_drops_instead_of_growing():
 
 
 def test_ring_is_bounded_by_entries_and_bytes():
-    tracer = Tracer(sample_rate=1.0, ring_max_traces=8, ring_max_bytes=1 << 30)
-    for i in range(1, 30):
-        tracer.finish(tracer.begin(i))
-    assert len(tracer.recent()) == 8
-    assert tracer.dropped_traces == 21
+    reg = MetricsRegistry()
+    sampler = Sampler(reg, sample_rate=1.0)
+    extra = 8
+    for i in range(1, obs_trace.RING_MAX_ENTRIES + extra + 1):
+        sampler.finish(_open(sampler, i))
+    assert len(sampler.kept()) == obs_trace.RING_MAX_ENTRIES
+    assert reg.snapshot()["tail_evicted_total"][()] == extra
 
-    tiny = Tracer(sample_rate=1.0, ring_max_traces=10_000, ring_max_bytes=2_000)
-    for i in range(1, 200):
-        tiny.finish(tiny.begin(i))
-    assert tiny.ring_bytes <= 2_000
-    assert tiny.dropped_traces > 0
+    # Traces at the span budget: the byte bound bites long before the entry bound.
+    reg = MetricsRegistry()
+    heavy = Sampler(reg, sample_rate=1.0)
+    for i in range(1, 400):
+        request = _open(heavy, i)
+        for _ in range(obs_trace.MAX_SPANS):
+            request.trace.begin_span("engine.decode", request.root.span_id, {"groups": i})
+        heavy.finish(request)
+    kept = heavy.kept()
+    evicted = reg.snapshot()["tail_evicted_total"][()]
+    assert heavy.ring_bytes == sum(r.nbytes for r in kept) <= obs_trace.RING_MAX_BYTES
+    assert evicted > 0 and len(kept) + evicted == 399
+    assert len(kept) < obs_trace.RING_MAX_ENTRIES
 
 
 def test_slow_log_files_only_slow_traces_and_stays_bounded(tmp_path):
-    tracer = Tracer(sample_rate=1.0, slow_threshold_s=0.0, slow_max_entries=5)
-    for i in range(1, 20):
-        trace = tracer.begin(i)
-        span = trace.begin_span("net.frame")
-        span.finish()
-        tracer.finish(trace)
-    slow = tracer.slow_queries()
-    assert len(slow) == 5  # entry bound enforced, oldest dropped
-    assert tracer.dropped_slow == 14
-    assert all(entry["spans"][0]["name"] == "net.frame" for entry in slow)
+    clock = FakeClock()
+    sampler = Sampler(MetricsRegistry(), sample_rate=0.0, clock=clock)
 
-    out = tmp_path / "slow.jsonl"
-    assert tracer.dump_slow(out) == 5
+    def run(wall):
+        request = _open(sampler, None)
+        clock.t += wall
+        sampler.finish(request)
+        return request
+
+    for _ in range(obs_trace.WARMUP):
+        run(0.004)
+    fast = [run(1e-6) for _ in range(obs_trace.RING_MAX_ENTRIES)]
+    slow = [run(1.0) for _ in range(obs_trace.RING_MAX_ENTRIES + 5)]
+    kept = sampler.kept()
+    # Only slow requests entered the ring past warm-up; the oldest rotted away.
+    assert [r.trace_id for r in kept] == [r.trace_id for r in slow[5:]]
+    assert all(r.reason is None for r in fast)
+    out = tmp_path / "kept.jsonl"
+    assert sampler.dump(out) == obs_trace.RING_MAX_ENTRIES
     lines = out.read_text().splitlines()
-    assert len(lines) == 5
-    assert json.loads(lines[0])["trace_id"] in range(1, 20)
-
-    fast = Tracer(sample_rate=1.0, slow_threshold_s=10.0)
-    trace = fast.begin(1)
-    trace.begin_span("quick").finish()
-    fast.finish(trace)
-    assert fast.slow_queries() == []
+    assert {json.loads(line)["reason"] for line in lines} == {"slow"}
 
 
 def test_tracer_registers_metrics_counters():
     reg = MetricsRegistry()
-    tracer = Tracer(
-        sample_rate=1.0, slow_threshold_s=0.0, ring_max_traces=2, metrics=reg
-    )
+    sampler = Sampler(reg, sample_rate=1.0)
     for i in range(1, 6):
-        trace = tracer.begin(i)
-        trace.begin_span("s").finish()
-        tracer.finish(trace)
+        request = _open(sampler, i)
+        request.trace.begin_span("s", request.root.span_id).finish()
+        sampler.finish(request, error=i == 5)
+    _open(sampler, None)  # no wire id: not sampled, never finished
     snap = reg.snapshot()
     assert snap["trace_sampled_total"][()] == 5
-    assert snap["trace_slow_total"][()] == 5
-    assert snap["trace_dropped_total"][()] == 3
+    assert snap["tail_considered_total"][()] == 5
+    assert snap["tail_kept_total"] == {("slow",): 4, ("error",): 1}
+    assert "trace_slow_total" not in snap and "trace_dropped_total" not in snap
