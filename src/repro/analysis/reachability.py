@@ -14,7 +14,10 @@
   with the specification.  The closure is one ``N x N`` boolean array per
   (production, ``lambda*``), filled by one sweep from the last occurrence to
   the first; the induced matrix of Lemma 1 and the view-label functions
-  ``I``, ``O`` and ``Z`` (Section 4.3) are slices of it.
+  ``I``, ``O`` and ``Z`` (Section 4.3) are slices of it.  The block
+  arithmetic of those slices lives here and nowhere else:
+  :class:`ClosureSlices` copies one function out of a closure, and
+  :meth:`PortLayout.function_bits` sizes all of them without building any.
 
 * :class:`RunReachabilityOracle` materialises the data-item dependency graph
   of a run *projected onto a view* and answers "does d2 depend on d1?" by
@@ -46,6 +49,7 @@ __all__ = [
     "WorkflowPortGraph",
     "LabelFunctions",
     "PortLayout",
+    "ClosureSlices",
     "port_layout",
     "induced_dependency_matrix",
     "RunReachabilityOracle",
@@ -227,23 +231,63 @@ class PortLayout:
         """Left-hand-side inputs -> outputs: the induced matrix of Lemma 1."""
         return BoolMatrix(closure[self.lhs_in][:, self.lhs_out])
 
-    def label_functions(self, closure: np.ndarray, k: int) -> LabelFunctions:
-        """``I(k, i)``, ``O(k, i)`` and ``Z(k, i, j)`` as compact copies of slices.
+    def function_bits(self) -> int:
+        """Bits of every ``I``, ``O`` and ``Z`` (``i < j``) of this body, from the blocks alone.
 
-        ``O(k, i)`` has rows indexed by left-hand-side outputs and columns by
-        the outputs of module ``i``: true when the former is reachable *from*
-        the latter.
+        ``I(i)`` is ``|lhs_in| x n_in(i)``, ``O(i)`` is ``|lhs_out| x n_out(i)``
+        and ``Z(i, j)`` is ``n_out(i) x n_in(j)``.
         """
-        from_lhs = closure[self.lhs_in]
-        to_lhs = np.ascontiguousarray(closure[:, self.lhs_out].T)
-        inputs, outputs, z = {}, {}, {}
-        for i, (start, mid, end) in enumerate(self.blocks, start=1):
-            inputs[(k, i)] = BoolMatrix(from_lhs[:, start:mid].copy())
-            outputs[(k, i)] = BoolMatrix(to_lhs[:, mid:end].copy())
-            reached = closure[mid:end]
-            for j, (lo, hi, _) in enumerate(self.blocks[i:], start=i + 1):
-                z[(k, i, j)] = BoolMatrix(reached[:, lo:hi].copy())
-        return inputs, outputs, z
+        bits = outputs_before = 0
+        for start, mid, end in self.blocks:
+            bits += (len(self.lhs_in) + outputs_before) * (mid - start)
+            bits += len(self.lhs_out) * (end - mid)
+            outputs_before += end - mid
+        return bits
+
+
+class ClosureSlices:
+    """``I``, ``O`` and ``Z`` of one production, each copied out of its body closure.
+
+    Holds the closure and its two left-hand-side slices (``closure[lhs_in]``
+    and ``closure[:, lhs_out].T``, one fancy index each).  Every call returns
+    a fresh compact copy, so no caller ever holds a view into the closure
+    (``.copy()``, not ``np.ascontiguousarray``: a one-row slice is contiguous
+    already and would come back uncopied); keeping what was read is the
+    caller's business.  Positions ``i < j`` are 1-based, in the layout's
+    topological order.  ``O(i)`` has rows indexed by left-hand-side outputs
+    and columns by the outputs of module ``i``: true when the former is
+    reachable *from* the latter.
+    """
+
+    __slots__ = ("layout", "closure", "_from_lhs", "_to_lhs")
+
+    def __init__(self, layout: PortLayout, closure: np.ndarray) -> None:
+        self.layout = layout
+        self.closure = closure
+        self._from_lhs = closure[layout.lhs_in]
+        self._to_lhs = closure[:, layout.lhs_out].T
+
+    def inputs(self, i: int) -> BoolMatrix:
+        start, mid, _ = self.layout.blocks[i - 1]
+        return BoolMatrix(self._from_lhs[:, start:mid].copy())
+
+    def outputs(self, i: int) -> BoolMatrix:
+        _, mid, end = self.layout.blocks[i - 1]
+        return BoolMatrix(self._to_lhs[:, mid:end].copy())
+
+    def z(self, i: int, j: int) -> BoolMatrix:
+        _, mid, end = self.layout.blocks[i - 1]
+        start, stop, _ = self.layout.blocks[j - 1]
+        return BoolMatrix(self.closure[mid:end, start:stop].copy())
+
+    def functions(self, k: int) -> LabelFunctions:
+        """Every ``I``, ``O`` and ``Z`` of the body, keyed as production ``k``'s."""
+        positions = range(1, len(self.layout.blocks) + 1)
+        return (
+            {(k, i): self.inputs(i) for i in positions},
+            {(k, i): self.outputs(i) for i in positions},
+            {(k, i, j): self.z(i, j) for i in positions for j in positions[i:]},
+        )
 
 
 def port_layout(production: Production) -> PortLayout:

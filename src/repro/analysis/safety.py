@@ -17,7 +17,7 @@ consistency with the previously computed value.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import Mapping
 
 import numpy as np
@@ -88,29 +88,35 @@ def full_dependency_closures(
         matrices[name] = dependency_matrix(module, dependencies.pairs(name))
 
     closures: dict[Production, np.ndarray] = {}
-    pending: deque[int] = deque(range(1, len(grammar.productions) + 1))
-    verified: set[int] = set()
-    stall = 0
+    # A production is verifiable once every distinct module of its body has a
+    # matrix: count the missing ones, and wake the production as each arrives.
+    missing_count: dict[int, int] = {}
+    waiting: dict[str, list[int]] = {}
+    for k, production in enumerate(grammar.productions, start=1):
+        absent = {name for name in production.rhs.module_names() if name not in matrices}
+        missing_count[k] = len(absent)
+        for name in absent:
+            waiting.setdefault(name, []).append(k)
+    # Verifiable productions are taken in sweeps of increasing number, as a
+    # round-robin over the pending ones would: those woken at a number past
+    # the current one join this sweep, the rest the next.
+    this_sweep = [k for k, count in missing_count.items() if count == 0]
+    next_sweep: list[int] = []
+    pending = len(missing_count)
     while pending:
-        if stall > len(pending):
-            missing = sorted(
-                m for m in grammar.composite_modules if m not in matrices
-            )
-            raise ImproperGrammarError(
-                "the safety algorithm cannot make progress; composite modules "
-                f"{missing} never become verifiable (grammar is not proper)"
-            )
-        k = pending.popleft()
-        if k in verified:
-            stall = 0
-            continue
+        if not this_sweep:
+            if not next_sweep:
+                missing = sorted(
+                    m for m in grammar.composite_modules if m not in matrices
+                )
+                raise ImproperGrammarError(
+                    "the safety algorithm cannot make progress; composite modules "
+                    f"{missing} never become verifiable (grammar is not proper)"
+                )
+            this_sweep, next_sweep = next_sweep, this_sweep
+        k = heapq.heappop(this_sweep)
+        pending -= 1
         production = grammar.production(k)
-        rhs_modules = production.rhs.module_names()
-        if any(name not in matrices for name in rhs_modules):
-            pending.append(k)
-            stall += 1
-            continue
-        stall = 0
         layout = port_layout(production)
         closure = closures[production] = layout.closure(matrices)
         induced = layout.induced(closure)
@@ -118,16 +124,18 @@ def full_dependency_closures(
         existing = matrices.get(lhs_name)
         if existing is None:
             matrices[lhs_name] = induced
-            # Productions producing lhs_name may have become verifiable.
+            for woken in waiting.pop(lhs_name, ()):
+                missing_count[woken] -= 1
+                if missing_count[woken] == 0:
+                    heapq.heappush(this_sweep if woken > k else next_sweep, woken)
         elif existing != induced:
             raise UnsafeWorkflowError(
                 f"specification is unsafe: production {k} "
-                f"({lhs_name} -> {rhs_modules}) induces input/output "
-                f"dependencies {sorted(induced.to_pairs())} but another "
+                f"({lhs_name} -> {list(production.rhs.module_names())}) induces "
+                f"input/output dependencies {sorted(induced.to_pairs())} but another "
                 f"derivation of {lhs_name!r} induces "
                 f"{sorted(existing.to_pairs())}"
             )
-        verified.add(k)
     missing = sorted(m for m in grammar.composite_modules if m not in matrices)
     if missing:
         raise ImproperGrammarError(

@@ -15,19 +15,29 @@ fine-grained dependency information that is specific to one view:
 All of them are read from one array per retained production: the closure of
 the production's body under ``lambda*``
 (:meth:`repro.analysis.reachability.PortLayout.closure`), which the safety
-pass computes anyway to obtain ``lambda*`` and hands over, so a view costs one
-closure per retained production and ``I``/``O``/``Z`` are slices of it, kept
-as compact per-matrix copies.  The paper's definition — a port graph and a
-search per port, kept in :mod:`repro.analysis.reachability` — is not used
-here; it is the oracle the differential tests compare these slices against.
+pass computes anyway to obtain ``lambda*`` and hands over.  A view label keeps
+that closure, read-only, and hands ``I``/``O``/``Z`` out of it
+(:class:`repro.analysis.reachability.ClosureSlices`): each is copied into a
+compact matrix the first time it is asked for and kept, and
+:meth:`ViewLabel.size_bits` counts them from the body's port layout without
+building one.  Labelling a view therefore costs one closure per retained
+production and no matrix per ``I``/``O``/``Z``.  The closures are kept for
+the label's life, so a label whose every function has been read holds the
+closures plus the copies: more than the ``size_bits()`` it reports, which is
+the paper's label size.  The paper's definition — a
+port graph and a search per port, kept in
+:mod:`repro.analysis.reachability` — is not used here; it is the oracle the
+differential tests compare these slices against.
 
 Three materialisation strategies are provided, matching the paper's
 experimental variants (Sections 4.3 and 4.4.3):
 
-* **DEFAULT** — materialise all ``I``/``O``/``Z`` matrices; recursion chain
-  products are evaluated at query time by fast boolean exponentiation.
+* **DEFAULT** — keep every retained production's closure, from which all
+  ``I``/``O``/``Z`` matrices are read; recursion chain products are evaluated
+  at query time by fast boolean exponentiation.
 * **SPACE_EFFICIENT** — materialise only ``lambda*``; every access to ``I``,
-  ``O`` or ``Z`` recomputes the closure of the production's body.
+  ``O`` or ``Z`` recomputes the closure of the production's body and copies
+  out the one matrix asked for.
 * **QUERY_EFFICIENT** — additionally materialise, for every recursion and
   rotation, the cycle product, its power table (Lemma 5) and the prefix
   products, making chain evaluation a pure table lookup.
@@ -40,7 +50,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.reachability import LabelFunctions, port_layout
+from repro.analysis.reachability import ClosureSlices, LabelFunctions, port_layout
 from repro.analysis.safety import full_dependency_closures
 from repro.core.preprocessing import GrammarIndex
 from repro.errors import DecodingError, VisibilityError
@@ -83,6 +93,10 @@ class ViewLabel:
         self._variant = variant
         self._lam_star = dict(lam_star)
         self._retained = retained_productions = frozenset(closures)
+        # The space-efficient variant keeps no closure (it recomputes one per
+        # access) and memoizes nothing; the others keep every closure and each
+        # I/O/Z once it has been read, so a hit is one lookup.
+        self._slices: dict[int, ClosureSlices] = {}
         self._inputs: dict[tuple[int, int], BoolMatrix] = {}
         self._outputs: dict[tuple[int, int], BoolMatrix] = {}
         self._z: dict[tuple[int, int, int], BoolMatrix] = {}
@@ -97,12 +111,9 @@ class ViewLabel:
         self._prefix_products: dict[tuple[str, int, int], list[BoolMatrix]] = {}
 
         if variant is not FVLVariant.SPACE_EFFICIENT:
-            for k in sorted(closures):
-                layout = port_layout(index.production(k))
-                inputs, outputs, z = layout.label_functions(closures[k], k)
-                self._inputs.update(inputs)
-                self._outputs.update(outputs)
-                self._z.update(z)
+            for k, closure in closures.items():
+                closure.flags.writeable = False
+                self._slices[k] = ClosureSlices(port_layout(index.production(k)), closure)
         if variant is FVLVariant.QUERY_EFFICIENT:
             self._materialise_power_tables()
 
@@ -173,29 +184,39 @@ class ViewLabel:
 
     def inputs(self, k: int, i: int) -> BoolMatrix:
         """``I(k, i)``: inputs of production ``k``'s LHS -> inputs of its ``i``-th module."""
-        self._require_edge(k, i)
-        if self._variant is FVLVariant.SPACE_EFFICIENT:
-            return self._compute_production_matrices(k)[0][(k, i)]
-        return self._inputs[(k, i)]
+        matrix = self._inputs.get((k, i))
+        if matrix is None:
+            self._require_edge(k, i)
+            matrix = self._slices_of(k).inputs(i)
+            if self._variant is not FVLVariant.SPACE_EFFICIENT:
+                self._inputs[(k, i)] = matrix
+        return matrix
 
     def outputs(self, k: int, i: int) -> BoolMatrix:
         """``O(k, i)``: outputs of the LHS <- outputs of the ``i``-th module (reversed)."""
-        self._require_edge(k, i)
-        if self._variant is FVLVariant.SPACE_EFFICIENT:
-            return self._compute_production_matrices(k)[1][(k, i)]
-        return self._outputs[(k, i)]
+        matrix = self._outputs.get((k, i))
+        if matrix is None:
+            self._require_edge(k, i)
+            matrix = self._slices_of(k).outputs(i)
+            if self._variant is not FVLVariant.SPACE_EFFICIENT:
+                self._outputs[(k, i)] = matrix
+        return matrix
 
     def z(self, k: int, i: int, j: int) -> BoolMatrix:
         """``Z(k, i, j)``: outputs of the ``i``-th module -> inputs of the ``j``-th module."""
+        matrix = self._z.get((k, i, j))
+        if matrix is not None:
+            return matrix
         self._require_edge(k, i)
         self._require_edge(k, j)
         module_i = self._index.edge_target_module(k, i)
         module_j = self._index.edge_target_module(k, j)
         if i >= j:
             return BoolMatrix.zeros(module_i.n_outputs, module_j.n_inputs)
-        if self._variant is FVLVariant.SPACE_EFFICIENT:
-            return self._compute_production_matrices(k)[2][(k, i, j)]
-        return self._z[(k, i, j)]
+        matrix = self._slices_of(k).z(i, j)
+        if self._variant is not FVLVariant.SPACE_EFFICIENT:
+            self._z[(k, i, j)] = matrix
+        return matrix
 
     def production_matrices(self, k: int) -> LabelFunctions:
         """All ``I``/``O``/``Z`` matrices of one retained production.
@@ -211,17 +232,13 @@ class ViewLabel:
                 f"production {k} is not retained by view {self._view.name!r}"
             )
         if self._variant is FVLVariant.SPACE_EFFICIENT:
-            return self._compute_production_matrices(k)
+            return self._close_body(k).functions(k)
         positions = range(1, len(self._index.production(k).rhs) + 1)
-        inputs = {(k, i): self._inputs[(k, i)] for i in positions}
-        outputs = {(k, i): self._outputs[(k, i)] for i in positions}
-        z = {
-            (k, i, j): self._z[(k, i, j)]
-            for i in positions
-            for j in positions
-            if i < j
-        }
-        return inputs, outputs, z
+        return (
+            {(k, i): self.inputs(k, i) for i in positions},
+            {(k, i): self.outputs(k, i) for i in positions},
+            {(k, i, j): self.z(k, i, j) for i in positions for j in positions[i:]},
+        )
 
     # -- recursion chain products (Algorithm 1) ---------------------------------------------
 
@@ -311,9 +328,7 @@ class ViewLabel:
         if self._variant is FVLVariant.SPACE_EFFICIENT:
             # Only the full dependency assignment is stored.
             return sum(m.bits() for m in self._lam_star.values())
-        bits += sum(m.bits() for m in self._inputs.values())
-        bits += sum(m.bits() for m in self._outputs.values())
-        bits += sum(m.bits() for m in self._z.values())
+        bits += sum(slices.layout.function_bits() for slices in self._slices.values())
         if self._variant is FVLVariant.QUERY_EFFICIENT:
             bits += sum(t.bits() for t in self._power_tables.values())
             bits += sum(
@@ -336,10 +351,15 @@ class ViewLabel:
         if not self._index.production_graph.has_edge(k, i):
             raise DecodingError(f"no production-graph edge ({k}, {i})")
 
-    def _compute_production_matrices(self, k: int) -> LabelFunctions:
-        """I/O/Z of one production from a fresh closure of its body (space-efficient)."""
+    def _slices_of(self, k: int) -> ClosureSlices:
+        """The kept slices of production ``k``, or (space-efficient) fresh ones."""
+        slices = self._slices.get(k)
+        return slices if slices is not None else self._close_body(k)
+
+    def _close_body(self, k: int) -> ClosureSlices:
+        """Slices of a fresh closure of production ``k``'s body (space-efficient)."""
         layout = port_layout(self._index.production(k))
-        return layout.label_functions(layout.closure(self._lam_star), k)
+        return ClosureSlices(layout, layout.closure(self._lam_star))
 
     def _materialise_power_tables(self) -> None:
         for s in sorted(self._retained_cycles):

@@ -53,22 +53,13 @@ class BoolMatrix:
     ) -> "BoolMatrix":
         """Build from 1-based ``(row, col)`` pairs (e.g. dependency edges)."""
         data = np.zeros((rows, cols), dtype=bool)
-        pair_array = np.asarray(list(pairs), dtype=np.int64)
-        if pair_array.size == 0:
-            return cls(data)
-        if pair_array.ndim != 2 or pair_array.shape[1] != 2:
-            raise ValueError("from_pairs expects (row, col) pairs")
-        row_index = pair_array[:, 0]
-        col_index = pair_array[:, 1]
-        out_of_bounds = (
-            (row_index < 1) | (row_index > rows) | (col_index < 1) | (col_index > cols)
-        )
-        if out_of_bounds.any():
-            bad = pair_array[int(np.argmax(out_of_bounds))]
-            raise ValueError(
-                f"pair ({bad[0]}, {bad[1]}) outside a {rows}x{cols} matrix"
-            )
-        data[row_index - 1, col_index - 1] = True
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError("from_pairs expects (row, col) pairs")
+            row, col = pair
+            if not (1 <= row <= rows and 1 <= col <= cols):
+                raise ValueError(f"pair ({row}, {col}) outside a {rows}x{cols} matrix")
+            data[row - 1, col - 1] = True
         return cls(data)
 
     # -- accessors ---------------------------------------------------------------

@@ -181,17 +181,32 @@ class WorkflowGrammar:
         return reached
 
     def productive_modules(self) -> set[str]:
-        """Modules that can derive a simple workflow of atomic modules only."""
+        """Modules that can derive a simple workflow of atomic modules only.
+
+        A counter worklist: each production counts the distinct modules of its
+        body not yet known productive, and is woken once per such module as it
+        becomes productive; at zero its left-hand side is productive.
+        """
         productive: set[str] = set(self.atomic_modules)
-        changed = True
-        while changed:
-            changed = False
-            for production in self._productions:
-                if production.lhs.name in productive:
-                    continue
-                if all(name in productive for name in production.rhs.module_names()):
-                    productive.add(production.lhs.name)
-                    changed = True
+        unproductive_count: list[int] = []
+        waiting: dict[str, list[int]] = {}
+        ready: list[int] = []
+        for position, production in enumerate(self._productions):
+            absent = set(production.rhs.module_names()) - productive
+            unproductive_count.append(len(absent))
+            for name in absent:
+                waiting.setdefault(name, []).append(position)
+            if not absent:
+                ready.append(position)
+        while ready:
+            name = self._productions[ready.pop()].lhs.name
+            if name in productive:
+                continue
+            productive.add(name)
+            for position in waiting.pop(name, ()):
+                unproductive_count[position] -= 1
+                if unproductive_count[position] == 0:
+                    ready.append(position)
         return productive
 
     def unit_cycles(self) -> list[list[str]]:

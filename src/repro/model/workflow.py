@@ -121,6 +121,9 @@ class SimpleWorkflow:
         self._position: dict[str, int] = {
             occ: position for position, occ in enumerate(self._topo_order, start=1)
         }
+        self._module_names: tuple[str, ...] = tuple(
+            self._occurrences[occ].name for occ in self._topo_order
+        )
         self._initial_inputs: tuple[tuple[str, int], ...] = self._dangling_ports(
             "in", initial_input_order
         )
@@ -184,9 +187,9 @@ class SimpleWorkflow:
             )
         return self._topo_order[position - 1]
 
-    def module_names(self) -> list[str]:
+    def module_names(self) -> tuple[str, ...]:
         """Module names of all occurrences, in topological order."""
-        return [self._occurrences[occ].name for occ in self._topo_order]
+        return self._module_names
 
     def internal_edges(self) -> tuple[DataEdge, ...]:
         """All data edges (alias; every edge of a simple workflow is internal)."""

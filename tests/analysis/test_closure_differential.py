@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro import FVLScheme, FVLVariant
 from repro.analysis import dependency_matrix
-from repro.analysis.reachability import PortLayout, port_layout
+from repro.analysis.reachability import ClosureSlices, PortLayout, port_layout
 from repro.errors import UnsafeWorkflowError
 from repro.matrices import BoolMatrix
 from repro.model.module import Module
@@ -121,7 +121,7 @@ def test_closure_slices_equal_port_graph_search(portgraph_functions, body):
         assert closure.dtype == np.dtype(bool)
         assert closure.shape == (layout.n_ports, layout.n_ports)
         assert_same(layout.induced(closure), induced, "induced")
-        assert_same_functions(layout.label_functions(closure, 7), functions)
+        assert_same_functions(ClosureSlices(layout, closure).functions(7), functions)
 
 
 def _reference_lam_star(grammar, dependencies, portgraph_functions):
@@ -211,15 +211,14 @@ def test_perf_views_label_as_through_the_port_graph(portgraph_functions, name):
             assert sorted(label._lam_star) == sorted(lam_star)
             for module_name, matrix in lam_star.items():
                 assert_same(label.lam_star(module_name), matrix, module_name)
-            if variant is FVLVariant.SPACE_EFFICIENT:
-                assert not (label._inputs or label._outputs or label._z)
-                got = ({}, {}, {})
-                for k in retained:
-                    for table, part in zip(got, label.production_matrices(k)):
-                        table.update(part)
-            else:
-                got = (label._inputs, label._outputs, label._z)
+            got = ({}, {}, {})
+            for k in retained:
+                for table, part in zip(got, label.production_matrices(k)):
+                    table.update(part)
             assert_same_functions(got, want)
+            if variant is FVLVariant.SPACE_EFFICIENT:
+                # Every function has been read: the variant still stores none.
+                assert not (label._inputs or label._outputs or label._z)
 
 
 def test_unsafe_view_message_is_unchanged():
@@ -232,3 +231,33 @@ def test_unsafe_view_message_is_unchanged():
         "dependencies [(1, 2), (2, 1)] but another derivation of 'S' induces "
         "[(1, 1), (2, 2)]"
     )
+
+
+@pytest.mark.parametrize("variant", list(FVLVariant))
+def test_label_functions_own_their_memory(variant):
+    specification, _ = _perf_views("chain")
+    scheme = FVLScheme(specification)
+    view = random_view(specification, 8, seed=100, mode="grey", name="view-0")
+    label = scheme.label_view(view, variant)
+    reference = scheme.label_view(view, variant)
+    bits = label.size_bits()
+    for k in sorted(label.retained_productions):
+        n = len(specification.grammar.production(k).rhs)
+        read = [label.z(k, 1, 2), label.inputs(k, n), label.outputs(k, 1)]
+        for part in label.production_matrices(k):
+            read.extend(part.values())
+        if variant is not FVLVariant.SPACE_EFFICIENT:
+            closure = label._slices[k].closure
+            assert not closure.flags.writeable
+            assert not any(np.shares_memory(m.data, closure) for m in read)
+        # Scribble over one function: no other function of the label moves.
+        scribbled = label.z(k, 1, 2)
+        scribbled.data[...] = ~scribbled.data
+        got = label.production_matrices(k)
+        want = reference.production_matrices(k)
+        del got[2][(k, 1, 2)], want[2][(k, 1, 2)]
+        assert_same_functions(got, want)
+        assert_same(label.inputs(k, n), reference.inputs(k, n), "I")
+    assert label.size_bits() == bits
+    if variant is FVLVariant.SPACE_EFFICIENT:
+        assert not (label._inputs or label._outputs or label._z)

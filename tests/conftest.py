@@ -120,7 +120,7 @@ def portgraph_functions():
 
     The paper's port graph and one search per source port
     (:class:`repro.analysis.WorkflowPortGraph`), keyed like
-    ``PortLayout.label_functions``: what the closure's slices must equal in
+    ``ClosureSlices.functions``: what the closure's slices must equal in
     value, shape and dtype.
     """
     from repro.analysis import WorkflowPortGraph

@@ -26,6 +26,22 @@ def test_boolmatrix_rejects_bad_pairs():
         BoolMatrix.from_pairs({(3, 1)}, 2, 2)
 
 
+@pytest.mark.parametrize("extra", [0, 100])
+@pytest.mark.parametrize("bad", [(0, 1), (3, 1), (1, 0), (1, 4)])
+def test_boolmatrix_from_pairs_names_the_pair_out_of_bounds(bad, extra):
+    pairs = [(1, 1)] * extra + [bad]
+    with pytest.raises(ValueError) as raised:
+        BoolMatrix.from_pairs(pairs, 2, 3)
+    assert str(raised.value) == f"pair {bad} outside a 2x3 matrix"
+    good = [(1, 2)] * extra + [(2, 3)]
+    assert BoolMatrix.from_pairs(good, 2, 3).to_pairs() == set(good)
+
+
+def test_boolmatrix_from_pairs_rejects_a_pair_that_is_not_two_long():
+    with pytest.raises(ValueError, match=r"^from_pairs expects \(row, col\) pairs$"):
+        BoolMatrix.from_pairs([(1, 1, 1)], 2, 3)
+
+
 def test_boolmatrix_product_is_boolean_composition():
     a = BoolMatrix.from_pairs({(1, 2)}, 2, 2)
     b = BoolMatrix.from_pairs({(2, 1)}, 2, 2)

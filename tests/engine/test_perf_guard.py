@@ -29,6 +29,9 @@ And three hold static view labelling to one closure per production body:
 * labelling a view — any variant, matrix-free included — never runs the port
   graph's search and computes at most one closure per retained production
   (``lambda*`` and ``I``/``O``/``Z`` share it); a second view builds no layout;
+* labelling a view builds no ``I``/``O``/``Z`` matrix: the label keeps the
+  closures and copies a matrix out when it is first read, so the
+  :class:`BoolMatrix` count is linear in the bodies, not quadratic;
 * schemes and labels built and dropped over one specification leave no
   module-level container larger and no :class:`GrammarIndex` alive.
 
@@ -65,7 +68,12 @@ from repro.model.projection import ViewProjection
 from repro.model.views import default_view
 from repro.serve import ProvenanceServer, load_hot_matrices, save_hot_matrices
 from repro.store import MappedRunStore, checkpoint_run, compact
-from repro.workloads import build_bioaid_specification, random_run, random_view
+from repro.workloads import (
+    build_bioaid_specification,
+    build_nested_chain_specification,
+    random_run,
+    random_view,
+)
 
 from repro.bench import sample_query_pairs
 
@@ -90,13 +98,13 @@ def _fresh_engine(scheme, derivation) -> QueryEngine:
 def test_batch_runs_one_graph_search_per_production(setup, monkeypatch):
     scheme, derivation, view, pairs = setup
     searches = []
-    original = ViewLabel._compute_production_matrices
+    original = ViewLabel._close_body
 
     def counting(self, k):
         searches.append(k)
         return original(self, k)
 
-    monkeypatch.setattr(ViewLabel, "_compute_production_matrices", counting)
+    monkeypatch.setattr(ViewLabel, "_close_body", counting)
     engine = _fresh_engine(scheme, derivation)
     engine.depends_batch(pairs, view, variant=FVLVariant.SPACE_EFFICIENT)
     retained = scheme.label_view(view, FVLVariant.SPACE_EFFICIENT).retained_productions
@@ -154,6 +162,36 @@ def test_labelling_a_view_is_one_closure_per_retained_production(
     assert all(production.port_layout is not None for production in productions)
     FVLScheme(spec).label_view(random_view(spec, 8, seed=3, mode="grey"))
     assert len(layouts) == len(productions)
+
+
+def test_labelling_a_view_builds_no_label_function_matrix(monkeypatch):
+    spec = build_nested_chain_specification(6, 30, 3)
+    scheme = FVLScheme(spec)
+    view = random_view(spec, 8, seed=100, mode="grey", name="guard-chain")
+    built = []
+    original = BoolMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoolMatrix, "__init__", counting)
+    for variant in FVLVariant:
+        built.clear()
+        label = scheme.label_view(view, variant)
+        bodies = [len(spec.grammar.production(k).rhs) for k in label.retained_productions]
+        # One lambda* per module occurrence (atomic modules) or production
+        # (the induced matrix): linear in the bodies.  Copying every I/O/Z
+        # up front would add sum(m + m + m(m-1)/2) = 2,970 here.
+        assert len(label.retained_productions) == 6 and max(bodies) == 30
+        assert len(built) <= sum(1 + m for m in bodies), (variant, len(built))
+
+    # Reading one function copies exactly that one; reading it again copies nothing.
+    label = scheme.label_view(view, FVLVariant.DEFAULT)
+    k = min(label.retained_productions)
+    built.clear()
+    first = label.z(k, 1, 2)
+    assert len(built) == 1 and label.z(k, 1, 2) is first and len(built) == 1
 
 
 def test_schemes_and_labels_leave_nothing_behind():

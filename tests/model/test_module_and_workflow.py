@@ -109,7 +109,7 @@ def test_simple_workflow_rejects_duplicate_occurrence_ids():
 def test_simple_workflow_multiset_of_same_module():
     a = Module("a", 1, 1)
     w = SimpleWorkflow([("a1", a), ("a2", a)], [DataEdge("a1", 1, "a2", 1)])
-    assert w.module_names() == ["a", "a"]
+    assert w.module_names() == ("a", "a")
 
 
 def test_explicit_boundary_order_is_validated():
