@@ -2,9 +2,9 @@
 
 The one-pair ``FVLScheme.depends`` API re-derives view-constant state on
 every call; the :class:`~repro.engine.QueryEngine` amortizes that work across
-a whole batch (and across batches, through its per-view LRU decode cache),
-shards independent runs, and answers heterogeneous query mixes with
-``depends_many``.
+a whole batch (and across batches, through its per-view LRU decode cache)
+and shards independent runs; a mixed workload is one ``depends_batch`` per
+``(run, view)`` group.
 
 Run with::
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 
 from repro import FVLVariant, QueryEngine
-from repro.engine import DependsQuery
 from repro.bench import prepare_bioaid, sample_query_pairs
 from repro.model.projection import ViewProjection
 from repro.workloads import random_run, random_view
@@ -62,19 +61,22 @@ def main() -> None:
     engine.depends_batch(pairs, grey, run="run-a", variant=FVLVariant.SPACE_EFFICIENT)
     print(f"     warm re-run: {(time.perf_counter() - start) * 1e3:7.2f} ms")
 
-    # 5. depends_many groups a mixed workload by (run, view, variant) and
-    #    answers each group as one depends_batch (the coarse view's uniform
-    #    matrices are settled as verdict rows, by the default variant).
+    # 5. A mixed workload is one depends_batch per (run, view) group (the
+    #    coarse view's uniform matrices are settled as verdict rows, by the
+    #    default variant).
     items_b = sorted(ViewProjection(run_b.run, coarse).visible_items)
-    mixed = [DependsQuery(d1, d2, grey, run="run-a") for d1, d2 in pairs[:500]]
-    mixed += [
-        DependsQuery(d1, d2, coarse, run="run-b")
-        for d1, d2 in sample_query_pairs(items_b, 500, seed=8)
+    groups = [
+        (pairs[:500], grey, "run-a"),
+        (sample_query_pairs(items_b, 500, seed=8), coarse, "run-b"),
     ]
     start = time.perf_counter()
-    answers = engine.depends_many(mixed)
+    answers = [
+        answer
+        for group, view, run in groups
+        for answer in engine.depends_batch(group, view, run=run)
+    ]
     print(
-        f"    depends_many: {len(mixed)} mixed queries over 2 runs in "
+        f"    mixed groups: {len(answers)} queries over 2 runs in "
         f"{(time.perf_counter() - start) * 1e3:7.2f} ms ({sum(answers)} positive)"
     )
 

@@ -11,8 +11,8 @@ one run file:
   the follower is done.
 * **Follower** (this process): verifies the writer lease cannot be taken
   while the leader lives, attaches the segmented file through a
-  `ProvenanceServer`, serves coalesced `depends`/`is_visible` batches from
-  several client threads, auto-reopens onto the compacted generation purely
+  `ProvenanceServer`, serves coalesced `depends`/`is_visible` 1-pair frames
+  from several client threads, auto-reopens onto the compacted generation purely
   via header-generation probes (no manager in this process), and requires
   every answer — before, during, and after the remap — bit-identical to a
   single-process `QueryEngine` over the same derivation.
@@ -151,10 +151,11 @@ def main() -> int:
             def client(index: int) -> None:
                 try:
                     while not stop.is_set():
-                        futures = [server.submit(d1, d2, view) for d1, d2 in pairs]
-                        visible = [server.submit_visible(uid, view) for uid in items]
-                        answers = [f.result(timeout=60) for f in futures]
-                        visible_answers = [f.result(timeout=60) for f in visible]
+                        # 1-pair frames, so the linger has singletons to coalesce.
+                        futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
+                        visible = [server.submit_batch("visible", [uid], view) for uid in items]
+                        answers = [bool(f.result(timeout=60)[0]) for f in futures]
+                        visible_answers = [bool(f.result(timeout=60)[0]) for f in visible]
                         if answers != expected or visible_answers != expected_visible:
                             mismatches.append(index)
                             return

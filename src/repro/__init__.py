@@ -38,7 +38,6 @@ from repro.core import (
 )
 from repro.engine import (
     CacheStats,
-    DependsQuery,
     EngineStats,
     QueryEngine,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "compact",
     # engine
     "QueryEngine",
-    "DependsQuery",
     "EngineStats",
     "CacheStats",
     # service

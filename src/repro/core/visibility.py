@@ -262,12 +262,10 @@ def visible_batch(store, view_label, uids, *, flags: "np.ndarray | None" = None)
     return _rows_visible(store, view_label, rows, flags).tolist()
 
 
-def visible_mask(store, view_label, *, flags: "np.ndarray | None" = None) -> np.ndarray:
+def visible_mask(store, view_label) -> np.ndarray:
     """Visibility of *every* row of a columnar store, in insertion order.
 
-    :func:`visible_batch` over all rows (``mask[row]`` is True iff the item
-    at that row is visible), with the same ``flags`` short-circuit
-    (:meth:`repro.engine.QueryEngine.visible_mask` threads its per-arena
-    memo through here).
+    :func:`visible_batch` over all rows: ``mask[row]`` is True iff the item
+    at that row is visible.
     """
-    return _rows_visible(store, view_label, np.arange(len(store)), flags)
+    return _rows_visible(store, view_label, np.arange(len(store)), None)

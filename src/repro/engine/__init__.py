@@ -11,7 +11,6 @@ by shared label paths (:mod:`repro.engine.evaluate`), and multi-run sharding.
 from repro.engine.cache import CacheStats, DecodedViewState, LRUCache, StaticViewState
 from repro.engine.engine import (
     DEFAULT_RUN,
-    DependsQuery,
     EngineStats,
     QueryEngine,
     grammar_fingerprint,
@@ -19,7 +18,6 @@ from repro.engine.engine import (
 
 __all__ = [
     "QueryEngine",
-    "DependsQuery",
     "EngineStats",
     "CacheStats",
     "LRUCache",

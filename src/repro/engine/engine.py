@@ -6,8 +6,12 @@ reachability queries in batches:
 
 * ``depends_batch(pairs, view)`` — many ``(d1, d2)`` pairs against one view
   of one run;
-* ``depends_many(queries)`` — heterogeneous queries spanning several runs and
-  views, answered as one ``depends_batch`` per ``(run, view, variant)``.
+* ``is_visible_batch(uids, view)`` — the visibility of many items in one
+  view of one run.
+
+``depends`` and ``is_visible`` are one-line single-query wrappers over the
+two; a workload spanning several runs or views is one batch call per
+``(run, view, variant)`` group.
 
 This module keeps registration, shard lifecycle, view-state caching and
 stats; how a batch is evaluated — one gather, one group-by-path-pair
@@ -66,7 +70,7 @@ import numpy as np
 from repro.core.run_labeler import RunLabeler
 from repro.core.scheme import FVLScheme
 from repro.core.view_label import FVLVariant
-from repro.core.visibility import path_visibility, visible_batch, visible_mask
+from repro.core.visibility import path_visibility, visible_batch
 from repro.engine.cache import CacheStats, DecodedViewState, LRUCache, StaticViewState
 from repro.engine.evaluate import depends_grouped
 from repro.errors import (
@@ -93,7 +97,6 @@ from repro.store import (
 
 __all__ = [
     "DEFAULT_RUN",
-    "DependsQuery",
     "EngineStats",
     "QueryEngine",
     "grammar_fingerprint",
@@ -127,21 +130,12 @@ def grammar_fingerprint(index) -> int:
 
 
 @dataclass(frozen=True)
-class DependsQuery:
-    """One reachability query: does ``d2`` depend on ``d1`` in ``view``?"""
-
-    d1: int
-    d2: int
-    view: "WorkflowView | str"
-    run: str = DEFAULT_RUN
-    variant: "FVLVariant | str | None" = None
-
-
-@dataclass(frozen=True)
 class EngineStats:
     """Counters exposed for observability (and exercised by the test suite)."""
 
     views: CacheStats
+    #: Queries of every op (``depends`` and ``visible``) the registered
+    #: shards answered: the sum of ``queries_by_run``.
     queries: int
     batches: int
     queries_by_run: dict[str, int]
@@ -585,32 +579,6 @@ class QueryEngine:
         state = self._decoded_state(view, variant)
         return self._evaluate(shard, state, pairs)
 
-    def depends_many(self, queries) -> list[bool]:
-        """Answer heterogeneous queries spanning runs and views.
-
-        ``queries`` may contain :class:`DependsQuery` objects or plain tuples
-        ``(d1, d2, view)`` / ``(d1, d2, view, run)``.  Queries are grouped by
-        ``(run, view, variant)`` and each group is one :meth:`depends_batch`.
-        """
-        normalized = [self._normalize_query(q) for q in queries]
-        # Resolve shards and views up front so a bad query raises before
-        # anything is evaluated.
-        groups: dict[tuple, tuple] = {}
-        for pos, query in enumerate(normalized):
-            self._shard(query.run)
-            view = self._resolve_view(query.view)
-            variant = self._check_variant(query.variant or self._variant)
-            key = (query.run, view.name, variant)
-            _, _, positions, pairs = groups.setdefault(key, (view, variant, [], []))
-            positions.append(pos)
-            pairs.append((query.d1, query.d2))
-        results: list[bool] = [False] * len(normalized)
-        for (run, _, _), (view, variant, positions, pairs) in groups.items():
-            answers = self.depends_batch(pairs, view, run=run, variant=variant)
-            for pos, answer in zip(positions, answers):
-                results[pos] = answer
-        return results
-
     def is_visible(
         self,
         uid: int,
@@ -653,25 +621,6 @@ class QueryEngine:
         finally:
             self._states.settle(state)
             self._batch_seconds.labels("visible").observe(time.perf_counter() - t0)
-
-    def visible_mask(
-        self,
-        view: "WorkflowView | str",
-        *,
-        run: str = DEFAULT_RUN,
-        variant: "FVLVariant | str | None" = None,
-    ) -> np.ndarray:
-        """The visibility of **every** item of a run in one view, as a bool array.
-
-        :meth:`is_visible_batch` over all rows in insertion order, sharing
-        its memoized per-path flags, so repeated calls against an unchanged
-        store skip the trie fold entirely.
-        """
-        shard = self._shard(run)
-        state = self._decoded_state(view, variant)
-        flags = self._visibility_flags(shard, state)
-        self._states.settle(state)
-        return visible_mask(shard.store, state.label, flags=flags)
 
     def _visibility_flags(self, shard: _RunShard, state) -> np.ndarray:
         """The view's per-path flags over the shard's trie, extended if it grew."""
@@ -744,6 +693,9 @@ class QueryEngine:
         )
 
     def _note_queries(self, shard: _RunShard, state, op: str, n: int) -> None:
+        """Count ``n`` queries of ``op`` on the shard's tally and the labelled family."""
+        with self._lock:
+            shard.queries += n
         label = state.label
         self._queries_c.labels(shard.run_id, label.view.name, label.variant.value, op).inc(n)
 
@@ -851,24 +803,12 @@ class QueryEngine:
                 static = self._statics[key] = StaticViewState(label)
         return static
 
-    def _normalize_query(self, query) -> DependsQuery:
-        if isinstance(query, DependsQuery):
-            return query
-        if isinstance(query, tuple) and len(query) in (3, 4):
-            return DependsQuery(*query)
-        raise DecodingError(
-            f"cannot interpret {query!r} as a depends query; pass a DependsQuery "
-            "or a (d1, d2, view[, run]) tuple"
-        )
-
     def _evaluate(
         self,
         shard: _RunShard,
         state: DecodedViewState,
         pairs: "list[tuple[int, int]] | np.ndarray",
     ) -> list[bool]:
-        with self._lock:
-            shard.queries += len(pairs)
         self._batches_c.inc()
         self._note_queries(shard, state, "depends", len(pairs))
         t0 = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Serialisation: JSON and XML codecs for model objects, bit-exact label codec."""
+"""Serialisation: the JSON codec for model objects and the bit-exact label codec."""
 
 from repro.io.json_io import (
     derivation_from_dict,
@@ -11,14 +11,6 @@ from repro.io.json_io import (
     view_to_dict,
 )
 from repro.io.label_codec import LabelCodec, elias_gamma_bits
-from repro.io.xml_io import (
-    dump_specification_xml,
-    load_specification_xml,
-    specification_from_xml,
-    specification_to_xml,
-    view_from_xml,
-    view_to_xml,
-)
 
 __all__ = [
     "specification_to_dict",
@@ -29,12 +21,6 @@ __all__ = [
     "view_from_dict",
     "derivation_to_dict",
     "derivation_from_dict",
-    "specification_to_xml",
-    "specification_from_xml",
-    "dump_specification_xml",
-    "load_specification_xml",
-    "view_to_xml",
-    "view_from_xml",
     "LabelCodec",
     "elias_gamma_bits",
 ]

@@ -1,8 +1,8 @@
 """JSON serialisation of specifications, views and derivations.
 
-The paper stores all experimental inputs as files (its prototype used XML;
-see :mod:`repro.io.xml_io` for that format).  The JSON codecs here are the
-library's primary interchange format: they round-trip specifications, views
+The paper stores all experimental inputs as files (its prototype used XML).
+The JSON codecs here are the library's one interchange format for model
+objects: they round-trip specifications, views
 and recorded derivations (as production-application scripts), which is what
 the benchmark harness uses to persist workloads.
 """

@@ -2,10 +2,11 @@
 
 :class:`ProvenanceClient` talks the binary frame protocol to a
 :class:`~repro.net.server.ProvenanceNetServer`.  The API mirrors the
-in-process :class:`~repro.serve.ProvenanceServer` surface —
-``depends_batch``/``is_visible_batch`` send one frame per call, and the
-singleton ``depends``/``is_visible`` helpers ride a small client-side
-coalescing buffer so chatty callers still produce batch frames.
+:class:`~repro.engine.QueryEngine` surface —
+``depends_batch``/``is_visible_batch`` send one frame per call, which the
+server hands whole to :meth:`~repro.serve.ProvenanceServer.submit_batch`,
+and the single-pair ``depends``/``is_visible`` helpers ride a small
+client-side coalescing buffer so chatty callers still produce batch frames.
 
 Connections come from a bounded pool: a call borrows a socket, does one
 request/response round trip on it, and returns it.  Concurrent callers get

@@ -2,10 +2,12 @@
 
 :mod:`repro.engine` made provenance queries *batched*; this package makes
 them *served*.  :class:`ProvenanceServer` coalesces concurrently-arriving
-single ``depends`` / ``is_visible`` requests into the engine's vectorised
-batch calls with a micro-batching scheduler (bounded queue, max-batch +
-max-linger policy — singletons linger for company, a frame never does —
-per ``(run, view, variant)`` grouping) and returns futures; a per-run generation-probe backoff keeps follower processes mapped
+``depends`` / ``is_visible`` frames (:meth:`~ProvenanceServer.submit_batch`,
+one id array each) into the engine's vectorised batch calls with a
+micro-batching scheduler (bounded queue, max-batch + max-linger policy —
+1-query frames linger for company, larger ones do not — per
+``(run, view, variant)`` grouping) and returns futures; a per-run
+generation-probe backoff keeps follower processes mapped
 onto the current compacted generation of every run file
 (:meth:`~repro.engine.QueryEngine.maybe_reopen`), and the persistent
 hot-matrix cache (:mod:`repro.serve.matrix_cache`) lets a fresh process skip

@@ -219,8 +219,9 @@ def save_hot_matrices(
 def load_hot_matrices(engine: QueryEngine, run_id: str = DEFAULT_RUN, *, cache_path=None) -> int:
     """Seed an attached shard's decode caches from its persistent matrix cache.
 
-    Missing cache file -> ``0`` (warm starts are best-effort); a cache of
-    another format version, from a different specification, a newer
+    Missing cache file -> ``0`` (warm starts are best-effort); an unreadable
+    one (a directory in its place, no permission), a cache of another format
+    version, from a different specification, a newer
     generation than the mapped file, or with ids beyond the file's trie is
     rejected with :class:`~repro.errors.SerializationError`, a damaged one
     with its subclass :class:`~repro.errors.CorruptionError`.  Sections for
@@ -241,6 +242,10 @@ def load_hot_matrices(engine: QueryEngine, run_id: str = DEFAULT_RUN, *, cache_p
             buffer = handle.read()
     except FileNotFoundError:
         return 0
+    except OSError as exc:
+        # A directory or an unreadable file in its place: refused like a stale
+        # cache, so the warm attach proceeds cold instead of raising past it.
+        raise SerializationError(f"unreadable matrix cache {target!r}: {exc}") from exc
     try:
         return _load_from(buffer, target, engine, run_id, mapped)
     except SerializationError:

@@ -2,25 +2,26 @@
 
 :class:`~repro.engine.QueryEngine` answers *batches* within a small constant
 factor of the fully materialised variants — but a fleet of concurrent
-clients naturally issues *singletons*, each paying the engine's per-call
-overhead (state interning, shard bookkeeping, the engine lock) and, under
-contention, serialising on it.  :class:`ProvenanceServer` turns the batch
-path into the default under concurrency with a micro-batching scheduler:
+clients naturally issues *small frames* (often one pair), each paying the
+engine's per-call overhead (state interning, shard bookkeeping, the engine
+lock) and, under contention, serialising on it.  :class:`ProvenanceServer`
+turns the batch path into the default under concurrency with a
+micro-batching scheduler:
 
-* clients :meth:`~ProvenanceServer.submit` ``depends`` / ``is_visible``
-  singletons, or :meth:`~ProvenanceServer.submit_batch` a whole *frame* — one
-  int64 id array answered through one :class:`concurrent.futures.Future`
-  that resolves to one bool array;
+* every request is a *frame*: clients
+  :meth:`~ProvenanceServer.submit_batch` ``depends`` pairs or
+  ``is_visible`` uids as one int64 id array, answered through one
+  :class:`concurrent.futures.Future` that resolves to one bool array;
 * requests land in one bounded queue whose depth, bounds and counters are
   all denominated in *queries* (a frame of ``n`` pairs weighs ``n``); a
-  worker takes the first request and, while everything queued is a
-  singleton, **lingers** up to ``max_linger_us`` for concurrently-arriving
-  requests to pile on (capped at ``max_batch`` queries).  A frame never
-  lingers — the timer turns concurrent singletons into a batch, and a frame
-  already is one — and one arriving mid-linger ends it; a frame is never
-  split across steps.  The worker then groups the step per
-  ``(kind, run, view, variant)``, concatenates each group's id arrays and
-  answers it with a single vectorised ``depends_batch`` /
+  worker takes the first request and, while everything queued is a 1-query
+  frame, **lingers** up to ``max_linger_us`` for concurrently-arriving
+  requests to pile on (capped at ``max_batch`` queries).  A larger frame
+  does not linger — the timer turns concurrent 1-query frames into a
+  batch, and a larger frame already is one — and one arriving mid-linger
+  ends it; a frame is never split across steps.  The worker then groups
+  the step per ``(kind, run, view, variant)``, concatenates each group's id
+  arrays and answers it with a single vectorised ``depends_batch`` /
   ``is_visible_batch`` call, handing every member its slice;
 * after serving a run, the server probes that run's file header on a
   query-count/time backoff (:class:`ReopenPolicy` ->
@@ -32,8 +33,8 @@ path into the default under concurrency with a micro-batching scheduler:
 
 The server adds no locking around the engine beyond what the engine already
 does — correctness under concurrent queries is the engine's contract; the
-server's job is turning N concurrent singletons (or N small frames) into
-N/``batch`` engine calls.  ``drain_once()`` exposes one scheduling step synchronously so tests
+server's job is turning N concurrent small frames into N/``batch`` engine
+calls.  ``drain_once()`` exposes one scheduling step synchronously so tests
 and single-threaded callers get deterministic behaviour with no threads.
 """
 
@@ -43,7 +44,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,24 +62,24 @@ __all__ = ["BatchPolicy", "ReopenPolicy", "ServerStats", "ProvenanceServer"]
 _DEPENDS = "depends"
 _VISIBLE = "visible"
 
-#: How long (seconds, real time) a blocked submitter or inline resolver waits
-#: between re-checks.  Condition waits are driven by the OS clock regardless
-#: of the injected ``clock=`` — the constant only bounds how stale a missed
-#: notify can leave them.
+#: How long (seconds, real time) a blocked submitter or a lingering worker
+#: waits between re-checks.  Condition waits are driven by the OS clock
+#: regardless of the injected ``clock=`` — the constant only bounds how stale a
+#: missed notify can leave them.
 _QUEUE_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """How aggressively concurrent singletons are coalesced.
+    """How aggressively concurrent small frames are coalesced.
 
     Every bound counts *queries* (a frame of ``n`` pairs weighs ``n``).
     ``max_batch`` bounds one scheduling step's batch — frames are popped
     whole, so a single frame larger than ``max_batch`` is a step of its own;
     ``max_linger_us`` is how long (microseconds) a worker holds the *first*
     request of a batch waiting for company — the latency price of
-    coalescing, paid only while everything queued is a singleton (a frame
-    never lingers) and the queue is shallower than ``max_batch``;
+    coalescing, paid only while everything queued is a 1-query frame (a
+    larger frame never waits) and the queue is shallower than ``max_batch``;
     ``max_queue`` bounds the request queue (submitters block once it is full
     — backpressure, not unbounded memory).
     """
@@ -156,25 +156,19 @@ class ServerStats:
 
 
 class _Request:
-    """One queue entry: ``n`` queries sharing one key and **one** future.
+    """One queue entry: a frame of ``n`` queries sharing one key and **one** future.
 
-    A frame (:meth:`ProvenanceServer.submit_batch`) carries ``ids`` as an
-    int64 array — ``(n, 2)`` pairs for ``depends``, ``(n,)`` uids for
-    ``visible`` — and its future resolves to a bool array of length ``n``.
-    A singleton (:meth:`~ProvenanceServer.submit` /
-    :meth:`~ProvenanceServer.submit_visible`) is the same request with
-    ``n == 1`` and ``scalar`` set: ``ids`` is then the plain ``(d1, d2)``
-    tuple / uid (a step full of singletons merges through one list, not n
-    tiny arrays) and the future resolves to a plain ``bool``.
+    ``ids`` is an int64 array — ``(n, 2)`` pairs for ``depends``, ``(n,)``
+    uids for ``visible`` — and the future resolves to a bool array of
+    length ``n``.
     """
 
-    __slots__ = ("key", "n", "ids", "scalar", "view", "variant", "future", "trace")
+    __slots__ = ("key", "n", "ids", "view", "variant", "future", "trace")
 
-    def __init__(self, key, n, ids, scalar, view, variant, trace=None) -> None:
+    def __init__(self, key, n, ids, view, variant, trace) -> None:
         self.key = key  # (kind, run, view name, variant key)
         self.n = n
         self.ids = ids
-        self.scalar = scalar
         self.view = view
         self.variant = variant
         self.future: Future = Future()
@@ -222,14 +216,13 @@ class ProvenanceServer:
         engine = QueryEngine(scheme)
         with ProvenanceServer(engine, workers=2) as server:
             server.attach("/data/run.fvl", "run-1")      # + warm matrices
-            future = server.submit(d1, d2, view, run="run-1")
+            future = server.submit_batch("depends", [(d1, d2)], view, run="run-1")
             ...
-            assert future.result()
+            assert future.result()[0]
 
     Start the server (or use it as a context manager) for background
-    workers; without ``start()`` it degrades to a deterministic inline mode
-    where :meth:`depends` / :meth:`is_visible` drain the queue on the
-    caller's thread.
+    workers; without ``start()`` nothing drains the queue but
+    :meth:`drain_once`, one deterministic step on the caller's thread.
     """
 
     def __init__(
@@ -429,31 +422,6 @@ class ProvenanceServer:
 
     # -- submission --------------------------------------------------------------
 
-    def submit(
-        self,
-        d1: int,
-        d2: int,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        variant=None,
-    ) -> Future:
-        """Enqueue one ``depends`` query; the Future resolves to its answer."""
-        key = _request_key(_DEPENDS, view, run, variant)
-        return self._enqueue(_Request(key, 1, (d1, d2), True, view, variant))
-
-    def submit_visible(
-        self,
-        uid: int,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        variant=None,
-    ) -> Future:
-        """Enqueue one ``is_visible`` query; the Future resolves to its answer."""
-        key = _request_key(_VISIBLE, view, run, variant)
-        return self._enqueue(_Request(key, 1, uid, True, view, variant))
-
     def submit_batch(
         self,
         kind: str,
@@ -484,8 +452,7 @@ class ProvenanceServer:
         ``block=False`` admits the frame only if *all* of it fits the bounded
         queue right now and returns ``None`` otherwise, so a network accept
         loop can answer with an explicit SHED/retry-after response instead of
-        stalling on backpressure.  ``block=True`` waits for room like
-        :meth:`submit`.
+        stalling on backpressure.  ``block=True`` waits for room.
 
         ``trace`` attaches a :class:`~repro.obs.trace.TraceContext` to the
         request: the scheduling step that serves it opens a
@@ -517,7 +484,7 @@ class ProvenanceServer:
         if ids.shape != shape:
             raise ValueError(f"{kind} ids must have shape {shape}, got {ids.shape}")
         key = _request_key(kind, view, run, variant)
-        return self._enqueue(_Request(key, n, ids, False, view, variant, trace), block)
+        return self._enqueue(_Request(key, n, ids, view, variant, trace), block)
 
     def submit_many(
         self,
@@ -549,30 +516,6 @@ class ProvenanceServer:
         futures: "list[Future]" = [Future() for _ in range(len(items))]
         frame.add_done_callback(lambda done: _fan_out(futures, done))
         return futures
-
-    def depends(
-        self,
-        d1: int,
-        d2: int,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        variant=None,
-    ) -> bool:
-        """Blocking convenience: submit and wait (inline drain when no workers)."""
-        future = self.submit(d1, d2, view, run=run, variant=variant)
-        return self._resolve(future)
-
-    def is_visible(
-        self,
-        uid: int,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        variant=None,
-    ) -> bool:
-        future = self.submit_visible(uid, view, run=run, variant=variant)
-        return self._resolve(future)
 
     def drain_once(self) -> int:
         """Take one scheduling step on the caller's thread (no linger).
@@ -720,19 +663,6 @@ class ProvenanceServer:
             self._cond.notify_all()  # wake blocked submitters
         return batch, queries
 
-    def _resolve(self, future: Future) -> bool:
-        if not self._threads:
-            while not future.done():
-                if self.drain_once() == 0:
-                    # Empty queue but unresolved: a concurrent inline caller
-                    # popped the request into its in-flight batch — wait for
-                    # that drain (or a stop()) to settle the future.
-                    try:
-                        return future.result(timeout=_QUEUE_POLL_S)
-                    except FuturesTimeoutError:
-                        continue
-        return future.result()
-
     def _worker_entry(self) -> None:
         """Supervise one worker thread: restart it when a step escapes.
 
@@ -798,7 +728,7 @@ class ProvenanceServer:
                     return None  # stopping, and the queue is drained
                 if policy.max_linger_us > 0 and self._lingering():
                     # Hold the first request briefly: under concurrency the
-                    # linger converts a stream of singletons into one batch.
+                    # linger converts a stream of 1-query frames into one batch.
                     # The deadline runs on the injected clock (like the probe
                     # backoff), so tests drive linger with a fake clock; only
                     # the condition waits themselves are OS-timed.
@@ -815,9 +745,9 @@ class ProvenanceServer:
     def _lingering(self) -> bool:
         """Whether the head of the queue should wait for company (``_cond`` held).
 
-        Only while everything queued is a singleton (a frame already *is* a
-        batch: holding it buys nothing and costs it the timer), the step is
-        not full and the server is not stopping.
+        Only while everything queued is a 1-query frame (a larger frame
+        already *is* a batch: holding it buys nothing and costs it the
+        timer), the step is not full and the server is not stopping.
         """
         return (
             self._queued == len(self._queue)
@@ -914,33 +844,18 @@ class ProvenanceServer:
     def _evaluate(self, key: tuple, members: "list[_Request]") -> None:
         """One engine call over ``members``' ids; each future gets its slice."""
         first = members[0]
-        frames = [member for member in members if not member.scalar]
-        scalars = [member for member in members if member.scalar]
-        if not frames:
-            ids = [member.ids for member in scalars]
-        elif len(members) == 1:
-            ids = first.ids
-        else:
-            parts = [member.ids for member in frames]
-            if scalars:
-                parts.append(
-                    np.asarray([member.ids for member in scalars], dtype=np.int64)
-                )
-            ids = np.concatenate(parts)
+        ids = first.ids if len(members) == 1 else np.concatenate([m.ids for m in members])
         engine = self._engine
         call = engine.depends_batch if key[0] == _DEPENDS else engine.is_visible_batch
         try:
             answers = call(ids, first.view, run=key[1], variant=first.variant)
         finally:
             self._engine_calls_c.inc()
+        bits = np.asarray(answers, dtype=bool)
         offset = 0
-        if frames:
-            bits = np.asarray(answers, dtype=bool)
-            for member in frames:
-                _safe_set_result(member.future, bits[offset : offset + member.n])
-                offset += member.n
-        for member, answer in zip(scalars, answers[offset:]):
-            _safe_set_result(member.future, answer)
+        for member in members:
+            _safe_set_result(member.future, bits[offset : offset + member.n])
+            offset += member.n
 
     def _note_served(self, run: str, count: int) -> None:
         """Advance the run's probe backoff; probe + remap when a bound fires."""

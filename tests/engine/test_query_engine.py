@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import FVLScheme, FVLVariant, QueryEngine
-from repro.engine import DEFAULT_RUN, DependsQuery
+from repro.engine import DEFAULT_RUN
 from repro.errors import (
     DecodingError,
     LabelingError,
@@ -159,28 +159,29 @@ def test_a_state_over_budget_stores_what_fits(derivation, state_budget_for):
 # -- multi-run sharding ---------------------------------------------------------------
 
 
-def test_depends_many_shards_across_runs(engine, derivation):
+def test_batches_shard_across_runs(engine, derivation):
     other = random_run(SPEC, 150, seed=11)
     engine.add_run("other", other)
     view = VIEWS[1]
     pairs_a = _visible_pairs(derivation, view, seed=1)
     pairs_b = _visible_pairs(other, view, seed=2)
-    queries = [DependsQuery(d1, d2, view, run=DEFAULT_RUN) for d1, d2 in pairs_a]
-    queries += [DependsQuery(d1, d2, view, run="other") for d1, d2 in pairs_b]
-    random.Random(0).shuffle(queries)
-    answers = engine.depends_many(queries)
-    for query, answer in zip(queries, answers):
-        assert answer == engine.depends(query.d1, query.d2, view, run=query.run)
+    for run, pairs in ((DEFAULT_RUN, pairs_a), ("other", pairs_b)):
+        answers = engine.depends_batch(pairs, view, run=run)
+        assert answers == [engine.depends(d1, d2, view, run=run) for d1, d2 in pairs]
     stats = engine.stats
-    assert set(stats.queries_by_run) == {DEFAULT_RUN, "other"}
-    assert stats.queries_by_run["other"] >= len(pairs_b)
+    assert stats.queries_by_run == {DEFAULT_RUN: 2 * len(pairs_a), "other": 2 * len(pairs_b)}
 
 
-def test_depends_many_accepts_tuples(engine, derivation):
+def test_stats_count_visibility_queries(engine, derivation):
+    """``stats.queries`` counts every op answered, as ``engine_queries_total`` does."""
     view = VIEWS[0]
-    pairs = _visible_pairs(derivation, view)
-    as_tuples = engine.depends_many([(d1, d2, view) for d1, d2 in pairs])
-    assert as_tuples == engine.depends_batch(pairs, view)
+    uids = sorted(ViewProjection(derivation.run, view).visible_items)[:10]
+    engine.is_visible_batch(uids, view)
+    engine.depends_batch(_visible_pairs(derivation, view), view)
+    engine.is_visible(uids[0], view)
+    stats = engine.stats
+    family = engine.metrics.snapshot()["engine_queries_total"]
+    assert stats.queries == stats.queries_by_run[DEFAULT_RUN] == sum(family.values()) == 51
 
 
 def test_run_ids_and_duplicate_run_rejected(engine, derivation):
@@ -263,8 +264,3 @@ def test_unsafe_view_raises():
 def test_unknown_variant_raises(engine):
     with pytest.raises(DecodingError, match="unknown labeling variant"):
         engine.depends_batch([(1, 2)], VIEWS[0], variant="turbo")
-
-
-def test_malformed_query_raises(engine):
-    with pytest.raises(DecodingError, match="depends query"):
-        engine.depends_many([(1, 2)])

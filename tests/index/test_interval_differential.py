@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import sample_query_pairs
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme, FVLVariant, visible_mask
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError
@@ -267,7 +267,7 @@ def test_visible_mask_matches_is_visible_batch(tmp_path):
     view = default_view(CHAIN_SPEC)
     _, _, engine = _attached(CHAIN_SCHEME, derivation, tmp_path)
     uids = list(range(1, derivation.run.n_data_items + 1))
-    mask = engine.visible_mask(view)
+    mask = visible_mask(engine.mapped_store().store, CHAIN_SCHEME.label_view(view))
     assert mask.tolist() == engine.is_visible_batch(uids, view)
-    # Memoized: a second call reuses the per-path retained fold and agrees.
-    assert engine.visible_mask(view).tolist() == mask.tolist()
+    # Memoized: a second batch reuses the per-path retained fold and agrees.
+    assert engine.is_visible_batch(uids, view) == mask.tolist()

@@ -1,4 +1,4 @@
-"""Round-trip tests for the JSON / XML codecs and the bit-exact label codec."""
+"""Round-trip tests for the JSON codec and the bit-exact label codec."""
 
 import math
 
@@ -12,18 +12,12 @@ from repro.io import (
     derivation_from_dict,
     derivation_to_dict,
     dump_specification,
-    dump_specification_xml,
     elias_gamma_bits,
     load_specification,
-    load_specification_xml,
     specification_from_dict,
-    specification_from_xml,
     specification_to_dict,
-    specification_to_xml,
     view_from_dict,
-    view_from_xml,
     view_to_dict,
-    view_to_xml,
 )
 from repro.workloads import build_running_example, random_run, running_example_view_u2
 from tests.conftest import derive_running
@@ -53,24 +47,10 @@ def test_specification_json_file_roundtrip(tmp_path, bioaid_spec):
     _assert_same_spec(bioaid_spec, load_specification(str(path)))
 
 
-def test_specification_xml_roundtrip(running_spec):
-    element = specification_to_xml(running_spec)
-    _assert_same_spec(running_spec, specification_from_xml(element))
-
-
-def test_specification_xml_file_roundtrip(tmp_path, running_spec):
-    path = tmp_path / "spec.xml"
-    dump_specification_xml(running_spec, str(path))
-    _assert_same_spec(running_spec, load_specification_xml(str(path)))
-
-
 def test_view_roundtrips(running_spec, view_u2):
     restored = view_from_dict(view_to_dict(view_u2))
     assert restored.visible_composites == view_u2.visible_composites
     assert restored.dependencies == view_u2.dependencies
-    restored_xml = view_from_xml(view_to_xml(view_u2))
-    assert restored_xml.visible_composites == view_u2.visible_composites
-    assert restored_xml.dependencies == view_u2.dependencies
 
 
 def test_derivation_roundtrip(running_spec):

@@ -12,7 +12,7 @@ import pytest
 
 import repro.serve.server as serve_module
 from repro.core import FVLScheme, FVLVariant
-from repro.engine import DEFAULT_RUN, DependsQuery, QueryEngine
+from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import DecodingError
 from repro.model.projection import ViewProjection
 from repro.net import (
@@ -176,7 +176,7 @@ def test_unknown_run_raises_remote_error(served):
             client.depends_batch(pairs[:3], view.name, run="no-such-run")
 
 
-@pytest.mark.parametrize("entry", ["constructor", "depends_batch", "is_visible_batch", "DependsQuery", "wire"])
+@pytest.mark.parametrize("entry", ["constructor", "depends_batch", "is_visible_batch", "wire"])
 def test_removed_variant_fails_loudly(served, scheme, run_file, entry):
     """``matrix-free`` was an engine variant once; now it is a typed error naming the three that are."""
     net, sock_path, view, items, pairs, expected, _ = served
@@ -196,9 +196,6 @@ def test_removed_variant_fails_loudly(served, scheme, run_file, entry):
         "constructor": lambda: QueryEngine(scheme, variant="matrix-free"),
         "depends_batch": lambda: engine.depends_batch(pairs[:3], view, variant="matrix-free"),
         "is_visible_batch": lambda: engine.is_visible_batch(items[:3], view, variant="matrix-free"),
-        "DependsQuery": lambda: engine.depends_many(
-            [DependsQuery(*pairs[0], view, variant="matrix-free")]
-        ),
     }
     with pytest.raises(DecodingError, match="matrix-free") as info:
         calls[entry]()

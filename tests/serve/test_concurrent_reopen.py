@@ -77,7 +77,7 @@ def test_maybe_reopen_is_false_for_labelled_and_vanished_shards(
     assert engine.maybe_reopen() is False
 
 
-def test_server_probe_follows_compaction_on_query_backoff(segmented, scheme):
+def test_server_probe_follows_compaction_on_query_backoff(segmented, scheme, ask):
     """Inline mode: the Nth query triggers the probe which triggers the remap."""
     run_file, view, pairs, expected = segmented
     engine = QueryEngine(scheme)
@@ -85,10 +85,10 @@ def test_server_probe_follows_compaction_on_query_backoff(segmented, scheme):
         engine, reopen=ReopenPolicy(after_queries=1, after_seconds=3600.0)
     )
     server.attach(run_file, warm=False)
-    assert server.depends(*pairs[0], view) == expected[0]
+    assert ask(server, "depends", pairs[:1], view) == expected[:1]
     assert compact(run_file).compacted
     assert engine.mapped_store().generation == 0  # not yet probed
-    assert server.depends(*pairs[1], view) == expected[1]
+    assert ask(server, "depends", pairs[1:2], view) == expected[1:2]
     assert engine.mapped_store().generation == 1  # probe fired on the answer
     stats = server.stats
     assert stats.probes >= 2 and stats.reopens == 1
@@ -118,8 +118,8 @@ def test_concurrent_batches_stay_bit_identical_across_compaction(segmented, sche
     def client(index: int) -> None:
         try:
             for round_no in range(rounds):
-                futures = [server.submit(d1, d2, view) for d1, d2 in pairs]
-                answers = [f.result(timeout=60) for f in futures]
+                futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
+                answers = [f.result(timeout=60).item() for f in futures]
                 if answers != expected:
                     mismatches.append((index, round_no))
                 if round_no == rounds // 2 and index == 0:

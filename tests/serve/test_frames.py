@@ -1,9 +1,9 @@
 """The frame is the scheduler's unit: one request, one future, one id array.
 
-Covers ``submit_batch`` and the request shape it shares with ``submit`` /
-``submit_visible`` / ``submit_many``: query-denominated bounds, frames never
-split across steps, same-key frames coalescing into one engine call, a bad
-frame failing alone, and hostile sizes rejected before anything is built.
+Covers ``submit_batch`` and ``submit_many`` (its one-future-per-item
+adapter): query-denominated bounds, frames never split across steps,
+same-key frames coalescing into one engine call, a bad frame failing alone,
+and hostile sizes rejected before anything is built.
 """
 
 from __future__ import annotations
@@ -72,14 +72,14 @@ def _engine_queries(server: ProvenanceServer) -> int:
     return int(sum(server.metrics.snapshot().get("engine_queries_total", {}).values()))
 
 
-# -- random interleavings of all four entry points ------------------------------
+# -- random interleavings of both entry points ----------------------------------
 
 _SUBMISSION = st.tuples(
-    st.sampled_from(["submit", "submit_visible", "submit_many", "submit_batch"]),
+    st.sampled_from(["submit_many", "submit_batch"]),
     st.sampled_from(["depends", "visible"]),
     st.sampled_from(sorted(RUNS)),
     st.integers(0, len(VIEWS) - 1),
-    st.integers(0, 40),  # batch size (0 = the empty frame)
+    st.one_of(st.just(1), st.integers(0, 40)),  # frame size (0 = empty, 1 = lingers)
     st.integers(0, 2**16),  # which items
 )
 
@@ -95,39 +95,27 @@ def test_interleaved_entry_points_equal_the_engine(submissions):
     for method, kind, run, view_index, n, seed in submissions:
         view = VIEWS[view_index]
         pairs = _frame(run, max(n, 1), seed)
-        if method == "submit":
-            d1, d2 = pairs[0].tolist()
-            future = server.submit(d1, d2, view, run=run)
-            want = oracle.depends_batch([(d1, d2)], view, run=run)
-            outstanding.append((lambda f=future: [f.result()], want))
-            asked += 1
-        elif method == "submit_visible":
-            uid = int(pairs[0, 0])
-            future = server.submit_visible(uid, view.name, run=run)
-            want = oracle.is_visible_batch([uid], view, run=run)
-            outstanding.append((lambda f=future: [f.result()], want))
-            asked += 1
+        ids = pairs[:n] if kind == "depends" else pairs[:n, 0]
+        want = (
+            oracle.depends_batch(ids.tolist(), view, run=run)
+            if kind == "depends"
+            else oracle.is_visible_batch(ids.tolist(), view, run=run)
+        )
+        if method == "submit_many":
+            futures = server.submit_many(kind, ids.tolist(), view, run=run)
+            assert len(futures) == n
+            outstanding.append((lambda fs=futures: [f.result() for f in fs], want))
         else:
-            ids = pairs[:n] if kind == "depends" else pairs[:n, 0]
-            want = (
-                oracle.depends_batch(ids.tolist(), view, run=run)
-                if kind == "depends"
-                else oracle.is_visible_batch(ids.tolist(), view, run=run)
-            )
-            if method == "submit_many":
-                futures = server.submit_many(kind, ids.tolist(), view, run=run)
-                assert len(futures) == n
-                outstanding.append((lambda fs=futures: [f.result() for f in fs], want))
-            else:
-                future = server.submit_batch(kind, ids, view, run=run)
+            # A view by name or by object: both key the same group.
+            future = server.submit_batch(kind, ids, view.name if n == 1 else view, run=run)
 
-                def read(f=future, n=n):
-                    answers = f.result()
-                    assert answers.dtype == bool and answers.shape == (n,)
-                    return answers.tolist()
+            def read(f=future, n=n):
+                answers = f.result()
+                assert answers.dtype == bool and answers.shape == (n,)
+                return answers.tolist()
 
-                outstanding.append((read, want))
-            asked += n
+            outstanding.append((read, want))
+        asked += n
     _drain(server)
     for read, want in outstanding:
         assert read() == want  # slice order preserved within every request
@@ -278,7 +266,7 @@ def test_unknown_uid_fails_only_its_own_frame():
     bad[40, 1] = 10**9
     stranger = server.submit_batch("depends", good, VIEWS[0], run="run-a")
     offender = server.submit_batch("depends", bad, VIEWS[0], run="run-a")
-    single = server.submit(*good[0].tolist(), VIEWS[0], run="run-a")
+    single = server.submit_batch("depends", good[:1], VIEWS[0], run="run-a")
     before = server.stats
     assert server.drain_once() == 201
     after = server.stats
@@ -286,7 +274,7 @@ def test_unknown_uid_fails_only_its_own_frame():
         offender.result()
     want = oracle.depends_batch(good.tolist(), VIEWS[0], run="run-a")
     assert stranger.result().tolist() == want
-    assert single.result() == want[0]
+    assert single.result().tolist() == want[:1]
     # The coalesced call that raised, then one retry per member.
     assert after.engine_calls - before.engine_calls == 4
     assert after.answered - before.answered == 201

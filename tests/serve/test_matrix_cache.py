@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import struct
 import zlib
@@ -400,7 +401,7 @@ def test_load_converts_garbled_sections_to_serialization_error(saved, scheme):
         load_hot_matrices(follower)
 
 
-def test_server_attach_swallows_corrupt_cache(saved, scheme):
+def test_server_attach_swallows_corrupt_cache(saved, scheme, ask):
     """A rotten side file must not take serving down — attach proceeds cold."""
     run_file, view, pairs, expected, _ = saved
     cache_file = matrix_cache_path(run_file)
@@ -412,10 +413,28 @@ def test_server_attach_swallows_corrupt_cache(saved, scheme):
     mapped, warmed = server.attach(run_file)
     assert warmed == 0
     assert isinstance(server.last_warm_error, SerializationError)
-    futures = [server.submit(d1, d2, view) for d1, d2 in pairs]
-    while server.pending:
-        server.drain_once()
-    assert [f.result() for f in futures] == expected
+    assert ask(server, "depends", pairs, view) == expected
+
+
+def test_an_unreadable_side_file_attaches_cold(saved, scheme, ask):
+    """A directory where the side file should be is refused like a stale cache.
+
+    It used to raise out of ``ProvenanceServer.attach`` after the engine had
+    registered the shard, so the run was attached but reported as failed, and
+    a retry failed again with "already registered".
+    """
+    run_file, view, pairs, expected, _ = saved
+    cache_file = matrix_cache_path(run_file)
+    os.remove(cache_file)
+    os.mkdir(cache_file)
+    engine = QueryEngine(scheme)
+    engine.add_view(view)
+    server = ProvenanceServer(engine)
+    assert server.attach(run_file) == (engine.mapped_store(), 0)
+    assert isinstance(server.last_warm_error, SerializationError)
+    assert not isinstance(server.last_warm_error, CorruptionError)
+    assert _hotmx_corruptions(server) == 0
+    assert ask(server, "depends", pairs, view) == expected
 
 
 def test_view_fingerprint_separates_same_named_views(spec, scheme, workload, tmp_path):

@@ -79,30 +79,31 @@ def test_server_rejects_zero_workers(scheme):
 
 def test_inline_drain_answers_bit_identical(served):
     server, view, items, pairs, expected, expected_visible = served
-    futures = [server.submit(d1, d2, view) for d1, d2 in pairs]
-    visible_futures = [server.submit_visible(uid, view) for uid in items]
+    futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
+    visible_futures = [server.submit_batch("visible", [uid], view) for uid in items]
     drained = 0
     while server.pending:
         drained += server.drain_once()
     assert drained == len(pairs) + len(items)
-    assert [f.result() for f in futures] == expected
-    assert [f.result() for f in visible_futures] == expected_visible
+    assert [f.result().item() for f in futures] == expected
+    assert [f.result().item() for f in visible_futures] == expected_visible
 
 
-def test_inline_convenience_wrappers(served):
+def test_one_frame_answers_inline(served, ask):
     server, view, items, pairs, expected, expected_visible = served
-    assert server.depends(*pairs[0], view) == expected[0]
-    assert server.is_visible(items[0], view) == expected_visible[0]
+    assert ask(server, "depends", pairs[:1], view) == expected[:1]
+    assert ask(server, "visible", items[:1], view) == expected_visible[:1]
+    assert server.pending == 0
 
 
 def test_one_drain_step_groups_per_view_and_kind(served):
     """A mixed drain makes one engine call per (kind, view, variant) group."""
     server, view, items, pairs, expected, expected_visible = served
-    for d1, d2 in pairs[:40]:
-        server.submit(d1, d2, view)
-        server.submit(d1, d2, view, variant=FVLVariant.SPACE_EFFICIENT)
+    for pair in pairs[:40]:
+        server.submit_batch("depends", [pair], view)
+        server.submit_batch("depends", [pair], view, variant=FVLVariant.SPACE_EFFICIENT)
     for uid in items[:20]:
-        server.submit_visible(uid, view)
+        server.submit_batch("visible", [uid], view)
     before = server.stats
     assert server.drain_once() == 100
     after = server.stats
@@ -121,7 +122,7 @@ def test_drain_respects_max_batch(scheme, workload, tmp_path):
     engine = QueryEngine(scheme)
     server = ProvenanceServer(engine, policy=BatchPolicy(max_batch=16, max_queue=4096))
     server.attach(run_file)
-    futures = [server.submit(d1, d2, view) for d1, d2 in pairs[:50]]
+    futures = [server.submit_batch("depends", [pair], view) for pair in pairs[:50]]
     assert server.drain_once() == 16
     assert server.pending == 34
     while server.pending:
@@ -133,10 +134,10 @@ def test_queue_full_without_workers_raises(scheme):
     server = ProvenanceServer(
         QueryEngine(scheme), policy=BatchPolicy(max_batch=2, max_queue=2)
     )
-    server.submit(1, 2, "any-view")
-    server.submit(1, 2, "any-view")
+    server.submit_batch("depends", [(1, 2)], "any-view")
+    server.submit_batch("depends", [(1, 2)], "any-view")
     with pytest.raises(RuntimeError, match="queue is full"):
-        server.submit(1, 2, "any-view")
+        server.submit_batch("depends", [(1, 2)], "any-view")
 
 
 # -- error propagation ---------------------------------------------------------
@@ -144,26 +145,26 @@ def test_queue_full_without_workers_raises(scheme):
 
 def test_engine_errors_reach_the_futures(served):
     server, view, items, pairs, _, _ = served
-    unknown_view = server.submit(*pairs[0], "no-such-view")
-    unknown_run = server.submit(*pairs[1], view, run="no-such-run")
-    good = server.submit(*pairs[2], view)
+    unknown_view = server.submit_batch("depends", pairs[:1], "no-such-view")
+    unknown_run = server.submit_batch("depends", pairs[1:2], view, run="no-such-run")
+    good = server.submit_batch("depends", pairs[2:3], view)
     while server.pending:
         server.drain_once()
     with pytest.raises(ViewError):
         unknown_view.result()
     with pytest.raises(LabelingError):
         unknown_run.result()
-    assert isinstance(good.result(), bool)  # a bad group never poisons a good one
+    assert good.result().shape == (1,)  # a bad group never poisons a good one
 
 
 def test_stop_fails_leftover_requests(served):
     server, view, _, pairs, _, _ = served
-    future = server.submit(*pairs[0], view)
+    future = server.submit_batch("depends", pairs[:1], view)
     server.stop()  # never started: the queued request must not hang forever
     with pytest.raises(RuntimeError, match="stopped"):
         future.result(timeout=1)
     with pytest.raises(RuntimeError, match="stopped"):
-        server.submit(*pairs[0], view)
+        server.submit_batch("depends", pairs[:1], view)
 
 
 # -- threaded mode -------------------------------------------------------------
@@ -178,10 +179,10 @@ def test_threaded_clients_get_bit_identical_answers(served):
 
     def client(index: int) -> None:
         try:
-            futures = [server.submit(d1, d2, view) for d1, d2 in pairs]
-            visible = [server.submit_visible(uid, view) for uid in items]
-            results[index] = [f.result(timeout=30) for f in futures]
-            visible_results[index] = [f.result(timeout=30) for f in visible]
+            futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
+            visible = [server.submit_batch("visible", [uid], view) for uid in items]
+            results[index] = [f.result(timeout=30).item() for f in futures]
+            visible_results[index] = [f.result(timeout=30).item() for f in visible]
         except Exception as exc:  # pragma: no cover - surfaced by the assert
             errors.append(exc)
 
@@ -206,25 +207,25 @@ def test_threaded_clients_get_bit_identical_answers(served):
     assert stats.largest_batch > 1
 
 
-def test_start_twice_rejected_and_restartable(served):
+def test_start_twice_rejected_and_restartable(served, ask):
     server, view, _, pairs, expected, _ = served
     with server:
         with pytest.raises(RuntimeError, match="already running"):
             server.start()
-        assert server.submit(*pairs[0], view).result(timeout=30) == expected[0]
+        assert ask(server, "depends", pairs[:1], view) == expected[:1]
     assert not server.running
     # stop() drained; a fresh start serves again.
     with server:
-        assert server.submit(*pairs[1], view).result(timeout=30) == expected[1]
+        assert ask(server, "depends", pairs[1:2], view) == expected[1:2]
 
 
 def test_workers_drain_backlog_on_stop(served):
     """Requests queued before stop() are answered, not dropped."""
     server, view, _, pairs, expected, _ = served
-    futures = [server.submit(d1, d2, view) for d1, d2 in pairs]
+    futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
     server.start()
     server.stop()
-    assert [f.result(timeout=30) for f in futures] == expected
+    assert [f.result(timeout=30).item() for f in futures] == expected
 
 
 # -- the injected clock drives linger ------------------------------------------
@@ -263,18 +264,18 @@ def test_linger_deadline_runs_on_the_injected_clock(scheme, workload, tmp_path):
     )
     server.attach(run_file)
     with server:
-        future = server.submit(*pairs[0], view)
-        assert isinstance(future.result(timeout=5), bool)
+        future = server.submit_batch("depends", pairs[:1], view)
+        assert future.result(timeout=5).shape == (1,)
 
 
-def test_wall_clock_linger_still_collects_promptly(served):
+def test_wall_clock_linger_still_collects_promptly(served, ask):
     """Sanity: the default clock path answers well under the linger bound."""
     server, view, _, pairs, expected, _ = served
     with server:
-        assert server.submit(*pairs[0], view).result(timeout=5) == expected[0]
+        assert ask(server, "depends", pairs[:1], view) == expected[:1]
 
 
-# -- a frame never lingers --------------------------------------------------------
+# -- only 1-query frames linger ---------------------------------------------------
 
 
 class _HandClock:
@@ -304,7 +305,7 @@ def frozen(served):
 
 
 def test_a_frame_does_not_wait_out_the_linger(frozen):
-    """The linger turns concurrent singletons into a batch; a frame already is one."""
+    """The linger turns concurrent 1-query frames into a batch; a larger frame already is one."""
     server, _, view, pairs, expected = frozen
     with server:
         frame = server.submit_batch("depends", pairs[:256], view)
@@ -315,12 +316,12 @@ def test_a_frame_does_not_wait_out_the_linger(frozen):
 def test_a_frame_arriving_behind_a_lingering_singleton_ends_the_linger(frozen):
     server, _, view, pairs, expected = frozen
     with server:
-        single = server.submit(*pairs[0], view)
+        single = server.submit_batch("depends", pairs[:1], view)
         time.sleep(0.1)  # the worker holds it, waiting for company
         assert not single.done() and server.pending == 1
         frame = server.submit_batch("depends", pairs[1:257], view)
         assert frame.result(timeout=5).tolist() == expected[1:257]
-        assert single.result(timeout=5) == expected[0]
+        assert single.result(timeout=5).tolist() == expected[:1]
     # Same key, one step: the singleton rode along in the frame's engine call.
     stats = server.stats
     assert (stats.engine_calls, stats.batches, stats.coalesced) == (1, 1, 257)
@@ -329,11 +330,11 @@ def test_a_frame_arriving_behind_a_lingering_singleton_ends_the_linger(frozen):
 def test_two_singletons_still_linger_and_coalesce(frozen):
     server, clock, view, pairs, expected = frozen
     with server:
-        futures = [server.submit(*pair, view) for pair in pairs[:2]]
+        futures = [server.submit_batch("depends", [pair], view) for pair in pairs[:2]]
         time.sleep(0.1)
         assert not any(future.done() for future in futures)  # held for company
         clock.now = 11.0  # past the linger deadline; the next wake-up sees it
-        assert [future.result(timeout=5) for future in futures] == expected[:2]
+        assert [future.result(timeout=5).item() for future in futures] == expected[:2]
     stats = server.stats
     assert (stats.engine_calls, stats.batches, stats.coalesced) == (1, 1, 2)
 
@@ -396,7 +397,7 @@ def test_last_error_updates_race_free_with_stats_reads(served):
     assert server.stats.last_error in exceptions
 
 
-# -- submit_many (the wire fast path) ------------------------------------------
+# -- submit_many (one future per item) ----------------------------------------
 
 
 def test_submit_many_matches_singleton_answers(served):

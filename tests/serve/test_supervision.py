@@ -56,12 +56,12 @@ def _wait_for(predicate, timeout_s: float = 5.0) -> None:
         time.sleep(0.01)
 
 
-def test_worker_death_fails_its_batch_and_restarts(served):
+def test_worker_death_fails_its_batch_and_restarts(served, ask):
     server, view, pairs, expected = served
     plan = FaultPlan().on("scheduler.batch", count=1)
     with server:
         with plan.armed():
-            future = server.submit(*pairs[0], view)
+            future = server.submit_batch("depends", pairs[:1], view)
             # The injected death lands between collect and process: the
             # batch's future fails loudly instead of hanging forever.
             with pytest.raises(InjectedFault):
@@ -69,29 +69,29 @@ def test_worker_death_fails_its_batch_and_restarts(served):
             _wait_for(lambda: server.stats.worker_restarts == 1)
             assert isinstance(server.last_error, InjectedFault)
             # The restarted worker keeps serving the same answers.
-            assert server.depends(*pairs[0], view) == expected[0]
+            assert ask(server, "depends", pairs[:1], view) == expected[:1]
         assert server.stats.worker_restarts == 1
 
 
-def test_repeated_worker_deaths_restart_each_time(served):
+def test_repeated_worker_deaths_restart_each_time(served, ask):
     server, view, pairs, expected = served
     plan = FaultPlan().on("scheduler.batch", count=3)
     with server:
         with plan.armed():
             for _ in range(3):
                 with pytest.raises(InjectedFault):
-                    server.submit(*pairs[1], view).result(timeout=5.0)
+                    server.submit_batch("depends", pairs[1:2], view).result(timeout=5.0)
             _wait_for(lambda: server.stats.worker_restarts == 3)
-            assert server.depends(*pairs[1], view) == expected[1]
+            assert ask(server, "depends", pairs[1:2], view) == expected[1:2]
     assert server.stats.worker_restarts == 3
 
 
-def test_inline_drain_does_not_cross_the_fault_point(served):
+def test_inline_drain_does_not_cross_the_fault_point(served, ask):
     """drain_once() is the threadless scheduler: no worker, no scheduler.batch."""
     server, view, pairs, expected = served
     plan = FaultPlan().on("scheduler.batch", count=None)
     with plan.armed():
-        assert server.depends(*pairs[2], view) == expected[2]
+        assert ask(server, "depends", pairs[2:3], view) == expected[2:3]
     assert plan.hits("scheduler.batch") == 0
 
 
@@ -101,7 +101,7 @@ def test_workers_exit_cleanly_while_armed(served):
     plan = FaultPlan().on("scheduler.batch", count=None)
     with plan.armed():
         server.start()
-        future = server.submit(*pairs[3], view)
+        future = server.submit_batch("depends", pairs[3:4], view)
         with pytest.raises(InjectedFault):
             future.result(timeout=5.0)
         server.stop()  # must join: the supervisor respects stopping

@@ -1,15 +1,21 @@
 """Docs that execute: every ``repro`` name the prose cites must resolve.
 
 Collects, from the README, the verify skill and the CI workflow, every
-``python -m repro.…`` command and every backticked dotted ``repro.…`` name
-and resolves it by import and ``getattr`` (:func:`pkgutil.resolve_name`: the
-longest importable prefix, then attributes) — so deleting or renaming a module
-fails here until the prose that cites it is re-trued.
+``python -m repro.…`` command, every backticked dotted ``repro.…`` name and
+every backticked ``Class.attr`` of a class that ``repro``, ``repro.serve`` or
+``repro.net`` exports, and resolves it by import and ``getattr``
+(:func:`pkgutil.resolve_name`: the longest importable prefix, then
+attributes; a dataclass field counts as an attribute) — so deleting or
+renaming a module or a method fails here until the prose that cites it is
+re-trued.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -19,8 +25,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
 
+#: Exported class name -> class, over the packages the prose cites methods of.
+_PACKAGES = [importlib.import_module(name) for name in ("repro", "repro.serve", "repro.net")]
+CLASSES = {
+    name: getattr(package, name)
+    for package in _PACKAGES
+    for name in package.__all__
+    if inspect.isclass(getattr(package, name))
+}
+
 _COMMAND = re.compile(r"python3? -m\s+(repro(?:\.\w+)+)")
 _NAME = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
+_MEMBER = re.compile(
+    r"`((?:%s)\.\w+)(?:\([^`]*\))?`" % "|".join(sorted(CLASSES, key=len, reverse=True))
+)
 
 
 def _cited(pattern: re.Pattern) -> list[tuple[str, str]]:
@@ -32,8 +50,8 @@ def _cited(pattern: re.Pattern) -> list[tuple[str, str]]:
 
 
 def test_the_patterns_still_find_the_prose():
-    """Not vacuous: the README and the skill cite both kinds (the workflow may cite neither)."""
-    for pattern in (_COMMAND, _NAME):
+    """Not vacuous: the README and the skill cite every kind (the workflow may cite none)."""
+    for pattern in (_COMMAND, _NAME, _MEMBER):
         assert {doc for doc, _ in _cited(pattern)} >= set(DOCS[:2])
 
 
@@ -56,3 +74,11 @@ def test_backticked_names_resolve(doc, name):
         pkgutil.resolve_name(name)
     except (ImportError, AttributeError) as exc:
         pytest.fail(f"{doc} cites `{name}`, which does not resolve: {exc}")
+
+
+@pytest.mark.parametrize("doc, member", _cited(_MEMBER))
+def test_backticked_methods_resolve(doc, member):
+    name, attr = member.split(".")
+    cls = CLASSES[name]
+    fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    assert hasattr(cls, attr) or attr in fields, f"{doc} cites `{member}`, which does not resolve"
