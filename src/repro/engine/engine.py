@@ -54,7 +54,10 @@ engine's shared path arena (:meth:`QueryEngine.add_run`), and **attached**
 runs served read-only from an mmap-backed file written by
 :meth:`QueryEngine.checkpoint` (:mod:`repro.store.checkpoint`) — disk-backed
 shards answer the same queries bit-identically without a decode pass, so a
-deployment can serve runs larger than RAM and survive restarts.
+deployment can serve runs larger than RAM and survive restarts.  An attached
+shard follows its file onto a compacted generation through one method,
+:meth:`QueryEngine.reopen`, whoever asks (the server's probe, the lifecycle
+manager, :meth:`QueryEngine.reopen_all`).
 """
 
 from __future__ import annotations
@@ -231,8 +234,9 @@ class QueryEngine:
         state_bytes.labels("static").set_function(self._states.static_bytes)
         self._shards: dict[str, _RunShard] = {}
         self._lock = threading.Lock()
-        #: Serialises shard remaps (reopen/maybe_reopen from concurrent
-        #: server workers) so exactly one fresh mapping wins and none leak.
+        #: Serialises shard remaps (reopen from concurrent server workers
+        #: and the lifecycle manager) so exactly one fresh mapping wins and
+        #: none leak.
         self._reopen_lock = threading.Lock()
         #: Next decode-cache namespace tag for attached (own-trie) shards;
         #: labelled shards all share the engine arena under tag 0.
@@ -272,7 +276,7 @@ class QueryEngine:
             "corruption_detected_total",
             "checksum/structure corruption detections by layer",
             ("layer",),
-        )
+        ).labels("engine")
 
     # -- registration ------------------------------------------------------------
 
@@ -331,16 +335,20 @@ class QueryEngine:
                 "detach(run_id) it first to attach a different file under "
                 "this id"
             )
+        mapped = self._map(path, verify)
+        self._next_arena += 1
+        self._shards[run_id] = _RunShard(run_id, arena=self._next_arena, mapped=mapped)
+        return mapped
+
+    def _map(self, path, verify: str) -> MappedRunStore:
+        """Map a run file, refusing one checkpointed under another specification."""
         mapped = MappedRunStore(path, verify=verify)
-        expected = grammar_fingerprint(self._scheme.index)
-        if mapped.fingerprint and mapped.fingerprint != expected:
+        if mapped.fingerprint and mapped.fingerprint != grammar_fingerprint(self._scheme.index):
             mapped.close()
             raise LabelingError(
                 f"run file {mapped.path!r} was checkpointed under a different "
                 "specification; its labels would decode to wrong answers here"
             )
-        self._next_arena += 1
-        self._shards[run_id] = _RunShard(run_id, arena=self._next_arena, mapped=mapped)
         return mapped
 
     def checkpoint(self, path, run_id: str = DEFAULT_RUN) -> CheckpointResult:
@@ -372,44 +380,40 @@ class QueryEngine:
 
         After :func:`repro.store.compact` swaps a merged rewrite over the
         path, this shard keeps serving the superseded inode; ``reopen``
-        detects the bumped generation with a header peek and, if one is
-        there, maps the current file and swaps it in — without a restart and
-        **without invalidating decode-cache results**: compaction preserves
-        every row and path id bit-identically (and appends only ever extend
-        them), so the shard keeps its arena tag and every cached
-        ``(arena, id, id)`` matrix stays valid.  Returns ``True`` iff the
-        shard was remapped.  In-flight queries finish on the old mapping;
-        its pages are released once their views are collected.
+        reads the file header once and, if the generation moved on, maps the
+        current file and swaps it in — without a restart and **without
+        invalidating decode-cache results**: compaction preserves every row
+        and path id, so the shard keeps its arena tag and every cached
+        ``(arena, id, id)`` matrix stays valid.  In-flight queries finish on
+        the old mapping.
+
+        Returns ``True`` iff the shard was remapped; ``False`` for a
+        labelled shard, an unchanged generation, or a file that is
+        unreadable, vanished or torn mid-swap (the next call retries).  A
+        refusal keeps the old mapping serving: a rewrite that fails its
+        scrub raises :class:`~repro.errors.CorruptionError` (counted in
+        ``corruption_detected_total{layer="engine"}``), one under a foreign
+        specification or with fewer rows :class:`~repro.errors.LabelingError`.
         """
         shard = self._shard(run_id)
         if shard.mapped is None:
-            raise LabelingError(
-                f"run {run_id!r} is a labelled shard; only attached mapped "
-                "shards can be reopened"
-            )
+            return False
         # One remap at a time: two concurrent probes (e.g. two server
         # workers) racing here would both map the fresh file, and the
         # loser's mapping would leak when the winner's swap lands first.
         with self._reopen_lock:
             old = shard.mapped
-            if old.current_generation() == old.generation:
+            try:
+                if run_file_info(old.path).generation == old.generation:
+                    return False
+                # Scrubbed before the swap (only a scrub raises corruption).
+                fresh = self._map(old.path, "attach")
+            except CorruptionError:
+                self._corruption_c.inc()
+                raise
+            except (OSError, SerializationError):
                 return False
-            # The fresh generation is scrubbed *before* the swap: a corrupt
-            # rewrite raises CorruptionError here and the old mapping (the
-            # last good generation) keeps serving untouched.
-            fresh = MappedRunStore(old.path, verify="attach")
-            expected = grammar_fingerprint(self._scheme.index)
-            if fresh.fingerprint and fresh.fingerprint != expected:
-                fresh.close()
-                raise LabelingError(
-                    f"run file {old.path!r} was rewritten under a different "
-                    "specification; refusing to remap"
-                )
-            if (
-                fresh.n_items < old.n_items
-                or fresh.n_paths < old.n_paths
-                or fresh.n_nodes < old.n_nodes
-            ):
+            if any(getattr(fresh, n) < getattr(old, n) for n in ("n_items", "n_paths", "n_nodes")):
                 fresh.close()
                 raise LabelingError(
                     f"run file {old.path!r} shrank across generations; this is "
@@ -423,52 +427,11 @@ class QueryEngine:
             )
             return True
 
-    def maybe_reopen(self, run_id: str = DEFAULT_RUN) -> bool:
-        """Probe an attached shard's file header and remap if it moved on.
-
-        The cheap half of :meth:`reopen` for *follower* processes whose
-        lifecycle manager lives elsewhere: one :func:`~repro.store.run_file_info`
-        header peek decides whether a compacted generation was swapped in
-        under the path, and only then is the file remapped.  Returns ``True``
-        iff the shard was remapped; labelled (non-mapped) shards and probes
-        that race a mid-swap or deleted file return ``False`` instead of
-        raising — the next probe simply tries again.
-        :class:`~repro.serve.ProvenanceServer` calls this on a
-        query-count/time backoff so readers follow compactions without any
-        in-process manager.
-        """
-        shard = self._shard(run_id)
-        if shard.mapped is None:
-            return False
-        try:
-            info = run_file_info(shard.mapped.path)
-        except (OSError, SerializationError):
-            return False
-        if info.generation == shard.mapped.generation:
-            return False
-        try:
-            return self.reopen(run_id)
-        except CorruptionError:
-            # A failed checksum is damage, not a race: the old mapping (the
-            # last good generation) keeps serving, but the caller must hear
-            # about the corrupt rewrite rather than silently retrying it.
-            self._corruption_c.labels("engine").inc()
-            raise
-        except (OSError, SerializationError):
-            # The file vanished or tore between the probe and the remap
-            # (e.g. a compaction swap in flight); the old mapping still
-            # serves and the next probe retries.  reopen's LabelingError
-            # (foreign spec, shrunk file) stays loud — that is corruption,
-            # not a race.
-            return False
-
     def reopen_all(self, path=None) -> list[str]:
-        """Reopen every attached shard whose file gained a generation.
+        """:meth:`reopen` every attached shard (of the file at ``path``, if given).
 
-        ``path`` restricts the sweep to shards mapping that file (the
-        lifecycle manager passes the path it just compacted); spellings are
-        resolved with ``os.path.samefile`` so a shard attached under a
-        relative or symlinked alias of the compacted path is still remapped.
+        Spellings of ``path`` are resolved with ``os.path.samefile``, so a
+        shard attached under a relative or symlinked alias is still found.
         Returns the run ids that were actually remapped.
         """
         target = os.fspath(path) if path is not None else None

@@ -9,7 +9,7 @@ micro-batching scheduler (bounded queue, max-batch + max-linger policy —
 ``(run, view, variant)`` grouping) and returns futures; a per-run
 generation-probe backoff keeps follower processes mapped
 onto the current compacted generation of every run file
-(:meth:`~repro.engine.QueryEngine.maybe_reopen`), and the persistent
+(:meth:`~repro.engine.QueryEngine.reopen`), and the persistent
 hot-matrix cache (:mod:`repro.serve.matrix_cache`) lets a fresh process skip
 the cold decode of the hottest ``(path, path)`` reachability matrices.
 

@@ -23,10 +23,11 @@ micro-batching scheduler:
   the step per ``(kind, run, view, variant)``, concatenates each group's id
   arrays and answers it with a single vectorised ``depends_batch`` /
   ``is_visible_batch`` call, handing every member its slice;
-* after serving a run, the server probes that run's file header on a
+* after serving a run, the server probes that run's file on a
   query-count/time backoff (:class:`ReopenPolicy` ->
-  :meth:`QueryEngine.maybe_reopen`), so a *follower* process remaps onto a
-  compacted generation without any in-process lifecycle manager;
+  :meth:`QueryEngine.reopen`, one header read unless the generation moved
+  on), so a *follower* process remaps onto a compacted generation without
+  any in-process lifecycle manager;
 * :meth:`~ProvenanceServer.attach` also loads the run's persistent
   hot-matrix cache (:mod:`repro.serve.matrix_cache`), so a fresh process
   answers its first queries from warm matrices.
@@ -875,7 +876,7 @@ class ProvenanceServer:
             state[1] = now
         self._probes_c.inc()
         try:
-            reopened = self._engine.maybe_reopen(run)
+            reopened = self._engine.reopen(run)
         except LabelingError as exc:
             if run in self._engine.run_ids:
                 # A registered run failing to remap is a real fault (foreign

@@ -13,9 +13,11 @@ maintenance thread then sweeps the registry on a small interval and
   ``compact_after_segments`` (:func:`repro.store.compact`: merge, verify,
   atomic swap, GC), holding the run's file lock so no checkpoint interleaves
   with the rewrite;
-* **reopens** the engine's attached shards that map a just-compacted path
-  (:meth:`~repro.engine.QueryEngine.reopen_all`), remapping live readers
-  onto the merged generation without a restart.
+* **remaps** the engine's readers of every managed run's file after each
+  sweep and :meth:`RunLifecycleManager.compact_run`
+  (:meth:`~repro.engine.QueryEngine.reopen_all`), per run: a reader that
+  fails keeps its old mapping, leaves the writer's health alone and is
+  retried next sweep.
 
 Checkpointing a run another thread is still appending to is safe — the
 writer snapshots bounded, internally consistent row counts (PR 3) and rows
@@ -316,27 +318,9 @@ class RunLifecycleManager:
         if labeler is None:
             labeler = self._engine.run_labeler(run_id)
         path = os.fspath(path)
-        lease: FileLease | None = None
-        if self._use_leases:
-            lease = FileLease(path, stale_after=self._lease_stale_after)
-            try:
-                lease.acquire()
-            except LeaseHeldError:
-                # Another *process* is this file's writer: refuse loudly.
-                raise
-            except FileNotFoundError:
-                # The file's directory does not exist yet; the first flush
-                # creates it (or fails with its own error) and every flush
-                # retries the acquisition until it sticks.  Other OSErrors
-                # (e.g. a lock file we may not create) stay loud — writing
-                # anyway would silently drop the cross-process guarantee.
-                pass
+        lease = FileLease(path, stale_after=self._lease_stale_after) if self._use_leases else None
+        self._take_lease(lease)
         try:
-            flushed_items = flushed_paths = flushed_nodes = n_segments = 0
-            if os.path.exists(path):
-                info = run_file_info(path)
-                flushed_items, flushed_paths = info.n_items, info.n_paths
-                flushed_nodes, n_segments = info.n_nodes, info.n_segments
             managed = _ManagedRun(
                 run_id=run_id,
                 path=path,
@@ -344,12 +328,12 @@ class RunLifecycleManager:
                 node_table=getattr(labeler.tree, "nodes", None),
                 policy=policy or self._policy,
                 lease=lease,
-                flushed_items=flushed_items,
-                flushed_paths=flushed_paths,
-                flushed_nodes=flushed_nodes,
                 last_flush=self._clock(),
-                n_segments=n_segments,
             )
+            if os.path.exists(path):
+                info = run_file_info(path)
+                managed.flushed_items, managed.flushed_paths = info.n_items, info.n_paths
+                managed.flushed_nodes, managed.n_segments = info.n_nodes, info.n_segments
             with self._lock:
                 if run_id in self._runs:
                     raise LabelingError(f"run {run_id!r} is already managed")
@@ -374,11 +358,7 @@ class RunLifecycleManager:
         error propagates, and the pending delta remains retryable instead
         of silently dropping out of lifecycle management.
         """
-        with self._lock:
-            try:
-                managed = self._runs[run_id]
-            except KeyError:
-                raise LabelingError(f"run {run_id!r} is not managed") from None
+        managed = self._managed(run_id)
         if flush and managed.has_pending():
             self._flush_runs([managed])
         with self._lock:
@@ -474,7 +454,6 @@ class RunLifecycleManager:
             # fallback); finish the sweep, then surface the failure.
             flush_error = exc
         compactions: list[CompactionResult] = []
-        reopened: list[str] = []
         compact_error: Exception | None = None
         for managed in eligible:
             # Re-check: the flush phase may just have quarantined the run.
@@ -489,39 +468,29 @@ class RunLifecycleManager:
                 continue
             if result.compacted:
                 compactions.append(result)
-                reopened.extend(self._engine.reopen_all(managed.path))
-        if reopened:
-            self._reopens_c.inc(len(reopened))
-        if flush_error is not None:
-            raise flush_error
-        if compact_error is not None:
-            raise compact_error
+        reopened, remap_error = self._remap(runs)
+        for error in (flush_error, compact_error, remap_error):
+            if error is not None:
+                raise error
         return SweepResult(checkpoints, compactions, reopened)
 
     def flush(self, run_id: str | None = None) -> list[CheckpointResult]:
         """Checkpoint pending deltas now (one run, or every managed run)."""
-        with self._lock:
-            if run_id is None:
+        if run_id is None:
+            with self._lock:
                 targets = list(self._runs.values())
-            else:
-                try:
-                    targets = [self._runs[run_id]]
-                except KeyError:
-                    raise LabelingError(f"run {run_id!r} is not managed") from None
+        else:
+            targets = [self._managed(run_id)]
         return self._flush_runs([m for m in targets if m.has_pending()])
 
     def compact_run(self, run_id: str) -> CompactionResult:
         """Flush, compact and remap one managed run on demand."""
-        with self._lock:
-            try:
-                managed = self._runs[run_id]
-            except KeyError:
-                raise LabelingError(f"run {run_id!r} is not managed") from None
+        managed = self._managed(run_id)
         self.flush(run_id)
         result = self._compact_managed(managed)
-        if result.compacted:
-            reopened = self._engine.reopen_all(managed.path)
-            self._reopens_c.inc(len(reopened))
+        _, remap_error = self._remap([managed])
+        if remap_error is not None:
+            raise remap_error
         return result
 
     # -- observability -----------------------------------------------------------
@@ -563,33 +532,44 @@ class RunLifecycleManager:
 
     def run_failure(self, run_id: str) -> "Exception | None":
         """The exception behind a managed run's most recent recorded failure."""
-        with self._lock:
-            try:
-                return self._runs[run_id].last_failure
-            except KeyError:
-                raise LabelingError(f"run {run_id!r} is not managed") from None
+        return self._managed(run_id).last_failure
 
     def unquarantine(self, run_id: str) -> None:
         """Clear a run's quarantine and failure streak; sweeps resume at once.
 
         The underlying fault is the operator's to have fixed — if it has
         not been, the run re-earns its quarantine after another
-        ``quarantine_after`` consecutive failures.  Idempotent.
+        ``quarantine_after`` consecutive failures.  Idempotent; the last
+        failure stays readable through :meth:`run_failure`.
         """
-        with self._lock:
-            try:
-                managed = self._runs[run_id]
-            except KeyError:
-                raise LabelingError(f"run {run_id!r} is not managed") from None
-            lifted = managed.quarantined
-            managed.quarantined = False
-            managed.quarantine_reason = None
-            managed.failures = 0
-            managed.next_retry_at = 0.0
-        if lifted:
-            obs_events.emit("unquarantine", run=run_id, reason="operator request")
+        self._mark_healthy(self._managed(run_id), "operator request", succeeded=False)
 
     # -- internals ---------------------------------------------------------------
+
+    def _managed(self, run_id: str) -> _ManagedRun:
+        with self._lock:
+            try:
+                return self._runs[run_id]
+            except KeyError:
+                raise LabelingError(f"run {run_id!r} is not managed") from None
+
+    def _remap(self, runs: list[_ManagedRun]) -> tuple[list[str], "Exception | None"]:
+        """Remap the engine's readers of each run's file; the first failure is returned.
+
+        A reader's failure is not the writer's: it leaves the run's health
+        alone, and the other runs are still remapped.
+        """
+        reopened: list[str] = []
+        first_error: Exception | None = None
+        for managed in runs:
+            try:
+                reopened.extend(self._engine.reopen_all(managed.path))
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+        if reopened:
+            self._reopens_c.inc(len(reopened))
+        return reopened, first_error
 
     def _compaction_due(self, managed: _ManagedRun) -> bool:
         """Whether either compaction trigger (segments, amplification) fires."""
@@ -619,23 +599,20 @@ class RunLifecycleManager:
         managed.amp_clean_segments = managed.n_segments
         return False
 
-    def _ensure_lease(self, managed: _ManagedRun) -> None:
-        """Retry a deferred lease acquisition before writing to the file.
+    @staticmethod
+    def _take_lease(lease: "FileLease | None") -> None:
+        """Acquire a run file's writer lease unless it is held (or disabled).
 
-        Raises :class:`~repro.store.LeaseHeldError` when another process
-        turns out to be the file's writer; ``FileNotFoundError`` (the
-        directory still does not exist) is left for the checkpoint itself
-        to report, while any other acquisition failure stays loud.
+        Only a missing directory is deferred (the first flush creates it and
+        every write retries); :class:`~repro.store.LeaseHeldError` and any
+        other failure stay loud, or the cross-process guarantee would drop.
         """
-        lease = managed.lease
         if lease is None or lease.held:
             return
         try:
             lease.acquire()
-        except LeaseHeldError:
-            raise
         except FileNotFoundError:
-            pass  # directory still missing; the checkpoint reports it
+            pass
 
     def _due(self, managed: _ManagedRun, now: float) -> bool:
         if not managed.has_pending():
@@ -669,7 +646,7 @@ class RunLifecycleManager:
             flushable: list[_ManagedRun] = []
             for managed in due:
                 try:
-                    self._ensure_lease(managed)
+                    self._take_lease(managed.lease)
                 except LeaseHeldError as exc:
                     if lease_error is None:
                         lease_error = exc
@@ -693,11 +670,9 @@ class RunLifecycleManager:
                     # re-raise the first failure once the rest are durable.
                     results = self._flush_individually(flushable, fingerprint)
                 else:
-                    # Record while the file locks are still held: a racing
-                    # flush of the same run must observe the advanced
-                    # watermark, or its header resync followed by our late
-                    # "+= delta" would inflate the counter past the truth
-                    # and silently skip later flushes.
+                    # Record while the file locks are still held, so a
+                    # racing flush of the same run never assigns an older
+                    # header's watermarks after ours.
                     for managed, result in zip(flushable, results):
                         self._record_flush(managed, result)
             if lease_error is not None:
@@ -733,40 +708,33 @@ class RunLifecycleManager:
         return results
 
     def _record_flush(self, managed: _ManagedRun, result: CheckpointResult) -> None:
+        # The header the checkpoint wrote: exact even after a batch that
+        # committed this file but failed on a sibling before reporting.
         now = self._clock()
-        info = None
-        if not result.wrote_segment and managed.has_pending():
-            # A due run that wrote nothing yet still looks pending means our
-            # in-memory watermarks trail the file header (e.g. an earlier
-            # batch committed this file but failed on a sibling before
-            # reporting); resync from the header so the run does not come
-            # due forever.
-            info = run_file_info(managed.path)
         with self._lock:
-            managed.flushed_items += result.delta_items
-            managed.flushed_paths += result.delta_paths
-            managed.flushed_nodes += result.delta_nodes
+            managed.flushed_items = result.n_items
+            managed.flushed_paths = result.n_paths
+            managed.flushed_nodes = result.n_nodes
             managed.last_flush = now
             if result.wrote_segment:
                 managed.n_segments += 1
                 self._checkpoints_c.inc()
-            elif info is not None:
-                managed.flushed_items = max(managed.flushed_items, info.n_items)
-                managed.flushed_paths = max(managed.flushed_paths, info.n_paths)
-                managed.flushed_nodes = max(managed.flushed_nodes, info.n_nodes)
             self._items_flushed_c.inc(result.delta_items)
-            # A durable flush is proof of health: reset the failure streak,
-            # the backoff window, and (for explicit flushes) the quarantine.
-            managed.failures = 0
-            managed.next_retry_at = 0.0
-            managed.last_failure = None
+        self._mark_healthy(managed, "flush succeeded")
+
+    def _mark_healthy(self, managed: _ManagedRun, reason: str, *, succeeded: bool = True) -> None:
+        """Reset a run's failure streak, backoff and quarantine; a success
+        also forgets the last failure (an operator's ``unquarantine`` keeps it)."""
+        with self._lock:
             lifted = managed.quarantined
             managed.quarantined = False
             managed.quarantine_reason = None
+            managed.failures = 0
+            managed.next_retry_at = 0.0
+            if succeeded:
+                managed.last_failure = None
         if lifted:
-            obs_events.emit(
-                "unquarantine", run=managed.run_id, reason="flush succeeded"
-            )
+            obs_events.emit("unquarantine", run=managed.run_id, reason=reason)
 
     def _record_failure(self, managed: _ManagedRun, exc: Exception) -> None:
         """Advance a run's failure streak: next-sweep retry, backoff, quarantine."""
@@ -810,7 +778,7 @@ class RunLifecycleManager:
 
     def _compact_managed(self, managed: _ManagedRun) -> CompactionResult:
         with managed.file_lock:
-            self._ensure_lease(managed)
+            self._take_lease(managed.lease)
             lease = managed.lease if managed.lease is not None and managed.lease.held else None
             result = compact(managed.path, lease=lease, use_lease=self._use_leases)
             if result.compacted:
@@ -821,17 +789,7 @@ class RunLifecycleManager:
                 with self._lock:
                     managed.n_segments = n_segments
                 self._compactions_c.inc()
-            with self._lock:
-                managed.failures = 0
-                managed.next_retry_at = 0.0
-                managed.last_failure = None
-                lifted = managed.quarantined
-                managed.quarantined = False
-                managed.quarantine_reason = None
-        if lifted:
-            obs_events.emit(
-                "unquarantine", run=managed.run_id, reason="compaction succeeded"
-            )
+        self._mark_healthy(managed, "compaction succeeded")
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -43,6 +43,10 @@ class CheckpointResult:
     delta_items: int
     delta_nodes: int
     bytes_written: int
+    #: The header's row totals after this call: the next one's watermarks.
+    n_paths: int
+    n_items: int
+    n_nodes: int
 
     @property
     def wrote_segment(self) -> bool:
@@ -284,6 +288,9 @@ def _commit_checkpoints(pendings: list[_PendingCheckpoint]) -> list[CheckpointRe
             delta_items=advanced.n_items - header.n_items,
             delta_nodes=advanced.n_nodes - header.n_nodes,
             bytes_written=entry.bytes_written,
+            n_paths=advanced.n_paths,
+            n_items=advanced.n_items,
+            n_nodes=advanced.n_nodes,
         )
         results.append(result)
         if result.wrote_segment or result.created:

@@ -637,17 +637,6 @@ class MappedRunStore:
         """The file header this mapping was opened at."""
         return self._header
 
-    def current_generation(self) -> int:
-        """The generation of the file *currently* at ``path`` on disk.
-
-        After :func:`repro.store.compaction.compact` atomically swaps a
-        merged rewrite over the path, this store keeps serving the old inode
-        unchanged; a value greater than :attr:`generation` tells the owner
-        (e.g. :meth:`repro.engine.QueryEngine.reopen`) that remapping onto
-        the compacted file is worthwhile.
-        """
-        return run_file_info(self._path).generation
-
     def extents_per_column(self) -> dict[int, int]:
         """Segment manifest summary: section id -> number of data extents.
 
@@ -743,8 +732,8 @@ def run_file_info(path, *, estimate_amplification: bool = False) -> RunFileInfo:
 
     The lifecycle manager uses this to resume watermark accounting over an
     existing file and to decide when a segment chain is worth compacting;
-    mapped readers use it (via :meth:`MappedRunStore.current_generation`) to
-    detect that a compacted generation has been swapped in under their path.
+    :meth:`repro.engine.QueryEngine.reopen` uses it to detect that a
+    compacted generation has been swapped in under a mapping's path.
 
     With ``estimate_amplification=True`` the per-segment section tables are
     also read (one extra page read per segment) with the same validation a

@@ -1,4 +1,6 @@
-"""Shared fixtures: paper examples, generated workloads, derivation helpers."""
+"""Shared fixtures: paper examples, generated workloads, derivation helpers,
+``ask`` (the one blocking call over the scheduler) and ``publish_generation``
+(a run file's next generation swapped in, intact or damaged)."""
 
 from __future__ import annotations
 
@@ -298,3 +300,52 @@ def kernel_vs_reference():
         return len(keys) - declined, declined
 
     return check
+
+
+@pytest.fixture(scope="session")
+def ask():
+    """``ask(server, kind, ids, view, **where) -> list[bool]``: one frame, waited for.
+
+    :meth:`~repro.serve.ProvenanceServer.submit_batch`, then — on a server
+    with no workers — :meth:`~repro.serve.ProvenanceServer.drain_once` until
+    the frame resolves.  The scheduler keeps no blocking call of its own.
+    """
+
+    def ask(server, kind, ids, view, **where) -> list:
+        future = server.submit_batch(kind, ids, view, **where)
+        while not server.running and not future.done() and server.drain_once():
+            pass
+        return future.result(timeout=30).tolist()
+
+    return ask
+
+
+@pytest.fixture(scope="session")
+def publish_generation():
+    """``publish(run_file, data=None, *, flip=False, **header)``: swap in a next generation.
+
+    ``data`` (the file's own bytes by default) gets its header's generation
+    bumped and any ``header`` fields replaced; ``flip`` inverts one byte in
+    the middle of the largest payload extent, which a scrub must refuse.
+    The result replaces the path the way a compaction swap does — a new
+    inode, so mappings of the old one keep serving it untouched.
+    """
+    import os
+    from dataclasses import replace
+
+    from repro.store import MappedRunStore
+    from repro.store.runfile import HEADER_SIZE, Header
+
+    def publish(run_file, data: "bytes | None" = None, *, flip: bool = False, **header):
+        data = bytearray(run_file.read_bytes() if data is None else data)
+        old = Header.unpack(bytes(data[:HEADER_SIZE]))
+        data[:HEADER_SIZE] = replace(old, generation=old.generation + 1, **header).pack()
+        if flip:
+            with MappedRunStore(run_file) as mapped:
+                extent = max((extent for _, extent in mapped.sections()), key=lambda e: e.nbytes)
+            data[extent.offset + extent.nbytes // 2] ^= 0xFF
+        staged = run_file.with_name(run_file.name + ".staged")
+        staged.write_bytes(bytes(data))
+        os.replace(staged, run_file)
+
+    return publish

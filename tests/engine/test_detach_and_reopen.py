@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import FVLScheme, FVLVariant
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
-from repro.errors import LabelingError
+from repro.errors import CorruptionError, LabelingError
 from repro.model.projection import ViewProjection
 from repro.store import checkpoint_run, compact
 from repro.store.mapped import _ChunkedColumn
@@ -155,8 +157,87 @@ def test_reopen_noop_without_a_new_generation(served):
     engine, _, _, _, run_file = served
     engine.attach(run_file, run_id="disk")
     assert engine.reopen("disk") is False
-    with pytest.raises(LabelingError, match="labelled"):
-        engine.reopen(DEFAULT_RUN)
+    assert engine.reopen(DEFAULT_RUN) is False
+
+
+def _unreadable(run_file, **_):
+    # A new inode, like every swap: the old mapping's pages stay valid.
+    staged = run_file.with_name("staged.fvl")
+    staged.write_bytes(b"not a run file")
+    os.replace(staged, run_file)
+
+
+def _torn(run_file, publish, **_):
+    data = run_file.read_bytes()
+    publish(run_file, data[: len(data) // 2])
+
+
+def _shrunk(run_file, publish, fingerprint, scheme, derivation):
+    """The first half of the served run, published as its next generation."""
+    labeler = RunLabeler(scheme.index)
+    for event in derivation.events[: len(derivation.events) // 2]:
+        labeler(event)
+    prefix = run_file.with_name("prefix.fvl")
+    checkpoint_run(prefix, labeler.store, labeler.tree.nodes)
+    publish(run_file, prefix.read_bytes(), fingerprint=fingerprint)
+
+
+#: row -> (what happens to the file, the run reopened, the outcome).
+_REOPEN_CONTRACT = {
+    "unknown run": (None, "nope", LabelingError),
+    "labelled shard": (None, DEFAULT_RUN, False),
+    "same generation": (None, "disk", False),
+    "header unreadable": (_unreadable, "disk", False),
+    "vanished": (lambda run_file, **_: run_file.unlink(), "disk", False),
+    "torn mid-swap": (_torn, "disk", False),
+    "newer generation": (lambda run_file, publish, **_: publish(run_file), "disk", True),
+    "corrupt rewrite": (
+        lambda run_file, publish, **_: publish(run_file, flip=True),
+        "disk",
+        CorruptionError,
+    ),
+    "foreign specification": (
+        lambda run_file, publish, fingerprint, **_: publish(run_file, fingerprint=fingerprint ^ 1 or 2),
+        "disk",
+        LabelingError,
+    ),
+    "shrunk file": (_shrunk, "disk", LabelingError),
+}
+
+
+@pytest.mark.parametrize("row", list(_REOPEN_CONTRACT))
+def test_reopen_contract(served, scheme, publish_generation, row):
+    """Every outcome of ``reopen``; whatever is refused, the old mapping serves on."""
+    engine, derivation, view, pairs, run_file = served
+    rewrite, run, outcome = _REOPEN_CONTRACT[row]
+    old = engine.attach(run_file, run_id="disk")
+    arena = engine.shard_arena("disk")
+    expected = engine.depends_batch(pairs, view)
+    assert engine.depends_batch(pairs, view, run="disk") == expected
+    corruption = _engine_corruption(engine)
+    if rewrite is not None:
+        rewrite(
+            run_file,
+            publish=publish_generation,
+            fingerprint=old.fingerprint,
+            scheme=scheme,
+            derivation=derivation,
+        )
+    if isinstance(outcome, bool):
+        assert engine.reopen(run) is outcome
+    else:
+        with pytest.raises(outcome):
+            engine.reopen(run)
+    assert _engine_corruption(engine) == corruption + (outcome is CorruptionError)
+    mapped = engine.mapped_store("disk")
+    assert (mapped is not old) is (outcome is True)
+    assert mapped.generation == (1 if outcome is True else 0)
+    assert engine.shard_arena("disk") == arena
+    assert engine.depends_batch(pairs, view, run="disk") == expected
+
+
+def _engine_corruption(engine) -> int:
+    return engine.metrics.snapshot().get("corruption_detected_total", {}).get(("engine",), 0)
 
 
 def test_reopen_preserves_decode_cache_and_answers(scheme, spec, tmp_path):

@@ -439,7 +439,7 @@ def test_warm_attach_labels_nothing_and_renders_one_fingerprint(hot, monkeypatch
     for _ in range(3):  # attach, the reopen probe, a save, a detach: one index, one rendering
         _, warmed = server.attach(run_file)
         assert warmed > 0 and server.last_warm_error is None
-        assert engine.maybe_reopen() is False
+        assert engine.reopen() is False
         server.save_matrix_cache()
         engine.detach(DEFAULT_RUN)
     assert len(rendered) == 1

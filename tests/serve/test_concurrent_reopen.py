@@ -1,4 +1,4 @@
-"""Generation-probe reopen under live traffic (serve + engine.maybe_reopen).
+"""Generation-probe reopen under live traffic (serve + engine.reopen).
 
 The ISSUE-5 follower contract: a reader process serving coalesced batches
 through :class:`ProvenanceServer` must follow a writer's compaction — via
@@ -53,28 +53,16 @@ def segmented(scheme, spec, tmp_path):
     return run_file, view, pairs, expected
 
 
-def test_maybe_reopen_probes_and_remaps(segmented, scheme):
+def test_reopen_probes_and_remaps(segmented, scheme):
     run_file, view, pairs, expected = segmented
     engine = QueryEngine(scheme)
     engine.attach(run_file)
-    assert engine.maybe_reopen() is False  # same generation: a no-op probe
+    assert engine.reopen() is False  # same generation: a no-op probe
     assert compact(run_file).compacted
-    assert engine.maybe_reopen() is True
+    assert engine.reopen() is True
     assert engine.mapped_store().generation == 1
     assert engine.depends_batch(pairs, view) == expected
-    assert engine.maybe_reopen() is False
-
-
-def test_maybe_reopen_is_false_for_labelled_and_vanished_shards(
-    segmented, scheme, spec
-):
-    run_file, view, pairs, expected = segmented
-    engine = QueryEngine(scheme)
-    engine.add_run("labelled", random_run(spec, 50, seed=54))
-    assert engine.maybe_reopen("labelled") is False
-    engine.attach(run_file)
-    run_file.unlink()  # mid-swap / deleted file: probe declines, no raise
-    assert engine.maybe_reopen() is False
+    assert engine.reopen() is False
 
 
 def test_server_probe_follows_compaction_on_query_backoff(segmented, scheme, ask):

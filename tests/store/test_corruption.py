@@ -246,7 +246,7 @@ def test_engine_serves_last_good_generation_after_on_disk_corruption(
     assert engine.depends_batch(pairs, view) == expected
 
 
-def test_maybe_reopen_stays_loud_on_corruption(scheme, spec, tmp_path):
+def test_reopen_stays_loud_on_corruption(scheme, spec, tmp_path):
     derivation = random_run(spec, 150, seed=82)
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
@@ -255,10 +255,10 @@ def test_maybe_reopen_stays_loud_on_corruption(scheme, spec, tmp_path):
     engine = QueryEngine(scheme)
     engine.attach(run_file, verify="attach")
 
-    # Fake a newer generation so maybe_reopen actually attempts the remap,
+    # Fake a newer generation so reopen actually attempts the remap,
     # then corrupt a payload byte: the remap must raise, not return False.
     _bump_generation(run_file)
     name, offset, nbytes, _crc = max(_payload_extents(run_file), key=lambda e: e[2])
     _flip_byte(run_file, offset + nbytes // 2)
     with pytest.raises(CorruptionError):
-        engine.maybe_reopen(DEFAULT_RUN)
+        engine.reopen(DEFAULT_RUN)

@@ -7,12 +7,14 @@ every backticked ``Class.attr`` of a class that ``repro``, ``repro.serve`` or
 (:func:`pkgutil.resolve_name`: the longest importable prefix, then
 attributes; a dataclass field counts as an attribute) — so deleting or
 renaming a module or a method fails here until the prose that cites it is
-re-trued.
+re-trued.  README's metrics table is held to the metrics registry of a whole
+stack (engine, server, net server, lifecycle manager, watchdog) both ways.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import importlib
 import importlib.util
 import inspect
@@ -82,3 +84,40 @@ def test_backticked_methods_resolve(doc, member):
     cls = CLASSES[name]
     fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
     assert hasattr(cls, attr) or attr in fields, f"{doc} cites `{member}`, which does not resolve"
+
+
+def _metrics_table() -> list[str]:
+    """The family names (or ``*`` patterns) README's metrics table lists, in order."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == "| Family (labels) | What it counts |")
+    names = []
+    for line in lines[start + 2 :]:
+        if not line.strip().startswith("|"):
+            break
+        first_cell = line.strip().split("|")[1]
+        names += re.findall(r"`([a-z_*]+)(?:\{[^}`]*\})?`", first_cell)
+    return names
+
+
+def test_readme_metrics_table_is_the_registry(tmp_path):
+    """Every family the table names is registered, and every registered one is named."""
+    from repro import CheckpointPolicy, QueryEngine, RunLifecycleManager
+    from repro.net import ProvenanceNetServer
+    from repro.serve import ProvenanceServer
+    from repro.workloads import build_running_example
+
+    engine = QueryEngine(build_running_example())
+    server = ProvenanceServer(engine)
+    ProvenanceNetServer(server, unix_path=tmp_path / "net.sock")  # registers; never binds
+    RunLifecycleManager(engine, policy=CheckpointPolicy())
+    server.attach_watchdog(start=False)
+    registered = set(engine.metrics.families())
+
+    documented = _metrics_table()
+    assert len(documented) > 30
+    for pattern in documented:
+        assert fnmatch.filter(registered, pattern), f"README's metrics table names `{pattern}`, never registered"
+    for family in sorted(registered):
+        assert any(fnmatch.fnmatchcase(family, p) for p in documented), (
+            f"`{family}` is registered but missing from README's metrics table"
+        )
