@@ -40,6 +40,8 @@ import tempfile
 import textwrap
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import sample_query_pairs  # noqa: E402
@@ -200,7 +202,7 @@ def phase_bit_flip(scheme, spec, tmp: str) -> None:
     fresh.attach(path, verify="attach")
     fresh.add_view(view)
     expect(
-        fresh.depends_batch(pairs, view) == expected,
+        np.array_equal(fresh.depends_batch(pairs, view), expected),
         "restored file no longer answers bit-identically",
     )
 
@@ -225,7 +227,7 @@ def phase_bit_flip(scheme, spec, tmp: str) -> None:
     counted = server.metrics.snapshot()["corruption_detected_total"]
     expect(counted.get(("hotmx",)) == 1, f"flipped .hotmx byte not counted: {counted}")
     expect(
-        engine.depends_batch(pairs, view) == expected,
+        np.array_equal(engine.depends_batch(pairs, view), expected),
         "cold attach over a corrupt .hotmx no longer answers bit-identically",
     )
     engine.detach(DEFAULT_RUN)
@@ -238,7 +240,7 @@ def phase_bit_flip(scheme, spec, tmp: str) -> None:
         f"restored .hotmx warmed {warmed} of {entries} rows ({server.last_warm_error!r})",
     )
     expect(
-        engine.depends_batch(pairs, view) == expected,
+        np.array_equal(engine.depends_batch(pairs, view), expected),
         "warm attach over the restored .hotmx no longer answers bit-identically",
     )
 
@@ -336,12 +338,13 @@ def phase_serving_under_fire(scheme, spec, tmp: str) -> dict:
 
         with ProvenanceClient(unix_path=sock, retries=8) as client:
             expect(
-                client.depends_batch(pairs, view.name) == expected,
+                np.array_equal(client.depends_batch(pairs, view.name), expected),
                 "follower answers diverge from the leader's mapping",
             )
             expect(
-                client.is_visible_batch(flushed_items, view.name)
-                == expected_visible,
+                np.array_equal(
+                    client.is_visible_batch(flushed_items, view.name), expected_visible
+                ),
                 "follower visibility diverges from the leader's mapping",
             )
 
@@ -362,7 +365,7 @@ def phase_serving_under_fire(scheme, spec, tmp: str) -> dict:
                 "poisoned client connection was returned to the pool",
             )
             expect(
-                client.depends_batch(pairs, view.name) == expected,
+                np.array_equal(client.depends_batch(pairs, view.name), expected),
                 "client did not recover after the discarded connection",
             )
             summary["client_fault_recovered"] = True
@@ -401,7 +404,7 @@ def phase_serving_under_fire(scheme, spec, tmp: str) -> dict:
             reopens = 0
             while time.monotonic() < deadline:
                 expect(
-                    client.depends_batch(pairs, view.name) == expected,
+                    np.array_equal(client.depends_batch(pairs, view.name), expected),
                     "follower diverged while remapping the compacted file",
                 )
                 reopens = client.server_stats()["server"]["reopens"]
@@ -410,9 +413,10 @@ def phase_serving_under_fire(scheme, spec, tmp: str) -> dict:
                 time.sleep(0.05)
             expect(reopens >= 1, "follower never remapped the compacted file")
             expect(
-                client.depends_batch(pairs, view.name) == expected
-                and client.is_visible_batch(flushed_items, view.name)
-                == expected_visible,
+                np.array_equal(client.depends_batch(pairs, view.name), expected)
+                and np.array_equal(
+                    client.is_visible_batch(flushed_items, view.name), expected_visible
+                ),
                 "follower answers diverge after the reopen",
             )
             stats = client.server_stats()

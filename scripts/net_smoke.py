@@ -30,6 +30,8 @@ import textwrap
 import threading
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import sample_query_pairs  # noqa: E402
@@ -145,7 +147,10 @@ def main() -> int:
                         for _ in range(N_ROUNDS):
                             answers = cli.depends_batch(pairs, view.name)
                             visible = cli.is_visible_batch(items, view.name)
-                            if answers != expected or visible != expected_visible:
+                            if not (
+                                np.array_equal(answers, expected)
+                                and np.array_equal(visible, expected_visible)
+                            ):
                                 mismatches.append(index)
                                 return
                             # Singleton helpers ride the same wire.
@@ -206,7 +211,7 @@ def main() -> int:
                     sheds += 1
             # ...and the live socket next door is entirely unaffected.
             with ProvenanceClient(unix_path=live_sock) as cli:
-                assert cli.depends_batch(pairs[:50], view.name) == expected[:50]
+                assert np.array_equal(cli.depends_batch(pairs[:50], view.name), expected[:50])
             filler.close()
             fill_done.wait(10.0)
 

@@ -44,6 +44,8 @@ import tempfile
 import textwrap
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import sample_query_pairs  # noqa: E402
@@ -270,7 +272,7 @@ def main() -> int:
 
                 # Bit-identical answers after the storm.
                 after = cli.depends_batch(pairs, view.name)
-                assert after == before, "answers changed across the storm"
+                assert np.array_equal(after, before), "answers changed across the storm"
 
             # -- dashboard snapshot against the still-live server -----------
             dash = subprocess.run(

@@ -23,6 +23,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import sample_query_pairs  # noqa: E402
@@ -55,8 +57,8 @@ def check_persistence(scheme, derivation, view, pairs, expected) -> int:
         assert mapped.n_segments == 2
         assert mapped.n_items == derivation.run.n_data_items
         got = served.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
-        if got != expected:
-            mismatches = sum(1 for a, b in zip(got, expected) if a != b)
+        if not np.array_equal(got, expected):
+            mismatches = int(np.count_nonzero(got != expected))
             print(f"FAIL: {mismatches}/{len(pairs)} answers differ after mmap reload")
             return 1
         # Sanity: node columns survived too.
@@ -99,7 +101,7 @@ def check_lifecycle(scheme, derivation, view, pairs, expected) -> int:
         assert max(mapped.extents_per_column().values()) > 1
         before = reader.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
         visible_before = reader.is_visible_batch(visible_uids, view)
-        if before != expected:
+        if not np.array_equal(before, expected):
             print("FAIL: segmented lifecycle shard diverges from reference")
             return 1
 
@@ -112,7 +114,9 @@ def check_lifecycle(scheme, derivation, view, pairs, expected) -> int:
         assert max(shard.extents_per_column().values()) == 1
         after = reader.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
         visible_after = reader.is_visible_batch(visible_uids, view)
-        if after != expected or visible_after != visible_before:
+        if not (
+            np.array_equal(after, expected) and np.array_equal(visible_after, visible_before)
+        ):
             print("FAIL: answers changed across compaction + reopen")
             return 1
         assert not glob.glob(run_file + ".compact-*"), "superseded temps not GC'd"

@@ -30,6 +30,8 @@ import textwrap
 import threading
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import sample_query_pairs  # noqa: E402
@@ -154,9 +156,12 @@ def main() -> int:
                         # 1-pair frames, so the linger has singletons to coalesce.
                         futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
                         visible = [server.submit_batch("visible", [uid], view) for uid in items]
-                        answers = [bool(f.result(timeout=60)[0]) for f in futures]
-                        visible_answers = [bool(f.result(timeout=60)[0]) for f in visible]
-                        if answers != expected or visible_answers != expected_visible:
+                        answers = np.concatenate([f.result(timeout=60) for f in futures])
+                        visible_answers = np.concatenate([f.result(timeout=60) for f in visible])
+                        if not (
+                            np.array_equal(answers, expected)
+                            and np.array_equal(visible_answers, expected_visible)
+                        ):
                             mismatches.append(index)
                             return
                 except Exception as exc:

@@ -246,8 +246,8 @@ def _rows_visible(store, view_label, rows: np.ndarray, flags: "np.ndarray | None
     return side[: rows.size] & side[rows.size :]
 
 
-def visible_batch(store, view_label, uids, *, flags: "np.ndarray | None" = None) -> list[bool]:
-    """Visibility of the given items, answered from packed columns alone.
+def visible_batch(store, view_label, uids, *, flags: "np.ndarray | None" = None) -> np.ndarray:
+    """Visibility of the given items as an ``(n,)`` bool array, from packed columns alone.
 
     Gathers each item's ``(producer_path_id, consumer_path_id)`` and looks
     both up in the per-path flags of :func:`path_visibility` — no
@@ -259,7 +259,7 @@ def visible_batch(store, view_label, uids, *, flags: "np.ndarray | None" = None)
     :func:`path_visibility` for the same table and view.
     """
     rows = store.rows_for(np.asarray(uids, dtype=np.int64))
-    return _rows_visible(store, view_label, rows, flags).tolist()
+    return _rows_visible(store, view_label, rows, flags)
 
 
 def visible_mask(store, view_label) -> np.ndarray:

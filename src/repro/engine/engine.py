@@ -9,9 +9,10 @@ reachability queries in batches:
 * ``is_visible_batch(uids, view)`` — the visibility of many items in one
   view of one run.
 
+A batch's answer is one ``(n,)`` ``bool`` array in input order.
 ``depends`` and ``is_visible`` are one-line single-query wrappers over the
-two; a workload spanning several runs or views is one batch call per
-``(run, view, variant)`` group.
+two that return a Python ``bool``; a workload spanning several runs or views
+is one batch call per ``(run, view, variant)`` group.
 
 This module keeps registration, shard lifecycle, view-state caching and
 stats; how a batch is evaluated — one gather, one group-by-path-pair
@@ -519,7 +520,7 @@ class QueryEngine:
         variant: "FVLVariant | str | None" = None,
     ) -> bool:
         """Single-pair convenience wrapper over :meth:`depends_batch`."""
-        return self.depends_batch([(d1, d2)], view, run=run, variant=variant)[0]
+        return bool(self.depends_batch([(d1, d2)], view, run=run, variant=variant)[0])
 
     def depends_batch(
         self,
@@ -528,11 +529,12 @@ class QueryEngine:
         *,
         run: str = DEFAULT_RUN,
         variant: "FVLVariant | str | None" = None,
-    ) -> list[bool]:
+    ) -> np.ndarray:
         """Answer ``pairs`` of ``(d1, d2)`` item ids against one view of one run.
 
-        Results line up with ``pairs``: ``result[i]`` is ``True`` iff item
-        ``pairs[i][1]`` depends on ``pairs[i][0]`` in ``view``.  ``pairs`` is
+        Returns an ``(n,)`` ``bool`` array lined up with ``pairs``:
+        ``result[i]`` is ``True`` iff item ``pairs[i][1]`` depends on
+        ``pairs[i][0]`` in ``view``.  ``pairs`` is
         a sequence of pairs or an ``(n, 2)`` integer array; an array feeds
         :mod:`repro.engine.evaluate` as is.
         """
@@ -551,7 +553,7 @@ class QueryEngine:
         variant: "FVLVariant | str | None" = None,
     ) -> bool:
         """Single-item convenience wrapper over :meth:`is_visible_batch`."""
-        return self.is_visible_batch([uid], view, run=run, variant=variant)[0]
+        return bool(self.is_visible_batch([uid], view, run=run, variant=variant)[0])
 
     def is_visible_batch(
         self,
@@ -560,14 +562,15 @@ class QueryEngine:
         *,
         run: str = DEFAULT_RUN,
         variant: "FVLVariant | str | None" = None,
-    ) -> list[bool]:
+    ) -> np.ndarray:
         """Visibility (Section 5) of many items in one view of one run.
 
-        Answered from the packed label columns of live, compacted and
-        attached runs alike: the retained-production test is folded **once
-        per decoded view** over the path trie (the flags are memoized per
-        arena and merely extended when the trie has grown) and each item
-        costs one gathered row and two flag lookups — no
+        Returns an ``(n,)`` ``bool`` array lined up with ``uids``, answered
+        from the packed label columns of live, compacted and attached runs
+        alike: the retained-production test is folded **once per decoded
+        view** over the path trie (the flags are memoized per arena and
+        merely extended when the trie has grown) and each item costs one
+        gathered row and two flag lookups — no
         :class:`~repro.core.labels.DataLabel` objects.  ``uids`` may be an
         ``(n,)`` integer array.
         """
@@ -771,7 +774,7 @@ class QueryEngine:
         shard: _RunShard,
         state: DecodedViewState,
         pairs: "list[tuple[int, int]] | np.ndarray",
-    ) -> list[bool]:
+    ) -> np.ndarray:
         self._batches_c.inc()
         self._note_queries(shard, state, "depends", len(pairs))
         t0 = time.perf_counter()

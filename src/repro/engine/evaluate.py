@@ -26,6 +26,8 @@ evaluated the same way, as whole-array operations from gather to answer:
    answers every pair — each from the ``(row, column)`` ports of its case —
    and one scatter puts the bits in place.
 
+The array that scatter filled is the answer: an ``(n,)`` ``bool`` array in
+pairs order, handed up through the engine, the scheduler and the wire as is.
 A warm batch executes no Python per pair or per group, boundary pairs
 included.  Every variant the engine accepts takes this pipeline; a coarse
 view's uniform matrices are settled by the kernel as verdict rows, which is
@@ -54,17 +56,18 @@ from repro.obs.trace import trace_span
 __all__ = ["depends_grouped"]
 
 
-def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[list[bool], int, int]:
+def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, int, int]:
     """Answer ``pairs`` against one decoded view; see the module docstring.
 
     ``arena`` names the store's path-id namespace in ``state.decode_cache``
     and ``trie()`` returns its ``(parent, packed, c)`` columns as arrays (it
-    is only called when a key has to be decided).  Returns the answers and
-    how many pairs were answered from a verdict row and from a matrix row.
+    is only called when a key has to be decided).  Returns the ``(n,)`` bool
+    answers and how many pairs were answered from a verdict row and from a
+    matrix row.
     """
     ids = np.asarray(pairs, dtype=np.int64)
     if ids.size == 0:
-        return [], 0, 0
+        return np.zeros(0, dtype=bool), 0, 0
     if ids.ndim != 2 or ids.shape[1] != 2:
         raise ValueError(f"expected (d1, d2) pairs, got an array of shape {ids.shape}")
     # Interleaved (d1, d2, d1, d2, ...), so the first unlabelled uid in pair
@@ -83,7 +86,7 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[list[bool], 
     if grouped.all():
         grouped = slice(None)  # views below, not copies
     elif not grouped.any():
-        return answers.tolist(), 0, 0
+        return answers, 0, 0
     left, right, ids = left[grouped], right[grouped], ids[grouped]
     # 0-based matrix entries of each pair: (output port of d1, input port of d2).
     x, y = producer_port[0::2][grouped] - 1, consumer_port[1::2][grouped] - 1
@@ -130,7 +133,7 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[list[bool], 
                 "matrix_pairs": matrix_n,
             }
     answers[grouped] = bits
-    return answers.tolist(), structural_n, matrix_n
+    return answers, structural_n, matrix_n
 
 
 def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:

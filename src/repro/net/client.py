@@ -269,7 +269,8 @@ class ProvenanceClient:
 
     # -- one round trip ----------------------------------------------------------
 
-    def _round_trip(self, frame: bytes):
+    def _round_trip(self, frame: bytes, request_id: int, n: "int | None"):
+        """Send ``frame`` and return the reply to ``request_id`` (``n`` queries, if a query)."""
         conn = self._borrow()
         broken = True
         try:
@@ -290,11 +291,13 @@ class ProvenanceClient:
                         raise SerializationError(
                             "unexpected extra reply frames on a pooled connection"
                         )
-                    # Decode *before* declaring the connection healthy: a
-                    # frame that fails to decode leaves the stream's trust
-                    # gone just like a short read would, and the connection
-                    # must be discarded, never returned to the pool.
+                    # Decode and match *before* declaring the connection
+                    # healthy: a frame that fails to decode, or answers
+                    # another request, leaves the stream's trust gone just
+                    # like a short read would, and the connection must be
+                    # discarded, never returned to the pool.
                     reply = _decode_reply(frames[0])
+                    _check_reply(reply, request_id, n)
                     broken = False
                     return reply
         finally:
@@ -357,19 +360,22 @@ class ProvenanceClient:
         delay = min(self._backoff_cap_s, max(hint, grown))
         return delay * (0.5 + self._rng.random())  # jitter factor in [0.5, 1.5)
 
-    def _ask(self, frame_for):
+    def _ask(self, frame_for, n: "int | None" = None):
         """Send (re-encoding per attempt for fresh request ids) with shed retries.
 
-        Retries back off exponentially (jittered, hint-floored, capped) under
-        a total ``retry_budget_s`` deadline; persistent shedding trips the
-        client-wide circuit breaker checked on entry.
+        ``n`` is the query count of a ``depends`` / ``visible`` frame, which
+        an answers reply must match.  Retries back off exponentially
+        (jittered, hint-floored, capped) under a total ``retry_budget_s``
+        deadline; persistent shedding trips the client-wide circuit breaker
+        checked on entry.
         """
         probing = self._check_breaker()
         attempts = self._retries + 1
         deadline = self._clock() + self._retry_budget_s
         try:
             for attempt in range(attempts):
-                reply = self._round_trip(frame_for(next(self._request_ids)))
+                request_id = next(self._request_ids)
+                reply = self._round_trip(frame_for(request_id), request_id, n)
                 if isinstance(reply, ShedReply):
                     self._note_shed(reply)
                     probing = False  # the probe's outcome is now recorded
@@ -404,33 +410,41 @@ class ProvenanceClient:
         return (self._trace_base + next(self._trace_seq)) % (1 << 64)
 
     def depends_batch(self, pairs, view: str, *, run: str = DEFAULT_RUN,
-                      variant=None) -> "list[bool]":
-        """Answer ``depends`` for every ``(d1, d2)`` pair in one frame."""
+                      variant=None) -> np.ndarray:
+        """Answer ``depends`` for every ``(d1, d2)`` pair in one frame.
+
+        Returns the reply's ``(n,)`` bool array, lined up with ``pairs``.
+        """
         ids = np.asarray(pairs, dtype=np.int64)
         if ids.size == 0:
-            return []
+            return np.zeros(0, dtype=bool)
         variant_key = getattr(variant, "value", variant)
         trace_id = self._next_trace_id()
         reply = self._ask(
             lambda rid: encode_depends_request(
                 rid, run, view, variant_key, ids, trace_id=trace_id
-            )
+            ),
+            len(ids),
         )
         assert isinstance(reply, AnswersReply)
         return reply.answers
 
     def is_visible_batch(self, uids, view: str, *, run: str = DEFAULT_RUN,
-                         variant=None) -> "list[bool]":
-        """Answer ``is_visible`` for every uid in one frame."""
+                         variant=None) -> np.ndarray:
+        """Answer ``is_visible`` for every uid in one frame.
+
+        Returns the reply's ``(n,)`` bool array, lined up with ``uids``.
+        """
         ids = np.asarray(uids, dtype=np.int64)
         if ids.size == 0:
-            return []
+            return np.zeros(0, dtype=bool)
         variant_key = getattr(variant, "value", variant)
         trace_id = self._next_trace_id()
         reply = self._ask(
             lambda rid: encode_visible_request(
                 rid, run, view, variant_key, ids, trace_id=trace_id
-            )
+            ),
+            len(ids),
         )
         assert isinstance(reply, AnswersReply)
         return reply.answers
@@ -502,7 +516,7 @@ class ProvenanceClient:
             )
         if buffer.error is not None:
             raise buffer.error
-        return buffer.answers[index]
+        return bool(buffer.answers[index])
 
     def _flush(self, kind: str, key, buffer: "_CoalesceBuffer") -> None:
         _, run, view, variant_key = key
@@ -526,11 +540,29 @@ class ProvenanceClient:
         return f"ProvenanceClient({target!r}, pool_size={self._pool_size})"
 
 
+def _check_reply(reply, request_id: int, n: "int | None") -> None:
+    """Raise unless ``reply`` answers request ``request_id`` of ``n`` queries.
+
+    An error reply may carry id 0: the server's answer to a frame it could
+    not decode, whose id it never read.
+    """
+    if reply.request_id != request_id and not (
+        isinstance(reply, ErrorReply) and reply.request_id == 0
+    ):
+        raise SerializationError(
+            f"reply to request {reply.request_id} on a connection awaiting request {request_id}"
+        )
+    if isinstance(reply, AnswersReply) and len(reply.answers) != n:
+        raise SerializationError(
+            f"{len(reply.answers)} answers to request {request_id} of {n} queries"
+        )
+
+
 class _CoalesceBuffer:
     __slots__ = ("items", "answers", "error", "done")
 
     def __init__(self) -> None:
         self.items: list = []
-        self.answers: "list[bool]" = []
+        self.answers: "np.ndarray | None" = None
         self.error: "BaseException | None" = None
         self.done = threading.Event()

@@ -24,8 +24,11 @@ metrics   := <u8 0x85> <u32 request-id> <u32 text-len> <text utf-8>
 ``visible`` payloads are plain uid arrays.  An empty ``variant`` string
 means "the server's default variant".  Answers come back as bit-packed
 booleans (``numpy.packbits`` order), so a 4096-query response body is 512
-bytes.  The only JSON on the wire is the stats/health endpoint — cold path,
-human-shaped data.  Its payload doubles as the health surface: top-level
+bytes: the server packs the engine's bool array and the client unpacks it
+into one ``(n,)`` bool array, with no object per bit on either side.  Every
+reply decodes exactly: bytes after a reply's last field are an error, as
+after a request's id array.  The only JSON on the wire is the stats/health
+endpoint — cold path, human-shaped data.  Its payload doubles as the health surface: top-level
 ``status`` is ``"ok"`` or (when the server's watchdog has SLOs firing)
 ``"degraded"``, ``alerts`` lists the firing SLOs, and ``top_costs`` ranks
 the costliest (run, view, variant) groups of the ``cost_seconds_total``
@@ -152,7 +155,7 @@ class MetricsRequest:
 @dataclass(frozen=True)
 class AnswersReply:
     request_id: int
-    answers: "list[bool]"
+    answers: np.ndarray  # (n,) bool, in request order
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,9 @@ def encode_metrics_request(request_id: int) -> bytes:
     return _frame(_REQUEST.pack(OP_METRICS, request_id, 0, 0, 0, 0))
 
 
-def encode_answers(request_id: int, answers) -> bytes:
-    bits = np.packbits(np.asarray(answers, dtype=bool))
+def encode_answers(request_id: int, answers: np.ndarray) -> bytes:
+    """One answers frame: the ``(n,)`` bool array, bit-packed."""
+    bits = np.packbits(answers)
     return _frame(_ANSWERS.pack(RESP_ANSWERS, request_id, len(answers)), bits.tobytes())
 
 
@@ -309,6 +313,11 @@ class _Cursor:
         except UnicodeDecodeError as exc:
             raise SerializationError(f"bad UTF-8 in protocol frame: {exc}") from exc
 
+    def finish(self, what: str) -> None:
+        """Raise unless every byte of the payload was consumed."""
+        if self.offset != len(self.payload):
+            raise SerializationError(f"trailing bytes after {what}")
+
 
 def decode_request(payload: bytes) -> "QueryRequest | StatsRequest | MetricsRequest":
     """Decode one request payload (the bytes after the length prefix)."""
@@ -332,8 +341,7 @@ def decode_request(payload: bytes) -> "QueryRequest | StatsRequest | MetricsRequ
     variant = cursor.text(variant_len) or None
     width = 2 if op == OP_DEPENDS else 1
     raw = cursor.take(n * width * _ID_DTYPE.itemsize)
-    if cursor.offset != len(payload):
-        raise SerializationError("trailing bytes after the request's id array")
+    cursor.finish("the request's id array")
     ids = np.frombuffer(raw, dtype=_ID_DTYPE)
     if op == OP_DEPENDS:
         ids = ids.reshape(n, 2)
@@ -348,25 +356,27 @@ def decode_reply(payload: bytes):
     cursor = _Cursor(payload)
     if op == RESP_ANSWERS:
         _, request_id, n = cursor.unpack(_ANSWERS)
-        raw = cursor.take((n + 7) // 8)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n)
-        return AnswersReply(request_id, [bool(b) for b in bits])
-    if op == RESP_SHED:
+        raw = np.frombuffer(cursor.take((n + 7) // 8), dtype=np.uint8)
+        reply = AnswersReply(request_id, np.unpackbits(raw, count=n).view(bool))
+    elif op == RESP_SHED:
         _, request_id, retry_after_s, queue_depth = cursor.unpack(_SHED)
-        return ShedReply(request_id, retry_after_s, queue_depth)
-    if op == RESP_ERROR:
+        reply = ShedReply(request_id, retry_after_s, queue_depth)
+    elif op == RESP_ERROR:
         _, request_id, kind_len, message_len = cursor.unpack(_ERROR)
-        return ErrorReply(request_id, cursor.text(kind_len), cursor.text(message_len))
-    if op == RESP_STATS:
+        reply = ErrorReply(request_id, cursor.text(kind_len), cursor.text(message_len))
+    elif op == RESP_STATS:
         _, request_id, json_len = cursor.unpack(_STATS)
         try:
-            return StatsReply(request_id, json.loads(cursor.take(json_len)))
+            reply = StatsReply(request_id, json.loads(cursor.take(json_len)))
         except ValueError as exc:
             raise SerializationError(f"corrupt stats reply: {exc}") from exc
-    if op == RESP_METRICS:
+    elif op == RESP_METRICS:
         _, request_id, text_len = cursor.unpack(_METRICS)
-        return MetricsReply(request_id, cursor.text(text_len))
-    raise SerializationError(f"unknown reply opcode 0x{op:02x}")
+        reply = MetricsReply(request_id, cursor.text(text_len))
+    else:
+        raise SerializationError(f"unknown reply opcode 0x{op:02x}")
+    cursor.finish("the reply's last field")
+    return reply
 
 
 class FrameAssembler:

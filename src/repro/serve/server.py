@@ -852,10 +852,9 @@ class ProvenanceServer:
             answers = call(ids, first.view, run=key[1], variant=first.variant)
         finally:
             self._engine_calls_c.inc()
-        bits = np.asarray(answers, dtype=bool)
         offset = 0
         for member in members:
-            _safe_set_result(member.future, bits[offset : offset + member.n])
+            _safe_set_result(member.future, answers[offset : offset + member.n])
             offset += member.n
 
     def _note_served(self, run: str, count: int) -> None:

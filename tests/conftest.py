@@ -295,7 +295,7 @@ def kernel_vs_reference():
         if answered:
             batch = np.asarray([pair for pair, _ in answered], dtype=np.int64)
             bits = [bit for _, bit in answered]
-            assert engine.depends_batch(batch, view, variant=variant) == bits
+            assert engine.depends_batch(batch, view, variant=variant).tolist() == bits
         declined = int(np.count_nonzero(outcome == REFERENCE))
         return len(keys) - declined, declined
 
@@ -304,18 +304,19 @@ def kernel_vs_reference():
 
 @pytest.fixture(scope="session")
 def ask():
-    """``ask(server, kind, ids, view, **where) -> list[bool]``: one frame, waited for.
+    """``ask(server, kind, ids, view, **where) -> np.ndarray``: one frame, waited for.
 
     :meth:`~repro.serve.ProvenanceServer.submit_batch`, then — on a server
     with no workers — :meth:`~repro.serve.ProvenanceServer.drain_once` until
-    the frame resolves.  The scheduler keeps no blocking call of its own.
+    the frame resolves to its bool array.  The scheduler keeps no blocking
+    call of its own.
     """
 
-    def ask(server, kind, ids, view, **where) -> list:
+    def ask(server, kind, ids, view, **where):
         future = server.submit_batch(kind, ids, view, **where)
         while not server.running and not future.done() and server.drain_once():
             pass
-        return future.result(timeout=30).tolist()
+        return future.result(timeout=30)
 
     return ask
 

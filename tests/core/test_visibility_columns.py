@@ -44,11 +44,11 @@ def test_columnar_visibility_matches_object_path_bioaid(bioaid, seed):
     # Live (uncompacted) store: scalar flags, no label objects, no mutation.
     store = labeler.store
     assert not store.is_compacted
-    assert visible_batch(store, view_label, uids) == expected
+    assert visible_batch(store, view_label, uids).tolist() == expected
     assert not store.is_compacted
     # Sealed store: the vectorised whole-run mask agrees too.
     store.compact()
-    assert visible_batch(store, view_label, uids) == expected
+    assert visible_batch(store, view_label, uids).tolist() == expected
     assert visible_mask(store, view_label).tolist() == expected
 
     # And both agree with the run-projection oracle.
@@ -64,7 +64,7 @@ def test_visibility_with_recursion_edges(running_scheme, running_spec, view_u2):
     for view in (view_u2, default_view(running_spec)):
         view_label = running_scheme.label_view(view)
         expected = _object_visibility(running_scheme, labeler, view_label, uids)
-        assert visible_batch(labeler.store, view_label, uids) == expected
+        assert visible_batch(labeler.store, view_label, uids).tolist() == expected
         flags = path_visibility(labeler.store.table, view_label)
         assert flags.dtype == np.bool_ and flags[0]  # root path is always visible
 
@@ -79,20 +79,20 @@ def test_engine_visibility_over_live_and_mapped_shards(bioaid, tmp_path):
     view_label = scheme.label_view(view)
     expected = _object_visibility(scheme, engine.run_labeler(), view_label, uids)
 
-    assert engine.is_visible_batch(uids, view) == expected
+    assert engine.is_visible_batch(uids, view).tolist() == expected
     assert engine.is_visible(uids[0], view) == expected[0]
     # Variants only differ in matrix materialisation; visibility is the
     # retained-production test, identical across all of them.
     assert (
-        engine.is_visible_batch(uids, view, variant=FVLVariant.SPACE_EFFICIENT)
+        engine.is_visible_batch(uids, view, variant=FVLVariant.SPACE_EFFICIENT).tolist()
         == expected
     )
-    assert engine.is_visible_batch(uids, view, variant=FVLVariant.QUERY_EFFICIENT) == expected
+    assert engine.is_visible_batch(uids, view, variant=FVLVariant.QUERY_EFFICIENT).tolist() == expected
 
     run_file = tmp_path / "vis.fvl"
     engine.checkpoint(run_file)
     engine.attach(run_file, run_id="disk")
-    assert engine.is_visible_batch(uids, view, run="disk") == expected
+    assert engine.is_visible_batch(uids, view, run="disk").tolist() == expected
 
 
 def test_visibility_of_multi_segment_mapped_runs(bioaid, tmp_path):
@@ -114,7 +114,7 @@ def test_visibility_of_multi_segment_mapped_runs(bioaid, tmp_path):
     engine = QueryEngine(scheme)
     mapped = engine.attach(run_file)
     assert mapped.n_segments >= 3
-    assert engine.is_visible_batch(uids, view) == expected
+    assert engine.is_visible_batch(uids, view).tolist() == expected
     assert visible_mask(mapped.store, view_label).tolist() == expected
 
 

@@ -91,7 +91,7 @@ def test_fold_equals_reference_from_any_append_point(
         final = snapshots[-1]
         uids = sorted(labeler.labels)
         per_item = [is_visible(labeler.label(uid), view_label) for uid in uids]
-        assert visible_batch(labeler.store, view_label, uids, flags=final) == per_item
+        assert visible_batch(labeler.store, view_label, uids, flags=final).tolist() == per_item
 
         # Compacted columns (packed ``array`` buffers) ...
         labeler.store.compact()

@@ -7,10 +7,13 @@ size from one pair up takes the same evaluator, so each must equal the
 per-pair ``FVLScheme.depends`` and raise the identical error for both
 spellings — including frames with boundary pairs (initial inputs / final
 outputs), the one place a numpy scalar could leak into ``store.label``.
+Whatever the spelling, surface or store state, a batch answers one ``(n,)``
+``bool`` array and a single query one ``bool``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 import threading
@@ -24,6 +27,8 @@ from repro.errors import LabelingError
 from repro.faults import FaultPlan, InjectedFault
 from repro.model.derivation import Derivation
 from repro.model.projection import ViewProjection
+from repro.net import ProvenanceClient, ProvenanceNetServer
+from repro.serve import ProvenanceServer
 from repro.store import LabelStore, checkpoint_run
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -104,9 +109,9 @@ def test_depends_array_matches_list(engine, n, variant):
         SCHEME.depends(LABELER.label(d1), LABELER.label(d2), view_label)
         for d1, d2 in pairs
     ]
-    assert engine.depends_batch(pairs, GREY, variant=variant) == want
+    assert engine.depends_batch(pairs, GREY, variant=variant).tolist() == want
     got = engine.depends_batch(np.asarray(pairs, dtype=np.int64), GREY, variant=variant)
-    assert got == want
+    assert got.tolist() == want
     if n >= 40:
         assert any(want) and not all(want)
 
@@ -117,13 +122,54 @@ def test_depends_array_matches_list_matrix_free(engine):
     got = engine.depends_batch(
         np.asarray(pairs, dtype=np.int64), BLACK, variant=FVLVariant.SPACE_EFFICIENT
     )
-    assert got == want
+    assert np.array_equal(got, want)
 
 
 def test_visible_array_matches_list(engine):
     uids = [uid for pair in _pairs(GREY, 80) for uid in pair]
     want = engine.is_visible_batch(uids, GREY)
-    assert engine.is_visible_batch(np.asarray(uids, dtype=np.int64), GREY) == want
+    assert np.array_equal(engine.is_visible_batch(np.asarray(uids, dtype=np.int64), GREY), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+@pytest.mark.parametrize("surface", ["engine", "scheduler", "client"])
+def test_every_surface_answers_one_bool_array(engine, surface, n, tmp_path):
+    """Engine, scheduler future and wire client hand back the same type and bits."""
+    pairs = _pairs(GREY, 40)[:n]
+    uids = [d1 for d1, _ in pairs]
+    view_label = SCHEME.label_view(GREY)
+    want = {
+        "depends": [SCHEME.depends(LABELER.label(d1), LABELER.label(d2), view_label) for d1, d2 in pairs],
+        "visible": [SCHEME.is_visible(LABELER.label(uid), view_label) for uid in uids],
+    }
+    engine.add_view(GREY)
+    with contextlib.ExitStack() as stack:
+        if surface == "engine":
+            batch = {"depends": engine.depends_batch, "visible": engine.is_visible_batch}
+            single = {"depends": engine.depends, "visible": engine.is_visible}
+        else:
+            server = stack.enter_context(ProvenanceServer(engine, workers=1))
+            if surface == "scheduler":
+                batch = {
+                    kind: lambda ids, view, kind=kind: server.submit_batch(kind, ids, view).result(30)
+                    for kind in want
+                }
+                single = {}  # the scheduler's one entry is the frame
+            else:
+                sock_path = tmp_path / "answers.sock"
+                stack.enter_context(ProvenanceNetServer(server, unix_path=sock_path))
+                client = stack.enter_context(ProvenanceClient(unix_path=sock_path))
+                batch = {"depends": client.depends_batch, "visible": client.is_visible_batch}
+                single = {"depends": client.depends, "visible": client.is_visible}
+        for kind, ids in (("depends", pairs), ("visible", uids)):
+            answers = batch[kind](ids, GREY.name)
+            assert type(answers) is np.ndarray
+            assert answers.dtype == bool and answers.shape == (n,)
+            assert answers.tolist() == want[kind]
+            if n and kind in single:
+                first = pairs[0] if kind == "depends" else (uids[0],)
+                answer = single[kind](*first, GREY.name)
+                assert type(answer) is bool and answer == want[kind][0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 40, 1500])
@@ -176,7 +222,7 @@ def test_small_batches_cross_the_gather_fault_point(tmp_path):
     engine.attach(tmp_path / "fault.fvl")
     (d1, d2), *_ = _pairs(GREY, 40)
     uids = [d1, d2, d1]
-    want = engine.depends(d1, d2, GREY), engine.is_visible_batch(uids, GREY)
+    want = engine.depends(d1, d2, GREY), engine.is_visible_batch(uids, GREY).tolist()
     plan = FaultPlan().on("mmap.gather", count=2)
     with plan.armed():
         with pytest.raises(InjectedFault):
@@ -184,7 +230,7 @@ def test_small_batches_cross_the_gather_fault_point(tmp_path):
         with pytest.raises(InjectedFault):
             engine.is_visible_batch(uids, GREY)
     assert plan.fired("mmap.gather") == 2
-    assert (engine.depends(d1, d2, GREY), engine.is_visible_batch(uids, GREY)) == want
+    assert (engine.depends(d1, d2, GREY), engine.is_visible_batch(uids, GREY).tolist()) == want
     engine.detach(DEFAULT_RUN)
 
 
@@ -232,7 +278,7 @@ def test_queries_race_a_live_ingest_without_torn_reads():
     assert answered[0] and answered[1]
     assert not store.is_compacted
     view_label = SCHEME.label_view(GREY)
-    assert engine.depends_batch(pairs, GREY) == [
+    assert engine.depends_batch(pairs, GREY).tolist() == [
         SCHEME.depends(LABELER.label(d1), LABELER.label(d2), view_label)
         for d1, d2 in pairs.tolist()
     ]

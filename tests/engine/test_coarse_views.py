@@ -77,4 +77,4 @@ def test_engine_matches_the_matrix_free_encoding_and_the_oracle(served, view):
     assert any(expected) and not all(expected)
     for variant in FVLVariant:
         for run in ("live", "attached"):
-            assert engine.depends_batch(pairs, view, run=run, variant=variant) == expected
+            assert engine.depends_batch(pairs, view, run=run, variant=variant).tolist() == expected

@@ -240,7 +240,7 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     assert min(deltas) > 0  # both kinds of row are in play
     store = engine.mapped_store().store
     labels = [(labeler.label(d1), labeler.label(d2)) for d1, d2 in pairs.tolist()]
-    assert first == [scheme.depends(a, b, scheme.label_view(view)) for a, b in labels]
+    assert first.tolist() == [scheme.depends(a, b, scheme.label_view(view)) for a, b in labels]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-key or per-pair Python on a warm batch")
@@ -250,8 +250,8 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     monkeypatch.setattr(decoder, "_chain_over", forbidden)
     monkeypatch.setattr(DecodedViewState, "depends", forbidden)
     monkeypatch.setattr(type(store), "label", forbidden)
-    assert engine.depends_batch(pairs, view) == first
-    assert engine.depends_batch(pairs.tolist(), view) == first
+    assert np.array_equal(engine.depends_batch(pairs, view), first)
+    assert np.array_equal(engine.depends_batch(pairs.tolist(), view), first)
     warm = engine.stats
     assert (
         warm.structural_pairs - cold.structural_pairs,
@@ -301,7 +301,7 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
         roomy.decoded_state(view)
     labelled = roomy.stats.views.bytes
     for view, pairs, expected, run in rounds:
-        assert roomy.depends_batch(pairs, view, run=run) == expected
+        assert roomy.depends_batch(pairs, view, run=run).tolist() == expected
     wanted = {name: state for (name, _), state in roomy.decoded_states().items()}
     per_run = min(state.nbytes for state in wanted.values())
     static = roomy.stats.views.bytes - sum(state.nbytes for state in wanted.values())
@@ -321,7 +321,7 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
             held = engine.decoded_states().get((view.name, "default"))
             before = held.nbytes if held is not None else 0
             # A saturated budget only stops storing; answers stay correct.
-            assert engine.depends_batch(pairs, view, run=run) == expected
+            assert engine.depends_batch(pairs, view, run=run).tolist() == expected
             stats = engine.stats.views
             now = decoded_state_bytes(engine)
             assert sum(now) == stats.bytes and stats.max_bytes == budget
@@ -402,7 +402,7 @@ def test_threads_racing_on_an_unseen_view_over_two_arenas_agree(tmp_path):
         run = ("live", "disk")[thread_id % 2]
         barrier.wait(timeout=60)
         answers = engine.depends_batch(pairs, view.name, run=run)
-        return answers == expected, engine.decoded_state(view.name).static
+        return answers.tolist() == expected, engine.decoded_state(view.name).static
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # force interleavings inside resolve/admit
@@ -426,7 +426,7 @@ def test_threads_racing_on_an_unseen_view_over_two_arenas_agree(tmp_path):
     calm.add_run("live", derivation)
     calm.attach(run_file, "disk")
     for run in ("live", "disk"):
-        assert calm.depends_batch(pairs, view, run=run) == expected
+        assert calm.depends_batch(pairs, view, run=run).tolist() == expected
     calm_bank = calm.decoded_state(view).static.bank
     assert sorted(calm_bank._codes) == sorted(codes)
     for key, code in codes.items():
@@ -481,4 +481,4 @@ def test_a_port_outside_its_matrix_is_a_decoding_error(bad_port):
     store.append(forged, producer_path, 0 if bad_port == "zero" else rows + 1, consumer_path, consumer_port)
     with pytest.raises(DecodingError, match=rf"pair \({forged}, {d2}\).*{rows}x{cols}"):
         engine.depends_batch([(d1, d2), (forged, d2)], view)
-    assert engine.depends_batch([(d1, d2)], view) == want  # the table is unharmed
+    assert np.array_equal(engine.depends_batch([(d1, d2)], view), want)  # the table is unharmed

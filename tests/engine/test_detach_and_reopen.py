@@ -57,7 +57,7 @@ def test_detach_drops_private_arena_decode_entries(served):
     engine, _, view, pairs, run_file = served
     engine.attach(run_file, run_id="disk")
     expected = engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
     arena = engine._shards["disk"].arena
     assert arena in _pair_matrix_arenas(engine)
 
@@ -71,7 +71,7 @@ def test_detach_drops_private_arena_decode_entries(served):
     # The name is reusable, and the fresh attachment gets a fresh arena.
     engine.attach(run_file, run_id="disk")
     assert engine._shards["disk"].arena != arena
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
 
 
 def test_detach_labelled_shard_only_unregisters(served):
@@ -95,8 +95,8 @@ def test_detach_releases_the_mapping(served, tmp_path):
     # handle is gone; a fresh attachment under another name still serves.
     assert shard.mapped._file.closed
     engine.attach(run_file, run_id="again")
-    assert engine.depends_batch(pairs, view, run="again") == engine.depends_batch(
-        pairs, view
+    assert np.array_equal(
+        engine.depends_batch(pairs, view, run="again"), engine.depends_batch(pairs, view)
     )
 
 
@@ -112,7 +112,7 @@ def test_attach_under_a_registered_run_id_is_rejected_not_replaced(served):
     # arena, still serving — and no second mapping of the file leaked.
     assert engine._shards["dup"] is live
     assert not live.mapped._file.closed
-    assert engine.depends_batch(pairs, view, run="dup") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="dup"), expected)
     engine.detach("dup")
 
 
@@ -149,7 +149,7 @@ def test_is_visible_batch_memoizes_trie_flags(served):
     flags = state.visibility_flags[0]
     # Repeat queries reuse (the very same) flags array instead of re-folding
     # the trie; growth would extend it, not rebuild it.
-    assert engine.is_visible_batch(uids, view) == first
+    assert np.array_equal(engine.is_visible_batch(uids, view), first)
     assert state.visibility_flags[0] is flags
 
 
@@ -213,7 +213,7 @@ def test_reopen_contract(served, scheme, publish_generation, row):
     old = engine.attach(run_file, run_id="disk")
     arena = engine.shard_arena("disk")
     expected = engine.depends_batch(pairs, view)
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
     corruption = _engine_corruption(engine)
     if rewrite is not None:
         rewrite(
@@ -233,7 +233,7 @@ def test_reopen_contract(served, scheme, publish_generation, row):
     assert (mapped is not old) is (outcome is True)
     assert mapped.generation == (1 if outcome is True else 0)
     assert engine.shard_arena("disk") == arena
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
 
 
 def _engine_corruption(engine) -> int:
@@ -261,7 +261,7 @@ def test_reopen_preserves_decode_cache_and_answers(scheme, spec, tmp_path):
 
     engine = QueryEngine(scheme)
     engine.attach(run_file, run_id="disk")
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
     arenas_before = _pair_matrix_arenas(engine)
 
     assert compact(run_file).compacted
@@ -269,7 +269,7 @@ def test_reopen_preserves_decode_cache_and_answers(scheme, spec, tmp_path):
     # Same arena tag, same cached matrices — the remap did not cold-start.
     assert _pair_matrix_arenas(engine) == arenas_before
     assert engine._shards["disk"].mapped.generation == 1
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
     # Generation unchanged now: the sweep is a no-op.
     assert engine.reopen_all(run_file) == []
 
@@ -314,6 +314,6 @@ def test_batches_over_multi_segment_mapped_shards(scheme, spec, tmp_path):
     engine = QueryEngine(scheme)
     mapped = engine.attach(run_file)
     assert max(mapped.extents_per_column().values()) >= 3
-    assert engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
+    assert np.array_equal(engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT), expected)
     # The gather never materialised whole columns on the mapped store.
     assert mapped.store._producer_path._flat is None

@@ -240,7 +240,7 @@ def test_space_efficient_batch_within_constant_factor_of_default(setup):
     space_answers = engine.depends_batch(
         pairs, view, variant=FVLVariant.SPACE_EFFICIENT
     )
-    assert space_answers == default_answers
+    assert np.array_equal(space_answers, default_answers)
     default_time = best_of(FVLVariant.DEFAULT)
     space_time = best_of(FVLVariant.SPACE_EFFICIENT)
     # Warm, both paths do identical memoized work; 10x plus an absolute slack
@@ -311,7 +311,7 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
             scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs
         ]
         resolved.clear()
-        assert engine.depends_batch(pairs, view, run="live") == expected
+        assert engine.depends_batch(pairs, view, run="live").tolist() == expected
         return pairs, expected
 
     half = len(expansions) // 2
@@ -332,7 +332,7 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
     engine.checkpoint(run_file, "live")
     engine.attach(run_file, "disk")
     resolved.clear()
-    assert engine.depends_batch(pairs, view, run="disk") == expected
+    assert engine.depends_batch(pairs, view, run="disk").tolist() == expected
     assert resolved == []
     assert len(cache.table(engine.shard_arena("disk"))) > 0
 
@@ -410,7 +410,7 @@ def test_side_file_costs_calls_per_section_not_per_row(hot, tmp_path, monkeypatc
             costs.append((saving, loading))
     for rows, follower in zip((500, 4000), followers):
         assert len(follower.decoded_state(view).decode_cache.table(follower.shard_arena())) == rows
-        assert follower.depends_batch(pairs, view) == expected
+        assert np.array_equal(follower.depends_batch(pairs, view), expected)
     (small_save, small_load), (large_save, large_load) = costs
     # Eight times the rows, the same calls (numpy may pick another sort path).
     assert large_save <= small_save + 8 and large_load <= small_load + 8, costs

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro import FVLScheme, FVLVariant, QueryEngine
@@ -69,7 +70,7 @@ def test_batch_matches_single_pair_api(engine, derivation, variant):
     labeler = engine.run_labeler()
     for view in VIEWS:
         pairs = _visible_pairs(derivation, view)
-        assert engine.depends_batch(pairs, view, variant=variant) == _expected(
+        assert engine.depends_batch(pairs, view, variant=variant).tolist() == _expected(
             derivation, labeler, pairs, view, variant
         )
 
@@ -84,8 +85,8 @@ def test_views_resolvable_by_name(engine, derivation):
     view = VIEWS[0]
     engine.add_view(view)
     pairs = _visible_pairs(derivation, view)
-    assert engine.depends_batch(pairs, view.name, run=DEFAULT_RUN) == engine.depends_batch(
-        pairs, view
+    assert np.array_equal(
+        engine.depends_batch(pairs, view.name, run=DEFAULT_RUN), engine.depends_batch(pairs, view)
     )
     assert view.name in engine.view_names
 
@@ -139,7 +140,7 @@ def test_a_state_over_budget_stores_what_fits(derivation, state_budget_for):
     roomy = QueryEngine(SCHEME)
     labeler = roomy.add_run(DEFAULT_RUN, derivation)
     expected = _expected(derivation, labeler, pairs, view)
-    assert roomy.depends_batch(pairs, view) == expected
+    assert roomy.depends_batch(pairs, view).tolist() == expected
     wanted = roomy.decoded_state(view).nbytes
     # Room for half of what the one view wants to keep.
     budget = state_budget_for(SCHEME, derivation, [(pairs, view)], 0.5)
@@ -147,7 +148,7 @@ def test_a_state_over_budget_stores_what_fits(derivation, state_budget_for):
     bounded.add_run(DEFAULT_RUN, derivation)
     for _ in range(3):
         # A saturated budget only stops storing; answers stay correct.
-        assert bounded.depends_batch(pairs, view) == expected
+        assert bounded.depends_batch(pairs, view).tolist() == expected
         stats = bounded.stats.views
         assert stats.bytes <= stats.max_bytes == budget
         # The state took what fitted and is not evicted by its own growth.
@@ -167,7 +168,7 @@ def test_batches_shard_across_runs(engine, derivation):
     pairs_b = _visible_pairs(other, view, seed=2)
     for run, pairs in ((DEFAULT_RUN, pairs_a), ("other", pairs_b)):
         answers = engine.depends_batch(pairs, view, run=run)
-        assert answers == [engine.depends(d1, d2, view, run=run) for d1, d2 in pairs]
+        assert answers.tolist() == [engine.depends(d1, d2, view, run=run) for d1, d2 in pairs]
     stats = engine.stats
     assert stats.queries_by_run == {DEFAULT_RUN: 2 * len(pairs_a), "other": 2 * len(pairs_b)}
 
@@ -206,7 +207,7 @@ def test_concurrent_batches_agree_with_serial(derivation, state_budget_for):
 
     def worker(thread_id: int):
         view, pairs, expected = workload[thread_id % len(workload)]
-        return engine.depends_batch(pairs, view) == expected
+        return engine.depends_batch(pairs, view).tolist() == expected
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         outcomes = list(pool.map(worker, range(24)))
@@ -246,7 +247,7 @@ def test_structurally_identical_view_reregisters_cleanly(engine, derivation):
     )
     pairs = _visible_pairs(derivation, original)
     first = engine.depends_batch(pairs, original)
-    assert engine.depends_batch(pairs, rebuilt) == first
+    assert np.array_equal(engine.depends_batch(pairs, rebuilt), first)
     assert engine.stats.views.hits >= 1
 
 

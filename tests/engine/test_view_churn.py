@@ -113,8 +113,8 @@ def _segmented_file(scheme, derivation, path):
 def _ask_all(engine, case, run, as_arrays=False):
     pairs = np.asarray(case.pairs, dtype=np.int64) if as_arrays else case.pairs
     uids = np.asarray(case.uids, dtype=np.int64) if as_arrays else case.uids
-    assert list(engine.depends_batch(pairs, case.view.name, run=run)) == case.depends
-    assert list(engine.is_visible_batch(uids, case.view.name, run=run)) == case.visible
+    assert engine.depends_batch(pairs, case.view.name, run=run).tolist() == case.depends
+    assert engine.is_visible_batch(uids, case.view.name, run=run).tolist() == case.visible
 
 
 # -- (a) + (b): differential under churn, one labelling per view -----------------
@@ -209,7 +209,7 @@ def test_cycling_views_answers_like_the_oracle_and_labels_once(
             answers = engine.depends_batch(
                 case.pairs[:50], case.view.name, run="disk", variant=FVLVariant.SPACE_EFFICIENT
             )
-            assert answers == case.depends[:50]
+            assert answers.tolist() == case.depends[:50]
             engine.is_visible_batch(
                 case.uids, case.view.name, run="disk", variant=FVLVariant.QUERY_EFFICIENT
             )
@@ -241,7 +241,7 @@ def test_rebuilt_state_shares_the_static_part(churn, state_budget_for):
     assert rebuilt.static is static and rebuilt.label is state.label
     assert rebuilt.decode_cache.inputs_segments is static.inputs_segments
     assert not rebuilt.decode_cache.arenas()  # the per-run half starts over
-    assert engine.depends_batch(first.pairs, first.view) == first.depends
+    assert engine.depends_batch(first.pairs, first.view).tolist() == first.depends
     assert len(static) == memo_entries  # the same queries add nothing
 
 
@@ -272,7 +272,7 @@ def test_decode_budget_holds_across_rebuilds_and_deep_recursion(decoded_state_by
     roomy = QueryEngine(scheme)
     roomy.add_run(DEFAULT_RUN, derivation)
     for view, pairs, expected in rounds:
-        assert roomy.depends_batch(pairs, view) == expected
+        assert roomy.depends_batch(pairs, view).tolist() == expected
     wanted = {view: state.nbytes for (view, _), state in roomy.decoded_states().items()}
     static = roomy.stats.views.bytes - sum(wanted.values())
     assert roomy.stats.views.evictions == 0
@@ -283,7 +283,7 @@ def test_decode_budget_holds_across_rebuilds_and_deep_recursion(decoded_state_by
     engine.add_run(DEFAULT_RUN, derivation)
     for view, pairs, expected in rounds:
         # A saturated budget only stops storing; answers stay correct.
-        assert engine.depends_batch(pairs, view) == expected
+        assert engine.depends_batch(pairs, view).tolist() == expected
         stats = engine.stats.views
         assert stats.bytes <= stats.max_bytes == budget
         assert sum(decoded_state_bytes(engine)) == stats.bytes
@@ -312,7 +312,7 @@ def test_a_one_byte_budget_stores_nothing_and_answers_the_same(decoded_state_byt
             expected = [
                 scheme.depends(labeler.label(d1), labeler.label(d2), fresh) for d1, d2 in pairs
             ]
-            assert engine.depends_batch(pairs, view, run=f"run-{index}") == expected
+            assert engine.depends_batch(pairs, view, run=f"run-{index}").tolist() == expected
             engine.is_visible_batch(uids[:50], view, run=f"run-{index}")
             per_run, static = decoded_state_bytes(engine)
             # Nothing a query can grow is kept: no row, fold, flag or chain product ...
@@ -347,13 +347,13 @@ def test_identical_reregistration_reuses_the_label_and_a_clash_is_rejected(churn
     engine = QueryEngine(scheme, state_budget_bytes=state_budget_for(scheme, derivation, frames, 1))
     engine.add_run(DEFAULT_RUN, derivation)
     case = cases[0]
-    assert engine.depends_batch(case.pairs, case.view) == case.depends
+    assert engine.depends_batch(case.pairs, case.view).tolist() == case.depends
     label = engine.decoded_state(case.view).label
     rebuilt = WorkflowView(
         case.view.visible_composites, case.view.dependencies, name=case.view.name
     )
     engine.depends_batch(cases[1].pairs, cases[1].view)  # evict, then come back
-    assert engine.depends_batch(case.pairs, rebuilt) == case.depends
+    assert engine.depends_batch(case.pairs, rebuilt).tolist() == case.depends
     assert engine.decoded_state(rebuilt).label is label
     assert engine.stats.labels_built == 2
     clash = random_view(spec, 4, seed=999, mode="black", name=case.view.name)
@@ -432,7 +432,7 @@ def test_state_bytes_gauge_equals_a_walk_of_the_arrays(churn, measured, decoded_
             variant = rng.choice((None, None, FVLVariant.SPACE_EFFICIENT))
             lo = rng.randrange(1000)
             assert (
-                engine.depends_batch(case.pairs[lo : lo + 100], case.view, run=run, variant=variant)
+                engine.depends_batch(case.pairs[lo : lo + 100], case.view, run=run, variant=variant).tolist()
                 == case.depends[lo : lo + 100]
             )
         gauge = engine.metrics.snapshot()["engine_decoded_state_bytes"]
@@ -466,11 +466,11 @@ def test_threads_missing_on_one_unseen_view_intern_one_label(
     def herd(_):
         barrier.wait(timeout=60)
         answers = engine.depends_batch(case.pairs[:200], case.view.name)
-        return answers == case.depends[:200], engine.decoded_state(case.view.name).static
+        return answers.tolist() == case.depends[:200], engine.decoded_state(case.view.name).static
 
     def churner(thread_id):
         chosen = trio[thread_id % 3]
-        return engine.depends_batch(chosen.pairs[:150], chosen.view) == chosen.depends[:150]
+        return engine.depends_batch(chosen.pairs[:150], chosen.view).tolist() == chosen.depends[:150]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # force interleavings inside the label/intern window

@@ -150,7 +150,7 @@ def test_recursive_chains_fall_back_to_matrix_decode(tmp_path):
     _, labeler, engine = _attached(SYN_SCHEME, derivation, tmp_path)
     visible = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(visible, 500, seed=12)
-    assert engine.depends_batch(pairs, view) == _reference_answers(SYN_SCHEME, labeler, view, pairs)
+    assert engine.depends_batch(pairs, view).tolist() == _reference_answers(SYN_SCHEME, labeler, view, pairs)
     stats = engine.stats
     assert stats.matrix_pairs > 0, "mixed products never reached a matrix"
     assert stats.structural_pairs > 0, "no key of a recursive run was forced"
@@ -163,7 +163,7 @@ def test_chain_grammar_is_mostly_structural(tmp_path):
     visible = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(visible, 600, seed=6)
     expected = _reference_answers(CHAIN_SCHEME, labeler, view, pairs)
-    assert engine.depends_batch(pairs, view) == expected
+    assert engine.depends_batch(pairs, view).tolist() == expected
     stats = engine.stats
     assert stats.structural_pairs > 5 * stats.matrix_pairs
 
@@ -197,7 +197,7 @@ def test_flipped_index_byte_raises_never_misanswers(tmp_path, section):
     items = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(items, 200, seed=23)
     # Intact, the older file answers like any other ...
-    assert engine.depends_batch(pairs, view) == _reference_answers(scheme, labeler, view, pairs)
+    assert engine.depends_batch(pairs, view).tolist() == _reference_answers(scheme, labeler, view, pairs)
     engine.detach(DEFAULT_RUN)
     offset, nbytes = _section_extent(run_file, section)
     _flip_byte(run_file, offset + nbytes // 2)
@@ -239,7 +239,7 @@ def test_compaction_leaves_the_interval_sections_behind(tmp_path):
     items = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(items, 300, seed=43)
     before = engine.depends_batch(pairs, view)
-    assert before == _reference_answers(scheme, labeler, view, pairs)
+    assert before.tolist() == _reference_answers(scheme, labeler, view, pairs)
     bytes_before = os.path.getsize(run_file)
 
     assert compact(run_file).compacted
@@ -253,10 +253,10 @@ def test_compaction_leaves_the_interval_sections_behind(tmp_path):
         assert mapped.read_amplification() == 1.0
     assert os.path.getsize(run_file) < bytes_before
     assert engine.reopen(DEFAULT_RUN)
-    assert engine.depends_batch(pairs, view) == before
+    assert np.array_equal(engine.depends_batch(pairs, view), before)
     fresh = QueryEngine(scheme)
     fresh.attach(run_file, DEFAULT_RUN)
-    assert fresh.depends_batch(pairs, view) == before
+    assert np.array_equal(fresh.depends_batch(pairs, view), before)
 
 
 # -- the memoized visibility fold matches the per-item predicate ---------------
@@ -268,6 +268,6 @@ def test_visible_mask_matches_is_visible_batch(tmp_path):
     _, _, engine = _attached(CHAIN_SCHEME, derivation, tmp_path)
     uids = list(range(1, derivation.run.n_data_items + 1))
     mask = visible_mask(engine.mapped_store().store, CHAIN_SCHEME.label_view(view))
-    assert mask.tolist() == engine.is_visible_batch(uids, view)
+    assert mask.tolist() == engine.is_visible_batch(uids, view).tolist()
     # Memoized: a second batch reuses the per-path retained fold and agrees.
-    assert engine.is_visible_batch(uids, view) == mask.tolist()
+    assert engine.is_visible_batch(uids, view).tolist() == mask.tolist()

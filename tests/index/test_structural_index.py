@@ -292,7 +292,7 @@ def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_
     engine.attach(run_file)
     arena = engine.shard_arena()
     for _ in range(3):
-        assert engine.depends_batch(pairs, view) == expected
+        assert np.array_equal(engine.depends_batch(pairs, view), expected)
     state = engine.decoded_state(view)  # over budget on its own, and still resident
     cache = state.decode_cache
     table = cache.table(arena)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 import repro.net.client as client_module
@@ -16,9 +17,10 @@ from repro.net import (
     CircuitOpenError,
     ProvenanceClient,
     ProvenanceNetServer,
+    RemoteQueryError,
     ServerOverloadedError,
 )
-from repro.net.protocol import AnswersReply, ShedReply
+from repro.net.protocol import AnswersReply, ErrorReply, ShedReply
 from repro.serve import ProvenanceServer
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
@@ -68,7 +70,7 @@ def test_mid_stream_fault_discards_the_connection(served):
     """Regression: a connection whose RPC died mid-stream must not be pooled."""
     net, sock_path, view, pairs, expected = served
     with ProvenanceClient(unix_path=sock_path, pool_size=1) as client:
-        assert client.depends_batch(pairs[:5], view.name) == expected[:5]
+        assert np.array_equal(client.depends_batch(pairs[:5], view.name), expected[:5])
         assert len(client._pool) == 1  # the healthy conn went back
         plan = FaultPlan().on("net.recv", count=1)
         with plan.armed():
@@ -81,7 +83,7 @@ def test_mid_stream_fault_discards_the_connection(served):
         # The poisoned connection was discarded, not returned...
         assert len(client._pool) == 0 and client._pool_open == 0
         # ...so the next call dials fresh and the stream is back in sync.
-        assert client.depends_batch(pairs[:5], view.name) == expected[:5]
+        assert np.array_equal(client.depends_batch(pairs[:5], view.name), expected[:5])
 
 
 def test_undecodable_reply_discards_the_connection(served, monkeypatch):
@@ -101,7 +103,51 @@ def test_undecodable_reply_discards_the_connection(served, monkeypatch):
         with pytest.raises(SerializationError, match="undecodable"):
             client.depends_batch(pairs[:5], view.name)
         assert len(client._pool) == 0 and client._pool_open == 0
-        assert client.depends_batch(pairs[:5], view.name) == expected[:5]
+        assert np.array_equal(client.depends_batch(pairs[:5], view.name), expected[:5])
+
+
+@pytest.mark.parametrize(
+    ("forge", "match"),
+    [
+        (lambda reply: AnswersReply(reply.request_id + 999, reply.answers), "awaiting request"),
+        (lambda reply: AnswersReply(reply.request_id, reply.answers[:3]), "of 10 queries"),
+    ],
+    ids=["wrong id", "wrong count"],
+)
+def test_a_reply_to_another_request_discards_the_connection(served, monkeypatch, forge, match):
+    """Regression: a reply is matched to the id and size sent before the conn is healthy."""
+    net, sock_path, view, pairs, expected = served
+    real_decode = client_module._decode_reply
+    forged = threading.Event()
+
+    def decode_forged_once(payload):
+        reply = real_decode(payload)
+        if forged.is_set():
+            return reply
+        forged.set()
+        return forge(reply)
+
+    with ProvenanceClient(unix_path=sock_path, pool_size=1) as client:
+        monkeypatch.setattr(client_module, "_decode_reply", decode_forged_once)
+        with pytest.raises(SerializationError, match=match):
+            client.depends_batch(pairs[:10], view.name)
+        assert len(client._pool) == 0 and client._pool_open == 0
+        assert np.array_equal(client.depends_batch(pairs[:10], view.name), expected[:10])
+
+
+def test_an_error_reply_with_id_zero_answers_the_request(served, monkeypatch):
+    """The server answers a frame it could not decode with id 0: an error, not a desync."""
+    net, sock_path, view, pairs, expected = served
+    real_decode = client_module._decode_reply
+    monkeypatch.setattr(
+        client_module, "_decode_reply", lambda payload: ErrorReply(0, "SerializationError", "bad frame")
+    )
+    with ProvenanceClient(unix_path=sock_path, pool_size=1) as client:
+        with pytest.raises(RemoteQueryError, match="bad frame"):
+            client.depends_batch(pairs[:5], view.name)
+        assert len(client._pool) == 1  # the stream is still in step
+        monkeypatch.setattr(client_module, "_decode_reply", real_decode)
+        assert np.array_equal(client.depends_batch(pairs[:5], view.name), expected[:5])
 
 
 # -- shed backoff ---------------------------------------------------------------
@@ -114,14 +160,14 @@ class _ShedTransport:
         self.calls = 0
         self.sheds = sheds
         self.retry_after_s = retry_after_s
-        self.answers = [] if answers is None else answers
+        self.answers = np.array([] if answers is None else answers, dtype=bool)
         client._round_trip = self._round_trip
 
-    def _round_trip(self, frame):
+    def _round_trip(self, frame, request_id, n):
         self.calls += 1
         if self.calls <= self.sheds:
-            return ShedReply(0, self.retry_after_s, 8)
-        return AnswersReply(0, self.answers)
+            return ShedReply(request_id, self.retry_after_s, 8)
+        return AnswersReply(request_id, self.answers)
 
 
 class _FakeTime:
@@ -155,7 +201,7 @@ def test_shed_sleeps_are_capped_and_jittered():
         jitter_seed=3,
     )
     _ShedTransport(client, sheds=3, answers=[True, False])
-    assert client.depends_batch([(1, 2), (3, 4)], "v") == [True, False]
+    assert client.depends_batch([(1, 2), (3, 4)], "v").tolist() == [True, False]
     assert len(fake.sleeps) == 3
     # The server's absurd 30s hint was clipped to retry_after_cap_s, and no
     # jittered sleep exceeds 1.5x the backoff cap.
@@ -252,8 +298,8 @@ def test_breaker_half_open_probe_reopens_or_closes():
         client.depends_batch([(1, 2)], "v")
     # Second cooldown: this probe gets a real answer and the breaker closes.
     fake.now += 11.0
-    assert client.depends_batch([(1, 2)], "v") == [True]
-    assert client.depends_batch([(1, 2)], "v") == [True]  # closed for good
+    assert client.depends_batch([(1, 2)], "v").tolist() == [True]
+    assert client.depends_batch([(1, 2)], "v").tolist() == [True]  # closed for good
 
 
 def test_breaker_disabled_never_fast_fails():

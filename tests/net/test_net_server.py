@@ -52,8 +52,8 @@ def run_file(scheme, workload, tmp_path_factory):
     derivation, view, items, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
-    expected_visible = reference.is_visible_batch(items, view)
+    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT).tolist()
+    expected_visible = reference.is_visible_batch(items, view).tolist()
     path = tmp_path_factory.mktemp("net") / "net.fvl"
     reference.checkpoint(path)
     return path, expected, expected_visible
@@ -82,15 +82,15 @@ def served(scheme, workload, run_file, tmp_path):
 def test_unix_socket_answers_bit_identical(served):
     net, sock_path, view, items, pairs, expected, expected_visible = served
     with ProvenanceClient(unix_path=sock_path) as client:
-        assert client.depends_batch(pairs, view.name) == expected
-        assert client.is_visible_batch(items, view.name) == expected_visible
+        assert client.depends_batch(pairs, view.name).tolist() == expected
+        assert client.is_visible_batch(items, view.name).tolist() == expected_visible
 
 
 def test_tcp_answers_match_unix(served):
     net, sock_path, view, items, pairs, expected, _ = served
     assert net.tcp_address is not None
     with ProvenanceClient(address=net.tcp_address) as client:
-        assert client.depends_batch(pairs, view.name) == expected
+        assert client.depends_batch(pairs, view.name).tolist() == expected
 
 
 def test_explicit_variant_crosses_the_wire(served):
@@ -99,7 +99,7 @@ def test_explicit_variant_crosses_the_wire(served):
         got = client.depends_batch(
             pairs[:25], view.name, variant=FVLVariant.SPACE_EFFICIENT
         )
-        assert got == expected[:25]
+        assert got.tolist() == expected[:25]
 
 
 def test_singleton_helpers_coalesce_client_side(served):
@@ -129,8 +129,8 @@ def test_singleton_helpers_coalesce_client_side(served):
 def test_empty_batches_short_circuit(served):
     net, sock_path, view, _, _, _, _ = served
     with ProvenanceClient(unix_path=sock_path) as client:
-        assert client.depends_batch([], view.name) == []
-        assert client.is_visible_batch([], view.name) == []
+        assert client.depends_batch([], view.name).tolist() == []
+        assert client.is_visible_batch([], view.name).tolist() == []
 
 
 def test_many_threaded_clients_bit_identical(served):
@@ -141,8 +141,8 @@ def test_many_threaded_clients_bit_identical(served):
     def client_thread() -> None:
         try:
             with ProvenanceClient(unix_path=sock_path, retries=8) as client:
-                assert client.depends_batch(pairs, view.name) == expected
-                assert client.is_visible_batch(items, view.name) == expected_visible
+                assert client.depends_batch(pairs, view.name).tolist() == expected
+                assert client.is_visible_batch(items, view.name).tolist() == expected_visible
         except Exception as exc:  # pragma: no cover - surfaced by the assert
             errors.append(exc)
 
@@ -187,7 +187,7 @@ def test_removed_variant_fails_loudly(served, scheme, run_file, entry):
                 client.depends_batch(pairs[:3], view.name, variant="matrix-free")
             assert info.value.kind == "DecodingError" and accepted in info.value.remote_message
             # The connection (there is one in the pool) stays usable.
-            assert client.depends_batch(pairs[:25], view.name) == expected[:25]
+            assert client.depends_batch(pairs[:25], view.name).tolist() == expected[:25]
             assert net.stats.connections == 1
         return
     engine = QueryEngine(scheme)
@@ -234,7 +234,7 @@ def test_bogus_view_and_variant_names_mint_no_metric_series(served):
             bogus(i)
         after = client.server_metrics()
         # The next good frame on the same connection is answered.
-        assert client.depends_batch(pairs[:25], view.name) == expected[:25]
+        assert client.depends_batch(pairs[:25], view.name).tolist() == expected[:25]
         assert net.stats.connections == 1
     assert "no-such-" not in after
     series = parse_exposition(after)
@@ -290,7 +290,7 @@ def test_cost_phases_partition_every_traced_frames_wall(scheme, workload, run_fi
     frame, want = (pairs * 2)[:256], (run_file[1] * 2)[:256]
     with traced_stack(scheme, workload, run_file, tmp_path) as (server, client):
         for _ in range(200):
-            assert client.depends_batch(frame, view.name) == want
+            assert client.depends_batch(frame, view.name).tolist() == want
         # The sampler finishes a frame before its reply is queued.
         snap = server.metrics.snapshot()
         kept = server.sampler.kept()
@@ -313,7 +313,7 @@ def test_a_traced_frame_lands_as_a_head_record_nesting_scheduler_and_engine(
         for _ in range(WARMUP):
             client.depends_batch(pairs[:64], view.name)
         clock.step = 1e-6  # ... and the next one a microsecond
-        assert client.depends_batch(pairs[:64], view.name) == run_file[1][:64]
+        assert client.depends_batch(pairs[:64], view.name).tolist() == run_file[1][:64]
         record = server.sampler.kept()[-1]
     assert record.reason == "head" and record.wall_s == pytest.approx(1e-6)
     [root] = record.to_dict()["spans"]
@@ -386,7 +386,7 @@ def test_a_wire_frame_costs_one_future(served, count_constructions):
     futures = count_constructions(serve_module, "Future")
     requests = count_constructions(serve_module, "_Request")
     with ProvenanceClient(unix_path=sock_path) as client:
-        assert client.depends_batch(frame, view.name) == (expected * 7)[:2048]
+        assert client.depends_batch(frame, view.name).tolist() == (expected * 7)[:2048]
     assert len(requests) == 1
     assert len(futures) == 1
 
@@ -430,7 +430,7 @@ def test_bad_frame_fails_alone_across_connections(scheme, workload, run_file, tm
                 thread.join(10.0)
         after = server.stats
     engine.detach(DEFAULT_RUN)
-    assert outcomes["good"] == expected[:120]
+    assert outcomes["good"].tolist() == expected[:120]
     assert isinstance(outcomes["bad"], RemoteQueryError)
     assert outcomes["bad"].kind == "LabelingError"
     assert after.batches - before.batches == 1
@@ -452,7 +452,7 @@ def test_shed_retries_eventually_succeed(served):
             thread.start()
         for thread in threads:
             thread.join()
-        assert all(answers == expected for answers in results)
+        assert all(answers.tolist() == expected for answers in results)
 
 
 def test_garbage_on_the_port_drops_that_connection_only(served):
@@ -463,7 +463,7 @@ def test_garbage_on_the_port_drops_that_connection_only(served):
     assert raw.recv(1) == b""  # server hangs up on the violator
     raw.close()
     with ProvenanceClient(unix_path=sock_path) as client:  # others unaffected
-        assert client.depends_batch(pairs[:10], view.name) == expected[:10]
+        assert client.depends_batch(pairs[:10], view.name).tolist() == expected[:10]
 
 
 # -- stats & lifecycle ----------------------------------------------------------
@@ -591,8 +591,8 @@ def test_nine_views_under_a_budget_for_two_answer_like_the_oracle(scheme, spec, 
                 engine.add_view(view)
             for _ in range(3):
                 for view, pairs, depends, uids, visible in frames:
-                    assert client.depends_batch(pairs, view.name) == depends
-                    assert client.is_visible_batch(uids, view.name) == visible
+                    assert client.depends_batch(pairs, view.name).tolist() == depends
+                    assert client.is_visible_batch(uids, view.name).tolist() == visible
                     stats = engine.stats.views
                     assert stats.bytes <= stats.max_bytes == budget
     stats = engine.stats

@@ -22,6 +22,7 @@ from repro.net.protocol import (
     encode_answers,
     encode_depends_request,
     encode_error,
+    encode_metrics_reply,
     encode_shed,
     encode_stats_reply,
     encode_stats_request,
@@ -91,18 +92,18 @@ def test_unicode_names_survive_the_wire():
 
 def test_answers_round_trip_bit_packed():
     answers = [bool(int(b)) for b in "1011001110100"]  # 13: not byte-aligned
-    frame = encode_answers(5, answers)
+    frame = encode_answers(5, np.array(answers))
     # 13 bools fit two packed bytes: header + 2 payload bytes.
     assert len(_payload(frame)) == 9 + 2
     reply = decode_reply(_payload(frame))
     assert isinstance(reply, AnswersReply)
     assert reply.request_id == 5
-    assert reply.answers == answers
+    assert reply.answers.tolist() == answers
 
 
 def test_empty_answers_round_trip():
-    reply = decode_reply(_payload(encode_answers(3, [])))
-    assert reply.answers == []
+    reply = decode_reply(_payload(encode_answers(3, np.zeros(0, dtype=bool))))
+    assert reply.answers.tolist() == []
 
 
 def test_shed_round_trip():
@@ -153,6 +154,25 @@ def test_trailing_bytes_rejected():
     frame = _payload(encode_visible_request(1, "default", "v", None, [1]))
     with pytest.raises(SerializationError, match="trailing"):
         decode_request(frame + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        encode_answers(4, np.array([True, False, True])),
+        encode_shed(4, 0.25, 16),
+        encode_error(4, "ViewError", "unknown view 'x'"),
+        encode_stats_reply(4, {"status": "ok"}),
+        encode_metrics_reply(4, "up 1\n"),
+    ],
+    ids=["answers", "shed", "error", "stats", "metrics"],
+)
+def test_reply_trailing_bytes_rejected(frame):
+    """Every reply kind decodes exactly: a byte past its last field is an error."""
+    payload = _payload(frame)
+    assert decode_reply(payload).request_id == 4
+    with pytest.raises(SerializationError, match="trailing"):
+        decode_reply(payload + b"\x00")
 
 
 def test_bad_utf8_rejected():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import FVLScheme, FVLVariant
@@ -61,7 +62,7 @@ def test_reopen_probes_and_remaps(segmented, scheme):
     assert compact(run_file).compacted
     assert engine.reopen() is True
     assert engine.mapped_store().generation == 1
-    assert engine.depends_batch(pairs, view) == expected
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)
     assert engine.reopen() is False
 
 
@@ -73,10 +74,10 @@ def test_server_probe_follows_compaction_on_query_backoff(segmented, scheme, ask
         engine, reopen=ReopenPolicy(after_queries=1, after_seconds=3600.0)
     )
     server.attach(run_file, warm=False)
-    assert ask(server, "depends", pairs[:1], view) == expected[:1]
+    assert np.array_equal(ask(server, "depends", pairs[:1], view), expected[:1])
     assert compact(run_file).compacted
     assert engine.mapped_store().generation == 0  # not yet probed
-    assert ask(server, "depends", pairs[1:2], view) == expected[1:2]
+    assert np.array_equal(ask(server, "depends", pairs[1:2], view), expected[1:2])
     assert engine.mapped_store().generation == 1  # probe fired on the answer
     stats = server.stats
     assert stats.probes >= 2 and stats.reopens == 1
@@ -108,7 +109,7 @@ def test_concurrent_batches_stay_bit_identical_across_compaction(segmented, sche
             for round_no in range(rounds):
                 futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
                 answers = [f.result(timeout=60).item() for f in futures]
-                if answers != expected:
+                if answers != expected.tolist():
                     mismatches.append((index, round_no))
                 if round_no == rounds // 2 and index == 0:
                     # Mid-traffic, the writer swaps in the compacted file.

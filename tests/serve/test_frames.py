@@ -100,7 +100,7 @@ def test_interleaved_entry_points_equal_the_engine(submissions):
             oracle.depends_batch(ids.tolist(), view, run=run)
             if kind == "depends"
             else oracle.is_visible_batch(ids.tolist(), view, run=run)
-        )
+        ).tolist()
         if method == "submit_many":
             futures = server.submit_many(kind, ids.tolist(), view, run=run)
             assert len(futures) == n
@@ -162,11 +162,11 @@ def test_two_same_key_frames_make_one_engine_call():
     assert after.engine_calls - before.engine_calls == 2  # one per key
     assert after.coalesced - before.coalesced == 800
     for future, ids in zip(futures, (first, second)):
-        want = oracle.depends_batch(ids.tolist(), VIEWS[0], run="run-a")
+        want = oracle.depends_batch(ids.tolist(), VIEWS[0], run="run-a").tolist()
         assert future.result().tolist() == want
     assert other_key.result().tolist() == oracle.depends_batch(
         first.tolist(), VIEWS[1], run="run-a"
-    )
+    ).tolist()
 
 
 def test_nonblocking_admission_counts_queries():
@@ -272,7 +272,7 @@ def test_unknown_uid_fails_only_its_own_frame():
     after = server.stats
     with pytest.raises(LabelingError):
         offender.result()
-    want = oracle.depends_batch(good.tolist(), VIEWS[0], run="run-a")
+    want = oracle.depends_batch(good.tolist(), VIEWS[0], run="run-a").tolist()
     assert stranger.result().tolist() == want
     assert single.result().tolist() == want[:1]
     # The coalesced call that raised, then one retry per member.

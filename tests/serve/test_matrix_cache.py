@@ -73,7 +73,7 @@ def saved(scheme, workload, tmp_path):
 
     leader = QueryEngine(scheme)
     leader.attach(run_file)
-    assert leader.depends_batch(pairs, view) == expected
+    assert np.array_equal(leader.depends_batch(pairs, view), expected)
     entries = save_hot_matrices(leader, DEFAULT_RUN)
     assert entries > 0
     return run_file, view, pairs, expected, entries
@@ -183,7 +183,7 @@ def test_save_ranks_by_hits_and_respects_budget(saved, scheme):
     run_file, view, pairs, expected, entries = saved
     engine = QueryEngine(scheme)
     engine.attach(run_file)
-    assert engine.depends_batch(pairs, view) == expected
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)
     # Re-query one pair many times so its matrix is unambiguously hottest.
     hot_pair = pairs[0]
     for _ in range(5):
@@ -264,7 +264,7 @@ def test_load_round_trip_warms_and_answers_bit_identical(saved, scheme):
     assert warmed == entries
     seeded = _pair_entries(follower, view)
     assert len(seeded) == entries
-    assert follower.depends_batch(pairs, view) == expected
+    assert np.array_equal(follower.depends_batch(pairs, view), expected)
 
 
 def test_load_requires_an_attached_shard(saved, scheme, workload):
@@ -291,7 +291,7 @@ def test_load_skips_unregistered_sections(saved, scheme):
     follower = QueryEngine(scheme)  # view never registered
     follower.attach(run_file)
     assert load_hot_matrices(follower) == 0
-    assert follower.depends_batch(pairs, view) == expected  # cold but correct
+    assert np.array_equal(follower.depends_batch(pairs, view), expected)  # cold but correct
 
 
 def test_load_never_clobbers_decoded_matrices(saved, scheme):
@@ -299,7 +299,7 @@ def test_load_never_clobbers_decoded_matrices(saved, scheme):
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
-    assert follower.depends_batch(pairs, view) == expected  # decode first
+    assert np.array_equal(follower.depends_batch(pairs, view), expected)  # decode first
     decoded = _pair_entries(follower, view)
     warmed = load_hot_matrices(follower)
     after = _pair_entries(follower, view)
@@ -317,7 +317,7 @@ def test_cache_survives_compaction_of_the_same_run(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     assert load_hot_matrices(follower) == entries
-    assert follower.depends_batch(pairs, view) == expected
+    assert np.array_equal(follower.depends_batch(pairs, view), expected)
 
 
 def test_load_rejects_foreign_specification(saved, scheme):
@@ -343,7 +343,7 @@ def test_load_rejects_newer_generation_cache(saved, scheme, tmp_path):
     assert compact(run_file).compacted  # the real file moves to generation 1
     leader = QueryEngine(scheme)
     leader.attach(run_file)
-    assert leader.depends_batch(pairs, view) == expected
+    assert np.array_equal(leader.depends_batch(pairs, view), expected)
     save_hot_matrices(leader, DEFAULT_RUN)  # cache tagged generation 1
 
     follower = QueryEngine(scheme)
@@ -413,7 +413,7 @@ def test_server_attach_swallows_corrupt_cache(saved, scheme, ask):
     mapped, warmed = server.attach(run_file)
     assert warmed == 0
     assert isinstance(server.last_warm_error, SerializationError)
-    assert ask(server, "depends", pairs, view) == expected
+    assert np.array_equal(ask(server, "depends", pairs, view), expected)
 
 
 def test_an_unreadable_side_file_attaches_cold(saved, scheme, ask):
@@ -434,7 +434,7 @@ def test_an_unreadable_side_file_attaches_cold(saved, scheme, ask):
     assert isinstance(server.last_warm_error, SerializationError)
     assert not isinstance(server.last_warm_error, CorruptionError)
     assert _hotmx_corruptions(server) == 0
-    assert ask(server, "depends", pairs, view) == expected
+    assert np.array_equal(ask(server, "depends", pairs, view), expected)
 
 
 def test_view_fingerprint_separates_same_named_views(spec, scheme, workload, tmp_path):
@@ -518,7 +518,7 @@ def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
         else:  # a header field the checks read only one way (a lower watermark, say)
             assert at < _FILE_HEADER.size
             assert _pair_entries(server.engine, view) == intact, f"bit {bit} of byte {at} was loaded"
-        assert server.engine.depends_batch(pairs, view) == expected
+        assert np.array_equal(server.engine.depends_batch(pairs, view), expected)
     assert refused >= len(flips) - 16
 
 
@@ -526,7 +526,7 @@ def test_every_byte_of_a_small_section_is_covered(saved, scheme):
     run_file, view, pairs, expected, _ = saved
     leader = QueryEngine(scheme)
     leader.attach(run_file)
-    assert leader.depends_batch(pairs, view) == expected
+    assert np.array_equal(leader.depends_batch(pairs, view), expected)
     cache_file = matrix_cache_path(run_file)
     assert save_hot_matrices(leader, DEFAULT_RUN, max_entries=6) == 6
     raw = open(cache_file, "rb").read()
@@ -544,7 +544,7 @@ def test_every_byte_of_a_small_section_is_covered(saved, scheme):
     with open(cache_file, "wb") as handle:
         handle.write(raw)
     assert load_hot_matrices(follower) == 6
-    assert follower.depends_batch(pairs, view) == expected
+    assert np.array_equal(follower.depends_batch(pairs, view), expected)
 
 
 @pytest.fixture(scope="module")
@@ -686,7 +686,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     _write_raw(cache_file, _assemble([genuine]), header)
     assert load_hot_matrices(follower) == entries
     loaded = _pair_entries(follower, view)
-    assert follower.depends_batch(pairs, view) == expected
+    assert np.array_equal(follower.depends_batch(pairs, view), expected)
 
     # A sentinel row written consistently (no block, one matrix fewer) is the
     # format's other decoder row and loads as one.
@@ -742,7 +742,7 @@ def test_a_damaged_side_file_is_counted_and_reported(saved, scheme, monkeypatch)
     ((event, fields),) = emitted
     assert event == "corruption" and fields["path"] == cache_file and "checksum" in fields["reason"]
     assert watchdog.tick()["corruption"]["breached"]
-    assert engine.depends_batch(pairs, view) == expected  # cold, and right
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)  # cold, and right
 
 
 # -- hit-count persistence (since format v2) -----------------------------------
@@ -760,7 +760,7 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     # The leader makes one pair unambiguously hottest, saves a 1-entry cache.
     leader = QueryEngine(scheme)
     leader.attach(run_file)
-    assert leader.depends_batch(pairs, view) == expected
+    assert np.array_equal(leader.depends_batch(pairs, view), expected)
     hot_pair = pairs[0]
     for _ in range(5):
         leader.depends_batch([hot_pair] * 3, view)
@@ -825,4 +825,4 @@ def test_v1_cache_files_rejected_loudly(saved, scheme):
     _, warmed = server.attach(run_file)
     assert warmed == 0 and "version 2" in str(server.last_warm_error)
     assert _hotmx_corruptions(server) == 0
-    assert engine.depends_batch(pairs, view) == expected
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)

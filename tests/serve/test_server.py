@@ -40,8 +40,8 @@ def served(scheme, workload, tmp_path):
     derivation, view, items, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
-    expected_visible = reference.is_visible_batch(items, view)
+    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT).tolist()
+    expected_visible = reference.is_visible_batch(items, view).tolist()
     run_file = tmp_path / "serve.fvl"
     reference.checkpoint(run_file)
     engine = QueryEngine(scheme)
@@ -91,8 +91,8 @@ def test_inline_drain_answers_bit_identical(served):
 
 def test_one_frame_answers_inline(served, ask):
     server, view, items, pairs, expected, expected_visible = served
-    assert ask(server, "depends", pairs[:1], view) == expected[:1]
-    assert ask(server, "visible", items[:1], view) == expected_visible[:1]
+    assert ask(server, "depends", pairs[:1], view).tolist() == expected[:1]
+    assert ask(server, "visible", items[:1], view).tolist() == expected_visible[:1]
     assert server.pending == 0
 
 
@@ -212,11 +212,11 @@ def test_start_twice_rejected_and_restartable(served, ask):
     with server:
         with pytest.raises(RuntimeError, match="already running"):
             server.start()
-        assert ask(server, "depends", pairs[:1], view) == expected[:1]
+        assert ask(server, "depends", pairs[:1], view).tolist() == expected[:1]
     assert not server.running
     # stop() drained; a fresh start serves again.
     with server:
-        assert ask(server, "depends", pairs[1:2], view) == expected[1:2]
+        assert ask(server, "depends", pairs[1:2], view).tolist() == expected[1:2]
 
 
 def test_workers_drain_backlog_on_stop(served):
@@ -272,7 +272,7 @@ def test_wall_clock_linger_still_collects_promptly(served, ask):
     """Sanity: the default clock path answers well under the linger bound."""
     server, view, _, pairs, expected, _ = served
     with server:
-        assert ask(server, "depends", pairs[:1], view) == expected[:1]
+        assert ask(server, "depends", pairs[:1], view).tolist() == expected[:1]
 
 
 # -- only 1-query frames linger ---------------------------------------------------

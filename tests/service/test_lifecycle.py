@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import FVLScheme, FVLVariant
@@ -268,7 +269,7 @@ def test_segment_threshold_compacts_and_remaps_attached_readers(scheme, spec, tm
     mapped = engine.attach(path, run_id="reader")
     assert mapped.n_segments >= 4
     before = engine.depends_batch(pairs, view, run="reader", variant=FVLVariant.DEFAULT)
-    assert before == expected
+    assert np.array_equal(before, expected)
 
     # ...then hand the run to a compacting policy: the next sweep merges
     # the chain and remaps the attached reader in the same pass.
@@ -288,7 +289,7 @@ def test_segment_threshold_compacts_and_remaps_attached_readers(scheme, spec, tm
     assert shard_store.generation == 1 and shard_store.n_segments == 1
     assert max(shard_store.extents_per_column().values()) == 1
     after = engine.depends_batch(pairs, view, run="reader", variant=FVLVariant.DEFAULT)
-    assert after == expected
+    assert np.array_equal(after, expected)
     assert manager.stats.compactions == 1 and manager.stats.reopens == 1
 
     # Ingest continues after the swap: the next delta appends to the

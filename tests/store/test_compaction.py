@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 import repro.store.compaction as compaction_module
@@ -91,14 +92,14 @@ def test_compacted_shard_answers_bit_identically(scheme, spec, tmp_path):
     _segmented_run(scheme, derivation, path, 5)
     segmented = QueryEngine(scheme)
     segmented.attach(path, run_id=DEFAULT_RUN)
-    assert segmented.depends_batch(pairs, view) == expected
-    assert segmented.is_visible_batch(all_uids, view) == expected_visible
+    assert np.array_equal(segmented.depends_batch(pairs, view), expected)
+    assert np.array_equal(segmented.is_visible_batch(all_uids, view), expected_visible)
 
     assert compact(path).compacted
     compacted = QueryEngine(scheme)
     compacted.attach(path, run_id=DEFAULT_RUN)
-    assert compacted.depends_batch(pairs, view) == expected
-    assert compacted.is_visible_batch(all_uids, view) == expected_visible
+    assert np.array_equal(compacted.depends_batch(pairs, view), expected)
+    assert np.array_equal(compacted.is_visible_batch(all_uids, view), expected_visible)
 
 
 def test_compact_noop_on_single_segment_and_empty(scheme, spec, tmp_path):

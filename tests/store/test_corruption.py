@@ -227,7 +227,7 @@ def test_engine_serves_last_good_generation_after_on_disk_corruption(
     engine = QueryEngine(scheme)
     engine.attach(run_file, verify="attach")
     engine.add_view(view)
-    assert engine.depends_batch(pairs, view) == expected
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)
 
     # A corrupt *rewrite* is swapped over the path (a compaction whose
     # output a bad disk mangled): a new inode, so the engine's live mapping
@@ -243,7 +243,7 @@ def test_engine_serves_last_good_generation_after_on_disk_corruption(
     with pytest.raises(CorruptionError):
         engine.reopen(DEFAULT_RUN)
     # ...and the mapped last-good generation keeps answering bit-identically.
-    assert engine.depends_batch(pairs, view) == expected
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)
 
 
 def test_reopen_stays_loud_on_corruption(scheme, spec, tmp_path):

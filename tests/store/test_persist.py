@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core import FVLScheme, FVLVariant
@@ -295,13 +296,13 @@ def test_attached_shard_answers_bit_identical(engine_setup, tmp_path):
     mapped = engine.attach(run_file, run_id="disk")
     assert mapped.n_items == len(engine.run_labeler().store)
     got = engine.depends_batch(pairs, view, run="disk", variant=FVLVariant.DEFAULT)
-    assert got == expected
+    assert np.array_equal(got, expected)
     # Space-efficient variant exercises the memoized decode path too.
     expected_se = engine.depends_batch(pairs, view, variant=FVLVariant.SPACE_EFFICIENT)
     got_se = engine.depends_batch(
         pairs, view, run="disk", variant=FVLVariant.SPACE_EFFICIENT
     )
-    assert got_se == expected_se
+    assert np.array_equal(got_se, expected_se)
     with pytest.raises(LabelingError):
         engine.run_labeler("disk")
     with pytest.raises(LabelingError):
@@ -348,7 +349,7 @@ def test_incremental_checkpoint_then_attach_is_lossless(scheme, spec, tmp_path):
 
     served = QueryEngine(scheme)
     served.attach(run_file, run_id=DEFAULT_RUN)
-    assert served.depends_batch(pairs, view) == expected
+    assert np.array_equal(served.depends_batch(pairs, view), expected)
 
 
 def test_grouping_is_identical_across_store_states(engine_setup, tmp_path):
@@ -360,18 +361,17 @@ def test_grouping_is_identical_across_store_states(engine_setup, tmp_path):
     # store that may still be ingesting.
     store = fresh.run_labeler().store
     assert not store.is_compacted
-    assert fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
+    assert np.array_equal(fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT), expected)
     assert not store.is_compacted
     # Sealing the run changes how rows are stored, not the answers.
     store.compact()
-    assert fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT) == expected
+    assert np.array_equal(fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT), expected)
     # Neither does serving the same rows from a file mapping.
     run_file = tmp_path / "vector.fvl"
     fresh.checkpoint(run_file)
     fresh.attach(run_file, run_id="disk")
-    assert (
-        fresh.depends_batch(pairs, view, run="disk", variant=FVLVariant.DEFAULT)
-        == expected
+    assert np.array_equal(
+        fresh.depends_batch(pairs, view, run="disk", variant=FVLVariant.DEFAULT), expected
     )
     # Unknown uids raise the precise per-item error.
     with pytest.raises(LabelingError):
