@@ -52,7 +52,7 @@ class Scrape:
         self.stats = stats
 
 
-def _total(parsed: dict, name: str, **labels: str) -> float:
+def series_total(parsed: dict, name: str, **labels: str) -> float:
     """Sum every series of ``name`` whose labels include ``labels``."""
     want = set(labels.items())
     return sum(
@@ -107,7 +107,7 @@ class Window:
         if pair is None:
             return 0.0
         baseline, latest = pair
-        increase = _total(latest.metrics, name, **labels) - _total(
+        increase = series_total(latest.metrics, name, **labels) - series_total(
             baseline.metrics, name, **labels
         )
         elapsed = latest.ts - baseline.ts
@@ -198,8 +198,8 @@ def render(window: Window, address: str, *, color: bool = True) -> str:
         "kept traces {:>4d}".format(
             int(server.get("worker_restarts", 0)),
             int(server.get("reopens", 0)),
-            int(_total(scrape.metrics, "lifecycle_quarantined_runs")),
-            int(_total(scrape.metrics, "tail_kept_total")),
+            int(series_total(scrape.metrics, "lifecycle_quarantined_runs")),
+            int(series_total(scrape.metrics, "tail_kept_total")),
         ),
         "",
     ]

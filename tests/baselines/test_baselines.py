@@ -4,12 +4,18 @@ import random
 
 import pytest
 
-from repro.analysis import RunReachabilityOracle
+from repro.analysis import RunReachabilityOracle, is_safe, is_safe_view, is_strictly_linear_recursive
 from repro.baselines import DRL_ORDER_HEADER_BITS, DRLScheme, NaiveScheme
-from repro.core import FVLScheme
+from repro.core import FVLScheme, FVLVariant
 from repro.errors import VisibilityError
-from repro.io import LabelCodec
-from repro.workloads import build_bioaid_specification, random_run, random_view
+from repro.io import LabelCodec, specification_from_dict, specification_to_dict
+from repro.workloads import (
+    build_bioaid_specification,
+    build_synthetic_specification,
+    random_run,
+    random_view,
+    view_suite,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +78,38 @@ def test_drl_label_overhead_constant(setup):
         fvl_bits = codec.data_label_bits(fvl_labeler.label(uid))
         drl_bits = codec.data_label_bits(drl_label.core) + DRL_ORDER_HEADER_BITS
         assert drl_bits == fvl_bits + DRL_ORDER_HEADER_BITS
+
+
+@pytest.mark.parametrize("name", ["bioaid", "synthetic"])
+def test_fvl_and_drl_match_the_oracle_on_grey_and_black_views(name):
+    """FVL on grey and black views, and DRL on the black one, against the oracle."""
+    if name == "bioaid":
+        spec = build_bioaid_specification()
+    else:
+        spec = build_synthetic_specification(workflow_size=12, nesting_depth=3)
+    assert is_strictly_linear_recursive(spec.grammar)
+    assert is_safe(spec.grammar, spec.dependencies)
+    roundtrip = specification_from_dict(specification_to_dict(spec))
+    assert sorted(roundtrip.grammar.module_names) == sorted(spec.grammar.module_names)
+    scheme, drl = FVLScheme(spec), DRLScheme(spec)
+    derivation = random_run(spec, 800, seed=1)
+    labeler = scheme.label_run(derivation)
+    views = view_suite(spec, seed=3, mode="grey", sizes={"small": 2, "medium": 5})
+    black = views["black"] = random_view(spec, 5, seed=9, mode="black", name="blackv")
+    rng = random.Random(0)
+    for view in views.values():
+        assert is_safe_view(spec, view)
+        view_label = scheme.label_view(view, FVLVariant.QUERY_EFFICIENT)
+        oracle = RunReachabilityOracle(derivation.run, view, spec)
+        drl_labeler = drl.label_run(derivation, view) if view is black else None
+        visible = sorted(oracle.projection.visible_items)
+        for _ in range(800):
+            d1, d2 = rng.choice(visible), rng.choice(visible)
+            expected = oracle.depends(d1, d2)
+            assert scheme.depends(labeler.label(d1), labeler.label(d2), view_label) == expected
+            if drl_labeler is not None:
+                drl_got = drl.depends(drl_labeler.label(d1), drl_labeler.label(d2), view)
+                assert drl_got == expected
 
 
 def test_naive_scheme_matches_oracle(setup):

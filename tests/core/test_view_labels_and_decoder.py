@@ -140,6 +140,29 @@ def test_decoder_matches_oracle_on_directed_derivation(running_scheme, running_s
                 assert got == expected, (view.name, d1, d2)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_every_variant_and_visibility_match_the_oracle_on_every_item(
+    running_scheme, running_spec, running_views, seed
+):
+    """Exhaustive on small runs: every view, all three variants, every visible pair and item."""
+    derivation = derive_running(running_spec, seed=seed, max_steps=40)
+    labeler = running_scheme.label_run(derivation)
+    run = derivation.run
+    for view in running_views:
+        labels = {variant: running_scheme.label_view(view, variant) for variant in FVLVariant}
+        oracle = RunReachabilityOracle(run, view, running_spec)
+        visible = sorted(oracle.projection.visible_items)
+        for d1 in visible:
+            for d2 in visible:
+                expected = oracle.depends(d1, d2)
+                for variant, view_label in labels.items():
+                    got = running_scheme.depends(labeler.label(d1), labeler.label(d2), view_label)
+                    assert got == expected, (view.name, variant, d1, d2)
+        for d in run.data_items:
+            by_label = running_scheme.is_visible(labeler.label(d), labels[FVLVariant.DEFAULT])
+            assert by_label == oracle.is_visible(d), (view.name, d)
+
+
 def test_visibility_check_matches_projection(running_scheme, running_spec, view_u2):
     derivation = derive_running(running_spec, seed=6)
     labeler = running_scheme.label_run(derivation)

@@ -9,6 +9,9 @@ attributes; a dataclass field counts as an attribute) — so deleting or
 renaming a module or a method fails here until the prose that cites it is
 re-trued.  README's metrics table is held to the metrics registry of a whole
 stack (engine, server, net server, lifecycle manager, watchdog) both ways.
+Every cited ``scripts/….py`` path must exist, and every smoke phase the prose
+names (a backticked name before "phase", or an argument of a
+``scripts/smoke.py`` command) must be a phase of that script.
 """
 
 from __future__ import annotations
@@ -84,6 +87,47 @@ def test_backticked_methods_resolve(doc, member):
     cls = CLASSES[name]
     fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
     assert hasattr(cls, attr) or attr in fields, f"{doc} cites `{member}`, which does not resolve"
+
+
+_SCRIPT = re.compile(r"\b(scripts/\w+\.py)\b")
+#: Backticked names followed by "phase(s)", and the arguments of a `smoke.py` command.
+_PHASE_PROSE = re.compile(r"((?:`[a-z][a-z-]*`(?:,? and |, | or )?)+) phases?\b")
+_PHASE_COMMAND = re.compile(r"scripts/smoke\.py((?: [a-z][a-z-]*)+)")
+
+
+def _smoke_phases() -> dict:
+    spec = importlib.util.spec_from_file_location("smoke", ROOT / "scripts" / "smoke.py")
+    smoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(smoke)
+    return smoke.PHASES
+
+
+def _cited_phases() -> list[tuple[str, str]]:
+    cited = set()
+    for doc in DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        for names in _PHASE_PROSE.findall(text):
+            cited.update((doc, name) for name in re.findall(r"`([a-z][a-z-]*)`", names))
+        for args in _PHASE_COMMAND.findall(text):
+            cited.update((doc, name) for name in args.split())
+    return sorted(cited)
+
+
+def test_the_docs_cite_scripts_and_smoke_phases():
+    """Not vacuous: every doc names a script, and the README and the skill name phases."""
+    assert {doc for doc, _ in _cited(_SCRIPT)} == set(DOCS)
+    assert {doc for doc, _ in _cited_phases()} >= set(DOCS[:2])
+
+
+@pytest.mark.parametrize("doc, path", _cited(_SCRIPT))
+def test_cited_script_paths_exist(doc, path):
+    assert (ROOT / path).is_file(), f"{doc} cites `{path}`, which does not exist"
+
+
+def test_cited_smoke_phases_exist():
+    phases = _smoke_phases()
+    missing = [(doc, name) for doc, name in _cited_phases() if name not in phases]
+    assert not missing, f"the docs cite smoke phases scripts/smoke.py does not have: {missing}"
 
 
 def _metrics_table() -> list[str]:
