@@ -167,7 +167,7 @@ class PortLayout:
     ``rhs_final_output(y)`` for the left-hand side's ports in order.
     """
 
-    __slots__ = ("occurrences", "blocks", "n_ports", "edges", "lhs_in", "lhs_out")
+    __slots__ = ("occurrences", "blocks", "bounds", "n_ports", "edges", "lhs_in", "lhs_out")
 
     def __init__(self, production: Production) -> None:
         rhs = production.rhs
@@ -184,6 +184,8 @@ class PortLayout:
             for occ_id, module in rhs.occurrences.items()
         )
         self.blocks = tuple(blocks[occ_id] for occ_id in order)
+        #: ``blocks`` as a ``(positions, 3)`` array.
+        self.bounds = np.asarray(self.blocks, dtype=np.int64).reshape(-1, 3)
         self.n_ports = end
         wires: dict[str, tuple[list[int], list[int]]] = {occ_id: ([], []) for occ_id in order}
         for edge in rhs.edges:
@@ -266,6 +268,11 @@ class ClosureSlices:
         self.closure = closure
         self._from_lhs = closure[layout.lhs_in]
         self._to_lhs = closure[:, layout.lhs_out].T
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the closure and its two left-hand-side slices."""
+        return self.closure.nbytes + self._from_lhs.nbytes + self._to_lhs.nbytes
 
     def inputs(self, i: int) -> BoolMatrix:
         start, mid, _ = self.layout.blocks[i - 1]

@@ -45,6 +45,7 @@ experimental variants (Sections 4.3 and 4.4.3):
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -114,6 +115,10 @@ class ViewLabel:
             for k, closure in closures.items():
                 closure.flags.writeable = False
                 self._slices[k] = ClosureSlices(port_layout(index.production(k)), closure)
+        #: Bytes of the kept closures and their slices, and of the copies read so far.
+        self._closure_nbytes = sum(slices.nbytes for slices in self._slices.values())
+        self._copies_nbytes = 0
+        self._copies_lock = threading.Lock()
         if variant is FVLVariant.QUERY_EFFICIENT:
             self._materialise_power_tables()
 
@@ -138,6 +143,15 @@ class ViewLabel:
     @property
     def retained_cycles(self) -> frozenset[int]:
         return self._retained_cycles
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the label keeps: closures, their slices and ``I``/``O``/``Z`` copies.
+
+        (``lambda*`` and the query-efficient variant's chain tables, fixed by
+        the grammar, are not counted.)
+        """
+        return self._closure_nbytes + self._copies_nbytes
 
     def lam_star(self, module_name: str) -> BoolMatrix:
         """The full-dependency matrix of a module under this view."""
@@ -187,9 +201,7 @@ class ViewLabel:
         matrix = self._inputs.get((k, i))
         if matrix is None:
             self._require_edge(k, i)
-            matrix = self._slices_of(k).inputs(i)
-            if self._variant is not FVLVariant.SPACE_EFFICIENT:
-                self._inputs[(k, i)] = matrix
+            matrix = self._keep(self._inputs, (k, i), self._slices_of(k).inputs(i))
         return matrix
 
     def outputs(self, k: int, i: int) -> BoolMatrix:
@@ -197,9 +209,7 @@ class ViewLabel:
         matrix = self._outputs.get((k, i))
         if matrix is None:
             self._require_edge(k, i)
-            matrix = self._slices_of(k).outputs(i)
-            if self._variant is not FVLVariant.SPACE_EFFICIENT:
-                self._outputs[(k, i)] = matrix
+            matrix = self._keep(self._outputs, (k, i), self._slices_of(k).outputs(i))
         return matrix
 
     def z(self, k: int, i: int, j: int) -> BoolMatrix:
@@ -213,10 +223,19 @@ class ViewLabel:
         module_j = self._index.edge_target_module(k, j)
         if i >= j:
             return BoolMatrix.zeros(module_i.n_outputs, module_j.n_inputs)
-        matrix = self._slices_of(k).z(i, j)
-        if self._variant is not FVLVariant.SPACE_EFFICIENT:
-            self._z[(k, i, j)] = matrix
-        return matrix
+        return self._keep(self._z, (k, i, j), self._slices_of(k).z(i, j))
+
+    def closure_slices(self, k: int) -> ClosureSlices:
+        """The closure of retained production ``k``'s body, with its slices.
+
+        The kept closure, or (space-efficient) a fresh one per call: callers
+        that read many functions of one production memoize the result.
+        """
+        if k not in self._retained:
+            raise VisibilityError(
+                f"production {k} is not retained by view {self._view.name!r}"
+            )
+        return self._slices_of(k)
 
     def production_matrices(self, k: int) -> LabelFunctions:
         """All ``I``/``O``/``Z`` matrices of one retained production.
@@ -350,6 +369,16 @@ class ViewLabel:
             )
         if not self._index.production_graph.has_edge(k, i):
             raise DecodingError(f"no production-graph edge ({k}, {i})")
+
+    def _keep(self, table: dict, key, matrix: BoolMatrix) -> BoolMatrix:
+        """Memoize a copy read out of a kept closure (the space-efficient variant keeps none)."""
+        if self._variant is FVLVariant.SPACE_EFFICIENT:
+            return matrix
+        with self._copies_lock:
+            if key not in table:
+                table[key] = matrix
+                self._copies_nbytes += matrix.data.nbytes
+            return table[key]
 
     def _slices_of(self, k: int) -> ClosureSlices:
         """The kept slices of production ``k``, or (space-efficient) fresh ones."""

@@ -12,9 +12,12 @@ but without help it re-derives two kinds of view-constant state on every call:
 
 The state is split along the line the paper draws.  :class:`StaticViewState`
 is the view's *static label* plus every memo that is a function of
-``(grammar, view, variant)`` only — among them the
-:class:`~repro.engine.kernel.MatrixBank` the decode kernel multiplies from;
-the engine builds it once per registered view and keeps it for good.
+``(grammar, view, variant)`` only — among them the space-efficient variant's
+one closure per production and the
+:class:`~repro.engine.kernel.MatrixBank` the decode kernel multiplies from,
+which gathers ``I``/``O``/``Z`` out of the closures
+:meth:`DecodedViewState.closure` hands out; the engine builds it once per
+registered view and keeps it for good.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, visibility flags — and is what
 :class:`LRUCache` holds and evicts; rebuilding one costs matrix products over
@@ -22,7 +25,8 @@ the surviving static part, never a relabelling.
 
 **One byte budget** bounds all of it, and this module is the one place that
 knows the policy.  Sizes are sums of array sizes, kept as running sums where
-bytes change.  Static parts are counted and never evicted.  After a batch the
+bytes change.  Static parts are counted — the label's closures and copies
+included — and never evicted.  After a batch the
 engine has the LRU :meth:`~LRUCache.settle` the state it used:
 least-recently-used *other* per-run states go until the total fits.  The
 state in use is never evicted by its own growth; what it may still store is
@@ -38,6 +42,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+import numpy as np
+
+from repro.analysis.reachability import ClosureSlices
 from repro.core.decoder import DecodeCache, MatrixMemo, depends as _depends
 from repro.core.labels import DataLabel
 from repro.core.preprocessing import GrammarIndex
@@ -197,22 +204,17 @@ class LRUCache:
             )
 
 
-def _triple_nbytes(triple) -> int:
-    """Bytes of one production's ``(I, O, Z)`` dict triple."""
-    return sum(matrix.data.nbytes for table in triple for matrix in table.values())
-
-
 class StaticViewState:
     """The run-independent half of a decoded view: one per ``(view, variant)``.
 
     Holds the static label itself and the memo tables whose entries depend
     on nothing but the grammar and that label.
     The engine interns one instance per registered ``(view, variant)`` and
-    never evicts it: a view label is a few hundred bytes, the production
-    memo and the bank's edge matrices are bounded by the grammar, and what
-    queried labels can grow without bound (chain and segment products) only
-    grows while the engine's byte budget has room.  No key here mentions an
-    arena or a run, so run churn cannot leak into it.
+    never evicts it: the label (its closures and the copies read out of
+    them), the production memo and the bank's edge matrices are bounded by
+    the grammar, and what queried labels can grow without bound (chain and
+    segment products) only grows while the engine's byte budget has room.
+    No key here mentions an arena or a run, so run churn cannot leak into it.
     """
 
     __slots__ = (
@@ -227,9 +229,10 @@ class StaticViewState:
 
     def __init__(self, label: ViewLabel) -> None:
         self.label = label
-        #: production ``k`` -> its ``(I, O, Z)`` dict triple (space-efficient
-        #: variant only: one graph search per production, not per access).
-        self.productions = MatrixMemo(_triple_nbytes)
+        #: production ``k`` -> the closure of its body, with its slices
+        #: (space-efficient variant only: one graph search per production, not
+        #: per access).
+        self.productions = MatrixMemo(lambda slices: slices.nbytes)
         #: ``(function, s, t, count)`` -> recursion chain product.
         self.chains = MatrixMemo()
         #: Path-segment products keyed by materialised edge labels; every
@@ -245,9 +248,10 @@ class StaticViewState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the matrices held: the bank and the four matrix memos."""
+        """Bytes of the arrays held: the label's, the bank's and the four memos'."""
         return (
-            self.bank.nbytes
+            self.label.nbytes
+            + self.bank.nbytes
             + self.productions.nbytes
             + self.chains.nbytes
             + self.inputs_segments.nbytes
@@ -275,7 +279,8 @@ class DecodedViewState:
     predicate consumes (``index`` / ``lam_star_start`` / ``inputs`` /
     ``outputs`` / ``z`` / ``inputs_chain`` / ``outputs_chain``), answering
     from the production and chain memos of the :class:`StaticViewState` it
-    was built over, and carries the :class:`~repro.core.decoder.DecodeCache`
+    was built over, hands the bank the body closures it gathers from
+    (:meth:`closure`), and carries the :class:`~repro.core.decoder.DecodeCache`
     every query through this view shares.  The cache's path-segment tables
     *are* the static part's (they survive this object); its pair tables and
     the visibility flags are keyed by arena and live and die with this LRU
@@ -358,31 +363,35 @@ class DecodedViewState:
     def inputs(self, k: int, i: int) -> BoolMatrix:
         if not self._memoize:
             return self._label.inputs(k, i)
-        inputs, _, _ = self._production(k)
-        try:
-            return inputs[(k, i)]
-        except KeyError:
-            raise DecodingError(f"no production-graph edge ({k}, {i})") from None
+        return self._production(k, i).inputs(i)
 
     def outputs(self, k: int, i: int) -> BoolMatrix:
         if not self._memoize:
             return self._label.outputs(k, i)
-        _, outputs, _ = self._production(k)
-        try:
-            return outputs[(k, i)]
-        except KeyError:
-            raise DecodingError(f"no production-graph edge ({k}, {i})") from None
+        return self._production(k, i).outputs(i)
 
     def z(self, k: int, i: int, j: int) -> BoolMatrix:
         if not self._memoize or i >= j:
             # i >= j is an all-false matrix the label returns without any
             # graph search, for every variant.
             return self._label.z(k, i, j)
-        _, _, z = self._production(k)
-        try:
-            return z[(k, i, j)]
-        except KeyError:
-            raise DecodingError(f"no production-graph edges ({k}, {i})/({k}, {j})") from None
+        slices = self._production(k)
+        if i < 1 or j > len(slices.layout.blocks):
+            raise DecodingError(f"no production-graph edges ({k}, {i})/({k}, {j})")
+        return slices.z(i, j)
+
+    def closure(self, k: int) -> "np.ndarray | None":
+        """The body closure of production ``k``, or ``None`` if the view does not retain it.
+
+        What the :class:`~repro.engine.kernel.MatrixBank` gathers ``I``/``O``/``Z``
+        from: the label's own closure, or the space-efficient variant's
+        production memo (one graph search per production).
+        """
+        if k not in self._label.retained_productions:
+            return None
+        if self._memoize:
+            return self._production(k).closure
+        return self._label.closure_slices(k).closure
 
     def inputs_chain(self, s: int, t: int, count: int) -> BoolMatrix:
         return self._chain("I", s, t, count)
@@ -397,12 +406,15 @@ class DecodedViewState:
 
     # -- internals ------------------------------------------------------------------
 
-    def _production(self, k: int) -> tuple[dict, dict, dict]:
-        triple = self._productions.get(k)
-        if triple is None:
-            triple = self._label.production_matrices(k)
-            self._productions[k] = triple
-        return triple
+    def _production(self, k: int, i: int = 1) -> ClosureSlices:
+        """Production ``k``'s memoized closure slices, with position ``i`` checked."""
+        slices = self._productions.get(k)
+        if slices is None:
+            slices = self._label.closure_slices(k)
+            self._productions[k] = slices
+        if not 1 <= i <= len(slices.layout.blocks):
+            raise DecodingError(f"no production-graph edge ({k}, {i})")
+        return slices
 
     def _chain(self, function: str, s: int, t: int, count: int) -> BoolMatrix:
         t = self.index.normalize_rotation(s, t)

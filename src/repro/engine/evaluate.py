@@ -18,10 +18,11 @@ evaluated the same way, as whole-array operations from gather to answer:
    :class:`~repro.core.pair_table.PairTable` with one ``searchsorted``;
 4. **decide the misses** — every distinct key the table does not hold is
    decided once and merged in: the stacked Algorithm 2 of
-   :mod:`repro.engine.kernel` settles each with a verdict (its product is
-   forced) or a matrix, and what the kernel declines, like every boundary
-   key, goes to the reference decoder in ascending key order — so which
-   pair raises, with which type and message, is the decoder's call;
+   :mod:`repro.engine.kernel` settles each with a verdict (an interior
+   key whose product is forced) or a matrix (every boundary key among
+   them), and what the kernel declines goes to the reference decoder in
+   ascending key order — so which pair raises, with which type and
+   message, is the decoder's call;
 5. **read** — one bounds-checked fancy index into the table's matrix pool
    answers every pair — each from the ``(row, column)`` ports of its case —
    and one scatter puts the bits in place.
@@ -176,24 +177,14 @@ def _reference_matrix(path, state, path1: int, path2: int):
 def _decide(store, state, keys: np.ndarray, trie) -> PairTable:
     """Decide ascending distinct ``keys``: the kernel, then the reference decoder."""
     path1, path2 = pair_paths(keys)
-    sentinels = np.zeros(keys.size, dtype=np.int64)
     bank = state.static.bank
     ports = bank.ports
-    blocks = np.zeros((keys.size, ports * ports), dtype=bool)
-    shapes = np.zeros((keys.size, 2), dtype=np.int32)
-    # Boundary keys are the reference decoder's, the others the kernel's first.
-    reference = (path1 == ABSENT) | (path2 == ABSENT)
-    interior = np.nonzero(~reference)[0]
-    if interior.size:
-        with trace_span("engine.decode", keys=int(interior.size)) as span:
-            outcome, blocks[interior], shapes[interior] = decide_many(
-                trie(), bank, state, path1[interior], path2[interior]
-            )
-            declined = outcome == REFERENCE
-            sentinels[interior] = np.where(declined, 0, outcome)  # a verdict, or 0: a matrix
-            reference[interior[declined]] = True
-            if span is not None:
-                span.attrs = {"keys": int(interior.size), "fallback": int(declined.sum())}
+    with trace_span("engine.decode", keys=int(keys.size)) as span:
+        outcome, blocks, shapes = decide_many(trie(), bank, state, path1, path2)
+        reference = outcome == REFERENCE
+        sentinels = np.where(reference, 0, outcome)  # a verdict, or 0: a matrix
+        if span is not None:
+            span.attrs = {"keys": int(keys.size), "fallback": int(reference.sum())}
     path = store.table.path
     for row in np.nonzero(reference)[0].tolist():
         matrix = _reference_matrix(path, state, int(path1[row]), int(path2[row]))

@@ -163,6 +163,12 @@ def decoded_state_bytes():
     def matrices(memo) -> int:
         return sum(matrix.data.nbytes for matrix in memo.values())
 
+    def closures(slices) -> int:
+        return sum(
+            part.closure.nbytes + part._from_lhs.nbytes + part._to_lhs.nbytes
+            for part in slices.values()
+        )
+
     def walk(engine) -> tuple[int, int]:
         per_run = 0
         for state in engine.decoded_states().values():
@@ -179,7 +185,11 @@ def decoded_state_bytes():
             )
             static += sum(array.nbytes for array in arrays)
             static += matrices(part.chains) + matrices(part.inputs_segments) + matrices(part.outputs_segments)
-            static += sum(matrices(table) for triple in part.productions.values() for table in triple)
+            static += closures(part.productions)
+            # The label: its closures and their slices, and the copies read out of them.
+            label = part.label
+            static += closures(label._slices)
+            static += matrices(label._inputs) + matrices(label._outputs) + matrices(label._z)
         return per_run, static
 
     return walk
@@ -217,12 +227,15 @@ def kernel_vs_reference():
     """``check(engine, scheme, labeler, view, variant, rng, n_pairs)``: the differential contract.
 
     ``repro.engine.kernel.decide_many`` against ``repro.core.decoder`` key by
-    key, and ``depends_batch`` against the one-pair predicate pair by pair
-    (see the returned function).
+    key — interior keys against ``intermediate_matrix``, boundary keys
+    (Cases II–IV) against ``lambda*(S)`` and the ``Inputs`` / ``Outputs``
+    chain over their one path — and ``depends_batch`` against the one-pair
+    predicate pair by pair (see the returned function).
     """
     import numpy as np
 
-    from repro.core.decoder import intermediate_matrix
+    from repro.core.decoder import _inputs_chain_over, _outputs_chain_over, intermediate_matrix
+    from repro.core.pair_table import ABSENT
     from repro.engine import DEFAULT_RUN
     from repro.engine.cache import DecodedViewState, StaticViewState
     from repro.engine.kernel import MATRIX, REFERENCE, VERDICT_FALSE, VERDICT_TRUE, decide_many
@@ -237,28 +250,53 @@ def kernel_vs_reference():
         """Kernel decisions and engine answers vs the reference, on random item pairs.
 
         Items are drawn from the whole run, visible in ``view`` or not, so keys
-        the view does not define (the reference raises) are part of the sample.
+        the view does not define (the reference raises) are part of the sample;
+        a fifth of the pairs have an initial input on the left or a final output
+        on the right, so boundary keys (no producer or no consumer path) are too.
         Returns how many keys the kernel decided and how many it declined.
         """
         view_label = scheme.label_view(view, variant)
         uids = sorted(labeler.labels)
-        pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(n_pairs)]
-
         shard = engine._shards[DEFAULT_RUN]
         store, table = shard.store, shard.store.table
+        initial = [uid for uid in uids if store.row(uid)[0] < 0]
+        final = [uid for uid in uids if store.row(uid)[2] < 0]
+        pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(n_pairs)]
+        for _ in range(n_pairs // 10 if initial and final else 0):
+            pairs.append((rng.choice(initial), rng.choice(uids)))
+            pairs.append((rng.choice(uids), rng.choice(final)))
+
         state = engine.decoded_state(view, variant)
-        rows = [store.row(d1)[:1] + store.row(d2)[2:3] for d1, d2 in pairs]
-        keys = sorted({(int(p1), int(c2)) for p1, c2 in rows if p1 >= 0 and c2 >= 0})
+        # The decoder's key of a pair: (producer path of d1, consumer path of
+        # d2), ABSENT where there is none; Case I pairs have no key.
+        rows = [store.row(d1) + store.row(d2) for d1, d2 in pairs]
+        keys = sorted(
+            {
+                (int(p1) if p1 >= 0 else ABSENT, int(c2) if c2 >= 0 else ABSENT)
+                for p1, _, c1, _, p2, _, c2, _ in rows
+                if c1 >= 0 and p2 >= 0
+            }
+        )
+        assert any(ABSENT in key for key in keys) or not (initial and final)
         path1 = np.asarray([p1 for p1, _ in keys], dtype=np.int64)
         path2 = np.asarray([c2 for _, c2 in keys], dtype=np.int64)
         outcome, blocks, shapes = decide_many(
             engine._trie_columns(shard), state.static.bank, state, path1, path2
         )
         ports = state.static.bank.ports
+        start = view_label.index.start_module
+
+        def reference_matrix(p1, c2):
+            if p1 == ABSENT and c2 == ABSENT:
+                return view_label.lam_star_start()  # Case II
+            if p1 == ABSENT:
+                return _inputs_chain_over(table.path(c2), view_label, start.n_inputs)  # Case III
+            if c2 == ABSENT:
+                return _outputs_chain_over(table.path(p1), view_label, start.n_outputs)  # Case IV
+            return intermediate_matrix(table.path(p1), table.path(c2), view_label)
+
         for (p1, c2), verdict, block, shape in zip(keys, outcome, blocks, shapes):
-            reference = _outcome(
-                lambda: intermediate_matrix(table.path(p1), table.path(c2), view_label)
-            )
+            reference = _outcome(lambda: reference_matrix(p1, c2))
             if verdict == REFERENCE:
                 # The kernel only declines what the reference raises for.
                 assert reference[0] != "ok", (p1, c2, reference)

@@ -36,9 +36,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.decoder as decoder
+import repro.core.pair_table as pair_table
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import RunReachabilityOracle
-from repro.engine import DEFAULT_RUN
+from repro.engine import DEFAULT_RUN, evaluate
 from repro.engine.cache import DecodedViewState, StaticViewState
 from repro.engine.kernel import REFERENCE, MatrixBank, decide_many
 from repro.errors import DecodingError
@@ -245,7 +246,9 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     def forbidden(*args, **kwargs):
         raise AssertionError("per-key or per-pair Python on a warm batch")
 
-    monkeypatch.setattr(MatrixBank, "_code", forbidden)
+    monkeypatch.setattr(MatrixBank, "codes", forbidden)
+    monkeypatch.setattr(MatrixBank, "_gather", forbidden)
+    monkeypatch.setattr(evaluate, "decide_many", forbidden)
     monkeypatch.setattr(decoder, "_intermediate_matrix", forbidden)
     monkeypatch.setattr(decoder, "_chain_over", forbidden)
     monkeypatch.setattr(DecodedViewState, "depends", forbidden)
@@ -462,23 +465,76 @@ def _interior_pair_through_a_matrix(engine, derivation, view):
     raise AssertionError("no pair of the workload reads a matrix entry")
 
 
-@pytest.mark.parametrize("bad_port", ["zero", "beyond"])
-def test_a_port_outside_its_matrix_is_a_decoding_error(bad_port):
+def _boundary_pair_through_a_matrix(engine, derivation, view, no_left, no_right):
+    """A visible pair of Case II, III or IV whose matrix is all-true, and its shape.
+
+    Its classes alone would settle such a key, but then no shape would be
+    left to check a port against.
+    """
+    visible = sorted(ViewProjection(derivation.run, view).visible_items)
+    store = engine.run_labeler().store
+    lefts = [d for d in visible if (store.row(d)[0] < 0) == no_left and store.row(d)[2] >= 0]
+    rights = [d for d in visible if (store.row(d)[2] < 0) == no_right and store.row(d)[0] >= 0]
+    pairs = [(d1, d2) for d1 in lefts[:40] for d2 in rights[:40]]
+    engine.depends_batch(pairs, view)
+
+    def key(d1, d2):
+        return (
+            pair_table.ABSENT if no_left else store.row(d1)[0],
+            pair_table.ABSENT if no_right else store.row(d2)[2],
+        )
+
+    table = engine.decoded_state(view).decode_cache.table(0)
+    forced = {
+        (id1, id2): matrix
+        for id1, id2, matrix, _ in table.matrix_rows(np.arange(len(table)))
+        if matrix is not None and matrix.data.all()
+    }
+    d1, d2 = next(pair for pair in pairs if key(*pair) in forced)
+    return d1, d2, forced[key(d1, d2)].shape
+
+
+#: Per case: the sides without a path (producer of d1, consumer of d2), and
+#: the item and row field carrying the port read as the matrix row — d1's
+#: output port (interior), d1's input port of the start module (Cases II,
+#: III) or d2's output port of it (Case IV).
+_PORT_CASES = {
+    "interior": (False, False, 0, 1),
+    "II": (True, True, 0, 3),
+    "III": (True, False, 0, 3),
+    "IV": (False, True, 1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "case, bad_port",
+    [pytest.param(case, port, id=port if case == "interior" else f"{case}-{port}")
+     for case in _PORT_CASES for port in ("zero", "beyond")],
+)
+def test_a_port_outside_its_matrix_is_a_decoding_error(case, bad_port):
     """Port 0 used to wrap to the last row; a port past the arity raised IndexError."""
+    no_left, no_right, side, field = _PORT_CASES[case]
     spec = build_bioaid_specification()
     scheme = FVLScheme(spec)
     derivation = random_run(spec, 300, seed=7)
     view = random_view(spec, 6, seed=8, mode="grey", name="ports")
     engine = QueryEngine(scheme)
     labeler = engine.add_run(DEFAULT_RUN, derivation)
-    d1, d2, (rows, cols) = _interior_pair_through_a_matrix(engine, derivation, view)
+    if case == "interior":
+        d1, d2, (rows, cols) = _interior_pair_through_a_matrix(engine, derivation, view)
+    else:
+        d1, d2, (rows, cols) = _boundary_pair_through_a_matrix(
+            engine, derivation, view, no_left, no_right
+        )
     want = engine.depends_batch([(d1, d2)], view)
 
     # A live store whose row carries a port its module does not have.
     store = labeler.store
-    producer_path, _, consumer_path, consumer_port = store.row(d1)
+    row = list(store.row((d1, d2)[side]))
+    row[field] = 0 if bad_port == "zero" else rows + 1
     forged = max(store.uids()) + 1
-    store.append(forged, producer_path, 0 if bad_port == "zero" else rows + 1, consumer_path, consumer_port)
-    with pytest.raises(DecodingError, match=rf"pair \({forged}, {d2}\).*{rows}x{cols}"):
-        engine.depends_batch([(d1, d2), (forged, d2)], view)
+    store.append(forged, *row)
+    pair = (forged, d2) if side == 0 else (d1, forged)
+    with pytest.raises(DecodingError, match=rf"pair \({pair[0]}, {pair[1]}\).*{rows}x{cols}"):
+        engine.depends_batch([(d1, d2), pair], view)
     assert np.array_equal(engine.depends_batch([(d1, d2)], view), want)  # the table is unharmed

@@ -51,16 +51,18 @@ import time
 import types
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import reachability
-from repro.core.pair_table import PairTable
+from repro.core.pair_table import ABSENT, PairTable, pair_paths
 from repro.core.view_label import ViewLabel
 from repro.engine import DEFAULT_RUN
 from repro.engine import engine as engine_module
+from repro.engine import evaluate
 from repro.engine.kernel import MatrixBank
 from repro.index import StructuralIndex
 from repro.matrices import BoolMatrix
@@ -76,6 +78,11 @@ from repro.workloads import (
 )
 
 from repro.bench import sample_query_pairs
+
+# The benchmark's inputs (``perf/inputs.py``), for the workloads' own view-add frames.
+if str(Path(__file__).resolve().parents[2]) not in sys.path:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+from perf import inputs as perf_inputs  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +292,27 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
         raise AssertionError("a query built an interval index")
 
     monkeypatch.setattr(StructuralIndex, "build", no_index)
-    resolved = []
-    original = MatrixBank._code
+    gathers = []
+    original = MatrixBank._gather
 
-    def counting(self, key, state):
-        resolved.append(key)
-        return original(self, key, state)
+    def counting(self, keys, state):
+        gathers.append(keys.tolist())
+        return original(self, keys, state)
 
-    monkeypatch.setattr(MatrixBank, "_code", counting)
+    monkeypatch.setattr(MatrixBank, "_gather", counting)
+    read = []
+
+    def reading(name):
+        accessor = getattr(ViewLabel, name)
+
+        def counted(self, *key):
+            read.append((name, *key))
+            return accessor(self, *key)
+
+        return counted
+
+    for name in ("inputs", "outputs", "z"):
+        monkeypatch.setattr(ViewLabel, name, reading(name))
 
     # The same expansions, replayed into a run the engine labels as it grows.
     growing = Derivation(scheme.specification)
@@ -310,8 +330,14 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
         expected = [
             scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs
         ]
-        resolved.clear()
+        gathers.clear()
+        read.clear()
         assert engine.depends_batch(pairs, view, run="live").tolist() == expected
+        # At most one gather, whatever the pair count: the Zs, the I/O
+        # factors the batch meets first and the cycle edges its recursion
+        # chain products step over, together; and the DEFAULT label's
+        # accessors are not asked: factors come out of its closures.
+        assert len(gathers) <= 1 and read == []
         return pairs, expected
 
     half = len(expansions) // 2
@@ -319,10 +345,10 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
     bank = engine.decoded_state(view).static.bank
     cache = engine.decoded_state(view).decode_cache
     table = cache.table(engine.shard_arena("live"))
-    # Every call is for a distinct factor (a chain step asks for its edge
-    # once more), and there are far fewer factors than path pairs.
-    assert 0 < len(resolved) <= 2 * len(set(resolved)) <= 2 * len(bank._codes)
-    assert len(set(resolved)) < len(table) // 2
+    # Every factor is resolved once, and there are far fewer factors than path pairs.
+    resolved = [key for keys in gathers for key in keys]
+    assert 0 < len(resolved) == len(set(resolved)) <= len(bank._codes)
+    assert len(resolved) < len(table) // 2
     pairs, expected = grow_and_ask(expansions[half:])  # the shard grew: new keys, no rebuild
     assert len(cache.table(engine.shard_arena("live"))) > len(table)
 
@@ -331,10 +357,37 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
     run_file = tmp_path / "cold.fvl"
     engine.checkpoint(run_file, "live")
     engine.attach(run_file, "disk")
-    resolved.clear()
+    gathers.clear()
     assert engine.depends_batch(pairs, view, run="disk").tolist() == expected
-    assert resolved == []
+    assert gathers == []
     assert len(cache.table(engine.shard_arena("disk"))) > 0
+
+
+@pytest.mark.parametrize("workload", list(perf_inputs.WORKLOADS))
+def test_a_view_add_frame_never_reaches_the_reference_decoder(workload, monkeypatch):
+    """Each benchmark workload's view-add frame, boundary keys included, is the kernel's alone."""
+    inputs = perf_inputs.generate(perf_inputs.WORKLOADS[workload], 42, scale=0.05)
+    engine = QueryEngine(FVLScheme(inputs.specification))
+    engine.add_run(DEFAULT_RUN, inputs.derivation)
+    for view in inputs.views:
+        engine.add_view(view)
+    for frame in inputs.warmup:
+        assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
+    referred = []
+    original = evaluate._reference_matrix
+
+    def counting(*args):
+        referred.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(evaluate, "_reference_matrix", counting)
+    for view, frame in zip(inputs.extra_views, inputs.add_frames):
+        engine.add_view(view)
+        assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
+        table = engine.decoded_state(view).decode_cache.table(engine.shard_arena())
+        path1, path2 = pair_paths(table.keys)
+        assert np.count_nonzero((path1 == ABSENT) | (path2 == ABSENT)) > 0  # boundary keys asked
+    assert referred == []
 
 
 @pytest.fixture(scope="module")

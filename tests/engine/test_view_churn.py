@@ -277,8 +277,10 @@ def test_decode_budget_holds_across_rebuilds_and_deep_recursion(decoded_state_by
     static = roomy.stats.views.bytes - sum(wanted.values())
     assert roomy.stats.views.evictions == 0
 
-    # Room for every static byte and for half of the smaller per-run state.
-    budget = static + min(wanted.values()) // 2
+    # Room for every static byte and for a quarter of the smaller per-run state.
+    # (The dry run's static bytes overstate what this engine holds: its banks
+    # doubled their stacks for boundary chain products this budget keeps out.)
+    budget = static + min(wanted.values()) // 4
     engine = QueryEngine(scheme, state_budget_bytes=budget)
     engine.add_run(DEFAULT_RUN, derivation)
     for view, pairs, expected in rounds:
@@ -317,9 +319,15 @@ def test_a_one_byte_budget_stores_nothing_and_answers_the_same(decoded_state_byt
             per_run, static = decoded_state_bytes(engine)
             # Nothing a query can grow is kept: no row, fold, flag or chain product ...
             assert per_run == 0 and engine.stats.views.bytes == static
-            resident.append(static)
-    # ... so what is resident is the grammar-bounded static part, flat once met.
-    assert len(set(resident[3:])) == 1 and engine.stats.views.evictions == 0
+            label = engine.decoded_state(view).label
+            resident.append((static - label.nbytes, label.nbytes))
+    # ... so what is resident is the grammar-bounded static part: the bank and
+    # memos flat once met, the label at most its closures and every function
+    # copied out of them (the reference decoder reads a function on first need).
+    for k in fresh.retained_productions:
+        fresh.production_matrices(k)
+    assert len({bank for bank, _ in resident[3:]}) == 1 and engine.stats.views.evictions == 0
+    assert max(label for _, label in resident) <= fresh.nbytes
 
 
 # -- (d) unsafe views, re-registration, name clashes ------------------------------------

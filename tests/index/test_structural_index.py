@@ -137,12 +137,24 @@ def test_packed_word_layout_matches_path_table():
 # -- matrix classes, and the keys they settle -------------------------------------
 
 
+class _Grammar:
+    """The productions of a grammar (the kernel keeps its port columns per grammar object)."""
+
+    def __init__(self, productions):
+        self.productions = productions
+
+
 class _FakeView:
     """A decoded view of two productions whose matrices the test dictates.
 
     The trie below hangs paths 1 = (1, 1) and 2 = (1, 2) off the root and
     path 3 = (2, 1) off path 1, so the key (3, 2) multiplies
     ``Outputs(2, 1)^T · Z(1, 1, 2)`` and the key (1, 2) is ``Z(1, 1, 2)`` alone.
+    Each production's body is two modules whose port counts are the dictated
+    matrix's shape, and its closure holds the matrix where the bank gathers
+    it from: ``Z(1, 1, 2)`` from module 1's outputs to module 2's inputs,
+    ``O(2, 1)`` from module 1's outputs to the left-hand side's outputs (module
+    2's).  A factory that raises leaves its production out of the view.
     """
 
     trie = (
@@ -152,16 +164,46 @@ class _FakeView:
     )
 
     def __init__(self, z, outputs):
-        self._z, self._outputs = z, outputs
-        self.index = SimpleNamespace(max_ports=lambda: 2, cycles=())
+        self._closures = {}
+        productions = []
+        for k, factory in ((1, z), (2, outputs)):
+            try:
+                matrix = factory()
+            except RuntimeError:
+                matrix = None  # the view does not retain production k
+            rows, cols = (2, 2) if matrix is None else matrix.shape
+            if k == 1:  # Z(1, 1, 2): module 1 has `rows` outputs, module 2 `cols` inputs
+                ports = ((1, rows), (cols, 1))
+            else:  # O(2, 1): module 1 has `cols` outputs, module 2 (the LHS's) `rows`
+                ports = ((1, cols), (1, rows))
+            blocks, end = [], 0
+            for n_in, n_out in ports:
+                blocks.append((end, end + n_in, end + n_in + n_out))
+                end = blocks[-1][2]
+            (start1, mid1, _), (start2, mid2, end2) = blocks
+            layout = SimpleNamespace(
+                blocks=tuple(blocks),
+                bounds=np.asarray(blocks, dtype=np.int64),
+                n_ports=end,
+                lhs_in=np.asarray([start1], dtype=np.intp),
+                lhs_out=np.arange(mid2, end2, dtype=np.intp),
+            )
+            productions.append(SimpleNamespace(port_layout=layout))
+            if matrix is not None:
+                closure = np.zeros((end, end), dtype=bool)
+                if k == 1:
+                    closure[mid1 : mid1 + rows, start2 : start2 + cols] = matrix.data
+                else:
+                    closure[mid1 : mid1 + cols, mid2 : mid2 + rows] = matrix.data.T
+                self._closures[k] = closure
+        self.index = SimpleNamespace(
+            max_ports=lambda: 2,
+            cycles=(),
+            grammar=_Grammar(productions),
+        )
 
-    def z(self, k, i, j):
-        return self._z()
-
-    def outputs(self, k, i):
-        return self._outputs()
-
-    inputs = outputs
+    def closure(self, k):
+        return self._closures.get(k)
 
     def decide(self, path1, path2):
         outcome, _, _ = decide_many(
