@@ -41,6 +41,7 @@ from obs_dashboard import series_total  # noqa: E402
 from repro import CheckpointPolicy, FVLScheme, QueryEngine, RunLabeler, RunLifecycleManager  # noqa: E402
 from repro import MappedRunStore, ViewProjection, checkpoint_run, compact  # noqa: E402
 from repro.bench import sample_query_pairs  # noqa: E402
+from repro.core.pair_table import VERDICT_FALSE  # noqa: E402
 from repro.engine import DEFAULT_RUN  # noqa: E402
 from repro.errors import CorruptionError  # noqa: E402
 from repro.faults import FaultPlan, InjectedFault  # noqa: E402
@@ -51,6 +52,7 @@ from repro.obs.trace import Sampler  # noqa: E402
 from repro.obs.watchdog import SLO  # noqa: E402
 from repro.serve import BatchPolicy, ProvenanceServer, ReopenPolicy  # noqa: E402
 from repro.serve import matrix_cache_path, save_hot_matrices  # noqa: E402
+from repro.serve.matrix_cache import _COLUMNS, _FILE_HEADER, _STATE_HEADER  # noqa: E402
 from repro.store import FileLease, run_file_info, verify_run  # noqa: E402
 from repro.workloads import build_bioaid_specification, random_run, random_view  # noqa: E402
 
@@ -174,6 +176,22 @@ def feed(labeler: RunLabeler, stream) -> None:
     """Label every event of ``stream``, in order."""
     for event in stream:
         labeler(event)
+
+
+def hotmx_off_columns(cache_file: str) -> list:
+    """``(file offset, off column)`` of every section of a ``.hotmx``, read by its layout."""
+    with open(cache_file, "rb") as handle:
+        raw = handle.read()
+    columns, offset = [], _FILE_HEADER.size
+    while offset < len(raw):
+        name_len, variant_len, _, n, ports, matrices = _STATE_HEADER.unpack_from(raw, offset)
+        offset += _STATE_HEADER.size + name_len + variant_len
+        for name, dtype in _COLUMNS:
+            if name == "off":
+                columns.append((offset, np.frombuffer(raw, dtype, n, offset)))
+            offset += n * np.dtype(dtype).itemsize
+        offset += (matrices * ports * ports + 7) // 8
+    return columns
 
 
 def flip(path: str, offset: int) -> None:
@@ -616,30 +634,37 @@ def chaos_bitflip(world: World, tmp: str) -> str:
     same(fresh.depends_batch(world.pairs, world.view), world.expected,
          "restored file no longer answers bit-identically")
 
-    # The side file: what a warm predecessor left beside the run file.
+    # The side file: what a warm predecessor left beside the run file.  One
+    # flip mid-file, one in the ``off`` byte of a verdict row.
     entries = save_hot_matrices(fresh, DEFAULT_RUN)
     cache_file = matrix_cache_path(path)
-    offset = os.path.getsize(cache_file) // 2
-    flip(cache_file, offset)
+    columns = hotmx_off_columns(cache_file)
+    verdicts = [start + int(np.argmax(off == VERDICT_FALSE))
+                for start, off in columns if (off == VERDICT_FALSE).any()]
+    check(bool(verdicts), "the .hotmx holds no VERDICT_FALSE row to flip")
+    offsets = {"middle": os.path.getsize(cache_file) // 2, "VERDICT_FALSE off": verdicts[0]}
     engine = QueryEngine(world.scheme)
     engine.add_view(world.view)
     server = ProvenanceServer(engine)
+    for flipped, (where, offset) in enumerate(offsets.items(), start=1):
+        flip(cache_file, offset)
+        _, warmed = server.attach(path)
+        check(warmed == 0, f"a .hotmx with a flipped {where} byte warmed the engine")
+        check(isinstance(server.last_warm_error, CorruptionError),
+              f"flipped .hotmx {where} byte not recorded as corruption: {server.last_warm_error!r}")
+        counted = server.metrics.snapshot()["corruption_detected_total"]
+        check(counted.get(("hotmx",)) == flipped, f"flipped .hotmx {where} byte not counted: {counted}")
+        same(engine.depends_batch(world.pairs, world.view), world.expected,
+             f"cold attach over a .hotmx with a flipped {where} byte no longer answers bit-identically")
+        engine.detach(DEFAULT_RUN)
+        flip(cache_file, offset)
+    held = sum(off.size for _, off in columns)
     _, warmed = server.attach(path)
-    check(warmed == 0, "a .hotmx with a flipped byte warmed the engine")
-    check(isinstance(server.last_warm_error, CorruptionError),
-          f"flipped .hotmx byte not recorded as corruption: {server.last_warm_error!r}")
-    counted = server.metrics.snapshot()["corruption_detected_total"]
-    check(counted.get(("hotmx",)) == 1, f"flipped .hotmx byte not counted: {counted}")
-    same(engine.depends_batch(world.pairs, world.view), world.expected,
-         "cold attach over a corrupt .hotmx no longer answers bit-identically")
-    engine.detach(DEFAULT_RUN)
-    flip(cache_file, offset)
-    _, warmed = server.attach(path)
-    check(warmed == entries > 0 and server.last_warm_error is None,
-          f"restored .hotmx warmed {warmed} of {entries} rows ({server.last_warm_error!r})")
+    check(warmed == entries == held > 0 and server.last_warm_error is None,
+          f"restored .hotmx warmed {warmed} of {entries} rows, {held} held ({server.last_warm_error!r})")
     same(engine.depends_batch(world.pairs, world.view), world.expected,
          "warm attach over the restored .hotmx no longer answers bit-identically")
-    return f"{len(targets)} flipped sections raised CorruptionError; a flipped .hotmx attached cold"
+    return f"{len(targets)} flipped sections raised CorruptionError; {len(offsets)} flipped .hotmx bytes attached cold"
 
 
 def chaos_quarantine(world: World, tmp: str) -> str:

@@ -62,7 +62,9 @@ class ProductionGraph:
             self._out.setdefault(edge.source, []).append(edge)
             self._in.setdefault(edge.target, []).append(edge)
         self._components = self._strongly_connected_components()
-        self._closure = self._transitive_closure()
+        #: Module-level reachability, built on the first :meth:`reaches`: the
+        #: labelling scheme never asks, only the recursion analyses do.
+        self._closure: dict[str, frozenset[str]] | None = None
         self._cycles: tuple[tuple[PGEdge, ...], ...] | None = None
         self._cycles_error: NotStrictlyLinearError | None = None
 
@@ -126,6 +128,8 @@ class ProductionGraph:
 
     def reaches(self, source: str, target: str) -> bool:
         """Module-level reachability in P(G); every module reaches itself."""
+        if self._closure is None:
+            self._closure = self._transitive_closure()
         return target in self._closure.get(source, frozenset())
 
     # -- recursion structure -----------------------------------------------------------

@@ -181,7 +181,8 @@ class DecodeCache:
         """``(path1, path2, matrix | None, hits)`` of ``arena``'s decoder rows.
 
         In decision order; classifier verdicts and boundary rows are not
-        listed (see :meth:`~repro.core.pair_table.PairTable.decoder_rows`).
+        listed (see :meth:`~repro.core.pair_table.PairTable.matrix_rows`),
+        though the table holds them and the ``.hotmx`` side file persists them.
         """
         return self.table(arena).matrix_rows()
 

@@ -176,27 +176,23 @@ class PairTable:
         blocks[matrix] = self.pool[self.off[select][matrix, None] + np.arange(stride)]
         return blocks
 
-    def decoder_rows(self) -> np.ndarray:
-        """Positions of the rows the decoder decided, in decision order.
-
-        Verdict rows are left out: the kernel re-decides them from the
-        bank's classes without a product, so they are never persisted.  So
-        are boundary rows, which name no pair of paths.
-        """
-        path1, path2 = pair_paths(self.keys)
-        select = np.nonzero((self.off >= NO_DEPENDENCY) & (path1 != ABSENT) & (path2 != ABSENT))[0]
-        return select[np.argsort(self.order[select], kind="stable")]
-
     def matrix_rows(
         self, select: "np.ndarray | None" = None
     ) -> Iterator[tuple[int, int, "BoolMatrix | None", int]]:
         """``(path1, path2, matrix | None, hits)`` of the rows at ``select``.
 
-        By default every :meth:`decoder_rows` row; ``None`` is the decoder's
-        "no dependency between these two nodes".
+        By default the rows the reference decoder's vocabulary can state, in
+        decision order: every matrix and :data:`NO_DEPENDENCY` row between
+        two paths (``None`` is the decoder's "no dependency between these two
+        nodes").  Verdict rows are not listed — a :data:`VERDICT_TRUE` row
+        listed as ``None`` would read "no dependency" — and neither are
+        boundary rows, which name no pair of paths.  The side file persists
+        every kind; it reads the columns, not this listing.
         """
         if select is None:
-            select = self.decoder_rows()
+            path1, path2 = pair_paths(self.keys)
+            select = np.nonzero((self.off >= NO_DEPENDENCY) & (path1 != ABSENT) & (path2 != ABSENT))[0]
+            select = select[np.argsort(self.order[select], kind="stable")]
         blocks = self._blocks(select).reshape(-1, self.ports, self.ports)
         columns = (self.keys, self.off, self.rows, self.cols, self.hits)
         for block, (key, off, rows, cols, hits) in zip(

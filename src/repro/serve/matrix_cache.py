@@ -4,18 +4,19 @@ The engine's per-view :class:`~repro.core.decoder.DecodeCache` turns repeated
 ``(producer path, consumer path)`` reachability questions into probes of a
 sorted pair table — but the cache is process-private, so every fresh process (a
 restarted server, a follower attaching a leader's run file) pays the cold
-decode for exactly the matrices the previous process already assembled.
+decode for exactly the keys the previous process already decided.
 
 This module persists the hottest decided rows *alongside the run file*
 (``<run-file>.hotmx``) as what they are in memory — the columns of a
 :class:`~repro.core.pair_table.PairTable`, not a second representation:
 
-* :func:`save_hot_matrices` ranks the decoder's rows of a shard's pair
-  tables by the engine's per-row hit count, ties broken by decision order —
-  the first keys a process decided are the ones its successor asks first —
-  keeps the ``max_entries`` hottest whose path ids fall inside the file's
-  persisted watermark, and writes each ``(view, variant)``'s share as one
-  :meth:`PairTable.take` (atomic replace);
+* :func:`save_hot_matrices` ranks every row of a shard's pair tables — matrix,
+  no-dependency, verdict and boundary rows alike — by the engine's per-row
+  hit count, ties broken by decision order (the first keys a process decided
+  are the ones its successor asks first), keeps the ``max_entries`` hottest
+  whose path ids fall inside the file's persisted watermark (a boundary
+  row's ``ABSENT`` side names no path), and writes each ``(view, variant)``'s
+  share as one :meth:`PairTable.take` (atomic replace);
 * :func:`load_hot_matrices` reads each section back with one
   ``np.frombuffer`` per column, checks the columns whole, and merges them with
   one :meth:`DecodeCache.admit` — so the saver's ranking becomes the rows'
@@ -23,17 +24,20 @@ This module persists the hottest decided rows *alongside the run file*
   byte budget holds, and the carried-over hit counts let a follower that
   loads and re-saves keep the hot set instead of ranking it at zero.
 
-Layout (format v3, little-endian; the per-entry v1/v2 files are refused by
-their version and the attach proceeds cold)::
+Layout (format v4, little-endian; the per-entry v1/v2 files and the v3 files
+of decoder rows alone are refused by their version and the attach proceeds
+cold)::
 
     file header   magic, version, grammar fingerprint, run-file generation,
                   n_paths watermark, body bytes, CRC32 of the body
     per section   name bytes, variant bytes, view fingerprint, rows n, ports,
                   matrices m; the view name and the variant (UTF-8); then
       keys   n x i8   producer path << 32 | consumer path, strictly ascending
-      rows   n x i4   the matrix's real shape inside its ports x ports block
-      cols   n x i4
-      off    n x i1   0 (a matrix; the k-th such row owns block k) | NO_DEPENDENCY
+                      (ABSENT on a boundary row's missing side)
+      rows   n x i4   the matrix's real shape inside its ports x ports block;
+      cols   n x i4   (0, 0) on a sentinel row
+      off    n x i1   0 (a matrix; the k-th such row owns block k) |
+                      NO_DEPENDENCY | VERDICT_FALSE | VERDICT_TRUE
       hits   n x i8
       order  n x i4   the row's rank in the saver's ranking
       pool            np.packbits of the m zero-padded blocks
@@ -42,21 +46,30 @@ Safety: the file is tagged with the grammar fingerprint, the run file's
 generation and its ``n_paths`` watermark.  Path ids are immutable once
 interned (the trie is append-only and compaction preserves rows
 bit-identically), so rows stay valid across later checkpoints and
-compactions of the *same* run; a cache from a different specification, from a
-*newer* generation than the file at the path, or referencing unknown path ids
-is rejected loudly (:class:`~repro.errors.SerializationError`).  Views are
-matched by name **and** a structural fingerprint — a same-named view with
-different visible composites or perceived dependencies never receives foreign
-matrices.  Damage is a :class:`~repro.errors.CorruptionError`: a cut file, a
-body that fails its checksum, and — because the decode kernel trusts what the
-table holds — columns no saver writes: keys out of order or outside the
-mapped trie, a shape beyond ``ports``, a sentinel other than the two above,
-ranks that are no permutation, a matrix count the sentinels contradict, a set
-bit in a block's padding.  A load admits a valid file's sections, or nothing.
+compactions of the *same* run; a cache from a different specification (a
+fingerprint of 0 included: no saver writes one, and the header is outside
+the checksum), from a *newer* generation than the file at the path, or
+referencing unknown path ids is rejected loudly
+(:class:`~repro.errors.SerializationError`).  Views are matched by name
+**and** a structural fingerprint — a same-named view with different visible
+composites or perceived dependencies never receives foreign rows.  Damage is
+a :class:`~repro.errors.CorruptionError`: a cut file, a body that fails its
+checksum, and — because the decode kernel trusts what the table holds —
+columns no saver writes: keys out of order, an id at or beyond the mapped
+trie other than ``ABSENT``, a shape beyond ``ports``, an ``off`` outside its
+four values, a sentinel row with a shape, a boundary row that is no matrix
+(its ports are read against its shape), ranks that are no permutation, a
+matrix count the sentinels contradict, a set bit in a block's padding.  A
+load admits a valid file's sections, or nothing.
 
-Verdict and boundary rows stay out: the kernel re-decides a verdict from the
-bank's classes without a product; persisting them bought 3 % of the attach
-for a 3.3x larger file and a second decision kind in the format.
+A fresh process therefore answers the keys its predecessor decided from
+rows, without a kernel pass: on the benchmark's ``multiview_churn`` (seed
+42) the file holds all 2,686 of the serving stack's rows — 879 matrix, 1,655
+verdict and 152 boundary rows, 78.5 KiB where the matrix rows alone were
+27.0 KiB — and none of the nine warm-up frames after a warm attach runs the
+kernel, where under v3 each of them did.  Where the tables outgrow ``max_entries`` the kinds
+compete for it by hits: 4,096 of 14,060 rows on ``wire_large_recursive``
+(1,918 matrix, 2,174 verdict, 4 boundary; 119.9 KiB).
 """
 
 from __future__ import annotations
@@ -68,7 +81,14 @@ import zlib
 import numpy as np
 
 from repro.core import FVLVariant
-from repro.core.pair_table import NO_DEPENDENCY, PairTable, pair_paths
+from repro.core.pair_table import (
+    ABSENT,
+    NO_DEPENDENCY,
+    VERDICT_FALSE,
+    VERDICT_TRUE,
+    PairTable,
+    pair_paths,
+)
 from repro.engine.engine import DEFAULT_RUN, QueryEngine, grammar_fingerprint
 from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.model.views import WorkflowView
@@ -85,15 +105,17 @@ __all__ = [
 ]
 
 CACHE_MAGIC = b"FVLHOTMX"
-#: Version 3 is columnar (see the module docstring); files of versions 1 and 2
-#: (one packed entry per matrix) are rejected loudly and the attach proceeds cold.
-CACHE_VERSION = 3
+#: Version 4 is columnar and holds rows of every kind (see the module
+#: docstring); files of versions 1 and 2 (one packed entry per matrix) and 3
+#: (matrix and no-dependency rows only) are refused by their version and the
+#: attach proceeds cold.
+CACHE_VERSION = 4
 
-#: Default bound on persisted matrices.  The matrices are tiny (port-count
-#: squared bits, ~25 bytes each on the BioAID workload), so this is a recall
-#: knob, not a disk-space one — and recall is what warm starts live on: a
-#: budget below the shard's hot working set leaves the follower re-deriving
-#: the uncovered pairs and erases most of the benefit.
+#: Default bound on persisted rows, of every kind.  Rows are tiny (~30 bytes
+#: on the BioAID workload, a matrix row's packed block included), so this is
+#: a recall knob, not a disk-space one — and recall is what warm starts live
+#: on: a budget below the shard's hot working set leaves the follower
+#: re-deciding the uncovered keys and erases most of the benefit.
 DEFAULT_HOT_ENTRIES = 4096
 
 # magic, version, fingerprint, generation, n_paths, body bytes, body CRC32
@@ -143,16 +165,16 @@ def save_hot_matrices(
     cache_path=None,
     max_entries: int = DEFAULT_HOT_ENTRIES,
 ) -> int:
-    """Persist the shard's hottest decoded pair matrices beside its run file.
+    """Persist the shard's hottest pair-table rows beside its run file.
 
     ``run_id`` may name an attached shard (its mapped file is the default
     ``run_file``) or a labelled shard that has been checkpointed — labelled
     shards intern into the engine's shared arena, which is exactly the trie
-    :func:`~repro.store.checkpoint_run` persists, so their cached matrices
-    use the same path ids the file carries.  Only entries whose path ids lie
-    inside the file's persisted ``n_paths`` watermark are written.  Returns
-    the number of entries persisted (a cache file is written even for zero —
-    an honest "nothing was hot").
+    :func:`~repro.store.checkpoint_run` persists, so their rows use the same
+    path ids the file carries.  Only rows whose path ids lie inside the
+    file's persisted ``n_paths`` watermark are written.  Returns the number
+    of rows persisted, of every kind (a cache file is written even for zero
+    — an honest "nothing was hot").
     """
     if max_entries < 1:
         raise ValueError("max_entries must be at least 1")
@@ -168,16 +190,16 @@ def save_hot_matrices(
     info = run_file_info(run_file)
     arena = engine.shard_arena(run_id)
 
-    # Candidates: the decoder rows of every state inside the file's watermark
-    # (ids interned after the last checkpoint are not in the file), each
-    # state's in decision order, off one immutable table snapshot — workers
-    # may decide new keys while a live server saves.
+    # Candidates: every row of every state inside the file's watermark (ids
+    # interned after the last checkpoint are not in the file; a boundary
+    # row's ABSENT side is no id), each state's in decision order, off one
+    # immutable table snapshot — workers may decide new keys while a live
+    # server saves.
     candidates = []
     for (view_name, variant_key), state in engine.decoded_states().items():
         table = state.decode_cache.table(arena)
-        at = table.decoder_rows()
-        id1, id2 = pair_paths(table.keys[at])
-        at = at[(id1 < info.n_paths) & (id2 < info.n_paths)]
+        at = np.nonzero(_inside(table.keys, info.n_paths))[0]
+        at = at[np.argsort(table.order[at], kind="stable")]
         candidates.append((view_name, variant_key, table, at))
     sizes = [at.size for *_, at in candidates]
     hits = np.concatenate([table.hits[at] for *_, table, at in candidates] + [np.empty(0, np.int64)])
@@ -267,7 +289,9 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
     if len(buffer) < _FILE_HEADER.size:
         raise truncated
     _, _, fingerprint, generation, n_paths, body_nbytes, crc = _FILE_HEADER.unpack_from(buffer)
-    if fingerprint and fingerprint != grammar_fingerprint(engine.scheme.index):
+    # No saver writes 0 (the fingerprint is ``crc or 1``), and the header is
+    # outside the checksum: a 0 is refused like a foreign specification.
+    if fingerprint != grammar_fingerprint(engine.scheme.index):
         raise SerializationError(
             "matrix cache was saved under a different specification; its "
             "matrices would answer the wrong grammar"
@@ -319,6 +343,12 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
     return sum(cache.admit(arena, fresh) for cache, fresh in sections)
 
 
+def _inside(keys, n_paths) -> np.ndarray:
+    """Which keys name no path id at or beyond ``n_paths`` (``ABSENT`` names none)."""
+    id1, id2 = pair_paths(keys)
+    return ((id1 < n_paths) | (id1 == ABSENT)) & ((id2 < n_paths) | (id2 == ABSENT))
+
+
 def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
     """One section's rows as a table, every column checked whole."""
 
@@ -332,20 +362,24 @@ def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
         offset += columns[-1].nbytes
     keys, rows, cols, off, hits, order = columns
     require(np.all(keys[1:] > keys[:-1]), "keys are not strictly ascending")
-    id1, id2 = pair_paths(keys)
     require(
-        np.all(keys >= 0) and np.all(id1 < n_paths) and np.all(id2 < n_paths),
-        "an entry references an unknown path id",
+        np.all(keys >= 0) and np.all(_inside(keys, n_paths)), "an entry references an unknown path id"
     )
     require(
         np.all((rows >= 0) & (rows <= ports) & (cols >= 0) & (cols <= ports)),
         f"a matrix larger than the {ports} ports of any module of this specification",
     )
     matrix = off == 0
+    sentinel = np.isin(off, (NO_DEPENDENCY, VERDICT_FALSE, VERDICT_TRUE))
     require(
-        np.all(matrix | (off == NO_DEPENDENCY)) and np.count_nonzero(matrix) == matrices,
-        "sentinels that are no decoder row's, or another count of matrices than stored",
+        np.all(matrix | sentinel) and np.count_nonzero(matrix) == matrices,
+        "an off that is neither a matrix nor a sentinel, or another count of matrices than stored",
     )
+    # A sentinel row is decided without a shape, and a boundary row always as
+    # a matrix: the ports a pair reads from it are checked against its shape.
+    require(not np.any(rows[sentinel] | cols[sentinel]), "a sentinel row with a shape")
+    id1, id2 = pair_paths(keys)
+    require(np.all(matrix[(id1 == ABSENT) | (id2 == ABSENT)]), "a boundary row that is no matrix")
     require(
         np.all(hits >= 0) and np.array_equal(np.sort(order), np.arange(n)),
         "negative hits, or ranks that are no permutation of the rows",

@@ -35,12 +35,15 @@ And three hold static view labelling to one closure per production body:
 * schemes and labels built and dropped over one specification leave no
   module-level container larger and no :class:`GrammarIndex` alive.
 
-And two hold the side file (``.hotmx``) to the pair table's columns:
+And three hold the side file (``.hotmx``) to the pair table's columns:
 
 * saving and loading make a fixed number of calls per section, whatever the
   row count — no :class:`BoolMatrix` per row, no ``struct`` per entry;
 * a warm attach over labelled views labels nothing, and an index's grammar
-  fingerprint is rendered once however often it is attached, probed or saved.
+  fingerprint is rendered once however often it is attached, probed or saved;
+* on each benchmark workload, the frames a leader answered before saving are
+  table hits after a warm attach: the file holds verdict, boundary and matrix
+  rows, so neither the kernel nor the reference decoder runs.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import pytest
 
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import reachability
-from repro.core.pair_table import ABSENT, PairTable, pair_paths
+from repro.core.pair_table import ABSENT, VERDICT_FALSE, PairTable, pair_paths
 from repro.core.view_label import ViewLabel
 from repro.engine import DEFAULT_RUN
 from repro.engine import engine as engine_module
@@ -500,3 +503,67 @@ def test_warm_attach_labels_nothing_and_renders_one_fingerprint(hot, monkeypatch
         leader.scheme.index
     )
     assert len(rendered) == 1
+
+
+def _tables(engine, views) -> list:
+    """The default shard's pair table of each of ``views``."""
+    return [engine.decoded_state(view).decode_cache.table(engine.shard_arena()) for view in views]
+
+
+def _row_kinds(table) -> set:
+    """The kinds of row ``table`` holds: interior matrix, verdict, boundary."""
+    path1, path2 = pair_paths(table.keys)
+    boundary = (path1 == ABSENT) | (path2 == ABSENT)
+    held = {
+        "matrix": (table.off >= 0) & ~boundary,
+        "verdict": table.off <= VERDICT_FALSE,
+        "boundary": boundary,
+    }
+    return {kind for kind, rows in held.items() if rows.any()}
+
+
+@pytest.mark.parametrize("workload", list(perf_inputs.WORKLOADS))
+def test_a_warm_attach_answers_its_warm_up_from_the_table(workload, tmp_path, monkeypatch):
+    """The frames a leader answered and saved are table hits for its successor.
+
+    The side file holds every kind of row the leader decided, so a fresh
+    process over it decides nothing on the same frames: no kernel pass, no
+    reference decoder.
+    """
+    inputs = perf_inputs.generate(perf_inputs.WORKLOADS[workload], 42, scale=0.05)
+    run_file = tmp_path / "served.fvl"
+    writer = QueryEngine(FVLScheme(inputs.specification))
+    writer.add_run(DEFAULT_RUN, inputs.derivation)
+    writer.checkpoint(run_file)
+    leader = QueryEngine(writer.scheme)
+    for view in inputs.views:
+        leader.add_view(view)
+    leader.attach(run_file)
+    for frame in inputs.warmup:
+        assert np.array_equal(leader.depends_batch(frame.ids, frame.view), frame.expected)
+    assert save_hot_matrices(leader) == sum(len(table) for table in _tables(leader, inputs.views))
+
+    engine = QueryEngine(FVLScheme(inputs.specification))
+    for view in inputs.views:
+        engine.add_view(view)
+    engine.attach(run_file)
+    assert load_hot_matrices(engine) > 0
+    for ours, theirs in zip(_tables(engine, inputs.views), _tables(leader, inputs.views)):
+        assert _row_kinds(ours) == _row_kinds(theirs) and "verdict" in _row_kinds(ours)
+    decided = []
+
+    def forbidden(name, original):
+        def counting(*args):
+            decided.append(name)
+            return original(*args)
+
+        return counting
+
+    monkeypatch.setattr(evaluate, "decide_many", forbidden("decide_many", evaluate.decide_many))
+    monkeypatch.setattr(
+        evaluate, "_reference_matrix", forbidden("_reference_matrix", evaluate._reference_matrix)
+    )
+    for frame in inputs.warmup:
+        assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
+    assert decided == []
+

@@ -13,7 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FVLScheme, FVLVariant
-from repro.core.pair_table import NO_DEPENDENCY, VERDICT_TRUE, pair_paths
+from repro.core.pair_table import (
+    ABSENT,
+    NO_DEPENDENCY,
+    VERDICT_FALSE,
+    VERDICT_TRUE,
+    PairTable,
+    pair_paths,
+)
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine, grammar_fingerprint
 from repro.errors import CorruptionError, LabelingError, SerializationError
@@ -79,24 +86,47 @@ def saved(scheme, workload, tmp_path):
     return run_file, view, pairs, expected, entries
 
 
-def _pair_entries(engine, view, variant=FVLVariant.DEFAULT):
-    """``(id1, id2) -> (matrix | None, hits)`` of the default shard's decoder rows."""
-    cache = engine.decoded_state(view, variant).decode_cache
+def _table(engine, view, variant=FVLVariant.DEFAULT):
+    """The default shard's pair table for ``view``."""
+    return engine.decoded_state(view, variant).decode_cache.table(engine.shard_arena())
+
+
+def _rows(engine, view, variant=FVLVariant.DEFAULT):
+    """``(id1, id2) -> (off, rows, cols, block, hits)`` of every row, in decision order.
+
+    Every kind of row is listed — matrix, no-dependency, verdict and boundary
+    (``ABSENT`` on a side) — with ``off`` 0 for a matrix or its sentinel and
+    ``block`` the row's zero-padded bits as bytes.
+    """
+    table = _table(engine, view, variant)
+    at = np.argsort(table.order, kind="stable")
+    columns = (np.minimum(table.off, 0), table.rows, table.cols)
     return {
-        (id1, id2): (matrix, hits)
-        for id1, id2, matrix, hits in cache.rows(engine.shard_arena())
+        pair_paths(key): (*fields, block.tobytes(), hits)
+        for key, *fields, hits, block in zip(
+            table.keys[at].tolist(),
+            *(column[at].tolist() for column in columns),
+            table.hits[at].tolist(),
+            table._blocks(at),
+        )
     }
 
 
+def _columns(engine, view):
+    """Every column of the default shard's table, by name, for a whole-table comparison."""
+    table = _table(engine, view)
+    return {name: np.asarray(getattr(table, name)) for name in PairTable.__slots__}
+
+
 def _hottest(entries):
-    """``(key, hits)`` of the row with the most hits."""
-    key = max(entries, key=lambda k: entries[k][1])
-    return key, entries[key][1]
+    """``(key, hits)`` of the row with the most hits (the first decided, on a tie)."""
+    key = max(entries, key=lambda k: entries[k][-1])
+    return key, entries[key][-1]
 
 
-def _write_raw(cache_file, body: bytes, header=None) -> None:
+def _write_raw(cache_file, body: bytes, header) -> None:
     """A cache file around ``body`` whose length and checksum fields are right."""
-    fields = list(header or (CACHE_MAGIC, CACHE_VERSION, 0, 0, 0))[:5]
+    fields = list(header)[:5]
     with open(cache_file, "wb") as handle:
         handle.write(_FILE_HEADER.pack(*fields, len(body), zlib.crc32(body)) + body)
 
@@ -131,6 +161,30 @@ def _parse(raw: bytes):
         section["spans"] = spans
         sections.append(section)
     return header, sections
+
+
+def _kinds(section) -> dict:
+    """Positions of a parsed section's rows by kind (interior matrix rows under "matrix")."""
+    off = section["off"]
+    id1, id2 = pair_paths(section["keys"])
+    boundary = (id1 == ABSENT) | (id2 == ABSENT)
+    return {
+        "matrix": np.nonzero((off == 0) & ~boundary)[0],
+        "boundary": np.nonzero(boundary)[0],
+        "verdict": np.nonzero(off <= VERDICT_FALSE)[0],
+    }
+
+
+def _subsection(section, select) -> dict:
+    """The section of ``section``'s rows at ascending ``select``, written as a saver would."""
+    sub = {"names": section["names"], "head": list(section["head"])}
+    for name, _ in _COLUMNS:
+        sub[name] = section[name][select].copy()
+    sub["order"] = np.argsort(np.argsort(sub["order"]))  # ranks among the kept rows
+    blocks = np.cumsum(section["off"] == 0) - 1  # each matrix row's block
+    sub["pool"] = section["pool"][blocks[select][sub["off"] == 0]]
+    sub["head"][3], sub["head"][5] = len(select), len(sub["pool"])
+    return sub
 
 
 def _assemble(sections) -> bytes:
@@ -194,8 +248,8 @@ def test_save_ranks_by_hits_and_respects_budget(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     assert load_hot_matrices(follower) == 1
-    (key,) = _pair_entries(follower, view)
-    assert key == _hottest(_pair_entries(engine, view))[0]
+    (key,) = _rows(follower, view)
+    assert key == _hottest(_rows(engine, view))[0]
 
 
 def test_save_breaks_hit_ties_by_decision_order(saved, scheme):
@@ -221,13 +275,13 @@ def test_save_breaks_hit_ties_by_decision_order(saved, scheme):
     engine = QueryEngine(scheme)
     engine.attach(run_file)
     engine.depends_batch(first, view)
-    early = _pair_entries(engine, view)
+    early = _rows(engine, view)
     engine.depends_batch(second, view)
-    entries = _pair_entries(engine, view)
+    entries = _rows(engine, view)
     assert len(early) >= 2 and len(entries) > len(early)
-    assert {hits for _, hits in entries.values()} == {1}  # a perfect tie
+    assert {entry[-1] for entry in entries.values()} == {1}  # a perfect tie
     assert min(entries) not in early  # key order would start somewhere else
-    assert list(entries)[: len(early)] == list(early)  # rows() lists in decision order
+    assert list(entries)[: len(early)] == list(early)  # _rows lists in decision order
 
     budget = len(early) - 1
     assert save_hot_matrices(engine, DEFAULT_RUN, max_entries=budget) == budget
@@ -235,7 +289,7 @@ def test_save_breaks_hit_ties_by_decision_order(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     assert load_hot_matrices(follower) == budget
-    seeded = _pair_entries(follower, view)
+    seeded = _rows(follower, view)
     assert list(seeded) == list(early)[:budget]  # and a reload keeps the ranking
     assert all(seeded[key] == early[key] for key in seeded)
 
@@ -259,11 +313,11 @@ def test_load_round_trip_warms_and_answers_bit_identical(saved, scheme):
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
-    assert not _pair_entries(follower, view)
+    assert not _rows(follower, view)
     warmed = load_hot_matrices(follower)
     assert warmed == entries
-    seeded = _pair_entries(follower, view)
-    assert len(seeded) == entries
+    seeded = _rows(follower, view)
+    assert len(seeded) == entries  # rows of every kind, not the decoder's alone
     assert np.array_equal(follower.depends_batch(pairs, view), expected)
 
 
@@ -300,11 +354,11 @@ def test_load_never_clobbers_decoded_matrices(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     assert np.array_equal(follower.depends_batch(pairs, view), expected)  # decode first
-    decoded = _pair_entries(follower, view)
+    decoded = _rows(follower, view)
     warmed = load_hot_matrices(follower)
-    after = _pair_entries(follower, view)
-    for key, (matrix, hits) in decoded.items():
-        assert after[key] == (matrix, hits)  # the live row survived the seeding, hits and all
+    after = _rows(follower, view)
+    for key, entry in decoded.items():
+        assert after[key] == entry  # the live row survived the seeding, hits and all
     assert warmed == entries - len(decoded)
     assert len(after) == entries
 
@@ -321,19 +375,27 @@ def test_cache_survives_compaction_of_the_same_run(saved, scheme):
 
 
 def test_load_rejects_foreign_specification(saved, scheme):
+    """Another grammar's fingerprint is refused, and so is 0, which no saver writes.
+
+    The header sits outside the body's checksum, and a verdict row answers a
+    pair without a single port read: under a foreign specification it would
+    answer the wrong grammar silently.
+    """
     run_file, view, pairs, expected, _ = saved
     cache_file = matrix_cache_path(run_file)
     raw = bytearray(open(cache_file, "rb").read())
     header = list(_FILE_HEADER.unpack_from(raw))
-    header[2] ^= 0xDEADBEEF  # flip the recorded grammar fingerprint
-    raw[: _FILE_HEADER.size] = _FILE_HEADER.pack(*header)
-    with open(cache_file, "wb") as handle:
-        handle.write(raw)
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
-    with pytest.raises(SerializationError, match="specification"):
-        load_hot_matrices(follower)
+    for fingerprint in (header[2] ^ 0xDEADBEEF, 0):  # another grammar's; none at all
+        raw[: _FILE_HEADER.size] = _FILE_HEADER.pack(*header[:2], fingerprint, *header[3:])
+        with open(cache_file, "wb") as handle:
+            handle.write(raw)
+        with pytest.raises(SerializationError, match="specification") as refused:
+            load_hot_matrices(follower)
+        assert not isinstance(refused.value, CorruptionError)
+        assert not _rows(follower, view)
 
 
 def test_load_rejects_newer_generation_cache(saved, scheme, tmp_path):
@@ -388,15 +450,16 @@ def test_load_converts_garbled_sections_to_serialization_error(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     cache_file = matrix_cache_path(run_file)
+    header = CACHE_MAGIC, CACHE_VERSION, grammar_fingerprint(scheme.index), 0, 0
     body = _STATE_HEADER.pack(2, 0, 1, 0, 1, 0) + b"\xff\xfe"  # a name that is not UTF-8
-    _write_raw(cache_file, body)
+    _write_raw(cache_file, body, header)
     with pytest.raises(SerializationError, match="corrupt matrix cache"):
         load_hot_matrices(follower)
     body = _STATE_HEADER.pack(0, 0, 1, 2**32 - 1, 2**32 - 1, 2**32 - 1)  # absurd dims
-    _write_raw(cache_file, body)
+    _write_raw(cache_file, body, header)
     with pytest.raises(SerializationError, match="truncated"):
         load_hot_matrices(follower)
-    _write_raw(cache_file, body[:5])  # not even a section header
+    _write_raw(cache_file, body[:5], header)  # not even a section header
     with pytest.raises(SerializationError, match="corrupt matrix cache"):
         load_hot_matrices(follower)
 
@@ -494,6 +557,8 @@ def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
     cache_file = matrix_cache_path(run_file)
     raw = open(cache_file, "rb").read()
     (section,) = _parse(raw)[1]
+    kinds = _kinds(section)
+    assert all(kinds[kind].size for kind in ("matrix", "verdict", "boundary")), kinds
     spans = {"file header": (0, _FILE_HEADER.size), **section["spans"]}
     assert set(spans) == {"file header", "head", "pool"} | {name for name, _ in _COLUMNS}
     flips = [
@@ -503,8 +568,8 @@ def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
     ]
     assert len(set(flips)) >= 200
     server, warmed = _served(scheme, run_file, view)
-    intact = _pair_entries(server.engine, view)
-    assert warmed == entries == len(intact)
+    intact = _columns(server.engine, view)
+    assert warmed == entries == intact["keys"].size
     refused = 0
     for at, bit in flips:
         damaged = bytearray(raw)
@@ -513,11 +578,13 @@ def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
             handle.write(damaged)
         server, warmed = _served(scheme, run_file, view)
         if isinstance(server.last_warm_error, SerializationError):
-            assert warmed == 0 and not _pair_entries(server.engine, view)
+            assert warmed == 0 and not _rows(server.engine, view)
             refused += 1
         else:  # a header field the checks read only one way (a lower watermark, say)
             assert at < _FILE_HEADER.size
-            assert _pair_entries(server.engine, view) == intact, f"bit {bit} of byte {at} was loaded"
+            loaded = _columns(server.engine, view)
+            for name, column in intact.items():
+                assert np.array_equal(loaded[name], column), f"bit {bit} of byte {at} loaded {name}"
         assert np.array_equal(server.engine.depends_batch(pairs, view), expected)
     assert refused >= len(flips) - 16
 
@@ -540,7 +607,7 @@ def test_every_byte_of_a_small_section_is_covered(saved, scheme):
             handle.write(damaged)
         with pytest.raises(CorruptionError, match="checksum"):
             load_hot_matrices(follower)
-    assert not _pair_entries(follower, view)
+    assert not _rows(follower, view)
     with open(cache_file, "wb") as handle:
         handle.write(raw)
     assert load_hot_matrices(follower) == 6
@@ -579,7 +646,10 @@ def test_round_trip_is_the_table(scheme, two_views, budget, again):
         leader.depends_batch([pairs[at]], view)
     arena = leader.shard_arena()
     tables = [leader.decoded_state(view).decode_cache.table(arena) for view, _ in batches]
-    decided = [table.decoder_rows() for table in tables]
+    decided = [np.argsort(table.order, kind="stable") for table in tables]  # every row, every kind
+    keys = np.concatenate([table.keys for table in tables])
+    assert np.any(np.concatenate([table.off for table in tables]) <= VERDICT_FALSE)
+    assert np.any(np.logical_or(*(side == ABSENT for side in pair_paths(keys))))
     hits = np.concatenate([table.hits[at] for table, at in zip(tables, decided)])
     hottest = np.argsort(-hits, kind="stable")[:budget]
     owner = np.repeat(np.arange(len(tables)), [at.size for at in decided])[hottest]
@@ -613,9 +683,20 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     follower.add_view(view)
     mapped = follower.attach(run_file)
     n_paths, ports = mapped.n_paths, genuine["head"][4]
-    matrix = np.nonzero(genuine["off"] == 0)[0]
+    kinds = _kinds(genuine)
+    matrix = np.nonzero(genuine["off"] == 0)[0]  # interior and boundary: block k is row matrix[k]
     block, _, column = (int(at[0]) for at in np.nonzero(genuine["pool"]))  # some set bit
-    assert matrix.size == entries  # this workload decides no pair "no dependency"
+    verdict, boundary = kinds["verdict"][0], kinds["boundary"][0]
+    assert kinds["matrix"].size and matrix.size == genuine["head"][5] < entries
+    # The last row with a producer path: changing its ids keeps the keys ascending.
+    inner = int(np.nonzero(pair_paths(genuine["keys"])[0] != ABSENT)[0][-1])
+
+    def as_sentinel(s, row, sentinel):
+        """``row`` rewritten as ``sentinel`` the way a saver writes one: no shape, no block."""
+        s["off"][row] = sentinel
+        s["rows"][row] = s["cols"][row] = 0
+        s["pool"] = np.delete(s["pool"], int(np.searchsorted(matrix, row)), axis=0)
+        s["head"][5] -= 1
 
     def descending(s):
         s["keys"] = s["keys"][::-1]
@@ -629,8 +710,14 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     def negative_shape(s):
         s["cols"][matrix[0]] = -1
 
-    def verdict(s):
-        s["off"][0] = VERDICT_TRUE
+    def verdict_with_a_shape(s):
+        s["rows"][verdict] = s["cols"][verdict] = 1
+
+    def boundary_under_a_sentinel(s):
+        as_sentinel(s, boundary, VERDICT_TRUE)
+
+    def off_outside_the_domain(s):
+        s["off"][verdict] = VERDICT_TRUE - 1
 
     def repeated_rank(s):
         s["order"][1] = s["order"][0]
@@ -649,10 +736,13 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         s["cols"][matrix[block]] = column
 
     def foreign_producer(s):
-        s["keys"][-1] = n_paths << 32
+        s["keys"][inner] = n_paths << 32
 
     def foreign_consumer(s):
-        s["keys"][-1] = (int(s["keys"][-1]) >> 32 << 32) | n_paths
+        s["keys"][inner] = (int(s["keys"][inner]) >> 32 << 32) | n_paths
+
+    def beyond_but_not_absent(s):  # the one id past the trie a key may carry is ABSENT
+        s["keys"][inner] = ((ABSENT - 1) << 32) | (int(s["keys"][inner]) & 0xFFFFFFFF)
 
     def negative_key(s):
         s["keys"][0] = -1
@@ -667,44 +757,71 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     def rows_beyond_the_file(s):
         s["head"][3] += 1
 
-    hostile = [
-        descending, duplicate, tall, negative_shape, verdict, repeated_rank, rank_out_of_range,
-        one_block_short, one_sentinel_more, padding_bit, foreign_producer, foreign_consumer,
-        negative_key, other_ports, negative_hits, rows_beyond_the_file,
-    ]
-    for damage in hostile:
-        section = {name: value.copy() if hasattr(value, "copy") else value for name, value in genuine.items()}
-        section["head"] = list(genuine["head"])
+    hostile = {
+        descending: "ascending",
+        duplicate: "ascending",
+        tall: "larger than",
+        negative_shape: "larger than",
+        verdict_with_a_shape: "sentinel row with a shape",
+        boundary_under_a_sentinel: "boundary row",
+        off_outside_the_domain: "neither a matrix nor a sentinel",
+        repeated_rank: "permutation",
+        rank_out_of_range: "permutation",
+        one_block_short: "count of matrices",
+        one_sentinel_more: "count of matrices",
+        padding_bit: "outside a matrix",
+        foreign_producer: "unknown path id",
+        foreign_consumer: "unknown path id",
+        beyond_but_not_absent: "unknown path id",
+        negative_key: "unknown path id",
+        other_ports: "port blocks",
+        negative_hits: "negative hits",
+        rows_beyond_the_file: None,
+    }
+    def genuine_copy() -> dict:
+        return {name: value.copy() if hasattr(value, "copy") else value for name, value in genuine.items()}
+
+    for damage, reason in hostile.items():
+        section = genuine_copy()
         damage(section)
         _write_raw(cache_file, _assemble([section]), header)
-        with pytest.raises(CorruptionError):  # never an IndexError or a ValueError
+        with pytest.raises(CorruptionError, match=reason):  # never an IndexError or a ValueError
             load_hot_matrices(follower)
-        assert not _pair_entries(follower, view), damage.__name__
+        assert not _rows(follower, view), damage.__name__
     _write_raw(cache_file, _assemble([genuine]) + b"\0", header)  # bytes behind the last section
     with pytest.raises(CorruptionError):
         load_hot_matrices(follower)
     _write_raw(cache_file, _assemble([genuine]), header)
     assert load_hot_matrices(follower) == entries
-    loaded = _pair_entries(follower, view)
+    loaded = _rows(follower, view)
     assert np.array_equal(follower.depends_batch(pairs, view), expected)
 
-    # A sentinel row written consistently (no block, one matrix fewer) is the
-    # format's other decoder row and loads as one.
-    section = {**genuine, "head": list(genuine["head"])}
-    section["head"][5] -= 1
-    section["off"] = np.where(np.arange(entries) == 3, NO_DEPENDENCY, genuine["off"])
-    section["rows"], section["cols"] = (np.where(section["off"] == 0, genuine[c], 0) for c in ("rows", "cols"))
-    section["pool"] = np.delete(genuine["pool"], 3, axis=0)
-    _write_raw(cache_file, _assemble([section]), header)
-    other = QueryEngine(scheme)
-    other.add_view(view)
-    other.attach(run_file)
-    assert load_hot_matrices(other) == entries
-    seeded = _pair_entries(other, view)
-    absent = [key for key, (matrix, _) in seeded.items() if matrix is None]
-    assert absent == [tuple(int(half) for half in pair_paths(int(genuine["keys"][3])))]
-    assert {key: entry for key, entry in seeded.items() if key not in absent} == {
-        key: entry for key, entry in loaded.items() if key not in absent
+    def fresh_load(section) -> QueryEngine:
+        _write_raw(cache_file, _assemble([section]), header)
+        other = QueryEngine(scheme)
+        other.add_view(view)
+        other.attach(run_file)
+        assert load_hot_matrices(other) == section["head"][3]
+        return other
+
+    # A verdict row and a boundary row written consistently, each a section of
+    # its own, load as what the leader decided and answer with the kernel's rest.
+    for row in (verdict, boundary):
+        other = fresh_load(_subsection(genuine, [row]))
+        key = pair_paths(int(genuine["keys"][row]))
+        assert _rows(other, view) == {key: loaded[key]}
+        assert np.array_equal(other.depends_batch(pairs, view), expected)
+
+    # A no-dependency row written consistently (no block, no shape, one matrix
+    # fewer) is the format's other decoder row and loads as one.
+    section = genuine_copy()
+    changed = int(kinds["matrix"][0])
+    as_sentinel(section, changed, NO_DEPENDENCY)
+    seeded = _rows(fresh_load(section), view)
+    key = pair_paths(int(genuine["keys"][changed]))
+    assert seeded[key][0] == NO_DEPENDENCY and loaded[key][0] == 0
+    assert {k: entry for k, entry in seeded.items() if k != key} == {
+        k: entry for k, entry in loaded.items() if k != key
     }
 
 
@@ -765,7 +882,7 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     for _ in range(5):
         leader.depends_batch([hot_pair] * 3, view)
     assert save_hot_matrices(leader, DEFAULT_RUN, max_entries=1) == 1
-    leader_hottest_key, leader_hits = _hottest(_pair_entries(leader, view))
+    leader_hottest_key, leader_hits = _hottest(_rows(leader, view))
     assert leader_hits > 1
 
     # The follower loads it, touches a *different* pair once, then re-saves
@@ -774,7 +891,7 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
     assert load_hot_matrices(follower) == 1
-    ((seeded_key, (_, seeded_hits)),) = _pair_entries(follower, view).items()
+    ((seeded_key, (*_, seeded_hits)),) = _rows(follower, view).items()
     assert seeded_key == leader_hottest_key and seeded_hits == leader_hits
     cold_pair = pairs[1] if pairs[1] != hot_pair else pairs[2]
     follower.depends_batch([cold_pair], view)
@@ -785,15 +902,17 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
     third.add_view(view)
     third.attach(run_file)
     assert load_hot_matrices(third) == 1
-    ((key, (_, hits)),) = _pair_entries(third, view).items()
+    ((key, (*_, hits)),) = _rows(third, view).items()
     assert key == leader_hottest_key and hits >= leader_hits
 
 
 def test_v1_cache_files_rejected_loudly(saved, scheme):
-    """The per-entry formats (v1, and v2 with its hit column) are refused by version.
+    """The per-entry formats (v1, and v2 with its hit column) and v3 are refused by version.
 
-    A v2 file is what an older build leaves beside a run file: the server's
-    warm path goes cold on it, names the version, and counts no corruption.
+    A v2 or v3 file is what an older build leaves beside a run file: the
+    server's warm path goes cold on it, names the version, and counts no
+    corruption.  v3 had v4's layout with matrix and no-dependency rows only;
+    an older reader refuses a v4 file by its version the same way.
     """
     run_file, view, pairs, expected, entries = saved
     cache_file = matrix_cache_path(run_file)
@@ -801,13 +920,15 @@ def test_v1_cache_files_rejected_loudly(saved, scheme):
         raw = bytearray(handle.read())
     magic_end = len(CACHE_MAGIC)
     version = int.from_bytes(raw[magic_end : magic_end + 4], "little")
-    assert version == CACHE_VERSION == 3
+    assert version == CACHE_VERSION == 4
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
     v2_header = struct.Struct("<8sIQQQI")  # shorter than v3's: still "version", not "truncated"
     old_files = [
-        bytes(raw[:magic_end]) + (1).to_bytes(4, "little") + bytes(raw[magic_end + 4 :]),
+        bytes(raw[:magic_end]) + (old).to_bytes(4, "little") + bytes(raw[magic_end + 4 :])
+        for old in (1, 3)  # v3 had this layout, without verdict and boundary rows
+    ] + [
         v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 0),
         v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 1)
         + struct.pack("<HHQI", 1, 1, 1, 1) + b"vd" + struct.pack("<qqiiQ", 0, 1, 1, 1, 7) + b"\x80",

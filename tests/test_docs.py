@@ -11,7 +11,8 @@ re-trued.  README's metrics table is held to the metrics registry of a whole
 stack (engine, server, net server, lifecycle manager, watchdog) both ways.
 Every cited ``scripts/….py`` path must exist, and every smoke phase the prose
 names (a backticked name before "phase", or an argument of a
-``scripts/smoke.py`` command) must be a phase of that script.
+``scripts/smoke.py`` command) must be a phase of that script, and every
+``.hotmx`` format version the prose states must be the code's.
 """
 
 from __future__ import annotations
@@ -165,3 +166,28 @@ def test_readme_metrics_table_is_the_registry(tmp_path):
         assert any(fnmatch.fnmatchcase(family, p) for p in documented), (
             f"`{family}` is registered but missing from README's metrics table"
         )
+
+
+def test_the_side_file_format_version_the_prose_states_is_the_code_s():
+    """Every "format vN" a paragraph about ``.hotmx`` states is ``CACHE_VERSION``.
+
+    In README, the verify skill and the module's own docstring (all of which
+    is about the side file); each of them states one.
+    """
+    from repro.serve import matrix_cache
+
+    texts = {doc: (ROOT / doc).read_text(encoding="utf-8") for doc in DOCS[:2]}
+    stated = {
+        doc: [
+            int(version)
+            for paragraph in re.split(r"\n\s*\n", text)
+            if ".hotmx" in paragraph
+            for version in re.findall(r"format v(\d+)", paragraph)
+        ]
+        for doc, text in texts.items()
+    }
+    stated["repro.serve.matrix_cache"] = [
+        int(version) for version in re.findall(r"format v(\d+)", matrix_cache.__doc__)
+    ]
+    for doc, versions in stated.items():
+        assert versions and set(versions) == {matrix_cache.CACHE_VERSION}, (doc, versions)
