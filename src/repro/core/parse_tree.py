@@ -24,9 +24,9 @@ materialised (and cached, so identity is stable) only for the nodes a
 compatibility consumer actually touches.
 
 :class:`ObjectParseTree` is the seed's per-node object representation behind
-the same builder API.  It exists as the baseline for the ingest benchmark and
-for the differential property tests that assert the two representations are
-behaviourally identical.
+the same builder API.  It exists as the reference for the differential
+property tests that assert the two representations are behaviourally
+identical.
 """
 
 from __future__ import annotations
@@ -381,8 +381,7 @@ class ObjectParseNode:
     """A seed-style eager node of the compressed parse tree.
 
     Kept (together with :class:`ObjectParseTree`) as the object-representation
-    baseline: the ingest benchmark measures the node arena against it and the
-    differential property tests assert behavioural equality.
+    reference: the differential property tests assert behavioural equality.
     """
 
     __slots__ = (

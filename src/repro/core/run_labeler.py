@@ -15,9 +15,8 @@ records four integers per item (producer/consumer path id and port) in a
 :class:`~repro.store.LabelStore`.  :class:`~repro.core.labels.DataLabel`
 value objects and :class:`~repro.core.parse_tree.ParseNode` flyweights are
 materialised lazily, only for the items/nodes a caller actually reads.  Pass
-``columnar=False`` to get the legacy per-item/per-node object representation
-(used as the comparison baseline by the ingest benchmark and the
-differential tests).
+``columnar=False`` to get the legacy per-item/per-node object representation,
+the reference the differential tests compare the columnar one against.
 """
 
 from __future__ import annotations

@@ -193,8 +193,8 @@ class QueryEngine:
         #: sibling runs dedupe their parse-tree paths, and the decode caches
         #: can key on integer id pairs across runs.
         self._path_table = PathTable()
-        #: ``(n_paths, (parent, packed, c) arrays)`` of the shared arena.
-        self._live_trie: tuple = (0, ())
+        #: ``columns()`` of the shared arena, re-taken once it has grown.
+        self._live_trie: dict[str, np.ndarray] = self._path_table.columns()
         self._variant = self._check_variant(variant)
         self._views: dict[str, WorkflowView] = {}
         #: ``(view name, variant value)`` -> the view's static label and its
@@ -566,11 +566,11 @@ class QueryEngine:
         """Visibility (Section 5) of many items in one view of one run.
 
         Returns an ``(n,)`` ``bool`` array lined up with ``uids``, answered
-        from the packed label columns of live, compacted and attached runs
-        alike: the retained-production test is folded **once per decoded
-        view** over the path trie (the flags are memoized per arena and
-        merely extended when the trie has grown) and each item costs one
-        gathered row and two flag lookups — no
+        from the label columns of live and attached runs alike: the
+        retained-production test is folded **once per decoded view** over the
+        path trie (the flags are memoized per arena and merely extended when
+        the trie has grown) and each item costs one gathered row and two flag
+        lookups — no
         :class:`~repro.core.labels.DataLabel` objects.  ``uids`` may be an
         ``(n,)`` integer array.
         """
@@ -686,23 +686,16 @@ class QueryEngine:
         """The ``(parent, packed, c)`` arrays of the shard's trie, for the decode kernel.
 
         Mapped shards hand out their file views (zero-copy).  Labelled shards
-        share the engine arena, whose live columns are copied — a view would
-        pin a growing buffer — and re-read only once the arena has grown.
-        ``c`` is the column an intern appends last: its length bounds the
-        rows that are whole.
+        share the engine arena, whose ``columns()`` are copies of its whole
+        rows — they pin nothing that grows — re-taken only once it has grown.
         """
         if shard.mapped is not None:
             columns = shard.mapped.table.columns()
-            return columns["parent"], columns["packed"], columns["c"]
-        live = self._path_table.raw_columns()
-        n_paths = len(live[2])
-        if self._live_trie[0] != n_paths:
-            # A slice is a private copy, so the arrays pin nothing that grows.
-            self._live_trie = (
-                n_paths,
-                tuple(np.asarray(column[:n_paths], dtype=np.int64) for column in live),
-            )
-        return self._live_trie[1]
+        else:
+            columns = self._live_trie
+            if len(columns["c"]) != len(self._path_table):
+                columns = self._live_trie = self._path_table.columns()
+        return columns["parent"], columns["packed"], columns["c"]
 
     def _shard(self, run_id: str) -> _RunShard:
         try:

@@ -11,11 +11,11 @@ integers:
 
 :class:`LabelStore` keeps them as append-only columns (struct of arrays):
 plain Python lists while the run is being ingested — appending a pointer to
-an already-existing int is the cheapest write Python offers — and packed
-``array('i')`` buffers (4 bytes per entry, zero-copy viewable as numpy
-arrays) after :meth:`compact`.  ``-1`` path ids mark the absent side of
-boundary labels.  Value objects are materialised lazily, only for the items
-a compatibility consumer actually touches.
+an already-existing int is the cheapest write Python offers — and mmap-backed
+int32 views (4 bytes per entry) once the run is persisted
+(:class:`~repro.store.mapped.MappedLabelStore`).  ``-1`` path ids mark the
+absent side of boundary labels.  Value objects are materialised lazily, only
+for the items a compatibility consumer actually touches.
 
 Item uids are assigned sequentially by :class:`~repro.model.derivation.
 Derivation`, so the store runs in *dense* mode — row index is ``uid - base``,
@@ -23,13 +23,13 @@ no per-item index entry at all — and falls back to a uid->row dict only if a
 caller appends out-of-order uids.
 
 :class:`ObjectLabelStore` is the seed representation behind the same append
-interface; it exists as the baseline for the ingest benchmark and for tests
-that compare the two representations bit for bit.
+interface; it exists as the reference that the differential tests compare
+the columnar store against bit for bit.
 """
 
 from __future__ import annotations
 
-from array import array
+import operator
 from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 from typing import Sequence
@@ -95,17 +95,16 @@ class LabelStore:
         "_row_of",
         "_view",
         "_label_cache",
-        "_compacted",
     )
 
     def __init__(self, table: PathTable) -> None:
         self._table = table
-        self._producer_path: list[int] | array = []
-        self._producer_port: list[int] | array = []
-        self._consumer_path: list[int] | array = []
-        self._consumer_port: list[int] | array = []
+        self._producer_path: list[int] = []
+        self._producer_port: list[int] = []
+        self._consumer_path: list[int] = []
+        self._consumer_port: list[int] = []
         #: Dense mode: row == uid - _base, _uids stays empty and _row_of None.
-        self._uids: list[int] | array = []
+        self._uids: list[int] = []
         self._base: int | None = None
         self._row_of: dict[int, int] | None = None
         self._view: LabelStoreMapping | None = None
@@ -113,7 +112,6 @@ class LabelStore:
         #: reads (repeat consumers — e.g. matrix-free query paths — would
         #: otherwise rebuild the same value objects per access).
         self._label_cache: dict[int, DataLabel] = {}
-        self._compacted = False
 
     # -- ingest ------------------------------------------------------------------
 
@@ -156,7 +154,7 @@ class LabelStore:
         each item costs four list appends and one contiguity check — no
         per-item method call, no object construction.
         """
-        if self._row_of is None and not self._compacted:
+        if self._row_of is None:
             base = self._base
             if base is None:
                 if not items:
@@ -212,27 +210,8 @@ class LabelStore:
         """Leave dense mode: materialise the uid column and the uid->row index."""
         base = self._base or 0
         uids = range(base, base + len(self._producer_path))
-        self._uids = array("q", uids) if self._compacted else list(uids)
+        self._uids = list(uids)
         self._row_of = {uid: row for row, uid in enumerate(uids)}
-
-    def compact(self) -> "LabelStore":
-        """Pack the columns into ``array('i')`` buffers (4 bytes per entry).
-
-        Idempotent; typically called once the run is complete.  Appending
-        after compaction still works (the packed arrays grow in place).
-        """
-        if not self._compacted:
-            self._producer_path = array("i", self._producer_path)
-            self._producer_port = array("i", self._producer_port)
-            self._consumer_path = array("i", self._consumer_path)
-            self._consumer_port = array("i", self._consumer_port)
-            self._uids = array("q", self._uids)
-            self._compacted = True
-        return self
-
-    @property
-    def is_compacted(self) -> bool:
-        return self._compacted
 
     # -- lookups -----------------------------------------------------------------
 
@@ -293,7 +272,9 @@ class LabelStore:
         return label
 
     def __contains__(self, uid: object) -> bool:
-        if not isinstance(uid, int):
+        try:
+            uid = operator.index(uid)  # any integral: numpy uids are uids too
+        except TypeError:
             return False
         if self._row_of is None:
             base = self._base
@@ -324,9 +305,8 @@ class LabelStore:
         """The live label column sequences, in ``(producer_path, producer_port,
         consumer_path, consumer_port)`` order.
 
-        Used by the persistent store to slice delta rows without forcing a
-        compaction or pinning numpy views; the returned sequences are the
-        store's own storage — do not mutate them.
+        Used by the persistent store to slice delta rows; the returned
+        sequences are the store's own storage — do not mutate them.
         """
         return (
             self._producer_path,
@@ -356,18 +336,16 @@ class LabelStore:
         return self._base if self._base is not None else 0
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Numpy views of the four label columns (zero-copy once compacted).
+        """Numpy copies of the whole rows, in the dtypes of the mapped columns.
 
-        The views export the underlying buffers: while any returned array is
-        alive, further :meth:`append` calls raise ``BufferError`` (arrays
-        cannot grow while their memory is pinned).  Read, drop, then append.
+        Every column is cut at the shortest one, so a row whose appends are
+        still in flight is left out.  The copies pin nothing: the store keeps
+        growing while they are alive.
         """
-        self.compact()
+        n_items = min(len(column) for column in self.raw_columns())
         return {
-            "producer_path_id": np.frombuffer(self._producer_path, dtype=np.int32),
-            "producer_port": np.frombuffer(self._producer_port, dtype=np.int32),
-            "consumer_path_id": np.frombuffer(self._consumer_path, dtype=np.int32),
-            "consumer_port": np.frombuffer(self._consumer_port, dtype=np.int32),
+            field: np.array(column[:n_items], dtype=np.int32)
+            for field, column in zip(self.GATHER_FIELDS, self.raw_columns())
         }
 
     #: Column names accepted by :meth:`gather_rows`, in row order.
@@ -382,11 +360,10 @@ class LabelStore:
         """The requested label columns gathered at ``rows``, as int32 copies.
 
         ``rows`` come from :meth:`rows_for`; the returned tuple lines up
-        with ``fields``.  Valid in every store state, beside a concurrent
-        ``append``: growing lists and packed arrays alike are copied element
-        by element — nothing is compacted and no buffer is exported, so the
-        ingest thread can never meet a ``BufferError``.  Mapped stores
-        override this with an in-place gather over their extents.
+        with ``fields``.  Valid beside a concurrent ``append``: the growing
+        lists are copied element by element and no buffer is exported.
+        Mapped stores override this with an in-place gather over their
+        extents.
         """
         columns = dict(zip(self.GATHER_FIELDS, self.raw_columns()))
         index = rows.tolist()
@@ -395,27 +372,6 @@ class LabelStore:
             for field in fields
         )
 
-    def memory_bytes(self) -> int:
-        """Payload bytes of the current columnar representation (index included).
-
-        Before :meth:`compact` the columns are pointer lists (8 bytes per
-        entry, values shared); afterwards packed 4-byte arrays.
-        """
-        columns = (
-            self._producer_path,
-            self._producer_port,
-            self._consumer_path,
-            self._consumer_port,
-            self._uids,
-        )
-        total = sum(
-            len(col) * (col.itemsize if isinstance(col, array) else 8)
-            for col in columns
-        )
-        if self._row_of is not None:
-            total += 64 * len(self._row_of)
-        return total
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LabelStore({len(self)} labels, {self._table!r})"
 
@@ -423,10 +379,9 @@ class LabelStore:
 class ObjectLabelStore:
     """The seed's per-item value-object representation behind the store interface.
 
-    Used as the comparison baseline in the ingest benchmark and in the
-    differential property tests; functionally identical to :class:`LabelStore`
-    but materialises two :class:`PortLabel` and one :class:`DataLabel` per
-    item at append time and keeps them in a dict.
+    The reference of the differential property tests; functionally identical
+    to :class:`LabelStore` but materialises two :class:`PortLabel` and one
+    :class:`DataLabel` per item at append time and keeps them in a dict.
     """
 
     __slots__ = ("_table", "_labels")

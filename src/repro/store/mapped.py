@@ -151,7 +151,6 @@ class MappedPathTable(PathTable):
         self._ids = {}
         self._indexed = False
         self._tuples = {ROOT_PATH: ()}
-        self._compacted = True
 
     extend_production = _read_only
     extend_recursion = _read_only
@@ -159,9 +158,6 @@ class MappedPathTable(PathTable):
     new_recursion_child = _read_only
     extend = _read_only
     intern = _read_only
-
-    def compact(self) -> "MappedPathTable":
-        return self
 
     def edge_fields(self, path_id: int) -> tuple[int, int, int, int]:
         # Coerce the numpy scalars of the mapped columns: materialised edge
@@ -175,10 +171,6 @@ class MappedPathTable(PathTable):
             "packed": _as_ndarray(self._packed),
             "c": _as_ndarray(self._c),
         }
-
-    def memory_bytes(self) -> int:
-        """Resident (heap) bytes — the columns live in the file mapping."""
-        return 0
 
 
 class MappedLabelStore(LabelStore):
@@ -218,7 +210,6 @@ class MappedLabelStore(LabelStore):
         self._row_of = None
         self._view = None
         self._label_cache = {}
-        self._compacted = True
 
     append = _read_only
     extend_items = _read_only
@@ -252,9 +243,6 @@ class MappedLabelStore(LabelStore):
     def is_dense(self) -> bool:
         return not self._sparse
 
-    def compact(self) -> "MappedLabelStore":
-        return self
-
     def columns(self) -> dict[str, np.ndarray]:
         return {
             "producer_path_id": _as_ndarray(self._producer_path),
@@ -281,10 +269,6 @@ class MappedLabelStore(LabelStore):
         }
         return tuple(_gather(columns[field], rows) for field in fields)
 
-    def memory_bytes(self) -> int:
-        """Resident (heap) bytes — the columns live in the file mapping."""
-        return 64 * len(self._row_of) if self._row_of is not None else 0
-
 
 class MappedNodeTable(NodeTable):
     """A read-only :class:`NodeTable` whose columns are mmap-backed views.
@@ -305,7 +289,6 @@ class MappedNodeTable(NodeTable):
         self._uids = None
         self._module_ids = {}
         self._module_names = None
-        self._compacted = True
         self._uid_loader = uid_loader
         self._name_loader = name_loader
         self._row_of_uid: dict[str, int] | None = None
@@ -313,9 +296,6 @@ class MappedNodeTable(NodeTable):
     module_id = _read_only
     append_module = _read_only
     append_recursive = _read_only
-
-    def compact(self) -> "MappedNodeTable":
-        return self
 
     # -- lazily derived state ----------------------------------------------------
 
@@ -386,15 +366,6 @@ class MappedNodeTable(NodeTable):
             "uid_id": _as_ndarray(self._uid_id),
             "child_count": np.asarray(self._counts()),
         }
-
-    def memory_bytes(self) -> int:
-        """Resident (heap) bytes — the columns live in the file mapping."""
-        total = 0
-        if self._child_count is not None:
-            total += self._child_count.nbytes
-        if self._uids is not None:
-            total += 8 * len(self._uids)
-        return total
 
 
 # ---------------------------------------------------------------------------

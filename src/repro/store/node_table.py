@@ -11,8 +11,8 @@ arena family as :class:`~repro.store.path_table.PathTable`.
 :class:`NodeTable` stores exactly those five columns, append-only, in
 insertion order (a child row id is always strictly greater than its parent
 row id, mirroring the path table's invariant).  Columns are plain Python
-lists while the run is being ingested and packed ``array`` buffers after
-:meth:`compact`; :meth:`columns` exposes zero-copy numpy views.  The ingest
+lists while the run is being ingested and mmap-backed numpy views once the
+run is persisted (:class:`~repro.store.mapped.MappedNodeTable`).  The ingest
 path appends rows and never builds node objects —
 :class:`~repro.core.parse_tree.ParseNode` is a lazy flyweight over a row id,
 materialised only for nodes a compatibility consumer actually touches.
@@ -25,7 +25,6 @@ recomputes it with one vectorised ``bincount`` instead.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator
 
 import numpy as np
@@ -76,20 +75,18 @@ class NodeTable:
         "_uids",
         "_module_ids",
         "_module_names",
-        "_compacted",
     )
 
     def __init__(self) -> None:
-        self._parent: list[int] | array = []
-        self._path_id: list[int] | array = []
-        self._meta: list[int] | array = []
-        self._uid_id: list[int] | array = []
-        self._child_count: list[int] | array = []
+        self._parent: list[int] = []
+        self._path_id: list[int] = []
+        self._meta: list[int] = []
+        self._uid_id: list[int] = []
+        self._child_count: list[int] = []
         #: uid intern list: ``uid_id -> instance uid`` (module rows only).
         self._uids: list[str] = []
         self._module_ids: dict[str, int] = {}
         self._module_names: list[str] = []
-        self._compacted = False
 
     # -- ingest ------------------------------------------------------------------
 
@@ -144,21 +141,6 @@ class NodeTable:
         if parent_row >= 0:
             self._child_count[parent_row] += 1
         return row
-
-    def compact(self) -> "NodeTable":
-        """Pack the columns into ``array`` buffers.  Idempotent; growth still works."""
-        if not self._compacted:
-            self._parent = array("i", self._parent)
-            self._path_id = array("i", self._path_id)
-            self._meta = array("q", self._meta)
-            self._uid_id = array("i", self._uid_id)
-            self._child_count = array("i", self._child_count)
-            self._compacted = True
-        return self
-
-    @property
-    def is_compacted(self) -> bool:
-        return self._compacted
 
     # -- accessors ---------------------------------------------------------------
 
@@ -270,38 +252,21 @@ class NodeTable:
         return self._uids[start:]
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Numpy views of the columns (zero-copy once compacted).
+        """Numpy copies of the whole rows, in the dtypes of the mapped columns.
 
-        Like the other arenas: while any returned view is alive, appending
-        raises ``BufferError``.  Read, drop, then append.
+        Every column is cut at the shortest one, so a row whose appends are
+        still in flight is left out.  The copies pin nothing: the arena keeps
+        growing while they are alive.
         """
-        self.compact()
+        columns = self.raw_columns() + (self._child_count,)
+        n_nodes = min(len(column) for column in columns)
         return {
-            "parent": np.frombuffer(self._parent, dtype=np.int32),
-            "path_id": np.frombuffer(self._path_id, dtype=np.int32),
-            "meta": np.frombuffer(self._meta, dtype=np.int64),
-            "uid_id": np.frombuffer(self._uid_id, dtype=np.int32),
-            "child_count": np.frombuffer(self._child_count, dtype=np.int32),
+            "parent": np.array(self._parent[:n_nodes], dtype=np.int32),
+            "path_id": np.array(self._path_id[:n_nodes], dtype=np.int32),
+            "meta": np.array(self._meta[:n_nodes], dtype=np.int64),
+            "uid_id": np.array(self._uid_id[:n_nodes], dtype=np.int32),
+            "child_count": np.array(self._child_count[:n_nodes], dtype=np.int32),
         }
-
-    def memory_bytes(self) -> int:
-        """Payload bytes of the columnar representation (uid strings excluded).
-
-        The uid intern list holds references to strings the run model already
-        owns (``ModuleInstance.uid``); the arena's own cost per entry is one
-        pointer.
-        """
-        column_bytes = sum(
-            len(col) * (col.itemsize if isinstance(col, array) else 8)
-            for col in (
-                self._parent,
-                self._path_id,
-                self._meta,
-                self._uid_id,
-                self._child_count,
-            )
-        )
-        return column_bytes + 8 * len(self._uids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NodeTable({len(self)} nodes, {len(self._uids)} module instances)"

@@ -13,15 +13,15 @@ the empty (root) path; every other path is its parent's id plus one packed
 edge, stored in struct-of-arrays columns: ``parent`` (the path with the last
 edge removed), ``packed`` (edge kind and the two bounded fields in one
 integer) and ``c`` (the unbounded recursion child index).  Columns are plain
-lists while a run is being ingested and packed ``array`` buffers after
-:meth:`compact`.  Materialising the edge-label tuple a path stands for is
-lazy and memoized, so compatibility consumers pay only when (and for what)
-they actually touch.
+lists while a run is being ingested (a list append is the cheapest write
+Python offers) and mmap-backed numpy views once the run is persisted
+(:class:`~repro.store.mapped.MappedPathTable`).  Materialising the edge-label
+tuple a path stands for is lazy and memoized, so compatibility consumers pay
+only when (and for what) they actually touch.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator
 
 import numpy as np
@@ -64,18 +64,17 @@ class PathTable:
     greater than its parent id (the bulk codec relies on this).
     """
 
-    __slots__ = ("_parent", "_packed", "_c", "_ids", "_indexed", "_tuples", "_compacted")
+    __slots__ = ("_parent", "_packed", "_c", "_ids", "_indexed", "_tuples")
 
     def __init__(self) -> None:
-        self._parent: list[int] | array = [-1]
-        self._packed: list[int] | array = [-1]
-        self._c: list[int] | array = [0]
+        self._parent: list[int] = [-1]
+        self._packed: list[int] = [-1]
+        self._c: list[int] = [0]
         #: (parent, packed, c) -> id, the interning index.
         self._ids: dict[tuple[int, int, int], int] = {}
         self._indexed = True
         #: id -> materialized tuple of edge labels (lazy, shared).
         self._tuples: dict[int, tuple[EdgeLabel, ...]] = {ROOT_PATH: ()}
-        self._compacted = False
 
     # -- interning ---------------------------------------------------------------
 
@@ -168,24 +167,8 @@ class PathTable:
             path_id = self.extend(path_id, edge)
         return path_id
 
-    def compact(self) -> "PathTable":
-        """Pack the columns into ``array`` buffers and drop the interning index.
-
-        Idempotent.  The index is construction-time state — a sealed run
-        resolves every label through ids alone — and is rebuilt from the
-        columns on demand if the table grows (or interns) again.
-        """
-        if not self._compacted:
-            self._parent = array("i", self._parent)
-            self._packed = array("q", self._packed)
-            self._c = array("i", self._c)
-            self._compacted = True
-        self._ids = {}
-        self._indexed = False
-        return self
-
     def _rebuild_index(self) -> dict[tuple[int, int, int], int]:
-        """Rebuild the interning index from the columns (after bulk growth/compact)."""
+        """Rebuild the interning index from the columns (after bulk growth)."""
         ids = self._ids = {
             row: path_id for path_id, row in enumerate(self.rows(), start=1)
         }
@@ -268,9 +251,8 @@ class PathTable:
     def raw_columns(self) -> tuple:
         """The live ``(parent, packed, c)`` column sequences, root row included.
 
-        Used by the persistent store to slice delta rows without forcing a
-        compaction or pinning numpy views; the returned sequences are the
-        table's own storage — do not mutate them.
+        Used by the persistent store to slice delta rows; the returned
+        sequences are the table's own storage — do not mutate them.
         """
         return (self._parent, self._packed, self._c)
 
@@ -280,34 +262,18 @@ class PathTable:
             yield parent, packed & 1, (packed >> 1) & _FIELD_MASK, packed >> 17, c
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Numpy views of the columns (zero-copy once compacted).
+        """Numpy copies of the whole rows, in the dtypes of the mapped columns.
 
-        The views export the underlying buffers: while any returned array is
-        alive, growing the trie raises ``BufferError``.  Read, drop, then
-        grow.
+        Every column is cut at the shortest one, so a row whose appends are
+        still in flight is left out.  The copies pin nothing: the trie keeps
+        growing while they are alive.
         """
-        self.compact()
+        n_paths = min(len(column) for column in self.raw_columns())
         return {
-            "parent": np.frombuffer(self._parent, dtype=np.int32),
-            "packed": np.frombuffer(self._packed, dtype=np.int64),
-            "c": np.frombuffer(self._c, dtype=np.int32),
+            "parent": np.array(self._parent[:n_paths], dtype=np.int32),
+            "packed": np.array(self._packed[:n_paths], dtype=np.int64),
+            "c": np.array(self._c[:n_paths], dtype=np.int32),
         }
-
-    def memory_bytes(self) -> int:
-        """Payload bytes of the columns plus the interning index.
-
-        The lazy tuple memo is compatibility state, not part of the columnar
-        representation, and is excluded (it stays empty unless someone
-        materialises value objects).
-        """
-        column_bytes = sum(
-            len(col) * (col.itemsize if isinstance(col, array) else 8)
-            for col in (self._parent, self._packed, self._c)
-        )
-        # The interning index is only needed while the run is still growing;
-        # account for its entries at dict-slot granularity.
-        index_bytes = 64 * len(self._ids)
-        return column_bytes + index_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PathTable(n_paths={len(self)})"

@@ -253,12 +253,7 @@ def encode_rows(column: Column, rows) -> bytes:
                     "newline-free"
                 )
         return "\n".join(rows).encode("utf-8")
-    if isinstance(rows, np.ndarray):
-        return rows.astype(column.numpy_dtype, copy=False).tobytes()
-    typecode = _TYPECODES[column.dtype]
-    if isinstance(rows, array) and rows.typecode == typecode:
-        return rows.tobytes()
-    return array(typecode, rows).tobytes()
+    return array(_TYPECODES[column.dtype], rows).tobytes()
 
 
 def decode_blob(raw: bytes) -> list[str]:

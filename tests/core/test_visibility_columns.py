@@ -41,13 +41,9 @@ def test_columnar_visibility_matches_object_path_bioaid(bioaid, seed):
     uids = list(range(1, derivation.run.n_data_items + 1))
     expected = _object_visibility(scheme, labeler, view_label, uids)
 
-    # Live (uncompacted) store: scalar flags, no label objects, no mutation.
+    # Live store: scalar flags, no label objects; the vectorised whole-run
+    # mask agrees too.
     store = labeler.store
-    assert not store.is_compacted
-    assert visible_batch(store, view_label, uids).tolist() == expected
-    assert not store.is_compacted
-    # Sealed store: the vectorised whole-run mask agrees too.
-    store.compact()
     assert visible_batch(store, view_label, uids).tolist() == expected
     assert visible_mask(store, view_label).tolist() == expected
 

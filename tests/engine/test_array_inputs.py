@@ -2,7 +2,7 @@
 
 ``depends_batch`` / ``is_visible_batch`` accept an ``(n, 2)`` / ``(n,)``
 int64 array (what the wire decodes a frame into) as well as lists.  Every
-store state (live, sealed, mapped, multi-extent, sparse) and every batch
+store state (live, mapped, multi-extent, compacted, sparse) and every batch
 size from one pair up takes the same evaluator, so each must equal the
 per-pair ``FVLScheme.depends`` and raise the identical error for both
 spellings — including frames with boundary pairs (initial inputs / final
@@ -29,7 +29,7 @@ from repro.model.derivation import Derivation
 from repro.model.projection import ViewProjection
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.serve import ProvenanceServer
-from repro.store import LabelStore, checkpoint_run
+from repro.store import LabelStore, checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
 SPEC = build_bioaid_specification()
@@ -59,18 +59,16 @@ def _pairs(view, n, seed=0):
     return pairs[:n]
 
 
-@pytest.fixture(params=["live", "sealed", "mapped", "segmented", "sparse"])
+@pytest.fixture(params=["live", "mapped", "segmented", "compacted", "sparse"])
 def engine(request, tmp_path):
     engine = QueryEngine(SCHEME)
     run_file = tmp_path / "array.fvl"
-    if request.param in ("live", "sealed"):
-        labeler = engine.add_run(DEFAULT_RUN, DERIVATION)
-        if request.param == "sealed":
-            labeler.store.compact()
+    if request.param == "live":
+        engine.add_run(DEFAULT_RUN, DERIVATION)
     elif request.param == "mapped":
         checkpoint_run(run_file, LABELER.store, LABELER.tree.nodes)
         engine.attach(run_file)
-    elif request.param == "segmented":
+    elif request.param in ("segmented", "compacted"):
         labeler = SCHEME.run_labeler()
         events = DERIVATION.events
         step = max(1, len(events) // 4)
@@ -78,7 +76,12 @@ def engine(request, tmp_path):
             for event in events[lo : lo + step]:
                 labeler(event)
             checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
-        assert max(engine.attach(run_file).extents_per_column().values()) >= 3
+        if request.param == "compacted":
+            # The chain rewritten into one extent per column: merged payloads.
+            assert compact(run_file).segments_before >= 3
+            assert max(engine.attach(run_file).extents_per_column().values()) == 1
+        else:
+            assert max(engine.attach(run_file).extents_per_column().values()) >= 3
     else:
         # The same rows appended out of uid order: a uid -> row index
         # instead of the dense subtract.
@@ -238,7 +241,7 @@ def test_queries_race_a_live_ingest_without_torn_reads():
     """Readers beside the ingest thread see answers or ``LabelingError`` only."""
     growing = Derivation(SPEC)
     engine = QueryEngine(SCHEME)
-    store = engine.add_run(DEFAULT_RUN, growing).store
+    engine.add_run(DEFAULT_RUN, growing)
     pairs = np.asarray(_pairs(GREY, 64), dtype=np.int64)
     uids = pairs.reshape(-1)
     unexpected: list[BaseException] = []
@@ -276,7 +279,6 @@ def test_queries_race_a_live_ingest_without_torn_reads():
     assert not thread.is_alive()
     assert unexpected == []
     assert answered[0] and answered[1]
-    assert not store.is_compacted
     view_label = SCHEME.label_view(GREY)
     assert engine.depends_batch(pairs, GREY).tolist() == [
         SCHEME.depends(LABELER.label(d1), LABELER.label(d2), view_label)

@@ -13,7 +13,7 @@ paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
     ``FVLScheme.depends`` outcome, error type and message included — over
     the synthetic family (mid-cycle dropped productions included), BioAID,
     the nested chain and a deep recursion; all three variants; grey, white
-    and black-box views; live, sealed, mapped, multi-segment and sparse
+    and black-box views; live, mapped, multi-segment and sparse
     stores;
 (2) a warm batch executes no per-key Python;
 (3) the state budget bounds the pair tables and the bank's chain products
@@ -55,16 +55,14 @@ from repro.workloads import (
     random_view,
 )
 
-STORES = ("live", "sealed", "mapped", "segmented", "sparse")
+STORES = ("live", "mapped", "segmented", "sparse")
 
 
 def _engine_over(scheme, derivation, labeler, store, run_file) -> QueryEngine:
     """An engine serving ``derivation`` from a store in the named state."""
     engine = QueryEngine(scheme)
-    if store in ("live", "sealed"):
-        own = engine.add_run(DEFAULT_RUN, derivation)
-        if store == "sealed":
-            own.store.compact()
+    if store == "live":
+        engine.add_run(DEFAULT_RUN, derivation)
     elif store == "mapped":
         checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
         engine.attach(run_file)

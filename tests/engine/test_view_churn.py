@@ -53,7 +53,6 @@ class _Case:
         visible = sorted(oracle.projection.visible_items)
         # Few distinct sources: the oracle pays one graph search per source.
         sources = rng.sample(visible, min(12, len(visible)))
-        # 1,100 pairs cross the structural vector threshold on sealed shards.
         self.pairs = [(rng.choice(sources), rng.choice(visible)) for _ in range(1100)]
         self.depends = [oracle.depends(d1, d2) for d1, d2 in self.pairs]
         assert self.depends == [

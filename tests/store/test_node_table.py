@@ -82,24 +82,6 @@ def test_node_table_rejects_bad_rows():
         nodes.parent_row(42)
 
 
-def test_node_table_compact_preserves_contents():
-    _, nodes, (root, rec, child) = _table_with_rows()
-    before = nodes.memory_bytes()
-    nodes.compact()
-    assert nodes.is_compacted
-    assert nodes.memory_bytes() < before
-    assert nodes.uid(child) == "A:1"
-    assert nodes.child_count(root) == 1
-    # Growth after compaction still works (arrays grow in place).
-    mid = nodes.module_id("B")
-    extra = nodes.append_module(child, 2, mid, "B:1")
-    assert nodes.parent_row(extra) == child
-    assert nodes.child_count(child) == 1
-    columns = nodes.columns()
-    assert len(columns["parent"]) == 4
-    assert list(columns["uid_id"]) == [0, -1, 1, 2]
-
-
 def test_node_table_rows_iteration_matches_columns():
     _, nodes, _ = _table_with_rows()
     rows = list(nodes.rows())

@@ -1,4 +1,7 @@
-"""Unit tests for the columnar store layer (PathTable + LabelStore)."""
+"""Unit tests for the columnar store layer (PathTable, LabelStore, live columns)."""
+
+import contextlib
+import random
 
 import numpy as np
 import pytest
@@ -9,10 +12,12 @@ from repro.store import (
     KIND_PRODUCTION,
     KIND_RECURSION,
     KIND_ROOT,
+    NO_NODE,
     NO_PATH,
     ROOT_PATH,
     LabelStore,
     LabelStoreMapping,
+    NodeTable,
     ObjectLabelStore,
     PathTable,
 )
@@ -60,18 +65,21 @@ def test_path_table_intern_round_trips_tuples():
     assert table.intern(path) == pid
 
 
-def test_path_table_compact_drops_and_rebuilds_index():
+def test_new_child_invalidates_and_rebuilds_the_index():
     table = PathTable()
-    a = table.extend_production(ROOT_PATH, 1, 1)
-    before = table.memory_bytes()
-    table.compact()
-    assert table.memory_bytes() < before
-    # Interning after compaction still resolves existing paths...
+    a = table.new_production_child(ROOT_PATH, 1, 1)
+    r = table.new_recursion_child(a, 2, 1, 7)
+    assert not table._indexed  # bulk growth skips the per-node index write
+    # Interning afterwards rebuilds the index and resolves existing paths...
     assert table.extend_production(ROOT_PATH, 1, 1) == a
+    assert table._indexed
+    assert table.extend_recursion(a, 2, 1, 7) == r
     # ...and can still grow the trie.
     b = table.extend_production(a, 2, 1)
+    assert b == len(table) - 1
     assert table.parent(b) == a
     assert table.path(b) == (ProductionEdgeLabel(1, 1), ProductionEdgeLabel(2, 1))
+    assert table.path(r) == (ProductionEdgeLabel(1, 1), RecursionEdgeLabel(2, 1, 7))
 
 
 def test_path_table_rejects_bad_ids_and_fields():
@@ -164,55 +172,104 @@ def test_half_appended_row_reads_as_not_labelled(sparse):
         assert store.row(torn) == (a, a, a, 1)
 
 
-def test_gather_rows_reads_every_store_state_without_sealing_it():
+def test_gather_rows_reads_a_live_store_without_pinning_it():
     store, a, b = _store()
     for uid in range(20):
         store.append(uid, a, uid, b, 2 * uid)
     rows = store.rows_for(np.array([3, 17, 3]))
     want = ([a] * 3, [3, 17, 3], [b] * 3, [6, 34, 6])
     assert [column.tolist() for column in store.gather_rows(rows)] == list(want)
-    assert not store.is_compacted  # a read never packs a live store
-    store.compact()
     ports = store.gather_rows(rows, ("consumer_port", "producer_port"))
     assert [column.tolist() for column in ports] == [want[3], want[1]]
     store.append(20, b, 1, a, 1)  # no buffer export was left behind
     assert store.row(20) == (b, 1, a, 1)
 
 
-def test_label_store_compact_preserves_contents_and_shrinks():
+def _three_live_tables():
+    """A path table, a label store and a node table, each with whole rows."""
     store, a, b = _store()
-    for uid in range(100):
-        store.append(uid, a, 1, b, 2)
-    before = store.memory_bytes()
-    store.compact()
-    assert store.is_compacted
-    assert store.memory_bytes() < before
-    assert store.row(57) == (a, 1, b, 2)
-    # Appending after compaction still works (arrays grow in place).
-    store.append(100, b, 1, a, 1)
-    assert store.row(100) == (b, 1, a, 1)
-    columns = store.columns()
-    assert len(columns["producer_path_id"]) == 101
+    store.append(10, a, 1, b, 2)
+    store.append(11, b, 3, NO_PATH, 0)
+    nodes = NodeTable()
+    root = nodes.append_module(NO_NODE, ROOT_PATH, nodes.module_id("S"), "S:1")
+    nodes.append_recursive(root, a, 2, 1)
+    return store.table, store, nodes
 
 
-def test_compacted_run_memory_is_bounded_per_item_and_per_node():
-    """Absolute byte bounds on a 4k-item BioAID run (no object graph to compare against).
+def _grow(table, store, nodes):
+    table.extend_production(ROOT_PATH, 5, 5)
+    store.append(12, 1, 1, 2, 2)
+    nodes.append_module(0, 2, 0, "S:2")
 
-    A compacted dense store is four int32 columns and nothing else; the path
-    trie and the node arena may grow with the run's shape, so theirs are
-    ceilings (measured: 20.7 bytes per item with the trie, 32.0 per node).
-    """
+
+def test_live_columns_pin_nothing():
+    """``columns()`` of a live table is a copy: the next append still works."""
+    tables = _three_live_tables()
+    held = [table.columns() for table in tables]
+    _grow(*tables)  # no buffer is exported, so every table still grows
+    # The tables grew, the held copies did not; a fresh read sees the new rows.
+    lengths = [[len(column) for column in columns.values()] for columns in held]
+    assert lengths == [[3] * 3, [2] * 4, [2] * 5]
+    assert [len(next(iter(t.columns().values()))) for t in tables] == [4, 3, 3]
+    # The dtypes of the mapped columns.
+    assert {name: c.dtype.name for columns in held for name, c in columns.items()} == {
+        "parent": "int32",
+        "packed": "int64",
+        "c": "int32",
+        **{field: "int32" for field in LabelStore.GATHER_FIELDS},
+        "path_id": "int32",
+        "meta": "int64",
+        "uid_id": "int32",
+        "child_count": "int32",
+    }
+
+
+def test_live_columns_leave_out_a_row_torn_mid_append():
+    """A row whose appends are in flight is in none of the returned columns."""
+    table, store, nodes = _three_live_tables()
+    whole = [t.columns() for t in (table, store, nodes)]
+    # Each table's ingest thread is mid-append: the first columns have grown.
+    for column in table.raw_columns()[:2]:
+        column.append(0)
+    for column in store.raw_columns()[:3]:
+        column.append(0)
+    for column in nodes.raw_columns()[:3]:
+        column.append(0)
+    for before, t in zip(whole, (table, store, nodes)):
+        after = t.columns()
+        assert after.keys() == before.keys()
+        for name, column in after.items():
+            assert column.tolist() == before[name].tolist(), name
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("mapped", [False, True])
+def test_numpy_uids_are_uids(sparse, mapped, tmp_path):
+    """``in`` takes any integral uid, as ``row`` and ``label`` do."""
+    from repro.store import MappedRunStore, checkpoint_run
     from repro.workloads import build_bioaid_specification, random_run
 
     spec = build_bioaid_specification()
-    labeler = FVLScheme(spec).label_run(random_run(spec, 4000, seed=0))
-    store = labeler.store.compact()
-    store.table.compact()
-    nodes = labeler.tree.nodes.compact()
-    assert len(store) >= 4000 and len(nodes) >= 1000
-    assert store.memory_bytes() == 16 * len(store)
-    assert store.memory_bytes() + store.table.memory_bytes() <= 22 * len(store)
-    assert nodes.memory_bytes() <= 32 * len(nodes)
+    labeler = FVLScheme(spec).label_run(random_run(spec, 100, seed=1))
+    store = labeler.store
+    if sparse:
+        store = LabelStore(labeler.store.table)
+        uids = list(labeler.store.uids())
+        random.Random(1).shuffle(uids)
+        for uid in uids:
+            store.append(uid, *labeler.store.row(uid))
+    with contextlib.ExitStack() as stack:
+        if mapped:
+            checkpoint_run(tmp_path / "uids.fvl", store)
+            store = stack.enter_context(MappedRunStore(tmp_path / "uids.fvl")).store
+        assert store.is_dense is not sparse
+        uids = list(store.uids())
+        assert uids and all(uid in store for uid in uids)
+        view = store.labels_view()
+        assert all(np.int64(uid) in view for uid in uids)
+        assert np.int64(uids[0]) in store and np.int32(uids[-1]) in store
+        assert np.int64(max(uids) + 1) not in store
+        assert float(uids[0]) not in store and "1" not in store and None not in store
 
 
 def test_labels_view_is_read_only_and_lazy(running_scheme, running_spec):
