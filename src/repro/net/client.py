@@ -4,9 +4,9 @@
 :class:`~repro.net.server.ProvenanceNetServer`.  The API mirrors the
 :class:`~repro.engine.QueryEngine` surface —
 ``depends_batch``/``is_visible_batch`` send one frame per call, which the
-server hands whole to :meth:`~repro.serve.ProvenanceServer.submit_batch`,
-and the single-pair ``depends``/``is_visible`` helpers ride a small
-client-side coalescing buffer so chatty callers still produce batch frames.
+server hands whole to :meth:`~repro.serve.ProvenanceServer.submit_batch`;
+the single-pair ``depends``/``is_visible`` helpers send a 1-query frame,
+which the server's scheduler lingers on and coalesces with its neighbours.
 
 Connections come from a bounded pool: a call borrows a socket, does one
 request/response round trip on it, and returns it.  Concurrent callers get
@@ -17,15 +17,19 @@ Overload is explicit: a SHED reply raises :class:`ServerOverloadedError`
 carrying the server's ``retry_after_s`` hint unless ``retries`` is set, in
 which case the client backs off and resends (bounded attempts).  The
 backoff is hardened against a shedding fleet: the server's hint is *capped*
-(a confused server cannot park the client for minutes), the sleep grows
-exponentially with a jitter factor (retrying clients decorrelate instead of
-re-stampeding in lockstep), and the whole retry loop runs under a total
-deadline budget.  A client that keeps seeing SHED trips a circuit breaker:
-further calls fast-fail with :class:`CircuitOpenError` (a
-:class:`ServerOverloadedError`) for a cooldown instead of adding load, then
-a single half-open probe decides whether to close it.  Query-level failures
-(unknown view, engine fault) raise :class:`RemoteQueryError` with the
-server-side exception kind and message.
+at :data:`RETRY_AFTER_CAP_S` (a confused server cannot park the client for
+minutes), the sleep grows exponentially from :data:`BACKOFF_BASE_S` up to
+:data:`BACKOFF_CAP_S` with a jitter factor (retrying clients decorrelate
+instead of re-stampeding in lockstep), and the whole retry loop runs under
+the socket ``timeout`` as its total deadline.  A client that keeps seeing
+SHED trips a circuit breaker: further calls fast-fail with
+:class:`CircuitOpenError` (a :class:`ServerOverloadedError`) for
+:data:`BREAKER_COOLDOWN_S` instead of adding load, then a single half-open
+probe decides whether to close it.  Query-level failures (unknown view,
+engine fault) raise :class:`RemoteQueryError` with the server-side
+exception kind and message; a reply that does not answer the request sent
+raises :class:`~repro.errors.SerializationError` and discards its
+connection.
 """
 
 from __future__ import annotations
@@ -65,6 +69,15 @@ __all__ = [
 DEFAULT_RUN = "default"
 
 _RECV_BYTES = 1 << 16
+
+#: First shed-retry sleep (seconds); each further attempt doubles it.
+BACKOFF_BASE_S = 0.005
+#: Largest shed-retry sleep before jitter (seconds).
+BACKOFF_CAP_S = 0.5
+#: Largest server ``retry_after_s`` hint the client honours (seconds).
+RETRY_AFTER_CAP_S = 1.0
+#: How long an open circuit breaker fast-fails before its half-open probe.
+BREAKER_COOLDOWN_S = 1.0
 
 
 class ServerOverloadedError(ReproError):
@@ -120,19 +133,17 @@ class ProvenanceClient:
 
         with ProvenanceClient(unix_path="/tmp/prov.sock") as client:
             flags = client.depends_batch(pairs, "audit")
-            ok = client.is_visible(42, "audit")   # coalesced client-side
+            ok = client.is_visible(42, "audit")   # a 1-query frame
 
     Exactly one of ``unix_path`` or ``address`` must be given.  Thread-safe;
     up to ``pool_size`` round trips run concurrently.
 
-    Overload knobs (all optional): ``retries`` bounds SHED resends per call;
-    ``retry_budget_s`` is the *total* time one call may spend backing off
-    (``None`` = the socket ``timeout``); ``backoff_base_s``/``backoff_cap_s``
-    shape the exponential sleep and ``retry_after_cap_s`` clips the server's
-    hint; ``breaker_threshold`` consecutive SHEDs across the client open the
-    circuit breaker for ``breaker_cooldown_s`` (``None`` disables it).
-    ``clock``/``sleep``/``jitter_seed`` exist so tests drive the retry
-    machinery deterministically without real waiting.
+    ``timeout`` bounds each socket operation and also the *total* time one
+    call may spend backing off; ``retries`` bounds SHED resends per call;
+    ``breaker_threshold`` consecutive SHEDs across the client open the
+    circuit breaker (``None`` disables it).  ``clock``/``sleep``/``jitter_seed``
+    exist so tests drive the retry machinery deterministically without real
+    waiting.
     """
 
     def __init__(
@@ -143,14 +154,7 @@ class ProvenanceClient:
         pool_size: int = 4,
         timeout: float = 30.0,
         retries: int = 0,
-        max_linger_us: int = 200,
-        max_batch: int = 4096,
-        retry_budget_s: "float | None" = None,
-        backoff_base_s: float = 0.005,
-        backoff_cap_s: float = 0.5,
-        retry_after_cap_s: float = 1.0,
         breaker_threshold: "int | None" = 32,
-        breaker_cooldown_s: float = 1.0,
         clock=time.monotonic,
         sleep=time.sleep,
         jitter_seed: "int | None" = None,
@@ -160,25 +164,14 @@ class ProvenanceClient:
             raise ValueError("pass exactly one of unix_path= or address=")
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if backoff_base_s < 0 or backoff_cap_s < 0 or retry_after_cap_s < 0:
-            raise ValueError("backoff bounds must not be negative")
         if breaker_threshold is not None and breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1 (or None to disable)")
-        if breaker_cooldown_s < 0:
-            raise ValueError("breaker_cooldown_s must not be negative")
         self._unix_path = unix_path
         self._address = address
         self._pool_size = pool_size
         self._timeout = timeout
         self._retries = retries
-        self._max_linger_us = max_linger_us
-        self._max_batch = max_batch
-        self._retry_budget_s = timeout if retry_budget_s is None else retry_budget_s
-        self._backoff_base_s = backoff_base_s
-        self._backoff_cap_s = backoff_cap_s
-        self._retry_after_cap_s = retry_after_cap_s
         self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_s = breaker_cooldown_s
         self._clock = clock
         self._sleep = sleep
         self._rng = random.Random(jitter_seed)
@@ -201,10 +194,6 @@ class ProvenanceClient:
         self._trace_ids = trace_ids
         self._trace_base = random.Random(jitter_seed).getrandbits(64) | 1
         self._trace_seq = itertools.count(1)
-        # Client-side coalescing buffers for the singleton helpers, one per
-        # (kind, run, view, variant) key, flushed by size or linger.
-        self._coalesce_lock = threading.Lock()
-        self._buffers: dict = {}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -269,8 +258,12 @@ class ProvenanceClient:
 
     # -- one round trip ----------------------------------------------------------
 
-    def _round_trip(self, frame: bytes, request_id: int, n: "int | None"):
-        """Send ``frame`` and return the reply to ``request_id`` (``n`` queries, if a query)."""
+    def _round_trip(self, frame: bytes, request_id: int, expected: type, n: "int | None"):
+        """Send ``frame`` and return the reply to ``request_id``.
+
+        ``expected`` is the reply type that answers the request (``n``
+        queries, if a query); a SHED or error reply is also an answer.
+        """
         conn = self._borrow()
         broken = True
         try:
@@ -297,7 +290,7 @@ class ProvenanceClient:
                     # like a short read would, and the connection must be
                     # discarded, never returned to the pool.
                     reply = _decode_reply(frames[0])
-                    _check_reply(reply, request_id, n)
+                    _check_reply(reply, request_id, expected, n)
                     broken = False
                     return reply
         finally:
@@ -335,7 +328,7 @@ class ProvenanceClient:
             self._last_shed_depth = reply.queue_depth
             if self._breaker_probing or self._shed_streak >= self._breaker_threshold:
                 # Tripped — or the half-open probe got shed again: (re)open.
-                self._breaker_open_until = self._clock() + self._breaker_cooldown_s
+                self._breaker_open_until = self._clock() + BREAKER_COOLDOWN_S
                 self._breaker_probing = False
 
     def _note_answered(self) -> None:
@@ -350,32 +343,32 @@ class ProvenanceClient:
         """A half-open probe died on a transport error: re-open the breaker."""
         with self._breaker_lock:
             if self._breaker_probing:
-                self._breaker_open_until = self._clock() + self._breaker_cooldown_s
+                self._breaker_open_until = self._clock() + BREAKER_COOLDOWN_S
                 self._breaker_probing = False
 
     def _backoff_delay(self, hint_s: float, attempt: int) -> float:
         """Capped exponential backoff with jitter, floored by the capped hint."""
-        hint = min(max(hint_s, 0.0), self._retry_after_cap_s)
-        grown = self._backoff_base_s * (1 << min(attempt, 20))
-        delay = min(self._backoff_cap_s, max(hint, grown))
+        hint = min(max(hint_s, 0.0), RETRY_AFTER_CAP_S)
+        grown = BACKOFF_BASE_S * (1 << min(attempt, 20))
+        delay = min(BACKOFF_CAP_S, max(hint, grown))
         return delay * (0.5 + self._rng.random())  # jitter factor in [0.5, 1.5)
 
-    def _ask(self, frame_for, n: "int | None" = None):
+    def _ask(self, frame_for, expected: type, n: "int | None" = None):
         """Send (re-encoding per attempt for fresh request ids) with shed retries.
 
-        ``n`` is the query count of a ``depends`` / ``visible`` frame, which
-        an answers reply must match.  Retries back off exponentially
-        (jittered, hint-floored, capped) under a total ``retry_budget_s``
-        deadline; persistent shedding trips the client-wide circuit breaker
-        checked on entry.
+        Returns the ``expected`` reply; ``n`` is the query count of a
+        ``depends`` / ``visible`` frame, which an answers reply must match.
+        Retries back off exponentially (jittered, hint-floored, capped)
+        under a total deadline of ``timeout``; persistent shedding trips the
+        client-wide circuit breaker checked on entry.
         """
         probing = self._check_breaker()
         attempts = self._retries + 1
-        deadline = self._clock() + self._retry_budget_s
+        deadline = self._clock() + self._timeout
         try:
             for attempt in range(attempts):
                 request_id = next(self._request_ids)
-                reply = self._round_trip(frame_for(request_id), request_id, n)
+                reply = self._round_trip(frame_for(request_id), request_id, expected, n)
                 if isinstance(reply, ShedReply):
                     self._note_shed(reply)
                     probing = False  # the probe's outcome is now recorded
@@ -424,9 +417,9 @@ class ProvenanceClient:
             lambda rid: encode_depends_request(
                 rid, run, view, variant_key, ids, trace_id=trace_id
             ),
+            AnswersReply,
             len(ids),
         )
-        assert isinstance(reply, AnswersReply)
         return reply.answers
 
     def is_visible_batch(self, uids, view: str, *, run: str = DEFAULT_RUN,
@@ -444,22 +437,18 @@ class ProvenanceClient:
             lambda rid: encode_visible_request(
                 rid, run, view, variant_key, ids, trace_id=trace_id
             ),
+            AnswersReply,
             len(ids),
         )
-        assert isinstance(reply, AnswersReply)
         return reply.answers
 
     def server_stats(self) -> dict:
         """The server's stats/health payload (scheduler + transport counters)."""
-        reply = self._ask(encode_stats_request)
-        assert isinstance(reply, StatsReply)
-        return reply.payload
+        return self._ask(encode_stats_request, StatsReply).payload
 
     def server_metrics(self) -> str:
         """The server's whole metrics registry as Prometheus text exposition."""
-        reply = self._ask(encode_metrics_request)
-        assert isinstance(reply, MetricsReply)
-        return reply.text
+        return self._ask(encode_metrics_request, MetricsReply).text
 
     def server_health(self) -> dict:
         """The watchdog verdict alone: ``{"status", "alerts"}``.
@@ -474,78 +463,35 @@ class ProvenanceClient:
             "alerts": payload.get("alerts", []),
         }
 
-    # -- singleton API (client-side coalescing) ----------------------------------
+    # -- singleton API ---------------------------------------------------------
 
     def depends(self, d1: int, d2: int, view: str, *, run: str = DEFAULT_RUN,
                 variant=None) -> bool:
-        """One dependency probe, coalesced with concurrent callers' probes."""
-        return self._coalesced("depends", (int(d1), int(d2)), view, run, variant)
+        """One dependency probe, sent as a 1-pair ``depends_batch`` frame."""
+        return bool(self.depends_batch([(d1, d2)], view, run=run, variant=variant)[0])
 
     def is_visible(self, uid: int, view: str, *, run: str = DEFAULT_RUN,
                    variant=None) -> bool:
-        """One visibility probe, coalesced with concurrent callers' probes."""
-        return self._coalesced("visible", int(uid), view, run, variant)
-
-    def _coalesced(self, kind: str, item, view: str, run: str, variant) -> bool:
-        variant_key = getattr(variant, "value", variant)
-        key = (kind, run, view, variant_key)
-        flush_mine = False
-        with self._coalesce_lock:
-            buffer = self._buffers.get(key)
-            if buffer is None:
-                buffer = self._buffers[key] = _CoalesceBuffer()
-            index = len(buffer.items)
-            buffer.items.append(item)
-            if len(buffer.items) >= self._max_batch:
-                # Size-triggered flush: detach so later callers start fresh.
-                self._buffers.pop(key, None)
-                flush_mine = True
-        if not flush_mine and index == 0:
-            # First in: linger briefly so concurrent callers pile on, then
-            # flush whatever accumulated — unless a size flush beat us to it.
-            time.sleep(self._max_linger_us / 1e6)
-            with self._coalesce_lock:
-                if self._buffers.get(key) is buffer:
-                    self._buffers.pop(key)
-                    flush_mine = True
-        if flush_mine:
-            self._flush(kind, key, buffer)
-        elif not buffer.done.wait(self._timeout):
-            raise TimeoutError(
-                f"coalesced {kind} answer did not arrive within {self._timeout}s"
-            )
-        if buffer.error is not None:
-            raise buffer.error
-        return bool(buffer.answers[index])
-
-    def _flush(self, kind: str, key, buffer: "_CoalesceBuffer") -> None:
-        _, run, view, variant_key = key
-        try:
-            if kind == "depends":
-                buffer.answers = self.depends_batch(
-                    buffer.items, view, run=run, variant=variant_key
-                )
-            else:
-                buffer.answers = self.is_visible_batch(
-                    buffer.items, view, run=run, variant=variant_key
-                )
-        except BaseException as exc:
-            buffer.error = exc
-            buffer.done.set()
-            raise
-        buffer.done.set()
+        """One visibility probe, sent as a 1-uid ``is_visible_batch`` frame."""
+        return bool(self.is_visible_batch([uid], view, run=run, variant=variant)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         target = self._unix_path if self._unix_path is not None else self._address
         return f"ProvenanceClient({target!r}, pool_size={self._pool_size})"
 
 
-def _check_reply(reply, request_id: int, n: "int | None") -> None:
+def _check_reply(reply, request_id: int, expected: type, n: "int | None") -> None:
     """Raise unless ``reply`` answers request ``request_id`` of ``n`` queries.
 
-    An error reply may carry id 0: the server's answer to a frame it could
-    not decode, whose id it never read.
+    The reply must be an ``expected``, a SHED or an error reply.  An error
+    reply may carry id 0: the server's answer to a frame it could not
+    decode, whose id it never read.
     """
+    if not isinstance(reply, (expected, ShedReply, ErrorReply)):
+        raise SerializationError(
+            f"{type(reply).__name__} received for request {request_id}, "
+            f"expected {expected.__name__}"
+        )
     if reply.request_id != request_id and not (
         isinstance(reply, ErrorReply) and reply.request_id == 0
     ):
@@ -557,12 +503,3 @@ def _check_reply(reply, request_id: int, n: "int | None") -> None:
             f"{len(reply.answers)} answers to request {request_id} of {n} queries"
         )
 
-
-class _CoalesceBuffer:
-    __slots__ = ("items", "answers", "error", "done")
-
-    def __init__(self) -> None:
-        self.items: list = []
-        self.answers: "np.ndarray | None" = None
-        self.error: "BaseException | None" = None
-        self.done = threading.Event()

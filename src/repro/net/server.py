@@ -43,7 +43,6 @@ from repro.core import FVLVariant
 from repro.errors import SerializationError
 from repro.faults import InjectedFault
 from repro.net.protocol import (
-    MAX_FRAME_BYTES,
     OP_DEPENDS,
     FrameAssembler,
     MetricsRequest,
@@ -63,6 +62,11 @@ from repro.serve.server import ProvenanceServer
 __all__ = ["NetStats", "ProvenanceNetServer"]
 
 _RECV_BYTES = 1 << 16
+
+#: ``listen()`` backlog of each listening socket.
+LISTEN_BACKLOG = 128
+#: The ``retry_after_s`` hint a SHED reply carries (seconds).
+SHED_RETRY_AFTER_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,9 @@ class _Connection:
         "events",
     )
 
-    def __init__(self, sock: socket.socket, max_frame_bytes: int) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.assembler = FrameAssembler(max_frame_bytes)
+        self.assembler = FrameAssembler()
         #: Decoded-but-not-yet-admitted request payloads (fairness queue).
         self.intake: deque[bytes] = deque()
         #: Encoded reply frames awaiting a writable socket.  Guarded by
@@ -164,9 +168,6 @@ class ProvenanceNetServer:
         unix_path=None,
         host: "str | None" = None,
         port: int = 0,
-        backlog: int = 128,
-        shed_retry_after: float = 0.02,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
         if unix_path is None and host is None:
             raise ValueError("pass unix_path= and/or host= to bind a listener")
@@ -174,9 +175,6 @@ class ProvenanceNetServer:
         self._unix_path = os.fspath(unix_path) if unix_path is not None else None
         self._host = host
         self._port = port
-        self._backlog = backlog
-        self._shed_retry_after = shed_retry_after
-        self._max_frame_bytes = max_frame_bytes
         self._selector: "selectors.BaseSelector | None" = None
         self._listeners: list[socket.socket] = []
         self._conns: deque[_Connection] = deque()
@@ -276,7 +274,7 @@ class ProvenanceNetServer:
         return self
 
     def _register_listener(self, listener: socket.socket) -> None:
-        listener.listen(self._backlog)
+        listener.listen(LISTEN_BACKLOG)
         listener.setblocking(False)
         self._selector.register(listener, selectors.EVENT_READ, "listen")
         self._listeners.append(listener)
@@ -395,7 +393,7 @@ class ProvenanceNetServer:
             sock.setblocking(False)
             if sock.family != socket.AF_UNIX:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(sock, self._max_frame_bytes)
+            conn = _Connection(sock)
             self._selector.register(sock, selectors.EVENT_READ, conn)
             self._conns.append(conn)
             self._count("connections")
@@ -524,7 +522,7 @@ class ProvenanceNetServer:
             self._send(
                 conn,
                 encode_shed(
-                    request.request_id, self._shed_retry_after, self._server.pending
+                    request.request_id, SHED_RETRY_AFTER_S, self._server.pending
                 ),
             )
             return

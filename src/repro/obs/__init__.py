@@ -23,7 +23,7 @@ On top of those, the intelligence tier closes the loop from raw telemetry
 to decisions:
 
 * :mod:`repro.obs.timeseries` — a ring of registry snapshots turning
-  cumulative counters into windowed rates, percentiles, and EWMA bands.
+  cumulative counters into windowed deltas, rates and percentiles.
 * :mod:`repro.obs.watchdog` — declarative SLOs evaluated on that ring,
   emitting ``alert`` / ``alert_clear`` events and the degraded-health
   verdict the stats wire op reports.
@@ -41,7 +41,7 @@ from repro.obs.metrics import (
     HistogramFamily,
     MetricsRegistry,
 )
-from repro.obs.timeseries import Ewma, SnapshotRing
+from repro.obs.timeseries import SnapshotRing
 from repro.obs.trace import (
     DEFAULT_SAMPLE_RATE,
     PHASE_BY_SPAN,
@@ -80,7 +80,6 @@ __all__ = [
     "install_event_log",
     "uninstall_event_log",
     "SnapshotRing",
-    "Ewma",
     "Watchdog",
     "SLO",
     "default_slos",

@@ -41,6 +41,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
+    "percentile_from_counts",
 ]
 
 #: Default latency buckets, in seconds: log-spaced from 10 microseconds to
@@ -48,6 +49,40 @@ __all__ = [
 LATENCY_BUCKETS: tuple[float, ...] = tuple(
     round(10.0 ** (exp / 4.0), 10) for exp in range(-20, 7)
 )
+
+
+def percentile_from_counts(
+    buckets: Sequence[float],
+    counts: Sequence[int],
+    q: float,
+    *,
+    lower: bool = False,
+) -> float:
+    """The q-quantile bound from histogram bucket counts.
+
+    ``buckets`` are the finite upper edges, ``counts`` the per-bucket (not
+    cumulative) tallies with the +inf overflow slot last — the shape a
+    :class:`Histogram` and the registry snapshot carry.  Returns the matched
+    bucket's *upper* edge (a conservative over-estimate, the Prometheus
+    convention), or its lower edge with ``lower=True`` (an under-estimate —
+    what a keep-everything-slower-than-this threshold wants).  Empty data
+    returns 0.0; a quantile landing in the overflow slot returns the last
+    finite edge (upper) / the edge below the overflow slot (lower).
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    total = int(sum(counts))
+    if total == 0:
+        return 0.0
+    need = q * total
+    cumulative = 0
+    for index, count in enumerate(counts):
+        cumulative += int(count)
+        if cumulative >= need:
+            if lower:
+                return float(buckets[index - 1]) if index > 0 else 0.0
+            return float(buckets[min(index, len(buckets) - 1)])
+    return float(buckets[-1])  # pragma: no cover - cumulative == total above
 
 
 def _quote_label(value: str) -> str:
@@ -221,19 +256,7 @@ class Histogram:
         """
         with self._lock:
             counts = self.counts.copy()
-            total = self.count
-        if total == 0:
-            return 0.0
-        need = q * total
-        cumulative = 0
-        for index in range(len(counts)):
-            cumulative += int(counts[index])
-            if cumulative >= need:
-                if lower:
-                    return float(self._edges[index - 1]) if index > 0 else 0.0
-                last = len(self._edges) - 1
-                return float(self._edges[min(index, last)])
-        return float(self._edges[-1])  # pragma: no cover - cumulative == total
+        return percentile_from_counts(self._edges, counts, q, lower=lower)
 
 
 class _Family:

@@ -1,4 +1,4 @@
-"""Time series over registry snapshots: deltas, rates, percentiles, EWMA bands.
+"""Time series over registry snapshots: deltas, rates, percentiles.
 
 The metrics registry is deliberately cumulative — counters only go up, and a
 single scrape carries no time dimension.  :class:`SnapshotRing` adds that
@@ -12,97 +12,18 @@ Differencing histograms is the part worth having: subtracting two cumulative
 bucket-count vectors yields the distribution of *only* the observations that
 arrived in the window, so percentile trends do not drown in the lifetime
 distribution the way a cumulative scrape does.
-
-:class:`Ewma` keeps an exponentially-weighted mean/variance pair so anomaly
-checks can ask "is this rate outside its usual band" with O(1) state and no
-stored history.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
-from typing import Mapping, Sequence
+from typing import Mapping
 
-__all__ = ["Ewma", "SnapshotRing", "percentile_from_counts"]
+from repro.obs.metrics import percentile_from_counts
 
-
-def percentile_from_counts(
-    buckets: Sequence[float],
-    counts: Sequence[int],
-    q: float,
-    *,
-    lower: bool = False,
-) -> float:
-    """The q-quantile bound from cumulative-histogram bucket counts.
-
-    ``buckets`` are the finite upper edges, ``counts`` the per-bucket (not
-    cumulative) tallies with the +inf overflow slot last — the shape the
-    registry snapshot carries.  Returns the matched bucket's *upper* edge
-    (a conservative over-estimate, the Prometheus convention), or its lower
-    edge with ``lower=True`` (an under-estimate — what a keep-everything-
-    slower-than-this threshold wants).  Empty data returns 0.0; a quantile
-    landing in the overflow slot returns the last finite edge (upper) /
-    ``inf``-avoiding last edge (lower).
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    total = int(sum(counts))
-    if total == 0:
-        return 0.0
-    need = q * total
-    cumulative = 0
-    for index, count in enumerate(counts):
-        cumulative += int(count)
-        if cumulative >= need:
-            if lower:
-                return float(buckets[index - 1]) if index > 0 else 0.0
-            last = len(buckets) - 1
-            return float(buckets[min(index, last)])
-    return float(buckets[-1])  # pragma: no cover - cumulative == total above
-
-
-class Ewma:
-    """Exponentially-weighted mean/variance for O(1) anomaly bands."""
-
-    __slots__ = ("alpha", "mean", "var", "count")
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.mean: float | None = None
-        self.var = 0.0
-        self.count = 0
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        if self.mean is None:
-            self.mean = float(x)
-            return
-        delta = float(x) - self.mean
-        self.mean += self.alpha * delta
-        # West's EW variance: decays old spread, absorbs the new deviation.
-        self.var = (1.0 - self.alpha) * (self.var + self.alpha * delta * delta)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.var)
-
-    def band(self, k: float = 3.0) -> "tuple[float, float]":
-        """The (low, high) k-sigma band; infinite until the first update."""
-        if self.mean is None:
-            return (-math.inf, math.inf)
-        spread = k * self.std
-        return (self.mean - spread, self.mean + spread)
-
-    def is_high(self, x: float, k: float = 3.0, *, min_count: int = 3) -> bool:
-        """Whether ``x`` sits above the band (never before ``min_count`` updates)."""
-        if self.mean is None or self.count < min_count:
-            return False
-        return float(x) > self.band(k)[1]
+__all__ = ["SnapshotRing"]
 
 
 def _series_value(snap: Mapping, name: str, labels: "tuple[str, ...] | None"):
@@ -196,16 +117,6 @@ class SnapshotRing:
                 base = self._ring[-2]
             return base, (newest_ts, newest)
 
-    def value(self, name: str, labels: "tuple[str, ...] | None" = None) -> float:
-        """The latest cumulative value (0.0 when the series never appeared)."""
-        latest = self.latest
-        if latest is None:
-            return 0.0
-        value = _series_value(latest[1], name, labels)
-        if value is None or isinstance(value, Mapping):
-            return 0.0
-        return float(value)
-
     def delta(
         self,
         name: str,
@@ -277,15 +188,13 @@ class SnapshotRing:
         """The windowed q-quantile (upper bucket edge) of a histogram family.
 
         Falls back to the latest cumulative distribution when the ring holds
-        fewer than two snapshots; returns 0.0 when there is no data at all.
+        fewer than two snapshots.  A window with no observations (an idle
+        server) reads 0.0, as does a series with no data at all.
         """
         windowed = self.hist_delta(name, labels, window_s)
-        if windowed is None or windowed["count"] == 0:
+        if windowed is None:
             latest = self.latest
-            if latest is None:
+            windowed = _series_value(latest[1], name, labels) if latest else None
+            if not isinstance(windowed, Mapping):
                 return 0.0
-            cumulative = _series_value(latest[1], name, labels)
-            if not isinstance(cumulative, Mapping) or cumulative["count"] == 0:
-                return 0.0
-            windowed = cumulative
         return percentile_from_counts(windowed["buckets"], windowed["counts"], q)

@@ -1,12 +1,11 @@
-"""SLO + anomaly watchdog: declarative specs evaluated on snapshot deltas.
+"""SLO watchdog: declarative specs evaluated on snapshot deltas.
 
 The observability layer can *record* a shed storm; nothing so far *notices*
 one.  :class:`Watchdog` closes the loop: each :meth:`tick` snapshots the
 stack's registry into a :class:`~repro.obs.timeseries.SnapshotRing`, then
 evaluates every declared :class:`SLO` against the windowed deltas — rates
-from counter differences, percentiles from histogram-bucket differences,
-anomaly bands from an EWMA over the rate series — and manages firing state
-with hysteresis:
+and increases from counter differences, percentiles from histogram-bucket
+differences — and manages firing state with hysteresis:
 
 * the first breaching tick emits an ``alert`` event (into the installed
   :mod:`repro.obs.events` log) and marks the SLO firing;
@@ -25,12 +24,8 @@ SLO kinds:
     threshold 0 this is "no new corruption in the window".
 ``percentile``
     the windowed q-quantile of a histogram family must stay <= ``threshold``
-    seconds (p99 latency).
-``value``
-    the latest value (gauge or counter) must stay <= ``threshold``.
-``anomaly``
-    the windowed rate must stay inside its own EWMA ``k``-sigma band — no
-    absolute threshold needed; fires on unusual spikes.
+    seconds (p99 latency); a window with no observations reads 0.0, so an
+    idle server's latency alert clears.
 
 Run it either by calling :meth:`tick` yourself (tests, deterministic
 clocks) or via :meth:`start`'s background thread.
@@ -40,12 +35,15 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs import events as obs_events
-from repro.obs.timeseries import Ewma, SnapshotRing
+from repro.obs.timeseries import SnapshotRing
 
-__all__ = ["SLO", "Watchdog", "default_slos"]
+__all__ = ["SLO", "SLO_KINDS", "Watchdog", "default_slos"]
+
+#: The SLO kinds :class:`Watchdog` evaluates.
+SLO_KINDS = ("rate", "delta", "percentile")
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class SLO:
     """One declarative objective over a metric family."""
 
     name: str
-    kind: str  # "rate" | "delta" | "percentile" | "value" | "anomaly"
+    kind: str  # one of SLO_KINDS
     metric: str
     threshold: float = 0.0
     #: Select one labeled child; ``None`` aggregates the whole family.
@@ -63,11 +61,9 @@ class SLO:
     q: float = 0.99
     #: Consecutive healthy ticks required before a firing alert clears.
     clear_after: int = 2
-    #: For kind="anomaly": the EWMA band width in standard deviations.
-    k: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rate", "delta", "percentile", "value", "anomaly"):
+        if self.kind not in SLO_KINDS:
             raise ValueError(f"unknown SLO kind {self.kind!r}")
         if self.clear_after < 1:
             raise ValueError("clear_after must be at least 1")
@@ -75,23 +71,16 @@ class SLO:
             raise ValueError("q must be in (0, 1]")
 
 
-def default_slos(
-    *,
-    p99_s: float = 0.5,
-    error_rate: float = 5.0,
-    shed_rate: float = 1.0,
-    window_s: float = 10.0,
-) -> "tuple[SLO, ...]":
-    """The serving stack's stock objectives: latency, errors, sheds, corruption."""
+def default_slos() -> "tuple[SLO, ...]":
+    """The serving stack's stock objectives: latency, errors, sheds, corruption.
+
+    A caller that wants other thresholds passes its own :class:`SLO` list.
+    """
     return (
-        SLO("p99_latency", "percentile", "tail_request_seconds",
-            threshold=p99_s, q=0.99, window_s=window_s),
-        SLO("error_rate", "rate", "net_errors_total",
-            threshold=error_rate, window_s=window_s),
-        SLO("shed_rate", "rate", "net_sheds_total",
-            threshold=shed_rate, window_s=window_s),
-        SLO("corruption", "delta", "corruption_detected_total",
-            threshold=0.0, window_s=window_s),
+        SLO("p99_latency", "percentile", "tail_request_seconds", threshold=0.5, q=0.99),
+        SLO("error_rate", "rate", "net_errors_total", threshold=5.0),
+        SLO("shed_rate", "rate", "net_sheds_total", threshold=1.0),
+        SLO("corruption", "delta", "corruption_detected_total", threshold=0.0),
     )
 
 
@@ -102,7 +91,6 @@ class _AlertState:
     since: float = 0.0
     value: float = 0.0
     fired_total: int = 0
-    ewma: Ewma = field(default_factory=lambda: Ewma(alpha=0.3))
 
 
 class Watchdog:
@@ -113,7 +101,6 @@ class Watchdog:
         registry,
         slos: "tuple[SLO, ...] | list[SLO] | None" = None,
         *,
-        ring: "SnapshotRing | None" = None,
         interval_s: float = 1.0,
         clock=time.monotonic,
     ) -> None:
@@ -122,7 +109,7 @@ class Watchdog:
         names = [slo.name for slo in self.slos]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names: {names}")
-        self.ring = ring if ring is not None else SnapshotRing(clock=clock)
+        self.ring = SnapshotRing(clock=clock)
         self.interval_s = interval_s
         self._clock = clock
         self._states = {slo.name: _AlertState() for slo in self.slos}
@@ -141,28 +128,13 @@ class Watchdog:
 
     # -- evaluation --------------------------------------------------------------
 
-    def _evaluate(self, slo: SLO, state: _AlertState) -> "tuple[float, bool]":
-        """``(observed value, breached?)`` for one SLO at the ring's head."""
+    def _evaluate(self, slo: SLO) -> float:
+        """The observed value of one SLO at the ring's head."""
         if slo.kind == "rate":
-            value = self.ring.rate(slo.metric, slo.labels, slo.window_s)
-            return value, value > slo.threshold
+            return self.ring.rate(slo.metric, slo.labels, slo.window_s)
         if slo.kind == "delta":
-            value, _elapsed = self.ring.delta(slo.metric, slo.labels, slo.window_s)
-            return value, value > slo.threshold
-        if slo.kind == "percentile":
-            value = self.ring.percentile(slo.metric, slo.q, slo.labels, slo.window_s)
-            return value, value > slo.threshold
-        if slo.kind == "value":
-            value = self.ring.value(slo.metric, slo.labels)
-            return value, value > slo.threshold
-        # anomaly: compare the rate against its own history, then learn it.
-        value = self.ring.rate(slo.metric, slo.labels, slo.window_s)
-        breached = state.ewma.is_high(value, slo.k)
-        if not breached:
-            # Only learn from healthy samples: a sustained storm must not
-            # teach the band that storms are normal.
-            state.ewma.update(value)
-        return value, breached
+            return self.ring.delta(slo.metric, slo.labels, slo.window_s)[0]
+        return self.ring.percentile(slo.metric, slo.q, slo.labels, slo.window_s)
 
     def tick(self) -> dict:
         """One watchdog pass: snapshot, evaluate, manage alert transitions.
@@ -178,7 +150,8 @@ class Watchdog:
         with self._lock:
             for slo in self.slos:
                 state = self._states[slo.name]
-                value, breached = self._evaluate(slo, state)
+                value = self._evaluate(slo)
+                breached = value > slo.threshold
                 if breached:
                     state.ok_streak = 0
                     state.value = value

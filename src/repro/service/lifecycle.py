@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine.engine import QueryEngine, grammar_fingerprint
-from repro.errors import CorruptionError, LabelingError, SerializationError
+from repro.errors import CorruptionError, LabelingError
 from repro.obs import events as obs_events
 from repro.store import (
     CheckpointResult,
@@ -44,12 +44,15 @@ from repro.store import (
     run_file_info,
 )
 from repro.store.compaction import CompactionResult, compact
-from repro.store.lockfile import DEFAULT_STALE_AFTER, FileLease, LeaseHeldError
+from repro.store.lockfile import FileLease, LeaseHeldError
 
 __all__ = ["CheckpointPolicy", "LifecycleStats", "SweepResult", "RunLifecycleManager"]
 
 #: Per-process manager ids for the registry label (see ``__init__``).
 _MANAGER_IDS = itertools.count()
+
+#: Upper bound (seconds) of a failing run's exponential retry backoff.
+RETRY_BACKOFF_CAP_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,6 @@ class CheckpointPolicy:
     every_events: int | None = 1024
     every_seconds: float | None = 30.0
     compact_after_segments: int | None = None
-    #: Compact when the *measured* read amplification of the run file —
-    #: segmented bytes per compacted byte, i.e. the dead section-table chain
-    #: plus per-extent page padding
-    #: (:attr:`repro.store.RunFileInfo.read_amplification`) — reaches this
-    #: ratio.  Unlike the raw segment-count trigger this tracks what a
-    #: rewrite actually reclaims: many large segments barely amplify and are
-    #: left alone, while a chain of tiny flushes compacts early.  ``None``
-    #: disables the amplification trigger; either trigger firing compacts.
-    compact_amplification: float | None = None
 
     def __post_init__(self) -> None:
         if self.every_events is None and self.every_seconds is None:
@@ -90,11 +84,6 @@ class CheckpointPolicy:
             raise ValueError("every_seconds must be positive")
         if self.compact_after_segments is not None and self.compact_after_segments < 2:
             raise ValueError("compact_after_segments must be at least 2")
-        if self.compact_amplification is not None and self.compact_amplification <= 1.0:
-            raise ValueError(
-                "compact_amplification must exceed 1.0 (a compacted file has "
-                "amplification exactly 1.0)"
-            )
 
 
 @dataclass(frozen=True)
@@ -146,15 +135,12 @@ class _ManagedRun:
     labeler: object
     node_table: object
     policy: CheckpointPolicy
+    #: Cross-process writer lease on the run file.  Normally held from
+    #: ``manage()`` on; acquisition is deferred (and retried per flush) when
+    #: the file's directory does not exist yet.
+    lease: FileLease
     #: Serialises segment appends against compaction for this file.
     file_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Cross-process writer lease on the run file (``None`` when disabled).
-    #: Normally held from ``manage()`` on; acquisition is deferred (and
-    #: retried per flush) when the file's directory does not exist yet.
-    lease: FileLease | None = None
-    #: Chain length of the last amplification scan that said "not due" —
-    #: sweeps skip re-scanning an unchanged chain (one page read per segment).
-    amp_clean_segments: int = 0
     flushed_items: int = 0
     flushed_paths: int = 0
     flushed_nodes: int = 0
@@ -217,11 +203,8 @@ class RunLifecycleManager:
         policy: CheckpointPolicy | None = None,
         poll_interval: float = 0.05,
         clock=time.monotonic,
-        use_leases: bool = True,
-        lease_stale_after: float = DEFAULT_STALE_AFTER,
         quarantine_after: int | None = 5,
         retry_backoff_s: float = 0.05,
-        retry_backoff_cap_s: float = 30.0,
     ) -> None:
         self._engine = engine
         self._policy = policy or CheckpointPolicy()
@@ -229,24 +212,18 @@ class RunLifecycleManager:
         self._clock = clock
         #: Failure containment: a run whose flush/compaction fails is retried
         #: on the next sweep once, then with exponential per-run backoff
-        #: (``retry_backoff_s * 2^(n-2)``, capped) instead of being
+        #: (``retry_backoff_s * 2^(n-2)``, capped at
+        #: :data:`RETRY_BACKOFF_CAP_S`) instead of being
         #: re-hammered every sweep; after ``quarantine_after`` consecutive
         #: failures the run is quarantined — background sweeps skip it until
         #: an explicit flush succeeds or :meth:`unquarantine` is called.
         #: ``quarantine_after=None`` disables quarantining (backoff remains).
         if quarantine_after is not None and quarantine_after < 1:
             raise ValueError("quarantine_after must be at least 1 (or None)")
-        if retry_backoff_s < 0 or retry_backoff_cap_s < 0:
-            raise ValueError("retry backoff bounds must be non-negative")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be non-negative")
         self._quarantine_after = quarantine_after
         self._retry_backoff_s = retry_backoff_s
-        self._retry_backoff_cap_s = retry_backoff_cap_s
-        #: Cross-process safety: every managed run file is claimed with a
-        #: :class:`~repro.store.FileLease` so a manager in another process
-        #: cannot append to or compact the same file.  ``use_leases=False``
-        #: opts out (e.g. filesystems without usable advisory locking).
-        self._use_leases = use_leases
-        self._lease_stale_after = lease_stale_after
         self._runs: dict[str, _ManagedRun] = {}
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -313,12 +290,14 @@ class RunLifecycleManager:
         bare :class:`~repro.core.run_labeler.RunLabeler` that is not
         registered as a shard.  If ``path`` already exists its header
         watermarks seed the pending-delta accounting, so managing a resumed
-        run does not re-flush what is already durable.
+        run does not re-flush what is already durable.  The run file is
+        claimed with a :class:`~repro.store.FileLease`, so a manager in
+        another process cannot append to or compact the same file.
         """
         if labeler is None:
             labeler = self._engine.run_labeler(run_id)
         path = os.fspath(path)
-        lease = FileLease(path, stale_after=self._lease_stale_after) if self._use_leases else None
+        lease = FileLease(path)
         self._take_lease(lease)
         try:
             managed = _ManagedRun(
@@ -346,8 +325,7 @@ class RunLifecycleManager:
                         )
                 self._runs[run_id] = managed
         except Exception:
-            if lease is not None:
-                lease.release()
+            lease.release()
             raise
 
     def unmanage(self, run_id: str, *, flush: bool = True) -> None:
@@ -364,8 +342,7 @@ class RunLifecycleManager:
         with self._lock:
             if self._runs.get(run_id) is managed:
                 del self._runs[run_id]
-        if managed.lease is not None:
-            managed.lease.release()
+        managed.lease.release()
 
     @property
     def managed_runs(self) -> tuple[str, ...]:
@@ -435,12 +412,6 @@ class RunLifecycleManager:
         with self._lock:
             runs = list(self._runs.values())
         self._sweeps_c.inc()
-        for managed in runs:
-            # Refresh writer-lease heartbeats every sweep (a no-op under
-            # flock, where the kernel tracks liveness; the O_EXCL fallback
-            # needs them so contenders do not take a live lease over).
-            if managed.lease is not None and managed.lease.held:
-                managed.lease.heartbeat()
         eligible = [
             m for m in runs if not m.quarantined and now >= m.next_retry_at
         ]
@@ -571,43 +542,21 @@ class RunLifecycleManager:
             self._reopens_c.inc(len(reopened))
         return reopened, first_error
 
-    def _compaction_due(self, managed: _ManagedRun) -> bool:
-        """Whether either compaction trigger (segments, amplification) fires."""
-        if managed.n_segments < 2:
-            return False  # nothing to merge
-        policy = managed.policy
-        if (
-            policy.compact_after_segments is not None
-            and managed.n_segments >= policy.compact_after_segments
-        ):
-            return True
-        if policy.compact_amplification is None:
-            return False
-        if managed.n_segments == managed.amp_clean_segments:
-            return False  # chain unchanged since the last "not due" scan
-        try:
-            info = run_file_info(managed.path, estimate_amplification=True)
-        except (OSError, SerializationError):
-            # Mid-swap or not-yet-created file: skip this sweep's estimate.
-            return False
-        amplification = info.read_amplification
-        if (
-            amplification is not None
-            and amplification >= policy.compact_amplification
-        ):
-            return True
-        managed.amp_clean_segments = managed.n_segments
-        return False
+    @staticmethod
+    def _compaction_due(managed: _ManagedRun) -> bool:
+        """Whether the run's segment chain reached ``compact_after_segments``."""
+        limit = managed.policy.compact_after_segments
+        return limit is not None and managed.n_segments >= limit
 
     @staticmethod
-    def _take_lease(lease: "FileLease | None") -> None:
-        """Acquire a run file's writer lease unless it is held (or disabled).
+    def _take_lease(lease: FileLease) -> None:
+        """Acquire a run file's writer lease unless it is held.
 
         Only a missing directory is deferred (the first flush creates it and
         every write retries); :class:`~repro.store.LeaseHeldError` and any
         other failure stay loud, or the cross-process guarantee would drop.
         """
-        if lease is None or lease.held:
+        if lease.held:
             return
         try:
             lease.acquire()
@@ -758,7 +707,7 @@ class RunLifecycleManager:
                 # failures are transient — a missing directory, a racing
                 # writer); from the second on the retry interval doubles.
                 backoff = min(
-                    self._retry_backoff_cap_s,
+                    RETRY_BACKOFF_CAP_S,
                     self._retry_backoff_s * (1 << (managed.failures - 2)),
                 )
                 managed.next_retry_at = self._clock() + backoff
@@ -779,8 +728,8 @@ class RunLifecycleManager:
     def _compact_managed(self, managed: _ManagedRun) -> CompactionResult:
         with managed.file_lock:
             self._take_lease(managed.lease)
-            lease = managed.lease if managed.lease is not None and managed.lease.held else None
-            result = compact(managed.path, lease=lease, use_lease=self._use_leases)
+            lease = managed.lease if managed.lease.held else None
+            result = compact(managed.path, lease=lease)
             if result.compacted:
                 # Re-read the chain length while still holding the file
                 # lock: a flush on another thread must not have its count

@@ -43,12 +43,7 @@ from repro.store.compaction import (
     CompactionResult,
     compact,
 )
-from repro.store.lockfile import (
-    DEFAULT_STALE_AFTER,
-    FileLease,
-    LeaseHeldError,
-    LeaseInfo,
-)
+from repro.store.lockfile import FileLease, LeaseHeldError, LeaseInfo
 from repro.store.runfile import FORMAT_MAGIC, FORMAT_VERSION, PAGE_SIZE
 from repro.store.mapped import (
     MappedLabelStore,
@@ -92,7 +87,6 @@ __all__ = [
     "FileLease",
     "LeaseHeldError",
     "LeaseInfo",
-    "DEFAULT_STALE_AFTER",
     "MappedRunStore",
     "MappedLabelStore",
     "MappedPathTable",

@@ -169,9 +169,7 @@ def _verify_against_source(source: MappedRunStore, merged: MappedRunStore) -> No
         )
 
 
-def compact(
-    path, *, lease: FileLease | None = None, use_lease: bool = True
-) -> CompactionResult:
+def compact(path, *, lease: FileLease | None = None) -> CompactionResult:
     """Rewrite a segmented run file into one extent per column, atomically.
 
     See the module docstring for the full contract.  Returns a
@@ -187,13 +185,8 @@ def compact(
     manager) passes it in and keeps it.  In-process lease sharing means a
     bare ``compact(path)`` still works alongside a manager of the same
     process; serialising those two is the manager's per-file threading lock.
-    ``use_lease=False`` skips the lease entirely (for filesystems without
-    usable advisory locking — the caller then owns cross-process safety);
-    it is ignored when an explicit ``lease`` is passed.
     """
     file_path = os.fspath(path)
-    if lease is None and not use_lease:
-        return _compact_locked(file_path)
     if lease is not None:
         if not lease.held:
             raise SerializationError(

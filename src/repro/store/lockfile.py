@@ -3,16 +3,11 @@
 The run lifecycle manager serialises appends and compaction *within* one
 process with plain threading locks; nothing stops a second **process** from
 managing (and corrupting) the same run file.  :class:`FileLease` closes that
-gap with an advisory lease on ``<run-file>.lock``:
-
-* On POSIX the lease is a ``fcntl.flock`` exclusive lock — the kernel
-  releases it the instant the holder dies, so a crashed writer never wedges
-  the file and no heartbeat traffic is needed.
-* Where ``flock`` is unavailable (or disabled for tests), an ``O_EXCL``
-  claim file is used instead: the holder records its pid/host and refreshes
-  a heartbeat timestamp, and a contender may **take over** a lease whose
-  holder is a dead local pid or whose heartbeat is older than
-  ``stale_after`` seconds.
+gap with an advisory ``fcntl.flock`` exclusive lock on ``<run-file>.lock``:
+the kernel releases it the instant the holder dies, so a crashed writer
+never wedges the file and no liveness refresh or takeover rule is needed.
+The store is POSIX-only (compaction replaces files under live mappings),
+so ``flock`` is always there.
 
 Within one process, leases on the same path are *shared* (reference
 counted): the in-process writers are already coordinated by
@@ -31,26 +26,17 @@ publishes atomically via ``os.replace``.
 from __future__ import annotations
 
 import errno
+import fcntl
 import json
 import os
 import socket
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.errors import SerializationError
 from repro.obs import events as obs_events
 
-try:  # POSIX; absent on some platforms (the O_EXCL fallback covers those)
-    import fcntl
-except ImportError:  # pragma: no cover - exercised via use_flock=False
-    fcntl = None
-
-__all__ = ["DEFAULT_STALE_AFTER", "LeaseHeldError", "LeaseInfo", "FileLease"]
-
-#: Seconds without a heartbeat after which an O_EXCL-mode lease may be taken
-#: over.  Irrelevant in flock mode, where the kernel releases on process death.
-DEFAULT_STALE_AFTER = 30.0
+__all__ = ["LeaseHeldError", "LeaseInfo", "FileLease"]
 
 
 class LeaseHeldError(SerializationError):
@@ -61,45 +47,24 @@ class LeaseHeldError(SerializationError):
 class LeaseInfo:
     """What the lock file records about its holder (diagnostics only).
 
-    In flock mode the kernel lock is authoritative and the recorded info can
-    outlive a released lease; treat it as "who held this last", not proof of
-    a live holder.
+    The kernel lock is authoritative and the recorded info can outlive a
+    released lease; treat it as "who held this last", not proof of a live
+    holder.
     """
 
     pid: int
     host: str
-    heartbeat: float  # wall-clock seconds (``time.time()``)
-
-    def is_stale(self, stale_after: float, now: float | None = None) -> bool:
-        """Heuristic staleness: dead local pid, or heartbeat too old."""
-        if self.host == socket.gethostname() and not _pid_alive(self.pid):
-            return True
-        return (now if now is not None else time.time()) - self.heartbeat > stale_after
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - pid exists, other user
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return False
-    return True
 
 
 def _lease_payload() -> bytes:
-    info = {"pid": os.getpid(), "host": socket.gethostname(), "ts": time.time()}
+    info = {"pid": os.getpid(), "host": socket.gethostname()}
     return (json.dumps(info) + "\n").encode("utf-8")
 
 
 def _parse_payload(raw: bytes) -> LeaseInfo | None:
     try:
         data = json.loads(raw.decode("utf-8"))
-        return LeaseInfo(int(data["pid"]), str(data["host"]), float(data["ts"]))
+        return LeaseInfo(int(data["pid"]), str(data["host"]))
     except (ValueError, KeyError, TypeError):
         return None
 
@@ -107,15 +72,12 @@ def _parse_payload(raw: bytes) -> LeaseInfo | None:
 class _LeaseCore:
     """One per-process OS-level lock, shared by every FileLease on its path."""
 
-    __slots__ = ("key", "lock_path", "use_flock", "fd", "refs", "last_beat")
+    __slots__ = ("key", "fd", "refs")
 
-    def __init__(self, key: str, lock_path: str, use_flock: bool) -> None:
+    def __init__(self, key: str, fd: int) -> None:
         self.key = key
-        self.lock_path = lock_path
-        self.use_flock = use_flock
-        self.fd: int | None = None
-        self.refs = 0
-        self.last_beat = 0.0  # wall clock of the last written payload
+        self.fd = fd
+        self.refs = 1
 
 
 #: Process-wide registry of held leases, so re-acquisition from the same
@@ -132,27 +94,11 @@ class FileLease:
         lease = FileLease("/data/run.fvl").acquire()   # raises LeaseHeldError
         ...                                            # this process writes
         lease.release()
-
-    ``use_flock=None`` (the default) picks ``flock`` when available and the
-    ``O_EXCL`` claim-file fallback otherwise; tests pass ``use_flock=False``
-    to exercise the heartbeat/takeover path deterministically.
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        stale_after: float = DEFAULT_STALE_AFTER,
-        use_flock: bool | None = None,
-    ) -> None:
-        if stale_after <= 0:
-            raise ValueError("stale_after must be positive")
+    def __init__(self, path) -> None:
         self._target = os.fspath(path)
         self._lock_path = self._target + ".lock"
-        self._use_flock = (fcntl is not None) if use_flock is None else use_flock
-        if self._use_flock and fcntl is None:
-            raise SerializationError("fcntl.flock is not available on this platform")
-        self._stale_after = stale_after
         self._core: _LeaseCore | None = None
 
     # -- introspection -----------------------------------------------------------
@@ -188,97 +134,34 @@ class FileLease:
         with _registry_lock:
             core = _registry.get(key)
             if core is not None:
-                if core.use_flock != self._use_flock:
-                    # Joining across modes would be silently wrong, not just
-                    # inconsistent: an excl-mode lease joined onto a flock
-                    # core no-ops every heartbeat (flock needs none) while
-                    # its holder believes the O_EXCL staleness contract is in
-                    # force, and a flock-mode lease joined onto an excl core
-                    # would unlink the claim file on release under the flock
-                    # "never unlink" rule's assumptions.  One path, one mode.
-                    ours = "flock" if self._use_flock else "excl"
-                    held = "flock" if core.use_flock else "excl"
-                    raise SerializationError(
-                        f"cannot join the writer lease of {self._target!r} in "
-                        f"{ours} mode: this process already holds it in "
-                        f"{held} mode; use one locking mode per path"
-                    )
                 core.refs += 1
                 self._core = core
                 return True
-            core = _LeaseCore(key, self._lock_path, self._use_flock)
-            acquired = (
-                self._acquire_flock(core)
-                if self._use_flock
-                else self._acquire_excl(core)
-            )
-            if not acquired:
-                return False
-            core.refs = 1
-            _registry[key] = core
-            self._core = core
-        obs_events.emit(
-            "lease_acquire",
-            path=self._target,
-            mode="flock" if self._use_flock else "excl",
-        )
+            fd = os.open(self._lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError as exc:
+                os.close(fd)
+                if exc.errno in (errno.EWOULDBLOCK, errno.EAGAIN, errno.EACCES):
+                    return False
+                raise
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, _lease_payload(), 0)
+            self._core = _registry[key] = _LeaseCore(key, fd)
+        obs_events.emit("lease_acquire", path=self._target)
         return True
 
-    def acquire(self, timeout: float = 0.0, poll_interval: float = 0.05) -> "FileLease":
-        """Like :meth:`try_acquire` but raises :class:`LeaseHeldError` on failure.
-
-        ``timeout`` > 0 retries until the deadline (waiting out another
-        process's release or a fallback-mode lease going stale).
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            if self.try_acquire():
-                return self
-            if time.monotonic() >= deadline:
-                owner = self.owner()
-                detail = (
-                    f" (held by pid {owner.pid} on {owner.host})" if owner else ""
-                )
-                raise LeaseHeldError(
-                    f"another process holds the writer lease of "
-                    f"{self._target!r}{detail}; two processes must never append "
-                    "to or compact the same run file"
-                )
-            time.sleep(poll_interval)
-
-    def heartbeat(self) -> None:
-        """Refresh the recorded heartbeat (a no-op in flock mode).
-
-        Fallback-mode holders must call this more often than ``stale_after``
-        or a contender may legitimately take the lease over.  Calls arriving
-        faster than ``stale_after / 4`` are coalesced — callers may safely
-        heartbeat on every maintenance sweep without rewriting the lock file
-        20 times a second.
-        """
-        core = self._core
-        if core is None:
-            raise SerializationError("cannot heartbeat a lease that is not held")
-        if core.use_flock:
-            return
-        with _registry_lock:
-            now = time.time()
-            if now - core.last_beat < self._stale_after / 4:
-                return
-            # Verify we still own the claim before rewriting it: if a
-            # contender legitimately took a stale lease over while this
-            # process was suspended, clobbering its claim would create two
-            # writers — exactly what the lease exists to prevent.
-            info = self.owner()
-            if info is not None and (
-                info.pid != os.getpid() or info.host != socket.gethostname()
-            ):
-                raise LeaseHeldError(
-                    f"the writer lease of {self._target!r} was taken over by "
-                    f"pid {info.pid} on {info.host} (our heartbeat went "
-                    "stale); this process must stop writing the file"
-                )
-            self._write_payload_excl(core)
-            core.last_beat = now
+    def acquire(self) -> "FileLease":
+        """Like :meth:`try_acquire` but raises :class:`LeaseHeldError` on failure."""
+        if self.try_acquire():
+            return self
+        owner = self.owner()
+        detail = f" (held by pid {owner.pid} on {owner.host})" if owner else ""
+        raise LeaseHeldError(
+            f"another process holds the writer lease of "
+            f"{self._target!r}{detail}; two processes must never append "
+            "to or compact the same run file"
+        )
 
     def release(self) -> None:
         """Drop this reference; the OS lock is released with the last one."""
@@ -291,33 +174,14 @@ class FileLease:
             if core.refs > 0:
                 return
             _registry.pop(core.key, None)
-            if core.use_flock:
-                if core.fd is not None:
-                    # Never unlink a flock lock file: a contender may already
-                    # have the inode open, and re-creation would let two
-                    # processes lock different inodes under one path.
-                    try:
-                        fcntl.flock(core.fd, fcntl.LOCK_UN)
-                    finally:
-                        os.close(core.fd)
-                    core.fd = None
-            else:
-                # In O_EXCL mode existence *is* the lock; unlinking releases.
-                # Only unlink our own claim: a contender may have legitimately
-                # taken a stale lease over, and its claim must survive us.
-                info = self.owner()
-                if info is None or (
-                    info.pid == os.getpid() and info.host == socket.gethostname()
-                ):
-                    try:
-                        os.unlink(core.lock_path)
-                    except OSError:
-                        pass
-        obs_events.emit(
-            "lease_release",
-            path=self._target,
-            mode="flock" if self._use_flock else "excl",
-        )
+            # Never unlink the lock file: a contender may already have the
+            # inode open, and re-creation would let two processes lock
+            # different inodes under one path.
+            try:
+                fcntl.flock(core.fd, fcntl.LOCK_UN)
+            finally:
+                os.close(core.fd)
+        obs_events.emit("lease_release", path=self._target)
 
     def __enter__(self) -> "FileLease":
         return self.acquire()
@@ -331,60 +195,5 @@ class FileLease:
         except Exception:
             pass
 
-    # -- the two locking mechanisms ----------------------------------------------
-
-    def _acquire_flock(self, core: _LeaseCore) -> bool:
-        fd = os.open(core.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError as exc:
-            os.close(fd)
-            if exc.errno in (errno.EWOULDBLOCK, errno.EAGAIN, errno.EACCES):
-                return False
-            raise
-        os.ftruncate(fd, 0)
-        os.pwrite(fd, _lease_payload(), 0)
-        core.fd = fd
-        return True
-
-    def _acquire_excl(self, core: _LeaseCore) -> bool:
-        for attempt in (0, 1):
-            try:
-                fd = os.open(core.lock_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                if attempt:
-                    return False
-                info = self.owner()
-                # Unreadable/garbled claim files are treated as stale only by
-                # mtime, so a half-written claim is not stolen instantly.
-                if info is None:
-                    try:
-                        age = time.time() - os.path.getmtime(core.lock_path)
-                    except OSError:
-                        continue  # vanished between probe and stat: retry
-                    if age <= self._stale_after:
-                        return False
-                elif not info.is_stale(self._stale_after):
-                    return False
-                # Stale takeover.  The unlink+retry window is the documented
-                # imprecision of the fallback mode; flock mode has none.
-                try:
-                    os.unlink(core.lock_path)
-                except OSError:
-                    pass
-                continue
-            os.write(fd, _lease_payload())
-            os.close(fd)
-            core.last_beat = time.time()
-            return True
-        return False  # pragma: no cover - loop always returns
-
-    def _write_payload_excl(self, core: _LeaseCore) -> None:
-        tmp = f"{core.lock_path}.{os.getpid()}.hb"
-        with open(tmp, "wb") as handle:
-            handle.write(_lease_payload())
-        os.replace(tmp, core.lock_path)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "flock" if self._use_flock else "excl"
-        return f"FileLease({self._target!r}, mode={mode}, held={self.held})"
+        return f"FileLease({self._target!r}, held={self.held})"

@@ -677,52 +677,20 @@ class RunFileInfo:
     n_segments: int
     generation: int
     fingerprint: int
-    size_bytes: int
-    #: Estimated size of the file's single-segment (compacted) rewrite —
-    #: header page, one section-table page, page-aligned merged extents.
-    #: ``None`` unless :func:`run_file_info` was asked to scan the segment
-    #: chain (``estimate_amplification=True``).
-    compacted_bytes_estimate: int | None = None
-
-    @property
-    def read_amplification(self) -> float | None:
-        """Measured amplification: current bytes per compacted byte.
-
-        Counts what compaction would actually reclaim — the per-segment
-        section-table pages and per-extent page padding of the chain ("dead
-        chain + padding").  ``None`` when the chain was not scanned; ``1.0``
-        for an already-compacted (or empty) file.
-        """
-        if self.compacted_bytes_estimate is None:
-            return None
-        return max(1.0, self.size_bytes / self.compacted_bytes_estimate)
 
 
-def run_file_info(path, *, estimate_amplification: bool = False) -> RunFileInfo:
+def run_file_info(path) -> RunFileInfo:
     """Read a run file's header watermarks (one small read, no mmap).
 
     The lifecycle manager uses this to resume watermark accounting over an
-    existing file and to decide when a segment chain is worth compacting;
-    :meth:`repro.engine.QueryEngine.reopen` uses it to detect that a
-    compacted generation has been swapped in under a mapping's path.
-
-    With ``estimate_amplification=True`` the per-segment section tables are
-    also read (one extra page read per segment) with the same validation a
-    mapping applies, and the result carries a
-    :attr:`RunFileInfo.compacted_bytes_estimate`, from which
-    :attr:`RunFileInfo.read_amplification` measures how many bytes of dead
-    chain and padding a compaction would reclaim.
+    existing file and to track its segment chain against
+    ``compact_after_segments``; :meth:`repro.engine.QueryEngine.reopen`
+    uses it to detect that a compacted generation has been swapped in under
+    a mapping's path.
     """
     file_path = os.fspath(path)
-    estimate = None
     with open(file_path, "rb") as handle:
         header = Header.unpack(handle.read(runfile.HEADER_SIZE))
-        size = os.fstat(handle.fileno()).st_size
-        if estimate_amplification:
-            fd = handle.fileno()
-            estimate = runfile.compacted_bytes(
-                runfile.read_chain(lambda offset, n: os.pread(fd, n, offset), size, header)
-            )
     return RunFileInfo(
         path=file_path,
         n_paths=header.n_paths,
@@ -731,8 +699,6 @@ def run_file_info(path, *, estimate_amplification: bool = False) -> RunFileInfo:
         n_segments=header.n_segments,
         generation=header.generation,
         fingerprint=header.fingerprint,
-        size_bytes=size,
-        compacted_bytes_estimate=estimate,
     )
 
 

@@ -20,7 +20,15 @@ from repro.net import (
     RemoteQueryError,
     ServerOverloadedError,
 )
-from repro.net.protocol import AnswersReply, ErrorReply, ShedReply
+from repro.net.protocol import (
+    OP_DEPENDS,
+    OP_VISIBLE,
+    AnswersReply,
+    ErrorReply,
+    ShedReply,
+    StatsReply,
+    decode_request,
+)
 from repro.serve import ProvenanceServer
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
@@ -111,8 +119,9 @@ def test_undecodable_reply_discards_the_connection(served, monkeypatch):
     [
         (lambda reply: AnswersReply(reply.request_id + 999, reply.answers), "awaiting request"),
         (lambda reply: AnswersReply(reply.request_id, reply.answers[:3]), "of 10 queries"),
+        (lambda reply: StatsReply(reply.request_id, {}), "expected AnswersReply"),
     ],
-    ids=["wrong id", "wrong count"],
+    ids=["wrong id", "wrong count", "wrong type"],
 )
 def test_a_reply_to_another_request_discards_the_connection(served, monkeypatch, forge, match):
     """Regression: a reply is matched to the id and size sent before the conn is healthy."""
@@ -163,7 +172,7 @@ class _ShedTransport:
         self.answers = np.array([] if answers is None else answers, dtype=bool)
         client._round_trip = self._round_trip
 
-    def _round_trip(self, frame, request_id, n):
+    def _round_trip(self, frame, request_id, expected, n):
         self.calls += 1
         if self.calls <= self.sheds:
             return ShedReply(request_id, self.retry_after_s, 8)
@@ -188,13 +197,51 @@ def _offline_client(**kwargs) -> ProvenanceClient:
     return ProvenanceClient(unix_path="/nonexistent/prov.sock", **kwargs)
 
 
-def test_shed_sleeps_are_capped_and_jittered():
+class _RecordingTransport:
+    """Drop-in for ProvenanceClient._round_trip: decode each frame, answer ``answer``."""
+
+    def __init__(self, client, answer):
+        self.requests = []
+        self.answer = answer
+        client._round_trip = self._round_trip
+
+    def _round_trip(self, frame, request_id, expected, n):
+        self.requests.append(decode_request(frame[4:]))  # past the length prefix
+        return AnswersReply(request_id, np.full(n, self.answer, dtype=bool))
+
+
+def test_singleton_helpers_send_a_one_query_batch_frame():
+    client = _offline_client()
+    transport = _RecordingTransport(client, answer=True)
+    assert client.depends(3, 7, "v", run="r") is True
+    assert client.is_visible(5, "v") is True
+    depends, visible = transport.requests
+    assert depends.op == OP_DEPENDS and depends.ids.tolist() == [[3, 7]]
+    assert (depends.run, depends.view) == ("r", "v")
+    assert visible.op == OP_VISIBLE and visible.ids.tolist() == [5]
+
+
+def test_a_hint_under_the_cap_floors_every_backoff(monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.001)
+    fake = _FakeTime()
+    client = _offline_client(
+        retries=3, breaker_threshold=None, clock=fake.clock, sleep=fake.sleep, jitter_seed=3
+    )
+    _ShedTransport(client, sheds=3, retry_after_s=0.2, answers=[True])
+    assert client.depends_batch([(1, 2)], "v").tolist() == [True]
+    # 0.2s is under RETRY_AFTER_CAP_S and over every grown delay, so each
+    # sleep is the hint under the [0.5, 1.5) jitter factor.
+    assert len(fake.sleeps) == 3
+    assert all(0.1 <= s < 0.3 for s in fake.sleeps)
+
+
+def test_shed_sleeps_are_capped_and_jittered(monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(client_module, "BACKOFF_CAP_S", 0.25)
+    monkeypatch.setattr(client_module, "RETRY_AFTER_CAP_S", 0.05)
     fake = _FakeTime()
     client = _offline_client(
         retries=4,
-        backoff_base_s=0.01,
-        backoff_cap_s=0.25,
-        retry_after_cap_s=0.05,
         breaker_threshold=None,
         clock=fake.clock,
         sleep=fake.sleep,
@@ -203,21 +250,21 @@ def test_shed_sleeps_are_capped_and_jittered():
     _ShedTransport(client, sheds=3, answers=[True, False])
     assert client.depends_batch([(1, 2), (3, 4)], "v").tolist() == [True, False]
     assert len(fake.sleeps) == 3
-    # The server's absurd 30s hint was clipped to retry_after_cap_s, and no
+    # The server's absurd 30s hint was clipped to RETRY_AFTER_CAP_S, and no
     # jittered sleep exceeds 1.5x the backoff cap.
     assert all(s <= 0.25 * 1.5 for s in fake.sleeps)
     assert all(s > 0 for s in fake.sleeps)
     assert len(set(fake.sleeps)) > 1  # jitter decorrelates the delays
 
 
-def test_shed_backoff_grows_exponentially():
+def test_shed_backoff_grows_exponentially(monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(client_module, "BACKOFF_CAP_S", 64.0)
+    monkeypatch.setattr(client_module, "RETRY_AFTER_CAP_S", 0.0)  # ignore the hint
     fake = _FakeTime()
     client = _offline_client(
         retries=6,
-        backoff_base_s=0.01,
-        backoff_cap_s=64.0,
-        retry_after_cap_s=0.0,  # ignore the hint entirely
-        retry_budget_s=1e9,
+        timeout=1e9,
         breaker_threshold=None,
         clock=fake.clock,
         sleep=fake.sleep,
@@ -232,13 +279,13 @@ def test_shed_backoff_grows_exponentially():
     assert fake.sleeps[4] > fake.sleeps[2]
 
 
-def test_retry_budget_bounds_total_backoff():
+def test_retry_budget_bounds_total_backoff(monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.1)
+    monkeypatch.setattr(client_module, "BACKOFF_CAP_S", 0.1)
     fake = _FakeTime()
     client = _offline_client(
         retries=1000,
-        retry_budget_s=0.5,
-        backoff_base_s=0.1,
-        backoff_cap_s=0.1,
+        timeout=0.5,  # the socket timeout is also the total retry budget
         breaker_threshold=None,
         clock=fake.clock,
         sleep=fake.sleep,
@@ -254,11 +301,11 @@ def test_retry_budget_bounds_total_backoff():
 # -- circuit breaker ------------------------------------------------------------
 
 
-def test_breaker_opens_after_threshold_and_fast_fails():
+def test_breaker_opens_after_threshold_and_fast_fails(monkeypatch):
+    monkeypatch.setattr(client_module, "BREAKER_COOLDOWN_S", 10.0)
     fake = _FakeTime()
     client = _offline_client(
         breaker_threshold=3,
-        breaker_cooldown_s=10.0,
         clock=fake.clock,
         sleep=fake.sleep,
     )
@@ -275,11 +322,11 @@ def test_breaker_opens_after_threshold_and_fast_fails():
     assert info.value.queue_depth == 8  # last depth the server reported
 
 
-def test_breaker_half_open_probe_reopens_or_closes():
+def test_breaker_half_open_probe_reopens_or_closes(monkeypatch):
+    monkeypatch.setattr(client_module, "BREAKER_COOLDOWN_S", 10.0)
     fake = _FakeTime()
     client = _offline_client(
         breaker_threshold=2,
-        breaker_cooldown_s=10.0,
         clock=fake.clock,
         sleep=fake.sleep,
     )
@@ -318,5 +365,3 @@ def test_breaker_disabled_never_fast_fails():
 def test_overload_knob_validation():
     with pytest.raises(ValueError, match="breaker_threshold"):
         _offline_client(breaker_threshold=0)
-    with pytest.raises(ValueError, match="negative"):
-        _offline_client(backoff_base_s=-0.1)

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.net.server as net_server_module
 import repro.serve.server as serve_module
 from repro.core import FVLScheme, FVLVariant
 from repro.engine import DEFAULT_RUN, QueryEngine
@@ -102,9 +103,9 @@ def test_explicit_variant_crosses_the_wire(served):
         assert got.tolist() == expected[:25]
 
 
-def test_singleton_helpers_coalesce_client_side(served):
+def test_singleton_helpers_send_one_frame_each(served):
     net, sock_path, view, items, pairs, expected, expected_visible = served
-    with ProvenanceClient(unix_path=sock_path, pool_size=2, max_linger_us=2000) as client:
+    with ProvenanceClient(unix_path=sock_path, pool_size=2) as client:
         n = 24
         results: list = [None] * n
 
@@ -122,8 +123,9 @@ def test_singleton_helpers_coalesce_client_side(served):
         for index in range(n):
             want = expected[index] if index % 2 else expected_visible[index]
             assert results[index] == want
-    # Coalescing produced fewer request frames than probes.
-    assert net.stats.frames < n
+    # No client-side coalescing: each probe is its own 1-query frame (the
+    # server's scheduler is the one coalescer).
+    assert net.stats.frames == n
 
 
 def test_empty_batches_short_circuit(served):
@@ -323,9 +325,9 @@ def test_a_traced_frame_lands_as_a_head_record_nesting_scheduler_and_engine(
     assert {child["name"] for child in step["children"]} >= {"engine.depends_batch"}
 
 
-def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):
-    """A wedged scheduler (no workers) yields SHED replies, never a hang."""
-    _, view, _, pairs = workload
+@contextmanager
+def _wedged(scheme, view, pairs, tmp_path):
+    """A net server whose scheduler (no workers) holds a full queue of 8."""
     backed_up = ProvenanceServer(
         QueryEngine(scheme), policy=BatchPolicy(max_batch=8, max_queue=8)
     )
@@ -348,14 +350,35 @@ def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):
         while backed_up.pending < 8 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert backed_up.pending == 8
+        try:
+            yield net, sock_path
+        finally:
+            filler.close()
+            fill_done.wait(5.0)
+
+
+def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):
+    """A wedged scheduler (no workers) yields SHED replies, never a hang."""
+    _, view, _, pairs = workload
+    with _wedged(scheme, view, pairs, tmp_path) as (net, sock_path):
         with ProvenanceClient(unix_path=sock_path) as client:
             with pytest.raises(ServerOverloadedError) as info:
                 client.depends_batch(pairs[:4], view.name)
             assert info.value.queue_depth == 8
             assert info.value.retry_after_s > 0
         assert net.stats.sheds == 1
-        filler.close()
-        fill_done.wait(5.0)
+
+
+def test_a_shed_reply_carries_the_module_retry_hint(scheme, workload, tmp_path, monkeypatch):
+    _, view, _, pairs = workload
+    monkeypatch.setattr(net_server_module, "SHED_RETRY_AFTER_S", 0.125)
+    with _wedged(scheme, view, pairs, tmp_path) as (net, sock_path):
+        with ProvenanceClient(unix_path=sock_path, breaker_threshold=None) as client:
+            for _ in range(2):
+                with pytest.raises(ServerOverloadedError) as info:
+                    client.is_visible_batch([1, 2], view.name)
+                assert info.value.retry_after_s == 0.125
+        assert net.stats.sheds == 2
 
 
 def test_oversized_batch_answers_error_and_survives(

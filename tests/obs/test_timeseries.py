@@ -1,11 +1,11 @@
-"""Snapshot time series: quantile bounds, EWMA bands, windowed ring math."""
+"""Snapshot time series: quantile bounds, windowed ring math."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import Ewma, SnapshotRing, percentile_from_counts
+from repro.obs.timeseries import SnapshotRing, percentile_from_counts
 
 BUCKETS = (0.01, 0.1, 1.0)
 
@@ -38,24 +38,6 @@ def test_percentile_from_counts_edge_cases():
         percentile_from_counts(BUCKETS, [1, 0, 0, 0], 0.0)
 
 
-def test_ewma_learns_mean_and_flags_spikes():
-    ewma = Ewma(alpha=0.3)
-    assert ewma.band() == (-float("inf"), float("inf"))
-    for sample in (1.0, 1.2, 0.8, 1.1, 0.9, 1.0):
-        ewma.update(sample)
-    assert ewma.mean == pytest.approx(1.0, abs=0.2)
-    assert not ewma.is_high(1.2, k=4.0)
-    assert ewma.is_high(100.0, k=4.0)
-
-
-def test_ewma_never_fires_before_min_count():
-    ewma = Ewma()
-    ewma.update(1.0)
-    assert not ewma.is_high(1e9, min_count=3)
-    with pytest.raises(ValueError):
-        Ewma(alpha=0.0)
-
-
 class ManualClock:
     def __init__(self) -> None:
         self.t = 0.0
@@ -82,7 +64,6 @@ def test_ring_rate_uses_the_window_baseline():
     assert ring.rate("sheds_total") == pytest.approx(5.0)
     # A 5s window selects the t=5 snapshot as baseline: quiet since then.
     assert ring.rate("sheds_total", window_s=5.0) == pytest.approx(0.0)
-    assert ring.value("sheds_total") == 50.0
     increase, elapsed = ring.delta("sheds_total", window_s=None)
     assert (increase, elapsed) == (50.0, 10.0)
 
@@ -109,13 +90,16 @@ def test_ring_hist_delta_isolates_the_window_distribution():
     assert ring.percentile("lat", 0.5) == 1.0
 
 
-def test_ring_percentile_falls_back_to_cumulative_when_idle():
-    ring = ring_with([
-        (0.0, {"lat": {(): hist([5, 0, 1, 0])}}),
-        (1.0, {"lat": {(): hist([5, 0, 1, 0])}}),  # nothing new in window
-    ])
+def test_ring_percentile_falls_back_to_cumulative_only_without_a_window():
+    # One snapshot: no window to difference, so the lifetime distribution.
+    ring = ring_with([(0.0, {"lat": {(): hist([5, 0, 1, 0])}})])
     assert ring.percentile("lat", 0.5) == 0.01
     assert ring.percentile("lat", 1.0) == 1.0
+    # Two snapshots with nothing new in the window: an idle server reads
+    # 0.0, not its lifetime tail.
+    ring.record_snapshot({"lat": {(): hist([5, 0, 1, 0])}}, ts=1.0)
+    assert ring.percentile("lat", 0.5) == 0.0
+    assert ring.percentile("lat", 1.0) == 0.0
     assert ring.percentile("missing", 0.5) == 0.0
 
 
@@ -127,6 +111,27 @@ def test_ring_hist_delta_survives_a_counter_reset():
     assert ring.hist_delta("lat")["counts"] == [2, 1, 0, 0]
 
 
+def test_ring_rate_never_goes_negative_across_a_counter_reset():
+    ring = ring_with([
+        (0.0, {"x_total": {(): 50.0}}),
+        (10.0, {"x_total": {(): 10.0}}),  # restarted process
+    ])
+    assert ring.delta("x_total") == (-40.0, 10.0)
+    assert ring.rate("x_total") == 0.0
+
+
+def test_ring_reads_zero_before_it_can_difference():
+    ring = ring_with([])
+    assert ring.latest is None
+    assert ring.delta("x_total") == (0.0, 0.0)
+    assert ring.rate("x_total") == 0.0
+    assert ring.hist_delta("lat") is None
+    assert ring.percentile("lat", 0.99) == 0.0
+    ring.record_snapshot({"x_total": {(): 7.0}}, ts=3.0)
+    assert ring.delta("x_total") == (0.0, 0.0)  # one snapshot: no window
+    assert ring.rate("x_total") == 0.0
+
+
 def test_ring_records_live_registries_and_bounds_capacity():
     reg = MetricsRegistry()
     reg.counter("x_total").inc(3)
@@ -136,6 +141,6 @@ def test_ring_records_live_registries_and_bounds_capacity():
     ring.record(reg)
     ring.record(reg)
     assert len(ring) == 2
-    assert ring.value("x_total") == 4.0
+    assert ring.latest[1]["x_total"][()] == 4.0
     with pytest.raises(ValueError):
         SnapshotRing(capacity=1)

@@ -1,4 +1,4 @@
-"""Watchdog: SLO evaluation, alert hysteresis, health verdicts, anomaly bands."""
+"""Watchdog: SLO evaluation, alert hysteresis, health verdicts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import SnapshotRing
 from repro.obs.watchdog import SLO, Watchdog, default_slos
 
 
@@ -30,9 +29,7 @@ def emitted(monkeypatch):
 def make_watchdog(slos, registry=None):
     registry = registry if registry is not None else MetricsRegistry()
     clock = ManualClock()
-    dog = Watchdog(
-        registry, slos, ring=SnapshotRing(clock=clock), clock=clock
-    )
+    dog = Watchdog(registry, slos, clock=clock)
     return registry, clock, dog
 
 
@@ -47,6 +44,48 @@ def test_slo_spec_is_validated():
         make_watchdog([SLO("dup", "rate", "a_total"), SLO("dup", "rate", "b_total")])
     names = [slo.name for slo in default_slos()]
     assert names == ["p99_latency", "error_rate", "shed_rate", "corruption"]
+
+
+def test_removed_slo_kinds_are_rejected():
+    for kind in ("value", "anomaly"):
+        with pytest.raises(ValueError, match="unknown SLO kind"):
+            SLO("x", kind, "m_total", threshold=1.0)
+
+
+def test_default_slos_breach_at_their_stock_thresholds():
+    reg, clock, dog = make_watchdog(default_slos())
+    errors = reg.counter("net_errors_total")
+    sheds = reg.counter("net_sheds_total")
+    corrupt = reg.counter("corruption_detected_total")
+    latency = reg.histogram("tail_request_seconds", buckets=(0.1, 0.5, 1.0, 5.0))
+    dog.tick()
+    clock.t = 10.0
+    errors.inc(40)  # 4/s: under the 5/s bound
+    sheds.inc(20)  # 2/s: over the 1/s bound
+    for _ in range(100):
+        latency.observe(0.05)
+    report = dog.tick()
+    assert {name for name, entry in report.items() if entry["breached"]} == {"shed_rate"}
+    clock.t = 20.0
+    corrupt.inc()  # any corruption breaches
+    for _ in range(100):
+        latency.observe(2.0)  # p99 of the window: 5.0s > 0.5s
+    report = dog.tick()
+    assert {name for name, entry in report.items() if entry["breached"]} == {
+        "corruption",
+        "p99_latency",
+    }
+
+
+def test_the_watchdog_ring_runs_on_the_watchdog_clock():
+    slo = SLO("x_rate", "rate", "x_total", threshold=1.0)
+    reg, clock, dog = make_watchdog([slo])
+    clock.t = 42.0
+    dog.tick()
+    assert dog.ring.latest[0] == 42.0
+    reg.counter("x_total").inc(30)
+    clock.t = 52.0
+    assert dog.tick()["x_rate"]["value"] == pytest.approx(3.0)
 
 
 def test_rate_slo_fires_once_and_clears_with_hysteresis(emitted):
@@ -107,19 +146,6 @@ def test_delta_slo_zero_threshold_flags_any_corruption(emitted):
     assert [event for event, _ in emitted] == ["alert"]
 
 
-def test_value_slo_reads_the_latest_gauge():
-    slo = SLO("queue", "value", "depth", threshold=5.0)
-    reg, clock, dog = make_watchdog([slo])
-    depth = reg.gauge("depth")
-    depth.set(3)
-    dog.tick()
-    assert dog.health()["status"] == "ok"
-    depth.set(9)
-    clock.t = 1.0
-    dog.tick()
-    assert dog.health()["status"] == "degraded"
-
-
 def test_percentile_slo_windows_the_latency_histogram():
     slo = SLO("p99", "percentile", "lat_seconds", threshold=0.05,
               q=0.99, window_s=10.0)
@@ -139,31 +165,32 @@ def test_percentile_slo_windows_the_latency_histogram():
     assert dog.health()["status"] == "degraded"
 
 
-def test_anomaly_slo_learns_the_baseline_but_not_the_storm():
-    slo = SLO("spike", "anomaly", "x_total", window_s=2.0, k=4.0)
+def test_percentile_alert_clears_on_an_idle_server(emitted):
+    """An idle window reads 0.0: the alert clears after ``clear_after`` quiet ticks."""
+    slo = SLO("p99", "percentile", "lat_seconds", threshold=0.05,
+              window_s=10.0, clear_after=2)
     reg, clock, dog = make_watchdog([slo])
-    counter = reg.counter("x_total")
-    for tick in range(8):  # a steady ~1/s with mild jitter to keep std > 0
-        clock.t = float(tick)
-        counter.inc(1 + (tick % 2))
-        report = dog.tick()
-        assert not report["spike"]["breached"]
-    clock.t = 8.0
-    counter.inc(500)
-    report = dog.tick()
-    assert report["spike"]["breached"]
-    # The storm sample was not learned: once the window drains, the band
-    # is still the quiet baseline and healthy traffic stays healthy.
-    clock.t = 12.0
+    hist = reg.histogram("lat_seconds", buckets=(0.01, 0.1, 1.0))
     dog.tick()
-    clock.t = 13.0
-    counter.inc(1)
+    for _ in range(100):
+        hist.observe(0.005)
+    for _ in range(10):
+        hist.observe(0.5)
+    clock.t = 2.0
+    assert dog.tick()["p99"]["firing"]
+    assert dog.health()["status"] == "degraded"
+    # No traffic from here on: each tick's window holds no observation.
+    clock.t = 62.0
     report = dog.tick()
-    assert not report["spike"]["breached"]
+    assert report["p99"]["value"] == 0.0 and report["p99"]["firing"]
+    clock.t = 122.0
+    assert not dog.tick()["p99"]["firing"]
+    assert dog.health() == {"status": "ok", "alerts": []}
+    assert [event for event, _ in emitted] == ["alert", "alert_clear"]
 
 
 def test_background_loop_ticks_and_context_manager_stops():
-    slo = SLO("noop", "value", "depth", threshold=1e9)
+    slo = SLO("noop", "rate", "x_total", threshold=1e9)
     reg = MetricsRegistry()
     with Watchdog(reg, [slo], interval_s=0.01) as dog:
         deadline = 200

@@ -13,6 +13,7 @@ from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import LabelingError, SerializationError
 from repro.model.projection import ViewProjection
+from repro.obs import events as obs_events
 from repro.service import CheckpointPolicy, RunLifecycleManager
 from repro.store import run_file_info
 from repro.bench import sample_query_pairs
@@ -320,6 +321,62 @@ def test_compact_run_on_demand_flushes_first(scheme, spec, tmp_path):
     assert not manager.compact_run("r").compacted
 
 
+def test_segment_count_is_the_one_compaction_trigger(scheme, spec, tmp_path):
+    """No compaction below ``compact_after_segments``; the flush reaching it merges."""
+    events = random_run(spec, 300, seed=35).events
+    engine = QueryEngine(scheme)
+    manager = RunLifecycleManager(
+        engine,
+        policy=CheckpointPolicy(
+            every_events=1, every_seconds=None, compact_after_segments=3
+        ),
+    )
+    labeler = RunLabeler(scheme.index)
+    path = tmp_path / "counted.fvl"
+    manager.manage("r", path, labeler=labeler)
+    third = len(events) // 3
+    for segments in (1, 2):
+        _stream(labeler, events[(segments - 1) * third : segments * third])
+        sweep = manager.poll_once()
+        assert len(sweep.checkpoints) == 1 and sweep.compactions == []
+        assert run_file_info(path).n_segments == segments
+    _stream(labeler, events[2 * third :])
+    sweep = manager.poll_once()
+    assert len(sweep.compactions) == 1
+    assert sweep.compactions[0].segments_before == 3
+    info = run_file_info(path)
+    assert (info.n_segments, info.generation) == (1, 1)
+    assert info.n_items == len(labeler.store)
+    manager.unmanage("r")
+
+
+def test_compaction_joins_the_lease_manage_took(scheme, spec, tmp_path, monkeypatch):
+    """compact_run() rewrites under the managed lease: one OS lock, held throughout."""
+    emitted: list[tuple[str, dict]] = []
+    monkeypatch.setattr(
+        obs_events, "emit", lambda event, **fields: emitted.append((event, fields))
+    )
+    engine = QueryEngine(scheme)
+    manager = RunLifecycleManager(
+        engine, policy=CheckpointPolicy(every_events=1, every_seconds=None)
+    )
+    labeler = RunLabeler(scheme.index)
+    path = tmp_path / "shared.fvl"
+    manager.manage("r", path, labeler=labeler)
+    events = random_run(spec, 160, seed=36).events
+    _stream(labeler, events[: len(events) // 2])
+    manager.poll_once()
+    _stream(labeler, events[len(events) // 2 :])
+    assert manager.compact_run("r").compacted
+    assert manager._runs["r"].lease.held
+    manager.unmanage("r")
+    leases = [entry for entry in emitted if entry[0].startswith("lease_")]
+    assert leases == [
+        ("lease_acquire", {"path": os.fspath(path)}),
+        ("lease_release", {"path": os.fspath(path)}),
+    ]
+
+
 # -- the background thread -----------------------------------------------------
 
 
@@ -452,65 +509,6 @@ def test_path_and_node_only_tails_are_flushed(scheme, tmp_path):
     assert run_file_info(path).n_paths == len(table)
 
 
-# -- amplification-triggered compaction ----------------------------------------
-
-
-def test_policy_validates_compact_amplification():
-    with pytest.raises(ValueError, match="compact_amplification"):
-        CheckpointPolicy(compact_amplification=1.0)
-    CheckpointPolicy(compact_amplification=1.01)  # anything above 1.0 is legal
-
-
-def test_amplification_threshold_triggers_compaction(scheme, spec, tmp_path):
-    """The bytes-ratio trigger compacts a chain of tiny flushes on its own."""
-    derivation = random_run(spec, 300, seed=30)
-    engine = QueryEngine(scheme)
-    manager = RunLifecycleManager(
-        engine,
-        policy=CheckpointPolicy(
-            every_events=1,
-            every_seconds=None,
-            compact_after_segments=None,  # only the measured ratio decides
-            compact_amplification=1.5,
-        ),
-    )
-    labeler = RunLabeler(scheme.index)
-    path = tmp_path / "amplified.fvl"
-    manager.manage("r", path, labeler=labeler)
-    events = derivation.events
-    step = max(1, len(events) // 8)
-    compactions = []
-    for lo in range(0, len(events), step):
-        _stream(labeler, events[lo : lo + step])
-        compactions.extend(manager.poll_once().compactions)
-    manager.unmanage("r")
-    assert compactions, "tiny-flush chain never crossed the amplification bound"
-    assert all(result.compacted for result in compactions)
-    # After the final compaction the measured ratio is back at 1.0 for the
-    # compacted generation, so the trigger cannot re-fire on a merged file.
-    final = run_file_info(path, estimate_amplification=True)
-    if final.n_segments == 1:
-        assert final.read_amplification == 1.0
-
-
-def test_amplification_trigger_measures_before_firing(scheme, spec, tmp_path):
-    """One flush -> a single-segment file: ratio 1.0, nothing to compact."""
-    derivation = random_run(spec, 100, seed=31)
-    engine = QueryEngine(scheme)
-    manager = RunLifecycleManager(
-        engine,
-        policy=CheckpointPolicy(
-            every_events=1, every_seconds=None, compact_amplification=1.1
-        ),
-    )
-    labeler = RunLabeler(scheme.index)
-    manager.manage("r", tmp_path / "single.fvl", labeler=labeler)
-    _stream(labeler, derivation.events)
-    sweep = manager.poll_once()
-    assert len(sweep.checkpoints) == 1
-    assert sweep.compactions == []  # single segment: no chain, no estimate
-
-
 # -- the cross-process writer lease --------------------------------------------
 
 
@@ -523,7 +521,7 @@ def test_manage_holds_the_lease_and_unmanage_releases_it(scheme, spec, tmp_path)
     path = tmp_path / "leased.fvl"
     manager.manage("r", path, labeler=labeler)
     managed = manager._runs["r"]
-    assert managed.lease is not None and managed.lease.held
+    assert managed.lease.held
     assert os.path.exists(managed.lease.lock_path)
     owner = managed.lease.owner()
     assert owner is not None and owner.pid == os.getpid()
@@ -537,24 +535,6 @@ def test_manage_holds_the_lease_and_unmanage_releases_it(scheme, spec, tmp_path)
     # Released: a fresh manager (posing as "another process") can take it.
     with FileLease(path) as probe:
         assert probe.held
-
-
-def test_use_leases_false_opts_out(scheme, spec, tmp_path):
-    engine = QueryEngine(scheme)
-    manager = RunLifecycleManager(engine, use_leases=False)
-    labeler = RunLabeler(scheme.index)
-    path = tmp_path / "unleased.fvl"
-    manager.manage("r", path, labeler=labeler)
-    assert manager._runs["r"].lease is None
-    # Compaction honours the opt-out too: on a filesystem without advisory
-    # locking a leased compact() would fail every sweep.
-    events = random_run(spec, 120, seed=34).events
-    _stream(labeler, events[: len(events) // 2])
-    manager.flush()
-    _stream(labeler, events[len(events) // 2 :])
-    assert manager.compact_run("r").compacted
-    assert not os.path.exists(str(path) + ".lock")
-    manager.unmanage("r")
 
 
 def test_manage_refuses_a_file_whose_writer_is_another_process(
@@ -619,7 +599,7 @@ def test_deferred_lease_is_acquired_by_the_first_healthy_flush(scheme, spec, tmp
     path = missing / "r.fvl"
     manager.manage("r", path, labeler=labeler)
     managed = manager._runs["r"]
-    assert managed.lease is not None and not managed.lease.held  # deferred
+    assert not managed.lease.held  # deferred
     _stream(labeler, random_run(spec, 40, seed=33).events)
     with pytest.raises(OSError):
         manager.poll_once()  # directory still missing: the flush itself fails

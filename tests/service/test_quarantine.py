@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.lifecycle as lifecycle_module
 from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import QueryEngine
@@ -82,6 +83,31 @@ def test_second_failure_starts_exponential_backoff(scheme, spec, tmp_path):
     assert len(sweep.checkpoints) == 1
     assert manager.stats.run_failures == 3
     assert manager.run_failure("r") is None  # streak cleared by the success
+    manager.unmanage("r")
+
+
+def test_retry_backoff_is_capped(scheme, spec, tmp_path, monkeypatch):
+    monkeypatch.setattr(lifecycle_module, "RETRY_BACKOFF_CAP_S", 1.5)
+    clock = FakeClock()
+    manager, _, missing = _failing_manager(
+        scheme, spec, tmp_path, clock, retry_backoff_s=1.0, quarantine_after=None
+    )
+    with pytest.raises(OSError):
+        manager.poll_once()  # failure 1: retried on the very next sweep
+    with pytest.raises(OSError):
+        manager.poll_once()  # failure 2: backoff (1.0s) begins
+    clock.advance(1.1)
+    with pytest.raises(OSError):
+        manager.poll_once()  # failure 3: 2.0s, capped to 1.5s
+    clock.advance(1.4)
+    assert manager.poll_once().checkpoints == []  # inside the capped window
+    clock.advance(0.2)
+    with pytest.raises(OSError):
+        manager.poll_once()  # failure 4: 4.0s, capped to 1.5s
+    clock.advance(1.6)
+    missing.mkdir()
+    assert len(manager.poll_once().checkpoints) == 1
+    assert manager.stats.run_failures == 4
     manager.unmanage("r")
 
 

@@ -133,7 +133,6 @@ def test_every_refused_remap_is_counted_once(
         manager = RunLifecycleManager(
             engine,
             policy=CheckpointPolicy(every_events=10**9, every_seconds=None),
-            use_leases=False,
         )
         manager.manage("writer", run_file, labeler=labeler)
         trigger = manager.poll_once

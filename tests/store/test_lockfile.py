@@ -8,22 +8,39 @@ import socket
 import subprocess
 import sys
 import textwrap
-import time
 
 import pytest
 
 from repro.errors import SerializationError
-from repro.store import FileLease, LeaseHeldError, LeaseInfo
+from repro.obs import events as obs_events
+from repro.store import FileLease, LeaseInfo
 from repro.store.lockfile import _lease_payload
 
-
-def _write_foreign_claim(lock_path, *, pid, ts, host=None):
-    payload = {"pid": pid, "host": host or socket.gethostname(), "ts": ts}
-    with open(lock_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
-# -- basics (flock mode) -------------------------------------------------------
+def _child(code: str) -> subprocess.Popen:
+    """Start a Python child with ``repro`` importable; stdout is captured."""
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\n" + textwrap.dedent(code)
+    return subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _another_process_can_take(target) -> bool:
+    """Whether a fresh process acquires the lease (it exits, dropping it)."""
+    probe = _child(
+        f"""
+        from repro.store import FileLease
+        print(FileLease({os.fspath(target)!r}).try_acquire())
+        """
+    )
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 0, err
+    return out.strip() == "True"
 
 
 def test_acquire_release_reacquire(tmp_path):
@@ -87,96 +104,6 @@ def test_acquire_fails_loudly_across_processes(tmp_path):
         lease.release()
 
 
-def test_stale_after_validation(tmp_path):
-    with pytest.raises(ValueError):
-        FileLease(tmp_path / "run.fvl", stale_after=0.0)
-
-
-# -- the O_EXCL fallback (heartbeat + takeover) --------------------------------
-
-
-def test_excl_mode_conflicts_with_live_foreign_holder(tmp_path):
-    target = tmp_path / "run.fvl"
-    lease = FileLease(target, use_flock=False, stale_after=30.0)
-    # A "foreign" claim by a live pid (our own) with a fresh heartbeat.
-    _write_foreign_claim(lease.lock_path, pid=os.getpid(), ts=time.time())
-    assert not lease.try_acquire()
-    with pytest.raises(LeaseHeldError, match="writer lease"):
-        lease.acquire()
-
-
-def test_excl_mode_takes_over_dead_pid(tmp_path):
-    target = tmp_path / "run.fvl"
-    lease = FileLease(target, use_flock=False, stale_after=3600.0)
-    # Fresh heartbeat, but the recorded local pid is dead: takeover.
-    dead = subprocess.Popen([sys.executable, "-c", "pass"])
-    dead.wait()
-    _write_foreign_claim(lease.lock_path, pid=dead.pid, ts=time.time())
-    assert lease.try_acquire()
-    assert lease.owner().pid == os.getpid()
-    lease.release()
-    assert not os.path.exists(lease.lock_path)  # excl release unlinks
-
-
-def test_excl_mode_takes_over_stale_heartbeat(tmp_path):
-    target = tmp_path / "run.fvl"
-    lease = FileLease(target, use_flock=False, stale_after=0.5)
-    # A live pid on another "host": only the heartbeat age can decide.
-    _write_foreign_claim(
-        lease.lock_path, pid=os.getpid(), ts=time.time() - 60.0, host="elsewhere"
-    )
-    assert lease.try_acquire()
-    lease.release()
-
-
-def test_excl_mode_heartbeat_keeps_the_lease_fresh(tmp_path):
-    target = tmp_path / "run.fvl"
-    holder = FileLease(target, use_flock=False, stale_after=0.2).acquire()
-    time.sleep(0.3)
-    holder.heartbeat()  # refresh after the stale bound elapsed
-    contender = FileLease(target, use_flock=False, stale_after=0.2)
-    # Registry sharing would mask the heartbeat test; simulate the contender
-    # being another process by checking the on-disk staleness logic directly.
-    info = contender.owner()
-    assert info is not None and not info.is_stale(0.2)
-    holder.release()
-
-
-def test_excl_release_leaves_a_takeover_claim_alone(tmp_path):
-    target = tmp_path / "run.fvl"
-    holder = FileLease(target, use_flock=False, stale_after=3600.0).acquire()
-    # Another process took the lease over (stale holder scenario) and wrote
-    # its own claim; our late release must not unlink it.
-    _write_foreign_claim(holder.lock_path, pid=os.getpid() + 1, ts=time.time())
-    holder.release()
-    assert os.path.exists(holder.lock_path)
-
-
-def test_heartbeat_refuses_to_clobber_a_takeover(tmp_path):
-    """A resumed holder whose lease was legitimately taken must not overwrite it."""
-    holder = FileLease(tmp_path / "run.fvl", use_flock=False, stale_after=0.2).acquire()
-    time.sleep(0.3)  # past both the write throttle and the stale bound
-    _write_foreign_claim(holder.lock_path, pid=os.getpid() + 1, ts=time.time())
-    with pytest.raises(LeaseHeldError, match="taken over"):
-        holder.heartbeat()
-    holder.release()  # the contender's claim survives our late release too
-    assert os.path.exists(holder.lock_path)
-
-
-def test_heartbeat_requires_held_lease(tmp_path):
-    lease = FileLease(tmp_path / "run.fvl", use_flock=False)
-    with pytest.raises(SerializationError, match="not held"):
-        lease.heartbeat()
-
-
-def test_lease_info_staleness_rules():
-    live = LeaseInfo(pid=os.getpid(), host=socket.gethostname(), heartbeat=time.time())
-    assert not live.is_stale(30.0)
-    old = LeaseInfo(pid=os.getpid(), host="elsewhere", heartbeat=time.time() - 120.0)
-    assert old.is_stale(30.0)
-    assert not old.is_stale(3600.0)
-
-
 def test_payload_round_trip(tmp_path):
     raw = _lease_payload()
     data = json.loads(raw)
@@ -184,34 +111,94 @@ def test_payload_round_trip(tmp_path):
     assert data["host"] == socket.gethostname()
 
 
-# -- mixed-mode registry joins -------------------------------------------------
-
-
-def test_mixed_mode_join_rejected(tmp_path):
-    """An excl-mode lease cannot silently join a flock-mode core (or back)."""
+def test_a_dead_holders_lease_is_free_at_once(tmp_path):
+    """The kernel drops a crashed writer's lock: no takeover rule, no wait."""
     target = tmp_path / "run.fvl"
-    with FileLease(target, use_flock=True) as holder:
-        assert holder.held
-        impostor = FileLease(target, use_flock=False)
-        with pytest.raises(SerializationError, match="one locking mode"):
-            impostor.try_acquire()
-        assert not impostor.held
-    # The refused join must not have corrupted the refcount: the lease
-    # released cleanly and the path is acquirable again in its own mode.
-    with FileLease(target, use_flock=True) as again:
+    holder = _child(
+        f"""
+        import os
+        from repro.store import FileLease
+        FileLease({os.fspath(target)!r}).acquire()
+        os._exit(0)  # die holding the lease, without release()
+        """
+    )
+    _, err = holder.communicate(timeout=60)
+    assert holder.returncode == 0, err
+    lease = FileLease(target)
+    # The record still names the dead holder: "who held this last".
+    assert lease.owner().pid == holder.pid
+    assert lease.try_acquire()
+    assert lease.owner().pid == os.getpid()
+    lease.release()
+
+
+def test_the_os_lock_is_dropped_with_the_last_reference(tmp_path):
+    target = tmp_path / "run.fvl"
+    first = FileLease(target).acquire()
+    second = FileLease(target).acquire()
+    first.release()
+    assert second.held
+    assert not _another_process_can_take(target)  # one reference still holds it
+    second.release()
+    assert _another_process_can_take(target)
+
+
+def test_release_is_idempotent_and_keeps_the_lock_file(tmp_path):
+    lease = FileLease(tmp_path / "run.fvl").acquire()
+    lease.release()
+    lease.release()  # a second release is a no-op
+    assert not lease.held
+    # Never unlinked: a contender may already hold the inode open.
+    assert os.path.exists(lease.lock_path)
+    with FileLease(tmp_path / "run.fvl") as again:
         assert again.held
-    # And the reverse direction on a fresh path: flock refused onto excl.
-    other = tmp_path / "other.fvl"
-    with FileLease(other, use_flock=False) as fresh:
-        assert fresh.held
-        flocked = FileLease(other, use_flock=True)
-        with pytest.raises(SerializationError, match="in flock mode.*excl mode"):
-            flocked.try_acquire()
 
 
-def test_same_mode_join_still_shares_the_core(tmp_path):
+def test_owner_is_none_without_a_well_formed_record(tmp_path):
+    lease = FileLease(tmp_path / "run.fvl")
+    assert lease.owner() is None  # no lock file yet
+    for junk in (b"", b"not json", b"[]", b'{"pid": 1}', b'{"pid": "x", "host": "h"}'):
+        with open(lease.lock_path, "wb") as handle:
+            handle.write(junk)
+        assert lease.owner() is None, junk
+    # Acquiring rewrites whatever the file held with this process's record.
+    with open(lease.lock_path, "wb") as handle:
+        handle.write(b"x" * 200)
+    with lease:
+        assert lease.owner() == LeaseInfo(os.getpid(), socket.gethostname())
+
+
+def test_only_the_os_lock_emits_lease_events(tmp_path, monkeypatch):
+    events: list[tuple[str, dict]] = []
+    monkeypatch.setattr(
+        obs_events, "emit", lambda event, **fields: events.append((event, fields))
+    )
     target = tmp_path / "run.fvl"
-    with FileLease(target, use_flock=False) as first:
-        second = FileLease(target, use_flock=False)
-        assert second.try_acquire()  # same mode: refcounted join as before
-        second.release()
+    first = FileLease(target).acquire()
+    second = FileLease(target).acquire()  # joins the held lock: no event
+    second.release()
+    first.release()
+    assert events == [
+        ("lease_acquire", {"path": os.fspath(target)}),
+        ("lease_release", {"path": os.fspath(target)}),
+    ]
+
+
+def test_the_context_manager_releases_on_error(tmp_path):
+    target = tmp_path / "run.fvl"
+    with pytest.raises(RuntimeError, match="writer failed"):
+        with FileLease(target) as lease:
+            raise RuntimeError("writer failed")
+    assert not lease.held
+    assert _another_process_can_take(target)
+
+
+def test_a_missing_directory_raises_and_leaves_no_state(tmp_path):
+    """``FileNotFoundError`` is what the lifecycle manager defers on."""
+    lease = FileLease(tmp_path / "later" / "run.fvl")
+    with pytest.raises(FileNotFoundError):
+        lease.try_acquire()
+    assert not lease.held
+    (tmp_path / "later").mkdir()
+    assert lease.try_acquire()
+    lease.release()

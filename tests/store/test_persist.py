@@ -119,12 +119,7 @@ def test_pre_v3_files_are_refused_untouched(labelled, tmp_path):
         path.write_bytes(raw[:offset] + patch + raw[offset + len(patch) :])
         return path
 
-    walkers = (
-        MappedRunStore,
-        verify_run,
-        compact,
-        lambda path: run_file_info(path, estimate_amplification=True),
-    )
+    walkers = (MappedRunStore, verify_run, compact)
     header_only = (
         run_file_info,
         lambda path: checkpoint_run(path, labeler.store, labeler.tree.nodes),

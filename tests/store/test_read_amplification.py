@@ -1,4 +1,4 @@
-"""Tests for measured read amplification (run_file_info / MappedRunStore)."""
+"""Tests for measured read amplification (MappedRunStore)."""
 
 from __future__ import annotations
 
@@ -43,37 +43,23 @@ def _segmented_file(scheme, spec, path, *, slices=8, size=300, seed=61):
     return labeler
 
 
-def test_default_info_carries_no_estimate(scheme, spec, tmp_path):
-    path = tmp_path / "plain.fvl"
-    _segmented_file(scheme, spec, path, slices=3)
-    info = run_file_info(path)
-    assert info.compacted_bytes_estimate is None
-    assert info.read_amplification is None
-
-
 def test_segment_chain_amplification_is_measured_and_reclaimed(scheme, spec, tmp_path):
     path = tmp_path / "chain.fvl"
     _segmented_file(scheme, spec, path, slices=8)
-    info = run_file_info(path, estimate_amplification=True)
-    assert info.n_segments >= 6
-    assert info.compacted_bytes_estimate is not None
-    assert info.read_amplification > 1.0
-
-    # The mapped store measures the same chain from its parsed extents.
+    assert run_file_info(path).n_segments >= 6
     with MappedRunStore(path) as mapped:
-        assert mapped.read_amplification() == pytest.approx(
-            info.read_amplification, rel=0.05
-        )
+        amplification = mapped.read_amplification()
+    assert amplification > 1.0
 
-    # Compaction reclaims what the estimate promised (within the blob-join
-    # slack the estimate deliberately ignores).
+    # Compaction reclaims what the measurement promised (within the
+    # blob-join slack the estimate deliberately ignores).
     result = compact(path)
     assert result.compacted
-    assert result.bytes_after == pytest.approx(info.compacted_bytes_estimate, rel=0.05)
+    assert result.bytes_after == pytest.approx(
+        result.bytes_before / amplification, rel=0.05
+    )
 
-    after = run_file_info(path, estimate_amplification=True)
-    assert after.n_segments == 1
-    assert after.read_amplification == 1.0
+    assert run_file_info(path).n_segments == 1
     with MappedRunStore(path) as mapped:
         assert mapped.read_amplification() == 1.0
 
@@ -85,18 +71,18 @@ def test_single_segment_file_has_unit_amplification(scheme, spec, tmp_path):
     for event in derivation.events:
         labeler(event)
     checkpoint_run(path, labeler.store, labeler.tree.nodes)
-    info = run_file_info(path, estimate_amplification=True)
-    assert info.n_segments == 1
-    assert info.read_amplification == 1.0
+    assert run_file_info(path).n_segments == 1
+    with MappedRunStore(path) as mapped:
+        assert mapped.read_amplification() == 1.0
 
 
 def test_amplification_scan_rejects_torn_chains(scheme, spec, tmp_path):
-    """The header scan and the mapper accept exactly the same files.
+    """The mapper and the shallow scrub accept exactly the same files.
 
-    One chain decoder serves both, so at every page-boundary truncation the
-    chain scan, the mapping and the shallow scrub all succeed or all raise —
-    the scan can never estimate a file the mapper would refuse (payload
-    extents and the chain end are bounds-checked by both).
+    At every page-boundary truncation the mapping and the shallow scrub
+    both succeed or both raise, so a mapping can never measure the
+    amplification of a torn chain (payload extents and the chain end are
+    bounds-checked by the one chain decoder both use).
     """
     path = tmp_path / "torn.fvl"
     _segmented_file(scheme, spec, path, slices=4)
@@ -114,7 +100,6 @@ def test_amplification_scan_rejects_torn_chains(scheme, spec, tmp_path):
     for cut in range(PAGE_SIZE, len(intact) + 1, PAGE_SIZE):
         path.write_bytes(intact[:cut])
         outcomes = {
-            outcome(lambda p: run_file_info(p, estimate_amplification=True)),
             outcome(lambda p: MappedRunStore(p).close()),
             outcome(lambda p: verify_run(p, deep=False)),
         }
