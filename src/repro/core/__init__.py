@@ -6,7 +6,6 @@ specialisation), the decoding predicate and the visibility check.
 """
 
 from repro.core.decoder import (
-    DecodeCache,
     depends,
     inputs_matrix,
     intermediate_matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "inputs_matrix",
     "outputs_matrix",
     "depends",
-    "DecodeCache",
     "intermediate_matrix",
     "is_visible",
     "path_visibility",

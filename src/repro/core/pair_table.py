@@ -28,9 +28,8 @@ unit the engine's state budget is counted in.
 
 A table is an immutable snapshot: a batch probes it with one
 ``searchsorted`` and reads it with one fancy index, and new decisions are
-merged copy-on-write into a *new* table that
-:meth:`~repro.core.decoder.DecodeCache.admit` publishes by one reference
-assignment — readers never lock and never see a half-merged table.
+merged copy-on-write into a *new* table that the engine's decoded view
+state publishes by one reference assignment — readers never lock and never see a half-merged table.
 """
 
 from __future__ import annotations

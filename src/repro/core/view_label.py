@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -58,11 +58,7 @@ from repro.errors import DecodingError, VisibilityError
 from repro.matrices import BoolMatrix, MatrixPowerTable, chain_product
 from repro.model.views import WorkflowView
 
-__all__ = ["FVLVariant", "ViewLabel", "ViewLabeler", "EdgeMatrixSupplier"]
-
-#: ``(function, cycle, rotation) -> matrix`` — how a chain product obtains the
-#: per-edge I/O matrices; engine-level caches plug in memoized suppliers.
-EdgeMatrixSupplier = Callable[[str, int, int], "BoolMatrix"]
+__all__ = ["FVLVariant", "ViewLabel", "ViewLabeler"]
 
 
 class FVLVariant(Enum):
@@ -242,9 +238,8 @@ class ViewLabel:
 
         For the space-efficient variant this recomputes the closure of the
         production body — the variant's defining trade-off.  Callers that
-        answer many queries against the same view (e.g.
-        :class:`repro.engine.QueryEngine`) memoize the returned triple so the
-        closure runs once per production rather than once per matrix access.
+        read many functions of one production call this once instead of
+        once per matrix access.
         """
         if k not in self._retained:
             raise VisibilityError(
@@ -274,31 +269,21 @@ class ViewLabel:
         """Product of ``count`` consecutive ``O`` matrices along cycle ``s`` from rotation ``t``."""
         return self.chain("O", s, t, count)
 
-    def chain(
-        self,
-        function: str,
-        s: int,
-        t: int,
-        count: int,
-        *,
-        edge_matrix: "EdgeMatrixSupplier | None" = None,
-    ) -> BoolMatrix:
-        """Chain product with a pluggable per-edge matrix supplier.
+    def chain(self, function: str, s: int, t: int, count: int) -> BoolMatrix:
+        """Product of ``count`` consecutive ``function`` (``"I"``/``"O"``) matrices along cycle ``s``.
 
-        ``edge_matrix(function, s, rotation)`` defaults to this label's own
-        accessors; an engine-level cache substitutes memoized matrices so the
-        space-efficient variant does not recompute a closure per edge.
+        Any integer rotation ``t`` is taken modulo the cycle's length, and an
+        error names the rotation it stands for.
         """
         if count < 0:
             raise DecodingError("chain length cannot be negative")
+        if 1 <= s <= self._index.n_cycles:
+            t = self._index.normalize_rotation(s, t)
         if not self.is_defined_recursion(s, t, count + 1):
             raise VisibilityError(
                 f"recursion (cycle {s}, rotation {t}) is not fully retained by "
                 f"view {self._view.name!r}"
             )
-        if edge_matrix is None:
-            edge_matrix = self._edge_matrix
-        t = self._index.normalize_rotation(s, t)
         start_module = self._index.chain_member_module(s, t, 1)
         identity_size = (
             start_module.n_inputs if function == "I" else start_module.n_outputs
@@ -318,22 +303,22 @@ class ViewLabel:
             return power @ prefix
         if count <= length:
             return chain_product(
-                [edge_matrix(function, s, t + a) for a in range(count)],
+                [self._cycle_edge_factor(function, s, t + a) for a in range(count)],
                 identity_size=identity_size,
             )
         full_turns, remainder = divmod(count, length)
         prefix = chain_product(
-            [edge_matrix(function, s, t + a) for a in range(remainder)],
+            [self._cycle_edge_factor(function, s, t + a) for a in range(remainder)],
             identity_size=identity_size,
         )
         full = chain_product(
-            [edge_matrix(function, s, t + a) for a in range(length)],
+            [self._cycle_edge_factor(function, s, t + a) for a in range(length)],
             identity_size=identity_size,
         )
         power = full.power(full_turns)
         return power @ prefix
 
-    def _edge_matrix(self, function: str, s: int, rotation: int) -> BoolMatrix:
+    def _cycle_edge_factor(self, function: str, s: int, rotation: int) -> BoolMatrix:
         edge = self._index.cycle_edge(s, rotation)
         if function == "I":
             return self.inputs(edge.production, edge.position)
@@ -396,7 +381,7 @@ class ViewLabel:
             for t in range(1, length + 1):
                 for function in ("I", "O"):
                     matrices = [
-                        self._edge_matrix(function, s, t + a) for a in range(length)
+                        self._cycle_edge_factor(function, s, t + a) for a in range(length)
                     ]
                     start_module = self._index.chain_member_module(s, t, 1)
                     identity_size = (

@@ -1,37 +1,28 @@
 """Engine-side caches: the byte-budgeted view-state LRU and what it holds.
 
-The decoding predicate (:mod:`repro.core.decoder`) only *reads* a view label,
-but without help it re-derives two kinds of view-constant state on every call:
-
-* for the **space-efficient** variant, each access to an ``I``/``O``/``Z``
-  matrix re-runs a graph search over the production body — the variant stores
-  nothing but ``lambda*`` — which is what makes it 30–40x slower per query
-  than the other variants;
-* for **every** variant, chain products over the label-path segments of a
-  query are rebuilt even when thousands of queries share the same paths.
-
 The state is split along the line the paper draws.  :class:`StaticViewState`
-is the view's *static label* plus every memo that is a function of
-``(grammar, view, variant)`` only — among them the space-efficient variant's
-one closure per production and the
+is the view's *static label* plus what is a function of
+``(grammar, view, variant)`` only: the
 :class:`~repro.engine.kernel.MatrixBank` the decode kernel multiplies from,
-which gathers ``I``/``O``/``Z`` out of the closures
-:meth:`DecodedViewState.closure` hands out; the engine builds it once per
-registered view and keeps it for good.
+which gathers ``I``/``O``/``Z`` out of the body closures
+:meth:`DecodedViewState.closure` hands out, and — for the space-efficient
+variant, whose label keeps nothing but ``lambda*`` — one closure per
+production body, so a body is closed once and not once per access; the engine
+builds it once per registered view and keeps it for good.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, visibility flags — and is what
-:class:`LRUCache` holds and evicts; rebuilding one costs matrix products over
+:class:`LRUCache` holds and evicts; rebuilding one costs kernel passes over
 the surviving static part, never a relabelling.
 
 **One byte budget** bounds all of it, and this module is the one place that
 knows the policy.  Sizes are sums of array sizes, kept as running sums where
-bytes change.  Static parts are counted — the label's closures and copies
-included — and never evicted.  After a batch the
-engine has the LRU :meth:`~LRUCache.settle` the state it used:
-least-recently-used *other* per-run states go until the total fits.  The
-state in use is never evicted by its own growth; what it may still store is
-:meth:`~LRUCache.room`, and a result that does not fit is computed, used for
-the batch and not stored.
+bytes change (the space-efficient production closures, at most one per
+production, are walked).  Static parts are counted — the label's closures and
+copies included — and never evicted.  After a batch the engine has the LRU
+:meth:`~LRUCache.settle` the state it used: least-recently-used *other*
+per-run states go until the total fits.  The state in use is never evicted
+by its own growth; what it may still store is :meth:`~LRUCache.room`, and a
+result that does not fit is computed, used for the batch and not stored.
 """
 
 from __future__ import annotations
@@ -45,13 +36,9 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro.analysis.reachability import ClosureSlices
-from repro.core.decoder import DecodeCache, MatrixMemo, depends as _depends
-from repro.core.labels import DataLabel
-from repro.core.preprocessing import GrammarIndex
+from repro.core.pair_table import EMPTY, PairTable
 from repro.core.view_label import FVLVariant, ViewLabel
 from repro.engine.kernel import MatrixBank
-from repro.errors import DecodingError
-from repro.matrices import BoolMatrix
 
 __all__ = [
     "CacheStats",
@@ -207,38 +194,24 @@ class LRUCache:
 class StaticViewState:
     """The run-independent half of a decoded view: one per ``(view, variant)``.
 
-    Holds the static label itself and the memo tables whose entries depend
-    on nothing but the grammar and that label.
-    The engine interns one instance per registered ``(view, variant)`` and
-    never evicts it: the label (its closures and the copies read out of
-    them), the production memo and the bank's edge matrices are bounded by
-    the grammar, and what queried labels can grow without bound (chain and
-    segment products) only grows while the engine's byte budget has room.
-    No key here mentions an arena or a run, so run churn cannot leak into it.
+    Holds the static label itself, the bank the decode kernel gathers its
+    factors into, and (space-efficient variant) the closure of every body the
+    bank has read.  The engine interns one instance per registered
+    ``(view, variant)`` and never evicts it: the label (its closures and the
+    copies read out of them) and the production memo are bounded by the
+    grammar, and what queried labels can grow without bound (the bank's chain
+    products) only grows while the engine's byte budget has room.  No key
+    here mentions an arena or a run, so run churn cannot leak into it.
     """
 
-    __slots__ = (
-        "label",
-        "productions",
-        "chains",
-        "inputs_segments",
-        "outputs_segments",
-        "bank",
-        "settled",
-    )
+    __slots__ = ("label", "productions", "bank", "settled")
 
     def __init__(self, label: ViewLabel) -> None:
         self.label = label
         #: production ``k`` -> the closure of its body, with its slices
         #: (space-efficient variant only: one graph search per production, not
-        #: per access).
-        self.productions = MatrixMemo(lambda slices: slices.nbytes)
-        #: ``(function, s, t, count)`` -> recursion chain product.
-        self.chains = MatrixMemo()
-        #: Path-segment products keyed by materialised edge labels; every
-        #: :class:`DecodeCache` built over this view shares the two tables.
-        self.inputs_segments = MatrixMemo()
-        self.outputs_segments = MatrixMemo()
+        #: per access).  Bounded by the grammar, so weighed by a walk.
+        self.productions: dict[int, ClosureSlices] = {}
         #: The view's matrices as one float32 stack with a class per matrix,
         #: resolved on first use: what the decode kernel classifies and
         #: gathers its factors from.
@@ -248,25 +221,13 @@ class StaticViewState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays held: the label's, the bank's and the four memos'."""
-        return (
-            self.label.nbytes
-            + self.bank.nbytes
-            + self.productions.nbytes
-            + self.chains.nbytes
-            + self.inputs_segments.nbytes
-            + self.outputs_segments.nbytes
-        )
+        """Bytes of the arrays held: the label's, the bank's and the production memo's."""
+        productions = sum(slices.nbytes for slices in list(self.productions.values()))
+        return self.label.nbytes + self.bank.nbytes + productions
 
     def __len__(self) -> int:
         """Memo entries held (the label itself is not counted)."""
-        return (
-            len(self.productions)
-            + len(self.chains)
-            + len(self.inputs_segments)
-            + len(self.outputs_segments)
-            + len(self.bank)
-        )
+        return len(self.productions) + len(self.bank)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticViewState(view={self.label.view.name!r}, {len(self)} memo entries)"
@@ -275,50 +236,88 @@ class StaticViewState:
 class DecodedViewState:
     """What the LRU holds: the per-run decode state of one ``(view, variant)``, weighed in bytes.
 
-    Duck-types the read interface of :class:`ViewLabel` that the decoding
-    predicate consumes (``index`` / ``lam_star_start`` / ``inputs`` /
-    ``outputs`` / ``z`` / ``inputs_chain`` / ``outputs_chain``), answering
-    from the production and chain memos of the :class:`StaticViewState` it
-    was built over, hands the bank the body closures it gathers from
-    (:meth:`closure`), and carries the :class:`~repro.core.decoder.DecodeCache`
-    every query through this view shares.  The cache's path-segment tables
-    *are* the static part's (they survive this object); its pair tables and
-    the visibility flags are keyed by arena and live and die with this LRU
-    entry.
+    Two kinds of entry live here, both keyed by arena (a path-id namespace)
+    and living and dying with this LRU entry:
 
-    ``room(state)``, when given, is the owning cache's :meth:`LRUCache.room`;
-    without it the state is unbounded.  The visibility flags are filled
-    through :meth:`keep_flags`, which keeps their bytes as a running sum.
+    * the **pair tables**, one immutable
+      :class:`~repro.core.pair_table.PairTable` snapshot per arena, which the
+      batch evaluator probes with packed integer keys and extends through
+      :meth:`admit`; read them through :meth:`table`, :meth:`arenas` and
+      :meth:`rows`;
+    * the **visibility flags**, one array per arena, kept through
+      :meth:`keep_flags`.
+
+    :attr:`nbytes` is their bytes, a running sum kept under one lock wherever
+    a table is published or flags are kept or dropped.  ``room(state)``, when
+    given, is the owning cache's :meth:`LRUCache.room`; without it the state
+    is unbounded.  A decision that does not fit is computed, used and not
+    stored, so memory stays bounded for adversarial query streams.  The state
+    also hands the bank the body closures it gathers from (:meth:`closure`).
     """
 
     def __init__(self, static: StaticViewState, room=None) -> None:
         self.static = static
+        self.label = static.label
         self._room = room
+        #: arena -> the arena's current table snapshot (replaced, never mutated).
+        self.pair_tables: dict[int, PairTable] = {}
         #: arena -> per-path-id visibility flags (append-only tries let the
         #: engine extend a cached array instead of re-folding the trie).
         self.visibility_flags: dict[int, object] = {}
-        self._side_lock = threading.Lock()
-        self._side_nbytes = 0
+        #: Bytes of the pair tables and visibility flags.
+        self.nbytes = 0
+        #: Rows admitted so far: the next row's decision-order stamp.
+        self._decided = 0
+        self._lock = threading.Lock()
         #: What :meth:`LRUCache.settle` last weighed this state and its static part at.
         self.weighed = -1
-        self._label = static.label
-        self.decode_cache = DecodeCache(
-            self.room,
-            inputs_segments=static.inputs_segments,
-            outputs_segments=static.outputs_segments,
-        )
-        self._productions = static.productions
-        self._chains = static.chains
-        self._memoize = self._label.variant is FVLVariant.SPACE_EFFICIENT
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the pair tables and visibility flags."""
-        return self._side_nbytes + self.decode_cache.nbytes
 
     def room(self) -> int:
         """Bytes the engine's budget still admits for this state."""
         return sys.maxsize if self._room is None else self._room(self)
+
+    def has_room(self, nbytes: int) -> bool:
+        """Whether the budget admits ``nbytes`` more (the kernel's chain products ask too)."""
+        return nbytes <= self.room()
+
+    def admit(self, arena: int, fresh: PairTable) -> int:
+        """Merge ``fresh``'s rows into ``arena``'s table, as far as the budget allows.
+
+        Rows whose key the arena already holds are dropped (a racing batch
+        decided them first; a loaded ``.hotmx`` never clobbers a decision),
+        the others are admitted in key order for as long as their bytes fit
+        and stamped with decision-order numbers after every earlier row's.
+        The merged table is published by one assignment; returns the rows admitted.
+        """
+        with self._lock:
+            current = self.table(arena)
+            select = np.nonzero(~current.probe(fresh.keys)[1])[0]
+            fits = np.cumsum(fresh.row_nbytes()[select]) <= self.room()
+            select = select[: int(np.count_nonzero(fits))]
+            if select.size:
+                if select.size < len(fresh):
+                    fresh = fresh.take(select)
+                merged = self.pair_tables[arena] = current.merged(fresh, self._decided)
+                self.nbytes += merged.nbytes - current.nbytes
+                self._decided += int(fresh.order.max()) + 1
+            return int(select.size)
+
+    def table(self, arena: int) -> PairTable:
+        """``arena``'s current snapshot (an empty table before its first decision)."""
+        return self.pair_tables.get(arena, EMPTY)
+
+    def arenas(self) -> list[int]:
+        """The arenas that currently hold at least one row."""
+        return [arena for arena, table in list(self.pair_tables.items()) if len(table)]
+
+    def rows(self, arena: int):
+        """``(path1, path2, matrix | None, hits)`` of ``arena``'s decoder rows.
+
+        In decision order; classifier verdicts and boundary rows are not
+        listed (see :meth:`~repro.core.pair_table.PairTable.matrix_rows`),
+        though the table holds them and the ``.hotmx`` side file persists them.
+        """
+        return self.table(arena).matrix_rows()
 
     def keep_flags(self, arena: int, flags) -> None:
         """Remember ``arena``'s visibility flags if their bytes fit.
@@ -326,59 +325,22 @@ class DecodedViewState:
         Whatever the arena held is released first, so a replacement is
         charged for its growth only.
         """
-        with self._side_lock:
+        with self._lock:
             self._release_flags(arena)
             if flags.nbytes <= self.room():
                 self.visibility_flags[arena] = flags
-                self._side_nbytes += flags.nbytes
+                self.nbytes += flags.nbytes
 
     def purge(self, arena: int) -> None:
         """Drop everything keyed by ``arena``, giving its bytes back."""
-        with self._side_lock:
+        with self._lock:
             self._release_flags(arena)
-        self.decode_cache.drop(arena)
+            self.nbytes -= self.pair_tables.pop(arena, EMPTY).nbytes
 
     def _release_flags(self, arena: int) -> None:
         dropped = self.visibility_flags.pop(arena, None)
         if dropped is not None:
-            self._side_nbytes -= dropped.nbytes
-
-    # -- the ViewLabel read interface used by the decoder -----------------------
-
-    @property
-    def label(self) -> ViewLabel:
-        return self._label
-
-    @property
-    def index(self) -> GrammarIndex:
-        return self._label.index
-
-    @property
-    def variant(self) -> FVLVariant:
-        return self._label.variant
-
-    def lam_star_start(self) -> BoolMatrix:
-        return self._label.lam_star_start()
-
-    def inputs(self, k: int, i: int) -> BoolMatrix:
-        if not self._memoize:
-            return self._label.inputs(k, i)
-        return self._production(k, i).inputs(i)
-
-    def outputs(self, k: int, i: int) -> BoolMatrix:
-        if not self._memoize:
-            return self._label.outputs(k, i)
-        return self._production(k, i).outputs(i)
-
-    def z(self, k: int, i: int, j: int) -> BoolMatrix:
-        if not self._memoize or i >= j:
-            # i >= j is an all-false matrix the label returns without any
-            # graph search, for every variant.
-            return self._label.z(k, i, j)
-        slices = self._production(k)
-        if i < 1 or j > len(slices.layout.blocks):
-            raise DecodingError(f"no production-graph edges ({k}, {i})/({k}, {j})")
-        return slices.z(i, j)
+            self.nbytes -= dropped.nbytes
 
     def closure(self, k: int) -> "np.ndarray | None":
         """The body closure of production ``k``, or ``None`` if the view does not retain it.
@@ -387,58 +349,18 @@ class DecodedViewState:
         from: the label's own closure, or the space-efficient variant's
         production memo (one graph search per production).
         """
-        if k not in self._label.retained_productions:
+        if k not in self.label.retained_productions:
             return None
-        if self._memoize:
-            return self._production(k).closure
-        return self._label.closure_slices(k).closure
-
-    def inputs_chain(self, s: int, t: int, count: int) -> BoolMatrix:
-        return self._chain("I", s, t, count)
-
-    def outputs_chain(self, s: int, t: int, count: int) -> BoolMatrix:
-        return self._chain("O", s, t, count)
-
-    # -- query evaluation ---------------------------------------------------------
-
-    def depends(self, label1: DataLabel, label2: DataLabel) -> bool:
-        return _depends(label1, label2, self, cache=self.decode_cache)
-
-    # -- internals ------------------------------------------------------------------
-
-    def _production(self, k: int, i: int = 1) -> ClosureSlices:
-        """Production ``k``'s memoized closure slices, with position ``i`` checked."""
-        slices = self._productions.get(k)
+        if self.label.variant is not FVLVariant.SPACE_EFFICIENT:
+            return self.label.closure_slices(k).closure
+        slices = self.static.productions.get(k)
         if slices is None:
-            slices = self._label.closure_slices(k)
-            self._productions[k] = slices
-        if not 1 <= i <= len(slices.layout.blocks):
-            raise DecodingError(f"no production-graph edge ({k}, {i})")
-        return slices
-
-    def _chain(self, function: str, s: int, t: int, count: int) -> BoolMatrix:
-        t = self.index.normalize_rotation(s, t)
-        key = (function, s, t, count)
-        matrix = self._chains.get(key)
-        if matrix is None:
-            matrix = self._label.chain(
-                function, s, t, count, edge_matrix=self._edge_matrix
-            )
-            # Chain memos count against the same budget as the decode cache:
-            # `count` comes from queried labels' recursion depths, which an
-            # adversarial stream can make unbounded.
-            if self.decode_cache.has_room(matrix.data.nbytes):
-                self._chains[key] = matrix
-        return matrix
-
-    def _edge_matrix(self, function: str, s: int, rotation: int) -> BoolMatrix:
-        edge = self.index.cycle_edge(s, rotation)
-        if function == "I":
-            return self.inputs(edge.production, edge.position)
-        return self.outputs(edge.production, edge.position)
+            # A racing second search loses: the first closure stored is kept.
+            slices = self.static.productions.setdefault(k, self.label.closure_slices(k))
+        return slices.closure
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DecodedViewState(view={self._label.view.name!r}, "
-            f"variant={self._label.variant.value})"
+            f"DecodedViewState(view={self.label.view.name!r}, "
+            f"variant={self.label.variant.value})"
         )

@@ -27,18 +27,18 @@ Three layers of caching amortize the per-view decode work that the one-pair
 ``FVLScheme.depends`` API repeats on every call:
 
 1. **View interning** — a view is labelled statically, once, on its first
-   use: the :class:`ViewLabel` and every memo that depends only on
-   ``(grammar, view, variant)`` (production triples, recursion chain
-   products, path-segment products, the matrix bank and its classes) form a
-   :class:`~repro.engine.cache.StaticViewState` kept for as long as the
-   engine lives.  What depends on a run — the pair tables of decisions keyed
+   use: the :class:`ViewLabel` and what depends only on
+   ``(grammar, view, variant)`` (the space-efficient variant's production
+   closures, the matrix bank with its classes and recursion chain products)
+   form a :class:`~repro.engine.cache.StaticViewState` kept for as long as
+   the engine lives.  What depends on a run — the pair tables of decisions keyed
    by path ids, visibility flags — is a
    :class:`~repro.engine.cache.DecodedViewState` over that static part, held
    in an LRU bounded by ``state_budget_bytes`` — one byte budget over all
    decoded state, static parts included (:mod:`repro.engine.cache` is the
    policy) — so every view a deployment serves stays resident until the
    bytes, not a view count, say otherwise; an evicted view's next query
-   rebuilds the per-run half with matrix products and never relabels;
+   rebuilds the per-run half with kernel passes and never relabels;
 2. **Production memoization** — the space-efficient variant's on-demand graph
    searches run once per production instead of once per matrix access;
 3. **Path grouping** — every distinct pair of parse-tree paths is decided
@@ -190,15 +190,15 @@ class QueryEngine:
     ) -> None:
         self._scheme = source if isinstance(source, FVLScheme) else FVLScheme(source)
         #: One shared path arena for every shard: path ids are engine-global,
-        #: sibling runs dedupe their parse-tree paths, and the decode caches
+        #: sibling runs dedupe their parse-tree paths, and the pair tables
         #: can key on integer id pairs across runs.
         self._path_table = PathTable()
         #: ``columns()`` of the shared arena, re-taken once it has grown.
         self._live_trie: dict[str, np.ndarray] = self._path_table.columns()
         self._variant = self._check_variant(variant)
         self._views: dict[str, WorkflowView] = {}
-        #: ``(view name, variant value)`` -> the view's static label and its
-        #: run-independent memos.  Filled on first use (``add_view`` stays
+        #: ``(view name, variant value)`` -> the view's static label, bank and
+        #: production memo.  Filled on first use (``add_view`` stays
         #: cheap, an unsafe view raises every time and is never stored) and
         #: kept as long as the view is registered — the view-state LRU below
         #: only holds per-run state built over these.
@@ -316,8 +316,8 @@ class QueryEngine:
         :func:`~repro.store.checkpoint_run`) is ``mmap``-ed, not decoded:
         labels and paths page in lazily, so runs larger than RAM can be
         queried.  The attached shard is read-only; its path ids live in the
-        file's own trie (not the engine arena), which the decode caches keep
-        apart automatically.  Register attachments from one thread, like
+        file's own trie (not the engine arena), which the pair tables keep
+        apart by arena.  Register attachments from one thread, like
         :meth:`add_run`.
 
         ``verify`` is passed to :class:`~repro.store.MappedRunStore`:
@@ -613,11 +613,12 @@ class QueryEngine:
     ) -> DecodedViewState:
         """The (LRU-interned) decoded state of one ``(view, variant)`` pair.
 
-        Public so the serving layer can warm a state's decode cache (the
-        persistent hot-matrix cache seeds the arena's pair table through
-        this) without issuing a query first.  The first call for a view labels it;
-        the label and the run-independent memos (``state.static``) outlive
-        the returned object's stay in the LRU.
+        Public so the serving layer can warm a state's pair tables (the
+        persistent hot-matrix cache seeds an arena's table through
+        :meth:`DecodedViewState.admit`) without issuing a query first.  The
+        first call for a view labels it; the label, the bank and the
+        production memo (``state.static``) outlive the returned object's stay
+        in the LRU.
         """
         return self._decoded_state(view, variant)
 
@@ -668,14 +669,14 @@ class QueryEngine:
     # -- internals --------------------------------------------------------------------------
 
     def _purge_decode_entries(self, arena: int) -> None:
-        """Drop the pair table (and friends) of one private (attached) arena.
+        """Drop the pair table and visibility flags of one private (attached) arena.
 
         Arena 0 is the engine's shared trie — its ids stay meaningful across
         shard churn, so only private arenas are purged.  Only the LRU's
         per-run states can hold such entries: the static part of a view
-        (path-segment and chain products, keyed by materialised edge labels)
-        mentions no arena and is left alone.  Each state gives the arena's
-        bytes back exactly.
+        (the label, the bank's codes and the production memo) mentions no
+        arena and is left alone.  Each state gives the arena's bytes back
+        exactly.
         """
         if arena == 0:
             return

@@ -60,7 +60,7 @@ __all__ = ["depends_grouped"]
 def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, int, int]:
     """Answer ``pairs`` against one decoded view; see the module docstring.
 
-    ``arena`` names the store's path-id namespace in ``state.decode_cache``
+    ``arena`` names the store's path-id namespace in ``state``'s pair tables
     and ``trie()`` returns its ``(parent, packed, c)`` columns as arrays (it
     is only called when a key has to be decided).  Returns the ``(n,)`` bool
     answers and how many pairs were answered from a verdict row and from a
@@ -105,16 +105,15 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
 
     keys = pair_keys(left, right)
     entries = (x, y, ids)
-    cache = state.decode_cache
     with trace_span("engine.group_eval") as group_span:
-        table = cache.table(arena)
+        table = state.table(arena)
         slot, found = table.probe(keys)
         if found.all():
             bits, structural_n = _read(table, slot, *entries)
         else:
             fresh = _decide(store, state, np.unique(keys[~found]), trie)
-            cache.admit(arena, fresh)
-            table = cache.table(arena)
+            state.admit(arena, fresh)
+            table = state.table(arena)
             # Over budget, a decision is used for this batch and not stored:
             # what the table still misses is read from ``fresh`` itself.
             found = table.probe(keys)[1]
@@ -162,16 +161,21 @@ def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
     return bits, int(np.count_nonzero(off <= VERDICT_FALSE))
 
 
-def _reference_matrix(path, state, path1: int, path2: int):
-    """One key through the reference decoder; ``path`` materialises a path id."""
-    cache, start = state.decode_cache, state.index.start_module
+def _reference_matrix(path, label, path1: int, path2: int):
+    """One key through the reference decoder on the plain view ``label``.
+
+    ``path`` materialises a path id.  Nothing is memoized here: the row the
+    key becomes is admitted to the pair table like the kernel's, so a repeat
+    is a table hit.
+    """
+    start = label.index.start_module
     if path1 == ABSENT:
         if path2 == ABSENT:
-            return state.lam_star_start()  # Case II
-        return _inputs_chain_over(path(path2), state, start.n_inputs, cache)  # Case III
+            return label.lam_star_start()  # Case II
+        return _inputs_chain_over(path(path2), label, start.n_inputs)  # Case III
     if path2 == ABSENT:
-        return _outputs_chain_over(path(path1), state, start.n_outputs, cache)  # Case IV
-    return intermediate_matrix(path(path1), path(path2), state, cache)
+        return _outputs_chain_over(path(path1), label, start.n_outputs)  # Case IV
+    return intermediate_matrix(path(path1), path(path2), label)
 
 
 def _decide(store, state, keys: np.ndarray, trie) -> PairTable:
@@ -187,7 +191,7 @@ def _decide(store, state, keys: np.ndarray, trie) -> PairTable:
             span.attrs = {"keys": int(keys.size), "fallback": int(reference.sum())}
     path = store.table.path
     for row in np.nonzero(reference)[0].tolist():
-        matrix = _reference_matrix(path, state, int(path1[row]), int(path2[row]))
+        matrix = _reference_matrix(path, state.label, int(path1[row]), int(path2[row]))
         if matrix is None:
             sentinels[row] = NO_DEPENDENCY
         else:

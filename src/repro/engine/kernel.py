@@ -41,10 +41,12 @@ boundary pairs included — a side keyed :data:`~repro.core.pair_table.ABSENT`
    code (segment products by pairwise tree reduction).
 
 Whatever is not a clean case — an edge the view does not define, siblings
-that disagree, a chain beyond the bank's bounds, an id outside the trie, a
-boundary chain of identities alone — is marked :data:`REFERENCE` and left to
-the reference decoder (:mod:`repro.core.decoder`), which decides or raises
-exactly as it always has.  The kernel never guesses.
+that disagree, a chain beyond :data:`MAX_CHAIN` or steps the budget left out,
+an id outside the trie, a boundary chain of identities alone — is marked
+:data:`REFERENCE` and left to the reference decoder (:mod:`repro.core.decoder`)
+on the plain view label, which decides or raises exactly as the public
+predicate does; its row is admitted to the pair table like any other.  The
+kernel never guesses.
 
 Float32 stacks, not bit rows: 2,000 stacked 8x8 boolean products take 0.16 ms
 as ``matmul(float32) > 0`` against 0.25 ms as ``uint64`` bit rows (which also
@@ -181,7 +183,9 @@ class MatrixBank:
     by :meth:`_gather`, one fancy index into the body closures the decoded
     view state hands out (:meth:`~repro.engine.cache.DecodedViewState.closure`:
     the label's own, or the space-efficient variant's production memo); a
-    key is undefined exactly where the state's accessors raise.  The chain
+    key is undefined exactly where the label's accessors raise, and a key
+    that reads an undefined code goes to the reference decoder on the plain
+    label, which raises the accessor's error.  The chain
     products of one ``(function, s, t)`` are one running product
     ``P_n = P_{n-1} · E(t + n - 1)``, every step kept, whose edge factors
     come from the same gather and whose new steps a batch runs by prefix
@@ -346,15 +350,14 @@ class MatrixBank:
             dropped = _UNDEFINED in edges
             edges = edges[: edges.index(_UNDEFINED)] if dropped else edges
             plans.append((run, tip, edges, dropped))
-        # Chain products count against the state budget like the chain memo
-        # they stand in for: recursion depths come from the queried labels,
-        # which an adversarial stream can make unbounded.  Steps that would
-        # double the stack must fit the doubling; the others wait until the
-        # budget has room for a matrix at all.
+        # Chain products count against the state budget: recursion depths
+        # come from the queried labels, which an adversarial stream can make
+        # unbounded.  Steps that would double the stack must fit the
+        # doubling; the others wait until the budget has room for a matrix at all.
         need = sum(len(edges) for _, _, edges, _ in plans)
         room = 0
-        if need and state.decode_cache.has_room(self.matrices[0].nbytes):
-            while self._size + need > len(self.matrices) and state.decode_cache.has_room(
+        if need and state.has_room(self.matrices[0].nbytes):
+            while self._size + need > len(self.matrices) and state.has_room(
                 self.nbytes - self._cycle_nbytes
             ):
                 self._reserve(len(self.matrices) - self._size + 1)  # one doubling
@@ -515,7 +518,7 @@ def decide_many(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.ndar
 def _start_matrix(bank: MatrixBank, state):
     """Case II, ``lambda*(S)``: its outcome, padded block and shape."""
     try:
-        data = state.lam_star_start().data
+        data = state.label.lam_star_start().data
     except Exception:
         return REFERENCE, False, 0  # the reference decoder raises it again
     rows, cols = data.shape

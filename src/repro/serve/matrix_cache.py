@@ -1,10 +1,11 @@
 """Persistent hot-pair matrix cache: warm starts for fresh serving processes.
 
-The engine's per-view :class:`~repro.core.decoder.DecodeCache` turns repeated
-``(producer path, consumer path)`` reachability questions into probes of a
-sorted pair table — but the cache is process-private, so every fresh process (a
-restarted server, a follower attaching a leader's run file) pays the cold
-decode for exactly the keys the previous process already decided.
+The engine's per-view :class:`~repro.engine.cache.DecodedViewState` turns
+repeated ``(producer path, consumer path)`` reachability questions into
+probes of a sorted pair table — but the table is process-private, so every
+fresh process (a restarted server, a follower attaching a leader's run file)
+pays the cold decode for exactly the keys the previous process already
+decided.
 
 This module persists the hottest decided rows *alongside the run file*
 (``<run-file>.hotmx``) as what they are in memory — the columns of a
@@ -19,7 +20,7 @@ This module persists the hottest decided rows *alongside the run file*
   share as one :meth:`PairTable.take` (atomic replace);
 * :func:`load_hot_matrices` reads each section back with one
   ``np.frombuffer`` per column, checks the columns whole, and merges them with
-  one :meth:`DecodeCache.admit` — so the saver's ranking becomes the rows'
+  one :meth:`DecodedViewState.admit` — so the saver's ranking becomes the rows'
   decision order, rows the engine already decided are never clobbered, the
   byte budget holds, and the carried-over hit counts let a follower that
   loads and re-saves keep the hot set instead of ranking it at zero.
@@ -197,7 +198,7 @@ def save_hot_matrices(
     # server saves.
     candidates = []
     for (view_name, variant_key), state in engine.decoded_states().items():
-        table = state.decode_cache.table(arena)
+        table = state.table(arena)
         at = np.nonzero(_inside(table.keys, info.n_paths))[0]
         at = at[np.argsort(table.order[at], kind="stable")]
         candidates.append((view_name, variant_key, table, at))
@@ -239,7 +240,7 @@ def save_hot_matrices(
 
 
 def load_hot_matrices(engine: QueryEngine, run_id: str = DEFAULT_RUN, *, cache_path=None) -> int:
-    """Seed an attached shard's decode caches from its persistent matrix cache.
+    """Seed an attached shard's pair tables from its persistent matrix cache.
 
     Missing cache file -> ``0`` (warm starts are best-effort); an unreadable
     one (a directory in its place, no permission), a cache of another format
@@ -337,10 +338,10 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
             if ports != state.static.bank.ports:
                 raise CorruptionError(f"corrupt matrix cache: {ports}-port blocks, not the bank's")
             fresh = _section(buffer, offset, n, ports, matrices, mapped.n_paths)
-            sections.append((state.decode_cache, fresh))
+            sections.append((state, fresh))
         offset = end
     # Nothing is admitted before the whole file has been checked.
-    return sum(cache.admit(arena, fresh) for cache, fresh in sections)
+    return sum(state.admit(arena, fresh) for state, fresh in sections)
 
 
 def _inside(keys, n_paths) -> np.ndarray:

@@ -173,7 +173,7 @@ def decoded_state_bytes():
         per_run = 0
         for state in engine.decoded_states().values():
             per_run += sum(flags.nbytes for flags in state.visibility_flags.values())
-            for table in state.decode_cache.pair_tables.values():
+            for table in state.pair_tables.values():
                 columns = (table.keys, table.off, table.rows, table.cols, table.hits, table.order, table.pool)
                 per_run += sum(column.nbytes for column in columns)
         static = 0
@@ -184,7 +184,6 @@ def decoded_state_bytes():
                 bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos,
             )
             static += sum(array.nbytes for array in arrays)
-            static += matrices(part.chains) + matrices(part.inputs_segments) + matrices(part.outputs_segments)
             static += closures(part.productions)
             # The label: its closures and their slices, and the copies read out of them.
             label = part.label
@@ -229,15 +228,15 @@ def kernel_vs_reference():
     ``repro.engine.kernel.decide_many`` against ``repro.core.decoder`` key by
     key — interior keys against ``intermediate_matrix``, boundary keys
     (Cases II–IV) against ``lambda*(S)`` and the ``Inputs`` / ``Outputs``
-    chain over their one path — and ``depends_batch`` against the one-pair
-    predicate pair by pair (see the returned function).
+    chain over their one path — and ``depends_batch`` against the public
+    one-pair predicate, ``FVLScheme.depends`` on ``scheme.label_view(view,
+    variant)``, pair by pair (see the returned function).
     """
     import numpy as np
 
     from repro.core.decoder import _inputs_chain_over, _outputs_chain_over, intermediate_matrix
     from repro.core.pair_table import ABSENT
     from repro.engine import DEFAULT_RUN
-    from repro.engine.cache import DecodedViewState, StaticViewState
     from repro.engine.kernel import MATRIX, REFERENCE, VERDICT_FALSE, VERDICT_TRUE, decide_many
 
     def _outcome(call):
@@ -315,19 +314,15 @@ def kernel_vs_reference():
                 padded[: matrix.rows, : matrix.cols] = matrix.data
                 assert np.array_equal(block.reshape(ports, ports), padded), (p1, c2)
 
-        # Pair by pair, the engine and the one-pair predicate agree on the bit —
-        # or on the error, type and message.  (The reference runs through a
-        # decoded view state of its own, like the engine's: the state normalises
-        # a chain's rotation before the label words its "not retained" message.)
-        reference_state = DecodedViewState(StaticViewState(view_label))
+        # Pair by pair, the engine and the public predicate agree on the bit —
+        # or on the error, type and message.
         answered = []
         for d1, d2 in pairs:
             label1, label2 = labeler.label(d1), labeler.label(d2)
-            want = _outcome(lambda: reference_state.depends(label1, label2))
+            want = _outcome(lambda: scheme.depends(label1, label2, view_label))
             got = _outcome(lambda: engine.depends_batch([(d1, d2)], view, variant=variant)[0])
             assert got == want, (d1, d2)
             if want[0] == "ok":
-                assert want[1] == scheme.depends(label1, label2, view_label)
                 answered.append(((d1, d2), want[1]))
         # And as one batch (array input), warm and cold keys mixed.
         if answered:

@@ -1,0 +1,50 @@
+"""The reference layer imports nothing from the serving stack.
+
+``repro.core`` is the paper's labels and decoding predicate; the engine, the
+scheduler, the socket tier, the lifecycle service and telemetry are built on
+top of it.  Every module under ``src/repro/core/`` is parsed (not imported),
+and no import statement in it may name one of those packages, so engine
+state cannot drift back into the reference layer.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro.core
+
+CORE = Path(repro.core.__file__).resolve().parent
+#: The packages above the reference layer, each with its dot: a name is one of
+#: them, or a module in one, iff the name plus a dot starts with it.
+FORBIDDEN = ("repro.engine.", "repro.serve.", "repro.net.", "repro.service.", "repro.obs.")
+
+
+def _imported(tree: ast.AST) -> list[str]:
+    """Every module an import statement of ``tree`` names (relative ones resolved)."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ("", "repro.core", "repro")[node.level]
+            base = ".".join(part for part in (package, node.module) if part)
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(CORE.glob("*.py")), ids=lambda path: path.name)
+def test_a_core_module_imports_no_serving_layer(module):
+    imported = _imported(ast.parse(module.read_text(), filename=str(module)))
+    assert [name for name in imported if f"{name}.".startswith(FORBIDDEN)] == []
+
+
+def test_the_check_resolves_what_it_reads():
+    assert {"decoder.py", "view_label.py"} <= {path.name for path in CORE.glob("*.py")}
+    assert _imported(ast.parse("from .. import engine")) == ["repro", "repro.engine"]
+    assert _imported(ast.parse("from .decoder import depends")) == [
+        "repro.core.decoder",
+        "repro.core.decoder.depends",
+    ]

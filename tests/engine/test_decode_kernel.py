@@ -26,6 +26,7 @@ paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,10 +40,10 @@ import repro.core.decoder as decoder
 import repro.core.pair_table as pair_table
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import RunReachabilityOracle
-from repro.engine import DEFAULT_RUN, evaluate
+from repro.engine import DEFAULT_RUN, evaluate, kernel
 from repro.engine.cache import DecodedViewState, StaticViewState
 from repro.engine.kernel import REFERENCE, MatrixBank, decide_many
-from repro.errors import DecodingError
+from repro.errors import DecodingError, VisibilityError
 from repro.model import default_view
 from repro.model.projection import ViewProjection
 from repro.store import LabelStore, checkpoint_run
@@ -199,6 +200,54 @@ def test_deep_recursion_beyond_a_cycle_turn_and_the_power_table_tail(kernel_vs_r
     assert bank.chain_codes > longest_cycle  # chains really ran past one turn
 
 
+def test_a_chain_past_max_chain_is_the_references_and_then_a_table_hit(monkeypatch):
+    """Keys whose chains run past ``MAX_CHAIN`` go to the reference, once each."""
+    spec = build_running_example()
+    scheme = FVLScheme(spec)
+    derivation = random_run(spec, 600, seed=2)  # one recursion chain > 20 deep
+    labeler = scheme.label_run(derivation)
+    view = default_view(spec)
+    view_label = scheme.label_view(view)
+    uids = sorted(ViewProjection(derivation.run, view).visible_items)
+    rng = random.Random(4)
+    pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(300)]
+    expected = [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
+    monkeypatch.setattr(kernel, "MAX_CHAIN", 2)
+    referred = []
+    original = evaluate._reference_matrix
+
+    def counting(*args):
+        referred.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(evaluate, "_reference_matrix", counting)
+    engine = QueryEngine(scheme)
+    engine.add_run(DEFAULT_RUN, derivation)
+    assert engine.depends_batch(pairs, view).tolist() == expected
+    assert referred
+    referred.clear()
+    assert engine.depends_batch(pairs, view).tolist() == expected
+    assert referred == []  # the reference's rows were admitted: table hits
+
+
+def test_an_unretained_chain_names_its_rotation_within_the_cycle():
+    """The public predicate and the engine word the error alike, rotation normalised."""
+    spec = build_bioaid_specification()
+    scheme = FVLScheme(spec)
+    derivation = random_run(spec, 3000, seed=5)
+    labeler = scheme.label_run(derivation)
+    view = random_view(spec, 6, seed=1, mode="grey", name="v1")
+    with pytest.raises(VisibilityError) as public:
+        scheme.depends(labeler.label(2721), labeler.label(526), scheme.label_view(view))
+    engine = QueryEngine(scheme)
+    engine.add_run(DEFAULT_RUN, derivation)
+    with pytest.raises(VisibilityError) as served:
+        engine.depends_batch([(2721, 526)], view)
+    assert str(served.value) == str(public.value)
+    s, t = map(int, re.search(r"cycle (\d+), rotation (\d+)", str(public.value)).groups())
+    assert 1 <= t <= scheme.index.cycle_length(s)
+
+
 # -- (2) a warm batch executes no per-key Python -------------------------------------------
 
 
@@ -249,7 +298,7 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
     monkeypatch.setattr(evaluate, "decide_many", forbidden)
     monkeypatch.setattr(decoder, "_intermediate_matrix", forbidden)
     monkeypatch.setattr(decoder, "_chain_over", forbidden)
-    monkeypatch.setattr(DecodedViewState, "depends", forbidden)
+    monkeypatch.setattr(evaluate, "_reference_matrix", forbidden)
     monkeypatch.setattr(type(store), "label", forbidden)
     assert np.array_equal(engine.depends_batch(pairs, view), first)
     assert np.array_equal(engine.depends_batch(pairs.tolist(), view), first)
@@ -308,7 +357,7 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
     static = roomy.stats.views.bytes - sum(state.nbytes for state in wanted.values())
     wanted_chains = sum(state.static.bank.chain_codes for state in wanted.values())
     wanted_rows = {
-        name: sum(len(state.decode_cache.table(arena)) for arena in (0, 1))
+        name: sum(len(state.table(arena)) for arena in (0, 1))
         for name, state in wanted.items()
     }
     assert wanted_chains > 40
@@ -329,14 +378,14 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
             # Over budget only by what the grammar bounds, never by what a query grows.
             assert stats.bytes <= max(budget, now[1] + before)
             state = engine.decoded_states()[(view.name, "default")]  # not evicted by its own growth
-            tables = [state.decode_cache.table(arena) for arena in (0, 1)]
-            assert state.decode_cache.nbytes == sum(table.nbytes for table in tables) == state.nbytes
+            tables = [state.table(arena) for arena in (0, 1)]
+            assert sum(table.nbytes for table in tables) == state.nbytes
             assert sum(len(table) for table in tables) < wanted_rows[view.name]
         chains = sum(part.bank.chain_codes for part in engine._statics.values())
         if budget >= static:
             # (a) the static parts fit whole, so the budget itself held and rows got the rest.
             assert engine.stats.views.bytes <= budget and chains == wanted_chains
-            assert any(len(state.decode_cache.table(arena)) for arena in (0, 1))
+            assert any(len(state.table(arena)) for arena in (0, 1))
         else:
             # (b) chain products stopped where the bytes ran out.
             assert 0 < chains < wanted_chains
@@ -437,10 +486,9 @@ def test_threads_racing_on_an_unseen_view_over_two_arenas_agree(tmp_path):
             assert np.array_equal(bank.matrices[code], calm_bank.matrices[calm_code]), key
             assert bank.shapes[code].tolist() == calm_bank.shapes[calm_code].tolist(), key
     # Both arenas hold the same decisions, each under its own ids.
-    cache = state.decode_cache
     live_arena, disk_arena = engine.shard_arena("live"), engine.shard_arena("disk")
-    assert sorted(cache.arenas()) == sorted((live_arena, disk_arena))
-    assert len(cache.table(live_arena)) == len(cache.table(disk_arena)) > 0
+    assert sorted(state.arenas()) == sorted((live_arena, disk_arena))
+    assert len(state.table(live_arena)) == len(state.table(disk_arena)) > 0
 
 
 # -- (6) entry reads are bounds-checked --------------------------------------------------------
@@ -456,8 +504,7 @@ def _interior_pair_through_a_matrix(engine, derivation, view):
         if min(store.row(d1) + store.row(d2)) < 0:
             continue
         engine.depends_batch([(d1, d2)], view)
-        cache = engine.decoded_state(view).decode_cache
-        for id1, id2, matrix, _ in cache.rows(0):
+        for id1, id2, matrix, _ in engine.decoded_state(view).rows(0):
             if matrix is not None and (id1, id2) == (store.row(d1)[0], store.row(d2)[2]):
                 return d1, d2, matrix.shape
     raise AssertionError("no pair of the workload reads a matrix entry")
@@ -482,7 +529,7 @@ def _boundary_pair_through_a_matrix(engine, derivation, view, no_left, no_right)
             pair_table.ABSENT if no_right else store.row(d2)[2],
         )
 
-    table = engine.decoded_state(view).decode_cache.table(0)
+    table = engine.decoded_state(view).table(0)
     forced = {
         (id1, id2): matrix
         for id1, id2, matrix, _ in table.matrix_rows(np.arange(len(table)))

@@ -44,9 +44,7 @@ def served(scheme, spec, tmp_path):
 def _pair_matrix_arenas(engine):
     arenas = set()
     for state in engine._states.values():
-        cache = getattr(state, "decode_cache", None)
-        if cache is not None:
-            arenas.update(arena for arena in cache.arenas() if any(cache.rows(arena)))
+        arenas.update(arena for arena in state.arenas() if any(state.rows(arena)))
     return arenas
 
 

@@ -44,6 +44,10 @@ And three hold the side file (``.hotmx``) to the pair table's columns:
 * on each benchmark workload, the frames a leader answered before saving are
   table hits after a warm attach: the file holds verdict, boundary and matrix
   rows, so neither the kernel nor the reference decoder runs.
+
+And one holds the reference decoder to what it is, a fallback: on each
+benchmark workload, a cold engine's warm-up, serve-block and view-add frames
+never call it.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from repro.workloads import (
 
 from repro.bench import sample_query_pairs
 
-# The benchmark's inputs (``perf/inputs.py``), for the workloads' own view-add frames.
+# The benchmark's inputs (``perf/inputs.py``), for the workloads' own frames.
 if str(Path(__file__).resolve().parents[2]) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 from perf import inputs as perf_inputs  # noqa: E402
@@ -346,14 +350,14 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
     half = len(expansions) // 2
     grow_and_ask(expansions[:half])
     bank = engine.decoded_state(view).static.bank
-    cache = engine.decoded_state(view).decode_cache
-    table = cache.table(engine.shard_arena("live"))
+    state = engine.decoded_state(view)
+    table = state.table(engine.shard_arena("live"))
     # Every factor is resolved once, and there are far fewer factors than path pairs.
     resolved = [key for keys in gathers for key in keys]
     assert 0 < len(resolved) == len(set(resolved)) <= len(bank._codes)
     assert len(resolved) < len(table) // 2
     pairs, expected = grow_and_ask(expansions[half:])  # the shard grew: new keys, no rebuild
-    assert len(cache.table(engine.shard_arena("live"))) > len(table)
+    assert len(state.table(engine.shard_arena("live"))) > len(table)
 
     # A mapped shard of the same run under the same view: every key is cold,
     # every factor known — the bank is not asked at all.
@@ -363,19 +367,16 @@ def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp
     gathers.clear()
     assert engine.depends_batch(pairs, view, run="disk").tolist() == expected
     assert gathers == []
-    assert len(cache.table(engine.shard_arena("disk"))) > 0
+    assert len(state.table(engine.shard_arena("disk"))) > 0
 
 
 @pytest.mark.parametrize("workload", list(perf_inputs.WORKLOADS))
 def test_a_view_add_frame_never_reaches_the_reference_decoder(workload, monkeypatch):
-    """Each benchmark workload's view-add frame, boundary keys included, is the kernel's alone."""
+    """Each benchmark workload's frames, boundary keys included, are the kernel's alone.
+
+    Warm-up, serve-block and view-add frames: the reference decoder is never called.
+    """
     inputs = perf_inputs.generate(perf_inputs.WORKLOADS[workload], 42, scale=0.05)
-    engine = QueryEngine(FVLScheme(inputs.specification))
-    engine.add_run(DEFAULT_RUN, inputs.derivation)
-    for view in inputs.views:
-        engine.add_view(view)
-    for frame in inputs.warmup:
-        assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
     referred = []
     original = evaluate._reference_matrix
 
@@ -384,10 +385,22 @@ def test_a_view_add_frame_never_reaches_the_reference_decoder(workload, monkeypa
         return original(*args)
 
     monkeypatch.setattr(evaluate, "_reference_matrix", counting)
+    engine = QueryEngine(FVLScheme(inputs.specification))
+    engine.add_run(DEFAULT_RUN, inputs.derivation)
+    for view in inputs.views:
+        engine.add_view(view)
+    for frame in inputs.warmup:
+        assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
+    for frame in inputs.block:
+        if frame.kind == "depends":
+            answer = engine.depends_batch(frame.ids, frame.view)
+        else:
+            answer = engine.is_visible_batch(frame.ids, frame.view)
+        assert np.array_equal(answer, frame.expected)
     for view, frame in zip(inputs.extra_views, inputs.add_frames):
         engine.add_view(view)
         assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
-        table = engine.decoded_state(view).decode_cache.table(engine.shard_arena())
+        table = engine.decoded_state(view).table(engine.shard_arena())
         path1, path2 = pair_paths(table.keys)
         assert np.count_nonzero((path1 == ABSENT) | (path2 == ABSENT)) > 0  # boundary keys asked
     assert referred == []
@@ -465,7 +478,7 @@ def test_side_file_costs_calls_per_section_not_per_row(hot, tmp_path, monkeypatc
             assert counted == {"packbits": 1, "frombuffer": 7, "unpackbits": 1}  # one section
             costs.append((saving, loading))
     for rows, follower in zip((500, 4000), followers):
-        assert len(follower.decoded_state(view).decode_cache.table(follower.shard_arena())) == rows
+        assert len(follower.decoded_state(view).table(follower.shard_arena())) == rows
         assert np.array_equal(follower.depends_batch(pairs, view), expected)
     (small_save, small_load), (large_save, large_load) = costs
     # Eight times the rows, the same calls (numpy may pick another sort path).
@@ -507,7 +520,7 @@ def test_warm_attach_labels_nothing_and_renders_one_fingerprint(hot, monkeypatch
 
 def _tables(engine, views) -> list:
     """The default shard's pair table of each of ``views``."""
-    return [engine.decoded_state(view).decode_cache.table(engine.shard_arena()) for view in views]
+    return [engine.decoded_state(view).table(engine.shard_arena()) for view in views]
 
 
 def _row_kinds(table) -> set:

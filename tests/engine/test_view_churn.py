@@ -238,8 +238,7 @@ def test_rebuilt_state_shares_the_static_part(churn, state_budget_for):
     rebuilt = engine.decoded_state(first.view)
     assert rebuilt is not state
     assert rebuilt.static is static and rebuilt.label is state.label
-    assert rebuilt.decode_cache.inputs_segments is static.inputs_segments
-    assert not rebuilt.decode_cache.arenas()  # the per-run half starts over
+    assert not rebuilt.arenas()  # the per-run half starts over
     assert engine.depends_batch(first.pairs, first.view).tolist() == first.depends
     assert len(static) == memo_entries  # the same queries add nothing
 
@@ -291,7 +290,7 @@ def test_decode_budget_holds_across_rebuilds_and_deep_recursion(decoded_state_by
         # The state in use stored what fitted and was not evicted by its own growth.
         state = engine.decoded_states()[(view.name, "default")]
         assert 0 < state.nbytes < wanted[view.name]
-        assert state.decode_cache.arenas() == [0]
+        assert state.arenas() == [0]
     assert engine.stats.views.evictions >= 7 and engine.stats.labels_built == 2
 
 
@@ -372,10 +371,6 @@ def test_identical_reregistration_reuses_the_label_and_a_clash_is_rejected(churn
 # -- (e) run churn --------------------------------------------------------------------------
 
 
-def _arena_tagged(key) -> bool:
-    return isinstance(key, tuple) and len(key) == 3 and all(isinstance(k, int) for k in key)
-
-
 def test_attach_detach_churn_leaves_the_static_part_alone(churn, decoded_state_bytes):
     _, scheme, _, cases, whole = churn
     engine = QueryEngine(scheme)
@@ -389,26 +384,19 @@ def test_attach_detach_churn_leaves_the_static_part_alone(churn, decoded_state_b
         _ask_all(engine, case, run)
         state = engine.decoded_state(case.view)
         arena = engine.shard_arena(run)
-        assert state.decode_cache.arenas() == [arena] and any(state.decode_cache.rows(arena))
+        assert state.arenas() == [arena] and any(state.rows(arena))
         assert arena in state.visibility_flags
         assert state.nbytes > 0
         engine.detach(run)
         # The per-run half is empty again, and gave every byte back ...
-        assert not state.decode_cache.arenas() and not state.decode_cache.pair_tables
+        assert not state.arenas() and not state.pair_tables
         assert not state.visibility_flags
         assert state.nbytes == 0
         resident.add(engine.stats.views.bytes)
         assert decoded_state_bytes(engine) == (0, engine.stats.views.bytes)
-        # ... and the static half neither grew nor learnt about the arena.
-        static = state.static
-        sizes.add(len(static))
-        for table in (
-            static.productions,
-            static.chains,
-            static.inputs_segments,
-            static.outputs_segments,
-        ):
-            assert not any(_arena_tagged(key) for key in table)
+        # ... and the static half did not grow: its keys (production numbers,
+        # bank keys) have no arena field to learn a new one through.
+        sizes.add(len(state.static))
     assert len(sizes) == 1 and sizes.pop() > 0
     assert len(resident) == 1  # fifty cycles on, exactly where the first one ended
     assert engine.stats.labels_built == 1 and engine.stats.views.misses == 1

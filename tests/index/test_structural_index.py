@@ -300,7 +300,7 @@ def test_build_scatters_intervals_by_path_id():
     assert index.is_ancestor(0, 1)  # the empty path is everybody's prefix
 
 
-# -- DecodeCache hit accounting stays bounded ----------------------------------
+# -- pair-table hit accounting stays bounded -----------------------------------
 
 
 def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_scheme, tmp_path):
@@ -322,13 +322,13 @@ def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_
     writer = QueryEngine(running_scheme)
     writer.add_run("default", derivation)
     expected = writer.depends_batch(pairs, view)
-    asked = len(writer.decoded_state(view).decode_cache.table(0))  # distinct keys of the batch
+    asked = len(writer.decoded_state(view).table(0))  # distinct keys of the batch
     run_file = tmp_path / "hits.fvl"
     writer.checkpoint(run_file)
 
     # A budget measured, not guessed: every static byte the batch wants, and
     # a third of what its rows (and nothing else per-run) weigh.
-    wanted = writer.decoded_state(view).decode_cache.nbytes
+    wanted = writer.decoded_state(view).table(0).nbytes
     static = writer.stats.views.bytes - writer.decoded_state(view).nbytes
     engine = QueryEngine(running_scheme, state_budget_bytes=static + wanted // 3)
     engine.attach(run_file)
@@ -336,19 +336,18 @@ def test_hit_column_has_one_cell_per_row_and_dies_with_it(running_spec, running_
     for _ in range(3):
         assert np.array_equal(engine.depends_batch(pairs, view), expected)
     state = engine.decoded_state(view)  # over budget on its own, and still resident
-    cache = state.decode_cache
-    table = cache.table(arena)
+    table = state.table(arena)
     stats = engine.stats.views
     assert stats.bytes <= stats.max_bytes and stats.evictions == 0  # the budget held ...
-    assert 0 < table.nbytes == cache.nbytes == state.nbytes <= wanted // 3
+    assert 0 < table.nbytes == state.nbytes <= wanted // 3
     assert asked > len(table) > 0  # ... so some keys were decided per batch and never stored ...
     assert table.hits.shape == table.keys.shape  # ... and only stored rows have a counter,
     assert int(table.hits.min()) >= 3  # which counted each of the three passes.
-    assert 0 < sum(hits for _, _, _, hits in cache.rows(arena)) <= int(table.hits.sum())
+    assert 0 < sum(hits for _, _, _, hits in state.rows(arena)) <= int(table.hits.sum())
 
     engine.detach("default")
-    assert arena not in cache.pair_tables and not cache.arenas()
-    assert list(cache.rows(arena)) == [] and len(cache.table(arena)) == 0
+    assert arena not in state.pair_tables and not state.arenas()
+    assert list(state.rows(arena)) == [] and len(state.table(arena)) == 0
 
 
 # -- the bank's class column on real views ---------------------------------------
@@ -390,7 +389,10 @@ def test_classifier_folds_count_classes_along_each_path(
             word = int(packed[row])
             if not word & 1:  # a production edge (k, i)
                 k, i = (word >> 1) & 0xFFFF, word >> 17
-                expected += [by_the_matrix(state.inputs, k, i), by_the_matrix(state.outputs, k, i)]
+                expected += [
+                    by_the_matrix(state.label.inputs, k, i),
+                    by_the_matrix(state.label.outputs, k, i),
+                ]
                 got += [by_the_bank(kernel._INPUTS, k, i), by_the_bank(kernel._OUTPUTS, k, i)]
                 checked.add((k, i))
             row = int(parent[row])

@@ -88,7 +88,7 @@ def saved(scheme, workload, tmp_path):
 
 def _table(engine, view, variant=FVLVariant.DEFAULT):
     """The default shard's pair table for ``view``."""
-    return engine.decoded_state(view, variant).decode_cache.table(engine.shard_arena())
+    return engine.decoded_state(view, variant).table(engine.shard_arena())
 
 
 def _rows(engine, view, variant=FVLVariant.DEFAULT):
@@ -645,7 +645,7 @@ def test_round_trip_is_the_table(scheme, two_views, budget, again):
         view, pairs = batches[which]
         leader.depends_batch([pairs[at]], view)
     arena = leader.shard_arena()
-    tables = [leader.decoded_state(view).decode_cache.table(arena) for view, _ in batches]
+    tables = [leader.decoded_state(view).table(arena) for view, _ in batches]
     decided = [np.argsort(table.order, kind="stable") for table in tables]  # every row, every kind
     keys = np.concatenate([table.keys for table in tables])
     assert np.any(np.concatenate([table.off for table in tables]) <= VERDICT_FALSE)
@@ -665,7 +665,7 @@ def test_round_trip_is_the_table(scheme, two_views, budget, again):
         if not chosen.size:
             continue  # no row of this view made the cut: no section, no state
         kept = table.take(np.sort(chosen))
-        loaded = follower.decoded_state(view).decode_cache.table(follower.shard_arena())
+        loaded = follower.decoded_state(view).table(follower.shard_arena())
         for column in ("ports", "keys", "rows", "cols", "hits"):
             assert np.array_equal(getattr(loaded, column), getattr(kept, column)), column
         assert np.array_equal(np.minimum(loaded.off, 0), np.minimum(kept.off, 0))
