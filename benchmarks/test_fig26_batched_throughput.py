@@ -18,37 +18,18 @@ def test_fig26_regenerate(workload, benchmark):
     rows = {row[0]: row for row in table.rows}
     # Only the space-efficient cliff is asserted on: its measured margin is
     # ~30x above the bound, so scheduler noise cannot flip it.  The other
-    # variants run near parity with the one-pair loop and a timing assertion
-    # on them would be CI flake bait (tests/engine/test_perf_guard.py holds
-    # the structural guarantee without timing).
+    # variants' one-pair loops run near parity with the engine and a timing
+    # assertion on them would be CI flake bait.
     assert rows[FVLVariant.SPACE_EFFICIENT.value][3] >= 10
 
 
-def _engine_for(workload, labeled_run):
-    derivation, _ = labeled_run
-    engine = QueryEngine(workload.scheme)
-    engine.add_run("default", derivation)
-    return engine
-
-
-def _batch_benchmark(workload, labeled_run, variant, benchmark):
+def test_batched_engine(workload, labeled_run, benchmark):
     derivation, _ = labeled_run
     view = workload.views({"medium": 8}, mode="grey", seed=3)["medium"]
     items = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(items, 200, seed=1)
-    engine = _engine_for(workload, labeled_run)
-    engine.depends_batch(pairs, view, variant=variant)  # warm the decode cache
+    engine = QueryEngine(workload.scheme)
+    engine.add_run("default", derivation)
+    engine.depends_batch(pairs, view)  # warm the decode cache
 
-    benchmark(lambda: engine.depends_batch(pairs, view, variant=variant))
-
-
-def test_batched_default_variant(workload, labeled_run, benchmark):
-    _batch_benchmark(workload, labeled_run, FVLVariant.DEFAULT, benchmark)
-
-
-def test_batched_query_efficient_variant(workload, labeled_run, benchmark):
-    _batch_benchmark(workload, labeled_run, FVLVariant.QUERY_EFFICIENT, benchmark)
-
-
-def test_batched_space_efficient_variant(workload, labeled_run, benchmark):
-    _batch_benchmark(workload, labeled_run, FVLVariant.SPACE_EFFICIENT, benchmark)
+    benchmark(lambda: engine.depends_batch(pairs, view))

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro import FVLVariant, QueryEngine
+from repro import QueryEngine
 from repro.bench import prepare_bioaid, sample_query_pairs
 from repro.model.projection import ViewProjection
 from repro.workloads import random_run, random_view
@@ -43,29 +43,26 @@ def main() -> None:
     engine.add_view(grey)
     engine.add_view(coarse)
 
-    # 3. Batched queries: the space-efficient variant stores only lambda* and
-    #    is ~30-40x slower than the other variants one pair at a time, but the
-    #    engine memoizes its per-production graph searches, so the batch runs
-    #    at materialised-variant speed.
+    # 3. Batched queries: the engine labels the view once, on its first
+    #    batch, and decides every distinct pair of parse-tree paths once.
     items = sorted(ViewProjection(run_a.run, grey).visible_items)
     pairs = sample_query_pairs(items, 2000, seed=7)
-    for variant in (FVLVariant.SPACE_EFFICIENT, FVLVariant.DEFAULT):
-        start = time.perf_counter()
-        answers = engine.depends_batch(pairs, grey, run="run-a", variant=variant)
-        elapsed = time.perf_counter() - start
-        print(
-            f"{variant.value:>16}: {len(pairs)} queries in {elapsed * 1e3:7.2f} ms "
-            f"({elapsed / len(pairs) * 1e6:6.2f} us/query, {np.count_nonzero(answers)} positive)"
-        )
+    start = time.perf_counter()
+    answers = engine.depends_batch(pairs, grey, run="run-a")
+    elapsed = time.perf_counter() - start
+    print(
+        f"      cold batch: {len(pairs)} queries in {elapsed * 1e3:7.2f} ms "
+        f"({elapsed / len(pairs) * 1e6:6.2f} us/query, {np.count_nonzero(answers)} positive)"
+    )
 
     # 4. Re-running the same batch hits the warm decode cache.
     start = time.perf_counter()
-    engine.depends_batch(pairs, grey, run="run-a", variant=FVLVariant.SPACE_EFFICIENT)
+    engine.depends_batch(pairs, grey, run="run-a")
     print(f"     warm re-run: {(time.perf_counter() - start) * 1e3:7.2f} ms")
 
     # 5. A mixed workload is one depends_batch per (run, view) group (the
-    #    coarse view's uniform matrices are settled as verdict rows, by the
-    #    default variant); each answers one bool array, in its pairs' order.
+    #    coarse view's uniform matrices are settled as verdict rows); each
+    #    answers one bool array, in its pairs' order.
     items_b = sorted(ViewProjection(run_b.run, coarse).visible_items)
     groups = [
         (pairs[:500], grey, "run-a"),

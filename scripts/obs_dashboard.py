@@ -4,8 +4,8 @@ Scrapes a live server over the binary wire protocol — the stats op for the
 watchdog verdict, queue state, and cost table; the metrics op for the
 Prometheus exposition — and renders a refreshing terminal view: qps,
 p50/p99 latency from the tail sampler's histogram, queue depth and
-watermarks, shed/quarantine state, the costliest (run, view, variant)
-groups, and any firing alerts.
+watermarks, shed/quarantine state, the costliest (run, view) groups, and
+any firing alerts.
 
 Rates and percentiles are computed client-side from a small ring of parsed
 scrapes (cumulative counter deltas over the window), so the dashboard needs
@@ -223,16 +223,15 @@ def render(window: Window, address: str, *, color: bool = True) -> str:
     lines.append(paint("top cost groups (sampled)", BOLD))
     if costs:
         lines.append(
-            "  {:<12s} {:<18s} {:<10s} {:>8s} {:>8s}  {}".format(
-                "run", "view", "variant", "wall_s", "cpu_s", "phase"
+            "  {:<12s} {:<18s} {:>8s} {:>8s}  {}".format(
+                "run", "view", "wall_s", "cpu_s", "phase"
             )
         )
         for row in costs:
             lines.append(
-                "  {:<12s} {:<18s} {:<10s} {:>8.3f} {:>8.3f}  {}".format(
+                "  {:<12s} {:<18s} {:>8.3f} {:>8.3f}  {}".format(
                     str(row.get("run", ""))[:12],
                     str(row.get("view", ""))[:18],
-                    str(row.get("variant", ""))[:10],
                     float(row.get("wall_s", 0.0)),
                     float(row.get("cpu_s", 0.0)),
                     row.get("dominant_phase", ""),

@@ -184,8 +184,8 @@ def hotmx_off_columns(cache_file: str) -> list:
         raw = handle.read()
     columns, offset = [], _FILE_HEADER.size
     while offset < len(raw):
-        name_len, variant_len, _, n, ports, matrices = _STATE_HEADER.unpack_from(raw, offset)
-        offset += _STATE_HEADER.size + name_len + variant_len
+        name_len, _, n, ports, matrices = _STATE_HEADER.unpack_from(raw, offset)
+        offset += _STATE_HEADER.size + name_len
         for name, dtype in _COLUMNS:
             if name == "off":
                 columns.append((offset, np.frombuffer(raw, dtype, n, offset)))

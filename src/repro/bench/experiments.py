@@ -365,9 +365,11 @@ def fig26_batched_query_throughput(
     """Extension figure: per-query latency, one-pair API vs the batched engine.
 
     Not part of the paper — it quantifies the serving-layer caching this
-    reproduction adds on top of the decoding predicate.  The space-efficient
-    variant benefits the most: its per-query graph searches are view-constant
-    and collapse into the engine's per-view memo.
+    reproduction adds on top of the decoding predicate.  The engine serves
+    views, so it is timed once; each variant's row times one pass of the
+    one-pair ``FVLScheme.depends`` over that variant's label against it.  The
+    space-efficient variant gains the most: its per-query graph searches are
+    what the engine's one decoded state never repeats.
     """
     workload = workload or prepare_bioaid()
     derivation, labeler = workload.labeled_run(run_size, 0)
@@ -376,6 +378,13 @@ def fig26_batched_query_throughput(
     pairs = sample_query_pairs(items, n_queries, seed=seed)
     engine = QueryEngine(workload.scheme)
     engine.add_run("default", derivation)
+    # Steady-state serving throughput: the first batch fills the decode
+    # cache (view state, path groups), the timed one measures the amortized
+    # path.
+    engine.depends_batch(pairs, view)
+    start = time.perf_counter()
+    engine.depends_batch(pairs, view)
+    batched_us = (time.perf_counter() - start) / len(pairs) * 1e6
     table = ResultTable(
         "Figure 26 - batched engine query time (us per query)",
         ["variant", "single_us", "batched_us", "speedup"],
@@ -391,13 +400,6 @@ def fig26_batched_query_throughput(
         for d1, d2 in pairs:
             workload.scheme.depends(labeler.label(d1), labeler.label(d2), view_label)
         single_us = (time.perf_counter() - start) / len(pairs) * 1e6
-        # Steady-state serving throughput: the first batch fills the decode
-        # cache (view state, production memos, path groups), the timed one
-        # measures the amortized path.
-        engine.depends_batch(pairs, view, variant=variant)
-        start = time.perf_counter()
-        engine.depends_batch(pairs, view, variant=variant)
-        batched_us = (time.perf_counter() - start) / len(pairs) * 1e6
         table.add_row(
             variant.value,
             round(single_us, 2),

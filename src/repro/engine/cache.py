@@ -1,14 +1,11 @@
 """Engine-side caches: the byte-budgeted view-state LRU and what it holds.
 
 The state is split along the line the paper draws.  :class:`StaticViewState`
-is the view's *static label* plus what is a function of
-``(grammar, view, variant)`` only: the
-:class:`~repro.engine.kernel.MatrixBank` the decode kernel multiplies from,
-which gathers ``I``/``O``/``Z`` out of the body closures
-:meth:`DecodedViewState.closure` hands out, and — for the space-efficient
-variant, whose label keeps nothing but ``lambda*`` — one closure per
-production body, so a body is closed once and not once per access; the engine
-builds it once per registered view and keeps it for good.
+is the view's *static label* plus what is a function of ``(grammar, view)``
+only: the :class:`~repro.engine.kernel.MatrixBank` the decode kernel
+multiplies from, which gathers ``I``/``O``/``Z`` out of the body closures
+:meth:`DecodedViewState.closure` hands out; the engine builds it once per
+registered view and keeps it for good.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, visibility flags — and is what
 :class:`LRUCache` holds and evicts; rebuilding one costs kernel passes over
@@ -16,8 +13,7 @@ the surviving static part, never a relabelling.
 
 **One byte budget** bounds all of it, and this module is the one place that
 knows the policy.  Sizes are sums of array sizes, kept as running sums where
-bytes change (the space-efficient production closures, at most one per
-production, are walked).  Static parts are counted — the label's closures and
+bytes change.  Static parts are counted — the label's closures and
 copies included — and never evicted.  After a batch the engine has the LRU
 :meth:`~LRUCache.settle` the state it used: least-recently-used *other*
 per-run states go until the total fits.  The state in use is never evicted
@@ -35,9 +31,8 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.analysis.reachability import ClosureSlices
 from repro.core.pair_table import EMPTY, PairTable
-from repro.core.view_label import FVLVariant, ViewLabel
+from repro.core.view_label import ViewLabel
 from repro.engine.kernel import MatrixBank
 
 __all__ = [
@@ -69,7 +64,7 @@ class LRUCache:
     """The thread-safe LRU of per-run view states, bounded in bytes.
 
     ``max_bytes`` is the budget over the static parts in ``statics`` (the
-    engine's ``(view, variant) -> StaticViewState`` dict: counted, never
+    engine's ``view name -> StaticViewState`` dict: counted, never
     evicted) plus the per-run states held here.  Lookups only account hits
     and misses and move recency; eviction happens in :meth:`settle`.
 
@@ -192,26 +187,21 @@ class LRUCache:
 
 
 class StaticViewState:
-    """The run-independent half of a decoded view: one per ``(view, variant)``.
+    """The run-independent half of a decoded view: one per view.
 
-    Holds the static label itself, the bank the decode kernel gathers its
-    factors into, and (space-efficient variant) the closure of every body the
-    bank has read.  The engine interns one instance per registered
-    ``(view, variant)`` and never evicts it: the label (its closures and the
-    copies read out of them) and the production memo are bounded by the
-    grammar, and what queried labels can grow without bound (the bank's chain
-    products) only grows while the engine's byte budget has room.  No key
+    Holds the static label itself and the bank the decode kernel gathers its
+    factors into.  The engine interns one instance per registered view and
+    never evicts it: the label (its closures and the copies read out of
+    them) is bounded by the grammar, and what queried labels can grow
+    without bound (the bank's chain products) only grows while the engine's
+    byte budget has room.  No key
     here mentions an arena or a run, so run churn cannot leak into it.
     """
 
-    __slots__ = ("label", "productions", "bank", "settled")
+    __slots__ = ("label", "bank", "settled")
 
     def __init__(self, label: ViewLabel) -> None:
         self.label = label
-        #: production ``k`` -> the closure of its body, with its slices
-        #: (space-efficient variant only: one graph search per production, not
-        #: per access).  Bounded by the grammar, so weighed by a walk.
-        self.productions: dict[int, ClosureSlices] = {}
         #: The view's matrices as one float32 stack with a class per matrix,
         #: resolved on first use: what the decode kernel classifies and
         #: gathers its factors from.
@@ -221,20 +211,19 @@ class StaticViewState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays held: the label's, the bank's and the production memo's."""
-        productions = sum(slices.nbytes for slices in list(self.productions.values()))
-        return self.label.nbytes + self.bank.nbytes + productions
+        """Bytes of the arrays held: the label's and the bank's."""
+        return self.label.nbytes + self.bank.nbytes
 
     def __len__(self) -> int:
-        """Memo entries held (the label itself is not counted)."""
-        return len(self.productions) + len(self.bank)
+        """Bank entries held (the label itself is not counted)."""
+        return len(self.bank)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StaticViewState(view={self.label.view.name!r}, {len(self)} memo entries)"
+        return f"StaticViewState(view={self.label.view.name!r}, {len(self)} bank entries)"
 
 
 class DecodedViewState:
-    """What the LRU holds: the per-run decode state of one ``(view, variant)``, weighed in bytes.
+    """What the LRU holds: the per-run decode state of one view, weighed in bytes.
 
     Two kinds of entry live here, both keyed by arena (a path-id namespace)
     and living and dying with this LRU entry:
@@ -346,21 +335,11 @@ class DecodedViewState:
         """The body closure of production ``k``, or ``None`` if the view does not retain it.
 
         What the :class:`~repro.engine.kernel.MatrixBank` gathers ``I``/``O``/``Z``
-        from: the label's own closure, or the space-efficient variant's
-        production memo (one graph search per production).
+        from: the label's own closure.
         """
         if k not in self.label.retained_productions:
             return None
-        if self.label.variant is not FVLVariant.SPACE_EFFICIENT:
-            return self.label.closure_slices(k).closure
-        slices = self.static.productions.get(k)
-        if slices is None:
-            # A racing second search loses: the first closure stored is kept.
-            slices = self.static.productions.setdefault(k, self.label.closure_slices(k))
-        return slices.closure
+        return self.label.closure_slices(k).closure
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DecodedViewState(view={self.label.view.name!r}, "
-            f"variant={self.label.variant.value})"
-        )
+        return f"DecodedViewState(view={self.label.view.name!r})"

@@ -12,25 +12,24 @@ reachability queries in batches:
 A batch's answer is one ``(n,)`` ``bool`` array in input order.
 ``depends`` and ``is_visible`` are one-line single-query wrappers over the
 two that return a Python ``bool``; a workload spanning several runs or views
-is one batch call per ``(run, view, variant)`` group.
+is one batch call per ``(run, view)`` group.
 
 This module keeps registration, shard lifecycle, view-state caching and
 stats; how a batch is evaluated — one gather, one group-by-path-pair
-pipeline for every batch size, store state and variant — is
-:mod:`repro.engine.evaluate`.  A ``variant`` is one of the paper's three
-:class:`~repro.core.view_label.FVLVariant` materialisations (or its string
-value), turned into the enum once on entry; the matrix-free encoding of
-Section 6.4 stays a core-level label (:mod:`repro.core.matrix_free`) the
-engine does not serve from.
+pipeline for every batch size and store state — is
+:mod:`repro.engine.evaluate`.  The engine serves views: each is labelled
+once, with the paper's default materialisation, whose label keeps the body
+closures the decode kernel gathers from.  The paper's other view-label
+trade-offs and the matrix-free encoding of Section 6.4 stay core-level
+labels (:mod:`repro.core`) the engine does not serve from.
 
-Three layers of caching amortize the per-view decode work that the one-pair
+Two layers of caching amortize the per-view decode work that the one-pair
 ``FVLScheme.depends`` API repeats on every call:
 
 1. **View interning** — a view is labelled statically, once, on its first
-   use: the :class:`ViewLabel` and what depends only on
-   ``(grammar, view, variant)`` (the space-efficient variant's production
-   closures, the matrix bank with its classes and recursion chain products)
-   form a :class:`~repro.engine.cache.StaticViewState` kept for as long as
+   use: the :class:`ViewLabel` and what depends only on ``(grammar, view)``
+   (the matrix bank with its classes and recursion chain products) form a
+   :class:`~repro.engine.cache.StaticViewState` kept for as long as
    the engine lives.  What depends on a run — the pair tables of decisions keyed
    by path ids, visibility flags — is a
    :class:`~repro.engine.cache.DecodedViewState` over that static part, held
@@ -39,16 +38,10 @@ Three layers of caching amortize the per-view decode work that the one-pair
    policy) — so every view a deployment serves stays resident until the
    bytes, not a view count, say otherwise; an evicted view's next query
    rebuilds the per-run half with kernel passes and never relabels;
-2. **Production memoization** — the space-efficient variant's on-demand graph
-   searches run once per production instead of once per matrix access;
-3. **Path grouping** — every distinct pair of parse-tree paths is decided
+2. **Path grouping** — every distinct pair of parse-tree paths is decided
    once (a verdict for all its ports or a reachability matrix, by the stacked
    decode kernel) and remembered in a sorted pair table; every query pair
    sharing the paths is one probe and one entry lookup.
-
-The combination makes the space-efficient variant's batched path perform
-within a small constant factor of the fully materialised variants (the
-one-pair API leaves it 30–40x behind).
 
 Shards come in two flavours: **labelled** runs ingested live into the
 engine's shared path arena (:meth:`QueryEngine.add_run`), and **attached**
@@ -73,13 +66,11 @@ import numpy as np
 
 from repro.core.run_labeler import RunLabeler
 from repro.core.scheme import FVLScheme
-from repro.core.view_label import FVLVariant
 from repro.core.visibility import path_visibility, visible_batch
 from repro.engine.cache import CacheStats, DecodedViewState, LRUCache, StaticViewState
 from repro.engine.evaluate import depends_grouped
 from repro.errors import (
     CorruptionError,
-    DecodingError,
     LabelingError,
     SerializationError,
     ViewError,
@@ -148,8 +139,8 @@ class EngineStats:
     #: from a decoded matrix (or the reference decoder's "none").
     structural_pairs: int = 0
     matrix_pairs: int = 0
-    #: Static view labels built so far (one per ``(view, variant)`` ever
-    #: queried; LRU evictions in ``views`` never add to it).
+    #: Static view labels built so far (one per view ever queried; LRU
+    #: evictions in ``views`` never add to it).
     labels_built: int = 0
 
 
@@ -185,7 +176,6 @@ class QueryEngine:
         source: FVLScheme | WorkflowSpecification | WorkflowGrammar,
         *,
         state_budget_bytes: int = 64 << 20,
-        variant: "FVLVariant | str" = FVLVariant.DEFAULT,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self._scheme = source if isinstance(source, FVLScheme) else FVLScheme(source)
@@ -195,14 +185,12 @@ class QueryEngine:
         self._path_table = PathTable()
         #: ``columns()`` of the shared arena, re-taken once it has grown.
         self._live_trie: dict[str, np.ndarray] = self._path_table.columns()
-        self._variant = self._check_variant(variant)
         self._views: dict[str, WorkflowView] = {}
-        #: ``(view name, variant value)`` -> the view's static label, bank and
-        #: production memo.  Filled on first use (``add_view`` stays
+        #: view name -> the view's static label and bank.  Filled on first use (``add_view`` stays
         #: cheap, an unsafe view raises every time and is never stored) and
         #: kept as long as the view is registered — the view-state LRU below
         #: only holds per-run state built over these.
-        self._statics: dict[tuple[str, str], StaticViewState] = {}
+        self._statics: dict[str, StaticViewState] = {}
         #: Held while a view is labelled, so racing first queries on one view
         #: label it once; never taken once the view's entry exists.
         self._label_lock = threading.Lock()
@@ -244,8 +232,8 @@ class QueryEngine:
         self._next_arena = 0
         self._queries_c = self.metrics.counter(
             "engine_queries_total",
-            "queries answered, labeled by (run, view, variant, op)",
-            ("run", "view", "variant", "op"),
+            "queries answered, labeled by (run, view, op)",
+            ("run", "view", "op"),
         )
         self._batches_c = self.metrics.counter(
             "engine_batches_total", "depends batches evaluated"
@@ -261,9 +249,7 @@ class QueryEngine:
             "engine_batch_seconds", "wall time per engine batch", ("op",)
         )
         self._labels_c = self.metrics.counter(
-            "engine_view_labels_total",
-            "static view labels built (once per view and variant)",
-            ("variant",),
+            "engine_view_labels_total", "static view labels built (once per view)"
         )
         self._label_seconds = self.metrics.histogram(
             "engine_view_label_seconds", "wall time per static view labelling"
@@ -517,10 +503,9 @@ class QueryEngine:
         view: "WorkflowView | str",
         *,
         run: str = DEFAULT_RUN,
-        variant: "FVLVariant | str | None" = None,
     ) -> bool:
         """Single-pair convenience wrapper over :meth:`depends_batch`."""
-        return bool(self.depends_batch([(d1, d2)], view, run=run, variant=variant)[0])
+        return bool(self.depends_batch([(d1, d2)], view, run=run)[0])
 
     def depends_batch(
         self,
@@ -528,7 +513,6 @@ class QueryEngine:
         view: "WorkflowView | str",
         *,
         run: str = DEFAULT_RUN,
-        variant: "FVLVariant | str | None" = None,
     ) -> np.ndarray:
         """Answer ``pairs`` of ``(d1, d2)`` item ids against one view of one run.
 
@@ -541,7 +525,7 @@ class QueryEngine:
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
         shard = self._shard(run)
-        state = self._decoded_state(view, variant)
+        state = self._decoded_state(view)
         return self._evaluate(shard, state, pairs)
 
     def is_visible(
@@ -550,10 +534,9 @@ class QueryEngine:
         view: "WorkflowView | str",
         *,
         run: str = DEFAULT_RUN,
-        variant: "FVLVariant | str | None" = None,
     ) -> bool:
         """Single-item convenience wrapper over :meth:`is_visible_batch`."""
-        return bool(self.is_visible_batch([uid], view, run=run, variant=variant)[0])
+        return bool(self.is_visible_batch([uid], view, run=run)[0])
 
     def is_visible_batch(
         self,
@@ -561,7 +544,6 @@ class QueryEngine:
         view: "WorkflowView | str",
         *,
         run: str = DEFAULT_RUN,
-        variant: "FVLVariant | str | None" = None,
     ) -> np.ndarray:
         """Visibility (Section 5) of many items in one view of one run.
 
@@ -577,7 +559,7 @@ class QueryEngine:
         if not isinstance(uids, np.ndarray):
             uids = list(uids)
         shard = self._shard(run)
-        state = self._decoded_state(view, variant)
+        state = self._decoded_state(view)
         self._note_queries(shard, state, "visible", len(uids))
         t0 = time.perf_counter()
         try:
@@ -606,26 +588,21 @@ class QueryEngine:
         """The :class:`MappedRunStore` behind an attached shard (else ``None``)."""
         return self._shard(run_id).mapped
 
-    def decoded_state(
-        self,
-        view: "WorkflowView | str",
-        variant: "FVLVariant | str | None" = None,
-    ) -> DecodedViewState:
-        """The (LRU-interned) decoded state of one ``(view, variant)`` pair.
+    def decoded_state(self, view: "WorkflowView | str") -> DecodedViewState:
+        """The (LRU-interned) decoded state of one view.
 
         Public so the serving layer can warm a state's pair tables (the
         persistent hot-matrix cache seeds an arena's table through
         :meth:`DecodedViewState.admit`) without issuing a query first.  The
-        first call for a view labels it; the label, the bank and the
-        production memo (``state.static``) outlive the returned object's stay
-        in the LRU.
+        first call for a view labels it; the label and the bank
+        (``state.static``) outlive the returned object's stay in the LRU.
         """
-        return self._decoded_state(view, variant)
+        return self._decoded_state(view)
 
-    def decoded_states(self) -> dict[tuple[str, str], DecodedViewState]:
+    def decoded_states(self) -> dict[str, DecodedViewState]:
         """A snapshot of the currently interned decoded view states.
 
-        Keys are ``(view_name, variant.value)``; iteration order is LRU (least
+        Keys are view names; iteration order is LRU (least
         recent first).  Snapshot semantics: concurrent queries may intern or
         evict states while the caller walks it.
         """
@@ -663,8 +640,7 @@ class QueryEngine:
         """Count ``n`` queries of ``op`` on the shard's tally and the labelled family."""
         with self._lock:
             shard.queries += n
-        label = state.label
-        self._queries_c.labels(shard.run_id, label.view.name, label.variant.value, op).inc(n)
+        self._queries_c.labels(shard.run_id, state.label.view.name, op).inc(n)
 
     # -- internals --------------------------------------------------------------------------
 
@@ -674,8 +650,7 @@ class QueryEngine:
         Arena 0 is the engine's shared trie — its ids stay meaningful across
         shard churn, so only private arenas are purged.  Only the LRU's
         per-run states can hold such entries: the static part of a view
-        (the label, the bank's codes and the production memo) mentions no
-        arena and is left alone.  Each state gives the arena's bytes back
+        (the label and the bank's codes) mentions no arena and is left alone.  Each state gives the arena's bytes back
         exactly.
         """
         if arena == 0:
@@ -718,29 +693,15 @@ class QueryEngine:
                 f"(known views: {sorted(self._views) or 'none'})"
             ) from None
 
-    @staticmethod
-    def _check_variant(variant: "FVLVariant | str") -> FVLVariant:
-        """The one place a caller's (or the wire's) variant becomes an ``FVLVariant``."""
-        try:
-            return FVLVariant(variant)
-        except ValueError:
-            accepted = ", ".join(repr(member.value) for member in FVLVariant)
-            raise DecodingError(
-                f"unknown labeling variant {variant!r} (accepted: {accepted})"
-            ) from None
-
-    def _decoded_state(
-        self, view: "WorkflowView | str", variant: "FVLVariant | str | None"
-    ) -> DecodedViewState:
+    def _decoded_state(self, view: "WorkflowView | str") -> DecodedViewState:
         view = self._resolve_view(view)
-        variant = self._check_variant(variant or self._variant)
         return self._states.get_or_create(
-            (view.name, variant.value),
-            lambda: DecodedViewState(self._static_state(view, variant), self._states.room),
+            view.name,
+            lambda: DecodedViewState(self._static_state(view), self._states.room),
         )
 
-    def _static_state(self, view: WorkflowView, variant: FVLVariant) -> StaticViewState:
-        """The interned static label of ``(view, variant)``, labelled on first use.
+    def _static_state(self, view: WorkflowView) -> StaticViewState:
+        """The interned static label of ``view``, labelled on first use.
 
         Interned here and not in :meth:`FVLScheme.label_view`, which keeps
         labelling from scratch (it is what the paper's view-labelling
@@ -748,19 +709,18 @@ class QueryEngine:
         the labeller and leaves nothing behind, so every later query on it
         raises the same error.
         """
-        key = (view.name, variant.value)
-        static = self._statics.get(key)
+        static = self._statics.get(view.name)
         if static is not None:
             return static
         with self._label_lock:
-            static = self._statics.get(key)
+            static = self._statics.get(view.name)
             if static is None:
                 t0 = time.perf_counter()
-                with trace_span("engine.label_view", view=view.name, variant=variant.value):
-                    label = self._scheme.label_view(view, variant)
+                with trace_span("engine.label_view", view=view.name):
+                    label = self._scheme.label_view(view)
                 self._label_seconds.observe(time.perf_counter() - t0)
-                self._labels_c.labels(variant.value).inc()
-                static = self._statics[key] = StaticViewState(label)
+                self._labels_c.inc()
+                static = self._statics[view.name] = StaticViewState(label)
         return static
 
     def _evaluate(

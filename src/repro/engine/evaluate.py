@@ -30,7 +30,7 @@ evaluated the same way, as whole-array operations from gather to answer:
 The array that scatter filled is the answer: an ``(n,)`` ``bool`` array in
 pairs order, handed up through the engine, the scheduler and the wire as is.
 A warm batch executes no Python per pair or per group, boundary pairs
-included.  Every variant the engine accepts takes this pipeline; a coarse
+included.  Every view the engine serves takes this pipeline; a coarse
 view's uniform matrices are settled by the kernel as verdict rows, which is
 what the paper's matrix-free encoding (:mod:`repro.core.matrix_free`, kept at
 core level and held to the engine by the test tree) precomputes.

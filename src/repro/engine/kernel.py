@@ -116,7 +116,7 @@ class _PortColumns:
     trail from ``(k, j)`` — as :class:`~repro.analysis.reachability.ClosureSlices`
     slices them out of each production's
     :class:`~repro.analysis.reachability.PortLayout`.  Built once per grammar,
-    in whole-array steps, and shared by every scheme, view and variant.
+    in whole-array steps, and shared by every scheme and view.
     """
 
     def __init__(self, index) -> None:
@@ -169,7 +169,7 @@ _PORT_COLUMNS = weakref.WeakKeyDictionary()
 
 
 class MatrixBank:
-    """The matrices of one ``(view, variant)`` as a float32 stack addressed by code.
+    """The matrices of one view as a float32 stack addressed by code.
 
     A *key* names a factor of Algorithm 2 — ``I(k, i)``, ``O(k, i)``,
     ``Z(k, i, j)`` or a recursion chain product ``(function, s, t, count)``
@@ -181,9 +181,8 @@ class MatrixBank:
     grammar is ~4,000 matrices per view, most of them ``Z(k, i, j)`` no query
     reads.  The ``I``/``O``/``Z`` keys a batch brings are resolved together
     by :meth:`_gather`, one fancy index into the body closures the decoded
-    view state hands out (:meth:`~repro.engine.cache.DecodedViewState.closure`:
-    the label's own, or the space-efficient variant's production memo); a
-    key is undefined exactly where the label's accessors raise, and a key
+    view state hands out (:meth:`~repro.engine.cache.DecodedViewState.closure`,
+    the label's own); a key is undefined exactly where the label's accessors raise, and a key
     that reads an undefined code goes to the reference decoder on the plain
     label, which raises the accessor's error.  The chain
     products of one ``(function, s, t)`` are one running product

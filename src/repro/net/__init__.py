@@ -2,7 +2,7 @@
 
 ``repro.net`` puts a wire in front of :class:`repro.serve.ProvenanceServer`
 — a length-prefixed binary frame protocol over unix or TCP sockets where one
-client frame carries one ``(run, view, variant)``-keyed query batch and
+client frame carries one ``(run, view)``-keyed query batch and
 comes back as bit-packed booleans.  See :mod:`repro.net.protocol` for the
 frame layout, :class:`ProvenanceNetServer` for the event-loop server with
 admission control (SHED, not blocking) and per-connection fairness, and

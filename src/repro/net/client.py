@@ -402,8 +402,7 @@ class ProvenanceClient:
             return None
         return (self._trace_base + next(self._trace_seq)) % (1 << 64)
 
-    def depends_batch(self, pairs, view: str, *, run: str = DEFAULT_RUN,
-                      variant=None) -> np.ndarray:
+    def depends_batch(self, pairs, view: str, *, run: str = DEFAULT_RUN) -> np.ndarray:
         """Answer ``depends`` for every ``(d1, d2)`` pair in one frame.
 
         Returns the reply's ``(n,)`` bool array, lined up with ``pairs``.
@@ -411,19 +410,15 @@ class ProvenanceClient:
         ids = np.asarray(pairs, dtype=np.int64)
         if ids.size == 0:
             return np.zeros(0, dtype=bool)
-        variant_key = getattr(variant, "value", variant)
         trace_id = self._next_trace_id()
         reply = self._ask(
-            lambda rid: encode_depends_request(
-                rid, run, view, variant_key, ids, trace_id=trace_id
-            ),
+            lambda rid: encode_depends_request(rid, run, view, None, ids, trace_id=trace_id),
             AnswersReply,
             len(ids),
         )
         return reply.answers
 
-    def is_visible_batch(self, uids, view: str, *, run: str = DEFAULT_RUN,
-                         variant=None) -> np.ndarray:
+    def is_visible_batch(self, uids, view: str, *, run: str = DEFAULT_RUN) -> np.ndarray:
         """Answer ``is_visible`` for every uid in one frame.
 
         Returns the reply's ``(n,)`` bool array, lined up with ``uids``.
@@ -431,12 +426,9 @@ class ProvenanceClient:
         ids = np.asarray(uids, dtype=np.int64)
         if ids.size == 0:
             return np.zeros(0, dtype=bool)
-        variant_key = getattr(variant, "value", variant)
         trace_id = self._next_trace_id()
         reply = self._ask(
-            lambda rid: encode_visible_request(
-                rid, run, view, variant_key, ids, trace_id=trace_id
-            ),
+            lambda rid: encode_visible_request(rid, run, view, None, ids, trace_id=trace_id),
             AnswersReply,
             len(ids),
         )
@@ -465,15 +457,13 @@ class ProvenanceClient:
 
     # -- singleton API ---------------------------------------------------------
 
-    def depends(self, d1: int, d2: int, view: str, *, run: str = DEFAULT_RUN,
-                variant=None) -> bool:
+    def depends(self, d1: int, d2: int, view: str, *, run: str = DEFAULT_RUN) -> bool:
         """One dependency probe, sent as a 1-pair ``depends_batch`` frame."""
-        return bool(self.depends_batch([(d1, d2)], view, run=run, variant=variant)[0])
+        return bool(self.depends_batch([(d1, d2)], view, run=run)[0])
 
-    def is_visible(self, uid: int, view: str, *, run: str = DEFAULT_RUN,
-                   variant=None) -> bool:
+    def is_visible(self, uid: int, view: str, *, run: str = DEFAULT_RUN) -> bool:
         """One visibility probe, sent as a 1-uid ``is_visible_batch`` frame."""
-        return bool(self.is_visible_batch([uid], view, run=run, variant=variant)[0])
+        return bool(self.is_visible_batch([uid], view, run=run)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         target = self._unix_path if self._unix_path is not None else self._address

@@ -3,7 +3,7 @@
 The serving layer's throughput lives on the engine's vectorised batch calls,
 so the wire must not dissolve batches back into per-query messages (or
 per-query JSON parsing).  One frame carries one *batch* keyed by
-``(run, view, variant)``:
+``(run, view)``:
 
 ```
 frame     := <u32 payload-length> <payload>
@@ -21,8 +21,10 @@ metrics   := <u8 0x85> <u32 request-id> <u32 text-len> <text utf-8>
 ```
 
 ``depends`` payload ids are ``(d1, d2)`` pairs flattened row-major;
-``visible`` payloads are plain uid arrays.  An empty ``variant`` string
-means "the server's default variant".  Answers come back as bit-packed
+``visible`` payloads are plain uid arrays.  The server serves views: the
+``variant`` field must be empty, and a frame that names one is refused
+with a ``DecodingError`` reply (the field stays in the layout so existing
+encoders keep their signatures).  Answers come back as bit-packed
 booleans (``numpy.packbits`` order), so a 4096-query response body is 512
 bytes: the server packs the engine's bool array and the client unpacks it
 into one ``(n,)`` bool array, with no object per bit on either side.  Every
@@ -31,7 +33,7 @@ after a request's id array.  The only JSON on the wire is the stats/health
 endpoint — cold path, human-shaped data.  Its payload doubles as the health surface: top-level
 ``status`` is ``"ok"`` or (when the server's watchdog has SLOs firing)
 ``"degraded"``, ``alerts`` lists the firing SLOs, and ``top_costs`` ranks
-the costliest (run, view, variant) groups of the ``cost_seconds_total``
+the costliest (run, view) groups of the ``cost_seconds_total``
 counters in the same registry snapshot (sampled wall and CPU seconds, the
 dominant phase; :func:`repro.obs.trace.top_costs`) — no new opcode, so old
 clients keep decoding the reply and simply ignore the extra keys.
@@ -133,7 +135,7 @@ class QueryRequest:
     request_id: int
     run: str
     view: str
-    variant: "str | None"  # None = the server's default
+    variant: "str | None"  # None = empty; the server refuses any other
     ids: np.ndarray  # (n, 2) int64 pairs for depends, (n,) uids for visible
     #: 64-bit trace id when the client opted into tracing (``None`` = no id
     #: on the wire; the server may still start a trace of its own).

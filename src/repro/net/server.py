@@ -39,7 +39,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro import faults
-from repro.core import FVLVariant
 from repro.errors import SerializationError
 from repro.faults import InjectedFault
 from repro.net.protocol import (
@@ -473,6 +472,14 @@ class ProvenanceNetServer:
         self._admit(conn, request)
 
     def _admit(self, conn: _Connection, request: QueryRequest) -> None:
+        if request.variant is not None:
+            # The frame layout keeps its variant field for existing encoders;
+            # the server serves views, so a frame that names a variant is
+            # refused before any record (or metric series) exists for it.
+            self._count("errors")
+            message = "this server serves views: a query frame's variant field must be empty"
+            self._send(conn, encode_error(request.request_id, "DecodingError", message))
+            return
         kind = "depends" if request.op == OP_DEPENDS else "visible"
         n = len(request.ids)
         # The wire's strings are not validated yet and a metric label lives as
@@ -482,28 +489,16 @@ class ProvenanceNetServer:
         engine = self._server.engine
         run = request.run if request.run in engine.run_ids else UNKNOWN
         view = request.view if request.view in engine.view_names else UNKNOWN
-        variant = request.variant  # None: the server's default
-        if variant is not None:
-            try:
-                variant = FVLVariant(variant)
-            except ValueError:
-                variant = UNKNOWN
         # One record per frame; a wire trace id makes it samplable.  Every
         # exit below finishes it exactly once.
         sampler = self._server.sampler
-        record = sampler.open(request.trace_id, kind, run, view, variant, n)
+        record = sampler.open(request.trace_id, kind, run, view, n)
         try:
             future = self._server.submit_batch(
-                kind,
-                request.ids,
-                request.view,
-                run=request.run,
-                variant=request.variant,
-                block=False,
-                trace=record.context,
+                kind, request.ids, request.view, run=request.run, block=False, trace=record.context
             )
         except Exception as exc:
-            # Oversized batch, stopped scheduler, bad variant: the frame is
+            # Oversized batch, stopped scheduler, unknown view: the frame is
             # unanswerable, the connection (and the loop) live on.
             self._count("errors")
             sampler.finish(record, error=True)

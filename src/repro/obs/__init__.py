@@ -13,7 +13,7 @@ Three cooperating pieces, each usable alone:
   deterministically, and at finish observes its latency, keeps it (reason
   ``error`` / ``shed`` / ``slow`` / ``head``) in one byte-bounded ring or
   drops it, and folds a sampled request's span self-times into the
-  per-(run, view, variant, phase) cost counters.
+  per-(run, view, phase) cost counters.
 * :mod:`repro.obs.events` — a structured JSONL event log with bounded
   rotation, reached through a module-global ``emit()`` that is a no-op until
   an :class:`~repro.obs.events.EventLog` is installed (the same pattern as

@@ -19,7 +19,7 @@ Design constraints, in the order they shaped the code:
   a Python loop.
 
 Families are keyed by a tuple of label *values* matching the family's
-declared label *names* — the serving stack uses ``(run, view, variant, op)``.
+declared label *names* — the serving stack uses ``(run, view, op)``.
 A family declared with no label names acts as its own single child, so
 ``registry.counter("x").inc()`` works without a ``labels()`` hop.
 """

@@ -21,7 +21,7 @@ about the request:
   (``hash(id) < rate · 2^64`` with a Fibonacci multiplier), so a given id
   samples identically on every tier and no RNG runs on the hot path; a
   sampled request carries a :class:`Trace` rooted at a ``net.frame`` span;
-* **latency** at finish — ``tail_request_seconds{op,view,variant}``;
+* **latency** at finish — ``tail_request_seconds{op,view}``;
 * **the keep decision** at finish, with the outcome in hand: the first of
   ``error``, ``shed``, ``slow`` (at or above the key's live p95 bucket's
   *lower* edge — an under-estimate, so a true slowest-1% request cannot
@@ -31,7 +31,7 @@ about the request:
   bytes; a fast, unsampled, healthy request touches no ring;
 * **cost attribution** at finish, for a head-sampled unshed request: span
   self-times fold into ``cost_seconds_total`` / ``cost_cpu_seconds_total``
-  ``{run,view,variant,phase}`` so that the phases partition the root's
+  ``{run,view,phase}`` so that the phases partition the root's
   wall (:func:`phase_costs`); :func:`top_costs` ranks groups from one
   registry snapshot.
 
@@ -83,9 +83,9 @@ RING_MAX_BYTES = 1 << 20
 PERCENTILE = 0.95
 WARMUP = 128
 REFRESH_EVERY = 64
-#: Distinct (run, view, variant) cost groups; later ones bill to UNKNOWN.
+#: Distinct (run, view) cost groups; later ones bill to UNKNOWN.
 MAX_COST_GROUPS = 128
-#: The metric-label value of a run, view or variant the engine does not know.
+#: The metric-label value of a run or view the engine does not know.
 UNKNOWN = "(unknown)"
 
 #: Span name -> cost phase.  Unknown span names bill to their dotted prefix.
@@ -326,7 +326,7 @@ def phase_costs(spans) -> dict[str, list]:
 
 
 def top_costs(snapshot: dict, n: int = 5) -> list[dict]:
-    """The ``n`` costliest ``(run, view, variant)`` groups of one registry snapshot.
+    """The ``n`` costliest ``(run, view)`` groups of one registry snapshot.
 
     Per group: sampled wall and CPU seconds over all phases and the phase
     that dominates the wall (never ``queue_wait``: waiting is not work).
@@ -334,16 +334,15 @@ def top_costs(snapshot: dict, n: int = 5) -> list[dict]:
     cpu = snapshot.get("cost_cpu_seconds_total", {})
     groups: dict[tuple, list] = {}  # group -> [wall, cpu, dominant phase, its wall]
     for key, wall in snapshot.get("cost_seconds_total", {}).items():
-        cell = groups.setdefault(key[:3], [0.0, 0.0, "", -1.0])
+        cell = groups.setdefault(key[:2], [0.0, 0.0, "", -1.0])
         cell[0] += wall
         cell[1] += cpu.get(key, 0.0)
-        if key[3] != QUEUE_WAIT and wall > cell[3]:
-            cell[2], cell[3] = key[3], wall
+        if key[2] != QUEUE_WAIT and wall > cell[3]:
+            cell[2], cell[3] = key[2], wall
     ranked = sorted(groups.items(), key=lambda item: -item[1][0])[:n]
     return [
-        {"run": run, "view": view, "variant": variant, "wall_s": wall,
-         "cpu_s": cpu_s, "dominant_phase": phase}
-        for (run, view, variant), (wall, cpu_s, phase, _) in ranked
+        {"run": run, "view": view, "wall_s": wall, "cpu_s": cpu_s, "dominant_phase": phase}
+        for (run, view), (wall, cpu_s, phase, _) in ranked
     ]
 
 
@@ -355,16 +354,15 @@ class Request:
     ``wall_s`` and ``nbytes`` only once :meth:`Sampler.finish` kept it.
     """
 
-    __slots__ = ("trace_id", "op", "run", "view", "variant", "n", "t0",
+    __slots__ = ("trace_id", "op", "run", "view", "n", "t0",
                  "trace", "root", "context", "reason", "wall_s", "nbytes")
 
     def __init__(self, trace_id: int, op: str, run: str, view: str,
-                 variant: str, n: int, t0: float) -> None:
+                 n: int, t0: float) -> None:
         self.trace_id = trace_id
         self.op = op
         self.run = run
         self.view = view
-        self.variant = variant
         self.n = n
         self.t0 = t0
         self.trace: Trace | None = None
@@ -377,7 +375,7 @@ class Request:
     def to_dict(self) -> dict:
         record = {
             "trace_id": self.trace_id, "op": self.op, "run": self.run,
-            "view": self.view, "variant": self.variant, "n": self.n,
+            "view": self.view, "n": self.n,
             "wall_s": self.wall_s, "reason": self.reason,
         }
         if self.trace is not None:
@@ -404,20 +402,20 @@ class Sampler:
             "trace_sampled_total", "requests that carried spans")
         self._hist = metrics.histogram(
             "tail_request_seconds", "request wall time from open to finish",
-            ("op", "view", "variant"))
+            ("op", "view"))
         self._considered_c = metrics.counter(
             "tail_considered_total", "requests finished")
         self._kept_c = metrics.counter(
             "tail_kept_total", "requests kept in the ring, by reason", ("reason",))
         self._evicted_c = metrics.counter(
             "tail_evicted_total", "kept requests evicted from the bounded ring")
-        labels = ("run", "view", "variant", "phase")
+        labels = ("run", "view", "phase")
         self._wall_c = metrics.counter(
             "cost_seconds_total", "sampled wall seconds attributed per phase", labels)
         self._cpu_c = metrics.counter(
             "cost_cpu_seconds_total", "sampled CPU seconds attributed per phase", labels)
         self._lock = threading.Lock()
-        #: (op, view, variant) -> (count at last refresh, slow threshold)
+        #: (op, view) -> (count at last refresh, slow threshold)
         self._thresholds: dict[tuple, tuple[int, float]] = {}
         self._groups: set[tuple] = set()
         self._ring: deque[Request] = deque()
@@ -428,19 +426,18 @@ class Sampler:
         return self._threshold >= _U64 or _mix(trace_id) < self._threshold
 
     def open(self, trace_id: "int | None", op: str, run: str, view: str,
-             variant, n: int) -> Request:
+             n: int) -> Request:
         """Open the record of one request; a wire trace id makes it samplable."""
-        variant = str(getattr(variant, "value", variant))
         sampled = trace_id is not None and self.sampled(trace_id)
         if trace_id is None:
             trace_id = _mix(next(self._ids)) or 1  # exemplars still need an id
-        request = Request(trace_id, op, run, view, variant, n, self._clock())
+        request = Request(trace_id, op, run, view, n, self._clock())
         if sampled:
             self._sampled_c.inc()
             request.trace = Trace(trace_id)
             request.root = request.trace.begin_span(
                 "net.frame",
-                attrs={"op": op, "run": run, "view": view, "variant": variant, "n": n},
+                attrs={"op": op, "run": run, "view": view, "n": n},
             )
             request.context = TraceContext(request.trace, request.root.span_id)
         return request
@@ -451,7 +448,7 @@ class Sampler:
         if request.root is not None:
             request.root.finish()
         wall = self._clock() - request.t0
-        child = self._hist.labels(request.op, request.view, request.variant)
+        child = self._hist.labels(request.op, request.view)
         child.observe(wall)
         self._considered_c.inc()
         if request.trace is not None and not shed:
@@ -489,7 +486,7 @@ class Sampler:
         count = child.count  # one int read; staleness of a few obs is fine
         if count < WARMUP:
             return 0.0
-        key = (request.op, request.view, request.variant)
+        key = (request.op, request.view)
         with self._lock:
             state = self._thresholds.get(key)
             if state is None or count - state[0] >= REFRESH_EVERY:
@@ -498,13 +495,13 @@ class Sampler:
             return state[1]
 
     def _fold(self, request: Request) -> None:
-        group = (request.run, request.view, request.variant)
+        group = (request.run, request.view)
         with self._lock:
             if group not in self._groups:
                 if len(self._groups) < MAX_COST_GROUPS:
                     self._groups.add(group)
                 else:
-                    group = (UNKNOWN, UNKNOWN, UNKNOWN)
+                    group = (UNKNOWN, UNKNOWN)
         for phase, (wall, cpu) in phase_costs(request.trace.spans).items():
             self._wall_c.labels(*group, phase).inc(wall)
             self._cpu_c.labels(*group, phase).inc(cpu)

@@ -6,7 +6,7 @@ them *served*.  :class:`ProvenanceServer` coalesces concurrently-arriving
 one id array each) into the engine's vectorised batch calls with a
 micro-batching scheduler (bounded queue, max-batch + max-linger policy —
 1-query frames linger for company, larger ones do not — per
-``(run, view, variant)`` grouping) and returns futures; a per-run
+``(kind, run, view)`` grouping) and returns futures; a per-run
 generation-probe backoff keeps follower processes mapped
 onto the current compacted generation of every run file
 (:meth:`~repro.engine.QueryEngine.reopen`), and the persistent

@@ -16,7 +16,7 @@ This module persists the hottest decided rows *alongside the run file*
   hit count, ties broken by decision order (the first keys a process decided
   are the ones its successor asks first), keeps the ``max_entries`` hottest
   whose path ids fall inside the file's persisted watermark (a boundary
-  row's ``ABSENT`` side names no path), and writes each ``(view, variant)``'s
+  row's ``ABSENT`` side names no path), and writes each view's
   share as one :meth:`PairTable.take` (atomic replace);
 * :func:`load_hot_matrices` reads each section back with one
   ``np.frombuffer`` per column, checks the columns whole, and merges them with
@@ -25,14 +25,14 @@ This module persists the hottest decided rows *alongside the run file*
   byte budget holds, and the carried-over hit counts let a follower that
   loads and re-saves keep the hot set instead of ranking it at zero.
 
-Layout (format v4, little-endian; the per-entry v1/v2 files and the v3 files
-of decoder rows alone are refused by their version and the attach proceeds
-cold)::
+Layout (format v5, little-endian; the per-entry v1/v2 files, the v3 files
+of decoder rows alone and the v4 files, whose sections named a label
+materialisation beside the view, are refused by their version and the attach proceeds cold)::
 
     file header   magic, version, grammar fingerprint, run-file generation,
                   n_paths watermark, body bytes, CRC32 of the body
-    per section   name bytes, variant bytes, view fingerprint, rows n, ports,
-                  matrices m; the view name and the variant (UTF-8); then
+    per section   name bytes, view fingerprint, rows n, ports, matrices m;
+                  the view name (UTF-8); then
       keys   n x i8   producer path << 32 | consumer path, strictly ascending
                       (ABSENT on a boundary row's missing side)
       rows   n x i4   the matrix's real shape inside its ports x ports block;
@@ -81,7 +81,6 @@ import zlib
 
 import numpy as np
 
-from repro.core import FVLVariant
 from repro.core.pair_table import (
     ABSENT,
     NO_DEPENDENCY,
@@ -106,11 +105,12 @@ __all__ = [
 ]
 
 CACHE_MAGIC = b"FVLHOTMX"
-#: Version 4 is columnar and holds rows of every kind (see the module
-#: docstring); files of versions 1 and 2 (one packed entry per matrix) and 3
-#: (matrix and no-dependency rows only) are refused by their version and the
-#: attach proceeds cold.
-CACHE_VERSION = 4
+#: Version 5 is columnar, holds rows of every kind and keys a section by view
+#: alone (see the module docstring); files of versions 1 and 2 (one packed
+#: entry per matrix), 3 (matrix and no-dependency rows only) and 4 (a label
+#: materialisation per section) are refused by their version and the attach proceeds
+#: cold.
+CACHE_VERSION = 5
 
 #: Default bound on persisted rows, of every kind.  Rows are tiny (~30 bytes
 #: on the BioAID workload, a matrix row's packed block included), so this is
@@ -121,7 +121,7 @@ DEFAULT_HOT_ENTRIES = 4096
 
 # magic, version, fingerprint, generation, n_paths, body bytes, body CRC32
 _FILE_HEADER = struct.Struct("<8sIQQQQI")
-_STATE_HEADER = struct.Struct("<HHQIII")  # name_len, variant_len, view_fp, rows, ports, matrices
+_STATE_HEADER = struct.Struct("<HQIII")  # name_len, view_fp, rows, ports, matrices
 #: A section's per-row columns in file order, by their :class:`PairTable` name.
 _COLUMNS = (
     ("keys", "<i8"),
@@ -197,11 +197,11 @@ def save_hot_matrices(
     # immutable table snapshot — workers may decide new keys while a live
     # server saves.
     candidates = []
-    for (view_name, variant_key), state in engine.decoded_states().items():
+    for view_name, state in engine.decoded_states().items():
         table = state.table(arena)
         at = np.nonzero(_inside(table.keys, info.n_paths))[0]
         at = at[np.argsort(table.order[at], kind="stable")]
-        candidates.append((view_name, variant_key, table, at))
+        candidates.append((view_name, table, at))
     sizes = [at.size for *_, at in candidates]
     hits = np.concatenate([table.hits[at] for *_, table, at in candidates] + [np.empty(0, np.int64)])
     # Hottest first; the sort is stable, so equal hit counts rank by who was
@@ -211,17 +211,17 @@ def save_hot_matrices(
     first = np.cumsum(sizes) - sizes
     body = []
     for section in dict.fromkeys(owner.tolist()):
-        view_name, variant_key, table, at = candidates[section]
+        view_name, table, at = candidates[section]
         chosen = at[hottest[owner == section] - first[section]]
         # The section is the sub-table of the chosen rows, which is sorted by
         # key; where each row stood in the ranking is a column of the file.
         rank = np.argsort(chosen)
         sub = table.take(chosen[rank])
-        names = view_name.encode("utf-8"), variant_key.encode("utf-8")
+        name = view_name.encode("utf-8")
         fingerprint = view_fingerprint(engine.view(view_name))
         matrices = np.count_nonzero(sub.off >= 0)
-        body.append(_STATE_HEADER.pack(*map(len, names), fingerprint, len(sub), sub.ports, matrices))
-        body.extend(names)
+        body.append(_STATE_HEADER.pack(len(name), fingerprint, len(sub), sub.ports, matrices))
+        body.append(name)
         columns = (sub.keys, sub.rows, sub.cols, np.minimum(sub.off, 0), sub.hits, rank)
         body.extend(column.astype(dtype).tobytes() for column, (_, dtype) in zip(columns, _COLUMNS))
         body.append(np.packbits(sub.pool).tobytes())
@@ -317,24 +317,17 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
 
     arena = engine.shard_arena(run_id)
     registered = set(engine.view_names)
-    known_variants = {variant.value for variant in FVLVariant}
     sections, offset = [], _FILE_HEADER.size
     while offset < len(buffer):
-        head = _STATE_HEADER.unpack_from(buffer, offset)
-        name_len, variant_len, view_fp, n, ports, matrices = head
-        names = offset + _STATE_HEADER.size
-        offset = names + name_len + variant_len
-        view_name = buffer[names : names + name_len].decode("utf-8")
-        variant_key = buffer[names + name_len : offset].decode("utf-8")
+        name_len, view_fp, n, ports, matrices = _STATE_HEADER.unpack_from(buffer, offset)
+        name = offset + _STATE_HEADER.size
+        offset = name + name_len
+        view_name = buffer[name:offset].decode("utf-8")
         end = offset + n * _ROW_NBYTES + (matrices * ports * ports + 7) // 8
         if end > len(buffer):
             raise truncated
-        if (
-            view_name in registered
-            and variant_key in known_variants
-            and view_fingerprint(engine.view(view_name)) == view_fp
-        ):
-            state = engine.decoded_state(view_name, variant_key)
+        if view_name in registered and view_fingerprint(engine.view(view_name)) == view_fp:
+            state = engine.decoded_state(view_name)
             if ports != state.static.bank.ports:
                 raise CorruptionError(f"corrupt matrix cache: {ports}-port blocks, not the bank's")
             fresh = _section(buffer, offset, n, ports, matrices, mapped.n_paths)

@@ -1,7 +1,7 @@
 """The query-coalescing provenance server: many clients, batched evaluation.
 
-:class:`~repro.engine.QueryEngine` answers *batches* within a small constant
-factor of the fully materialised variants — but a fleet of concurrent
+:class:`~repro.engine.QueryEngine` answers *batches* with no Python per
+pair — but a fleet of concurrent
 clients naturally issues *small frames* (often one pair), each paying the
 engine's per-call overhead (state interning, shard bookkeeping, the engine
 lock) and, under contention, serialising on it.  :class:`ProvenanceServer`
@@ -20,7 +20,7 @@ micro-batching scheduler:
   does not linger — the timer turns concurrent 1-query frames into a
   batch, and a larger frame already is one — and one arriving mid-linger
   ends it; a frame is never split across steps.  The worker then groups
-  the step per ``(kind, run, view, variant)``, concatenates each group's id
+  the step per ``(kind, run, view)``, concatenates each group's id
   arrays and answers it with a single vectorised ``depends_batch`` /
   ``is_visible_batch`` call, handing every member its slice;
 * after serving a run, the server probes that run's file on a
@@ -164,14 +164,13 @@ class _Request:
     length ``n``.
     """
 
-    __slots__ = ("key", "n", "ids", "view", "variant", "future", "trace")
+    __slots__ = ("key", "n", "ids", "view", "future", "trace")
 
-    def __init__(self, key, n, ids, view, variant, trace) -> None:
-        self.key = key  # (kind, run, view name, variant key)
+    def __init__(self, key, n, ids, view, trace) -> None:
+        self.key = key  # (kind, run, view name)
         self.n = n
         self.ids = ids
         self.view = view
-        self.variant = variant
         self.future: Future = Future()
         #: Optional :class:`~repro.obs.trace.TraceContext` — contextvars do
         #: not follow a request across the queue to a worker thread, so the
@@ -179,9 +178,8 @@ class _Request:
         self.trace: "TraceContext | None" = trace
 
 
-def _request_key(kind: str, view, run: str, variant) -> tuple:
-    view_name = view if isinstance(view, str) else view.name
-    return (kind, run, view_name, getattr(variant, "value", variant))
+def _request_key(kind: str, view, run: str) -> tuple:
+    return (kind, run, view if isinstance(view, str) else view.name)
 
 
 def _safe_set_result(future: Future, value) -> None:
@@ -430,7 +428,6 @@ class ProvenanceServer:
         view,
         *,
         run: str = DEFAULT_RUN,
-        variant=None,
         block: bool = True,
         trace: "TraceContext | None" = None,
     ) -> "Future | None":
@@ -484,8 +481,8 @@ class ProvenanceServer:
         shape = (n, 2) if kind == _DEPENDS else (n,)
         if ids.shape != shape:
             raise ValueError(f"{kind} ids must have shape {shape}, got {ids.shape}")
-        key = _request_key(kind, view, run, variant)
-        return self._enqueue(_Request(key, n, ids, view, variant, trace), block)
+        key = _request_key(kind, view, run)
+        return self._enqueue(_Request(key, n, ids, view, trace), block)
 
     def submit_many(
         self,
@@ -494,7 +491,6 @@ class ProvenanceServer:
         view,
         *,
         run: str = DEFAULT_RUN,
-        variant=None,
         block: bool = True,
         trace: "TraceContext | None" = None,
     ) -> "list[Future] | None":
@@ -509,9 +505,7 @@ class ProvenanceServer:
         """
         if not hasattr(items, "__len__"):
             items = list(items)
-        frame = self.submit_batch(
-            kind, items, view, run=run, variant=variant, block=block, trace=trace
-        )
+        frame = self.submit_batch(kind, items, view, run=run, block=block, trace=trace)
         if frame is None:
             return None
         futures: "list[Future]" = [Future() for _ in range(len(items))]
@@ -849,7 +843,7 @@ class ProvenanceServer:
         engine = self._engine
         call = engine.depends_batch if key[0] == _DEPENDS else engine.is_visible_batch
         try:
-            answers = call(ids, first.view, run=key[1], variant=first.variant)
+            answers = call(ids, first.view, run=key[1])
         finally:
             self._engine_calls_c.inc()
         offset = 0

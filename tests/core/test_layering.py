@@ -1,10 +1,15 @@
-"""The reference layer imports nothing from the serving stack.
+"""The reference layer imports nothing from the serving stack, which serves views.
 
 ``repro.core`` is the paper's labels and decoding predicate; the engine, the
 scheduler, the socket tier, the lifecycle service and telemetry are built on
 top of it.  Every module under ``src/repro/core/`` is parsed (not imported),
 and no import statement in it may name one of those packages, so engine
 state cannot drift back into the reference layer.
+
+The other way round, the serving code — engine, scheduler, socket tier and
+telemetry — serves one label per view: the paper's three labelling
+variants stay in ``repro.core`` and its figures, and no serving module
+imports ``FVLVariant``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import pytest
 import repro.core
 
 CORE = Path(repro.core.__file__).resolve().parent
+SERVING = [CORE.parent / package for package in ("engine", "serve", "net", "obs")]
 #: The packages above the reference layer, each with its dot: a name is one of
 #: them, or a module in one, iff the name plus a dot starts with it.
 FORBIDDEN = ("repro.engine.", "repro.serve.", "repro.net.", "repro.service.", "repro.obs.")
@@ -41,8 +47,20 @@ def test_a_core_module_imports_no_serving_layer(module):
     assert [name for name in imported if f"{name}.".startswith(FORBIDDEN)] == []
 
 
+@pytest.mark.parametrize(
+    "module",
+    sorted(path for package in SERVING for path in package.glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_a_serving_module_imports_no_variant(module):
+    imported = _imported(ast.parse(module.read_text(), filename=str(module)))
+    assert [name for name in imported if name.rsplit(".", 1)[-1] == "FVLVariant"] == []
+
+
 def test_the_check_resolves_what_it_reads():
     assert {"decoder.py", "view_label.py"} <= {path.name for path in CORE.glob("*.py")}
+    assert all((package / "__init__.py").is_file() for package in SERVING)
+    assert _imported(ast.parse("from ..core import FVLVariant"))[-1] == "repro.core.FVLVariant"
     assert _imported(ast.parse("from .. import engine")) == ["repro", "repro.engine"]
     assert _imported(ast.parse("from .decoder import depends")) == [
         "repro.core.decoder",

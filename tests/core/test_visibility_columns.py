@@ -79,11 +79,9 @@ def test_engine_visibility_over_live_and_mapped_shards(bioaid, tmp_path):
     assert engine.is_visible(uids[0], view) == expected[0]
     # Variants only differ in matrix materialisation; visibility is the
     # retained-production test, identical across all of them.
-    assert (
-        engine.is_visible_batch(uids, view, variant=FVLVariant.SPACE_EFFICIENT).tolist()
-        == expected
-    )
-    assert engine.is_visible_batch(uids, view, variant=FVLVariant.QUERY_EFFICIENT).tolist() == expected
+    for variant in (FVLVariant.SPACE_EFFICIENT, FVLVariant.QUERY_EFFICIENT):
+        other = scheme.label_view(view, variant)
+        assert _object_visibility(scheme, engine.run_labeler(), other, uids) == expected
 
     run_file = tmp_path / "vis.fvl"
     engine.checkpoint(run_file)

@@ -106,14 +106,15 @@ def _outcome(call):
 @pytest.mark.parametrize("n", [1, 2, 40, 1500])
 @pytest.mark.parametrize("variant", [FVLVariant.DEFAULT, FVLVariant.SPACE_EFFICIENT])
 def test_depends_array_matches_list(engine, n, variant):
+    # The engine serves one label per view; ``variant`` is the reference's.
     pairs = _pairs(GREY, n)
     view_label = SCHEME.label_view(GREY, variant)
     want = [
         SCHEME.depends(LABELER.label(d1), LABELER.label(d2), view_label)
         for d1, d2 in pairs
     ]
-    assert engine.depends_batch(pairs, GREY, variant=variant).tolist() == want
-    got = engine.depends_batch(np.asarray(pairs, dtype=np.int64), GREY, variant=variant)
+    assert engine.depends_batch(pairs, GREY).tolist() == want
+    got = engine.depends_batch(np.asarray(pairs, dtype=np.int64), GREY)
     assert got.tolist() == want
     if n >= 40:
         assert any(want) and not all(want)
@@ -121,10 +122,8 @@ def test_depends_array_matches_list(engine, n, variant):
 
 def test_depends_array_matches_list_matrix_free(engine):
     pairs = _pairs(BLACK, 60)
-    want = engine.depends_batch(pairs, BLACK, variant=FVLVariant.SPACE_EFFICIENT)
-    got = engine.depends_batch(
-        np.asarray(pairs, dtype=np.int64), BLACK, variant=FVLVariant.SPACE_EFFICIENT
-    )
+    want = engine.depends_batch(pairs, BLACK)
+    got = engine.depends_batch(np.asarray(pairs, dtype=np.int64), BLACK)
     assert np.array_equal(got, want)
 
 

@@ -1,8 +1,7 @@
 """Coarse views: the engine against the paper's matrix-free encoding (Section 6.4).
 
-The engine serves no matrix-free variant: on a coarse view the decode kernel
-settles the uniform matrices as verdict rows, under any of the three FVL
-variants.  The encoding itself stays in :mod:`repro.core.matrix_free`, and
+The engine serves no matrix-free label: on a coarse view the decode kernel
+settles the uniform matrices as verdict rows.  The encoding itself stays in :mod:`repro.core.matrix_free`, and
 this suite holds the two to each other and to the label-free oracle: every
 ``depends_batch`` answer, live and attached, equals per-pair
 ``FVLScheme.depends`` over ``label_view_matrix_free`` and
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import FVLScheme, FVLVariant, QueryEngine
+from repro import FVLScheme, QueryEngine
 from repro.analysis import RunReachabilityOracle
 from repro.bench import sample_query_pairs
 from repro.model import DependencyAssignment, WorkflowView
@@ -75,6 +74,5 @@ def test_engine_matches_the_matrix_free_encoding_and_the_oracle(served, view):
     ]
     assert expected == [oracle.depends(d1, d2) for d1, d2 in pairs]
     assert any(expected) and not all(expected)
-    for variant in FVLVariant:
-        for run in ("live", "attached"):
-            assert engine.depends_batch(pairs, view, run=run, variant=variant).tolist() == expected
+    for run in ("live", "attached"):
+        assert engine.depends_batch(pairs, view, run=run).tolist() == expected

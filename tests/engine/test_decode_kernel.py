@@ -12,7 +12,8 @@ paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
     raises for, and ``depends_batch`` equals the per-pair
     ``FVLScheme.depends`` outcome, error type and message included — over
     the synthetic family (mid-cycle dropped productions included), BioAID,
-    the nested chain and a deep recursion; all three variants; grey, white
+    the nested chain and a deep recursion; each of the three variants' labels
+    as the reference to the engine's one; grey, white
     and black-box views; live, mapped, multi-segment and sparse
     stores;
 (2) a warm batch executes no per-key Python;
@@ -196,7 +197,7 @@ def test_deep_recursion_beyond_a_cycle_turn_and_the_power_table_tail(kernel_vs_r
     )
     # The default view drops nothing: every key is a clean case.
     assert decided > 0 and declined == 0
-    bank = engine.decoded_state(view, variant).static.bank
+    bank = engine.decoded_state(view).static.bank
     assert bank.chain_codes > longest_cycle  # chains really ran past one turn
 
 
@@ -352,7 +353,7 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
     labelled = roomy.stats.views.bytes
     for view, pairs, expected, run in rounds:
         assert roomy.depends_batch(pairs, view, run=run).tolist() == expected
-    wanted = {name: state for (name, _), state in roomy.decoded_states().items()}
+    wanted = dict(roomy.decoded_states())
     per_run = min(state.nbytes for state in wanted.values())
     static = roomy.stats.views.bytes - sum(state.nbytes for state in wanted.values())
     wanted_chains = sum(state.static.bank.chain_codes for state in wanted.values())
@@ -377,7 +378,7 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
             assert sum(now) == stats.bytes and stats.max_bytes == budget
             # Over budget only by what the grammar bounds, never by what a query grows.
             assert stats.bytes <= max(budget, now[1] + before)
-            state = engine.decoded_states()[(view.name, "default")]  # not evicted by its own growth
+            state = engine.decoded_states()[view.name]  # not evicted by its own growth
             tables = [state.table(arena) for arena in (0, 1)]
             assert sum(table.nbytes for table in tables) == state.nbytes
             assert sum(len(table) for table in tables) < wanted_rows[view.name]

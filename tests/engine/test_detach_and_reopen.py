@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError, LabelingError
@@ -54,7 +54,7 @@ def _pair_matrix_arenas(engine):
 def test_detach_drops_private_arena_decode_entries(served):
     engine, _, view, pairs, run_file = served
     engine.attach(run_file, run_id="disk")
-    expected = engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = engine.depends_batch(pairs, view)
     assert np.array_equal(engine.depends_batch(pairs, view, run="disk"), expected)
     arena = engine._shards["disk"].arena
     assert arena in _pair_matrix_arenas(engine)
@@ -143,7 +143,7 @@ def test_is_visible_batch_memoizes_trie_flags(served):
     engine, derivation, view, _, _ = served
     uids = list(range(1, derivation.run.n_data_items + 1))
     first = engine.is_visible_batch(uids, view)
-    state = engine._decoded_state(view, None)
+    state = engine.decoded_state(view)
     flags = state.visibility_flags[0]
     # Repeat queries reuse (the very same) flags array instead of re-folding
     # the trie; growth would extend it, not rebuild it.
@@ -255,7 +255,7 @@ def test_reopen_preserves_decode_cache_and_answers(scheme, spec, tmp_path):
 
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
 
     engine = QueryEngine(scheme)
     engine.attach(run_file, run_id="disk")
@@ -307,11 +307,11 @@ def test_batches_over_multi_segment_mapped_shards(scheme, spec, tmp_path):
 
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
 
     engine = QueryEngine(scheme)
     mapped = engine.attach(run_file)
     assert max(mapped.extents_per_column().values()) >= 3
-    assert np.array_equal(engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT), expected)
+    assert np.array_equal(engine.depends_batch(pairs, view), expected)
     # The gather never materialised whole columns on the mapped store.
     assert mapped.store._producer_path._flat is None

@@ -5,8 +5,8 @@
 body closures of the decoded view state; ``ViewLabel.inputs`` / ``outputs`` /
 ``z`` copy one matrix out of a closure at a time (``ClosureSlices``).  For
 every production-graph edge of the running example, BioAID, the synthetic
-family and the nested chain, under several views each and all three variants,
-the two must agree key for key: the same matrix (zero padding included), the
+family and the nested chain, under several views each, the engine's bank (one
+label per view) and each of the three variants' labels must agree key for key: the same matrix (zero padding included), the
 same ``(rows, cols)`` and the class the matrix has — and a key resolves to
 ``-1`` exactly where the accessor raises (an edge outside the view, a
 production the view does not retain, a position outside the body).  Every
@@ -98,8 +98,10 @@ def test_one_gather_resolves_every_function_as_the_label_reads_it(grammar, varia
     monkeypatch.setattr(ViewLabel, "_close_body", close_once)
     defined = undefined = 0
     for view in views:
+        # The bank is the engine's, over the one label it serves per view;
+        # the reference is each materialisation's own accessors.
         label = scheme.label_view(view, variant)
-        state = DecodedViewState(StaticViewState(label))
+        state = DecodedViewState(StaticViewState(scheme.label_view(view)))
         bank = state.static.bank
         keys = list(_keys(scheme.index))
         codes = bank.codes(np.asarray([key for key, _, _ in keys], dtype=np.int64), state)

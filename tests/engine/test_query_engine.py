@@ -16,7 +16,6 @@ import pytest
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.engine import DEFAULT_RUN
 from repro.errors import (
-    DecodingError,
     LabelingError,
     UnsafeWorkflowError,
     ViewError,
@@ -70,9 +69,12 @@ def test_batch_matches_single_pair_api(engine, derivation, variant):
     labeler = engine.run_labeler()
     for view in VIEWS:
         pairs = _visible_pairs(derivation, view)
-        assert engine.depends_batch(pairs, view, variant=variant).tolist() == _expected(
+        # One engine, whichever materialisation the reference decodes.
+        assert engine.depends_batch(pairs, view).tolist() == _expected(
             derivation, labeler, pairs, view, variant
         )
+    # One static label per view queried.
+    assert len(engine._statics) == engine.stats.labels_built == len(VIEWS)
 
 
 def test_depends_single_wrapper(engine, derivation):
@@ -104,7 +106,7 @@ def test_cache_hit_miss_accounting(engine, derivation):
     engine.depends_batch(pairs, view)
     stats = engine.stats.views
     assert (stats.hits, stats.misses) == (1, 1)
-    engine.depends_batch(pairs, view, variant=FVLVariant.SPACE_EFFICIENT)
+    engine.depends_batch(_visible_pairs(derivation, VIEWS[1]), VIEWS[1])
     stats = engine.stats.views
     assert (stats.hits, stats.misses) == (1, 2)
     assert 0 < stats.hit_rate < 1
@@ -122,7 +124,7 @@ def test_lru_eviction(derivation, state_budget_for):
     engine.depends_batch(pairs_a, view_a)
     engine.depends_batch(pairs_b, view_b)  # evicts view_a's state
     stats = engine.stats.views
-    assert stats.evictions == 1 and list(engine.decoded_states()) == [(view_b.name, "default")]
+    assert stats.evictions == 1 and list(engine.decoded_states()) == [view_b.name]
     assert stats.bytes <= stats.max_bytes == budget
     engine.depends_batch(pairs_a, view_a)  # rebuilt: a second miss, not a hit
     stats = engine.stats.views
@@ -261,7 +263,3 @@ def test_unsafe_view_raises():
     with pytest.raises(UnsafeWorkflowError):
         engine.depends_batch([(1, 2)], default_view(spec))
 
-
-def test_unknown_variant_raises(engine):
-    with pytest.raises(DecodingError, match="unknown labeling variant"):
-        engine.depends_batch([(1, 2)], VIEWS[0], variant="turbo")

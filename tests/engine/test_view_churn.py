@@ -6,7 +6,7 @@ engines whose state budget holds 1, 2, 8 and all 10 of them (budgets taken
 from a measured dry run, not guessed) over live, attached and re-opened
 shards and pin down (a) that every answer stays equal to the single-pair
 predicate on a freshly labelled view and to the label-free reachability
-oracle, (b) that the labeller runs once per ``(view, variant)`` however often
+oracle, (b) that the labeller runs once per view however often
 states are evicted, (c) that the byte budget bounds every memo table and the
 accounting is exact, (d) the unsafe / re-registration / name-clash paths,
 (e) that run churn neither leaks into nor shrinks the static part, and
@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro import FVLScheme, FVLVariant, QueryEngine
+from repro import FVLScheme, QueryEngine
 from repro.analysis import RunReachabilityOracle
 from repro.engine import DEFAULT_RUN
 from repro.errors import UnsafeWorkflowError, ViewError
@@ -150,7 +150,7 @@ def measured(churn, tmp_path_factory, decoded_state_bytes):
     _cycle_all(engine, churn, tmp_path_factory.mktemp("measured"))
     stats = engine.stats.views
     assert stats.evictions == 0 and stats.misses == N_VIEWS
-    per_run = {name: state.nbytes for (name, _), state in engine.decoded_states().items()}
+    per_run = {name: state.nbytes for name, state in engine.decoded_states().items()}
     assert (sum(per_run.values()), stats.bytes - sum(per_run.values())) == decoded_state_bytes(engine)
     for run in ("disk", "reopened"):
         engine.detach(run)
@@ -172,7 +172,7 @@ def test_cycling_views_answers_like_the_oracle_and_labels_once(
     def after_each(case):
         name = case.view.name
         others = [view for view in resident_views if view != name]
-        held = [view for view, _variant in engine.decoded_states()]
+        held = list(engine.decoded_states())
         stats = engine.stats.views
         # Within budget after every batch, and the running sums are exact.
         assert stats.bytes <= stats.max_bytes == budget
@@ -199,26 +199,8 @@ def test_cycling_views_answers_like_the_oracle_and_labels_once(
         assert (stats.views.misses, stats.views.evictions) == (N_VIEWS, 0)
     assert stats.labels_built == N_VIEWS
     snapshot = engine.metrics.snapshot()
-    assert snapshot["engine_view_labels_total"] == {("default",): N_VIEWS}
+    assert snapshot["engine_view_labels_total"] == {(): N_VIEWS}
     assert snapshot["engine_view_label_seconds"][()]["count"] == N_VIEWS
-
-    # Another variant is another label, once each.
-    for _ in range(2):
-        for case in cases[:3]:
-            answers = engine.depends_batch(
-                case.pairs[:50], case.view.name, run="disk", variant=FVLVariant.SPACE_EFFICIENT
-            )
-            assert answers.tolist() == case.depends[:50]
-            engine.is_visible_batch(
-                case.uids, case.view.name, run="disk", variant=FVLVariant.QUERY_EFFICIENT
-            )
-            assert sum(decoded_state_bytes(engine)) == engine.stats.views.bytes
-    assert engine.metrics.snapshot()["engine_view_labels_total"] == {
-        ("default",): N_VIEWS,
-        ("space-efficient",): 3,
-        ("query-efficient",): 3,
-    }
-    assert engine.stats.labels_built == N_VIEWS + 6
     for run in ("disk", "reopened"):
         engine.detach(run)
 
@@ -271,7 +253,7 @@ def test_decode_budget_holds_across_rebuilds_and_deep_recursion(decoded_state_by
     roomy.add_run(DEFAULT_RUN, derivation)
     for view, pairs, expected in rounds:
         assert roomy.depends_batch(pairs, view).tolist() == expected
-    wanted = {view: state.nbytes for (view, _), state in roomy.decoded_states().items()}
+    wanted = {view: state.nbytes for view, state in roomy.decoded_states().items()}
     static = roomy.stats.views.bytes - sum(wanted.values())
     assert roomy.stats.views.evictions == 0
 
@@ -288,7 +270,7 @@ def test_decode_budget_holds_across_rebuilds_and_deep_recursion(decoded_state_by
         assert stats.bytes <= stats.max_bytes == budget
         assert sum(decoded_state_bytes(engine)) == stats.bytes
         # The state in use stored what fitted and was not evicted by its own growth.
-        state = engine.decoded_states()[(view.name, "default")]
+        state = engine.decoded_states()[view.name]
         assert 0 < state.nbytes < wanted[view.name]
         assert state.arenas() == [0]
     assert engine.stats.views.evictions >= 7 and engine.stats.labels_built == 2
@@ -341,7 +323,7 @@ def test_unsafe_view_raises_every_time_and_is_never_interned():
         with pytest.raises(UnsafeWorkflowError):
             engine.depends_batch([(1, 2)], view)
         with pytest.raises(UnsafeWorkflowError):
-            engine.is_visible_batch([1], view, variant=FVLVariant.SPACE_EFFICIENT)
+            engine.is_visible_batch([1], view)
     assert engine._statics == {}
     assert engine.stats.labels_built == 0
     assert not engine.decoded_states() and engine.stats.views.bytes == 0
@@ -421,13 +403,11 @@ def test_state_bytes_gauge_equals_a_walk_of_the_arrays(churn, measured, decoded_
         elif action == "detach" and attached:
             engine.detach(attached.pop(rng.randrange(len(attached))))
         elif action == "visible":
-            variant = rng.choice((None, FVLVariant.SPACE_EFFICIENT))
-            engine.is_visible_batch(case.uids, case.view, run=run, variant=variant)
+            engine.is_visible_batch(case.uids, case.view, run=run)
         else:
-            variant = rng.choice((None, None, FVLVariant.SPACE_EFFICIENT))
             lo = rng.randrange(1000)
             assert (
-                engine.depends_batch(case.pairs[lo : lo + 100], case.view, run=run, variant=variant).tolist()
+                engine.depends_batch(case.pairs[lo : lo + 100], case.view, run=run).tolist()
                 == case.depends[lo : lo + 100]
             )
         gauge = engine.metrics.snapshot()["engine_decoded_state_bytes"]
@@ -503,7 +483,7 @@ def test_label_view_span_appears_once_per_view(churn, state_budget_for):
             engine.depends_batch(case.pairs[:100], case.view)
         traces.append([(span.name, span.attrs) for span in trace.spans])
     for spans, case in zip(traces[:2], cases[:2]):
-        assert ("engine.label_view", {"view": case.view.name, "variant": "default"}) in spans
+        assert ("engine.label_view", {"view": case.view.name}) in spans
     assert "engine.label_view" not in [name for name, _ in traces[2]]
     assert "engine.depends_batch" in [name for name, _ in traces[2]]
     assert engine.stats.views.misses == 3 and engine.stats.labels_built == 2

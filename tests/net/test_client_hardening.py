@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.net.client as client_module
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import ReproError, SerializationError
 from repro.faults import FaultPlan
@@ -58,7 +58,7 @@ def served(scheme, workload, tmp_path):
     derivation, view, items, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
     run_file = tmp_path / "harden.fvl"
     reference.checkpoint(run_file)
     engine = QueryEngine(scheme)

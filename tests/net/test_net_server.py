@@ -8,21 +8,26 @@ import threading
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 import repro.net.server as net_server_module
 import repro.serve.server as serve_module
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
-from repro.errors import DecodingError
 from repro.model.projection import ViewProjection
 from repro.net import (
+    AnswersReply,
+    ErrorReply,
     ProvenanceClient,
     ProvenanceNetServer,
     RemoteQueryError,
     ServerOverloadedError,
+    decode_reply,
+    encode_depends_request,
+    encode_metrics_request,
 )
-from repro.obs.metrics import parse_exposition
+from repro.obs.metrics import MetricsRegistry, parse_exposition
 from repro.obs.trace import WARMUP, Sampler
 from repro.serve import BatchPolicy, ProvenanceServer
 from repro.bench import sample_query_pairs
@@ -53,7 +58,7 @@ def run_file(scheme, workload, tmp_path_factory):
     derivation, view, items, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT).tolist()
+    expected = reference.depends_batch(pairs, view).tolist()
     expected_visible = reference.is_visible_batch(items, view).tolist()
     path = tmp_path_factory.mktemp("net") / "net.fvl"
     reference.checkpoint(path)
@@ -92,15 +97,6 @@ def test_tcp_answers_match_unix(served):
     assert net.tcp_address is not None
     with ProvenanceClient(address=net.tcp_address) as client:
         assert client.depends_batch(pairs, view.name).tolist() == expected
-
-
-def test_explicit_variant_crosses_the_wire(served):
-    net, sock_path, view, _, pairs, expected, _ = served
-    with ProvenanceClient(unix_path=sock_path) as client:
-        got = client.depends_batch(
-            pairs[:25], view.name, variant=FVLVariant.SPACE_EFFICIENT
-        )
-        assert got.tolist() == expected[:25]
 
 
 def test_singleton_helpers_send_one_frame_each(served):
@@ -178,74 +174,107 @@ def test_unknown_run_raises_remote_error(served):
             client.depends_batch(pairs[:3], view.name, run="no-such-run")
 
 
-@pytest.mark.parametrize("entry", ["constructor", "depends_batch", "is_visible_batch", "wire"])
-def test_removed_variant_fails_loudly(served, scheme, run_file, entry):
-    """``matrix-free`` was an engine variant once; now it is a typed error naming the three that are."""
-    net, sock_path, view, items, pairs, expected, _ = served
-    accepted = "'default', 'space-efficient', 'query-efficient'"
-    if entry == "wire":
-        with ProvenanceClient(unix_path=sock_path) as client:
-            with pytest.raises(RemoteQueryError, match="matrix-free") as info:
-                client.depends_batch(pairs[:3], view.name, variant="matrix-free")
-            assert info.value.kind == "DecodingError" and accepted in info.value.remote_message
-            # The connection (there is one in the pool) stays usable.
-            assert client.depends_batch(pairs[:25], view.name).tolist() == expected[:25]
-            assert net.stats.connections == 1
-        return
-    engine = QueryEngine(scheme)
-    engine.attach(run_file[0])
-    calls = {
-        "constructor": lambda: QueryEngine(scheme, variant="matrix-free"),
-        "depends_batch": lambda: engine.depends_batch(pairs[:3], view, variant="matrix-free"),
-        "is_visible_batch": lambda: engine.is_visible_batch(items[:3], view, variant="matrix-free"),
+def _exchange(raw: socket.socket, frame: bytes):
+    """Send one frame on a raw connection and decode the one reply."""
+
+    def receive(n: int) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = raw.recv(n - len(data))
+            assert chunk, "the server hung up"
+            data += chunk
+        return data
+
+    raw.sendall(frame)
+    (length,) = struct.unpack("<I", receive(4))
+    return decode_reply(receive(length))
+
+
+def test_a_frame_naming_a_variant_is_refused_and_mints_no_series(served):
+    """The server serves views: a frame whose variant field is set is a typed error.
+
+    The refusal answers on the frame's own request id before any record is
+    opened, so a head-sampled refused frame adds no ``tail_request_seconds``
+    observation and no ``cost_seconds_total`` series; the connection lives on.
+    """
+    net, sock_path, view, _, pairs, expected, _ = served
+    sampler = Sampler(MetricsRegistry())  # the server's default head rate
+    trace_id = next(tid for tid in range(1, 1 << 16) if sampler.sampled(tid))
+    ids = np.asarray(pairs[:25], dtype=np.int64)
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(str(sock_path))
+    try:
+        refused = _exchange(
+            raw,
+            encode_depends_request(
+                41, DEFAULT_RUN, view.name, "space-efficient", ids, trace_id=trace_id
+            ),
+        )
+        assert isinstance(refused, ErrorReply) and refused.request_id == 41
+        assert refused.kind == "DecodingError" and "serves views" in refused.message
+        answered = _exchange(raw, encode_depends_request(42, DEFAULT_RUN, view.name, None, ids))
+        assert isinstance(answered, AnswersReply) and answered.request_id == 42
+        assert answered.answers.tolist() == expected[:25]
+    finally:
+        raw.close()
+    with ProvenanceClient(unix_path=sock_path) as client:
+        series = parse_exposition(client.server_metrics())
+    observed = {
+        labels: count for (name, labels), count in series.items()
+        if name == "tail_request_seconds_count"
     }
-    with pytest.raises(DecodingError, match="matrix-free") as info:
-        calls[entry]()
-    assert accepted in str(info.value)
+    assert observed == {(("op", "depends"), ("view", view.name)): 1.0}
+    assert not [name for name, _ in series if name.startswith("cost_")]
+    assert net.stats.errors >= 1
 
 
 def test_bogus_view_and_variant_names_mint_no_metric_series(served):
     """Hostile frames are answered with typed errors and leave the exposition's series alone.
 
-    The latency histogram is labelled ``{op, view, variant}``, the cost
-    counters ``{run, view, variant, phase}``, and a label lives as long as
+    The latency histogram is labelled ``{op, view}``, the cost counters
+    ``{run, view, phase}``, and a label lives as long as
     the registry, so the wire's strings label them only once the engine
     knows them: one ``(unknown)`` child takes every other frame, whatever it
     names.
     """
     net, sock_path, view, _, pairs, expected, _ = served
     n = 900
-    with ProvenanceClient(unix_path=sock_path, jitter_seed=5) as client:
+    ids = np.asarray(pairs[:2], dtype=np.int64)
 
-        def bogus(i: int) -> None:
-            run = DEFAULT_RUN
-            if i % 3 == 1:
-                name, variant, kind = f"no-such-view-{i}", None, "ViewError"
-            elif i % 3 == 2:
-                name, variant, kind = view.name, f"no-such-variant-{i}", "DecodingError"
-            else:
-                name, variant, kind = view.name, None, "LabelingError"
-                run = f"no-such-run-{i}"
-            with pytest.raises(RemoteQueryError) as info:
-                client.depends_batch(pairs[:2], name, variant=variant, run=run)
-            assert info.value.kind == kind
+    def bogus(raw, i: int) -> None:
+        run = DEFAULT_RUN
+        if i % 3 == 1:
+            name, variant, kind = f"no-such-view-{i}", None, "ViewError"
+        elif i % 3 == 2:  # refused before any record: the server serves views
+            name, variant, kind = view.name, f"no-such-variant-{i}", "DecodingError"
+        else:
+            name, variant, kind = view.name, None, "LabelingError"
+            run = f"no-such-run-{i}"
+        reply = _exchange(raw, encode_depends_request(i, run, name, variant, ids, trace_id=i + 1))
+        assert isinstance(reply, ErrorReply) and (reply.request_id, reply.kind) == (i, kind)
 
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(str(sock_path))
+    try:
         for i in range(n):
             if i == 3:  # one bogus frame of each kind has been answered
-                first = client.server_metrics()
-            bogus(i)
-        after = client.server_metrics()
+                first = _exchange(raw, encode_metrics_request(n)).text
+            bogus(raw, i)
+        after = _exchange(raw, encode_metrics_request(n)).text
         # The next good frame on the same connection is answered.
-        assert client.depends_batch(pairs[:25], view.name).tolist() == expected[:25]
+        good = _exchange(raw, encode_depends_request(n, DEFAULT_RUN, view.name, None, pairs[:25]))
+        assert good.answers.tolist() == expected[:25]
         assert net.stats.connections == 1
+    finally:
+        raw.close()
     assert "no-such-" not in after
     series = parse_exposition(after)
     children = {
-        (dict(labels)["view"], dict(labels)["variant"])
-        for name, labels in series
-        if name == "tail_request_seconds_count"
+        dict(labels)["view"] for name, labels in series if name == "tail_request_seconds_count"
     }
-    assert children == {(view.name, "(unknown)"), ("(unknown)", "None"), (view.name, "None")}
+    # The bogus-view frames under ``(unknown)``; bogus runs and good frames
+    # under the view; the refused frames under nothing.
+    assert children == {"(unknown)", view.name}
     cost_runs = {dict(labels)["run"] for name, labels in series if name == "cost_seconds_total"}
     # Some bogus-run frame was head-sampled and billed, under ``(unknown)``.
     assert "(unknown)" in cost_runs and cost_runs <= {DEFAULT_RUN, "(unknown)"}
@@ -300,8 +329,8 @@ def test_cost_phases_partition_every_traced_frames_wall(scheme, workload, run_fi
     costs = snap["cost_seconds_total"]
     roots = sum(record.root.wall_s for record in kept)
     assert sum(costs.values()) == pytest.approx(roots, rel=1e-6)
-    assert costs[(DEFAULT_RUN, view.name, "None", "scheduler")] > 0
-    assert costs[(DEFAULT_RUN, view.name, "None", "engine")] > 0
+    assert costs[(DEFAULT_RUN, view.name, "scheduler")] > 0
+    assert costs[(DEFAULT_RUN, view.name, "engine")] > 0
 
 
 def test_a_traced_frame_lands_as_a_head_record_nesting_scheduler_and_engine(

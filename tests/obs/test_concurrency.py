@@ -60,7 +60,7 @@ def test_tracer_ring_eviction_accounts_exactly_under_contention():
     def writer(base: int):
         started.wait()
         for n in range(per_thread):
-            request = sampler.open(base * per_thread + n + 1, "depends", "r", "v", None, 1)
+            request = sampler.open(base * per_thread + n + 1, "depends", "r", "v", 1)
             assert request.trace is not None  # sample_rate 1.0 admits every id
             sampler.finish(request)  # kept: slow while warming up, head after
 

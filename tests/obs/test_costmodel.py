@@ -42,7 +42,7 @@ def folded(sampler, run="r", view="v"):
     The root opened (just over) a second before ``finish`` closes it; the
     stamped children sit inside that second, so only the root's wall is live.
     """
-    request = sampler.open(7, "depends", run, view, None, 4)
+    request = sampler.open(7, "depends", run, view, 4)
     root = request.root
     root.t0 = time.perf_counter() - 1.0
     sched = stamped(request.trace, "scheduler.batch", root, t0=root.t0 + 0.2, wall=0.8)
@@ -108,15 +108,15 @@ def test_cost_groups_are_bounded(monkeypatch):
 def test_top_costs_rank_groups_from_one_snapshot():
     snap = {
         "cost_seconds_total": {
-            ("r", "v", "None", "net"): 0.1,
-            ("r", "v", "None", "queue_wait"): 0.9,
-            ("r", "v", "None", "engine"): 0.5,
-            ("r", "w", "None", "engine"): 0.2,
+            ("r", "v", "net"): 0.1,
+            ("r", "v", "queue_wait"): 0.9,
+            ("r", "v", "engine"): 0.5,
+            ("r", "w", "engine"): 0.2,
         },
-        "cost_cpu_seconds_total": {("r", "v", "None", "engine"): 0.4},
+        "cost_cpu_seconds_total": {("r", "v", "engine"): 0.4},
     }
     first, second = top_costs(snap)
-    assert (first["run"], first["view"], first["variant"]) == ("r", "v", "None")
+    assert (first["run"], first["view"]) == ("r", "v") and "variant" not in first
     assert first["wall_s"] == pytest.approx(1.5)
     assert first["cpu_s"] == pytest.approx(0.4)
     # queue_wait never wins dominance: the engine's 0.5s does.
@@ -131,13 +131,13 @@ def test_totals_mirror_into_registry_counters():
     sampler = Sampler(reg, sample_rate=1.0)
     request = folded(sampler)
     snap = reg.snapshot()["cost_seconds_total"]
-    assert snap[("r", "v", "None", "scheduler")] == pytest.approx(0.3)
-    assert snap[("r", "v", "None", "engine")] == pytest.approx(0.5)
-    assert snap[("r", "v", "None", "queue_wait")] == pytest.approx(0.2)
+    assert snap[("r", "v", "scheduler")] == pytest.approx(0.3)
+    assert snap[("r", "v", "engine")] == pytest.approx(0.5)
+    assert snap[("r", "v", "queue_wait")] == pytest.approx(0.2)
     assert sum(snap.values()) == pytest.approx(request.root.wall_s, rel=1e-9)
     cpu = reg.snapshot()["cost_cpu_seconds_total"]
-    assert cpu[("r", "v", "None", "engine")] == pytest.approx(0.5)
+    assert cpu[("r", "v", "engine")] == pytest.approx(0.5)
     # Shed requests are answered by nobody: nothing to fold.
-    shed = sampler.open(8, "depends", "r", "shed", None, 1)
+    shed = sampler.open(8, "depends", "r", "shed", 1)
     sampler.finish(shed, shed=True)
     assert all(key[1] != "shed" for key in reg.snapshot()["cost_seconds_total"])

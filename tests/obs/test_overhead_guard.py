@@ -34,7 +34,7 @@ def test_100k_query_run_keeps_obs_memory_within_budget():
     before, _ = tracemalloc.get_traced_memory()
     try:
         for frame_no in range(QUERIES // FRAME):
-            request = sampler.open(frame_no + 1, "depends", "r", "v", None, FRAME)
+            request = sampler.open(frame_no + 1, "depends", "r", "v", FRAME)
             with activate(request.trace, request.root.span_id):
                 with trace_span("scheduler.batch", batch=frame_no):
                     with trace_span("engine.depends_batch", pairs=FRAME):

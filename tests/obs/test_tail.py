@@ -24,7 +24,7 @@ def make(reg=None, **kwargs):
 
 
 def run_request(tail, clock, wall, trace_id=None, **finish_kwargs):
-    pending = tail.open(trace_id, "depends", "r", "v", None, 1)
+    pending = tail.open(trace_id, "depends", "r", "v", 1)
     clock.t += wall
     return pending, tail.finish(pending, **finish_kwargs)
 
@@ -124,7 +124,7 @@ def test_kept_ring_is_entry_bounded_and_counts_evictions():
 
 def test_head_sampled_trace_rides_along_in_the_kept_record(tmp_path):
     _reg, clock, tail = make(sample_rate=1.0)
-    pending = tail.open(99, "depends", "r", "v", None, 4)
+    pending = tail.open(99, "depends", "r", "v", 4)
     clock.t += 0.5
     tail.finish(pending, error=True)
     [record] = tail.kept()

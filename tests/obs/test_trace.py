@@ -40,7 +40,7 @@ def _unsampled_id(sampler: Sampler, start: int = 1) -> int:
 
 
 def _open(sampler: Sampler, trace_id):
-    return sampler.open(trace_id, "depends", "r", "v", None, 1)
+    return sampler.open(trace_id, "depends", "r", "v", 1)
 
 
 def test_sampling_is_deterministic_in_the_trace_id():

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.model.projection import ViewProjection
@@ -50,7 +50,7 @@ def segmented(scheme, spec, tmp_path):
         checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
     return run_file, view, pairs, expected
 
 

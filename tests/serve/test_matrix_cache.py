@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.pair_table import (
     ABSENT,
     NO_DEPENDENCY,
@@ -66,7 +66,7 @@ def saved(scheme, workload, tmp_path):
     derivation, view, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
     run_file = tmp_path / "hot.fvl"
     labeler = RunLabeler(scheme.index)
     events = derivation.events
@@ -86,19 +86,19 @@ def saved(scheme, workload, tmp_path):
     return run_file, view, pairs, expected, entries
 
 
-def _table(engine, view, variant=FVLVariant.DEFAULT):
+def _table(engine, view):
     """The default shard's pair table for ``view``."""
-    return engine.decoded_state(view, variant).table(engine.shard_arena())
+    return engine.decoded_state(view).table(engine.shard_arena())
 
 
-def _rows(engine, view, variant=FVLVariant.DEFAULT):
+def _rows(engine, view):
     """``(id1, id2) -> (off, rows, cols, block, hits)`` of every row, in decision order.
 
     Every kind of row is listed — matrix, no-dependency, verdict and boundary
     (``ABSENT`` on a side) — with ``off`` 0 for a matrix or its sentinel and
     ``block`` the row's zero-padded bits as bytes.
     """
-    table = _table(engine, view, variant)
+    table = _table(engine, view)
     at = np.argsort(table.order, kind="stable")
     columns = (np.minimum(table.off, 0), table.rows, table.cols)
     return {
@@ -132,7 +132,7 @@ def _write_raw(cache_file, body: bytes, header) -> None:
 
 
 def _parse(raw: bytes):
-    """``(header fields, sections)`` of a v3 file, by the layout of the module docstring.
+    """``(header fields, sections)`` of a v5 file, by the layout of the module docstring.
 
     A section is a dict: ``head`` (the section header's fields as a list),
     ``names`` (bytes), one writable array per column, ``pool`` (the unpacked
@@ -145,9 +145,9 @@ def _parse(raw: bytes):
         head = list(_STATE_HEADER.unpack_from(raw, offset))
         spans = {"head": (offset, offset + _STATE_HEADER.size)}
         offset += _STATE_HEADER.size
-        name_len, variant_len, _, n, ports, matrices = head
-        section = {"head": head, "names": raw[offset : offset + name_len + variant_len]}
-        offset += name_len + variant_len
+        name_len, _, n, ports, matrices = head
+        section = {"head": head, "names": raw[offset : offset + name_len]}
+        offset += name_len
         for name, dtype in _COLUMNS:
             section[name] = np.frombuffer(raw, dtype, n, offset).copy()
             spans[name] = (offset, offset + section[name].nbytes)
@@ -183,7 +183,7 @@ def _subsection(section, select) -> dict:
     sub["order"] = np.argsort(np.argsort(sub["order"]))  # ranks among the kept rows
     blocks = np.cumsum(section["off"] == 0) - 1  # each matrix row's block
     sub["pool"] = section["pool"][blocks[select][sub["off"] == 0]]
-    sub["head"][3], sub["head"][5] = len(select), len(sub["pool"])
+    sub["head"][2], sub["head"][4] = len(select), len(sub["pool"])
     return sub
 
 
@@ -451,11 +451,11 @@ def test_load_converts_garbled_sections_to_serialization_error(saved, scheme):
     follower.attach(run_file)
     cache_file = matrix_cache_path(run_file)
     header = CACHE_MAGIC, CACHE_VERSION, grammar_fingerprint(scheme.index), 0, 0
-    body = _STATE_HEADER.pack(2, 0, 1, 0, 1, 0) + b"\xff\xfe"  # a name that is not UTF-8
+    body = _STATE_HEADER.pack(2, 1, 0, 1, 0) + b"\xff\xfe"  # a name that is not UTF-8
     _write_raw(cache_file, body, header)
     with pytest.raises(SerializationError, match="corrupt matrix cache"):
         load_hot_matrices(follower)
-    body = _STATE_HEADER.pack(0, 0, 1, 2**32 - 1, 2**32 - 1, 2**32 - 1)  # absurd dims
+    body = _STATE_HEADER.pack(0, 1, 2**32 - 1, 2**32 - 1, 2**32 - 1)  # absurd dims
     _write_raw(cache_file, body, header)
     with pytest.raises(SerializationError, match="truncated"):
         load_hot_matrices(follower)
@@ -532,7 +532,7 @@ def test_fingerprints_are_pinned_and_kept_on_their_object(spec):
     assert view_fingerprint(twin) == 3603000836  # the name is not part of it
 
 
-# -- the format (v3): the file is the table's columns --------------------------
+# -- the format (v5): the file is the table's columns --------------------------
 
 
 def test_parse_and_assemble_agree_with_the_saver(saved):
@@ -543,7 +543,7 @@ def test_parse_and_assemble_agree_with_the_saver(saved):
     body = _assemble(sections)
     assert raw == _FILE_HEADER.pack(*header[:5], len(body), zlib.crc32(body)) + body
     (section,) = sections
-    assert section["names"] == b"hot-view" + FVLVariant.DEFAULT.value.encode()
+    assert section["names"] == b"hot-view"
 
 
 def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
@@ -682,12 +682,12 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     follower = QueryEngine(scheme)
     follower.add_view(view)
     mapped = follower.attach(run_file)
-    n_paths, ports = mapped.n_paths, genuine["head"][4]
+    n_paths, ports = mapped.n_paths, genuine["head"][3]
     kinds = _kinds(genuine)
     matrix = np.nonzero(genuine["off"] == 0)[0]  # interior and boundary: block k is row matrix[k]
     block, _, column = (int(at[0]) for at in np.nonzero(genuine["pool"]))  # some set bit
     verdict, boundary = kinds["verdict"][0], kinds["boundary"][0]
-    assert kinds["matrix"].size and matrix.size == genuine["head"][5] < entries
+    assert kinds["matrix"].size and matrix.size == genuine["head"][4] < entries
     # The last row with a producer path: changing its ids keeps the keys ascending.
     inner = int(np.nonzero(pair_paths(genuine["keys"])[0] != ABSENT)[0][-1])
 
@@ -696,7 +696,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         s["off"][row] = sentinel
         s["rows"][row] = s["cols"][row] = 0
         s["pool"] = np.delete(s["pool"], int(np.searchsorted(matrix, row)), axis=0)
-        s["head"][5] -= 1
+        s["head"][4] -= 1
 
     def descending(s):
         s["keys"] = s["keys"][::-1]
@@ -726,7 +726,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         s["order"][np.argmax(s["order"])] = entries
 
     def one_block_short(s):
-        s["head"][5] -= 1
+        s["head"][4] -= 1
         s["pool"] = s["pool"][:-1]
 
     def one_sentinel_more(s):
@@ -748,14 +748,14 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         s["keys"][0] = -1
 
     def other_ports(s):
-        s["head"][4] += 1
+        s["head"][3] += 1
         s["pool"] = np.zeros((matrix.size, ports + 1, ports + 1), dtype=np.uint8)
 
     def negative_hits(s):
         s["hits"][0] = -1
 
     def rows_beyond_the_file(s):
-        s["head"][3] += 1
+        s["head"][2] += 1
 
     hostile = {
         descending: "ascending",
@@ -801,7 +801,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         other = QueryEngine(scheme)
         other.add_view(view)
         other.attach(run_file)
-        assert load_hot_matrices(other) == section["head"][3]
+        assert load_hot_matrices(other) == section["head"][2]
         return other
 
     # A verdict row and a boundary row written consistently, each a section of
@@ -907,43 +907,55 @@ def test_warm_seeded_hits_survive_load_then_save(saved, scheme):
 
 
 def test_v1_cache_files_rejected_loudly(saved, scheme):
-    """The per-entry formats (v1, and v2 with its hit column) and v3 are refused by version.
+    """The per-entry formats (v1, and v2 with its hit column), v3 and v4 are refused by version.
 
-    A v2 or v3 file is what an older build leaves beside a run file: the
+    A v2, v3 or v4 file is what an older build leaves beside a run file: the
     server's warm path goes cold on it, names the version, and counts no
-    corruption.  v3 had v4's layout with matrix and no-dependency rows only;
-    an older reader refuses a v4 file by its version the same way.
+    corruption.  v4 named a label variant beside each section's view; v3 had
+    v4's layout with matrix and no-dependency rows only.  An older reader
+    refuses a v5 file by its version the same way.
     """
     run_file, view, pairs, expected, entries = saved
     cache_file = matrix_cache_path(run_file)
     with open(cache_file, "rb") as handle:
-        raw = bytearray(handle.read())
+        raw = handle.read()
     magic_end = len(CACHE_MAGIC)
     version = int.from_bytes(raw[magic_end : magic_end + 4], "little")
-    assert version == CACHE_VERSION == 4
+    assert version == CACHE_VERSION == 5
+    header, sections = _parse(raw)
+    v4_body = b"".join(
+        struct.pack("<HHQIII", len(section["names"]), len(b"default"), *section["head"][1:])
+        + section["names"]
+        + b"default"
+        + _assemble([section])[_STATE_HEADER.size + len(section["names"]) :]
+        for section in sections
+    )
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
     v2_header = struct.Struct("<8sIQQQI")  # shorter than v3's: still "version", not "truncated"
     old_files = [
-        bytes(raw[:magic_end]) + (old).to_bytes(4, "little") + bytes(raw[magic_end + 4 :])
-        for old in (1, 3)  # v3 had this layout, without verdict and boundary rows
+        (old, _FILE_HEADER.pack(CACHE_MAGIC, old, *header[2:5], len(v4_body), zlib.crc32(v4_body)) + v4_body)
+        for old in (1, 3, 4)  # v3 had v4's layout, without verdict and boundary rows
     ] + [
-        v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 0),
-        v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 1)
-        + struct.pack("<HHQI", 1, 1, 1, 1) + b"vd" + struct.pack("<qqiiQ", 0, 1, 1, 1, 7) + b"\x80",
+        (2, v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 0)),
+        (2, v2_header.pack(CACHE_MAGIC, 2, 0, 0, 0, 1)
+         + struct.pack("<HHQI", 1, 1, 1, 1) + b"vd" + struct.pack("<qqiiQ", 0, 1, 1, 1, 7) + b"\x80"),
     ]
-    for old in old_files:
+    for number, old in old_files:
         with open(cache_file, "wb") as handle:
             handle.write(old)
-        with pytest.raises(SerializationError, match="version") as refused:
+        with pytest.raises(SerializationError, match=f"version {number}") as refused:
             load_hot_matrices(follower)
         assert not isinstance(refused.value, CorruptionError)
 
-    engine = QueryEngine(scheme)
-    engine.add_view(view)
-    server = ProvenanceServer(engine)
-    _, warmed = server.attach(run_file)
-    assert warmed == 0 and "version 2" in str(server.last_warm_error)
-    assert _hotmx_corruptions(server) == 0
+    for number, old in (old_files[2], old_files[-1]):  # v4, then v2
+        with open(cache_file, "wb") as handle:
+            handle.write(old)
+        engine = QueryEngine(scheme)
+        engine.add_view(view)
+        server = ProvenanceServer(engine)
+        _, warmed = server.attach(run_file)
+        assert warmed == 0 and f"version {number}" in str(server.last_warm_error)
+        assert _hotmx_corruptions(server) == 0
     assert np.array_equal(engine.depends_batch(pairs, view), expected)

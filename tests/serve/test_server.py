@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import LabelingError, ViewError
 from repro.model.projection import ViewProjection
@@ -40,7 +40,7 @@ def served(scheme, workload, tmp_path):
     derivation, view, items, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT).tolist()
+    expected = reference.depends_batch(pairs, view).tolist()
     expected_visible = reference.is_visible_batch(items, view).tolist()
     run_file = tmp_path / "serve.fvl"
     reference.checkpoint(run_file)
@@ -97,18 +97,25 @@ def test_one_frame_answers_inline(served, ask):
 
 
 def test_one_drain_step_groups_per_view_and_kind(served):
-    """A mixed drain makes one engine call per (kind, view, variant) group."""
+    """A mixed drain makes one engine call per (kind, run, view) group.
+
+    The second frame per pair names the view by name: it once named a label
+    variant too and was served by an engine call of its own.
+    """
     server, view, items, pairs, expected, expected_visible = served
+    futures = []
     for pair in pairs[:40]:
-        server.submit_batch("depends", [pair], view)
-        server.submit_batch("depends", [pair], view, variant=FVLVariant.SPACE_EFFICIENT)
+        futures.append(server.submit_batch("depends", [pair], view))
+        futures.append(server.submit_batch("depends", [pair], view.name))
     for uid in items[:20]:
         server.submit_batch("visible", [uid], view)
     before = server.stats
     assert server.drain_once() == 100
     after = server.stats
     assert after.batches - before.batches == 1
-    assert after.engine_calls - before.engine_calls == 3
+    assert after.engine_calls - before.engine_calls == 2
+    answers = [bool(future.result()[0]) for future in futures]
+    assert answers == [bit for bit in expected[:40] for _ in range(2)]
     assert after.coalesced - before.coalesced == 100
     assert after.largest_batch >= 100
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.faults import FaultPlan, InjectedFault
 from repro.model.projection import ViewProjection
@@ -40,7 +40,7 @@ def served(scheme, workload, tmp_path):
     derivation, view, items, pairs = workload
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
     run_file = tmp_path / "supervise.fvl"
     reference.checkpoint(run_file)
     engine = QueryEngine(scheme)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import LabelingError, SerializationError
@@ -248,7 +248,7 @@ def test_segment_threshold_compacts_and_remaps_attached_readers(scheme, spec, tm
 
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
 
     engine = QueryEngine(scheme)
     manager = RunLifecycleManager(
@@ -269,7 +269,7 @@ def test_segment_threshold_compacts_and_remaps_attached_readers(scheme, spec, tm
     # Attach a live reader before compaction so the sweep must remap it.
     mapped = engine.attach(path, run_id="reader")
     assert mapped.n_segments >= 4
-    before = engine.depends_batch(pairs, view, run="reader", variant=FVLVariant.DEFAULT)
+    before = engine.depends_batch(pairs, view, run="reader")
     assert np.array_equal(before, expected)
 
     # ...then hand the run to a compacting policy: the next sweep merges
@@ -289,7 +289,7 @@ def test_segment_threshold_compacts_and_remaps_attached_readers(scheme, spec, tm
     shard_store = engine._shards["reader"].mapped
     assert shard_store.generation == 1 and shard_store.n_segments == 1
     assert max(shard_store.extents_per_column().values()) == 1
-    after = engine.depends_batch(pairs, view, run="reader", variant=FVLVariant.DEFAULT)
+    after = engine.depends_batch(pairs, view, run="reader")
     assert np.array_equal(after, expected)
     assert manager.stats.compactions == 1 and manager.stats.reopens == 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.engine import engine as engine_module
@@ -119,7 +119,7 @@ def test_every_refused_remap_is_counted_once(
     labeler = _segmented_run(scheme, derivation, run_file, 2)
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
 
     engine = QueryEngine(scheme)
     if remap == "server probe":

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.store.compaction as compaction_module
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import SerializationError
@@ -85,7 +85,7 @@ def test_compacted_shard_answers_bit_identically(scheme, spec, tmp_path):
 
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
-    expected = reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = reference.depends_batch(pairs, view)
     expected_visible = reference.is_visible_batch(all_uids, view)
 
     path = tmp_path / "serve.fvl"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import SerializationError
@@ -80,8 +80,8 @@ def test_crash_between_segment_append_and_header_write_serves_old_watermark(
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
     assert np.array_equal(
-        served.depends_batch(pairs, view, variant=FVLVariant.DEFAULT),
-        reference.depends_batch(pairs, view, variant=FVLVariant.DEFAULT),
+        served.depends_batch(pairs, view),
+        reference.depends_batch(pairs, view),
     )
 
 

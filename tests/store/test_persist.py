@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core import FVLScheme, FVLVariant
+from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import LabelingError, SerializationError
@@ -285,19 +285,13 @@ def engine_setup(scheme, spec):
 
 def test_attached_shard_answers_bit_identical(engine_setup, tmp_path):
     engine, _, view, pairs = engine_setup
-    expected = engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = engine.depends_batch(pairs, view)
     run_file = tmp_path / "shard.fvl"
     engine.checkpoint(run_file)
     mapped = engine.attach(run_file, run_id="disk")
     assert mapped.n_items == len(engine.run_labeler().store)
-    got = engine.depends_batch(pairs, view, run="disk", variant=FVLVariant.DEFAULT)
+    got = engine.depends_batch(pairs, view, run="disk")
     assert np.array_equal(got, expected)
-    # Space-efficient variant exercises the memoized decode path too.
-    expected_se = engine.depends_batch(pairs, view, variant=FVLVariant.SPACE_EFFICIENT)
-    got_se = engine.depends_batch(
-        pairs, view, run="disk", variant=FVLVariant.SPACE_EFFICIENT
-    )
-    assert np.array_equal(got_se, expected_se)
     with pytest.raises(LabelingError):
         engine.run_labeler("disk")
     with pytest.raises(LabelingError):
@@ -349,16 +343,16 @@ def test_incremental_checkpoint_then_attach_is_lossless(scheme, spec, tmp_path):
 
 def test_grouping_is_identical_across_store_states(engine_setup, tmp_path):
     engine, _, view, pairs = engine_setup
-    expected = engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    expected = engine.depends_batch(pairs, view)
     fresh = QueryEngine(engine.scheme)
     fresh.add_run(DEFAULT_RUN, engine._shards[DEFAULT_RUN].derivation)
-    assert np.array_equal(fresh.depends_batch(pairs, view, variant=FVLVariant.DEFAULT), expected)
+    assert np.array_equal(fresh.depends_batch(pairs, view), expected)
     # Serving the same rows from a file mapping changes no answer.
     run_file = tmp_path / "vector.fvl"
     fresh.checkpoint(run_file)
     fresh.attach(run_file, run_id="disk")
     assert np.array_equal(
-        fresh.depends_batch(pairs, view, run="disk", variant=FVLVariant.DEFAULT), expected
+        fresh.depends_batch(pairs, view, run="disk"), expected
     )
     # Unknown uids raise the precise per-item error.
     with pytest.raises(LabelingError):

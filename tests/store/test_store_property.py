@@ -71,7 +71,7 @@ def test_store_backed_depends_matches_object_depends(spec, scheme, seed):
 
     engine = QueryEngine(scheme)
     engine.add_run(DEFAULT_RUN, derivation)
-    batched = engine.depends_batch(pairs, view, variant=FVLVariant.DEFAULT)
+    batched = engine.depends_batch(pairs, view)
     for (d1, d2), answer in zip(pairs, batched):
         expected = scheme.depends(objects.label(d1), objects.label(d2), view_label)
         assert answer == expected

@@ -1,10 +1,12 @@
-"""Options ledger for the durability and transport tier.
+"""Options ledger for the durability and transport tier, and the query surface.
 
 Pins the parameters of the tier's public signatures and the SLO kind set,
 so adding (or removing) a knob is a visible edit to this file.  The
 independently settable values are each signature's parameters minus the
 inputs it operates on, addresses/paths, and the ``clock`` / ``sleep`` /
-``jitter_seed`` test seams.
+``jitter_seed`` test seams.  The query surface — engine, scheduler and
+client — is pinned too: a query names its ids, a view and a run, and the
+engine serves one label per view, so no signature takes a variant.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+from repro.engine import QueryEngine
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.obs.watchdog import SLO, SLO_KINDS, Watchdog, default_slos
+from repro.serve import ProvenanceServer
 from repro.service import CheckpointPolicy, RunLifecycleManager
 from repro.store import FileLease, compact, run_file_info
 
@@ -25,7 +29,34 @@ NOT_KNOBS = {
     "clock", "sleep", "jitter_seed",
 }
 
+#: Engine, scheduler and client: what a query names, and nothing else.
+QUERY_SURFACE = {
+    "QueryEngine": (QueryEngine, ("source", "state_budget_bytes", "metrics")),
+    "QueryEngine.depends": (QueryEngine.depends, ("self", "d1", "d2", "view", "run")),
+    "QueryEngine.depends_batch": (QueryEngine.depends_batch, ("self", "pairs", "view", "run")),
+    "QueryEngine.is_visible": (QueryEngine.is_visible, ("self", "uid", "view", "run")),
+    "QueryEngine.is_visible_batch": (QueryEngine.is_visible_batch, ("self", "uids", "view", "run")),
+    "QueryEngine.decoded_state": (QueryEngine.decoded_state, ("self", "view")),
+    "ProvenanceServer.submit_batch": (
+        ProvenanceServer.submit_batch,
+        ("self", "kind", "ids", "view", "run", "block", "trace"),
+    ),
+    "ProvenanceServer.submit_many": (
+        ProvenanceServer.submit_many,
+        ("self", "kind", "items", "view", "run", "block", "trace"),
+    ),
+    "ProvenanceClient.depends": (ProvenanceClient.depends, ("self", "d1", "d2", "view", "run")),
+    "ProvenanceClient.depends_batch": (
+        ProvenanceClient.depends_batch, ("self", "pairs", "view", "run")
+    ),
+    "ProvenanceClient.is_visible": (ProvenanceClient.is_visible, ("self", "uid", "view", "run")),
+    "ProvenanceClient.is_visible_batch": (
+        ProvenanceClient.is_visible_batch, ("self", "uids", "view", "run")
+    ),
+}
+
 SIGNATURES = {
+    **QUERY_SURFACE,
     "FileLease": (FileLease, ("path",)),
     "FileLease.acquire": (FileLease.acquire, ("self",)),
     "compact": (compact, ("path", "lease")),
@@ -71,7 +102,11 @@ def test_signatures_are_pinned():
 
 
 def test_the_tier_has_eighteen_settable_values():
-    counts = {label: len(_knobs(expected)) for label, (_, expected) in SIGNATURES.items()}
+    counts = {
+        label: len(_knobs(expected))
+        for label, (_, expected) in SIGNATURES.items()
+        if label not in QUERY_SURFACE
+    }
     counts.update({label: len(_knobs(expected)) for label, (_, expected) in FIELDS.items()})
     assert counts == {
         "FileLease": 0,
