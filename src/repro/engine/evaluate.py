@@ -15,7 +15,8 @@ evaluated the same way, as whole-array operations from gather to answer:
    id)`` into one int64 key each — :data:`~repro.core.pair_table.ABSENT` on
    the side an initial input or a final output does not have (Cases II–IV
    are path-constant like the interior one) — looked up in the arena's
-   :class:`~repro.core.pair_table.PairTable` with one ``searchsorted``;
+   :class:`~repro.core.pair_table.PairTable` with one ``searchsorted`` of
+   the keys in ascending order (argsorted once, slots scattered back);
 4. **decide the misses** — every distinct key the table does not hold is
    decided once and merged in: the stacked Algorithm 2 of
    :mod:`repro.engine.kernel` settles each with a verdict (an interior

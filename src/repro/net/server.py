@@ -21,11 +21,15 @@ outside Python) reach the coalescing scheduler:
   :class:`~repro.serve.ServerStats` snapshot (taken under the server's stats
   lock), the live queue depth, and the transport's own counters.
 
-The server is one event-loop thread (``selectors``) that owns every socket;
-responses are assembled by future callbacks on the scheduler's worker
-threads, handed to the loop over a self-pipe wake, and written back
-non-blocking.  The loop never runs engine code and never blocks on the
-queue, so slow queries cannot freeze accepts or reads.
+The server is one event-loop thread (``selectors``) that owns the
+selector and every connection's lifetime; responses are assembled by future
+callbacks on the scheduler's worker threads, which write them straight into
+the non-blocking socket when nothing is queued ahead.  A reply the socket
+takes whole never involves the loop.  Only what is left — the rest of a
+partial send, or a connection whose send failed — is handed to the loop over
+a self-pipe wake: the loop flushes the rest when the socket is writable and
+closes a broken connection.  The loop never runs engine code and never
+blocks on the queue, so slow queries cannot freeze accepts or reads.
 """
 
 from __future__ import annotations
@@ -98,6 +102,7 @@ class _Connection:
         "outbound",
         "lock",
         "closed",
+        "broken",
         "events",
     )
 
@@ -107,10 +112,12 @@ class _Connection:
         #: Decoded-but-not-yet-admitted request payloads (fairness queue).
         self.intake: deque[bytes] = deque()
         #: Encoded reply frames awaiting a writable socket.  Guarded by
-        #: ``lock``: worker-thread future callbacks append, the loop drains.
+        #: ``lock``: what a send did not take is appended, the loop drains.
         self.outbound: deque[bytes] = deque()
         self.lock = threading.Lock()
         self.closed = False
+        #: A worker's send failed: nothing more is sent, the loop closes it.
+        self.broken = False
         self.events = selectors.EVENT_READ
 
 
@@ -440,7 +447,7 @@ class ProvenanceNetServer:
         for _ in range(len(self._conns)):
             conn = self._conns[0]
             self._conns.rotate(-1)
-            if conn.closed or not conn.intake:
+            if conn.closed or conn.broken or not conn.intake:
                 continue
             try:
                 self._handle_frame(conn, conn.intake.popleft())
@@ -571,19 +578,41 @@ class ProvenanceNetServer:
     # -- writes ------------------------------------------------------------------
 
     def _send(self, conn: _Connection, data: bytes) -> None:
-        """Queue a reply frame (any thread) and wake the loop to flush it."""
+        """Send a reply frame from any thread; the loop flushes what is left.
+
+        With nothing queued ahead of it, the frame goes straight into the
+        non-blocking socket under ``conn.lock``, which orders it after
+        earlier replies and before :meth:`_close_conn` closes the socket.
+        A complete send is the whole reply path.  A frame queued behind
+        others, or what a partial or refused send left, waits in
+        ``outbound``; a failed send marks the connection broken.  Only the
+        loop touches the selector and closes connections, and it ends every
+        pass in :meth:`_flush_writes` — so a worker wakes it, the loop
+        thread need not.
+        """
         with conn.lock:
-            if conn.closed:
+            if conn.closed or conn.broken:
                 return
-            conn.outbound.append(data)
-        if threading.current_thread() is self._thread:
-            self._write(conn)
-        else:
+            if not conn.outbound:
+                try:
+                    faults.hit("net.send")
+                    data = data[conn.sock.send(data) :]
+                except (BlockingIOError, InterruptedError):
+                    pass
+                except (OSError, InjectedFault):
+                    conn.broken = True
+            if not conn.broken:
+                if not data:
+                    return
+                conn.outbound.append(data)
+        if threading.current_thread() is not self._thread:
             self._wake()
 
     def _flush_writes(self) -> None:
         for conn in list(self._conns):
-            if not conn.closed and conn.outbound:
+            if conn.broken:
+                self._close_conn(conn)
+            elif not conn.closed and conn.outbound:
                 self._write(conn)
 
     def _write(self, conn: _Connection) -> None:

@@ -42,7 +42,8 @@ And three hold the side file (``.hotmx``) to the pair table's columns:
 
 And one holds the reference decoder to what it is, a fallback: on each
 benchmark workload, a cold engine's warm-up, serve-block and view-add frames
-never call it.
+never call it.  One more holds a warm batch's probe to one ``searchsorted``
+of ascending needles, with answers bit-identical to ``FVLScheme.depends``.
 """
 
 from __future__ import annotations
@@ -124,6 +125,41 @@ def test_batch_runs_no_graph_search(setup, monkeypatch):
     engine.depends_batch(pairs, view)
     engine.depends_batch(pairs, view)
     assert searches == []
+
+
+def test_a_warm_batch_searches_the_pair_table_with_ascending_needles(setup, monkeypatch):
+    """A warm batch probes its pair table with one ``searchsorted`` of sorted needles.
+
+    In pair order every binary search starts from the whole key column; in
+    ascending order numpy starts each from where the previous one landed.
+    """
+    scheme, derivation, view, pairs = setup
+    engine = _fresh_engine(scheme, derivation)
+    engine.depends_batch(pairs, view)
+    state = engine.decoded_state(view)
+    table = state.table(engine.shard_arena())
+    searched, probed = [], []
+    search, probe = np.searchsorted, PairTable.probe
+
+    def searching(a, v, *args, **kwargs):
+        if a is table.keys:
+            searched.append(np.array(v))
+        return search(a, v, *args, **kwargs)
+
+    def probing(self, keys):
+        probed.append(np.array(keys))
+        return probe(self, keys)
+
+    monkeypatch.setattr(np, "searchsorted", searching)
+    monkeypatch.setattr(PairTable, "probe", probing)
+    answers = engine.depends_batch(pairs, view)
+    assert state.table(engine.shard_arena()) is table  # warm: nothing was decided
+    assert len(searched) == len(probed) == 1
+    assert (np.diff(probed[0]) < 0).any()  # the batch's keys arrive in pair order
+    assert (np.diff(searched[0]) >= 0).all()
+    labeler, view_label = engine.run_labeler(), scheme.label_view(view)
+    expected = [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
+    assert answers.dtype == bool and answers.tolist() == expected
 
 
 def test_labelling_a_view_is_one_closure_per_retained_production(

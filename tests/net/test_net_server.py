@@ -15,6 +15,7 @@ import repro.net.server as net_server_module
 import repro.serve.server as serve_module
 from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
+from repro.faults import FaultPlan
 from repro.model.projection import ViewProjection
 from repro.net import (
     AnswersReply,
@@ -26,6 +27,7 @@ from repro.net import (
     decode_reply,
     encode_depends_request,
     encode_metrics_request,
+    encode_visible_request,
 )
 from repro.obs.metrics import MetricsRegistry, parse_exposition
 from repro.obs.trace import WARMUP, Sampler
@@ -516,6 +518,141 @@ def test_garbage_on_the_port_drops_that_connection_only(served):
     raw.close()
     with ProvenanceClient(unix_path=sock_path) as client:  # others unaffected
         assert client.depends_batch(pairs[:10], view.name).tolist() == expected[:10]
+
+
+# -- the reply path -------------------------------------------------------------
+
+
+def _raw(sock_path) -> socket.socket:
+    """A raw connection: its frames go out by ``sendall``, past every fault point."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(10.0)
+    raw.connect(str(sock_path))
+    return raw
+
+
+def _until(condition) -> None:
+    deadline = time.monotonic() + 5.0
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+class _ThreadedPlan(FaultPlan):
+    """A fault plan that records, per ``net.send`` hit, whether the event loop made it."""
+
+    def __init__(self, net) -> None:
+        super().__init__()
+        self.net = net
+        self.on_loop: list = []
+
+    def _hit(self, point: str) -> None:
+        if point == "net.send":
+            self.on_loop.append(threading.current_thread() is self.net._thread)
+        super()._hit(point)
+
+
+@pytest.mark.parametrize("writer", ["worker", "loop"])
+def test_a_failed_reply_send_drops_that_connection_only(served, monkeypatch, writer):
+    """An armed ``net.send`` fails one reply: the loop closes that connection alone.
+
+    An answers frame's reply is written by the worker that resolved it (the
+    engine is slowed so the frame's callback is attached first); a refused
+    variant frame's by the loop.  Either way the loop closes the connection.
+    """
+    net, sock_path, view, _, pairs, expected, _ = served
+    engine = net._server.engine
+    depends_batch = engine.depends_batch
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return depends_batch(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "depends_batch", slow)
+    closes = []
+    close_conn = ProvenanceNetServer._close_conn
+
+    def closing(self, conn, **kwargs):
+        closes.append((conn, threading.current_thread() is self._thread))
+        return close_conn(self, conn, **kwargs)
+
+    monkeypatch.setattr(ProvenanceNetServer, "_close_conn", closing)
+    variant = None if writer == "worker" else "space-efficient"
+    good = encode_depends_request(1, DEFAULT_RUN, view.name, None, pairs[:25])
+    other, victim = _raw(sock_path), _raw(sock_path)
+    try:
+        assert _exchange(other, good).answers.tolist() == expected[:25]
+        _until(lambda: len(net._conns) == 2)
+        plan = _ThreadedPlan(net).on("net.send", count=1)
+        with plan.armed():
+            victim.sendall(encode_depends_request(2, DEFAULT_RUN, view.name, variant, pairs[:25]))
+            assert victim.recv(1) == b""  # the reply failed: that connection is gone
+            _until(lambda: len(net._conns) == 1)
+            assert plan.fired("net.send") == 1
+            assert plan.on_loop == [writer == "loop"]
+            # The other connection is still answered, by a send that takes no fault.
+            assert _exchange(other, good).answers.tolist() == expected[:25]
+        [(conn, on_loop)] = closes
+        assert on_loop and conn.closed and conn not in net._conns
+        assert net.stats.active_connections == 1
+    finally:
+        other.close()
+        victim.close()
+
+
+def test_warm_replies_that_fit_the_socket_never_wake_the_loop(served, monkeypatch):
+    """A reply the socket takes whole is written by its worker: no self-pipe wake."""
+    net, sock_path, view, _, pairs, expected, _ = served
+    frame = encode_depends_request(7, DEFAULT_RUN, view.name, None, pairs)
+    raw = _raw(sock_path)
+    try:
+        assert _exchange(raw, frame).answers.tolist() == expected  # cold: decides the keys
+        wakes = []
+        wake = ProvenanceNetServer._wake
+
+        def waking(self):
+            wakes.append(threading.current_thread().name)
+            return wake(self)
+
+        monkeypatch.setattr(ProvenanceNetServer, "_wake", waking)
+        for _ in range(50):
+            reply = _exchange(raw, frame)
+            assert reply.request_id == 7 and reply.answers.tolist() == expected
+        assert wakes == []
+    finally:
+        raw.close()
+
+
+def test_a_reply_larger_than_the_send_buffer_arrives_whole_and_in_order(served, monkeypatch):
+    """What the socket does not take now the loop flushes, ahead of the next reply."""
+    net, sock_path, view, items, pairs, expected, expected_visible = served
+    writes = []
+    write = ProvenanceNetServer._write
+
+    def writing(self, conn):
+        writes.append(conn)
+        return write(self, conn)
+
+    monkeypatch.setattr(ProvenanceNetServer, "_write", writing)
+    n = 60_000  # a 7,500-byte bitmap
+    uids = np.resize(np.asarray(items, dtype=np.int64), n)
+    raw = _raw(sock_path)
+    try:
+        _exchange(raw, encode_depends_request(1, DEFAULT_RUN, view.name, None, pairs[:5]))
+        [conn] = net._conns
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 2048)
+        writes.clear()
+        raw.sendall(encode_visible_request(2, DEFAULT_RUN, view.name, None, uids))
+        _until(lambda: writes)  # the reply did not fit: the loop holds the rest
+        raw.sendall(encode_depends_request(3, DEFAULT_RUN, view.name, None, pairs))
+        time.sleep(0.05)  # the next reply queues behind it while nobody reads
+        large = _exchange(raw, b"")
+        assert large.request_id == 2
+        assert large.answers.tolist() == np.resize(np.asarray(expected_visible), n).tolist()
+        small = _exchange(raw, b"")
+        assert small.request_id == 3 and small.answers.tolist() == expected
+    finally:
+        raw.close()
 
 
 # -- stats & lifecycle ----------------------------------------------------------
