@@ -4,8 +4,9 @@ The state is split along the line the paper draws.  :class:`StaticViewState`
 is the view's *static label* plus what is a function of ``(grammar, view)``
 only: the :class:`~repro.engine.kernel.MatrixBank` the decode kernel
 multiplies from, which gathers ``I``/``O``/``Z`` out of the body closures
-:meth:`DecodedViewState.closure` hands out; the engine builds it once per
-registered view and keeps it for good.
+:meth:`DecodedViewState.closure` hands out and holds each recursion chain up
+to its period; the engine builds it once per registered view and keeps it
+for good.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, visibility flags — and is what
 :class:`LRUCache` holds and evicts; rebuilding one costs kernel passes over
@@ -192,9 +193,9 @@ class StaticViewState:
     Holds the static label itself and the bank the decode kernel gathers its
     factors into.  The engine interns one instance per registered view and
     never evicts it: the label (its closures and the copies read out of
-    them) is bounded by the grammar, and what queried labels can grow
-    without bound (the bank's chain products) only grows while the engine's
-    byte budget has room.  No key
+    them) and the bank (its factors, and each chain's steps up to its
+    Lemma-5 period, whatever the recursion depth) are bounded by the grammar
+    and the view.  No key
     here mentions an arena or a run, so run churn cannot leak into it.
     """
 
@@ -264,10 +265,6 @@ class DecodedViewState:
     def room(self) -> int:
         """Bytes the engine's budget still admits for this state."""
         return sys.maxsize if self._room is None else self._room(self)
-
-    def has_room(self, nbytes: int) -> bool:
-        """Whether the budget admits ``nbytes`` more (the kernel's chain products ask too)."""
-        return nbytes <= self.room()
 
     def admit(self, arena: int, fresh: PairTable) -> int:
         """Merge ``fresh``'s rows into ``arena``'s table, as far as the budget allows.

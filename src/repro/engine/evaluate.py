@@ -21,9 +21,9 @@ evaluated the same way, as whole-array operations from gather to answer:
    decided once and merged in: the stacked Algorithm 2 of
    :mod:`repro.engine.kernel` settles each with a verdict (an interior
    key whose product is forced) or a matrix (every boundary key among
-   them), and what the kernel declines goes to the reference decoder in
-   ascending key order — so which pair raises, with which type and
-   message, is the decoder's call;
+   them).  A key the kernel declines is one the reference decoder raises
+   for: the first in ascending key order goes to it to raise, so which
+   pair raises, with which type and message, is the decoder's call;
 5. **read** — one bounds-checked fancy index into the table's matrix pool
    answers every pair — each from the ``(row, column)`` ports of its case —
    and one scatter puts the bits in place.
@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.decoder import _inputs_chain_over, _outputs_chain_over, intermediate_matrix
 from repro.core.pair_table import (
     ABSENT,
-    NO_DEPENDENCY,
     VERDICT_FALSE,
     VERDICT_TRUE,
     PairTable,
@@ -165,9 +164,8 @@ def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
 def _reference_matrix(path, label, path1: int, path2: int):
     """One key through the reference decoder on the plain view ``label``.
 
-    ``path`` materialises a path id.  Nothing is memoized here: the row the
-    key becomes is admitted to the pair table like the kernel's, so a repeat
-    is a table hit.
+    ``path`` materialises a path id.  The engine calls this only for a key
+    the kernel declined, for the decoder to raise its error.
     """
     start = label.index.start_module
     if path1 == ABSENT:
@@ -180,22 +178,18 @@ def _reference_matrix(path, label, path1: int, path2: int):
 
 
 def _decide(store, state, keys: np.ndarray, trie) -> PairTable:
-    """Decide ascending distinct ``keys``: the kernel, then the reference decoder."""
+    """Decide ascending distinct ``keys`` with the kernel.
+
+    A key it declines ends in the reference decoder's typed error: the first
+    such key is handed to the decoder to raise.
+    """
     path1, path2 = pair_paths(keys)
     bank = state.static.bank
-    ports = bank.ports
-    with trace_span("engine.decode", keys=int(keys.size)) as span:
+    with trace_span("engine.decode", keys=int(keys.size)):
         outcome, blocks, shapes = decide_many(trie(), bank, state, path1, path2)
-        reference = outcome == REFERENCE
-        sentinels = np.where(reference, 0, outcome)  # a verdict, or 0: a matrix
-        if span is not None:
-            span.attrs = {"keys": int(keys.size), "fallback": int(reference.sum())}
-    path = store.table.path
-    for row in np.nonzero(reference)[0].tolist():
-        matrix = _reference_matrix(path, state.label, int(path1[row]), int(path2[row]))
-        if matrix is None:
-            sentinels[row] = NO_DEPENDENCY
-        else:
-            shapes[row] = matrix.shape
-            blocks[row].reshape(ports, ports)[: matrix.rows, : matrix.cols] = matrix.data
-    return PairTable.build(ports, keys, blocks, shapes[:, 0], shapes[:, 1], sentinels)
+    declined = np.nonzero(outcome == REFERENCE)[0]
+    if declined.size:
+        key = int(path1[declined[0]]), int(path2[declined[0]])
+        _reference_matrix(store.table.path, state.label, *key)
+        raise DecodingError(f"the decode kernel declined key {key}, which the reference decides")
+    return PairTable.build(bank.ports, keys, blocks, shapes[:, 0], shapes[:, 1], outcome)

@@ -26,27 +26,28 @@ boundary pairs included — a side keyed :data:`~repro.core.pair_table.ABSENT`
    divergence, recursion chain products) becomes an integer code of the
    view's :class:`MatrixBank`, which knows each code's *class*: all-true,
    all-false or mixed.  A slab asks the bank once, for every factor of its
-   open keys; the ``I``/``O``/``Z`` it meets first, and the cycle edges its
-   chain products step over, are read in one gather out of the view's body
-   closures;
+   open keys; the ``I``/``O``/``Z`` it meets first, and the cycle edges of
+   its new chains, are read in one gather out of the view's body closures.
+   A chain of any depth is one of the few steps the bank holds up to its
+   Lemma-5 period;
 4. **classify** — an interior key whose product is forced is settled from
    the classes alone, as a verdict for every port pair and with no product
    built: an all-false factor annihilates (:data:`VERDICT_FALSE`, like the
    decoder's *no dependency*), and factors that are all all-true multiply to
    all-true (:data:`VERDICT_TRUE`).  A boundary key is always multiplied:
-   its row keeps the real shape every port read of it is checked against;
+   its row keeps the real shape every port read of it is checked against.
+   A boundary chain of identities alone (an empty path, or chains of zero
+   steps) is the identity of the size the reference gives it;
 5. **multiply** — for the keys with a mixed factor left and the boundary keys,
    ``out_chain^T · chain_up^T · Z · chain_down · in_chain`` as stacked
    products of zero-padded ``ports x ports`` float32 matrices gathered by
    code (segment products by pairwise tree reduction).
 
-Whatever is not a clean case — an edge the view does not define, siblings
-that disagree, a chain beyond :data:`MAX_CHAIN` or steps the budget left out,
-an id outside the trie, a boundary chain of identities alone — is marked
-:data:`REFERENCE` and left to the reference decoder (:mod:`repro.core.decoder`)
-on the plain view label, which decides or raises exactly as the public
-predicate does; its row is admitted to the pair table like any other.  The
-kernel never guesses.
+Every key the reference decoder (:mod:`repro.core.decoder`) decides, the
+kernel decides.  What is left — an edge the view does not define, siblings
+that disagree, an id outside the trie — is marked :data:`REFERENCE`: a key
+the reference raises for, which the engine has it raise, type and message
+included.  The kernel never guesses.
 
 Float32 stacks, not bit rows: 2,000 stacked 8x8 boolean products take 0.16 ms
 as ``matmul(float32) > 0`` against 0.25 ms as ``uint64`` bit rows (which also
@@ -70,7 +71,7 @@ __all__ = ["MATRIX", "REFERENCE", "VERDICT_FALSE", "VERDICT_TRUE", "MatrixBank",
 #: Per-key outcomes of :func:`decide_many`, beside :data:`VERDICT_FALSE` and
 #: :data:`VERDICT_TRUE` (negative: a pair-table ``off`` as they are).
 MATRIX = 0  # the key's block holds its reachability matrix
-REFERENCE = 1  # not a clean case: the reference decoder decides (or raises)
+REFERENCE = 1  # not a clean case: the reference decoder raises for it
 
 #: Bits of a packed edge word, ``kind | a << 1 | b << 17``.
 _WORD_BITS = 2 * _FIELD_BITS + 1
@@ -82,12 +83,9 @@ _IDENTITY, _UNDEFINED = 0, -1
 #: Classes of a code's matrix.  All-true needs non-zero dimensions; a matrix
 #: with a zero dimension is vacuously both and annihilates a product, which is
 #: the all-false behaviour.  The identity counts as all-true: it is neutral in
-#: a product, and every key has a factor that is not the identity (an interior
-#: key its ``Z``; a boundary key without one is the reference's).
+#: a product, and every interior key has a factor that is not the identity, its
+#: ``Z`` (a boundary key is always multiplied).
 _ALL_TRUE, _ALL_FALSE, _MIXED = 0, 1, 2
-#: Longest recursion chain resolved by running products; beyond it the
-#: reference's fast exponentiation (``O(log count)`` products) decides.
-MAX_CHAIN = 4096
 #: Cells (float32) a transient matrix stack may hold.
 _STACK_CELLS = 1 << 20
 
@@ -172,25 +170,32 @@ class MatrixBank:
     """The matrices of one view as a float32 stack addressed by code.
 
     A *key* names a factor of Algorithm 2 — ``I(k, i)``, ``O(k, i)``,
-    ``Z(k, i, j)`` or a recursion chain product ``(function, s, t, count)``
-    — and a *code* is the position of its zero-padded ``ports x ports`` matrix
-    in :attr:`matrices` (or ``-1``: undefined); :attr:`classes` holds each
+    ``Z(k, i, j)`` or a recursion chain ``(function, s, t)`` — and a *code*
+    is the position of its zero-padded ``ports x ports`` matrix in
+    :attr:`matrices` (or ``-1``: undefined); :attr:`classes` holds each
     code's class, filled when the code is appended, chain products included
     (classified as the matrices they are).  Codes are resolved lazily, by
     the first batch that asks, and never change: an eager bank of the chain
     grammar is ~4,000 matrices per view, most of them ``Z(k, i, j)`` no query
-    reads.  The ``I``/``O``/``Z`` keys a batch brings are resolved together
-    by :meth:`_gather`, one fancy index into the body closures the decoded
-    view state hands out (:meth:`~repro.engine.cache.DecodedViewState.closure`,
-    the label's own); a key is undefined exactly where the label's accessors raise, and a key
+    reads.  The ``I``/``O``/``Z`` keys a batch brings, and the cycle edges of
+    its new chains, are resolved together by :meth:`_gather`, one fancy
+    index into the body closures the decoded view state hands out
+    (:meth:`~repro.engine.cache.DecodedViewState.closure`, the label's own);
+    a key is undefined exactly where the label's accessors raise, and a key
     that reads an undefined code goes to the reference decoder on the plain
-    label, which raises the accessor's error.  The chain
-    products of one ``(function, s, t)`` are one running product
-    ``P_n = P_{n-1} · E(t + n - 1)``, every step kept, whose edge factors
-    come from the same gather and whose new steps a batch runs by prefix
-    doubling.  Growth happens under a lock and only appends — a matrix is
-    written before its code is published, a full stack is replaced by a
-    larger copy — so codes read before :attr:`matrices` always index it.
+    label, which raises the accessor's error.
+
+    A chain is the running product ``P_n = E(t) ⋯ E(t + n - 1)`` over its
+    cycle of length ``L``.  The next factor depends on ``n mod L`` alone, so
+    from the first repeat of ``(n mod L, P_n)`` — at steps ``a`` and
+    ``a + p`` — the product is periodic (Lemma 5): :meth:`_run_chain` keeps
+    steps ``0 .. a + p - 1`` and a count ``n`` reads step ``n`` below
+    ``a + p``, else ``a + (n - a) mod p``.  A chain of any depth is a
+    constant of the grammar and the view.  A cycle edge the view drops ends
+    the product: every later step is undefined.  Growth happens under a lock
+    and only appends — a matrix is written before its code is published, a
+    full stack is replaced by a larger copy — so codes read before
+    :attr:`matrices` always index it.
     """
 
     def __init__(self, index) -> None:
@@ -204,11 +209,23 @@ class MatrixBank:
         self.cycle_base = np.cumsum(self.cycle_len) - self.cycle_len
         flat = np.asarray([key for cycle in self.cycles for key in cycle], dtype=np.int64)
         self.cycle_k, self.cycle_pos = flat[:, 0], flat[:, 1]
-        self._cycle_nbytes = self.cycle_len.nbytes + self.cycle_base.nbytes + flat.nbytes
+        # The size of a chain of zero steps: the inputs (family _INPUTS) or
+        # outputs (_OUTPUTS) of its first member, per cycle slot; column 0 is
+        # the start module's, the size of an empty path.
+        start = index.start_module
+        members = [start] + [
+            index.grammar.module(edge.source) for cycle in index.cycles for edge in cycle
+        ]
+        self.identity_size = np.asarray(
+            [[m.n_inputs for m in members], [m.n_outputs for m in members]], dtype=np.int64
+        )
+        self._cycle_nbytes = (
+            self.cycle_len.nbytes + self.cycle_base.nbytes + flat.nbytes + self.identity_size.nbytes
+        )
         self._lock = threading.Lock()
         self._codes: dict[int, int] = {}
-        #: ``(family, s, t) -> [steps, code]``: how far the running product got.
-        self._chains: dict[tuple[int, int, int], list[int]] = {}
+        #: chain key -> (codes of steps 0 .. a + p - 1, a, p).
+        self._chains: dict[int, tuple[tuple[int, ...], int, int]] = {}
         #: Chain products held.
         self.chain_codes = 0
         self.matrices = np.zeros((64, ports, ports), dtype=np.float32)
@@ -232,44 +249,47 @@ class MatrixBank:
         """Flat index of cycle ``s``'s edge at the (cyclic, 1-based) ``rotation``."""
         return self.cycle_base[s] + (rotation - 1) % self.cycle_len[s]
 
-    def codes(self, keys: np.ndarray, state) -> np.ndarray:
-        """The code of every key, resolving the ones no batch asked for yet."""
+    def codes(self, keys: np.ndarray, counts: np.ndarray, state) -> np.ndarray:
+        """The code of every key, resolving the ones no batch asked for yet.
+
+        ``counts`` holds how many steps of each chain key (read beside an
+        ``I``/``O``/``Z`` key: 0).
+        """
         unique, inverse = np.unique(keys, return_inverse=True)
         listed = unique.tolist()
-        found = [self._codes.get(key) for key in listed]
-        if None in found:
+        codes, chains = self._codes, self._chains
+        if any(key not in codes and key not in chains for key in listed):
             with self._lock:
-                found = self._resolve(listed, state)
-        return np.asarray(found, dtype=np.int64)[inverse]
+                self._resolve(listed, state)
+        split = int(np.searchsorted(unique, _CHAIN << 56))  # chain keys sort last
+        found = [codes[key] for key in listed[:split]] + [_UNDEFINED] * (len(listed) - split)
+        found = np.asarray(found, dtype=np.int64)[inverse]
+        at = np.nonzero(inverse >= split)[0]
+        if at.size:
+            # A count n reads step n below a + p, else step a + (n - a) mod p.
+            records = [chains[key] for key in listed[split:]]
+            tail = np.asarray([a for _, a, _ in records])
+            period = np.asarray([p for _, _, p in records])
+            first = np.cumsum(tail + period) - (tail + period)  # each chain's step 0
+            run = inverse[at] - split
+            tail, period, n = tail[run], period[run], counts[at]
+            step = np.where(n < tail + period, n, tail + (n - tail) % period)
+            held = np.asarray([code for steps, _, _ in records for code in steps], dtype=np.int64)
+            found[at] = held[first[run] + step]
+        return found
 
-    def _resolve(self, listed: list[int], state) -> list[int]:
-        """The codes of ascending distinct keys: one gather, then the running products."""
-        missing = [key for key in listed if key not in self._codes]
-        factors = [key for key in missing if key >> 56 < _CHAIN]
-        chains = missing[len(factors) :]  # chain families sort after the factor families
-        # How far each running product (family, s, t) -- a key with count 0 --
-        # is asked to go; the cycle edges it still multiplies on are gathered
-        # with the factors.
-        targets: dict[int, int] = {}
-        for key in chains:
-            run = key - (key & 0xFFFFFF)
-            targets[run] = max(targets.get(run, 0), key & 0xFFFFFF)
-        if targets:
-            edges = {edge for run, n in targets.items() for edge in self._chain_edges(run, n)}
-            factors = sorted(edges.difference(self._codes).union(factors))
+    def _resolve(self, listed: list[int], state) -> None:
+        """Resolve the keys no batch asked for yet: one gather, then the new chains."""
+        chains = [key for key in listed if key >> 56 >= _CHAIN and key not in self._chains]
+        # A new chain multiplies the edges of its cycle, gathered with the factors.
+        factors = {key for key in listed if key >> 56 < _CHAIN}
+        for family, s, _, _ in map(_bank_fields, chains):
+            factors.update(_bank_key(family - _CHAIN, *edge, 0) for edge in self.cycles[s])
+        factors.difference_update(self._codes)
         if factors:
-            self._gather(np.asarray(factors, dtype=np.int64), state)
-        if targets:
-            self._run_chains(targets, state)
+            self._gather(np.asarray(sorted(factors), dtype=np.int64), state)
         for key in chains:
-            if key not in self._codes:
-                # Zero steps are the identity; a product that broke stays
-                # broken for every longer count; else the budget left the
-                # count out, and it is asked again once there is room.
-                family, s, t, count = _bank_fields(key)
-                if count == 0 or self._chains[(family, s, t)][1] == _UNDEFINED:
-                    self._codes[key] = _UNDEFINED if count else _IDENTITY
-        return [self._codes.get(key, _UNDEFINED) for key in listed]
+            self._run_chain(key)
 
     def _gather(self, keys: np.ndarray, state) -> None:
         """Resolve ``I``/``O``/``Z`` ``keys`` in one gather out of the state's closures."""
@@ -302,130 +322,84 @@ class MatrixBank:
             data[inside] = np.concatenate(list(closures.values()))[cells[inside]]
         append = np.nonzero((row_i > 0) & (row_j > 0))[0]
         code = np.full(keys.size, _UNDEFINED, dtype=np.int64)
-        code[append] = self._size + np.arange(append.size)
-        self._reserve(append.size)
-        at = slice(self._size, self._size + append.size)
-        data, inside = data[append], inside[append]
-        self.matrices[at] = data
-        self.shapes[at, 0], self.shapes[at, 1] = rows[append].sum(axis=1), cols[append].sum(axis=1)
-        # The padding is zero, so an empty dimension leaves nothing: all-false.
-        self.classes[at] = np.where(
-            data.any(axis=(1, 2)),
-            np.where((data == inside).all(axis=(1, 2)), _ALL_TRUE, _MIXED),
-            _ALL_FALSE,
-        )
-        self._size += append.size
+        first = self._append(data[append], rows[append].sum(axis=1), cols[append].sum(axis=1))
+        code[append] = first + np.arange(append.size)
         self._codes.update(zip(keys.tolist(), code.tolist()))
 
-    def _chain_edges(self, run: int, count: int) -> list[int]:
-        """Bank keys of the cycle edges ``run``'s product still multiplies on to ``count``."""
-        family, s, t, _ = _bank_fields(run)
+    def _run_chain(self, key: int) -> None:
+        """Run chain ``key`` to its first repeated ``(n mod L, P_n)`` and record its steps.
+
+        Steps are run in rounds that at least double the steps held, each the
+        prefix products of its edge factors times the last step held; only
+        the steps before the repeat join the stack.  A product the view breaks
+        at step ``d + 1`` holds steps ``0 .. d`` and reads undefined beyond.
+        """
+        family, s, t, _ = _bank_fields(key)
         cycle = self.cycles[s]
-        steps = self._chains.get((family, s, t), (0,))[0]
-        return [
-            _bank_key(family - _CHAIN, *cycle[(t + step - 1) % len(cycle)], 0)
-            for step in range(steps, min(count, steps + len(cycle)))
+        length = len(cycle)
+        ring = [
+            self._codes[_bank_key(family - _CHAIN, *cycle[(t - 1 + n) % length], 0)]
+            for n in range(length)
         ]
+        broken = _UNDEFINED in ring
+        if broken:
+            held = ring.index(_UNDEFINED)
+            products, tail, period = self._prefix(ring[:held]), held + 1, 1
+        else:
+            products = np.zeros((0, self.ports, self.ports), dtype=np.float32)
+            seen, tail = {}, None
+            while tail is None:
+                n = len(products)
+                more = self._prefix([ring[(n + m) % length] for m in range(max(n, length + 1))])
+                if n:
+                    more = np.minimum(products[-1] @ more, 1.0)
+                products = np.concatenate((products, more))
+                for step in range(n + 1, len(products) + 1):
+                    seen_at = seen.setdefault((step % length, products[step - 1].tobytes()), step)
+                    if seen_at != step:
+                        tail, period = seen_at, step - seen_at
+                        break
+            held = tail + period - 1
+        # Every step has the rows of the first edge factor, the columns of its last.
+        cols = self.shapes[[ring[n % length] for n in range(held)], 1]
+        first = self._append(products[:held], self.shapes[ring[0], 0], cols)
+        steps = (_IDENTITY, *range(first, first + held)) + (_UNDEFINED,) * broken
+        self._chains[key] = (steps, tail, period)
+        self.chain_codes += held
 
-    def _run_chains(self, targets: dict[int, int], state) -> None:
-        """Run each product (a key of count 0) on to its target count, keeping every step.
+    def _prefix(self, edges: list[int]) -> np.ndarray:
+        """``E_1 ⋯ E_m`` for every ``m``: the prefix products of the codes' matrices.
 
-        The step whose cycle edge the view drops is recorded undefined, and
-        the product stays broken.  Steps the budget leaves out are not run.
+        By doubling: ``log2`` stacked products (boolean products are associative).
         """
-        plans = []
-        for run, count in targets.items():
-            family, s, t, _ = _bank_fields(run)
-            tip = self._chains.setdefault((family, s, t), [0, _IDENTITY])
-            if tip[1] == _UNDEFINED or tip[0] >= count:
-                continue
-            # The edge factor of every step still to run, up to the first one
-            # the view drops.
-            cycle = self.cycles[s]
-            ring = [
-                self._codes.get(_bank_key(family - _CHAIN, *edge, 0), _UNDEFINED) for edge in cycle
-            ]
-            edges = [ring[(t - 1 + n) % len(cycle)] for n in range(tip[0], count)]
-            dropped = _UNDEFINED in edges
-            edges = edges[: edges.index(_UNDEFINED)] if dropped else edges
-            plans.append((run, tip, edges, dropped))
-        # Chain products count against the state budget: recursion depths
-        # come from the queried labels, which an adversarial stream can make
-        # unbounded.  Steps that would double the stack must fit the
-        # doubling; the others wait until the budget has room for a matrix at all.
-        need = sum(len(edges) for _, _, edges, _ in plans)
-        room = 0
-        if need and state.has_room(self.matrices[0].nbytes):
-            while self._size + need > len(self.matrices) and state.has_room(
-                self.nbytes - self._cycle_nbytes
-            ):
-                self._reserve(len(self.matrices) - self._size + 1)  # one doubling
-            room = min(need, len(self.matrices) - self._size)
-        admitted = []
-        for run, tip, edges, dropped in plans:
-            take = min(len(edges), room)
-            room -= take
-            admitted.append((run, tip, edges[:take]))
-            if dropped and take == len(edges):
-                admitted.append((run, tip, None))
-        self._extend([(run, tip, edges) for run, tip, edges in admitted if edges])
-        for run, tip, edges in admitted:
-            if edges is None:  # the view drops this cycle edge
-                tip[0], tip[1] = tip[0] + 1, _UNDEFINED
-                self._codes[run + tip[0]] = _UNDEFINED
+        prefix = self.matrices[edges]
+        shift = 1
+        while shift < len(edges):
+            prefix[shift:] = np.minimum(prefix[:-shift] @ prefix[shift:], 1.0)
+            shift *= 2
+        return prefix
 
-    def _extend(self, parts: list) -> None:
-        """Append the next steps of running products: ``(run, tip, edge codes)`` each.
-
-        Step ``n`` of a product is ``tip · E_1 ⋯ E_n``: the prefix products of
-        its edge factors by doubling (``log2`` stacked products; boolean
-        products are associative), then one stacked product with the tip.
-        Shapes and classes are written, for all parts at once, before the
-        codes are published.
-        """
-        if not parts:
-            return
-        products, rows = [], []
-        for _, tip, edges in parts:
-            prefix = self.matrices[edges]
-            shift = 1
-            while shift < len(edges):
-                prefix[shift:] = np.minimum(prefix[:-shift] @ prefix[shift:], 1.0)
-                shift *= 2
-            products.append(np.minimum(self.matrices[tip[1]] @ prefix, 1.0))
-            # Every product of a run has the rows of its first edge factor.
-            rows += [self.shapes[edges[0] if tip[0] == 0 else tip[1], 0]] * len(edges)
-        edges = [edge for _, _, part in parts for edge in part]
-        first, last = self._size, self._size + len(edges)
-        self.matrices[first:last] = np.concatenate(products)
-        self.shapes[first:last, 0], self.shapes[first:last, 1] = rows, self.shapes[edges, 1]
-        self._classify(slice(first, last))
-        self._size = last
-        for run, tip, part in parts:
-            steps, codes = run + tip[0] + 1, first + len(part)
-            self._codes.update(zip(range(steps, steps + len(part)), range(first, codes)))
-            tip[0], tip[1], first = tip[0] + len(part), codes - 1, codes
-        self.chain_codes += len(edges)
-
-    def _reserve(self, n: int) -> None:
-        """Grow the stack (by doubling) until ``n`` more matrices fit."""
-        while self._size + n > len(self.matrices):
-            self.matrices = np.concatenate((self.matrices, np.zeros_like(self.matrices)))
-            self.shapes = np.concatenate((self.shapes, np.full_like(self.shapes, -1)))
-            self.classes = np.concatenate((self.classes, np.zeros_like(self.classes)))
-
-    def _classify(self, at: slice) -> None:
-        """The class of each matrix at ``at``, from its cells and its shape.
+    def _append(self, matrices: np.ndarray, rows, cols) -> int:
+        """Append ``matrices`` with their real ``(rows, cols)`` and classes; the first one's code.
 
         The padding is zero, so a matrix is all-false when it has no true
         cell (an empty dimension included) and all-true when its true cells
         fill its ``rows x cols``.
         """
-        filled = np.count_nonzero(self.matrices[at], axis=(1, 2))
-        area = self.shapes[at, 0].astype(np.int64) * self.shapes[at, 1]
-        self.classes[at] = np.where(
+        first, last = self._size, self._size + len(matrices)
+        while last > len(self.matrices):  # grow by doubling
+            self.matrices = np.concatenate((self.matrices, np.zeros_like(self.matrices)))
+            self.shapes = np.concatenate((self.shapes, np.full_like(self.shapes, -1)))
+            self.classes = np.concatenate((self.classes, np.zeros_like(self.classes)))
+        self.matrices[first:last] = matrices
+        self.shapes[first:last, 0], self.shapes[first:last, 1] = rows, cols
+        filled = np.count_nonzero(matrices, axis=(1, 2))
+        area = self.shapes[first:last, 0].astype(np.int64) * self.shapes[first:last, 1]
+        self.classes[first:last] = np.where(
             filled == 0, _ALL_FALSE, np.where(filled == area, _ALL_TRUE, _MIXED)
         )
+        self._size = last
+        return first
 
 
 def _climb(parent, left: np.ndarray, right: np.ndarray):
@@ -521,8 +495,6 @@ def _start_matrix(bank: MatrixBank, state):
     except Exception:
         return REFERENCE, False, 0  # the reference decoder raises it again
     rows, cols = data.shape
-    if max(rows, cols) > bank.ports:
-        return REFERENCE, False, 0
     block = np.zeros((bank.ports, bank.ports), dtype=bool)
     block[:rows, :cols] = data
     return MATRIX, block.reshape(-1), (rows, cols)
@@ -572,11 +544,11 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
     settle(no_matrix, interior & ~recursive & (b1 > b2))
     z_k, z_i, z_j = a1, b1, b2
     # Edges at the top of each side that are not segment factors (a boundary
-    # side has none), and the bank key of the recursion chain between the two
-    # sides, if there is one.
+    # side has none), and the bank key and steps of the recursion chain
+    # between the two sides, if there is one.
     skip1 = skip2 = interior.astype(np.int64)
     down = up = has_chain = np.zeros(n, dtype=bool)
-    chain_key = np.zeros(n, dtype=np.int64)
+    chain_key = chain_steps = np.zeros(n, dtype=np.int64)
 
     if recursive.any():
         # Case 2b, recursive LCA: sibling edges (s, t, i) and (s, t, j), i != j.
@@ -586,11 +558,8 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
         # the hanging module and the position where the chain goes on.
         i = child[diverging[:n]].astype(np.int64)
         j = child[diverging[n:]].astype(np.int64)
-        steps = np.abs(i - j) - 1
-        settle(
-            reference,
-            recursive & ((w1 != w2) | (i == j) | (a1 < 1) | (a1 > n_cycles) | (steps > MAX_CHAIN)),
-        )
+        chain_steps = np.abs(i - j) - 1
+        settle(reference, recursive & ((w1 != w2) | (i == j) | (a1 < 1) | (a1 > n_cycles)))
         down = recursive & (i < j)  # the producer hangs off member i, the consumer is below j
         up = recursive & (i > j)
         settle(no_matrix, (down & (count1 == 1)) | (up & (count2 == 1)))
@@ -608,13 +577,12 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
             reference,
             recursive
             & ((hang < 0) | (hang >> _WORD_BITS != 0) | ((hang & 1) == 1)
-               | (bank.cycle_k[slot] != hang_k) | (z_i == z_j)),
+               | (bank.cycle_k[slot] != hang_k)),
         )
         settle(no_matrix, recursive & (z_i > z_j))
-        has_chain = recursive & (steps > 0)
+        has_chain = recursive & (chain_steps > 0)
         start = (b1 + member - 1) % bank.cycle_len[s] + 1  # rotation t + min(i, j)
-        family = np.where(down, _INPUTS + _CHAIN, _OUTPUTS + _CHAIN)
-        chain_key = _bank_key(family, s, start, np.where(has_chain, steps, 0))
+        chain_key = _bank_key(np.where(down, _INPUTS + _CHAIN, _OUTPUTS + _CHAIN), s, start, 0)
         skip1, skip2 = np.where(down, 2, skip1), np.where(up, 2, skip2)
 
     # The Z between the two sides (a boundary key has none: the identity).
@@ -633,15 +601,21 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
     word = np.where(malformed, 0, word)
     a, b = (word >> 1) & _FIELD_MASK, word >> (_FIELD_BITS + 1)
     is_chain = (word & 1) == 1
-    malformed |= is_chain & ((a < 1) | (a > n_cycles) | (steps < 0) | (steps > MAX_CHAIN))
+    malformed |= is_chain & ((a < 1) | (a > n_cycles) | (steps < 0))
     is_chain &= ~malformed
-    b = np.where(is_chain, (b - 1) % bank.cycle_len[np.where(is_chain, a, 0)] + 1, b)
-    family = np.where(side < n, _OUTPUTS, _INPUTS) + np.where(is_chain, _CHAIN, 0)
-    keys = _bank_key(family, a, b, np.where(is_chain, steps, 0))
+    cycle = np.where(is_chain, a, 0)
+    b = np.where(is_chain, (b - 1) % bank.cycle_len[cycle] + 1, b)
+    io = np.where(side < n, _OUTPUTS, _INPUTS)
+    keys = _bank_key(io + np.where(is_chain, _CHAIN, 0), a, b, 0)
+    steps = np.where(is_chain, steps, 0)
     # One bank call for every factor of the keys still open: the factors of a
     # key its Z then settles are resolved too, as the Z is settled first below.
     chained = np.nonzero(has_chain & ~(no_matrix | reference))[0]
-    codes = bank.codes(np.concatenate((z_keys, keys[~malformed], chain_key[chained])), state)
+    codes = bank.codes(
+        np.concatenate((z_keys, keys[~malformed], chain_key[chained])),
+        np.concatenate((np.zeros(pending.size, np.int64), steps[~malformed], chain_steps[chained])),
+        state,
+    )
     z = np.full(n, _IDENTITY, dtype=np.int64)
     z[pending] = codes[: pending.size]
     code = np.full(keys.size, _UNDEFINED, dtype=np.int64)
@@ -652,8 +626,8 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
     settle(no_matrix, bank.classes[z] == _ALL_FALSE)
     settle(reference, (np.bincount(owner[code == _UNDEFINED], minlength=n) > 0) | (chain == _UNDEFINED))
     # A boundary chain of identities alone (an empty path, or chains of zero
-    # steps) is an identity of the start module's size, which no shape says.
-    settle(reference, ~interior & (np.bincount(owner[code > _IDENTITY], minlength=n) == 0))
+    # steps): its size is set below, as no code's shape says it.
+    identity = ~interior & ~reference & (np.bincount(owner[code > _IDENTITY], minlength=n) == 0)
     chain_up, chain_down = np.where(up, chain, _IDENTITY), np.where(down, chain, _IDENTITY)
 
     # Every factor of the keys still open is defined, so the decoder would
@@ -733,4 +707,14 @@ def _decide_slab(trie, bank: MatrixBank, state, path1: np.ndarray, path2: np.nda
     shapes[live, 1] = np.where(
         outputs_only, outputs, np.where(inputs >= 0, inputs, np.where(below >= 0, below, z_cols))
     )
+    if identity.any():
+        # The identity of the first factor's size: the first chain member's
+        # inputs (Case III) or outputs (Case IV), or for an empty path the
+        # start module's.
+        size = bank.identity_size[np.where(absent1, _INPUTS, _OUTPUTS), 0]
+        top = column == 0
+        size[owner[top]] = bank.identity_size[io[top], bank.cycle_slot(cycle[top], b[top])]
+        inside = np.arange(bank.ports) < size[identity, None, None]
+        blocks[identity] = (np.eye(bank.ports, dtype=bool) & inside).reshape(-1, bank.ports**2)
+        shapes[identity] = size[identity, None]
     return outcome, blocks, shapes

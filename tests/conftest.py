@@ -181,7 +181,7 @@ def decoded_state_bytes():
             bank = part.bank
             arrays = (
                 bank.matrices, bank.shapes, bank.classes,
-                bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos,
+                bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos, bank.identity_size,
             )
             static += sum(array.nbytes for array in arrays)
             # The label: its closures and their slices, and the copies read out of them.

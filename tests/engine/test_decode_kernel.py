@@ -17,15 +17,17 @@ paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
     and black-box views; live, mapped, multi-segment and sparse
     stores;
 (2) a warm batch executes no per-key Python;
-(3) the state budget bounds the pair tables and the bank's chain products
-    together, in bytes, across LRU rebuilds;
-(4) a ``parent`` column that breaks the id order ends in a typed error;
+(3) the state budget bounds the pair tables, in bytes, across LRU rebuilds;
+    the bank's chain products are static, held whole whatever the budget;
+(4) a ``parent`` column that breaks the id order ends in a typed error, and
+    so does a key the kernel declines though the reference decides it;
 (5) racing first queries on one unseen view over two arenas agree;
 (6) entry reads are bounds-checked.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import sys
@@ -41,11 +43,29 @@ import repro.core.decoder as decoder
 import repro.core.pair_table as pair_table
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import RunReachabilityOracle
+from repro.core.decoder import intermediate_matrix
+from repro.core.labels import ProductionEdgeLabel, RecursionEdgeLabel
+from repro.core.pair_table import ABSENT, pair_paths
 from repro.engine import DEFAULT_RUN, evaluate, kernel
 from repro.engine.cache import DecodedViewState, StaticViewState
-from repro.engine.kernel import REFERENCE, MatrixBank, decide_many
+from repro.engine.kernel import (
+    MATRIX,
+    REFERENCE,
+    VERDICT_FALSE,
+    VERDICT_TRUE,
+    MatrixBank,
+    decide_many,
+)
 from repro.errors import DecodingError, VisibilityError
-from repro.model import default_view
+from repro.matrices import BoolMatrix
+from repro.model import (
+    DependencyAssignment,
+    Module,
+    Production,
+    WorkflowGrammar,
+    WorkflowSpecification,
+    default_view,
+)
 from repro.model.projection import ViewProjection
 from repro.store import LabelStore, checkpoint_run
 from repro.workloads import (
@@ -56,6 +76,7 @@ from repro.workloads import (
     random_run,
     random_view,
 )
+from repro.workloads.builder import chain_workflow
 
 STORES = ("live", "mapped", "segmented", "sparse")
 
@@ -197,23 +218,38 @@ def test_deep_recursion_beyond_a_cycle_turn_and_the_power_table_tail(kernel_vs_r
     )
     # The default view drops nothing: every key is a clean case.
     assert decided > 0 and declined == 0
-    bank = engine.decoded_state(view).static.bank
-    assert bank.chain_codes > longest_cycle  # chains really ran past one turn
+    # Keys past one turn of their cycle were kernel rows: every row of the
+    # table is the kernel's, and some key's path takes a recursion edge deeper
+    # than a turn.
+    table = engine.decoded_state(view).table(engine.shard_arena())
+    deep = {
+        path
+        for path, (word, i) in enumerate(zip(packed, child))
+        if word >= 0 and word & 1 and i > longest_cycle + 1
+    }
+
+    def past_a_turn(path):
+        while path > 0:
+            if path in deep:
+                return True
+            path = labeler.store.table.parent(path)
+        return False
+
+    assert any(past_a_turn(path) for path in np.concatenate(pair_paths(table.keys)).tolist())
 
 
-def test_a_chain_past_max_chain_is_the_references_and_then_a_table_hit(monkeypatch):
-    """Keys whose chains run past ``MAX_CHAIN`` go to the reference, once each."""
-    spec = build_running_example()
+def _depth_first_run(spec, items, seed=1):
+    """A run that always expands its newest instance: recursion chains ``items`` deep."""
+    return random_run(spec, items, seed=seed, choose_pending=lambda rng, pending: max(pending))
+
+
+@pytest.mark.parametrize("build", [build_running_example, build_bioaid_specification])
+def test_chain_products_are_a_constant_of_the_grammar_whatever_the_depth(build, monkeypatch):
+    """Lemma 5, engine side: a chain costs its tail and period, at 10^3 items as at 10^4."""
+    spec = build()
     scheme = FVLScheme(spec)
-    derivation = random_run(spec, 600, seed=2)  # one recursion chain > 20 deep
-    labeler = scheme.label_run(derivation)
     view = default_view(spec)
     view_label = scheme.label_view(view)
-    uids = sorted(ViewProjection(derivation.run, view).visible_items)
-    rng = random.Random(4)
-    pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(300)]
-    expected = [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
-    monkeypatch.setattr(kernel, "MAX_CHAIN", 2)
     referred = []
     original = evaluate._reference_matrix
 
@@ -222,13 +258,183 @@ def test_a_chain_past_max_chain_is_the_references_and_then_a_table_hit(monkeypat
         return original(*args)
 
     monkeypatch.setattr(evaluate, "_reference_matrix", counting)
-    engine = QueryEngine(scheme)
-    engine.add_run(DEFAULT_RUN, derivation)
-    assert engine.depends_batch(pairs, view).tolist() == expected
-    assert referred
-    referred.clear()
-    assert engine.depends_batch(pairs, view).tolist() == expected
-    assert referred == []  # the reference's rows were admitted: table hits
+    held, depths = [], []
+    for items in (1_000, 10_000):
+        derivation = _depth_first_run(spec, items)
+        labeler = scheme.label_run(derivation)
+        _, packed, child = labeler.store.table.raw_columns()
+        depths.append(max(i for word, i in zip(packed, child) if word >= 0 and word & 1))
+        engine = QueryEngine(scheme)
+        engine.add_run(DEFAULT_RUN, derivation)
+        uids = sorted(ViewProjection(derivation.run, view).visible_items)
+        rng = random.Random(items)
+        pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(300)]
+        expected = [
+            scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs
+        ]
+        assert engine.depends_batch(pairs, view).tolist() == expected
+        assert referred == []  # the default view drops nothing: no key raises
+        state = engine.decoded_state(view)
+        bank = state.static.bank
+        assert 0 < bank.chain_codes < sum(a + p for _, a, p in bank._chains.values())
+        # Touch every chain of the grammar, at the run's deepest count.
+        runs = [
+            kernel._bank_key(family, s, t, 0)
+            for family in (kernel._INPUTS + kernel._CHAIN, kernel._OUTPUTS + kernel._CHAIN)
+            for s in range(1, len(bank.cycles))
+            for t in range(1, len(bank.cycles[s]) + 1)
+        ]
+        bank.codes(np.asarray(runs), np.full(len(runs), depths[-1]), state)
+        assert sorted(bank._chains) == sorted(runs)
+        assert bank.chain_codes < sum(a + p for _, a, p in bank._chains.values())
+        held.append((bank.chain_codes, {key: record[1:] for key, record in bank._chains.items()}))
+    assert depths[1] > 5 * depths[0]
+    assert held[0] == held[1]
+
+
+_DEEP_WORKLOADS = {
+    "running": build_running_example,
+    "bioaid": build_bioaid_specification,
+    "synthetic": lambda: build_synthetic_specification(
+        workflow_size=4, module_degree=2, nesting_depth=2, recursion_length=3, seed=7
+    ),
+    "nested-chain": lambda: build_nested_chain_specification(6, 8, 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _deep_scheme(workload):
+    spec = _DEEP_WORKLOADS[workload]()
+    return spec, FVLScheme(spec)
+
+
+@pytest.mark.parametrize("workload", sorted(_DEEP_WORKLOADS))
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    items=st.integers(min_value=40, max_value=10_000),
+    run_seed=st.integers(min_value=0, max_value=1_000),
+    mode=st.sampled_from(["grey", "white", "black"]),
+    store=st.sampled_from(["live", "mapped"]),
+)
+def test_only_keys_that_raise_reach_the_reference_decoder(
+    tmp_path_factory, kernel_vs_reference, workload, items, run_seed, mode, store
+):
+    """Recursion up to 10^4 deep, any view: the kernel decides every key the reference does."""
+    spec, scheme = _deep_scheme(workload)
+    derivation = _depth_first_run(spec, items, run_seed)
+    labeler = scheme.label_run(derivation)
+    view = random_view(spec, 4, seed=run_seed, mode=mode, name="deep")
+    run_file = tmp_path_factory.mktemp("deep") / "run.fvl"
+    engine = _engine_over(scheme, derivation, labeler, store, run_file)
+    outcomes = []
+    original = evaluate._reference_matrix
+
+    def raising(*args):
+        try:
+            original(*args)
+        except Exception:
+            outcomes.append("raised")
+            raise
+        outcomes.append("returned")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "_reference_matrix", raising)
+        try:
+            kernel_vs_reference(
+                engine, scheme, labeler, view, FVLVariant.DEFAULT, random.Random(run_seed), 40
+            )
+        finally:
+            engine.detach(DEFAULT_RUN)
+    assert "returned" not in outcomes
+
+
+def _rotor_specification():
+    """A three-port recursion ``A -> B -> A`` whose ``Inputs`` chain rotates the ports.
+
+    ``A -> r B r`` and ``B -> A`` form the one cycle (``L = 2``, edges ``(2, 2)``
+    and ``(4, 1)``); ``r`` is a port rotation, so ``I(2, 2)`` is a permutation
+    of order 3 and the running product repeats only after six steps.  ``A ->
+    q`` ends the recursion; every composite's dependencies are all-true, so
+    the specification is safe.
+    """
+    rotate = {(port, port % 3 + 1) for port in (1, 2, 3)}
+    every = {(i, o) for i in (1, 2, 3) for o in (1, 2, 3)}
+    modules = {name: Module(name, 3, 3) for name in ("S", "A", "B", "r", "q")}
+    productions = [
+        Production(modules["S"], chain_workflow([("A", modules["A"])])),
+        Production(
+            modules["A"],
+            chain_workflow([("r1", modules["r"]), ("B", modules["B"]), ("r2", modules["r"])]),
+        ),
+        Production(modules["A"], chain_workflow([("q", modules["q"])])),
+        Production(modules["B"], chain_workflow([("A", modules["A"])])),
+    ]
+    grammar = WorkflowGrammar(modules, {"S", "A", "B"}, "S", productions)
+    return WorkflowSpecification(grammar, DependencyAssignment({"r": rotate, "q": every}))
+
+
+@pytest.mark.parametrize("variant", [FVLVariant.DEFAULT, FVLVariant.QUERY_EFFICIENT])
+def test_a_chain_of_any_depth_is_a_kernel_row(variant):
+    """Recursion edges of any child index, boundary and interior keys alike, are kernel rows.
+
+    A hand-built trie hangs one recursion edge ``(1, 1, c)`` off the root per
+    child index ``c`` — ``2^24 + 3`` among them, whose step count would spill
+    out of a bank key's 24-bit count field — and two production edges off
+    member 1, the producer and consumer sides of the recursive-LCA keys.
+    Every key is a matrix or a verdict, and every matrix is the label's chain
+    (Cases III and IV) or the reference decoder's product (interior keys).
+    """
+    spec = _rotor_specification()
+    scheme = FVLScheme(spec)
+    view = default_view(spec)
+    label = scheme.label_view(view, variant)
+    state = DecodedViewState(StaticViewState(scheme.label_view(view)))
+    bank = state.static.bank
+    length = scheme.index.cycle_length(1)
+    children = [1, 2, length + 1, 10**4, 2**24 + 3, 2**31 - 1]
+    down, up = len(children) + 1, len(children) + 2
+    parent = [-1] + [0] * len(children) + [1, 1]
+    packed = [-1] + [1 | 1 << 1 | 1 << 17] * len(children) + [2 << 1 | 1 << 17, 2 << 1 | 3 << 17]
+    child = [0] + children + [0, 0]
+    trie = tuple(np.asarray(column, dtype=np.int64) for column in (parent, packed, child))
+    paths = {0: ()}
+    paths.update({node: (RecursionEdgeLabel(1, 1, c),) for node, c in enumerate(children, 1)})
+    paths[down] = (RecursionEdgeLabel(1, 1, 1), ProductionEdgeLabel(2, 1))
+    paths[up] = (RecursionEdgeLabel(1, 1, 1), ProductionEdgeLabel(2, 3))
+    start = scheme.index.start_module
+    expected = {
+        (ABSENT, 0): BoolMatrix.identity(start.n_inputs),  # an empty path
+        (0, ABSENT): BoolMatrix.identity(start.n_outputs),
+    }
+    for node, c in enumerate(children, 1):
+        expected[ABSENT, node] = label.inputs_chain(1, 1, c - 1)  # Case III
+        expected[node, ABSENT] = label.outputs_chain(1, 1, c - 1)  # Case IV
+        if c > 1:  # recursive LCA, the producer above and below the consumer
+            expected[down, node] = intermediate_matrix(paths[down], paths[node], label)
+            expected[node, up] = intermediate_matrix(paths[node], paths[up], label)
+    keys = sorted(expected)
+    path1, path2 = (np.asarray(side, dtype=np.int64) for side in zip(*keys))
+    outcome, blocks, shapes = decide_many(trie, bank, state, path1, path2)
+    ports = bank.ports
+    for key, verdict, block, shape in zip(keys, outcome.tolist(), blocks, shapes):
+        matrix = expected[key]
+        if verdict == VERDICT_FALSE:
+            assert matrix is None or matrix.is_all_false(), key
+        elif verdict == VERDICT_TRUE:
+            assert matrix is not None and matrix.is_all_true(), key
+        else:
+            assert verdict == MATRIX and matrix is not None, key
+            assert tuple(shape) == matrix.shape, key
+            padded = np.zeros((ports, ports), dtype=bool)
+            padded[: matrix.rows, : matrix.cols] = matrix.data
+            assert np.array_equal(block.reshape(ports, ports), padded), key
+    # Each chain holds at most its tail and period, the rotation's six steps.
+    assert bank._chains and all(tail + period <= 7 for _, tail, period in bank._chains.values())
+    assert np.count_nonzero(outcome == MATRIX) > len(children)
 
 
 def test_an_unretained_chain_names_its_rotation_within_the_cycle():
@@ -319,7 +525,7 @@ def test_warm_batch_calls_neither_the_classifier_nor_the_decoder(tmp_path, monke
 # -- (3) the byte budget ------------------------------------------------------------------
 
 
-def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, decoded_state_bytes):
+def test_budget_bounds_pair_tables_across_rebuilds(tmp_path, decoded_state_bytes):
     spec = build_running_example()
     scheme = FVLScheme(spec)
     derivation = random_run(spec, 600, seed=2)  # one recursion chain > 20 deep
@@ -361,11 +567,10 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
         name: sum(len(state.table(arena)) for arena in (0, 1))
         for name, state in wanted.items()
     }
-    assert wanted_chains > 40
     roomy.detach("disk")
 
-    # A twentieth of the smaller per-run state — a few rows — on top of (a) every static byte wanted, (b) the static parts as
-    # they start out, with no room to double a bank for chain products.
+    # A twentieth of the smaller per-run state — a few rows — on top of (a) every
+    # static byte wanted, (b) the static parts as they start out.
     for budget in (static + per_run // 20, labelled + per_run // 20):
         engine = engine_with(state_budget_bytes=budget)
         for view, pairs, expected, run in rounds:
@@ -382,14 +587,12 @@ def test_budget_bounds_pair_tables_and_chain_products_across_rebuilds(tmp_path, 
             tables = [state.table(arena) for arena in (0, 1)]
             assert sum(table.nbytes for table in tables) == state.nbytes
             assert sum(len(table) for table in tables) < wanted_rows[view.name]
-        chains = sum(part.bank.chain_codes for part in engine._statics.values())
+        # Chain products are static: the grammar and the view bound them, not the budget.
+        assert sum(part.bank.chain_codes for part in engine._statics.values()) == wanted_chains
         if budget >= static:
             # (a) the static parts fit whole, so the budget itself held and rows got the rest.
-            assert engine.stats.views.bytes <= budget and chains == wanted_chains
+            assert engine.stats.views.bytes <= budget
             assert any(len(state.table(arena)) for arena in (0, 1))
-        else:
-            # (b) chain products stopped where the bytes ran out.
-            assert 0 < chains < wanted_chains
         assert engine.stats.views.evictions >= 7 and engine.stats.labels_built == 2
         engine.detach("disk")
 
@@ -422,6 +625,29 @@ def test_a_parent_column_out_of_id_order_is_a_typed_error(parent):
         trie, state.static.bank, state, np.asarray([7]), np.asarray([1])
     )
     assert outcome.tolist() == [REFERENCE]
+
+
+def test_a_declined_key_the_reference_decides_is_a_typed_error(monkeypatch):
+    """The engine answers a declined key only with the reference's error, never a guess."""
+    spec = build_running_example()
+    scheme = FVLScheme(spec)
+    derivation = random_run(spec, 200, seed=2)
+    view = default_view(spec)
+    uids = sorted(ViewProjection(derivation.run, view).visible_items)
+    rng = random.Random(1)
+    pairs = [(rng.choice(uids), rng.choice(uids)) for _ in range(50)]
+    engine = QueryEngine(scheme)
+    engine.add_run(DEFAULT_RUN, derivation)
+    decide = evaluate.decide_many
+
+    def declining(*args):
+        outcome, blocks, shapes = decide(*args)
+        return np.full_like(outcome, REFERENCE), blocks, shapes
+
+    monkeypatch.setattr(evaluate, "decide_many", declining)
+    with pytest.raises(DecodingError, match=r"declined key \(\d+, \d+\)"):
+        engine.depends_batch(pairs, view)
+    assert engine.decoded_state(view).arenas() == []  # nothing was stored
 
 
 # -- (5) racing first queries on one unseen view, two arenas --------------------------------
@@ -471,7 +697,8 @@ def test_threads_racing_on_an_unseen_view_over_two_arenas_agree(tmp_path):
     state = engine.decoded_state(view.name)
     bank = state.static.bank
     codes = bank._codes
-    held = sorted(code for code in codes.values() if code > 0)
+    steps = [code for run, _, _ in bank._chains.values() for code in run]
+    held = sorted(code for code in [*codes.values(), *steps] if code > 0)
     assert held == list(range(1, len(bank)))
     calm = QueryEngine(scheme)
     calm.add_run("live", derivation)
@@ -486,6 +713,15 @@ def test_threads_racing_on_an_unseen_view_over_two_arenas_agree(tmp_path):
         if code >= 0:
             assert np.array_equal(bank.matrices[code], calm_bank.matrices[calm_code]), key
             assert bank.shapes[code].tolist() == calm_bank.shapes[calm_code].tolist(), key
+    # And every chain ends in the same tail and period, step by step the same matrices.
+    assert sorted(calm_bank._chains) == sorted(bank._chains)
+    for key, (run, tail, period) in bank._chains.items():
+        calm_run, calm_tail, calm_period = calm_bank._chains[key]
+        assert (tail, period, len(run)) == (calm_tail, calm_period, len(calm_run)), key
+        for code, calm_code in zip(run, calm_run):
+            assert (code < 0) == (calm_code < 0), key
+            if code >= 0:
+                assert np.array_equal(bank.matrices[code], calm_bank.matrices[calm_code]), key
     # Both arenas hold the same decisions, each under its own ids.
     live_arena, disk_arena = engine.shard_arena("live"), engine.shard_arena("disk")
     assert sorted(state.arenas()) == sorted((live_arena, disk_arena))

@@ -104,7 +104,8 @@ def test_one_gather_resolves_every_function_as_the_label_reads_it(grammar, varia
         state = DecodedViewState(StaticViewState(scheme.label_view(view)))
         bank = state.static.bank
         keys = list(_keys(scheme.index))
-        codes = bank.codes(np.asarray([key for key, _, _ in keys], dtype=np.int64), state)
+        asked = np.asarray([key for key, _, _ in keys], dtype=np.int64)
+        codes = bank.codes(asked, np.zeros_like(asked), state)
         assert len(bank) == 1 + int(np.count_nonzero(codes > 0))  # each key appended once
         for code, (key, name, args) in zip(codes.tolist(), keys):
             try:
@@ -122,6 +123,6 @@ def test_one_gather_resolves_every_function_as_the_label_reads_it(grammar, varia
             assert bank.classes[code] == _class(matrix), (view.name, name, args)
             defined += 1
         # Asked again, every key is known: nothing is gathered or appended twice.
-        again = bank.codes(np.asarray([key for key, _, _ in keys], dtype=np.int64), state)
+        again = bank.codes(asked, np.zeros_like(asked), state)
         assert np.array_equal(again, codes) and len(bank) == 1 + int(np.count_nonzero(codes > 0))
     assert defined > 0 and undefined > 0

@@ -200,6 +200,7 @@ class _FakeView:
             max_ports=lambda: 2,
             cycles=(),
             grammar=_Grammar(productions),
+            start_module=SimpleNamespace(n_inputs=1, n_outputs=1),
         )
 
     def closure(self, k):
@@ -378,7 +379,8 @@ def test_classifier_folds_count_classes_along_each_path(
         return kernel._ALL_TRUE if matrix.is_all_true() else kernel._MIXED
 
     def by_the_bank(family, k, i):
-        (code,) = bank.codes(np.asarray([kernel._bank_key(family, k, i, 0)]), state)
+        key = np.asarray([kernel._bank_key(family, k, i, 0)])
+        (code,) = bank.codes(key, np.zeros_like(key), state)
         return None if code < 0 else int(bank.classes[code])
 
     checked = set()

@@ -1,4 +1,4 @@
-"""Options ledger for the durability and transport tier, and the query surface.
+"""Options ledger for the durability and transport tier, the query surface and the decode tier.
 
 Pins the parameters of the tier's public signatures and the SLO kind set,
 so adding (or removing) a knob is a visible edit to this file.  The
@@ -6,7 +6,11 @@ independently settable values are each signature's parameters minus the
 inputs it operates on, addresses/paths, and the ``clock`` / ``sleep`` /
 ``jitter_seed`` test seams.  The query surface — engine, scheduler and
 client — is pinned too: a query names its ids, a view and a run, and the
-engine serves one label per view, so no signature takes a variant.
+engine serves one label per view, so no signature takes a variant.  So is
+the decode tier: the bank takes a grammar index and a call names its keys,
+their chain counts and the view state, and the kernel's module constants are
+its outcome, family and class codes and one stack bound — a recursion depth
+cap or a budget hook would be a visible edit here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from repro.engine import QueryEngine
+from repro.engine import QueryEngine, kernel
+from repro.engine.kernel import MatrixBank
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.obs.watchdog import SLO, SLO_KINDS, Watchdog, default_slos
 from repro.serve import ProvenanceServer
@@ -26,7 +31,7 @@ from repro.store import FileLease, compact, run_file_info
 NOT_KNOBS = {
     "self", "path", "engine", "policy", "lease", "server", "registry", "slos",
     "unix_path", "address", "host", "port", "name", "metric",
-    "clock", "sleep", "jitter_seed",
+    "clock", "sleep", "jitter_seed", "index", "keys", "counts", "state",
 }
 
 #: Engine, scheduler and client: what a query names, and nothing else.
@@ -77,6 +82,25 @@ SIGNATURES = {
     "Watchdog": (Watchdog, ("registry", "slos", "interval_s", "clock")),
 }
 
+#: The decode kernel's bank: what it is built from and what a call resolves.
+DECODE_TIER = {
+    "MatrixBank": (MatrixBank, ("index",)),
+    "MatrixBank.codes": (MatrixBank.codes, ("self", "keys", "counts", "state")),
+}
+
+#: Every int at the kernel's module level, imported ones included.
+KERNEL_CONSTANTS = {
+    # outcomes and pair-table sentinels
+    "MATRIX": 0, "REFERENCE": 1, "VERDICT_FALSE": -2, "VERDICT_TRUE": -3,
+    # trie and key layout
+    "ABSENT": 2**31 - 1, "ROOT_PATH": 0, "_FIELD_BITS": 16, "_FIELD_MASK": 0xFFFF, "_WORD_BITS": 33,
+    # bank key families, codes and classes
+    "_INPUTS": 0, "_OUTPUTS": 1, "_Z": 2, "_CHAIN": 3, "_IDENTITY": 0, "_UNDEFINED": -1,
+    "_ALL_TRUE": 0, "_ALL_FALSE": 1, "_MIXED": 2,
+    # the one bound: cells a transient matrix stack may hold
+    "_STACK_CELLS": 1 << 20,
+}
+
 #: Config objects count each field.
 FIELDS = {
     "CheckpointPolicy": (
@@ -122,6 +146,14 @@ def test_the_tier_has_eighteen_settable_values():
         "Watchdog": 1,
     }
     assert sum(counts.values()) == 18
+
+
+def test_the_decode_tier_is_pinned_and_has_no_settable_value():
+    for label, (target, expected) in DECODE_TIER.items():
+        assert tuple(inspect.signature(target).parameters) == expected, label
+        assert _knobs(expected) == [], label
+    constants = {name: value for name, value in vars(kernel).items() if type(value) is int}
+    assert constants == KERNEL_CONSTANTS
 
 
 def test_slo_kinds_are_pinned():
