@@ -47,6 +47,8 @@ class GrammarIndex:
                 self._cycle_position[edge.source] = (s, t)
         # production k -> ((position, module_name, cycle_position | None), ...)
         self._production_children: dict[int, tuple] = {}
+        #: The constant c, read by every view's decode bank and every side-file load.
+        self._max_ports = max(max(m.n_inputs, m.n_outputs) for m in grammar.modules.values())
         #: Slot owned by :func:`repro.engine.engine.grammar_fingerprint`.
         self.fingerprint = None
 
@@ -191,9 +193,7 @@ class GrammarIndex:
 
     def max_ports(self) -> int:
         """Maximum number of input or output ports over all modules (the constant c)."""
-        return max(
-            max(m.n_inputs, m.n_outputs) for m in self._grammar.modules.values()
-        )
+        return self._max_ports
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,7 +6,8 @@ only: the :class:`~repro.engine.kernel.MatrixBank` the decode kernel
 multiplies from, which gathers ``I``/``O``/``Z`` out of the body closures
 :meth:`DecodedViewState.closure` hands out and holds each recursion chain up
 to its period; the engine builds it once per registered view and keeps it
-for good.
+for good.  The label inside it is built on its first read: a state the
+``.hotmx`` side file warmed answers its table hits without one.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, visibility flags — and is what
 :class:`LRUCache` holds and evicts; rebuilding one costs kernel passes over
@@ -15,9 +16,10 @@ the surviving static part, never a relabelling.
 **One byte budget** bounds all of it, and this module is the one place that
 knows the policy.  Sizes are sums of array sizes, kept as running sums where
 bytes change.  Static parts are counted — the label's closures and
-copies included — and never evicted.  After a batch the engine has the LRU
-:meth:`~LRUCache.settle` the state it used: least-recently-used *other*
-per-run states go until the total fits.  The state in use is never evicted
+copies included, from the moment the label is built — and never evicted.
+After a batch the engine has the LRU :meth:`~LRUCache.settle` the state it
+used: least-recently-used *other* per-run states go until the total fits.
+The state in use is never evicted
 by its own growth; what it may still store is :meth:`~LRUCache.room`, and a
 result that does not fit is computed, used for the batch and not stored.
 """
@@ -130,7 +132,8 @@ class LRUCache:
 
         (Every other per-run state can be evicted to make room.)  Of the
         static parts only ``state``'s own can have grown since the last
-        :meth:`settle` — a batch grows no other — so it alone is read live.
+        :meth:`settle` — a batch grows no other (its bank, or its label built
+        mid-batch) — so it alone is read live.
         """
         static = state.static
         statics = self._static_settled - static.settled + static.nbytes
@@ -190,37 +193,62 @@ class LRUCache:
 class StaticViewState:
     """The run-independent half of a decoded view: one per view.
 
-    Holds the static label itself and the bank the decode kernel gathers its
-    factors into.  The engine interns one instance per registered view and
-    never evicts it: the label (its closures and the copies read out of
-    them) and the bank (its factors, and each chain's steps up to its
-    Lemma-5 period, whatever the recursion depth) are bounded by the grammar
-    and the view.  No key
-    here mentions an arena or a run, so run churn cannot leak into it.
+    Holds the view's name, the bank the decode kernel gathers its factors
+    into — built from the grammar index, which needs no label — and the
+    static label, built by ``build()`` on its first read, once, under a
+    lock.  What reads :attr:`label` is a kernel pass (the bank's gather out
+    of the closures, ``lambda*(S)``), visibility flags and a declined key's
+    reference error; a warm probe and read of the pair tables reads none.
+    The engine interns one instance per registered view and never evicts
+    it: the label (its closures and the copies read out of them) and the
+    bank (its factors, and each chain's steps up to its Lemma-5 period,
+    whatever the recursion depth) are bounded by the grammar and the view.
+    No key here mentions an arena or a run, so run churn cannot leak into
+    it.
     """
 
-    __slots__ = ("label", "bank", "settled")
+    __slots__ = ("view", "bank", "settled", "_build", "_label", "_lock")
 
-    def __init__(self, label: ViewLabel) -> None:
-        self.label = label
+    def __init__(self, view: str, index, build: Callable[[], ViewLabel]) -> None:
+        self.view = view
         #: The view's matrices as one float32 stack with a class per matrix,
         #: resolved on first use: what the decode kernel classifies and
         #: gathers its factors from.
-        self.bank = MatrixBank(label.index)
+        self.bank = MatrixBank(index)
         #: This part's share of :attr:`LRUCache._static_settled`.
         self.settled = 0
+        self._build = build
+        self._label: "ViewLabel | None" = None
+        self._lock = threading.Lock()
+
+    @property
+    def label(self) -> ViewLabel:
+        """The view's static label, built on the first read (racing readers build it once)."""
+        label = self._label
+        if label is None:
+            with self._lock:
+                label = self._label
+                if label is None:
+                    label = self._label = self._build()
+        return label
+
+    @property
+    def labelled(self) -> bool:
+        """Whether :attr:`label` has been built (reading this builds nothing)."""
+        return self._label is not None
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays held: the label's and the bank's."""
-        return self.label.nbytes + self.bank.nbytes
+        """Bytes of the arrays held: the bank's, and the label's once it is built."""
+        label = self._label
+        return self.bank.nbytes + (0 if label is None else label.nbytes)
 
     def __len__(self) -> int:
         """Bank entries held (the label itself is not counted)."""
         return len(self.bank)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StaticViewState(view={self.label.view.name!r}, {len(self)} bank entries)"
+        return f"StaticViewState(view={self.view!r}, {len(self)} bank entries)"
 
 
 class DecodedViewState:
@@ -247,7 +275,6 @@ class DecodedViewState:
 
     def __init__(self, static: StaticViewState, room=None) -> None:
         self.static = static
-        self.label = static.label
         self._room = room
         #: arena -> the arena's current table snapshot (replaced, never mutated).
         self.pair_tables: dict[int, PairTable] = {}
@@ -261,6 +288,11 @@ class DecodedViewState:
         self._lock = threading.Lock()
         #: What :meth:`LRUCache.settle` last weighed this state and its static part at.
         self.weighed = -1
+
+    @property
+    def label(self) -> ViewLabel:
+        """The static part's label (built on this read if it was not yet)."""
+        return self.static.label
 
     def room(self) -> int:
         """Bytes the engine's budget still admits for this state."""
@@ -339,4 +371,4 @@ class DecodedViewState:
         return self.label.closure_slices(k).closure
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DecodedViewState(view={self.label.view.name!r})"
+        return f"DecodedViewState(view={self.static.view!r})"

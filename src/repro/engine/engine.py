@@ -26,13 +26,17 @@ labels (:mod:`repro.core`) the engine does not serve from.
 Two layers of caching amortize the per-view decode work that the one-pair
 ``FVLScheme.depends`` API repeats on every call:
 
-1. **View interning** — a view is labelled statically, once, on its first
-   use: the :class:`ViewLabel` and what depends only on ``(grammar, view)``
-   (the matrix bank with its classes and recursion chain products) form a
-   :class:`~repro.engine.cache.StaticViewState` kept for as long as
-   the engine lives.  What depends on a run — the pair tables of decisions keyed
-   by path ids, visibility flags — is a
-   :class:`~repro.engine.cache.DecodedViewState` over that static part, held
+1. **View interning** — a view is labelled statically, once: the
+   :class:`ViewLabel` and what depends only on ``(grammar, view)`` (the
+   matrix bank with its classes and recursion chain products) form a
+   :class:`~repro.engine.cache.StaticViewState` kept for as long as the
+   engine lives.  The label is built by the view's first query — safety
+   comes before any answer — unless an admitted ``.hotmx`` section has
+   already proved the view safe; then it waits for the first batch that
+   reads it (a kernel pass, visibility flags), and a restart that only
+   re-asks what its predecessor decided labels nothing.  What depends on a
+   run — the pair tables of decisions keyed by path ids, visibility flags —
+   is a :class:`~repro.engine.cache.DecodedViewState` over that static part, held
    in an LRU bounded by ``state_budget_bytes`` — one byte budget over all
    decoded state, static parts included (:mod:`repro.engine.cache` is the
    policy) — so every view a deployment serves stays resident until the
@@ -64,6 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.reachability import port_layout
 from repro.core.run_labeler import RunLabeler
 from repro.core.scheme import FVLScheme
 from repro.core.visibility import path_visibility, visible_batch
@@ -109,18 +114,38 @@ def grammar_fingerprint(index) -> int:
     edges only decode correctly against the specification that produced
     them, so attaching a run persisted under a different grammar must fail
     loudly instead of serving plausible-looking wrong answers.  Built from a
-    canonical rendering of the production templates (not Python's salted
-    ``hash``), so it is stable across processes.
+    canonical rendering (not Python's salted ``hash``, so it is stable
+    across processes) of what a label's meaning rests on, production by
+    production: its left-hand side and children in the fixed topological
+    order, every child's port block (so every module's port counts), where
+    each left-hand-side port is bound inside the body, and the data edges as
+    ``(src position, src port, dst position, dst port)`` in sorted order.
+    All of it is read off the productions'
+    :class:`~repro.analysis.reachability.PortLayout`, whose body-wide port
+    indices sort exactly so.  Two grammars that differ only in their wiring
+    get different fingerprints.
     """
     if index.fingerprint is None:
-        parts = [index.grammar.start]
-        for k in range(1, index.n_productions() + 1):
-            children = ",".join(
-                f"{position}:{module_name}"
-                for position, module_name, _ in index.production_children(k)
-            )
-            parts.append(f"{k}->{children}")
-        index.fingerprint = zlib.crc32("|".join(parts).encode("utf-8")) or 1
+        grammar = index.grammar
+        layouts = [port_layout(production) for production in grammar.productions]
+        wires = [wire for layout in layouts for wire in layout.edges]
+        # The production of every position, then of every data edge.
+        of_position = np.repeat(np.arange(len(layouts)), [len(layout.edges) for layout in layouts])
+        owner = np.repeat(of_position, [sources.size for sources, _ in wires])
+        sources = np.concatenate([sources for sources, _ in wires] + [np.zeros(0, np.intp)])
+        targets = np.concatenate([targets for _, targets in wires] + [np.zeros(0, np.intp)])
+        edges = np.lexsort((targets, sources, owner))
+        numbers = [owner[edges], sources[edges], targets[edges]]
+        for layout in layouts:
+            sides = (len(layout.lhs_in), len(layout.lhs_out))
+            numbers += [layout.bounds.reshape(-1), sides, layout.lhs_in, layout.lhs_out]
+        names = ";".join(
+            f"{production.lhs.name}->{','.join(production.rhs.module_names())}"
+            for production in grammar.productions
+        )
+        rendered = f"{grammar.start}|{names}|".encode("utf-8")
+        rendered += np.concatenate(numbers).astype("<i8").tobytes()
+        index.fingerprint = zlib.crc32(rendered) or 1
     return index.fingerprint
 
 
@@ -139,8 +164,10 @@ class EngineStats:
     #: from a decoded matrix (or the reference decoder's "none").
     structural_pairs: int = 0
     matrix_pairs: int = 0
-    #: Static view labels built so far (one per view ever queried; LRU
-    #: evictions in ``views`` never add to it).
+    #: Static view labels built so far: at most one per view, built by the
+    #: view's first query or, for a view a ``.hotmx`` section proved safe,
+    #: by its first label-reading batch (LRU evictions in ``views`` never
+    #: add to it).
     labels_built: int = 0
 
 
@@ -186,13 +213,15 @@ class QueryEngine:
         #: ``columns()`` of the shared arena, re-taken once it has grown.
         self._live_trie: dict[str, np.ndarray] = self._path_table.columns()
         self._views: dict[str, WorkflowView] = {}
-        #: view name -> the view's static label and bank.  Filled on first use (``add_view`` stays
-        #: cheap, an unsafe view raises every time and is never stored) and
-        #: kept as long as the view is registered — the view-state LRU below
-        #: only holds per-run state built over these.
+        #: view name -> the view's bank and (built on first read) static label.
+        #: Filled on first use (``add_view`` stays cheap, an unsafe view
+        #: raises every time and is never stored) and kept as long as the
+        #: view is registered — the view-state LRU below only holds per-run
+        #: state built over these.
         self._statics: dict[str, StaticViewState] = {}
-        #: Held while a view is labelled, so racing first queries on one view
-        #: label it once; never taken once the view's entry exists.
+        #: Held while a view is interned (and an unproven one labelled), so
+        #: racing first queries on one view make one entry; never taken once
+        #: the view's entry exists.
         self._label_lock = threading.Lock()
         #: One metrics registry per engine (not process-global): the serving
         #: stack above shares it — ``ProvenanceServer``/``ProvenanceNetServer``
@@ -591,11 +620,13 @@ class QueryEngine:
     def decoded_state(self, view: "WorkflowView | str") -> DecodedViewState:
         """The (LRU-interned) decoded state of one view.
 
-        Public so the serving layer can warm a state's pair tables (the
-        persistent hot-matrix cache seeds an arena's table through
-        :meth:`DecodedViewState.admit`) without issuing a query first.  The
-        first call for a view labels it; the label and the bank
-        (``state.static``) outlive the returned object's stay in the LRU.
+        Public so callers can inspect a state's pair tables without issuing a
+        query first.  Like a query, the first call for a view proves it safe
+        by labelling it (an unsafe view raises and nothing is interned),
+        unless an admitted ``.hotmx`` section already proved it — then its
+        label waits for the first read that needs it.  The label and the
+        bank (``state.static``) outlive the returned object's stay in the
+        LRU.
         """
         return self._decoded_state(view)
 
@@ -640,7 +671,7 @@ class QueryEngine:
         """Count ``n`` queries of ``op`` on the shard's tally and the labelled family."""
         with self._lock:
             shard.queries += n
-        self._queries_c.labels(shard.run_id, state.label.view.name, op).inc(n)
+        self._queries_c.labels(shard.run_id, state.static.view, op).inc(n)
 
     # -- internals --------------------------------------------------------------------------
 
@@ -693,21 +724,28 @@ class QueryEngine:
                 f"(known views: {sorted(self._views) or 'none'})"
             ) from None
 
-    def _decoded_state(self, view: "WorkflowView | str") -> DecodedViewState:
+    def _decoded_state(self, view: "WorkflowView | str", *, proven: bool = False) -> DecodedViewState:
+        """The decoded state of ``view``; ``proven`` says its safety is already established.
+
+        Only :func:`~repro.serve.matrix_cache.load_hot_matrices` passes
+        ``proven``, for a view one of its admitted sections proves safe.
+        """
         view = self._resolve_view(view)
         return self._states.get_or_create(
             view.name,
-            lambda: DecodedViewState(self._static_state(view), self._states.room),
+            lambda: DecodedViewState(self._static_state(view, proven), self._states.room),
         )
 
-    def _static_state(self, view: WorkflowView) -> StaticViewState:
-        """The interned static label of ``view``, labelled on first use.
+    def _static_state(self, view: WorkflowView, proven: bool) -> StaticViewState:
+        """The interned static part of ``view``, made on first use.
 
-        Interned here and not in :meth:`FVLScheme.label_view`, which keeps
-        labelling from scratch (it is what the paper's view-labelling
-        experiments time).  A view that fails the safety check raises out of
-        the labeller and leaves nothing behind, so every later query on it
-        raises the same error.
+        A view is interned once it is *proven* safe: its label has been
+        built, or an admitted ``.hotmx`` section vouches for it (``proven``).
+        An unproven view is labelled before it is interned, so a view that
+        fails the safety check raises out of the labeller and leaves nothing
+        behind, and every later query on it raises the same error.  A proven
+        one is interned unlabelled and labels itself on the first read of
+        :attr:`StaticViewState.label`.
         """
         static = self._statics.get(view.name)
         if static is not None:
@@ -715,13 +753,25 @@ class QueryEngine:
         with self._label_lock:
             static = self._statics.get(view.name)
             if static is None:
-                t0 = time.perf_counter()
-                with trace_span("engine.label_view", view=view.name):
-                    label = self._scheme.label_view(view)
-                self._label_seconds.observe(time.perf_counter() - t0)
-                self._labels_c.inc()
-                static = self._statics[view.name] = StaticViewState(label)
+                static = StaticViewState(view.name, self._scheme.index, lambda: self._label_view(view))
+                if not proven:
+                    static.label  # noqa: B018 - the read labels it: an unsafe view raises here
+                self._statics[view.name] = static
         return static
+
+    def _label_view(self, view: WorkflowView):
+        """Label ``view`` from scratch, timed and counted: the one labelling path.
+
+        :meth:`FVLScheme.label_view` is not memoised (it is what the paper's
+        view-labelling experiments time); the engine calls it once per view,
+        through its :class:`StaticViewState`.
+        """
+        t0 = time.perf_counter()
+        with trace_span("engine.label_view", view=view.name):
+            label = self._scheme.label_view(view)
+        self._label_seconds.observe(time.perf_counter() - t0)
+        self._labels_c.inc()
+        return label
 
     def _evaluate(
         self,

@@ -114,15 +114,16 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
             fresh = _decide(store, state, np.unique(keys[~found]), trie)
             state.admit(arena, fresh)
             table = state.table(arena)
-            # Over budget, a decision is used for this batch and not stored:
-            # what the table still misses is read from ``fresh`` itself.
-            found = table.probe(keys)[1]
+            slot, found = table.probe(keys)
             bits = np.zeros(keys.size, dtype=bool)
             structural_n = 0
             for source, members in ((table, np.nonzero(found)[0]), (fresh, np.nonzero(~found)[0])):
                 if members.size:
-                    slot = source.probe(keys[members])[0]
-                    bits[members], n = _read(source, slot, *(column[members] for column in entries))
+                    # Over budget, a decision is used for this batch and not
+                    # stored: only the rows the table still misses are probed
+                    # again, in ``fresh`` itself.
+                    at = slot[members] if source is table else fresh.probe(keys[members])[0]
+                    bits[members], n = _read(source, at, *(column[members] for column in entries))
                     structural_n += n
         # The two tallies split the *intermediate* pairs: verdict vs matrix.
         matrix_n = int(keys.size) - boundary_n - structural_n

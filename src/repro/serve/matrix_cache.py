@@ -63,14 +63,26 @@ four values, a sentinel row with a shape, a boundary row that is no matrix
 matrix count the sentinels contradict, a set bit in a block's padding.  A
 load admits a valid file's sections, or nothing.
 
+An admitted section also proves its view safe.  A saver only holds states
+of views that are proven — labelled, which is where an unsafe view raises,
+or proven in turn by a section — and the file passed its checksum and both
+fingerprints.  So the loader makes the view's state without labelling it,
+and the label is built by the first batch that reads it: a kernel pass for
+a key the file did not hold, or visibility flags.  A view no admitted
+section names (or whose fingerprint differs) is labelled by its first query,
+as any unproven view is.  Grammar fingerprints render the specification's
+wiring (see :func:`~repro.engine.grammar_fingerprint`), so a side file saved
+before they did is refused as a foreign specification.
+
 A fresh process therefore answers the keys its predecessor decided from
 rows, without a kernel pass: on the benchmark's ``multiview_churn`` (seed
 42) the file holds all 2,686 of the serving stack's rows — 879 matrix, 1,655
 verdict and 152 boundary rows, 78.5 KiB where the matrix rows alone were
 27.0 KiB — and none of the nine warm-up frames after a warm attach runs the
-kernel, where under v3 each of them did.  Where the tables outgrow ``max_entries`` the kinds
-compete for it by hits: 4,096 of 14,060 rows on ``wire_large_recursive``
-(1,918 matrix, 2,174 verdict, 4 boundary; 119.9 KiB).
+kernel, where under v3 each of them did, and none of the nine views is
+labelled.  Where the tables outgrow ``max_entries`` the kinds compete for
+it by hits: 4,096 of 14,060 rows on ``wire_large_recursive`` (1,918
+matrix, 2,174 verdict, 4 boundary; 119.9 KiB).
 """
 
 from __future__ import annotations
@@ -250,8 +262,9 @@ def load_hot_matrices(engine: QueryEngine, run_id: str = DEFAULT_RUN, *, cache_p
     with its subclass :class:`~repro.errors.CorruptionError`.  Sections for
     views the engine has not registered (or whose structure diverged — see
     :func:`view_fingerprint`) are skipped, not guessed at.  Rows never
-    clobber rows the engine already decided.  Returns the number of rows
-    seeded.
+    clobber rows the engine already decided.  A view an admitted section
+    names is proven safe, and its state is made without a label (see the
+    module docstring).  Returns the number of rows seeded.
     """
     mapped = engine.mapped_store(run_id)
     if mapped is None:
@@ -317,6 +330,8 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
 
     arena = engine.shard_arena(run_id)
     registered = set(engine.view_names)
+    # The paper's constant c, which every decode state's bank pads its blocks to.
+    bank_ports = max(1, engine.scheme.index.max_ports())
     sections, offset = [], _FILE_HEADER.size
     while offset < len(buffer):
         name_len, view_fp, n, ports, matrices = _STATE_HEADER.unpack_from(buffer, offset)
@@ -327,14 +342,19 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
         if end > len(buffer):
             raise truncated
         if view_name in registered and view_fingerprint(engine.view(view_name)) == view_fp:
-            state = engine.decoded_state(view_name)
-            if ports != state.static.bank.ports:
+            if ports != bank_ports:
                 raise CorruptionError(f"corrupt matrix cache: {ports}-port blocks, not the bank's")
-            fresh = _section(buffer, offset, n, ports, matrices, mapped.n_paths)
-            sections.append((state, fresh))
+            sections.append((view_name, _section(buffer, offset, n, ports, matrices, mapped.n_paths)))
         offset = end
-    # Nothing is admitted before the whole file has been checked.
-    return sum(state.admit(arena, fresh) for state, fresh in sections)
+    # Nothing is admitted before the whole file has been checked.  An admitted
+    # section proves its view safe: a saver only holds states of proven views
+    # (labelled, or proven by a section in turn), and the grammar and view
+    # fingerprints match.  So its state is made without a label, which waits
+    # for the first batch that reads it.
+    return sum(
+        engine._decoded_state(view_name, proven=True).admit(arena, fresh)
+        for view_name, fresh in sections
+    )
 
 
 def _inside(keys, n_paths) -> np.ndarray:

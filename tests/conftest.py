@@ -184,10 +184,13 @@ def decoded_state_bytes():
                 bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos, bank.identity_size,
             )
             static += sum(array.nbytes for array in arrays)
-            # The label: its closures and their slices, and the copies read out of them.
-            label = part.label
-            static += closures(label._slices)
-            static += matrices(label._inputs) + matrices(label._outputs) + matrices(label._z)
+            # The label, once built (an unbuilt one holds nothing, and this
+            # walk builds none): its closures and their slices, and the
+            # copies read out of them.
+            if part.labelled:
+                label = part.label
+                static += closures(label._slices)
+                static += matrices(label._inputs) + matrices(label._outputs) + matrices(label._z)
         return per_run, static
 
     return walk

@@ -392,7 +392,7 @@ def test_a_chain_of_any_depth_is_a_kernel_row(variant):
     scheme = FVLScheme(spec)
     view = default_view(spec)
     label = scheme.label_view(view, variant)
-    state = DecodedViewState(StaticViewState(scheme.label_view(view)))
+    state = DecodedViewState(StaticViewState(view.name, scheme.index, lambda: scheme.label_view(view)))
     bank = state.static.bank
     length = scheme.index.cycle_length(1)
     children = [1, 2, length + 1, 10**4, 2**24 + 3, 2**31 - 1]
@@ -612,7 +612,8 @@ def test_budget_bounds_pair_tables_across_rebuilds(tmp_path, decoded_state_bytes
 def test_a_parent_column_out_of_id_order_is_a_typed_error(parent):
     spec = build_running_example()
     scheme = FVLScheme(spec)
-    state = DecodedViewState(StaticViewState(scheme.label_view(default_view(spec))))
+    view = default_view(spec)
+    state = DecodedViewState(StaticViewState(view.name, scheme.index, lambda: scheme.label_view(view)))
     parent = np.asarray(parent, dtype=np.int64)
     packed = np.asarray([-1] + [1 << 1 | (i + 1) << 17 for i in range(4)], dtype=np.int64)
     trie = (parent, packed, np.zeros(5, dtype=np.int64))

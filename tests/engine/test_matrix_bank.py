@@ -101,7 +101,7 @@ def test_one_gather_resolves_every_function_as_the_label_reads_it(grammar, varia
         # The bank is the engine's, over the one label it serves per view;
         # the reference is each materialisation's own accessors.
         label = scheme.label_view(view, variant)
-        state = DecodedViewState(StaticViewState(scheme.label_view(view)))
+        state = DecodedViewState(StaticViewState(view.name, scheme.index, lambda: scheme.label_view(view)))
         bank = state.static.bank
         keys = list(_keys(scheme.index))
         asked = np.asarray([key for key, _, _ in keys], dtype=np.int64)

@@ -38,12 +38,15 @@ And three hold the side file (``.hotmx``) to the pair table's columns:
   fingerprint is rendered once however often it is attached, probed or saved;
 * on each benchmark workload, the frames a leader answered before saving are
   table hits after a warm attach: the file holds verdict, boundary and matrix
-  rows, so neither the kernel nor the reference decoder runs.
+  rows, so neither the kernel nor the reference decoder runs, and no view is
+  labelled — an admitted section proves its view safe; a visibility frame or
+  a key the table misses then labels its view, once.
 
 And one holds the reference decoder to what it is, a fallback: on each
 benchmark workload, a cold engine's warm-up, serve-block and view-add frames
 never call it.  One more holds a warm batch's probe to one ``searchsorted``
-of ascending needles, with answers bit-identical to ``FVLScheme.depends``.
+of ascending needles, with answers bit-identical to ``FVLScheme.depends``,
+and a cold batch's to one more probe after the merge.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ import pytest
 
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import reachability
+from repro.analysis.reachability import RunReachabilityOracle
 from repro.core.pair_table import ABSENT, VERDICT_FALSE, PairTable, pair_paths
 from repro.core.view_label import ViewLabel
 from repro.engine import DEFAULT_RUN
@@ -160,6 +164,41 @@ def test_a_warm_batch_searches_the_pair_table_with_ascending_needles(setup, monk
     labeler, view_label = engine.run_labeler(), scheme.label_view(view)
     expected = [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
     assert answers.dtype == bool and answers.tolist() == expected
+
+
+def test_a_cold_batch_probes_its_keys_once_more_after_the_merge(setup, monkeypatch):
+    """A miss costs one probe of the batch's keys after the merge, not one per source.
+
+    Before the decision and after it, the batch's keys; in between, the merge
+    probes the decided keys against the table.  Over budget, the decisions
+    the table did not take are probed in the fresh rows alone.
+    """
+    scheme, derivation, view, pairs = setup
+    probed, probe = [], PairTable.probe
+
+    def probing(self, keys):
+        probed.append(len(keys))
+        return probe(self, keys)
+
+    monkeypatch.setattr(PairTable, "probe", probing)
+    engine = _fresh_engine(scheme, derivation)
+    engine.decoded_state(view)
+    probed.clear()
+    answers = engine.depends_batch(pairs, view)
+    state = engine.decoded_state(view)
+    table = state.table(engine.shard_arena())
+    assert len(probed) == 3 and probed[0] == probed[2] and probed[1] == len(table)
+
+    starved = QueryEngine(scheme, state_budget_bytes=1)
+    starved.add_run(DEFAULT_RUN, derivation)
+    starved.decoded_state(view)
+    probed.clear()
+    assert np.array_equal(starved.depends_batch(pairs, view), answers)
+    assert len(starved.decoded_state(view).table(starved.shard_arena())) == 0
+    assert len(probed) == 4 and probed[0] == probed[2] == probed[3]
+    labeler, view_label = engine.run_labeler(), scheme.label_view(view)
+    expected = [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
+    assert answers.tolist() == expected
 
 
 def test_labelling_a_view_is_one_closure_per_retained_production(
@@ -580,4 +619,27 @@ def test_a_warm_attach_answers_its_warm_up_from_the_table(workload, tmp_path, mo
     for frame in inputs.warmup:
         assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
     assert decided == []
+    # Every view was proven safe by its admitted section: none is labelled.
+    assert engine.stats.labels_built == 0
+
+    # What reads a label builds it, once per view: a visibility frame on the
+    # even views, keys the table misses (a kernel pass) on the odd ones.
+    run, rng = inputs.derivation.run, np.random.default_rng(7)
+    uids = np.asarray(sorted(run.data_items), dtype=np.int64)
+    for index, view in enumerate(inputs.views):
+        oracle = RunReachabilityOracle(run, view, inputs.specification)
+        before = engine.stats.labels_built
+        if index % 2 == 0:
+            asked = rng.choice(uids, 64)
+            answers = engine.is_visible_batch(asked, view.name)
+            assert answers.tolist() == [oracle.is_visible(int(uid)) for uid in asked]
+        else:
+            items = np.asarray(sorted(ViewProjection(run, view).visible_items), dtype=np.int64)
+            pairs = rng.choice(items, (256, 2))
+            decided.clear()
+            answers = engine.depends_batch(pairs, view.name)
+            assert answers.tolist() == [oracle.depends(int(a), int(b)) for a, b in pairs]
+            assert decided == ["decide_many"]
+        assert engine.stats.labels_built == before + 1
+        assert engine.decoded_state(view.name).static.labelled
 

@@ -366,7 +366,9 @@ def test_classifier_folds_count_classes_along_each_path(
     labeler = running_scheme.label_run(random_run(running_spec, 400, seed=5))
     parent, packed, _ = labeler.store.table.raw_columns()
     view = running_views[view_number % len(running_views)]
-    state = DecodedViewState(StaticViewState(running_scheme.label_view(view)))
+    state = DecodedViewState(StaticViewState(
+        view.name, running_scheme.index, lambda: running_scheme.label_view(view)
+    ))
     bank = state.static.bank
 
     def by_the_matrix(matrix_for, k, i):

@@ -24,6 +24,14 @@ from repro.core.pair_table import (
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine, grammar_fingerprint
 from repro.errors import CorruptionError, LabelingError, SerializationError
+from repro.model import (
+    DataEdge,
+    Production,
+    SimpleWorkflow,
+    WorkflowGrammar,
+    WorkflowSpecification,
+    default_view,
+)
 from repro.model.projection import ViewProjection
 from repro.serve import ProvenanceServer, load_hot_matrices, matrix_cache_path, save_hot_matrices
 from repro.obs import events as obs_events
@@ -38,7 +46,7 @@ from repro.serve.matrix_cache import (
 )
 from repro.store import checkpoint_run, compact
 from repro.bench import sample_query_pairs
-from repro.workloads import build_bioaid_specification, random_run, random_view
+from repro.workloads import build_bioaid_specification, build_running_example, random_run, random_view
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +508,69 @@ def test_an_unreadable_side_file_attaches_cold(saved, scheme, ask):
     assert np.array_equal(ask(server, "depends", pairs, view), expected)
 
 
+def _rewired(specification: WorkflowSpecification, *, crossed: bool = True) -> WorkflowSpecification:
+    """``specification`` with production 1's ``C -> c`` and ``C -> d`` edges crossed.
+
+    On the running example, ``C,1 -> c,1`` and ``C,2 -> d,1`` become
+    ``C,2 -> c,1`` and ``C,1 -> d,1``: the same modules at the same
+    positions, the same port counts, another dependency structure.  With
+    ``crossed=False`` the edges stay as they are, declared in reverse order.
+    """
+    grammar = specification.grammar
+    body = grammar.production(1).rhs
+    swap = {("C", 1, "c", 1): ("C", 2, "c", 1), ("C", 2, "d", 1): ("C", 1, "d", 1)}
+    edges = []
+    for edge in reversed(body.edges):
+        fields = (edge.src_occurrence, edge.src_port, edge.dst_occurrence, edge.dst_port)
+        edges.append(DataEdge(*swap.get(fields, fields)) if crossed else edge)
+    assert len(set(edges) - set(body.edges)) == (2 if crossed else 0)
+    rewired = Production(grammar.production(1).lhs, SimpleWorkflow(list(body.occurrences.items()), edges))
+    assert rewired.rhs.topological_order == body.topological_order
+    productions = (rewired, *grammar.productions[1:])
+    return WorkflowSpecification(
+        WorkflowGrammar(grammar.modules, grammar.composite_modules, grammar.start, productions),
+        specification.dependencies,
+    )
+
+
+def test_a_rewired_grammar_is_another_specification(tmp_path):
+    """Crossing two data edges changes the fingerprint; both file guards refuse the original's files.
+
+    Under a fingerprint of module positions alone the two specifications
+    collided, and a run file of one attached under the other answered wrong.
+    The order edges are declared in is not part of it.
+    """
+    original = build_running_example()
+    rewired = _rewired(original)
+    schemes = FVLScheme(original), FVLScheme(rewired)
+    assert grammar_fingerprint(schemes[0].index) != grammar_fingerprint(schemes[1].index)
+    reordered = FVLScheme(_rewired(original, crossed=False)).index
+    assert grammar_fingerprint(reordered) == grammar_fingerprint(schemes[0].index)
+
+    files, runs = {}, {}
+    for name, specification, scheme in zip(("original", "rewired"), (original, rewired), schemes):
+        writer = QueryEngine(scheme)
+        runs[name] = random_run(specification, 120, seed=5)
+        writer.add_run(DEFAULT_RUN, runs[name])
+        files[name] = tmp_path / f"{name}.fvl"
+        writer.checkpoint(files[name])
+    leader = QueryEngine(schemes[0])
+    leader.attach(files["original"])
+    view = default_view(original)
+    items = sorted(ViewProjection(runs["original"].run, view).visible_items)
+    leader.depends_batch(sample_query_pairs(items, 200, seed=6), view)
+    assert save_hot_matrices(leader) > 0
+
+    engine = QueryEngine(schemes[1])
+    with pytest.raises(LabelingError, match="different specification"):
+        engine.attach(files["original"])
+    engine.add_view(default_view(rewired))
+    engine.attach(files["rewired"])
+    with pytest.raises(SerializationError, match="specification"):
+        load_hot_matrices(engine, cache_path=matrix_cache_path(files["original"]))
+    assert not engine.decoded_states() and engine.stats.labels_built == 0
+
+
 def test_view_fingerprint_separates_same_named_views(spec, scheme, workload, tmp_path):
     derivation, view, pairs = workload
     impostor = random_view(spec, 6, seed=99, mode="grey", name=view.name)
@@ -526,7 +597,7 @@ def test_fingerprints_are_pinned_and_kept_on_their_object(spec):
     index = FVLScheme(spec).index
     view = random_view(spec, 8, seed=100, mode="grey", name="view-0")  # perf/inputs.py's first
     assert index.fingerprint is None and view.fingerprint is None
-    assert grammar_fingerprint(index) == index.fingerprint == 4246578467
+    assert grammar_fingerprint(index) == index.fingerprint == 4232088418
     assert view_fingerprint(view) == view.fingerprint == 3603000836
     twin = random_view(spec, 8, seed=100, mode="grey", name="another-name")
     assert view_fingerprint(twin) == 3603000836  # the name is not part of it

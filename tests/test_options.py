@@ -10,7 +10,10 @@ engine serves one label per view, so no signature takes a variant.  So is
 the decode tier: the bank takes a grammar index and a call names its keys,
 their chain counts and the view state, and the kernel's module constants are
 its outcome, family and class codes and one stack bound — a recursion depth
-cap or a budget hook would be a visible edit here.
+cap or a budget hook would be a visible edit here.  A view's static part
+takes its name, the grammar index its bank is built from and the one
+function that labels it on first read — an eager/lazy switch would be a
+visible edit too.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import dataclasses
 import inspect
 
 from repro.engine import QueryEngine, kernel
+from repro.engine.cache import StaticViewState
 from repro.engine.kernel import MatrixBank
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.obs.watchdog import SLO, SLO_KINDS, Watchdog, default_slos
@@ -31,7 +35,7 @@ from repro.store import FileLease, compact, run_file_info
 NOT_KNOBS = {
     "self", "path", "engine", "policy", "lease", "server", "registry", "slos",
     "unix_path", "address", "host", "port", "name", "metric",
-    "clock", "sleep", "jitter_seed", "index", "keys", "counts", "state",
+    "clock", "sleep", "jitter_seed", "index", "keys", "counts", "state", "view", "build",
 }
 
 #: Engine, scheduler and client: what a query names, and nothing else.
@@ -82,8 +86,10 @@ SIGNATURES = {
     "Watchdog": (Watchdog, ("registry", "slos", "interval_s", "clock")),
 }
 
-#: The decode kernel's bank: what it is built from and what a call resolves.
+#: The decode kernel's bank: what it is built from and what a call resolves;
+#: and the static part of a view that holds it beside the lazily built label.
 DECODE_TIER = {
+    "StaticViewState": (StaticViewState, ("view", "index", "build")),
     "MatrixBank": (MatrixBank, ("index",)),
     "MatrixBank.codes": (MatrixBank.codes, ("self", "keys", "counts", "state")),
 }
