@@ -5,10 +5,16 @@
 outside Python) reach the coalescing scheduler:
 
 * **one frame, one request, one future** — a decoded ``depends``/``visible``
-  frame's int64 id array goes to :meth:`ProvenanceServer.submit_batch` as is:
-  one queue entry, never split across scheduling steps, answered (coalesced
+  frame's int64 id array goes to :meth:`ProvenanceServer.serve_frame` as is:
+  one request, never split across scheduling steps, answered (coalesced
   with same-key frames from other connections) by a single vectorised engine
   call whose bool-array slice is bit-packed straight into the reply;
+* **run to completion** — a frame that finds the scheduler idle (nothing
+  queued, no step in flight), would not linger (more than one query) and
+  has no other connection's frame waiting in intake is served on the loop
+  thread that read it: no queue entry, no worker wake, the reply written by
+  the loop.  Anything else — a backlog, a 1-query frame, a busy scheduler —
+  is queued for the workers, which coalesce it;
 * **admission control, not blocking** — frames are admitted with
   ``block=False``: when the bounded request queue cannot take the whole
   batch, the client gets an explicit SHED reply (retry-after hint + queue
@@ -22,14 +28,17 @@ outside Python) reach the coalescing scheduler:
   lock), the live queue depth, and the transport's own counters.
 
 The server is one event-loop thread (``selectors``) that owns the
-selector and every connection's lifetime; responses are assembled by future
-callbacks on the scheduler's worker threads, which write them straight into
-the non-blocking socket when nothing is queued ahead.  A reply the socket
-takes whole never involves the loop.  Only what is left — the rest of a
-partial send, or a connection whose send failed — is handed to the loop over
-a self-pipe wake: the loop flushes the rest when the socket is writable and
-closes a broken connection.  The loop never runs engine code and never
-blocks on the queue, so slow queries cannot freeze accepts or reads.
+selector and every connection's lifetime; responses are assembled by the
+future callback on whichever thread took the frame's step — a scheduler
+worker, or the loop itself — which writes them straight into the
+non-blocking socket when nothing is queued ahead.  A worker's reply the
+socket takes whole never involves the loop.  Only what is left — the rest
+of a partial send, or a connection whose send failed — is handed to the
+loop over a self-pipe wake: the loop flushes the rest when the socket is
+writable and closes a broken connection.  The loop runs engine code only
+for a frame that is alone, when no other frame is waiting to be admitted;
+it never blocks on the queue, and frames that arrive during a slow step
+are read together after it, so they go to the workers as a backlog.
 """
 
 from __future__ import annotations
@@ -122,22 +131,21 @@ class _Connection:
 
 
 class _Flight:
-    """One admitted request frame waiting for its scheduler future."""
+    """One request frame's reply: the done-callback of its scheduler future."""
 
     __slots__ = ("_net", "_conn", "_request_id", "_record")
 
-    def __init__(self, net, conn, request_id, future, record) -> None:
+    def __init__(self, net, conn, request_id, record) -> None:
         self._net = net
         self._conn = conn
         self._request_id = request_id
         #: The frame's :class:`~repro.obs.trace.Request`; the flight finishes
         #: it when the reply is on its way.
         self._record = record
-        future.add_done_callback(self._on_done)
 
-    def _on_done(self, future) -> None:
-        # Resolved (possibly on a scheduler worker thread): pack the reply
-        # off the event loop and hand it over via the pipe.
+    def on_done(self, future) -> None:
+        # Resolved on whichever thread took the step — a scheduler worker,
+        # or the loop itself — which packs and sends the reply.
         error = future.exception()
         if error is not None:
             reply = encode_error(self._request_id, type(error).__name__, str(error))
@@ -500,9 +508,19 @@ class ProvenanceNetServer:
         # exit below finishes it exactly once.
         sampler = self._server.sampler
         record = sampler.open(request.trace_id, kind, run, view, n)
+        flight = _Flight(self, conn, request.request_id, record)
         try:
-            future = self._server.submit_batch(
-                kind, request.ids, request.view, run=request.run, block=False, trace=record.context
+            # With another connection's frame waiting, this one is queued so
+            # the scheduler can coalesce the backlog; alone, the loop may
+            # serve it itself (ProvenanceServer.serve_frame).
+            future = self._server.serve_frame(
+                kind,
+                request.ids,
+                request.view,
+                run=request.run,
+                trace=record.context,
+                on_done=flight.on_done,
+                backlog=any(other.intake for other in self._conns if other is not conn),
             )
         except Exception as exc:
             # Oversized batch, stopped scheduler, unknown view: the frame is
@@ -527,9 +545,6 @@ class ProvenanceNetServer:
                     request.request_id, SHED_RETRY_AFTER_S, self._server.pending
                 ),
             )
-            return
-        # An empty frame's future is already resolved: the flight replies now.
-        _Flight(self, conn, request.request_id, future, record)
 
     def _stats_payload(self) -> dict:
         # One snapshot feeds both views: snapshots consume watermark gauges,

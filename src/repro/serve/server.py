@@ -23,6 +23,13 @@ micro-batching scheduler:
   the step per ``(kind, run, view)``, concatenates each group's id
   arrays and answers it with a single vectorised ``depends_batch`` /
   ``is_visible_batch`` call, handing every member its slice;
+* a request edge that reads frames on a thread of its own (the net tier's
+  event loop) submits through :meth:`~ProvenanceServer.serve_frame`: a
+  frame that is *alone* — workers running, nothing queued, no step in
+  flight, a frame that would not linger, and no backlog at the edge — is served on
+  that thread, run to completion, and skips the queue and the worker wake.
+  The step is the one a worker takes, with the ``scheduler.batch`` fault
+  point, the per-batch guard and the busy count :meth:`stop` waits on;
 * after serving a run, the server probes that run's file on a
   query-count/time backoff (:class:`ReopenPolicy` ->
   :meth:`QueryEngine.reopen`, one header read unless the generation moved
@@ -247,6 +254,8 @@ class ProvenanceServer:
         self._queued = 0
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
+        #: Steps in flight, a worker's or one taken inline (guarded by ``_cond``).
+        self._busy = 0
         self._stopping = False
         #: run -> [queries since last probe, last probe time]
         self._probe_state: dict[str, list] = {}
@@ -364,7 +373,8 @@ class ProvenanceServer:
         return self
 
     def stop(self) -> None:
-        """Stop the workers after they drain every queued request."""
+        """Stop the workers after they drain every queued request, and wait
+        for a step a request edge is taking inline (:meth:`serve_frame`)."""
         if self.watchdog is not None:
             self.watchdog.stop()
         with self._cond:
@@ -373,9 +383,11 @@ class ProvenanceServer:
         for thread in self._threads:
             thread.join()
         self._threads = []
-        # A server stopped before (or without) start() may still hold
-        # requests; fail them rather than leaving callers waiting forever.
         with self._cond:
+            # A step a submitter took inline is not a worker's to join.
+            self._cond.wait_for(lambda: not self._busy)
+            # A server stopped before (or without) start() may still hold
+            # requests; fail them rather than leaving callers waiting forever.
             leftovers = list(self._queue)
             self._queue.clear()
             self._queued = 0
@@ -459,30 +471,39 @@ class ProvenanceServer:
         engine/store spans nest below.  The *caller* still owns the trace's
         lifetime — the scheduler never finishes it.
         """
-        if kind not in (_DEPENDS, _VISIBLE):
-            raise ValueError(
-                f"unknown request kind {kind!r} (expected {_DEPENDS!r} or {_VISIBLE!r})"
-            )
-        if self._stopping:
-            # Re-checked under the lock in _enqueue; here so a stopped server
-            # refuses before ``ids`` is converted.
-            raise RuntimeError("provenance server is stopped")
-        n = len(ids)
-        if n > self._policy.max_queue:
-            raise ValueError(
-                f"batch of {n} requests can never fit max_queue="
-                f"{self._policy.max_queue}; split it across frames"
-            )
-        if n == 0:
-            empty: Future = Future()
-            empty.set_result(np.zeros(0, dtype=bool))
-            return empty
-        ids = np.asarray(ids, dtype=np.int64)
-        shape = (n, 2) if kind == _DEPENDS else (n,)
-        if ids.shape != shape:
-            raise ValueError(f"{kind} ids must have shape {shape}, got {ids.shape}")
-        key = _request_key(kind, view, run)
-        return self._enqueue(_Request(key, n, ids, view, trace), block)
+        request = self._request(kind, ids, view, run, trace)
+        if request.n == 0:
+            return request.future
+        return self._enqueue(request, block)
+
+    def serve_frame(
+        self,
+        kind: str,
+        ids,
+        view,
+        *,
+        run: str = DEFAULT_RUN,
+        trace: "TraceContext | None" = None,
+        on_done,
+        backlog: bool,
+    ) -> "Future | None":
+        """A request edge's non-blocking submit, run to completion when alone.
+
+        Same validation, errors and shed (``None``) as
+        ``submit_batch(..., block=False)``, with ``on_done`` attached to the
+        frame's future before any step can resolve it, so the reply leaves
+        as soon as the frame's answers are set.  When the frame is *alone* — workers are
+        running, nothing is queued, no step is in flight, the frame would
+        not linger (a 1-query frame still waits for company) and the caller
+        has no ``backlog`` of decoded frames yet to submit — the caller's
+        thread takes the scheduling step itself: no queue entry, no worker
+        wake.  Anything else is queued for the workers to coalesce.
+        """
+        request = self._request(kind, ids, view, run, trace)
+        request.future.add_done_callback(on_done)
+        if request.n == 0:
+            return request.future
+        return self._enqueue(request, False, inline=not backlog)
 
     def submit_many(
         self,
@@ -604,7 +625,36 @@ class ProvenanceServer:
 
     # -- internals ---------------------------------------------------------------
 
-    def _enqueue(self, request: _Request, block: bool = True) -> "Future | None":
+    def _request(self, kind: str, ids, view, run: str, trace) -> _Request:
+        """Validate one frame into its request; an empty frame's is already answered."""
+        if kind not in (_DEPENDS, _VISIBLE):
+            raise ValueError(
+                f"unknown request kind {kind!r} (expected {_DEPENDS!r} or {_VISIBLE!r})"
+            )
+        if self._stopping:
+            # Re-checked under the lock in _enqueue; here so a stopped server
+            # refuses before ``ids`` is converted.
+            raise RuntimeError("provenance server is stopped")
+        n = len(ids)
+        if n > self._policy.max_queue:
+            raise ValueError(
+                f"batch of {n} requests can never fit max_queue="
+                f"{self._policy.max_queue}; split it across frames"
+            )
+        if n == 0:
+            empty = _Request(None, 0, None, view, trace)
+            empty.future.set_result(np.zeros(0, dtype=bool))
+            return empty
+        ids = np.asarray(ids, dtype=np.int64)
+        shape = (n, 2) if kind == _DEPENDS else (n,)
+        if ids.shape != shape:
+            raise ValueError(f"{kind} ids must have shape {shape}, got {ids.shape}")
+        return _Request(_request_key(kind, view, run), n, ids, view, trace)
+
+    def _enqueue(
+        self, request: _Request, block: bool = True, *, inline: bool = False
+    ) -> "Future | None":
+        """Queue ``request``; with ``inline``, serve it now if it is :meth:`_alone`."""
         n = request.n
         max_queue = self._policy.max_queue
         if not block:
@@ -618,25 +668,51 @@ class ProvenanceServer:
         with self._cond:
             if self._stopping:
                 raise RuntimeError("provenance server is stopped")
-            while self._queued + n > max_queue:
-                if not block:
-                    return None
-                if not self._threads:
-                    raise RuntimeError(
-                        "request queue is full and no workers are running; "
-                        "start() the server or drain_once() between submissions"
-                    )
-                self._cond.wait(_QUEUE_POLL_S)
-                if self._stopping:
-                    raise RuntimeError("provenance server is stopped")
-            self._queue.append(request)
-            self._queued += n
-            depth = self._queued
-            self._cond.notify_all()
+            inline = inline and self._alone(n)
+            if inline:
+                self._busy += 1
+            else:
+                while self._queued + n > max_queue:
+                    if not block:
+                        return None
+                    if not self._threads:
+                        raise RuntimeError(
+                            "request queue is full and no workers are running; "
+                            "start() the server or drain_once() between submissions"
+                        )
+                    self._cond.wait(_QUEUE_POLL_S)
+                    if self._stopping:
+                        raise RuntimeError("provenance server is stopped")
+                self._queue.append(request)
+                self._queued += n
+                depth = self._queued
+                self._cond.notify_all()
         self._submitted_c.inc(n)
+        if inline:
+            try:
+                self._step([request])
+            except Exception as exc:
+                # The ``scheduler.batch`` fault point escaped the step: a
+                # worker's supervisor fails the batch it held; here that is
+                # this frame alone, and the caller's thread lives on.
+                self.last_error = exc
+                _safe_set_exception(request.future, exc)
+            return request.future
         self._queue_peak_g.set_max(depth)
         self._queue_hwm_g.set_max(depth)
         return request.future
+
+    def _alone(self, n: int) -> bool:
+        """Whether a frame of ``n`` queries may skip the queue (``_cond`` held).
+
+        Workers are running, nothing is queued, no step is in flight, and
+        the frame would not linger (see :meth:`_lingering`): a worker would
+        pop it at once and serve it as a step of its own, so the submitting
+        thread may as well, and the frame saves the wake and the hand-off.
+        """
+        policy = self._policy
+        lingers = policy.max_linger_us > 0 and n == 1 < policy.max_batch
+        return bool(self._threads) and not self._queue and not self._busy and not lingers
 
     def _pop_step(self) -> "tuple[list[_Request], int]":
         """Pop one step's requests (caller holds ``_cond``): whole frames only.
@@ -697,21 +773,32 @@ class ProvenanceServer:
             if batch is None:
                 return
             # Published before the fault point so the supervisor can fail
-            # exactly the requests this thread popped, should it die here.
+            # exactly the requests this thread popped, should it die there.
             in_flight[0] = batch
+            self._step(batch)
+            in_flight[0] = None
+
+    def _step(self, batch: "list[_Request]") -> None:
+        """Serve one step the caller counted in ``_busy`` (a worker, or an inline submit).
+
+        Only the ``scheduler.batch`` fault point escapes.  A fault outside
+        the per-group guards (e.g. a probe hitting a corrupt file) must not
+        kill the thread serving: a dead worker with live submitters is a
+        silent deadlock.  It fails this batch's still-pending futures.
+        """
+        try:
             faults.hit("scheduler.batch")
             try:
                 self._process(batch)
             except Exception as exc:
-                # A fault outside the per-group guards (e.g. a probe hitting
-                # a corrupt file) must not kill the worker: a dead worker
-                # with live submitters is a silent deadlock.  Fail this
-                # batch's still-pending futures and keep serving.
                 self.last_error = exc
                 for request in batch:
                     _safe_set_exception(request.future, exc)
-            finally:
-                in_flight[0] = None
+        finally:
+            with self._cond:
+                self._busy -= 1
+                if self._stopping:
+                    self._cond.notify_all()  # stop() waits for the last step
 
     def _collect_batch(self) -> "list[_Request] | None":
         policy = self._policy
@@ -735,6 +822,7 @@ class ProvenanceServer:
                         self._cond.wait(min(remaining, _QUEUE_POLL_S))
                 if not self._queue:
                     continue  # another worker took everything while we lingered
+                self._busy += 1
                 return self._pop_step()[0]
 
     def _lingering(self) -> bool:

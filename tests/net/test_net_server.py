@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -15,7 +16,7 @@ import repro.net.server as net_server_module
 import repro.serve.server as serve_module
 from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, InjectedFault
 from repro.model.projection import ViewProjection
 from repro.net import (
     AnswersReply,
@@ -539,15 +540,16 @@ def _until(condition) -> None:
 
 
 class _ThreadedPlan(FaultPlan):
-    """A fault plan that records, per ``net.send`` hit, whether the event loop made it."""
+    """A fault plan that records, per hit of ``point``, whether the event loop made it."""
 
-    def __init__(self, net) -> None:
+    def __init__(self, net, point: str = "net.send") -> None:
         super().__init__()
         self.net = net
+        self.point = point
         self.on_loop: list = []
 
     def _hit(self, point: str) -> None:
-        if point == "net.send":
+        if point == self.point:
             self.on_loop.append(threading.current_thread() is self.net._thread)
         super()._hit(point)
 
@@ -556,19 +558,12 @@ class _ThreadedPlan(FaultPlan):
 def test_a_failed_reply_send_drops_that_connection_only(served, monkeypatch, writer):
     """An armed ``net.send`` fails one reply: the loop closes that connection alone.
 
-    An answers frame's reply is written by the worker that resolved it (the
-    engine is slowed so the frame's callback is attached first); a refused
-    variant frame's by the loop.  Either way the loop closes the connection.
+    An answers frame's reply is written by the worker that resolved it (a
+    1-pair frame lingers for company, so a worker takes its step); a
+    refused variant frame's by the loop.  Either way the loop closes the
+    connection.
     """
     net, sock_path, view, _, pairs, expected, _ = served
-    engine = net._server.engine
-    depends_batch = engine.depends_batch
-
-    def slow(*args, **kwargs):
-        time.sleep(0.05)
-        return depends_batch(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "depends_batch", slow)
     closes = []
     close_conn = ProvenanceNetServer._close_conn
 
@@ -585,7 +580,8 @@ def test_a_failed_reply_send_drops_that_connection_only(served, monkeypatch, wri
         _until(lambda: len(net._conns) == 2)
         plan = _ThreadedPlan(net).on("net.send", count=1)
         with plan.armed():
-            victim.sendall(encode_depends_request(2, DEFAULT_RUN, view.name, variant, pairs[:25]))
+            frame = pairs[:1] if writer == "worker" else pairs[:25]
+            victim.sendall(encode_depends_request(2, DEFAULT_RUN, view.name, variant, frame))
             assert victim.recv(1) == b""  # the reply failed: that connection is gone
             _until(lambda: len(net._conns) == 1)
             assert plan.fired("net.send") == 1
@@ -653,6 +649,214 @@ def test_a_reply_larger_than_the_send_buffer_arrives_whole_and_in_order(served, 
         assert small.request_id == 3 and small.answers.tolist() == expected
     finally:
         raw.close()
+
+
+# -- run to completion: an alone frame is served on the loop ----------------------
+
+
+def _steps_on_loop(monkeypatch, net) -> list:
+    """Record, per scheduling step, whether the event loop took it."""
+    steps: list = []
+    process = ProvenanceServer._process
+
+    def recording(self, batch):
+        steps.append(threading.current_thread() is net._thread)
+        return process(self, batch)
+
+    monkeypatch.setattr(ProvenanceServer, "_process", recording)
+    return steps
+
+
+def _held_engine(monkeypatch, net):
+    """Hold the first engine call until released: ``(started, release)`` events."""
+    engine = net._server.engine
+    depends_batch = engine.depends_batch
+    started, release = threading.Event(), threading.Event()
+
+    def held(*args, **kwargs):
+        if not started.is_set():
+            started.set()
+            release.wait(10.0)
+        return depends_batch(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "depends_batch", held)
+    return started, release
+
+
+def test_a_frame_alone_is_served_on_the_loop_that_read_it(served, monkeypatch):
+    """On an idle scheduler a frame of n > 1 skips the queue: no worker takes
+    a step.  A 1-query frame still lingers for company, on a worker."""
+    net, sock_path, view, _, pairs, expected, _ = served
+    frame = encode_depends_request(7, DEFAULT_RUN, view.name, None, pairs[:64])
+    single = encode_depends_request(8, DEFAULT_RUN, view.name, None, pairs[:1])
+    raw = _raw(sock_path)
+    try:
+        assert _exchange(raw, frame).answers.tolist() == expected[:64]  # cold
+        steps = _steps_on_loop(monkeypatch, net)
+        for _ in range(20):
+            reply = _exchange(raw, frame)
+            assert reply.request_id == 7 and reply.answers.tolist() == expected[:64]
+        for _ in range(3):
+            reply = _exchange(raw, single)
+            assert reply.request_id == 8 and reply.answers.tolist() == expected[:1]
+    finally:
+        raw.close()
+    assert steps == [True] * 20 + [False] * 3
+
+
+def test_concurrent_one_pair_clients_still_coalesce(served):
+    """1-query frames from many connections coalesce over the wire."""
+    net, sock_path, view, _, pairs, expected, _ = served
+    server = net._server
+    n_clients, rounds = 32, 4
+    barrier = threading.Barrier(n_clients)
+    answers: dict = {}
+
+    def client(index: int) -> None:
+        with ProvenanceClient(unix_path=sock_path, retries=8) as cli:
+            barrier.wait(10.0)
+            for r in range(rounds):
+                answers[index, r] = cli.depends(*pairs[index], view.name)
+
+    before = server.stats
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(n_clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30.0)
+        assert not thread.is_alive()
+    after = server.stats
+    assert answers == {(i, r): expected[i] for i in range(n_clients) for r in range(rounds)}
+    frames = n_clients * rounds
+    assert after.answered - before.answered == frames
+    assert after.engine_calls - before.engine_calls < frames
+    assert after.coalesced > before.coalesced
+
+
+def test_a_backlog_goes_to_the_workers_while_the_loop_serves_a_slow_step(served, monkeypatch):
+    """Frames that arrive while the loop is in a step are answered; read
+    together, each has intake pending beside it, so the workers take them."""
+    net, sock_path, view, _, pairs, expected, _ = served
+    started, release = _held_engine(monkeypatch, net)
+    steps = _steps_on_loop(monkeypatch, net)
+    socks = [_raw(sock_path) for _ in range(3)]
+    try:
+        _until(lambda: len(net._conns) == 3)
+        chunks = [pairs[25 * i : 25 * (i + 1)] for i in range(3)]
+        socks[0].sendall(encode_depends_request(0, DEFAULT_RUN, view.name, None, chunks[0]))
+        assert started.wait(5.0)  # the loop is in the step, held
+        for i in (1, 2):
+            socks[i].sendall(encode_depends_request(i, DEFAULT_RUN, view.name, None, chunks[i]))
+        release.set()
+        replies = [_exchange(sock, b"") for sock in socks]
+    finally:
+        release.set()
+        for sock in socks:
+            sock.close()
+    assert [reply.request_id for reply in replies] == [0, 1, 2]
+    assert [reply.answers.tolist() for reply in replies] == [
+        expected[25 * i : 25 * (i + 1)] for i in range(3)
+    ]
+    assert steps[0] is True and len(steps) >= 2 and not any(steps[1:])
+
+
+def test_an_armed_step_on_the_loop_fails_that_frame_alone(served):
+    """``scheduler.batch`` on a loop step is a typed error reply; the connection,
+    the loop and every worker live on."""
+    net, sock_path, view, _, pairs, expected, _ = served
+    server = net._server
+    raw = _raw(sock_path)
+    try:
+        plan = _ThreadedPlan(net, "scheduler.batch").on("scheduler.batch", count=1)
+        with plan.armed():
+            failed, answered = (
+                _exchange(raw, encode_depends_request(i, DEFAULT_RUN, view.name, None, pairs[:25]))
+                for i in (1, 2)
+            )
+        assert plan.fired("scheduler.batch") == 1 and plan.on_loop == [True, True]
+    finally:
+        raw.close()
+    assert isinstance(failed, ErrorReply)
+    assert (failed.request_id, failed.kind) == (1, "InjectedFault")
+    assert answered.request_id == 2 and answered.answers.tolist() == expected[:25]
+    assert net.running and net.stats.connections == 1 and net.stats.errors == 1
+    assert server.stats.worker_restarts == 0 and isinstance(server.last_error, InjectedFault)
+    with ProvenanceClient(unix_path=sock_path) as client:
+        assert client.depends_batch(pairs, view.name).tolist() == expected
+
+
+def test_stop_waits_for_a_step_the_loop_is_taking(served, monkeypatch):
+    net, sock_path, view, _, pairs, expected, _ = served
+    server = net._server
+    started, release = _held_engine(monkeypatch, net)
+    steps = _steps_on_loop(monkeypatch, net)
+    raw = _raw(sock_path)
+    stopper = threading.Thread(target=server.stop)
+    try:
+        raw.sendall(encode_depends_request(5, DEFAULT_RUN, view.name, None, pairs[:25]))
+        assert started.wait(5.0)
+        stopper.start()
+        stopper.join(0.2)
+        assert stopper.is_alive()  # the workers are joined; the loop's step holds it
+        release.set()
+        stopper.join(5.0)
+        assert not stopper.is_alive()
+        # The step finished before stop() returned: its reply is already sent.
+        reply = _exchange(raw, b"")
+    finally:
+        release.set()
+        raw.close()
+    assert reply.request_id == 5 and reply.answers.tolist() == expected[:25]
+    assert steps == [True]
+
+
+def test_loop_and_worker_steps_interleave_without_losing_a_step(
+    scheme, workload, run_file, tmp_path
+):
+    """More clients and workers than cores, a short switch interval, 1-pair and
+    25-pair frames mixed: every answer is right, and no step count is lost
+    (a stuck busy count would hang stop())."""
+    _, view, _, pairs = workload
+    path, expected, _ = run_file
+    engine = QueryEngine(scheme)
+    server = ProvenanceServer(engine, workers=3)
+    server.attach(path)
+    engine.add_view(view)
+    sock_path = tmp_path / "stress.sock"
+    errors: list = []
+
+    def client(index: int) -> None:
+        try:
+            with ProvenanceClient(unix_path=sock_path, retries=16) as cli:
+                for r in range(40):
+                    lo = (index * 7 + r) % 250
+                    size = 1 if (index + r) % 3 == 0 else 25
+                    answers = cli.depends_batch(pairs[lo : lo + size], view.name)
+                    assert answers.tolist() == expected[lo : lo + size]
+        except Exception as exc:  # pragma: no cover - surfaced by the assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with server, ProvenanceNetServer(server, unix_path=sock_path):
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(10.0)
+            assert not stopper.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        engine.detach(DEFAULT_RUN)
+    assert errors == []
+    stats = server.stats
+    assert server._busy == 0 and stats.answered == stats.submitted
+    assert stats.batches > 0
 
 
 # -- stats & lifecycle ----------------------------------------------------------

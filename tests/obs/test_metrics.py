@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -151,6 +153,40 @@ def test_observe_rejects_nan_negative_and_inf_without_poisoning():
     assert snap["lat_seconds"][()]["count"] == 1
     assert snap["lat_seconds"][()]["sum"] == pytest.approx(0.5)
     assert snap["observe_invalid_total"][("lat_seconds",)] == 3
+
+
+_EDGES = (0.001, 0.01, 0.1, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(_EDGES + (0.0, -0.0, -1.0, 1e-300, float("nan"), float("inf"))),
+            st.sampled_from(LATENCY_BUCKETS),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_observe_buckets_like_searchsorted_and_drops_what_is_invalid(values):
+    """A scalar's bucket is ``np.searchsorted(edges, v, side="left")``; NaN,
+    inf and negatives are dropped and counted, never bucketed."""
+    reg = MetricsRegistry()
+    for name, edges in (("few", _EDGES), ("latency", LATENCY_BUCKETS)):
+        hist = reg.histogram(name, buckets=edges)
+        want = np.zeros(len(edges) + 1, dtype=np.int64)
+        invalid = 0
+        for value in values:
+            hist.observe(value)
+            if np.isfinite(value) and value >= 0.0:
+                want[np.searchsorted(np.asarray(edges), value, side="left")] += 1
+            else:
+                invalid += 1
+        snap = reg.snapshot()
+        assert snap[name][()]["counts"] == tuple(want.tolist())
+        assert snap["observe_invalid_total"].get((name,), 0) == invalid
 
 
 def test_observe_many_guards_empty_and_mixed_batches():
