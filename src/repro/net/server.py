@@ -4,22 +4,25 @@
 :class:`~repro.serve.ProvenanceServer` so clients outside this process (and
 outside Python) reach the coalescing scheduler:
 
-* **one frame, one request, one future** — a decoded ``depends``/``visible``
-  frame's int64 id array goes to :meth:`ProvenanceServer.serve_frame` as is:
-  one request, never split across scheduling steps, answered (coalesced
-  with same-key frames from other connections) by a single vectorised engine
-  call whose bool-array slice is bit-packed straight into the reply;
+* **one frame, one record** — a decoded ``depends``/``visible`` frame opens
+  one :class:`~repro.obs.trace.Request` on the stack's sampler, and that
+  record, with the frame's int64 id array as is, goes to
+  :meth:`ProvenanceServer.serve_frame` as the scheduler's queue entry: never
+  split across scheduling steps, answered (coalesced with same-key frames
+  from other connections) by a single vectorised engine call whose
+  bool-array slice the record's reply sink bit-packs straight into the
+  reply;
 * **run to completion** — a frame that finds the scheduler idle (nothing
   queued, no step in flight), would not linger (more than one query) and
   has no other connection's frame waiting in intake is served on the loop
   thread that read it: no queue entry, no worker wake, the reply written by
   the loop.  Anything else — a backlog, a 1-query frame, a busy scheduler —
   is queued for the workers, which coalesce it;
-* **admission control, not blocking** — frames are admitted with
-  ``block=False``: when the bounded request queue cannot take the whole
-  batch, the client gets an explicit SHED reply (retry-after hint + queue
-  depth) instead of the accept loop stalling on backpressure and starving
-  every other connection;
+* **admission control, not blocking** — :meth:`ProvenanceServer.serve_frame`
+  never waits for room: when the bounded request queue cannot take the
+  whole batch, the client gets an explicit SHED reply (retry-after hint +
+  queue depth) instead of the accept loop stalling on backpressure and
+  starving every other connection;
 * **per-connection fairness** — decoded frames park in per-connection intake
   queues and are admitted round-robin, one frame per connection per pass, so
   a firehose client cannot monopolise the scheduler ahead of light ones;
@@ -29,10 +32,11 @@ outside Python) reach the coalescing scheduler:
 
 The server is one event-loop thread (``selectors``) that owns the
 selector and every connection's lifetime; responses are assembled by the
-future callback on whichever thread took the frame's step — a scheduler
-worker, or the loop itself — which writes them straight into the
-non-blocking socket when nothing is queued ahead.  A worker's reply the
-socket takes whole never involves the loop.  Only what is left — the rest
+record's reply sink (:meth:`ProvenanceNetServer._reply`), called once on
+whichever thread took the frame's step — a scheduler worker, or the loop
+itself — which packs the reply, finishes the record and writes the reply
+straight into the non-blocking socket when nothing is queued ahead.  A
+worker's reply the socket takes whole never involves the loop.  Only what is left — the rest
 of a partial send, or a connection whose send failed — is handed to the
 loop over a self-pipe wake: the loop flushes the rest when the socket is
 writable and closes a broken connection.  The loop runs engine code only
@@ -128,33 +132,6 @@ class _Connection:
         #: A worker's send failed: nothing more is sent, the loop closes it.
         self.broken = False
         self.events = selectors.EVENT_READ
-
-
-class _Flight:
-    """One request frame's reply: the done-callback of its scheduler future."""
-
-    __slots__ = ("_net", "_conn", "_request_id", "_record")
-
-    def __init__(self, net, conn, request_id, record) -> None:
-        self._net = net
-        self._conn = conn
-        self._request_id = request_id
-        #: The frame's :class:`~repro.obs.trace.Request`; the flight finishes
-        #: it when the reply is on its way.
-        self._record = record
-
-    def on_done(self, future) -> None:
-        # Resolved on whichever thread took the step — a scheduler worker,
-        # or the loop itself — which packs and sends the reply.
-        error = future.exception()
-        if error is not None:
-            reply = encode_error(self._request_id, type(error).__name__, str(error))
-            self._net._count("errors")
-        else:
-            reply = encode_answers(self._request_id, future.result())
-            self._net._count("answered_frames")
-        self._net._server.sampler.finish(self._record, error=error is not None)
-        self._net._send(self._conn, reply)
 
 
 class ProvenanceNetServer:
@@ -508,28 +485,24 @@ class ProvenanceNetServer:
         # exit below finishes it exactly once.
         sampler = self._server.sampler
         record = sampler.open(request.trace_id, kind, run, view, n)
-        flight = _Flight(self, conn, request.request_id, record)
+        record.reply, record.reply_to = self._reply, (conn, request.request_id)
         try:
             # With another connection's frame waiting, this one is queued so
             # the scheduler can coalesce the backlog; alone, the loop may
             # serve it itself (ProvenanceServer.serve_frame).
-            future = self._server.serve_frame(
-                kind,
+            admitted = self._server.serve_frame(
+                record,
                 request.ids,
                 request.view,
                 run=request.run,
-                trace=record.context,
-                on_done=flight.on_done,
                 backlog=any(other.intake for other in self._conns if other is not conn),
             )
         except Exception as exc:
-            # Oversized batch, stopped scheduler, unknown view: the frame is
+            # Oversized batch, bad ids, stopped scheduler: the frame is
             # unanswerable, the connection (and the loop) live on.
-            self._count("errors")
-            sampler.finish(record, error=True)
-            self._send(conn, encode_error(request.request_id, type(exc).__name__, str(exc)))
+            record.resolve(None, exc)
             return
-        if future is None:
+        if not admitted:
             self._count("sheds")
             sampler.finish(record, shed=True)
             obs_events.emit(
@@ -545,6 +518,23 @@ class ProvenanceNetServer:
                     request.request_id, SHED_RETRY_AFTER_S, self._server.pending
                 ),
             )
+
+    def _reply(self, record, answers, error) -> None:
+        """A frame record's reply sink: pack, finish the record, send.
+
+        Called once per admitted frame (:meth:`Request.resolve
+        <repro.obs.trace.Request.resolve>`), on whichever thread resolved it
+        — a scheduler worker, or the loop itself.
+        """
+        conn, request_id = record.reply_to
+        if error is None:
+            reply = encode_answers(request_id, answers)
+            self._count("answered_frames")
+        else:
+            reply = encode_error(request_id, type(error).__name__, str(error))
+            self._count("errors")
+        self._server.sampler.finish(record, error=error is not None)
+        self._send(conn, reply)
 
     def _stats_payload(self) -> dict:
         # One snapshot feeds both views: snapshots consume watermark gauges,

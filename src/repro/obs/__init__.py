@@ -49,7 +49,6 @@ from repro.obs.trace import (
     Sampler,
     Span,
     Trace,
-    TraceContext,
     activate,
     current_trace,
     phase_costs,
@@ -67,7 +66,6 @@ __all__ = [
     "Sampler",
     "Request",
     "Trace",
-    "TraceContext",
     "Span",
     "DEFAULT_SAMPLE_RATE",
     "PHASE_BY_SPAN",

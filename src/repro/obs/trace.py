@@ -6,16 +6,18 @@ net → scheduler → engine → store.  Spans record wall time always and CPU
 (thread) time when they start and end on the same thread; cross-thread
 spans — e.g. the net-frame root span, which opens on the event loop and
 closes on a scheduler worker — report ``cpu_s = -1.0`` rather than lie.
-Propagation is explicit where threads change hands (the scheduler carries a
-``TraceContext`` on each queued request) and implicit within a thread (a
-``contextvars.ContextVar`` holds the active trace + parent span, so the
-engine and store layers call the module-level :func:`trace_span` without
-threading handles through every signature).
+Propagation is explicit where threads change hands (the scheduler queues
+the request record itself, which carries its trace and root span) and
+implicit within a thread (a ``contextvars.ContextVar`` holds the active
+trace + parent span, so the engine and store layers call the module-level
+:func:`trace_span` without threading handles through every signature).
 
 The record.  Every request frame is one :class:`Request`, opened by
 :meth:`Sampler.open` at the edge and closed by :meth:`Sampler.finish` once
-its reply is decided.  In between it feeds everything the server knows
-about the request:
+its reply is decided.  The same object is the scheduler's queue entry: it
+carries the frame's ids, its coalescing key and a reply sink that the step
+answering it calls exactly once (:meth:`Request.resolve`).  In between it
+feeds everything the server knows about the request:
 
 * **head sampling** at open — deterministic in the trace id
   (``hash(id) < rate · 2^64`` with a Fibonacci multiplier), so a given id
@@ -60,7 +62,6 @@ __all__ = [
     "Sampler",
     "Span",
     "Trace",
-    "TraceContext",
     "activate",
     "current_trace",
     "phase_costs",
@@ -216,24 +217,6 @@ class Trace:
         return roots
 
 
-class TraceContext:
-    """An explicit (trace, parent span) handle for cross-thread handoff.
-
-    The scheduler queues requests to worker threads, where contextvars do
-    not follow; each queued request carries one of these instead.
-    """
-
-    __slots__ = ("trace", "parent_id")
-
-    def __init__(self, trace: Trace, parent_id: int | None = None) -> None:
-        self.trace = trace
-        self.parent_id = parent_id
-
-    @property
-    def trace_id(self) -> int:
-        return self.trace.trace_id
-
-
 def current_trace() -> tuple[Trace, int] | None:
     """The calling thread's active ``(trace, parent_span_id)``, if any."""
     return _ACTIVE.get()
@@ -349,13 +332,24 @@ def top_costs(snapshot: dict, n: int = 5) -> list[dict]:
 class Request:
     """One request frame from admission to reply — the one record per frame.
 
-    ``trace`` (with its ``net.frame`` ``root`` span and the ``context`` the
-    scheduler carries) is set only when the id was head-sampled; ``reason``,
-    ``wall_s`` and ``nbytes`` only once :meth:`Sampler.finish` kept it.
+    ``op`` is the query kind and ``n`` its query count; ``run`` and ``view``
+    are metric labels (names the engine knows, or :data:`UNKNOWN`).  The
+    scheduler queues the record itself and fills in ``ids`` (the frame's
+    int64 id array), ``key`` (``(kind, run, view name)``, the group it
+    coalesces with) and ``query_view`` (the view as the caller passed it).
+    The request edge sets the reply sink: ``reply(record, answers, error)``
+    writes to ``reply_to`` (a future, a list of them, a connection and a
+    request id) and is called once, through :meth:`resolve`.
+
+    ``trace`` (with its ``net.frame`` ``root`` span, the parent of the
+    scheduler's span on a worker thread) is set only when the id was
+    head-sampled; ``reason``, ``wall_s`` and ``nbytes`` only once
+    :meth:`Sampler.finish` kept it.
     """
 
     __slots__ = ("trace_id", "op", "run", "view", "n", "t0",
-                 "trace", "root", "context", "reason", "wall_s", "nbytes")
+                 "ids", "key", "query_view", "reply", "reply_to",
+                 "trace", "root", "reason", "wall_s", "nbytes")
 
     def __init__(self, trace_id: int, op: str, run: str, view: str,
                  n: int, t0: float) -> None:
@@ -365,12 +359,25 @@ class Request:
         self.view = view
         self.n = n
         self.t0 = t0
+        self.ids = None
+        self.key: tuple | None = None
+        self.query_view = None
+        self.reply = None
+        self.reply_to = None
         self.trace: Trace | None = None
         self.root: Span | None = None
-        self.context: TraceContext | None = None
         self.reason: str | None = None
         self.wall_s = -1.0
         self.nbytes = 0
+
+    def resolve(self, answers, error: "BaseException | None" = None) -> None:
+        """Hand the reply to the sink, once: the sink is cleared before it is
+        called, so a second resolution — a failure path sweeping a step whose
+        records were already answered — is a no-op."""
+        reply = self.reply
+        if reply is not None:
+            self.reply = None
+            reply(self, answers, error)
 
     def to_dict(self) -> dict:
         record = {
@@ -439,7 +446,6 @@ class Sampler:
                 "net.frame",
                 attrs={"op": op, "run": run, "view": view, "n": n},
             )
-            request.context = TraceContext(request.trace, request.root.span_id)
         return request
 
     def finish(self, request: Request, *, error: bool = False,
@@ -464,6 +470,8 @@ class Sampler:
         else:
             return wall
         request.reason, request.wall_s = reason, wall
+        # The ring keeps the record, not the frame's ids or its connection.
+        request.ids = request.reply = request.reply_to = request.query_view = None
         request.nbytes = 160 + len(request.run) + len(request.view) + (
             request.trace.nbytes() if request.trace is not None else 0
         )

@@ -8,15 +8,21 @@ lock) and, under contention, serialising on it.  :class:`ProvenanceServer`
 turns the batch path into the default under concurrency with a
 micro-batching scheduler:
 
-* every request is a *frame*: clients
-  :meth:`~ProvenanceServer.submit_batch` ``depends`` pairs or
-  ``is_visible`` uids as one int64 id array, answered through one
-  :class:`concurrent.futures.Future` that resolves to one bool array;
-* requests land in one bounded queue whose depth, bounds and counters are
+* every request is a *frame* of ``depends`` pairs or ``is_visible`` uids
+  as one int64 id array, and every frame is **one record** — the
+  :class:`~repro.obs.trace.Request` the sampler also keeps.  The record is
+  the queue entry: it carries the ids, the group key, the view as the
+  caller passed it and a reply sink, which the step that answers the frame
+  calls exactly once with one bool array or one error.
+  :meth:`~ProvenanceServer.submit_batch` is the one
+  :class:`concurrent.futures.Future` adapter (its sink resolves the future)
+  and :meth:`~ProvenanceServer.submit_many`'s sink resolves one future per
+  item; a request edge brings its own record and sink;
+* records land in one bounded queue whose depth, bounds and counters are
   all denominated in *queries* (a frame of ``n`` pairs weighs ``n``); a
-  worker takes the first request and, while everything queued is a 1-query
+  worker takes the first record and, while everything queued is a 1-query
   frame, **lingers** up to ``max_linger_us`` for concurrently-arriving
-  requests to pile on (capped at ``max_batch`` queries).  A larger frame
+  frames to pile on (capped at ``max_batch`` queries).  A larger frame
   does not linger — the timer turns concurrent 1-query frames into a
   batch, and a larger frame already is one — and one arriving mid-linger
   ends it; a frame is never split across steps.  The worker then groups
@@ -24,7 +30,8 @@ micro-batching scheduler:
   arrays and answers it with a single vectorised ``depends_batch`` /
   ``is_visible_batch`` call, handing every member its slice;
 * a request edge that reads frames on a thread of its own (the net tier's
-  event loop) submits through :meth:`~ProvenanceServer.serve_frame`: a
+  event loop) admits its records without blocking through
+  :meth:`~ProvenanceServer.serve_frame` (a full queue sheds them): a
   frame that is *alone* — workers running, nothing queued, no step in
   flight, a frame that would not linger, and no backlog at the edge — is served on
   that thread, run to completion, and skips the queue and the worker wake.
@@ -61,7 +68,7 @@ from repro.engine.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.faults import InjectedFault
 from repro.obs import events as obs_events
-from repro.obs.trace import Sampler, TraceContext, activate
+from repro.obs.trace import Request, Sampler, activate
 from repro.obs.watchdog import Watchdog
 from repro.serve.matrix_cache import load_hot_matrices, matrix_cache_path, save_hot_matrices
 
@@ -163,55 +170,33 @@ class ServerStats:
     last_warm_error: "Exception | None" = None
 
 
-class _Request:
-    """One queue entry: a frame of ``n`` queries sharing one key and **one** future.
-
-    ``ids`` is an int64 array — ``(n, 2)`` pairs for ``depends``, ``(n,)``
-    uids for ``visible`` — and the future resolves to a bool array of
-    length ``n``.
-    """
-
-    __slots__ = ("key", "n", "ids", "view", "future", "trace")
-
-    def __init__(self, key, n, ids, view, trace) -> None:
-        self.key = key  # (kind, run, view name)
-        self.n = n
-        self.ids = ids
-        self.view = view
-        self.future: Future = Future()
-        #: Optional :class:`~repro.obs.trace.TraceContext` — contextvars do
-        #: not follow a request across the queue to a worker thread, so the
-        #: trace handle rides the request itself.
-        self.trace: "TraceContext | None" = trace
+def _view_name(view) -> str:
+    return view if isinstance(view, str) else view.name
 
 
-def _request_key(kind: str, view, run: str) -> tuple:
-    return (kind, run, view if isinstance(view, str) else view.name)
-
-
-def _safe_set_result(future: Future, value) -> None:
+def _settle(future: Future, answer, error) -> None:
     try:
-        future.set_result(value)
+        if error is None:
+            future.set_result(answer)
+        else:
+            future.set_exception(error)
     except InvalidStateError:  # pragma: no cover - caller cancelled
         pass
 
 
-def _safe_set_exception(future: Future, exc: BaseException) -> None:
-    try:
-        future.set_exception(exc)
-    except InvalidStateError:  # pragma: no cover - caller cancelled
-        pass
+def _reply_future(request: Request, answers, error) -> None:
+    """:meth:`~ProvenanceServer.submit_batch`'s sink: the frame's one future."""
+    _settle(request.reply_to, answers, error)
 
 
-def _fan_out(futures: "list[Future]", frame: Future) -> None:
-    """Done-callback of a frame future: resolve :meth:`submit_many`'s per-item futures."""
-    exc = frame.exception()
-    if exc is not None:
-        for future in futures:
-            _safe_set_exception(future, exc)
+def _reply_futures(request: Request, answers, error) -> None:
+    """:meth:`~ProvenanceServer.submit_many`'s sink: one future per item."""
+    if error is not None:
+        for future in request.reply_to:
+            _settle(future, None, error)
         return
-    for future, answer in zip(futures, frame.result().tolist()):
-        _safe_set_result(future, answer)
+    for future, answer in zip(request.reply_to, answers.tolist()):
+        _settle(future, answer, None)
 
 
 class ProvenanceServer:
@@ -248,7 +233,7 @@ class ProvenanceServer:
         self._reopen_policy = reopen or ReopenPolicy()
         self._n_workers = workers
         self._clock = clock
-        self._queue: deque[_Request] = deque()
+        self._queue: deque[Request] = deque()
         #: Queries (not requests) in ``_queue`` — what ``max_queue``,
         #: ``max_batch``, the linger test and ``pending`` all count.
         self._queued = 0
@@ -342,10 +327,10 @@ class ProvenanceServer:
 
     @property
     def last_error(self) -> "Exception | None":
-        """The last unexpected scheduling or probe failure a worker survived
-        (pending futures of that batch receive the exception; the worker
-        keeps serving).  A remap refused for corruption (foreign spec,
-        shrunk file) lands here — monitor it in threaded deployments.
+        """The last unexpected scheduling, probe or reply-sink failure a
+        worker survived (the batch's unanswered records are failed with it;
+        the worker keeps serving).  A remap refused for corruption (foreign
+        spec, shrunk file) lands here — monitor it in threaded deployments.
         Worker threads write it and :attr:`stats` readers snapshot it under
         one lock, so observers never race a plain attribute store.
         """
@@ -373,7 +358,7 @@ class ProvenanceServer:
         return self
 
     def stop(self) -> None:
-        """Stop the workers after they drain every queued request, and wait
+        """Stop the workers after they drain every queued record, and wait
         for a step a request edge is taking inline (:meth:`serve_frame`)."""
         if self.watchdog is not None:
             self.watchdog.stop()
@@ -387,14 +372,12 @@ class ProvenanceServer:
             # A step a submitter took inline is not a worker's to join.
             self._cond.wait_for(lambda: not self._busy)
             # A server stopped before (or without) start() may still hold
-            # requests; fail them rather than leaving callers waiting forever.
+            # records; fail them rather than leaving callers waiting forever.
             leftovers = list(self._queue)
             self._queue.clear()
             self._queued = 0
         for request in leftovers:
-            _safe_set_exception(
-                request.future, RuntimeError("provenance server was stopped")
-            )
+            self._reply(request, None, RuntimeError("provenance server was stopped"))
 
     def __enter__(self) -> "ProvenanceServer":
         return self.start()
@@ -433,104 +416,63 @@ class ProvenanceServer:
 
     # -- submission --------------------------------------------------------------
 
-    def submit_batch(
-        self,
-        kind: str,
-        ids,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        block: bool = True,
-        trace: "TraceContext | None" = None,
-    ) -> "Future | None":
-        """Enqueue one frame of queries as **one** request with **one** future.
+    def submit_batch(self, kind: str, ids, view, *, run: str = DEFAULT_RUN) -> Future:
+        """Enqueue one frame of queries as **one** record with **one** future.
 
         ``kind`` is ``"depends"`` (``ids`` is an ``(n, 2)`` int64 array of
         ``(d1, d2)`` pairs) or ``"visible"`` (an ``(n,)`` array of uids);
         anything :func:`numpy.asarray` turns into that shape is accepted, an
         int64 array is used as is (no copy).  The returned Future resolves
-        to a bool array of length ``n``, in ``ids`` order — the wire
-        front-end's path (:mod:`repro.net`): a decoded frame stays one array
-        from the socket to the engine and back.
+        to a bool array of length ``n``, in ``ids`` order.
 
         The frame weighs ``n`` queries against ``max_queue`` and
         ``max_batch`` and is never split: the scheduling step that pops it
         answers all of it, coalesced with any same-key company into one
         vectorised engine call.  A frame that could never fit ``max_queue``
-        raises ``ValueError`` before anything is allocated for it.
-
-        ``block=False`` admits the frame only if *all* of it fits the bounded
-        queue right now and returns ``None`` otherwise, so a network accept
-        loop can answer with an explicit SHED/retry-after response instead of
-        stalling on backpressure.  ``block=True`` waits for room.
-
-        ``trace`` attaches a :class:`~repro.obs.trace.TraceContext` to the
-        request: the scheduling step that serves it opens a
-        ``scheduler.batch`` span under it (recording which trace ids the
-        step coalesced) and runs the engine call with the trace active, so
-        engine/store spans nest below.  The *caller* still owns the trace's
-        lifetime — the scheduler never finishes it.
+        raises ``ValueError`` before anything is allocated for it; one that
+        does not fit right now waits for room (backpressure — a request edge
+        that must not block sheds through :meth:`serve_frame` instead).
         """
-        request = self._request(kind, ids, view, run, trace)
-        if request.n == 0:
-            return request.future
-        return self._enqueue(request, block)
+        ids = self._check(kind, ids)
+        future = Future()
+        self._submit(kind, ids, view, run, _reply_future, future)
+        return future
 
-    def serve_frame(
-        self,
-        kind: str,
-        ids,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        trace: "TraceContext | None" = None,
-        on_done,
-        backlog: bool,
-    ) -> "Future | None":
+    def serve_frame(self, request: Request, ids, view, *, run: str = DEFAULT_RUN,
+                    backlog: bool) -> bool:
         """A request edge's non-blocking submit, run to completion when alone.
 
-        Same validation, errors and shed (``None``) as
-        ``submit_batch(..., block=False)``, with ``on_done`` attached to the
-        frame's future before any step can resolve it, so the reply leaves
-        as soon as the frame's answers are set.  When the frame is *alone* — workers are
+        ``request`` is the edge's record (:meth:`Sampler.open
+        <repro.obs.trace.Sampler.open>`): its ``op`` is the kind, and its
+        ``reply`` sink is set — the step that answers the frame resolves it,
+        on whichever thread took the step.  Same validation and errors as
+        :meth:`submit_batch`; returns ``False``, the record not replied to,
+        when the frame is shed because all of it does not fit the bounded
+        queue right now, so the edge can answer with an explicit SHED reply
+        instead of stalling.  When the frame is *alone* — workers are
         running, nothing is queued, no step is in flight, the frame would
         not linger (a 1-query frame still waits for company) and the caller
         has no ``backlog`` of decoded frames yet to submit — the caller's
         thread takes the scheduling step itself: no queue entry, no worker
         wake.  Anything else is queued for the workers to coalesce.
         """
-        request = self._request(kind, ids, view, run, trace)
-        request.future.add_done_callback(on_done)
-        if request.n == 0:
-            return request.future
-        return self._enqueue(request, False, inline=not backlog)
+        ids = self._check(request.op, ids)
+        return self._admit(request, ids, view, run, block=False, inline=not backlog)
 
-    def submit_many(
-        self,
-        kind: str,
-        items,
-        view,
-        *,
-        run: str = DEFAULT_RUN,
-        block: bool = True,
-        trace: "TraceContext | None" = None,
-    ) -> "list[Future] | None":
+    def submit_many(self, kind: str, items, view, *, run: str = DEFAULT_RUN) -> "list[Future]":
         """:meth:`submit_batch` with one Future per item (the compatibility API).
 
         ``items`` are ``(d1, d2)`` pairs or uids; the batch travels the queue
-        as one frame and a single callback on its future resolves the
-        returned per-item futures (``items`` order, plain ``bool`` answers).
-        Same ``block``/``trace`` semantics; ``None`` when a non-blocking
-        batch was refused.  Callers that can take one bool array should use
-        :meth:`submit_batch` and skip the ``len(items)`` futures.
+        as one record whose sink resolves the returned per-item futures
+        (``items`` order, plain ``bool`` answers).  Callers that can take one
+        bool array should use :meth:`submit_batch` and skip the
+        ``len(items)`` futures.
         """
         if not hasattr(items, "__len__"):
             items = list(items)
-        frame = self.submit_batch(kind, items, view, run=run, block=block, trace=trace)
-        if frame is None:
-            return None
-        futures: "list[Future]" = [Future() for _ in range(len(items))]
-        frame.add_done_callback(lambda done: _fan_out(futures, done))
+        ids = self._check(kind, items)
+        futures = [Future() for _ in range(len(items))]
+        self._submit(kind, ids, view, run, _reply_futures, futures)
         return futures
 
     def drain_once(self) -> int:
@@ -625,14 +567,14 @@ class ProvenanceServer:
 
     # -- internals ---------------------------------------------------------------
 
-    def _request(self, kind: str, ids, view, run: str, trace) -> _Request:
-        """Validate one frame into its request; an empty frame's is already answered."""
+    def _check(self, kind: str, ids) -> np.ndarray:
+        """Validate one frame's ids into an int64 array, before anything is built for it."""
         if kind not in (_DEPENDS, _VISIBLE):
             raise ValueError(
                 f"unknown request kind {kind!r} (expected {_DEPENDS!r} or {_VISIBLE!r})"
             )
         if self._stopping:
-            # Re-checked under the lock in _enqueue; here so a stopped server
+            # Re-checked under the lock in _admit; here so a stopped server
             # refuses before ``ids`` is converted.
             raise RuntimeError("provenance server is stopped")
         n = len(ids)
@@ -641,22 +583,32 @@ class ProvenanceServer:
                 f"batch of {n} requests can never fit max_queue="
                 f"{self._policy.max_queue}; split it across frames"
             )
-        if n == 0:
-            empty = _Request(None, 0, None, view, trace)
-            empty.future.set_result(np.zeros(0, dtype=bool))
-            return empty
         ids = np.asarray(ids, dtype=np.int64)
         shape = (n, 2) if kind == _DEPENDS else (n,)
-        if ids.shape != shape:
+        if n and ids.shape != shape:
             raise ValueError(f"{kind} ids must have shape {shape}, got {ids.shape}")
-        return _Request(_request_key(kind, view, run), n, ids, view, trace)
+        return ids
 
-    def _enqueue(
-        self, request: _Request, block: bool = True, *, inline: bool = False
-    ) -> "Future | None":
-        """Queue ``request``; with ``inline``, serve it now if it is :meth:`_alone`."""
+    def _submit(self, kind: str, ids, view, run: str, reply, reply_to) -> None:
+        """Queue an in-process caller's frame as an unsampled record, blocking for room."""
+        request = Request(0, kind, run, _view_name(view), len(ids), 0.0)
+        request.reply, request.reply_to = reply, reply_to
+        self._admit(request, ids, view, run)
+
+    def _admit(self, request: Request, ids, view, run: str, *, block: bool = True,
+               inline: bool = False) -> bool:
+        """Give ``request`` its scheduler fields and queue it; ``False`` when shed.
+
+        An empty frame is answered at once and never queued; with ``inline``,
+        a frame that is :meth:`_alone` is served now on the caller's thread.
+        """
+        request.ids = ids
+        request.key = (request.op, run, _view_name(view))
+        request.query_view = view
         n = request.n
-        max_queue = self._policy.max_queue
+        if not n:
+            self._reply(request, np.zeros(0, dtype=bool))
+            return True
         if not block:
             try:
                 # Deterministic shed injection: a harness arming this point
@@ -664,7 +616,8 @@ class ProvenanceServer:
                 # full queue would, without having to race the queue full.
                 faults.hit("scheduler.admit")
             except InjectedFault:
-                return None
+                return False
+        max_queue = self._policy.max_queue
         with self._cond:
             if self._stopping:
                 raise RuntimeError("provenance server is stopped")
@@ -674,7 +627,7 @@ class ProvenanceServer:
             else:
                 while self._queued + n > max_queue:
                     if not block:
-                        return None
+                        return False
                     if not self._threads:
                         raise RuntimeError(
                             "request queue is full and no workers are running; "
@@ -696,11 +649,19 @@ class ProvenanceServer:
                 # worker's supervisor fails the batch it held; here that is
                 # this frame alone, and the caller's thread lives on.
                 self.last_error = exc
-                _safe_set_exception(request.future, exc)
-            return request.future
+                self._reply(request, None, exc)
+            return True
         self._queue_peak_g.set_max(depth)
         self._queue_hwm_g.set_max(depth)
-        return request.future
+        return True
+
+    def _reply(self, request: Request, answers, error: "BaseException | None" = None) -> None:
+        """Resolve ``request`` once; a sink that raises is recorded on
+        :attr:`last_error` and fails neither its step nor its group."""
+        try:
+            request.resolve(answers, error)
+        except Exception as exc:
+            self.last_error = exc
 
     def _alone(self, n: int) -> bool:
         """Whether a frame of ``n`` queries may skip the queue (``_cond`` held).
@@ -714,7 +675,7 @@ class ProvenanceServer:
         lingers = policy.max_linger_us > 0 and n == 1 < policy.max_batch
         return bool(self._threads) and not self._queue and not self._busy and not lingers
 
-    def _pop_step(self) -> "tuple[list[_Request], int]":
+    def _pop_step(self) -> "tuple[list[Request], int]":
         """Pop one step's requests (caller holds ``_cond``): whole frames only.
 
         Requests are taken in arrival order until the next one would push
@@ -723,7 +684,7 @@ class ProvenanceServer:
         """
         max_batch = self._policy.max_batch
         queue = self._queue
-        batch: "list[_Request]" = []
+        batch: "list[Request]" = []
         queries = 0
         while queue and (not batch or queries + queue[0].n <= max_batch):
             request = queue.popleft()
@@ -740,12 +701,13 @@ class ProvenanceServer:
         The per-batch guard in :meth:`_worker` already contains failures
         *inside* a scheduling step, but an exception between steps — in
         :meth:`_collect_batch` itself, or at the ``scheduler.batch`` fault
-        point — would kill the thread and silently strand every future
+        point — would kill the thread and silently strand every later
         submitter.  The supervisor fails the batch the dead worker was
-        holding (loudly, on its futures), counts the restart, and spins a
-        fresh loop unless the server is stopping with a drained queue.
+        holding (loudly, through each record's sink), counts the restart,
+        and spins a fresh loop unless the server is stopping with a drained
+        queue.
         """
-        in_flight: "list[list[_Request] | None]" = [None]
+        in_flight: "list[list[Request] | None]" = [None]
         while True:
             try:
                 self._worker(in_flight)
@@ -754,9 +716,8 @@ class ProvenanceServer:
                 batch = in_flight[0]
                 in_flight[0] = None
                 self.last_error = exc
-                if batch:
-                    for request in batch:
-                        _safe_set_exception(request.future, exc)
+                for request in batch or ():
+                    self._reply(request, None, exc)
                 self._worker_restarts_c.inc()
                 obs_events.emit(
                     "worker_restart",
@@ -767,7 +728,7 @@ class ProvenanceServer:
                     if self._stopping and not self._queue:
                         return
 
-    def _worker(self, in_flight: "list[list[_Request] | None]") -> None:
+    def _worker(self, in_flight: "list[list[Request] | None]") -> None:
         while True:
             batch = self._collect_batch()
             if batch is None:
@@ -778,13 +739,13 @@ class ProvenanceServer:
             self._step(batch)
             in_flight[0] = None
 
-    def _step(self, batch: "list[_Request]") -> None:
+    def _step(self, batch: "list[Request]") -> None:
         """Serve one step the caller counted in ``_busy`` (a worker, or an inline submit).
 
         Only the ``scheduler.batch`` fault point escapes.  A fault outside
         the per-group guards (e.g. a probe hitting a corrupt file) must not
         kill the thread serving: a dead worker with live submitters is a
-        silent deadlock.  It fails this batch's still-pending futures.
+        silent deadlock.  It fails this batch's records not yet answered.
         """
         try:
             faults.hit("scheduler.batch")
@@ -793,14 +754,14 @@ class ProvenanceServer:
             except Exception as exc:
                 self.last_error = exc
                 for request in batch:
-                    _safe_set_exception(request.future, exc)
+                    self._reply(request, None, exc)
         finally:
             with self._cond:
                 self._busy -= 1
                 if self._stopping:
                     self._cond.notify_all()  # stop() waits for the last step
 
-    def _collect_batch(self) -> "list[_Request] | None":
+    def _collect_batch(self) -> "list[Request] | None":
         policy = self._policy
         with self._cond:
             while True:
@@ -838,38 +799,30 @@ class ProvenanceServer:
             and not self._stopping
         )
 
-    def _process(self, batch: "list[_Request]") -> None:
+    def _process(self, batch: "list[Request]") -> None:
         queries = sum(request.n for request in batch)
-        groups: dict[tuple, list[_Request]] = {}
+        groups: dict[tuple, list[Request]] = {}
         for request in batch:
             groups.setdefault(request.key, []).append(request)
-        # One ``scheduler.batch`` span per distinct trace in the step, each
+        # One ``scheduler.batch`` span per traced record in the step, each
         # recording *all* the trace ids this step coalesced — the span tree
         # of any one request shows which strangers shared its batch.
-        sched_spans: dict[int, object] = {}
-        coalesced_ids: list[int] = []
-        seen_traces: set[int] = set()
-        for request in batch:
-            ctx = request.trace
-            if ctx is not None and id(ctx.trace) not in seen_traces:
-                seen_traces.add(id(ctx.trace))
-                coalesced_ids.append(ctx.trace_id)
-        if coalesced_ids:
-            for request in batch:
-                ctx = request.trace
-                if ctx is None or id(ctx.trace) in sched_spans:
-                    continue
-                sched_spans[id(ctx.trace)] = ctx.trace.begin_span(
-                    "scheduler.batch",
-                    parent_id=ctx.parent_id,
-                    attrs={
-                        "requests": len(batch),
-                        "queries": queries,
-                        "groups": len(groups),
-                        "coalesced_traces": list(coalesced_ids),
-                    },
-                )
-        # The step is counted before any of its futures resolves (and every
+        traced = [request for request in batch if request.trace is not None]
+        coalesced_ids = [request.trace_id for request in traced]
+        sched_spans = {
+            id(request): request.trace.begin_span(
+                "scheduler.batch",
+                parent_id=request.root.span_id,
+                attrs={
+                    "requests": len(batch),
+                    "queries": queries,
+                    "groups": len(groups),
+                    "coalesced_traces": list(coalesced_ids),
+                },
+            )
+            for request in traced
+        }
+        # The step is counted before any of its records resolves (and every
         # engine call as it returns, in ``_evaluate``): a client that holds
         # its answer finds it in the counters, with or without a linger
         # between two steps to hide the gap.
@@ -885,13 +838,13 @@ class ProvenanceServer:
             # Engine/store spans of this group nest under the first traced
             # member's scheduler span; the other coalesced traces still
             # record the step itself (ids above) without duplicate subtrees.
-            group_ctx = next((m.trace for m in members if m.trace is not None), None)
-            group_span = sched_spans.get(id(group_ctx.trace)) if group_ctx else None
-            with activate(
-                group_ctx.trace if group_ctx is not None else None,
-                getattr(group_span, "span_id", None),
-            ):
+            lead = next((m for m in members if m.trace is not None), None)
+            if lead is None:
                 served = self._serve_group(key, members)
+            else:
+                span = sched_spans[id(lead)]
+                with activate(lead.trace, getattr(span, "span_id", None)):
+                    served = self._serve_group(key, members)
             if served:
                 served_runs[key[1]] = served_runs.get(key[1], 0) + served
         for span in sched_spans.values():
@@ -900,7 +853,7 @@ class ProvenanceServer:
         for run, count in served_runs.items():
             self._note_served(run, count)
 
-    def _serve_group(self, key: tuple, members: "list[_Request]") -> int:
+    def _serve_group(self, key: tuple, members: "list[Request]") -> int:
         """Answer one same-key group; returns the queries served.
 
         The group is one coalesced engine call.  If that call raises and the
@@ -913,7 +866,7 @@ class ProvenanceServer:
             return sum(member.n for member in members)
         except Exception as exc:
             if len(members) == 1:
-                _safe_set_exception(members[0].future, exc)
+                self._reply(members[0], None, exc)
                 return 0
         served = 0
         for member in members:
@@ -921,22 +874,22 @@ class ProvenanceServer:
                 self._evaluate(key, [member])
                 served += member.n
             except Exception as exc:
-                _safe_set_exception(member.future, exc)
+                self._reply(member, None, exc)
         return served
 
-    def _evaluate(self, key: tuple, members: "list[_Request]") -> None:
-        """One engine call over ``members``' ids; each future gets its slice."""
+    def _evaluate(self, key: tuple, members: "list[Request]") -> None:
+        """One engine call over ``members``' ids; each record is resolved with its slice."""
         first = members[0]
         ids = first.ids if len(members) == 1 else np.concatenate([m.ids for m in members])
         engine = self._engine
         call = engine.depends_batch if key[0] == _DEPENDS else engine.is_visible_batch
         try:
-            answers = call(ids, first.view, run=key[1])
+            answers = call(ids, first.query_view, run=key[1])
         finally:
             self._engine_calls_c.inc()
         offset = 0
         for member in members:
-            _safe_set_result(member.future, answers[offset : offset + member.n])
+            self._reply(member, answers[offset : offset + member.n])
             offset += member.n
 
     def _note_served(self, run: str, count: int) -> None:

@@ -1,6 +1,7 @@
 """Shared fixtures: paper examples, generated workloads, derivation helpers,
-``ask`` (the one blocking call over the scheduler) and ``publish_generation``
-(a run file's next generation swapped in, intact or damaged)."""
+``ask`` (the one blocking call over the scheduler), ``offer`` (a request
+edge's non-blocking submit) and ``publish_generation`` (a run file's next
+generation swapped in, intact or damaged)."""
 
 from __future__ import annotations
 
@@ -356,6 +357,30 @@ def ask():
         return future.result(timeout=30)
 
     return ask
+
+
+@pytest.fixture(scope="session")
+def offer():
+    """``offer(server, kind, ids, view, run=..., backlog=True) -> (admitted, replies)``.
+
+    What a request edge does: one record (:class:`~repro.obs.trace.Request`,
+    unsampled) whose reply sink appends ``(answers, error)`` to ``replies``,
+    handed to :meth:`~repro.serve.ProvenanceServer.serve_frame`.  With
+    ``backlog`` (the default) the frame is never served on the caller's
+    thread; ``admitted`` is ``False`` when it was shed.
+    """
+    from repro.engine import DEFAULT_RUN
+    from repro.obs.trace import Request
+
+    def offer(server, kind, ids, view, *, run=DEFAULT_RUN, backlog=True):
+        replies: list = []
+        name = view if isinstance(view, str) else view.name
+        record = Request(0, kind, run, name, len(ids), 0.0)
+        record.reply = lambda _record, answers, error: replies.append((answers, error))
+        admitted = server.serve_frame(record, ids, view, run=run, backlog=backlog)
+        return admitted, replies
+
+    return offer
 
 
 @pytest.fixture(scope="session")

@@ -66,9 +66,12 @@ def served(scheme, workload, tmp_path):
     server.attach(run_file)
     engine.add_view(view)
     sock_path = tmp_path / "harden.sock"
-    with server:
-        with ProvenanceNetServer(server, unix_path=sock_path) as net:
-            yield net, sock_path, view, pairs, expected
+    try:
+        with server:
+            with ProvenanceNetServer(server, unix_path=sock_path) as net:
+                yield net, sock_path, view, pairs, expected
+    finally:
+        engine.detach(DEFAULT_RUN)
 
 
 # -- pool hygiene ---------------------------------------------------------------

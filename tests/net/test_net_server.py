@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.net.server as net_server_module
+import repro.obs.trace as obs_trace
 import repro.serve.server as serve_module
 from repro.core import FVLScheme
 from repro.engine import DEFAULT_RUN, QueryEngine
@@ -78,11 +79,14 @@ def served(scheme, workload, run_file, tmp_path):
     server.attach(path)
     engine.add_view(view)
     sock_path = tmp_path / "prov.sock"
-    with server:
-        with ProvenanceNetServer(
-            server, unix_path=sock_path, host="127.0.0.1", port=0
-        ) as net:
-            yield net, sock_path, view, items, pairs, expected, expected_visible
+    try:
+        with server:
+            with ProvenanceNetServer(
+                server, unix_path=sock_path, host="127.0.0.1", port=0
+            ) as net:
+                yield net, sock_path, view, items, pairs, expected, expected_visible
+    finally:
+        engine.detach(DEFAULT_RUN)
 
 
 # -- correctness over the wire --------------------------------------------------
@@ -311,9 +315,12 @@ def traced_stack(scheme, workload, run_file, tmp_path, clock=time.perf_counter):
     server.attach(run_file[0])
     engine.add_view(view)
     sock_path = tmp_path / "traced.sock"
-    with server, ProvenanceNetServer(server, unix_path=sock_path):
-        with ProvenanceClient(unix_path=sock_path) as client:
-            yield server, client
+    try:
+        with server, ProvenanceNetServer(server, unix_path=sock_path):
+            with ProvenanceClient(unix_path=sock_path) as client:
+                yield server, client
+    finally:
+        engine.detach(DEFAULT_RUN)
 
 
 def test_cost_phases_partition_every_traced_frames_wall(scheme, workload, run_file, tmp_path):
@@ -366,15 +373,12 @@ def _wedged(scheme, view, pairs, tmp_path):
     sock_path = tmp_path / "wedged.sock"
     with ProvenanceNetServer(backed_up, unix_path=sock_path) as net:
         filler = ProvenanceClient(unix_path=sock_path, timeout=10.0)
-        fill_done = threading.Event()
 
         def fill() -> None:
             try:
-                filler.depends_batch(pairs[:8], view.name)  # never answered
-            except Exception:
+                filler.depends_batch(pairs[:8], view.name)  # answered by stop()
+            except RemoteQueryError:
                 pass
-            finally:
-                fill_done.set()
 
         thread = threading.Thread(target=fill, daemon=True)
         thread.start()
@@ -385,8 +389,12 @@ def _wedged(scheme, view, pairs, tmp_path):
         try:
             yield net, sock_path
         finally:
+            # The queued frame's "stopped" error reply is what ends the
+            # filler's blocked read; closing its socket would not wake it.
+            backed_up.stop()
+            thread.join(5.0)
+            assert not thread.is_alive()
             filler.close()
-            fill_done.wait(5.0)
 
 
 def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):
@@ -420,7 +428,8 @@ def test_oversized_batch_answers_error_and_survives(
     tiny = ProvenanceServer(
         QueryEngine(scheme), policy=BatchPolicy(max_batch=8, max_queue=8)
     )
-    requests = count_constructions(serve_module, "_Request")
+    records = count_constructions(obs_trace, "Request")
+    futures = count_constructions(serve_module, "Future")
     sock_path = tmp_path / "tiny.sock"
     with ProvenanceNetServer(tiny, unix_path=sock_path) as net:
         with ProvenanceClient(unix_path=sock_path) as client:
@@ -430,20 +439,24 @@ def test_oversized_batch_answers_error_and_survives(
             # The loop survived; the same connection still answers stats.
             assert client.server_stats()["status"] == "ok"
             assert net.stats.connections == 1
-    # Refused on its size alone: nothing was built for the hostile frame.
-    assert not requests
+    # Refused on its size alone: the frame's one record, kept as an error,
+    # never reached the scheduler (no key, no future).
+    assert len(records) == 1 and not futures
+    assert [(r.reason, r.key) for r in tiny.sampler.kept()] == [("error", None)]
 
 
-def test_a_wire_frame_costs_one_future(served, count_constructions):
-    """2,048 pairs cross socket -> scheduler -> engine behind O(1) futures."""
+def test_a_wire_frame_costs_one_record_and_no_future(served, count_constructions):
+    """2,048 pairs cross socket -> scheduler -> engine as one record, no future."""
     net, sock_path, view, _, pairs, expected, _ = served
     frame = (pairs * 7)[:2048]
     futures = count_constructions(serve_module, "Future")
-    requests = count_constructions(serve_module, "_Request")
+    records = count_constructions(obs_trace, "Request")
+    scheduler_records = count_constructions(serve_module, "Request")
     with ProvenanceClient(unix_path=sock_path) as client:
         assert client.depends_batch(frame, view.name).tolist() == (expected * 7)[:2048]
-    assert len(requests) == 1
-    assert len(futures) == 1
+    assert len(records) == 1
+    assert not scheduler_records
+    assert not futures
 
 
 def test_bad_frame_fails_alone_across_connections(scheme, workload, run_file, tmp_path):

@@ -10,7 +10,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     Sampler,
     Trace,
-    TraceContext,
     activate,
     current_trace,
     trace_span,
@@ -56,7 +55,8 @@ def test_begin_respects_sampling_and_rate_zero():
     assert _open(sampler, _unsampled_id(sampler)).trace is None
     sampled = _open(sampler, _sampled_id(sampler))
     assert sampled.trace is not None and sampled.root.name == "net.frame"
-    assert sampled.context.parent_id == sampled.root.span_id
+    # The record is its own cross-thread handle: its trace, rooted at ``root``.
+    assert sampled.trace.spans == [sampled.root] and sampled.root.parent_id is None
     # No wire trace id: never sampled, but the record still gets an id.
     unsampled = _open(Sampler(MetricsRegistry(), sample_rate=1.0), None)
     assert unsampled.trace is None and unsampled.trace_id > 0
@@ -119,23 +119,37 @@ def test_slow_log_records_embed_parent_chains(tmp_path):
     assert dumped_root["children"][0]["path"] == "net.frame/scheduler.batch"
 
 
-def test_trace_context_carries_across_threads():
-    trace = Trace(9)
-    root = trace.begin_span("net.frame")
-    ctx = TraceContext(trace, root.span_id)
+def test_a_record_carries_its_trace_across_threads():
+    request = _open(Sampler(MetricsRegistry(), sample_rate=1.0), 9)
     seen = {}
 
     def worker():
         assert current_trace() is None  # contextvars do not follow threads
-        with activate(ctx.trace, ctx.parent_id):
+        with activate(request.trace, request.root.span_id):
             with trace_span("scheduler.batch") as span:
                 seen["parent"] = span.parent_id
 
     thread = threading.Thread(target=worker)
     thread.start()
     thread.join()
-    root.finish()
-    assert seen["parent"] == root.span_id
+    request.root.finish()
+    assert seen["parent"] == request.root.span_id
+
+
+def test_a_record_replies_once_and_the_ring_keeps_no_frame():
+    sampler = Sampler(MetricsRegistry(), sample_rate=1.0)
+    request = _open(sampler, 3)
+    replies = []
+    request.ids, request.reply_to = [1, 2], "connection"
+    request.reply = lambda record, answers, error: replies.append(
+        (record.reply_to, answers, error)
+    )
+    request.resolve("bits")
+    request.resolve(None, RuntimeError("a later sweep"))  # already replied: a no-op
+    assert replies == [("connection", "bits", None)] and request.reply is None
+    sampler.finish(request)  # warming up: kept as slow
+    [kept] = sampler.kept()
+    assert kept is request and kept.ids is None and kept.reply_to is None
 
 
 def test_span_budget_drops_instead_of_growing():

@@ -1,7 +1,8 @@
-"""The frame is the scheduler's unit: one request, one future, one id array.
+"""The frame is the scheduler's unit: one record, one id array, one reply.
 
-Covers ``submit_batch`` and ``submit_many`` (its one-future-per-item
-adapter): query-denominated bounds, frames never split across steps,
+Covers ``submit_batch`` (one future per frame), ``submit_many`` (one per
+item) and ``serve_frame`` (a request edge's non-blocking admission):
+query-denominated bounds, frames never split across steps,
 same-key frames coalescing into one engine call, a bad frame failing alone,
 and hostile sizes rejected before anything is built.
 """
@@ -169,22 +170,16 @@ def test_two_same_key_frames_make_one_engine_call():
     ).tolist()
 
 
-def test_nonblocking_admission_counts_queries():
+def test_nonblocking_admission_counts_queries(offer):
     server = _server(max_batch=256, max_queue=256)
     assert server.submit_batch("depends", _frame("run-a", 200), VIEWS[0], run="run-a")
-    refused = server.submit_batch(
-        "depends", _frame("run-a", 200, 1), VIEWS[0], run="run-a", block=False
-    )
-    assert refused is None
-    assert server.pending == 200  # one request queued, weighing 200; no residue
+    refused, replies = offer(server, "depends", _frame("run-a", 200, 1), VIEWS[0], run="run-a")
+    assert refused is False and replies == []
+    assert server.pending == 200  # one record queued, weighing 200; no residue
     assert server.stats.submitted == 200
     # Room is counted in queries too: 56 more fit, 57 do not.
-    assert server.submit_batch(
-        "visible", _frame("run-a", 57)[:, 0], VIEWS[0], run="run-a", block=False
-    ) is None
-    assert server.submit_batch(
-        "visible", _frame("run-a", 56)[:, 0], VIEWS[0], run="run-a", block=False
-    )
+    assert offer(server, "visible", _frame("run-a", 57)[:, 0], VIEWS[0], run="run-a")[0] is False
+    assert offer(server, "visible", _frame("run-a", 56)[:, 0], VIEWS[0], run="run-a")[0]
     assert server.pending == 256
 
 
@@ -222,7 +217,7 @@ def test_supervisor_fails_the_in_flight_frame():
 
 def test_rejected_batches_construct_nothing(count_constructions):
     server = _server(max_batch=8, max_queue=8)
-    requests = count_constructions(server_module, "_Request")
+    requests = count_constructions(server_module, "Request")
     futures = count_constructions(server_module, "Future")
     oversized = _frame("run-a", 9)
     for submit in (server.submit_batch, server.submit_many):
@@ -246,13 +241,26 @@ def test_rejected_batches_construct_nothing(count_constructions):
 
 def test_a_frame_builds_one_request_and_one_future(count_constructions):
     server = _server(max_batch=4096, max_queue=4096)
-    requests = count_constructions(server_module, "_Request")
+    requests = count_constructions(server_module, "Request")
     futures = count_constructions(server_module, "Future")
     future = server.submit_batch("depends", _frame("run-a", 2048), VIEWS[0], run="run-a")
     assert server.drain_once() == 2048
     assert future.result().shape == (2048,)
     assert len(requests) == 1
     assert len(futures) == 1
+
+
+def test_submit_many_builds_one_record_and_a_future_per_item(count_constructions):
+    server = _server()
+    requests = count_constructions(server_module, "Request")
+    futures = count_constructions(server_module, "Future")
+    ids = _frame("run-a", 12)
+    items = server.submit_many("depends", ids.tolist(), VIEWS[0], run="run-a")
+    assert server.drain_once() == 12
+    want = _engine().depends_batch(ids, VIEWS[0], run="run-a").tolist()
+    assert [item.result() for item in items] == want
+    assert len(requests) == 1  # no frame future beside the item futures
+    assert len(futures) == 12
 
 
 # -- a bad frame fails alone -----------------------------------------------------

@@ -642,21 +642,23 @@ def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
     intact = _columns(server.engine, view)
     assert warmed == entries == intact["keys"].size
     refused = 0
-    for at, bit in flips:
-        damaged = bytearray(raw)
-        damaged[at] ^= 1 << bit
-        with open(cache_file, "wb") as handle:
-            handle.write(damaged)
-        server, warmed = _served(scheme, run_file, view)
-        if isinstance(server.last_warm_error, SerializationError):
-            assert warmed == 0 and not _rows(server.engine, view)
-            refused += 1
-        else:  # a header field the checks read only one way (a lower watermark, say)
-            assert at < _FILE_HEADER.size
-            loaded = _columns(server.engine, view)
-            for name, column in intact.items():
-                assert np.array_equal(loaded[name], column), f"bit {bit} of byte {at} loaded {name}"
-        assert np.array_equal(server.engine.depends_batch(pairs, view), expected)
+    # Each flip rewrites one byte in place and puts it back after.
+    with open(cache_file, "r+b", buffering=0) as handle:
+        for at, bit in flips:
+            handle.seek(at)
+            handle.write(bytes([raw[at] ^ (1 << bit)]))
+            server, warmed = _served(scheme, run_file, view)
+            if isinstance(server.last_warm_error, SerializationError):
+                assert warmed == 0 and not _rows(server.engine, view)
+                refused += 1
+            else:  # a header field the checks read only one way (a lower watermark, say)
+                assert at < _FILE_HEADER.size
+                loaded = _columns(server.engine, view)
+                for name, column in intact.items():
+                    assert np.array_equal(loaded[name], column), f"bit {bit} of byte {at} loaded {name}"
+            assert np.array_equal(server.engine.depends_batch(pairs, view), expected)
+            handle.seek(at)
+            handle.write(raw[at : at + 1])
     assert refused >= len(flips) - 16
 
 
@@ -671,13 +673,14 @@ def test_every_byte_of_a_small_section_is_covered(saved, scheme):
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
-    for at in range(_FILE_HEADER.size, len(raw)):
-        damaged = bytearray(raw)
-        damaged[at] ^= 0xFF
-        with open(cache_file, "wb") as handle:
-            handle.write(damaged)
-        with pytest.raises(CorruptionError, match="checksum"):
-            load_hot_matrices(follower)
+    with open(cache_file, "r+b", buffering=0) as handle:
+        for at in range(_FILE_HEADER.size, len(raw)):
+            handle.seek(at)
+            handle.write(bytes([raw[at] ^ 0xFF]))
+            with pytest.raises(CorruptionError, match="checksum"):
+                load_hot_matrices(follower)
+            handle.seek(at)
+            handle.write(raw[at : at + 1])
     assert not _rows(follower, view)
     with open(cache_file, "wb") as handle:
         handle.write(raw)

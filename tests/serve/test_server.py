@@ -428,14 +428,14 @@ def test_submit_many_takes_one_engine_call_per_key(served):
     assert [f.result() for f in futures] == expected
 
 
-def test_submit_many_nonblocking_returns_none_when_full(scheme, workload):
+def test_a_nonblocking_frame_behind_submit_many_is_refused_whole(scheme, workload, offer):
     _, view, _, pairs = workload
     server = ProvenanceServer(
         QueryEngine(scheme), policy=BatchPolicy(max_batch=8, max_queue=8)
     )
     assert server.submit_many("depends", pairs[:8], view) is not None
     assert server.pending == 8
-    assert server.submit_many("depends", pairs[8:12], view, block=False) is None
+    assert offer(server, "depends", pairs[8:12], view) == (False, [])
     assert server.pending == 8  # the refused batch left no partial residue
 
 

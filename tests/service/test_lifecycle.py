@@ -296,6 +296,10 @@ def test_segment_threshold_compacts_and_remaps_attached_readers(scheme, spec, tm
     # Ingest continues after the swap: the next delta appends to the
     # compacted generation instead of forcing a fresh file.
     assert run_file_info(path).generation == 1
+    # Release the lease and the mapping here, not in a later test's GC.
+    manager.unmanage("stream")
+    manager.stop()
+    engine.detach("reader")
 
 
 def test_compact_run_on_demand_flushes_first(scheme, spec, tmp_path):
@@ -319,6 +323,8 @@ def test_compact_run_on_demand_flushes_first(scheme, spec, tmp_path):
     assert info.n_segments == 1 and info.generation == 1
     # Single-segment file: a second compaction is a no-op.
     assert not manager.compact_run("r").compacted
+    manager.unmanage("r")
+    manager.stop()
 
 
 def test_segment_count_is_the_one_compaction_trigger(scheme, spec, tmp_path):

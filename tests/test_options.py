@@ -48,11 +48,11 @@ QUERY_SURFACE = {
     "QueryEngine.decoded_state": (QueryEngine.decoded_state, ("self", "view")),
     "ProvenanceServer.submit_batch": (
         ProvenanceServer.submit_batch,
-        ("self", "kind", "ids", "view", "run", "block", "trace"),
+        ("self", "kind", "ids", "view", "run"),
     ),
     "ProvenanceServer.submit_many": (
         ProvenanceServer.submit_many,
-        ("self", "kind", "items", "view", "run", "block", "trace"),
+        ("self", "kind", "items", "view", "run"),
     ),
     "ProvenanceClient.depends": (ProvenanceClient.depends, ("self", "d1", "d2", "view", "run")),
     "ProvenanceClient.depends_batch": (
