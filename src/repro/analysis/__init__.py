@@ -2,7 +2,7 @@
 
 Production graph, safety / full dependency assignment, recursion-structure
 classification, simple-workflow consistency and the port-level reachability
-oracle used as ground truth by the test suite and the naive baseline.
+oracle used as ground truth by the test suite.
 """
 
 from repro.analysis.consistency import are_consistent, boundary_reachability_matrix
@@ -21,8 +21,6 @@ from repro.analysis.recursion import (
     recursive_modules,
 )
 from repro.analysis.safety import (
-    check_safe,
-    check_safe_view,
     full_dependency_assignment,
     full_dependency_matrices,
     is_safe,
@@ -47,8 +45,6 @@ __all__ = [
     "full_dependency_matrices",
     "full_dependency_assignment",
     "is_safe",
-    "check_safe",
     "is_safe_view",
-    "check_safe_view",
     "view_full_assignment",
 ]

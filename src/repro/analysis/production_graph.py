@@ -57,10 +57,8 @@ class ProductionGraph:
         self._edges: tuple[PGEdge, ...] = tuple(edges)
         self._by_key: dict[tuple[int, int], PGEdge] = {e.key: e for e in edges}
         self._out: dict[str, list[PGEdge]] = {}
-        self._in: dict[str, list[PGEdge]] = {}
         for edge in edges:
             self._out.setdefault(edge.source, []).append(edge)
-            self._in.setdefault(edge.target, []).append(edge)
         self._components = self._strongly_connected_components()
         #: Module-level reachability, built on the first :meth:`reaches`: the
         #: labelling scheme never asks, only the recursion analyses do.
@@ -82,10 +80,6 @@ class ProductionGraph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self._grammar.module_names)
-
     def edge(self, production: int, position: int) -> PGEdge:
         try:
             return self._by_key[(production, position)]
@@ -96,12 +90,6 @@ class ProductionGraph:
 
     def has_edge(self, production: int, position: int) -> bool:
         return (production, position) in self._by_key
-
-    def out_edges(self, module_name: str) -> tuple[PGEdge, ...]:
-        return tuple(self._out.get(module_name, ()))
-
-    def in_edges(self, module_name: str) -> tuple[PGEdge, ...]:
-        return tuple(self._in.get(module_name, ()))
 
     # -- reachability --------------------------------------------------------------
 
@@ -165,10 +153,6 @@ class ProductionGraph:
             if reaching > 1:
                 return False
         return True
-
-    def strongly_connected_components(self) -> list[frozenset[str]]:
-        """SCCs of P(G), in deterministic order: a component after all it reaches."""
-        return list(self._components)
 
     def _strongly_connected_components(self) -> list[frozenset[str]]:
         """Iterative Tarjan."""

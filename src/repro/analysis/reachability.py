@@ -22,8 +22,7 @@
 * :class:`RunReachabilityOracle` materialises the data-item dependency graph
   of a run *projected onto a view* and answers "does d2 depend on d1?" by
   graph search.  It serves as the ground-truth oracle that every labeling
-  scheme is differential-tested against, and doubles as the naive
-  (index-free) baseline of the experimental section.
+  scheme is differential-tested against.
 """
 
 from __future__ import annotations

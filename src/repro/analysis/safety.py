@@ -18,7 +18,6 @@ consistency with the previously computed value.
 from __future__ import annotations
 
 import heapq
-from typing import Mapping
 
 import numpy as np
 
@@ -36,9 +35,7 @@ __all__ = [
     "full_dependency_matrices",
     "full_dependency_assignment",
     "is_safe",
-    "check_safe",
     "is_safe_view",
-    "check_safe_view",
     "view_full_assignment",
 ]
 
@@ -163,11 +160,6 @@ def is_safe(grammar: WorkflowGrammar, dependencies: DependencyAssignment) -> boo
     return True
 
 
-def check_safe(grammar: WorkflowGrammar, dependencies: DependencyAssignment) -> None:
-    """Raise :class:`UnsafeWorkflowError` unless the specification is safe."""
-    full_dependency_matrices(grammar, dependencies)
-
-
 def view_full_assignment(
     specification: WorkflowSpecification, view: WorkflowView
 ) -> dict[str, BoolMatrix]:
@@ -187,26 +179,3 @@ def is_safe_view(specification: WorkflowSpecification, view: WorkflowView) -> bo
     except UnsafeWorkflowError:
         return False
     return True
-
-
-def check_safe_view(specification: WorkflowSpecification, view: WorkflowView) -> None:
-    """Raise :class:`UnsafeWorkflowError` unless the view is safe."""
-    view_full_assignment(specification, view)
-
-
-def matrices_from_assignment(
-    grammar: WorkflowGrammar, assignment: DependencyAssignment
-) -> dict[str, BoolMatrix]:
-    """Dependency matrices for every module the assignment defines."""
-    matrices: dict[str, BoolMatrix] = {}
-    for name in assignment.modules():
-        module = grammar.module(name)
-        matrices[name] = dependency_matrix(module, assignment.pairs(name))
-    return matrices
-
-
-def assignment_from_matrices(matrices: Mapping[str, BoolMatrix]) -> DependencyAssignment:
-    """Convert a matrix mapping back into a :class:`DependencyAssignment`."""
-    return DependencyAssignment(
-        {name: matrix.to_pairs() for name, matrix in matrices.items()}
-    )

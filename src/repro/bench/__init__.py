@@ -14,19 +14,17 @@ from repro.bench.experiments import (
     fig26_batched_query_throughput,
     table1_factors,
 )
-from repro.bench.measure import ResultTable, Timer, time_call
-from repro.bench.reporting import format_table, format_tables, write_all_csv, write_csv
+from repro.bench.measure import ResultTable, time_call
+from repro.bench.reporting import format_table, write_all_csv, write_csv
 from repro.bench.workloads import PreparedWorkload, prepare_bioaid, sample_query_pairs
 
 __all__ = [
     "ResultTable",
-    "Timer",
     "time_call",
     "PreparedWorkload",
     "prepare_bioaid",
     "sample_query_pairs",
     "format_table",
-    "format_tables",
     "write_csv",
     "write_all_csv",
     "all_experiments",

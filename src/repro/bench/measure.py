@@ -7,19 +7,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-__all__ = ["Timer", "time_call", "mean", "maximum", "ResultTable"]
-
-
-class Timer:
-    """A context-manager wall-clock timer (seconds)."""
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        self.elapsed = 0.0
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
+__all__ = ["time_call", "mean", "maximum", "ResultTable"]
 
 
 def time_call(fn: Callable[[], object], repeat: int = 1) -> float:
@@ -64,6 +52,3 @@ class ResultTable:
     def column(self, name: str) -> list[object]:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
-
-    def as_dicts(self) -> list[dict[str, object]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]

@@ -8,7 +8,7 @@ from typing import Iterable
 
 from repro.bench.measure import ResultTable
 
-__all__ = ["format_table", "format_tables", "write_csv", "write_all_csv"]
+__all__ = ["format_table", "write_csv", "write_all_csv"]
 
 
 def format_table(table: ResultTable) -> str:
@@ -28,10 +28,6 @@ def format_table(table: ResultTable) -> str:
     for row in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_tables(tables: Iterable[ResultTable]) -> str:
-    return "\n\n".join(format_table(table) for table in tables)
 
 
 def write_csv(table: ResultTable, path: str) -> None:

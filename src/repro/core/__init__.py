@@ -24,13 +24,7 @@ from repro.core.matrix_free import (
     build_matrix_free_label,
     depends_matrix_free,
 )
-from repro.core.parse_tree import (
-    BasicParseTree,
-    CompressedParseTree,
-    ObjectParseNode,
-    ObjectParseTree,
-    ParseNode,
-)
+from repro.core.parse_tree import CompressedParseTree, ParseNode
 from repro.core.preprocessing import GrammarIndex
 from repro.core.run_labeler import RunLabeler
 from repro.core.scheme import FVLScheme
@@ -46,10 +40,7 @@ __all__ = [
     "DataLabel",
     "common_prefix_length",
     "CompressedParseTree",
-    "BasicParseTree",
     "ParseNode",
-    "ObjectParseTree",
-    "ObjectParseNode",
     "RunLabeler",
     "FVLVariant",
     "ViewLabel",

@@ -95,10 +95,6 @@ class GrammarIndex:
         """The left-hand-side module of production ``k``."""
         return self._grammar.production(k).lhs
 
-    def rhs_occurrence(self, k: int, i: int) -> str:
-        """The RHS occurrence id at position ``i`` of production ``k``."""
-        return self._grammar.production(k).rhs.occurrence_at(i)
-
     def production_children(self, k: int) -> tuple:
         """The static child template of production ``k`` (cached).
 

@@ -8,15 +8,13 @@ are never modified afterwards (Definition 10), and they do not depend on any
 view — the same labels serve every safe view of the specification
 (view-adaptivity, Definition 11).
 
-The whole run state is columnar by default: the parse tree grows as integer
-rows in a :class:`~repro.store.NodeTable` (no node objects), paths are
-interned in a :class:`~repro.store.PathTable`, and the hot ingest loop
-records four integers per item (producer/consumer path id and port) in a
+The run state is columnar: the parse tree grows as integer rows in a
+:class:`~repro.store.NodeTable` (no node objects), paths are interned in a
+:class:`~repro.store.PathTable`, and the hot ingest loop records four
+integers per item (producer/consumer path id and port) in a
 :class:`~repro.store.LabelStore`.  :class:`~repro.core.labels.DataLabel`
 value objects and :class:`~repro.core.parse_tree.ParseNode` flyweights are
-materialised lazily, only for the items/nodes a caller actually reads.  Pass
-``columnar=False`` to get the legacy per-item/per-node object representation,
-the reference the differential tests compare the columnar one against.
+materialised lazily, only for the items/nodes a caller actually reads.
 """
 
 from __future__ import annotations
@@ -24,16 +22,11 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.labels import DataLabel
-from repro.core.parse_tree import (
-    CompressedParseTree,
-    ObjectParseNode,
-    ObjectParseTree,
-    ParseNode,
-)
+from repro.core.parse_tree import CompressedParseTree
 from repro.core.preprocessing import GrammarIndex
 from repro.errors import LabelingError
 from repro.model.derivation import Derivation, ExpansionEvent, InitialEvent
-from repro.store import NO_PATH, LabelStore, ObjectLabelStore, PathTable
+from repro.store import NO_PATH, LabelStore, PathTable
 
 __all__ = ["RunLabeler"]
 
@@ -48,23 +41,10 @@ class RunLabeler:
     for future ones).
     """
 
-    def __init__(
-        self,
-        index: GrammarIndex,
-        *,
-        columnar: bool = True,
-        path_table: "PathTable | None" = None,
-    ) -> None:
+    def __init__(self, index: GrammarIndex, *, path_table: PathTable | None = None) -> None:
         self._index = index
-        self._tree: CompressedParseTree | ObjectParseTree = (
-            CompressedParseTree(index, path_table)
-            if columnar
-            else ObjectParseTree(index, path_table)
-        )
-        table = self._tree.path_table
-        self._store: LabelStore | ObjectLabelStore = (
-            LabelStore(table) if columnar else ObjectLabelStore(table)
-        )
+        self._tree = CompressedParseTree(index, path_table)
+        self._store = LabelStore(self._tree.path_table)
         #: Reusable position -> path id scratch buffer; every expansion
         #: overwrites exactly the positions its items can reference.
         self._position_path_ids: list[int] = []
@@ -77,20 +57,20 @@ class RunLabeler:
         return self._index
 
     @property
-    def tree(self) -> "CompressedParseTree | ObjectParseTree":
+    def tree(self) -> CompressedParseTree:
         return self._tree
 
     @property
-    def store(self) -> LabelStore | ObjectLabelStore:
-        """The label store backing this labeler (columnar unless opted out)."""
+    def store(self) -> LabelStore:
+        """The columnar label store backing this labeler."""
         return self._store
 
     @property
     def labels(self) -> Mapping[int, DataLabel]:
         """A read-only ``uid -> DataLabel`` view of all labels assigned so far.
 
-        The view is O(1) to obtain (no copy); store-backed labelers
-        materialise the value objects lazily per access.
+        The view is O(1) to obtain (no copy); it materialises the value
+        objects lazily per access.
         """
         return self._store.labels_view()
 
@@ -151,9 +131,3 @@ class RunLabeler:
     def _assign(self, item_uid: int, label: DataLabel) -> None:
         """Record one label given as a value object (raises if already labelled)."""
         self._store.append_label(item_uid, label)
-
-    # -- convenience -------------------------------------------------------------------
-
-    def node_for_instance(self, instance_uid: str) -> "ParseNode | ObjectParseNode":
-        """The compressed-parse-tree node of a module instance."""
-        return self._tree.node_for(instance_uid)

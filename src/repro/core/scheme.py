@@ -4,7 +4,9 @@
 specification:
 
 * ``phi_r`` — the dynamic run labeler (:meth:`FVLScheme.label_run`), which
-  labels data items as they are produced, independently of any view;
+  labels data items as they are produced, independently of any view, into
+  the columnar parse tree and label store of a
+  :class:`~repro.core.run_labeler.RunLabeler`;
 * ``phi_v`` — the static view labeler (:meth:`FVLScheme.label_view`), which
   labels a safe view once, when it is created;
 * ``pi`` — the decoding predicate (:meth:`FVLScheme.depends`), which answers
@@ -35,6 +37,7 @@ from repro.model.derivation import Derivation
 from repro.model.grammar import WorkflowGrammar
 from repro.model.specification import WorkflowSpecification
 from repro.model.views import WorkflowView, default_view
+from repro.store import PathTable
 
 __all__ = ["FVLScheme", "FVLVariant"]
 
@@ -70,25 +73,20 @@ class FVLScheme:
 
     # -- phi_r: dynamic labeling of runs -------------------------------------------
 
-    def run_labeler(self, *, columnar: bool = True, path_table=None) -> RunLabeler:
+    def run_labeler(self, *, path_table: PathTable | None = None) -> RunLabeler:
         """A fresh run labeler (to be attached to a derivation manually)."""
-        return RunLabeler(self._index, columnar=columnar, path_table=path_table)
+        return RunLabeler(self._index, path_table=path_table)
 
     def label_run(
-        self, derivation: Derivation, *, columnar: bool = True, path_table=None
+        self, derivation: Derivation, *, path_table: PathTable | None = None
     ) -> RunLabeler:
         """Label a derivation: past events are replayed, future ones streamed.
 
-        ``columnar=False`` selects the legacy per-item value-object label
-        representation instead of the columnar :class:`~repro.store.LabelStore`
-        (only useful for comparisons; the answers are identical).  Passing a
-        shared ``path_table`` interns this run's paths in an existing arena so
-        path ids are comparable across runs (the query engine does this for
-        its shards).
+        Passing a shared ``path_table`` interns this run's paths in an
+        existing arena so path ids are comparable across runs (the query
+        engine does this for its shards).
         """
-        return RunLabeler(
-            self._index, columnar=columnar, path_table=path_table
-        ).attach(derivation)
+        return RunLabeler(self._index, path_table=path_table).attach(derivation)
 
     # -- phi_v: static labeling of views --------------------------------------------
 

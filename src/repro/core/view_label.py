@@ -137,10 +137,6 @@ class ViewLabel:
         return self._retained
 
     @property
-    def retained_cycles(self) -> frozenset[int]:
-        return self._retained_cycles
-
-    @property
     def nbytes(self) -> int:
         """Bytes of the arrays the label keeps: closures, their slices and ``I``/``O``/``Z`` copies.
 
@@ -164,15 +160,8 @@ class ViewLabel:
 
     # -- definedness (used for visibility checks) --------------------------------------
 
-    def is_retained_production(self, k: int) -> bool:
-        return k in self._retained
-
     def is_retained_cycle(self, s: int) -> bool:
         return s in self._retained_cycles
-
-    def is_defined_edge(self, k: int, i: int) -> bool:
-        """Whether the view label's functions are defined for edge ``(k, i)``."""
-        return k in self._retained and self._index.production_graph.has_edge(k, i)
 
     def is_defined_recursion(self, s: int, t: int, i: int) -> bool:
         """Whether the chain products for ``(s, t, i)`` are defined in this view.
@@ -341,9 +330,6 @@ class ViewLabel:
                 for m in products
             )
         return bits
-
-    def size_bytes(self) -> float:
-        return self.size_bits() / 8.0
 
     # -- internals --------------------------------------------------------------------------------
 

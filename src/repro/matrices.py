@@ -207,11 +207,6 @@ class MatrixPowerTable:
         return self._base
 
     @property
-    def tail_start(self) -> int:
-        """The exponent ``a`` of the first repeated power."""
-        return self._tail_start
-
-    @property
     def cycle_length(self) -> int:
         """The period ``b - a`` of the repetition."""
         return self._cycle_length

@@ -15,7 +15,7 @@ projected onto the run afterwards (see :mod:`repro.model.projection` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import DerivationError
 from repro.model.grammar import WorkflowGrammar
@@ -315,12 +315,6 @@ class Derivation:
                 k = choose_production(instance, candidates)
             self.expand(uid, k)
             steps += 1
-
-    def replay_onto(self, listeners: Iterable[Listener]) -> None:
-        """Send all past events to each listener (without subscribing them)."""
-        for listener in listeners:
-            for event in self._events:
-                listener(event)
 
     # -- internals ---------------------------------------------------------------
 

@@ -92,22 +92,6 @@ class DataItem:
     def is_final_output(self) -> bool:
         return not self.consumers
 
-    @property
-    def outermost_producer(self) -> tuple[str, int] | None:
-        return self.producers[0] if self.producers else None
-
-    @property
-    def outermost_consumer(self) -> tuple[str, int] | None:
-        return self.consumers[0] if self.consumers else None
-
-    @property
-    def innermost_producer(self) -> tuple[str, int] | None:
-        return self.producers[-1] if self.producers else None
-
-    @property
-    def innermost_consumer(self) -> tuple[str, int] | None:
-        return self.consumers[-1] if self.consumers else None
-
 
 @dataclass(frozen=True)
 class ExpansionRecord:
@@ -132,10 +116,6 @@ class WorkflowRun:
         self._attachment: dict[tuple[str, str, int], int] = {}
 
     # -- accessors -----------------------------------------------------------
-
-    @property
-    def root_uid(self) -> str:
-        return self._root_uid
 
     @property
     def root(self) -> ModuleInstance:
@@ -182,9 +162,6 @@ class WorkflowRun:
                 f"no data item attached to {direction}:{port} of {instance_uid!r}"
             ) from None
 
-    def has_item_at(self, instance_uid: str, direction: str, port: int) -> bool:
-        return (instance_uid, direction, port) in self._attachment
-
     def ancestors(self, instance_uid: str) -> list[str]:
         """Instance uids from the parent of ``instance_uid`` up to the root."""
         chain: list[str] = []
@@ -193,14 +170,6 @@ class WorkflowRun:
             chain.append(current)
             current = self.instance(current).parent
         return chain
-
-    def children_of(self, instance_uid: str) -> list[str]:
-        """Instances created by the expansion of ``instance_uid`` (derivation children)."""
-        return [
-            uid
-            for uid, inst in self._instances.items()
-            if inst.parent == instance_uid
-        ]
 
     def pending_instances(self) -> list[str]:
         """Composite instances that have not been expanded yet, oldest first.

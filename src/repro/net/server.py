@@ -168,6 +168,9 @@ class ProvenanceNetServer:
         self._port = port
         self._selector: "selectors.BaseSelector | None" = None
         self._listeners: list[socket.socket] = []
+        #: The unix path this server bound, so teardown removes its own
+        #: socket file and never a live server's.
+        self._bound_path: "str | None" = None
         self._conns: deque[_Connection] = deque()
         self._thread: "threading.Thread | None" = None
         self._stopping = False
@@ -210,10 +213,6 @@ class ProvenanceNetServer:
         return self._thread is not None
 
     @property
-    def unix_address(self) -> "str | None":
-        return self._unix_path
-
-    @property
     def tcp_address(self) -> "tuple[str, int] | None":
         """The bound ``(host, port)`` — with the real port when 0 was asked."""
         for sock in self._listeners:
@@ -228,7 +227,7 @@ class ProvenanceNetServer:
         self._selector = selectors.DefaultSelector()
         try:
             if self._unix_path is not None:
-                listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                listener = self._new_listener(socket.AF_UNIX)
                 try:
                     listener.bind(self._unix_path)
                 except OSError as exc:
@@ -246,12 +245,13 @@ class ProvenanceNetServer:
                         raise
                     finally:
                         probe.close()
-                self._register_listener(listener)
+                self._bound_path = self._unix_path
+                self._listen(listener)
             if self._host is not None:
-                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                listener = self._new_listener(socket.AF_INET)
                 listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 listener.bind((self._host, self._port))
-                self._register_listener(listener)
+                self._listen(listener)
             self._wake_r, self._wake_w = os.pipe()
             os.set_blocking(self._wake_r, False)
             self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
@@ -264,11 +264,16 @@ class ProvenanceNetServer:
         self._thread.start()
         return self
 
-    def _register_listener(self, listener: socket.socket) -> None:
+    def _new_listener(self, family: int) -> socket.socket:
+        """A listener socket, owned (and closed by teardown) before it binds."""
+        listener = socket.socket(family, socket.SOCK_STREAM)
+        self._listeners.append(listener)
+        return listener
+
+    def _listen(self, listener: socket.socket) -> None:
         listener.listen(LISTEN_BACKLOG)
         listener.setblocking(False)
         self._selector.register(listener, selectors.EVENT_READ, "listen")
-        self._listeners.append(listener)
 
     def stop(self) -> None:
         """Close every socket and join the loop (in-flight replies dropped)."""
@@ -301,11 +306,12 @@ class ProvenanceNetServer:
         if self._selector is not None:
             self._selector.close()
             self._selector = None
-        if self._unix_path is not None:
+        if self._bound_path is not None:
             try:
-                os.unlink(self._unix_path)
+                os.unlink(self._bound_path)
             except OSError:
                 pass
+            self._bound_path = None
 
     def __enter__(self) -> "ProvenanceNetServer":
         return self.start()

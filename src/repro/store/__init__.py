@@ -20,12 +20,7 @@ section of the README for how the store sits between the run labeler and the
 codec/engine.
 """
 
-from repro.store.label_store import (
-    NO_PATH,
-    LabelStore,
-    LabelStoreMapping,
-    ObjectLabelStore,
-)
+from repro.store.label_store import NO_PATH, LabelStore, LabelStoreMapping
 from repro.store.node_table import (
     NO_NODE,
     NODE_MODULE,
@@ -73,7 +68,6 @@ __all__ = [
     "NODE_RECURSIVE",
     "LabelStore",
     "LabelStoreMapping",
-    "ObjectLabelStore",
     "NO_PATH",
     "checkpoint_run",
     "checkpoint_batch",

@@ -79,11 +79,6 @@ def _plan_checkpoint(
     path, store: LabelStore, node_table: NodeTable | None, fingerprint: int
 ) -> _PendingCheckpoint:
     """Snapshot, validate and assemble one run's delta sections (no writes)."""
-    if not isinstance(store, LabelStore):
-        raise SerializationError(
-            "checkpoint_run requires a columnar LabelStore (the object "
-            "representation has no columns to persist)"
-        )
     if isinstance(store, MappedLabelStore):
         raise SerializationError("mapped run stores are read-only; nothing to checkpoint")
     file_path = os.fspath(path)

@@ -278,7 +278,7 @@ class MappedNodeTable(NodeTable):
     a consumer actually asks for node identities.
     """
 
-    __slots__ = ("_uid_loader", "_name_loader", "_row_of_uid")
+    __slots__ = ("_uid_loader", "_name_loader")
 
     def __init__(self, parent, path_id, meta, uid_id, uid_loader, name_loader) -> None:
         self._parent = parent
@@ -291,7 +291,6 @@ class MappedNodeTable(NodeTable):
         self._module_names = None
         self._uid_loader = uid_loader
         self._name_loader = name_loader
-        self._row_of_uid: dict[str, int] | None = None
 
     module_id = _read_only
     append_module = _read_only
@@ -331,22 +330,6 @@ class MappedNodeTable(NodeTable):
     def uid(self, row: int) -> str | None:
         uid_id = self._uid_id[self._check(row)]
         return None if uid_id < 0 else self._uid_list()[uid_id]
-
-    def row_for_uid(self, instance_uid: str) -> int:
-        """The node row of a module instance (index built lazily, once)."""
-        if self._row_of_uid is None:
-            uids = self._uid_list()
-            self._row_of_uid = {
-                uids[uid_id]: row
-                for row, uid_id in enumerate(self._uid_id)
-                if uid_id >= 0
-            }
-        try:
-            return self._row_of_uid[instance_uid]
-        except KeyError:
-            raise SerializationError(
-                f"no persisted parse-tree node for instance {instance_uid!r}"
-            ) from None
 
     def child_count(self, row: int) -> int:
         return int(self._counts()[self._check(row)])
@@ -519,11 +502,6 @@ class MappedRunStore:
                 for _, extent in self.sections():
                     runfile.check_extent(self._path, extent, view)
             self._verified = True
-
-    @property
-    def verified(self) -> bool:
-        """Whether the mapping's full checksum scrub has completed."""
-        return self._verified
 
     # -- the serving surface -----------------------------------------------------
 

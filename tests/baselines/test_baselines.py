@@ -1,11 +1,11 @@
-"""Tests for the DRL and naive baselines."""
+"""Tests for the DRL baseline."""
 
 import random
 
 import pytest
 
 from repro.analysis import RunReachabilityOracle, is_safe, is_safe_view, is_strictly_linear_recursive
-from repro.baselines import DRL_ORDER_HEADER_BITS, DRLScheme, NaiveScheme
+from repro.baselines import DRL_ORDER_HEADER_BITS, DRLScheme
 from repro.core import FVLScheme, FVLVariant
 from repro.errors import VisibilityError
 from repro.io import LabelCodec, specification_from_dict, specification_to_dict
@@ -110,16 +110,3 @@ def test_fvl_and_drl_match_the_oracle_on_grey_and_black_views(name):
             if drl_labeler is not None:
                 drl_got = drl.depends(drl_labeler.label(d1), drl_labeler.label(d2), view)
                 assert drl_got == expected
-
-
-def test_naive_scheme_matches_oracle(setup):
-    spec, scheme, drl, derivation = setup
-    naive = NaiveScheme(spec)
-    view = random_view(spec, 6, seed=10, mode="grey", name="grey6")
-    oracle = RunReachabilityOracle(derivation.run, view, spec)
-    visible = sorted(oracle.projection.visible_items)
-    rng = random.Random(2)
-    for _ in range(200):
-        d1, d2 = rng.choice(visible), rng.choice(visible)
-        assert naive.depends(derivation.run, view, d1, d2) == oracle.depends(d1, d2)
-    assert naive.index_size_items(derivation.run, view) == len(visible)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    BasicParseTree,
     DataLabel,
     PortLabel,
     ProductionEdgeLabel,
@@ -109,10 +108,18 @@ def test_basic_tree_depth_grows_with_recursion(running_scheme, running_spec):
         running_spec,
         [("S:1", 1), ("A:1", 2), ("B:1", 4), ("A:2", 2), ("B:2", 4), ("A:3", 2)],
     )
-    basic = BasicParseTree(derivation.run)
-    assert basic.depth() >= 6
+    # The basic parse tree (Definition 17) is the derivation itself: a node's
+    # depth is its number of ancestors, and its path is the (k, i) of each
+    # instance below the root.
+    run = derivation.run
+    basic_depth = max(len(run.ancestors(uid)) for uid in run.instances)
+    chain = [run.instance(uid) for uid in reversed(run.ancestors("A:3"))]
+    basic_path = tuple(
+        (inst.production_index, inst.position) for inst in chain[1:] + [run.instance("A:3")]
+    )
+    assert basic_depth >= 6
     assert labeler.tree.depth() <= 2 * len(running_spec.grammar.composite_modules)
-    assert basic.path("A:3")[0] == (1, 3)
+    assert basic_path[0] == (1, 3)
 
 
 def test_labels_are_immutable_and_unique(running_scheme, running_spec):

@@ -3,7 +3,8 @@ object tree, and the persistent run store round-trips losslessly.
 
 For random runs of the BioAID-like specification, a
 :class:`~repro.store.NodeTable`-backed :class:`CompressedParseTree` must be
-observationally identical to the seed's :class:`ObjectParseTree`: the same
+observationally identical to the seed's :class:`ObjectParseTree` (kept in
+:mod:`tests.reference`): the same
 node kinds, paths, edge labels, depths and fanouts for every module instance,
 and the same materialised data labels.  On top of that, an mmap reload of a
 checkpointed run — including an incremental checkpoint append mid-derivation —
@@ -20,6 +21,7 @@ from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.store import MappedRunStore, checkpoint_run
 from repro.workloads import build_bioaid_specification, random_run
+from tests.reference import label_run_objects
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +39,7 @@ def scheme(spec):
 def test_columnar_tree_matches_object_tree(spec, scheme, seed, size):
     derivation = random_run(spec, size, seed=seed)
     columnar = scheme.label_run(derivation)
-    objects = scheme.label_run(derivation, columnar=False)
+    objects = label_run_objects(scheme, derivation)
     col_tree, obj_tree = columnar.tree, objects.tree
 
     assert col_tree.n_nodes == obj_tree.n_nodes
@@ -61,6 +63,7 @@ def test_columnar_tree_matches_object_tree(spec, scheme, seed, size):
         if fly_parent is not None:
             assert fly_parent.kind == eager_parent.kind
             assert fly_parent.cycle == eager_parent.cycle
+            assert fly_parent.rotation == eager_parent.rotation
             assert fly_parent.path == eager_parent.path
             assert len(fly_parent.children) == len(eager_parent.children)
 

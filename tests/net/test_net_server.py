@@ -918,14 +918,53 @@ def test_stale_socket_file_is_reclaimed(scheme, tmp_path):
         assert net.running
 
 
-def test_live_socket_is_not_stolen(scheme, workload, tmp_path):
+def test_live_socket_is_not_stolen(scheme, workload, run_file, tmp_path):
     _, view, _, pairs = workload
+    path, expected, _ = run_file
     sock_path = tmp_path / "owned.sock"
-    first = ProvenanceServer(QueryEngine(scheme))
-    with ProvenanceNetServer(first, unix_path=sock_path):
-        second = ProvenanceNetServer(ProvenanceServer(QueryEngine(scheme)), unix_path=sock_path)
+    engine = QueryEngine(scheme)
+    first = ProvenanceServer(engine)
+    first.attach(path)
+    engine.add_view(view)
+    try:
+        with first, ProvenanceNetServer(first, unix_path=sock_path):
+            second = ProvenanceNetServer(
+                ProvenanceServer(QueryEngine(scheme)), unix_path=sock_path
+            )
+            with pytest.raises(OSError):
+                second.start()
+            # The refused start leaves the live server's address alone: its
+            # socket file is still there and a new client reaches it.
+            assert sock_path.exists()
+            with ProvenanceClient(unix_path=sock_path) as client:
+                assert client.depends(*pairs[0], view.name) == expected[0]
+    finally:
+        engine.detach(DEFAULT_RUN)
+
+
+def test_a_failed_start_removes_what_it_bound_and_can_be_retried(scheme, tmp_path):
+    """A start that binds its unix path and then fails on the TCP port
+    removes its own socket file, and the same server starts once the port
+    is free."""
+    sock_path = tmp_path / "retry.sock"
+    blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    blocker.bind(("127.0.0.1", 0))
+    blocker.listen(1)
+    port = blocker.getsockname()[1]
+    net = ProvenanceNetServer(
+        ProvenanceServer(QueryEngine(scheme)), unix_path=sock_path, host="127.0.0.1", port=port
+    )
+    try:
         with pytest.raises(OSError):
-            second.start()
+            net.start()
+        assert not sock_path.exists()
+        assert not net.running
+    finally:
+        blocker.close()
+    with net:
+        assert sock_path.exists()
+        assert net.tcp_address == ("127.0.0.1", port)
+    assert not sock_path.exists()
 
 
 def test_client_requires_exactly_one_target(tmp_path):

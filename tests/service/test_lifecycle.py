@@ -104,6 +104,8 @@ def test_event_bound_triggers_flush(scheme, spec, tmp_path):
     assert manager.poll_once().checkpoints == []
     stats = manager.stats
     assert stats.checkpoints == 1 and stats.items_flushed == len(labeler.store)
+    manager.unmanage("r")
+    manager.stop()
 
 
 def test_time_bound_flushes_any_pending_delta(scheme, spec, tmp_path):
@@ -130,6 +132,8 @@ def test_time_bound_flushes_any_pending_delta(scheme, spec, tmp_path):
     assert manager.poll_once().checkpoints == []
     clock.advance(31.0)
     assert len(manager.poll_once().checkpoints) == 1
+    manager.unmanage("r")
+    manager.stop()
 
 
 def test_multiple_due_runs_flush_in_one_batched_sweep(scheme, spec, tmp_path):
@@ -148,6 +152,9 @@ def test_multiple_due_runs_flush_in_one_batched_sweep(scheme, spec, tmp_path):
     assert len(sweep.checkpoints) == 3
     for name, labeler in labelers.items():
         assert run_file_info(tmp_path / f"{name}.fvl").n_items == len(labeler.store)
+    for name in labelers:
+        manager.unmanage(name)
+    manager.stop()
 
 
 def test_manage_resumes_existing_file_watermarks(scheme, spec, tmp_path):
@@ -171,6 +178,9 @@ def test_manage_resumes_existing_file_watermarks(scheme, spec, tmp_path):
     # Already durable: the resumed manager sees no pending delta.
     assert resumed.poll_once().checkpoints == []
     assert run_file_info(path).n_segments == durable.n_segments
+    for manager in (resumed, first):
+        manager.unmanage("r")
+        manager.stop()
 
 
 def test_manage_registration_errors(scheme, spec, tmp_path):
@@ -186,6 +196,7 @@ def test_manage_registration_errors(scheme, spec, tmp_path):
         manager.manage("unregistered", tmp_path / "x.fvl")  # engine lookup fails
     manager.unmanage("r")
     assert manager.managed_runs == ()
+    manager.stop()
 
 
 def test_manage_rejects_sharing_a_run_file(scheme, spec, tmp_path):
@@ -194,6 +205,8 @@ def test_manage_rejects_sharing_a_run_file(scheme, spec, tmp_path):
     manager.manage("a", tmp_path / "shared.fvl", labeler=RunLabeler(scheme.index))
     with pytest.raises(LabelingError, match="own file"):
         manager.manage("b", tmp_path / "shared.fvl", labeler=RunLabeler(scheme.index))
+    manager.unmanage("a")
+    manager.stop()
 
 
 def test_unmanage_keeps_the_run_when_the_final_flush_fails(scheme, spec, tmp_path):
@@ -209,6 +222,7 @@ def test_unmanage_keeps_the_run_when_the_final_flush_fails(scheme, spec, tmp_pat
     (tmp_path / "nope").mkdir()
     manager.unmanage("r")
     assert run_file_info(missing).n_items == len(labeler.store)
+    manager.stop()
 
 
 def test_unmanage_flushes_final_delta(scheme, spec, tmp_path):
@@ -222,6 +236,7 @@ def test_unmanage_flushes_final_delta(scheme, spec, tmp_path):
     _stream(labeler, random_run(spec, 80, seed=4).events)
     manager.unmanage("r")
     assert run_file_info(path).n_items == len(labeler.store)
+    manager.stop()
 
 
 def test_engine_registered_run_needs_no_explicit_labeler(scheme, spec, tmp_path):
@@ -235,6 +250,8 @@ def test_engine_registered_run_needs_no_explicit_labeler(scheme, spec, tmp_path)
     manager.manage(DEFAULT_RUN, path)
     assert len(manager.poll_once().checkpoints) == 1
     assert run_file_info(path).n_items == derivation.run.n_data_items
+    manager.unmanage(DEFAULT_RUN)
+    manager.stop()
 
 
 # -- compaction + hot reopen ---------------------------------------------------
@@ -354,6 +371,7 @@ def test_segment_count_is_the_one_compaction_trigger(scheme, spec, tmp_path):
     assert (info.n_segments, info.generation) == (1, 1)
     assert info.n_items == len(labeler.store)
     manager.unmanage("r")
+    manager.stop()
 
 
 def test_compaction_joins_the_lease_manage_took(scheme, spec, tmp_path, monkeypatch):
@@ -381,6 +399,7 @@ def test_compaction_joins_the_lease_manage_took(scheme, spec, tmp_path, monkeypa
         ("lease_acquire", {"path": os.fspath(path)}),
         ("lease_release", {"path": os.fspath(path)}),
     ]
+    manager.stop()
 
 
 # -- the background thread -----------------------------------------------------
@@ -417,6 +436,9 @@ def test_background_thread_reaches_durability_without_checkpoint_calls(
     with pytest.raises(RuntimeError):
         with manager:
             manager.start()  # already running
+    # Release the lease and the mapping here, not in a later test's GC.
+    manager.unmanage("stream")
+    served.detach(DEFAULT_RUN)
 
 
 def test_background_thread_recovers_and_clears_last_error(scheme, spec, tmp_path):
@@ -447,6 +469,7 @@ def test_background_thread_recovers_and_clears_last_error(scheme, spec, tmp_path
             time.sleep(0.005)
         assert manager.last_error is None
         assert run_file_info(path).n_items == len(labeler.store)
+    manager.unmanage("r")
 
 
 def test_one_bad_path_does_not_wedge_sibling_runs(scheme, spec, tmp_path):
@@ -472,6 +495,8 @@ def test_one_bad_path_does_not_wedge_sibling_runs(scheme, spec, tmp_path):
     # the good run's watermark advanced despite the failed sweep).
     manager.unmanage("bad", flush=False)
     assert manager.poll_once().checkpoints == []
+    manager.unmanage("good")
+    manager.stop()
 
 
 def test_path_and_node_only_tails_are_flushed(scheme, tmp_path):
@@ -513,6 +538,7 @@ def test_path_and_node_only_tails_are_flushed(scheme, tmp_path):
     table.extend_production(a, 3, 1)
     manager.unmanage("r")
     assert run_file_info(path).n_paths == len(table)
+    manager.stop()
 
 
 # -- the cross-process writer lease --------------------------------------------
@@ -541,6 +567,7 @@ def test_manage_holds_the_lease_and_unmanage_releases_it(scheme, spec, tmp_path)
     # Released: a fresh manager (posing as "another process") can take it.
     with FileLease(path) as probe:
         assert probe.held
+    manager.stop()
 
 
 def test_manage_refuses_a_file_whose_writer_is_another_process(
@@ -589,6 +616,7 @@ def test_manage_refuses_a_file_whose_writer_is_another_process(
         with pytest.raises(LeaseHeldError, match="writer lease"):
             manager.manage("r", path, labeler=labeler)
         assert manager.managed_runs == ()  # the refused run was not half-added
+        manager.stop()
     finally:
         release.touch()
         holder.wait(timeout=30)
@@ -614,3 +642,4 @@ def test_deferred_lease_is_acquired_by_the_first_healthy_flush(scheme, spec, tmp
     assert len(sweep.checkpoints) == 1
     assert managed.lease.held  # the retry took the lease before writing
     manager.unmanage("r")
+    manager.stop()

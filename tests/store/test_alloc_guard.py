@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FVLScheme, ObjectParseNode, ParseNode
+from repro.core import FVLScheme, ParseNode
 from repro.core.labels import (
     DataLabel,
     PortLabel,
@@ -23,6 +23,7 @@ from repro.core.labels import (
 )
 from repro.store import LabelStore, NodeTable
 from repro.workloads import build_bioaid_specification, random_run
+from tests.reference import ObjectParseNode, label_run_objects
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_object_representation_still_constructs_objects(prepared, monkeypatch):
     counts = {"PortLabel": 0, "DataLabel": 0, "ObjectParseNode": 0}
     for cls in (PortLabel, DataLabel, ObjectParseNode):
         _counting(monkeypatch, cls, counts)
-    labeler = scheme.label_run(derivation, columnar=False)
+    labeler = label_run_objects(scheme, derivation)
     assert counts["DataLabel"] == derivation.run.n_data_items
     assert counts["ObjectParseNode"] == labeler.tree.n_nodes
 

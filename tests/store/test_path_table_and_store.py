@@ -18,9 +18,9 @@ from repro.store import (
     LabelStore,
     LabelStoreMapping,
     NodeTable,
-    ObjectLabelStore,
     PathTable,
 )
+from tests.reference import ObjectLabelStore
 
 
 # -- PathTable ---------------------------------------------------------------

@@ -49,13 +49,6 @@ def labelled(scheme, spec):
 # -- writer validation -------------------------------------------------------
 
 
-def test_checkpoint_requires_columnar_store(labelled, tmp_path, scheme, spec):
-    derivation, _ = labelled
-    objects = scheme.label_run(derivation, columnar=False)
-    with pytest.raises(SerializationError):
-        checkpoint_run(tmp_path / "x.fvl", objects.store, None)
-
-
 def test_checkpoint_creates_and_appends_watermarked_segments(labelled, tmp_path):
     derivation, labeler = labelled
     run_file = tmp_path / "run.fvl"

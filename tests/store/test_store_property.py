@@ -2,9 +2,10 @@
 
 For random runs of the BioAID-like and running-example specifications, the
 columnar :class:`LabelStore` must be observationally identical to the seed's
-per-item value objects: the same materialised labels, the same per-label
-codec encodings, the same ``depends``/``depends_batch`` answers, and a
-lossless checkpoint -> map round trip through the run file.
+per-item value objects (kept in :mod:`tests.reference`): the same
+materialised labels, the same per-label codec encodings, the same
+``depends``/``depends_batch`` answers, and a lossless checkpoint -> map round
+trip through the run file.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.store import LabelStore, MappedRunStore, checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
 from repro.bench import sample_query_pairs
+from tests.reference import label_run_objects
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,7 @@ def codec(scheme):
 def test_store_labels_bit_identical_to_object_labels(spec, scheme, codec, seed, size):
     derivation = random_run(spec, size, seed=seed)
     columnar = scheme.label_run(derivation)
-    objects = scheme.label_run(derivation, columnar=False)
+    objects = label_run_objects(scheme, derivation)
     assert len(columnar) == len(objects) == derivation.run.n_data_items
     for uid in derivation.run.data_items:
         store_label = columnar.label(uid)
@@ -63,7 +65,7 @@ def test_store_labels_bit_identical_to_object_labels(spec, scheme, codec, seed, 
 def test_store_backed_depends_matches_object_depends(spec, scheme, seed):
     derivation = random_run(spec, 250, seed=seed)
     columnar = scheme.label_run(derivation)
-    objects = scheme.label_run(derivation, columnar=False)
+    objects = label_run_objects(scheme, derivation)
     view = random_view(spec, 6, seed=seed, mode="grey", name=f"prop-{seed}")
     view_label = scheme.label_view(view, FVLVariant.DEFAULT)
     items = sorted(ViewProjection(derivation.run, view).visible_items)

@@ -13,7 +13,11 @@ its outcome, family and class codes and one stack bound — a recursion depth
 cap or a budget hook would be a visible edit here.  A view's static part
 takes its name, the grammar index its bank is built from and the one
 function that labels it on first read — an eager/lazy switch would be a
-visible edit too.
+visible edit too.  Run labeling takes a grammar index and, at most, the path
+arena to intern in: the library has one run representation, so a switch
+that picks another would be a visible edit.  The scheduler's knobs — its
+worker count and the fields of its batching and reopen policies — are
+counted apart from the tier's eighteen.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+from repro.core import FVLScheme, RunLabeler
 from repro.engine import QueryEngine, kernel
 from repro.engine.cache import StaticViewState
 from repro.engine.kernel import MatrixBank
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.obs.watchdog import SLO, SLO_KINDS, Watchdog, default_slos
-from repro.serve import ProvenanceServer
+from repro.serve import BatchPolicy, ProvenanceServer, ReopenPolicy
 from repro.service import CheckpointPolicy, RunLifecycleManager
 from repro.store import FileLease, compact, run_file_info
 
@@ -36,6 +41,7 @@ NOT_KNOBS = {
     "self", "path", "engine", "policy", "lease", "server", "registry", "slos",
     "unix_path", "address", "host", "port", "name", "metric",
     "clock", "sleep", "jitter_seed", "index", "keys", "counts", "state", "view", "build",
+    "derivation", "path_table", "reopen", "sampler",
 }
 
 #: Engine, scheduler and client: what a query names, and nothing else.
@@ -92,6 +98,26 @@ DECODE_TIER = {
     "StaticViewState": (StaticViewState, ("view", "index", "build")),
     "MatrixBank": (MatrixBank, ("index",)),
     "MatrixBank.codes": (MatrixBank.codes, ("self", "keys", "counts", "state")),
+}
+
+#: Run labeling: what is labelled and the arena its paths intern in.
+RUN_LABELING = {
+    "RunLabeler": (RunLabeler, ("index", "path_table")),
+    "FVLScheme.run_labeler": (FVLScheme.run_labeler, ("self", "path_table")),
+    "FVLScheme.label_run": (FVLScheme.label_run, ("self", "derivation", "path_table")),
+}
+
+#: The scheduler: its engine, its two policies (their fields are counted
+#: below), its worker count, the sampler it records into and its clock.
+SCHEDULER = {
+    "ProvenanceServer": (
+        ProvenanceServer,
+        ("engine", "policy", "reopen", "workers", "clock", "sampler"),
+    ),
+}
+SCHEDULER_FIELDS = {
+    "BatchPolicy": (BatchPolicy, ("max_batch", "max_linger_us", "max_queue")),
+    "ReopenPolicy": (ReopenPolicy, ("after_queries", "after_seconds")),
 }
 
 #: Every int at the kernel's module level, imported ones included.
@@ -165,3 +191,22 @@ def test_the_decode_tier_is_pinned_and_has_no_settable_value():
 def test_slo_kinds_are_pinned():
     assert SLO_KINDS == ("rate", "delta", "percentile")
     assert {slo.kind for slo in default_slos()} <= set(SLO_KINDS)
+
+
+def test_run_labeling_is_pinned_and_has_no_settable_value():
+    for label, (target, expected) in RUN_LABELING.items():
+        assert tuple(inspect.signature(target).parameters) == expected, label
+        assert _knobs(expected) == [], label
+
+
+def test_the_scheduler_has_six_settable_values():
+    for label, (target, expected) in SCHEDULER.items():
+        assert tuple(inspect.signature(target).parameters) == expected, label
+    for label, (cls, expected) in SCHEDULER_FIELDS.items():
+        assert tuple(field.name for field in dataclasses.fields(cls)) == expected, label
+    counts = {
+        label: len(_knobs(expected))
+        for label, (_, expected) in {**SCHEDULER, **SCHEDULER_FIELDS}.items()
+    }
+    assert counts == {"ProvenanceServer": 1, "BatchPolicy": 3, "ReopenPolicy": 2}
+    assert sum(counts.values()) == 6
