@@ -396,7 +396,8 @@ class QueryEngine:
 
         After :func:`repro.store.compact` swaps a merged rewrite over the
         path, this shard keeps serving the superseded inode; ``reopen``
-        reads the file header once and, if the generation moved on, maps the
+        stats the path and, only if it names another inode, reads the file
+        header once and, if the generation moved on, maps the
         current file and swaps it in — without a restart and **without
         invalidating decode-cache results**: compaction preserves every row
         and path id, so the shard keeps its arena tag and every cached
@@ -410,6 +411,11 @@ class QueryEngine:
         scrub raises :class:`~repro.errors.CorruptionError` (counted in
         ``corruption_detected_total{layer="engine"}``), one under a foreign
         specification or with fewer rows :class:`~repro.errors.LabelingError`.
+
+        The stat settles the common case without opening the file: a new
+        generation only ever arrives as a new inode (``os.replace``), and
+        the mapped inode cannot be reused while the mapping holds it
+        (:attr:`~repro.store.MappedRunStore.inode`).
         """
         shard = self._shard(run_id)
         if shard.mapped is None:
@@ -420,6 +426,9 @@ class QueryEngine:
         with self._reopen_lock:
             old = shard.mapped
             try:
+                stat = os.stat(old.path)
+                if (stat.st_dev, stat.st_ino) == old.inode:
+                    return False
                 if run_file_info(old.path).generation == old.generation:
                     return False
                 # Scrubbed before the swap (only a scrub raises corruption).

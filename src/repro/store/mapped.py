@@ -399,6 +399,8 @@ class MappedRunStore:
             raise ValueError(f"verify must be 'lazy' or 'attach', not {verify!r}")
         self._path = os.fspath(path)
         self._file = open(self._path, "rb")
+        stat = os.fstat(self._file.fileno())
+        self._inode = (stat.st_dev, stat.st_ino)
         self._verified = False
         self._verify_lock = threading.Lock()
         try:
@@ -580,6 +582,18 @@ class MappedRunStore:
     def generation(self) -> int:
         """The rewrite generation this mapping was opened at."""
         return self._header.generation
+
+    @property
+    def inode(self) -> tuple[int, int]:
+        """``(st_dev, st_ino)`` of the file this mapping holds open.
+
+        A new generation is only ever published by ``os.replace`` of a new
+        inode (:func:`repro.store.compaction.compact`), and this inode cannot
+        be reused while the mapping holds it, so a path that still names it
+        carries this mapping's generation: ``os.stat`` of the path settles a
+        reopen probe without opening the file.
+        """
+        return self._inode
 
     @property
     def header(self) -> Header:

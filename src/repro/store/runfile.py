@@ -184,7 +184,10 @@ class Header:
     #: Rewrite generation of the file.  Incremental checkpoints never change
     #: it; :func:`repro.store.compaction.compact` bumps it when it swaps the
     #: merged single-extent rewrite over the path, which is how live mapped
-    #: readers detect that they should remap onto the compacted file.
+    #: readers detect that they should remap onto the compacted file.  A new
+    #: generation always arrives as a new inode (the swap is an
+    #: ``os.replace``), so a reader whose mapping's inode is still the one at
+    #: the path needs no header read to know the generation is unchanged.
     generation: int = 0
     dense: bool = True
     has_nodes: bool = False

@@ -1,7 +1,8 @@
 """Shared fixtures: paper examples, generated workloads, derivation helpers,
 ``ask`` (the one blocking call over the scheduler), ``offer`` (a request
-edge's non-blocking submit) and ``publish_generation`` (a run file's next
-generation swapped in, intact or damaged)."""
+edge's non-blocking submit), ``publish_generation`` (a run file's next
+generation swapped in, intact or damaged) and ``detach_engines`` (every run a
+test attached is detached when it ends)."""
 
 from __future__ import annotations
 
@@ -412,3 +413,30 @@ def publish_generation():
         os.replace(staged, run_file)
 
     return publish
+
+
+@pytest.fixture()
+def detach_engines(monkeypatch):
+    """Detach, when the test ends, every run it attached that is still registered.
+
+    What a test that owns its engines does last: ``QueryEngine.detach``
+    closes the shard's mapping.  Only runs attached through
+    :meth:`QueryEngine.attach` are tracked, and only their current mapping
+    is closed, so a mapping the library itself leaks (a superseded
+    generation, a refused file) still surfaces as a ``ResourceWarning``.
+    """
+    from repro.engine import DEFAULT_RUN, QueryEngine
+
+    attached = {}
+    original = QueryEngine.attach
+
+    def attach(engine, path, run_id=DEFAULT_RUN, **options):
+        mapped = original(engine, path, run_id, **options)
+        attached[id(engine), run_id] = engine
+        return mapped
+
+    monkeypatch.setattr(QueryEngine, "attach", attach)
+    yield
+    for (_, run_id), engine in attached.items():
+        if run_id in engine.run_ids:
+            engine.detach(run_id)

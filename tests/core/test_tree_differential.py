@@ -1,7 +1,8 @@
 """Property tests: the columnar parse tree is behaviourally identical to the
 object tree, and the persistent run store round-trips losslessly.
 
-For random runs of the BioAID-like specification, a
+For random runs of the BioAID-like specification and of a small one whose
+start module lies on a cycle (so the root is a recursive node), a
 :class:`~repro.store.NodeTable`-backed :class:`CompressedParseTree` must be
 observationally identical to the seed's :class:`ObjectParseTree` (kept in
 :mod:`tests.reference`): the same
@@ -19,9 +20,40 @@ from hypothesis import strategies as st
 
 from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
+from repro.model import (
+    DataEdge,
+    DependencyAssignment,
+    Module,
+    Production,
+    SimpleWorkflow,
+    WorkflowGrammar,
+    WorkflowSpecification,
+)
 from repro.store import MappedRunStore, checkpoint_run
 from repro.workloads import build_bioaid_specification, random_run
 from tests.reference import label_run_objects
+
+
+def _start_on_a_cycle() -> WorkflowSpecification:
+    """``S -> a S'``-style mutual recursion through the start module.
+
+    ``S -> (a, T)``, ``T -> (b, S) | (c)``: P(G) has the one cycle
+    ``S -> T -> S`` of length 2, so the root of every run is a recursive
+    node at rotation 1 of cycle 1.
+    """
+    s, t = Module("S", 1, 1), Module("T", 1, 1)
+    a, b, c = Module("a", 1, 1), Module("b", 1, 1), Module("c", 1, 1)
+    grammar = WorkflowGrammar(
+        {m.name: m for m in (s, t, a, b, c)},
+        {"S", "T"},
+        "S",
+        [
+            Production(s, SimpleWorkflow([("a", a), ("T", t)], [DataEdge("a", 1, "T", 1)])),
+            Production(t, SimpleWorkflow([("b", b), ("S", s)], [DataEdge("b", 1, "S", 1)])),
+            Production(t, SimpleWorkflow([("c", c)], [])),
+        ],
+    )
+    return WorkflowSpecification(grammar, DependencyAssignment({name: {(1, 1)} for name in "abc"}))
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +66,25 @@ def scheme(spec):
     return FVLScheme(spec)
 
 
+@pytest.fixture(scope="module")
+def schemes(spec, scheme):
+    start_on_a_cycle = _start_on_a_cycle()
+    return {
+        "bioaid": (spec, scheme),
+        "start-on-a-cycle": (start_on_a_cycle, FVLScheme(start_on_a_cycle)),
+    }
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), size=st.sampled_from([40, 150, 400]))
-def test_columnar_tree_matches_object_tree(spec, scheme, seed, size):
+def test_columnar_tree_matches_object_tree(schemes, seed, size):
+    # Every example runs on both specifications, so the recursive root of
+    # the second is compared as often as BioAID's plain one.
+    for spec, scheme in schemes.values():
+        _columnar_tree_matches_object_tree(spec, scheme, seed, size)
+
+
+def _columnar_tree_matches_object_tree(spec, scheme, seed, size):
     derivation = random_run(spec, size, seed=seed)
     columnar = scheme.label_run(derivation)
     objects = label_run_objects(scheme, derivation)

@@ -10,12 +10,16 @@ import pytest
 from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
+from repro.engine import engine as engine_module
 from repro.errors import CorruptionError, LabelingError
 from repro.model.projection import ViewProjection
 from repro.store import checkpoint_run, compact
 from repro.store.mapped import _ChunkedColumn
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
+
+
+pytestmark = pytest.mark.usefixtures("detach_engines")
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +160,27 @@ def test_reopen_noop_without_a_new_generation(served):
     engine.attach(run_file, run_id="disk")
     assert engine.reopen("disk") is False
     assert engine.reopen(DEFAULT_RUN) is False
+
+
+def test_a_probe_on_the_mapped_inode_reads_no_header(served, publish_generation, monkeypatch):
+    """The path still names the mapped inode: one ``os.stat``, no open."""
+    engine, _, _, _, run_file = served
+    engine.attach(run_file, run_id="disk")
+    peeks = []
+    original = engine_module.run_file_info
+
+    def counting(path):
+        peeks.append(path)
+        return original(path)
+
+    monkeypatch.setattr(engine_module, "run_file_info", counting)
+    assert [engine.reopen("disk") for _ in range(5)] == [False] * 5
+    assert engine.reopen_all() == []
+    assert peeks == []
+    # A swap is a new inode: the header is read, once, and the shard remaps.
+    publish_generation(run_file)
+    assert engine.reopen("disk") is True
+    assert len(peeks) == 1
 
 
 def _unreadable(run_file, **_):

@@ -30,6 +30,11 @@ And three hold static view labelling to one closure per production body:
 * schemes and labels built and dropped over one specification leave no
   module-level container larger and no :class:`GrammarIndex` alive.
 
+And one holds the once-per-specification preprocessing to the composite part
+of the grammar: building a scheme constructs a :class:`PGEdge` for each cycle
+edge and no other, and its Tarjan walk visits each composite module once and
+no atomic one.
+
 And three hold the side file (``.hotmx``) to the pair table's columns:
 
 * saving and loading make a fixed number of calls per section, whatever the
@@ -62,7 +67,7 @@ import numpy as np
 import pytest
 
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
-from repro.analysis import reachability
+from repro.analysis import production_graph, reachability
 from repro.analysis.reachability import RunReachabilityOracle
 from repro.core.pair_table import ABSENT, VERDICT_FALSE, PairTable, pair_paths
 from repro.core.view_label import ViewLabel
@@ -303,6 +308,31 @@ def test_schemes_and_labels_leave_nothing_behind():
     gc.collect()
     assert [ref() for ref in indexes] == [None] * 20
     assert module_level_sizes() == before
+
+
+@pytest.mark.parametrize(
+    "build", [build_bioaid_specification, lambda: build_nested_chain_specification(40, 30, 3)]
+)
+def test_preprocessing_builds_cycle_edges_only_and_walks_composite_modules(build, monkeypatch):
+    spec = build()
+    built, visited = [], []
+    original_edge = production_graph.PGEdge.__init__
+    original_successors = production_graph.ProductionGraph._successors
+
+    def counting_edge(self, *args, **kwargs):
+        built.append(1)
+        original_edge(self, *args, **kwargs)
+
+    def counting_successors(self, module):
+        visited.append(module)
+        return original_successors(self, module)
+
+    monkeypatch.setattr(production_graph.PGEdge, "__init__", counting_edge)
+    monkeypatch.setattr(production_graph.ProductionGraph, "_successors", counting_successors)
+    scheme = FVLScheme(spec)
+    # 0 on the chain grammar (no recursion); 7 on BioAID (one 2-cycle, five self-loops).
+    assert len(built) == sum(len(cycle) for cycle in scheme.index.cycles)
+    assert sorted(visited) == sorted(spec.grammar.composite_modules)
 
 
 def _payload_bytes(run_file) -> int:

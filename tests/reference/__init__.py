@@ -5,8 +5,10 @@ columnar :class:`~repro.core.CompressedParseTree` and appends to a columnar
 :class:`~repro.store.LabelStore`.  The seed kept one object per parse-tree
 node and one ``DataLabel`` per data item instead.  Those object forms live
 here, behind the library's own event loop, so the differential tests can
-check the columnar run against them; no module under ``src/`` imports this
-package.
+check the columnar run against them.  :mod:`tests.reference.production_graph`
+is the seed's production graph (an edge object per occurrence, Tarjan over
+every module), the reference of the graph's differential test.  No module
+under ``src/`` imports this package.
 """
 
 from __future__ import annotations

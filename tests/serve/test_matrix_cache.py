@@ -6,6 +6,7 @@ import os
 import shutil
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,9 @@ from repro.serve.matrix_cache import (
 from repro.store import checkpoint_run, compact
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, build_running_example, random_run, random_view
+
+
+pytestmark = pytest.mark.usefixtures("detach_engines")
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +395,7 @@ def test_load_rejects_foreign_specification(saved, scheme):
     """
     run_file, view, pairs, expected, _ = saved
     cache_file = matrix_cache_path(run_file)
-    raw = bytearray(open(cache_file, "rb").read())
+    raw = bytearray(Path(cache_file).read_bytes())
     header = list(_FILE_HEADER.unpack_from(raw))
     follower = QueryEngine(scheme)
     follower.add_view(view)
@@ -432,7 +436,7 @@ def test_load_rejects_bad_magic_and_truncation(saved, scheme):
     follower.add_view(view)
     follower.attach(run_file)
 
-    raw = open(cache_file, "rb").read()
+    raw = Path(cache_file).read_bytes()
     with open(cache_file, "wb") as handle:
         handle.write(raw[: _FILE_HEADER.size + 8])  # cut mid-section
     with pytest.raises(SerializationError, match="truncated"):
@@ -609,7 +613,7 @@ def test_fingerprints_are_pinned_and_kept_on_their_object(spec):
 def test_parse_and_assemble_agree_with_the_saver(saved):
     """The test's own reading of the layout reproduces the file byte for byte."""
     run_file, *_ = saved
-    raw = open(matrix_cache_path(run_file), "rb").read()
+    raw = Path(matrix_cache_path(run_file)).read_bytes()
     header, sections = _parse(raw)
     body = _assemble(sections)
     assert raw == _FILE_HEADER.pack(*header[:5], len(body), zlib.crc32(body)) + body
@@ -626,7 +630,7 @@ def test_no_bit_flip_is_a_silent_wrong_answer(saved, scheme):
     """
     run_file, view, pairs, expected, entries = saved
     cache_file = matrix_cache_path(run_file)
-    raw = open(cache_file, "rb").read()
+    raw = Path(cache_file).read_bytes()
     (section,) = _parse(raw)[1]
     kinds = _kinds(section)
     assert all(kinds[kind].size for kind in ("matrix", "verdict", "boundary")), kinds
@@ -669,7 +673,7 @@ def test_every_byte_of_a_small_section_is_covered(saved, scheme):
     assert np.array_equal(leader.depends_batch(pairs, view), expected)
     cache_file = matrix_cache_path(run_file)
     assert save_hot_matrices(leader, DEFAULT_RUN, max_entries=6) == 6
-    raw = open(cache_file, "rb").read()
+    raw = Path(cache_file).read_bytes()
     follower = QueryEngine(scheme)
     follower.add_view(view)
     follower.attach(run_file)
@@ -752,7 +756,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     """Columns no saver writes, checksummed as if one had: typed refusals, nothing admitted."""
     run_file, view, pairs, expected, entries = saved
     cache_file = matrix_cache_path(run_file)
-    header, (genuine,) = _parse(open(cache_file, "rb").read())
+    header, (genuine,) = _parse(Path(cache_file).read_bytes())
     follower = QueryEngine(scheme)
     follower.add_view(view)
     mapped = follower.attach(run_file)
@@ -905,7 +909,7 @@ def test_a_damaged_side_file_is_counted_and_reported(saved, scheme, monkeypatch)
     cache_file = matrix_cache_path(run_file)
     emitted = []
     monkeypatch.setattr(obs_events, "emit", lambda event, **fields: emitted.append((event, fields)))
-    raw = bytearray(open(cache_file, "rb").read())
+    raw = bytearray(Path(cache_file).read_bytes())
 
     engine = QueryEngine(scheme)
     engine.add_view(view)

@@ -131,7 +131,7 @@ def _two_segment_files(scheme, derivation, tmp_path):
     return dense_file, sparse_file, sorted(sparse.uids())
 
 
-def test_bit_flip_in_every_payload_section_fails_attach(scheme, spec, tmp_path):
+def test_bit_flip_in_every_payload_section_fails_attach(scheme, spec, tmp_path, publish_generation):
     derivation = random_run(spec, 300, seed=77)
     view = random_view(spec, 6, seed=76, mode="grey", name="flip-view")
     dense_file, sparse_file, kept = _two_segment_files(scheme, derivation, tmp_path)
@@ -140,12 +140,13 @@ def test_bit_flip_in_every_payload_section_fails_attach(scheme, spec, tmp_path):
     covered = set()
     for run_file in (dense_file, sparse_file):
         # A reader attached before the damage: its reopen probe sees a newer
-        # generation on disk and must refuse to remap onto corrupt bytes.
+        # generation (a new inode) on disk and must refuse to remap onto
+        # corrupt bytes.
         reader = QueryEngine(scheme)
         reader.attach(run_file, verify="attach")
         reader.depends_batch(pairs, view)  # the clean file serves both calls
         reader.is_visible_batch(kept[:20], view)
-        _bump_generation(run_file)
+        publish_generation(run_file)
         pristine = run_file.read_bytes()
         for name, offset, nbytes, _crc in _payload_extents(run_file):
             covered.add(name)
@@ -246,7 +247,7 @@ def test_engine_serves_last_good_generation_after_on_disk_corruption(
     assert np.array_equal(engine.depends_batch(pairs, view), expected)
 
 
-def test_reopen_stays_loud_on_corruption(scheme, spec, tmp_path):
+def test_reopen_stays_loud_on_corruption(scheme, spec, tmp_path, publish_generation):
     derivation = random_run(spec, 150, seed=82)
     reference = QueryEngine(scheme)
     reference.add_run(DEFAULT_RUN, derivation)
@@ -255,9 +256,10 @@ def test_reopen_stays_loud_on_corruption(scheme, spec, tmp_path):
     engine = QueryEngine(scheme)
     engine.attach(run_file, verify="attach")
 
-    # Fake a newer generation so reopen actually attempts the remap,
-    # then corrupt a payload byte: the remap must raise, not return False.
-    _bump_generation(run_file)
+    # Publish a newer generation (a new inode, like a compaction swap) so
+    # reopen actually attempts the remap, then corrupt a payload byte: the
+    # remap must raise, not return False.
+    publish_generation(run_file)
     name, offset, nbytes, _crc = max(_payload_extents(run_file), key=lambda e: e[2])
     _flip_byte(run_file, offset + nbytes // 2)
     with pytest.raises(CorruptionError):
