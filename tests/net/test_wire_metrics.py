@@ -1,13 +1,16 @@
 """One scripted wire sequence pins every serving metric the stack exports.
 
-Every ``serve_*``, ``net_*``, ``tail_*`` and ``trace_*`` value of the shared
-registry — counters, gauges and the latency histogram with its exemplars —
-after a fixed sequence of raw frames: depends and visible frames, a shed, an
-oversized frame, an unknown view, a traced frame and a refused variant.  The
-sampler's clock steps a fixed 0.25 s per reading and the scheduler's clock
-stands still, so nothing in the pinned values depends on the host.  A change
-to how a frame is queued, resolved or replied to must leave them all as they
-are.
+Every ``serve_*``, ``net_*``, ``tail_*``, ``trace_*``, ``engine_*`` and
+``cost_*`` series of the shared registry after a fixed sequence of raw frames:
+depends and visible frames, a shed, an oversized frame, an unknown view, a
+traced frame and a refused variant.  The sampler's clock steps a fixed 0.25 s
+per reading and the scheduler's clock stands still, so the serving, tail and
+trace values — counters, gauges and the latency histogram with its exemplars —
+are pinned whole.  The engine's and the cost families' time on the host's
+clock, so of those the test pins what does not depend on it: every counter
+and byte gauge, each engine histogram's observation count and bucket edges,
+and the label sets of the cost counters.  A change to how a frame is queued,
+resolved, counted or replied to must leave them all as they are.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from repro.serve import BatchPolicy, ProvenanceServer
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
-FAMILIES = ("serve_", "net_", "tail_", "trace_")
+FAMILIES = ("serve_", "net_", "tail_", "trace_", "engine_", "cost_")
+#: Families whose values include wall time on the host's clock.
+TIMED = ("engine_batch_seconds", "engine_view_label_seconds", "cost_")
 TRACE_ID = 0x5EED
 #: Every frame's wall under the sampler's step clock, and its latency bucket.
 WALL = 0.25
@@ -91,6 +96,32 @@ PINNED = {
         ("depends", "(unknown)"): _latency(1, "b54cda58fbbee87e"),
     },
     "trace_sampled_total": {(): 1},
+    # Three depends batches (40 pairs, one pair, the traced 39) and the
+    # visible one; the unknown view's frame fails before any batch.
+    "engine_batch_seconds": {
+        ("depends",): {"count": 3, "buckets": LATENCY_BUCKETS},
+        ("visible",): {"count": 1, "buckets": LATENCY_BUCKETS},
+    },
+    "engine_batches_total": {(): 3},
+    "engine_decoded_state_bytes": {("per_run",): 3118.0, ("static",): 20144.0},
+    "engine_pairs_total": {("matrix",): 19, ("structural",): 44},
+    "engine_queries_total": {
+        ("default", "pinned-view", "depends"): 80,
+        ("default", "pinned-view", "visible"): 30,
+    },
+    "engine_reopens_total": {},
+    "engine_view_cache_total": {("evict",): 0, ("hit",): 3, ("miss",): 1},
+    "engine_view_label_seconds": {(): {"count": 1, "buckets": LATENCY_BUCKETS}},
+    "engine_view_labels_total": {(): 1},
+    # The traced frame's phases, billed to its (run, view).
+    "cost_cpu_seconds_total": {
+        ("default", "pinned-view", phase)
+        for phase in ("decode", "engine", "gather", "net", "queue_wait", "scheduler")
+    },
+    "cost_seconds_total": {
+        ("default", "pinned-view", phase)
+        for phase in ("decode", "engine", "gather", "net", "queue_wait", "scheduler")
+    },
 }
 
 
@@ -135,9 +166,20 @@ def _exchange(raw: socket.socket, frame: bytes):
     return decode_reply(receive(length))
 
 
+def _untimed(name: str, row: dict):
+    """``row`` less what the host's clock decides (see the module docstring)."""
+    if not name.startswith(TIMED):
+        return row
+    if name.startswith("cost_"):
+        return set(row)
+    return {key: {"count": h["count"], "buckets": h["buckets"]} for key, h in row.items()}
+
+
 def _serving_values(snapshot: dict) -> dict:
     return {
-        name: row for name, row in sorted(snapshot.items()) if name.startswith(FAMILIES)
+        name: _untimed(name, row)
+        for name, row in sorted(snapshot.items())
+        if name.startswith(FAMILIES)
     }
 
 
