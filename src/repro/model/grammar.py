@@ -169,30 +169,49 @@ class WorkflowGrammar:
 
     def derivable_modules(self) -> set[str]:
         """Modules derivable from the start module (reachable in P(G))."""
+        composites = self._derivable_composites()
+        return composites.union(
+            *(production.rhs.module_names()
+              for name in composites for _, production in self._by_lhs.get(name, ()))
+        )
+
+    def _derivable_composites(self) -> set[str]:
+        """The composite modules :meth:`derivable_modules` finds.
+
+        Only composite modules have productions, so the walk enqueues no
+        atomic one: on a grammar of long bodies over atomic modules it does
+        work in proportion to the composite part.
+        """
+        composite = self._composite
         reached = {self._start}
-        queue = deque([self._start])
+        queue = [self._start]
         while queue:
-            current = queue.popleft()
-            for _, production in self.productions_for(current):
+            for _, production in self._by_lhs.get(queue.pop(), ()):
                 for name in production.rhs.module_names():
-                    if name not in reached:
+                    if name in composite and name not in reached:
                         reached.add(name)
                         queue.append(name)
         return reached
 
     def productive_modules(self) -> set[str]:
-        """Modules that can derive a simple workflow of atomic modules only.
+        """Modules that can derive a simple workflow of atomic modules only."""
+        return self._productive_composites() | self.atomic_modules
 
-        A counter worklist: each production counts the distinct modules of its
-        body not yet known productive, and is woken once per such module as it
-        becomes productive; at zero its left-hand side is productive.
+    def _productive_composites(self) -> set[str]:
+        """The composite modules :meth:`productive_modules` finds.
+
+        A counter worklist: each production counts the distinct composite
+        modules of its body not yet known productive (atomic ones are from
+        the start), and is woken once per such module as it becomes
+        productive; at zero its left-hand side is productive.
         """
-        productive: set[str] = set(self.atomic_modules)
+        composite = self._composite
+        productive: set[str] = set()
         unproductive_count: list[int] = []
         waiting: dict[str, list[int]] = {}
         ready: list[int] = []
         for position, production in enumerate(self._productions):
-            absent = set(production.rhs.module_names()) - productive
+            absent = {name for name in production.rhs.module_names() if name in composite}
             unproductive_count.append(len(absent))
             for name in absent:
                 waiting.setdefault(name, []).append(position)
@@ -238,24 +257,20 @@ class WorkflowGrammar:
 
     def is_proper(self) -> bool:
         """Whether the grammar is proper (Definition 5)."""
-        derivable = self.derivable_modules()
-        productive = self.productive_modules()
-        if not self._composite <= derivable:
+        if not self._composite <= self._derivable_composites():
             return False
-        if not self._composite <= productive:
+        if not self._composite <= self._productive_composites():
             return False
         return not self.unit_cycles()
 
     def check_proper(self) -> None:
         """Raise :class:`ImproperGrammarError` unless the grammar is proper."""
-        derivable = self.derivable_modules()
-        missing = sorted(self._composite - derivable)
+        missing = sorted(self._composite - self._derivable_composites())
         if missing:
             raise ImproperGrammarError(
                 f"underivable composite modules: {missing}"
             )
-        productive = self.productive_modules()
-        missing = sorted(self._composite - productive)
+        missing = sorted(self._composite - self._productive_composites())
         if missing:
             raise ImproperGrammarError(
                 f"unproductive composite modules: {missing}"
