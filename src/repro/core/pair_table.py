@@ -139,7 +139,7 @@ class PairTable:
         """
         if self.keys.size == 0:
             return np.zeros(keys.size, dtype=np.intp), np.zeros(keys.size, dtype=bool)
-        order = np.argsort(keys)
+        order = keys.argsort()
         needles = keys[order]
         at = np.searchsorted(self.keys, needles)
         np.minimum(at, self.keys.size - 1, out=at)

@@ -78,9 +78,10 @@ class LRUCache:
 
     ``counters`` optionally mirrors the accounting into a metrics registry:
     a ``(hits, misses, evictions)`` triple of
-    :class:`~repro.obs.metrics.Counter` handles incremented alongside the
-    internal tallies (the registry lock is a leaf lock, so taking it while
-    holding the cache lock is safe).
+    :class:`~repro.obs.metrics.Counter` handles.  Hits and misses go to the
+    caller's tally, evictions are incremented alongside the internal count
+    (the registry lock is a leaf lock, so taking it while holding the cache
+    lock is safe).
     """
 
     def __init__(self, max_bytes: int, statics: dict, *, counters=None) -> None:
@@ -101,18 +102,20 @@ class LRUCache:
         else:
             self._hits_c = self._misses_c = self._evictions_c = None
 
-    def get_or_create(self, key: Hashable, factory: Callable[[], object]):
+    def get_or_create(self, key: Hashable, factory: Callable[[], object], tally):
+        """The entry of ``key``, built by ``factory()`` on a miss; the hit or
+        miss is counted in ``tally`` (a :class:`~repro.obs.metrics.Tally`)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 if self._hits_c is not None:
-                    self._hits_c.inc()
+                    tally.add(self._hits_c)
                 return entry
             self._misses += 1
             if self._misses_c is not None:
-                self._misses_c.inc()
+                tally.add(self._misses_c)
         value = factory()
         with self._lock:
             entry = self._entries.setdefault(key, value)

@@ -81,7 +81,7 @@ from repro.errors import (
     ViewError,
 )
 from repro.obs import events as obs_events
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Tally
 from repro.obs.trace import trace_span
 from repro.model.derivation import Derivation
 from repro.model.grammar import WorkflowGrammar
@@ -104,6 +104,9 @@ __all__ = [
 
 #: Run id used when the caller does not name one.
 DEFAULT_RUN = "default"
+
+_DEPENDS = "depends"
+_VISIBLE = "visible"
 
 
 def grammar_fingerprint(index) -> int:
@@ -560,11 +563,7 @@ class QueryEngine:
         a sequence of pairs or an ``(n, 2)`` integer array; an array feeds
         :mod:`repro.engine.evaluate` as is.
         """
-        if not isinstance(pairs, np.ndarray):
-            pairs = list(pairs)
-        shard = self._shard(run)
-        state = self._decoded_state(view)
-        return self._evaluate(shard, state, pairs)
+        return self._answer_folded(_DEPENDS, pairs, view, run)
 
     def is_visible(
         self,
@@ -594,19 +593,58 @@ class QueryEngine:
         :class:`~repro.core.labels.DataLabel` objects.  ``uids`` may be an
         ``(n,)`` integer array.
         """
-        if not isinstance(uids, np.ndarray):
-            uids = list(uids)
+        return self._answer_folded(_VISIBLE, uids, view, run)
+
+    def _answer_folded(self, op: str, ids, view, run: str) -> np.ndarray:
+        """:meth:`answer`, its metric updates folded into the registry."""
+        if not isinstance(ids, np.ndarray):
+            ids = list(ids)
+        tally = Tally()
+        try:
+            return self.answer(op, ids, view, run, tally)
+        finally:
+            self.metrics.fold(tally)
+
+    def answer(self, op: str, ids, view: "WorkflowView | str", run: str, tally: Tally) -> np.ndarray:
+        """One batch of ``op`` — ``"depends"`` or ``"visible"`` — whose metric
+        updates go to ``tally``; the caller folds it.
+
+        What :meth:`depends_batch` and :meth:`is_visible_batch` run, and what
+        a scheduling step (:class:`~repro.serve.ProvenanceServer`) calls for
+        each of its groups: the step folds the counts of all its engine calls
+        and its own under one registry lock, before any of its records
+        resolves.  ``ids`` is ``(n, 2)`` pairs or ``(n,)`` uids, as for those
+        two methods.
+        """
+        if op not in (_DEPENDS, _VISIBLE):
+            raise ValueError(f"unknown query op {op!r} (expected {_DEPENDS!r} or {_VISIBLE!r})")
         shard = self._shard(run)
-        state = self._decoded_state(view)
-        self._note_queries(shard, state, "visible", len(uids))
+        state = self._decoded_state(view, tally)
+        n = len(ids)
+        self._note_queries(shard, state, op, n, tally)
         t0 = time.perf_counter()
         try:
-            with trace_span("engine.visible_batch", run=shard.run_id, uids=len(uids)):
+            if op == _DEPENDS:
+                tally.add(self._batches_c)
+                with trace_span("engine.depends_batch", run=shard.run_id, pairs=n):
+                    results, structural_n, matrix_n = depends_grouped(
+                        shard.store,
+                        shard.arena,
+                        state,
+                        ids,
+                        lambda: self._trie_columns(shard),
+                    )
+                if structural_n:
+                    tally.add(self._structural_pairs_c, structural_n)
+                if matrix_n:
+                    tally.add(self._matrix_pairs_c, matrix_n)
+                return results
+            with trace_span("engine.visible_batch", run=shard.run_id, uids=n):
                 flags = self._visibility_flags(shard, state)
-                return visible_batch(shard.store, state.label, uids, flags=flags)
+                return visible_batch(shard.store, state.label, ids, flags=flags)
         finally:
             self._states.settle(state)
-            self._batch_seconds.labels("visible").observe(time.perf_counter() - t0)
+            tally.observe(self._batch_seconds.labels(op), time.perf_counter() - t0)
 
     def _visibility_flags(self, shard: _RunShard, state) -> np.ndarray:
         """The view's per-path flags over the shard's trie, extended if it grew."""
@@ -637,7 +675,11 @@ class QueryEngine:
         bank (``state.static``) outlive the returned object's stay in the
         LRU.
         """
-        return self._decoded_state(view)
+        tally = Tally()
+        try:
+            return self._decoded_state(view, tally)
+        finally:
+            self.metrics.fold(tally)
 
     def decoded_states(self) -> dict[str, DecodedViewState]:
         """A snapshot of the currently interned decoded view states.
@@ -676,11 +718,11 @@ class QueryEngine:
             labels_built=int(sum(snap.get("engine_view_labels_total", {}).values())),
         )
 
-    def _note_queries(self, shard: _RunShard, state, op: str, n: int) -> None:
-        """Count ``n`` queries of ``op`` on the shard's tally and the labelled family."""
+    def _note_queries(self, shard: _RunShard, state, op: str, n: int, tally: Tally) -> None:
+        """Count ``n`` queries of ``op`` on the shard and in ``tally``."""
         with self._lock:
             shard.queries += n
-        self._queries_c.labels(shard.run_id, state.static.view, op).inc(n)
+        tally.add(self._queries_c.labels(shard.run_id, state.static.view, op), n)
 
     # -- internals --------------------------------------------------------------------------
 
@@ -733,8 +775,11 @@ class QueryEngine:
                 f"(known views: {sorted(self._views) or 'none'})"
             ) from None
 
-    def _decoded_state(self, view: "WorkflowView | str", *, proven: bool = False) -> DecodedViewState:
-        """The decoded state of ``view``; ``proven`` says its safety is already established.
+    def _decoded_state(
+        self, view: "WorkflowView | str", tally: Tally, *, proven: bool = False
+    ) -> DecodedViewState:
+        """The decoded state of ``view``, its LRU hit or miss counted in ``tally``;
+        ``proven`` says its safety is already established.
 
         Only :func:`~repro.serve.matrix_cache.load_hot_matrices` passes
         ``proven``, for a view one of its admitted sections proves safe.
@@ -743,6 +788,7 @@ class QueryEngine:
         return self._states.get_or_create(
             view.name,
             lambda: DecodedViewState(self._static_state(view, proven), self._states.room),
+            tally,
         )
 
     def _static_state(self, view: WorkflowView, proven: bool) -> StaticViewState:
@@ -781,30 +827,3 @@ class QueryEngine:
         self._label_seconds.observe(time.perf_counter() - t0)
         self._labels_c.inc()
         return label
-
-    def _evaluate(
-        self,
-        shard: _RunShard,
-        state: DecodedViewState,
-        pairs: "list[tuple[int, int]] | np.ndarray",
-    ) -> np.ndarray:
-        self._batches_c.inc()
-        self._note_queries(shard, state, "depends", len(pairs))
-        t0 = time.perf_counter()
-        try:
-            with trace_span("engine.depends_batch", run=shard.run_id, pairs=len(pairs)):
-                results, structural_n, matrix_n = depends_grouped(
-                    shard.store,
-                    shard.arena,
-                    state,
-                    pairs,
-                    lambda: self._trie_columns(shard),
-                )
-                if structural_n:
-                    self._structural_pairs_c.inc(structural_n)
-                if matrix_n:
-                    self._matrix_pairs_c.inc(matrix_n)
-                return results
-        finally:
-            self._states.settle(state)
-            self._batch_seconds.labels("depends").observe(time.perf_counter() - t0)

@@ -76,40 +76,46 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
     rows = store.rows_for(ids.reshape(-1))
     with trace_span("mmap.gather", rows=rows.size):
         producer, producer_port, consumer, consumer_port = store.gather_rows(rows)
-    left, c1, p2, right = producer[0::2], consumer[0::2], producer[1::2], consumer[1::2]
 
-    answers = np.zeros(len(ids), dtype=bool)
     # NO_PATH (-1) is the only negative id, so an OR is negative iff one of
     # its operands is absent.  Case I: nothing depends on a final output (no
     # consumer on the left) and initial inputs depend on nothing (no producer
-    # on the right).
-    grouped = (c1 | p2) >= 0
-    if grouped.all():
-        grouped = slice(None)  # views below, not copies
-    elif not grouped.any():
-        return answers, 0, 0
-    left, right, ids = left[grouped], right[grouped], ids[grouped]
-    # 0-based matrix entries of each pair: (output port of d1, input port of d2).
-    x, y = producer_port[0::2][grouped] - 1, consumer_port[1::2][grouped] - 1
-    boundary_n = 0
-    if ((left | right) < 0).any():
+    # on the right); ``kept`` lists the other pairs, or is None for all.
+    n = len(ids)
+    kept = ((consumer[0::2] | producer[1::2]) >= 0).nonzero()[0]
+    if kept.size == n:
+        kept = None
+    elif not kept.size:
+        return np.zeros(n, dtype=bool), 0, 0
+    # Each pair's paths and its 1-based matrix entry (output port of d1,
+    # input port of d2).
+    left, right, x, y = producer[0::2], consumer[1::2], producer_port[0::2], consumer_port[1::2]
+    if kept is not None:
+        left, right, x, y = left[kept], right[kept], x[kept], y[kept]
+    boundary_n = int(np.count_nonzero((left | right) < 0))
+    if boundary_n:
         # Cases II-IV: a side without a path reads the other port of its item
         # — (i1, o2) of lambda*(S), (i1, i2) of the Inputs chain over d2's
-        # consumer path, (o2, o1) of the Outputs chain over d1's producer path.
+        # consumer path, (o2, o1) of the Outputs chain over d1's producer path
+        # — and keys ABSENT there: NO_PATH & ABSENT is ABSENT, a path id
+        # ANDs to itself.
+        i1, o2 = consumer_port[0::2], producer_port[1::2]
+        if kept is not None:
+            i1, o2 = i1[kept], o2[kept]
         no_left, no_right = left < 0, right < 0
-        o1, i1, o2 = x, consumer_port[0::2][grouped] - 1, producer_port[1::2][grouped] - 1
-        x = np.where(no_left, i1, np.where(no_right, o2, o1))
-        y = np.where(no_right, np.where(no_left, o2, o1), y)
-        left, right = np.where(no_left, ABSENT, left), np.where(no_right, ABSENT, right)
-        boundary_n = int(np.count_nonzero(no_left | no_right))
+        x, y = (
+            np.where(no_left, i1, np.where(no_right, o2, x)),
+            np.where(no_right, np.where(no_left, o2, x), y),
+        )
+        left, right = left & ABSENT, right & ABSENT
 
     keys = pair_keys(left, right)
-    entries = (x, y, ids)
+    x, y = x - 1, y - 1
     with trace_span("engine.group_eval") as group_span:
         table = state.table(arena)
         slot, found = table.probe(keys)
-        if found.all():
-            bits, structural_n = _read(table, slot, *entries)
+        if np.count_nonzero(found) == keys.size:
+            bits, structural_n = _read(table, slot, x, y, ids, kept)
         else:
             fresh = _decide(store, state, np.unique(keys[~found]), trie)
             state.admit(arena, fresh)
@@ -123,8 +129,9 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
                     # stored: only the rows the table still misses are probed
                     # again, in ``fresh`` itself.
                     at = slot[members] if source is table else fresh.probe(keys[members])[0]
-                    bits[members], n = _read(source, at, *(column[members] for column in entries))
-                    structural_n += n
+                    positions = members if kept is None else kept[members]
+                    bits[members], n_read = _read(source, at, x[members], y[members], ids, positions)
+                    structural_n += n_read
         # The two tallies split the *intermediate* pairs: verdict vs matrix.
         matrix_n = int(keys.size) - boundary_n - structural_n
         if group_span is not None:
@@ -133,25 +140,30 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
                 "structural_pairs": structural_n,
                 "matrix_pairs": matrix_n,
             }
-    answers[grouped] = bits
+    if kept is None:
+        return bits, structural_n, matrix_n
+    answers = np.zeros(n, dtype=bool)
+    answers[kept] = bits
     return answers, structural_n, matrix_n
 
 
-def _read(table: PairTable, slot, x, y, ids) -> tuple[np.ndarray, int]:
+def _read(table: PairTable, slot, x, y, ids, positions) -> tuple[np.ndarray, int]:
     """The bits of pairs whose rows are ``table``'s ``slot``; counts their hits.
 
-    ``x`` / ``y`` are the pairs' 0-based matrix entries.  Returns the bits and
-    how many of the pairs a verdict row answered.
+    ``x`` / ``y`` are the pairs' 0-based matrix entries, ``positions`` where
+    they sit in ``ids`` (``None``: in order).  Returns the bits and how many
+    of the pairs a verdict row answered.
     """
     off = table.off[slot]
     bits = off == VERDICT_TRUE
-    matrix = np.nonzero(off >= 0)[0]
+    matrix = (off >= 0).nonzero()[0]
     if matrix.size:
         at, x, y = slot[matrix], x[matrix], y[matrix]
-        outside = (x < 0) | (x >= table.rows[at]) | (y < 0) | (y >= table.cols[at])
+        outside = ((x | y) < 0) | (x >= table.rows[at]) | (y >= table.cols[at])
         if outside.any():
             bad = int(np.argmax(outside))
-            d1, d2 = ids[matrix[bad]].tolist()
+            pair = int(matrix[bad])
+            d1, d2 = ids[pair if positions is None else positions[pair]].tolist()
             raise DecodingError(
                 f"pair ({d1}, {d2}) asks for entry (output {int(x[bad]) + 1}, input "
                 f"{int(y[bad]) + 1}) of a {int(table.rows[at[bad]])}x{int(table.cols[at[bad]])} "

@@ -72,6 +72,7 @@ from repro.net.protocol import (
     encode_stats_reply,
 )
 from repro.obs import events as obs_events
+from repro.obs.metrics import Tally
 from repro.obs.trace import UNKNOWN, top_costs
 from repro.serve.server import ProvenanceServer
 
@@ -345,8 +346,12 @@ class ProvenanceNetServer:
             intake_high_watermark=counter("net_intake_high_watermark"),
         )
 
-    def _count(self, name: str, delta: int = 1) -> None:
-        self._counters[name].inc(delta)
+    def _count(self, *names: str) -> None:
+        """Count one of each of ``names`` under one registry lock."""
+        tally = Tally()
+        for name in names:
+            tally.add(self._counters[name])
+        self._server.metrics.fold(tally)
 
     # -- the event loop ----------------------------------------------------------
 
@@ -453,13 +458,12 @@ class ProvenanceNetServer:
             self._count("errors")
             self._send(conn, encode_error(0, type(exc).__name__, str(exc)))
             return
-        self._count("frames")
         if isinstance(request, StatsRequest):
-            self._count("stats_requests")
+            self._count("frames", "stats_requests")
             self._send(conn, encode_stats_reply(request.request_id, self._stats_payload()))
             return
         if isinstance(request, MetricsRequest):
-            self._count("metrics_requests")
+            self._count("frames", "metrics_requests")
             self._send(
                 conn,
                 encode_metrics_reply(
@@ -474,7 +478,7 @@ class ProvenanceNetServer:
             # The frame layout keeps its variant field for existing encoders;
             # the server serves views, so a frame that names a variant is
             # refused before any record (or metric series) exists for it.
-            self._count("errors")
+            self._count("frames", "errors")
             message = "this server serves views: a query frame's variant field must be empty"
             self._send(conn, encode_error(request.request_id, "DecodingError", message))
             return
@@ -488,10 +492,11 @@ class ProvenanceNetServer:
         run = request.run if request.run in engine.run_ids else UNKNOWN
         view = request.view if request.view in engine.view_names else UNKNOWN
         # One record per frame; a wire trace id makes it samplable.  Every
-        # exit below finishes it exactly once.
+        # exit below finishes it exactly once, folding the frame's counts.
         sampler = self._server.sampler
         record = sampler.open(request.trace_id, kind, run, view, n)
         record.reply, record.reply_to = self._reply, (conn, request.request_id)
+        record.tally.add(self._counters["frames"])
         try:
             # With another connection's frame waiting, this one is queued so
             # the scheduler can coalesce the backlog; alone, the loop may
@@ -509,7 +514,7 @@ class ProvenanceNetServer:
             record.resolve(None, exc)
             return
         if not admitted:
-            self._count("sheds")
+            record.tally.add(self._counters["sheds"])
             sampler.finish(record, shed=True)
             obs_events.emit(
                 "shed",
@@ -535,10 +540,10 @@ class ProvenanceNetServer:
         conn, request_id = record.reply_to
         if error is None:
             reply = encode_answers(request_id, answers)
-            self._count("answered_frames")
+            record.tally.add(self._counters["answered_frames"])
         else:
             reply = encode_error(request_id, type(error).__name__, str(error))
-            self._count("errors")
+            record.tally.add(self._counters["errors"])
         self._server.sampler.finish(record, error=error is not None)
         self._send(conn, reply)
 

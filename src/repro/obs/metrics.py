@@ -17,6 +17,9 @@ Design constraints, in the order they shaped the code:
   whole batches; :meth:`Histogram.observe_many` turns a float array into
   per-bucket increments with one ``searchsorted`` + ``bincount`` instead of
   a Python loop.
+* **One lock per request, not per update.**  A scheduling step or a reply
+  writes its updates to a :class:`Tally`, and :meth:`MetricsRegistry.fold`
+  applies them under one acquisition: a snapshot sees all of them or none.
 
 Families are keyed by a tuple of label *values* matching the family's
 declared label *names* — the serving stack uses ``(run, view, op)``.
@@ -35,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "MetricsRegistry",
+    "Tally",
     "CounterFamily",
     "GaugeFamily",
     "HistogramFamily",
@@ -197,20 +201,19 @@ class Histogram:
         self.exemplars: "dict[int, tuple[str, float]] | None" = None
         self._invalid = invalid
 
-    def _drop_invalid(self, n: int) -> None:
-        if n and self._invalid is not None:
-            self._invalid.inc(n)
-
     def observe(self, value: float) -> None:
-        value = float(value)
-        if not 0.0 <= value < math.inf:  # NaN fails both comparisons
-            self._drop_invalid(1)
-            return
-        idx = bisect.bisect_left(self._bounds, value)
         with self._lock:
-            self.counts[idx] += 1
+            self._observe(value)
+
+    def _observe(self, value: float) -> None:
+        """:meth:`observe` with the registry lock held."""
+        value = float(value)
+        if 0.0 <= value < math.inf:  # NaN fails both comparisons
+            self.counts[bisect.bisect_left(self._bounds, value)] += 1
             self.sum += value
             self.count += 1
+        elif self._invalid is not None:
+            self._invalid.value += 1
 
     def observe_many(self, values: Iterable[float]) -> None:
         arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
@@ -220,7 +223,8 @@ class Histogram:
         valid = np.isfinite(arr) & (arr >= 0.0)
         n_invalid = int(arr.size - valid.sum())
         if n_invalid:
-            self._drop_invalid(n_invalid)
+            if self._invalid is not None:
+                self._invalid.inc(n_invalid)
             arr = arr[valid]
             if arr.size == 0:
                 return
@@ -241,15 +245,16 @@ class Histogram:
         there (OpenMetrics-style), so "what does a p99 request look like"
         is one exposition read away.  The newest exemplar per bucket wins.
         """
-        value = float(value)
-        if not 0.0 <= value < math.inf:
-            return
-        tid = trace_id if isinstance(trace_id, str) else format(int(trace_id), "016x")
-        idx = bisect.bisect_left(self._bounds, value)
         with self._lock:
+            self._put_exemplar(value, trace_id)
+
+    def _put_exemplar(self, value: float, trace_id: "int | str") -> None:
+        value = float(value)
+        if 0.0 <= value < math.inf:
             if self.exemplars is None:
                 self.exemplars = {}
-            self.exemplars[idx] = (tid, value)
+            tid = trace_id if isinstance(trace_id, str) else format(int(trace_id), "016x")
+            self.exemplars[bisect.bisect_left(self._bounds, value)] = (tid, value)
 
     def quantile_bound(self, q: float, *, lower: bool = False) -> float:
         """The bucket edge bounding the q-quantile (upper by default).
@@ -262,6 +267,42 @@ class Histogram:
         with self._lock:
             counts = self.counts.copy()
         return percentile_from_counts(self._edges, counts, q, lower=lower)
+
+
+class Tally:
+    """Updates gathered off the registry lock, applied by one
+    :meth:`MetricsRegistry.fold` under one acquisition.
+
+    Targets are children; a label-less family stands for its single child,
+    made when first named here, as by a direct update.
+    """
+
+    __slots__ = ("adds", "maxima", "observations", "exemplars")
+
+    def __init__(self) -> None:
+        self.adds, self.maxima, self.observations, self.exemplars = [], [], [], []
+
+    def add(self, counter, amount: int = 1) -> None:
+        """:meth:`Counter.inc`, deferred."""
+        if amount < 0:
+            raise ValueError("counters are monotonic; use a gauge for deltas")
+        self.adds.append((_child(counter), amount))
+
+    def set_max(self, gauge, value: float) -> None:
+        """:meth:`Gauge.set_max`, deferred."""
+        self.maxima.append((_child(gauge), value))
+
+    def observe(self, histogram, value: float) -> None:
+        """:meth:`Histogram.observe`, deferred."""
+        self.observations.append((histogram, value))
+
+    def put_exemplar(self, histogram, value: float, trace_id: "int | str") -> None:
+        """:meth:`Histogram.put_exemplar`, deferred."""
+        self.exemplars.append((histogram, value, trace_id))
+
+
+def _child(target):
+    return target._solo_child or target._solo if isinstance(target, _Family) else target
 
 
 class _Family:
@@ -280,6 +321,9 @@ class _Family:
         raise NotImplementedError
 
     def labels(self, *values: object) -> object:
+        child = self._children.get(values)  # a known child: its values as given
+        if child is not None:
+            return child
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames!r}, got {values!r}"
@@ -389,37 +433,20 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "",
                 labelnames: Sequence[str] = ()) -> CounterFamily:
-        return self._family(CounterFamily, name, help, tuple(labelnames))
+        return self._family(CounterFamily, name, help, labelnames)
 
     def gauge(self, name: str, help: str = "",
               labelnames: Sequence[str] = (), *,
               watermark: bool = False) -> GaugeFamily:
-        with self._meta_lock:
-            family = self._families.get(name)
-            if family is None:
-                family = GaugeFamily(self, name, help, tuple(labelnames), watermark)
-                self._families[name] = family
-            elif not isinstance(family, GaugeFamily):
-                raise ValueError(f"{name} already registered as {family.kind}")
-            elif family.labelnames != tuple(labelnames):
-                raise ValueError(
-                    f"{name} already registered with labels {family.labelnames!r}"
-                )
-            elif family.watermark != watermark:
-                raise ValueError(f"{name} already registered with watermark="
-                                 f"{family.watermark}")
-            return family
+        family = self._family(GaugeFamily, name, help, labelnames, watermark)
+        if family.watermark != watermark:
+            raise ValueError(f"{name} already registered with watermark={family.watermark}")
+        return family
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
                   buckets: Sequence[float] = LATENCY_BUCKETS) -> HistogramFamily:
-        with self._meta_lock:
-            family = self._families.get(name)
-            if family is None:
-                family = HistogramFamily(self, name, help, tuple(labelnames), buckets)
-                self._families[name] = family
-            elif not isinstance(family, HistogramFamily):
-                raise ValueError(f"{name} already registered as {family.kind}")
+        family = self._family(HistogramFamily, name, help, labelnames, buckets)
         # The invalid-drop counter is a family of its own, so registering it
         # must happen outside the meta lock (counter() takes it too).
         if family._invalid is None:
@@ -430,13 +457,12 @@ class MetricsRegistry:
             ).labels(name)
         return family
 
-    def _family(self, cls: type, name: str, help: str,
-                labelnames: tuple[str, ...]) -> _Family:
+    def _family(self, cls: type, name: str, help: str, labelnames: Sequence[str], *extra) -> _Family:
+        labelnames = tuple(labelnames)
         with self._meta_lock:
             family = self._families.get(name)
             if family is None:
-                family = cls(self, name, help, labelnames)
-                self._families[name] = family
+                family = self._families[name] = cls(self, name, help, labelnames, *extra)
             elif type(family) is not cls:
                 raise ValueError(f"{name} already registered as {family.kind}")
             elif family.labelnames != labelnames:
@@ -448,6 +474,21 @@ class MetricsRegistry:
     def families(self) -> dict[str, _Family]:
         with self._meta_lock:
             return dict(self._families)
+
+    def fold(self, tally: Tally) -> None:
+        """Apply every update in ``tally`` under one acquisition of the lock, and empty it."""
+        with self._lock:
+            for child, amount in tally.adds:
+                child.value += amount
+            for child, value in tally.maxima:
+                if value > child._value:
+                    child._value = value
+            for child, value in tally.observations:
+                child._observe(value)
+            for child, value, trace_id in tally.exemplars:
+                child._put_exemplar(value, trace_id)
+        for updates in (tally.adds, tally.maxima, tally.observations, tally.exemplars):
+            updates.clear()
 
     # -- snapshotting -----------------------------------------------------------
 

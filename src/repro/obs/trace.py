@@ -52,8 +52,10 @@ import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator
+
+from repro.obs.metrics import Tally
 
 __all__ = [
     "DEFAULT_SAMPLE_RATE",
@@ -235,33 +237,47 @@ def activate(trace: Trace | None, parent_id: int | None = None) -> Iterator[None
         _ACTIVE.reset(token)
 
 
-@contextmanager
-def trace_span(name: str, **attrs: object) -> Iterator[Span | None]:
+class _SpanScope:
+    """An open span of the active trace, the active parent while its ``with`` body runs."""
+
+    __slots__ = ("trace", "span", "token")
+
+    def __init__(self, trace: Trace, span: Span) -> None:
+        self.trace, self.span = trace, span
+
+    def __enter__(self) -> Span:
+        self.token = _ACTIVE.set((self.trace, self.span.span_id))
+        return self.span
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self.token)
+        self.span.finish()
+
+
+_NO_SPAN = nullcontext()  # enters as None
+
+
+def trace_span(name: str, **attrs: object) -> "_SpanScope | nullcontext":
     """Open a span under the thread's active trace; no-op when inactive.
 
-    Yields the :class:`Span` (or ``None`` when no trace is active or the
-    trace's span budget is exhausted) so callers can attach attributes::
+    A ``with`` target: it binds the :class:`Span` (or ``None`` when no trace
+    is active or the trace's span budget is exhausted) so callers can attach
+    attributes::
 
         with trace_span("engine.decode") as sp:
             ...
             if sp is not None:
                 sp.attrs = {"groups": n}
+
+    With no trace active this is one context-variable read and returns a
+    shared no-op: an untraced request builds nothing per span.
     """
     active = _ACTIVE.get()
     if active is None:
-        yield None
-        return
+        return _NO_SPAN
     trace, parent_id = active
     span = trace.begin_span(name, parent_id or None, attrs or None)
-    if span is None:
-        yield None
-        return
-    token = _ACTIVE.set((trace, span.span_id))
-    try:
-        yield span
-    finally:
-        _ACTIVE.reset(token)
-        span.finish()
+    return _NO_SPAN if span is None else _SpanScope(trace, span)
 
 
 def _phase(span_name: str) -> str:
@@ -339,7 +355,9 @@ class Request:
     coalesces with) and ``query_view`` (the view as the caller passed it).
     The request edge sets the reply sink: ``reply(record, answers, error)``
     writes to ``reply_to`` (a future, a list of them, a connection and a
-    request id) and is called once, through :meth:`resolve`.
+    request id) and is called once, through :meth:`resolve`.  ``tally``
+    gathers the frame's own counts, the edge's and the sampler's, until
+    :meth:`Sampler.finish` folds them.
 
     ``trace`` (with its ``net.frame`` ``root`` span, the parent of the
     scheduler's span on a worker thread) is set only when the id was
@@ -348,7 +366,7 @@ class Request:
     """
 
     __slots__ = ("trace_id", "op", "run", "view", "n", "t0",
-                 "ids", "key", "query_view", "reply", "reply_to",
+                 "ids", "key", "query_view", "reply", "reply_to", "tally",
                  "trace", "root", "reason", "wall_s", "nbytes")
 
     def __init__(self, trace_id: int, op: str, run: str, view: str,
@@ -364,6 +382,7 @@ class Request:
         self.query_view = None
         self.reply = None
         self.reply_to = None
+        self.tally: Tally | None = None
         self.trace: Trace | None = None
         self.root: Span | None = None
         self.reason: str | None = None
@@ -405,6 +424,7 @@ class Sampler:
         self._threshold = int(sample_rate * _U64)
         self._clock = clock
         self._ids = itertools.count(1)
+        self._metrics = metrics
         self._sampled_c = metrics.counter(
             "trace_sampled_total", "requests that carried spans")
         self._hist = metrics.histogram(
@@ -439,6 +459,7 @@ class Sampler:
         if trace_id is None:
             trace_id = _mix(next(self._ids)) or 1  # exemplars still need an id
         request = Request(trace_id, op, run, view, n, self._clock())
+        request.tally = Tally()
         if sampled:
             self._sampled_c.inc()
             request.trace = Trace(trace_id)
@@ -450,24 +471,31 @@ class Sampler:
 
     def finish(self, request: Request, *, error: bool = False,
                shed: bool = False) -> float:
-        """Close ``request`` with its outcome known; returns its wall seconds."""
+        """Close ``request`` with its outcome known; returns its wall seconds.
+
+        All it counts is one fold of the record's tally (two when the slow
+        threshold is refreshed, every :data:`REFRESH_EVERY` requests).
+        """
         if request.root is not None:
             request.root.finish()
         wall = self._clock() - request.t0
         child = self._hist.labels(request.op, request.view)
-        child.observe(wall)
-        self._considered_c.inc()
+        tally = request.tally if request.tally is not None else Tally()
+        request.tally = None
+        tally.observe(child, wall)
+        tally.add(self._considered_c)
         if request.trace is not None and not shed:
-            self._fold(request)
+            self._fold(request, tally)
         if error:
             reason = "error"
         elif shed:
             reason = "shed"
-        elif wall >= self._slow_threshold(request, child):
+        elif wall >= self._slow_threshold(request, child, tally):
             reason = "slow"
         elif request.trace is not None:
             reason = "head"
         else:
+            self._metrics.fold(tally)
             return wall
         request.reason, request.wall_s = reason, wall
         # The ring keeps the record, not the frame's ids or its connection.
@@ -475,8 +503,8 @@ class Sampler:
         request.nbytes = 160 + len(request.run) + len(request.view) + (
             request.trace.nbytes() if request.trace is not None else 0
         )
-        child.put_exemplar(wall, request.trace_id)
-        self._kept_c.labels(reason).inc()
+        tally.put_exemplar(child, wall, request.trace_id)
+        tally.add(self._kept_c.labels(reason))
         evicted = 0
         with self._lock:
             self._ring.append(request)
@@ -487,22 +515,24 @@ class Sampler:
                 self._ring_bytes -= self._ring.popleft().nbytes
                 evicted += 1
         if evicted:
-            self._evicted_c.inc(evicted)
+            tally.add(self._evicted_c, evicted)
+        self._metrics.fold(tally)
         return wall
 
-    def _slow_threshold(self, request: Request, child) -> float:
-        count = child.count  # one int read; staleness of a few obs is fine
+    def _slow_threshold(self, request: Request, child, tally) -> float:
+        count = child.count + 1  # this request's observation still waits in ``tally``
         if count < WARMUP:
             return 0.0
         key = (request.op, request.view)
-        with self._lock:
-            state = self._thresholds.get(key)
-            if state is None or count - state[0] >= REFRESH_EVERY:
+        state = self._thresholds.get(key)
+        if state is None or count - state[0] >= REFRESH_EVERY:
+            self._metrics.fold(tally)  # the refresh reads the buckets this request is in
+            with self._lock:
                 state = self._thresholds[key] = (
                     count, child.quantile_bound(PERCENTILE, lower=True))
-            return state[1]
+        return state[1]
 
-    def _fold(self, request: Request) -> None:
+    def _fold(self, request: Request, tally) -> None:
         group = (request.run, request.view)
         with self._lock:
             if group not in self._groups:
@@ -511,8 +541,8 @@ class Sampler:
                 else:
                     group = (UNKNOWN, UNKNOWN)
         for phase, (wall, cpu) in phase_costs(request.trace.spans).items():
-            self._wall_c.labels(*group, phase).inc(wall)
-            self._cpu_c.labels(*group, phase).inc(cpu)
+            tally.add(self._wall_c.labels(*group, phase), wall)
+            tally.add(self._cpu_c.labels(*group, phase), cpu)
 
     def kept(self) -> list[Request]:
         """The kept requests, oldest first."""

@@ -104,6 +104,7 @@ from repro.core.pair_table import (
 from repro.engine.engine import DEFAULT_RUN, QueryEngine, grammar_fingerprint
 from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.model.views import WorkflowView
+from repro.obs.metrics import Tally
 from repro.store import run_file_info
 
 __all__ = [
@@ -351,10 +352,14 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
     # (labelled, or proven by a section in turn), and the grammar and view
     # fingerprints match.  So its state is made without a label, which waits
     # for the first batch that reads it.
-    return sum(
-        engine._decoded_state(view_name, proven=True).admit(arena, fresh)
-        for view_name, fresh in sections
-    )
+    tally = Tally()
+    try:
+        return sum(
+            engine._decoded_state(view_name, tally, proven=True).admit(arena, fresh)
+            for view_name, fresh in sections
+        )
+    finally:
+        engine.metrics.fold(tally)
 
 
 def _inside(keys, n_paths) -> np.ndarray:

@@ -68,6 +68,7 @@ from repro.engine.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError, LabelingError, SerializationError
 from repro.faults import InjectedFault
 from repro.obs import events as obs_events
+from repro.obs.metrics import Tally
 from repro.obs.trace import Request, Sampler, activate
 from repro.obs.watchdog import Watchdog
 from repro.serve.matrix_cache import load_hot_matrices, matrix_cache_path, save_hot_matrices
@@ -800,14 +801,24 @@ class ProvenanceServer:
         )
 
     def _process(self, batch: "list[Request]") -> None:
-        queries = sum(request.n for request in batch)
+        """Answer one step's records, one engine call per same-key group.
+
+        Every count of the step — its own, its engine calls' and a due
+        probe's — is folded under one registry lock before any record
+        resolves: a client that holds its answer finds it counted.
+        """
+        tally = Tally()
+        queries = 0
         groups: dict[tuple, list[Request]] = {}
+        traced = []
         for request in batch:
+            queries += request.n
             groups.setdefault(request.key, []).append(request)
+            if request.trace is not None:
+                traced.append(request)
         # One ``scheduler.batch`` span per traced record in the step, each
         # recording *all* the trace ids this step coalesced — the span tree
         # of any one request shows which strangers shared its batch.
-        traced = [request for request in batch if request.trace is not None]
         coalesced_ids = [request.trace_id for request in traced]
         sched_spans = {
             id(request): request.trace.begin_span(
@@ -822,39 +833,45 @@ class ProvenanceServer:
             )
             for request in traced
         }
-        # The step is counted before any of its records resolves (and every
-        # engine call as it returns, in ``_evaluate``): a client that holds
-        # its answer finds it in the counters, with or without a linger
-        # between two steps to hide the gap.
-        self._batches_c.inc()
-        self._answered_c.inc(queries)
+        tally.add(self._batches_c)
+        tally.add(self._answered_c, queries)
         sizes = [sum(member.n for member in members) for members in groups.values()]
         coalesced = sum(size for size in sizes if size > 1)
         if coalesced:
-            self._coalesced_c.inc(coalesced)
-        self._largest_batch_g.set_max(queries)
+            tally.add(self._coalesced_c, coalesced)
+        tally.set_max(self._largest_batch_g, queries)
+        outcomes: "list[tuple]" = []
         served_runs: dict[str, int] = {}
-        for key, members in groups.items():
-            # Engine/store spans of this group nest under the first traced
-            # member's scheduler span; the other coalesced traces still
-            # record the step itself (ids above) without duplicate subtrees.
-            lead = next((m for m in members if m.trace is not None), None)
-            if lead is None:
-                served = self._serve_group(key, members)
-            else:
-                span = sched_spans[id(lead)]
-                with activate(lead.trace, getattr(span, "span_id", None)):
-                    served = self._serve_group(key, members)
-            if served:
-                served_runs[key[1]] = served_runs.get(key[1], 0) + served
+        try:
+            for key, members in groups.items():
+                # Engine/store spans of this group nest under the first traced
+                # member's scheduler span; the other coalesced traces still
+                # record the step itself (ids above) without duplicate subtrees.
+                lead = next((m for m in members if m.trace is not None), None) if traced else None
+                if lead is None:
+                    served = self._serve_group(key, members, tally, outcomes)
+                else:
+                    span = sched_spans[id(lead)]
+                    with activate(lead.trace, getattr(span, "span_id", None)):
+                        served = self._serve_group(key, members, tally, outcomes)
+                if served:
+                    served_runs[key[1]] = served_runs.get(key[1], 0) + served
+            due = [run for run, count in served_runs.items() if self._probe_due(run, count)]
+            for _ in due:
+                tally.add(self._probes_c)
+        finally:
+            self.metrics.fold(tally)
+        for request, answers, error in outcomes:
+            self._reply(request, answers, error)
         for span in sched_spans.values():
             if span is not None:
                 span.finish()
-        for run, count in served_runs.items():
-            self._note_served(run, count)
+        for run in due:
+            self._probe(run)
 
-    def _serve_group(self, key: tuple, members: "list[Request]") -> int:
-        """Answer one same-key group; returns the queries served.
+    def _serve_group(self, key: tuple, members: "list[Request]", tally: Tally,
+                     outcomes: list) -> int:
+        """Answer one same-key group into ``outcomes``; returns the queries served.
 
         The group is one coalesced engine call.  If that call raises and the
         group has company, every member is re-evaluated alone, so one
@@ -862,38 +879,37 @@ class ProvenanceServer:
         coalesced with still get their bits.
         """
         try:
-            self._evaluate(key, members)
+            self._evaluate(key, members, tally, outcomes)
             return sum(member.n for member in members)
         except Exception as exc:
             if len(members) == 1:
-                self._reply(members[0], None, exc)
+                outcomes.append((members[0], None, exc))
                 return 0
         served = 0
         for member in members:
             try:
-                self._evaluate(key, [member])
+                self._evaluate(key, [member], tally, outcomes)
                 served += member.n
             except Exception as exc:
-                self._reply(member, None, exc)
+                outcomes.append((member, None, exc))
         return served
 
-    def _evaluate(self, key: tuple, members: "list[Request]") -> None:
-        """One engine call over ``members``' ids; each record is resolved with its slice."""
+    def _evaluate(self, key: tuple, members: "list[Request]", tally: Tally,
+                  outcomes: list) -> None:
+        """One engine call over ``members``' ids; each record's slice goes to ``outcomes``."""
         first = members[0]
         ids = first.ids if len(members) == 1 else np.concatenate([m.ids for m in members])
-        engine = self._engine
-        call = engine.depends_batch if key[0] == _DEPENDS else engine.is_visible_batch
         try:
-            answers = call(ids, first.query_view, run=key[1])
+            answers = self._engine.answer(key[0], ids, first.query_view, key[1], tally)
         finally:
-            self._engine_calls_c.inc()
+            tally.add(self._engine_calls_c)
         offset = 0
         for member in members:
-            self._reply(member, answers[offset : offset + member.n])
+            outcomes.append((member, answers[offset : offset + member.n], None))
             offset += member.n
 
-    def _note_served(self, run: str, count: int) -> None:
-        """Advance the run's probe backoff; probe + remap when a bound fires."""
+    def _probe_due(self, run: str, count: int) -> bool:
+        """Advance the run's probe backoff by ``count`` queries; whether a bound fired."""
         now = self._clock()
         policy = self._reopen_policy
         with self._stats_lock:
@@ -905,10 +921,13 @@ class ProvenanceServer:
                 state[0] < policy.after_queries
                 and now - state[1] < policy.after_seconds
             ):
-                return
+                return False
             state[0] = 0
             state[1] = now
-        self._probes_c.inc()
+        return True
+
+    def _probe(self, run: str) -> None:
+        """Probe the run's file and remap a newer generation (the step counted the probe)."""
         try:
             reopened = self._engine.reopen(run)
         except LabelingError as exc:

@@ -231,7 +231,8 @@ class LabelStore:
         """
         if self._row_of is None:
             rows = uids - (self._base or 0)
-            unknown = (rows < 0) | (rows >= len(self._consumer_port))
+            # A negative row is a huge unsigned one: one comparison checks both ends.
+            unknown = rows.view(np.uint64) >= len(self._consumer_port)
             if unknown.any():
                 raise _not_labelled(int(uids[unknown.argmax()]))
             return rows

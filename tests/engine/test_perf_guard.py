@@ -52,12 +52,23 @@ benchmark workload, a cold engine's warm-up, serve-block and view-add frames
 never call it.  One more holds a warm batch's probe to one ``searchsorted``
 of ascending needles, with answers bit-identical to ``FVLScheme.depends``,
 and a cold batch's to one more probe after the merge.
+
+And one holds a warm frame's bookkeeping to a count: a 256-pair frame served
+on the event loop, untraced, takes the metrics registry's lock four times —
+the read's intake watermark, the inline admission, the step (every scheduler
+and engine count) and the reply (the frame's own and the sampler's) — and
+opens no generator-based context manager, so an inactive ``trace_span``
+builds nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import socket
+import struct
 import sys
+import threading
 import types
 import weakref
 import zlib
@@ -79,6 +90,9 @@ from repro.index import StructuralIndex
 from repro.matrices import BoolMatrix
 from repro.model.projection import ViewProjection
 from repro.model.views import default_view
+from repro.net import AnswersReply, ProvenanceNetServer, decode_reply, encode_depends_request
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Sampler
 from repro.serve import ProvenanceServer, load_hot_matrices, save_hot_matrices
 from repro.store import MappedRunStore, checkpoint_run, compact
 from repro.workloads import (
@@ -673,3 +687,90 @@ def test_a_warm_attach_answers_its_warm_up_from_the_table(workload, tmp_path, mo
         assert engine.stats.labels_built == before + 1
         assert engine.decoded_state(view.name).static.labelled
 
+
+
+class _CountingLock:
+    """A registry lock that counts its acquisitions, from any thread."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def acquire(self, *args) -> bool:
+        self.taken += 1
+        return self._lock.acquire(*args)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
+def test_a_warm_frame_takes_the_registry_lock_four_times_and_builds_no_span(
+    setup, tmp_path, monkeypatch
+):
+    scheme, derivation, view, pairs = setup
+    run_file = tmp_path / "guard.fvl"
+    writer = _fresh_engine(scheme, derivation)
+    writer.checkpoint(run_file)
+    ids = np.asarray(pairs[:256], dtype=np.int64)
+    expected = writer.depends_batch(ids, view).tolist()
+
+    registry = MetricsRegistry()
+    registry._lock = counting = _CountingLock()  # before any family holds the lock
+    engine = QueryEngine(scheme, metrics=registry)
+    engine.add_view(view)
+    server = ProvenanceServer(engine, sampler=Sampler(registry, sample_rate=0.0))
+    server.attach(run_file, warm=False)
+    opened = []
+    original = contextlib._GeneratorContextManager.__init__
+
+    def counted(self, *args, **kwargs):
+        opened.append(args[0].__name__)
+        original(self, *args, **kwargs)
+
+    threads = []
+    process = ProvenanceServer._process
+
+    def recorded(self, batch):
+        threads.append(threading.current_thread().name)
+        return process(self, batch)
+
+    monkeypatch.setattr(ProvenanceServer, "_process", recorded)
+    frame = encode_depends_request(1, DEFAULT_RUN, view.name, None, ids)
+    sock_path = tmp_path / "guard.sock"
+    with server, ProvenanceNetServer(server, unix_path=sock_path):
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(10.0)
+        raw.connect(str(sock_path))
+
+        def exchange():
+            raw.sendall(frame)
+            data = b""
+            while len(data) < 4 or len(data) < 4 + struct.unpack("<I", data[:4])[0]:
+                chunk = raw.recv(1 << 16)
+                assert chunk, "the server hung up"
+                data += chunk
+            return decode_reply(data[4:])
+
+        try:
+            # Cold, then warm: every key is decided and every metric child
+            # that a frame updates (the reopen probe's among them) exists.
+            for _ in range(2):
+                assert exchange().answers.tolist() == expected
+            counting.taken = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(contextlib._GeneratorContextManager, "__init__", counted)
+                reply = exchange()
+            taken = counting.taken
+        finally:
+            raw.close()
+    engine.detach(DEFAULT_RUN)
+    assert isinstance(reply, AnswersReply) and reply.answers.tolist() == expected
+    assert threads == ["provenance-net"] * 3  # every frame was served on the loop
+    assert taken == 4
+    assert opened == []

@@ -683,16 +683,16 @@ def _steps_on_loop(monkeypatch, net) -> list:
 def _held_engine(monkeypatch, net):
     """Hold the first engine call until released: ``(started, release)`` events."""
     engine = net._server.engine
-    depends_batch = engine.depends_batch
+    answer = engine.answer
     started, release = threading.Event(), threading.Event()
 
     def held(*args, **kwargs):
         if not started.is_set():
             started.set()
             release.wait(10.0)
-        return depends_batch(*args, **kwargs)
+        return answer(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "depends_batch", held)
+    monkeypatch.setattr(engine, "answer", held)
     return started, release
 
 
