@@ -72,7 +72,6 @@ from repro.net.protocol import (
     encode_stats_reply,
 )
 from repro.obs import events as obs_events
-from repro.obs.metrics import Tally
 from repro.obs.trace import UNKNOWN, top_costs
 from repro.serve.server import ProvenanceServer
 
@@ -346,12 +345,8 @@ class ProvenanceNetServer:
             intake_high_watermark=counter("net_intake_high_watermark"),
         )
 
-    def _count(self, *names: str) -> None:
-        """Count one of each of ``names`` under one registry lock."""
-        tally = Tally()
-        for name in names:
-            tally.add(self._counters[name])
-        self._server.metrics.fold(tally)
+    def _count(self, name: str, delta: int = 1) -> None:
+        self._counters[name].inc(delta)
 
     # -- the event loop ----------------------------------------------------------
 
@@ -458,12 +453,14 @@ class ProvenanceNetServer:
             self._count("errors")
             self._send(conn, encode_error(0, type(exc).__name__, str(exc)))
             return
+        if not isinstance(request, QueryRequest):
+            self._count("frames")  # a query frame's record counts it
         if isinstance(request, StatsRequest):
-            self._count("frames", "stats_requests")
+            self._count("stats_requests")
             self._send(conn, encode_stats_reply(request.request_id, self._stats_payload()))
             return
         if isinstance(request, MetricsRequest):
-            self._count("frames", "metrics_requests")
+            self._count("metrics_requests")
             self._send(
                 conn,
                 encode_metrics_reply(
@@ -478,7 +475,8 @@ class ProvenanceNetServer:
             # The frame layout keeps its variant field for existing encoders;
             # the server serves views, so a frame that names a variant is
             # refused before any record (or metric series) exists for it.
-            self._count("frames", "errors")
+            self._count("frames")
+            self._count("errors")
             message = "this server serves views: a query frame's variant field must be empty"
             self._send(conn, encode_error(request.request_id, "DecodingError", message))
             return
