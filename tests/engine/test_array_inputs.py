@@ -14,6 +14,7 @@ Whatever the spelling, surface or store state, a batch answers one ``(n,)``
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 import sys
 import threading
@@ -23,7 +24,7 @@ import pytest
 
 from repro import FVLScheme, FVLVariant, QueryEngine
 from repro.engine import DEFAULT_RUN
-from repro.errors import LabelingError
+from repro.errors import DecodingError, LabelingError
 from repro.faults import FaultPlan, InjectedFault
 from repro.model.derivation import Derivation
 from repro.model.projection import ViewProjection
@@ -283,3 +284,29 @@ def test_queries_race_a_live_ingest_without_torn_reads():
         SCHEME.depends(LABELER.label(d1), LABELER.label(d2), view_label)
         for d1, d2 in pairs.tolist()
     ]
+
+
+def test_a_pair_outside_its_matrix_is_named_past_case_one_pairs(engine):
+    """A matrix entry outside its row's shape raises, naming the first pair
+    in frame order that asked for one; Case I pairs ahead of it in the frame
+    (answered ``False``, never read) do not change which pair that is."""
+    visible = sorted(ViewProjection(DERIVATION.run, GREY).visible_items)
+    store = LABELER.store
+    final = next(uid for uid in visible if store.row(uid)[2] < 0)
+    initial = next(uid for uid in visible if store.row(uid)[0] < 0)
+    middle = visible[len(visible) // 2]
+    pairs = _pairs(GREY, 40)
+    engine.depends_batch(pairs, GREY)  # warm: every key has its row
+    state = engine.decoded_state(GREY)
+    arena = engine.shard_arena()
+    table = state.table(arena)
+    state.pair_tables[arena] = dataclasses.replace(
+        table, rows=np.zeros_like(table.rows), hits=table.hits.copy()
+    )
+    plain = _outcome(lambda: engine.depends_batch(np.asarray(pairs), GREY))
+    behind = _outcome(
+        lambda: engine.depends_batch([(final, middle), (middle, initial)] + pairs, GREY)
+    )
+    state.pair_tables[arena] = table
+    assert plain[0] is DecodingError and "asks for entry" in plain[1]
+    assert behind == plain
