@@ -36,7 +36,7 @@ readers never lock and never see a half-merged table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -166,7 +166,10 @@ class PairTable:
         """A new table: these rows plus ``fresh``'s, none of whose keys is here.
 
         ``fresh``'s ranks become decision-order stamps from ``first_order`` on.
+        Into an empty table, ``fresh``'s columns are the new table's.
         """
+        if not len(self):
+            return replace(fresh, order=first_order + fresh.order)
         keys = np.concatenate((self.keys, fresh.keys))
         sort = np.argsort(keys, kind="stable")
         shifted = fresh.off + np.where(fresh.off >= 0, self.pool.size, 0)

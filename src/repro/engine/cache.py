@@ -305,16 +305,25 @@ class DecodedViewState:
         """Merge ``fresh``'s rows into ``arena``'s table, as far as the budget allows.
 
         Rows whose key the arena already holds are dropped (a racing batch
-        decided them first; a loaded ``.hotmx`` never clobbers a decision),
-        the others are admitted in key order for as long as their bytes fit
-        and stamped with decision-order numbers after every earlier row's.
-        The merged table is published by one assignment; returns the rows admitted.
+        decided them first; a loaded ``.hotmx`` never clobbers a decision).
+        The others are admitted if their bytes fit; if they do not, the
+        best-ranked go first (``fresh.order``: hottest first in a loaded
+        section, key order in a kernel pass's) for as long as their bytes
+        fit.  Admitted rows are stamped with decision-order numbers after
+        every earlier row's.  The merged table is published by one
+        assignment; returns the rows admitted.
         """
         with self._lock:
             current = self.table(arena)
-            select = np.nonzero(~current.probe(fresh.keys)[1])[0]
-            fits = np.cumsum(fresh.row_nbytes()[select]) <= self.room()
-            select = select[: int(np.count_nonzero(fits))]
+            if len(current):
+                select = np.nonzero(~current.probe(fresh.keys)[1])[0]
+            else:
+                select = np.arange(len(fresh))
+            sizes, room = fresh.row_nbytes(), self.room()
+            if sizes[select].sum() > room:
+                ranked = select[np.argsort(fresh.order[select], kind="stable")]
+                fits = np.cumsum(sizes[ranked]) <= room
+                select = np.sort(ranked[: int(np.count_nonzero(fits))])
             if select.size:
                 if select.size < len(fresh):
                     fresh = fresh.take(select)

@@ -62,6 +62,7 @@ def percentile_from_counts(
     q: float,
     *,
     lower: bool = False,
+    interpolate: bool = False,
 ) -> float:
     """The q-quantile bound from histogram bucket counts.
 
@@ -69,10 +70,11 @@ def percentile_from_counts(
     cumulative) tallies with the +inf overflow slot last — the shape a
     :class:`Histogram` and the registry snapshot carry.  Returns the matched
     bucket's *upper* edge (a conservative over-estimate, the Prometheus
-    convention), or its lower edge with ``lower=True`` (an under-estimate —
-    what a keep-everything-slower-than-this threshold wants).  Empty data
-    returns 0.0; a quantile landing in the overflow slot returns the last
-    finite edge (upper) / the edge below the overflow slot (lower).
+    convention), its lower edge with ``lower=True`` (an under-estimate), or
+    with ``interpolate=True`` an estimate inside the bucket, linear in the
+    observations it holds (Prometheus's ``histogram_quantile``; the first
+    bucket starts at 0).  Empty data returns 0.0; a quantile landing in the
+    overflow slot returns the last finite edge.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must be in (0, 1]")
@@ -82,11 +84,17 @@ def percentile_from_counts(
     need = q * total
     cumulative = 0
     for index, count in enumerate(counts):
+        below = cumulative
         cumulative += int(count)
         if cumulative >= need:
+            if index >= len(buckets):
+                return float(buckets[-1])
+            low = float(buckets[index - 1]) if index > 0 else 0.0
             if lower:
-                return float(buckets[index - 1]) if index > 0 else 0.0
-            return float(buckets[min(index, len(buckets) - 1)])
+                return low
+            if interpolate:
+                return low + (float(buckets[index]) - low) * (need - below) / int(count)
+            return float(buckets[index])
     return float(buckets[-1])  # pragma: no cover - cumulative == total above
 
 
@@ -256,17 +264,11 @@ class Histogram:
             tid = trace_id if isinstance(trace_id, str) else format(int(trace_id), "016x")
             self.exemplars[bisect.bisect_left(self._bounds, value)] = (tid, value)
 
-    def quantile_bound(self, q: float, *, lower: bool = False) -> float:
-        """The bucket edge bounding the q-quantile (upper by default).
-
-        ``lower=True`` returns the matched bucket's lower edge — an
-        under-estimate, which is what an adaptive "keep everything slower
-        than roughly p95" threshold wants (never misses a true outlier).
-        Returns 0.0 when empty.
-        """
+    def quantile(self, q: float) -> float:
+        """The q-quantile, interpolated inside its bucket; 0.0 when empty."""
         with self._lock:
             counts = self.counts.copy()
-        return percentile_from_counts(self._edges, counts, q, lower=lower)
+        return percentile_from_counts(self._edges, counts, q, interpolate=True)
 
 
 class Tally:

@@ -25,9 +25,10 @@ feeds everything the server knows about the request:
   sampled request carries a :class:`Trace` rooted at a ``net.frame`` span;
 * **latency** at finish — ``tail_request_seconds{op,view}``;
 * **the keep decision** at finish, with the outcome in hand: the first of
-  ``error``, ``shed``, ``slow`` (at or above the key's live p95 bucket's
-  *lower* edge — an under-estimate, so a true slowest-1% request cannot
-  duck under it — and everything while the key warms up) or ``head``
+  ``error``, ``shed``, ``slow`` (at or above the key's live p95,
+  interpolated inside its histogram bucket, so a steady stream keeps about
+  5 % of its requests and not the whole bucket the p95 falls in — and
+  everything while the key warms up) or ``head``
   (sampled) is the record's ``reason``; kept records stamp an exemplar on
   their histogram bucket and enter **one** ring bounded by entries and
   bytes; a fast, unsampled, healthy request touches no ring;
@@ -80,9 +81,9 @@ MAX_SPANS = 64
 #: The one ring of kept requests, bounded by entries and estimated bytes.
 RING_MAX_ENTRIES = 512
 RING_MAX_BYTES = 1 << 20
-#: "Slow" is at or above the lower edge of the PERCENTILE bucket of the
-#: key's latency histogram, recomputed every REFRESH_EVERY observations;
-#: until WARMUP observations the threshold is 0 (keep everything).
+#: "Slow" is at or above the PERCENTILE of the key's latency histogram
+#: (interpolated inside its bucket), recomputed every REFRESH_EVERY
+#: observations; the first WARMUP requests are all kept.
 PERCENTILE = 0.95
 WARMUP = 128
 REFRESH_EVERY = 64
@@ -521,7 +522,7 @@ class Sampler:
 
     def _slow_threshold(self, request: Request, child, tally) -> float:
         count = child.count + 1  # this request's observation still waits in ``tally``
-        if count < WARMUP:
+        if count <= WARMUP:
             return 0.0
         key = (request.op, request.view)
         state = self._thresholds.get(key)
@@ -529,7 +530,7 @@ class Sampler:
             self._metrics.fold(tally)  # the refresh reads the buckets this request is in
             with self._lock:
                 state = self._thresholds[key] = (
-                    count, child.quantile_bound(PERCENTILE, lower=True))
+                    count, child.quantile(PERCENTILE))
         return state[1]
 
     def _fold(self, request: Request, tally) -> None:

@@ -11,7 +11,7 @@ generation-probe backoff keeps follower processes mapped
 onto the current compacted generation of every run file
 (:meth:`~repro.engine.QueryEngine.reopen`), and the persistent
 hot-matrix cache (:mod:`repro.serve.matrix_cache`) lets a fresh process skip
-the cold decode of the hottest ``(path, path)`` reachability matrices.
+the cold decode of the ``(path, path)`` pairs its predecessor decided.
 
 Cross-process writer safety — one process appending/compacting while others
 serve — is the :class:`repro.store.FileLease` writer lease, acquired by the
@@ -20,7 +20,6 @@ stay lock-free.
 """
 
 from repro.serve.matrix_cache import (
-    DEFAULT_HOT_ENTRIES,
     load_hot_matrices,
     matrix_cache_path,
     save_hot_matrices,
@@ -42,5 +41,4 @@ __all__ = [
     "save_hot_matrices",
     "load_hot_matrices",
     "view_fingerprint",
-    "DEFAULT_HOT_ENTRIES",
 ]

@@ -7,22 +7,27 @@ fresh process (a restarted server, a follower attaching a leader's run file)
 pays the cold decode for exactly the keys the previous process already
 decided.
 
-This module persists the hottest decided rows *alongside the run file*
+This module persists the decided rows *alongside the run file*
 (``<run-file>.hotmx``) as what they are in memory — the columns of a
 :class:`~repro.core.pair_table.PairTable`, not a second representation:
 
 * :func:`save_hot_matrices` ranks every row of a shard's pair tables — matrix,
   no-dependency, verdict and boundary rows alike — by the engine's per-row
   hit count, ties broken by decision order (the first keys a process decided
-  are the ones its successor asks first), keeps the ``max_entries`` hottest
-  whose path ids fall inside the file's persisted watermark (a boundary
-  row's ``ABSENT`` side names no path), and writes each view's
-  share as one :meth:`PairTable.take` (atomic replace);
+  are the ones its successor asks first), keeps every row whose path ids
+  fall inside the file's persisted watermark (a boundary row's ``ABSENT``
+  side names no path) — or the ``max_entries`` hottest, if asked — and
+  writes each view's share as one :meth:`PairTable.take` (atomic replace).
+  There is no default row cap: the engine's ``state_budget_bytes`` already
+  bounds what the tables hold, and so what a file holds;
 * :func:`load_hot_matrices` reads each section back with one
-  ``np.frombuffer`` per column, checks the columns whole, and merges them with
-  one :meth:`DecodedViewState.admit` — so the saver's ranking becomes the rows'
-  decision order, rows the engine already decided are never clobbered, the
-  byte budget holds, and the carried-over hit counts let a follower that
+  ``np.frombuffer`` per column, checks the columns whole — one or two passes
+  over a column each, the blocks' padding one line of every block at a
+  time — makes the table of the checked columns themselves, and merges it
+  with one :meth:`DecodedViewState.admit` — so the saver's ranking becomes
+  the rows' decision order, rows the engine already decided are never
+  clobbered, the byte budget holds (where it bites, the best-ranked rows
+  are admitted first), and the carried-over hit counts let a follower that
   loads and re-saves keep the hot set instead of ranking it at zero.
 
 Layout (format v5, little-endian; the per-entry v1/v2 files, the v3 files
@@ -80,9 +85,10 @@ rows, without a kernel pass: on the benchmark's ``multiview_churn`` (seed
 verdict and 152 boundary rows, 78.5 KiB where the matrix rows alone were
 27.0 KiB — and none of the nine warm-up frames after a warm attach runs the
 kernel, where under v3 each of them did, and none of the nine views is
-labelled.  Where the tables outgrow ``max_entries`` the kinds compete for
-it by hits: 4,096 of 14,060 rows on ``wire_large_recursive`` (1,918
-matrix, 2,174 verdict, 4 boundary; 119.9 KiB).
+labelled.  On ``wire_large_recursive`` it holds all 14,060 rows (6,872
+matrix, 7,175 verdict, 13 boundary; 411.7 KiB), which a 4,096-row cap
+used to cut to 119.9 KiB, leaving one kernel pass of 124 keys and a label
+in every warm-up; loading all of them costs less than that pass did.
 """
 
 from __future__ import annotations
@@ -95,8 +101,6 @@ import numpy as np
 
 from repro.core.pair_table import (
     ABSENT,
-    NO_DEPENDENCY,
-    VERDICT_FALSE,
     VERDICT_TRUE,
     PairTable,
     pair_paths,
@@ -110,7 +114,6 @@ from repro.store import run_file_info
 __all__ = [
     "CACHE_MAGIC",
     "CACHE_VERSION",
-    "DEFAULT_HOT_ENTRIES",
     "matrix_cache_path",
     "view_fingerprint",
     "save_hot_matrices",
@@ -124,13 +127,6 @@ CACHE_MAGIC = b"FVLHOTMX"
 #: materialisation per section) are refused by their version and the attach proceeds
 #: cold.
 CACHE_VERSION = 5
-
-#: Default bound on persisted rows, of every kind.  Rows are tiny (~30 bytes
-#: on the BioAID workload, a matrix row's packed block included), so this is
-#: a recall knob, not a disk-space one — and recall is what warm starts live
-#: on: a budget below the shard's hot working set leaves the follower
-#: re-deciding the uncovered keys and erases most of the benefit.
-DEFAULT_HOT_ENTRIES = 4096
 
 # magic, version, fingerprint, generation, n_paths, body bytes, body CRC32
 _FILE_HEADER = struct.Struct("<8sIQQQQI")
@@ -177,20 +173,22 @@ def save_hot_matrices(
     *,
     run_file=None,
     cache_path=None,
-    max_entries: int = DEFAULT_HOT_ENTRIES,
+    max_entries: "int | None" = None,
 ) -> int:
-    """Persist the shard's hottest pair-table rows beside its run file.
+    """Persist the shard's pair-table rows, ranked hottest first, beside its run file.
 
     ``run_id`` may name an attached shard (its mapped file is the default
     ``run_file``) or a labelled shard that has been checkpointed — labelled
     shards intern into the engine's shared arena, which is exactly the trie
     :func:`~repro.store.checkpoint_run` persists, so their rows use the same
     path ids the file carries.  Only rows whose path ids lie inside the
-    file's persisted ``n_paths`` watermark are written.  Returns the number
-    of rows persisted, of every kind (a cache file is written even for zero
-    — an honest "nothing was hot").
+    file's persisted ``n_paths`` watermark are written: all of them by
+    default, the ``max_entries`` hottest if it is given.  What the tables
+    hold is bounded already, by the engine's ``state_budget_bytes``.
+    Returns the number of rows persisted, of every kind (a cache file is
+    written even for zero — an honest "nothing was hot").
     """
-    if max_entries < 1:
+    if max_entries is not None and max_entries < 1:
         raise ValueError("max_entries must be at least 1")
     mapped = engine.mapped_store(run_id)
     if run_file is None:
@@ -218,7 +216,8 @@ def save_hot_matrices(
     sizes = [at.size for *_, at in candidates]
     hits = np.concatenate([table.hits[at] for *_, table, at in candidates] + [np.empty(0, np.int64)])
     # Hottest first; the sort is stable, so equal hit counts rank by who was
-    # decided first.  Only the rows that made the cut are materialised.
+    # decided first.  Only the rows that made the cut (all, by default) are
+    # materialised.
     hottest = np.argsort(-hits, kind="stable")[:max_entries]
     owner = np.repeat(np.arange(len(candidates)), sizes)[hottest]
     first = np.cumsum(sizes) - sizes
@@ -369,7 +368,13 @@ def _inside(keys, n_paths) -> np.ndarray:
 
 
 def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
-    """One section's rows as a table, every column checked whole."""
+    """One section's rows as a table, every column checked whole.
+
+    Each check is a pass or two over one column, and the table is made of the
+    checked columns themselves, copied out of ``buffer`` in the table's dtypes
+    (so it owns them, and its ``hits`` takes counts): no zero-padded block
+    per row is made and re-extracted.
+    """
 
     def require(held, what: str) -> None:
         if not held:
@@ -388,14 +393,15 @@ def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
         np.all((rows >= 0) & (rows <= ports) & (cols >= 0) & (cols <= ports)),
         f"a matrix larger than the {ports} ports of any module of this specification",
     )
+    # 0 (a matrix) and the three sentinels are the range -3..0.
     matrix = off == 0
-    sentinel = np.isin(off, (NO_DEPENDENCY, VERDICT_FALSE, VERDICT_TRUE))
     require(
-        np.all(matrix | sentinel) and np.count_nonzero(matrix) == matrices,
+        np.all((off >= VERDICT_TRUE) & (off <= 0)) and np.count_nonzero(matrix) == matrices,
         "an off that is neither a matrix nor a sentinel, or another count of matrices than stored",
     )
     # A sentinel row is decided without a shape, and a boundary row always as
     # a matrix: the ports a pair reads from it are checked against its shape.
+    sentinel = ~matrix
     require(not np.any(rows[sentinel] | cols[sentinel]), "a sentinel row with a shape")
     id1, id2 = pair_paths(keys)
     require(np.all(matrix[(id1 == ABSENT) | (id2 == ABSENT)]), "a boundary row that is no matrix")
@@ -405,12 +411,28 @@ def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
     )
     stride = ports * ports
     packed = np.frombuffer(buffer, np.uint8, (matrices * stride + 7) // 8, offset)
-    pool = np.unpackbits(packed, count=matrices * stride).view(bool).reshape(matrices, ports, ports)
+    pool = np.unpackbits(packed, count=matrices * stride).view(bool)
     # Blocks are zero-padded to ports x ports and read whole (take, merge, the
     # next save): a bit outside a matrix's shape is one no entry check sees.
-    at = np.arange(ports)
-    padding = (at[:, None] >= rows[matrix, None, None]) | (at >= cols[matrix, None, None])
-    require(not np.any(pool & padding), "a bit set outside a matrix's rows x cols")
-    blocks = np.zeros((n, stride), dtype=bool)
-    blocks[matrix] = pool.reshape(matrices, stride)
-    return PairTable.build(ports, keys, blocks, rows, cols, off, hits, order)
+    # Line i of a block is padding where the block has at most i rows, column
+    # i where it has at most i columns; one line at a time, nothing larger
+    # than the pool is made.
+    blocks, shape_rows, shape_cols = pool.reshape(matrices, ports, ports), rows[matrix], cols[matrix]
+    for line in range(ports):
+        require(
+            not blocks[shape_rows <= line, line].any()
+            and not blocks[shape_cols <= line, :, line].any(),
+            "a bit set outside a matrix's rows x cols",
+        )
+    offsets = off.astype(np.int64)
+    offsets[matrix] = np.arange(0, matrices * stride, stride)
+    return PairTable(
+        ports,
+        keys.astype(np.int64),
+        offsets,
+        rows.astype(np.int32),
+        cols.astype(np.int32),
+        hits.astype(np.int64),
+        order.astype(np.int64),
+        pool,
+    )

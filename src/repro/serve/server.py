@@ -412,7 +412,7 @@ class ProvenanceServer:
         return mapped, warmed
 
     def save_matrix_cache(self, run_id: str = DEFAULT_RUN, **kwargs) -> int:
-        """Persist the shard's hottest matrices (see :func:`save_hot_matrices`)."""
+        """Persist the shard's decided rows (see :func:`save_hot_matrices`)."""
         return save_hot_matrices(self._engine, run_id, **kwargs)
 
     # -- submission --------------------------------------------------------------

@@ -30,6 +30,8 @@ from repro.serve import load_hot_matrices, matrix_cache_path, save_hot_matrices
 from repro.serve.matrix_cache import _FILE_HEADER, _STATE_HEADER
 from repro.workloads import build_bioaid_specification, build_unsafe_example, random_run, random_view
 
+pytestmark = pytest.mark.usefixtures("detach_engines")
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
@@ -59,7 +61,8 @@ def saved(tmp_path_factory):
         "cold": reference.depends_batch(cold, view),
         "visible": reference.is_visible_batch(uids, view),
     }
-    return scheme, run_file, view, warm, cold, uids, expected
+    yield scheme, run_file, view, warm, cold, uids, expected
+    leader.detach(DEFAULT_RUN)
 
 
 def _follower(scheme, run_file, view, **kwargs) -> QueryEngine:
@@ -92,7 +95,8 @@ def test_a_proven_view_labels_itself_on_the_first_read_that_needs_it(saved):
 def test_a_section_whose_view_fingerprint_differs_proves_nothing(saved, tmp_path):
     """The same view under a forged section fingerprint: skipped, and the first query labels it."""
     scheme, run_file, view, warm, _, _, expected = saved
-    raw = bytearray(open(matrix_cache_path(run_file), "rb").read())
+    with open(matrix_cache_path(run_file), "rb") as handle:
+        raw = bytearray(handle.read())
     header = list(_FILE_HEADER.unpack_from(raw))
     fingerprint_at = _FILE_HEADER.size + struct.calcsize("<H")
     (fingerprint,) = struct.unpack_from("<Q", raw, fingerprint_at)

@@ -35,7 +35,7 @@ of the grammar: building a scheme constructs a :class:`PGEdge` for each cycle
 edge and no other, and its Tarjan walk visits each composite module once and
 no atomic one.
 
-And three hold the side file (``.hotmx``) to the pair table's columns:
+And four hold the side file (``.hotmx``) to the pair table's columns:
 
 * saving and loading make a fixed number of calls per section, whatever the
   row count — no :class:`BoolMatrix` per row, no ``struct`` per entry;
@@ -45,7 +45,9 @@ And three hold the side file (``.hotmx``) to the pair table's columns:
   table hits after a warm attach: the file holds verdict, boundary and matrix
   rows, so neither the kernel nor the reference decoder runs, and no view is
   labelled — an admitted section proves its view safe; a visibility frame or
-  a key the table misses then labels its view, once.
+  a key the table misses then labels its view, once;
+* at full scale on ``wire_large_recursive``, a default save holds every row
+  the leader decided, so its successor's warm-up runs no kernel pass either.
 
 And one holds the reference decoder to what it is, a fallback: on each
 benchmark workload, a cold engine's warm-up, serve-block and view-add frames
@@ -108,6 +110,8 @@ from repro.bench import sample_query_pairs
 if str(Path(__file__).resolve().parents[2]) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 from perf import inputs as perf_inputs  # noqa: E402
+
+pytestmark = pytest.mark.usefixtures("detach_engines")
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +193,9 @@ def test_a_cold_batch_probes_its_keys_once_more_after_the_merge(setup, monkeypat
     """A miss costs one probe of the batch's keys after the merge, not one per source.
 
     Before the decision and after it, the batch's keys; in between, the merge
-    probes the decided keys against the table.  Over budget, the decisions
-    the table did not take are probed in the fresh rows alone.
+    probes the decided keys against the table, unless the table is empty.
+    Over budget, the decisions the table did not take are probed in the
+    fresh rows alone.
     """
     scheme, derivation, view, pairs = setup
     probed, probe = [], PairTable.probe
@@ -203,10 +208,15 @@ def test_a_cold_batch_probes_its_keys_once_more_after_the_merge(setup, monkeypat
     engine = _fresh_engine(scheme, derivation)
     engine.decoded_state(view)
     probed.clear()
-    answers = engine.depends_batch(pairs, view)
+    first = engine.depends_batch(pairs[:100], view)
     state = engine.decoded_state(view)
+    held = len(state.table(engine.shard_arena()))
+    assert len(probed) == 2 and probed[0] == probed[1]  # an empty table: no merge probe
+    probed.clear()
+    answers = engine.depends_batch(pairs, view)
+    assert np.array_equal(answers[:100], first)
     table = state.table(engine.shard_arena())
-    assert len(probed) == 3 and probed[0] == probed[2] and probed[1] == len(table)
+    assert len(probed) == 3 and probed[0] == probed[2] and probed[1] == len(table) - held > 0
 
     starved = QueryEngine(scheme, state_budget_bytes=1)
     starved.add_run(DEFAULT_RUN, derivation)
@@ -214,7 +224,7 @@ def test_a_cold_batch_probes_its_keys_once_more_after_the_merge(setup, monkeypat
     probed.clear()
     assert np.array_equal(starved.depends_batch(pairs, view), answers)
     assert len(starved.decoded_state(view).table(starved.shard_arena())) == 0
-    assert len(probed) == 4 and probed[0] == probed[2] == probed[3]
+    assert len(probed) == 3 and probed[0] == probed[1] == probed[2]
     labeler, view_label = engine.run_labeler(), scheme.label_view(view)
     expected = [scheme.depends(labeler.label(d1), labeler.label(d2), view_label) for d1, d2 in pairs]
     assert answers.tolist() == expected
@@ -505,7 +515,8 @@ def hot(tmp_path_factory):
     leader = QueryEngine(scheme)
     leader.attach(run_file)
     expected = leader.depends_batch(pairs, view)
-    return spec, leader, run_file, view, pairs, expected
+    yield spec, leader, run_file, view, pairs, expected
+    leader.detach(DEFAULT_RUN)
 
 
 def _calls(action) -> int:
@@ -686,6 +697,47 @@ def test_a_warm_attach_answers_its_warm_up_from_the_table(workload, tmp_path, mo
             assert decided == ["decide_many"]
         assert engine.stats.labels_built == before + 1
         assert engine.decoded_state(view.name).static.labelled
+
+
+def test_a_successor_of_a_default_save_decides_nothing_in_its_warm_up(tmp_path, monkeypatch):
+    """At full scale, a default save carries every row the serving stack decided.
+
+    ``wire_large_recursive``'s leader answers its warm-up and serve-block
+    frames and saves with no row cap; a fresh process over that file answers
+    the warm-up with no kernel pass and labels no view.  (Under a 4,096-row
+    cap the warm-up missed ≈124 keys and ran one pass.)
+    """
+    inputs = perf_inputs.generate(perf_inputs.WORKLOADS["wire_large_recursive"], 42)
+    run_file = tmp_path / "served.fvl"
+    writer = QueryEngine(FVLScheme(inputs.specification))
+    writer.add_run(DEFAULT_RUN, inputs.derivation)
+    writer.checkpoint(run_file)
+    engines = [QueryEngine(writer.scheme), QueryEngine(FVLScheme(inputs.specification))]
+    for engine in engines:
+        for view in inputs.views:
+            engine.add_view(view)
+    leader, successor = engines
+    leader.attach(run_file)
+    for frame in inputs.warmup + inputs.block:
+        if frame.kind == "depends":
+            assert np.array_equal(leader.depends_batch(frame.ids, frame.view), frame.expected)
+        else:
+            assert np.array_equal(leader.is_visible_batch(frame.ids, frame.view), frame.expected)
+    saved = save_hot_matrices(leader)
+    successor.attach(run_file)
+    assert load_hot_matrices(successor) == saved
+    decided = []
+    decide_many = evaluate.decide_many
+
+    def counting(*args):
+        decided.append(len(args[-1]))  # the keys of one kernel pass
+        return decide_many(*args)
+
+    monkeypatch.setattr(evaluate, "decide_many", counting)
+    for frame in inputs.warmup:
+        assert np.array_equal(successor.depends_batch(frame.ids, frame.view), frame.expected)
+    assert decided == [] and successor.stats.labels_built == 0
+    assert saved == sum(len(table) for table in _tables(leader, inputs.views)) > 4096
 
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import shutil
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -48,6 +49,11 @@ from repro.serve.matrix_cache import (
 from repro.store import checkpoint_run, compact
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, build_running_example, random_run, random_view
+
+# The benchmark's inputs (``perf/inputs.py``), for each workload's own side file.
+if str(Path(__file__).resolve().parents[2]) not in sys.path:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+from perf import inputs as perf_inputs  # noqa: E402
 
 
 pytestmark = pytest.mark.usefixtures("detach_engines")
@@ -752,6 +758,81 @@ def test_round_trip_is_the_table(scheme, two_views, budget, again):
         assert np.array_equal(loaded.keys[np.argsort(loaded.order)], table.keys[chosen])
 
 
+@pytest.mark.parametrize("name", list(perf_inputs.WORKLOADS))
+def test_a_loaded_section_is_the_table_its_columns_build(name, tmp_path):
+    """What the loader makes of a section is ``PairTable.build`` over its columns.
+
+    Each benchmark workload's leader answers its warm-up and serve-block
+    frames and saves by default; every section of its file, loaded into an
+    empty table, equals the table built from the file's columns — every
+    column, dtype included — and owns a writable ``hits``.
+    """
+    inputs = perf_inputs.generate(perf_inputs.WORKLOADS[name], 42, scale=0.05)
+    run_file = tmp_path / "served.fvl"
+    writer = QueryEngine(FVLScheme(inputs.specification))
+    writer.add_run(DEFAULT_RUN, inputs.derivation)
+    writer.checkpoint(run_file)
+    engines = [QueryEngine(writer.scheme), QueryEngine(FVLScheme(inputs.specification))]
+    for engine in engines:
+        for view in inputs.views:
+            engine.add_view(view)
+        engine.attach(run_file)
+    leader, follower = engines
+    for frame in inputs.warmup + inputs.block:
+        if frame.kind == "depends":
+            assert np.array_equal(leader.depends_batch(frame.ids, frame.view), frame.expected)
+    assert save_hot_matrices(leader) == sum(len(_table(leader, view)) for view in inputs.views)
+    _, sections = _parse(Path(matrix_cache_path(run_file)).read_bytes())
+    assert load_hot_matrices(follower) == sum(section["head"][2] for section in sections)
+
+    for section in sections:
+        _, _, n, ports, matrices = section["head"]
+        blocks = np.zeros((n, ports * ports), dtype=bool)
+        blocks[section["off"] == 0] = section["pool"].reshape(matrices, -1)
+        rest = (section[column] for column in ("rows", "cols", "off", "hits", "order"))
+        built = PairTable.build(ports, section["keys"], blocks, *rest)
+        loaded = _table(follower, section["names"].decode())
+        assert loaded.ports == built.ports == ports
+        for column in PairTable.__slots__[1:]:
+            ours, theirs = getattr(loaded, column), getattr(built, column)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), column
+        assert loaded.hits.flags.writeable and loaded.hits.flags.owndata
+    for frame in inputs.warmup:
+        assert np.array_equal(follower.depends_batch(frame.ids, frame.view), frame.expected)
+
+
+def test_a_default_save_keeps_every_row_and_the_budget_admits_the_best_ranked(saved, scheme):
+    """No row cap: the saver keeps every decided row, and the engine's byte
+    budget is the one bound — where it bites, a load takes the rows hottest
+    first, not a prefix of the key space."""
+    run_file, view, pairs, expected, _ = saved
+    leader = QueryEngine(scheme)
+    leader.attach(run_file)
+    assert np.array_equal(leader.depends_batch(pairs, view), expected)
+    for _ in range(3):  # the later half of the pairs is asked again: hotter rows, higher keys
+        leader.depends_batch(pairs[len(pairs) // 2 :], view)
+    assert save_hot_matrices(leader) == len(_table(leader, view))
+
+    def follower(**options):
+        engine = QueryEngine(scheme, **options)
+        engine.add_view(view)
+        engine.attach(run_file)
+        return engine, load_hot_matrices(engine)
+
+    everything, loaded = follower()
+    table = _table(everything, view)
+    assert loaded == len(table) == len(_table(leader, view))
+    static = everything.stats.views.bytes - table.nbytes
+    ranked = np.argsort(table.order)  # the saver's ranking: hits, then decision order
+    assert not np.array_equal(np.sort(ranked[:10]), np.arange(10))
+    for held in (1, 10, len(table) // 3):
+        budget = static + int(np.sum(table.row_nbytes()[ranked[:held]]))
+        engine, admitted = follower(state_budget_bytes=budget)
+        assert admitted == held
+        assert np.array_equal(_table(engine, view).keys, np.sort(table.keys[ranked[:held]]))
+        assert np.array_equal(engine.depends_batch(pairs, view), expected)
+
+
 def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     """Columns no saver writes, checksummed as if one had: typed refusals, nothing admitted."""
     run_file, view, pairs, expected, entries = saved
@@ -763,7 +844,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     n_paths, ports = mapped.n_paths, genuine["head"][3]
     kinds = _kinds(genuine)
     matrix = np.nonzero(genuine["off"] == 0)[0]  # interior and boundary: block k is row matrix[k]
-    block, _, column = (int(at[0]) for at in np.nonzero(genuine["pool"]))  # some set bit
+    block, line, column = (int(at[0]) for at in np.nonzero(genuine["pool"]))  # some set bit
     verdict, boundary = kinds["verdict"][0], kinds["boundary"][0]
     assert kinds["matrix"].size and matrix.size == genuine["head"][4] < entries
     # The last row with a producer path: changing its ids keeps the keys ascending.
@@ -813,6 +894,9 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     def padding_bit(s):  # the shape shrinks from under a set bit
         s["cols"][matrix[block]] = column
 
+    def padding_line(s):  # the rows do
+        s["rows"][matrix[block]] = line
+
     def foreign_producer(s):
         s["keys"][inner] = n_paths << 32
 
@@ -848,6 +932,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         one_block_short: "count of matrices",
         one_sentinel_more: "count of matrices",
         padding_bit: "outside a matrix",
+        padding_line: "outside a matrix",
         foreign_producer: "unknown path id",
         foreign_consumer: "unknown path id",
         beyond_but_not_absent: "unknown path id",
