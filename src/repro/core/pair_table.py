@@ -150,16 +150,26 @@ class PairTable:
         return slot, found
 
     def take(self, select: np.ndarray) -> "PairTable":
-        """The sub-table of the rows at ascending positions ``select``."""
-        return PairTable.build(
+        """The sub-table of the rows at ascending positions ``select``.
+
+        Only the selected matrix rows' blocks are copied out of the pool (a
+        pool is whole ``ports x ports`` blocks, one per matrix row), so a
+        sub-table of many sentinel rows costs no block for each.
+        """
+        stride = self.ports * self.ports
+        off = self.off[select]
+        matrix = off >= 0
+        pool = self.pool.reshape(-1, stride)[off[matrix] // stride].reshape(-1)
+        off[matrix] = np.arange(0, pool.size, stride)
+        return PairTable(
             self.ports,
             self.keys[select],
-            self._blocks(select),
+            off,
             self.rows[select],
             self.cols[select],
-            np.minimum(self.off[select], 0),
             self.hits[select],
             self.order[select],
+            pool,
         )
 
     def merged(self, fresh: "PairTable", first_order: int) -> "PairTable":

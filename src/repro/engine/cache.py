@@ -315,10 +315,7 @@ class DecodedViewState:
         """
         with self._lock:
             current = self.table(arena)
-            if len(current):
-                select = np.nonzero(~current.probe(fresh.keys)[1])[0]
-            else:
-                select = np.arange(len(fresh))
+            select = np.nonzero(~current.probe(fresh.keys)[1])[0]
             sizes, room = fresh.row_nbytes(), self.room()
             if sizes[select].sum() > room:
                 ranked = select[np.argsort(fresh.order[select], kind="stable")]

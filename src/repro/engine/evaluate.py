@@ -41,6 +41,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# A plain ``np.unique`` imports ``numpy.ma`` on its first call (numpy 2.x asks
+# ``np.ma.is_masked``): ≈14 ms that a process would otherwise pay on its
+# first cold query, which after a warm restart is a client's.
+import numpy.ma  # noqa: F401
+
 from repro.core.decoder import _inputs_chain_over, _outputs_chain_over, intermediate_matrix
 from repro.core.pair_table import (
     ABSENT,

@@ -61,7 +61,6 @@ def percentile_from_counts(
     counts: Sequence[int],
     q: float,
     *,
-    lower: bool = False,
     interpolate: bool = False,
 ) -> float:
     """The q-quantile bound from histogram bucket counts.
@@ -70,9 +69,8 @@ def percentile_from_counts(
     cumulative) tallies with the +inf overflow slot last — the shape a
     :class:`Histogram` and the registry snapshot carry.  Returns the matched
     bucket's *upper* edge (a conservative over-estimate, the Prometheus
-    convention), its lower edge with ``lower=True`` (an under-estimate), or
-    with ``interpolate=True`` an estimate inside the bucket, linear in the
-    observations it holds (Prometheus's ``histogram_quantile``; the first
+    convention), or with ``interpolate=True`` an estimate inside the bucket,
+    linear in the observations it holds (Prometheus's ``histogram_quantile``; the first
     bucket starts at 0).  Empty data returns 0.0; a quantile landing in the
     overflow slot returns the last finite edge.
     """
@@ -89,10 +87,8 @@ def percentile_from_counts(
         if cumulative >= need:
             if index >= len(buckets):
                 return float(buckets[-1])
-            low = float(buckets[index - 1]) if index > 0 else 0.0
-            if lower:
-                return low
             if interpolate:
+                low = float(buckets[index - 1]) if index > 0 else 0.0
                 return low + (float(buckets[index]) - low) * (need - below) / int(count)
             return float(buckets[index])
     return float(buckets[-1])  # pragma: no cover - cumulative == total above

@@ -26,9 +26,10 @@ feeds everything the server knows about the request:
 * **latency** at finish — ``tail_request_seconds{op,view}``;
 * **the keep decision** at finish, with the outcome in hand: the first of
   ``error``, ``shed``, ``slow`` (at or above the key's live p95,
-  interpolated inside its histogram bucket, so a steady stream keeps about
-  5 % of its requests and not the whole bucket the p95 falls in — and
-  everything while the key warms up) or ``head``
+  interpolated inside its histogram bucket — a steady stream keeps a few
+  percent of its requests, not the whole bucket the p95 falls in, and a
+  true slowest-1% request is sure to be kept only when the p99 lies in a
+  higher bucket than the p95 — and everything while the key warms up) or ``head``
   (sampled) is the record's ``reason``; kept records stamp an exemplar on
   their histogram bucket and enter **one** ring bounded by entries and
   bytes; a fast, unsampled, healthy request touches no ring;

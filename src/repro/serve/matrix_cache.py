@@ -19,7 +19,9 @@ This module persists the decided rows *alongside the run file*
   side names no path) — or the ``max_entries`` hottest, if asked — and
   writes each view's share as one :meth:`PairTable.take` (atomic replace).
   There is no default row cap: the engine's ``state_budget_bytes`` already
-  bounds what the tables hold, and so what a file holds;
+  bounds what the tables hold, and so what a file holds and what a save
+  allocates (``take`` copies the matrix rows' blocks and nothing per
+  sentinel row);
 * :func:`load_hot_matrices` reads each section back with one
   ``np.frombuffer`` per column, checks the columns whole — one or two passes
   over a column each, the blocks' padding one line of every block at a

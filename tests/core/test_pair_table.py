@@ -96,3 +96,38 @@ def test_probe_of_the_empty_table_and_of_no_needles():
     _check(EMPTY, {}, needles)
     _check(_table({7: 0}), {7: 0}, [])
     _check(_table({7: 0}), {7: 0}, [8, 7, 6, 7])
+
+
+def test_take_copies_the_chosen_matrix_blocks_and_nothing_per_sentinel_row():
+    """``take`` is ``build`` over the chosen rows, with no zero-padded block per row.
+
+    On 16 ports a padded block is 256 bytes, more than six times what a
+    sentinel row holds, so a save of many verdict rows would peak at
+    several times the table it writes if every row got one.
+    """
+    import tracemalloc
+
+    rng = np.random.default_rng(45)
+    ports, n = 16, 20_000
+    sentinels = rng.choice([NO_DEPENDENCY, VERDICT_FALSE, VERDICT_TRUE], n)
+    sentinels[::500] = 0
+    blocks = rng.random((n, ports * ports)) < 0.5
+    shape = np.full(n, ports)
+    table = PairTable.build(ports, np.arange(n) * 3, blocks, shape, shape, sentinels, rng.integers(0, 9, n))
+    select = np.sort(rng.choice(n, n // 2, replace=False))
+    select[0] = 0  # a matrix row
+    tracemalloc.start()
+    try:
+        taken = table.take(select)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * taken.nbytes
+    built = PairTable.build(
+        ports, table.keys[select], blocks[select], shape[select], shape[select], sentinels[select],
+        table.hits[select], table.order[select],
+    )
+    for name in ("keys", "off", "rows", "cols", "hits", "order", "pool"):
+        column, expected = getattr(taken, name), getattr(built, name)
+        assert column.dtype == expected.dtype and np.array_equal(column, expected), name
+    assert taken.pool.size == np.count_nonzero(sentinels[select] == 0) * ports * ports

@@ -19,15 +19,20 @@ def hist(counts, total=None):
     }
 
 
-def test_percentile_from_counts_upper_and_lower_edges():
+def test_percentile_from_counts_upper_edge_and_interpolated():
     counts = [90, 9, 1, 0]  # 90 fast, 9 medium, 1 slow, none in overflow
     assert percentile_from_counts(BUCKETS, counts, 0.50) == 0.01
     assert percentile_from_counts(BUCKETS, counts, 0.95) == 0.1
     assert percentile_from_counts(BUCKETS, counts, 1.0) == 1.0
-    # The lower edge under-estimates: a p95 threshold of 0.01 cannot let a
-    # true slowest-5% observation (>= 0.01) duck under it.
-    assert percentile_from_counts(BUCKETS, counts, 0.95, lower=True) == 0.01
-    assert percentile_from_counts(BUCKETS, counts, 0.50, lower=True) == 0.0
+    # Interpolated, linear in the bucket's observations: the p95 is the 5th
+    # of the 9 medium ones, 5/9 of the way from 0.01 to 0.1; the first
+    # bucket starts at 0.
+    interpolated = percentile_from_counts(BUCKETS, counts, 0.95, interpolate=True)
+    assert interpolated == pytest.approx(0.01 + 0.09 * 5 / 9)
+    assert percentile_from_counts(BUCKETS, counts, 0.50, interpolate=True) == pytest.approx(0.01 * 50 / 90)
+    assert percentile_from_counts(BUCKETS, counts, 1.0, interpolate=True) == 1.0
+    # In the overflow slot it clamps to the last finite edge, like the upper edge.
+    assert percentile_from_counts(BUCKETS, [0, 0, 0, 5], 0.99, interpolate=True) == 1.0
 
 
 def test_percentile_from_counts_edge_cases():
