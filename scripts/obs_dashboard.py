@@ -194,9 +194,8 @@ def render(window: Window, address: str, *, color: bool = True) -> str:
             int(server.get("queue_peak", 0)),
             int(net.get("intake_high_watermark", 0)),
         ),
-        "health    restarts {:>5d}   reopens {:>9d}   quarantined {:>2d}   "
+        "health    reopens {:>9d}   quarantined {:>2d}   "
         "kept traces {:>4d}".format(
-            int(server.get("worker_restarts", 0)),
             int(server.get("reopens", 0)),
             int(series_total(scrape.metrics, "lifecycle_quarantined_runs")),
             int(series_total(scrape.metrics, "tail_kept_total")),

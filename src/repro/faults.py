@@ -38,7 +38,7 @@ FAULT_POINTS = (
     "persist.fsync",  # store/checkpoint: data/header fsync phases
     "net.send",  # net/{server,client}: socket send
     "net.recv",  # net/{server,client}: socket recv
-    "scheduler.batch",  # serve/server: worker picked up a batch
+    "scheduler.batch",  # serve/server: a step popped its batch
     "scheduler.admit",  # serve/server: non-blocking admission (fires a shed)
     "compact.swap",  # store/compaction: atomic rename of the merged file
     "mmap.gather",  # store/mapped: mapped row gather

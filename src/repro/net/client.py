@@ -6,7 +6,8 @@
 ``depends_batch``/``is_visible_batch`` send one frame per call, which the
 server hands whole to :meth:`~repro.serve.ProvenanceServer.submit_batch`;
 the single-pair ``depends``/``is_visible`` helpers send a 1-query frame,
-which the server's scheduler lingers on and coalesces with its neighbours.
+which the server's scheduler coalesces with whatever its neighbours sent
+while the previous step ran.
 
 Connections come from a bounded pool: a call borrows a socket, does one
 request/response round trip on it, and returns it.  Concurrent callers get

@@ -12,12 +12,11 @@ outside Python) reach the coalescing scheduler:
   from other connections) by a single vectorised engine call whose
   bool-array slice the record's reply sink bit-packs straight into the
   reply;
-* **run to completion** — a frame that finds the scheduler idle (nothing
-  queued, no step in flight), would not linger (more than one query) and
-  has no other connection's frame waiting in intake is served on the loop
-  thread that read it: no queue entry, no worker wake, the reply written by
-  the loop.  Anything else — a backlog, a 1-query frame, a busy scheduler —
-  is queued for the workers, which coalesce it;
+* **one pass, one combine** — the loop admits one pass of intake (at most
+  one frame per connection), queueing or shedding each frame, and then
+  calls :meth:`ProvenanceServer.combine` on its own thread: frames read in
+  one pass are popped together and coalesced into one step, and the loop
+  writes their replies;
 * **admission control, not blocking** — :meth:`ProvenanceServer.serve_frame`
   never waits for room: when the bounded request queue cannot take the
   whole batch, the client gets an explicit SHED reply (retry-after hint +
@@ -33,16 +32,15 @@ outside Python) reach the coalescing scheduler:
 The server is one event-loop thread (``selectors``) that owns the
 selector and every connection's lifetime; responses are assembled by the
 record's reply sink (:meth:`ProvenanceNetServer._reply`), called once on
-whichever thread took the frame's step — a scheduler worker, or the loop
-itself — which packs the reply, finishes the record and writes the reply
-straight into the non-blocking socket when nothing is queued ahead.  A
-worker's reply the socket takes whole never involves the loop.  Only what is left — the rest
-of a partial send, or a connection whose send failed — is handed to the
-loop over a self-pipe wake: the loop flushes the rest when the socket is
-writable and closes a broken connection.  The loop runs engine code only
-for a frame that is alone, when no other frame is waiting to be admitted;
-it never blocks on the queue, and frames that arrive during a slow step
-are read together after it, so they go to the workers as a backlog.
+whichever thread took the frame's step — the loop itself, or an in-process
+submitter combining on the same scheduler — which packs the reply,
+finishes the record and writes the reply straight into the non-blocking
+socket when nothing is queued ahead.  Only what is left — the rest of a
+partial send, or a connection whose send failed — waits for the loop,
+woken over a self-pipe when another thread wrote: it flushes the rest when
+the socket is writable and closes a broken connection.  The loop never
+blocks on the queue; frames that arrive during a slow step are read
+together after it and coalesced by the next one.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ class _Connection:
         self.outbound: deque[bytes] = deque()
         self.lock = threading.Lock()
         self.closed = False
-        #: A worker's send failed: nothing more is sent, the loop closes it.
+        #: A send failed: nothing more is sent, the loop closes it.
         self.broken = False
         self.events = selectors.EVENT_READ
 
@@ -140,16 +138,16 @@ class ProvenanceNetServer:
     ::
 
         engine = QueryEngine(scheme)
-        with ProvenanceServer(engine, workers=2) as server:
+        with ProvenanceServer(engine) as server:
             server.attach("/data/run.fvl")
             net = ProvenanceNetServer(server, unix_path="/tmp/prov.sock").start()
             ...
             net.stop()
 
-    The scheduler must be started (workers running) for frames to be
-    answered; a stopped scheduler behind a live socket fills its bounded
-    queue and the transport degrades to SHED replies — by design, that is
-    the overload surface, not a hang.
+    The scheduler must be started (combining on) for frames to be
+    answered; a scheduler that is not running behind a live socket fills
+    its bounded queue and the transport degrades to SHED replies — by
+    design, that is the overload surface, not a hang.
     """
 
     def __init__(
@@ -377,6 +375,7 @@ class ProvenanceNetServer:
                 if self._stopping:
                     return
             self._pump_intake()
+            self._server.combine()
             self._flush_writes()
 
     def _accept(self, listener: socket.socket) -> None:
@@ -496,15 +495,8 @@ class ProvenanceNetServer:
         record.reply, record.reply_to = self._reply, (conn, request.request_id)
         record.tally.add(self._counters["frames"])
         try:
-            # With another connection's frame waiting, this one is queued so
-            # the scheduler can coalesce the backlog; alone, the loop may
-            # serve it itself (ProvenanceServer.serve_frame).
             admitted = self._server.serve_frame(
-                record,
-                request.ids,
-                request.view,
-                run=request.run,
-                backlog=any(other.intake for other in self._conns if other is not conn),
+                record, request.ids, request.view, run=request.run
             )
         except Exception as exc:
             # Oversized batch, bad ids, stopped scheduler: the frame is
@@ -532,8 +524,8 @@ class ProvenanceNetServer:
         """A frame record's reply sink: pack, finish the record, send.
 
         Called once per admitted frame (:meth:`Request.resolve
-        <repro.obs.trace.Request.resolve>`), on whichever thread resolved it
-        — a scheduler worker, or the loop itself.
+        <repro.obs.trace.Request.resolve>`), on whichever thread took its
+        step — the loop itself, or an in-process combiner.
         """
         conn, request_id = record.reply_to
         if error is None:
@@ -569,7 +561,6 @@ class ProvenanceNetServer:
                 "queue_depth_high_watermark": stats.queue_depth_high_watermark,
                 "probes": stats.probes,
                 "reopens": stats.reopens,
-                "worker_restarts": stats.worker_restarts,
                 "last_error": str(stats.last_error) if stats.last_error else None,
                 "last_warm_error": (
                     str(stats.last_warm_error) if stats.last_warm_error else None
@@ -601,7 +592,7 @@ class ProvenanceNetServer:
         others, or what a partial or refused send left, waits in
         ``outbound``; a failed send marks the connection broken.  Only the
         loop touches the selector and closes connections, and it ends every
-        pass in :meth:`_flush_writes` — so a worker wakes it, the loop
+        pass in :meth:`_flush_writes` — so another thread wakes it, the loop
         thread need not.
         """
         with conn.lock:

@@ -2,9 +2,8 @@
 
 Lifecycle facts that today only surface as counters — a checkpoint
 committed, a compaction swapped generations, a run was quarantined, a
-lease changed hands, a frame was shed, a worker was restarted, a checksum
-failed — are emitted as one JSON object per line through the module-global
-:func:`emit`.  Like :data:`repro.faults.hit`, ``emit`` is a re-bindable
+lease changed hands, a frame was shed, a checksum failed — are emitted as
+one JSON object per line through the module-global :func:`emit`.  Like :data:`repro.faults.hit`, ``emit`` is a re-bindable
 no-op until :func:`install_event_log` points it at an :class:`EventLog`,
 so the store/service/serve layers call it unconditionally with zero
 configuration plumbing and near-zero cost when no log is installed.

@@ -4,8 +4,8 @@ Spans.  A trace carries a 64-bit id that rides the wire protocol's optional
 trace-id field and accumulates :class:`Span` records as the request moves
 net → scheduler → engine → store.  Spans record wall time always and CPU
 (thread) time when they start and end on the same thread; cross-thread
-spans — e.g. the net-frame root span, which opens on the event loop and
-closes on a scheduler worker — report ``cpu_s = -1.0`` rather than lie.
+spans — e.g. a root span that opens on one thread and closes on a
+combiner serving it from another — report ``cpu_s = -1.0`` rather than lie.
 Propagation is explicit where threads change hands (the scheduler queues
 the request record itself, which carries its trace and root span) and
 implicit within a thread (a ``contextvars.ContextVar`` holds the active
@@ -194,7 +194,7 @@ class Trace:
 
         The ordering is **deterministic**: siblings appear in span-id order
         (allocation order under the trace lock), not in whatever order
-        worker threads happened to finish — so a nested
+        threads happened to finish — so a nested
         net → scheduler → engine trace serialises identically across runs
         and tests can replay it stably.  Each node carries ``path``, the
         slash-joined chain of ancestor span names ending in its own, so a
@@ -362,7 +362,7 @@ class Request:
     :meth:`Sampler.finish` folds them.
 
     ``trace`` (with its ``net.frame`` ``root`` span, the parent of the
-    scheduler's span on a worker thread) is set only when the id was
+    scheduler's span on whichever thread took the step) is set only when the id was
     head-sampled; ``reason``, ``wall_s`` and ``nbytes`` only once
     :meth:`Sampler.finish` kept it.
     """

@@ -4,9 +4,9 @@
 them *served*.  :class:`ProvenanceServer` coalesces concurrently-arriving
 ``depends`` / ``is_visible`` frames (:meth:`~ProvenanceServer.submit_batch`,
 one id array each) into the engine's vectorised batch calls with a
-micro-batching scheduler (bounded queue, max-batch + max-linger policy —
-1-query frames linger for company, larger ones do not — per
-``(kind, run, view)`` grouping) and returns futures; a per-run
+micro-batching scheduler (bounded queue, max-batch policy, per
+``(kind, run, view)`` grouping; the submitter that finds it idle serves
+everything queued on its own thread) and returns futures; a per-run
 generation-probe backoff keeps follower processes mapped
 onto the current compacted generation of every run file
 (:meth:`~repro.engine.QueryEngine.reopen`), and the persistent

@@ -19,24 +19,22 @@ micro-batching scheduler:
   and :meth:`~ProvenanceServer.submit_many`'s sink resolves one future per
   item; a request edge brings its own record and sink;
 * records land in one bounded queue whose depth, bounds and counters are
-  all denominated in *queries* (a frame of ``n`` pairs weighs ``n``); a
-  worker takes the first record and, while everything queued is a 1-query
-  frame, **lingers** up to ``max_linger_us`` for concurrently-arriving
-  frames to pile on (capped at ``max_batch`` queries).  A larger frame
-  does not linger — the timer turns concurrent 1-query frames into a
-  batch, and a larger frame already is one — and one arriving mid-linger
-  ends it; a frame is never split across steps.  The worker then groups
-  the step per ``(kind, run, view)``, concatenates each group's id
-  arrays and answers it with a single vectorised ``depends_batch`` /
-  ``is_visible_batch`` call, handing every member its slice;
-* a request edge that reads frames on a thread of its own (the net tier's
-  event loop) admits its records without blocking through
-  :meth:`~ProvenanceServer.serve_frame` (a full queue sheds them): a
-  frame that is *alone* — workers running, nothing queued, no step in
-  flight, a frame that would not linger, and no backlog at the edge — is served on
-  that thread, run to completion, and skips the queue and the worker wake.
-  The step is the one a worker takes, with the ``scheduler.batch`` fault
-  point, the per-batch guard and the busy count :meth:`stop` waits on;
+  all denominated in *queries* (a frame of ``n`` pairs weighs ``n``).  A
+  scheduling step pops whole frames, up to ``max_batch`` queries (a frame
+  is never split across steps), groups them per ``(kind, run, view)``,
+  concatenates each group's id arrays and answers it with a single
+  vectorised ``depends_batch`` / ``is_visible_batch`` call, handing every
+  member its slice;
+* there is no serving thread: steps run by **flat combining** (Hendler,
+  Incze, Shavit and Tzafrir, SPAA 2010).  A submitter queues its record
+  and, if no step is in flight, becomes the *combiner*: it takes steps on
+  its own thread until the queue is empty (:meth:`~ProvenanceServer.combine`).
+  A submitter that finds a combiner leaves its record to it.  Whatever
+  arrives while a step runs is popped together by the next one, so
+  concurrent frames still coalesce.  A request edge that reads frames on a
+  thread of its own (the net tier's event loop) queues or sheds them
+  without blocking through :meth:`~ProvenanceServer.serve_frame`, then
+  combines once per pass of intake;
 * after serving a run, the server probes that run's file on a
   query-count/time backoff (:class:`ReopenPolicy` ->
   :meth:`QueryEngine.reopen`, one header read unless the generation moved
@@ -49,8 +47,9 @@ micro-batching scheduler:
 The server adds no locking around the engine beyond what the engine already
 does — correctness under concurrent queries is the engine's contract; the
 server's job is turning N concurrent small frames into N/``batch`` engine
-calls.  ``drain_once()`` exposes one scheduling step synchronously so tests
-and single-threaded callers get deterministic behaviour with no threads.
+calls.  Before :meth:`~ProvenanceServer.start` nothing combines, and
+``drain_once()`` takes one scheduling step on the caller's thread, so tests
+and single-threaded callers get deterministic steps.
 """
 
 from __future__ import annotations
@@ -78,37 +77,24 @@ __all__ = ["BatchPolicy", "ReopenPolicy", "ServerStats", "ProvenanceServer"]
 _DEPENDS = "depends"
 _VISIBLE = "visible"
 
-#: How long (seconds, real time) a blocked submitter or a lingering worker
-#: waits between re-checks.  Condition waits are driven by the OS clock
-#: regardless of the injected ``clock=`` — the constant only bounds how stale a
-#: missed notify can leave them.
-_QUEUE_POLL_S = 0.05
-
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """How aggressively concurrent small frames are coalesced.
+    """How many queries one step and the queue may hold.
 
     Every bound counts *queries* (a frame of ``n`` pairs weighs ``n``).
     ``max_batch`` bounds one scheduling step's batch — frames are popped
     whole, so a single frame larger than ``max_batch`` is a step of its own;
-    ``max_linger_us`` is how long (microseconds) a worker holds the *first*
-    request of a batch waiting for company — the latency price of
-    coalescing, paid only while everything queued is a 1-query frame (a
-    larger frame never waits) and the queue is shallower than ``max_batch``;
     ``max_queue`` bounds the request queue (submitters block once it is full
     — backpressure, not unbounded memory).
     """
 
     max_batch: int = 1024
-    max_linger_us: int = 200
     max_queue: int = 65536
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.max_linger_us < 0:
-            raise ValueError("max_linger_us must not be negative")
         if self.max_queue < self.max_batch:
             raise ValueError("max_queue must be at least max_batch")
 
@@ -140,7 +126,7 @@ class ServerStats:
 
     The whole snapshot — counters *and* the last-error fields — is taken
     under one lock, so a reader (e.g. the network tier's stats endpoint)
-    never sees a torn view of a worker's failure bookkeeping.
+    never sees a torn view of a step's failure bookkeeping.
     """
 
     submitted: int
@@ -157,15 +143,12 @@ class ServerStats:
     #: ``matrix_pairs``).
     structural_pairs: int = 0
     matrix_pairs: int = 0
-    #: Times a worker thread died outside the per-batch guard and its
-    #: supervisor restarted it (0 = no worker has ever crashed).
-    worker_restarts: int = 0
     #: Deepest queue since the *last* stats read (a watermark gauge: the
     #: registry snapshot that built this view also reset it to 0), so two
     #: consecutive scrapes see per-interval peaks, not the lifetime
     #: :attr:`queue_peak`.
     queue_depth_high_watermark: int = 0
-    #: The last unexpected scheduling/probe failure a worker survived and the
+    #: The last unexpected scheduling/probe failure a step survived and the
     #: last warm-start failure attach swallowed (both ``None`` when healthy).
     last_error: "Exception | None" = None
     last_warm_error: "Exception | None" = None
@@ -206,15 +189,16 @@ class ProvenanceServer:
     ::
 
         engine = QueryEngine(scheme)
-        with ProvenanceServer(engine, workers=2) as server:
+        with ProvenanceServer(engine) as server:
             server.attach("/data/run.fvl", "run-1")      # + warm matrices
             future = server.submit_batch("depends", [(d1, d2)], view, run="run-1")
             ...
             assert future.result()[0]
 
-    Start the server (or use it as a context manager) for background
-    workers; without ``start()`` nothing drains the queue but
-    :meth:`drain_once`, one deterministic step on the caller's thread.
+    Start the server (or use it as a context manager) to have submitters
+    combine; without ``start()`` records stay queued until :meth:`drain_once`
+    takes a deterministic step on the caller's thread.  ``workers`` accepts
+    only ``1``: the server starts no thread.
     """
 
     def __init__(
@@ -227,21 +211,21 @@ class ProvenanceServer:
         clock=time.monotonic,
         sampler: "Sampler | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
+        if workers != 1:
+            raise ValueError("workers must be 1: submitters serve the queue on their own threads")
         self._engine = engine
         self._policy = policy or BatchPolicy()
         self._reopen_policy = reopen or ReopenPolicy()
-        self._n_workers = workers
         self._clock = clock
         self._queue: deque[Request] = deque()
         #: Queries (not requests) in ``_queue`` — what ``max_queue``,
-        #: ``max_batch``, the linger test and ``pending`` all count.
+        #: ``max_batch`` and ``pending`` all count.
         self._queued = 0
         self._cond = threading.Condition()
-        self._threads: list[threading.Thread] = []
-        #: Steps in flight, a worker's or one taken inline (guarded by ``_cond``).
-        self._busy = 0
+        self._running = False
+        #: The ident of the thread taking steps in :meth:`combine`, or
+        #: ``None`` when no step is in flight (guarded by ``_cond``).
+        self._combiner: "int | None" = None
         self._stopping = False
         #: run -> [queries since last probe, last probe time]
         self._probe_state: dict[str, list] = {}
@@ -285,25 +269,18 @@ class ProvenanceServer:
         )
         m.gauge(
             "serve_queue_depth", "requests queued right now"
-        ).set_function(self._queue_depth)
+        ).set_function(lambda: self.pending)
         self._probes_c = m.counter(
             "serve_probes_total", "run-file header probes for newer generations"
         )
         self._reopens_c = m.counter(
             "serve_reopens_total", "probes that remapped a compacted generation"
         )
-        self._worker_restarts_c = m.counter(
-            "serve_worker_restarts_total", "worker threads revived by the supervisor"
-        )
         self._corruption_c = m.counter(
             "corruption_detected_total",
             "checksum/structure corruption detections by layer",
             ("layer",),
         ).labels("hotmx")
-
-    def _queue_depth(self) -> int:
-        with self._cond:
-            return self._queued
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -313,7 +290,7 @@ class ProvenanceServer:
 
     @property
     def running(self) -> bool:
-        return bool(self._threads)
+        return self._running
 
     @property
     def last_warm_error(self) -> "Exception | None":
@@ -328,12 +305,13 @@ class ProvenanceServer:
 
     @property
     def last_error(self) -> "Exception | None":
-        """The last unexpected scheduling, probe or reply-sink failure a
-        worker survived (the batch's unanswered records are failed with it;
-        the worker keeps serving).  A remap refused for corruption (foreign
+        """The last unexpected scheduling, probe or reply-sink failure a step
+        survived (the step's unanswered records are failed with it; the next
+        step is served as usual).  A remap refused for corruption (foreign
         spec, shrunk file) lands here — monitor it in threaded deployments.
-        Worker threads write it and :attr:`stats` readers snapshot it under
-        one lock, so observers never race a plain attribute store.
+        Whichever thread took the step writes it and :attr:`stats` readers
+        snapshot it under one lock, so observers never race a plain
+        attribute store.
         """
         with self._stats_lock:
             return self._last_error
@@ -344,36 +322,27 @@ class ProvenanceServer:
             self._last_error = exc
 
     def start(self) -> "ProvenanceServer":
-        if self._threads:
-            raise RuntimeError("server is already running")
+        """Turn combining on, and serve what is already queued on the caller's thread."""
         with self._cond:
+            if self._running:
+                raise RuntimeError("server is already running")
+            self._running = True
             self._stopping = False
-        for index in range(self._n_workers):
-            thread = threading.Thread(
-                target=self._worker_entry,
-                name=f"provenance-serve-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        self.combine()
         return self
 
     def stop(self) -> None:
-        """Stop the workers after they drain every queued record, and wait
-        for a step a request edge is taking inline (:meth:`serve_frame`)."""
+        """Refuse new records, wait for the combiner to empty the queue, and
+        fail what no combiner took (a server never started, or frames a
+        request edge queued and has not combined yet).  A submitter blocked
+        on a full queue raises ``RuntimeError``."""
         if self.watchdog is not None:
             self.watchdog.stop()
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        with self._cond:
-            # A step a submitter took inline is not a worker's to join.
-            self._cond.wait_for(lambda: not self._busy)
-            # A server stopped before (or without) start() may still hold
-            # records; fail them rather than leaving callers waiting forever.
+            self._cond.wait_for(lambda: self._combiner is None)
+            self._running = False
             leftovers = list(self._queue)
             self._queue.clear()
             self._queued = 0
@@ -432,16 +401,18 @@ class ProvenanceServer:
         vectorised engine call.  A frame that could never fit ``max_queue``
         raises ``ValueError`` before anything is allocated for it; one that
         does not fit right now waits for room (backpressure — a request edge
-        that must not block sheds through :meth:`serve_frame` instead).
+        that must not block sheds through :meth:`serve_frame` instead).  On
+        a running server the caller then calls :meth:`combine`, so the
+        future is resolved on return unless another thread's step is in
+        flight.
         """
         ids = self._check(kind, ids)
         future = Future()
         self._submit(kind, ids, view, run, _reply_future, future)
         return future
 
-    def serve_frame(self, request: Request, ids, view, *, run: str = DEFAULT_RUN,
-                    backlog: bool) -> bool:
-        """A request edge's non-blocking submit, run to completion when alone.
+    def serve_frame(self, request: Request, ids, view, *, run: str = DEFAULT_RUN) -> bool:
+        """A request edge's non-blocking submit: queue the frame, or shed it.
 
         ``request`` is the edge's record (:meth:`Sampler.open
         <repro.obs.trace.Sampler.open>`): its ``op`` is the kind, and its
@@ -450,15 +421,12 @@ class ProvenanceServer:
         :meth:`submit_batch`; returns ``False``, the record not replied to,
         when the frame is shed because all of it does not fit the bounded
         queue right now, so the edge can answer with an explicit SHED reply
-        instead of stalling.  When the frame is *alone* — workers are
-        running, nothing is queued, no step is in flight, the frame would
-        not linger (a 1-query frame still waits for company) and the caller
-        has no ``backlog`` of decoded frames yet to submit — the caller's
-        thread takes the scheduling step itself: no queue entry, no worker
-        wake.  Anything else is queued for the workers to coalesce.
+        instead of stalling.  No step is taken here: the edge calls
+        :meth:`combine` once it has admitted everything it read, so frames
+        read together are popped together.
         """
         ids = self._check(request.op, ids)
-        return self._admit(request, ids, view, run, block=False, inline=not backlog)
+        return self._admit(request, ids, view, run, block=False)
 
     def submit_many(self, kind: str, items, view, *, run: str = DEFAULT_RUN) -> "list[Future]":
         """:meth:`submit_batch` with one Future per item (the compatibility API).
@@ -477,11 +445,11 @@ class ProvenanceServer:
         return futures
 
     def drain_once(self) -> int:
-        """Take one scheduling step on the caller's thread (no linger).
+        """Take one scheduling step on the caller's thread.
 
         Pops whole requests worth up to ``max_batch`` queries, serves them
         as grouped engine calls and returns how many queries were answered —
-        the deterministic, threadless way to run the scheduler (tests,
+        the deterministic way to run a server that was not started (tests,
         single-threaded tools).
         """
         with self._cond:
@@ -489,6 +457,40 @@ class ProvenanceServer:
         if batch:
             self._process(batch)
         return queries
+
+    def combine(self) -> None:
+        """Serve everything queued on the caller's thread, unless a step is in flight.
+
+        The thread that finds no combiner takes steps until the queue is
+        empty and gives the role up under ``_cond`` in the same critical
+        section that saw the queue empty, so a record queued while a step is
+        in flight is always served by that step's thread.  A no-op until
+        :meth:`start`.  Any exception a step raises — the ``scheduler.batch``
+        fault point, or a fault outside the per-group guards such as a probe
+        hitting a corrupt file — is recorded on :attr:`last_error` and fails
+        that step's records not yet answered, each once; the combiner serves
+        on.
+        """
+        with self._cond:
+            if self._combiner is not None or not self._running or not self._queue:
+                return
+            self._combiner = threading.get_ident()
+            try:
+                while self._queue:
+                    batch = self._pop_step()[0]
+                    self._cond.release()  # the step runs off the lock
+                    try:
+                        faults.hit("scheduler.batch")
+                        self._process(batch)
+                    except Exception as exc:
+                        self.last_error = exc
+                        for request in batch:
+                            self._reply(request, None, exc)
+                    finally:
+                        self._cond.acquire()
+            finally:
+                self._combiner = None
+                self._cond.notify_all()  # stop() waits for the combiner
 
     # -- observability -----------------------------------------------------------
 
@@ -555,7 +557,6 @@ class ProvenanceServer:
             reopens=counter("serve_reopens_total"),
             structural_pairs=int(pairs.get(("structural",), 0)),
             matrix_pairs=int(pairs.get(("matrix",), 0)),
-            worker_restarts=counter("serve_worker_restarts_total"),
             queue_depth_high_watermark=counter("serve_queue_depth_high_watermark"),
             last_error=last_error,
             last_warm_error=last_warm_error,
@@ -564,7 +565,8 @@ class ProvenanceServer:
     @property
     def pending(self) -> int:
         """Queries queued right now (a frame of ``n`` counts ``n``)."""
-        return self._queue_depth()
+        with self._cond:
+            return self._queued
 
     # -- internals ---------------------------------------------------------------
 
@@ -591,17 +593,19 @@ class ProvenanceServer:
         return ids
 
     def _submit(self, kind: str, ids, view, run: str, reply, reply_to) -> None:
-        """Queue an in-process caller's frame as an unsampled record, blocking for room."""
+        """Queue an in-process caller's frame as an unsampled record, blocking
+        for room, then combine on the caller's thread."""
         request = Request(0, kind, run, _view_name(view), len(ids), 0.0)
         request.reply, request.reply_to = reply, reply_to
-        self._admit(request, ids, view, run)
+        self._admit(request, ids, view, run, block=True)
+        self.combine()
 
-    def _admit(self, request: Request, ids, view, run: str, *, block: bool = True,
-               inline: bool = False) -> bool:
+    def _admit(self, request: Request, ids, view, run: str, *, block: bool) -> bool:
         """Give ``request`` its scheduler fields and queue it; ``False`` when shed.
 
-        An empty frame is answered at once and never queued; with ``inline``,
-        a frame that is :meth:`_alone` is served now on the caller's thread.
+        An empty frame is answered at once and never queued.  With
+        ``block``, a frame that does not fit waits on ``_cond`` until a step
+        pops room (every pop notifies) or :meth:`stop` refuses it.
         """
         request.ids = ids
         request.key = (request.op, run, _view_name(view))
@@ -620,40 +624,31 @@ class ProvenanceServer:
                 return False
         max_queue = self._policy.max_queue
         with self._cond:
-            if self._stopping:
-                raise RuntimeError("provenance server is stopped")
-            inline = inline and self._alone(n)
-            if inline:
-                self._busy += 1
-            else:
-                while self._queued + n > max_queue:
-                    if not block:
-                        return False
-                    if not self._threads:
-                        raise RuntimeError(
-                            "request queue is full and no workers are running; "
-                            "start() the server or drain_once() between submissions"
-                        )
-                    self._cond.wait(_QUEUE_POLL_S)
-                    if self._stopping:
-                        raise RuntimeError("provenance server is stopped")
-                self._queue.append(request)
-                self._queued += n
-                depth = self._queued
-                self._cond.notify_all()
-        self._submitted_c.inc(n)
-        if inline:
-            try:
-                self._step([request])
-            except Exception as exc:
-                # The ``scheduler.batch`` fault point escaped the step: a
-                # worker's supervisor fails the batch it held; here that is
-                # this frame alone, and the caller's thread lives on.
-                self.last_error = exc
-                self._reply(request, None, exc)
-            return True
-        self._queue_peak_g.set_max(depth)
-        self._queue_hwm_g.set_max(depth)
+            while True:
+                if self._stopping:
+                    raise RuntimeError("provenance server is stopped")
+                if self._queued + n <= max_queue:
+                    break
+                if not block:
+                    return False
+                if not self._running:
+                    raise RuntimeError(
+                        "request queue is full and the server is not running; "
+                        "start() the server or drain_once() between submissions"
+                    )
+                if self._combiner == threading.get_ident():
+                    # A reply callback submitting from inside a step: only this
+                    # thread would pop room, so waiting would never end.
+                    raise RuntimeError("request queue is full and this thread is serving it")
+                self._cond.wait()
+            self._queue.append(request)
+            self._queued += n
+            depth = self._queued
+        tally = Tally()  # one registry lock for the admission's three updates
+        tally.add(self._submitted_c, n)
+        tally.set_max(self._queue_peak_g, depth)
+        tally.set_max(self._queue_hwm_g, depth)
+        self.metrics.fold(tally)
         return True
 
     def _reply(self, request: Request, answers, error: "BaseException | None" = None) -> None:
@@ -663,18 +658,6 @@ class ProvenanceServer:
             request.resolve(answers, error)
         except Exception as exc:
             self.last_error = exc
-
-    def _alone(self, n: int) -> bool:
-        """Whether a frame of ``n`` queries may skip the queue (``_cond`` held).
-
-        Workers are running, nothing is queued, no step is in flight, and
-        the frame would not linger (see :meth:`_lingering`): a worker would
-        pop it at once and serve it as a step of its own, so the submitting
-        thread may as well, and the frame saves the wake and the hand-off.
-        """
-        policy = self._policy
-        lingers = policy.max_linger_us > 0 and n == 1 < policy.max_batch
-        return bool(self._threads) and not self._queue and not self._busy and not lingers
 
     def _pop_step(self) -> "tuple[list[Request], int]":
         """Pop one step's requests (caller holds ``_cond``): whole frames only.
@@ -695,110 +678,6 @@ class ProvenanceServer:
             self._queued -= queries
             self._cond.notify_all()  # wake blocked submitters
         return batch, queries
-
-    def _worker_entry(self) -> None:
-        """Supervise one worker thread: restart it when a step escapes.
-
-        The per-batch guard in :meth:`_worker` already contains failures
-        *inside* a scheduling step, but an exception between steps — in
-        :meth:`_collect_batch` itself, or at the ``scheduler.batch`` fault
-        point — would kill the thread and silently strand every later
-        submitter.  The supervisor fails the batch the dead worker was
-        holding (loudly, through each record's sink), counts the restart,
-        and spins a fresh loop unless the server is stopping with a drained
-        queue.
-        """
-        in_flight: "list[list[Request] | None]" = [None]
-        while True:
-            try:
-                self._worker(in_flight)
-                return  # clean exit: stopping, queue drained
-            except Exception as exc:
-                batch = in_flight[0]
-                in_flight[0] = None
-                self.last_error = exc
-                for request in batch or ():
-                    self._reply(request, None, exc)
-                self._worker_restarts_c.inc()
-                obs_events.emit(
-                    "worker_restart",
-                    error=repr(exc),
-                    failed_requests=sum(r.n for r in batch) if batch else 0,
-                )
-                with self._cond:
-                    if self._stopping and not self._queue:
-                        return
-
-    def _worker(self, in_flight: "list[list[Request] | None]") -> None:
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            # Published before the fault point so the supervisor can fail
-            # exactly the requests this thread popped, should it die there.
-            in_flight[0] = batch
-            self._step(batch)
-            in_flight[0] = None
-
-    def _step(self, batch: "list[Request]") -> None:
-        """Serve one step the caller counted in ``_busy`` (a worker, or an inline submit).
-
-        Only the ``scheduler.batch`` fault point escapes.  A fault outside
-        the per-group guards (e.g. a probe hitting a corrupt file) must not
-        kill the thread serving: a dead worker with live submitters is a
-        silent deadlock.  It fails this batch's records not yet answered.
-        """
-        try:
-            faults.hit("scheduler.batch")
-            try:
-                self._process(batch)
-            except Exception as exc:
-                self.last_error = exc
-                for request in batch:
-                    self._reply(request, None, exc)
-        finally:
-            with self._cond:
-                self._busy -= 1
-                if self._stopping:
-                    self._cond.notify_all()  # stop() waits for the last step
-
-    def _collect_batch(self) -> "list[Request] | None":
-        policy = self._policy
-        with self._cond:
-            while True:
-                while not self._queue and not self._stopping:
-                    self._cond.wait()
-                if not self._queue:
-                    return None  # stopping, and the queue is drained
-                if policy.max_linger_us > 0 and self._lingering():
-                    # Hold the first request briefly: under concurrency the
-                    # linger converts a stream of 1-query frames into one batch.
-                    # The deadline runs on the injected clock (like the probe
-                    # backoff), so tests drive linger with a fake clock; only
-                    # the condition waits themselves are OS-timed.
-                    deadline = self._clock() + policy.max_linger_us / 1e6
-                    while self._lingering():
-                        remaining = deadline - self._clock()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(min(remaining, _QUEUE_POLL_S))
-                if not self._queue:
-                    continue  # another worker took everything while we lingered
-                self._busy += 1
-                return self._pop_step()[0]
-
-    def _lingering(self) -> bool:
-        """Whether the head of the queue should wait for company (``_cond`` held).
-
-        Only while everything queued is a 1-query frame (a larger frame
-        already *is* a batch: holding it buys nothing and costs it the
-        timer), the step is not full and the server is not stopping.
-        """
-        return (
-            self._queued == len(self._queue)
-            and self._queued < self._policy.max_batch
-            and not self._stopping
-        )
 
     def _process(self, batch: "list[Request]") -> None:
         """Answer one step's records, one engine call per same-key group.
@@ -934,8 +813,8 @@ class ProvenanceServer:
             if run in self._engine.run_ids:
                 # A registered run failing to remap is a real fault (foreign
                 # specification, shrunk file) — record it for operators and
-                # re-raise: inline callers see it directly, worker threads
-                # keep serving the old mapping with the fault pinned on
+                # re-raise: a drain_once() caller sees it directly, a combiner
+                # keeps serving the old mapping with the fault pinned on
                 # :attr:`last_error` (the batch's answers already resolved).
                 self.last_error = exc
                 raise
@@ -944,7 +823,4 @@ class ProvenanceServer:
             self._reopens_c.inc()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProvenanceServer(workers={len(self._threads)}, "
-            f"pending={self.pending}, running={self.running})"
-        )
+        return f"ProvenanceServer(pending={self.pending}, running={self.running})"

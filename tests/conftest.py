@@ -346,9 +346,9 @@ def ask():
     """``ask(server, kind, ids, view, **where) -> np.ndarray``: one frame, waited for.
 
     :meth:`~repro.serve.ProvenanceServer.submit_batch`, then — on a server
-    with no workers — :meth:`~repro.serve.ProvenanceServer.drain_once` until
-    the frame resolves to its bool array.  The scheduler keeps no blocking
-    call of its own.
+    that was not started — :meth:`~repro.serve.ProvenanceServer.drain_once`
+    until the frame resolves to its bool array.  The scheduler keeps no
+    blocking call of its own.
     """
 
     def ask(server, kind, ids, view, **where):
@@ -362,23 +362,22 @@ def ask():
 
 @pytest.fixture(scope="session")
 def offer():
-    """``offer(server, kind, ids, view, run=..., backlog=True) -> (admitted, replies)``.
+    """``offer(server, kind, ids, view, run=...) -> (admitted, replies)``.
 
     What a request edge does: one record (:class:`~repro.obs.trace.Request`,
     unsampled) whose reply sink appends ``(answers, error)`` to ``replies``,
-    handed to :meth:`~repro.serve.ProvenanceServer.serve_frame`.  With
-    ``backlog`` (the default) the frame is never served on the caller's
-    thread; ``admitted`` is ``False`` when it was shed.
+    handed to :meth:`~repro.serve.ProvenanceServer.serve_frame`, which only
+    queues it; ``admitted`` is ``False`` when it was shed.
     """
     from repro.engine import DEFAULT_RUN
     from repro.obs.trace import Request
 
-    def offer(server, kind, ids, view, *, run=DEFAULT_RUN, backlog=True):
+    def offer(server, kind, ids, view, *, run=DEFAULT_RUN):
         replies: list = []
         name = view if isinstance(view, str) else view.name
         record = Request(0, kind, run, name, len(ids), 0.0)
         record.reply = lambda _record, answers, error: replies.append((answers, error))
-        admitted = server.serve_frame(record, ids, view, run=run, backlog=backlog)
+        admitted = server.serve_frame(record, ids, view, run=run)
         return admitted, replies
 
     return offer

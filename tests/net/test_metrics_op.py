@@ -120,7 +120,7 @@ def test_wire_scrape_matches_engine_stats(scheme, spec, tmp_path):
     assert labeler is not None
     engine.add_view(view)
     sock_path = tmp_path / "metrics.sock"
-    with ProvenanceServer(engine, workers=2) as server:
+    with ProvenanceServer(engine) as server:
         with ProvenanceNetServer(server, unix_path=sock_path):
             with ProvenanceClient(unix_path=sock_path) as client:
                 client.depends_batch(pairs, view.name)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import sys
@@ -26,9 +27,12 @@ from repro.net import (
     ProvenanceNetServer,
     RemoteQueryError,
     ServerOverloadedError,
+    ShedReply,
+    StatsReply,
     decode_reply,
     encode_depends_request,
     encode_metrics_request,
+    encode_stats_request,
     encode_visible_request,
 )
 from repro.obs.metrics import MetricsRegistry, parse_exposition
@@ -75,7 +79,7 @@ def served(scheme, workload, run_file, tmp_path):
     _, view, items, pairs = workload
     path, expected, expected_visible = run_file
     engine = QueryEngine(scheme)
-    server = ProvenanceServer(engine, workers=2)
+    server = ProvenanceServer(engine)
     server.attach(path)
     engine.add_view(view)
     sock_path = tmp_path / "prov.sock"
@@ -311,7 +315,7 @@ def traced_stack(scheme, workload, run_file, tmp_path, clock=time.perf_counter):
     _, view, _, _ = workload
     engine = QueryEngine(scheme)
     sampler = Sampler(engine.metrics, sample_rate=1.0, clock=clock)
-    server = ProvenanceServer(engine, workers=2, sampler=sampler)
+    server = ProvenanceServer(engine, sampler=sampler)
     server.attach(run_file[0])
     engine.add_view(view)
     sock_path = tmp_path / "traced.sock"
@@ -366,7 +370,7 @@ def test_a_traced_frame_lands_as_a_head_record_nesting_scheduler_and_engine(
 
 @contextmanager
 def _wedged(scheme, view, pairs, tmp_path):
-    """A net server whose scheduler (no workers) holds a full queue of 8."""
+    """A net server whose scheduler (not started) holds a full queue of 8."""
     backed_up = ProvenanceServer(
         QueryEngine(scheme), policy=BatchPolicy(max_batch=8, max_queue=8)
     )
@@ -398,7 +402,7 @@ def _wedged(scheme, view, pairs, tmp_path):
 
 
 def test_full_queue_sheds_instead_of_hanging(scheme, workload, tmp_path):
-    """A wedged scheduler (no workers) yields SHED replies, never a hang."""
+    """A wedged scheduler (not started) yields SHED replies, never a hang."""
     _, view, _, pairs = workload
     with _wedged(scheme, view, pairs, tmp_path) as (net, sock_path):
         with ProvenanceClient(unix_path=sock_path) as client:
@@ -486,8 +490,8 @@ def test_bad_frame_fails_alone_across_connections(scheme, workload, run_file, tm
         ]
         for thread in threads:
             thread.start()
-        # No workers yet: both frames park in the queue, so the first step
-        # the scheduler takes is guaranteed to coalesce them.
+        # Not started yet: both frames park in the queue, so the first step
+        # the scheduler takes (start() combines) is guaranteed to coalesce them.
         deadline = time.monotonic() + 5.0
         while server.pending < 200 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -567,16 +571,18 @@ class _ThreadedPlan(FaultPlan):
         super()._hit(point)
 
 
-@pytest.mark.parametrize("writer", ["worker", "loop"])
+@pytest.mark.parametrize("writer", ["combiner", "loop"])
 def test_a_failed_reply_send_drops_that_connection_only(served, monkeypatch, writer):
     """An armed ``net.send`` fails one reply: the loop closes that connection alone.
 
-    An answers frame's reply is written by the worker that resolved it (a
-    1-pair frame lingers for company, so a worker takes its step); a
-    refused variant frame's by the loop.  Either way the loop closes the
+    An answers frame's reply is written by whichever thread took its step:
+    here an in-process submitter whose step was in flight when the loop
+    queued the frame, so it combined the frame too.  A refused variant
+    frame's reply is written by the loop.  Either way the loop closes the
     connection.
     """
     net, sock_path, view, _, pairs, expected, _ = served
+    server = net._server
     closes = []
     close_conn = ProvenanceNetServer._close_conn
 
@@ -585,16 +591,29 @@ def test_a_failed_reply_send_drops_that_connection_only(served, monkeypatch, wri
         return close_conn(self, conn, **kwargs)
 
     monkeypatch.setattr(ProvenanceNetServer, "_close_conn", closing)
-    variant = None if writer == "worker" else "space-efficient"
+    variant = None if writer == "combiner" else "space-efficient"
     good = encode_depends_request(1, DEFAULT_RUN, view.name, None, pairs[:25])
     other, victim = _raw(sock_path), _raw(sock_path)
+    combiner = None
     try:
         assert _exchange(other, good).answers.tolist() == expected[:25]
         _until(lambda: len(net._conns) == 2)
         plan = _ThreadedPlan(net).on("net.send", count=1)
         with plan.armed():
-            frame = pairs[:1] if writer == "worker" else pairs[:25]
-            victim.sendall(encode_depends_request(2, DEFAULT_RUN, view.name, variant, frame))
+            frame = encode_depends_request(2, DEFAULT_RUN, view.name, variant, pairs[:25])
+            if writer == "combiner":
+                started, release = _held_engine(monkeypatch, net)
+                _until(lambda: server._combiner is None)  # the loop is done with its step
+                combiner = threading.Thread(
+                    target=lambda: server.submit_batch("depends", pairs[:3], view)
+                )
+                combiner.start()
+                assert started.wait(5.0)
+                victim.sendall(frame)
+                _until(lambda: server.pending == 25)  # queued; the loop found a step in flight
+                release.set()
+            else:
+                victim.sendall(frame)
             assert victim.recv(1) == b""  # the reply failed: that connection is gone
             _until(lambda: len(net._conns) == 1)
             assert plan.fired("net.send") == 1
@@ -605,12 +624,16 @@ def test_a_failed_reply_send_drops_that_connection_only(served, monkeypatch, wri
         assert on_loop and conn.closed and conn not in net._conns
         assert net.stats.active_connections == 1
     finally:
+        if combiner is not None:
+            release.set()
+            combiner.join(5.0)
         other.close()
         victim.close()
 
 
 def test_warm_replies_that_fit_the_socket_never_wake_the_loop(served, monkeypatch):
-    """A reply the socket takes whole is written by its worker: no self-pipe wake."""
+    """A reply the socket takes whole is written by the thread that took its
+    step, the loop itself: no self-pipe wake."""
     net, sock_path, view, _, pairs, expected, _ = served
     frame = encode_depends_request(7, DEFAULT_RUN, view.name, None, pairs)
     raw = _raw(sock_path)
@@ -664,7 +687,7 @@ def test_a_reply_larger_than_the_send_buffer_arrives_whole_and_in_order(served, 
         raw.close()
 
 
-# -- run to completion: an alone frame is served on the loop ----------------------
+# -- the loop combines: every frame it reads is served on it ---------------------
 
 
 def _steps_on_loop(monkeypatch, net) -> list:
@@ -696,9 +719,8 @@ def _held_engine(monkeypatch, net):
     return started, release
 
 
-def test_a_frame_alone_is_served_on_the_loop_that_read_it(served, monkeypatch):
-    """On an idle scheduler a frame of n > 1 skips the queue: no worker takes
-    a step.  A 1-query frame still lingers for company, on a worker."""
+def test_every_frame_is_served_on_the_loop_that_read_it(served, monkeypatch):
+    """No thread but the loop takes a step for a wire frame, whatever its size."""
     net, sock_path, view, _, pairs, expected, _ = served
     frame = encode_depends_request(7, DEFAULT_RUN, view.name, None, pairs[:64])
     single = encode_depends_request(8, DEFAULT_RUN, view.name, None, pairs[:1])
@@ -714,7 +736,7 @@ def test_a_frame_alone_is_served_on_the_loop_that_read_it(served, monkeypatch):
             assert reply.request_id == 8 and reply.answers.tolist() == expected[:1]
     finally:
         raw.close()
-    assert steps == [True] * 20 + [False] * 3
+    assert steps == [True] * 23
 
 
 def test_concurrent_one_pair_clients_still_coalesce(served):
@@ -746,36 +768,57 @@ def test_concurrent_one_pair_clients_still_coalesce(served):
     assert after.coalesced > before.coalesced
 
 
-def test_a_backlog_goes_to_the_workers_while_the_loop_serves_a_slow_step(served, monkeypatch):
-    """Frames that arrive while the loop is in a step are answered; read
-    together, each has intake pending beside it, so the workers take them."""
+@pytest.mark.parametrize("last", ["depends", "shed", "variant", "stats"])
+def test_frames_read_during_a_slow_step_are_one_step_whatever_comes_last(
+    served, monkeypatch, last
+):
+    """Frames that arrive while the loop is in a step are read in one pass and
+    served by one step of the loop, even when the pass's last frame is shed,
+    refused for its variant field or a stats request: nothing is stranded."""
     net, sock_path, view, _, pairs, expected, _ = served
     started, release = _held_engine(monkeypatch, net)
     steps = _steps_on_loop(monkeypatch, net)
-    socks = [_raw(sock_path) for _ in range(3)]
+    socks = []
     try:
-        _until(lambda: len(net._conns) == 3)
-        chunks = [pairs[25 * i : 25 * (i + 1)] for i in range(3)]
+        # Accepted in this order, the connections are pumped in this order.
+        for count in range(1, 5):
+            socks.append(_raw(sock_path))
+            _until(lambda: len(net._conns) == count)
+        chunks = [pairs[25 * i : 25 * (i + 1)] for i in range(4)]
         socks[0].sendall(encode_depends_request(0, DEFAULT_RUN, view.name, None, chunks[0]))
         assert started.wait(5.0)  # the loop is in the step, held
         for i in (1, 2):
             socks[i].sendall(encode_depends_request(i, DEFAULT_RUN, view.name, None, chunks[i]))
-        release.set()
-        replies = [_exchange(sock, b"") for sock in socks]
+        variant = "space-efficient" if last == "variant" else None
+        final = (
+            encode_stats_request(3) if last == "stats"
+            else encode_depends_request(3, DEFAULT_RUN, view.name, variant, chunks[3])
+        )
+        socks[3].sendall(final)
+        time.sleep(0.05)  # all three frames wait in their sockets
+        # The third admission of the next pass, the last frame's, is shed.
+        plan = FaultPlan().on("scheduler.admit", after=2)
+        with plan.armed() if last == "shed" else contextlib.nullcontext():
+            release.set()
+            replies = [_exchange(sock, b"") for sock in socks]
     finally:
         release.set()
         for sock in socks:
             sock.close()
-    assert [reply.request_id for reply in replies] == [0, 1, 2]
-    assert [reply.answers.tolist() for reply in replies] == [
-        expected[25 * i : 25 * (i + 1)] for i in range(3)
+    assert [reply.request_id for reply in replies] == [0, 1, 2, 3]
+    answered = 4 if last == "depends" else 3
+    assert [reply.answers.tolist() for reply in replies[:answered]] == [
+        expected[25 * i : 25 * (i + 1)] for i in range(answered)
     ]
-    assert steps[0] is True and len(steps) >= 2 and not any(steps[1:])
+    kinds = {"shed": ShedReply, "variant": ErrorReply, "stats": StatsReply}
+    if last in kinds:
+        assert isinstance(replies[3], kinds[last])
+    assert steps == [True, True]
 
 
 def test_an_armed_step_on_the_loop_fails_that_frame_alone(served):
-    """``scheduler.batch`` on a loop step is a typed error reply; the connection,
-    the loop and every worker live on."""
+    """``scheduler.batch`` on a loop step is a typed error reply; the connection
+    and the loop live on."""
     net, sock_path, view, _, pairs, expected, _ = served
     server = net._server
     raw = _raw(sock_path)
@@ -793,7 +836,7 @@ def test_an_armed_step_on_the_loop_fails_that_frame_alone(served):
     assert (failed.request_id, failed.kind) == (1, "InjectedFault")
     assert answered.request_id == 2 and answered.answers.tolist() == expected[:25]
     assert net.running and net.stats.connections == 1 and net.stats.errors == 1
-    assert server.stats.worker_restarts == 0 and isinstance(server.last_error, InjectedFault)
+    assert isinstance(server.last_error, InjectedFault)
     with ProvenanceClient(unix_path=sock_path) as client:
         assert client.depends_batch(pairs, view.name).tolist() == expected
 
@@ -810,7 +853,7 @@ def test_stop_waits_for_a_step_the_loop_is_taking(served, monkeypatch):
         assert started.wait(5.0)
         stopper.start()
         stopper.join(0.2)
-        assert stopper.is_alive()  # the workers are joined; the loop's step holds it
+        assert stopper.is_alive()  # the loop's step holds it
         release.set()
         stopper.join(5.0)
         assert not stopper.is_alive()
@@ -823,16 +866,17 @@ def test_stop_waits_for_a_step_the_loop_is_taking(served, monkeypatch):
     assert steps == [True]
 
 
-def test_loop_and_worker_steps_interleave_without_losing_a_step(
+def test_loop_and_submitter_steps_interleave_without_losing_a_step(
     scheme, workload, run_file, tmp_path
 ):
-    """More clients and workers than cores, a short switch interval, 1-pair and
-    25-pair frames mixed: every answer is right, and no step count is lost
-    (a stuck busy count would hang stop())."""
+    """More wire clients and in-process submitters than cores, a short switch
+    interval, 1-pair and 25-pair frames mixed: the loop and the submitters
+    take turns combining, every answer is right, and the combiner role is
+    never lost (a stuck one would strand frames and hang stop())."""
     _, view, _, pairs = workload
     path, expected, _ = run_file
     engine = QueryEngine(scheme)
-    server = ProvenanceServer(engine, workers=3)
+    server = ProvenanceServer(engine)
     server.attach(path)
     engine.add_view(view)
     sock_path = tmp_path / "stress.sock"
@@ -849,11 +893,22 @@ def test_loop_and_worker_steps_interleave_without_losing_a_step(
         except Exception as exc:  # pragma: no cover - surfaced by the assert
             errors.append(exc)
 
+    def submitter(index: int) -> None:
+        try:
+            for r in range(40):
+                lo = (index * 11 + r) % 250
+                size = 1 if r % 2 else 25
+                future = server.submit_batch("depends", pairs[lo : lo + size], view)
+                assert future.result(timeout=30).tolist() == expected[lo : lo + size]
+        except Exception as exc:  # pragma: no cover - surfaced by the assert
+            errors.append(exc)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with server, ProvenanceNetServer(server, unix_path=sock_path):
             threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+            threads += [threading.Thread(target=submitter, args=(i,)) for i in range(2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -868,7 +923,7 @@ def test_loop_and_worker_steps_interleave_without_losing_a_step(
         engine.detach(DEFAULT_RUN)
     assert errors == []
     stats = server.stats
-    assert server._busy == 0 and stats.answered == stats.submitted
+    assert server._combiner is None and stats.answered == stats.submitted
     assert stats.batches > 0
 
 
@@ -1027,7 +1082,7 @@ def test_nine_views_under_a_budget_for_two_answer_like_the_oracle(scheme, spec, 
     roomy.detach(DEFAULT_RUN)
 
     engine = QueryEngine(scheme, state_budget_bytes=budget)
-    server = ProvenanceServer(engine, workers=2)
+    server = ProvenanceServer(engine)
     server.attach(run_file)
     sock_path = tmp_path / "nine.sock"
     with server, ProvenanceNetServer(server, unix_path=sock_path):

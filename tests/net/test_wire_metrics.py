@@ -65,7 +65,8 @@ def _latency(count: int, exemplar: str) -> dict:
 #: the oversized one and the traced one, which leaves the exemplar), one
 #: visible frame, and the unknown view's frame under the label the engine
 #: does not know.  The refused variant opens no record.  Every admitted frame
-#: is served on the loop, alone: nothing is queued.
+#: is queued and then served by the loop's own step, one frame per pass, so
+#: the deepest queue is the 40-pair frame.
 PINNED = {
     "net_answered_frames_total": {(): 4},
     "net_connections_total": {(): 1},
@@ -82,11 +83,10 @@ PINNED = {
     "serve_largest_batch": {(): 40},
     "serve_probes_total": {},
     "serve_queue_depth": {(): 0.0},
-    "serve_queue_depth_high_watermark": {},
-    "serve_queue_peak": {},
+    "serve_queue_depth_high_watermark": {(): 40},
+    "serve_queue_peak": {(): 40},
     "serve_reopens_total": {},
     "serve_submitted_total": {(): 114},
-    "serve_worker_restarts_total": {},
     "tail_considered_total": {(): 7},
     "tail_evicted_total": {},
     "tail_kept_total": {("slow",): 4, ("shed",): 1, ("error",): 2},
@@ -189,7 +189,7 @@ def test_a_scripted_wire_sequence_pins_every_serving_metric(stack_inputs, tmp_pa
     sampler = Sampler(engine.metrics, sample_rate=1.0, clock=StepClock(0.25))
     server = ProvenanceServer(
         engine,
-        policy=BatchPolicy(max_batch=64, max_queue=64, max_linger_us=0),
+        policy=BatchPolicy(max_batch=64, max_queue=64),
         clock=lambda: 0.0,
         sampler=sampler,
     )

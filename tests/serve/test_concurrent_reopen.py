@@ -96,9 +96,8 @@ def test_concurrent_batches_stay_bit_identical_across_compaction(segmented, sche
     engine = QueryEngine(scheme)
     server = ProvenanceServer(
         engine,
-        policy=BatchPolicy(max_batch=256, max_linger_us=100),
+        policy=BatchPolicy(max_batch=256),
         reopen=ReopenPolicy(after_queries=50, after_seconds=0.01),
-        workers=2,
     )
     server.attach(run_file, warm=False)
     n_clients = 6

@@ -9,7 +9,8 @@ second engine call.
 
 from __future__ import annotations
 
-import time
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -65,21 +66,14 @@ class Replies:
 
 
 def _queue(server, sink, frames) -> list:
-    """One record per frame, queued through ``serve_frame`` (never served inline)."""
+    """One record per frame, queued through ``serve_frame`` (which takes no step)."""
     records = []
     for ids in frames:
         record = Request(0, "depends", DEFAULT_RUN, VIEW.name, len(ids), 0.0)
         record.reply = sink
-        assert server.serve_frame(record, ids, VIEW, backlog=True)
+        assert server.serve_frame(record, ids, VIEW)
         records.append(record)
     return records
-
-
-def _until(condition) -> None:
-    deadline = time.monotonic() + 5.0
-    while not condition():
-        assert time.monotonic() < deadline, "timed out"
-        time.sleep(0.005)
 
 
 def _answered_once(sink, record, ids) -> None:
@@ -107,57 +101,104 @@ def test_a_raising_sink_costs_its_group_nothing():
     assert str(server.last_error) == "the sink broke"
 
 
-def test_an_armed_step_on_the_loop_fails_its_record_once():
+def test_an_armed_step_fails_its_record_once():
     server = ProvenanceServer(_engine())
     ids = _frame(16)
     sink = Replies()
-    record = Request(0, "depends", DEFAULT_RUN, VIEW.name, len(ids), 0.0)
-    record.reply = sink
     with server, FaultPlan().on("scheduler.batch", count=1).armed():
-        assert server.serve_frame(record, ids, VIEW, backlog=False)  # alone: inline
+        [record] = _queue(server, sink, [ids])
+        server.combine()
         _failed_once(sink, record, InjectedFault)
         assert isinstance(server.last_error, InjectedFault)
-        assert server.stats.worker_restarts == 0 and server._busy == 0
+        assert server._combiner is None
 
 
-def test_an_armed_step_on_a_worker_fails_each_record_once():
+def test_an_armed_step_fails_each_of_its_records_once():
     server = ProvenanceServer(_engine())
     frames = [_frame(16), _frame(8, 5), _frame(12, 9)]
     sink = Replies()
     records = _queue(server, sink, frames)  # queued before start: one step takes all three
     with FaultPlan().on("scheduler.batch", count=1).armed():
         with server:
-            _until(lambda: server.stats.worker_restarts == 1)
             for record in records:
                 _failed_once(sink, record, InjectedFault)
-            # The restarted worker serves the next frame.
+            # The next frame's submitter combines and is answered.
             [again] = _queue(server, sink, [frames[0]])
-            _until(lambda: sink.of(again))
+            server.combine()
             _answered_once(sink, again, frames[0])
 
 
-def test_a_worker_death_after_a_partial_answer_replies_to_each_record_once(monkeypatch):
+def test_a_step_failing_after_a_partial_answer_replies_to_each_record_once(monkeypatch):
     server = ProvenanceServer(_engine())
     frames = [_frame(16), _frame(8, 5), _frame(12, 9)]
     sink = Replies()
     records = _queue(server, sink, frames)
-    step = server._step
+    process = server._process
 
-    def dies_after_the_first_answer(batch):
+    def fails_after_the_first_answer(batch):
         if len(batch) == len(frames):
             server._reply(batch[0], ORACLE.depends_batch(frames[0], VIEW))
-            with server._cond:
-                server._busy -= 1
-            raise RuntimeError("worker died")
-        step(batch)
+            raise RuntimeError("step failed")
+        process(batch)
 
-    monkeypatch.setattr(server, "_step", dies_after_the_first_answer)
+    monkeypatch.setattr(server, "_process", fails_after_the_first_answer)
     with server:
-        _until(lambda: server.stats.worker_restarts == 1)
         _answered_once(sink, records[0], frames[0])
         for record in records[1:]:
             _failed_once(sink, record, RuntimeError)
-        assert str(server.last_error) == "worker died"
+        assert str(server.last_error) == "step failed"
+
+
+def test_submitters_racing_the_combiners_release_get_one_reply_each():
+    """More submitter threads than cores queue frames and combine, round after
+    round, while the combiner role changes hands under a short switch
+    interval.  Once every submitter of a round has returned, nothing is left
+    queued (a combiner that gave the role up after a record slipped in would
+    strand it), and every record has had exactly one reply, bit-identical to
+    the engine's."""
+    server = ProvenanceServer(_engine(), policy=BatchPolicy(max_batch=16, max_queue=65536))
+    sink = Replies()
+    n_threads, per_thread = 8, 40
+    sent: list = []
+    errors: list = []
+
+    def round_ended() -> None:
+        if server.pending:
+            errors.append(f"{server.pending} queries stranded after a round")
+            server.drain_once()  # the next round starts clean
+
+    barrier = threading.Barrier(n_threads, action=round_ended)
+
+    def submitter(index: int) -> None:
+        try:
+            for k in range(per_thread):
+                ids = _frame(1 + (index + k) % 12, index * per_thread + k)
+                [record] = _queue(server, sink, [ids])
+                sent.append((record, ids))
+                server.combine()
+                barrier.wait(30.0)
+        except Exception as exc:  # pragma: no cover - surfaced by the assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with server:
+            threads = [threading.Thread(target=submitter, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            assert server.pending == 0 and server._combiner is None
+            assert len(sent) == n_threads * per_thread
+            for record, ids in sent:
+                _answered_once(sink, record, ids)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    stats = server.stats
+    assert stats.submitted == stats.answered
 
 
 def test_a_probe_failure_after_the_answers_replies_to_no_record_twice(monkeypatch):
@@ -172,11 +213,10 @@ def test_a_probe_failure_after_the_answers_replies_to_no_record_twice(monkeypatc
 
     monkeypatch.setattr(engine, "reopen", refuses)
     with server:
-        _until(lambda: isinstance(server.last_error, LabelingError))
-    # Stopped: the step that failed after answering has swept its batch.
+        assert isinstance(server.last_error, LabelingError)
+    # The step that failed after answering has swept its batch.
     for record, ids in zip(records, frames):
         _answered_once(sink, record, ids)
-    assert server.stats.worker_restarts == 0
 
 
 def test_stop_replies_once_to_every_queued_record():
@@ -191,4 +231,4 @@ def test_stop_replies_once_to_every_queued_record():
         assert "stopped" in str(sink.of(record)[0][1])
     assert server.pending == 0
     with pytest.raises(RuntimeError, match="stopped"):
-        server.serve_frame(records[0], frames[0], VIEW, backlog=True)
+        server.serve_frame(records[0], frames[0], VIEW)

@@ -9,7 +9,6 @@ and hostile sizes rejected before anything is built.
 
 from __future__ import annotations
 
-import time
 
 import numpy as np
 import pytest
@@ -80,7 +79,7 @@ _SUBMISSION = st.tuples(
     st.sampled_from(["depends", "visible"]),
     st.sampled_from(sorted(RUNS)),
     st.integers(0, len(VIEWS) - 1),
-    st.one_of(st.just(1), st.integers(0, 40)),  # frame size (0 = empty, 1 = lingers)
+    st.one_of(st.just(1), st.integers(0, 40)),  # frame size (0 = empty, 1 = one query)
     st.integers(0, 2**16),  # which items
 )
 
@@ -194,7 +193,7 @@ def test_stop_fails_a_queued_frame():
         server.submit_batch("depends", _frame("run-a", 5), VIEWS[0], run="run-a")
 
 
-def test_supervisor_fails_the_in_flight_frame():
+def test_a_faulted_step_fails_the_in_flight_frame():
     server = _server()
     plan = FaultPlan().on("scheduler.batch", count=1)
     ids = _frame("run-a", 64)
@@ -202,14 +201,10 @@ def test_supervisor_fails_the_in_flight_frame():
         with plan.armed():
             doomed = server.submit_batch("depends", ids, VIEWS[0], run="run-a")
             with pytest.raises(InjectedFault):
-                doomed.result(timeout=5.0)
-        deadline = time.monotonic() + 5.0
-        while server.stats.worker_restarts != 1 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert server.stats.worker_restarts == 1
-        # The restarted worker serves the same frame.
+                doomed.result(timeout=0)
+        # The next submitter's step serves the same frame.
         again = server.submit_batch("depends", ids, VIEWS[0], run="run-a")
-        assert again.result(timeout=5.0).shape == (64,)
+        assert again.result(timeout=0).shape == (64,)
 
 
 # -- hostile sizes are rejected before anything is built -------------------------

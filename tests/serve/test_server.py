@@ -58,8 +58,6 @@ def served(scheme, workload, tmp_path):
 def test_batch_policy_validation():
     with pytest.raises(ValueError, match="max_batch"):
         BatchPolicy(max_batch=0)
-    with pytest.raises(ValueError, match="max_linger_us"):
-        BatchPolicy(max_linger_us=-1)
     with pytest.raises(ValueError, match="max_queue"):
         BatchPolicy(max_batch=64, max_queue=32)
 
@@ -72,8 +70,9 @@ def test_reopen_policy_validation():
 
 
 def test_server_rejects_zero_workers(scheme):
-    with pytest.raises(ValueError, match="workers"):
-        ProvenanceServer(QueryEngine(scheme), workers=0)
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers"):
+            ProvenanceServer(QueryEngine(scheme), workers=workers)
 
 
 # -- inline (threadless) mode --------------------------------------------------
@@ -229,7 +228,8 @@ def test_start_twice_rejected_and_restartable(served, ask):
 
 
 def test_workers_drain_backlog_on_stop(served):
-    """Requests queued before stop() are answered, not dropped."""
+    """Requests queued before start() are answered, not dropped: start()
+    combines on the caller's thread."""
     server, view, _, pairs, expected, _ = served
     futures = [server.submit_batch("depends", [pair], view) for pair in pairs]
     server.start()
@@ -237,115 +237,188 @@ def test_workers_drain_backlog_on_stop(served):
     assert [f.result(timeout=30).item() for f in futures] == expected
 
 
-# -- the injected clock drives linger ------------------------------------------
+# -- combining: the submitter that finds no step in flight serves the queue ------
 
 
-class _FakeClock:
-    """A monotonic clock that leaps forward a fixed step per reading."""
+def _held(monkeypatch, engine, gate=None):
+    """Hold the first engine call until released, and call ``gate`` before each
+    later one; ``(started, release, threads)``, ``threads`` naming the thread
+    of every engine call."""
+    answer = engine.answer
+    started, release = threading.Event(), threading.Event()
+    threads: list = []
 
-    def __init__(self, step: float) -> None:
-        self.now = 0.0
-        self.step = step
+    def held(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        if not started.is_set():
+            started.set()
+            release.wait(10.0)
+        elif gate is not None:
+            gate()
+        return answer(*args, **kwargs)
 
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
-
-
-def test_linger_deadline_runs_on_the_injected_clock(scheme, workload, tmp_path):
-    """A 10-second linger elapses promptly under a fast fake clock.
-
-    The linger deadline used to be pinned to ``time.monotonic()`` no matter
-    what ``clock=`` was injected, so this test would hang for the full real
-    10 seconds instead of the handful of 50ms condition waits it takes the
-    fake clock to leap past the deadline.
-    """
-    derivation, view, items, pairs = workload
-    reference = QueryEngine(scheme)
-    reference.add_run(DEFAULT_RUN, derivation)
-    run_file = tmp_path / "clock.fvl"
-    reference.checkpoint(run_file)
-    engine = QueryEngine(scheme)
-    server = ProvenanceServer(
-        engine,
-        policy=BatchPolicy(max_batch=4096, max_linger_us=10_000_000),
-        clock=_FakeClock(step=1.0),
-    )
-    server.attach(run_file)
-    with server:
-        future = server.submit_batch("depends", pairs[:1], view)
-        assert future.result(timeout=5).shape == (1,)
+    monkeypatch.setattr(engine, "answer", held)
+    return started, release, threads
 
 
-def test_wall_clock_linger_still_collects_promptly(served, ask):
-    """Sanity: the default clock path answers well under the linger bound."""
+def _thread(name: str, target) -> threading.Thread:
+    thread = threading.Thread(target=target, name=name, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_start_starts_no_thread(served, ask):
     server, view, _, pairs, expected, _ = served
+    before = threading.active_count()
     with server:
-        assert ask(server, "depends", pairs[:1], view).tolist() == expected[:1]
+        assert threading.active_count() == before
+        assert ask(server, "depends", pairs[:8], view).tolist() == expected[:8]
+        assert threading.active_count() == before
+    assert threading.active_count() == before
 
 
-# -- only 1-query frames linger ---------------------------------------------------
-
-
-class _HandClock:
-    """A clock that stands still until the test moves it."""
-
-    now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
+def test_frames_queued_during_a_step_are_one_step_of_its_combiner(served, monkeypatch):
+    """A submitter that finds a step in flight returns at once; the combiner
+    pops everything that queued meanwhile as one step, one engine call."""
+    server, view, _, pairs, expected, _ = served
+    started, release, threads = _held(monkeypatch, server.engine)
+    before = server.stats
+    with server:
+        combiner = _thread("A", lambda: server.submit_batch("depends", pairs[:1], view))
+        assert started.wait(5.0)
+        futures = [server.submit_batch("depends", [pair], view) for pair in pairs[1:4]]
+        assert not any(future.done() for future in futures) and server.pending == 3
+        release.set()
+        combiner.join(5.0)
+        assert not combiner.is_alive()
+        assert all(future.done() for future in futures)  # served before A returned
+        assert [future.result().item() for future in futures] == expected[1:4]
+    after = server.stats
+    assert after.batches - before.batches == 2
+    assert after.engine_calls - before.engine_calls == 2
+    assert after.coalesced - before.coalesced == 3
+    assert threads == ["A", "A"]
 
 
 @pytest.fixture()
-def frozen(served):
-    """The served stack under a 10 s linger on a clock that does not move.
-
-    Whatever lingers here lingers until the test moves the clock (or the
-    5 s ``result`` timeout fails it).
-    """
-    server, view, _, pairs, expected, _ = served
-    clock = _HandClock()
-    patient = ProvenanceServer(
-        server.engine,
-        policy=BatchPolicy(max_batch=1024, max_linger_us=10_000_000),
-        clock=clock,
+def blocked(scheme, workload, tmp_path, monkeypatch):
+    """A step held on thread A, a queue of 4 filled from thread B, and thread
+    C's ``submit_batch`` waiting for room:
+    ``(server, release, threads, a, c, outcome, expected)``."""
+    derivation, view, items, pairs = workload
+    reference = QueryEngine(scheme)
+    reference.add_run(DEFAULT_RUN, derivation)
+    expected = reference.depends_batch(pairs[:6], view).tolist()
+    run_file = tmp_path / "blocked.fvl"
+    reference.checkpoint(run_file)
+    server = ProvenanceServer(
+        QueryEngine(scheme), policy=BatchPolicy(max_batch=4, max_queue=4)
     )
-    return patient, clock, view, pairs, expected
+    server.attach(run_file)
+    outcome: dict = {}
+
+    def until_c_returned():
+        # A's second step waits for C to be queued (or refused), so whose
+        # step serves C's frame does not hang on thread scheduling.
+        deadline = time.monotonic() + 5.0
+        while "c" not in outcome and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    started, release, threads = _held(monkeypatch, server.engine, until_c_returned)
+    server.start()
+    a = _thread("A", lambda: server.submit_batch("depends", pairs[:1], view))
+    assert started.wait(5.0)
+    fill = [pairs[1:3], pairs[3:4], pairs[4:5]]
+    b = _thread("B", lambda: outcome.update(b=[server.submit_batch("depends", f, view) for f in fill]))
+    b.join(5.0)
+    assert not b.is_alive() and server.pending == 4
+
+    def wait_for_room():
+        try:
+            outcome["c"] = server.submit_batch("depends", pairs[5:6], view)
+        except Exception as exc:
+            outcome["c"] = exc
+
+    c = _thread("C", wait_for_room)
+    c.join(0.2)
+    assert c.is_alive() and "c" not in outcome  # blocked: the queue is full
+    try:
+        yield server, release, threads, a, c, outcome, expected
+    finally:
+        release.set()
+        server.stop()
 
 
-def test_a_frame_does_not_wait_out_the_linger(frozen):
-    """The linger turns concurrent 1-query frames into a batch; a larger frame already is one."""
-    server, _, view, pairs, expected = frozen
-    with server:
-        frame = server.submit_batch("depends", pairs[:256], view)
-        assert frame.result(timeout=5).tolist() == expected[:256]
-    assert server.stats.engine_calls == 1
+def test_a_blocked_submitter_is_served_by_the_combiner_that_popped_room(blocked):
+    server, release, threads, a, c, outcome, expected = blocked
+    release.set()
+    c.join(5.0)
+    a.join(5.0)
+    assert not c.is_alive() and not a.is_alive()
+    # C queued its frame once A popped B's, found A combining and returned;
+    # A served it before giving the role up.
+    assert outcome["c"].done() and outcome["c"].result().tolist() == expected[5:6]
+    assert [bit for f in outcome["b"] for bit in f.result(timeout=0).tolist()] == expected[1:5]
+    assert set(threads) == {"A"} and len(threads) == 3  # A's frame, B's four, C's
+    assert server.pending == 0
 
 
-def test_a_frame_arriving_behind_a_lingering_singleton_ends_the_linger(frozen):
-    server, _, view, pairs, expected = frozen
-    with server:
-        single = server.submit_batch("depends", pairs[:1], view)
-        time.sleep(0.1)  # the worker holds it, waiting for company
-        assert not single.done() and server.pending == 1
-        frame = server.submit_batch("depends", pairs[1:257], view)
-        assert frame.result(timeout=5).tolist() == expected[1:257]
-        assert single.result(timeout=5).tolist() == expected[:1]
-    # Same key, one step: the singleton rode along in the frame's engine call.
-    stats = server.stats
-    assert (stats.engine_calls, stats.batches, stats.coalesced) == (1, 1, 257)
+def test_stop_during_a_blocked_submit_raises_in_the_submitter(blocked):
+    server, release, threads, a, c, outcome, expected = blocked
+    stopper = _thread("stopper", server.stop)
+    c.join(5.0)
+    assert not c.is_alive()
+    assert isinstance(outcome["c"], RuntimeError) and "stopped" in str(outcome["c"])
+    stopper.join(0.2)
+    assert stopper.is_alive()  # stop() waits for A's step
+    release.set()
+    stopper.join(5.0)
+    a.join(5.0)
+    assert not stopper.is_alive() and not a.is_alive()
+    # The combiner drained what was queued before stop(): B's frames are answered.
+    assert [bit for f in outcome["b"] for bit in f.result(timeout=1).tolist()] == expected[1:5]
+    assert set(threads) == {"A"}
 
 
-def test_two_singletons_still_linger_and_coalesce(frozen):
-    server, clock, view, pairs, expected = frozen
-    with server:
-        futures = [server.submit_batch("depends", [pair], view) for pair in pairs[:2]]
-        time.sleep(0.1)
-        assert not any(future.done() for future in futures)  # held for company
-        clock.now = 11.0  # past the linger deadline; the next wake-up sees it
-        assert [future.result(timeout=5).item() for future in futures] == expected[:2]
-    stats = server.stats
-    assert (stats.engine_calls, stats.batches, stats.coalesced) == (1, 1, 2)
+def test_a_done_callback_that_submits_from_inside_a_step_is_answered(served):
+    """Re-entry from a reply: the step's thread is the combiner, so the inner
+    frame is queued and served by the same thread's next step — no deadlock."""
+    server, view, _, pairs, expected, _ = served
+    inner: list = []
+    outer = server.submit_batch("depends", pairs[:2], view)  # queued: not started
+    outer.add_done_callback(
+        lambda _: inner.append(server.submit_batch("depends", pairs[2:5], view))
+    )
+    server.start()  # combines on this thread
+    try:
+        assert outer.result(timeout=0).tolist() == expected[:2]
+        [future] = inner
+        assert future.result(timeout=0).tolist() == expected[2:5]
+        assert server.pending == 0
+    finally:
+        server.stop()
+
+
+def test_a_step_submitting_into_its_own_full_queue_raises(scheme):
+    """Only the combiner would pop room for it: the submit raises rather than hang."""
+    server = ProvenanceServer(
+        QueryEngine(scheme), policy=BatchPolicy(max_batch=1, max_queue=2)
+    )
+    errors: list = []
+
+    def resubmit(_future):
+        try:
+            server.submit_batch("depends", [(1, 2), (3, 4)], "any-view")
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    first = server.submit_batch("depends", [(1, 2)], "any-view")
+    server.submit_batch("depends", [(1, 2)], "any-view")
+    first.add_done_callback(resubmit)
+    server.start()
+    server.stop()
+    [error] = errors
+    assert "this thread is serving it" in str(error)
 
 
 # -- synchronized error surfaces -----------------------------------------------

@@ -24,6 +24,8 @@ from repro.store import (
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
+pytestmark = pytest.mark.usefixtures("detach_engines")
+
 
 @pytest.fixture(scope="module")
 def spec():

@@ -15,9 +15,10 @@ takes its name, the grammar index its bank is built from and the one
 function that labels it on first read — an eager/lazy switch would be a
 visible edit too.  Run labeling takes a grammar index and, at most, the path
 arena to intern in: the library has one run representation, so a switch
-that picks another would be a visible edit.  The scheduler's knobs — its
-worker count and the fields of its batching and reopen policies — are
-counted apart from the tier's eighteen.
+that picks another would be a visible edit.  The scheduler's knobs — the
+fields of its batching and reopen policies — are counted apart from the
+tier's eighteen; its ``workers`` parameter accepts only 1 (the scheduler
+starts no thread), so it is not one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ NOT_KNOBS = {
     "unix_path", "address", "host", "port", "name", "metric",
     "clock", "sleep", "jitter_seed", "index", "keys", "counts", "state", "view", "build",
     "derivation", "path_table", "reopen", "sampler",
+    # The scheduler starts no thread: ``workers`` accepts 1 and nothing else.
+    "workers",
 }
 
 #: Engine, scheduler and client: what a query names, and nothing else.
@@ -108,7 +111,8 @@ RUN_LABELING = {
 }
 
 #: The scheduler: its engine, its two policies (their fields are counted
-#: below), its worker count, the sampler it records into and its clock.
+#: below), its worker count (1, the only value it accepts), the sampler it
+#: records into and its clock.
 SCHEDULER = {
     "ProvenanceServer": (
         ProvenanceServer,
@@ -116,7 +120,7 @@ SCHEDULER = {
     ),
 }
 SCHEDULER_FIELDS = {
-    "BatchPolicy": (BatchPolicy, ("max_batch", "max_linger_us", "max_queue")),
+    "BatchPolicy": (BatchPolicy, ("max_batch", "max_queue")),
     "ReopenPolicy": (ReopenPolicy, ("after_queries", "after_seconds")),
 }
 
@@ -199,7 +203,7 @@ def test_run_labeling_is_pinned_and_has_no_settable_value():
         assert _knobs(expected) == [], label
 
 
-def test_the_scheduler_has_six_settable_values():
+def test_the_scheduler_has_four_settable_values():
     for label, (target, expected) in SCHEDULER.items():
         assert tuple(inspect.signature(target).parameters) == expected, label
     for label, (cls, expected) in SCHEDULER_FIELDS.items():
@@ -208,5 +212,5 @@ def test_the_scheduler_has_six_settable_values():
         label: len(_knobs(expected))
         for label, (_, expected) in {**SCHEDULER, **SCHEDULER_FIELDS}.items()
     }
-    assert counts == {"ProvenanceServer": 1, "BatchPolicy": 3, "ReopenPolicy": 2}
-    assert sum(counts.values()) == 6
+    assert counts == {"ProvenanceServer": 0, "BatchPolicy": 2, "ReopenPolicy": 2}
+    assert sum(counts.values()) == 4
