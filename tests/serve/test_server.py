@@ -339,9 +339,17 @@ def blocked(scheme, workload, tmp_path, monkeypatch):
         except Exception as exc:
             outcome["c"] = exc
 
+    waiting = threading.Event()
+    wait = server._cond.wait
+
+    def noted_wait(*args):
+        waiting.set()
+        return wait(*args)
+
+    monkeypatch.setattr(server._cond, "wait", noted_wait)
     c = _thread("C", wait_for_room)
-    c.join(0.2)
-    assert c.is_alive() and "c" not in outcome  # blocked: the queue is full
+    assert waiting.wait(5.0)  # C waits on the scheduler's condition: the queue is full
+    assert c.is_alive() and "c" not in outcome
     try:
         yield server, release, threads, a, c, outcome, expected
     finally:
