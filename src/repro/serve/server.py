@@ -333,9 +333,12 @@ class ProvenanceServer:
 
     def stop(self) -> None:
         """Refuse new records, wait for the combiner to empty the queue, and
-        fail what no combiner took (a server never started, or frames a
-        request edge queued and has not combined yet).  A submitter blocked
-        on a full queue raises ``RuntimeError``."""
+        fail what no combiner took (a server never started, or frames an edge
+        queued and has not combined).  A submitter blocked on a full queue
+        raises ``RuntimeError``, as does ``stop()`` called inside a step."""
+        with self._cond:
+            if self._combiner == threading.get_ident():
+                raise RuntimeError("stop() inside a step would wait for its own thread")
         if self.watchdog is not None:
             self.watchdog.stop()
         with self._cond:

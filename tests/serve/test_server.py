@@ -407,6 +407,29 @@ def test_a_done_callback_that_submits_from_inside_a_step_is_answered(served):
         server.stop()
 
 
+def test_stop_from_inside_a_step_raises_instead_of_waiting_for_itself(served):
+    server, view, _, pairs, expected, _ = served
+    errors: list = []
+
+    def stop(_future):
+        try:
+            server.stop()
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    future = server.submit_batch("depends", pairs[:2], view)  # queued: not started
+    future.add_done_callback(stop)
+    starter = _thread("starter", server.start)
+    starter.join(5.0)
+    assert not starter.is_alive()  # start() -> step -> callback -> stop() returned
+    [error] = errors
+    assert "its own thread" in str(error)
+    assert future.result(timeout=0).tolist() == expected[:2]
+    assert server.running
+    server.stop()
+    assert not server.running
+
+
 def test_a_step_submitting_into_its_own_full_queue_raises(scheme):
     """Only the combiner would pop room for it: the submit raises rather than hang."""
     server = ProvenanceServer(
