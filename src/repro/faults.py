@@ -35,7 +35,7 @@ __all__ = ["FAULT_POINTS", "FaultPlan", "FaultRule", "InjectedFault", "hit"]
 #: reference these names — a typo'd point would silently never fire.
 FAULT_POINTS = (
     "persist.write",  # store/runfile: segment payload write
-    "persist.fsync",  # store/checkpoint: data/header fsync phases
+    "persist.fsync",  # store/checkpoint: the data fsync, then the header fsync
     "net.send",  # net/{server,client}: socket send
     "net.recv",  # net/{server,client}: socket recv
     "scheduler.batch",  # serve/server: a step popped its batch

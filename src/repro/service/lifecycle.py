@@ -6,9 +6,10 @@ streaming ingest) with a run-file path and a :class:`CheckpointPolicy`; a
 maintenance thread then sweeps the registry on a small interval and
 
 * **flushes** every run whose unpersisted delta crossed the policy's event
-  bound, or that has any pending delta once the time bound elapsed — all due
-  runs of one sweep go through :func:`~repro.store.checkpoint_batch`, so
-  their fsync barriers are grouped instead of interleaved;
+  bound, or that has any pending delta once the time bound elapsed — one
+  :func:`~repro.store.checkpoint_run` per due run, in registry order, each
+  under that run's file lock; a run that fails is recorded and its siblings
+  still flush;
 * **compacts** a run file whose segment chain reached
   ``compact_after_segments`` (:func:`repro.store.compact`: merge, verify,
   atomic swap, GC), holding the run's file lock so no checkpoint interleaves
@@ -37,14 +38,9 @@ from dataclasses import dataclass, field
 from repro.engine.engine import QueryEngine, grammar_fingerprint
 from repro.errors import CorruptionError, LabelingError
 from repro.obs import events as obs_events
-from repro.store import (
-    CheckpointResult,
-    checkpoint_batch,
-    checkpoint_run,
-    run_file_info,
-)
+from repro.store import CheckpointResult, checkpoint_run, run_file_info
 from repro.store.compaction import CompactionResult, compact
-from repro.store.lockfile import FileLease, LeaseHeldError
+from repro.store.lockfile import FileLease
 
 __all__ = ["CheckpointPolicy", "LifecycleStats", "SweepResult", "RunLifecycleManager"]
 
@@ -421,8 +417,8 @@ class RunLifecycleManager:
             checkpoints = self._flush_runs([m for m in eligible if self._due(m, now)])
         except Exception as exc:
             # One unflushable run must not starve the compaction/reopen half
-            # of the sweep (healthy runs were already flushed by the per-run
-            # fallback); finish the sweep, then surface the failure.
+            # of the sweep (its healthy siblings are already flushed); finish
+            # the sweep, then surface the failure.
             flush_error = exc
         compactions: list[CompactionResult] = []
         compact_error: Exception | None = None
@@ -578,87 +574,42 @@ class RunLifecycleManager:
         )
 
     def _flush_runs(self, due: list[_ManagedRun]) -> list[CheckpointResult]:
+        """Checkpoint each due run in turn; the first failure is raised last.
+
+        A run that fails — its writer lease belongs to another process, its
+        path is unwritable — is recorded and skipped, so it neither starves
+        nor rolls back its siblings.  Only one run's file lock is held at a
+        time.
+        """
         if not due:
             return []
         fingerprint = grammar_fingerprint(self._engine.scheme.index)
-        # File locks are taken in registry order (every caller builds `due`
-        # from the same dict iteration), so concurrent flush/compact calls
-        # cannot deadlock.
-        for managed in due:
-            managed.file_lock.acquire()
-        try:
-            # A run whose writer lease belongs to another process must not be
-            # flushed (its file is someone else's to append to), but it must
-            # not starve its siblings either: flush the leased runs, then
-            # surface the conflict.
-            lease_error: Exception | None = None
-            flushable: list[_ManagedRun] = []
-            for managed in due:
-                try:
-                    self._take_lease(managed.lease)
-                except LeaseHeldError as exc:
-                    if lease_error is None:
-                        lease_error = exc
-                    self._record_failure(managed, exc)
-                else:
-                    flushable.append(managed)
-            results: list[CheckpointResult] = []
-            if flushable:
-                try:
-                    results = checkpoint_batch(
-                        [(m.path, m.labeler.store, m.node_table) for m in flushable],
-                        fingerprint=fingerprint,
-                    )
-                except Exception as exc:
-                    if len(flushable) == 1 and lease_error is None:
-                        self._record_failure(flushable[0], exc)
-                        raise
-                    # The batch fails as a unit, so one bad run (unwritable
-                    # path, foreign file at its path, ...) must not starve
-                    # its siblings: retry per run, keep the healthy flushes,
-                    # re-raise the first failure once the rest are durable.
-                    results = self._flush_individually(flushable, fingerprint)
-                else:
-                    # Record while the file locks are still held, so a
-                    # racing flush of the same run never assigns an older
-                    # header's watermarks after ours.
-                    for managed, result in zip(flushable, results):
-                        self._record_flush(managed, result)
-            if lease_error is not None:
-                raise lease_error
-            return results
-        finally:
-            for managed in due:
-                managed.file_lock.release()
-
-    def _flush_individually(
-        self, due: list[_ManagedRun], fingerprint: int
-    ) -> list[CheckpointResult]:
-        """Per-run fallback after a failed batch (locks are held by the caller)."""
         results: list[CheckpointResult] = []
         first_error: Exception | None = None
         for managed in due:
-            try:
-                result = checkpoint_run(
-                    managed.path,
-                    managed.labeler.store,
-                    managed.node_table,
-                    fingerprint=fingerprint,
-                )
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-                self._record_failure(managed, exc)
-                continue
-            self._record_flush(managed, result)
+            with managed.file_lock:
+                try:
+                    self._take_lease(managed.lease)
+                    result = checkpoint_run(
+                        managed.path,
+                        managed.labeler.store,
+                        managed.node_table,
+                        fingerprint=fingerprint,
+                    )
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+                    self._record_failure(managed, exc)
+                    continue
+                # Recorded under the file lock, so a racing flush of the same
+                # run never assigns an older header's watermarks after ours.
+                self._record_flush(managed, result)
             results.append(result)
         if first_error is not None:
             raise first_error
         return results
 
     def _record_flush(self, managed: _ManagedRun, result: CheckpointResult) -> None:
-        # The header the checkpoint wrote: exact even after a batch that
-        # committed this file but failed on a sibling before reporting.
         now = self._clock()
         with self._lock:
             managed.flushed_items = result.n_items

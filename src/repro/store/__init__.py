@@ -8,8 +8,8 @@ per-item value objects.  The fully columnar run has a page-aligned at-rest
 form, described once in :mod:`repro.store.runfile` (header, section schema,
 the one segment encoder and the one chain decoder):
 :mod:`repro.store.checkpoint`'s :func:`checkpoint_run` appends delta rows
-behind ``(n_paths, n_items, n_nodes)`` watermarks (``checkpoint_batch``
-groups the fsync barriers across runs) and :mod:`repro.store.mapped`'s
+behind ``(n_paths, n_items, n_nodes)`` watermarks (data fsynced before the
+header that names it) and :mod:`repro.store.mapped`'s
 :class:`MappedRunStore` serves the file through ``mmap`` with no decode
 pass, scrubbing its checksums before the first column is handed out
 (``verify="lazy"``) or at open (``verify="attach"``).
@@ -50,11 +50,7 @@ from repro.store.mapped import (
     run_file_info,
     verify_run,
 )
-from repro.store.checkpoint import (
-    CheckpointResult,
-    checkpoint_batch,
-    checkpoint_run,
-)
+from repro.store.checkpoint import CheckpointResult, checkpoint_run
 
 __all__ = [
     "PathTable",
@@ -70,7 +66,6 @@ __all__ = [
     "LabelStoreMapping",
     "NO_PATH",
     "checkpoint_run",
-    "checkpoint_batch",
     "CheckpointResult",
     "RunFileInfo",
     "run_file_info",

@@ -5,8 +5,7 @@
 append-only, so a checkpoint *plans* one new segment holding exactly the
 delta rows of every :data:`~repro.store.runfile.SCHEMA` column — never
 rewriting an existing page — and then *commits* it data first, header last,
-with an fsync barrier in between; :func:`checkpoint_batch` groups those
-barriers across several runs.
+with an fsync barrier in between.
 """
 
 from __future__ import annotations
@@ -27,10 +26,11 @@ from repro.store.runfile import (
     SCHEMA,
     Header,
     encode_rows,
+    fsync_dir,
     write_segment,
 )
 
-__all__ = ["CheckpointResult", "checkpoint_run", "checkpoint_batch"]
+__all__ = ["CheckpointResult", "checkpoint_run"]
 
 
 @dataclass(frozen=True)
@@ -184,121 +184,71 @@ def _fsync(handle) -> None:
     os.fsync(handle.fileno())
 
 
-class _StagedCheckpoint:
-    """Mutable per-job commit state (handle, new header, rollback tracking)."""
+def _commit_checkpoint(pending: _PendingCheckpoint) -> CheckpointResult:
+    """Write one planned segment: data, fsync, header, fsync.
 
-    __slots__ = ("pending", "handle", "new_header", "bytes_written", "header_written")
-
-    def __init__(self, pending: _PendingCheckpoint) -> None:
-        self.pending = pending
-        self.handle = None
-        self.new_header: Header | None = None
-        self.bytes_written = 0
-        self.header_written = False
-
-
-def _commit_checkpoints(pendings: list[_PendingCheckpoint]) -> list[CheckpointResult]:
-    """Write the planned segments with batched fsync barriers.
-
-    Per file the crash-ordering invariant is unchanged — its advanced header
-    is written only after its segment data has been fsynced — but the
-    barriers are grouped across the batch (all files opened, all data
-    writes, all data fsyncs, all header writes, all header fsyncs) so
-    flushing N runs costs one ordered sweep instead of N interleaved
-    write/sync/write/sync cycles.
-
-    Failure containment: every file is opened before any byte is written
-    (an unopenable path fails the batch with nothing on disk), and if a
-    later phase fails, files this call *created* that never received their
-    header are unlinked — a headerless run file would otherwise poison
-    every future checkpoint of that run.  Pre-existing files keep their old
-    header, i.e. their previous watermark, exactly as after a crash.
+    The advanced header is written only after the segment data is fsynced,
+    so a crash leaves the previous header — the previous watermark — over
+    durable data.  A file this call creates is removed if the commit fails:
+    a headerless run file would otherwise poison every later checkpoint of
+    the run.  Once a created file's header is durable its directory is
+    fsynced too, so the new entry survives a crash.  A pre-existing file
+    keeps its old header on failure, exactly as after a crash.
     """
-    staged = [_StagedCheckpoint(pending) for pending in pendings]
-    try:
-        # Phase 0: open (or create) every file up front.
-        for entry in staged:
-            if entry.pending.sections:
-                entry.handle = open(
-                    entry.pending.file_path,
-                    "w+b" if entry.pending.created else "r+b",
-                )
-        # Phase 1: segment data (and empty-file headers), flushed.
-        for entry in staged:
-            pending = entry.pending
-            if entry.handle is None:
-                if pending.created:
-                    with open(pending.file_path, "w+b") as handle:
-                        handle.write(pending.header.pack())
-                        handle.seek(PAGE_SIZE - 1)
-                        handle.write(b"\0")
-                        handle.flush()
-                        _fsync(handle)
-                    entry.bytes_written = HEADER_SIZE
-                    entry.header_written = True
-                continue
-            end_offset = write_segment(entry.handle, pending.header.end_offset, pending.sections)
-            entry.handle.flush()
-            entry.new_header = replace(
-                pending.advanced,
-                n_segments=pending.header.n_segments + 1,
-                end_offset=end_offset,
-            )
-            entry.bytes_written = PAGE_SIZE + sum(len(s[-1]) for s in pending.sections)
-        # Phase 2-4: data fsyncs, headers, header fsyncs.
-        for entry in staged:
-            if entry.handle is not None:
-                _fsync(entry.handle)
-        for entry in staged:
-            if entry.handle is not None:
-                entry.handle.seek(0)
-                entry.handle.write(entry.new_header.pack())
-                entry.handle.flush()
-                entry.header_written = True
-        for entry in staged:
-            if entry.handle is not None:
-                _fsync(entry.handle)
-    except BaseException:
-        for entry in staged:
-            if entry.handle is not None:
-                entry.handle.close()
-                entry.handle = None
-            if entry.pending.created and not entry.header_written:
+    header, advanced = pending.header, pending.advanced
+    bytes_written = 0
+    if pending.sections or pending.created:
+        try:
+            with open(pending.file_path, "w+b" if pending.created else "r+b") as handle:
+                if pending.sections:
+                    end_offset = write_segment(handle, header.end_offset, pending.sections)
+                    handle.flush()
+                    _fsync(handle)
+                    committed = replace(
+                        advanced, n_segments=header.n_segments + 1, end_offset=end_offset
+                    )
+                    bytes_written = PAGE_SIZE + sum(len(s[-1]) for s in pending.sections)
+                else:
+                    # An empty run: the header page alone.
+                    handle.seek(PAGE_SIZE - 1)
+                    handle.write(b"\0")
+                    committed = header
+                    bytes_written = HEADER_SIZE
+                handle.seek(0)
+                handle.write(committed.pack())
+                handle.flush()
+                _fsync(handle)
+        except BaseException:
+            if pending.created:
                 try:
-                    os.remove(entry.pending.file_path)
+                    os.remove(pending.file_path)
                 except OSError:
                     pass
-        raise
-    finally:
-        for entry in staged:
-            if entry.handle is not None:
-                entry.handle.close()
-    results = []
-    for entry in staged:
-        header, advanced = entry.pending.header, entry.pending.advanced
-        result = CheckpointResult(
-            path=entry.pending.file_path,
-            created=entry.pending.created,
-            delta_paths=advanced.n_paths - header.n_paths,
-            delta_items=advanced.n_items - header.n_items,
-            delta_nodes=advanced.n_nodes - header.n_nodes,
-            bytes_written=entry.bytes_written,
-            n_paths=advanced.n_paths,
-            n_items=advanced.n_items,
-            n_nodes=advanced.n_nodes,
+            raise
+        if pending.created:
+            fsync_dir(os.path.dirname(pending.file_path))
+    result = CheckpointResult(
+        path=pending.file_path,
+        created=pending.created,
+        delta_paths=advanced.n_paths - header.n_paths,
+        delta_items=advanced.n_items - header.n_items,
+        delta_nodes=advanced.n_nodes - header.n_nodes,
+        bytes_written=bytes_written,
+        n_paths=advanced.n_paths,
+        n_items=advanced.n_items,
+        n_nodes=advanced.n_nodes,
+    )
+    if result.wrote_segment or result.created:
+        obs_events.emit(
+            "checkpoint",
+            path=result.path,
+            created=result.created,
+            items=result.delta_items,
+            paths=result.delta_paths,
+            nodes=result.delta_nodes,
+            bytes=result.bytes_written,
         )
-        results.append(result)
-        if result.wrote_segment or result.created:
-            obs_events.emit(
-                "checkpoint",
-                path=result.path,
-                created=result.created,
-                items=result.delta_items,
-                paths=result.delta_paths,
-                nodes=result.delta_nodes,
-                bytes=result.bytes_written,
-            )
-    return results
+    return result
 
 
 def checkpoint_run(
@@ -338,34 +288,5 @@ def checkpoint_run(
     Every section's CRC32 is stamped into the segment table; readers verify
     it at attach or before the first column is served.
     """
-    return _commit_checkpoints([_plan_checkpoint(path, store, node_table, fingerprint)])[0]
+    return _commit_checkpoint(_plan_checkpoint(path, store, node_table, fingerprint))
 
-
-def checkpoint_batch(jobs, *, fingerprint: int = 0) -> list[CheckpointResult]:
-    """Checkpoint several runs with batched fsync barriers.
-
-    ``jobs`` is an iterable of ``(path, store, node_table)`` triples, one per
-    run (``node_table`` may be ``None``).  Every job is planned and validated
-    before any file is touched, so a bad job fails the whole batch cleanly;
-    the writes then proceed in four grouped phases (segment data, data
-    fsyncs, headers, header fsyncs) instead of per-run barriers — this is
-    what :class:`repro.service.RunLifecycleManager` uses when several managed
-    runs come due in the same sweep.  Results line up with ``jobs``.
-
-    Two jobs naming the same file are rejected: both would plan against the
-    same header and the second's segment would overwrite the first's.
-    """
-    pendings = [
-        _plan_checkpoint(path, store, node_table, fingerprint)
-        for path, store, node_table in jobs
-    ]
-    seen: dict[str, None] = {}
-    for pending in pendings:
-        key = os.path.realpath(pending.file_path)
-        if key in seen:
-            raise SerializationError(
-                f"two batch jobs target the same run file {pending.file_path!r}; "
-                "each run needs its own file"
-            )
-        seen[key] = None
-    return _commit_checkpoints(pendings)

@@ -41,7 +41,14 @@ from repro.errors import SerializationError
 from repro.obs import events as obs_events
 from repro.store.lockfile import FileLease
 from repro.store.mapped import MappedRunStore
-from repro.store.runfile import PAGE_SIZE, Header, in_schema, merge_payloads, write_segment
+from repro.store.runfile import (
+    PAGE_SIZE,
+    Header,
+    fsync_dir,
+    in_schema,
+    merge_payloads,
+    write_segment,
+)
 
 __all__ = ["CompactionResult", "compact"]
 
@@ -83,19 +90,6 @@ def _gc_stale_temps(file_path: str) -> list[str]:
             os.remove(candidate)
             removed.append(candidate)
     return removed
-
-
-def _fsync_dir(directory: str) -> None:
-    try:
-        fd = os.open(directory or ".", os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def _merged_sections(source: MappedRunStore) -> list[tuple[int, int, int, int, bytes]]:
@@ -242,7 +236,7 @@ def _compact_locked(file_path: str) -> CompactionResult:
         # call's GC and the source untouched.
         faults.hit("compact.swap")
         os.replace(tmp_path, file_path)
-        _fsync_dir(os.path.dirname(file_path))
+        fsync_dir(os.path.dirname(file_path))
         bytes_after = os.path.getsize(file_path)
         obs_events.emit(
             "compaction",

@@ -29,6 +29,7 @@ first use.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from array import array
@@ -321,6 +322,20 @@ def write_segment(handle, segment_offset: int, sections) -> int:
         handle.seek(end_offset - 1)
         handle.write(b"\0")
     return end_offset
+
+
+def fsync_dir(directory: str) -> None:
+    """Fsync a directory, making the entries created or renamed in it durable."""
+    try:
+        fd = os.open(directory or ".", os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir open
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform without dir fsync
+        pass
+    finally:
+        os.close(fd)
 
 
 def read_chain(read, size: int, header: Header) -> dict[int, list[Extent]]:

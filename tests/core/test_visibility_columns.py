@@ -20,6 +20,8 @@ from repro.store import checkpoint_run
 from repro.workloads import build_bioaid_specification, random_run, random_view
 from tests.conftest import derive_running
 
+pytestmark = pytest.mark.usefixtures("detach_engines")
+
 
 @pytest.fixture(scope="module")
 def bioaid():

@@ -78,6 +78,8 @@ from repro.workloads import (
 )
 from repro.workloads.builder import chain_workflow
 
+pytestmark = pytest.mark.usefixtures("detach_engines")
+
 STORES = ("live", "mapped", "segmented", "sparse")
 
 

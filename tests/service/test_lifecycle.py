@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -15,7 +19,7 @@ from repro.errors import LabelingError, SerializationError
 from repro.model.projection import ViewProjection
 from repro.obs import events as obs_events
 from repro.service import CheckpointPolicy, RunLifecycleManager
-from repro.store import run_file_info
+from repro.store import LeaseHeldError, run_file_info
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -136,7 +140,7 @@ def test_time_bound_flushes_any_pending_delta(scheme, spec, tmp_path):
     manager.stop()
 
 
-def test_multiple_due_runs_flush_in_one_batched_sweep(scheme, spec, tmp_path):
+def test_multiple_due_runs_flush_in_one_sweep(scheme, spec, tmp_path):
     clock = FakeClock()
     engine = QueryEngine(scheme)
     manager = RunLifecycleManager(
@@ -472,8 +476,9 @@ def test_background_thread_recovers_and_clears_last_error(scheme, spec, tmp_path
     manager.unmanage("r")
 
 
-def test_one_bad_path_does_not_wedge_sibling_runs(scheme, spec, tmp_path):
-    """A failing job in a batched sweep must not poison or starve the others."""
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-last"])
+def test_one_bad_path_does_not_wedge_sibling_runs(bad_first, scheme, spec, tmp_path):
+    """A failing run must not poison or starve the others, in either order."""
     engine = QueryEngine(scheme)
     manager = RunLifecycleManager(
         engine, policy=CheckpointPolicy(every_events=1, every_seconds=None)
@@ -481,16 +486,21 @@ def test_one_bad_path_does_not_wedge_sibling_runs(scheme, spec, tmp_path):
     good_labeler = RunLabeler(scheme.index)
     bad_labeler = RunLabeler(scheme.index)
     good_path = tmp_path / "good.fvl"
-    manager.manage("good", good_path, labeler=good_labeler)
-    manager.manage("bad", tmp_path / "missing-dir" / "bad.fvl", labeler=bad_labeler)
+    runs = [
+        ("bad", tmp_path / "missing-dir" / "bad.fvl", bad_labeler),
+        ("good", good_path, good_labeler),
+    ]
+    for run_id, path, labeler in runs if bad_first else runs[::-1]:
+        manager.manage(run_id, path, labeler=labeler)
     _stream(good_labeler, random_run(spec, 60, seed=21).events)
     _stream(bad_labeler, random_run(spec, 60, seed=22).events)
-    # The failure still surfaces, but the per-run fallback makes the good
-    # run durable in the SAME sweep — one bad run cannot starve siblings —
-    # and the good run's rolled-back batch file is not left headerless.
+    # The failure still surfaces, but the good run is durable in the SAME
+    # sweep — one bad run cannot starve its siblings.
     with pytest.raises(OSError):
         manager.poll_once()
     assert run_file_info(good_path).n_items == len(good_labeler.store)
+    assert isinstance(manager.run_failure("bad"), OSError)
+    assert manager.run_failure("good") is None
     # Once the bad run is gone the service is healthy again (no re-flush:
     # the good run's watermark advanced despite the failed sweep).
     manager.unmanage("bad", flush=False)
@@ -570,17 +580,9 @@ def test_manage_holds_the_lease_and_unmanage_releases_it(scheme, spec, tmp_path)
     manager.stop()
 
 
-def test_manage_refuses_a_file_whose_writer_is_another_process(
-    scheme, spec, tmp_path
-):
-    """Acceptance: two processes can never both manage one run file."""
-    import subprocess
-    import sys
-    import textwrap
-
-    from repro.store import LeaseHeldError
-
-    path = tmp_path / "contested.fvl"
+@contextlib.contextmanager
+def _lease_held_by_another_process(path, tmp_path):
+    """Hold ``path``'s writer lease in a child process for the block's duration."""
     ready = tmp_path / "ready"
     release = tmp_path / "release"
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -610,6 +612,18 @@ def test_manage_refuses_a_file_whose_writer_is_another_process(
         while not ready.exists():
             assert time.monotonic() < deadline, "lease holder never came up"
             time.sleep(0.01)
+        yield
+    finally:
+        release.touch()
+        holder.wait(timeout=30)
+
+
+def test_manage_refuses_a_file_whose_writer_is_another_process(
+    scheme, spec, tmp_path
+):
+    """Acceptance: two processes can never both manage one run file."""
+    path = tmp_path / "contested.fvl"
+    with _lease_held_by_another_process(path, tmp_path):
         engine = QueryEngine(scheme)
         manager = RunLifecycleManager(engine)
         labeler = RunLabeler(scheme.index)
@@ -617,9 +631,40 @@ def test_manage_refuses_a_file_whose_writer_is_another_process(
             manager.manage("r", path, labeler=labeler)
         assert manager.managed_runs == ()  # the refused run was not half-added
         manager.stop()
-    finally:
-        release.touch()
-        holder.wait(timeout=30)
+
+
+def test_a_deferred_lease_taken_by_another_process_fails_only_its_run(
+    scheme, spec, tmp_path
+):
+    """Another process takes a deferred lease before the run's first flush:
+    that sweep flushes the sibling registered after it, surfaces the
+    conflict and records it against the contested run alone."""
+    engine = QueryEngine(scheme)
+    manager = RunLifecycleManager(
+        engine, policy=CheckpointPolicy(every_events=1, every_seconds=None)
+    )
+    contested_labeler = RunLabeler(scheme.index)
+    good_labeler = RunLabeler(scheme.index)
+    missing = tmp_path / "later"
+    contested = missing / "r.fvl"
+    good_path = tmp_path / "good.fvl"
+    manager.manage("contested", contested, labeler=contested_labeler)
+    manager.manage("good", good_path, labeler=good_labeler)
+    assert not manager._runs["contested"].lease.held  # deferred
+    _stream(contested_labeler, random_run(spec, 40, seed=34).events)
+    _stream(good_labeler, random_run(spec, 40, seed=35).events)
+    missing.mkdir()
+    with _lease_held_by_another_process(contested, tmp_path):
+        with pytest.raises(LeaseHeldError, match="writer lease"):
+            manager.poll_once()
+        assert run_file_info(good_path).n_items == len(good_labeler.store)
+        assert isinstance(manager.run_failure("contested"), LeaseHeldError)
+        assert manager.run_failure("good") is None
+        assert manager.stats.run_failures == 1
+        assert not contested.exists()  # someone else's file to write
+    manager.unmanage("contested", flush=False)
+    manager.unmanage("good")
+    manager.stop()
 
 
 def test_deferred_lease_is_acquired_by_the_first_healthy_flush(scheme, spec, tmp_path):

@@ -18,6 +18,7 @@ from repro.core import FVLScheme
 from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import SerializationError
+from repro.faults import FaultPlan, InjectedFault
 from repro.model.projection import ViewProjection
 from repro.store import MappedRunStore, checkpoint_run, compact, run_file_info
 from repro.store.runfile import HEADER_SIZE, PAGE_SIZE
@@ -111,6 +112,64 @@ def test_truncated_header_page_fails_loudly(torn_setup):
     path.write_bytes(after_second[: HEADER_SIZE - 4])
     with pytest.raises(SerializationError):
         MappedRunStore(path)
+
+
+# -- torn checkpoints through the real writer -------------------------------
+
+
+def _serves_every_item(path, labeler) -> None:
+    """The file attaches with every checksum scrubbed and holds the live run."""
+    with MappedRunStore(path, verify="attach") as mapped:
+        assert mapped.n_items == len(labeler.store)
+        assert list(mapped.store.uids()) == list(labeler.store.uids())
+        for name, column in labeler.store.columns().items():
+            assert np.array_equal(mapped.store.columns()[name], column)
+
+
+@pytest.mark.parametrize(
+    "point, after",
+    [("persist.write", 0), ("persist.fsync", 0), ("persist.fsync", 1)],
+    ids=["write", "data-fsync", "header-fsync"],
+)
+def test_a_torn_first_checkpoint_leaves_no_file(point, after, scheme, spec, tmp_path):
+    """A created file whose commit failed is removed, never left headerless;
+    the retry creates it whole."""
+    labeler = scheme.label_run(random_run(spec, 200, seed=41))
+    path = tmp_path / "fresh.fvl"
+    plan = FaultPlan().on(point, after=after, count=1)
+    with plan.armed(), pytest.raises(InjectedFault):
+        checkpoint_run(path, labeler.store, labeler.tree.nodes)
+    assert plan.fired(point) == 1
+    assert not path.exists()
+    assert checkpoint_run(path, labeler.store, labeler.tree.nodes).created
+    _serves_every_item(path, labeler)
+
+
+@pytest.mark.parametrize("point", ["persist.write", "persist.fsync"])
+def test_a_torn_append_keeps_the_old_watermark(point, scheme, spec, tmp_path):
+    """A fault before the header write leaves the previous header in place;
+    the retry appends the whole delta."""
+    events = random_run(spec, 300, seed=31).events
+    cut = int(len(events) * 0.7)
+    labeler = RunLabeler(scheme.index)
+    for event in events[:cut]:
+        labeler(event)
+    path = tmp_path / "torn.fvl"
+    checkpoint_run(path, labeler.store, labeler.tree.nodes)
+    watermark = run_file_info(path).n_items
+    for event in events[cut:]:
+        labeler(event)
+    plan = FaultPlan().on(point, count=1)
+    with plan.armed(), pytest.raises(InjectedFault):
+        checkpoint_run(path, labeler.store, labeler.tree.nodes)
+    assert plan.fired(point) == 1
+    info = run_file_info(path)
+    assert info.n_items == watermark < len(labeler.store)
+    assert info.n_segments == 1
+    retry = checkpoint_run(path, labeler.store, labeler.tree.nodes)
+    assert retry.delta_items == len(labeler.store) - watermark
+    assert run_file_info(path).n_segments == 2
+    _serves_every_item(path, labeler)
 
 
 def test_freshly_compacted_file_truncation_fails_loudly(scheme, spec, tmp_path):

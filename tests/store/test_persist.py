@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -83,20 +85,32 @@ def test_checkpoint_rejects_node_presence_flips(labelled, tmp_path):
         checkpoint_run(run_file, labeler.store, None)
 
 
-def test_checkpoint_batch_rejects_duplicate_paths(labelled, tmp_path, scheme, spec):
-    _, labeler = labelled
-    other = scheme.label_run(random_run(spec, 60, seed=6))
-    shared = tmp_path / "shared.fvl"
-    with pytest.raises(SerializationError, match="own file"):
-        from repro.store import checkpoint_batch
+def test_a_created_checkpoint_fsyncs_its_directory_once(scheme, spec, tmp_path, monkeypatch):
+    """The new file's directory entry is durable when the first checkpoint
+    returns; an append creates no entry, so it fsyncs no directory."""
+    directory = os.stat(tmp_path)
+    synced_dirs = []
+    real_fsync = os.fsync
 
-        checkpoint_batch(
-            [
-                (shared, labeler.store, labeler.tree.nodes),
-                (shared, other.store, other.tree.nodes),
-            ]
-        )
-    assert not shared.exists()
+    def fsync(fd):
+        meta = os.fstat(fd)
+        if stat.S_ISDIR(meta.st_mode):
+            synced_dirs.append((meta.st_dev, meta.st_ino))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    events = random_run(spec, 120, seed=7).events
+    labeler = RunLabeler(scheme.index)
+    for event in events[: len(events) // 2]:
+        labeler(event)
+    run_file = tmp_path / "run.fvl"
+    assert checkpoint_run(run_file, labeler.store, labeler.tree.nodes).created
+    assert synced_dirs == [(directory.st_dev, directory.st_ino)]
+    for event in events[len(events) // 2 :]:
+        labeler(event)
+    appended = checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    assert appended.wrote_segment and not appended.created
+    assert len(synced_dirs) == 1
 
 
 def test_pre_v3_files_are_refused_untouched(labelled, tmp_path):
