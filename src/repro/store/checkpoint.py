@@ -189,7 +189,8 @@ def _commit_checkpoint(pending: _PendingCheckpoint) -> CheckpointResult:
 
     The advanced header is written only after the segment data is fsynced,
     so a crash leaves the previous header — the previous watermark — over
-    durable data.  A file this call creates is removed if the commit fails:
+    durable data, and a failed header fsync writes the previous header back
+    before it raises.  A file this call creates is removed if the commit fails:
     a headerless run file would otherwise poison every later checkpoint of
     the run.  Once a created file's header is durable its directory is
     fsynced too, so the new entry survives a crash.  A pre-existing file
@@ -217,7 +218,16 @@ def _commit_checkpoint(pending: _PendingCheckpoint) -> CheckpointResult:
                 handle.seek(0)
                 handle.write(committed.pack())
                 handle.flush()
-                _fsync(handle)
+                try:
+                    _fsync(handle)
+                except BaseException:
+                    # The advanced header may sit in the page cache: put the
+                    # durable one back, so a retry re-plans the delta from
+                    # the old watermark instead of finding nothing to write.
+                    handle.seek(0)
+                    handle.write(header.pack())
+                    handle.flush()
+                    raise
         except BaseException:
             if pending.created:
                 try:

@@ -1,10 +1,11 @@
 """Mapped (read-only) runs: one ``mmap`` per file, served with no decode pass.
 
 :class:`MappedRunStore` opens a run file (format: :mod:`repro.store.runfile`)
-and serves it straight from the mapping: every integer column becomes a
-zero-copy numpy view (lazy page-in; multi-segment columns are stitched with a
-chunked indexer), and the uid/module-name intern blobs are decoded only if a
-consumer asks for node identities.  The mapped :class:`MappedLabelStore` /
+and serves it straight from the mapping: each integer dtype is one
+zero-copy numpy view of the whole mapping (lazy page-in), a column is a slice
+of it or, over several segments, that view plus its extent table, and the
+uid/module-name intern blobs are decoded only if a consumer asks for node
+identities.  The mapped :class:`MappedLabelStore` /
 :class:`MappedPathTable` / :class:`MappedNodeTable` are drop-in *read-only*
 replacements for their in-memory classes, so the query engine, the codec and
 the analysis helpers work on disk-backed runs larger than RAM unchanged.
@@ -53,90 +54,87 @@ def _read_only(*_args, **_kwargs):
 
 
 class _ChunkedColumn:
-    """Several per-segment numpy views stitched into one indexable column.
+    """A column of several extents: a typed view of the mapping and an extent table.
 
-    Runs checkpointed more than once have one extent per segment; the chunked
-    indexer keeps them zero-copy (no concatenation) and resolves a row with
-    one bisect.  Most accesses in practice hit a single-extent column, which
-    skips this class entirely (the raw view is used).
+    Runs checkpointed more than once have one extent per segment.  Every
+    extent of a column lies in the one typed view of the whole mapping that
+    its dtype shares with the file's other columns, so a row is arithmetic
+    on the extent table: row ``r`` of the extent that starts at row
+    ``starts[k]`` is element ``r + bases[k]`` of the view.  No view is made
+    per extent and nothing is concatenated for a row read or a gather; a
+    single-extent column skips this class entirely (a slice of the view is
+    used).
     """
 
-    __slots__ = ("_starts", "_chunks", "_length", "_flat", "_starts_array")
+    __slots__ = ("_flat", "_starts", "_bases", "_start_array", "_base_array", "_length", "_whole")
 
-    def __init__(self, starts: list[int], chunks: list[np.ndarray]) -> None:
+    def __init__(self, flat: np.ndarray, starts: list[int], bases: list[int], length: int) -> None:
+        self._flat = flat
         self._starts = starts
-        self._chunks = chunks
-        self._length = starts[-1] + len(chunks[-1])
-        self._flat: np.ndarray | None = None
-        self._starts_array = np.asarray(starts, dtype=np.int64)
+        self._bases = bases
+        self._start_array = np.asarray(starts, dtype=np.int64)
+        self._base_array = np.asarray(bases, dtype=np.int64)
+        self._length = length
+        self._whole: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._length
 
+    def _spans(self) -> list[np.ndarray]:
+        """Each extent's rows as a slice of the typed view, in row order."""
+        ends = self._starts[1:] + [self._length]
+        return [
+            self._flat[start + base : end + base]
+            for start, end, base in zip(self._starts, ends, self._bases)
+        ]
+
     def __iter__(self):
-        for chunk in self._chunks:
-            yield from chunk
+        for span in self._spans():
+            yield from span
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._length))]
+            return self.gather(np.arange(*index.indices(self._length)))
         if index < 0:
             index += self._length
         if not 0 <= index < self._length:
             raise IndexError(index)
-        chunk_index = bisect_right(self._starts, index) - 1
-        return self._chunks[chunk_index][index - self._starts[chunk_index]]
+        return self._flat[index + self._bases[bisect_right(self._starts, index) - 1]]
 
     def concatenated(self) -> np.ndarray:
-        """One contiguous array over all chunks (built once, then cached).
+        """One contiguous array over all extents (built once, then cached).
 
         The copy is the price of ``columns()``-style whole-column access on a
-        multi-segment file; per-row reads stay zero-copy through
-        :meth:`__getitem__` and never trigger it.
+        multi-segment file; per-row reads and :meth:`gather` never trigger it.
         """
-        if self._flat is None:
-            self._flat = np.concatenate(self._chunks)
-        return self._flat
+        if self._whole is None:
+            self._whole = np.concatenate(self._spans())
+        return self._whole
 
-    def gather(self, rows: np.ndarray, chunk: int = 0) -> np.ndarray:
-        """``column[rows]`` without materialising the whole column.
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """``column[rows]`` as a copy: one ``searchsorted``, one add, one fancy index.
 
-        Rows are resolved per extent with one vectorised ``searchsorted``, so
-        only the pages the requested rows live on fault in — unlike
-        :meth:`concatenated`, which copies every segment's extent into heap
-        memory.  ``chunk`` (0 = whole batch) processes the row array in
-        fixed-size slabs to bound the transient index/mask allocations.
+        Only the pages the requested rows live on fault in, whatever the
+        segment count.  A row outside ``[0, len)`` raises ``IndexError``
+        instead of reading a neighbouring extent or the page padding.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty(rows.size, dtype=self._chunks[0].dtype)
-        if rows.size == 0:
-            return out
-        step = rows.size if chunk <= 0 else chunk
-        for lo in range(0, rows.size, step):
-            slab = rows[lo : lo + step]
-            view = out[lo : lo + slab.size]
-            chunk_ids = np.searchsorted(self._starts_array, slab, side="right") - 1
-            for ci in np.unique(chunk_ids):
-                mask = chunk_ids == ci
-                view[mask] = self._chunks[ci][slab[mask] - self._starts[ci]]
-        return out
+        _check_rows(rows, self._length)
+        return self.take_checked(rows)
+
+    def take_checked(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`gather` of int64 ``rows`` already checked to lie in ``[0, len)``."""
+        extent = np.searchsorted(self._start_array, rows, side="right") - 1
+        return self._flat[rows + self._base_array[extent]]
+
+
+def _check_rows(rows: np.ndarray, length: int) -> None:
+    if rows.size and (rows.min() < 0 or rows.max() >= length):
+        raise IndexError(f"gather rows outside [0, {length})")
 
 
 def _as_ndarray(column) -> np.ndarray:
     return column.concatenated() if isinstance(column, _ChunkedColumn) else column
-
-
-#: Slab size (rows) for chunked gathers over mapped columns — bounds the
-#: transient allocations of one `gather_rows` batch without changing which
-#: file pages fault in.
-GATHER_CHUNK_ROWS = 65536
-
-
-def _gather(column, rows: np.ndarray) -> np.ndarray:
-    """Gather ``column[rows]`` as a copy, never concatenating multi-segment columns."""
-    if isinstance(column, _ChunkedColumn):
-        return column.gather(rows, chunk=GATHER_CHUNK_ROWS)
-    return column[rows]
 
 
 class MappedPathTable(PathTable):
@@ -252,22 +250,28 @@ class MappedLabelStore(LabelStore):
         }
 
     def gather_rows(self, rows: np.ndarray, fields: tuple = LabelStore.GATHER_FIELDS):
-        """Chunked gather over the mapped extents (no whole-column reads).
+        """The requested columns gathered at ``rows``, as copies read in place.
 
-        Overrides the in-memory element-wise gather: mapped extents are
-        immutable numpy views, so each requested one is fancy-indexed in
-        place — a multi-segment column is never concatenated into heap
-        memory, and the per-batch page-in is bounded by the rows (and
-        columns) actually asked for.
+        Overrides the in-memory element-wise gather: a mapped column is a
+        view of the mapping, so each requested one is fancy-indexed in place
+        (a multi-segment column through its extent table, never
+        concatenated into heap memory), and the per-batch page-in is bounded
+        by the rows (and columns) actually asked for.  A row outside
+        ``[0, len(self))`` raises ``IndexError``, whatever the segment count.
         """
         faults.hit("mmap.gather")
+        rows = np.asarray(rows, dtype=np.int64)
+        _check_rows(rows, len(self))
         columns = {
             "producer_path_id": self._producer_path,
             "producer_port": self._producer_port,
             "consumer_path_id": self._consumer_path,
             "consumer_port": self._consumer_port,
         }
-        return tuple(_gather(columns[field], rows) for field in fields)
+        return tuple(
+            column.take_checked(rows) if isinstance(column, _ChunkedColumn) else column[rows]
+            for column in map(columns.__getitem__, fields)
+        )
 
 
 class MappedNodeTable(NodeTable):
@@ -403,6 +407,7 @@ class MappedRunStore:
         self._inode = (stat.st_dev, stat.st_ino)
         self._verified = False
         self._verify_lock = threading.Lock()
+        self._views: dict[np.dtype, np.ndarray] = {}
         try:
             self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
         except ValueError as exc:
@@ -423,6 +428,14 @@ class MappedRunStore:
 
     # -- construction ------------------------------------------------------------
 
+    def _typed(self, dtype: np.dtype) -> np.ndarray:
+        """The one typed view of the whole mapping for ``dtype`` (made on first use)."""
+        view = self._views.get(dtype)
+        if view is None:
+            view = np.frombuffer(self._mm, dtype=dtype, count=len(self._mm) // dtype.itemsize)
+            self._views[dtype] = view
+        return view
+
     def _column(self, column: runfile.Column):
         """The mapped rows of one schema column, bookkeeping validated."""
         parts = self._extents.get(column.sid, [])
@@ -437,22 +450,23 @@ class MappedRunStore:
             # Bound to the mapping, not to ``self``: the views must not keep
             # their owner alive in a reference cycle.
             return partial(_load_blob, self._mm, column, parts)
-        views = []
         starts = []
+        bases = []
         cursor = 0
         for part in parts:
             if part.row_start != cursor:
                 raise SerializationError(
                     f"run store column {column.name!r} has a gap at row {cursor}"
                 )
-            views.append(runfile.view_rows(self._mm, column, part))
             starts.append(cursor)
+            bases.append(runfile.extent_base(column, part) - cursor)
             cursor += part.n_rows
-        if not views:
+        if not parts:
             return np.empty(0, dtype=column.numpy_dtype)
-        if len(views) == 1:
-            return views[0]
-        return _ChunkedColumn(starts, views)
+        flat = self._typed(column.numpy_dtype)
+        if len(parts) == 1:
+            return flat[bases[0] : bases[0] + cursor]
+        return _ChunkedColumn(flat, starts, bases, cursor)
 
     def _build(self) -> None:
         header = self._header
@@ -501,8 +515,9 @@ class MappedRunStore:
             if self._verified:
                 return
             with memoryview(self._mm) as view:
-                for _, extent in self.sections():
-                    runfile.check_extent(self._path, extent, view)
+                for parts in self._extents.values():
+                    for extent in parts:
+                        runfile.check_extent(self._path, extent, view)
             self._verified = True
 
     # -- the serving surface -----------------------------------------------------
@@ -555,7 +570,11 @@ class MappedRunStore:
                 return None
             chosen.append((column, current[-1]))
         self.verify()
-        return tuple(runfile.view_rows(self._mm, column, part) for column, part in chosen)
+        views = []
+        for column, part in chosen:
+            base = runfile.extent_base(column, part)
+            views.append(self._typed(column.numpy_dtype)[base : base + part.n_rows])
+        return tuple(views)
 
     @property
     def n_paths(self) -> int:

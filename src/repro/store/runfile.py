@@ -60,7 +60,7 @@ __all__ = [
     "encode_rows",
     "decode_blob",
     "merge_payloads",
-    "view_rows",
+    "extent_base",
     "write_segment",
     "read_chain",
     "check_extent",
@@ -230,8 +230,7 @@ class Header:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Extent:
+class Extent(NamedTuple):
     """One section-table entry: where a run of a column's rows lives."""
 
     sid: int
@@ -273,12 +272,22 @@ def merge_payloads(dtype_code: int, payloads: list[bytes]) -> bytes:
     return b"".join(payloads)
 
 
-def view_rows(buffer, column: Column, extent: Extent) -> np.ndarray:
-    """A zero-copy numpy view of one extent of an integer column."""
-    dtype = column.numpy_dtype
-    if extent.dtype_code != column.dtype or extent.nbytes != extent.n_rows * dtype.itemsize:
+def extent_base(column: Column, extent: Extent) -> int:
+    """The element index of an extent's first row in a typed view of the file.
+
+    Checks the extent against its integer column: the dtype, the byte size
+    and an offset that is a multiple of the dtype size (:func:`write_segment`
+    page-aligns every payload, so a misaligned offset is a malformed file).
+    """
+    itemsize = column.numpy_dtype.itemsize
+    if extent.dtype_code != column.dtype or extent.nbytes != extent.n_rows * itemsize:
         raise SerializationError(f"run store column {column.name!r} is malformed")
-    return np.frombuffer(buffer, dtype=dtype, count=extent.n_rows, offset=extent.offset)
+    if extent.offset % itemsize:
+        raise SerializationError(
+            f"run store column {column.name!r} has an extent at offset "
+            f"{extent.offset}, not a multiple of its {itemsize}-byte dtype"
+        )
+    return extent.offset // itemsize
 
 
 def write_segment(handle, segment_offset: int, sections) -> int:

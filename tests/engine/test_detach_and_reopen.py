@@ -301,18 +301,31 @@ def test_reopen_preserves_decode_cache_and_answers(scheme, spec, tmp_path):
 
 
 def test_chunked_column_gather_matches_concatenated():
-    chunks = [
-        np.arange(0, 7, dtype=np.int32),
-        np.arange(7, 19, dtype=np.int32),
-        np.arange(19, 24, dtype=np.int32),
-    ]
-    column = _ChunkedColumn([0, 7, 19], list(chunks))
-    rng = np.random.default_rng(0)
-    rows = rng.integers(0, 24, size=1000)
+    # Three extents of one buffer with padding between them, as a mapping
+    # lays out the page-aligned extents of successive segments.
+    lengths, gap = (7, 12, 5), 3
+    buffer = np.full(sum(lengths) + gap * (len(lengths) + 1), -1, dtype=np.int32)
+    starts, bases = [], []
+    row = element = 0
+    for n in lengths:
+        element += gap
+        buffer[element : element + n] = np.arange(row, row + n)
+        starts.append(row)
+        bases.append(element - row)
+        row += n
+        element += n
+    column = _ChunkedColumn(buffer, starts, bases, row)
     flat = column.concatenated()
-    for chunk in (0, 1, 3, 64, 10_000):
-        assert np.array_equal(column.gather(rows, chunk=chunk), flat[rows])
+    assert flat.tolist() == list(range(24)) == list(column)
+    rng = np.random.default_rng(0)
+    boundary = [start for start in starts] + [start - 1 for start in starts[1:]] + [row - 1]
+    for rows in (rng.integers(0, 24, size=1000), np.asarray(boundary)):
+        assert np.array_equal(column.gather(rows), flat[rows])
+        assert [column[int(r)] for r in rows] == flat[rows].tolist()
     assert column.gather(np.empty(0, dtype=np.int64)).size == 0
+    for outside in (-1, row):
+        with pytest.raises(IndexError):
+            column.gather(np.asarray([0, outside]))
 
 
 def test_batches_over_multi_segment_mapped_shards(scheme, spec, tmp_path):
@@ -339,4 +352,4 @@ def test_batches_over_multi_segment_mapped_shards(scheme, spec, tmp_path):
     assert max(mapped.extents_per_column().values()) >= 3
     assert np.array_equal(engine.depends_batch(pairs, view), expected)
     # The gather never materialised whole columns on the mapped store.
-    assert mapped.store._producer_path._flat is None
+    assert mapped.store._producer_path._whole is None

@@ -8,12 +8,15 @@ view, whose closures it gathers from; a structural check keeps the search
 out of its batches — counted by instrumenting the computation itself (no
 timing involved, so no flakiness).
 
-Two more keep what left the write path and the cold query path from coming
-back unnoticed, both counts, neither a timing:
+Three more keep what left the write path, the mapped read path and the cold
+query path from coming back unnoticed, all counts, none a timing:
 
 * a chain of delta checkpoints holds the payload bytes of its compaction —
   a column rewritten in full by every checkpoint (as the interval columns
   were) multiplies them;
+* mapping a run file makes one typed ``np.frombuffer`` view per column
+  dtype, on a 12-segment chain as on its compaction — a view per extent
+  would make the follower's attach pay per segment;
 * a cold batch, on a mapped and on a live and still-growing shard, builds no
   interval index and makes no Python call per path pair: the matrix bank is
   asked once per distinct *factor*, and not at all for factors an earlier
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import shutil
 import socket
 import struct
 import sys
@@ -96,7 +100,7 @@ from repro.net import AnswersReply, ProvenanceNetServer, decode_reply, encode_de
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Sampler
 from repro.serve import ProvenanceServer, load_hot_matrices, save_hot_matrices
-from repro.store import MappedRunStore, checkpoint_run, compact
+from repro.store import MappedRunStore, checkpoint_run, compact, runfile
 from repro.workloads import (
     build_bioaid_specification,
     build_nested_chain_specification,
@@ -378,6 +382,47 @@ def test_delta_checkpoints_write_what_their_compaction_holds(setup, tmp_path):
     segmented = _payload_bytes(run_file)
     assert compact(run_file).segments_before == 12
     assert segmented <= 1.15 * _payload_bytes(run_file)
+
+
+def test_mapping_makes_one_typed_view_per_dtype_whatever_the_segment_count(
+    setup, tmp_path, monkeypatch
+):
+    """A 12-segment file and its compaction each map one typed view per dtype.
+
+    Counted with ``np.frombuffer`` instrumented across the attach, every
+    column's first read, a gather and ``columns()``: a view per extent would
+    make the count grow with the segment count.
+    """
+    scheme, derivation, _, _ = setup
+    events = derivation.events
+    run_file = tmp_path / "views.fvl"
+    labeler = scheme.run_labeler()
+    cuts = [len(events) * slice_ // 12 for slice_ in range(13)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        for event in events[lo:hi]:
+            labeler(event)
+        checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    merged = tmp_path / "merged.fvl"
+    shutil.copyfile(run_file, merged)
+    assert compact(merged).segments_before == 12
+    calls = []
+    original = np.frombuffer
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("dtype"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "frombuffer", counting)
+    dtypes = {column.numpy_dtype for column in runfile.SCHEMA if column.dtype != runfile.BLOB}
+    rows = np.arange(0, len(labeler.store), 7)
+    for path, segments in ((run_file, 12), (merged, 1)):
+        calls.clear()
+        with MappedRunStore(path) as mapped:
+            assert mapped.n_segments == segments
+            mapped.store.gather_rows(rows)
+            for table in (mapped.table, mapped.store, mapped.nodes):
+                table.columns()
+        assert len(calls) == len(set(calls)) <= len(dtypes) == 2
 
 
 def test_cold_batch_builds_no_index_and_asks_the_bank_once_per_factor(setup, tmp_path, monkeypatch):

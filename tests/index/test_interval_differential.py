@@ -45,6 +45,8 @@ from repro.workloads import (
     random_view,
 )
 
+pytestmark = pytest.mark.usefixtures("detach_engines")
+
 # A small *recursive* member of the synthetic family: every derivation
 # carries recursion edges, so chain products are among the classified factors.
 SYN_SPEC = build_synthetic_specification(

@@ -29,6 +29,7 @@ from repro.engine.kernel import (
 from repro.index import StructuralIndex, compute_tree_intervals, tree_levels
 from repro.matrices import BoolMatrix
 
+pytestmark = pytest.mark.usefixtures("detach_engines")
 
 # -- interval columns vs a naive DFS reference ---------------------------------
 

@@ -145,10 +145,14 @@ def test_a_torn_first_checkpoint_leaves_no_file(point, after, scheme, spec, tmp_
     _serves_every_item(path, labeler)
 
 
-@pytest.mark.parametrize("point", ["persist.write", "persist.fsync"])
-def test_a_torn_append_keeps_the_old_watermark(point, scheme, spec, tmp_path):
-    """A fault before the header write leaves the previous header in place;
-    the retry appends the whole delta."""
+@pytest.mark.parametrize(
+    "point, after",
+    [("persist.write", 0), ("persist.fsync", 0), ("persist.fsync", 1)],
+    ids=["persist.write", "persist.fsync", "header-fsync"],
+)
+def test_a_torn_append_keeps_the_old_watermark(point, after, scheme, spec, tmp_path):
+    """A fault before the header is durable leaves the previous header in
+    place; the retry appends the whole delta."""
     events = random_run(spec, 300, seed=31).events
     cut = int(len(events) * 0.7)
     labeler = RunLabeler(scheme.index)
@@ -159,7 +163,7 @@ def test_a_torn_append_keeps_the_old_watermark(point, scheme, spec, tmp_path):
     watermark = run_file_info(path).n_items
     for event in events[cut:]:
         labeler(event)
-    plan = FaultPlan().on(point, count=1)
+    plan = FaultPlan().on(point, after=after, count=1)
     with plan.armed(), pytest.raises(InjectedFault):
         checkpoint_run(path, labeler.store, labeler.tree.nodes)
     assert plan.fired(point) == 1
