@@ -127,7 +127,3 @@ class RunLabeler:
             event.parent.uid, event.production_index, event.children, position_path_ids
         )
         self._store.extend_items(event.new_items, position_path_ids)
-
-    def _assign(self, item_uid: int, label: DataLabel) -> None:
-        """Record one label given as a value object (raises if already labelled)."""
-        self._store.append_label(item_uid, label)

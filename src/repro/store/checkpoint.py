@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from repro import faults
 from repro.errors import SerializationError
@@ -63,7 +62,7 @@ class _PendingCheckpoint:
     header: Header
     #: The header after this checkpoint, bar the segment count and chain end
     #: the commit fills in.  Identity fields are snapshotted at plan time (an
-    #: empty file may legitimately change density/base before its first rows
+    #: empty file may legitimately change its base before its first rows
     #: land).
     advanced: Header
     sections: list[tuple[int, int, int, int, bytes]]
@@ -87,7 +86,7 @@ def _plan_checkpoint(
 
     created = not os.path.exists(file_path)
     if created:
-        header = Header(dense=store.is_dense, has_nodes=has_nodes, fingerprint=fingerprint)
+        header = Header(has_nodes=has_nodes, fingerprint=fingerprint)
     else:
         # The header only: a resuming checkpoint never walks the chain.
         with open(file_path, "rb") as handle:
@@ -124,14 +123,9 @@ def _plan_checkpoint(
                 "run file and checkpoint disagree on whether node rows are "
                 "persisted; pass the same node_table (or None) every time"
             )
-        if header.n_items > 0 and store.is_dense != header.dense:
+        if header.n_items > 0 and store.base_uid != header.base_uid:
             raise SerializationError(
-                "the store changed uid density since the last checkpoint; "
-                "write a fresh run file"
-            )
-        if header.n_items > 0 and store.is_dense and store.base_uid != header.base_uid:
-            raise SerializationError(
-                f"dense base uid changed ({header.base_uid} -> {store.base_uid}); "
+                f"base uid changed ({header.base_uid} -> {store.base_uid}); "
                 "this is a different run"
             )
     if n_nodes == header.n_nodes:
@@ -145,9 +139,8 @@ def _plan_checkpoint(
         n_nodes=n_nodes,
         n_node_uids=n_uids,
         n_module_names=n_names,
-        base_uid=store.base_uid if store.is_dense else 0,
+        base_uid=store.base_uid,
         fingerprint=header.fingerprint or fingerprint,
-        dense=store.is_dense,
         has_nodes=has_nodes,
     )
     for family in ("n_paths", "n_items", "n_nodes", "n_node_uids", "n_module_names"):
@@ -161,8 +154,6 @@ def _plan_checkpoint(
     # One live source per schema column this run carries, in schema order;
     # each yields the column's rows ``[start, stop)``.
     sources = [_sliced(column) for column in table.raw_columns() + store.raw_columns()]
-    if not store.is_dense:
-        sources.append(lambda start, stop: list(islice(store.uids(), start, stop)))
     if has_nodes:
         sources += [_sliced(column) for column in node_columns]
         sources.append(lambda start, stop: node_table.uid_slice(start)[: stop - start])
@@ -275,8 +266,8 @@ def checkpoint_run(
     delta rows** appended since the last checkpoint are written, as one new
     segment.  The store (and the node table, when given) must be the same
     growing run the file was created from — shrinking counts, a changed
-    density mode, a changed dense base or a changed ``fingerprint`` are
-    rejected rather than guessed at.
+    base uid or a changed ``fingerprint`` are rejected rather than guessed
+    at.
 
     ``fingerprint`` is an optional specification identity (any nonzero int,
     e.g. a grammar hash): it is stored in the header on creation and

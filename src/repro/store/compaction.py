@@ -146,13 +146,7 @@ def _verify_against_source(source: MappedRunStore, merged: MappedRunStore) -> No
         _require_equal(f"path.{name}", column, merged.table.columns()[name])
     for name, column in source.store.columns().items():
         _require_equal(f"label.{name}", column, merged.store.columns()[name])
-    _require_equal("label.is_dense", source.store.is_dense, merged.store.is_dense)
-    if not source.store.is_dense:
-        _require_equal(
-            "label.uids",
-            [int(uid) for uid in source.store.uids()],
-            [int(uid) for uid in merged.store.uids()],
-        )
+    _require_equal("label.base_uid", source.store.base_uid, merged.store.base_uid)
     _require_equal("nodes.present", source.nodes is None, merged.nodes is None)
     if source.nodes is not None:
         for name, column in source.nodes.columns().items():

@@ -18,9 +18,10 @@ absent side of boundary labels.  Value objects are materialised lazily, only
 for the items a compatibility consumer actually touches.
 
 Item uids are assigned sequentially by :class:`~repro.model.derivation.
-Derivation`, so the store runs in *dense* mode — row index is ``uid - base``,
-no per-item index entry at all — and falls back to a uid->row dict only if a
-caller appends out-of-order uids.
+Derivation`, so a run's items are one consecutive uid range and the row of
+an item is ``uid - base``: no per-item index entry at all.  ``append`` and
+``extend_items`` refuse any uid that is not the run's next one with
+:class:`~repro.errors.LabelingError`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ __all__ = ["LabelStore", "LabelStoreMapping", "NO_PATH"]
 
 #: Sentinel path id marking an absent producer/consumer (boundary labels).
 NO_PATH = -1
+
+
+def _check_rows(rows: np.ndarray, length: int) -> None:
+    """Raise ``IndexError`` unless every one of int64 ``rows`` lies in ``[0, length)``."""
+    if rows.size and (rows.min() < 0 or rows.max() >= length):
+        raise IndexError(f"gather rows outside [0, {length})")
 
 
 def _already_labelled(uid: int) -> LabelingError:
@@ -77,7 +84,7 @@ class LabelStoreMapping(Mapping):
 
 
 class LabelStore:
-    """Columnar data labels for one run, keyed by data-item uid."""
+    """Columnar data labels for one run: row ``uid - base`` holds item ``uid``."""
 
     __slots__ = (
         "_table",
@@ -85,9 +92,7 @@ class LabelStore:
         "_producer_port",
         "_consumer_path",
         "_consumer_port",
-        "_uids",
         "_base",
-        "_row_of",
         "_view",
         "_label_cache",
     )
@@ -98,10 +103,8 @@ class LabelStore:
         self._producer_port: list[int] = []
         self._consumer_path: list[int] = []
         self._consumer_port: list[int] = []
-        #: Dense mode: row == uid - _base, _uids stays empty and _row_of None.
-        self._uids: list[int] = []
+        #: The first uid; ``None`` until the first row lands.
         self._base: int | None = None
-        self._row_of: dict[int, int] | None = None
         self._view: LabelStoreMapping | None = None
         #: uid -> materialised DataLabel, filled only for items a caller
         #: reads (repeat consumers — e.g. matrix-free query paths — would
@@ -109,6 +112,15 @@ class LabelStore:
         self._label_cache: dict[int, DataLabel] = {}
 
     # -- ingest ------------------------------------------------------------------
+
+    def _not_next(self, uid: int, row: int) -> LabelingError:
+        """The error for ``uid`` arriving where row ``row`` is due."""
+        if 0 <= uid - self._base < row:
+            return _already_labelled(uid)
+        return LabelingError(
+            f"data item {uid} is not the run's next uid {self._base + row}; "
+            "a run's items are one consecutive uid range"
+        )
 
     def append(
         self,
@@ -118,110 +130,54 @@ class LabelStore:
         consumer_path: int,
         consumer_port: int,
     ) -> None:
-        """Record one label; ``NO_PATH`` marks an absent producer/consumer."""
+        """Record the label of the run's next item; ``NO_PATH`` marks an absent side."""
         row = len(self._producer_path)
-        if self._row_of is None:
-            base = self._base
-            if base is None:
-                self._base = uid
-            elif uid - base != row:
-                if 0 <= uid - base < row:
-                    raise _already_labelled(uid)
-                self._go_sparse()
-        elif uid in self._row_of:
-            raise _already_labelled(uid)
+        if self._base is None:
+            self._base = uid
+        elif uid - self._base != row:
+            raise self._not_next(uid, row)
         self._producer_path.append(producer_path)
         self._producer_port.append(producer_port)
         self._consumer_path.append(consumer_path)
         self._consumer_port.append(consumer_port)
-        if self._row_of is not None:
-            # Published after the row is whole: a racing reader that finds
-            # the uid finds all four of its columns.
-            self._uids.append(uid)
-            self._row_of[uid] = row
 
     def extend_items(self, items: Sequence, path_ids: Sequence[int]) -> None:
         """Bulk-record the labels of one expansion event's new data items.
 
         ``items`` are :class:`~repro.model.derivation.NewItem` records and
         ``path_ids[position]`` is the interned path id of the child node at
-        that production position.  This is the hot ingest loop: in dense mode
-        each item costs four list appends and one contiguity check — no
-        per-item method call, no object construction.
+        that production position.  This is the hot ingest loop: each item
+        costs four list appends and one contiguity check — no per-item
+        method call, no object construction.  An item that is not the run's
+        next uid raises :class:`LabelingError`; the rows before it stay.
         """
-        if self._row_of is None:
-            base = self._base
-            if base is None:
-                if not items:
-                    return
-                self._base = base = items[0].uid
-            next_uid = base + len(self._producer_path)
-            producer_path = self._producer_path.append
-            producer_port = self._producer_port.append
-            consumer_path = self._consumer_path.append
-            consumer_port = self._consumer_port.append
-            for item in items:
-                if item.uid != next_uid:
-                    # At most once per store: the per-item fallback either
-                    # raises (duplicate) or flips the store to sparse mode,
-                    # and sparse stores never re-enter this branch — so the
-                    # O(n) index() rescan cannot repeat.
-                    for rest in items[items.index(item):]:
-                        self.append(
-                            rest.uid,
-                            path_ids[rest.producer_position],
-                            rest.producer_port,
-                            path_ids[rest.consumer_position],
-                            rest.consumer_port,
-                        )
-                    return
-                next_uid += 1
-                producer_path(path_ids[item.producer_position])
-                producer_port(item.producer_port)
-                consumer_path(path_ids[item.consumer_position])
-                consumer_port(item.consumer_port)
-        else:
-            for item in items:
-                self.append(
-                    item.uid,
-                    path_ids[item.producer_position],
-                    item.producer_port,
-                    path_ids[item.consumer_position],
-                    item.consumer_port,
-                )
-
-    def append_label(self, uid: int, label: DataLabel) -> None:
-        """Record one label given as a value object (paths are interned)."""
-        producer, consumer = label.producer, label.consumer
-        self.append(
-            uid,
-            NO_PATH if producer is None else self._table.intern(producer.path),
-            0 if producer is None else producer.port,
-            NO_PATH if consumer is None else self._table.intern(consumer.path),
-            0 if consumer is None else consumer.port,
-        )
-
-    def _go_sparse(self) -> None:
-        """Leave dense mode: materialise the uid column and the uid->row index."""
-        base = self._base or 0
-        uids = range(base, base + len(self._producer_path))
-        self._uids = list(uids)
-        self._row_of = {uid: row for row, uid in enumerate(uids)}
+        if not items:
+            return
+        if self._base is None:
+            self._base = items[0].uid
+        next_uid = self._base + len(self._producer_path)
+        producer_path = self._producer_path.append
+        producer_port = self._producer_port.append
+        consumer_path = self._consumer_path.append
+        consumer_port = self._consumer_port.append
+        for item in items:
+            if item.uid != next_uid:
+                raise self._not_next(item.uid, next_uid - self._base)
+            next_uid += 1
+            producer_path(path_ids[item.producer_position])
+            producer_port(item.producer_port)
+            consumer_path(path_ids[item.consumer_position])
+            consumer_port(item.consumer_port)
 
     # -- lookups -----------------------------------------------------------------
 
     def _row(self, uid: int) -> int:
-        if self._row_of is None:
-            base = self._base
-            # Bounded by the column ``append`` writes last, so a reader
-            # racing the ingest thread never sees a half-appended row.
-            if base is not None and 0 <= uid - base < len(self._consumer_port):
-                return uid - base
-            raise _not_labelled(uid)
-        try:
-            return self._row_of[uid]
-        except KeyError:
-            raise _not_labelled(uid) from None
+        base = self._base
+        # Bounded by the column ``append`` writes last, so a reader racing
+        # the ingest thread never sees a half-appended row.
+        if base is not None and 0 <= uid - base < len(self._consumer_port):
+            return uid - base
+        raise _not_labelled(uid)
 
     def rows_for(self, uids: np.ndarray) -> np.ndarray:
         """Row indices of an int64 array of uids, for :meth:`gather_rows`.
@@ -229,19 +185,12 @@ class LabelStore:
         Raises the same :class:`LabelingError` as :meth:`row` for the first
         unlabelled uid in array order.
         """
-        if self._row_of is None:
-            rows = uids - (self._base or 0)
-            # A negative row is a huge unsigned one: one comparison checks both ends.
-            unknown = rows.view(np.uint64) >= len(self._consumer_port)
-            if unknown.any():
-                raise _not_labelled(int(uids[unknown.argmax()]))
-            return rows
-        try:
-            return np.fromiter(
-                map(self._row_of.__getitem__, uids.tolist()), np.int64, uids.size
-            )
-        except KeyError as exc:
-            raise _not_labelled(exc.args[0]) from None
+        rows = uids - (self._base or 0)
+        # A negative row is a huge unsigned one: one comparison checks both ends.
+        unknown = rows.view(np.uint64) >= len(self._consumer_port)
+        if unknown.any():
+            raise _not_labelled(int(uids[unknown.argmax()]))
+        return rows
 
     def row(self, uid: int) -> tuple[int, int, int, int]:
         """The packed label ``(producer_path, producer_port, consumer_path, consumer_port)``."""
@@ -272,20 +221,16 @@ class LabelStore:
             uid = operator.index(uid)  # any integral: numpy uids are uids too
         except TypeError:
             return False
-        if self._row_of is None:
-            base = self._base
-            return base is not None and 0 <= uid - base < len(self._consumer_port)
-        return uid in self._row_of
+        base = self._base
+        return base is not None and 0 <= uid - base < len(self._consumer_port)
 
     def __len__(self) -> int:
         return len(self._consumer_port)
 
     def uids(self) -> Iterator[int]:
-        """The labelled uids in insertion order."""
-        if self._row_of is None:
-            base = self._base or 0
-            return iter(range(base, base + len(self._consumer_port)))
-        return iter(self._uids)
+        """The labelled uids, in row order."""
+        base = self._base or 0
+        return iter(range(base, base + len(self._consumer_port)))
 
     def iter_rows(self) -> Iterator[tuple[int, int, int, int, int]]:
         """Iterate ``(uid, producer_path, producer_port, consumer_path, consumer_port)``."""
@@ -322,13 +267,8 @@ class LabelStore:
         return self._table
 
     @property
-    def is_dense(self) -> bool:
-        """Whether uids are a contiguous range (no per-item index entry)."""
-        return self._row_of is None
-
-    @property
     def base_uid(self) -> int:
-        """The first uid of the dense range (0 for an empty store)."""
+        """The first uid of the run (0 for an empty store)."""
         return self._base if self._base is not None else 0
 
     def columns(self) -> dict[str, np.ndarray]:
@@ -356,11 +296,14 @@ class LabelStore:
         """The requested label columns gathered at ``rows``, as int32 copies.
 
         ``rows`` come from :meth:`rows_for`; the returned tuple lines up
-        with ``fields``.  Valid beside a concurrent ``append``: the growing
+        with ``fields``.  A row outside ``[0, len(self))`` raises
+        ``IndexError``.  Valid beside a concurrent ``append``: the growing
         lists are copied element by element and no buffer is exported.
         Mapped stores override this with an in-place gather over their
         extents.
         """
+        rows = np.asarray(rows, dtype=np.int64)
+        _check_rows(rows, len(self))
         columns = dict(zip(self.GATHER_FIELDS, self.raw_columns()))
         index = rows.tolist()
         return tuple(

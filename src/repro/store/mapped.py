@@ -29,7 +29,7 @@ import numpy as np
 from repro import faults
 from repro.errors import SerializationError
 from repro.store import runfile
-from repro.store.label_store import LabelStore
+from repro.store.label_store import LabelStore, _check_rows
 from repro.store.node_table import NodeTable
 from repro.store.path_table import ROOT_PATH, PathTable
 from repro.store.runfile import SCHEMA, Extent, Header
@@ -128,11 +128,6 @@ class _ChunkedColumn:
         return self._flat[rows + self._base_array[extent]]
 
 
-def _check_rows(rows: np.ndarray, length: int) -> None:
-    if rows.size and (rows.min() < 0 or rows.max() >= length):
-        raise IndexError(f"gather rows outside [0, {length})")
-
-
 def _as_ndarray(column) -> np.ndarray:
     return column.concatenated() if isinstance(column, _ChunkedColumn) else column
 
@@ -172,14 +167,9 @@ class MappedPathTable(PathTable):
 
 
 class MappedLabelStore(LabelStore):
-    """A read-only :class:`LabelStore` whose columns are mmap-backed views.
+    """A read-only :class:`LabelStore` whose columns are mmap-backed views."""
 
-    Sparse (non-dense) runs keep their uid column mapped too; the uid->row
-    index is built lazily on the first keyed access, so attaching decodes
-    nothing.
-    """
-
-    __slots__ = ("_sparse",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -188,9 +178,7 @@ class MappedLabelStore(LabelStore):
         producer_port,
         consumer_path,
         consumer_port,
-        uids=None,
         *,
-        dense: bool,
         base_uid: int,
     ) -> None:
         self._table = table
@@ -198,48 +186,12 @@ class MappedLabelStore(LabelStore):
         self._producer_port = producer_port
         self._consumer_path = consumer_path
         self._consumer_port = consumer_port
-        self._sparse = not dense
-        if dense:
-            self._uids = []
-            self._base = base_uid if len(producer_path) else None
-        else:
-            self._uids = uids if uids is not None else []
-            self._base = None
-        self._row_of = None
+        self._base = base_uid if len(producer_path) else None
         self._view = None
         self._label_cache = {}
 
     append = _read_only
     extend_items = _read_only
-    append_label = _read_only
-    _go_sparse = _read_only
-
-    def _ensure_index(self) -> None:
-        # The base class reads ``_row_of is None`` as "dense"; a mapped
-        # sparse store defers building the dict until a keyed access needs it.
-        if self._sparse and self._row_of is None:
-            self._row_of = {int(uid): row for row, uid in enumerate(self._uids)}
-
-    def _row(self, uid: int) -> int:
-        self._ensure_index()
-        return super()._row(uid)
-
-    def rows_for(self, uids: np.ndarray) -> np.ndarray:
-        self._ensure_index()
-        return super().rows_for(uids)
-
-    def __contains__(self, uid: object) -> bool:
-        self._ensure_index()
-        return super().__contains__(uid)
-
-    def uids(self):
-        if self._sparse:
-            return iter(self._uids)
-        return super().uids()
-
-    @property
-    def is_dense(self) -> bool:
-        return not self._sparse
 
     def columns(self) -> dict[str, np.ndarray]:
         return {
@@ -476,9 +428,7 @@ class MappedRunStore:
             if header.carries(column):
                 tables[column.name.partition(".")[0]].append(self._column(column))
         self._table = MappedPathTable(*tables["path"])
-        self._store = MappedLabelStore(
-            self._table, *tables["label"], dense=header.dense, base_uid=header.base_uid
-        )
+        self._store = MappedLabelStore(self._table, *tables["label"], base_uid=header.base_uid)
         self._nodes = MappedNodeTable(*tables["node"]) if header.has_nodes else None
 
     # -- the manifest and checksum verification ----------------------------------

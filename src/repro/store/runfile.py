@@ -86,7 +86,10 @@ _SECTION = struct.Struct("<IIQQQQ")  # id, dtype, row_start, n_rows, offset, nby
 _CRC = struct.Struct("<I")
 _SEGMENT_MAGIC = b"SEG2"
 
-_FLAG_DENSE = 1
+#: Set in every header this build writes: item ``uid`` is label row
+#: ``uid - base_uid``.  Earlier builds cleared it in sparse files (those
+#: with a uid column); such a header is refused.
+_FLAG_CONSECUTIVE_UIDS = 1
 _FLAG_NODES = 2
 
 I32, I64, BLOB = 0, 1, 2  # on-disk dtype codes
@@ -114,8 +117,9 @@ class Column(NamedTuple):
 #: table the rows follow that table's ``raw_columns()`` order, which is also
 #: the positional order of its ``Mapped*`` constructor.  Path columns include
 #: the root row so a mapped view is indexable by path id with no prepend
-#: copy; ``label.uids`` exists only in sparse (non-dense) files and the
-#: ``node.*`` columns only in files checkpointed with a node table.
+#: copy; a label row's uid is ``base_uid`` plus its row, so no uid column
+#: exists, and the ``node.*`` columns exist only in files checkpointed with
+#: a node table.
 SCHEMA = (
     Column(1, "path.parent", "n_paths", I32),
     Column(2, "path.packed", "n_paths", I64),
@@ -124,7 +128,6 @@ SCHEMA = (
     Column(11, "label.producer_port", "n_items", I32),
     Column(12, "label.consumer_path", "n_items", I32),
     Column(13, "label.consumer_port", "n_items", I32),
-    Column(14, "label.uids", "n_items", I64),
     Column(20, "node.parent", "n_nodes", I32),
     Column(21, "node.path_id", "n_nodes", I32),
     Column(22, "node.meta", "n_nodes", I64),
@@ -169,7 +172,7 @@ def _align(offset: int) -> int:
 @dataclass(frozen=True)
 class Header:
     # The ten counters are declared in on-disk order (see ``_HEADER``); the
-    # two trailing booleans are the bits of the flags word.
+    # trailing boolean is a bit of the flags word.
     n_segments: int = 0
     n_paths: int = 0
     n_items: int = 0
@@ -190,18 +193,15 @@ class Header:
     #: ``os.replace``), so a reader whose mapping's inode is still the one at
     #: the path needs no header read to know the generation is unchanged.
     generation: int = 0
-    dense: bool = True
     has_nodes: bool = False
 
     def carries(self, column: Column) -> bool:
         """Whether a file with these flags has ``column`` at all."""
-        if column.name == "label.uids":
-            return not self.dense
         return self.has_nodes or not column.name.startswith("node.")
 
     def pack(self) -> bytes:
-        *counters, dense, has_nodes = astuple(self)
-        flags = (_FLAG_DENSE if dense else 0) | (_FLAG_NODES if has_nodes else 0)
+        *counters, has_nodes = astuple(self)
+        flags = _FLAG_CONSECUTIVE_UIDS | (_FLAG_NODES if has_nodes else 0)
         return _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, PAGE_SIZE, flags, *counters)
 
     @classmethod
@@ -218,11 +218,12 @@ class Header:
             )
         if page_size != PAGE_SIZE:
             raise SerializationError(f"unsupported page size {page_size}")
-        return cls(
-            *counters,
-            dense=bool(flags & _FLAG_DENSE),
-            has_nodes=bool(flags & _FLAG_NODES),
-        )
+        if not flags & _FLAG_CONSECUTIVE_UIDS:
+            raise SerializationError(
+                "run store items are not one consecutive uid range (a sparse "
+                "file of an earlier build, which this build does not read)"
+            )
+        return cls(*counters, has_nodes=bool(flags & _FLAG_NODES))
 
 
 # ---------------------------------------------------------------------------

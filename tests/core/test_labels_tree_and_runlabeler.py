@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.errors import LabelingError
 from repro.model import Derivation
+from repro.store import NO_PATH, ROOT_PATH
 from tests.conftest import derive_running
 
 
@@ -126,8 +127,8 @@ def test_labels_are_immutable_and_unique(running_scheme, running_spec):
     derivation = Derivation(running_spec)
     labeler = running_scheme.label_run(derivation)
     derivation.expand("S:1", 1)
-    with pytest.raises(LabelingError):
-        labeler._assign(1, DataLabel(None, PortLabel((), 1)))
+    with pytest.raises(LabelingError, match="already labelled"):
+        labeler.store.append(1, NO_PATH, 0, ROOT_PATH, 1)
 
 
 def test_labeler_requires_initial_event_first(running_scheme, running_spec):

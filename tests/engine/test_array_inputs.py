@@ -2,7 +2,7 @@
 
 ``depends_batch`` / ``is_visible_batch`` accept an ``(n, 2)`` / ``(n,)``
 int64 array (what the wire decodes a frame into) as well as lists.  Every
-store state (live, mapped, multi-extent, compacted, sparse) and every batch
+store state (live, mapped, multi-extent, compacted) and every batch
 size from one pair up takes the same evaluator, so each must equal the
 per-pair ``FVLScheme.depends`` and raise the identical error for both
 spellings — including frames with boundary pairs (initial inputs / final
@@ -30,7 +30,7 @@ from repro.model.derivation import Derivation
 from repro.model.projection import ViewProjection
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.serve import ProvenanceServer
-from repro.store import LabelStore, checkpoint_run, compact
+from repro.store import checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
 SPEC = build_bioaid_specification()
@@ -60,7 +60,7 @@ def _pairs(view, n, seed=0):
     return pairs[:n]
 
 
-@pytest.fixture(params=["live", "mapped", "segmented", "compacted", "sparse"])
+@pytest.fixture(params=["live", "mapped", "segmented", "compacted"])
 def engine(request, tmp_path):
     engine = QueryEngine(SCHEME)
     run_file = tmp_path / "array.fvl"
@@ -69,7 +69,7 @@ def engine(request, tmp_path):
     elif request.param == "mapped":
         checkpoint_run(run_file, LABELER.store, LABELER.tree.nodes)
         engine.attach(run_file)
-    elif request.param in ("segmented", "compacted"):
+    else:
         labeler = SCHEME.run_labeler()
         events = DERIVATION.events
         step = max(1, len(events) // 4)
@@ -83,16 +83,6 @@ def engine(request, tmp_path):
             assert max(engine.attach(run_file).extents_per_column().values()) == 1
         else:
             assert max(engine.attach(run_file).extents_per_column().values()) >= 3
-    else:
-        # The same rows appended out of uid order: a uid -> row index
-        # instead of the dense subtract.
-        shuffled = LabelStore(LABELER.store.table)
-        uids = list(LABELER.store.uids())
-        random.Random(5).shuffle(uids)
-        for uid in uids:
-            shuffled.append(uid, *LABELER.store.row(uid))
-        checkpoint_run(run_file, shuffled, LABELER.tree.nodes)
-        assert not engine.attach(run_file).store.is_dense
     yield engine
     engine.detach(DEFAULT_RUN)  # closes the mapped shard's file
 

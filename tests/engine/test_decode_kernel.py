@@ -14,8 +14,7 @@ paper's definition on edge-label tuples and ``BoolMatrix``.  The contract is
     the synthetic family (mid-cycle dropped productions included), BioAID,
     the nested chain and a deep recursion; each of the three variants' labels
     as the reference to the engine's one; grey, white
-    and black-box views; live, mapped, multi-segment and sparse
-    stores;
+    and black-box views; live, mapped and multi-segment stores;
 (2) a warm batch executes no per-key Python;
 (3) the state budget bounds the pair tables, in bytes, across LRU rebuilds;
     the bank's chain products are static, held whole whatever the budget;
@@ -67,7 +66,7 @@ from repro.model import (
     default_view,
 )
 from repro.model.projection import ViewProjection
-from repro.store import LabelStore, checkpoint_run
+from repro.store import checkpoint_run
 from repro.workloads import (
     build_bioaid_specification,
     build_nested_chain_specification,
@@ -80,7 +79,7 @@ from repro.workloads.builder import chain_workflow
 
 pytestmark = pytest.mark.usefixtures("detach_engines")
 
-STORES = ("live", "mapped", "segmented", "sparse")
+STORES = ("live", "mapped", "segmented")
 
 
 def _engine_over(scheme, derivation, labeler, store, run_file) -> QueryEngine:
@@ -91,7 +90,7 @@ def _engine_over(scheme, derivation, labeler, store, run_file) -> QueryEngine:
     elif store == "mapped":
         checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
         engine.attach(run_file)
-    elif store == "segmented":
+    else:
         writer = scheme.run_labeler()
         events = derivation.events
         step = max(1, len(events) // 3)
@@ -100,14 +99,6 @@ def _engine_over(scheme, derivation, labeler, store, run_file) -> QueryEngine:
                 writer(event)
             checkpoint_run(run_file, writer.store, writer.tree.nodes)
         engine.attach(run_file)
-    else:
-        shuffled = LabelStore(labeler.store.table)
-        uids = list(labeler.store.uids())
-        random.Random(5).shuffle(uids)
-        for uid in uids:
-            shuffled.append(uid, *labeler.store.row(uid))
-        checkpoint_run(run_file, shuffled, labeler.tree.nodes)
-        assert not engine.attach(run_file).store.is_dense
     return engine
 
 

@@ -245,12 +245,10 @@ def test_compaction_leaves_the_interval_sections_behind(tmp_path):
     bytes_before = os.path.getsize(run_file)
 
     assert compact(run_file).compacted
-    assert len(SCHEMA) == 14
+    assert len(SCHEMA) == 13
     with MappedRunStore(run_file) as mapped:
-        # A dense file carries every schema column but ``label.uids``, once.
-        assert [name for name, _ in mapped.sections()] == [
-            column.name for column in SCHEMA if column.name != "label.uids"
-        ]
+        # The file carries every schema column, once.
+        assert [name for name, _ in mapped.sections()] == [column.name for column in SCHEMA]
         assert mapped.structural_index() is None
         assert mapped.read_amplification() == 1.0
     assert os.path.getsize(run_file) < bytes_before

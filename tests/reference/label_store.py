@@ -62,11 +62,6 @@ class ObjectLabelStore:
                 PortLabel(path(path_ids[item.consumer_position]), item.consumer_port),
             )
 
-    def append_label(self, uid: int, label: DataLabel) -> None:
-        if uid in self._labels:
-            raise _already_labelled(uid)
-        self._labels[uid] = label
-
     def label(self, uid: int) -> DataLabel:
         try:
             return self._labels[uid]

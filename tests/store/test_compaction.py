@@ -14,9 +14,7 @@ from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import SerializationError
 from repro.model.projection import ViewProjection
 from repro.store import (
-    LabelStore,
     MappedRunStore,
-    PathTable,
     checkpoint_run,
     compact,
     run_file_info,
@@ -143,24 +141,6 @@ def test_checkpoint_resumes_on_compacted_generation(scheme, spec, tmp_path):
     assert compact(path).generation == 2
     with MappedRunStore(path) as mapped:
         assert mapped.n_items == derivation.run.n_data_items
-
-
-def test_sparse_runs_compact_losslessly(tmp_path):
-    table = PathTable()
-    a = table.extend_production(0, 1, 1)
-    b = table.extend_production(0, 1, 2)
-    store = LabelStore(table)
-    store.append(5, a, 1, b, 2)
-    store.append(42, b, 1, a, 1)  # gap -> sparse
-    path = tmp_path / "sparse.fvl"
-    checkpoint_run(path, store, None)
-    store.append(77, a, 2, b, 1)
-    checkpoint_run(path, store, None)
-    assert compact(path).compacted
-    with MappedRunStore(path) as mapped:
-        assert not mapped.store.is_dense
-        assert [int(u) for u in mapped.store.uids()] == [5, 42, 77]
-        assert tuple(mapped.store.row(77)) == (a, 2, b, 1)
 
 
 def test_stale_compaction_temps_are_gcd(scheme, spec, tmp_path):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,10 +22,10 @@ from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.errors import CorruptionError, SerializationError
 from repro.model.projection import ViewProjection
 from repro.store import (
-    LabelStore,
     MappedRunStore,
     checkpoint_run,
     compact,
+    run_file_info,
     verify_run,
 )
 from repro.store.runfile import HEADER_SIZE, SCHEMA, Header
@@ -108,79 +107,65 @@ def test_v3_checkpoints_are_fully_checksummed(labelled, tmp_path):
 # -- bit flips are detected, loudly --------------------------------------------
 
 
-def _two_segment_files(scheme, derivation, tmp_path):
-    """A dense file with nodes and a sparse one, two segments each.
-
-    Together they carry every schema column: the sparse file drops some
-    items of the same run, so its store keeps an explicit ``label.uids``
-    column while staying a valid run of the specification.
-    """
+def _two_segment_file(scheme, derivation, tmp_path):
+    """A file with nodes, two segments: together they carry every schema column."""
     events = derivation.events
     labeler = RunLabeler(scheme.index)
-    sparse = LabelStore(labeler.store.table)
-    dense_file, sparse_file = tmp_path / "dense.fvl", tmp_path / "sparse.fvl"
-    copied = 0
+    run_file = tmp_path / "run.fvl"
     for chunk in (events[: len(events) // 2], events[len(events) // 2 :]):
         for event in chunk:
             labeler(event)
-        for uid, *row in islice(labeler.store.iter_rows(), copied, None):
-            if uid % 7 != 3:
-                sparse.append(uid, *row)
-        copied = len(labeler.store)
-        checkpoint_run(dense_file, labeler.store, labeler.tree.nodes)
-        checkpoint_run(sparse_file, sparse, labeler.tree.nodes)
-    assert labeler.store.is_dense and not sparse.is_dense
-    return dense_file, sparse_file, sorted(sparse.uids())
+        checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    return run_file, sorted(labeler.store.uids())
 
 
 def test_bit_flip_in_every_payload_section_fails_attach(scheme, spec, tmp_path, publish_generation):
     derivation = random_run(spec, 300, seed=77)
     view = random_view(spec, 6, seed=76, mode="grey", name="flip-view")
-    dense_file, sparse_file, kept = _two_segment_files(scheme, derivation, tmp_path)
-    visible = sorted(ViewProjection(derivation.run, view).visible_items & set(kept))
+    run_file, kept = _two_segment_file(scheme, derivation, tmp_path)
+    visible = sorted(ViewProjection(derivation.run, view).visible_items)
     pairs = sample_query_pairs(visible, 40, seed=75)
     covered = set()
-    for run_file in (dense_file, sparse_file):
-        # A reader attached before the damage: its reopen probe sees a newer
-        # generation (a new inode) on disk and must refuse to remap onto
-        # corrupt bytes.
-        reader = QueryEngine(scheme)
-        reader.attach(run_file, verify="attach")
-        reader.depends_batch(pairs, view)  # the clean file serves both calls
-        reader.is_visible_batch(kept[:20], view)
-        publish_generation(run_file)
-        pristine = run_file.read_bytes()
-        for name, offset, nbytes, _crc in _payload_extents(run_file):
-            covered.add(name)
-            flip_at = offset + nbytes // 2
-            original = _flip_byte(run_file, flip_at)
-            with pytest.raises(CorruptionError, match="fails its checksum"):
-                MappedRunStore(run_file, verify="attach")
+    # A reader attached before the damage: its reopen probe sees a newer
+    # generation (a new inode) on disk and must refuse to remap onto
+    # corrupt bytes.
+    reader = QueryEngine(scheme)
+    reader.attach(run_file, verify="attach")
+    reader.depends_batch(pairs, view)  # the clean file serves both calls
+    reader.is_visible_batch(kept[:20], view)
+    publish_generation(run_file)
+    pristine = run_file.read_bytes()
+    for name, offset, nbytes, _crc in _payload_extents(run_file):
+        covered.add(name)
+        flip_at = offset + nbytes // 2
+        original = _flip_byte(run_file, flip_at)
+        with pytest.raises(CorruptionError, match="fails its checksum"):
+            MappedRunStore(run_file, verify="attach")
+        with pytest.raises(CorruptionError):
+            verify_run(run_file)
+        # Default (lazy) attach: whichever column a batch reads first, it
+        # never reads it from an unverified file — and a retry is not
+        # served either.
+        lazy = QueryEngine(scheme)
+        lazy.attach(run_file)
+        for _ in range(2):
             with pytest.raises(CorruptionError):
-                verify_run(run_file)
-            # Default (lazy) attach: whichever column a batch reads first, it
-            # never reads it from an unverified file — and a retry is not
-            # served either.
-            lazy = QueryEngine(scheme)
-            lazy.attach(run_file)
-            for _ in range(2):
-                with pytest.raises(CorruptionError):
-                    lazy.depends_batch(pairs, view)
-                with pytest.raises(CorruptionError):
-                    lazy.is_visible_batch(kept[:20], view)
-            lazy.detach(DEFAULT_RUN)
+                lazy.depends_batch(pairs, view)
             with pytest.raises(CorruptionError):
-                reader.reopen(DEFAULT_RUN)
-            # A corrupt source is never rewritten under fresh checksums.
-            damaged = run_file.read_bytes()
-            with pytest.raises(CorruptionError):
-                compact(run_file)
-            assert run_file.read_bytes() == damaged
-            assert not list(tmp_path.glob("*.tmp"))
-            _restore_byte(run_file, flip_at, original)
-        assert run_file.read_bytes() == pristine
-        verify_run(run_file)  # restored bytes scrub clean again
-        reader.detach(DEFAULT_RUN)
+                lazy.is_visible_batch(kept[:20], view)
+        lazy.detach(DEFAULT_RUN)
+        with pytest.raises(CorruptionError):
+            reader.reopen(DEFAULT_RUN)
+        # A corrupt source is never rewritten under fresh checksums.
+        damaged = run_file.read_bytes()
+        with pytest.raises(CorruptionError):
+            compact(run_file)
+        assert run_file.read_bytes() == damaged
+        assert not list(tmp_path.glob("*.tmp"))
+        _restore_byte(run_file, flip_at, original)
+    assert run_file.read_bytes() == pristine
+    verify_run(run_file)  # restored bytes scrub clean again
+    reader.detach(DEFAULT_RUN)
     assert covered == {column.name for column in SCHEMA}
 
 
@@ -209,6 +194,39 @@ def test_verify_mode_is_validated(labelled, tmp_path):
     for mode in ("sometimes", "off"):
         with pytest.raises(ValueError, match="verify"):
             MappedRunStore(run_file, verify=mode)
+
+
+# -- a header that is not one consecutive uid range is refused ---------------
+
+
+#: Byte offset of the header's u32 flags word: after the 8-byte magic, the
+#: version and the page size.
+_FLAGS_OFFSET = 16
+
+
+def test_a_header_without_the_consecutive_uid_flag_is_refused(scheme, spec, tmp_path):
+    """Every reader refuses it through ``Header.unpack``, and none writes to it."""
+    derivation = random_run(spec, 300, seed=77)
+    run_file, _ = _two_segment_file(scheme, derivation, tmp_path)
+    data = bytearray(run_file.read_bytes())
+    assert data[_FLAGS_OFFSET] & 1
+    data[_FLAGS_OFFSET] &= ~1
+    run_file.write_bytes(bytes(data))
+    labeler = RunLabeler(scheme.index)
+    for event in derivation.events:
+        labeler(event)
+    readers = {
+        "MappedRunStore": lambda: MappedRunStore(run_file),
+        "run_file_info": lambda: run_file_info(run_file),
+        "verify_run": lambda: verify_run(run_file),
+        "checkpoint_run": lambda: checkpoint_run(run_file, labeler.store, labeler.tree.nodes),
+        "compact": lambda: compact(run_file),
+    }
+    for name, read in readers.items():
+        with pytest.raises(SerializationError, match="not one consecutive uid range"):
+            read()
+        assert run_file.read_bytes() == data, name
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # -- the engine keeps serving the last good generation -------------------------

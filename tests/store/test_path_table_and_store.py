@@ -1,7 +1,6 @@
 """Unit tests for the columnar store layer (PathTable, LabelStore, live columns)."""
 
 import contextlib
-import random
 
 import numpy as np
 import pytest
@@ -117,7 +116,6 @@ def test_label_store_dense_rows_and_labels():
     store.append(10, a, 1, b, 2)
     store.append(11, NO_PATH, 0, a, 1)
     store.append(12, b, 3, NO_PATH, 0)
-    assert store.is_dense
     assert len(store) == 3
     assert store.row(10) == (a, 1, b, 2)
     assert list(store.uids()) == [10, 11, 12]
@@ -132,20 +130,44 @@ def test_label_store_dense_rows_and_labels():
         store.append(11, a, 1, b, 1)  # duplicate
 
 
-def test_label_store_goes_sparse_on_out_of_order_uids():
+@pytest.mark.parametrize(
+    "uid, message",
+    [(13, "not the run's next uid 12"), (11, "already labelled"), (9, "not the run's next uid 12")],
+    ids=["gap", "duplicate", "below-base"],
+)
+def test_append_refuses_a_uid_that_is_not_the_next_one(uid, message):
+    """A run's items are one consecutive uid range: anything else is refused."""
     store, a, b = _store()
-    store.append(5, a, 1, b, 1)
-    store.append(42, a, 2, b, 2)  # gap -> sparse mode
-    assert not store.is_dense
-    assert store.row(5) == (a, 1, b, 1)
-    assert store.row(42) == (a, 2, b, 2)
-    assert 5 in store and 42 in store and 6 not in store
-    with pytest.raises(LabelingError):
-        store.append(5, a, 1, b, 1)
+    for next_uid in (10, 11):
+        store.append(next_uid, a, next_uid, b, 1)
+    with pytest.raises(LabelingError, match=message):
+        store.append(uid, b, 7, a, 7)
+    assert len(store) == 2
+    assert list(store.uids()) == [10, 11]
+    assert [store.row(u) for u in (10, 11)] == [(a, 10, b, 1), (a, 11, b, 1)]
+    assert [len(column) for column in store.raw_columns()] == [2] * 4
+    assert (uid in store) == (uid == 11)
+    store.append(12, b, 1, a, 1)  # the run's next uid still lands
+    assert store.row(12) == (b, 1, a, 1)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_half_appended_row_reads_as_not_labelled(sparse):
+def test_extend_items_keeps_the_consecutive_rows_before_a_gap():
+    from repro.model.derivation import NewItem
+
+    store, a, b = _store()
+    path_ids = [NO_PATH, a, b]  # by 1-based production position
+    items = [NewItem(uid, "P:1", 1, 1, "C:1", 2, uid) for uid in (5, 6, 8, 9)]
+    with pytest.raises(LabelingError, match="data item 8 is not the run's next uid 7"):
+        store.extend_items(items, path_ids)
+    assert list(store.uids()) == [5, 6]
+    assert [store.row(uid) for uid in (5, 6)] == [(a, 1, b, 5), (a, 1, b, 6)]
+    assert [len(column) for column in store.raw_columns()] == [2] * 4
+    with pytest.raises(LabelingError, match="already labelled"):
+        store.extend_items([NewItem(6, "P:1", 1, 1, "C:1", 2, 1)], path_ids)
+    assert len(store) == 2
+
+
+def test_half_appended_row_reads_as_not_labelled():
     """A reader racing ``append`` gets the typed error, never ``IndexError``.
 
     ``append`` grows ``producer_path`` first and ``consumer_port`` last; the
@@ -154,22 +176,18 @@ def test_half_appended_row_reads_as_not_labelled(sparse):
     store, a, b = _store()
     store.append(10, a, 1, b, 2)
     torn = 11
-    if sparse:
-        store.append(40, b, 1, a, 2)
-        torn = 41
     rows = len(store)
     for column in store.raw_columns()[:3]:  # the ingest thread is mid-append
         column.append(a)
     assert len(store) == rows and torn not in store
-    assert list(store.uids()) == ([10, 40] if sparse else [10])
+    assert list(store.uids()) == [10]
     for read in (store.row, store.label, lambda uid: store.rows_for(np.array([10, uid]))):
         with pytest.raises(LabelingError, match=f"data item {torn} has not been labelled"):
             read(torn)
     assert store.rows_for(np.array([10])).tolist() == [0]
     assert [c.tolist() for c in store.gather_rows(np.array([0]))] == [[a], [1], [b], [2]]
     store.raw_columns()[3].append(1)  # the append completes
-    if not sparse:
-        assert store.row(torn) == (a, a, a, 1)
+    assert store.row(torn) == (a, a, a, 1)
 
 
 def test_gather_rows_reads_a_live_store_without_pinning_it():
@@ -242,9 +260,8 @@ def test_live_columns_leave_out_a_row_torn_mid_append():
             assert column.tolist() == before[name].tolist(), name
 
 
-@pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("mapped", [False, True])
-def test_numpy_uids_are_uids(sparse, mapped, tmp_path):
+def test_numpy_uids_are_uids(mapped, tmp_path):
     """``in`` takes any integral uid, as ``row`` and ``label`` do."""
     from repro.store import MappedRunStore, checkpoint_run
     from repro.workloads import build_bioaid_specification, random_run
@@ -252,17 +269,10 @@ def test_numpy_uids_are_uids(sparse, mapped, tmp_path):
     spec = build_bioaid_specification()
     labeler = FVLScheme(spec).label_run(random_run(spec, 100, seed=1))
     store = labeler.store
-    if sparse:
-        store = LabelStore(labeler.store.table)
-        uids = list(labeler.store.uids())
-        random.Random(1).shuffle(uids)
-        for uid in uids:
-            store.append(uid, *labeler.store.row(uid))
     with contextlib.ExitStack() as stack:
         if mapped:
             checkpoint_run(tmp_path / "uids.fvl", store)
             store = stack.enter_context(MappedRunStore(tmp_path / "uids.fvl")).store
-        assert store.is_dense is not sparse
         uids = list(store.uids())
         assert uids and all(uid in store for uid in uids)
         view = store.labels_view()

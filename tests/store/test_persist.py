@@ -204,10 +204,8 @@ def test_mapped_store_serves_the_live_rows_and_labels(labelled, tmp_path):
 def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
     """Golden bytes: the format is frozen at version 3.
 
-    The sparse hash was computed with the writer as of PR 16 (one
-    hand-written ``sections.append`` per column); the two dense ones were
-    re-pinned when the three interval sections left the schema (PR 21) — the
-    segmented file is byte for byte what ``checkpoint_run(...,
+    Both hashes were re-pinned when the three interval sections left the
+    schema: the segmented file is byte for byte what ``checkpoint_run(...,
     structural_index=False)`` wrote before.  Any change to section order,
     padding, CRC placement, header packing or the compaction merge shows
     here.  Run files carry no timestamps, so the bytes are a function of the
@@ -215,17 +213,12 @@ def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
     """
     events = random_run(spec, 600, seed=5).events
     labeler = RunLabeler(scheme.index)
-    dense_file, sparse_file = tmp_path / "dense.fvl", tmp_path / "sparse.fvl"
+    dense_file = tmp_path / "dense.fvl"
     step = -(-len(events) // 4)
     for lo in range(0, len(events), step):
         for event in events[lo : lo + step]:
             labeler(event)
         checkpoint_run(dense_file, labeler.store, labeler.tree.nodes, fingerprint=0x5EED)
-    sparse = LabelStore(labeler.store.table)
-    for uid, *row in labeler.store.iter_rows():
-        if uid % 7 != 3:
-            sparse.append(uid, *row)
-    checkpoint_run(sparse_file, sparse, None, fingerprint=0x5EED)
 
     def sha256(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -233,9 +226,6 @@ def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
     assert run_file_info(dense_file).n_segments == 4
     assert sha256(dense_file) == (
         "7e467a1925e96dd77d660ae13fb3e186083798eb06998a1e1dba15fb0224c362"
-    )
-    assert sha256(sparse_file) == (
-        "5dc56c84bd5c14b32aaa33f8712b14615222be1245ba6be9668007d9009353da"
     )
     assert compact(dense_file).compacted
     assert sha256(dense_file) == (
@@ -259,23 +249,6 @@ def test_page_aligned_final_section_is_not_clobbered(tmp_path):
     checkpoint_run(run_file, store, None)
     with MappedRunStore(run_file) as mapped:
         assert tuple(mapped.row(1023)) == (a, 1, a, marker)
-
-
-def test_sparse_stores_round_trip(tmp_path):
-    table = PathTable()
-    a = table.extend_production(0, 1, 1)
-    b = table.extend_production(0, 1, 2)
-    store = LabelStore(table)
-    store.append(5, a, 1, b, 2)
-    store.append(42, b, 1, a, 1)  # gap -> sparse
-    assert not store.is_dense
-    run_file = tmp_path / "sparse.fvl"
-    checkpoint_run(run_file, store, None)
-    with MappedRunStore(run_file) as mapped:
-        assert not mapped.store.is_dense
-        assert list(mapped.store.uids()) == [5, 42]
-        assert tuple(mapped.store.row(42)) == (b, 1, a, 1)
-        assert mapped.nodes is None
 
 
 # -- engine integration ------------------------------------------------------

@@ -11,6 +11,7 @@ padding.
 
 from __future__ import annotations
 
+import contextlib
 import shutil
 import struct
 
@@ -53,7 +54,7 @@ def _int_columns(mapped) -> dict[str, object]:
     names = [
         column.name
         for column in SCHEMA
-        if mapped.header.carries(column) and column.dtype != BLOB and column.name != "label.uids"
+        if mapped.header.carries(column) and column.dtype != BLOB
     ]
     assert len(names) == len(raw)
     return dict(zip(names, raw))
@@ -113,6 +114,22 @@ def test_a_segmented_file_reads_like_its_compacted_copy(scheme, spec, tmp_path, 
                 assert np.array_equal(ours[name], theirs[name]), (table, name)
         for name, column in labeler.store.columns().items():
             assert np.array_equal(segmented.store.columns()[name], column)
+
+
+@pytest.mark.parametrize("store", ["live", "mapped", "segmented"])
+def test_a_row_outside_the_store_is_an_index_error(scheme, spec, tmp_path, store):
+    """Row -1 is not the last row and row ``len`` is past it, whatever serves the run."""
+    path = tmp_path / "run.fvl"
+    labeler = _checkpointed(scheme, spec, path, 3 if store == "segmented" else 1)
+    with contextlib.ExitStack() as stack:
+        target = labeler.store
+        if store != "live":
+            mapped = stack.enter_context(MappedRunStore(path))
+            assert mapped.n_segments == (3 if store == "segmented" else 1)
+            target = mapped.store
+        for outside in (-1, len(target)):
+            with pytest.raises(IndexError):
+                target.gather_rows(np.asarray([outside]))
 
 
 # The section-table layout of ``repro.store.runfile``: a segment header

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from repro.core.run_labeler import RunLabeler
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.io import LabelCodec
 from repro.model.projection import ViewProjection
-from repro.store import LabelStore, MappedRunStore, checkpoint_run, compact
+from repro.store import MappedRunStore, checkpoint_run, compact
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
 from repro.bench import sample_query_pairs
@@ -83,7 +82,7 @@ def test_store_backed_depends_matches_object_depends(spec, scheme, seed):
 
 def _assert_mapped_equals_live(path, store, nodes) -> None:
     with MappedRunStore(path, verify="attach") as mapped:
-        assert mapped.store.is_dense == store.is_dense
+        assert mapped.store.base_uid == store.base_uid
         assert list(mapped.store.iter_rows()) == list(store.iter_rows())
         assert list(mapped.table.iter_edges()) == list(store.table.iter_edges())
         if nodes is None:
@@ -100,9 +99,8 @@ def _assert_mapped_equals_live(path, store, nodes) -> None:
     size=st.sampled_from([50, 200, 500]),
     cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
     with_nodes=st.booleans(),
-    dense=st.booleans(),
 )
-def test_checkpoint_map_round_trip_lossless(spec, scheme, seed, size, cuts, with_nodes, dense):
+def test_checkpoint_map_round_trip_lossless(spec, scheme, seed, size, cuts, with_nodes):
     """The run file is the one serializer: whatever the slicing, the mapped
     columns equal the live run's after every checkpoint, after compaction,
     and after a checkpoint resumed on the compacted file."""
@@ -110,12 +108,10 @@ def test_checkpoint_map_round_trip_lossless(spec, scheme, seed, size, cuts, with
     bounds = sorted({int(len(events) * cut) for cut in cuts}) + [len(events)]
     labeler = RunLabeler(scheme.index)
     nodes = labeler.tree.nodes if with_nodes else None
-    # The sparse arm persists the same run minus a few items, which forces an
-    # explicit uid column while every row still resolves in the shared trie.
-    store = labeler.store if dense else LabelStore(labeler.store.table)
+    store = labeler.store
     with tempfile.TemporaryDirectory(prefix="round-trip-") as tmp:
         path = os.path.join(tmp, "run.fvl")
-        done = copied = 0
+        done = 0
         for index, bound in enumerate(bounds):
             if index and index == len(bounds) - 1:
                 # Before the last slice: merge the chain, then resume on it.
@@ -124,11 +120,6 @@ def test_checkpoint_map_round_trip_lossless(spec, scheme, seed, size, cuts, with
             for event in events[done:bound]:
                 labeler(event)
             done = bound
-            if not dense:
-                for uid, *row in islice(labeler.store.iter_rows(), copied, None):
-                    if uid % 7 != 3:
-                        store.append(uid, *row)
-                copied = len(labeler.store)
             checkpoint_run(path, store, nodes)
             _assert_mapped_equals_live(path, store, nodes)
         assert len(store) > 0
