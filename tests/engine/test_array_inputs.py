@@ -2,8 +2,8 @@
 
 ``depends_batch`` / ``is_visible_batch`` accept an ``(n, 2)`` / ``(n,)``
 int64 array (what the wire decodes a frame into) as well as lists.  Every
-store state (live, mapped, multi-extent, compacted) and every batch
-size from one pair up takes the same evaluator, so each must equal the
+store state (live, mapped, multi-extent, compacted, reopened onto its
+compaction) and every batch size from one pair up takes the same evaluator, so each must equal the
 per-pair ``FVLScheme.depends`` and raise the identical error for both
 spellings — including frames with boundary pairs (initial inputs / final
 outputs), the one place a numpy scalar could leak into ``store.label``.
@@ -60,7 +60,7 @@ def _pairs(view, n, seed=0):
     return pairs[:n]
 
 
-@pytest.fixture(params=["live", "mapped", "segmented", "compacted"])
+@pytest.fixture(params=["live", "mapped", "segmented", "compacted", "reopened"])
 def engine(request, tmp_path):
     engine = QueryEngine(SCHEME)
     run_file = tmp_path / "array.fvl"
@@ -83,6 +83,16 @@ def engine(request, tmp_path):
             assert max(engine.attach(run_file).extents_per_column().values()) == 1
         else:
             assert max(engine.attach(run_file).extents_per_column().values()) >= 3
+        if request.param == "reopened":
+            # Warm both views on the chain, then remap the shard onto its
+            # compaction: the arena and every cached decode result carry over.
+            arena = engine.shard_arena()
+            engine.depends_batch(_pairs(GREY, 40), GREY)
+            engine.depends_batch(_pairs(BLACK, 40), BLACK)
+            assert compact(run_file).segments_before >= 3
+            assert engine.reopen()
+            assert engine.shard_arena() == arena
+            assert max(engine.mapped_store().extents_per_column().values()) == 1
     yield engine
     engine.detach(DEFAULT_RUN)  # closes the mapped shard's file
 
