@@ -12,8 +12,8 @@ integers:
 :class:`LabelStore` keeps them as append-only columns (struct of arrays):
 plain Python lists while the run is being ingested — appending a pointer to
 an already-existing int is the cheapest write Python offers — and mmap-backed
-int32 views (4 bytes per entry) once the run is persisted
-(:class:`~repro.store.mapped.MappedLabelStore`).  ``-1`` path ids mark the
+views once the run is persisted (:class:`~repro.store.mapped.MappedLabelStore`):
+int32 path ids and int8 ports, 10 bytes per item.  ``-1`` path ids mark the
 absent side of boundary labels.  Value objects are materialised lazily, only
 for the items a compatibility consumer actually touches.
 
@@ -35,11 +35,17 @@ import numpy as np
 from repro.core.labels import DataLabel, PortLabel
 from repro.errors import LabelingError
 from repro.store.path_table import PathTable
+from repro.store.runfile import SCHEMA
 
 __all__ = ["LabelStore", "LabelStoreMapping", "NO_PATH"]
 
 #: Sentinel path id marking an absent producer/consumer (boundary labels).
 NO_PATH = -1
+
+#: The run-file dtype of each label column, in ``raw_columns()`` order.
+_COLUMN_DTYPES = tuple(
+    column.numpy_dtype for column in SCHEMA if column.name.startswith("label.")
+)
 
 
 def _check_rows(rows: np.ndarray, length: int) -> None:
@@ -274,14 +280,18 @@ class LabelStore:
     def columns(self) -> dict[str, np.ndarray]:
         """Numpy copies of the whole rows, in the dtypes of the mapped columns.
 
-        Every column is cut at the shortest one, so a row whose appends are
-        still in flight is left out.  The copies pin nothing: the store keeps
+        Paths are int32 and ports int8; a port that does not fit raises
+        ``OverflowError`` (such a run cannot be checkpointed either).  Every
+        column is cut at the shortest one, so a row whose appends are still
+        in flight is left out.  The copies pin nothing: the store keeps
         growing while they are alive.
         """
         n_items = min(len(column) for column in self.raw_columns())
         return {
-            field: np.array(column[:n_items], dtype=np.int32)
-            for field, column in zip(self.GATHER_FIELDS, self.raw_columns())
+            field: np.array(column[:n_items], dtype=dtype)
+            for field, column, dtype in zip(
+                self.GATHER_FIELDS, self.raw_columns(), _COLUMN_DTYPES
+            )
         }
 
     #: Column names accepted by :meth:`gather_rows`, in row order.

@@ -208,8 +208,10 @@ class MappedLabelStore(LabelStore):
         view of the mapping, so each requested one is fancy-indexed in place
         (a multi-segment column through its extent table, never
         concatenated into heap memory), and the per-batch page-in is bounded
-        by the rows (and columns) actually asked for.  A row outside
-        ``[0, len(self))`` raises ``IndexError``, whatever the segment count.
+        by the rows (and columns) actually asked for.  The one-byte port
+        columns are widened, so every copy is int32 as on a live store.  A
+        row outside ``[0, len(self))`` raises ``IndexError``, whatever the
+        segment count.
         """
         faults.hit("mmap.gather")
         rows = np.asarray(rows, dtype=np.int64)
@@ -220,10 +222,11 @@ class MappedLabelStore(LabelStore):
             "consumer_path_id": self._consumer_path,
             "consumer_port": self._consumer_port,
         }
-        return tuple(
+        gathered = (
             column.take_checked(rows) if isinstance(column, _ChunkedColumn) else column[rows]
             for column in map(columns.__getitem__, fields)
         )
+        return tuple(column.astype(np.int32, copy=False) for column in gathered)
 
 
 class MappedNodeTable(NodeTable):

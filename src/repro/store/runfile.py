@@ -33,7 +33,7 @@ import os
 import struct
 import zlib
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "FORMAT_VERSION",
     "PAGE_SIZE",
     "HEADER_SIZE",
+    "I8",
     "I32",
     "I64",
     "BLOB",
@@ -69,9 +70,10 @@ __all__ = [
 
 FORMAT_MAGIC = b"FVLRUN01"
 #: The one readable (and written) layout: generation-carrying header, ``SEG2``
-#: segments with a CRC32 per section.  Files of earlier versions are refused;
-#: rewrite them with a checkout that still wrote them (see the README).
-FORMAT_VERSION = 3
+#: segments with a CRC32 per section, one-byte port columns.  Files of
+#: earlier versions (version 3 stored the ports as int32) are refused and
+#: left untouched; no build converts them (see the README).
+FORMAT_VERSION = 4
 PAGE_SIZE = 4096
 
 #: header: magic, version, page_size, flags, n_segments, n_paths, n_items,
@@ -92,9 +94,9 @@ _SEGMENT_MAGIC = b"SEG2"
 _FLAG_CONSECUTIVE_UIDS = 1
 _FLAG_NODES = 2
 
-I32, I64, BLOB = 0, 1, 2  # on-disk dtype codes
-_NP_DTYPES = {I32: np.dtype("<i4"), I64: np.dtype("<i8")}
-_TYPECODES = {I32: "i", I64: "q"}
+I32, I64, BLOB, I8 = 0, 1, 2, 3  # on-disk dtype codes
+_NP_DTYPES = {I8: np.dtype("i1"), I32: np.dtype("<i4"), I64: np.dtype("<i8")}
+_TYPECODES = {I8: "b", I32: "i", I64: "q"}
 
 
 class Column(NamedTuple):
@@ -118,16 +120,17 @@ class Column(NamedTuple):
 #: the positional order of its ``Mapped*`` constructor.  Path columns include
 #: the root row so a mapped view is indexable by path id with no prepend
 #: copy; a label row's uid is ``base_uid`` plus its row, so no uid column
-#: exists, and the ``node.*`` columns exist only in files checkpointed with
-#: a node table.
+#: exists; a port is one signed byte (a module has at most 127 ports on a
+#: side, or the checkpoint is refused), and the ``node.*`` columns exist
+#: only in files checkpointed with a node table.
 SCHEMA = (
     Column(1, "path.parent", "n_paths", I32),
     Column(2, "path.packed", "n_paths", I64),
     Column(3, "path.c", "n_paths", I32),
     Column(10, "label.producer_path", "n_items", I32),
-    Column(11, "label.producer_port", "n_items", I32),
+    Column(11, "label.producer_port", "n_items", I8),
     Column(12, "label.consumer_path", "n_items", I32),
-    Column(13, "label.consumer_port", "n_items", I32),
+    Column(13, "label.consumer_port", "n_items", I8),
     Column(20, "node.parent", "n_nodes", I32),
     Column(21, "node.path_id", "n_nodes", I32),
     Column(22, "node.meta", "n_nodes", I64),
@@ -200,9 +203,23 @@ class Header:
         return self.has_nodes or not column.name.startswith("node.")
 
     def pack(self) -> bytes:
-        *counters, has_nodes = astuple(self)
-        flags = _FLAG_CONSECUTIVE_UIDS | (_FLAG_NODES if has_nodes else 0)
-        return _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, PAGE_SIZE, flags, *counters)
+        flags = _FLAG_CONSECUTIVE_UIDS | (_FLAG_NODES if self.has_nodes else 0)
+        return _HEADER.pack(
+            FORMAT_MAGIC,
+            FORMAT_VERSION,
+            PAGE_SIZE,
+            flags,
+            self.n_segments,
+            self.n_paths,
+            self.n_items,
+            self.n_nodes,
+            self.n_node_uids,
+            self.n_module_names,
+            self.base_uid,
+            self.end_offset,
+            self.fingerprint,
+            self.generation,
+        )
 
     @classmethod
     def unpack(cls, buffer: bytes) -> "Header":
@@ -245,7 +262,11 @@ class Extent(NamedTuple):
 
 
 def encode_rows(column: Column, rows) -> bytes:
-    """The payload bytes of ``rows`` (ints, or strings for a blob column)."""
+    """The payload bytes of ``rows`` (ints, or strings for a blob column).
+
+    An integer that does not fit the column's dtype (a port past 127, say)
+    raises :class:`~repro.errors.SerializationError` naming the column.
+    """
     if column.dtype == BLOB:
         for value in rows:
             if not value or "\n" in value:
@@ -257,7 +278,15 @@ def encode_rows(column: Column, rows) -> bytes:
                     "newline-free"
                 )
         return "\n".join(rows).encode("utf-8")
-    return array(_TYPECODES[column.dtype], rows).tobytes()
+    try:
+        return array(_TYPECODES[column.dtype], rows).tobytes()
+    except OverflowError:
+        bounds = np.iinfo(column.numpy_dtype)
+        value = next(value for value in rows if not bounds.min <= value <= bounds.max)
+        raise SerializationError(
+            f"{column.name} value {value} is outside its {bounds.dtype.name} "
+            f"range [{bounds.min}, {bounds.max}]"
+        ) from None
 
 
 def decode_blob(raw: bytes) -> list[str]:

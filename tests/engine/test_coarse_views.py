@@ -52,7 +52,11 @@ VIEWS = [
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """One engine over a 1,500-item run, live and attached from its checkpoint."""
+    """One engine over a 1,500-item run, live and attached from its checkpoint.
+
+    The attached run is detached when the module's tests are done, which
+    closes its mapping.
+    """
     scheme = FVLScheme(SPEC)
     derivation = random_run(SPEC, 1500, seed=11)
     engine = QueryEngine(scheme)
@@ -60,7 +64,8 @@ def served(tmp_path_factory):
     run_file = tmp_path_factory.mktemp("coarse") / "coarse.fvl"
     engine.checkpoint(run_file, "live")
     engine.attach(run_file, "attached")
-    return scheme, derivation, engine, labeler
+    yield scheme, derivation, engine, labeler
+    engine.detach("attached")
 
 
 @pytest.mark.parametrize("view", VIEWS, ids=lambda view: view.name)

@@ -11,6 +11,7 @@ good generation.
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.store import (
     run_file_info,
     verify_run,
 )
-from repro.store.runfile import HEADER_SIZE, SCHEMA, Header
+from repro.store.runfile import FORMAT_VERSION, HEADER_SIZE, SCHEMA, Header
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -204,14 +205,14 @@ def test_verify_mode_is_validated(labelled, tmp_path):
 _FLAGS_OFFSET = 16
 
 
-def test_a_header_without_the_consecutive_uid_flag_is_refused(scheme, spec, tmp_path):
-    """Every reader refuses it through ``Header.unpack``, and none writes to it."""
-    derivation = random_run(spec, 300, seed=77)
-    run_file, _ = _two_segment_file(scheme, derivation, tmp_path)
-    data = bytearray(run_file.read_bytes())
-    assert data[_FLAGS_OFFSET] & 1
-    data[_FLAGS_OFFSET] &= ~1
-    run_file.write_bytes(bytes(data))
+#: Byte offset of the header's u32 version word, after the 8-byte magic.
+_VERSION_OFFSET = 8
+
+
+def _refused_by_every_reader(scheme, derivation, run_file, message) -> None:
+    """Every entry point raises ``SerializationError`` and none writes a byte."""
+    data = run_file.read_bytes()
+    tmp_path = run_file.parent
     labeler = RunLabeler(scheme.index)
     for event in derivation.events:
         labeler(event)
@@ -223,10 +224,33 @@ def test_a_header_without_the_consecutive_uid_flag_is_refused(scheme, spec, tmp_
         "compact": lambda: compact(run_file),
     }
     for name, read in readers.items():
-        with pytest.raises(SerializationError, match="not one consecutive uid range"):
+        with pytest.raises(SerializationError, match=message):
             read()
         assert run_file.read_bytes() == data, name
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_header_without_the_consecutive_uid_flag_is_refused(scheme, spec, tmp_path):
+    """Every reader refuses it through ``Header.unpack``, and none writes to it."""
+    derivation = random_run(spec, 300, seed=77)
+    run_file, _ = _two_segment_file(scheme, derivation, tmp_path)
+    data = bytearray(run_file.read_bytes())
+    assert data[_FLAGS_OFFSET] & 1
+    data[_FLAGS_OFFSET] &= ~1
+    run_file.write_bytes(bytes(data))
+    _refused_by_every_reader(scheme, derivation, run_file, "not one consecutive uid range")
+
+
+def test_a_version_3_header_is_refused(scheme, spec, tmp_path):
+    """Version 3 stored the ports as int32: a header that says so is refused
+    by every reader, even over an otherwise valid file, and none writes to it."""
+    derivation = random_run(spec, 300, seed=77)
+    run_file, _ = _two_segment_file(scheme, derivation, tmp_path)
+    data = bytearray(run_file.read_bytes())
+    assert struct.unpack_from("<I", data, _VERSION_OFFSET) == (FORMAT_VERSION,) == (4,)
+    struct.pack_into("<I", data, _VERSION_OFFSET, 3)
+    run_file.write_bytes(bytes(data))
+    _refused_by_every_reader(scheme, derivation, run_file, "version 3 ")
 
 
 # -- the engine keeps serving the last good generation -------------------------

@@ -234,7 +234,10 @@ def test_live_columns_pin_nothing():
         "parent": "int32",
         "packed": "int64",
         "c": "int32",
-        **{field: "int32" for field in LabelStore.GATHER_FIELDS},
+        "producer_path_id": "int32",
+        "producer_port": "int8",
+        "consumer_path_id": "int32",
+        "consumer_port": "int8",
         "path_id": "int32",
         "meta": "int64",
         "uid_id": "int32",

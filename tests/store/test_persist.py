@@ -27,6 +27,7 @@ from repro.store import (
     run_file_info,
     verify_run,
 )
+from repro.store.runfile import BLOB, SCHEMA
 from repro.bench import sample_query_pairs
 from repro.workloads import build_bioaid_specification, random_run, random_view
 
@@ -113,10 +114,79 @@ def test_a_created_checkpoint_fsyncs_its_directory_once(scheme, spec, tmp_path, 
     assert len(synced_dirs) == 1
 
 
+def test_a_compacted_file_stores_each_column_at_its_width(scheme, spec, tmp_path):
+    """Bytes per row of every integer schema column: a label row is 10 bytes."""
+    events = random_run(spec, 300, seed=21).events
+    labeler = RunLabeler(scheme.index)
+    run_file = tmp_path / "run.fvl"
+    for chunk in (events[: len(events) // 2], events[len(events) // 2 :]):
+        for event in chunk:
+            labeler(event)
+        checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    assert compact(run_file).compacted
+    with MappedRunStore(run_file) as mapped:
+        assert set(mapped.extents_per_column().values()) == {1}
+        widths = {
+            name: extent.nbytes // extent.n_rows
+            for name, extent in mapped.sections()
+            if extent.dtype_code != BLOB
+        }
+    assert widths == {
+        "path.parent": 4,
+        "path.packed": 8,
+        "path.c": 4,
+        "label.producer_path": 4,
+        "label.producer_port": 1,
+        "label.consumer_path": 4,
+        "label.consumer_port": 1,
+        "node.parent": 4,
+        "node.path_id": 4,
+        "node.meta": 8,
+        "node.uid_id": 4,
+    }
+    assert {column.name for column in SCHEMA if column.dtype != BLOB} == widths.keys()
+    assert sum(width for name, width in widths.items() if name.startswith("label.")) == 10
+
+
+def _ported_store(n_items: int, producer_port: int = 1, consumer_port: int = 1):
+    """A store of ``n_items`` rows whose last row carries the given ports."""
+    table = PathTable()
+    a = table.extend_production(0, 1, 1)
+    store = LabelStore(table)
+    for uid in range(n_items - 1):
+        store.append(uid, a, 1, a, 1)
+    store.append(n_items - 1, a, producer_port, a, consumer_port)
+    return store
+
+
+@pytest.mark.parametrize(
+    "ports, column",
+    [((128, 1), "label.producer_port"), ((1, 128), "label.consumer_port")],
+    ids=["producer", "consumer"],
+)
+def test_a_port_past_127_is_refused_before_any_byte_is_written(ports, column, tmp_path):
+    """The port columns are one signed byte; a wider port is a typed error
+    while the checkpoint is planned: no file is created, none is extended."""
+    run_file = tmp_path / "ports.fvl"
+    with pytest.raises(SerializationError, match=rf"{column} value 128 .* int8"):
+        checkpoint_run(run_file, _ported_store(10, *ports), None)
+    assert not run_file.exists()
+
+    store = _ported_store(10, 127, 127)  # the widest port that fits
+    checkpoint_run(run_file, store, None)
+    before = run_file.read_bytes()
+    store.append(10, 1, ports[0], 1, ports[1])
+    with pytest.raises(SerializationError, match=rf"{column} value 128"):
+        checkpoint_run(run_file, store, None)
+    assert run_file.read_bytes() == before
+    assert run_file_info(run_file).n_items == 10
+    with MappedRunStore(run_file) as mapped:
+        assert mapped.row(9) == (1, 127, 1, 127)
+
+
 def test_pre_v3_files_are_refused_untouched(labelled, tmp_path):
-    """Only version 3 with checksummed segments is readable; older layouts
-    (whose writers are gone) are refused by every entry point, typed, and
-    never rewritten."""
+    """Only version 4 is readable; older layouts (whose writers are gone)
+    are refused by every entry point, typed, and never rewritten."""
     _, labeler = labelled
     run_file = tmp_path / "run.fvl"
     checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
@@ -136,8 +206,8 @@ def test_pre_v3_files_are_refused_untouched(labelled, tmp_path):
     cases = [
         (forged("v1.fvl", 8, struct.pack("<I", 1)), "version", walkers + header_only),
         (forged("v2.fvl", 8, struct.pack("<I", 2)), "version", walkers + header_only),
-        # What the removed checksum-less writer produced: a v3 header over a
-        # segment without the CRC array.  Refused wherever the chain is
+        # What the removed checksum-less writer produced, under a current
+        # header: a segment without the CRC array.  Refused wherever the chain is
         # walked (a resuming checkpoint reads the header only).
         (forged("seg1.fvl", PAGE_SIZE, b"SEG1"), "segment magic", walkers),
     ]
@@ -202,11 +272,11 @@ def test_mapped_store_serves_the_live_rows_and_labels(labelled, tmp_path):
 
 
 def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
-    """Golden bytes: the format is frozen at version 3.
+    """Golden bytes: the format is frozen at version 4.
 
-    Both hashes were re-pinned when the three interval sections left the
-    schema: the segmented file is byte for byte what ``checkpoint_run(...,
-    structural_index=False)`` wrote before.  Any change to section order,
+    Both hashes were re-pinned when the ports became one-byte columns
+    (version 4), after the mapped columns of both files were shown equal to
+    the live store's, dtypes included.  Any change to section order,
     padding, CRC placement, header packing or the compaction merge shows
     here.  Run files carry no timestamps, so the bytes are a function of the
     inputs.
@@ -223,32 +293,49 @@ def test_run_file_bytes_are_pinned(scheme, spec, tmp_path):
     def sha256(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def assert_serves_the_live_columns(path):
+        with MappedRunStore(path) as mapped:
+            for live, served in (
+                (labeler.store.table, mapped.table),
+                (labeler.store, mapped.store),
+                (labeler.tree.nodes, mapped.nodes),
+            ):
+                expected, got = live.columns(), served.columns()
+                assert got.keys() == expected.keys()
+                for name, column in expected.items():
+                    assert got[name].dtype == column.dtype, name
+                    assert np.array_equal(got[name], column), name
+
     assert run_file_info(dense_file).n_segments == 4
+    assert_serves_the_live_columns(dense_file)
     assert sha256(dense_file) == (
-        "7e467a1925e96dd77d660ae13fb3e186083798eb06998a1e1dba15fb0224c362"
+        "37fa88dfa895e4071d6a7a5c3d7e4a40263d41057688b5a873c6f6e4a071386b"
     )
     assert compact(dense_file).compacted
+    assert_serves_the_live_columns(dense_file)
     assert sha256(dense_file) == (
-        "259f04f71fc5d2fda4f96ea0da847cd39be13cc9260975d89970267893a720e7"
+        "999c2c16a9f30eae6efa9a201946ac1d265bec94c2ef8aa053e6232e4c656df4"
     )
 
 
 def test_page_aligned_final_section_is_not_clobbered(tmp_path):
     """A last section ending exactly on a page boundary keeps its final byte.
 
-    1024 dense rows make each i32 label column exactly one page; the pad
-    write used to overwrite the final byte of the last section (regression).
+    4096 rows make each one-byte port column exactly one page, and the
+    consumer ports are the last section; the pad write used to overwrite the
+    final byte of the last section (regression).
     """
     table = PathTable()
     a = table.extend_production(0, 1, 1)
     store = LabelStore(table)
-    marker = 1 << 24  # nonzero high byte: a clobber would zero it
-    for uid in range(1024):
-        store.append(uid, a, 1, a, marker if uid == 1023 else 1)
+    marker = 127  # a nonzero final byte: a clobber would zero it
+    for uid in range(PAGE_SIZE):
+        store.append(uid, a, 1, a, marker if uid == PAGE_SIZE - 1 else 1)
     run_file = tmp_path / "aligned.fvl"
     checkpoint_run(run_file, store, None)
+    assert run_file.read_bytes()[-1] == marker
     with MappedRunStore(run_file) as mapped:
-        assert tuple(mapped.row(1023)) == (a, 1, a, marker)
+        assert tuple(mapped.row(PAGE_SIZE - 1)) == (a, 1, a, marker)
 
 
 # -- engine integration ------------------------------------------------------
