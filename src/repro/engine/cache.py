@@ -5,9 +5,11 @@ is the view's *static label* plus what is a function of ``(grammar, view)``
 only: the :class:`~repro.engine.kernel.MatrixBank` the decode kernel
 multiplies from, which gathers ``I``/``O``/``Z`` out of the body closures
 :meth:`DecodedViewState.closure` hands out and holds each recursion chain up
-to its period; the engine builds it once per registered view and keeps it
-for good.  The label inside it is built on its first read: a state the
-``.hotmx`` side file warmed answers its table hits without one.
+to its period; the engine makes one per registered view and keeps it for
+good.  The bank and the label inside it are each built on their first
+read — the bank by the first kernel pass, the label by that pass or by
+visibility flags — so a state the ``.hotmx`` side file warmed answers its
+table hits with neither.
 :class:`DecodedViewState` adds what depends on a run — the pair tables of
 decisions keyed by path ids, visibility flags — and is what
 :class:`LRUCache` holds and evicts; rebuilding one costs kernel passes over
@@ -15,8 +17,8 @@ the surviving static part, never a relabelling.
 
 **One byte budget** bounds all of it, and this module is the one place that
 knows the policy.  Sizes are sums of array sizes, kept as running sums where
-bytes change.  Static parts are counted — the label's closures and
-copies included, from the moment the label is built — and never evicted.
+bytes change.  Static parts are counted — the bank, and the label's
+closures and copies, each from the moment it is built — and never evicted.
 After a batch the engine has the LRU :meth:`~LRUCache.settle` the state it
 used: least-recently-used *other* per-run states go until the total fits.
 The state in use is never evicted
@@ -135,8 +137,8 @@ class LRUCache:
 
         (Every other per-run state can be evicted to make room.)  Of the
         static parts only ``state``'s own can have grown since the last
-        :meth:`settle` — a batch grows no other (its bank, or its label built
-        mid-batch) — so it alone is read live.
+        :meth:`settle` — a batch grows no other (its bank, built or grown
+        mid-batch, or its label built mid-batch) — so it alone is read live.
         """
         static = state.static
         statics = self._static_settled - static.settled + static.nbytes
@@ -197,32 +199,49 @@ class StaticViewState:
     """The run-independent half of a decoded view: one per view.
 
     Holds the view's name, the bank the decode kernel gathers its factors
-    into — built from the grammar index, which needs no label — and the
-    static label, built by ``build()`` on its first read, once, under a
-    lock.  What reads :attr:`label` is a kernel pass (the bank's gather out
-    of the closures, ``lambda*(S)``), visibility flags and a declined key's
-    reference error; a warm probe and read of the pair tables reads none.
-    The engine interns one instance per registered view and never evicts
-    it: the label (its closures and the copies read out of them) and the
-    bank (its factors, and each chain's steps up to its Lemma-5 period,
-    whatever the recursion depth) are bounded by the grammar and the view.
-    No key here mentions an arena or a run, so run churn cannot leak into
-    it.
+    into and the static label.  Both are built on their first read, once
+    each, under a lock: the bank (from the grammar index, which needs no
+    label) by the first kernel pass, the label by ``build()`` when a kernel
+    pass (the bank's gather out of the closures, ``lambda*(S)``), visibility
+    flags or a declined key's reference error reads it.  A warm probe and
+    read of the pair tables reads neither, so a warm attach whose rows
+    answer every key builds no bank and no label.  The engine interns one
+    instance per registered view and never evicts it: the label (its
+    closures and the copies read out of them) and the bank (its factors, and
+    each chain's steps up to its Lemma-5 period, whatever the recursion
+    depth) are bounded by the grammar and the view.  No key here mentions an
+    arena or a run, so run churn cannot leak into it.
     """
 
-    __slots__ = ("view", "bank", "settled", "_build", "_label", "_lock")
+    __slots__ = ("view", "settled", "_index", "_build", "_bank", "_label", "_lock")
 
     def __init__(self, view: str, index, build: Callable[[], ViewLabel]) -> None:
         self.view = view
-        #: The view's matrices as one float32 stack with a class per matrix,
-        #: resolved on first use: what the decode kernel classifies and
-        #: gathers its factors from.
-        self.bank = MatrixBank(index)
         #: This part's share of :attr:`LRUCache._static_settled`.
         self.settled = 0
+        self._index = index
         self._build = build
+        self._bank: "MatrixBank | None" = None
         self._label: "ViewLabel | None" = None
         self._lock = threading.Lock()
+
+    @property
+    def bank(self) -> MatrixBank:
+        """The view's matrices as one float32 stack with a class per matrix,
+        resolved on first use: what the decode kernel classifies and gathers
+        its factors from.  Built on the first read (racing readers build it once)."""
+        bank = self._bank
+        if bank is None:
+            with self._lock:
+                bank = self._bank
+                if bank is None:
+                    bank = self._bank = MatrixBank(self._index)
+        return bank
+
+    @property
+    def banked(self) -> bool:
+        """Whether :attr:`bank` has been built (reading this builds nothing)."""
+        return self._bank is not None
 
     @property
     def label(self) -> ViewLabel:
@@ -242,13 +261,14 @@ class StaticViewState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays held: the bank's, and the label's once it is built."""
-        label = self._label
-        return self.bank.nbytes + (0 if label is None else label.nbytes)
+        """Bytes of the arrays held: the bank's and the label's, each once it is built."""
+        bank, label = self._bank, self._label
+        return (0 if bank is None else bank.nbytes) + (0 if label is None else label.nbytes)
 
     def __len__(self) -> int:
-        """Bank entries held (the label itself is not counted)."""
-        return len(self.bank)
+        """Bank entries held, 0 before the bank is built (the label itself is not counted)."""
+        bank = self._bank
+        return 0 if bank is None else len(bank)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticViewState(view={self.view!r}, {len(self)} bank entries)"

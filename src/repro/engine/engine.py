@@ -216,7 +216,7 @@ class QueryEngine:
         #: ``columns()`` of the shared arena, re-taken once it has grown.
         self._live_trie: dict[str, np.ndarray] = self._path_table.columns()
         self._views: dict[str, WorkflowView] = {}
-        #: view name -> the view's bank and (built on first read) static label.
+        #: view name -> the view's bank and static label (each built on first read).
         #: Filled on first use (``add_view`` stays cheap, an unsafe view
         #: raises every time and is never stored) and kept as long as the
         #: view is registered — the view-state LRU below only holds per-run

@@ -22,10 +22,14 @@ This module persists the decided rows *alongside the run file*
   bounds what the tables hold, and so what a file holds and what a save
   allocates (``take`` copies the matrix rows' blocks and nothing per
   sentinel row);
-* :func:`load_hot_matrices` reads each section back with one
-  ``np.frombuffer`` per column, checks the columns whole — one or two passes
-  over a column each, the blocks' padding one line of every block at a
-  time — makes the table of the checked columns themselves, and merges it
+* :func:`load_hot_matrices` walks the section headers first, then copies
+  each column out once for every section it keeps and checks the whole
+  file in one pass — a pass or two over a column each, per-section
+  meanings kept (keys ascend within a section, ranks permute a section's
+  rows, a section's sentinels leave its count of matrices), the blocks'
+  padding one line of every block of the file at a time — so a file of
+  many small sections costs about what one section of all their rows
+  would.  Each view's table is cut out of the checked columns and merged
   with one :meth:`DecodedViewState.admit` — so the saver's ranking becomes
   the rows' decision order, rows the engine already decided are never
   clobbered, the byte budget holds (where it bites, the best-ranked rows
@@ -73,11 +77,12 @@ load admits a valid file's sections, or nothing.
 An admitted section also proves its view safe.  A saver only holds states
 of views that are proven — labelled, which is where an unsafe view raises,
 or proven in turn by a section — and the file passed its checksum and both
-fingerprints.  So the loader makes the view's state without labelling it,
-and the label is built by the first batch that reads it: a kernel pass for
-a key the file did not hold, or visibility flags.  A view no admitted
-section names (or whose fingerprint differs) is labelled by its first query,
-as any unproven view is.  Grammar fingerprints render the specification's
+fingerprints.  So the loader makes the view's state without labelling it
+and without its decode bank: the bank is built by the first kernel pass,
+for a key the file did not hold, and the label by the first batch that
+reads it, that pass or visibility flags.  A view no admitted section names
+(or whose fingerprint differs) is labelled by its first query, as any
+unproven view is.  Grammar fingerprints render the specification's
 wiring (see :func:`~repro.engine.grammar_fingerprint`), so a side file saved
 before they did is refused as a foreign specification.
 
@@ -87,10 +92,11 @@ rows, without a kernel pass: on the benchmark's ``multiview_churn`` (seed
 verdict and 152 boundary rows, 78.5 KiB where the matrix rows alone were
 27.0 KiB — and none of the nine warm-up frames after a warm attach runs the
 kernel, where under v3 each of them did, and none of the nine views is
-labelled.  On ``wire_large_recursive`` it holds all 14,060 rows (6,872
-matrix, 7,175 verdict, 13 boundary; 411.7 KiB), which a 4,096-row cap
-used to cut to 119.9 KiB, leaving one kernel pass of 124 keys and a label
-in every warm-up; loading all of them costs less than that pass did.
+labelled or builds a bank.  On ``wire_large_recursive`` it holds all
+14,060 rows (6,872 matrix, 7,175 verdict, 13 boundary; 411.7 KiB), which a
+4,096-row cap used to cut to 119.9 KiB, leaving one kernel pass of 124
+keys and a label in every warm-up; loading all of them costs less than
+that pass did.
 """
 
 from __future__ import annotations
@@ -334,7 +340,9 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
     registered = set(engine.view_names)
     # The paper's constant c, which every decode state's bank pads its blocks to.
     bank_ports = max(1, engine.scheme.index.max_ports())
-    sections, offset = [], _FILE_HEADER.size
+    # Walk every section header first; the chosen sections are then checked
+    # and copied out together.
+    chosen, offset = [], _FILE_HEADER.size
     while offset < len(buffer):
         name_len, view_fp, n, ports, matrices = _STATE_HEADER.unpack_from(buffer, offset)
         name = offset + _STATE_HEADER.size
@@ -346,18 +354,21 @@ def _load_from(buffer: bytes, path: str, engine: QueryEngine, run_id: str, mappe
         if view_name in registered and view_fingerprint(engine.view(view_name)) == view_fp:
             if ports != bank_ports:
                 raise CorruptionError(f"corrupt matrix cache: {ports}-port blocks, not the bank's")
-            sections.append((view_name, _section(buffer, offset, n, ports, matrices, mapped.n_paths)))
+            chosen.append((view_name, offset, n, matrices))
         offset = end
+    if not chosen:
+        return 0
+    tables = _tables(buffer, [section[1:] for section in chosen], bank_ports, mapped.n_paths)
     # Nothing is admitted before the whole file has been checked.  An admitted
     # section proves its view safe: a saver only holds states of proven views
     # (labelled, or proven by a section in turn), and the grammar and view
-    # fingerprints match.  So its state is made without a label, which waits
-    # for the first batch that reads it.
+    # fingerprints match.  So its state is made without a label or a bank,
+    # each of which waits for the first batch that reads it.
     tally = Tally()
     try:
         return sum(
-            engine._decoded_state(view_name, tally, proven=True).admit(arena, fresh)
-            for view_name, fresh in sections
+            engine._decoded_state(view_name, tally, proven=True).admit(arena, table)
+            for (view_name, *_), table in zip(chosen, tables)
         )
     finally:
         engine.metrics.fold(tally)
@@ -369,25 +380,41 @@ def _inside(keys, n_paths) -> np.ndarray:
     return ((id1 < n_paths) | (id1 == ABSENT)) & ((id2 < n_paths) | (id2 == ABSENT))
 
 
-def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
-    """One section's rows as a table, every column checked whole.
+def _tables(buffer, sections, ports, n_paths) -> "list[PairTable]":
+    """The tables of ``sections`` (``(offset, rows n, matrices)`` each), checked as one.
 
-    Each check is a pass or two over one column, and the table is made of the
-    checked columns themselves, copied out of ``buffer`` in the table's dtypes
-    (so it owns them, and its ``hits`` takes counts): no zero-padded block
-    per row is made and re-extracted.
+    Each column is copied out of ``buffer`` once for all the sections, and
+    each check is a pass or two over the whole column that still means what
+    it means per section: keys ascend within a section, ranks permute a
+    section's rows, a section's sentinels leave its count of matrices.  Each
+    table is then cut out of the checked columns in its own dtypes (so it
+    owns them, and its ``hits`` takes counts): no zero-padded block per row
+    is made and re-extracted.
     """
 
     def require(held, what: str) -> None:
         if not held:
             raise CorruptionError(f"corrupt matrix cache: {what}")
 
-    columns = []
+    counts = np.asarray([n for _, n, _ in sections], dtype=np.int64)
+    matrices = np.asarray([m for *_, m in sections], dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # The six columns, column after column, each section's after the one before.
+    raw, pieces, ahead = memoryview(buffer), [], 0
     for _, dtype in _COLUMNS:
-        columns.append(np.frombuffer(buffer, dtype, n, offset))
-        offset += columns[-1].nbytes
+        nbytes = np.dtype(dtype).itemsize
+        pieces += [raw[at + ahead * n : at + (ahead + nbytes) * n] for at, n, _ in sections]
+        ahead += nbytes
+    joined, columns, at = b"".join(pieces), [], 0
+    for _, dtype in _COLUMNS:
+        columns.append(np.frombuffer(joined, dtype, int(ends[-1]), at))
+        at += columns[-1].nbytes
     keys, rows, cols, off, hits, order = columns
-    require(np.all(keys[1:] > keys[:-1]), "keys are not strictly ascending")
+    ascending = keys[1:] > keys[:-1]
+    # A section's first key may lie below the key before it, its predecessor's last.
+    ascending[starts[(starts > 0) & (starts < keys.size)] - 1] = True
+    require(np.all(ascending), "keys are not strictly ascending")
     require(
         np.all(keys >= 0) and np.all(_inside(keys, n_paths)), "an entry references an unknown path id"
     )
@@ -395,31 +422,44 @@ def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
         np.all((rows >= 0) & (rows <= ports) & (cols >= 0) & (cols <= ports)),
         f"a matrix larger than the {ports} ports of any module of this specification",
     )
-    # 0 (a matrix) and the three sentinels are the range -3..0.
-    matrix = off == 0
+    # 0 (a matrix) and the three sentinels are the range -3..0; the k-th
+    # matrix row of a section owns its block k.
+    matrix = np.flatnonzero(off == 0)
     require(
-        np.all((off >= VERDICT_TRUE) & (off <= 0)) and np.count_nonzero(matrix) == matrices,
+        np.all((off >= VERDICT_TRUE) & (off <= 0))
+        and np.array_equal(np.searchsorted(matrix, ends) - np.searchsorted(matrix, starts), matrices),
         "an off that is neither a matrix nor a sentinel, or another count of matrices than stored",
     )
     # A sentinel row is decided without a shape, and a boundary row always as
     # a matrix: the ports a pair reads from it are checked against its shape.
-    sentinel = ~matrix
-    require(not np.any(rows[sentinel] | cols[sentinel]), "a sentinel row with a shape")
+    sentinel = off < 0
+    require(not np.any(sentinel & ((rows | cols) != 0)), "a sentinel row with a shape")
     id1, id2 = pair_paths(keys)
-    require(np.all(matrix[(id1 == ABSENT) | (id2 == ABSENT)]), "a boundary row that is no matrix")
     require(
-        np.all(hits >= 0) and np.array_equal(np.sort(order), np.arange(n)),
+        not np.any(sentinel & ((id1 == ABSENT) | (id2 == ABSENT))), "a boundary row that is no matrix"
+    )
+    # Ranks in their section's range, each a slot among the file's rows: the
+    # ranks permute every section when each slot is taken once.
+    require(
+        np.all(hits >= 0)
+        and np.all((order >= 0) & (order < np.repeat(counts, counts)))
+        and np.all(np.bincount(order + np.repeat(starts, counts), minlength=keys.size) == 1),
         "negative hits, or ranks that are no permutation of the rows",
     )
     stride = ports * ports
-    packed = np.frombuffer(buffer, np.uint8, (matrices * stride + 7) // 8, offset)
-    pool = np.unpackbits(packed, count=matrices * stride).view(bool)
+    pools = [
+        np.unpackbits(
+            np.frombuffer(buffer, np.uint8, (m * stride + 7) // 8, at + n * _ROW_NBYTES), count=m * stride
+        ).view(bool)
+        for at, n, m in sections
+    ]
     # Blocks are zero-padded to ports x ports and read whole (take, merge, the
     # next save): a bit outside a matrix's shape is one no entry check sees.
     # Line i of a block is padding where the block has at most i rows, column
-    # i where it has at most i columns; one line at a time, nothing larger
-    # than the pool is made.
-    blocks, shape_rows, shape_cols = pool.reshape(matrices, ports, ports), rows[matrix], cols[matrix]
+    # i where it has at most i columns; one line at a time over every block
+    # of the file, nothing larger than the pools is made.
+    blocks = np.concatenate(pools).reshape(-1, ports, ports)
+    shape_rows, shape_cols = rows[matrix], cols[matrix]
     for line in range(ports):
         require(
             not blocks[shape_rows <= line, line].any()
@@ -427,14 +467,18 @@ def _section(buffer, offset, n, ports, matrices, n_paths) -> PairTable:
             "a bit set outside a matrix's rows x cols",
         )
     offsets = off.astype(np.int64)
-    offsets[matrix] = np.arange(0, matrices * stride, stride)
-    return PairTable(
-        ports,
-        keys.astype(np.int64),
-        offsets,
-        rows.astype(np.int32),
-        cols.astype(np.int32),
-        hits.astype(np.int64),
-        order.astype(np.int64),
-        pool,
-    )
+    first = np.cumsum(matrices) - matrices  # each section's first block
+    offsets[matrix] = (np.arange(matrix.size) - np.repeat(first, matrices)) * stride
+    return [
+        PairTable(
+            ports,
+            keys[a:b].astype(np.int64),
+            offsets[a:b].copy(),
+            rows[a:b].astype(np.int32),
+            cols[a:b].astype(np.int32),
+            hits[a:b].astype(np.int64),
+            order[a:b].astype(np.int64),
+            pool,
+        )
+        for a, b, pool in zip(starts.tolist(), ends.tolist(), pools)
+    ]

@@ -180,15 +180,17 @@ def decoded_state_bytes():
                 per_run += sum(column.nbytes for column in columns)
         static = 0
         for part in engine._statics.values():
-            bank = part.bank
-            arrays = (
-                bank.matrices, bank.shapes, bank.classes,
-                bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos, bank.identity_size,
-            )
-            static += sum(array.nbytes for array in arrays)
-            # The label, once built (an unbuilt one holds nothing, and this
-            # walk builds none): its closures and their slices, and the
-            # copies read out of them.
+            # The bank and the label, each once built (an unbuilt one holds
+            # nothing, and this walk builds neither): the bank's stack, shapes,
+            # classes and cycle columns; the label's closures and their
+            # slices, and the copies read out of them.
+            if part.banked:
+                bank = part.bank
+                arrays = (
+                    bank.matrices, bank.shapes, bank.classes,
+                    bank.cycle_len, bank.cycle_base, bank.cycle_k, bank.cycle_pos, bank.identity_size,
+                )
+                static += sum(array.nbytes for array in arrays)
             if part.labelled:
                 label = part.label
                 static += closures(label._slices)

@@ -8,6 +8,7 @@ import pytest
 from repro.core import (
     FVLScheme,
     FVLVariant,
+    RunLabeler,
     is_visible,
     path_visibility,
     visible_batch,
@@ -16,7 +17,7 @@ from repro.core import (
 from repro.engine import DEFAULT_RUN, QueryEngine
 from repro.model.projection import ViewProjection
 from repro.model.views import default_view
-from repro.store import checkpoint_run
+from repro.store import KIND_PRODUCTION, KIND_RECURSION, checkpoint_run
 from repro.workloads import build_bioaid_specification, random_run, random_view
 from tests.conftest import derive_running
 
@@ -123,3 +124,30 @@ def test_visible_batch_handles_boundary_and_late_paths(bioaid):
     # NO_PATH sides of boundary labels (initial inputs / final outputs).
     uids = list(range(1, derivation.run.n_data_items + 1))
     assert all(visible_batch(labeler.store, view_label, uids))
+
+    # Flags folded over half a run, read after the rest was labelled: every
+    # path interned since is walked up to the snapshot one edge at a time,
+    # and under this grey view some walks end hidden at a production edge
+    # and some at a recursion edge below a visible parent.
+    derivation = random_run(spec, 300, seed=10)
+    view_label = scheme.label_view(random_view(spec, 5, seed=13, mode="grey", name="late"))
+    labeler = RunLabeler(scheme.index)
+    events = derivation.events
+    for event in events[: len(events) // 2]:
+        labeler(event)
+    stale = path_visibility(labeler.store.table, view_label)
+    for event in events[len(events) // 2 :]:
+        labeler(event)
+    table = labeler.store.table
+    fresh = path_visibility(table, view_label)
+    hidden_at = {
+        table.edge_fields(path)[0]
+        for path in range(stale.size, fresh.size)
+        if fresh[table.parent(path)] and not fresh[path]
+    }
+    assert hidden_at == {KIND_PRODUCTION, KIND_RECURSION}
+    uids = np.arange(1, derivation.run.n_data_items + 1)
+    expected = visible_batch(labeler.store, view_label, uids, flags=fresh)
+    assert not expected.all() and expected.any()
+    assert np.array_equal(visible_batch(labeler.store, view_label, uids, flags=stale), expected)
+    assert expected.tolist() == _object_visibility(scheme, labeler, view_label, uids.tolist())

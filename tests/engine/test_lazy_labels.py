@@ -1,12 +1,13 @@
-"""The lazy static label: a warm restart labels no view it does not read.
+"""The lazy static label and bank: a warm restart builds neither for a view it does not read.
 
 A view's :class:`~repro.engine.cache.StaticViewState` builds its label on the
-first read, once.  Safety still comes before every answer: a view is
-*proven* when its label has been built or when a warm attach admitted a
-``.hotmx`` section for it (whole-file checksum, grammar and view
-fingerprints all matching).  A query on an unproven view labels it first,
-so an unsafe view raises on every query, an empty batch included, and
-nothing stays interned for it.
+first read, once, and its decode bank on the first kernel pass, once; a
+warm attach whose frames are all table hits builds neither.  Safety still
+comes before every answer: a view is *proven* when its label has been
+built or when a warm attach admitted a ``.hotmx`` section for it
+(whole-file checksum, grammar and view fingerprints all matching).  A query
+on an unproven view labels it first, so an unsafe view raises on every
+query, an empty batch included, and nothing stays interned for it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from repro import FVLScheme, QueryEngine
 from repro.bench import sample_query_pairs
 from repro.engine import DEFAULT_RUN
+from repro.engine import cache as engine_cache
 from repro.errors import UnsafeWorkflowError
 from repro.model import Derivation, WorkflowSpecification, default_view
 from repro.model.projection import ViewProjection
@@ -66,30 +68,33 @@ def saved(tmp_path_factory):
 
 
 def _follower(scheme, run_file, view, **kwargs) -> QueryEngine:
-    """An engine that attached the run file warm: its view proven by the section, unlabelled."""
+    """An engine that attached the run file warm: its view proven by the section, unlabelled, no bank."""
     engine = QueryEngine(scheme, **kwargs)
     engine.add_view(view)
     engine.attach(run_file)
     assert load_hot_matrices(engine) > 0
     assert engine.stats.labels_built == 0
-    assert not engine.decoded_state(view.name).static.labelled
+    static = engine.decoded_state(view.name).static
+    assert not static.labelled and not static.banked
     return engine
 
 
 def test_a_proven_view_labels_itself_on_the_first_read_that_needs_it(saved):
     scheme, run_file, view, warm, cold, uids, expected = saved
     engine = _follower(scheme, run_file, view)
+    static = engine.decoded_state(view.name).static
     assert np.array_equal(engine.depends_batch(warm, view.name), expected["warm"])
     assert np.array_equal(engine.depends_batch(warm[:0], view.name), expected["warm"][:0])
-    assert engine.stats.labels_built == 0  # table hits read no label
+    assert engine.stats.labels_built == 0 and not static.banked  # table hits read neither
     assert np.array_equal(engine.depends_batch(cold, view.name), expected["cold"])
-    assert engine.stats.labels_built == 1  # a kernel pass read it
+    assert engine.stats.labels_built == 1 and static.banked  # a kernel pass read both
     assert np.array_equal(engine.is_visible_batch(uids, view.name), expected["visible"])
-    assert engine.stats.labels_built == 1 and engine.decoded_state(view.name).static.labelled
+    assert engine.stats.labels_built == 1 and static.labelled
 
     engine = _follower(scheme, run_file, view)
     assert np.array_equal(engine.is_visible_batch(uids, view.name), expected["visible"])
-    assert engine.stats.labels_built == 1  # visibility flags read it
+    assert engine.stats.labels_built == 1  # visibility flags read the label
+    assert not engine.decoded_state(view.name).static.banked  # and no bank
 
 
 def test_a_section_whose_view_fingerprint_differs_proves_nothing(saved, tmp_path):
@@ -133,22 +138,30 @@ def test_an_unsafe_view_raises_on_an_empty_batch_and_is_never_interned():
 
 
 def test_threads_racing_the_first_label_read_build_one_label(saved, monkeypatch):
-    """More threads than cores read a proven view's label at once: one label.
+    """More threads than cores read a proven view's label at once: one label, one bank.
 
     Half the threads ask visibility frames (which read the label straight
-    away), half ask keys the table misses (whose kernel pass reads it).  The
-    labeller sleeps before it labels, which holds the first-read window
-    open for every racer.
+    away), half ask keys the table misses (whose kernel pass reads the bank,
+    then the label).  The labeller and the bank sleep before they build,
+    which holds each first-read window open for every racer.
     """
     scheme, run_file, view, _, cold, uids, expected = saved
     engine = _follower(scheme, run_file, view)
     label_view = scheme.label_view
+    banks = []
 
     def slow_label_view(*args, **kwargs):
         time.sleep(0.05)
         return label_view(*args, **kwargs)
 
+    class SlowBank(engine_cache.MatrixBank):
+        def __init__(self, index) -> None:
+            time.sleep(0.05)
+            banks.append(self)
+            super().__init__(index)
+
     monkeypatch.setattr(scheme, "label_view", slow_label_view)
+    monkeypatch.setattr(engine_cache, "MatrixBank", SlowBank)
     n_threads = 8  # more than the cores of any CI host this runs on
     barrier = threading.Barrier(n_threads)
     answers = [None] * n_threads
@@ -177,13 +190,15 @@ def test_threads_racing_the_first_label_read_build_one_label(saved, monkeypatch)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert engine.stats.labels_built == 1
+    assert banks == [engine.decoded_state(view.name).static.bank]
     for kind, asked in (("visible", answers[0::2]), ("cold", answers[1::2])):
         assert all(np.array_equal(answer, expected[kind]) for answer in asked)
         assert all(answer.tobytes() == asked[0].tobytes() for answer in asked)
 
 
 def test_static_bytes_count_the_label_from_the_batch_that_builds_it(saved, decoded_state_bytes):
-    """The static gauge equals the walk before and after a label is built mid-batch; budgets still bite."""
+    """The static gauge equals the walk before and after the label and the bank
+    are built mid-batch; the walk builds neither; budgets still bite."""
     scheme, run_file, view, warm, cold, _, expected = saved
 
     def gauge(engine) -> tuple[int, int]:
@@ -191,14 +206,16 @@ def test_static_bytes_count_the_label_from_the_batch_that_builds_it(saved, decod
         return parts[("per_run",)], parts[("static",)]
 
     engine = _follower(scheme, run_file, view)
+    static = engine.decoded_state(view.name).static
     loaded = gauge(engine)
-    assert loaded == decoded_state_bytes(engine)
+    assert loaded == decoded_state_bytes(engine) and loaded[1] == 0
+    assert not static.banked and not static.labelled  # the walk built neither
     assert np.array_equal(engine.depends_batch(cold, view.name), expected["cold"])
     assert engine.stats.labels_built == 1
     grown = gauge(engine)
     assert grown == decoded_state_bytes(engine) and sum(grown) == engine.stats.views.bytes
-    label_nbytes = engine.decoded_state(view.name).label.nbytes
-    assert label_nbytes > 0 and grown[1] >= loaded[1] + label_nbytes
+    label_nbytes, bank_nbytes = static.label.nbytes, static.bank.nbytes
+    assert label_nbytes > 0 and bank_nbytes > 0 and grown[1] == label_nbytes + bank_nbytes
     full = len(engine.decoded_state(view.name).table(engine.shard_arena()))
 
     # Room for the loaded rows and half of what the cold batch added, once

@@ -714,11 +714,14 @@ def test_a_warm_attach_answers_its_warm_up_from_the_table(workload, tmp_path, mo
     for frame in inputs.warmup:
         assert np.array_equal(engine.depends_batch(frame.ids, frame.view), frame.expected)
     assert decided == []
-    # Every view was proven safe by its admitted section: none is labelled.
-    assert engine.stats.labels_built == 0
+    # Every view was proven safe by its admitted section: none is labelled,
+    # and no kernel pass built a bank.
+    statics = [engine.decoded_state(view.name).static for view in inputs.views]
+    assert engine.stats.labels_built == 0 and not any(static.banked for static in statics)
 
     # What reads a label builds it, once per view: a visibility frame on the
-    # even views, keys the table misses (a kernel pass) on the odd ones.
+    # even views, keys the table misses (a kernel pass, which builds the
+    # bank too) on the odd ones.
     run, rng = inputs.derivation.run, np.random.default_rng(7)
     uids = np.asarray(sorted(run.data_items), dtype=np.int64)
     for index, view in enumerate(inputs.views):
@@ -736,7 +739,7 @@ def test_a_warm_attach_answers_its_warm_up_from_the_table(workload, tmp_path, mo
             assert answers.tolist() == [oracle.depends(int(a), int(b)) for a, b in pairs]
             assert decided == ["decide_many"]
         assert engine.stats.labels_built == before + 1
-        assert engine.decoded_state(view.name).static.labelled
+        assert statics[index].labelled and statics[index].banked == (index % 2 == 1)
 
 
 def test_a_successor_of_a_default_save_decides_nothing_in_its_warm_up(tmp_path, monkeypatch):
@@ -777,6 +780,7 @@ def test_a_successor_of_a_default_save_decides_nothing_in_its_warm_up(tmp_path, 
     for frame in inputs.warmup:
         assert np.array_equal(successor.depends_batch(frame.ids, frame.view), frame.expected)
     assert decided == [] and successor.stats.labels_built == 0
+    assert not any(successor.decoded_state(view.name).static.banked for view in inputs.views)
     assert saved == sum(len(table) for table in _tables(leader, inputs.views)) > 4096
 
 

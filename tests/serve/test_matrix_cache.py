@@ -833,29 +833,30 @@ def test_a_default_save_keeps_every_row_and_the_budget_admits_the_best_ranked(sa
         assert np.array_equal(engine.depends_batch(pairs, view), expected)
 
 
-def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
-    """Columns no saver writes, checksummed as if one had: typed refusals, nothing admitted."""
-    run_file, view, pairs, expected, entries = saved
-    cache_file = matrix_cache_path(run_file)
-    header, (genuine,) = _parse(Path(cache_file).read_bytes())
-    follower = QueryEngine(scheme)
-    follower.add_view(view)
-    mapped = follower.attach(run_file)
-    n_paths, ports = mapped.n_paths, genuine["head"][3]
+def _as_sentinel(section, row, sentinel) -> None:
+    """``row`` of a parsed section rewritten as ``sentinel`` the way a saver writes one: no shape, no block."""
+    block = int(np.count_nonzero(section["off"][:row] == 0))
+    section["off"][row] = sentinel
+    section["rows"][row] = section["cols"][row] = 0
+    section["pool"] = np.delete(section["pool"], block, axis=0)
+    section["head"][4] -= 1
+
+
+def _copied(section) -> dict:
+    """A parsed section whose arrays and header a damage may change in place."""
+    return {name: value.copy() if hasattr(value, "copy") else value for name, value in section.items()}
+
+
+def _hostile(genuine, n_paths: int) -> dict:
+    """Damages no saver writes, each done in place to a copy of a parsed ``genuine``
+    section, and the message each is refused with (``None``: a cut file)."""
+    _, _, entries, ports, _ = genuine["head"]
     kinds = _kinds(genuine)
     matrix = np.nonzero(genuine["off"] == 0)[0]  # interior and boundary: block k is row matrix[k]
     block, line, column = (int(at[0]) for at in np.nonzero(genuine["pool"]))  # some set bit
     verdict, boundary = kinds["verdict"][0], kinds["boundary"][0]
-    assert kinds["matrix"].size and matrix.size == genuine["head"][4] < entries
     # The last row with a producer path: changing its ids keeps the keys ascending.
     inner = int(np.nonzero(pair_paths(genuine["keys"])[0] != ABSENT)[0][-1])
-
-    def as_sentinel(s, row, sentinel):
-        """``row`` rewritten as ``sentinel`` the way a saver writes one: no shape, no block."""
-        s["off"][row] = sentinel
-        s["rows"][row] = s["cols"][row] = 0
-        s["pool"] = np.delete(s["pool"], int(np.searchsorted(matrix, row)), axis=0)
-        s["head"][4] -= 1
 
     def descending(s):
         s["keys"] = s["keys"][::-1]
@@ -873,7 +874,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         s["rows"][verdict] = s["cols"][verdict] = 1
 
     def boundary_under_a_sentinel(s):
-        as_sentinel(s, boundary, VERDICT_TRUE)
+        _as_sentinel(s, boundary, VERDICT_TRUE)
 
     def off_outside_the_domain(s):
         s["off"][verdict] = VERDICT_TRUE - 1
@@ -919,7 +920,7 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
     def rows_beyond_the_file(s):
         s["head"][2] += 1
 
-    hostile = {
+    return {
         descending: "ascending",
         duplicate: "ascending",
         tall: "larger than",
@@ -939,13 +940,24 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
         negative_key: "unknown path id",
         other_ports: "port blocks",
         negative_hits: "negative hits",
-        rows_beyond_the_file: None,
+        rows_beyond_the_file: "truncated",
     }
-    def genuine_copy() -> dict:
-        return {name: value.copy() if hasattr(value, "copy") else value for name, value in genuine.items()}
 
-    for damage, reason in hostile.items():
-        section = genuine_copy()
+
+def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
+    """Columns no saver writes, checksummed as if one had: typed refusals, nothing admitted."""
+    run_file, view, pairs, expected, entries = saved
+    cache_file = matrix_cache_path(run_file)
+    header, (genuine,) = _parse(Path(cache_file).read_bytes())
+    follower = QueryEngine(scheme)
+    follower.add_view(view)
+    mapped = follower.attach(run_file)
+    kinds = _kinds(genuine)
+    verdict, boundary = kinds["verdict"][0], kinds["boundary"][0]
+    assert kinds["matrix"].size and np.count_nonzero(genuine["off"] == 0) == genuine["head"][4] < entries
+
+    for damage, reason in _hostile(genuine, mapped.n_paths).items():
+        section = _copied(genuine)
         damage(section)
         _write_raw(cache_file, _assemble([section]), header)
         with pytest.raises(CorruptionError, match=reason):  # never an IndexError or a ValueError
@@ -977,15 +989,71 @@ def test_hostile_columns_under_a_valid_checksum_are_refused(saved, scheme):
 
     # A no-dependency row written consistently (no block, no shape, one matrix
     # fewer) is the format's other decoder row and loads as one.
-    section = genuine_copy()
+    section = _copied(genuine)
     changed = int(kinds["matrix"][0])
-    as_sentinel(section, changed, NO_DEPENDENCY)
+    _as_sentinel(section, changed, NO_DEPENDENCY)
     seeded = _rows(fresh_load(section), view)
     key = pair_paths(int(genuine["keys"][changed]))
     assert seeded[key][0] == NO_DEPENDENCY and loaded[key][0] == 0
     assert {k: entry for k, entry in seeded.items() if k != key} == {
         k: entry for k, entry in loaded.items() if k != key
     }
+
+
+def test_a_hostile_second_section_is_refused_behind_a_genuine_first(saved, scheme, spec):
+    """The damage table against the second of two sections: the message a lone
+    damaged section gets, and nothing admitted from the genuine first one.
+
+    The first section is the genuine one under a twin view — the same
+    structure under another name, so the same fingerprint — whose keys are
+    the second's: the second section starts below the first's last key.
+    """
+    run_file, view, pairs, expected, entries = saved
+    cache_file = matrix_cache_path(run_file)
+    header, (genuine,) = _parse(Path(cache_file).read_bytes())
+    twin = random_view(spec, 6, seed=32, mode="grey", name="twin-view")
+    assert view_fingerprint(twin) == view_fingerprint(view)
+    first = dict(_copied(genuine), names=b"twin-view")
+    first["head"][0] = len(first["names"])
+    assert first["keys"][0] < genuine["keys"][-1]
+    follower = QueryEngine(scheme)
+    follower.add_view(view)
+    follower.add_view(twin)
+    mapped = follower.attach(run_file)
+
+    def refusal(sections) -> str:
+        _write_raw(cache_file, _assemble(sections), header)
+        with pytest.raises(CorruptionError) as refused:
+            load_hot_matrices(follower)
+        return str(refused.value)
+
+    for damage, reason in _hostile(genuine, mapped.n_paths).items():
+        section = _copied(genuine)
+        damage(section)
+        alone = refusal([section])
+        assert reason in alone and refusal([first, section]) == alone, damage.__name__
+        assert not _rows(follower, view) and not _rows(follower, twin), damage.__name__
+
+    # Both genuine: each section's keys ascend, and the file loads whole.
+    _write_raw(cache_file, _assemble([first, genuine]), header)
+    assert load_hot_matrices(follower) == 2 * entries
+    assert _rows(follower, twin) == _rows(follower, view)
+    assert np.array_equal(follower.depends_batch(pairs, twin), expected)
+
+    # A section of no rows, first or last, loads beside a genuine one.
+    empty = _subsection(genuine, [])
+    assert empty["head"][2] == empty["head"][4] == 0
+    for sections in ([_subsection(first, []), genuine], [first, empty]):
+        other = QueryEngine(scheme)
+        other.add_view(view)
+        other.add_view(twin)
+        other.attach(run_file)
+        _write_raw(cache_file, _assemble(sections), header)
+        assert load_hot_matrices(other) == entries
+        # Both sections prove their views: the empty one's holds no row.
+        assert [len(_table(other, v)) for v in (twin, view)] == [s["head"][2] for s in sections]
+        assert other.stats.labels_built == 0
+        assert np.array_equal(other.depends_batch(pairs, view), expected)
 
 
 def test_a_damaged_side_file_is_counted_and_reported(saved, scheme, monkeypatch):

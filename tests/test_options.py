@@ -12,13 +12,14 @@ their chain counts and the view state, and the kernel's module constants are
 its outcome, family and class codes and one stack bound — a recursion depth
 cap or a budget hook would be a visible edit here.  A view's static part
 takes its name, the grammar index its bank is built from and the one
-function that labels it on first read — an eager/lazy switch would be a
-visible edit too.  Run labeling takes a grammar index and, at most, the path
-arena to intern in: the library has one run representation, so a switch
-that picks another would be a visible edit.  The scheduler's knobs — the
-fields of its batching and reopen policies — are counted apart from the
-tier's eighteen; its ``workers`` parameter accepts only 1 (the scheduler
-starts no thread), so it is not one.
+function that labels it, and builds each of the two on its first read —
+an eager/lazy switch would be a visible edit too.  Run labeling takes a
+grammar index and, at most, the path arena to intern in: the library has
+one run representation, so a switch that picks another would be a visible
+edit.  The scheduler's knobs — the fields of its batching and reopen
+policies — are counted apart from the tier's eighteen; its ``workers``
+parameter accepts only 1 (the scheduler starts no thread), so it is not
+one.
 """
 
 from __future__ import annotations
