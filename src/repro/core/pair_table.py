@@ -69,7 +69,9 @@ _ROW_NBYTES = 4 * 8 + 2 * 4
 
 def pair_keys(path1, path2) -> np.ndarray:
     """Pack producer/consumer path ids into the table's sorted int64 key."""
-    return (np.asarray(path1, dtype=np.int64) << 32) | np.asarray(path2, dtype=np.int64)
+    keys = np.left_shift(path1, 32, dtype=np.int64)
+    keys |= path2
+    return keys
 
 
 def pair_paths(keys):
@@ -134,20 +136,17 @@ class PairTable:
 
         The needles are argsorted once and searched in ascending order —
         numpy then starts each binary search from where the previous needle
-        landed, in cache, instead of from the whole column — and checked in
-        that order too; slots and flags are scattered back to the keys' order.
+        landed, in cache, instead of from the whole column; the slots are
+        scattered back to the keys' order and checked there.
         """
         if self.keys.size == 0:
             return np.zeros(keys.size, dtype=np.intp), np.zeros(keys.size, dtype=bool)
         order = keys.argsort()
-        needles = keys[order]
-        at = np.searchsorted(self.keys, needles)
+        at = np.searchsorted(self.keys, keys[order])
         np.minimum(at, self.keys.size - 1, out=at)
         slot = np.empty(keys.size, dtype=np.intp)
-        found = np.empty(keys.size, dtype=bool)
         slot[order] = at
-        found[order] = self.keys[at] == needles
-        return slot, found
+        return slot, self.keys[slot] == keys
 
     def take(self, select: np.ndarray) -> "PairTable":
         """The sub-table of the rows at ascending positions ``select``.

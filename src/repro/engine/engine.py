@@ -618,10 +618,12 @@ class QueryEngine:
         """
         if op not in (_DEPENDS, _VISIBLE):
             raise ValueError(f"unknown query op {op!r} (expected {_DEPENDS!r} or {_VISIBLE!r})")
-        shard = self._shard(run)
+        shard = self._shards.get(run) or self._shard(run)
         state = self._decoded_state(view, tally)
         n = len(ids)
-        self._note_queries(shard, state, op, n, tally)
+        with self._lock:
+            shard.queries += n
+        tally.add(self._queries_c.labels(shard.run_id, state.static.view, op), n)
         t0 = time.perf_counter()
         try:
             if op == _DEPENDS:
@@ -717,12 +719,6 @@ class QueryEngine:
             matrix_pairs=int(pairs.get(("matrix",), 0)),
             labels_built=int(sum(snap.get("engine_view_labels_total", {}).values())),
         )
-
-    def _note_queries(self, shard: _RunShard, state, op: str, n: int, tally: Tally) -> None:
-        """Count ``n`` queries of ``op`` on the shard and in ``tally``."""
-        with self._lock:
-            shard.queries += n
-        tally.add(self._queries_c.labels(shard.run_id, state.static.view, op), n)
 
     # -- internals --------------------------------------------------------------------------
 

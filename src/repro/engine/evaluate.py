@@ -61,6 +61,8 @@ from repro.obs.trace import trace_span
 
 __all__ = ["depends_grouped"]
 
+_ONE = np.int32(1)
+
 
 def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, int, int]:
     """Answer ``pairs`` against one decoded view; see the module docstring.
@@ -77,16 +79,17 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
     if ids.ndim != 2 or ids.shape[1] != 2:
         raise ValueError(f"expected (d1, d2) pairs, got an array of shape {ids.shape}")
     # Interleaved (d1, d2, d1, d2, ...), so the first unlabelled uid in pair
-    # order raises and one gather serves both sides.
+    # order raises and one gather serves both sides; ``rows_for`` has checked
+    # every row, so the gather does not check them again.
     rows = store.rows_for(ids.reshape(-1))
     with trace_span("mmap.gather", rows=rows.size):
-        producer, producer_port, consumer, consumer_port = store.gather_rows(rows)
+        producer, producer_port, consumer, consumer_port = store.gather_resolved(rows)
 
     # NO_PATH (-1) is the only negative id, so an OR is negative iff one of
     # its operands is absent.  Case I: nothing depends on a final output (no
     # consumer on the left) and initial inputs depend on nothing (no producer
     # on the right); ``kept`` lists the other pairs, or is None for all.
-    n = len(ids)
+    n = ids.shape[0]
     kept = ((consumer[0::2] | producer[1::2]) >= 0).nonzero()[0]
     if kept.size == n:
         kept = None
@@ -97,7 +100,7 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
     left, right, x, y = producer[0::2], consumer[1::2], producer_port[0::2], consumer_port[1::2]
     if kept is not None:
         left, right, x, y = left[kept], right[kept], x[kept], y[kept]
-    boundary_n = int(np.count_nonzero((left | right) < 0))
+    boundary_n = np.count_nonzero((left | right) < 0)
     if boundary_n:
         # Cases II-IV: a side without a path reads the other port of its item
         # — (i1, o2) of lambda*(S), (i1, i2) of the Inputs chain over d2's
@@ -115,7 +118,6 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
         left, right = left & ABSENT, right & ABSENT
 
     keys = pair_keys(left, right)
-    x, y = x - 1, y - 1
     with trace_span("engine.group_eval") as group_span:
         table = state.table(arena)
         slot, found = table.probe(keys)
@@ -138,7 +140,7 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
                     bits[members], n_read = _read(source, at, x[members], y[members], ids, positions)
                     structural_n += n_read
         # The two tallies split the *intermediate* pairs: verdict vs matrix.
-        matrix_n = int(keys.size) - boundary_n - structural_n
+        matrix_n = int(keys.size) - int(boundary_n) - structural_n
         if group_span is not None:
             group_span.attrs = {
                 "groups": int(np.unique(keys).size),
@@ -155,7 +157,7 @@ def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, 
 def _read(table: PairTable, slot, x, y, ids, positions) -> tuple[np.ndarray, int]:
     """The bits of pairs whose rows are ``table``'s ``slot``; counts their hits.
 
-    ``x`` / ``y`` are the pairs' 0-based matrix entries, ``positions`` where
+    ``x`` / ``y`` are the pairs' 1-based matrix entries, ``positions`` where
     they sit in ``ids`` (``None``: in order).  Returns the bits and how many
     of the pairs a verdict row answered.
     """
@@ -163,7 +165,8 @@ def _read(table: PairTable, slot, x, y, ids, positions) -> tuple[np.ndarray, int
     bits = off == VERDICT_TRUE
     matrix = (off >= 0).nonzero()[0]
     if matrix.size:
-        at, x, y = slot[matrix], x[matrix], y[matrix]
+        # 0-based entries, as int32 whatever the width of the port columns.
+        at, x, y = slot[matrix], x[matrix] - _ONE, y[matrix] - _ONE
         outside = ((x | y) < 0) | (x >= table.rows[at]) | (y >= table.cols[at])
         if outside.any():
             bad = int(np.argmax(outside))

@@ -226,7 +226,7 @@ class ProvenanceClient:
         return _PooledConn(sock)
 
     def _borrow(self) -> _PooledConn:
-        with self._pool_free:
+        with self._pool_lock:
             while True:
                 if self._closed:
                     raise RuntimeError("client is closed")
@@ -242,13 +242,13 @@ class ProvenanceClient:
         try:
             return self._connect()
         except BaseException:
-            with self._pool_free:
+            with self._pool_lock:
                 self._pool_open -= 1
                 self._pool_free.notify()
             raise
 
     def _give_back(self, conn: _PooledConn, *, broken: bool) -> None:
-        with self._pool_free:
+        with self._pool_lock:
             if broken or self._closed:
                 self._pool_open -= 1
             else:
@@ -306,8 +306,8 @@ class ProvenanceClient:
         caller then owns reporting the probe's outcome — an abandoned probe
         re-opens the breaker via :meth:`_probe_aborted`).
         """
-        if self._breaker_threshold is None:
-            return False
+        if self._breaker_threshold is None or self._breaker_open_until == 0.0:
+            return False  # closed (re-checked under the lock once it is not)
         with self._breaker_lock:
             if self._breaker_open_until == 0.0:
                 return False  # closed
@@ -333,8 +333,10 @@ class ProvenanceClient:
                 self._breaker_probing = False
 
     def _note_answered(self) -> None:
-        if self._breaker_threshold is None:
-            return
+        if self._breaker_threshold is None or not (
+            self._shed_streak or self._breaker_open_until or self._breaker_probing
+        ):
+            return  # nothing to reset
         with self._breaker_lock:
             self._shed_streak = 0
             self._breaker_open_until = 0.0

@@ -119,6 +119,7 @@ _LEN = struct.Struct("<I")
 _REQUEST = struct.Struct("<BIHHHI")  # op, request_id, run_len, view_len, variant_len, n
 _TRACE_ID = struct.Struct("<Q")  # trace id, present iff op & TRACE_FLAG
 _ANSWERS = struct.Struct("<BII")  # op, request_id, n
+_ANSWERS_FRAME = struct.Struct("<IBII")  # the length prefix, then _ANSWERS
 _SHED = struct.Struct("<BIdI")  # op, request_id, retry_after_s, queue_depth
 _ERROR = struct.Struct("<BIHI")  # op, request_id, kind_len, message_len
 _STATS = struct.Struct("<BII")  # op, request_id, json_len
@@ -197,13 +198,17 @@ class MetricsReply:
 # -- encoding -------------------------------------------------------------------
 
 
+def _too_big(size: int) -> SerializationError:
+    return SerializationError(
+        f"frame payload of {size} bytes exceeds the protocol "
+        f"bound ({MAX_FRAME_BYTES}); split the batch"
+    )
+
+
 def _frame(*parts: bytes) -> bytes:
     payload = b"".join(parts)
     if len(payload) > MAX_FRAME_BYTES:
-        raise SerializationError(
-            f"frame payload of {len(payload)} bytes exceeds the protocol "
-            f"bound ({MAX_FRAME_BYTES}); split the batch"
-        )
+        raise _too_big(len(payload))
     return _LEN.pack(len(payload)) + payload
 
 
@@ -261,7 +266,11 @@ def encode_metrics_request(request_id: int) -> bytes:
 def encode_answers(request_id: int, answers: np.ndarray) -> bytes:
     """One answers frame: the ``(n,)`` bool array, bit-packed."""
     bits = np.packbits(answers)
-    return _frame(_ANSWERS.pack(RESP_ANSWERS, request_id, len(answers)), bits.tobytes())
+    size = _ANSWERS.size + bits.size
+    frame = _ANSWERS_FRAME.pack(size, RESP_ANSWERS, request_id, len(answers))
+    if size > MAX_FRAME_BYTES:
+        raise _too_big(size)
+    return frame + bits.tobytes()
 
 
 def encode_shed(request_id: int, retry_after_s: float, queue_depth: int) -> bytes:
@@ -291,63 +300,64 @@ def encode_metrics_reply(request_id: int, text: str) -> bytes:
 # -- decoding -------------------------------------------------------------------
 
 
-class _Cursor:
-    __slots__ = ("payload", "offset")
+def _unpack(spec: struct.Struct, payload: bytes, offset: int = 0) -> tuple:
+    if offset + spec.size > len(payload):
+        raise SerializationError("truncated protocol frame")
+    return spec.unpack_from(payload, offset)
 
-    def __init__(self, payload: bytes) -> None:
-        self.payload = payload
-        self.offset = 0
 
-    def take(self, n: int) -> bytes:
-        end = self.offset + n
-        if n < 0 or end > len(self.payload):
-            raise SerializationError("truncated protocol frame")
-        chunk = self.payload[self.offset : end]
-        self.offset = end
-        return chunk
+def _texts(payload: bytes, start: int, lengths) -> "tuple[list[str], int]":
+    """The UTF-8 strings of ``lengths`` bytes each from ``start`` on, and their end."""
+    texts = []
+    try:
+        for length in lengths:
+            end = start + length
+            if end > len(payload):
+                raise SerializationError("truncated protocol frame")
+            texts.append(payload[start:end].decode("utf-8"))
+            start = end
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"bad UTF-8 in protocol frame: {exc}") from exc
+    return texts, start
 
-    def unpack(self, spec: struct.Struct):
-        return spec.unpack(self.take(spec.size))
 
-    def text(self, n: int) -> str:
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SerializationError(f"bad UTF-8 in protocol frame: {exc}") from exc
-
-    def finish(self, what: str) -> None:
-        """Raise unless every byte of the payload was consumed."""
-        if self.offset != len(self.payload):
-            raise SerializationError(f"trailing bytes after {what}")
+def _exact(payload: bytes, end: int, what: str) -> None:
+    """Raise unless the payload ends at ``end``, right after ``what``."""
+    if end > len(payload):
+        raise SerializationError("truncated protocol frame")
+    if end != len(payload):
+        raise SerializationError(f"trailing bytes after {what}")
 
 
 def decode_request(payload: bytes) -> "QueryRequest | StatsRequest | MetricsRequest":
-    """Decode one request payload (the bytes after the length prefix)."""
-    cursor = _Cursor(payload)
-    op, request_id, run_len, view_len, variant_len, n = cursor.unpack(_REQUEST)
-    traced = bool(op & TRACE_FLAG)
+    """Decode one request payload (the bytes after the length prefix).
+
+    One unpack reads the fixed header, every field is checked in wire order
+    (a frame broken twice reports the first break), and the id array is a
+    read-only ``numpy.frombuffer`` view of ``payload``, not a copy.
+    """
+    op, request_id, run_len, view_len, variant_len, n = _unpack(_REQUEST, payload)
+    traced = op & TRACE_FLAG
     op &= ~TRACE_FLAG
     if op == OP_STATS:
         return StatsRequest(request_id)
     if op == OP_METRICS:
         return MetricsRequest(request_id)
-    if op not in (OP_DEPENDS, OP_VISIBLE):
+    if op != OP_DEPENDS and op != OP_VISIBLE:
         raise SerializationError(f"unknown request opcode 0x{op:02x}")
-    trace_id = None
+    start, trace_id = _REQUEST.size, None
     if traced:
-        # Consumed before the strings/ids, so the trailing-bytes check below
-        # keeps rejecting malformed frames exactly as for untraced ones.
-        (trace_id,) = cursor.unpack(_TRACE_ID)
-    run = cursor.text(run_len)
-    view = cursor.text(view_len)
-    variant = cursor.text(variant_len) or None
-    width = 2 if op == OP_DEPENDS else 1
-    raw = cursor.take(n * width * _ID_DTYPE.itemsize)
-    cursor.finish("the request's id array")
-    ids = np.frombuffer(raw, dtype=_ID_DTYPE)
+        # Read before the strings and ids, so the exact-length check below
+        # holds traced and untraced frames alike.
+        (trace_id,) = _unpack(_TRACE_ID, payload, start)
+        start += _TRACE_ID.size
+    (run, view, variant), start = _texts(payload, start, (run_len, view_len, variant_len))
+    count = 2 * n if op == OP_DEPENDS else n
+    _exact(payload, start + count * _ID_DTYPE.itemsize, "the request's id array")
+    ids = np.frombuffer(payload, dtype=_ID_DTYPE, count=count, offset=start)
     if op == OP_DEPENDS:
         ids = ids.reshape(n, 2)
-    return QueryRequest(op, request_id, run, view, variant, ids, trace_id)
+    return QueryRequest(op, request_id, run, view, variant or None, ids, trace_id)
 
 
 def decode_reply(payload: bytes):
@@ -355,29 +365,35 @@ def decode_reply(payload: bytes):
     if not payload:
         raise SerializationError("empty protocol frame")
     op = payload[0]
-    cursor = _Cursor(payload)
     if op == RESP_ANSWERS:
-        _, request_id, n = cursor.unpack(_ANSWERS)
-        raw = np.frombuffer(cursor.take((n + 7) // 8), dtype=np.uint8)
-        reply = AnswersReply(request_id, np.unpackbits(raw, count=n).view(bool))
-    elif op == RESP_SHED:
-        _, request_id, retry_after_s, queue_depth = cursor.unpack(_SHED)
-        reply = ShedReply(request_id, retry_after_s, queue_depth)
+        _, request_id, n = _unpack(_ANSWERS, payload)
+        end = _ANSWERS.size + (n + 7) // 8
+        _exact(payload, end, "the reply's last field")
+        bits = np.frombuffer(payload, dtype=np.uint8, count=end - _ANSWERS.size, offset=_ANSWERS.size)
+        return AnswersReply(request_id, np.unpackbits(bits, count=n).view(bool))
+    if op == RESP_SHED:
+        _, request_id, retry_after_s, queue_depth = _unpack(_SHED, payload)
+        reply, end = ShedReply(request_id, retry_after_s, queue_depth), _SHED.size
     elif op == RESP_ERROR:
-        _, request_id, kind_len, message_len = cursor.unpack(_ERROR)
-        reply = ErrorReply(request_id, cursor.text(kind_len), cursor.text(message_len))
+        _, request_id, kind_len, message_len = _unpack(_ERROR, payload)
+        (kind, message), end = _texts(payload, _ERROR.size, (kind_len, message_len))
+        reply = ErrorReply(request_id, kind, message)
     elif op == RESP_STATS:
-        _, request_id, json_len = cursor.unpack(_STATS)
+        _, request_id, json_len = _unpack(_STATS, payload)
+        end = _STATS.size + json_len
+        if end > len(payload):
+            raise SerializationError("truncated protocol frame")
         try:
-            reply = StatsReply(request_id, json.loads(cursor.take(json_len)))
+            reply = StatsReply(request_id, json.loads(payload[_STATS.size : end]))
         except ValueError as exc:
             raise SerializationError(f"corrupt stats reply: {exc}") from exc
     elif op == RESP_METRICS:
-        _, request_id, text_len = cursor.unpack(_METRICS)
-        reply = MetricsReply(request_id, cursor.text(text_len))
+        _, request_id, text_len = _unpack(_METRICS, payload)
+        (text,), end = _texts(payload, _METRICS.size, (text_len,))
+        reply = MetricsReply(request_id, text)
     else:
         raise SerializationError(f"unknown reply opcode 0x{op:02x}")
-    cursor.finish("the reply's last field")
+    _exact(payload, end, "the reply's last field")
     return reply
 
 
@@ -397,20 +413,30 @@ class FrameAssembler:
         self._max = max_frame_bytes
 
     def feed(self, data: bytes) -> "list[bytes]":
-        self._buffer += data
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        # Frames whole in one read (the common case) are copied once each,
+        # straight out of ``data``; only a partial frame is buffered.
         frames: list[bytes] = []
-        while len(self._buffer) >= _LEN.size:
-            (length,) = _LEN.unpack_from(self._buffer)
+        start, size = 0, len(data)
+        while size - start >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, start)
             if length > self._max:
                 raise SerializationError(
                     f"peer announced a {length}-byte frame (protocol bound "
                     f"{self._max}); dropping the connection"
                 )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
+            end = start + _LEN.size + length
+            if end > size:
                 break
-            frames.append(bytes(self._buffer[_LEN.size : end]))
-            del self._buffer[:end]
+            frames.append(bytes(data[start + _LEN.size : end]))
+            start = end
+        if data is buffer:
+            del buffer[:start]
+        elif start < size:
+            buffer += data[start:]
         return frames
 
     @property

@@ -161,6 +161,7 @@ class ProvenanceNetServer:
         if unix_path is None and host is None:
             raise ValueError("pass unix_path= and/or host= to bind a listener")
         self._server = server
+        self._engine = server.engine
         self._unix_path = os.fspath(unix_path) if unix_path is not None else None
         self._host = host
         self._port = port
@@ -170,6 +171,11 @@ class ProvenanceNetServer:
         #: socket file and never a live server's.
         self._bound_path: "str | None" = None
         self._conns: deque[_Connection] = deque()
+        #: Frames decoded and not yet admitted, over every connection, and
+        #: the deepest that backlog was since a record last carried it to
+        #: the registry (loop thread only).
+        self._intake = 0
+        self._intake_peak = 0
         self._thread: "threading.Thread | None" = None
         self._stopping = False
         self._wake_r: "int | None" = None
@@ -360,7 +366,7 @@ class ProvenanceNetServer:
     def _loop(self) -> None:
         while not self._stopping:
             # Pending intake means more admission work even with idle sockets.
-            timeout = 0.0 if any(conn.intake for conn in self._conns) else None
+            timeout = 0.0 if self._intake else None
             for key, _events in self._selector.select(timeout):
                 if key.data == "wake":
                     try:
@@ -371,7 +377,11 @@ class ProvenanceNetServer:
                 elif key.data == "listen":
                     self._accept(key.fileobj)
                 else:
-                    self._service(key.data, _events)
+                    conn = key.data
+                    if _events & selectors.EVENT_READ:
+                        self._read(conn)
+                    if not conn.closed and _events & selectors.EVENT_WRITE:
+                        self._write(conn)
                 if self._stopping:
                     return
             self._pump_intake()
@@ -394,12 +404,6 @@ class ProvenanceNetServer:
             self._conns.append(conn)
             self._count("connections")
 
-    def _service(self, conn: _Connection, events: int) -> None:
-        if events & selectors.EVENT_READ:
-            self._read(conn)
-        if not conn.closed and events & selectors.EVENT_WRITE:
-            self._write(conn)
-
     def _read(self, conn: _Connection) -> None:
         try:
             faults.hit("net.recv")
@@ -416,16 +420,23 @@ class ProvenanceNetServer:
             self._close_conn(conn)
             return
         try:
-            conn.intake.extend(conn.assembler.feed(data))
+            frames = conn.assembler.feed(data)
         except SerializationError:
             # Oversized frame announcement: broken or hostile peer.
             self._count("errors")
             self._close_conn(conn)
             return
-        if conn.intake:
-            self._intake_hwm_g.set_max(
-                sum(len(c.intake) for c in self._conns)
-            )
+        if frames:
+            conn.intake.extend(frames)
+            self._intake += len(frames)
+            if self._intake > self._intake_peak:
+                self._intake_peak = self._intake
+
+    def _flush_intake_peak(self) -> None:
+        """Set the intake watermark to the backlog peak no record carried."""
+        if self._intake_peak:
+            self._intake_hwm_g.set_max(self._intake_peak)
+            self._intake_peak = 0
 
     def _pump_intake(self) -> None:
         """Admit decoded frames round-robin: one per connection per pass.
@@ -439,6 +450,7 @@ class ProvenanceNetServer:
             self._conns.rotate(-1)
             if conn.closed or conn.broken or not conn.intake:
                 continue
+            self._intake -= 1
             try:
                 self._handle_frame(conn, conn.intake.popleft())
             except Exception:  # pragma: no cover - loop must survive anything
@@ -449,11 +461,17 @@ class ProvenanceNetServer:
         try:
             request = decode_request(payload)
         except SerializationError as exc:
+            self._flush_intake_peak()
             self._count("errors")
             self._send(conn, encode_error(0, type(exc).__name__, str(exc)))
             return
-        if not isinstance(request, QueryRequest):
-            self._count("frames")  # a query frame's record counts it
+        if request.__class__ is QueryRequest:
+            self._admit(conn, request)
+            return
+        # Only a query frame's record carries the backlog peak: anything else
+        # sets it before a stats or metrics snapshot could miss it.
+        self._flush_intake_peak()
+        self._count("frames")  # a query frame's record counts it
         if isinstance(request, StatsRequest):
             self._count("stats_requests")
             self._send(conn, encode_stats_reply(request.request_id, self._stats_payload()))
@@ -467,13 +485,13 @@ class ProvenanceNetServer:
                 ),
             )
             return
-        self._admit(conn, request)
 
     def _admit(self, conn: _Connection, request: QueryRequest) -> None:
         if request.variant is not None:
             # The frame layout keeps its variant field for existing encoders;
             # the server serves views, so a frame that names a variant is
             # refused before any record (or metric series) exists for it.
+            self._flush_intake_peak()
             self._count("frames")
             self._count("errors")
             message = "this server serves views: a query frame's variant field must be empty"
@@ -485,7 +503,7 @@ class ProvenanceNetServer:
         # long as the registry, so the record names only what the engine
         # knows: its latency and cost families stay bounded whatever a client
         # sends.
-        engine = self._server.engine
+        engine = self._engine
         run = request.run if request.run in engine.run_ids else UNKNOWN
         view = request.view if request.view in engine.view_names else UNKNOWN
         # One record per frame; a wire trace id makes it samplable.  Every
@@ -494,6 +512,9 @@ class ProvenanceNetServer:
         record = sampler.open(request.trace_id, kind, run, view, n)
         record.reply, record.reply_to = self._reply, (conn, request.request_id)
         record.tally.add(self._counters["frames"])
+        if self._intake_peak:
+            record.tally.set_max(self._intake_hwm_g, self._intake_peak)
+            self._intake_peak = 0
         try:
             admitted = self._server.serve_frame(
                 record, request.ids, request.view, run=request.run
@@ -658,7 +679,10 @@ class ProvenanceNetServer:
                 return
             conn.closed = True
             conn.outbound.clear()
-        conn.intake.clear()
+        if conn.intake:
+            self._intake -= len(conn.intake)
+            conn.intake.clear()
+            self._flush_intake_peak()  # its frames will carry nothing
         if unregister and self._selector is not None:
             try:
                 self._selector.unregister(conn.sock)

@@ -284,11 +284,15 @@ class Tally:
         """:meth:`Counter.inc`, deferred."""
         if amount < 0:
             raise ValueError("counters are monotonic; use a gauge for deltas")
-        self.adds.append((_child(counter), amount))
+        if counter.__class__ is CounterFamily:
+            counter = counter._solo_child or counter._solo
+        self.adds.append((counter, amount))
 
     def set_max(self, gauge, value: float) -> None:
         """:meth:`Gauge.set_max`, deferred."""
-        self.maxima.append((_child(gauge), value))
+        if gauge.__class__ is GaugeFamily:
+            gauge = gauge._solo_child or gauge._solo
+        self.maxima.append((gauge, value))
 
     def observe(self, histogram, value: float) -> None:
         """:meth:`Histogram.observe`, deferred."""
@@ -297,10 +301,6 @@ class Tally:
     def put_exemplar(self, histogram, value: float, trace_id: "int | str") -> None:
         """:meth:`Histogram.put_exemplar`, deferred."""
         self.exemplars.append((histogram, value, trace_id))
-
-
-def _child(target):
-    return target._solo_child or target._solo if isinstance(target, _Family) else target
 
 
 class _Family:
@@ -473,20 +473,21 @@ class MetricsRegistry:
         with self._meta_lock:
             return dict(self._families)
 
-    def fold(self, tally: Tally) -> None:
-        """Apply every update in ``tally`` under one acquisition of the lock, and empty it."""
+    def fold(self, *tallies: Tally) -> None:
+        """Apply every update in ``tallies`` under one acquisition of the lock, and empty them."""
         with self._lock:
-            for child, amount in tally.adds:
-                child.value += amount
-            for child, value in tally.maxima:
-                if value > child._value:
-                    child._value = value
-            for child, value in tally.observations:
-                child._observe(value)
-            for child, value, trace_id in tally.exemplars:
-                child._put_exemplar(value, trace_id)
-        for updates in (tally.adds, tally.maxima, tally.observations, tally.exemplars):
-            updates.clear()
+            for tally in tallies:
+                for child, amount in tally.adds:
+                    child.value += amount
+                for child, value in tally.maxima:
+                    if value > child._value:
+                        child._value = value
+                for child, value in tally.observations:
+                    child._observe(value)
+                for child, value, trace_id in tally.exemplars:
+                    child._put_exemplar(value, trace_id)
+        for tally in tallies:
+            tally.adds, tally.maxima, tally.observations, tally.exemplars = [], [], [], []
 
     # -- snapshotting -----------------------------------------------------------
 

@@ -115,10 +115,6 @@ _ACTIVE: contextvars.ContextVar[tuple["Trace", int] | None] = contextvars.Contex
 )
 
 
-def _mix(trace_id: int) -> int:
-    return (trace_id * _FIB) % _U64
-
-
 class Span:
     """One timed operation inside a trace."""
 
@@ -358,8 +354,9 @@ class Request:
     The request edge sets the reply sink: ``reply(record, answers, error)``
     writes to ``reply_to`` (a future, a list of them, a connection and a
     request id) and is called once, through :meth:`resolve`.  ``tally``
-    gathers the frame's own counts, the edge's and the sampler's, until
-    :meth:`Sampler.finish` folds them.
+    gathers the frame's own counts, the edge's, the sampler's and, when the
+    record leads a scheduling step, the step's, until :meth:`Sampler.finish`
+    folds them: a record with a tally is finished by its sink.
 
     ``trace`` (with its ``net.frame`` ``root`` span, the parent of the
     scheduler's span on whichever thread took the step) is set only when the id was
@@ -452,14 +449,14 @@ class Sampler:
 
     def sampled(self, trace_id: int) -> bool:
         """The deterministic head decision for ``trace_id``."""
-        return self._threshold >= _U64 or _mix(trace_id) < self._threshold
+        return self._threshold >= _U64 or (trace_id * _FIB) % _U64 < self._threshold
 
     def open(self, trace_id: "int | None", op: str, run: str, view: str,
              n: int) -> Request:
         """Open the record of one request; a wire trace id makes it samplable."""
         sampled = trace_id is not None and self.sampled(trace_id)
         if trace_id is None:
-            trace_id = _mix(next(self._ids)) or 1  # exemplars still need an id
+            trace_id = (next(self._ids) * _FIB) % _U64 or 1  # exemplars still need an id
         request = Request(trace_id, op, run, view, n, self._clock())
         request.tally = Tally()
         if sampled:
@@ -475,8 +472,11 @@ class Sampler:
                shed: bool = False) -> float:
         """Close ``request`` with its outcome known; returns its wall seconds.
 
-        All it counts is one fold of the record's tally (two when the slow
-        threshold is refreshed, every :data:`REFRESH_EVERY` requests).
+        All it counts is one fold of what the record's tally still holds —
+        the frame's own counts, and its admission's unless a scheduling step
+        folded them with its own — and of the sampler's counts (two folds
+        when the slow threshold is refreshed, every :data:`REFRESH_EVERY`
+        requests).
         """
         if request.root is not None:
             request.root.finish()

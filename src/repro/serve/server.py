@@ -221,10 +221,14 @@ class ProvenanceServer:
         #: Queries (not requests) in ``_queue`` — what ``max_queue``,
         #: ``max_batch`` and ``pending`` all count.
         self._queued = 0
-        self._cond = threading.Condition()
+        #: Guards the queue and the combiner role; ``_cond`` waits on it.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: Threads waiting on ``_cond`` (guarded by it): only they need a notify.
+        self._waiters = 0
         self._running = False
         #: The ident of the thread taking steps in :meth:`combine`, or
-        #: ``None`` when no step is in flight (guarded by ``_cond``).
+        #: ``None`` when no step is in flight (guarded by ``_lock``).
         self._combiner: "int | None" = None
         self._stopping = False
         #: run -> [queries since last probe, last probe time]
@@ -344,7 +348,9 @@ class ProvenanceServer:
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
+            self._waiters += 1
             self._cond.wait_for(lambda: self._combiner is None)
+            self._waiters -= 1
             self._running = False
             leftovers = list(self._queue)
             self._queue.clear()
@@ -474,14 +480,14 @@ class ProvenanceServer:
         that step's records not yet answered, each once; the combiner serves
         on.
         """
-        with self._cond:
+        with self._lock:
             if self._combiner is not None or not self._running or not self._queue:
                 return
             self._combiner = threading.get_ident()
             try:
                 while self._queue:
                     batch = self._pop_step()[0]
-                    self._cond.release()  # the step runs off the lock
+                    self._lock.release()  # the step runs off the lock
                     try:
                         faults.hit("scheduler.batch")
                         self._process(batch)
@@ -490,10 +496,11 @@ class ProvenanceServer:
                         for request in batch:
                             self._reply(request, None, exc)
                     finally:
-                        self._cond.acquire()
+                        self._lock.acquire()
             finally:
                 self._combiner = None
-                self._cond.notify_all()  # stop() waits for the combiner
+                if self._waiters:
+                    self._cond.notify_all()  # stop() waits for the combiner
 
     # -- observability -----------------------------------------------------------
 
@@ -568,7 +575,7 @@ class ProvenanceServer:
     @property
     def pending(self) -> int:
         """Queries queued right now (a frame of ``n`` counts ``n``)."""
-        with self._cond:
+        with self._lock:
             return self._queued
 
     # -- internals ---------------------------------------------------------------
@@ -608,7 +615,10 @@ class ProvenanceServer:
 
         An empty frame is answered at once and never queued.  With
         ``block``, a frame that does not fit waits on ``_cond`` until a step
-        pops room (every pop notifies) or :meth:`stop` refuses it.
+        pops room (a pop notifies whoever waits) or :meth:`stop` refuses it.
+        A request edge's record carries the admission's three counts in its
+        tally until its step (or its finish, if never stepped) folds them;
+        any other admission folds them here, under one registry lock.
         """
         request.ids = ids
         request.key = (request.op, run, _view_name(view))
@@ -626,7 +636,7 @@ class ProvenanceServer:
             except InjectedFault:
                 return False
         max_queue = self._policy.max_queue
-        with self._cond:
+        with self._lock:
             while True:
                 if self._stopping:
                     raise RuntimeError("provenance server is stopped")
@@ -643,15 +653,18 @@ class ProvenanceServer:
                     # A reply callback submitting from inside a step: only this
                     # thread would pop room, so waiting would never end.
                     raise RuntimeError("request queue is full and this thread is serving it")
+                self._waiters += 1
                 self._cond.wait()
+                self._waiters -= 1
             self._queue.append(request)
             self._queued += n
             depth = self._queued
-        tally = Tally()  # one registry lock for the admission's three updates
+        tally = request.tally if request.tally is not None else Tally()
         tally.add(self._submitted_c, n)
         tally.set_max(self._queue_peak_g, depth)
         tally.set_max(self._queue_hwm_g, depth)
-        self.metrics.fold(tally)
+        if tally is not request.tally:
+            self.metrics.fold(tally)
         return True
 
     def _reply(self, request: Request, answers, error: "BaseException | None" = None) -> None:
@@ -663,7 +676,7 @@ class ProvenanceServer:
             self.last_error = exc
 
     def _pop_step(self) -> "tuple[list[Request], int]":
-        """Pop one step's requests (caller holds ``_cond``): whole frames only.
+        """Pop one step's requests (caller holds ``_lock``): whole frames only.
 
         Requests are taken in arrival order until the next one would push
         the step past ``max_batch`` queries; a frame is never split, so one
@@ -679,17 +692,25 @@ class ProvenanceServer:
             queries += request.n
         if batch:
             self._queued -= queries
-            self._cond.notify_all()  # wake blocked submitters
+            if self._waiters:
+                self._cond.notify_all()  # wake blocked submitters
         return batch, queries
 
     def _process(self, batch: "list[Request]") -> None:
         """Answer one step's records, one engine call per same-key group.
 
-        Every count of the step — its own, its engine calls' and a due
-        probe's — is folded under one registry lock before any record
-        resolves: a client that holds its answer finds it counted.
+        Every count of the step — its own, its engine calls', a due probe's
+        and what its records carry from their admission — is folded before
+        any record resolves: a client that holds its answer finds it
+        counted.  A request edge's record is finished, its tally folded,
+        before its reply leaves, and the step's first record resolves
+        first; so when that record has a tally the step's counts join it and
+        fold with the record's own, under one registry lock per frame.  What
+        the other records carry is folded here, under one more.
         """
-        tally = Tally()
+        first = batch[0]
+        tally = first.tally if first.tally is not None else Tally()
+        carried = [] if tally is first.tally else [tally]
         queries = 0
         groups: dict[tuple, list[Request]] = {}
         traced = []
@@ -698,27 +719,35 @@ class ProvenanceServer:
             groups.setdefault(request.key, []).append(request)
             if request.trace is not None:
                 traced.append(request)
+            if request.tally is not None and request is not first:
+                carried.append(request.tally)
         # One ``scheduler.batch`` span per traced record in the step, each
         # recording *all* the trace ids this step coalesced — the span tree
         # of any one request shows which strangers shared its batch.
-        coalesced_ids = [request.trace_id for request in traced]
-        sched_spans = {
-            id(request): request.trace.begin_span(
-                "scheduler.batch",
-                parent_id=request.root.span_id,
-                attrs={
-                    "requests": len(batch),
-                    "queries": queries,
-                    "groups": len(groups),
-                    "coalesced_traces": list(coalesced_ids),
-                },
-            )
-            for request in traced
-        }
+        sched_spans = {}
+        if traced:
+            coalesced_ids = [request.trace_id for request in traced]
+            sched_spans = {
+                id(request): request.trace.begin_span(
+                    "scheduler.batch",
+                    parent_id=request.root.span_id,
+                    attrs={
+                        "requests": len(batch),
+                        "queries": queries,
+                        "groups": len(groups),
+                        "coalesced_traces": list(coalesced_ids),
+                    },
+                )
+                for request in traced
+            }
         tally.add(self._batches_c)
         tally.add(self._answered_c, queries)
-        sizes = [sum(member.n for member in members) for members in groups.values()]
-        coalesced = sum(size for size in sizes if size > 1)
+        # Every queued frame holds a query, so a group of one query is a lone
+        # one-query frame; every other group counts as coalesced.
+        coalesced = queries
+        for members in groups.values():
+            if len(members) == 1 and members[0].n == 1:
+                coalesced -= 1
         if coalesced:
             tally.add(self._coalesced_c, coalesced)
         tally.set_max(self._largest_batch_g, queries)
@@ -738,16 +767,23 @@ class ProvenanceServer:
                         served = self._serve_group(key, members, tally, outcomes)
                 if served:
                     served_runs[key[1]] = served_runs.get(key[1], 0) + served
-            due = [run for run, count in served_runs.items() if self._probe_due(run, count)]
-            for _ in due:
-                tally.add(self._probes_c)
+            due = []
+            for run, count in served_runs.items():
+                if self._probe_due(run, count):
+                    due.append(run)
+                    tally.add(self._probes_c)
         finally:
-            self.metrics.fold(tally)
+            if carried:
+                self.metrics.fold(*carried)
         for request, answers, error in outcomes:
             self._reply(request, answers, error)
-        for span in sched_spans.values():
-            if span is not None:
-                span.finish()
+        if first.tally is tally:  # its sink failed before finishing it
+            first.tally = None
+            self.metrics.fold(tally)
+        if traced:
+            for span in sched_spans.values():
+                if span is not None:
+                    span.finish()
         for run in due:
             self._probe(run)
 
@@ -761,8 +797,7 @@ class ProvenanceServer:
         coalesced with still get their bits.
         """
         try:
-            self._evaluate(key, members, tally, outcomes)
-            return sum(member.n for member in members)
+            return self._evaluate(key, members, tally, outcomes)
         except Exception as exc:
             if len(members) == 1:
                 outcomes.append((members[0], None, exc))
@@ -770,15 +805,15 @@ class ProvenanceServer:
         served = 0
         for member in members:
             try:
-                self._evaluate(key, [member], tally, outcomes)
-                served += member.n
+                served += self._evaluate(key, [member], tally, outcomes)
             except Exception as exc:
                 outcomes.append((member, None, exc))
         return served
 
     def _evaluate(self, key: tuple, members: "list[Request]", tally: Tally,
-                  outcomes: list) -> None:
-        """One engine call over ``members``' ids; each record's slice goes to ``outcomes``."""
+                  outcomes: list) -> int:
+        """One engine call over ``members``' ids; each record's slice goes to
+        ``outcomes``.  Returns the queries answered."""
         first = members[0]
         ids = first.ids if len(members) == 1 else np.concatenate([m.ids for m in members])
         try:
@@ -789,6 +824,7 @@ class ProvenanceServer:
         for member in members:
             outcomes.append((member, answers[offset : offset + member.n], None))
             offset += member.n
+        return offset
 
     def _probe_due(self, run: str, count: int) -> bool:
         """Advance the run's probe backoff by ``count`` queries; whether a bound fired."""

@@ -194,7 +194,7 @@ class LabelStore:
         rows = uids - (self._base or 0)
         # A negative row is a huge unsigned one: one comparison checks both ends.
         unknown = rows.view(np.uint64) >= len(self._consumer_port)
-        if unknown.any():
+        if np.count_nonzero(unknown):
             raise _not_labelled(int(uids[unknown.argmax()]))
         return rows
 
@@ -320,6 +320,12 @@ class LabelStore:
             np.fromiter(map(columns[field].__getitem__, index), np.int32, len(index))
             for field in fields
         )
+
+    def gather_resolved(self, rows: np.ndarray) -> tuple:
+        """All four columns at the int64 ``rows`` :meth:`rows_for` returned,
+        in :data:`GATHER_FIELDS` order; a mapped store reads them in place,
+        unchecked, its ports in their one-byte dtype."""
+        return self.gather_rows(rows)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LabelStore({len(self)} labels, {self._table!r})"

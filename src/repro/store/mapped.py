@@ -120,11 +120,12 @@ class _ChunkedColumn:
         """
         rows = np.asarray(rows, dtype=np.int64)
         _check_rows(rows, self._length)
-        return self.take_checked(rows)
+        return self.take(rows)
 
-    def take_checked(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`gather` of int64 ``rows`` already checked to lie in ``[0, len)``."""
-        extent = np.searchsorted(self._start_array, rows, side="right") - 1
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`gather` of int64 ``rows`` already checked to lie in ``[0, len)``
+        (``ndarray.take``'s name, so a single-extent column reads the same way)."""
+        extent = self._start_array.searchsorted(rows, side="right") - 1
         return self._flat[rows + self._base_array[extent]]
 
 
@@ -216,17 +217,20 @@ class MappedLabelStore(LabelStore):
         faults.hit("mmap.gather")
         rows = np.asarray(rows, dtype=np.int64)
         _check_rows(rows, len(self))
-        columns = {
-            "producer_path_id": self._producer_path,
-            "producer_port": self._producer_port,
-            "consumer_path_id": self._consumer_path,
-            "consumer_port": self._consumer_port,
-        }
-        gathered = (
-            column.take_checked(rows) if isinstance(column, _ChunkedColumn) else column[rows]
-            for column in map(columns.__getitem__, fields)
+        columns = dict(zip(self.GATHER_FIELDS, self.raw_columns()))
+        return tuple(columns[field].take(rows).astype(np.int32, copy=False) for field in fields)
+
+    def gather_resolved(self, rows: np.ndarray) -> tuple:
+        """:meth:`LabelStore.gather_resolved` read in place: four ``take`` calls,
+        the ports left one byte wide.  The ``mmap.gather`` fault point fires
+        here too, once per batch."""
+        faults.hit("mmap.gather")
+        return (
+            self._producer_path.take(rows),
+            self._producer_port.take(rows),
+            self._consumer_path.take(rows),
+            self._consumer_port.take(rows),
         )
-        return tuple(column.astype(np.int32, copy=False) for column in gathered)
 
 
 class MappedNodeTable(NodeTable):

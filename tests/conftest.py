@@ -2,11 +2,14 @@
 ``ask`` (the one blocking call over the scheduler), ``offer`` (a request
 edge's non-blocking submit), ``publish_generation`` (a run file's next
 generation swapped in, intact or damaged) and ``detach_engines`` (every run a
-test attached is detached when it ends)."""
+test attached is detached when it ends).  Every test is also held to the
+threads it starts: one still alive when it ends fails it
+(``no_leaked_threads``)."""
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -20,6 +23,27 @@ from repro.workloads import (
     running_example_view_u2,
     running_example_views,
 )
+
+
+#: How long a thread a test started may take to finish after the test.
+THREAD_GRACE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread it started alive, daemon or not.
+
+    Threads of wider-scoped fixtures exist before the snapshot and are not
+    the test's.  A thread on its way out gets :data:`THREAD_GRACE_S` to end.
+    """
+    before = set(threading.enumerate())
+    yield
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:
+        thread.join(THREAD_GRACE_S / len(started))
+    leaked = [thread.name for thread in started if thread.is_alive()]
+    if leaked:
+        pytest.fail(f"the test left {len(leaked)} thread(s) running: {', '.join(leaked)}")
 
 
 @pytest.fixture(scope="session")

@@ -59,22 +59,25 @@ of ascending needles, with answers bit-identical to ``FVLScheme.depends``,
 and a cold batch's to one more probe after the merge.
 
 And one holds a warm frame's bookkeeping to a count: a 256-pair frame served
-on the event loop, untraced, takes the metrics registry's lock four times —
-the read's intake watermark, the inline admission, the step (every scheduler
-and engine count) and the reply (the frame's own and the sampler's) — and
-opens no generator-based context manager, so an inactive ``trace_span``
-builds nothing.
+on the event loop, untraced, takes the metrics registry's lock once — its
+record's finish folds the admission and intake watermark it carried, every
+count of the step it led (scheduler and engine) and its own and the
+sampler's — opens no generator-based context manager, so an inactive
+``trace_span`` builds nothing, and makes a pinned number of calls into
+``repro`` on the loop thread.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import os
 import shutil
 import socket
 import struct
 import sys
 import threading
+import time
 import types
 import weakref
 import zlib
@@ -83,6 +86,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro import Derivation, FVLScheme, FVLVariant, QueryEngine
 from repro.analysis import production_graph, reachability
 from repro.analysis.reachability import RunReachabilityOracle
@@ -848,7 +852,43 @@ class _CountingLock:
         self.release()
 
 
-def test_a_warm_frame_takes_the_registry_lock_four_times_and_builds_no_span(
+#: Calls the loop thread makes into ``repro`` for one warm 256-pair frame.
+WARM_FRAME_CALLS = 88
+#: Code that is a comprehension or a generator (3.12 inlines comprehensions).
+_NOT_A_CALL = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
+_GENERATOR_FLAGS = 0x20 | 0x80 | 0x200  # CO_GENERATOR, CO_COROUTINE, CO_ASYNC_GENERATOR
+
+
+class _LoopCalls:
+    """A profile function counting the loop thread's calls into ``repro``.
+
+    Installed with :func:`threading.setprofile` before the loop starts, it
+    runs on the loop thread only.  A pass of the loop ends when it returns
+    from ``_flush_writes``; ``passes`` holds the count of every pass that
+    took a scheduling step, whatever the test thread does meanwhile.
+    """
+
+    def __init__(self) -> None:
+        self.root = os.path.dirname(repro.__file__) + os.sep
+        self.calls = 0
+        self.stepped = False
+        self.passes: list[int] = []
+
+    def __call__(self, frame, event, _arg) -> None:
+        code = frame.f_code
+        if not code.co_filename.startswith(self.root):
+            return
+        if event == "call":
+            if code.co_name not in _NOT_A_CALL and not code.co_flags & _GENERATOR_FLAGS:
+                self.calls += 1
+            self.stepped = self.stepped or code.co_name == "_process"
+        elif event == "return" and code.co_name == "_flush_writes":
+            if self.stepped:
+                self.passes.append(self.calls)
+            self.calls, self.stepped = 0, False
+
+
+def test_a_warm_frame_takes_the_registry_lock_once_and_makes_pinned_calls(
     setup, tmp_path, monkeypatch
 ):
     scheme, derivation, view, pairs = setup
@@ -862,7 +902,11 @@ def test_a_warm_frame_takes_the_registry_lock_four_times_and_builds_no_span(
     registry._lock = counting = _CountingLock()  # before any family holds the lock
     engine = QueryEngine(scheme, metrics=registry)
     engine.add_view(view)
-    server = ProvenanceServer(engine, sampler=Sampler(registry, sample_rate=0.0))
+    # A clock that stands still: the reopen probe fires on query counts
+    # alone (the second frame's), never on a slow host's timing.
+    server = ProvenanceServer(
+        engine, sampler=Sampler(registry, sample_rate=0.0), clock=lambda: 0.0
+    )
     server.attach(run_file, warm=False)
     opened = []
     original = contextlib._GeneratorContextManager.__init__
@@ -881,34 +925,46 @@ def test_a_warm_frame_takes_the_registry_lock_four_times_and_builds_no_span(
     monkeypatch.setattr(ProvenanceServer, "_process", recorded)
     frame = encode_depends_request(1, DEFAULT_RUN, view.name, None, ids)
     sock_path = tmp_path / "guard.sock"
-    with server, ProvenanceNetServer(server, unix_path=sock_path):
-        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        raw.settimeout(10.0)
-        raw.connect(str(sock_path))
+    loop_calls = _LoopCalls()
+    threading.setprofile(loop_calls)  # the loop thread starts with it
+    try:
+        with server, ProvenanceNetServer(server, unix_path=sock_path):
+            threading.setprofile(None)
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(10.0)
+            raw.connect(str(sock_path))
 
-        def exchange():
-            raw.sendall(frame)
-            data = b""
-            while len(data) < 4 or len(data) < 4 + struct.unpack("<I", data[:4])[0]:
-                chunk = raw.recv(1 << 16)
-                assert chunk, "the server hung up"
-                data += chunk
-            return decode_reply(data[4:])
+            def exchange():
+                raw.sendall(frame)
+                data = b""
+                while len(data) < 4 or len(data) < 4 + struct.unpack("<I", data[:4])[0]:
+                    chunk = raw.recv(1 << 16)
+                    assert chunk, "the server hung up"
+                    data += chunk
+                return decode_reply(data[4:])
 
-        try:
-            # Cold, then warm: every key is decided and every metric child
-            # that a frame updates (the reopen probe's among them) exists.
-            for _ in range(2):
-                assert exchange().answers.tolist() == expected
-            counting.taken = 0
-            with monkeypatch.context() as patch:
-                patch.setattr(contextlib._GeneratorContextManager, "__init__", counted)
-                reply = exchange()
-            taken = counting.taken
-        finally:
-            raw.close()
+            try:
+                # Cold, then warm: every key is decided and every metric child
+                # that a frame updates (the reopen probe's among them) exists.
+                for _ in range(2):
+                    assert exchange().answers.tolist() == expected
+                counting.taken = 0
+                with monkeypatch.context() as patch:
+                    patch.setattr(contextlib._GeneratorContextManager, "__init__", counted)
+                    reply = exchange()
+                taken = counting.taken
+                for _ in range(1000):  # the pass ends just after the reply left
+                    if len(loop_calls.passes) == 3:
+                        break
+                    time.sleep(0.01)
+            finally:
+                raw.close()
+    finally:
+        threading.setprofile(None)
     engine.detach(DEFAULT_RUN)
     assert isinstance(reply, AnswersReply) and reply.answers.tolist() == expected
     assert threads == ["provenance-net"] * 3  # every frame was served on the loop
-    assert taken == 4
+    assert taken == 1
     assert opened == []
+    assert len(loop_calls.passes) == 3  # one pass of the loop per frame
+    assert loop_calls.passes[2] == WARM_FRAME_CALLS

@@ -23,6 +23,7 @@ from repro.net.protocol import (
     encode_depends_request,
     encode_error,
     encode_metrics_reply,
+    encode_metrics_request,
     encode_shed,
     encode_stats_reply,
     encode_stats_request,
@@ -181,6 +182,67 @@ def test_bad_utf8_rejected():
     frame[header_end : header_end + 2] = b"\xff\xfe"
     with pytest.raises(SerializationError, match="UTF-8"):
         decode_request(bytes(frame))
+
+
+#: Every request kind, and every reply kind, as the payloads a peer sends.
+_REQUESTS = {
+    "depends": encode_depends_request(3, "run-a", "audit", None, [(1, 2), (3, 4)]),
+    "traced-depends": encode_depends_request(
+        4, "run-a", "audit", None, [(5, 6)], trace_id=0xFEEDFACE
+    ),
+    "visible-with-variant": encode_visible_request(5, "run-a", "audit", "se", [7, 8, 9]),
+    "stats": encode_stats_request(6),
+    "metrics": encode_metrics_request(7),
+}
+_REPLIES = {
+    "answers": encode_answers(4, np.array([True, False, True] * 5)),
+    "shed": encode_shed(4, 0.25, 16),
+    "error": encode_error(4, "ViewError", "unknown view 'x'"),
+    "stats": encode_stats_reply(4, {"status": "ok", "net": {"sheds": 1}}),
+    "metrics": encode_metrics_reply(4, "up 1\n"),
+}
+#: The header-only requests: their decoder reads the fixed header and no more.
+_HEADER_ONLY = ("stats", "metrics")
+_BYTES = (0x00, 0x01, 0x7F, 0x80, 0xFF)
+
+
+def _damaged(payload: bytes):
+    """``(case, bytes)`` for every prefix, one-byte extension and overwrite."""
+    for end in range(len(payload)):
+        yield "prefix", payload[:end]
+    for value in range(256):
+        yield "extension", payload + bytes([value])
+    for offset in range(len(payload)):
+        for value in _BYTES:
+            damaged = bytearray(payload)
+            damaged[offset] = value
+            yield "overwrite", bytes(damaged)
+
+
+@pytest.mark.parametrize(
+    "decode, payloads",
+    [(decode_request, _REQUESTS), (decode_reply, _REPLIES)],
+    ids=["requests", "replies"],
+)
+def test_every_malformed_frame_raises_the_typed_error(decode, payloads):
+    """Prefixes, one-byte extensions and byte overwrites of every frame kind.
+
+    Each either raises :class:`SerializationError` — never another
+    exception type — or decodes: an overwrite may land in a value field and
+    decode, a prefix never does, and an extension only of the header-only
+    requests (their decoder stops after the fixed header).
+    """
+    for name, frame in payloads.items():
+        payload = _payload(frame)
+        decode(payload)
+        for case, damaged in _damaged(payload):
+            try:
+                decode(damaged)
+            except SerializationError:
+                continue
+            assert case == "overwrite" or (
+                case == "extension" and decode is decode_request and name in _HEADER_ONLY
+            ), f"{name}: a {case} of {len(damaged)} bytes decoded"
 
 
 def test_oversized_payload_refused_at_encode():
