@@ -61,9 +61,6 @@ from repro.obs.trace import trace_span
 
 __all__ = ["depends_grouped"]
 
-_ONE = np.int32(1)
-
-
 def depends_grouped(store, arena: int, state, pairs, trie) -> tuple[np.ndarray, int, int]:
     """Answer ``pairs`` against one decoded view; see the module docstring.
 
@@ -165,8 +162,11 @@ def _read(table: PairTable, slot, x, y, ids, positions) -> tuple[np.ndarray, int
     bits = off == VERDICT_TRUE
     matrix = (off >= 0).nonzero()[0]
     if matrix.size:
-        # 0-based entries, as int32 whatever the width of the port columns.
-        at, x, y = slot[matrix], x[matrix] - _ONE, y[matrix] - _ONE
+        # 0-based entries, widened to int32 whatever the width of the port
+        # columns (a one-byte port times ``ports`` would wrap).
+        at = slot[matrix]
+        x = np.subtract(x[matrix], 1, dtype=np.int32)
+        y = np.subtract(y[matrix], 1, dtype=np.int32)
         outside = ((x | y) < 0) | (x >= table.rows[at]) | (y >= table.cols[at])
         if outside.any():
             bad = int(np.argmax(outside))

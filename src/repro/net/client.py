@@ -306,8 +306,8 @@ class ProvenanceClient:
         caller then owns reporting the probe's outcome — an abandoned probe
         re-opens the breaker via :meth:`_probe_aborted`).
         """
-        if self._breaker_threshold is None or self._breaker_open_until == 0.0:
-            return False  # closed (re-checked under the lock once it is not)
+        if self._breaker_threshold is None:
+            return False
         with self._breaker_lock:
             if self._breaker_open_until == 0.0:
                 return False  # closed
@@ -333,10 +333,8 @@ class ProvenanceClient:
                 self._breaker_probing = False
 
     def _note_answered(self) -> None:
-        if self._breaker_threshold is None or not (
-            self._shed_streak or self._breaker_open_until or self._breaker_probing
-        ):
-            return  # nothing to reset
+        if self._breaker_threshold is None:
+            return
         with self._breaker_lock:
             self._shed_streak = 0
             self._breaker_open_until = 0.0

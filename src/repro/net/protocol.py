@@ -119,7 +119,6 @@ _LEN = struct.Struct("<I")
 _REQUEST = struct.Struct("<BIHHHI")  # op, request_id, run_len, view_len, variant_len, n
 _TRACE_ID = struct.Struct("<Q")  # trace id, present iff op & TRACE_FLAG
 _ANSWERS = struct.Struct("<BII")  # op, request_id, n
-_ANSWERS_FRAME = struct.Struct("<IBII")  # the length prefix, then _ANSWERS
 _SHED = struct.Struct("<BIdI")  # op, request_id, retry_after_s, queue_depth
 _ERROR = struct.Struct("<BIHI")  # op, request_id, kind_len, message_len
 _STATS = struct.Struct("<BII")  # op, request_id, json_len
@@ -198,17 +197,13 @@ class MetricsReply:
 # -- encoding -------------------------------------------------------------------
 
 
-def _too_big(size: int) -> SerializationError:
-    return SerializationError(
-        f"frame payload of {size} bytes exceeds the protocol "
-        f"bound ({MAX_FRAME_BYTES}); split the batch"
-    )
-
-
 def _frame(*parts: bytes) -> bytes:
     payload = b"".join(parts)
     if len(payload) > MAX_FRAME_BYTES:
-        raise _too_big(len(payload))
+        raise SerializationError(
+            f"frame payload of {len(payload)} bytes exceeds the protocol "
+            f"bound ({MAX_FRAME_BYTES}); split the batch"
+        )
     return _LEN.pack(len(payload)) + payload
 
 
@@ -266,11 +261,7 @@ def encode_metrics_request(request_id: int) -> bytes:
 def encode_answers(request_id: int, answers: np.ndarray) -> bytes:
     """One answers frame: the ``(n,)`` bool array, bit-packed."""
     bits = np.packbits(answers)
-    size = _ANSWERS.size + bits.size
-    frame = _ANSWERS_FRAME.pack(size, RESP_ANSWERS, request_id, len(answers))
-    if size > MAX_FRAME_BYTES:
-        raise _too_big(size)
-    return frame + bits.tobytes()
+    return _frame(_ANSWERS.pack(RESP_ANSWERS, request_id, len(answers)), bits.tobytes())
 
 
 def encode_shed(request_id: int, retry_after_s: float, queue_depth: int) -> bytes:

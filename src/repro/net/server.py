@@ -171,11 +171,9 @@ class ProvenanceNetServer:
         #: socket file and never a live server's.
         self._bound_path: "str | None" = None
         self._conns: deque[_Connection] = deque()
-        #: Frames decoded and not yet admitted, over every connection, and
-        #: the deepest that backlog was since a record last carried it to
-        #: the registry (loop thread only).
+        #: Frames decoded and not yet admitted, over every connection (loop
+        #: thread only).
         self._intake = 0
-        self._intake_peak = 0
         self._thread: "threading.Thread | None" = None
         self._stopping = False
         self._wake_r: "int | None" = None
@@ -429,14 +427,7 @@ class ProvenanceNetServer:
         if frames:
             conn.intake.extend(frames)
             self._intake += len(frames)
-            if self._intake > self._intake_peak:
-                self._intake_peak = self._intake
-
-    def _flush_intake_peak(self) -> None:
-        """Set the intake watermark to the backlog peak no record carried."""
-        if self._intake_peak:
-            self._intake_hwm_g.set_max(self._intake_peak)
-            self._intake_peak = 0
+            self._intake_hwm_g.set_max(self._intake)
 
     def _pump_intake(self) -> None:
         """Admit decoded frames round-robin: one per connection per pass.
@@ -461,16 +452,12 @@ class ProvenanceNetServer:
         try:
             request = decode_request(payload)
         except SerializationError as exc:
-            self._flush_intake_peak()
             self._count("errors")
             self._send(conn, encode_error(0, type(exc).__name__, str(exc)))
             return
         if request.__class__ is QueryRequest:
             self._admit(conn, request)
             return
-        # Only a query frame's record carries the backlog peak: anything else
-        # sets it before a stats or metrics snapshot could miss it.
-        self._flush_intake_peak()
         self._count("frames")  # a query frame's record counts it
         if isinstance(request, StatsRequest):
             self._count("stats_requests")
@@ -484,14 +471,12 @@ class ProvenanceNetServer:
                     request.request_id, self._server.metrics.exposition()
                 ),
             )
-            return
 
     def _admit(self, conn: _Connection, request: QueryRequest) -> None:
         if request.variant is not None:
             # The frame layout keeps its variant field for existing encoders;
             # the server serves views, so a frame that names a variant is
             # refused before any record (or metric series) exists for it.
-            self._flush_intake_peak()
             self._count("frames")
             self._count("errors")
             message = "this server serves views: a query frame's variant field must be empty"
@@ -512,9 +497,6 @@ class ProvenanceNetServer:
         record = sampler.open(request.trace_id, kind, run, view, n)
         record.reply, record.reply_to = self._reply, (conn, request.request_id)
         record.tally.add(self._counters["frames"])
-        if self._intake_peak:
-            record.tally.set_max(self._intake_hwm_g, self._intake_peak)
-            self._intake_peak = 0
         try:
             admitted = self._server.serve_frame(
                 record, request.ids, request.view, run=request.run
@@ -679,10 +661,8 @@ class ProvenanceNetServer:
                 return
             conn.closed = True
             conn.outbound.clear()
-        if conn.intake:
-            self._intake -= len(conn.intake)
-            conn.intake.clear()
-            self._flush_intake_peak()  # its frames will carry nothing
+        self._intake -= len(conn.intake)
+        conn.intake.clear()
         if unregister and self._selector is not None:
             try:
                 self._selector.unregister(conn.sock)

@@ -157,10 +157,14 @@ class Gauge:
             self._value += amount
 
     def set_max(self, value: float) -> None:
-        """Ratchet: keep the largest value ever seen (queue peaks etc.)."""
-        with self._lock:
-            if value > self._value:
-                self._value = value
+        """Ratchet: keep the largest value ever seen (queue peaks etc.).
+
+        A value that would not raise it takes no lock.
+        """
+        if value > self._value:
+            with self._lock:
+                if value > self._value:
+                    self._value = value
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Read ``fn()`` at snapshot time, *outside* the registry lock."""

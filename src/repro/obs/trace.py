@@ -354,9 +354,9 @@ class Request:
     The request edge sets the reply sink: ``reply(record, answers, error)``
     writes to ``reply_to`` (a future, a list of them, a connection and a
     request id) and is called once, through :meth:`resolve`.  ``tally``
-    gathers the frame's own counts, the edge's, the sampler's and, when the
-    record leads a scheduling step, the step's, until :meth:`Sampler.finish`
-    folds them: a record with a tally is finished by its sink.
+    gathers the frame's own counts, the edge's, its admission's (folded
+    with its scheduling step's) and the sampler's, until
+    :meth:`Sampler.finish` folds what is left.
 
     ``trace`` (with its ``net.frame`` ``root`` span, the parent of the
     scheduler's span on whichever thread took the step) is set only when the id was
@@ -473,7 +473,7 @@ class Sampler:
         """Close ``request`` with its outcome known; returns its wall seconds.
 
         All it counts is one fold of what the record's tally still holds —
-        the frame's own counts, and its admission's unless a scheduling step
+        the frame's own counts, and its admission's if no scheduling step
         folded them with its own — and of the sampler's counts (two folds
         when the slow threshold is refreshed, every :data:`REFRESH_EVERY`
         requests).

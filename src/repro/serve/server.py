@@ -636,6 +636,8 @@ class ProvenanceServer:
             except InjectedFault:
                 return False
         max_queue = self._policy.max_queue
+        carried = request.tally is not None
+        tally = request.tally if carried else Tally()
         with self._lock:
             while True:
                 if self._stopping:
@@ -658,12 +660,12 @@ class ProvenanceServer:
                 self._waiters -= 1
             self._queue.append(request)
             self._queued += n
-            depth = self._queued
-        tally = request.tally if request.tally is not None else Tally()
-        tally.add(self._submitted_c, n)
-        tally.set_max(self._queue_peak_g, depth)
-        tally.set_max(self._queue_hwm_g, depth)
-        if tally is not request.tally:
+            # Counted under the lock: a combiner may pop the record, and fold
+            # what it carries, as soon as the lock is let go.
+            tally.add(self._submitted_c, n)
+            tally.set_max(self._queue_peak_g, self._queued)
+            tally.set_max(self._queue_hwm_g, self._queued)
+        if not carried:
             self.metrics.fold(tally)
         return True
 
@@ -700,17 +702,12 @@ class ProvenanceServer:
         """Answer one step's records, one engine call per same-key group.
 
         Every count of the step — its own, its engine calls', a due probe's
-        and what its records carry from their admission — is folded before
-        any record resolves: a client that holds its answer finds it
-        counted.  A request edge's record is finished, its tally folded,
-        before its reply leaves, and the step's first record resolves
-        first; so when that record has a tally the step's counts join it and
-        fold with the record's own, under one registry lock per frame.  What
-        the other records carry is folded here, under one more.
+        and what its records carry from their admission — is folded under
+        one registry lock before any record resolves: a client that holds
+        its answer finds it counted.
         """
-        first = batch[0]
-        tally = first.tally if first.tally is not None else Tally()
-        carried = [] if tally is first.tally else [tally]
+        tally = Tally()
+        carried = [tally]
         queries = 0
         groups: dict[tuple, list[Request]] = {}
         traced = []
@@ -719,7 +716,7 @@ class ProvenanceServer:
             groups.setdefault(request.key, []).append(request)
             if request.trace is not None:
                 traced.append(request)
-            if request.tally is not None and request is not first:
+            if request.tally is not None:
                 carried.append(request.tally)
         # One ``scheduler.batch`` span per traced record in the step, each
         # recording *all* the trace ids this step coalesced — the span tree
@@ -773,13 +770,9 @@ class ProvenanceServer:
                     due.append(run)
                     tally.add(self._probes_c)
         finally:
-            if carried:
-                self.metrics.fold(*carried)
+            self.metrics.fold(*carried)
         for request, answers, error in outcomes:
             self._reply(request, answers, error)
-        if first.tally is tally:  # its sink failed before finishing it
-            first.tally = None
-            self.metrics.fold(tally)
         if traced:
             for span in sched_spans.values():
                 if span is not None:

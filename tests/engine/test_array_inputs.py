@@ -31,7 +31,12 @@ from repro.model.projection import ViewProjection
 from repro.net import ProvenanceClient, ProvenanceNetServer
 from repro.serve import ProvenanceServer
 from repro.store import checkpoint_run, compact
-from repro.workloads import build_bioaid_specification, random_run, random_view
+from repro.workloads import (
+    build_bioaid_specification,
+    build_synthetic_specification,
+    random_run,
+    random_view,
+)
 
 SPEC = build_bioaid_specification()
 SCHEME = FVLScheme(SPEC)
@@ -310,3 +315,40 @@ def test_a_pair_outside_its_matrix_is_named_past_case_one_pairs(engine):
     state.pair_tables[arena] = table
     assert plain[0] is DecodingError and "asks for entry" in plain[1]
     assert behind == plain
+
+
+def test_a_mapped_store_with_twelve_ports_reads_past_a_one_byte_entry(tmp_path):
+    """A mapped store keeps its ports one byte wide; with twelve ports a
+    module, entry ``(x, y)`` of a matrix sits at ``x * 12 + y`` in its
+    block, past what one byte holds, so the hit path widens the ports
+    before it computes that offset — cold and warm, bit for bit."""
+    spec = build_synthetic_specification(
+        workflow_size=4, module_degree=12, nesting_depth=2, recursion_length=2
+    )
+    scheme = FVLScheme(spec)
+    derivation = random_run(spec, 300, seed=5)
+    labeler = scheme.label_run(derivation)
+    view = random_view(spec, 2, seed=1, mode="grey", name="wide")
+    run_file = tmp_path / "wide.fvl"
+    checkpoint_run(run_file, labeler.store, labeler.tree.nodes)
+    engine = QueryEngine(scheme)
+    mapped = engine.attach(run_file)
+    engine.add_view(view)
+    assert mapped.store.raw_columns()[1].dtype == np.int8
+    visible = sorted(ViewProjection(derivation.run, view).visible_items)
+    pairs = np.random.default_rng(0).choice(visible, (400, 2))
+    # Some intermediate pair asks for an entry past offset 127.
+    assert any(
+        labeler.store.row(d1)[0] >= 0 and labeler.store.row(d2)[2] >= 0
+        and (labeler.store.row(d1)[1] - 1) * 12 + labeler.store.row(d2)[3] - 1 > 127
+        for d1, d2 in pairs.tolist()
+    )
+    view_label = scheme.label_view(view)
+    want = [
+        scheme.depends(labeler.label(d1), labeler.label(d2), view_label)
+        for d1, d2 in pairs.tolist()
+    ]
+    assert engine.depends_batch(pairs, view).tolist() == want  # cold
+    assert engine.decoded_state(view).table(engine.shard_arena()).ports == 12
+    assert engine.depends_batch(pairs, view).tolist() == want  # warm: table hits
+    engine.detach(DEFAULT_RUN)

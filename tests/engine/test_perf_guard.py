@@ -59,12 +59,13 @@ of ascending needles, with answers bit-identical to ``FVLScheme.depends``,
 and a cold batch's to one more probe after the merge.
 
 And one holds a warm frame's bookkeeping to a count: a 256-pair frame served
-on the event loop, untraced, takes the metrics registry's lock once — its
-record's finish folds the admission and intake watermark it carried, every
-count of the step it led (scheduler and engine) and its own and the
-sampler's — opens no generator-based context manager, so an inactive
-``trace_span`` builds nothing, and makes a pinned number of calls into
-``repro`` on the loop thread.
+on the event loop, untraced, takes the metrics registry's lock twice — the
+step folds its own and its engine calls' counts with the admission counts
+its record carried, and the record's finish folds the frame's own and the
+sampler's; an intake watermark that does not rise takes none — opens no
+generator-based context manager, so an inactive ``trace_span`` builds
+nothing, and makes at most a pinned number of calls into ``repro`` on the
+loop thread.
 """
 
 from __future__ import annotations
@@ -852,8 +853,9 @@ class _CountingLock:
         self.release()
 
 
-#: Calls the loop thread makes into ``repro`` for one warm 256-pair frame.
-WARM_FRAME_CALLS = 88
+#: Calls the loop thread makes into ``repro`` for one warm 256-pair frame
+#: (Python 3.11); the guard lets the count fall, never rise.
+WARM_FRAME_CALLS = 93
 #: Code that is a comprehension or a generator (3.12 inlines comprehensions).
 _NOT_A_CALL = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
 _GENERATOR_FLAGS = 0x20 | 0x80 | 0x200  # CO_GENERATOR, CO_COROUTINE, CO_ASYNC_GENERATOR
@@ -888,7 +890,7 @@ class _LoopCalls:
             self.calls, self.stepped = 0, False
 
 
-def test_a_warm_frame_takes_the_registry_lock_once_and_makes_pinned_calls(
+def test_a_warm_frame_takes_the_registry_lock_twice_and_makes_pinned_calls(
     setup, tmp_path, monkeypatch
 ):
     scheme, derivation, view, pairs = setup
@@ -964,7 +966,7 @@ def test_a_warm_frame_takes_the_registry_lock_once_and_makes_pinned_calls(
     engine.detach(DEFAULT_RUN)
     assert isinstance(reply, AnswersReply) and reply.answers.tolist() == expected
     assert threads == ["provenance-net"] * 3  # every frame was served on the loop
-    assert taken == 1
+    assert taken == 2
     assert opened == []
     assert len(loop_calls.passes) == 3  # one pass of the loop per frame
-    assert loop_calls.passes[2] == WARM_FRAME_CALLS
+    assert loop_calls.passes[2] <= WARM_FRAME_CALLS
