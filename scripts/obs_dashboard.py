@@ -3,13 +3,15 @@
 Scrapes a live server over the binary wire protocol — the stats op for the
 watchdog verdict, queue state, and cost table; the metrics op for the
 Prometheus exposition — and renders a refreshing terminal view: qps,
-p50/p99 latency from the tail sampler's histogram, queue depth and
-watermarks, shed/quarantine state, the costliest (run, view) groups, and
+p50/p99 latency from the tail sampler's histogram, queue depth and the
+queue and intake peaks, shed/quarantine state, the costliest (run, view) groups, and
 any firing alerts.
 
-Rates and percentiles are computed client-side from a small ring of parsed
-scrapes (cumulative counter deltas over the window), so the dashboard needs
-nothing from the server beyond the two existing wire ops.
+Rates and percentiles are computed client-side: each parsed scrape is
+recorded in a :class:`~repro.obs.timeseries.SnapshotRing` (the ring the
+watchdog reads), which differences cumulative counters and histogram buckets
+over the window, so the dashboard needs nothing from the server beyond the
+two existing wire ops.
 
 Run against a live server:
 
@@ -26,12 +28,12 @@ import argparse
 import os
 import sys
 import time
-from collections import deque
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.net import ProvenanceClient  # noqa: E402
 from repro.obs.metrics import parse_exposition  # noqa: E402
+from repro.obs.timeseries import SnapshotRing  # noqa: E402
 
 CLEAR = "\x1b[2J\x1b[H"
 BOLD = "\x1b[1m"
@@ -39,17 +41,6 @@ RED = "\x1b[31m"
 GREEN = "\x1b[32m"
 YELLOW = "\x1b[33m"
 RESET = "\x1b[0m"
-
-
-class Scrape:
-    """One timed scrape: parsed exposition + stats payload."""
-
-    __slots__ = ("ts", "metrics", "stats")
-
-    def __init__(self, ts: float, metrics: dict, stats: dict) -> None:
-        self.ts = ts
-        self.metrics = metrics
-        self.stats = stats
 
 
 def series_total(parsed: dict, name: str, **labels: str) -> float:
@@ -62,105 +53,54 @@ def series_total(parsed: dict, name: str, **labels: str) -> float:
     )
 
 
-def _buckets(parsed: dict, name: str) -> "list[tuple[float, float]]":
-    """Cumulative ``(le, count)`` pairs of a histogram family, summed
-    across children, sorted by bound."""
-    acc: dict[float, float] = {}
-    for (series, lv), value in parsed.items():
-        if series != f"{name}_bucket":
-            continue
-        le = dict(lv).get("le", "+Inf")
-        bound = float("inf") if le == "+Inf" else float(le)
-        acc[bound] = acc.get(bound, 0.0) + value
-    return sorted(acc.items())
-
-
-class Window:
-    """A bounded ring of scrapes answering windowed rates and percentiles."""
-
-    def __init__(self, window_s: float, capacity: int = 128) -> None:
-        self.window_s = window_s
-        self._ring: "deque[Scrape]" = deque(maxlen=capacity)
-
-    def push(self, scrape: Scrape) -> None:
-        self._ring.append(scrape)
-
-    @property
-    def latest(self) -> "Scrape | None":
-        return self._ring[-1] if self._ring else None
-
-    def _pair(self) -> "tuple[Scrape, Scrape] | None":
-        if len(self._ring) < 2:
-            return None
-        latest = self._ring[-1]
-        baseline = self._ring[-2]
-        for scrape in self._ring:
-            if latest.ts - scrape.ts <= self.window_s:
-                baseline = scrape
-                break
-        if baseline.ts >= latest.ts:
-            baseline = self._ring[-2]
-        return baseline, latest
-
-    def rate(self, name: str, **labels: str) -> float:
-        pair = self._pair()
-        if pair is None:
-            return 0.0
-        baseline, latest = pair
-        increase = series_total(latest.metrics, name, **labels) - series_total(
-            baseline.metrics, name, **labels
-        )
-        elapsed = latest.ts - baseline.ts
-        return max(0.0, increase) / elapsed if elapsed > 0 else 0.0
-
-    def percentile(self, name: str, q: float) -> float:
-        """Windowed q-quantile upper bound from histogram bucket deltas
-        (falls back to the cumulative distribution on the first scrape)."""
-        pair = self._pair()
-        if pair is None:
-            if not self._ring:
-                return 0.0
-            deltas = _buckets(self._ring[-1].metrics, name)
+def as_snapshot(parsed: dict) -> dict:
+    """A parsed exposition in the registry snapshot's shape, which
+    :class:`SnapshotRing` differences: ``{family: {label values: number}}``,
+    and each histogram child as its per-bucket counts."""
+    snap: dict = {}
+    cumulative: dict = {}
+    for (series, labels), value in parsed.items():
+        key = tuple(v for name, v in labels if name != "le")
+        if series.endswith("_bucket"):
+            edge = (float(dict(labels)["le"]), value)
+            cumulative.setdefault((series[: -len("_bucket")], key), []).append(edge)
         else:
-            baseline, latest = pair
-            base = dict(_buckets(baseline.metrics, name))
-            deltas = [
-                (bound, count - base.get(bound, 0.0))
-                for bound, count in _buckets(latest.metrics, name)
-            ]
-            if any(count < 0 for _, count in deltas):  # counter reset
-                deltas = _buckets(latest.metrics, name)
-            elif deltas and deltas[-1][1] <= 0:
-                # Idle window: show the lifetime distribution over zeros.
-                deltas = _buckets(latest.metrics, name)
-        total = deltas[-1][1] if deltas else 0.0
-        if total <= 0:
-            return 0.0
-        target = q * total
-        for bound, count in deltas:
-            if count >= target:
-                return bound
-        return deltas[-1][0]
+            snap.setdefault(series, {})[key] = value
+    for (name, key), edges in cumulative.items():
+        edges.sort()
+        totals = [count for _, count in edges]
+        snap.setdefault(name, {})[key] = {
+            "buckets": tuple(bound for bound, _ in edges[:-1]),
+            "counts": [int(c - below) for c, below in zip(totals, [0.0] + totals)],
+            "count": int(totals[-1]),
+            "sum": snap.get(f"{name}_sum", {}).get(key, 0.0),
+        }
+    return snap
 
 
 def _fmt_seconds(value: float) -> str:
-    if value == float("inf"):
-        return "inf"
     if value >= 1.0:
         return f"{value:.2f}s"
     return f"{value * 1e3:.1f}ms"
 
 
-def render(window: Window, address: str, *, color: bool = True) -> str:
-    """One dashboard frame as a string."""
+def render(ring: SnapshotRing, stats: dict, address: str, window_s: float,
+           *, color: bool = True) -> str:
+    """One dashboard frame as a string: ``stats`` is the latest stats
+    payload, ``ring`` holds the scrapes up to it."""
 
     def paint(text: str, code: str) -> str:
         return f"{code}{text}{RESET}" if color else text
 
-    scrape = window.latest
-    if scrape is None:
-        return "no scrape yet"
-    stats = scrape.stats
+    def rate(name: str) -> float:
+        return ring.rate(name, window_s=window_s)
+
+    def latency(q: float) -> str:
+        return _fmt_seconds(ring.percentile("tail_request_seconds", q, window_s=window_s))
+
+    def total(name: str) -> int:
+        return int(sum(ring.latest[1].get(name, {}).values()))
+
     status = stats.get("status", "ok")
     alerts = stats.get("alerts", [])
     server = stats.get("server", {})
@@ -175,30 +115,24 @@ def render(window: Window, address: str, *, color: bool = True) -> str:
         "",
         "traffic   qps {:>10.1f}   frames/s {:>8.1f}   sheds/s {:>6.1f}   "
         "errors/s {:>6.1f}".format(
-            window.rate("serve_answered_total"),
-            window.rate("net_frames_total"),
-            window.rate("net_sheds_total"),
-            window.rate("net_errors_total"),
+            rate("serve_answered_total"),
+            rate("net_frames_total"),
+            rate("net_sheds_total"),
+            rate("net_errors_total"),
         ),
         "latency   p50 {:>10s}   p90 {:>12s}   p99 {:>10s}   (tail edge, "
         "{:.0f}s window)".format(
-            _fmt_seconds(window.percentile("tail_request_seconds", 0.50)),
-            _fmt_seconds(window.percentile("tail_request_seconds", 0.90)),
-            _fmt_seconds(window.percentile("tail_request_seconds", 0.99)),
-            window.window_s,
+            latency(0.50), latency(0.90), latency(0.99), window_s,
         ),
-        "queue     depth {:>8d}   watermark {:>7d}   peak {:>9d}   "
-        "intake wm {:>5d}".format(
+        "queue     depth {:>8d}   peak {:>12d}   intake peak {:>5d}".format(
             int(stats.get("queue_depth", 0)),
-            int(server.get("queue_depth_high_watermark", 0)),
             int(server.get("queue_peak", 0)),
             int(net.get("intake_high_watermark", 0)),
         ),
         "health    reopens {:>9d}   quarantined {:>2d}   "
         "kept traces {:>4d}".format(
             int(server.get("reopens", 0)),
-            int(series_total(scrape.metrics, "lifecycle_quarantined_runs")),
-            int(series_total(scrape.metrics, "tail_kept_total")),
+            total("lifecycle_quarantined_runs"), total("tail_kept_total"),
         ),
         "",
     ]
@@ -241,12 +175,10 @@ def render(window: Window, address: str, *, color: bool = True) -> str:
     return "\n".join(lines)
 
 
-def scrape_once(client: ProvenanceClient) -> Scrape:
-    return Scrape(
-        time.monotonic(),
-        parse_exposition(client.server_metrics()),
-        client.server_stats(),
-    )
+def scrape_once(client: ProvenanceClient, ring: SnapshotRing) -> dict:
+    """Record one scrape of the exposition in ``ring``; returns the stats payload."""
+    ring.record_snapshot(as_snapshot(parse_exposition(client.server_metrics())))
+    return client.server_stats()
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -272,7 +204,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.unix is None and args.host is None:
         parser.error("pass --unix PATH or --host/--port")
     address = args.unix and f"unix:{args.unix}" or f"tcp:{args.host}:{args.port}"
-    window = Window(args.window)
+    ring = SnapshotRing()
     once = args.once or args.snapshot is not None
     client_kwargs = (
         {"unix_path": args.unix}
@@ -281,10 +213,10 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     with ProvenanceClient(**client_kwargs) as client:
         if once:
-            window.push(scrape_once(client))
+            scrape_once(client, ring)
             time.sleep(min(args.interval, 0.2))
-            window.push(scrape_once(client))
-            frame = render(window, address, color=False)
+            stats = scrape_once(client, ring)
+            frame = render(ring, stats, address, args.window, color=False)
             print(frame)
             if args.snapshot:
                 with open(args.snapshot, "w", encoding="utf-8") as fh:
@@ -292,8 +224,8 @@ def main(argv: "list[str] | None" = None) -> int:
             return 0
         try:
             while True:
-                window.push(scrape_once(client))
-                sys.stdout.write(CLEAR + render(window, address) + "\n")
+                stats = scrape_once(client, ring)
+                sys.stdout.write(CLEAR + render(ring, stats, address, args.window) + "\n")
                 sys.stdout.flush()
                 time.sleep(args.interval)
         except KeyboardInterrupt:

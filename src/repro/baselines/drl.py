@@ -124,11 +124,11 @@ class DRLRunLabeler:
         if self._started:
             raise LabelingError("the DRL labeler already observed an initial event")
         self._started = True
-        node = self._tree.start(event.instance.uid)
+        path = self._tree.path_table.path(self._tree.start_event(event.instance.uid))
         for port, item_uid in enumerate(event.input_items, start=1):
-            self._assign(item_uid, DataLabel(None, PortLabel(node.path, port)))
+            self._assign(item_uid, DataLabel(None, PortLabel(path, port)))
         for port, item_uid in enumerate(event.output_items, start=1):
-            self._assign(item_uid, DataLabel(PortLabel(node.path, port), None))
+            self._assign(item_uid, DataLabel(PortLabel(path, port), None))
 
     def _on_expansion(self, event: ExpansionEvent) -> None:
         # DRL labels the *projected* run: expansions hidden by the view are
@@ -138,23 +138,14 @@ class DRLRunLabeler:
         if not self._tree.has_node(event.parent.uid):
             # The parent itself lives inside a hidden region.
             return
-        children = [
-            (child.uid, child.position or 0, child.module_name)
-            for child in event.children
-        ]
         position_path_ids = self._position_path_ids
-        needed = len(children) + 1 - len(position_path_ids)
+        needed = len(event.children) + 1 - len(position_path_ids)
         if needed > 0:
             position_path_ids.extend([-1] * needed)
         # Resolve the new items by production position through the arena
-        # (DRL's per-item label objects are the baseline cost being measured;
-        # node flyweights are not, so skip materialising them).
-        self._tree.expand(
-            event.parent.uid,
-            event.production_index,
-            children,
-            position_path_ids,
-            materialize_nodes=False,
+        # (DRL's per-item label objects are the baseline cost being measured).
+        self._tree.expand_event(
+            event.parent.uid, event.production_index, event.children, position_path_ids
         )
         path = self._tree.path_table.path
         for item in event.new_items:

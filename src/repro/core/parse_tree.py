@@ -226,51 +226,6 @@ class CompressedParseTree:
         self._by_instance[instance_uid] = row
         return path_id
 
-    def start(self, instance_uid: str) -> ParseNode:
-        """Compatibility wrapper over :meth:`start_event` returning the node."""
-        self.start_event(instance_uid)
-        return self.node_for(instance_uid)
-
-    def expand(
-        self,
-        parent_instance_uid: str,
-        production_k: int,
-        children: list[tuple[str, int, str]],
-        position_path_ids: list[int] | None = None,
-        *,
-        materialize_nodes: bool = True,
-    ) -> dict[str, ParseNode] | None:
-        """Insert the nodes for one production application.
-
-        ``children`` lists ``(instance_uid, position, module_name)`` for every
-        right-hand-side module, in the fixed topological order.  Returns the
-        mapping from instance uid to the created parse node (``None`` when
-        ``materialize_nodes=False`` — callers that only need path ids pass
-        ``position_path_ids`` instead and skip the flyweight dict).  When the
-        caller passes ``position_path_ids`` (a list of length
-        ``len(children) + 1``), slot ``position`` is filled with the created
-        node's path id — the hot ingest path resolves data items by production
-        position through it instead of hashing instance uids.
-
-        The insertion rules follow Section 4.2.3: non-recursive children
-        become children of the expanded node with a ``(k, i)`` edge; a child
-        in the *same* cycle as the expanded module becomes the next child of
-        the enclosing recursive node (label ``(s, t, i+1)``); a child in a
-        *different* cycle gets a fresh recursive node in between.
-        """
-        cycle_position_of = self._index.cycle_positions.get
-        entries = [
-            (position, module_name, cycle_position_of(module_name))
-            for _, position, module_name in children
-        ]
-        uids = [instance_uid for instance_uid, _, _ in children]
-        self._expand_rows(
-            parent_instance_uid, production_k, entries, uids, position_path_ids
-        )
-        if not materialize_nodes:
-            return None
-        return {uid: self.node_for(uid) for uid in uids}
-
     def expand_event(
         self,
         parent_instance_uid: str,
@@ -278,15 +233,25 @@ class CompressedParseTree:
         instances,
         position_path_ids: list[int] | None = None,
     ) -> None:
-        """Fast path of :meth:`expand` for derivation events.
+        """Insert the nodes for one production application (a derivation event).
 
         ``instances`` are the event's :class:`~repro.model.run.ModuleInstance`
         children, which a :class:`~repro.model.derivation.Derivation` emits in
         the production's fixed topological order; everything else about the
         children comes from the grammar's cached per-production template, so
         the per-child work is a handful of integer column appends.  Created
-        nodes are reachable through :meth:`node_for` / ``position_path_ids``;
-        no node objects (and no per-call dict) are built.
+        nodes are reachable through :meth:`node_for`; no node objects (and no
+        per-call dict) are built.  When the caller passes
+        ``position_path_ids`` (a list of length ``len(instances) + 1``), slot
+        ``position`` is filled with the created node's path id — the ingest
+        path resolves data items by production position through it instead
+        of hashing instance uids.
+
+        The insertion rules follow Section 4.2.3: non-recursive children
+        become children of the expanded node with a ``(k, i)`` edge; a child
+        in the *same* cycle as the expanded module becomes the next child of
+        the enclosing recursive node (label ``(s, t, i+1)``); a child in a
+        *different* cycle gets a fresh recursive node in between.
         """
         entries = self._index.production_children(production_k)
         if len(entries) != len(instances):

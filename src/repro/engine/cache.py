@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A point-in-time snapshot of the view-state LRU's accounting."""
+    """The view-state LRU's accounting, read from one registry snapshot."""
 
     hits: int
     misses: int
@@ -78,15 +78,16 @@ class LRUCache:
     value wins and the loser's work is discarded, so entries must be
     deterministic functions of their key.
 
-    ``counters`` optionally mirrors the accounting into a metrics registry:
-    a ``(hits, misses, evictions)`` triple of
-    :class:`~repro.obs.metrics.Counter` handles.  Hits and misses go to the
-    caller's tally, evictions are incremented alongside the internal count
-    (the registry lock is a leaf lock, so taking it while holding the cache
-    lock is safe).
+    The registry ``metrics`` is the only tally: hits and misses go to the
+    caller's :class:`~repro.obs.metrics.Tally` as
+    ``engine_view_cache_total{event}``, an eviction straight to the
+    registry (its lock is a leaf lock, so taking it while holding the
+    cache lock is safe), and ``engine_decoded_state_bytes{part}`` reads
+    the resident bytes at snapshot time; :meth:`stats_from` reads them
+    back.
     """
 
-    def __init__(self, max_bytes: int, statics: dict, *, counters=None) -> None:
+    def __init__(self, max_bytes: int, statics: dict, metrics) -> None:
         if max_bytes < 1:
             raise ValueError("the state budget must be at least 1 byte")
         self._max_bytes = max_bytes
@@ -96,13 +97,19 @@ class LRUCache:
         self._static_settled = 0
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        if counters is not None:
-            self._hits_c, self._misses_c, self._evictions_c = counters
-        else:
-            self._hits_c = self._misses_c = self._evictions_c = None
+        events = metrics.counter(
+            "engine_view_cache_total", "decoded-view LRU events", ("event",)
+        )
+        self._hits_c = events.labels("hit")
+        self._misses_c = events.labels("miss")
+        self._evictions_c = events.labels("evict")
+        state_bytes = metrics.gauge(
+            "engine_decoded_state_bytes",
+            "decoded view state resident (array bytes), evictable per-run part vs static part",
+            ("part",),
+        )
+        state_bytes.labels("per_run").set_function(self.per_run_bytes)
+        state_bytes.labels("static").set_function(self.static_bytes)
 
     def get_or_create(self, key: Hashable, factory: Callable[[], object], tally):
         """The entry of ``key``, built by ``factory()`` on a miss; the hit or
@@ -111,13 +118,9 @@ class LRUCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                if self._hits_c is not None:
-                    tally.add(self._hits_c)
+                tally.add(self._hits_c)
                 return entry
-            self._misses += 1
-            if self._misses_c is not None:
-                tally.add(self._misses_c)
+            tally.add(self._misses_c)
         value = factory()
         with self._lock:
             entry = self._entries.setdefault(key, value)
@@ -168,9 +171,7 @@ class LRUCache:
                 if entry is not state:
                     del self._entries[key]
                     excess -= entry.nbytes
-                    self._evictions += 1
-                    if self._evictions_c is not None:
-                        self._evictions_c.inc()
+                    self._evictions_c.inc()
 
     def values(self) -> list:
         """A snapshot of the cached values (no recency effect)."""
@@ -182,17 +183,16 @@ class LRUCache:
         with self._lock:
             return list(self._entries.items())
 
-    @property
-    def stats(self) -> CacheStats:
-        resident = self.static_bytes() + self.per_run_bytes()
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                bytes=resident,
-                max_bytes=self._max_bytes,
-            )
+    def stats_from(self, snap: dict) -> CacheStats:
+        """:class:`CacheStats` from a registry snapshot of the cache's families."""
+        events = snap["engine_view_cache_total"]
+        return CacheStats(
+            hits=int(events[("hit",)]),
+            misses=int(events[("miss",)]),
+            evictions=int(events[("evict",)]),
+            bytes=int(sum(snap["engine_decoded_state_bytes"].values())),
+            max_bytes=self._max_bytes,
+        )
 
 
 class StaticViewState:

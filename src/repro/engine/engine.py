@@ -161,6 +161,9 @@ class EngineStats:
     #: shards answered: the sum of ``queries_by_run``.
     queries: int
     batches: int
+    #: ``engine_queries_total`` summed per *currently registered* run: a
+    #: detached run drops out of the dict, not out of the counter, and a
+    #: run re-registered under its id counts on from its earlier queries.
     queries_by_run: dict[str, int]
     #: Intermediate pairs answered from a verdict row (every factor of the
     #: path pair's product was all-true, or one all-false: no matrix) vs.
@@ -191,7 +194,6 @@ class _RunShard:
     derivation: Derivation | None = None
     labeler: RunLabeler | None = None
     mapped: "MappedRunStore | None" = None
-    queries: int = 0
 
     @property
     def store(self):
@@ -231,30 +233,11 @@ class QueryEngine:
         #: register their families here — so a single snapshot covers the
         #: whole tier, while separate engines (tests!) never mix counts.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        view_cache = self.metrics.counter(
-            "engine_view_cache_total", "decoded-view LRU events", ("event",)
-        )
         #: Every byte of decoded state, per-run or static, counts against
         #: ``state_budget_bytes`` (a deployment setting, like a buffer-pool
         #: size); only per-run states are ever evicted to honour it.
-        self._states = LRUCache(
-            state_budget_bytes,
-            self._statics,
-            counters=(
-                view_cache.labels("hit"),
-                view_cache.labels("miss"),
-                view_cache.labels("evict"),
-            ),
-        )
-        state_bytes = self.metrics.gauge(
-            "engine_decoded_state_bytes",
-            "decoded view state resident (array bytes), evictable per-run part vs static part",
-            ("part",),
-        )
-        state_bytes.labels("per_run").set_function(self._states.per_run_bytes)
-        state_bytes.labels("static").set_function(self._states.static_bytes)
+        self._states = LRUCache(state_budget_bytes, self._statics, self.metrics)
         self._shards: dict[str, _RunShard] = {}
-        self._lock = threading.Lock()
         #: Serialises shard remaps (reopen from concurrent server workers
         #: and the lifecycle manager) so exactly one fresh mapping wins and
         #: none leak.
@@ -621,8 +604,6 @@ class QueryEngine:
         shard = self._shards.get(run) or self._shard(run)
         state = self._decoded_state(view, tally)
         n = len(ids)
-        with self._lock:
-            shard.queries += n
         tally.add(self._queries_c.labels(shard.run_id, state.static.view, op), n)
         t0 = time.perf_counter()
         try:
@@ -696,22 +677,20 @@ class QueryEngine:
 
     @property
     def stats(self) -> EngineStats:
-        """A point-in-time view over the metrics registry (plus shard tallies).
+        """A point-in-time view over the metrics registry.
 
-        ``batches``/``structural_pairs``/``matrix_pairs``/``labels_built`` come from one
-        registry :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (a
-        single lock acquisition, so they are mutually consistent);
-        ``queries_by_run`` stays keyed by the *currently registered* shards,
-        which is why it reads the shard tallies rather than the labeled
-        counter family (detached runs drop out of the dict but not out of
-        the monotonic counters).
+        Every count comes from one registry
+        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (a single lock
+        acquisition, so they are mutually consistent).
         """
         snap = self.metrics.snapshot()
         pairs = snap.get("engine_pairs_total", {})
-        with self._lock:
-            queries_by_run = {s.run_id: s.queries for s in self._shards.values()}
+        queries_by_run = dict.fromkeys(list(self._shards), 0)
+        for (run, _view, _op), n in snap["engine_queries_total"].items():
+            if run in queries_by_run:
+                queries_by_run[run] += int(n)
         return EngineStats(
-            views=self._states.stats,
+            views=self._states.stats_from(snap),
             queries=sum(queries_by_run.values()),
             batches=int(snap.get("engine_batches_total", {}).get((), 0)),
             queries_by_run=queries_by_run,

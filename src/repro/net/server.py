@@ -51,7 +51,7 @@ import selectors
 import socket
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro import faults
 from repro.errors import SerializationError
@@ -89,7 +89,7 @@ class NetStats:
 
     A view over the stack's shared metrics registry: every counter comes
     from one registry snapshot (a single lock acquisition), so a scrape
-    never mixes counts from two instants.
+    never mixes counts from two instants.  Reading it changes nothing.
     """
 
     connections: int  # accepted over the server's lifetime
@@ -100,9 +100,17 @@ class NetStats:
     errors: int  # protocol or query errors answered on a connection
     stats_requests: int
     metrics_requests: int = 0
-    #: Deepest decoded-but-unadmitted frame backlog since the last stats
-    #: read (watermark gauge: reading it reset it to 0).
+    #: Deepest decoded-but-unadmitted frame backlog over the server's lifetime.
     intake_high_watermark: int = 0
+
+
+def _payload(stats) -> dict:
+    """A stats dataclass as the stats op's dict: its fields, an exception as its text."""
+    out = {field.name: getattr(stats, field.name) for field in fields(stats)}
+    for name, value in out.items():
+        if isinstance(value, BaseException):
+            out[name] = str(value)
+    return out
 
 
 class _Connection:
@@ -203,9 +211,7 @@ class ProvenanceNetServer:
             ),
         }
         self._intake_hwm_g = m.gauge(
-            "net_intake_high_watermark",
-            "deepest decoded-frame backlog since the last snapshot (resets on read)",
-            watermark=True,
+            "net_intake_high_watermark", "deepest decoded-frame backlog ever seen"
         )
 
     # -- lifecycle ---------------------------------------------------------------
@@ -329,7 +335,7 @@ class ProvenanceNetServer:
 
     def stats_from(self, snap: dict) -> NetStats:
         """Build :class:`NetStats` from an already-taken registry snapshot
-        (see :meth:`ProvenanceServer.stats_from` for why callers share one)."""
+        (one snapshot for several views gives them one instant)."""
 
         def counter(name: str) -> int:
             family = snap.get(name)
@@ -541,11 +547,8 @@ class ProvenanceNetServer:
         self._send(conn, reply)
 
     def _stats_payload(self) -> dict:
-        # One snapshot feeds both views: snapshots consume watermark gauges,
-        # so taking two here would zero the second view's watermarks.
+        # One snapshot feeds both views, so they show one instant.
         snap = self._server.metrics.snapshot()
-        stats = self._server.stats_from(snap)
-        net = self.stats_from(snap)
         watchdog = self._server.watchdog
         health = watchdog.health() if watchdog is not None else None
         return {
@@ -553,33 +556,8 @@ class ProvenanceNetServer:
             "alerts": health["alerts"] if health is not None else [],
             "queue_depth": self._server.pending,
             "runs": list(self._server.engine.run_ids),
-            "server": {
-                "submitted": stats.submitted,
-                "answered": stats.answered,
-                "batches": stats.batches,
-                "engine_calls": stats.engine_calls,
-                "coalesced": stats.coalesced,
-                "largest_batch": stats.largest_batch,
-                "queue_peak": stats.queue_peak,
-                "queue_depth_high_watermark": stats.queue_depth_high_watermark,
-                "probes": stats.probes,
-                "reopens": stats.reopens,
-                "last_error": str(stats.last_error) if stats.last_error else None,
-                "last_warm_error": (
-                    str(stats.last_warm_error) if stats.last_warm_error else None
-                ),
-            },
-            "net": {
-                "connections": net.connections,
-                "active_connections": net.active_connections,
-                "frames": net.frames,
-                "answered_frames": net.answered_frames,
-                "sheds": net.sheds,
-                "errors": net.errors,
-                "stats_requests": net.stats_requests,
-                "metrics_requests": net.metrics_requests,
-                "intake_high_watermark": net.intake_high_watermark,
-            },
+            "server": _payload(self._server.stats_from(snap)),
+            "net": _payload(self.stats_from(snap)),
             "top_costs": top_costs(snap),
         }
 

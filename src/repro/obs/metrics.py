@@ -132,20 +132,16 @@ class Counter:
 class Gauge:
     """A settable gauge child; ``set_function`` defers to a callback at read.
 
-    A *watermark* gauge (``GaugeFamily`` declared with ``watermark=True``)
-    resets to 0 every time the registry snapshots it, so ratcheting it with
-    :meth:`set_max` yields the peak **since the last scrape** — dashboards
-    see bursts that inter-scrape sampling would miss, where a lifetime peak
-    gauge saturates after the first burst.
+    Reading a gauge changes nothing: a peak ratcheted with :meth:`set_max`
+    is the peak over the gauge's lifetime, whoever read it before.
     """
 
-    __slots__ = ("_lock", "_value", "_fn", "_watermark")
+    __slots__ = ("_lock", "_value", "_fn")
 
-    def __init__(self, lock: threading.Lock, watermark: bool = False) -> None:
+    def __init__(self, lock: threading.Lock) -> None:
         self._lock = lock
         self._value = 0.0
         self._fn: Callable[[], float] | None = None
-        self._watermark = watermark
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -372,14 +368,8 @@ class CounterFamily(_Family):
 class GaugeFamily(_Family):
     kind = "gauge"
 
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str,
-                 labelnames: tuple[str, ...], watermark: bool = False) -> None:
-        super().__init__(registry, name, help, labelnames)
-        #: Watermark families reset every child to 0 at snapshot time.
-        self.watermark = watermark
-
     def _make_child(self) -> Gauge:
-        return Gauge(self._registry._lock, self.watermark)
+        return Gauge(self._registry._lock)
 
     def set(self, value: float) -> None:
         self._solo.set(value)
@@ -438,12 +428,8 @@ class MetricsRegistry:
         return self._family(CounterFamily, name, help, labelnames)
 
     def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = (), *,
-              watermark: bool = False) -> GaugeFamily:
-        family = self._family(GaugeFamily, name, help, labelnames, watermark)
-        if family.watermark != watermark:
-            raise ValueError(f"{name} already registered with watermark={family.watermark}")
-        return family
+              labelnames: Sequence[str] = ()) -> GaugeFamily:
+        return self._family(GaugeFamily, name, help, labelnames)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
@@ -498,7 +484,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, dict[tuple[str, ...], object]]:
         """Every family's children captured under ONE lock acquisition.
 
-        Counters/gauges map to numbers; histograms map to
+        A pure read: taking one changes no value.  Counters/gauges map to
+        numbers; histograms map to
         ``{"counts": tuple, "sum": float, "count": int, "buckets": tuple}``.
         Callback gauges are evaluated after the lock is released (they read
         live structures guarded by their own locks; calling them under the
@@ -519,8 +506,6 @@ class MetricsRegistry:
                             row[key] = 0.0
                         else:
                             row[key] = child._value
-                            if child._watermark:
-                                child._value = 0.0
                     elif isinstance(child, Histogram):
                         row[key] = {
                             "counts": tuple(int(c) for c in child.counts),

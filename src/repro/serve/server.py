@@ -124,9 +124,9 @@ class ReopenPolicy:
 class ServerStats:
     """Counters over the server's lifetime (exposed for observability).
 
-    The whole snapshot — counters *and* the last-error fields — is taken
-    under one lock, so a reader (e.g. the network tier's stats endpoint)
-    never sees a torn view of a step's failure bookkeeping.
+    Every count comes from one registry snapshot, so a reader (e.g. the
+    network tier's stats endpoint) sees them at one instant; the
+    last-error fields are read under their own lock right after.
     """
 
     submitted: int
@@ -138,16 +138,6 @@ class ServerStats:
     queue_peak: int
     probes: int
     reopens: int
-    #: Pairs the engine answered from a verdict row versus from a matrix
-    #: row (mirrors :attr:`repro.engine.EngineStats.structural_pairs` /
-    #: ``matrix_pairs``).
-    structural_pairs: int = 0
-    matrix_pairs: int = 0
-    #: Deepest queue since the *last* stats read (a watermark gauge: the
-    #: registry snapshot that built this view also reset it to 0), so two
-    #: consecutive scrapes see per-interval peaks, not the lifetime
-    #: :attr:`queue_peak`.
-    queue_depth_high_watermark: int = 0
     #: The last unexpected scheduling/probe failure a step survived and the
     #: last warm-start failure attach swallowed (both ``None`` when healthy).
     last_error: "Exception | None" = None
@@ -266,11 +256,6 @@ class ProvenanceServer:
             "serve_largest_batch", "largest scheduling batch ever taken"
         )
         self._queue_peak_g = m.gauge("serve_queue_peak", "deepest queue ever seen")
-        self._queue_hwm_g = m.gauge(
-            "serve_queue_depth_high_watermark",
-            "deepest queue since the last snapshot (resets on read)",
-            watermark=True,
-        )
         m.gauge(
             "serve_queue_depth", "requests queued right now"
         ).set_function(lambda: self.pending)
@@ -530,8 +515,7 @@ class ProvenanceServer:
     def stats(self) -> ServerStats:
         """One consistent :class:`ServerStats` view over the registry.
 
-        Every counter — the server's *and* the engine's structural/matrix
-        pair tallies — comes from a single
+        Every counter comes from a single
         :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (one lock
         acquisition), so a scrape never mixes counts from two instants; the
         last-error fields are read under their own lock right after.
@@ -541,17 +525,14 @@ class ProvenanceServer:
     def stats_from(self, snap: dict) -> ServerStats:
         """Build :class:`ServerStats` from an already-taken registry snapshot.
 
-        Snapshots consume watermark gauges (reading resets them), so a
-        caller assembling several stats views — the net tier's stats
-        payload builds this *and* :class:`~repro.net.server.NetStats` — must
-        take one snapshot and feed it to both, or the second view would see
-        the watermarks already zeroed by the first.
+        A caller assembling several stats views — the net tier's stats
+        payload builds this *and* :class:`~repro.net.server.NetStats` —
+        feeds them one snapshot, so they show one instant.
         """
 
         def counter(name: str) -> int:
             return int(snap.get(name, {}).get((), 0))
 
-        pairs = snap.get("engine_pairs_total", {})
         with self._stats_lock:
             last_error = self._last_error
             last_warm_error = self._last_warm_error
@@ -565,9 +546,6 @@ class ProvenanceServer:
             queue_peak=counter("serve_queue_peak"),
             probes=counter("serve_probes_total"),
             reopens=counter("serve_reopens_total"),
-            structural_pairs=int(pairs.get(("structural",), 0)),
-            matrix_pairs=int(pairs.get(("matrix",), 0)),
-            queue_depth_high_watermark=counter("serve_queue_depth_high_watermark"),
             last_error=last_error,
             last_warm_error=last_warm_error,
         )
@@ -664,7 +642,6 @@ class ProvenanceServer:
             # what it carries, as soon as the lock is let go.
             tally.add(self._submitted_c, n)
             tally.set_max(self._queue_peak_g, self._queued)
-            tally.set_max(self._queue_hwm_g, self._queued)
         if not carried:
             self.metrics.fold(tally)
         return True

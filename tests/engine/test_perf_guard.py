@@ -62,7 +62,7 @@ And one holds a warm frame's bookkeeping to a count: a 256-pair frame served
 on the event loop, untraced, takes the metrics registry's lock twice — the
 step folds its own and its engine calls' counts with the admission counts
 its record carried, and the record's finish folds the frame's own and the
-sampler's; an intake watermark that does not rise takes none — opens no
+sampler's; an intake peak that does not rise takes none — opens no
 generator-based context manager, so an inactive ``trace_span`` builds
 nothing, and makes at most a pinned number of calls into ``repro`` on the
 loop thread.
@@ -855,7 +855,7 @@ class _CountingLock:
 
 #: Calls the loop thread makes into ``repro`` for one warm 256-pair frame
 #: (Python 3.11); the guard lets the count fall, never rise.
-WARM_FRAME_CALLS = 93
+WARM_FRAME_CALLS = 92
 #: Code that is a comprehension or a generator (3.12 inlines comprehensions).
 _NOT_A_CALL = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
 _GENERATOR_FLAGS = 0x20 | 0x80 | 0x200  # CO_GENERATOR, CO_COROUTINE, CO_ASYNC_GENERATOR

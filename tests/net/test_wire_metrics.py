@@ -83,7 +83,6 @@ PINNED = {
     "serve_largest_batch": {(): 40},
     "serve_probes_total": {},
     "serve_queue_depth": {(): 0.0},
-    "serve_queue_depth_high_watermark": {(): 40},
     "serve_queue_peak": {(): 40},
     "serve_reopens_total": {},
     "serve_submitted_total": {(): 114},

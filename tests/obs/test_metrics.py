@@ -200,20 +200,6 @@ def test_observe_many_guards_empty_and_mixed_batches():
     assert snap["observe_invalid_total"][("lat_seconds",)] == 3
 
 
-def test_watermark_gauge_resets_on_snapshot_read():
-    reg = MetricsRegistry()
-    hwm = reg.gauge("queue_hwm", watermark=True)
-    hwm.set_max(7)
-    hwm.set_max(3)  # ratchet: lower values do not move it
-    assert reg.snapshot()["queue_hwm"][()] == 7.0
-    # The read consumed the watermark; the next burst starts from zero.
-    assert reg.snapshot()["queue_hwm"][()] == 0.0
-    hwm.set_max(2)
-    assert reg.snapshot()["queue_hwm"][()] == 2.0
-    with pytest.raises(ValueError):
-        reg.gauge("queue_hwm", watermark=False)  # declaration must agree
-
-
 def test_exemplars_ride_the_exposition_and_round_trip_the_parser():
     reg = MetricsRegistry()
     hist = reg.histogram("lat_seconds", buckets=(0.1, 1.0))

@@ -154,9 +154,6 @@ class ObjectParseTree:
     # -- construction ------------------------------------------------------------
 
     def start_event(self, instance_uid: str) -> int:
-        return self.start(instance_uid).path_id
-
-    def start(self, instance_uid: str) -> ObjectParseNode:
         if self._root is not None:
             raise LabelingError("the parse tree already has a root")
         start_name = self._index.grammar.start
@@ -185,27 +182,7 @@ class ObjectParseTree:
             self._n_nodes += 1
             self._root = node
         self._by_instance[instance_uid] = node
-        return node
-
-    def expand(
-        self,
-        parent_instance_uid: str,
-        production_k: int,
-        children: list[tuple[str, int, str]],
-        position_path_ids: list[int] | None = None,
-        *,
-        materialize_nodes: bool = True,
-    ) -> dict[str, ObjectParseNode] | None:
-        cycle_position_of = self._index.cycle_positions.get
-        entries = [
-            (position, module_name, cycle_position_of(module_name))
-            for _, position, module_name in children
-        ]
-        uids = [instance_uid for instance_uid, _, _ in children]
-        self._expand(parent_instance_uid, production_k, entries, uids, position_path_ids)
-        if not materialize_nodes:
-            return None
-        return {uid: self._by_instance[uid] for uid in uids}
+        return node.path_id
 
     def expand_event(
         self,
